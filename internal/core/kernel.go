@@ -307,8 +307,9 @@ func newPool(k *Kernel, name string, max int) *pool {
 func (pl *pool) submit(job func(p *sim.Proc)) {
 	if pl.q.Waiters() == 0 && pl.spawned < pl.max {
 		pl.spawned++
-		name := fmt.Sprintf("k%d/%s%d", pl.k.id, pl.name, pl.spawned)
-		pl.k.dom.Spawn(name, func(p *sim.Proc) {
+		idx := pl.spawned
+		name := func() string { return fmt.Sprintf("k%d/%s%d", pl.k.id, pl.name, idx) }
+		pl.k.dom.SpawnLazy(name, func(p *sim.Proc) {
 			for {
 				j := pl.q.Pop(p)
 				j(p)

@@ -381,7 +381,8 @@ func (t *transport) timerFire(key qkey, epoch uint64) {
 	}
 	if !t.spawned {
 		t.spawned = true
-		t.k.dom.Spawn(fmt.Sprintf("k%d/xmit", t.k.id), func(p *sim.Proc) {
+		name := func() string { return fmt.Sprintf("k%d/xmit", t.k.id) }
+		t.k.dom.SpawnLazy(name, func(p *sim.Proc) {
 			for {
 				ref := t.flushQ.Pop(p)
 				t.flushFrom(p, ref)

@@ -90,7 +90,8 @@ func (v *VPE) start() {
 		return
 	}
 	v.started = true
-	v.proc = v.kernel.dom.Spawn(fmt.Sprintf("vpe%d:%s", v.ID, v.Name), func(p *sim.Proc) {
+	name := func() string { return fmt.Sprintf("vpe%d:%s", v.ID, v.Name) }
+	v.proc = v.kernel.dom.SpawnLazy(name, func(p *sim.Proc) {
 		v.prog(v, p)
 		if !v.exited {
 			v.doneAt = p.Now()

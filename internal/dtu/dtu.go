@@ -143,10 +143,10 @@ type endpoint struct {
 	// recv
 	slots      int
 	used       int
-	queue      []*Message
+	queue      sim.FIFO[*Message]
 	handler    Handler
 	vecHandler VecHandler
-	waiters    []*sim.Proc
+	waiters    sim.FIFO[*sim.Proc]
 
 	// mem
 	memPE   int
@@ -399,11 +399,9 @@ func (d *DTU) deliver(ep int, msg *Message) {
 		e.handler(msg)
 		return
 	}
-	e.queue = append(e.queue, msg)
-	if len(e.waiters) > 0 {
-		w := e.waiters[0]
-		e.waiters = e.waiters[1:]
-		w.Wake()
+	e.queue.Push(msg)
+	if e.waiters.Len() > 0 {
+		e.waiters.Pop().Wake()
 	}
 }
 
@@ -487,12 +485,11 @@ func (d *DTU) deliverVec(ep int, msgs []*Message) {
 		}
 		return
 	}
-	e.queue = append(e.queue, msgs...)
-	wake := min(len(msgs), len(e.waiters))
-	for i := 0; i < wake; i++ {
-		w := e.waiters[0]
-		e.waiters = e.waiters[1:]
-		w.Wake()
+	for _, m := range msgs {
+		e.queue.Push(m)
+	}
+	for wake := min(len(msgs), e.waiters.Len()); wake > 0; wake-- {
+		e.waiters.Pop().Wake()
 	}
 }
 
@@ -501,12 +498,10 @@ func (d *DTU) deliverVec(ep int, msgs []*Message) {
 func (d *DTU) Fetch(ep int) *Message {
 	checkEP(ep)
 	e := &d.eps[ep]
-	if e.kind != EpRecv || len(e.queue) == 0 {
+	if e.kind != EpRecv || e.queue.Len() == 0 {
 		return nil
 	}
-	m := e.queue[0]
-	e.queue = e.queue[1:]
-	return m
+	return e.queue.Pop()
 }
 
 // Wait blocks the proc until a message is queued at receive endpoint ep and
@@ -517,13 +512,11 @@ func (d *DTU) Wait(p *sim.Proc, ep int) *Message {
 	if e.kind != EpRecv {
 		panic("dtu: Wait on non-recv endpoint")
 	}
-	for len(e.queue) == 0 {
-		e.waiters = append(e.waiters, p)
+	for e.queue.Len() == 0 {
+		e.waiters.Push(p)
 		p.Park()
 	}
-	m := e.queue[0]
-	e.queue = e.queue[1:]
-	return m
+	return e.queue.Pop()
 }
 
 // WaitVec blocks the proc until at least one message is queued at receive
@@ -536,13 +529,11 @@ func (d *DTU) WaitVec(p *sim.Proc, ep int) []*Message {
 	if e.kind != EpRecv {
 		panic("dtu: WaitVec on non-recv endpoint")
 	}
-	for len(e.queue) == 0 {
-		e.waiters = append(e.waiters, p)
+	for e.queue.Len() == 0 {
+		e.waiters.Push(p)
 		p.Park()
 	}
-	out := e.queue
-	e.queue = nil
-	return out
+	return e.queue.TakeAll()
 }
 
 // Reply frees msg's slot and sends a reply back to the sender's reply

@@ -449,3 +449,69 @@ func TestPerEndpointLossBreakdown(t *testing.T) {
 		t.Fatalf("untouched endpoints accumulated losses: %v", st.EPLost[:4])
 	}
 }
+
+// syscallPair wires the syscall pattern between two DTUs — a client that
+// sends, waits for the reply and acks it, a server that waits and replies,
+// both on queue endpoints — and returns a function that pushes one round
+// trip through it. Every message crosses both endpoints' wait queues.
+func syscallPair(tb testing.TB) (e *sim.Engine, roundTrip func()) {
+	tb.Helper()
+	e = sim.NewEngine()
+	n := noc.New(e, noc.DefaultConfig(4))
+	f := NewFabric(e, n)
+	client, server := f.Add(0, 0), f.Add(1, 0)
+	server.ConfigureRecv(server, 2, 4, nil)
+	client.ConfigureRecv(client, 3, 2, nil)
+	client.ConfigureSend(client, 1, 1, 2, 1, 0)
+	req, rep := new(int), new(int) // pointer payloads: boxing them is free
+	start := sim.NewQueue[struct{}](e)
+	e.Spawn("server", func(p *sim.Proc) {
+		for {
+			server.Reply(server.Wait(p, 2), rep, 16)
+		}
+	})
+	e.Spawn("client", func(p *sim.Proc) {
+		for {
+			start.Pop(p)
+			if err := client.Send(1, req, 64, 3, 0); err != nil {
+				tb.Errorf("send: %v", err)
+				return
+			}
+			client.Ack(client.Wait(p, 3))
+		}
+	})
+	e.Run() // both park
+	return e, func() {
+		start.Push(struct{}{})
+		e.Run()
+	}
+}
+
+// TestWaitQueuesAllocateNothing: a send → Wait → Reply → Wait → Ack round
+// trip allocates its two Messages and its three delivery closures (built
+// per delivery on purpose, see Send) and nothing else: queueing a message
+// at an endpoint and registering a waiter there reuse the endpoint's
+// arrays instead of growing a fresh one after every drain.
+func TestWaitQueuesAllocateNothing(t *testing.T) {
+	e, roundTrip := syscallPair(t)
+	defer e.Kill()
+	roundTrip()
+	const perTrip = 2 + 3
+	if allocs := testing.AllocsPerRun(200, roundTrip); allocs != perTrip {
+		t.Fatalf("round trip allocates %v times, want %d", allocs, perTrip)
+	}
+}
+
+// BenchmarkDTUWaitReply measures one syscall-shaped DTU round trip between
+// two parked procs. Its allocs/op are the messages and delivery closures
+// alone (TestWaitQueuesAllocateNothing pins the count).
+func BenchmarkDTUWaitReply(b *testing.B) {
+	e, roundTrip := syscallPair(b)
+	defer e.Kill()
+	roundTrip()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		roundTrip()
+	}
+}

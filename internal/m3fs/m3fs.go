@@ -252,32 +252,37 @@ func (fs *FS) Start(p *sim.Proc) error {
 
 // --- path handling ---------------------------------------------------------
 
-func splitPath(path string) []string {
-	var parts []string
-	for _, s := range strings.Split(path, "/") {
-		if s != "" {
-			parts = append(parts, s)
-		}
+// nextPart splits off the first component of a slash-separated path, skipping
+// empty components. part is "" once the path is exhausted. Paths are walked
+// on every request, so this avoids building a []string per walk.
+func nextPart(path string) (part, rest string) {
+	for len(path) > 0 && path[0] == '/' {
+		path = path[1:]
 	}
-	return parts
+	if i := strings.IndexByte(path, '/'); i >= 0 {
+		return path[:i], path[i+1:]
+	}
+	return path, ""
 }
 
 // walk resolves a path to its parent directory and final name.
 func (fs *FS) walk(path string) (parent *dirNode, name string, n node) {
-	parts := splitPath(path)
-	if len(parts) == 0 {
+	name, rest := nextPart(path)
+	if name == "" {
 		return nil, "", fs.root
 	}
 	d := fs.root
-	for _, part := range parts[:len(parts)-1] {
-		next, ok := d.entries[part].(*dirNode)
+	for {
+		next, more := nextPart(rest)
+		if next == "" {
+			return d, name, d.entries[name]
+		}
+		sub, ok := d.entries[name].(*dirNode)
 		if !ok {
 			return nil, "", nil
 		}
-		d = next
+		d, name, rest = sub, next, more
 	}
-	name = parts[len(parts)-1]
-	return d, name, d.entries[name]
 }
 
 // --- boot-time image construction -------------------------------------------
@@ -286,7 +291,7 @@ func (fs *FS) walk(path string) (parent *dirNode, name string, n node) {
 // simulated cost).
 func (fs *FS) MustMkdirAll(path string) {
 	d := fs.root
-	for _, part := range splitPath(path) {
+	for part, rest := nextPart(path); part != ""; part, rest = nextPart(rest) {
 		next, ok := d.entries[part]
 		if !ok {
 			nd := &dirNode{entries: make(map[string]node)}

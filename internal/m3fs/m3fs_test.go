@@ -1,6 +1,7 @@
 package m3fs
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -283,5 +284,52 @@ func TestSpanningSession(t *testing.T) {
 	}
 	if k1.Stats().Sessions != 1 {
 		t.Fatalf("client kernel sessions = %d, want 1", k1.Stats().Sessions)
+	}
+}
+
+// TestWalkMatchesSplitReference: walk resolves paths component by component
+// without building a slice; the answers must be those of the obvious
+// strings.Split walk, including for empty components, a missing or non-
+// directory intermediate, and the root.
+func TestWalkMatchesSplitReference(t *testing.T) {
+	fs := NewFS(Config{}, nil)
+	fs.MustMkdirAll("/a//b/")
+	fs.MustMkdirAll("c")
+	fs.MustCreate("/a/b/f", 0)
+	fs.MustCreate("a/g", 0)
+
+	refWalk := func(path string) (*dirNode, string, node) {
+		var parts []string
+		for _, s := range strings.Split(path, "/") {
+			if s != "" {
+				parts = append(parts, s)
+			}
+		}
+		if len(parts) == 0 {
+			return nil, "", fs.root
+		}
+		d := fs.root
+		for _, part := range parts[:len(parts)-1] {
+			next, ok := d.entries[part].(*dirNode)
+			if !ok {
+				return nil, "", nil
+			}
+			d = next
+		}
+		name := parts[len(parts)-1]
+		return d, name, d.entries[name]
+	}
+	for _, path := range []string{
+		"", "/", "///", "a", "/a", "a/", "//a//", "/a/b", "a//b/f", "/a/b/f/", "/a/g",
+		"/a/missing", "/missing/f", "/a/g/under-a-file", "/a/b/f/x/y", "c", "/c/new",
+	} {
+		wp, wn, wnode := refWalk(path)
+		gp, gn, gnode := fs.walk(path)
+		if gp != wp || gn != wn || gnode != wnode {
+			t.Errorf("walk(%q) = (%p, %q, %v), reference says (%p, %q, %v)", path, gp, gn, gnode, wp, wn, wnode)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { fs.walk("/a/b/f") }); allocs != 0 {
+		t.Errorf("walk allocates %v times per path, want 0", allocs)
 	}
 }

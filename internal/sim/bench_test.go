@@ -109,6 +109,39 @@ func BenchmarkWakeStorm(b *testing.B) {
 	e.Kill()
 }
 
+// BenchmarkQueuePushPop measures the Queue under the kernel thread-pool
+// pattern: an event handler pushes a job, the parked consumer proc is woken,
+// pops it and parks again. One op is one element through the queue,
+// including the consumer's two switches; in steady state neither the items
+// nor the waiter list allocate.
+func BenchmarkQueuePushPop(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine()
+	q := NewQueue[int](e)
+	n := b.N
+	e.Spawn("consumer", func(p *Proc) {
+		for i := 0; i < n; i++ {
+			q.Pop(p)
+		}
+	})
+	left := n
+	var produce func()
+	produce = func() {
+		q.Push(left)
+		if left--; left > 0 {
+			e.Schedule(1, produce)
+		}
+	}
+	e.Schedule(1, produce)
+	b.ResetTimer()
+	e.Run()
+	b.StopTimer()
+	if live := e.LiveProcs(); live != 0 {
+		b.Fatalf("consumer still live after %d pops", n)
+	}
+	e.Kill()
+}
+
 // BenchmarkPoolReuse measures the per-experiment engine cost the harness
 // pays: one op is one short simulated task on a pool-recycled engine
 // (Get, schedule/run a small workload with procs, Put).

@@ -60,9 +60,9 @@ type Domain struct {
 	heap     []event
 	fifo     []event
 	fifoHead int
-	// procs registers this domain's spawned procs so Kill can wake them to
-	// unwind. Single-writer during isolated rounds: only the domain's own
-	// worker spawns here.
+	// procs registers this domain's spawned procs so Kill can stop them.
+	// Single-writer during isolated rounds: only the domain's own worker
+	// spawns here.
 	procs []*Proc
 	// Isolated-rounds state: the domain-local clock and sequence counter.
 	// Merged-mode execution uses the engine-global now/seq instead.
@@ -352,11 +352,15 @@ func (dm *Domain) drain() {
 	}
 }
 
-// killProcs wakes this domain's live procs so they unwind (see Engine.Kill).
+// killProcs unwinds this domain's live procs (see Engine.Kill). stop
+// returns once a parked body has fully unwound — or at once if the proc was
+// never started and has no body to unwind — so the live-proc count is
+// settled here, on the engine side, rather than in the body.
 func (dm *Domain) killProcs() {
 	for i, p := range dm.procs {
-		if !p.dead.Load() {
-			p.resume <- struct{}{}
+		if !p.dead {
+			p.stop()
+			p.exit()
 		}
 		dm.procs[i] = nil
 	}

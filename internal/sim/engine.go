@@ -2,7 +2,7 @@
 //
 // The engine models virtual time in cycles. Events are ordered by
 // (time, sequence number) so that runs are bit-reproducible. On top of the
-// raw event queue the package offers cooperative processes (Proc): goroutines
+// raw event queue the package offers cooperative processes (Proc): coroutines
 // that run one at a time under strict handoff with the engine, which lets
 // protocol code (e.g. a kernel thread performing an inter-kernel call) be
 // written in a natural blocking style while the simulation stays
@@ -15,7 +15,6 @@ package sim
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -85,13 +84,10 @@ type Engine struct {
 	// runWall accumulates wallclock spent inside multi-domain run loops; the
 	// denominator of DomainStats idle time.
 	runWall time.Duration
-	// procs counts live procs for leak diagnostics. It is atomic because on
-	// Kill all parked proc goroutines unwind concurrently, each decrementing
-	// it from its own goroutine.
+	// procs counts live procs for leak diagnostics. It is atomic because
+	// during isolated rounds every domain's worker spawns and retires procs
+	// concurrently.
 	procs atomic.Int64
-	// unwound is joined by Kill so that every proc goroutine has fully
-	// exited (and procs has settled) before Kill returns.
-	unwound sync.WaitGroup
 }
 
 // NewEngine returns a ready-to-run engine with time at zero.
@@ -255,12 +251,11 @@ func (e *Engine) drain() {
 
 // Kill terminates the simulation: parked Procs unwind and exit, and further
 // Schedule calls are ignored. Call it when a simulation is finished to avoid
-// leaking goroutines for procs that are still parked (e.g. server loops).
+// leaking the coroutines of procs that are still parked (e.g. server loops).
 //
-// Kill blocks until every proc goroutine has exited, so LiveProcs is exact
+// Every proc has fully unwound when Kill returns, so LiveProcs is exact
 // afterwards. It must be called from the engine side (between events or
-// after Run), never from within a Proc body — a proc killing its own engine
-// would wait for itself.
+// after Run), never from within a Proc body — a proc cannot stop itself.
 func (e *Engine) Kill() {
 	if e.killed {
 		return
@@ -269,10 +264,9 @@ func (e *Engine) Kill() {
 	// Drain remaining events so parked procs that were about to be resumed
 	// are not left half-woken.
 	e.drain()
-	// Wake every live proc: each observes killed (the write above
-	// happens-before the resume send) and unwinds. All procs are quiescent
-	// here — Kill runs on the engine side — so their resume buffers are
-	// empty and the sends cannot block.
+	// Stop every live proc. All of them are quiescent here — Kill runs on
+	// the engine side — so each is either parked in yield, which now returns
+	// false and unwinds the body, or was never started.
 	if e.doms == nil {
 		e.root.killProcs()
 	} else {
@@ -280,7 +274,6 @@ func (e *Engine) Kill() {
 			dm.killProcs()
 		}
 	}
-	e.unwound.Wait()
 }
 
 // LiveProcs returns the number of procs that have been spawned and have not

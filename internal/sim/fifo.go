@@ -1,0 +1,51 @@
+package sim
+
+// FIFO is a first-in-first-out queue over a slice with a head index. Unlike
+// the `q = q[1:]` / `append` idiom, which abandons the backing array every
+// time the queue drains and so allocates per element in a queue that hovers
+// around empty, a FIFO keeps its capacity: a drained queue rewinds to the
+// start of its array, and a full array with a dead prefix of at least half
+// its length slides the live elements down instead of growing. Popped slots
+// are zeroed so the queue never pins what it no longer holds. The zero value
+// is an empty queue.
+type FIFO[T any] struct {
+	items []T
+	head  int
+}
+
+// Len returns the number of queued elements.
+func (f *FIFO[T]) Len() int { return len(f.items) - f.head }
+
+// Push appends v at the tail.
+func (f *FIFO[T]) Push(v T) {
+	if n := len(f.items); n == cap(f.items) && f.head > 0 && f.head >= n/2 {
+		// Sliding at most half the array frees at least as many slots, so
+		// the copy stays amortized O(1) per push.
+		live := copy(f.items, f.items[f.head:])
+		clear(f.items[live:])
+		f.items = f.items[:live]
+		f.head = 0
+	}
+	f.items = append(f.items, v)
+}
+
+// Pop removes and returns the head element. It panics on an empty queue.
+func (f *FIFO[T]) Pop() T {
+	var zero T
+	v := f.items[f.head]
+	f.items[f.head] = zero
+	f.head++
+	if f.head == len(f.items) {
+		f.items = f.items[:0]
+		f.head = 0
+	}
+	return v
+}
+
+// TakeAll removes and returns every queued element, oldest first. The
+// caller owns the returned slice: the queue gives up its backing array.
+func (f *FIFO[T]) TakeAll() []T {
+	out := f.items[f.head:]
+	f.items, f.head = nil, 0
+	return out
+}

@@ -1,0 +1,172 @@
+package sim
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// TestFIFOMatchesReferenceSlice drives a FIFO and the idiom it replaces — a
+// plain slice popped with q = q[1:] — with the same random interleaving of
+// push, pop and take-all, in two regimes: one that drains the queue all the
+// time, and one that never lets it fall below a standing backlog, where
+// only sliding can reclaim the dead prefix.
+func TestFIFOMatchesReferenceSlice(t *testing.T) {
+	regimes := []struct {
+		name    string
+		floor   int // pops stop here
+		takeAll bool
+	}{
+		{name: "drained", floor: 0, takeAll: true},
+		{name: "never-drained", floor: 5},
+	}
+	for _, rg := range regimes {
+		t.Run(rg.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(42))
+			var f FIFO[*int]
+			var ref []*int
+			next := 0
+			push := func() {
+				v := new(int)
+				*v = next
+				next++
+				f.Push(v)
+				ref = append(ref, v)
+			}
+			for len(ref) < rg.floor {
+				push()
+			}
+			emptied, maxLen := 0, 0
+			for step := 0; step < 20000; step++ {
+				switch r := rng.Intn(3); {
+				case rg.takeAll && rng.Intn(50) == 0:
+					if got := f.TakeAll(); !slices.Equal(got, ref) {
+						t.Fatalf("step %d: TakeAll returned %d elements, reference holds %d", step, len(got), len(ref))
+					}
+					ref = nil
+				case r == 0 && len(ref) < rg.floor+40:
+					// Bursts make the queue outgrow and re-fill its array.
+					for n := rng.Intn(3) + 1; n > 0; n-- {
+						push()
+					}
+				case r != 0 && len(ref) > rg.floor:
+					if got, want := f.Pop(), ref[0]; got != want {
+						t.Fatalf("step %d: popped %d, want %d", step, *got, *want)
+					}
+					ref = ref[1:]
+				}
+				if f.Len() != len(ref) {
+					t.Fatalf("step %d: Len = %d, want %d", step, f.Len(), len(ref))
+				}
+				if len(ref) == 0 {
+					emptied++
+				}
+				maxLen = max(maxLen, len(ref))
+				// Everything outside the live window is zeroed: the queue
+				// pins nothing it has handed out.
+				for i, v := range f.items[:cap(f.items)] {
+					if live := i >= f.head && i < len(f.items); !live && v != nil {
+						t.Fatalf("step %d: dead slot %d still holds %d", step, i, *v)
+					}
+				}
+			}
+			if drained := emptied > 0; drained != (rg.floor == 0) {
+				t.Fatalf("queue was empty after %d steps, floor is %d", emptied, rg.floor)
+			}
+			// Twenty thousand steps through a queue that never held more
+			// than maxLen: the dead prefix must have been reclaimed, not
+			// carried along by ever larger arrays.
+			if cap(f.items) > 4*maxLen {
+				t.Fatalf("queue of at most %d elements grew its array to %d slots", maxLen, cap(f.items))
+			}
+		})
+	}
+}
+
+// TestFIFOKeepsCapacityAcrossDrains is the point of the type: a queue that
+// hovers around empty reuses one backing array.
+func TestFIFOKeepsCapacityAcrossDrains(t *testing.T) {
+	var f FIFO[int]
+	for i := 0; i < 8; i++ {
+		f.Push(i)
+	}
+	for f.Len() > 0 {
+		f.Pop()
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 8; i++ {
+			f.Push(i)
+		}
+		for f.Len() > 0 {
+			f.Pop()
+		}
+	}); allocs != 0 {
+		t.Fatalf("fill-and-drain cycle allocates %v times, want 0", allocs)
+	}
+}
+
+// TestQueueSteadyStateAllocs: a consumer parked on a Queue and a producer
+// pushing into it — the kernel thread-pool pattern — allocate nothing per
+// element once the arrays have grown: not for the item, not for the waiter
+// registration, not for the proc switch.
+func TestQueueSteadyStateAllocs(t *testing.T) {
+	e := NewEngine()
+	defer e.Kill()
+	q := NewQueue[int](e)
+	sum := 0
+	e.Spawn("consumer", func(p *Proc) {
+		for {
+			sum += q.Pop(p)
+		}
+	})
+	e.Run() // consumer parks on the empty queue
+	cycle := func() {
+		q.Push(1) // wakes the consumer
+		q.Push(2) // queued behind it
+		e.Run()   // consumer drains both and parks again
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Fatalf("steady-state push/pop allocates %v times per cycle, want 0", allocs)
+	}
+	if q.Len() != 0 || q.Waiters() != 1 || sum == 0 {
+		t.Fatalf("queue not back at rest: len=%d waiters=%d sum=%d", q.Len(), q.Waiters(), sum)
+	}
+}
+
+// TestSemaphoreContendedAllocs: procs queueing behind a one-unit semaphore
+// — the kernel CPU — allocate nothing per acquire/release.
+func TestSemaphoreContendedAllocs(t *testing.T) {
+	e := NewEngine()
+	defer e.Kill()
+	sem := NewSemaphore(e, 1)
+	start := NewQueue[struct{}](e)
+	const contenders = 4
+	held := 0
+	for i := 0; i < contenders; i++ {
+		e.Spawn("contender", func(p *Proc) {
+			for {
+				start.Pop(p)
+				sem.Acquire(p)
+				held++
+				p.Sleep(1) // the others pile up behind the holder
+				sem.Release()
+			}
+		})
+	}
+	e.Run()
+	cycle := func() {
+		for i := 0; i < contenders; i++ {
+			start.Push(struct{}{})
+		}
+		e.Run()
+	}
+	cycle()
+	held = 0
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Fatalf("contended acquire/release allocates %v times per cycle, want 0", allocs)
+	}
+	if held != 201*contenders || sem.Waiting() != 0 || sem.Count() != 1 {
+		t.Fatalf("semaphore not back at rest: held=%d waiting=%d count=%d", held, sem.Waiting(), sem.Count())
+	}
+}

@@ -1,16 +1,34 @@
 package sim
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
-// TestKillManyParkedProcs is the regression test for the Engine.Kill data
-// race: hundreds of parked procs unwind concurrently on Kill, each
-// decrementing the live-proc counter from its own goroutine. Run with -race.
+// expectGoroutines fails unless the goroutine count comes back to want: a
+// proc's coroutine is a goroutine to the runtime, so one that Kill did not
+// end shows up here. It polls because the workers of an isolated run exit
+// asynchronously once Run has returned.
+func expectGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, want %d: leaked proc coroutines", runtime.NumGoroutine(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestKillManyParkedProcs: Kill unwinds hundreds of parked procs and the
+// live-proc counter settles at zero. Run with -race.
 func TestKillManyParkedProcs(t *testing.T) {
 	const n = 500
+	before := runtime.NumGoroutine()
 	e := NewEngine()
 	for i := 0; i < n; i++ {
 		e.Spawn("parked", func(p *Proc) {
@@ -23,19 +41,21 @@ func TestKillManyParkedProcs(t *testing.T) {
 		t.Fatalf("live procs = %d, want %d before Kill", got, n)
 	}
 	e.Kill()
-	// Kill joins the unwinding goroutines, so the counter is exact here.
+	// Every body has unwound when Kill returns, so the counter is exact here.
 	if got := e.LiveProcs(); got != 0 {
 		t.Fatalf("live procs = %d, want 0 after Kill", got)
 	}
+	expectGoroutines(t, before)
 	// Idempotent, and further runs are no-ops.
 	e.Kill()
 	e.Run()
 }
 
 // TestKillBeforeRun kills an engine whose procs never got their first
-// handoff: the spawn events are drained, but the goroutines must still
-// unwind and the counter must settle.
+// handoff. Their bodies never run, so nothing on the proc side can settle
+// the counter or end the coroutine: Kill has to do both.
 func TestKillBeforeRun(t *testing.T) {
+	before := runtime.NumGoroutine()
 	e := NewEngine()
 	for i := 0; i < 64; i++ {
 		e.Spawn("unstarted", func(p *Proc) {
@@ -46,23 +66,102 @@ func TestKillBeforeRun(t *testing.T) {
 	if got := e.LiveProcs(); got != 0 {
 		t.Fatalf("live procs = %d, want 0 after Kill", got)
 	}
+	expectGoroutines(t, before)
 }
 
-// TestKillWithReparkingDefer: a proc whose defer parks again (a cleanup
-// Sleep during unwind) must not deadlock Kill — parking on a killed engine
-// re-panics instead of waiting for a handoff that will never come.
+// TestKillWithReparkingDefer: a proc whose defers park again (cleanup
+// Sleeps during unwind) must not deadlock Kill — parking on a stopped proc
+// re-panics instead of waiting for a handoff that will never come — and
+// the defers after it still run.
 func TestKillWithReparkingDefer(t *testing.T) {
+	before := runtime.NumGoroutine()
 	e := NewEngine()
+	cleaned := 0
 	e.Spawn("cleanup", func(p *Proc) {
+		defer func() { cleaned++ }()
 		defer p.Sleep(1) // runs during the killed{} unwind
+		defer func() { cleaned++ }()
+		defer p.Park()
 		p.Park()
 		t.Error("parked proc resumed unexpectedly")
 	})
 	e.Run()
-	e.Kill() // must return, not hang on unwound.Wait
+	e.Kill()
 	if got := e.LiveProcs(); got != 0 {
 		t.Fatalf("live procs = %d, want 0 after Kill", got)
 	}
+	if cleaned != 2 {
+		t.Fatalf("%d of 2 cleanup defers ran during the unwind", cleaned)
+	}
+	expectGoroutines(t, before)
+}
+
+// TestKillIgnoresPanicDuringUnwind: a body that panics for real while Kill
+// unwinds it must not make Kill panic half-way through the proc list.
+func TestKillIgnoresPanicDuringUnwind(t *testing.T) {
+	e := NewEngine()
+	e.Spawn("bad-cleanup", func(p *Proc) {
+		defer func() { panic("cleanup failed") }()
+		p.Park()
+	})
+	e.Spawn("bystander", func(p *Proc) { p.Park() })
+	e.Run()
+	e.Kill()
+	if got := e.LiveProcs(); got != 0 {
+		t.Fatalf("live procs = %d, want 0 after Kill", got)
+	}
+}
+
+// TestSpawnOnKilledEngine: the proc comes back dead, its body never runs,
+// no coroutine is created for it, and a Reset revives the engine.
+func TestSpawnOnKilledEngine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEngine()
+	e.Kill()
+	p := e.Spawn("late", func(p *Proc) { t.Error("body ran on a killed engine") })
+	if p.Name() != "late" {
+		t.Fatalf("name = %q", p.Name())
+	}
+	e.Run()
+	if got := e.LiveProcs(); got != 0 {
+		t.Fatalf("live procs = %d, want 0", got)
+	}
+	expectGoroutines(t, before)
+	e.Reset()
+	ran := false
+	e.Spawn("revived", func(p *Proc) { p.Sleep(1); ran = true })
+	e.Run()
+	if !ran || e.LiveProcs() != 0 {
+		t.Fatalf("after Reset: ran=%v live=%d", ran, e.LiveProcs())
+	}
+}
+
+// TestPoolReuseAfterKill: an engine killed with procs in every state —
+// never started, parked, finished, parked with a reparking defer — goes
+// through the pool and comes back with none of them.
+func TestPoolReuseAfterKill(t *testing.T) {
+	before := runtime.NumGoroutine()
+	pool := NewPool()
+	for round := 0; round < 3; round++ {
+		e := pool.Get()
+		e.Spawn("finished", func(p *Proc) { p.Sleep(1) })
+		e.Spawn("parked", func(p *Proc) { p.Park() })
+		e.Spawn("reparking", func(p *Proc) {
+			defer p.Yield()
+			p.Park()
+		})
+		e.Run()
+		e.Spawn("unstarted", func(p *Proc) { t.Error("unstarted body ran") })
+		if got := e.LiveProcs(); got != 3 {
+			t.Fatalf("round %d: live procs = %d, want 3", round, got)
+		}
+		e.Kill()
+		if got := e.LiveProcs(); got != 0 {
+			t.Fatalf("round %d: live procs = %d after Kill", round, got)
+		}
+		pool.Put(e)
+	}
+	expectGoroutines(t, before)
 }
 
 // TestManyEnginesConcurrently drives independent engines from independent
@@ -101,8 +200,8 @@ func TestManyEnginesConcurrently(t *testing.T) {
 
 // TestProcPanicPropagatesToEngineSide: a real panic inside a proc body is
 // re-raised on the goroutine driving the simulation (recoverable, e.g. by
-// the bench harness) instead of crashing the process from the proc
-// goroutine.
+// the bench harness) instead of crashing the process from the proc's
+// coroutine.
 func TestProcPanicPropagatesToEngineSide(t *testing.T) {
 	e := NewEngine()
 	e.Spawn("bad", func(p *Proc) {
@@ -125,4 +224,72 @@ func TestProcPanicPropagatesToEngineSide(t *testing.T) {
 	}()
 	e.Run()
 	t.Fatal("Run returned without panicking")
+}
+
+// TestLazyNameOnlyOnFault: SpawnLazy formats the name only when somebody
+// reads it, and a fault report is such a reader.
+func TestLazyNameOnlyOnFault(t *testing.T) {
+	e := NewEngine()
+	calls := 0
+	name := func() string { calls++; return "lazy7" }
+	e.Domain(0).SpawnLazy(name, func(p *Proc) { p.Sleep(1) })
+	e.Run()
+	if calls != 0 {
+		t.Fatalf("name formatted %d times for a proc that never faulted", calls)
+	}
+	e.Domain(0).SpawnLazy(name, func(p *Proc) { panic("boom") })
+	defer func() {
+		r := recover()
+		if err, ok := r.(error); !ok || err.Error() != `sim: proc "lazy7" panicked: boom` {
+			t.Fatalf("unexpected panic value: %v", r)
+		}
+		if calls != 1 {
+			t.Fatalf("name formatted %d times, want 1", calls)
+		}
+		e.Kill()
+	}()
+	e.Run()
+	t.Fatal("Run returned without panicking")
+}
+
+// TestRoundsFaultLowestDomainFirst: when procs on several isolated domains
+// panic in the same round, Run panics on the goroutine that called it — the
+// recover below proves that — with the fault of the lowest domain, at every
+// worker count. The whole round runs before the panic, so the other
+// domains' procs are retired too.
+func TestRoundsFaultLowestDomainFirst(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			e, doms := buildIsolated(4, 10, workers)
+			for i := 3; i >= 1; i-- { // spawn order must not matter
+				i := i
+				doms[i].Spawn(fmt.Sprintf("d%d", i), func(p *Proc) {
+					p.Sleep(5)
+					panic(fmt.Sprintf("boom%d", i))
+				})
+			}
+			doms[0].Spawn("healthy", func(p *Proc) { p.Park() })
+			func() {
+				defer func() {
+					r := recover()
+					err, ok := r.(error)
+					const want = `sim: domain 1: sim: proc "d1" panicked: boom1`
+					if !ok || err.Error() != want {
+						t.Fatalf("Run panicked with %v, want %q", r, want)
+					}
+				}()
+				e.Run()
+				t.Fatal("Run returned without panicking")
+			}()
+			if got := e.LiveProcs(); got != 1 {
+				t.Fatalf("live procs = %d after the faulting round, want 1", got)
+			}
+			e.Kill()
+			if got := e.LiveProcs(); got != 0 {
+				t.Fatalf("live procs = %d after Kill", got)
+			}
+			expectGoroutines(t, before)
+		})
+	}
 }

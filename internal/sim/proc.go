@@ -1,12 +1,14 @@
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
-	"sync/atomic"
+	"iter"
 )
 
-// Proc is a cooperative simulation process: a goroutine that runs under
-// strict handoff with the engine. At any instant at most one goroutine (the
+// Proc is a cooperative simulation process: a coroutine that runs under
+// strict handoff with the engine. At any instant at most one of them (the
 // engine or exactly one proc) executes — per domain: during isolated rounds
 // each domain's worker drives its own procs, which is safe because isolated
 // domains share no state — so simulations remain deterministic while
@@ -16,33 +18,40 @@ import (
 // their own body or from event handlers; the package is not safe for use
 // from foreign OS threads.
 //
-// The handoff uses plain sends on capacity-1 channels, not selects: because
-// of the strict alternation (the engine only resumes a proc that is parked,
-// and a proc only parks while the engine waits for it), every send has a
-// waiting receiver or a free buffer slot, so no shutdown case is needed in
-// the hot path — this keeps the per-event cost to two channel operations.
-// Kill-time unwinding is driven from the engine side instead: Kill wakes
-// every live proc via its resume channel, and waitResume checks the killed
-// flag after every wakeup.
+// The handoff is a direct coroutine switch (iter.Pull, which rides
+// runtime.coroswitch): step calls next, which runs the proc body on its own
+// stack until it parks by calling yield, and control returns to the caller
+// of next without a trip through the Go scheduler. The switch is
+// synchronous in both directions — whoever drives the proc's domain is
+// blocked inside next while the body runs — so proc state needs no atomics,
+// and Kill unwinds a parked proc by calling stop, which makes its pending
+// yield return false. This file is the only one that needs the iter package
+// (Go >= 1.23); the build constraint above lifts its language version while
+// go.mod stays at 1.22.
 type Proc struct {
 	eng  *Engine
 	dom  *Domain
 	name string
-	// fault carries a panic out of the proc goroutine to the engine side,
-	// where step re-raises it on the goroutine driving the proc's domain
-	// (and therefore recoverable by callers such as the bench harness). It
-	// is per-proc, not per-engine, so domains faulting concurrently during
-	// isolated rounds never share it.
-	fault  error
-	resume chan struct{} // capacity 1: engine -> proc "go"
-	parked chan struct{} // capacity 1: proc -> engine "back to you"
+	// lazyName, when set, formats the name on first use (SpawnLazy).
+	lazyName func() string
+	// fault carries a panic out of the proc body to step, which re-raises
+	// it on the goroutine driving the proc's domain (and therefore
+	// recoverable by callers such as the bench harness). It is per-proc,
+	// not per-engine, so domains faulting concurrently during isolated
+	// rounds never share it.
+	fault error
+	// next resumes the body until it parks (true) or returns (false); stop
+	// unwinds a parked body; yield, valid once the body has started, parks.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 	// stepFn is p.step bound once at Spawn. Taking the method value inline
 	// (e.Schedule(d, p.step)) would allocate a fresh closure on every
 	// Sleep/Wake/Yield; binding it once makes the handoff allocation-free.
 	stepFn func()
-	// dead is atomic: it is set on the proc goroutine while unwinding, which
-	// on Engine.Kill happens concurrently across all parked procs.
-	dead atomic.Bool
+	// dead is set on the engine side, by step when the body returns and by
+	// Kill, so it also covers procs whose body never started.
+	dead bool
 }
 
 // killed is the panic value used to unwind a proc when its engine is killed.
@@ -64,97 +73,102 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 // the domain's lane, and Sleep/Wake/Yield route back to it. During isolated
 // rounds it must only be called by the domain's own worker.
 func (dm *Domain) Spawn(name string, fn func(p *Proc)) *Proc {
+	p := dm.spawn(fn)
+	p.name = name
+	return p
+}
+
+// SpawnLazy is Spawn for spawn sites that would otherwise format a name per
+// proc: name runs only if the name is read, which in practice means only
+// when the proc panics.
+func (dm *Domain) SpawnLazy(name func() string, fn func(p *Proc)) *Proc {
+	p := dm.spawn(fn)
+	p.lazyName = name
+	return p
+}
+
+func (dm *Domain) spawn(fn func(p *Proc)) *Proc {
 	e := dm.eng
-	p := &Proc{
-		eng:    e,
-		dom:    dm,
-		name:   name,
-		resume: make(chan struct{}, 1),
-		parked: make(chan struct{}, 1),
-	}
+	p := &Proc{eng: e, dom: dm}
 	p.stepFn = p.step
 	if e.killed {
-		p.dead.Store(true)
+		p.dead = true
 		return p
 	}
 	dm.procs = append(dm.procs, p)
 	e.procs.Add(1)
-	e.unwound.Add(1)
-	// The goroutine starts immediately but blocks in waitResume until the
-	// scheduled handoff below (or until Kill wakes it to unwind, even if
-	// that handoff never runs because the engine was killed first).
-	go p.top(fn)
+	// The coroutine is created suspended: the body first runs when the
+	// handoff scheduled below calls next. If the engine is killed before
+	// that, stop ends it without fn ever running.
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		p.run(fn)
+	})
 	dm.Schedule(0, p.stepFn)
 	return p
 }
 
-// top is the proc goroutine body: wait for the first handoff, run fn,
-// then hand control back for the last time.
-func (p *Proc) top(fn func(p *Proc)) {
+// run is the proc body: fn, with the Kill unwind absorbed and a real panic
+// turned into the fault that step re-raises.
+func (p *Proc) run(fn func(p *Proc)) {
 	defer func() {
-		p.dead.Store(true)
-		p.eng.procs.Add(-1)
-		defer p.eng.unwound.Done()
 		if r := recover(); r != nil {
-			if _, ok := r.(killed); ok {
-				// Engine was killed: exit silently. Nobody is waiting in
-				// step() anymore, so do not hand back.
-				return
+			if _, ok := r.(killed); !ok {
+				// Real panic in simulation code: hand it to the engine
+				// side instead of letting it cross the coroutine boundary
+				// bare, so it carries the proc name, and so a body that
+				// panics while Kill unwinds it cannot make Kill panic.
+				p.fault = fmt.Errorf("sim: proc %q panicked: %v", p.Name(), r)
 			}
-			// Real panic in simulation code: hand it to the engine side,
-			// which re-raises it on the goroutine driving the proc's domain
-			// — recoverable by callers (e.g. the bench harness captures it
-			// as a failed experiment) — instead of crashing the process from
-			// this goroutine. A real panic implies the proc was running,
-			// so an engine-side step() is blocked on parked.
-			p.fault = fmt.Errorf("sim: proc %q panicked: %v", p.name, r)
 		}
-		p.parked <- struct{}{}
 	}()
-	p.waitResume()
 	fn(p)
 }
 
-// step transfers control to the proc and blocks until it parks or exits.
+// step transfers control to the proc and returns when it parks or exits.
 // It must be called from the engine side (an event handler). Events cannot
 // run after Kill (the queues are drained and Schedule is a no-op), so the
-// proc on the other end is always parked-or-dead, never unwinding.
+// proc on the other end is always parked-or-dead.
 func (p *Proc) step() {
-	if p.dead.Load() {
+	if p.dead {
 		return
 	}
-	p.resume <- struct{}{}
-	<-p.parked
+	if _, parked := p.next(); parked {
+		return
+	}
+	p.exit()
 	if f := p.fault; f != nil {
 		p.fault = nil
 		panic(f)
 	}
 }
 
-// waitResume blocks the proc goroutine until the engine hands control over,
-// unwinding instead if the wakeup came from Kill.
-func (p *Proc) waitResume() {
-	<-p.resume
-	if p.eng.killed {
-		panic(killed{})
-	}
+// exit does the engine-side accounting for a proc whose body is over, and
+// drops the coroutine: the domain's registry keeps the Proc until Kill, and
+// the closures would keep fn and everything it captured alive with it.
+func (p *Proc) exit() {
+	p.dead = true
+	p.eng.procs.Add(-1)
+	p.next, p.stop, p.yield = nil, nil, nil
 }
 
-// park hands control back to the engine and blocks until resumed. On a
-// killed engine it unwinds instead: nobody is in step() to receive the
-// parked token, so blocking would deadlock Kill. This path is reachable
-// when a proc defer parks again (e.g. a cleanup Sleep) while the proc is
-// already unwinding.
+// park hands control back to the engine and blocks until resumed. Once
+// Kill has stopped the proc, yield returns false at once and park unwinds
+// instead — also when a proc defer parks again (e.g. a cleanup Sleep) while
+// the proc is already unwinding.
 func (p *Proc) park() {
-	if p.eng.killed {
+	if !p.yield(struct{}{}) {
 		panic(killed{})
 	}
-	p.parked <- struct{}{}
-	p.waitResume()
 }
 
 // Name returns the proc's diagnostic name.
-func (p *Proc) Name() string { return p.name }
+func (p *Proc) Name() string {
+	if p.lazyName != nil {
+		p.name, p.lazyName = p.lazyName(), nil
+	}
+	return p.name
+}
 
 // Engine returns the engine this proc runs on.
 func (p *Proc) Engine() *Engine { return p.eng }

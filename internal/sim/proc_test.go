@@ -84,8 +84,8 @@ func TestProcKillUnwindsParked(t *testing.T) {
 		t.Fatalf("live procs = %d, want 1 before Kill", e.LiveProcs())
 	}
 	e.Kill()
-	// Kill joins the unwinding goroutine, so the counter is exact afterwards
-	// and further runs are no-ops.
+	// The body has unwound when Kill returns, so the counter is exact
+	// afterwards and further runs are no-ops.
 	if e.LiveProcs() != 0 {
 		t.Fatalf("live procs = %d, want 0 after Kill", e.LiveProcs())
 	}

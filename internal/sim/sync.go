@@ -118,7 +118,7 @@ func (f *Future[T]) Wait(p *Proc) T {
 type Semaphore struct {
 	eng     *Engine
 	count   int
-	waiters []*Proc
+	waiters FIFO[*Proc]
 }
 
 // NewSemaphore returns a semaphore with the given initial count.
@@ -130,7 +130,7 @@ func NewSemaphore(e *Engine, count int) *Semaphore {
 func (s *Semaphore) Count() int { return s.count }
 
 // Waiting returns the number of procs parked in Acquire.
-func (s *Semaphore) Waiting() int { return len(s.waiters) }
+func (s *Semaphore) Waiting() int { return s.waiters.Len() }
 
 // TryAcquire takes one unit if available and reports success.
 func (s *Semaphore) TryAcquire() bool {
@@ -145,7 +145,7 @@ func (s *Semaphore) TryAcquire() bool {
 // Wakeup order is FIFO.
 func (s *Semaphore) Acquire(p *Proc) {
 	for s.count == 0 {
-		s.waiters = append(s.waiters, p)
+		s.waiters.Push(p)
 		p.park()
 	}
 	s.count--
@@ -154,10 +154,8 @@ func (s *Semaphore) Acquire(p *Proc) {
 // Release returns one unit and wakes the longest-waiting proc, if any.
 func (s *Semaphore) Release() {
 	s.count++
-	if len(s.waiters) > 0 {
-		w := s.waiters[0]
-		s.waiters = s.waiters[1:]
-		w.Wake()
+	if s.waiters.Len() > 0 {
+		s.waiters.Pop().Wake()
 	}
 }
 
@@ -166,8 +164,8 @@ func (s *Semaphore) Release() {
 // available.
 type Queue[T any] struct {
 	eng     *Engine
-	items   []T
-	waiters []*Proc
+	items   FIFO[T]
+	waiters FIFO[*Proc]
 }
 
 // NewQueue returns an empty queue bound to the engine.
@@ -176,43 +174,37 @@ func NewQueue[T any](e *Engine) *Queue[T] {
 }
 
 // Len returns the number of queued elements.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.items.Len() }
 
 // Waiters returns the number of procs parked in Pop (idle consumers).
-func (q *Queue[T]) Waiters() int { return len(q.waiters) }
+func (q *Queue[T]) Waiters() int { return q.waiters.Len() }
 
 // Push appends an element and wakes the longest-waiting consumer, if any.
 // It may be called from event handlers or procs.
 func (q *Queue[T]) Push(v T) {
-	q.items = append(q.items, v)
-	if len(q.waiters) > 0 {
-		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
-		w.Wake()
+	q.items.Push(v)
+	if q.waiters.Len() > 0 {
+		q.waiters.Pop().Wake()
 	}
 }
 
 // TryPop removes and returns the head element if present.
 func (q *Queue[T]) TryPop() (T, bool) {
-	var zero T
-	if len(q.items) == 0 {
+	if q.items.Len() == 0 {
+		var zero T
 		return zero, false
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	return v, true
+	return q.items.Pop(), true
 }
 
 // Pop removes and returns the head element, parking the proc until one is
 // available.
 func (q *Queue[T]) Pop(p *Proc) T {
-	for len(q.items) == 0 {
-		q.waiters = append(q.waiters, p)
+	for q.items.Len() == 0 {
+		q.waiters.Push(p)
 		p.park()
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	return v
+	return q.items.Pop()
 }
 
 // WaitGroup tracks a set of outstanding operations; procs can park until the
