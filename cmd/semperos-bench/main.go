@@ -8,8 +8,7 @@
 //	semperos-bench -experiment fig6 -quick      # reduced scale
 //	semperos-bench -quick -parallel 4 -json out.json
 //	semperos-bench -quick -shards 4 -costs BENCH_quick.json
-//	semperos-bench -quick -simworkers 2 -json out.json   # partitioned engine
-//	semperos-bench -quick -simmode rounds -simworkers 4  # isolated rounds
+//	semperos-bench -quick -simmode rounds       # one event domain per kernel
 //
 // Experiments: table3, fig4, fig5, table4, fig6, fig7, fig8, fig9, fig10,
 // ablation; opt-in extras (excluded from "all"): ablation-ikc, faults,
@@ -21,14 +20,17 @@
 // spec/result protocol on stdin/stdout, dispatched longest-first by the
 // cost model (-costs seeds it with the wallclocks of a prior report). All
 // simulated metrics are deterministic and independent of the parallelism,
-// the sharding and the schedule. -json writes every experiment run as a
-// machine-readable record (schema semperos-bench/v1, see
-// internal/bench/report.go).
+// the sharding and the schedule. -simmode rounds gives every kernel its own
+// event domain and clock (the partitioned kernel model; its metrics differ
+// by design from merged, the sequential engine). -json writes every
+// experiment run as a machine-readable record (schema semperos-bench/v1,
+// see internal/bench/report.go).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -53,56 +55,62 @@ func main() {
 	// realMain holds all the defers (profile flushing, worker shutdown, file
 	// closing), so an error exit still stops the CPU profile — os.Exit in
 	// main would skip them and truncate the profile.
-	os.Exit(realMain())
+	os.Exit(realMain(os.Args[1:], os.Stderr))
 }
 
-func realMain() int {
-	experiment := flag.String("experiment", "all", "comma-separated list: table3,fig4,fig5,table4,fig6,fig7,fig8,fig9,fig10,ablation,all; extras (opt-in, excluded from all): ablation-ikc, faults, scale, churn")
-	quick := flag.Bool("quick", false, "run at reduced scale (64 instances, 8 kernels)")
-	parallel := flag.Int("parallel", 0, "experiment worker-pool size (0 = GOMAXPROCS); ignored with -shards")
-	shards := flag.Int("shards", 0, "execute the sweep on N worker processes (0 = in-process)")
-	costs := flag.String("costs", "", "prior report JSON whose wallclocks seed longest-first dispatch (default: instance-count heuristic)")
-	simworkers := flag.Int("simworkers", 0, "partition each simulation's event queue into min(N, kernels) per-kernel-block domains (0/1 = sequential engine); all simulated metrics stay byte-identical")
-	simmode := flag.String("simmode", "", "simulation mode: merged (default; order-preserving, byte-identical) or rounds (isolated barrier-synchronous rounds, one domain per kernel; deterministic at any -simworkers/-shards but metrics differ from merged by design)")
-	jsonPath := flag.String("json", "", "write machine-readable results to this file")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile (taken after the sweep) to this file")
-	faultseed := flag.Uint64("faultseed", 1, "seed of the deterministic fault injector (faults experiment); identical seeds reproduce runs byte-identically at any -parallel/-shards/-simworkers")
-	scalekernels := flag.Int("scalekernels", 0, "cap the scale experiment's grid at this many kernels (0 = the full grid up to 1024)")
-	scalebudget := flag.Duration("scalebudget", 10*time.Minute, "wall-clock budget of the scale experiment; grid points past it are skipped (0 = unlimited)")
-	crashkernel := flag.Int("crashkernel", -1, "churn experiment: kernel to crash and recover mid-storm (-1 = the last kernel); crashing kernel 0 under -simmode rounds is rejected")
-	worker := flag.Bool("worker", false, "internal: serve the shard worker protocol on stdin/stdout")
-	flag.Parse()
+func realMain(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("semperos-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	experiment := fs.String("experiment", "all", "comma-separated list: table3,fig4,fig5,table4,fig6,fig7,fig8,fig9,fig10,ablation,all; extras (opt-in, excluded from all): ablation-ikc, faults, scale, churn")
+	quick := fs.Bool("quick", false, "run at reduced scale (64 instances, 8 kernels)")
+	parallel := fs.Int("parallel", 0, "experiment worker-pool size (0 = GOMAXPROCS); ignored with -shards")
+	shards := fs.Int("shards", 0, "execute the sweep on N worker processes (0 = in-process)")
+	costs := fs.String("costs", "", "prior report JSON whose wallclocks seed longest-first dispatch (default: instance-count heuristic)")
+	simmode := fs.String("simmode", "", "simulation mode: merged (default; the sequential engine) or rounds (one event domain per kernel, run in isolated barrier-synchronous rounds; deterministic at any -parallel/-shards but metrics differ from merged by design)")
+	jsonPath := fs.String("json", "", "write machine-readable results to this file")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile (taken after the sweep) to this file")
+	faultseed := fs.Uint64("faultseed", 1, "seed of the deterministic fault injector (faults experiment); identical seeds reproduce runs byte-identically at any -parallel/-shards")
+	scalekernels := fs.Int("scalekernels", 0, "cap the scale experiment's grid at this many kernels (0 = the full grid up to 1024)")
+	scalebudget := fs.Duration("scalebudget", 10*time.Minute, "wall-clock budget of the scale experiment; grid points past it are skipped (0 = unlimited)")
+	crashkernel := fs.Int("crashkernel", -1, "churn experiment: kernel to crash and recover mid-storm (-1 = the last kernel); crashing kernel 0 under -simmode rounds is rejected")
+	worker := fs.Bool("worker", false, "internal: serve the shard worker protocol on stdin/stdout")
+	switch err := fs.Parse(args); {
+	case err == flag.ErrHelp:
+		return 0
+	case err != nil:
+		return 2 // Parse already reported the error and the usage
+	}
 
 	if *worker {
 		// Shard worker mode: the coordinator owns stdout; serve the protocol
 		// and exit. Task failures travel inside results — only a broken
 		// stream is fatal here.
 		if err := bench.RunWorker(os.Stdin, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "semperos-bench -worker: %v\n", err)
+			fmt.Fprintf(stderr, "semperos-bench -worker: %v\n", err)
 			return 1
 		}
 		return 0
 	}
 
-	// Flag hygiene: sizes must be non-negative, and -parallel is meaningless
-	// under -shards (the shard count sets the process-level parallelism).
+	// Flag hygiene: sizes and budgets must be non-negative, and -parallel is
+	// ignored under -shards (the shard count sets the process parallelism).
 	for _, f := range []struct {
-		name  string
-		value int
-	}{{"-parallel", *parallel}, {"-shards", *shards}, {"-simworkers", *simworkers}} {
-		if f.value < 0 {
-			fmt.Fprintf(os.Stderr, "%s must be non-negative (got %d)\n", f.name, f.value)
+		name     string
+		negative bool
+	}{{"-parallel", *parallel < 0}, {"-shards", *shards < 0}, {"-scalekernels", *scalekernels < 0}, {"-scalebudget", *scalebudget < 0}} {
+		if f.negative {
+			fmt.Fprintf(stderr, "%s must be non-negative\n", f.name)
 			return 2
 		}
 	}
 	if *parallel != 0 && *shards > 0 {
-		fmt.Fprintf(os.Stderr, "warning: -parallel %d is ignored with -shards %d (each worker process runs its tasks serially)\n", *parallel, *shards)
+		fmt.Fprintf(stderr, "warning: -parallel %d is ignored with -shards %d (each worker process runs its tasks serially)\n", *parallel, *shards)
 	}
 	switch *simmode {
 	case "", core.SimModeMerged, core.SimModeRounds:
 	default:
-		fmt.Fprintf(os.Stderr, "unknown -simmode %q; valid modes: %s, %s\n",
+		fmt.Fprintf(stderr, "unknown -simmode %q; valid modes: %s, %s\n",
 			*simmode, core.SimModeMerged, core.SimModeRounds)
 		return 2
 	}
@@ -132,7 +140,7 @@ func realMain() int {
 	}
 	if len(unknown) > 0 {
 		sort.Strings(unknown)
-		fmt.Fprintf(os.Stderr, "unknown experiment(s) %q; valid names: all, %s (extras: %s)\n",
+		fmt.Fprintf(stderr, "unknown experiment(s) %q; valid names: all, %s (extras: %s)\n",
 			strings.Join(unknown, ", "),
 			strings.Join(experimentNames, ", "),
 			strings.Join(extraExperimentNames, ", "))
@@ -142,12 +150,12 @@ func realMain() int {
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "creating %s: %v\n", *cpuprofile, err)
+			fmt.Fprintf(stderr, "creating %s: %v\n", *cpuprofile, err)
 			return 1
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "starting CPU profile: %v\n", err)
+			fmt.Fprintf(stderr, "starting CPU profile: %v\n", err)
 			return 1
 		}
 		defer pprof.StopCPUProfile()
@@ -158,19 +166,12 @@ func realMain() int {
 		opts = bench.Quick()
 	}
 	opts.Parallel = *parallel
-	opts.SimWorkers = *simworkers
 	opts.SimMode = *simmode
 	opts.FaultSeed = *faultseed
-	if *simworkers > opts.Kernels64 {
-		// Warn, don't clamp: the per-run construction caps the domain count
-		// at the run's kernel count anyway, so the extra workers just idle.
-		fmt.Fprintf(os.Stderr, "warning: -simworkers %d exceeds the sweep's largest kernel count (%d); extra workers will idle\n",
-			*simworkers, opts.Kernels64)
-	}
 	if *costs != "" {
 		model, err := bench.LoadCostModel(*costs)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "loading cost model: %v\n", err)
+			fmt.Fprintf(stderr, "loading cost model: %v\n", err)
 			return 1
 		}
 		opts.Costs = model
@@ -182,7 +183,7 @@ func realMain() int {
 	if *shards > 0 {
 		exe, err := os.Executable()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "resolving own executable for -shards: %v\n", err)
+			fmt.Fprintf(stderr, "resolving own executable for -shards: %v\n", err)
 			return 1
 		}
 		ex := &bench.ShardExecutor{
@@ -195,9 +196,6 @@ func realMain() int {
 		workers = *shards
 	}
 	report := bench.NewReport(*quick, workers)
-	if *simworkers > 1 {
-		report.SimWorkers = *simworkers
-	}
 	report.SimMode = *simmode
 	opts.Report = report
 
@@ -266,7 +264,7 @@ func realMain() int {
 	if churnErr != nil {
 		// An invalid scenario (out-of-range kernel, kernel 0 under rounds) is
 		// a usage error, rejected before any simulation ran.
-		fmt.Fprintln(os.Stderr, churnErr)
+		fmt.Fprintln(stderr, churnErr)
 		return 2
 	}
 
@@ -274,7 +272,7 @@ func realMain() int {
 	report.WallclockSummary(os.Stdout, 10)
 	if *jsonPath != "" {
 		if err := report.WriteFile(*jsonPath); err != nil {
-			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *jsonPath, err)
+			fmt.Fprintf(stderr, "writing %s: %v\n", *jsonPath, err)
 			return 1
 		}
 		fmt.Printf("[wrote %d results to %s]\n", report.Len(), *jsonPath)
@@ -282,13 +280,13 @@ func realMain() int {
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "creating %s: %v\n", *memprofile, err)
+			fmt.Fprintf(stderr, "creating %s: %v\n", *memprofile, err)
 			return 1
 		}
 		defer f.Close()
 		runtime.GC() // settle the heap so the profile shows retained memory
 		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "writing heap profile: %v\n", err)
+			fmt.Fprintf(stderr, "writing heap profile: %v\n", err)
 			return 1
 		}
 		fmt.Printf("[wrote heap profile to %s]\n", *memprofile)

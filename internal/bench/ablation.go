@@ -14,7 +14,7 @@ import (
 // revocation discussion with "we believe that this can be further improved
 // by the use of message batching. So far, the kernel managing the root
 // capability sends out one message for each child capability." This
-// experiment implements that proposal (core.Config.RevokeBatching) and
+// experiment implements that proposal (core.IKCBatching.Revoke) and
 // measures its effect on Figure 5's workload.
 
 // AblationRow compares plain and batched tree revocation at one breadth.
@@ -35,19 +35,18 @@ type AblationResult struct {
 // ablationTreeRevoke builds a root with n children over 1+extra kernels and
 // measures revoking it, returning the duration and total inter-kernel
 // messages.
-func ablationTreeRevoke(eng *sim.Engine, n, extra int, batching bool, simWorkers int, simMode string) (sim.Duration, uint64) {
+func ablationTreeRevoke(eng *sim.Engine, n, extra int, batching bool, simMode string) (sim.Duration, uint64) {
 	kernels := extra + 1
 	perGroup := n + 1
 	if extra > 0 {
 		perGroup = (n+extra-1)/extra + 1
 	}
 	sys := core.MustNew(core.Config{
-		Kernels:        kernels,
-		UserPEs:        kernels * perGroup,
-		RevokeBatching: batching,
-		Engine:         eng,
-		SimWorkers:     simWorkers,
-		SimMode:        simMode,
+		Kernels:     kernels,
+		UserPEs:     kernels * perGroup,
+		IKCBatching: core.IKCBatching{Revoke: batching},
+		Engine:      eng,
+		SimMode:     simMode,
 	})
 	defer sys.Close()
 	// Under isolated rounds the root must not read other kernels' counters
@@ -142,7 +141,7 @@ func init() { registerKind(kindAblationRevoke, runAblationRevokeSpec) }
 
 func runAblationRevokeSpec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 	n, extra := spec.Config.Instances, spec.Config.Kernels-1
-	c, m := ablationTreeRevoke(eng, n, extra, spec.Variant == "batched", spec.SimWorkers, spec.SimMode)
+	c, m := ablationTreeRevoke(eng, n, extra, spec.Variant == "batched", spec.SimMode)
 	return Metrics{Cycles: uint64(c)}, ablationAux{Msgs: m}, nil
 }
 
@@ -240,7 +239,7 @@ func ikcWireMsgs(sys *core.System) (req, rep uint64) {
 
 // ablationIKCSystem builds the fan-out machine: the owner/service group
 // plus `extra` client groups, n clients spread round-robin over them.
-func ablationIKCSystem(eng *sim.Engine, n, extra int, pol core.IKCBatching, simWorkers int, simMode string) (*core.System, []int) {
+func ablationIKCSystem(eng *sim.Engine, n, extra int, pol core.IKCBatching, simMode string) (*core.System, []int) {
 	kernels := extra + 1
 	perGroup := n + 2
 	if extra > 0 {
@@ -251,7 +250,6 @@ func ablationIKCSystem(eng *sim.Engine, n, extra int, pol core.IKCBatching, simW
 		UserPEs:     kernels * perGroup,
 		IKCBatching: pol,
 		Engine:      eng,
-		SimWorkers:  simWorkers,
 		SimMode:     simMode,
 	})
 	byGroup := make(map[int][]int)
@@ -273,8 +271,8 @@ func ablationIKCSystem(eng *sim.Engine, n, extra int, pol core.IKCBatching, simW
 // ablationExchange measures n spanning obtains of one root capability,
 // returning the fan-out makespan and the inter-kernel wire messages by
 // direction.
-func ablationExchange(eng *sim.Engine, n, extra int, batched bool, simWorkers int, simMode string) (sim.Duration, uint64, uint64) {
-	sys, pes := ablationIKCSystem(eng, n, extra, core.IKCBatching{Exchange: batched}, simWorkers, simMode)
+func ablationExchange(eng *sim.Engine, n, extra int, batched bool, simMode string) (sim.Duration, uint64, uint64) {
+	sys, pes := ablationIKCSystem(eng, n, extra, core.IKCBatching{Exchange: batched}, simMode)
 	defer sys.Close()
 	ready := sim.NewFuture[cap.Selector](sys.Eng)
 	var t0 sim.Time
@@ -314,8 +312,8 @@ func ablationExchange(eng *sim.Engine, n, extra int, batched bool, simWorkers in
 // ablationSvcQuery measures n clients each opening a session to one
 // service and performing one session-scoped obtain, returning the fan-out
 // makespan and the inter-kernel wire messages by direction.
-func ablationSvcQuery(eng *sim.Engine, n, extra int, batched bool, simWorkers int, simMode string) (sim.Duration, uint64, uint64) {
-	sys, pes := ablationIKCSystem(eng, n, extra, core.IKCBatching{ServiceQuery: batched}, simWorkers, simMode)
+func ablationSvcQuery(eng *sim.Engine, n, extra int, batched bool, simMode string) (sim.Duration, uint64, uint64) {
+	sys, pes := ablationIKCSystem(eng, n, extra, core.IKCBatching{ServiceQuery: batched}, simMode)
 	defer sys.Close()
 	svcReady := sim.NewFuture[struct{}](sys.Eng)
 	var t0 sim.Time
@@ -393,9 +391,9 @@ func runIKCSpec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 	var req, rep uint64
 	switch spec.Kind {
 	case kindIKCExchange:
-		c, req, rep = ablationExchange(eng, n, extra, batched, spec.SimWorkers, spec.SimMode)
+		c, req, rep = ablationExchange(eng, n, extra, batched, spec.SimMode)
 	case kindIKCSvcQuery:
-		c, req, rep = ablationSvcQuery(eng, n, extra, batched, spec.SimWorkers, spec.SimMode)
+		c, req, rep = ablationSvcQuery(eng, n, extra, batched, spec.SimMode)
 	default:
 		return Metrics{}, nil, fmt.Errorf("ikc ablation: unknown kind %q", spec.Kind)
 	}

@@ -37,19 +37,15 @@ type Options struct {
 	// prior report; nil falls back to the instance-count heuristic. Only
 	// wallclock changes.
 	Costs *CostModel
-	// SimWorkers partitions each experiment's event queue per kernel block
-	// (see core.Config.SimWorkers), stamped onto every planned spec. All
-	// simulated metrics are byte-identical at any setting; partitioned runs
-	// additionally report per-domain busy/idle (Result.Domains).
-	SimWorkers int
 	// SimMode selects merged (default) or isolated-rounds simulation (see
 	// core.Config.SimMode), stamped onto every planned spec. Rounds metrics
-	// are deterministic at any -simworkers/-shards setting but intentionally
+	// are deterministic at any -parallel/-shards setting but intentionally
 	// differ from merged: every cross-domain interaction costs NoC latency.
+	// Rounds runs additionally report per-domain busy time (Result.Domains).
 	SimMode string
 	// FaultSeed seeds the deterministic fault injector of the faults
 	// experiment (-faultseed); 0 means seed 1. Identical seeds give
-	// byte-identical faulty runs at any -parallel/-shards/-simworkers.
+	// byte-identical faulty runs at any -parallel/-shards.
 	FaultSeed uint64
 }
 

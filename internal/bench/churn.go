@@ -19,9 +19,9 @@ import (
 // drops 1% of the traffic and crashes one kernel, which later recovers and
 // rejoins as a new incarnation. The run must drain (no hangs), the
 // completion fractions are exact functions of (seed, plan) — byte-identical
-// at any -parallel/-shards/-simworkers and deterministic under -simmode
-// rounds — and afterwards core.System.CheckLeaks must find no capability or
-// DDL state owned by the dead incarnation.
+// at any -parallel/-shards and deterministic under -simmode rounds — and
+// afterwards core.System.CheckLeaks must find no capability or DDL state
+// owned by the dead incarnation.
 
 const (
 	// churnSlots is the number of slot capabilities the root serves;
@@ -72,7 +72,7 @@ func (a churnAux) capsMinted() uint64 { return a.CapsCreated }
 // kernels exactly like the fault sweep's fan-out, plus the simulation mode
 // (the churn scenario is the one fault experiment that also runs under
 // isolated rounds).
-func churnSystem(eng *sim.Engine, n, extra int, plan *fault.Plan, simWorkers int, simMode string) (*core.System, []int) {
+func churnSystem(eng *sim.Engine, n, extra int, plan *fault.Plan, simMode string) (*core.System, []int) {
 	kernels := extra + 1
 	perGroup := n + 2
 	if extra > 0 {
@@ -84,7 +84,6 @@ func churnSystem(eng *sim.Engine, n, extra int, plan *fault.Plan, simWorkers int
 		IKCBatching: core.IKCBatching{Exchange: true, ServiceQuery: true},
 		Faults:      plan,
 		Engine:      eng,
-		SimWorkers:  simWorkers,
 		SimMode:     simMode,
 	})
 	byGroup := make(map[int][]int)
@@ -116,8 +115,8 @@ func sleepUntil(p *sim.Proc, t sim.Time) {
 // obtaining slot capabilities, churnRevokes scheduled expiries racing them.
 // Failed operations are data, not errors — the degradation under the crash
 // is exactly what the scenario measures.
-func churnStorm(eng *sim.Engine, n, extra int, plan *fault.Plan, simWorkers int, simMode string) (*core.System, sim.Duration, churnAux) {
-	sys, pes := churnSystem(eng, n, extra, plan, simWorkers, simMode)
+func churnStorm(eng *sim.Engine, n, extra int, plan *fault.Plan, simMode string) (*core.System, sim.Duration, churnAux) {
+	sys, pes := churnSystem(eng, n, extra, plan, simMode)
 	ready := sim.NewFuture[[]cap.Selector](sys.Eng)
 	var t0, end sim.Time
 	var okRevokes int
@@ -204,7 +203,7 @@ func runChurnSpec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 			Kernel: spec.CrashKernel, CrashAt: churnCrashAt, RecoverAt: churnRecoverAt,
 		})
 	}
-	sys, mk, aux := churnStorm(eng, n, extra, plan, spec.SimWorkers, spec.SimMode)
+	sys, mk, aux := churnStorm(eng, n, extra, plan, spec.SimMode)
 	defer sys.Close()
 	st := sys.TotalStats()
 	fs := sys.FaultStats()

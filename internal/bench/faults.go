@@ -18,7 +18,7 @@ import (
 // (internal/fault) sweeping drop rates, plus a kernel-crash scenario, and
 // report completion rate, retransmissions, duplicate suppressions and
 // recovery latency. Everything is deterministic in (seed, plan): reruns at
-// any -parallel/-shards/-simworkers produce byte-identical rows.
+// any -parallel/-shards produce byte-identical rows.
 
 // faultsRates is the drop-rate axis in basis points (0.00%, 0.25%, 1%,
 // 4%). The zero row runs reliable mode on a lossless fabric: losses are
@@ -88,7 +88,7 @@ func (a faultsAux) capsMinted() uint64 { return a.CapsCreated }
 // faultsSystem builds the fan-out machine of the transport ablation with a
 // fault plan attached (both IKC batching families on, so envelopes and
 // their retransmission path are exercised).
-func faultsSystem(eng *sim.Engine, n, extra int, plan *fault.Plan, simWorkers int) (*core.System, []int) {
+func faultsSystem(eng *sim.Engine, n, extra int, plan *fault.Plan) (*core.System, []int) {
 	kernels := extra + 1
 	perGroup := n + 2
 	if extra > 0 {
@@ -100,7 +100,6 @@ func faultsSystem(eng *sim.Engine, n, extra int, plan *fault.Plan, simWorkers in
 		IKCBatching: core.IKCBatching{Exchange: true, ServiceQuery: true},
 		Faults:      plan,
 		Engine:      eng,
-		SimWorkers:  simWorkers,
 	})
 	byGroup := make(map[int][]int)
 	for _, pe := range sys.UserPEs() {
@@ -124,8 +123,8 @@ func faultsSystem(eng *sim.Engine, n, extra int, plan *fault.Plan, simWorkers in
 // owner kernel is declared dead) counts as a failed operation — the run
 // completes either way, which is exactly the degradation contract under
 // test.
-func faultsExchange(eng *sim.Engine, n, extra int, plan *fault.Plan, simWorkers int) (*core.System, sim.Duration, int, int) {
-	sys, pes := faultsSystem(eng, n, extra, plan, simWorkers)
+func faultsExchange(eng *sim.Engine, n, extra int, plan *fault.Plan) (*core.System, sim.Duration, int, int) {
+	sys, pes := faultsSystem(eng, n, extra, plan)
 	ready := sim.NewFuture[cap.Selector](sys.Eng)
 	var t0, end sim.Time
 	var okOps int
@@ -162,8 +161,8 @@ func faultsExchange(eng *sim.Engine, n, extra int, plan *fault.Plan, simWorkers 
 // faultsSvcQuery is the error-tolerant service fan-out: n clients open a
 // session to one service and perform one session-scoped obtain. Failure at
 // either step counts the whole operation failed.
-func faultsSvcQuery(eng *sim.Engine, n, extra int, plan *fault.Plan, simWorkers int) (*core.System, sim.Duration, int, int) {
-	sys, pes := faultsSystem(eng, n, extra, plan, simWorkers)
+func faultsSvcQuery(eng *sim.Engine, n, extra int, plan *fault.Plan) (*core.System, sim.Duration, int, int) {
+	sys, pes := faultsSystem(eng, n, extra, plan)
 	svcReady := sim.NewFuture[struct{}](sys.Eng)
 	var t0, end sim.Time
 	var okOps int
@@ -230,14 +229,14 @@ func runFaultsSpec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 	var attempted, ok int
 	switch spec.Variant {
 	case "exchange":
-		sys, mk, attempted, ok = faultsExchange(eng, n, extra, plan, spec.SimWorkers)
+		sys, mk, attempted, ok = faultsExchange(eng, n, extra, plan)
 	case "crash":
 		// The crash scenario: the last client kernel dies mid-fan-out. Its
 		// clients' pending operations must resolve to errors (the victims
 		// declare the owner dead from their side too — its replies vanish),
 		// while everyone else completes.
 		plan.Kernels = append(plan.Kernels, fault.KernelFault{Kernel: extra, CrashAt: faultsCrashAt})
-		sys, mk, attempted, ok = faultsExchange(eng, n, extra, plan, spec.SimWorkers)
+		sys, mk, attempted, ok = faultsExchange(eng, n, extra, plan)
 	case "crashrecover":
 		// The crash+recover scenario: the same kernel crashes but rejoins
 		// mid-storm as a new incarnation. Operations in flight across the
@@ -247,9 +246,9 @@ func runFaultsSpec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 		plan.Kernels = append(plan.Kernels, fault.KernelFault{
 			Kernel: extra, CrashAt: faultsCrashAt, RecoverAt: faultsRecoverAt,
 		})
-		sys, mk, attempted, ok = faultsExchange(eng, n, extra, plan, spec.SimWorkers)
+		sys, mk, attempted, ok = faultsExchange(eng, n, extra, plan)
 	case "svcquery":
-		sys, mk, attempted, ok = faultsSvcQuery(eng, n, extra, plan, spec.SimWorkers)
+		sys, mk, attempted, ok = faultsSvcQuery(eng, n, extra, plan)
 	default:
 		return Metrics{}, nil, fmt.Errorf("faults: unknown variant %q", spec.Variant)
 	}

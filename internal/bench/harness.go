@@ -106,19 +106,18 @@ type Result struct {
 	// sharded. It is stripped before a Result enters the report, so the
 	// report layout is unchanged.
 	Aux json.RawMessage `json:"aux,omitempty"`
-	// Domains is the per-domain busy/idle attribution of a partitioned run
-	// (TaskSpec.SimWorkers > 1 on a multi-kernel machine); omitted on the
-	// sequential fast path. Like WallclockNS it varies run to run, so
-	// determinism comparisons must ignore it.
+	// Domains is the per-domain attribution of a partitioned run (SimMode
+	// rounds on a multi-kernel machine); omitted on the sequential engine.
+	// Like WallclockNS its busy time varies run to run, so determinism
+	// comparisons must ignore it.
 	Domains []DomainWallclock `json:"domains,omitempty"`
 }
 
 // DomainWallclock is one event domain's share of a partitioned run: how long
-// the run loop spent executing this domain's events (busy), the remainder of
-// the run's wallclock (idle), and the deterministic event count.
+// the run loop spent executing this domain's events (busy) and the
+// deterministic event count.
 type DomainWallclock struct {
 	BusyNS int64  `json:"busy_ns"`
-	IdleNS int64  `json:"idle_ns"`
 	Events uint64 `json:"events"`
 }
 
@@ -190,11 +189,7 @@ func runTask(t Task) (res Result) {
 	if ds := eng.DomainStats(); len(ds) > 1 {
 		res.Domains = make([]DomainWallclock, len(ds))
 		for i, d := range ds {
-			res.Domains[i] = DomainWallclock{
-				BusyNS: d.Busy.Nanoseconds(),
-				IdleNS: d.Idle.Nanoseconds(),
-				Events: d.Events,
-			}
+			res.Domains[i] = DomainWallclock{BusyNS: d.Busy.Nanoseconds(), Events: d.Events}
 		}
 	}
 	if err != nil {
@@ -238,13 +233,12 @@ func runWorkloadSpec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 		return Metrics{}, nil, fmt.Errorf("workload: unknown trace %q", spec.Trace)
 	}
 	r, err := workload.Run(workload.Config{
-		Kernels:    spec.Config.Kernels,
-		Services:   spec.Config.Services,
-		Instances:  spec.Config.Instances,
-		Trace:      tr,
-		Engine:     eng,
-		SimWorkers: spec.SimWorkers,
-		SimMode:    spec.SimMode,
+		Kernels:   spec.Config.Kernels,
+		Services:  spec.Config.Services,
+		Instances: spec.Config.Instances,
+		Trace:     tr,
+		Engine:    eng,
+		SimMode:   spec.SimMode,
 	})
 	if err != nil {
 		return Metrics{}, nil, err

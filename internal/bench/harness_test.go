@@ -134,6 +134,44 @@ func TestReportJSON(t *testing.T) {
 	}
 }
 
+// TestWallclockSummaryTopDomains: a partitioned sweep's summary lists the
+// topN busiest domains — not one line per domain, which is 1024 lines at the
+// top of the scale grid — with their deterministic event share, plus the
+// imbalance line.
+func TestWallclockSummaryTopDomains(t *testing.T) {
+	rep := NewReport(true, 1)
+	for task := 0; task < 2; task++ {
+		doms := make([]DomainWallclock, 256)
+		for d := range doms {
+			doms[d] = DomainWallclock{BusyNS: int64(d) * 1000, Events: 10}
+		}
+		doms[7].Events = 2550 // as many as the other 255 domains together
+		rep.Add(Result{Experiment: "scale/revoke", WallclockNS: 1, Domains: doms})
+	}
+	var buf bytes.Buffer
+	rep.WallclockSummary(&buf, 3)
+	out := buf.String()
+	if got := strings.Count(out, "  domain "); got != 3 {
+		t.Fatalf("summary prints %d domain lines, want 3:\n%s", got, out)
+	}
+	for _, want := range []string{
+		"busiest domains (3 of 256, 2 partitioned tasks)",
+		"domain 255:", "domain 254:", "domain 253:",
+		"imbalance: 100.0%",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("summary lacks %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "idle") {
+		t.Errorf("summary still reports idle time:\n%s", out)
+	}
+	rep.WallclockSummary(&buf, 1000)
+	if !strings.Contains(buf.String(), "domain 7:        0.0ms busy  5100 events (50.0%)") {
+		t.Errorf("event share of domain 7 is not 50%%:\n%s", buf.String())
+	}
+}
+
 // TestSweepRecordsEfficiency: the report entries of an efficiency sweep
 // carry the computed efficiency on the parallel points and 1.0 on the
 // baseline.

@@ -23,8 +23,8 @@ import (
 
 // buildPair constructs a two-app system on eng. With spanning=true the apps
 // land in different PE groups; otherwise both run under kernel 0.
-func buildPair(eng *sim.Engine, spanning bool, simWorkers int, simMode string) (*core.System, int, int) {
-	sys := core.MustNew(core.Config{Kernels: 2, UserPEs: 4, Engine: eng, SimWorkers: simWorkers, SimMode: simMode})
+func buildPair(eng *sim.Engine, spanning bool, simMode string) (*core.System, int, int) {
+	sys := core.MustNew(core.Config{Kernels: 2, UserPEs: 4, Engine: eng, SimMode: simMode})
 	// PEs 2,3 -> kernel 0; PEs 4,5 -> kernel 1.
 	if spanning {
 		return sys, 2, 4
@@ -92,7 +92,7 @@ func runTable3Spec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 	var e, v sim.Duration
 	switch spec.Variant {
 	case "local", "spanning":
-		sys, a, b := buildPair(eng, spec.Variant == "spanning", spec.SimWorkers, spec.SimMode)
+		sys, a, b := buildPair(eng, spec.Variant == "spanning", spec.SimMode)
 		e, v = measureExchangeRevoke(sys, a, b)
 	case "m3":
 		m3sys := m3.MustNew(m3.Config{UserPEs: 4, Engine: eng})
@@ -258,7 +258,7 @@ func runFig4Spec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 	var c sim.Duration
 	switch spec.Variant {
 	case "local", "spanning":
-		sys := core.MustNew(core.Config{Kernels: 2, UserPEs: maxLen + 2, Engine: eng, SimWorkers: spec.SimWorkers, SimMode: spec.SimMode})
+		sys := core.MustNew(core.Config{Kernels: 2, UserPEs: maxLen + 2, Engine: eng, SimMode: spec.SimMode})
 		c = buildChainAndRevoke(sys, sys.UserPEs(), l, spec.Variant == "spanning")
 	case "m3":
 		m3sys := m3.MustNew(m3.Config{UserPEs: maxLen + 2, Engine: eng})
@@ -331,13 +331,13 @@ type Fig5Result struct {
 
 // buildTreeAndRevoke hands the root capability to n other VPEs (spread over
 // extra kernels if extra > 0) and measures revoking the whole tree.
-func buildTreeAndRevoke(eng *sim.Engine, n, extra, simWorkers int, simMode string) sim.Duration {
+func buildTreeAndRevoke(eng *sim.Engine, n, extra int, simMode string) sim.Duration {
 	kernels := extra + 1
 	perGroup := n + 1
 	if extra > 0 {
 		perGroup = (n+extra-1)/extra + 1
 	}
-	sys := core.MustNew(core.Config{Kernels: kernels, UserPEs: kernels * perGroup, Engine: eng, SimWorkers: simWorkers, SimMode: simMode})
+	sys := core.MustNew(core.Config{Kernels: kernels, UserPEs: kernels * perGroup, Engine: eng, SimMode: simMode})
 	defer sys.Close()
 	pes := sys.UserPEs()
 	// Group 0's first PE hosts the root; children are placed round-robin
@@ -397,7 +397,7 @@ func init() { registerKind(kindFig5, runFig5Spec) }
 
 func runFig5Spec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 	n, extra := spec.Config.Instances, spec.Config.Kernels-1
-	return Metrics{Cycles: uint64(buildTreeAndRevoke(eng, n, extra, spec.SimWorkers, spec.SimMode))}, nil, nil
+	return Metrics{Cycles: uint64(buildTreeAndRevoke(eng, n, extra, spec.SimMode))}, nil, nil
 }
 
 // fig5Specs plans the (spread, child-count) grid.

@@ -10,12 +10,11 @@ import (
 
 // TestRoundsDeterminism: the acceptance criterion of the isolated-rounds
 // runtime — a quick-scale sweep in rounds mode produces simulated metrics
-// byte-identical across -simworkers 1, 2 and 4 and across sharded execution.
-// Rounds metrics legitimately differ from merged-mode metrics (cross-kernel
-// rendezvous carry NoC latency), so the baseline here is the rounds run
-// itself, not the merged sweep of TestSimWorkersDeterminism.
+// byte-identical across repeats and across sharded execution. Rounds metrics
+// legitimately differ from merged-mode metrics (cross-kernel rendezvous
+// carry NoC latency), so the baseline here is the rounds run itself.
 func TestRoundsDeterminism(t *testing.T) {
-	base := miniSweepMode(nil, 1, core.SimModeRounds)
+	base := miniSweep(nil, core.SimModeRounds)
 	baseJSON, err := json.Marshal(base)
 	if err != nil {
 		t.Fatal(err)
@@ -36,17 +35,15 @@ func TestRoundsDeterminism(t *testing.T) {
 		for i := range base {
 			if base[i].Experiment != got[i].Experiment || base[i].Config != got[i].Config ||
 				base[i].Metrics != got[i].Metrics || base[i].Error != got[i].Error {
-				t.Errorf("%s row %d differs:\n  workers=1: %+v\n  got:       %+v",
+				t.Errorf("%s row %d differs:\n  in-process: %+v\n  got:        %+v",
 					label, i, base[i], got[i])
 			}
 		}
 	}
-	for _, workers := range []int{2, 4} {
-		diff("-simworkers "+string(rune('0'+workers)), miniSweepMode(nil, workers, core.SimModeRounds))
-	}
+	diff("repeat", miniSweep(nil, core.SimModeRounds))
 	if !testing.Short() {
 		ex := testShardExecutor(2)
-		got := miniSweepMode(ex, 2, core.SimModeRounds)
+		got := miniSweep(ex, core.SimModeRounds)
 		ex.Close()
 		diff("-shards 2", got)
 	}
@@ -58,8 +55,8 @@ func TestRoundsDeterminism(t *testing.T) {
 // NoC latency, while every single-kernel row must stay byte-identical
 // (a single kernel has one domain — nothing to isolate).
 func TestRoundsDiverges(t *testing.T) {
-	merged := miniSweep(nil, 0)
-	rounds := miniSweepMode(nil, 1, core.SimModeRounds)
+	merged := miniSweep(nil, "")
+	rounds := miniSweep(nil, core.SimModeRounds)
 	if len(merged) != len(rounds) {
 		t.Fatalf("row counts differ: %d merged, %d rounds", len(merged), len(rounds))
 	}

@@ -77,7 +77,7 @@ const kindScale = "scale"
 func init() { registerKind(kindScale, runScaleSpec) }
 
 func runScaleSpec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
-	aux, err := scaleRun(eng, spec.Config.Kernels, spec.Config.Instances, spec.Arg, spec.SimWorkers, spec.SimMode)
+	aux, err := scaleRun(eng, spec.Config.Kernels, spec.Config.Instances, spec.Arg, spec.SimMode)
 	if err != nil {
 		return Metrics{}, nil, err
 	}
@@ -90,7 +90,7 @@ func runScaleSpec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 // first VPE of every non-root kernel additionally obtains the root VPE's
 // mem cap (the spanning edges), and the root VPE finally revokes its cap
 // — a tree spanning all kernels — under the clock.
-func scaleRun(eng *sim.Engine, kernels, vpes, capsPer, simWorkers int, simMode string) (scaleAux, error) {
+func scaleRun(eng *sim.Engine, kernels, vpes, capsPer int, simMode string) (scaleAux, error) {
 	runtime.GC()
 	var base runtime.MemStats
 	runtime.ReadMemStats(&base)
@@ -100,7 +100,6 @@ func scaleRun(eng *sim.Engine, kernels, vpes, capsPer, simWorkers int, simMode s
 		UserPEs:     vpes,
 		RelaxLimits: true,
 		Engine:      eng,
-		SimWorkers:  simWorkers,
 		SimMode:     simMode,
 	})
 	if err != nil {

@@ -90,22 +90,15 @@ func TestWorkerProtocol(t *testing.T) {
 
 // miniSweep runs a cross-section of the evaluation (micro, chain, tree,
 // ablation and workload kinds — including the aux-carrying Table 4 path)
-// on the given executor with the given event-queue partitioning, and
-// returns the recorded report rows with wallclocks (and the wallclock-bearing
-// per-domain attribution) zeroed, so two sweeps compare on simulated data
-// only.
-func miniSweep(ex Executor, simWorkers int) []Result {
-	return miniSweepMode(ex, simWorkers, "")
-}
-
-// miniSweepMode is miniSweep with an explicit simulation mode ("" or
-// core.SimModeMerged for the order-preserving engine, core.SimModeRounds for
-// isolated rounds — see TestRoundsDeterminism).
-func miniSweepMode(ex Executor, simWorkers int, simMode string) []Result {
+// on the given executor in the given simulation mode ("" or
+// core.SimModeMerged for the sequential engine, core.SimModeRounds for
+// isolated rounds — see TestRoundsDeterminism), and returns the recorded
+// report rows with wallclocks (and the wallclock-bearing per-domain
+// attribution) zeroed, so two sweeps compare on simulated data only.
+func miniSweep(ex Executor, simMode string) []Result {
 	o := Quick()
 	o.Parallel = 2
 	o.Executor = ex
-	o.SimWorkers = simWorkers
 	o.SimMode = simMode
 	o.Report = NewReport(true, 1)
 	Table3(o)
@@ -129,14 +122,14 @@ func TestShardDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker subprocesses")
 	}
-	base := miniSweep(nil, 0)
+	base := miniSweep(nil, "")
 	baseJSON, err := json.Marshal(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{1, 2, 4} {
 		ex := testShardExecutor(shards)
-		got := miniSweep(ex, 0)
+		got := miniSweep(ex, "")
 		ex.Close()
 		gotJSON, err := json.Marshal(got)
 		if err != nil {
@@ -154,39 +147,6 @@ func TestShardDeterminism(t *testing.T) {
 				base[i].Metrics != got[i].Metrics || base[i].Error != got[i].Error {
 				t.Errorf("-shards %d row %d differs:\n  in-process: %+v\n  sharded:    %+v",
 					shards, i, base[i], got[i])
-			}
-		}
-	}
-}
-
-// TestSimWorkersDeterminism: the acceptance criterion of the partitioned
-// engine — the same quick-scale sweep executed with -simworkers 1, 2 and 4
-// produces simulated metrics byte-identical to the sequential engine, row
-// for row (the mirror of TestShardDeterminism for event-queue partitioning).
-func TestSimWorkersDeterminism(t *testing.T) {
-	base := miniSweep(nil, 0)
-	baseJSON, err := json.Marshal(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4} {
-		got := miniSweep(nil, workers)
-		gotJSON, err := json.Marshal(got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bytes.Equal(baseJSON, gotJSON) {
-			continue
-		}
-		if len(got) != len(base) {
-			t.Errorf("-simworkers %d: %d rows, want %d", workers, len(got), len(base))
-			continue
-		}
-		for i := range base {
-			if base[i].Experiment != got[i].Experiment || base[i].Config != got[i].Config ||
-				base[i].Metrics != got[i].Metrics || base[i].Error != got[i].Error {
-				t.Errorf("-simworkers %d row %d differs:\n  sequential:  %+v\n  partitioned: %+v",
-					workers, i, base[i], got[i])
 			}
 		}
 	}

@@ -42,11 +42,6 @@ type TaskSpec struct {
 	// (kind "churn" only); -1 means no crash. The zero value round-trips
 	// through omitempty unchanged (absent decodes back to 0).
 	CrashKernel int `json:"crashkernel,omitempty"`
-	// SimWorkers partitions each run's event queue per kernel block (see
-	// core.Config.SimWorkers). It travels with the spec so sharded workers
-	// apply the same partitioning; simulated metrics are byte-identical at
-	// any setting.
-	SimWorkers int `json:"simworkers,omitempty"`
 	// SimMode selects merged (default) or isolated-rounds execution (see
 	// core.Config.SimMode). It travels with the spec so sharded workers run
 	// the same mode; rounds metrics are deterministic but differ from merged
@@ -160,11 +155,6 @@ type Executor interface {
 // execute runs the plan on the configured executor and fail-fasts on the
 // first task error, preserving the historical behavior of the sweeps.
 func (o Options) execute(specs []TaskSpec) []Result {
-	if o.SimWorkers > 1 {
-		for i := range specs {
-			specs[i].SimWorkers = o.SimWorkers
-		}
-	}
 	if o.SimMode != "" {
 		for i := range specs {
 			specs[i].SimMode = o.SimMode

@@ -55,7 +55,7 @@ func buildFanout(t *testing.T, cfg Config, n int) (*System, sim.Duration) {
 // revocation still removes every capability and keeps invariants.
 func TestBatchedRevocationCorrect(t *testing.T) {
 	const kids = 9
-	s, _ := buildFanout(t, Config{Kernels: 4, UserPEs: kids + 7, RevokeBatching: true}, kids)
+	s, _ := buildFanout(t, Config{Kernels: 4, UserPEs: kids + 7, IKCBatching: IKCBatching{Revoke: true}}, kids)
 	if n := memCapsEverywhere(s); n != 0 {
 		t.Fatalf("%d mem caps survived batched revoke", n)
 	}
@@ -74,7 +74,7 @@ func TestBatchedRevocationCorrect(t *testing.T) {
 func TestBatchingReducesMessages(t *testing.T) {
 	const kids = 12
 	run := func(batching bool) uint64 {
-		s, _ := buildFanout(t, Config{Kernels: 4, UserPEs: kids + 7, RevokeBatching: batching}, kids)
+		s, _ := buildFanout(t, Config{Kernels: 4, UserPEs: kids + 7, IKCBatching: IKCBatching{Revoke: batching}}, kids)
 		var sent uint64
 		for ki := 0; ki < s.Kernels(); ki++ {
 			sent += s.Kernel(ki).Stats().IKCSent
@@ -93,7 +93,7 @@ func TestBatchingReducesMessages(t *testing.T) {
 func TestBatchingSpeedsUpTreeRevocation(t *testing.T) {
 	const kids = 24
 	_, plain := buildFanout(t, Config{Kernels: 4, UserPEs: kids + 7}, kids)
-	_, batched := buildFanout(t, Config{Kernels: 4, UserPEs: kids + 7, RevokeBatching: true}, kids)
+	_, batched := buildFanout(t, Config{Kernels: 4, UserPEs: kids + 7, IKCBatching: IKCBatching{Revoke: true}}, kids)
 	if batched >= plain {
 		t.Fatalf("batched revoke (%d cycles) not faster than plain (%d cycles)", batched, plain)
 	}
@@ -102,7 +102,7 @@ func TestBatchingSpeedsUpTreeRevocation(t *testing.T) {
 // TestBatchedChainStillCorrect: batching must not break deep cross-kernel
 // chains (each hop has exactly one remote child, so batches of size one).
 func TestBatchedChainStillCorrect(t *testing.T) {
-	s := MustNew(Config{Kernels: 2, UserPEs: 10, RevokeBatching: true})
+	s := MustNew(Config{Kernels: 2, UserPEs: 10, IKCBatching: IKCBatching{Revoke: true}})
 	defer s.Close()
 	const chainLen = 6
 	futs := make([]*sim.Future[cap.Selector], chainLen+1)

@@ -209,7 +209,7 @@ func newKernel(s *System, id int) *Kernel {
 	k.syscallPool = newPool(k, "sys", max(len(k.group), 1))
 	k.ikcPool = newPool(k, "ikc", k.ikcWindow())
 	k.revokePool = newPool(k, "rev", RevokeThreads)
-	k.xport = newTransport(k, s.cfg.batchingPolicy())
+	k.xport = newTransport(k, s.cfg.IKCBatching.withDefaults())
 	if s.rel != nil {
 		k.rt = newRelState(k, *s.rel)
 	}

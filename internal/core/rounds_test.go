@@ -244,7 +244,7 @@ func TestRoundsDRAMRefill(t *testing.T) {
 // kernel group) in the given mode and runs it to completion.
 func benchFanout(b *testing.B, kernels int, simMode string) {
 	b.Helper()
-	s := MustNew(Config{Kernels: kernels, UserPEs: kernels * 2, SimMode: simMode, SimWorkers: 1})
+	s := MustNew(Config{Kernels: kernels, UserPEs: kernels * 2, SimMode: simMode})
 	defer s.Close()
 	byGroup := make(map[int][]int)
 	for _, pe := range s.UserPEs() {
@@ -277,7 +277,7 @@ func benchFanout(b *testing.B, kernels int, simMode string) {
 }
 
 // BenchmarkKernelRounds compares a small multi-kernel exchange fan-out on
-// the isolated-rounds runtime against the same fan-out on the merged loop
+// the isolated-rounds runtime against the same fan-out on the sequential engine
 // (allocs/op and wall-clock; the CI sim-bench smoke tracks both).
 func BenchmarkKernelRounds(b *testing.B) {
 	for _, mode := range []string{SimModeRounds, SimModeMerged} {

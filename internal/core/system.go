@@ -34,15 +34,6 @@ type Config struct {
 	// including the adaptive flush window (see transport.go). The zero
 	// value disables all batching.
 	IKCBatching IKCBatching
-	// RevokeBatching enables the paper's proposed optimization (§5.2,
-	// "Tree revocation"): instead of one inter-kernel message per remote
-	// child, the kernel batches all children owned by the same kernel into
-	// a single revoke request.
-	//
-	// Deprecated: RevokeBatching is an alias for IKCBatching.Revoke and is
-	// kept so existing configurations work unchanged; setting either
-	// enables revoke batching with identical semantics.
-	RevokeBatching bool
 	// Faults attaches a deterministic fault-injection plan to the NoC's
 	// kernel↔kernel links (internal/fault). Setting it switches the IKC
 	// protocol into reliable mode — timeouts, retransmit with backoff,
@@ -58,34 +49,21 @@ type Config struct {
 	// time, sequence and event counters at zero and not killed. The bench
 	// harness uses this to recycle pooled engines across experiments.
 	Engine *sim.Engine
-	// SimWorkers partitions the simulation's event queue into
-	// min(SimWorkers, Kernels) domains — one per contiguous block of
-	// kernels, each kernel owning its PE group — with the NoC's minimum
-	// cross-PE latency as the lookahead bound. In merged mode (the
-	// default) the engine runs the domains through the order-preserving
-	// merged loop: every simulated metric stays byte-identical to the
-	// sequential engine at any setting, and the partitioning yields
-	// per-domain busy/idle attribution (sim.Engine.DomainStats). 0 or 1
-	// keeps the sequential fast path. Under SimModeRounds, SimWorkers
-	// only sizes the execution pool — the domain layout is always one
-	// domain per kernel, so metrics are identical at any worker count.
-	SimWorkers int
-	// SimMode selects the execution mode of a partitioned engine:
+	// SimMode selects how the simulation engine executes the machine:
 	//
-	//   - "" or "merged": the order-preserving merged loop. Metrics are
-	//     byte-identical to the sequential engine; SimWorkers buys
-	//     busy/idle attribution only.
-	//   - "rounds": genuine conservative-PDES isolated rounds. Every
-	//     kernel (with its PE group) gets its own domain, every
-	//     cross-domain interaction costs at least one NoC latency (credit
-	//     returns ride credit messages, service lookups and DRAM refills
-	//     ride IKC), and the engine advances domains concurrently on
-	//     SimWorkers workers. Metrics drift from the merged baseline —
-	//     deterministically, identically at any worker count — and a
-	//     single multi-kernel run scales with cores. Incompatible with NoC
-	//     contention, whose link state is shared across all senders; fault
-	//     injection works (the injector shards its state by source PE), but
-	//     the plan must not crash kernel 0, the DRAM-refill home (Validate).
+	//   - "" or "merged": the sequential engine — one event queue, one
+	//     clock, the baseline kernel model.
+	//   - "rounds": conservative isolated rounds. Every kernel (with its PE
+	//     group) gets its own event domain and clock, every cross-domain
+	//     interaction costs at least one NoC latency (credit returns ride
+	//     credit messages, service lookups and DRAM refills ride IKC), and
+	//     the engine advances the domains one after the other in rounds
+	//     bounded by the NoC lookahead. Metrics differ from merged —
+	//     deterministically — because the kernel model is the partitioned
+	//     one. Incompatible with NoC contention, whose link state is shared
+	//     across all senders; fault injection works (the injector shards
+	//     its state by source PE), but the plan must not crash kernel 0,
+	//     the DRAM-refill home (Validate).
 	SimMode string
 	// RelaxLimits lifts the architectural sizing limits (MaxKernels,
 	// MaxPEsPerKernel) for scalability studies: the machine may then be
@@ -105,17 +83,6 @@ const (
 
 // roundsMode reports whether the config selects isolated-rounds execution.
 func (c Config) roundsMode() bool { return c.SimMode == SimModeRounds }
-
-// batchingPolicy resolves the effective transport policy: the deprecated
-// RevokeBatching alias folds into IKCBatching.Revoke, and flush parameters
-// get their defaults.
-func (c Config) batchingPolicy() IKCBatching {
-	b := c.IKCBatching
-	if c.RevokeBatching {
-		b.Revoke = true
-	}
-	return b.withDefaults()
-}
 
 func (c Config) withDefaults() Config {
 	if c.Kernels <= 0 {
@@ -190,9 +157,8 @@ type System struct {
 	memPEs  []int
 	vpes    []*VPE
 	peToVPE []*VPE
-	// doms, when SimWorkers partitions the engine, maps domain id to handle;
-	// nil on the sequential fast path. kernelDom maps kernel id to domain.
-	doms      []*sim.Domain
+	// kernelDom maps kernel id to its event domain under isolated rounds;
+	// nil on the sequential engine.
 	kernelDom []*sim.Domain
 
 	// rel is the resolved reliable-IKC configuration; nil in baseline
@@ -283,54 +249,25 @@ func NewSystem(cfg Config) (*System, error) {
 		net.SetInjector(s.inj)
 	}
 	s.rounds = cfg.roundsMode()
-	switch {
-	case s.rounds && cfg.Kernels > 1:
-		// Isolated rounds: one domain per kernel, always — the layout must
-		// not depend on SimWorkers, or metrics would vary with the worker
-		// count. SimWorkers only sizes the engine's execution pool. The
-		// domain table is topology-aware: user PEs follow their group kernel
-		// (contiguous blocks, so groups align with mesh rows) and each
-		// memory PE joins its nearest kernel's domain instead of kernel 0's,
-		// keeping its traffic on short same-domain paths. The lookahead is
-		// the minimum latency across the resulting cut, at least MinLatency.
-		s.doms = make([]*sim.Domain, cfg.Kernels)
-		s.doms[0] = eng.Domain(0)
+	if s.rounds && cfg.Kernels > 1 {
+		// Isolated rounds: one domain per kernel. The domain table is
+		// topology-aware: user PEs follow their group kernel (contiguous
+		// blocks, so groups align with mesh rows) and each memory PE joins its
+		// nearest kernel's domain instead of kernel 0's, keeping its traffic on
+		// short same-domain paths. The lookahead is the minimum latency across
+		// the resulting cut, at least MinLatency.
+		s.kernelDom = make([]*sim.Domain, cfg.Kernels)
+		s.kernelDom[0] = eng.Domain(0)
 		for i := 1; i < cfg.Kernels; i++ {
-			s.doms[i] = eng.NewDomain()
+			s.kernelDom[i] = eng.NewDomain()
 		}
-		s.kernelDom = s.doms
 		nodeDoms := make([]*sim.Domain, nodes)
 		for pe := range nodeDoms {
 			nodeDoms[pe] = s.kernelDom[s.domainKernelOfNode(pe)]
 		}
 		net.BindDomains(nodeDoms)
-		net.SetIsolated(true)
 		eng.SetLookahead(net.MinLatencyAcross(s.domainKernelOfNode))
 		eng.SetIsolated(true)
-		eng.SetWorkers(max(cfg.SimWorkers, 1))
-	case min(cfg.SimWorkers, cfg.Kernels) > 1:
-		// Merged mode: contiguous blocks of kernels (with their PE groups)
-		// map onto min(SimWorkers, Kernels) domains, and the network's
-		// minimum cross-PE latency becomes the engine's lookahead bound.
-		// The order-preserving merged loop keeps every metric byte-identical
-		// to the sequential engine; the partitioning buys attribution.
-		d := min(cfg.SimWorkers, cfg.Kernels)
-		s.doms = make([]*sim.Domain, d)
-		s.doms[0] = eng.Domain(0)
-		for i := 1; i < d; i++ {
-			s.doms[i] = eng.NewDomain()
-		}
-		s.kernelDom = make([]*sim.Domain, cfg.Kernels)
-		for k := 0; k < cfg.Kernels; k++ {
-			s.kernelDom[k] = s.doms[k*d/cfg.Kernels]
-		}
-		nodeDoms := make([]*sim.Domain, nodes)
-		for pe := range nodeDoms {
-			nodeDoms[pe] = s.kernelDom[s.kernelIDOfNode(pe)]
-		}
-		net.BindDomains(nodeDoms)
-		eng.SetLookahead(net.MinLatency())
-		eng.SetWorkers(cfg.SimWorkers)
 	}
 	// Kernel PEs.
 	for k := 0; k < cfg.Kernels; k++ {
@@ -451,10 +388,6 @@ func (s *System) domainOfKernel(k int) *sim.Domain {
 	}
 	return s.kernelDom[k]
 }
-
-// DomainStats exposes the engine's per-domain busy/idle attribution; nil on
-// the sequential fast path.
-func (s *System) DomainStats() []sim.DomainStat { return s.Eng.DomainStats() }
 
 // MustNew is NewSystem for tests and examples where the config is constant.
 func MustNew(cfg Config) *System {

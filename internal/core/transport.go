@@ -67,16 +67,14 @@ type IKCBatching struct {
 	ServiceQuery bool
 	// Revoke batches tree-revocation requests for remote children, one
 	// envelope per owning kernel, collected during the mark phase and
-	// flushed at its end (the paper's §5.2 proposal). Config.RevokeBatching
-	// is a deprecated alias for this flag. In the reply direction it routes
-	// thread-context revoke replies through the sink (they leave at the
-	// dispatch barrier); continuation-completed replies stay direct — see
-	// ikReplyAsync — so revocation completion never waits on a window.
+	// flushed at its end (the paper's §5.2 proposal). In the reply direction
+	// it routes thread-context revoke replies through the sink (they leave
+	// at the dispatch barrier); continuation-completed replies stay direct —
+	// see ikReplyAsync — so revocation completion never waits on a window.
 	Revoke bool
 	// MaxBatch flushes an exchange/service-query queue inline when it
 	// reaches this many requests (default DefaultMaxBatch). Revoke batches
-	// are bounded by the mark phase instead, matching the original
-	// RevokeBatching semantics. Reply queues use the same bound.
+	// are bounded by the mark phase instead. Reply queues use the same bound.
 	MaxBatch int
 	// FlushWindow is the *ceiling* of the adaptive aggregation window: the
 	// longest a non-empty request queue may wait for more traffic before

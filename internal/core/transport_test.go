@@ -9,9 +9,8 @@ import (
 )
 
 // Tests for the unified IKC transport: cross-operation batching of
-// capability exchange and service queries, coalesced DTU delivery, the
-// deprecated RevokeBatching alias, and bit-reproducibility of batched
-// configurations.
+// capability exchange and service queries, coalesced DTU delivery, and
+// bit-reproducibility of batched configurations.
 
 // wireStats sums the inter-kernel wire traffic of a run.
 type wireStats struct {
@@ -200,24 +199,6 @@ func TestServiceQueryBatchingReducesMessages(t *testing.T) {
 		t.Fatal("no coalesced DTU deliveries recorded")
 	}
 	checkAllInvariants(t, sBatched)
-}
-
-// TestRevokeBatchingAliasEquivalence pins the deprecated alias: a run with
-// Config.RevokeBatching must be indistinguishable — same revocation
-// latency, same wire messages, same executed-event count — from one with
-// IKCBatching.Revoke, so existing configurations keep their semantics.
-func TestRevokeBatchingAliasEquivalence(t *testing.T) {
-	const kids = 12
-	run := func(cfg Config) (sim.Duration, wireStats, uint64) {
-		s, rev := buildFanout(t, cfg, kids)
-		return rev, gatherWire(s), s.Eng.Executed()
-	}
-	revA, wireA, execA := run(Config{Kernels: 4, UserPEs: kids + 7, RevokeBatching: true})
-	revB, wireB, execB := run(Config{Kernels: 4, UserPEs: kids + 7, IKCBatching: IKCBatching{Revoke: true}})
-	if revA != revB || wireA != wireB || execA != execB {
-		t.Fatalf("alias diverged: rev %d vs %d, wire %+v vs %+v, executed %d vs %d",
-			revA, revB, wireA, wireB, execA, execB)
-	}
 }
 
 // TestMaxBatchInlineFlush: a queue reaching MaxBatch flushes without

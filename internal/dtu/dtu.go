@@ -384,7 +384,7 @@ func (d *DTU) deliver(ep int, msg *Message) {
 	if e.kind != EpRecv || e.used >= e.slots {
 		d.stats.Lost++
 		d.stats.EPLost[ep]++
-		d.fabric.net.CountLost(d.pe)
+		d.fabric.net.CountLost()
 		return
 	}
 	e.used++
@@ -462,7 +462,7 @@ func (d *DTU) deliverVec(ep int, msgs []*Message) {
 	if e.kind != EpRecv || e.used >= e.slots {
 		d.stats.Lost++
 		d.stats.EPLost[ep]++
-		d.fabric.net.CountLost(d.pe)
+		d.fabric.net.CountLost()
 		return
 	}
 	e.used++

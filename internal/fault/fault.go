@@ -4,11 +4,11 @@
 // windows and kernel crash times — and an Injector draws every decision
 // from a splittable counter-based PRNG keyed by (seed, src, dst, per-pair
 // message counter). Because the NoC calls Inspect once per message in a
-// deterministic order (the merged event loop preserves event order at any
-// -simworkers setting; isolated rounds order each sender's stream on its
-// own domain and the injector shards all mutable state by source PE; and
-// -parallel/-shards parallelize across independent simulations), a fixed
-// seed yields a byte-identical faulty run regardless of host parallelism.
+// deterministic order (the sequential engine executes events in one total
+// order; isolated rounds order each sender's stream on its own domain and
+// the injector shards all mutable state by source PE; and -parallel/-shards
+// parallelize across independent simulations), a fixed seed yields a
+// byte-identical faulty run regardless of host parallelism.
 //
 // Faults apply only to kernel↔kernel links (both endpoints below the
 // kernel-PE bound): the inter-kernel protocol is the layer hardened
@@ -134,9 +134,8 @@ type effRates struct {
 // per-pair PRNG counters, the resolved-rate cache and the stats — is
 // sharded by source PE: the NoC calls Inspect at send time on the sending
 // node's path, so under isolated rounds (one event domain per kernel) each
-// shard has exactly one writer and the injector is safe without locks. The
-// sharding changes nothing observable: counters advance per (src, dst)
-// pair exactly as before, so merged-mode fault sequences are untouched.
+// shard belongs to one domain. Counters advance per (src, dst) pair, so a
+// pair's fault sequence does not depend on how the domains interleave.
 type Injector struct {
 	plan      Plan
 	kernelPEs int
@@ -172,8 +171,7 @@ func NewInjector(plan Plan, kernelPEs int) *Injector {
 	return in
 }
 
-// Stats sums the per-source shards into one snapshot. Call it only while
-// no simulation round is in flight (shards are written lock-free).
+// Stats sums the per-source shards into one snapshot.
 func (in *Injector) Stats() Stats {
 	var out Stats
 	for i := range in.perSrc {

@@ -80,9 +80,9 @@ type Verdict struct {
 // Injector inspects every message at send time and returns its fate.
 // Implementations (see internal/fault) must be deterministic functions of
 // their own state and the arguments: the network calls Inspect exactly
-// once per Send, in event order. Under isolated rounds, Inspect is called
-// concurrently from different sender domains, so implementations must
-// shard all mutable state by src.
+// once per Send, in event order. Under isolated rounds now is the sending
+// node's domain clock and calls are time-ordered per src only: each domain
+// runs ahead of the others by up to the lookahead.
 type Injector interface {
 	Inspect(now sim.Time, src, dst, size int) Verdict
 }
@@ -99,25 +99,11 @@ type Network struct {
 	// linkFree is the next-free time per directed link (contention mode).
 	linkFree map[int]sim.Time
 	stats    Stats
-	// domains, when bound, routes each delivery onto the destination node's
-	// event domain (conservative PDES partitioning, see internal/sim). Nil
-	// means all deliveries use the engine's current lane, as before.
+	// domains, when bound (BindDomains), is the per-node event-domain table
+	// of a partitioned engine (see internal/sim): Send reads the sending
+	// node's domain clock and posts the delivery to the destination node's
+	// domain. Nil means the engine clock and the engine's current lane.
 	domains []*sim.Domain
-	// isolated switches the network to its isolated-rounds discipline: all
-	// mutable send-path state is sharded per source node (each node's sends
-	// execute only on its own domain, so every shard has a single writer),
-	// the clock is the sending node's domain-local clock, and cross-domain
-	// deliveries travel as posts. Requires bound domains; forbids contention,
-	// whose link state is inherently cross-domain. Injectors are consulted
-	// from the sender's path with the sender's clock, so implementations must
-	// shard their mutable state by source node (internal/fault does).
-	isolated bool
-	// srcStats/srcLast shard the activity counters and the per-pair FIFO
-	// horizon by source node; lostAt shards the receiver-side loss counter by
-	// receiving node. Allocated by SetIsolated.
-	srcStats []Stats
-	srcLast  []map[int]sim.Time
-	lostAt   []uint64
 	// inj, when set, decides per message whether to drop, duplicate or
 	// delay it (fault injection). Nil means the lossless fabric.
 	inj Injector
@@ -152,37 +138,12 @@ func New(eng *sim.Engine, cfg Config) *Network {
 // Nodes returns the number of attached PEs.
 func (n *Network) Nodes() int { return n.cfg.Nodes }
 
-// Stats returns a snapshot of the activity counters. In isolated mode it
-// sums the per-node shards; call it only while no round is in flight.
-func (n *Network) Stats() Stats {
-	if !n.isolated {
-		return n.stats
-	}
-	out := n.stats
-	for i := range n.srcStats {
-		s := &n.srcStats[i]
-		out.Messages += s.Messages
-		out.Bytes += s.Bytes
-		out.HopsSum += s.HopsSum
-		out.Lost += s.Lost
-	}
-	for _, l := range n.lostAt {
-		out.Lost += l
-	}
-	return out
-}
+// Stats returns a snapshot of the activity counters.
+func (n *Network) Stats() Stats { return n.stats }
 
 // CountLost increments the lost-message counter; receivers (DTUs) call it
-// from the delivery event when a message arrives at node and no slot is
-// free. In isolated mode the count lands in the receiving node's shard —
-// the delivery executes on that node's domain, its single writer.
-func (n *Network) CountLost(node int) {
-	if n.isolated {
-		n.lostAt[node]++
-		return
-	}
-	n.stats.Lost++
-}
+// from the delivery event when a message arrives and no slot is free.
+func (n *Network) CountLost() { n.stats.Lost++ }
 
 func (n *Network) coord(node int) (x, y int) {
 	return node % n.width, node / n.width
@@ -206,12 +167,17 @@ func (n *Network) MinLatency() sim.Duration {
 }
 
 // BindDomains attaches a per-node event-domain table (indexed by PE id):
-// from then on every delivery is scheduled onto the destination node's
-// domain lane, so a partitioned engine attributes and — for isolated
-// domains — parallelizes it correctly. The table must cover all nodes.
+// from then on every Send takes its clock from the sending node's domain
+// and schedules the delivery onto the destination node's domain, as a
+// cross-domain post where the two differ. The table must cover all nodes.
+// Contention is incompatible: its link state is shared across all senders,
+// which domain-local clocks would make acausal.
 func (n *Network) BindDomains(domains []*sim.Domain) {
 	if len(domains) < n.cfg.Nodes {
 		panic(fmt.Sprintf("noc: BindDomains table covers %d of %d nodes", len(domains), n.cfg.Nodes))
+	}
+	if n.cfg.Contention {
+		panic("noc: contention is incompatible with event domains (shared link state)")
 	}
 	n.domains = domains
 }
@@ -219,32 +185,6 @@ func (n *Network) BindDomains(domains []*sim.Domain) {
 // SetInjector attaches a fault injector consulted once per Send. Passing
 // nil restores the lossless fabric.
 func (n *Network) SetInjector(inj Injector) { n.inj = inj }
-
-// SetIsolated switches the network to the isolated-rounds send discipline
-// (see the Network field docs). Domains must be bound first; contention is
-// incompatible — its link state is shared across all senders. An injector
-// may be attached, provided it shards its mutable state by source node.
-func (n *Network) SetIsolated(iso bool) {
-	if !iso {
-		n.isolated = false
-		return
-	}
-	if n.domains == nil {
-		panic("noc: SetIsolated requires bound domains")
-	}
-	if n.cfg.Contention {
-		panic("noc: contention is incompatible with isolated rounds (shared link state)")
-	}
-	n.isolated = true
-	if n.srcStats == nil {
-		n.srcStats = make([]Stats, n.cfg.Nodes)
-		n.srcLast = make([]map[int]sim.Time, n.cfg.Nodes)
-		for i := range n.srcLast {
-			n.srcLast[i] = make(map[int]sim.Time)
-		}
-		n.lostAt = make([]uint64, n.cfg.Nodes)
-	}
-}
 
 // MinLatencyAcross returns the minimum latency of any message between nodes
 // in different domains under the given node→domain assignment — the tight
@@ -288,7 +228,8 @@ func (n *Network) Latency(src, dst, size int) sim.Duration {
 
 // Send transmits a message of size bytes from src to dst and invokes deliver
 // at the destination when it arrives. Delivery preserves per-(src,dst) FIFO
-// order. Send may be called from event handlers and procs.
+// order. Send may be called from event handlers and procs of the sending
+// node.
 //
 // With an injector attached, a message may be dropped (deliver is never
 // invoked), duplicated (deliver is invoked twice, the copy strictly after
@@ -296,26 +237,31 @@ func (n *Network) Latency(src, dst, size int) sim.Duration {
 // duplicated message pushes the pair's delivery horizon forward, and a
 // dropped one still advances it to where it would have arrived — the wire
 // consumed the message even though nobody receives it.
+//
+// With domains bound, a cross-domain delivery travels as a post. Its delay
+// is at least the engine lookahead by construction: the pair's latency is
+// bounded below by MinLatencyAcross, and the FIFO clamp, an injected delay
+// and a duplicate's gap only push arrival further out.
 func (n *Network) Send(src, dst, size int, deliver func()) {
 	n.checkNode(src)
 	n.checkNode(dst)
-	if n.isolated {
-		n.sendIsolated(src, dst, size, deliver)
-		return
-	}
 	n.stats.Messages++
 	n.stats.Bytes += uint64(size)
 	n.stats.HopsSum += uint64(n.Hops(src, dst))
 
+	now := n.eng.Now()
+	if n.domains != nil {
+		now = n.domains[src].Now()
+	}
 	var v Verdict
 	if n.inj != nil {
-		v = n.inj.Inspect(n.eng.Now(), src, dst, size)
+		v = n.inj.Inspect(now, src, dst, size)
 	}
 	var arrival sim.Time
 	if n.cfg.Contention {
-		arrival = n.contendedArrival(src, dst, size)
+		arrival = n.contendedArrival(now, src, dst, size)
 	} else {
-		arrival = n.eng.Now() + n.Latency(src, dst, size)
+		arrival = now + n.Latency(src, dst, size)
 	}
 	arrival += v.Delay
 	key := pairKey{src, dst}
@@ -327,7 +273,7 @@ func (n *Network) Send(src, dst, size int, deliver func()) {
 		n.stats.Lost++
 		return
 	}
-	n.scheduleDeliver(dst, arrival, deliver)
+	n.scheduleDeliver(src, dst, arrival-now, deliver)
 	if v.Dup {
 		// The duplicate trails the original by at least one cycle so the
 		// receiver observes two distinct delivery events in a fixed order.
@@ -337,66 +283,17 @@ func (n *Network) Send(src, dst, size int, deliver func()) {
 		}
 		dupAt := arrival + gap
 		n.lastDeliver[key] = dupAt
-		n.scheduleDeliver(dst, dupAt, deliver)
+		n.scheduleDeliver(src, dst, dupAt-now, deliver)
 	}
 }
 
-func (n *Network) scheduleDeliver(dst int, at sim.Time, deliver func()) {
+// scheduleDeliver runs deliver at dst, d cycles after the sender's now.
+func (n *Network) scheduleDeliver(src, dst int, d sim.Duration, deliver func()) {
 	if n.domains != nil {
-		n.domains[dst].At(at, deliver)
+		n.domains[src].Post(n.domains[dst], d, deliver)
 		return
 	}
-	n.eng.At(at, deliver)
-}
-
-// sendIsolated is Send under the isolated-rounds discipline: all mutable
-// state is the sending node's single-writer shard, the clock is the sending
-// node's domain-local clock, and a cross-domain delivery travels as a post.
-// Its delay is at least the engine lookahead by construction: the pair is
-// cross-domain, so its latency is bounded below by MinLatencyAcross, and the
-// FIFO clamp only pushes arrival further out.
-func (n *Network) sendIsolated(src, dst, size int, deliver func()) {
-	st := &n.srcStats[src]
-	st.Messages++
-	st.Bytes += uint64(size)
-	st.HopsSum += uint64(n.Hops(src, dst))
-	sd := n.domains[src]
-	now := sd.Now()
-	var v Verdict
-	if n.inj != nil {
-		// The verdict is drawn on the sender's path with the sender's clock;
-		// the injector's state must be sharded by source (field docs above).
-		v = n.inj.Inspect(now, src, dst, size)
-	}
-	arrival := now + n.Latency(src, dst, size) + v.Delay
-	if last, ok := n.srcLast[src][dst]; ok && arrival < last {
-		arrival = last
-	}
-	n.srcLast[src][dst] = arrival
-	if v.Drop {
-		st.Lost++
-		return
-	}
-	// Extra delay and the duplicate's gap only push arrival further out, so
-	// cross-domain posts still respect the lookahead bound.
-	dd := n.domains[dst]
-	send := func(at sim.Time) {
-		if dd == sd {
-			sd.At(at, deliver)
-			return
-		}
-		sd.Post(dd, at-now, deliver)
-	}
-	send(arrival)
-	if v.Dup {
-		gap := n.cfg.FlitLatency
-		if gap == 0 {
-			gap = 1
-		}
-		dupAt := arrival + gap
-		n.srcLast[src][dst] = dupAt
-		send(dupAt)
-	}
+	n.eng.Schedule(d, deliver)
 }
 
 // directions for XY routing link identifiers.
@@ -409,14 +306,15 @@ const (
 
 func (n *Network) linkID(node, dir int) int { return node*4 + dir }
 
-// contendedArrival walks the XY route, serializing the message on each link.
-func (n *Network) contendedArrival(src, dst, size int) sim.Time {
+// contendedArrival walks the XY route from time now, serializing the message
+// on each link.
+func (n *Network) contendedArrival(now sim.Time, src, dst, size int) sim.Time {
 	flits := sim.Duration((size + n.cfg.FlitBytes - 1) / n.cfg.FlitBytes)
 	if flits == 0 {
 		flits = 1
 	}
 	ser := flits * n.cfg.FlitLatency
-	t := n.eng.Now() + n.cfg.BaseLatency
+	t := now + n.cfg.BaseLatency
 	cx, cy := n.coord(src)
 	dx, dy := n.coord(dst)
 	step := func(node, dir, nx, ny int) (int, int) {

@@ -1,6 +1,8 @@
 package noc
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -295,4 +297,130 @@ func TestInjectorNilRestoresLossless(t *testing.T) {
 	if n.Stats().Lost != 0 {
 		t.Fatalf("Lost = %d, want 0", n.Stats().Lost)
 	}
+}
+
+// pairInjector draws every verdict from (src, dst, per-pair counter) only —
+// like internal/fault — so the verdict a message gets does not depend on how
+// sends of different pairs interleave.
+type pairInjector struct{ count map[pairKey]uint64 }
+
+func (p *pairInjector) Inspect(now sim.Time, src, dst, size int) Verdict {
+	k := pairKey{src, dst}
+	p.count[k]++
+	h := (uint64(src)*31+uint64(dst))*1_000_003 + p.count[k]*2_654_435_761
+	h ^= h >> 13
+	return Verdict{Drop: h%8 == 0, Dup: h%8 == 1, Delay: sim.Duration(h % 5 * 10)}
+}
+
+type delivery struct {
+	id int
+	at sim.Time
+}
+
+// runScript drives one seeded message script — mixed sizes, self-sends,
+// replies sent from delivery events, an injector that drops, duplicates and
+// delays, receiver-side CountLost — through a 9-node network and returns the
+// deliveries per (src, dst) pair and the final Stats. With domains > 1 the
+// nodes are spread row-wise over that many isolated event domains and the
+// network is bound to them; otherwise the network is unbound on the
+// sequential engine.
+func runScript(t *testing.T, domains int) (map[pairKey][]delivery, Stats) {
+	t.Helper()
+	const nodes = 9
+	e, n := newNet(t, nodes, false)
+	n.SetInjector(&pairInjector{count: map[pairKey]uint64{}})
+	domOf := make([]*sim.Domain, nodes)
+	for i := range domOf {
+		domOf[i] = e.Domain(0)
+	}
+	if domains > 1 {
+		doms := []*sim.Domain{e.Domain(0)}
+		for len(doms) < domains {
+			doms = append(doms, e.NewDomain())
+		}
+		domainOf := func(node int) int { return node * domains / nodes }
+		for i := range domOf {
+			domOf[i] = doms[domainOf(i)]
+		}
+		n.BindDomains(domOf)
+		e.SetLookahead(n.MinLatencyAcross(domainOf))
+		e.SetIsolated(true)
+	}
+	got := map[pairKey][]delivery{}
+	var send func(id, src, dst, size int)
+	send = func(id, src, dst, size int) {
+		n.Send(src, dst, size, func() {
+			k := pairKey{src, dst}
+			got[k] = append(got[k], delivery{id, domOf[dst].Now()})
+			switch {
+			case id%7 == 0:
+				n.CountLost() // receiver had no free slot
+			case id%3 == 0 && id < 1_000_000:
+				send(id+1_000_000, dst, src, 32) // reply from the delivery event
+			}
+		})
+	}
+	rng := rand.New(rand.NewSource(7))
+	for id := 1; id <= 400; id++ {
+		id, src, dst := id, rng.Intn(nodes), rng.Intn(nodes)
+		size := []int{8, 64, 300, 4096}[rng.Intn(4)]
+		domOf[src].At(sim.Time(1+rng.Intn(600)), func() { send(id, src, dst, size) })
+	}
+	e.Run()
+	return got, n.Stats()
+}
+
+// TestBoundDomainsMatchUnbound: the one Send delivers a message script at
+// the same times, in the same per-pair order and with the same Stats whether
+// the network is unbound on the sequential engine or bound to three isolated
+// domains whose clocks run apart by up to the lookahead.
+func TestBoundDomainsMatchUnbound(t *testing.T) {
+	want, wantStats := runScript(t, 1)
+	got, gotStats := runScript(t, 3)
+	if gotStats != wantStats {
+		t.Errorf("Stats differ: bound %+v, unbound %+v", gotStats, wantStats)
+	}
+	if !reflect.DeepEqual(got, want) {
+		for k, w := range want {
+			if !reflect.DeepEqual(got[k], w) {
+				t.Errorf("pair %d->%d: bound %v, unbound %v", k.src, k.dst, got[k], w)
+			}
+		}
+		t.Fatalf("deliveries differ (%d pairs bound, %d unbound)", len(got), len(want))
+	}
+	// The script must have exercised what it claims to.
+	var self, cross, dups, replies int
+	for k, ds := range want {
+		for i, d := range ds {
+			if i > 0 && d.at < ds[i-1].at {
+				t.Errorf("pair %d->%d: delivery %d at %d before its predecessor at %d", k.src, k.dst, d.id, d.at, ds[i-1].at)
+			}
+			if i > 0 && d.id == ds[i-1].id {
+				dups++
+			}
+			if d.id > 1_000_000 {
+				replies++
+			}
+		}
+		if k.src == k.dst {
+			self += len(ds)
+		} else if k.src/3 != k.dst/3 {
+			cross += len(ds)
+		}
+	}
+	if self == 0 || cross == 0 || dups == 0 || replies == 0 || wantStats.Lost == 0 {
+		t.Fatalf("script too tame: self=%d cross=%d dups=%d replies=%d lost=%d", self, cross, dups, replies, wantStats.Lost)
+	}
+}
+
+// TestBindDomainsRejectsContention: link state is shared by all senders, so
+// a contended network cannot run on domain-local clocks.
+func TestBindDomainsRejectsContention(t *testing.T) {
+	e, n := newNet(t, 4, true)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("BindDomains on a contended network did not panic")
+		}
+	}()
+	n.BindDomains([]*sim.Domain{e.Domain(0), e.Domain(0), e.Domain(0), e.Domain(0)})
 }

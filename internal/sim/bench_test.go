@@ -187,8 +187,7 @@ func BenchmarkEngineFresh(b *testing.B) {
 // BenchmarkDomainPingPong bounces a token between two isolated domains: each
 // op is one cross-domain Post delivered through the mailbox-and-barrier
 // machinery (one event, one round). The whole exchange must be allocation-
-// free in steady state — mailboxes, lanes and round channels all recycle
-// their backing storage.
+// free in steady state — mailboxes and lanes recycle their backing storage.
 func BenchmarkDomainPingPong(b *testing.B) {
 	const lookahead = Duration(10)
 	e := NewEngine()
@@ -196,7 +195,6 @@ func BenchmarkDomainPingPong(b *testing.B) {
 	da := e.Domain(0)
 	e.SetIsolated(true)
 	e.SetLookahead(lookahead)
-	e.SetWorkers(2)
 	b.ReportAllocs()
 	n := 0
 	var ping, pong func()

@@ -90,20 +90,24 @@ func TestRunUntilCtxHorizon(t *testing.T) {
 	}
 }
 
-// mergedChains wires a 4-domain merged-mode engine (the partitioning the
-// kernel model uses for -simworkers) running one bounded event chain per
-// domain, recording (domain, step) into log. onStep, when non-nil, observes
+// mergedChains runs four bounded event chains on e, spread over the given
+// number of domains (1: the sequential engine; 4: the one-domain-per-kernel
+// partitioning of a rounds machine, which RunCtx executes through the merged
+// loop), recording (chain, step) into log. onStep, when non-nil, observes
 // the global step count — the hook the cancellation tests use to cancel
 // from inside the simulation at a deterministic point.
-func mergedChains(e *Engine, steps, workers int, log *[]uint64, onStep func(total int)) {
-	const L = Duration(5)
+func mergedChains(e *Engine, steps, domains int, log *[]uint64, onStep func(total int)) {
 	doms := make([]*Domain, 4)
-	doms[0] = e.Domain(0)
-	for i := 1; i < 4; i++ {
-		doms[i] = e.NewDomain()
+	for i := range doms {
+		switch {
+		case i == 0:
+			doms[i] = e.Domain(0)
+		case i < domains:
+			doms[i] = e.NewDomain()
+		default:
+			doms[i] = doms[i%domains]
+		}
 	}
-	e.SetLookahead(L)
-	e.SetWorkers(workers)
 	total := 0
 	var step func(d, i int)
 	step = func(d, i int) {
@@ -134,11 +138,11 @@ func logsEqual(a, b []uint64) bool {
 	return true
 }
 
-// TestRunCtxCancelDeterministicPartitioned: cancelling a partitioned
-// (merged-mode) run from inside the simulation stops at a deterministic
-// event boundary — identical executed count, virtual time and trace prefix
-// at every worker count — and a resumed run completes to the uncancelled
-// reference trace.
+// TestRunCtxCancelDeterministicPartitioned: cancelling a run from inside the
+// simulation stops at a deterministic event boundary — identical executed
+// count, virtual time and trace prefix on the sequential engine and on a
+// partitioned one — and a resumed run completes to the uncancelled reference
+// trace.
 func TestRunCtxCancelDeterministicPartitioned(t *testing.T) {
 	const steps = 600
 	// The reference engine runs to completion without cancellation.
@@ -147,22 +151,22 @@ func TestRunCtxCancelDeterministicPartitioned(t *testing.T) {
 	mergedChains(refEng, steps, 1, &ref, nil)
 	refEng.Run()
 
-	partial := func(workers int) (uint64, Time, []uint64, []uint64) {
+	partial := func(domains int) (uint64, Time, []uint64, []uint64) {
 		e := NewEngine()
 		var log []uint64
 		ctx, cancel := context.WithCancel(context.Background())
-		mergedChains(e, steps, workers, &log, func(total int) {
+		mergedChains(e, steps, domains, &log, func(total int) {
 			if total == 1000 {
 				cancel()
 			}
 		})
 		if err := e.RunCtx(ctx); err != context.Canceled {
-			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+			t.Fatalf("domains=%d: err = %v, want context.Canceled", domains, err)
 		}
 		executed, now := e.Executed(), e.Now()
 		prefix := append([]uint64(nil), log...)
 		if err := e.RunCtx(context.Background()); err != nil {
-			t.Fatalf("workers=%d resume: %v", workers, err)
+			t.Fatalf("domains=%d resume: %v", domains, err)
 		}
 		return executed, now, prefix, log
 	}
@@ -174,23 +178,20 @@ func TestRunCtxCancelDeterministicPartitioned(t *testing.T) {
 	if !logsEqual(full1, ref) {
 		t.Fatalf("resumed run diverged from the uncancelled reference")
 	}
-	for _, w := range []int{2, 4} {
-		execW, nowW, prefixW, fullW := partial(w)
-		if execW != exec1 || nowW != now1 {
-			t.Errorf("workers=%d: cancel point (executed=%d now=%d) differs from workers=1 (%d, %d)",
-				w, execW, nowW, exec1, now1)
+	// The partitioned engine, and a repeat of it: same cancel point, same
+	// prefix, same completed trace.
+	for i := 0; i < 2; i++ {
+		execP, nowP, prefixP, fullP := partial(4)
+		if execP != exec1 || nowP != now1 {
+			t.Errorf("partitioned: cancel point (executed=%d now=%d) differs from sequential (%d, %d)",
+				execP, nowP, exec1, now1)
 		}
-		if !logsEqual(prefixW, prefix1) {
-			t.Errorf("workers=%d: completed prefix differs from workers=1", w)
+		if !logsEqual(prefixP, prefix1) {
+			t.Errorf("partitioned: completed prefix differs from sequential")
 		}
-		if !logsEqual(fullW, ref) {
-			t.Errorf("workers=%d: resumed run diverged from the reference", w)
+		if !logsEqual(fullP, ref) {
+			t.Errorf("partitioned: resumed run diverged from the reference")
 		}
-	}
-	// And the cancel point itself is reproducible.
-	execR, nowR, prefixR, _ := partial(2)
-	if execR != exec1 || nowR != now1 || !logsEqual(prefixR, prefix1) {
-		t.Errorf("repeat run cancelled at a different point: executed=%d now=%d", execR, nowR)
 	}
 }
 
@@ -201,7 +202,7 @@ func TestRunCtxCancelPoolReuse(t *testing.T) {
 	const steps = 400
 	runFull := func(e *Engine) []uint64 {
 		var log []uint64
-		mergedChains(e, steps, 2, &log, nil)
+		mergedChains(e, steps, 4, &log, nil)
 		e.Spawn("waiter", func(p *Proc) { p.Park() })
 		e.Run()
 		return log
@@ -214,7 +215,7 @@ func TestRunCtxCancelPoolReuse(t *testing.T) {
 	e := pool.Get()
 	var log []uint64
 	ctx, cancel := context.WithCancel(context.Background())
-	mergedChains(e, steps, 2, &log, func(total int) {
+	mergedChains(e, steps, 4, &log, func(total int) {
 		if total == 500 {
 			cancel()
 		}

@@ -5,43 +5,42 @@ import (
 	"time"
 )
 
-// Conservative parallel discrete-event simulation (PDES).
+// Partitioned event store: conservative discrete-event simulation in rounds.
 //
 // The engine's pending-event store is partitioned into Domains, each with its
 // own heap + same-instant FIFO lane (the two-lane layout documented in
 // engine.go). A fresh engine has exactly one domain — the root — and all the
 // sequential entry points run on it unchanged. NewDomain adds partitions;
-// from then on the engine runs in one of two modes:
+// from then on the engine runs in one of two modes, both on the calling
+// goroutine:
 //
 //   - Merged (the default, and the only mode RunUntil/Step/RunCtx use): the
 //     run loop pops the globally minimal (time, seq) event across all domain
 //     lanes. Sequence numbers stay engine-global, so the execution order —
 //     and every simulated metric — is byte-identical to the single-lane
-//     engine no matter how events are distributed over domains. What the
-//     partitioning buys here is attribution: per-domain busy/idle wallclock
-//     and event counts (DomainStats), i.e. the load-balance picture a truly
-//     concurrent run would see.
+//     engine no matter how events are distributed over domains. Bounded and
+//     cancellable runs of a partitioned machine use it.
 //
 //   - Isolated rounds (Run, when SetIsolated(true) and a positive lookahead
-//     are configured): the classic conservative-PDES execution. Domains must
-//     be mutually isolated — a domain's events may only touch that domain's
-//     state and procs — except for Post, which crosses domains through
-//     single-writer mailboxes. Run proceeds in barrier-synchronous rounds on
-//     a bounded worker pool: each round computes the horizon
+//     are configured): the classic conservative execution. Domains must be
+//     mutually isolated — a domain's events may only touch that domain's
+//     state and procs — except for Post, which crosses domains through the
+//     destination's mailbox. Run proceeds in rounds: each round computes the
+//     horizon
 //
 //	horizon = min(next pending timestamp over all domains) + lookahead
 //
-//     dispatches every domain with events below the horizon to a worker,
-//     waits for all of them (the barrier), then delivers the posts buffered
-//     during the round into the destination lanes.
+//     runs every domain with events below the horizon, one after the other
+//     in ascending domain id, each against its own local clock, then
+//     delivers the posts buffered during the round into the destination
+//     lanes.
 //
-// Why isolated rounds are deterministic at any worker count: within a round
-// a domain executes only its own lane, in (time, domain-local seq) order —
-// no other goroutine touches it. Cross-domain posts are appended to
-// inbox[src] by the source domain's worker (single writer per slot) and
-// drained at the barrier in (source id, append position) order, receiving
-// fresh destination sequence numbers — an order independent of which worker
-// ran what when. Worker count therefore changes wallclock only.
+// Why isolated rounds are deterministic: within a round a domain executes
+// only its own lane, in (time, domain-local seq) order. Because domains run
+// in ascending id and each runs once per round, a destination's mailbox
+// fills in (source id, append position) order; the barrier drains it in that
+// order, assigning fresh destination sequence numbers. Nothing depends on
+// host timing.
 //
 // Why the lookahead makes the horizon safe: a post created at source time
 // τ carries delay d >= lookahead, so it lands at τ + d >= gmin + lookahead =
@@ -52,7 +51,7 @@ import (
 
 // Domain is one partition of the engine's event store: a heap + FIFO lane
 // pair, the procs spawned into it, and — during isolated rounds — a local
-// clock and per-source mailboxes. Domain 0 (the root) always exists; see
+// clock and a mailbox. Domain 0 (the root) always exists; see
 // Engine.NewDomain.
 type Domain struct {
 	eng      *Engine
@@ -61,21 +60,16 @@ type Domain struct {
 	fifo     []event
 	fifoHead int
 	// procs registers this domain's spawned procs so Kill can stop them.
-	// Single-writer during isolated rounds: only the domain's own worker
-	// spawns here.
 	procs []*Proc
 	// Isolated-rounds state: the domain-local clock and sequence counter.
 	// Merged-mode execution uses the engine-global now/seq instead.
 	rnow    Time
 	rseq    uint64
 	inRound bool
-	// inbox[src] buffers cross-domain posts from domain src during a round;
-	// src's worker is the only writer until the barrier drains it.
-	inbox [][]post
-	// postedOut counts cross-domain posts this domain made in the current
-	// round (single writer: the domain's own worker). The barrier sums the
-	// counters to skip the inbox drain on post-free rounds — the common case.
-	postedOut int
+	// inbox buffers the cross-domain posts other domains made to this one
+	// during a round, in (source id, append) order — domains run in ascending
+	// id — until the barrier moves them onto the heap.
+	inbox []post
 	// Wallclock accounting, filled by the multi-domain run loops.
 	busy   time.Duration
 	events uint64
@@ -90,13 +84,10 @@ type post struct {
 }
 
 // DomainStat is one domain's share of a multi-domain run: wallclock spent
-// executing its events (Busy), wallclock the run spent elsewhere (Idle — in
-// merged mode the serialization cost a concurrent run would reclaim, in
-// isolated mode barrier wait), and the events executed. Wallclock quantities
-// vary run to run; Events is deterministic.
+// executing its events (Busy, varies run to run) and the events executed
+// (deterministic).
 type DomainStat struct {
 	Busy   time.Duration
-	Idle   time.Duration
 	Events uint64
 }
 
@@ -132,11 +123,6 @@ func (e *Engine) Domain(i int) *Domain {
 	return e.doms[i]
 }
 
-// SetWorkers bounds the worker pool of isolated-rounds runs (clamped to the
-// domain count at Run; values below 1 mean 1). Merged-mode execution is
-// inherently serial, so workers do not affect it.
-func (e *Engine) SetWorkers(n int) { e.workers = n }
-
 // SetLookahead sets the minimum virtual-time distance of cross-domain posts
 // and the horizon slack of isolated rounds. A NoC-backed model uses the
 // network's minimum cross-PE latency (noc.Network.MinLatency).
@@ -146,12 +132,12 @@ func (e *Engine) SetLookahead(d Duration) { e.lookahead = d }
 func (e *Engine) Lookahead() Duration { return e.lookahead }
 
 // SetIsolated declares that domains are mutually isolated (no shared state,
-// no cross-domain access except Post), which lets Run advance them
-// concurrently in barrier-synchronous rounds. With isolated unset — or with
+// no cross-domain access except Post), which lets Run advance each against
+// its own clock in barrier-synchronous rounds. With isolated unset — or with
 // one domain, or zero lookahead — Run uses the order-preserving merged loop.
 func (e *Engine) SetIsolated(iso bool) { e.isolated = iso }
 
-// DomainStats returns per-domain busy/idle wallclock and event counts of the
+// DomainStats returns per-domain busy wallclock and event counts of the
 // multi-domain run loops, indexed by domain id. It returns nil while the
 // engine is on the sequential fast path (no partitioning, nothing measured).
 func (e *Engine) DomainStats() []DomainStat {
@@ -160,11 +146,7 @@ func (e *Engine) DomainStats() []DomainStat {
 	}
 	out := make([]DomainStat, len(e.doms))
 	for i, dm := range e.doms {
-		idle := e.runWall - dm.busy
-		if idle < 0 {
-			idle = 0
-		}
-		out[i] = DomainStat{Busy: dm.busy, Idle: idle, Events: dm.events}
+		out[i] = DomainStat{Busy: dm.busy, Events: dm.events}
 	}
 	return out
 }
@@ -184,8 +166,8 @@ func (dm *Domain) Now() Time {
 // Schedule runs fn after d cycles on this domain's lane. Outside isolated
 // rounds it uses the engine-global clock and sequence counter, so merged
 // execution keeps the exact (time, seq) total order; inside a round it uses
-// the domain-local clocks and must only be called by the domain's own
-// worker (its executing events and procs).
+// the domain-local clocks and must only be called from the domain's own
+// executing events and procs.
 func (dm *Domain) Schedule(d Duration, fn func()) {
 	e := dm.eng
 	if e.killed {
@@ -220,9 +202,9 @@ func (dm *Domain) At(t Time, fn func()) {
 
 // Post schedules fn on domain dst after d cycles. Outside isolated rounds it
 // is a plain cross-lane Schedule (merged execution orders it exactly).
-// During a round it appends to the single-writer mailbox inbox[dm.id] of
-// dst, delivered at the barrier; d must be at least the lookahead, or the
-// horizon could not have been safe — violating posts panic.
+// During a round it appends to dst's mailbox, delivered at the barrier; d
+// must be at least the lookahead, or the horizon could not have been safe —
+// violating posts panic.
 func (dm *Domain) Post(dst *Domain, d Duration, fn func()) {
 	e := dm.eng
 	if e.killed {
@@ -235,8 +217,7 @@ func (dm *Domain) Post(dst *Domain, d Duration, fn func()) {
 	if d < e.lookahead {
 		panic(fmt.Sprintf("sim: cross-domain post with delay %d below the lookahead %d", d, e.lookahead))
 	}
-	dm.postedOut++
-	dst.inbox[dm.id] = append(dst.inbox[dm.id], post{at: dm.rnow + d, fn: fn})
+	dst.inbox = append(dst.inbox, post{at: dm.rnow + d, fn: fn})
 }
 
 // heapPush inserts ev into the domain's 4-ary heap (sift-up with a hole, one
@@ -329,16 +310,12 @@ func (dm *Domain) pop(now Time) event {
 	return dm.heapPop()
 }
 
-// pending returns the number of queued events, mailboxes included.
+// pending returns the number of queued events, the mailbox included.
 func (dm *Domain) pending() int {
-	n := len(dm.heap) + len(dm.fifo) - dm.fifoHead
-	for _, box := range dm.inbox {
-		n += len(box)
-	}
-	return n
+	return len(dm.heap) + len(dm.fifo) - dm.fifoHead + len(dm.inbox)
 }
 
-// drain empties the lanes and mailboxes, releasing closures but keeping the
+// drain empties the lanes and the mailbox, releasing closures but keeping the
 // backing arrays for pooled reuse.
 func (dm *Domain) drain() {
 	clear(dm.heap)
@@ -346,10 +323,8 @@ func (dm *Domain) drain() {
 	clear(dm.fifo)
 	dm.fifo = dm.fifo[:0]
 	dm.fifoHead = 0
-	for i := range dm.inbox {
-		clear(dm.inbox[i])
-		dm.inbox[i] = dm.inbox[i][:0]
-	}
+	clear(dm.inbox)
+	dm.inbox = dm.inbox[:0]
 }
 
 // killProcs unwinds this domain's live procs (see Engine.Kill). stop
@@ -389,9 +364,8 @@ func (e *Engine) minDomain() *Domain {
 // (so context-free Schedule calls land on the executing domain's lane), and
 // attribute wallclock to domains at switch points.
 func (e *Engine) runMerged(t Time) {
-	start := time.Now()
 	last := e.cur
-	mark := start
+	mark := time.Now()
 	for {
 		dm := e.minDomain()
 		if dm == nil {
@@ -410,84 +384,42 @@ func (e *Engine) runMerged(t Time) {
 		dm.events++
 		e.runEvent(dm.pop(e.now))
 	}
-	end := time.Now()
-	last.busy += end.Sub(mark)
-	e.runWall += end.Sub(start)
-}
-
-// roundResult is one worker's report for one dispatched round slice.
-type roundResult struct {
-	dom      *Domain
-	executed uint64
-	fault    error
+	last.busy += time.Since(mark)
 }
 
 // runIsolated executes the isolated domains to completion in
-// barrier-synchronous rounds on a bounded worker pool. See the package
-// comment at the top of this file for the horizon and determinism argument.
+// barrier-synchronous rounds, on the calling goroutine. See the comment at
+// the top of this file for the horizon and determinism argument.
 func (e *Engine) runIsolated() {
-	D := len(e.doms)
-	workers := min(e.workers, D)
-	if workers < 1 {
-		workers = 1
-	}
 	for _, dm := range e.doms {
 		dm.rnow = e.now
 		dm.rseq = e.seq
-		for len(dm.inbox) < D {
-			dm.inbox = append(dm.inbox, nil)
-		}
 	}
-	var work chan *Domain
-	var done chan roundResult
-	if workers > 1 {
-		work = make(chan *Domain, D)
-		done = make(chan roundResult, D)
-		for w := 0; w < workers; w++ {
-			go e.domainWorker(work, done)
-		}
-		defer close(work)
-	}
-	// Engine-level scheduling has no defined lane while domains run
-	// concurrently; a nil cur turns it into a contract-violation panic.
+	// Engine-level scheduling has no defined lane while domains run against
+	// their own clocks; a nil cur turns it into a contract-violation panic.
 	e.cur = nil
 	defer func() { e.cur = &e.root }()
-	start := time.Now()
-	defer func() { e.runWall += time.Since(start) }()
-	// mark is the single-worker path's running clock: one time.Now per round
-	// slice (the slice plus the preceding barrier bookkeeping all attribute
-	// to the executing domain, like merged-mode switch-point accounting).
-	mark := start
+	// mark is the running wallclock: one time.Now per round slice (the slice
+	// plus the preceding barrier bookkeeping all attribute to the executing
+	// domain, like merged-mode switch-point accounting).
+	mark := time.Now()
 	// nextAt caches each domain's next pending timestamp for the round
-	// (sentinel noEvent: empty), so the gmin scan and the dispatch scan
+	// (sentinel noEvent: empty), so the gmin scan and the execution scan
 	// share one peek pass.
 	const noEvent = ^Time(0)
-	nextAt := make([]Time, D)
+	nextAt := make([]Time, len(e.doms))
 	for {
-		// Deliver the previous round's posts: source-major, append order,
-		// fresh destination seqs — deterministic regardless of workers. The
-		// lookahead guarantees at > dst.rnow, so these are heap events. The
-		// per-source counters let post-free rounds skip the D² drain.
-		posted := 0
-		for _, src := range e.doms {
-			posted += src.postedOut
-			src.postedOut = 0
-		}
-		if posted > 0 {
-			for _, dst := range e.doms {
-				for src := range dst.inbox {
-					box := dst.inbox[src]
-					for i := range box {
-						dst.rseq++
-						dst.heapPush(event{at: box[i].at, seq: dst.rseq, fn: box[i].fn})
-						box[i].fn = nil
-					}
-					dst.inbox[src] = box[:0]
-				}
-			}
-		}
 		gmin, any := Time(0), false
 		for i, dm := range e.doms {
+			// The barrier: deliver the previous round's posts in mailbox order
+			// — (source id, append) — with fresh destination seqs. The
+			// lookahead guarantees at > dm.rnow, so these are heap events.
+			for _, p := range dm.inbox {
+				dm.rseq++
+				dm.heapPush(event{at: p.at, seq: dm.rseq, fn: p.fn})
+			}
+			clear(dm.inbox) // release the closures, keep the backing array
+			dm.inbox = dm.inbox[:0]
 			ev, ok := dm.peek(dm.rnow)
 			if !ok {
 				nextAt[i] = noEvent
@@ -501,42 +433,22 @@ func (e *Engine) runIsolated() {
 		if !any {
 			break
 		}
-		e.horizon = gmin + e.lookahead
-		// Faults surface on the driving goroutine after the barrier, so they
-		// are recoverable by callers and deterministic: when several domains
-		// fault in one round, the lowest domain id wins. The single-worker
-		// path runs the round slices inline — same domain order, same
-		// whole-round-before-panic semantics — skipping the channel handoffs
-		// (and, on few cores, their context switches) entirely.
+		horizon := gmin + e.lookahead
+		// Faults surface after the barrier — the whole round runs first — so
+		// they are recoverable by callers and deterministic: when several
+		// domains fault in one round, the lowest domain id wins.
 		var fault error
-		faultDom := -1
-		if workers == 1 {
-			for i, dm := range e.doms {
-				if at := nextAt[i]; at < e.horizon {
-					executed, f := dm.runRound(e.horizon)
-					now := time.Now()
-					dm.busy += now.Sub(mark)
-					mark = now
-					e.executed += executed
-					if f != nil && faultDom < 0 {
-						fault, faultDom = f, dm.id
-					}
-				}
+		for i, dm := range e.doms {
+			if nextAt[i] >= horizon {
+				continue
 			}
-		} else {
-			n := 0
-			for i, dm := range e.doms {
-				if at := nextAt[i]; at < e.horizon {
-					n++
-					work <- dm
-				}
-			}
-			for i := 0; i < n; i++ {
-				r := <-done
-				e.executed += r.executed
-				if r.fault != nil && (faultDom < 0 || r.dom.id < faultDom) {
-					fault, faultDom = r.fault, r.dom.id
-				}
+			executed, f := dm.runRound(horizon)
+			now := time.Now()
+			dm.busy += now.Sub(mark)
+			mark = now
+			e.executed += executed
+			if fault == nil {
+				fault = f
 			}
 		}
 		if fault != nil {
@@ -558,21 +470,9 @@ func (e *Engine) runIsolated() {
 	}
 }
 
-// domainWorker executes round slices handed to it until the work channel
-// closes, measuring per-domain busy wallclock.
-func (e *Engine) domainWorker(work chan *Domain, done chan roundResult) {
-	for dm := range work {
-		r := roundResult{dom: dm}
-		start := time.Now()
-		r.executed, r.fault = dm.runRound(e.horizon)
-		dm.busy += time.Since(start)
-		done <- r
-	}
-}
-
 // runRound executes this domain's events with timestamps strictly below the
 // horizon, advancing the domain-local clock. A panic (including a proc fault
-// re-raised by step) is captured and reported to the driver.
+// re-raised by step) is captured and reported to runIsolated.
 func (dm *Domain) runRound(horizon Time) (n uint64, fault error) {
 	defer func() {
 		dm.inRound = false

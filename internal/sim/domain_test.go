@@ -1,13 +1,15 @@
 package sim
 
 import (
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
 
 // buildIsolated wires a D-domain engine for isolated rounds with the given
-// lookahead and worker bound.
-func buildIsolated(domains int, lookahead Duration, workers int) (*Engine, []*Domain) {
+// lookahead.
+func buildIsolated(domains int, lookahead Duration) (*Engine, []*Domain) {
 	e := NewEngine()
 	doms := make([]*Domain, domains)
 	for i := 1; i < domains; i++ {
@@ -16,17 +18,20 @@ func buildIsolated(domains int, lookahead Duration, workers int) (*Engine, []*Do
 	doms[0] = e.Domain(0)
 	e.SetIsolated(true)
 	e.SetLookahead(lookahead)
-	e.SetWorkers(workers)
 	return e, doms
 }
 
+// fanInBit tags the trace entries of ringTrace's fan-in posts: the value is
+// fanInBit | source domain << 8 | append position.
+const fanInBit = 1 << 40
+
 // ringTrace runs a deterministic multi-domain workload — every domain runs a
-// local event cascade and posts tokens around the ring — and returns the
-// per-domain execution traces as (local time, token) pairs. Per-domain
-// traces are single-writer during rounds, so collecting them is race-free.
-func ringTrace(domains, workers int, hops int) [][][2]uint64 {
+// local event cascade and posts tokens around the ring, and every domain but
+// 0 also posts two events to domain 0 for one common instant — and returns
+// the per-domain execution traces as (local time, token) pairs.
+func ringTrace(domains int, hops int) [][][2]uint64 {
 	const L = Duration(7)
-	e, doms := buildIsolated(domains, L, workers)
+	e, doms := buildIsolated(domains, L)
 	traces := make([][][2]uint64, domains)
 	var hop func(dst int, token uint64)
 	hop = func(dst int, token uint64) {
@@ -48,30 +53,49 @@ func ringTrace(domains, workers int, hops int) [][][2]uint64 {
 		d := d
 		doms[d].Schedule(Duration(d+1), func() { hop(d, 0) })
 	}
+	// Fan-in: sources post in descending id from one round (their events at
+	// t=1 all lie below the first horizon) and land on domain 0 at t=21.
+	for d := domains - 1; d >= 1; d-- {
+		d := d
+		doms[d].Schedule(1, func() {
+			for i := uint64(0); i < 2; i++ {
+				tag := fanInBit | uint64(d)<<8 | i
+				doms[d].Post(doms[0], 20, func() {
+					traces[0] = append(traces[0], [2]uint64{uint64(doms[0].Now()), tag})
+				})
+			}
+		})
+	}
 	e.Run()
 	return traces
 }
 
 // TestIsolatedRoundsDeterminism: the isolated-rounds acceptance criterion —
-// the execution traces are identical at every worker count (1, 2, 4),
-// including the domain-local timestamps.
+// two runs give identical execution traces, including the domain-local
+// timestamps — and the mailbox order it rests on: posts from different
+// domains to one destination for the same instant within one round arrive
+// source-major, then in append order.
 func TestIsolatedRoundsDeterminism(t *testing.T) {
 	for _, domains := range []int{2, 4} {
-		base := ringTrace(domains, 1, 40)
-		for _, workers := range []int{2, 4} {
-			got := ringTrace(domains, workers, 40)
-			for d := range base {
-				if len(got[d]) != len(base[d]) {
-					t.Fatalf("domains %d workers %d: domain %d trace length %d, want %d",
-						domains, workers, d, len(got[d]), len(base[d]))
+		base := ringTrace(domains, 40)
+		if got := ringTrace(domains, 40); !reflect.DeepEqual(got, base) {
+			t.Fatalf("domains %d: two runs gave different traces", domains)
+		}
+		var fanIn []uint64
+		for _, ev := range base[0] {
+			if ev[1]&fanInBit != 0 {
+				if ev[0] != 21 {
+					t.Fatalf("domains %d: fan-in post ran at %d, want 21", domains, ev[0])
 				}
-				for i := range base[d] {
-					if got[d][i] != base[d][i] {
-						t.Fatalf("domains %d workers %d: domain %d diverges at %d: %v vs %v",
-							domains, workers, d, i, got[d][i], base[d][i])
-					}
-				}
+				fanIn = append(fanIn, ev[1]&^fanInBit)
 			}
+		}
+		var want []uint64
+		for d := 1; d < domains; d++ {
+			want = append(want, uint64(d)<<8, uint64(d)<<8|1)
+		}
+		if !reflect.DeepEqual(fanIn, want) {
+			t.Fatalf("domains %d: fan-in order %#x, want source-major then append order %#x", domains, fanIn, want)
 		}
 	}
 }
@@ -82,7 +106,7 @@ func TestIsolatedRoundsDeterminism(t *testing.T) {
 func TestIsolatedMatchesMerged(t *testing.T) {
 	const L = Duration(7)
 	run := func(isolated bool) []uint64 {
-		e, doms := buildIsolated(3, L, 2)
+		e, doms := buildIsolated(3, L)
 		e.SetIsolated(isolated)
 		var hop func(dst int, token int)
 		hop = func(dst int, token int) {
@@ -110,10 +134,10 @@ func TestIsolatedMatchesMerged(t *testing.T) {
 }
 
 // TestIsolatedProcs: procs spawned on isolated domains (Domain.Spawn) sleep
-// and finish under concurrent rounds, with the domain-local clock visible
+// and finish under isolated rounds, with the domain-local clock visible
 // through Proc.Now.
 func TestIsolatedProcs(t *testing.T) {
-	e, doms := buildIsolated(4, 5, 4)
+	e, doms := buildIsolated(4, 5)
 	ends := make([]Time, 4)
 	for d := range doms {
 		d := d
@@ -139,7 +163,7 @@ func TestIsolatedProcs(t *testing.T) {
 // lookahead would break the horizon-safety argument, so it must panic (the
 // fault surfaces from Run on the driving goroutine).
 func TestPostBelowLookaheadPanics(t *testing.T) {
-	e, doms := buildIsolated(2, 10, 2)
+	e, doms := buildIsolated(2, 10)
 	doms[0].Schedule(1, func() {
 		doms[0].Post(doms[1], 9, func() {})
 	})
@@ -156,10 +180,10 @@ func TestPostBelowLookaheadPanics(t *testing.T) {
 }
 
 // TestEngineScheduleDuringRoundsPanics: context-free Engine.Schedule has no
-// defined lane while domains run concurrently; it must fail loudly instead
-// of corrupting a lane.
+// defined lane while domains run against their own clocks; it must fail
+// loudly instead of corrupting a lane.
 func TestEngineScheduleDuringRoundsPanics(t *testing.T) {
-	e, doms := buildIsolated(2, 5, 2)
+	e, doms := buildIsolated(2, 5)
 	doms[1].Schedule(1, func() {
 		e.Schedule(1, func() {})
 	})
@@ -175,10 +199,10 @@ func TestEngineScheduleDuringRoundsPanics(t *testing.T) {
 	e.Run()
 }
 
-// TestDomainStats: event counts are exact and deterministic; busy/idle cover
-// the run loop's wallclock without going negative.
+// TestDomainStats: event counts are exact and deterministic; busy wallclock
+// never goes negative.
 func TestDomainStats(t *testing.T) {
-	e, doms := buildIsolated(2, 5, 2)
+	e, doms := buildIsolated(2, 5)
 	for i := 0; i < 8; i++ {
 		doms[i%2].Schedule(Duration(i+1), func() {})
 	}
@@ -191,7 +215,7 @@ func TestDomainStats(t *testing.T) {
 		t.Fatalf("event counts = %d/%d, want 4/4", st[0].Events, st[1].Events)
 	}
 	for d, s := range st {
-		if s.Busy < 0 || s.Idle < 0 {
+		if s.Busy < 0 {
 			t.Fatalf("domain %d has negative wallclock: %+v", d, s)
 		}
 	}
@@ -203,7 +227,7 @@ func TestDomainStats(t *testing.T) {
 // TestResetDropsDomains: a recycled engine starts sequential again — extra
 // domains gone, the root lane usable, Schedule back on the fast path.
 func TestResetDropsDomains(t *testing.T) {
-	e, doms := buildIsolated(3, 5, 2)
+	e, doms := buildIsolated(3, 5)
 	doms[2].Post(doms[0], 5, func() {})
 	doms[1].Schedule(3, func() {})
 	e.Reset()
@@ -218,5 +242,29 @@ func TestResetDropsDomains(t *testing.T) {
 	e.Run()
 	if !ran || e.Now() != 2 {
 		t.Fatalf("recycled engine broken: ran=%v now=%d", ran, e.Now())
+	}
+}
+
+// TestRoundAllocationLinearInDomains: a 1024-domain engine running one
+// trivial round allocates O(D) — the round's next-timestamp cache and one
+// mailbox — not the O(D²) a mailbox per (source, destination) pair costs
+// (1024² slice headers are 25 MB).
+func TestRoundAllocationLinearInDomains(t *testing.T) {
+	const D = 1024
+	e, doms := buildIsolated(D, 5)
+	for _, dm := range doms {
+		dm.Schedule(1, func() {})
+	}
+	doms[1].Schedule(1, func() { doms[1].Post(doms[0], 5, func() {}) })
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e.Run()
+	runtime.ReadMemStats(&after)
+	if e.Executed() != D+2 {
+		t.Fatalf("executed %d events, want %d", e.Executed(), D+2)
+	}
+	const ceiling = 64 * D // bytes; the run needs about 8·D
+	if got := after.TotalAlloc - before.TotalAlloc; got > ceiling {
+		t.Fatalf("one round over %d domains allocated %d bytes, want at most %d", D, got, ceiling)
 	}
 }

@@ -8,15 +8,14 @@
 // written in a natural blocking style while the simulation stays
 // deterministic.
 //
-// The pending-event store can be partitioned into Domains (domain.go) for
-// conservative parallel discrete-event simulation; a fresh engine has a
-// single domain and runs on the sequential fast path throughout.
+// The pending-event store can be partitioned into Domains (domain.go), each
+// advancing against its own clock in conservative rounds; a fresh engine has
+// a single domain and runs on the sequential fast path throughout.
 package sim
 
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 )
 
 // Time is a point in virtual time, measured in cycles.
@@ -73,20 +72,11 @@ type Engine struct {
 	// all domains (root first) once NewDomain has been called.
 	root Domain
 	doms []*Domain
-	// Isolated-rounds configuration (domain.go): worker-pool bound, the
-	// lookahead horizon slack, the isolation declaration, and the current
-	// round horizon (driver-written before dispatch, worker-read after —
-	// ordered by the work channel).
-	workers   int
+	// Isolated-rounds configuration (domain.go): the lookahead horizon slack
+	// and the isolation declaration.
 	lookahead Duration
 	isolated  bool
-	horizon   Time
-	// runWall accumulates wallclock spent inside multi-domain run loops; the
-	// denominator of DomainStats idle time.
-	runWall time.Duration
-	// procs counts live procs for leak diagnostics. It is atomic because
-	// during isolated rounds every domain's worker spawns and retires procs
-	// concurrently.
+	// procs counts live procs for leak diagnostics.
 	procs atomic.Int64
 }
 
@@ -182,7 +172,7 @@ func (e *Engine) runEvent(ev event) {
 
 // Run executes events until the queue is empty. On a partitioned engine that
 // declared isolation (SetIsolated) with a positive lookahead, Run uses the
-// concurrent barrier-synchronous rounds; otherwise the merged loop preserves
+// barrier-synchronous rounds; otherwise the merged loop preserves
 // the exact sequential (time, seq) order.
 func (e *Engine) Run() {
 	if e.doms != nil && e.isolated && e.lookahead > 0 {

@@ -11,8 +11,8 @@ import (
 
 // expectGoroutines fails unless the goroutine count comes back to want: a
 // proc's coroutine is a goroutine to the runtime, so one that Kill did not
-// end shows up here. It polls because the workers of an isolated run exit
-// asynchronously once Run has returned.
+// end shows up here. It polls so that goroutines still on their way out are
+// not counted as leaks.
 func expectGoroutines(t *testing.T, want int) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
@@ -254,41 +254,54 @@ func TestLazyNameOnlyOnFault(t *testing.T) {
 
 // TestRoundsFaultLowestDomainFirst: when procs on several isolated domains
 // panic in the same round, Run panics on the goroutine that called it — the
-// recover below proves that — with the fault of the lowest domain, at every
-// worker count. The whole round runs before the panic, so the other
-// domains' procs are retired too.
+// recover below proves that — with the fault of the lowest domain. The whole
+// round runs before the panic, so the other domains' procs are retired too.
+// The subtests run that many independent engines at once, one per goroutine,
+// the way the bench harness's workers do: each caller must get its own
+// engine's fault (and -race sees any state the rounds path shares).
 func TestRoundsFaultLowestDomainFirst(t *testing.T) {
+	faultingRounds := func(t *testing.T) {
+		e, doms := buildIsolated(4, 10)
+		for i := 3; i >= 1; i-- { // spawn order must not matter
+			i := i
+			doms[i].Spawn(fmt.Sprintf("d%d", i), func(p *Proc) {
+				p.Sleep(5)
+				panic(fmt.Sprintf("boom%d", i))
+			})
+		}
+		doms[0].Spawn("healthy", func(p *Proc) { p.Park() })
+		func() {
+			defer func() {
+				r := recover()
+				err, ok := r.(error)
+				const want = `sim: domain 1: sim: proc "d1" panicked: boom1`
+				if !ok || err.Error() != want {
+					t.Errorf("Run panicked with %v, want %q", r, want)
+				}
+			}()
+			e.Run()
+			t.Error("Run returned without panicking")
+		}()
+		if got := e.LiveProcs(); got != 1 {
+			t.Errorf("live procs = %d after the faulting round, want 1", got)
+		}
+		e.Kill()
+		if got := e.LiveProcs(); got != 0 {
+			t.Errorf("live procs = %d after Kill", got)
+		}
+	}
 	for _, workers := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			before := runtime.NumGoroutine()
-			e, doms := buildIsolated(4, 10, workers)
-			for i := 3; i >= 1; i-- { // spawn order must not matter
-				i := i
-				doms[i].Spawn(fmt.Sprintf("d%d", i), func(p *Proc) {
-					p.Sleep(5)
-					panic(fmt.Sprintf("boom%d", i))
-				})
-			}
-			doms[0].Spawn("healthy", func(p *Proc) { p.Park() })
-			func() {
-				defer func() {
-					r := recover()
-					err, ok := r.(error)
-					const want = `sim: domain 1: sim: proc "d1" panicked: boom1`
-					if !ok || err.Error() != want {
-						t.Fatalf("Run panicked with %v, want %q", r, want)
-					}
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					faultingRounds(t)
 				}()
-				e.Run()
-				t.Fatal("Run returned without panicking")
-			}()
-			if got := e.LiveProcs(); got != 1 {
-				t.Fatalf("live procs = %d after the faulting round, want 1", got)
 			}
-			e.Kill()
-			if got := e.LiveProcs(); got != 0 {
-				t.Fatalf("live procs = %d after Kill", got)
-			}
+			wg.Wait()
 			expectGoroutines(t, before)
 		})
 	}

@@ -25,8 +25,7 @@ func (e *Engine) Reset() {
 	// next experiment wires its own domains). Only the root's grown slabs
 	// survive, which is where the reuse win lives anyway.
 	e.doms = nil
-	e.workers, e.lookahead, e.isolated, e.horizon = 0, 0, false, 0
-	e.runWall = 0
+	e.lookahead, e.isolated = 0, false
 	e.root.rnow, e.root.rseq, e.root.busy, e.root.events = 0, 0, 0, 0
 	e.root.inbox = nil
 	e.cur = &e.root

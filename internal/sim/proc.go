@@ -9,10 +9,8 @@ import (
 
 // Proc is a cooperative simulation process: a coroutine that runs under
 // strict handoff with the engine. At any instant at most one of them (the
-// engine or exactly one proc) executes — per domain: during isolated rounds
-// each domain's worker drives its own procs, which is safe because isolated
-// domains share no state — so simulations remain deterministic while
-// protocol code can block naturally via Sleep, Park, or Future.Wait.
+// engine or exactly one proc) executes, so simulations remain deterministic
+// while protocol code can block naturally via Sleep, Park, or Future.Wait.
 //
 // Procs must only interact with the engine (Schedule, Wake, ...) from within
 // their own body or from event handlers; the package is not safe for use
@@ -35,10 +33,8 @@ type Proc struct {
 	// lazyName, when set, formats the name on first use (SpawnLazy).
 	lazyName func() string
 	// fault carries a panic out of the proc body to step, which re-raises
-	// it on the goroutine driving the proc's domain (and therefore
-	// recoverable by callers such as the bench harness). It is per-proc,
-	// not per-engine, so domains faulting concurrently during isolated
-	// rounds never share it.
+	// it on the goroutine driving the engine (and therefore recoverable by
+	// callers such as the bench harness).
 	fault error
 	// next resumes the body until it parks (true) or returns (false); stop
 	// unwinds a parked body; yield, valid once the body has started, parks.
@@ -71,7 +67,7 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 
 // Spawn creates a proc running fn on this domain: its handoff events ride
 // the domain's lane, and Sleep/Wake/Yield route back to it. During isolated
-// rounds it must only be called by the domain's own worker.
+// rounds it must only be called from the domain's own events and procs.
 func (dm *Domain) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := dm.spawn(fn)
 	p.name = name

@@ -26,9 +26,6 @@ type Config struct {
 	// kills the engine on return), so it must not be shared across Runs
 	// without a Reset in between.
 	Engine *sim.Engine
-	// SimWorkers partitions the engine's event queue per kernel block; see
-	// core.Config.SimWorkers. Metrics are byte-identical at any setting.
-	SimWorkers int
 	// SimMode selects merged (default, byte-identical) or rounds execution;
 	// see core.Config.SimMode.
 	SimMode string
@@ -167,13 +164,12 @@ func Run(cfg Config) (*Result, error) {
 	}
 	userPEs := cfg.Services + cfg.Instances
 	sys, err := core.NewSystem(core.Config{
-		Kernels:    cfg.Kernels,
-		UserPEs:    userPEs,
-		MemPEs:     1 + cfg.Services/8,
-		MemBytes:   1 << 40, // accounting only; backing is lazily allocated
-		Engine:     cfg.Engine,
-		SimWorkers: cfg.SimWorkers,
-		SimMode:    cfg.SimMode,
+		Kernels:  cfg.Kernels,
+		UserPEs:  userPEs,
+		MemPEs:   1 + cfg.Services/8,
+		MemBytes: 1 << 40, // accounting only; backing is lazily allocated
+		Engine:   cfg.Engine,
+		SimMode:  cfg.SimMode,
 	})
 	if err != nil {
 		return nil, err
