@@ -345,11 +345,13 @@ func (c *Capability) HasChild(k ddl.Key) bool {
 	return found
 }
 
-// Slab geometry: 512 capabilities per slab. Slabs are allocated as whole
-// arrays and never move, so *Capability pointers into them stay valid until
-// the slot is freed by Remove.
+// Slab geometry: 64 capabilities per slab, so a kernel holding a handful of
+// capabilities (most kernels of a sweep, every kernel at boot) pays for one
+// small slab, not 512 slots. Slabs are allocated as whole arrays and never
+// move, so *Capability pointers into them stay valid until the slot is
+// freed by Remove.
 const (
-	slabShift = 9
+	slabShift = 6
 	slabSize  = 1 << slabShift
 )
 

@@ -1,0 +1,176 @@
+package core
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/cap"
+	"repro/internal/dtu"
+	"repro/internal/sim"
+)
+
+// stepVPE spawns a VPE on pe that runs op once per call of the returned
+// step function and parks in between, so step is one warmed operation
+// pushed through a quiescent machine.
+func stepVPE(tb testing.TB, s *System, pe int, op func(v *VPE, p *sim.Proc)) (step func()) {
+	tb.Helper()
+	start := sim.NewQueue[struct{}](s.Eng)
+	if _, err := s.SpawnOn(pe, "stepper", func(v *VPE, p *sim.Proc) {
+		for {
+			start.Pop(p)
+			op(v, p)
+		}
+	}); err != nil {
+		tb.Fatal(err)
+	}
+	s.Run() // boot, then park
+	return func() {
+		start.Push(struct{}{})
+		s.Run()
+	}
+}
+
+// noopStepper is one no-op syscall per step on a one-kernel machine.
+func noopStepper(tb testing.TB) (*System, func()) {
+	s := MustNew(Config{Kernels: 1, UserPEs: 1})
+	return s, stepVPE(tb, s, s.UserPEs()[0], func(v *VPE, p *sim.Proc) { v.Noop(p) })
+}
+
+// TestNoopSyscallAllocatesNothing: a warmed syscall round trip — VPE.syscall,
+// DTU send, NoC, kernel pool thread, handler, reply, ack — allocates
+// nothing: the messages are recycled, the kernel thread takes a typed job,
+// and request and reply live in the VPE.
+func TestNoopSyscallAllocatesNothing(t *testing.T) {
+	s, step := noopStepper(t)
+	defer s.Close()
+	step()
+	if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
+		t.Fatalf("no-op syscall allocates %v times, want 0", allocs)
+	}
+}
+
+// BenchmarkNoopSyscall is the bare syscall path; 0 allocs/op
+// (TestNoopSyscallAllocatesNothing pins it).
+func BenchmarkNoopSyscall(b *testing.B) {
+	s, step := noopStepper(b)
+	defer s.Close()
+	step()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
+
+// TestObtainAllocationCeilings bounds what an obtain still allocates, so
+// the message path cannot quietly grow back. What is left is protocol
+// state, not transport. Local, 6: the consent query's future, its waiter
+// and its three closures, and the child capability handed to the store.
+// Spanning, 11: the same at the owner's kernel, plus the request, the reply,
+// the reply's future and waiter, and the in-flight obtain record. Table
+// growth (slabs, key map, selector space) averages below one per obtain.
+// The ceilings are one higher: the race detector's instrumentation moves
+// one more value to the heap.
+func TestObtainAllocationCeilings(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		kernels int
+		ceiling float64
+	}{
+		{"local", 1, 7},
+		{"spanning", 2, 12},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := MustNew(Config{Kernels: tc.kernels, UserPEs: 2 * tc.kernels})
+			defer s.Close()
+			pes := s.UserPEs()
+			var root cap.Selector
+			owner, err := s.SpawnOn(pes[0], "owner", func(v *VPE, p *sim.Proc) {
+				sel, err := v.AllocMem(p, 4096, dtu.PermRW)
+				if err != nil {
+					t.Error(err)
+				}
+				root = sel
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			step := stepVPE(t, s, pes[len(pes)-1], func(v *VPE, p *sim.Proc) {
+				if _, err := v.ObtainFrom(p, owner.ID, root); err != nil {
+					t.Error(err)
+				}
+			})
+			for i := 0; i < 8; i++ {
+				step()
+			}
+			if allocs := testing.AllocsPerRun(100, step); allocs > tc.ceiling {
+				t.Fatalf("%s obtain allocates %v times, ceiling %v", tc.name, allocs, tc.ceiling)
+			}
+			checkAllInvariants(t, s)
+		})
+	}
+}
+
+// TestPooledEngineRetainsNoMessages: the message free list lives and dies
+// with its Fabric. After System.Close and Pool.Put the pooled engine — its
+// event slabs, lanes and proc table — must not reach the machine it last
+// ran, or every recycled engine would pin a dead machine's messages. The
+// witness is the payload of a message left parked in an endpoint of that
+// machine: it is collected only if the whole Fabric is. (The finalizer
+// cannot sit on the Fabric itself: Fabric and DTUs point at each other, and
+// the runtime does not finalize a block that is part of a cycle.)
+func TestPooledEngineRetainsNoMessages(t *testing.T) {
+	pool := sim.NewPool()
+	collected := make(chan struct{})
+	func() {
+		eng := pool.Get()
+		s := MustNew(Config{Kernels: 2, UserPEs: 4, Engine: eng})
+		pes := s.UserPEs()
+		ready := sim.NewFuture[cap.Selector](s.Eng)
+		owner, err := s.SpawnOn(pes[0], "owner", func(v *VPE, p *sim.Proc) {
+			sel, err := v.AllocMem(p, 4096, dtu.PermRW)
+			if err != nil {
+				t.Error(err)
+			}
+			ready.Complete(sel)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pe := range pes[1:] {
+			if _, err := s.SpawnOn(pe, "client", func(v *VPE, p *sim.Proc) {
+				if _, err := v.ObtainFrom(p, owner.ID, ready.Wait(p)); err != nil {
+					t.Error(err)
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		witness := new([64]byte)
+		runtime.SetFinalizer(witness, func(*[64]byte) { close(collected) })
+		kd, a, b := s.kernels[0].dtu, s.Fab.DTU(pes[0]), s.Fab.DTU(pes[1])
+		must(b.ConfigureRecv(kd, vpeLastMemEP, 2, nil))
+		must(a.ConfigureSend(kd, vpeLastMemEP, pes[1], vpeLastMemEP, 1, 0))
+		must(a.Send(vpeLastMemEP, witness, 64, -1, 0))
+		s.Run()
+		if got := s.TotalStats().Obtains; got != 3 {
+			t.Fatalf("%d obtains completed, want 3", got)
+		}
+		if b.Stats().Received < 2 { // a syscall reply and the witness
+			t.Fatal("the witness message was not delivered")
+		}
+		s.Close()
+		pool.Put(eng)
+	}()
+	if pool.Idle() != 1 {
+		t.Fatalf("pool holds %d engines, want 1", pool.Idle())
+	}
+	runtime.GC()
+	runtime.GC()
+	select {
+	case <-collected:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a message of a closed machine is still reachable from its pooled engine")
+	}
+}

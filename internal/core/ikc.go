@@ -29,6 +29,104 @@ func (k *Kernel) nextSeq() uint64 {
 	return k.seq
 }
 
+// wireKind says what an ikcWire does when it arrives.
+type wireKind uint8
+
+const (
+	wireRequest wireKind = iota // hand req to the receiving kernel
+	wireReply                   // hand rep to the receiving kernel
+	wireCredit                  // return one in-flight credit to the receiving kernel
+	wireCompose                 // an event-context reply is composed: put it on the wire
+)
+
+// wireBytes is the wire size of each kind that crosses the NoC.
+var wireBytes = [...]int{wireRequest: ikcMsgBytes, wireReply: ikcRepBytes, wireCredit: creditMsgBytes}
+
+// ikcWire is one direct (envelope-less) inter-kernel leg in flight. Like a
+// dtu.Message it is its own delivery event and is recycled, through
+// System.wires: a leg the fabric drops goes straight back, one it
+// duplicates is released by its second arrival. Nobody holds a wire record
+// past its arrival, so unlike a duplicated message it needs no copy. The
+// list is shared by all kernels; a simulation runs on one goroutine.
+type ikcWire struct {
+	kind     wireKind
+	dups     uint8
+	from, to *Kernel
+	req      *ikcRequest
+	rep      *ikcReply
+	arrive   func() // onArrive, bound once
+}
+
+// wire takes a record off the free list (or makes one) for a leg from k.
+func (k *Kernel) wire(kind wireKind, to *Kernel) *ikcWire {
+	s := k.sys
+	var w *ikcWire
+	if n := len(s.wires); n > 0 {
+		w = s.wires[n-1]
+		s.wires = s.wires[:n-1]
+	} else {
+		w = &ikcWire{}
+		w.arrive = w.onArrive
+	}
+	w.kind, w.from, w.to = kind, k, to
+	return w
+}
+
+func (w *ikcWire) release() {
+	s := w.from.sys
+	*w = ikcWire{arrive: w.arrive}
+	s.wires = append(s.wires, w)
+}
+
+// send puts w on the NoC.
+func (w *ikcWire) send() {
+	switch w.from.sys.Net.Send(w.from.pe, w.to.pe, wireBytes[w.kind], w.arrive) {
+	case 0:
+		w.release()
+	case 2:
+		w.dups = 1
+	}
+}
+
+// onArrive is w's delivery event (event context at the receiving kernel,
+// or at the sender for wireCompose). The record is released before the
+// payload is handed on: what runs below may send, and so reuse it.
+func (w *ikcWire) onArrive() {
+	if w.kind == wireCompose {
+		w.kind = wireReply
+		w.send()
+		return
+	}
+	kind, from, to, req, rep := w.kind, w.from, w.to, w.req, w.rep
+	if w.dups > 0 {
+		w.dups--
+	} else {
+		w.release()
+	}
+	switch kind {
+	case wireRequest:
+		to.recvRequest(req)
+	case wireReply:
+		to.recvReply(rep)
+	case wireCredit:
+		to.inflightTo(from.id).Release()
+	}
+}
+
+// sendRequest puts req on the wire to kernel dk as a direct message.
+func (k *Kernel) sendRequest(dk *Kernel, req *ikcRequest) {
+	w := k.wire(wireRequest, dk)
+	w.req = req
+	w.send()
+}
+
+// sendReply puts rep on the wire to kernel dk as a direct message.
+func (k *Kernel) sendReply(dk *Kernel, rep *ikcReply) {
+	w := k.wire(wireReply, dk)
+	w.rep = rep
+	w.send()
+}
+
 // ikSend transmits a request to kernel dst. The caller must hold the CPU
 // token; the in-flight slot is acquired at a preemption point (the CPU is
 // released while waiting for one). The request is matched with a reply via
@@ -58,8 +156,7 @@ func (k *Kernel) ikSend(p *sim.Proc, dst int, req *ikcRequest) *sim.Future[*ikcR
 		sem.Acquire(p)
 		k.acquireCPU(p)
 	}
-	dk := k.sys.kernels[dst]
-	k.sys.Net.Send(k.pe, dk.pe, ikcMsgBytes, func() { dk.recvRequest(req) })
+	k.sendRequest(k.sys.kernels[dst], req)
 	if k.rt != nil {
 		k.rt.track(dst, []*ikcRequest{req}, false, req.Kind)
 	}
@@ -116,8 +213,7 @@ func (k *Kernel) ikNotify(p *sim.Proc, dst int, req *ikcRequest) *sim.Future[*ik
 		sem.Acquire(p)
 		k.acquireCPU(p)
 	}
-	dk := k.sys.kernels[dst]
-	k.sys.Net.Send(k.pe, dk.pe, ikcMsgBytes, func() { dk.recvRequest(req) })
+	k.sendRequest(k.sys.kernels[dst], req)
 	if k.rt != nil {
 		k.rt.track(dst, []*ikcRequest{req}, false, req.Kind)
 	}
@@ -130,30 +226,31 @@ func (k *Kernel) ikNotify(p *sim.Proc, dst int, req *ikcRequest) *sim.Future[*ik
 // inter-kernel pool.
 func (k *Kernel) recvRequest(req *ikcRequest) {
 	k.stats.IKCReceived++
-	job := func(p *sim.Proc) {
-		k.acquireCPU(p)
-		if !k.reliable() {
-			// Picking the message up frees its slot: return the in-flight
-			// credit to the sender. In reliable mode the credit instead
-			// returns when the sender's transmission resolves (onReply /
-			// abort in reliability.go) — a lost request must not leak it.
-			k.returnCredit(req.From)
-		}
-		k.exec(p, k.sys.Cost.IKCDispatch)
-		if k.admitRequest(req) && k.dedupCheck(req) {
-			k.dispatchRequest(p, req)
-		}
-		// Dispatch barrier of the reply sink (see flushBatchReplies): a
-		// reply produced by this dispatch leaves now instead of waiting on
-		// an idle window timer. No-op for unbatched families.
-		k.xport.flushBatchReplies(req.From, req.Kind)
-		k.releaseCPU()
-	}
+	j := job{kind: jobRequest, req: req}
 	if req.Kind == ikcRevoke || req.Kind == ikcRevokeBatch {
-		k.revokePool.submit(job)
+		k.revokePool.submit(j)
 	} else {
-		k.ikcPool.submit(job)
+		k.ikcPool.submit(j)
 	}
+}
+
+// handleRequest picks one direct request up on a kernel thread (CPU held).
+func (k *Kernel) handleRequest(p *sim.Proc, req *ikcRequest) {
+	if !k.reliable() {
+		// Picking the message up frees its slot: return the in-flight
+		// credit to the sender. In reliable mode the credit instead
+		// returns when the sender's transmission resolves (onReply /
+		// abort in reliability.go) — a lost request must not leak it.
+		k.returnCredit(req.From)
+	}
+	k.exec(p, k.sys.Cost.IKCDispatch)
+	if k.admitRequest(req) && k.dedupCheck(req) {
+		k.dispatchRequest(p, req)
+	}
+	// Dispatch barrier of the reply sink (see flushBatchReplies): a
+	// reply produced by this dispatch leaves now instead of waiting on
+	// an idle window timer. No-op for unbatched families.
+	k.xport.flushBatchReplies(req.From, req.Kind)
 }
 
 // returnCredit gives the in-flight credit for one picked-up wire message
@@ -163,56 +260,58 @@ func (k *Kernel) recvRequest(req *ikcRequest) {
 // latency later — the semaphore stays single-writer and the edge respects
 // the lookahead bound.
 func (k *Kernel) returnCredit(from int) {
-	src := k.sys.kernels[from]
+	w := k.wire(wireCredit, k.sys.kernels[from])
 	if k.sys.rounds {
-		k.sys.Net.Send(k.pe, src.pe, creditMsgBytes, func() { src.inflightTo(k.id).Release() })
+		w.send()
 		return
 	}
-	k.sys.Eng.Schedule(0, func() { src.inflightTo(k.id).Release() })
+	k.sys.Eng.Schedule(0, w.arrive)
 }
 
 // recvBatch runs at the receiving kernel when a coalesced envelope arrives
 // at its batch endpoint (event context, one delivery event for the whole
 // vector). The envelope counts as one received wire message, occupies one
-// in-flight slot of its sender and is picked up by a single kernel thread,
-// which frees the shared receive slot, returns the in-flight credit and
-// dispatches the carried requests in order. Handlers return their replies
-// to the transport's reply sink, and they may block at their usual
-// preemption points — the batch thread simply resumes with the next
-// request afterwards, serializing the batch the way the receiving kernel's
-// single CPU would anyway. When the last request has been dispatched the
-// thread flushes the reply queue feeding the envelope's sender (the
-// sink's dispatch barrier), so the batch is normally answered by a single
-// reply envelope and no reply waits on an idle timer.
+// in-flight slot of its sender and is picked up by a single kernel thread
+// (handleBatch).
 func (k *Kernel) recvBatch(msgs []*dtu.Message) {
 	k.stats.IKCReceived++
-	reqs := make([]*ikcRequest, len(msgs))
-	for i, m := range msgs {
-		reqs[i] = m.Payload.(*ikcRequest)
-	}
-	batch := &ikcBatch{From: reqs[0].From, Kind: reqs[0].Kind, Reqs: reqs}
-	for _, req := range reqs {
-		if req.From != batch.From || req.Kind != batch.Kind {
+	first := msgs[0].Payload.(*ikcRequest)
+	for _, m := range msgs[1:] {
+		if req := m.Payload.(*ikcRequest); req.From != first.From || req.Kind != first.Kind {
 			panic("core: mixed envelope — batches must carry one kind from one kernel")
 		}
 	}
-	k.ikcPool.submit(func(p *sim.Proc) {
-		k.acquireCPU(p)
-		for _, m := range msgs {
-			k.dtu.Free(m)
+	k.ikcPool.submit(job{kind: jobBatch, msgs: msgs})
+}
+
+// handleBatch picks an envelope up on a kernel thread (CPU held): it frees
+// the shared receive slot, returns the in-flight credit and dispatches the
+// carried requests in order, collecting them in the thread's scratch reqs
+// (returned for reuse) because the messages are gone once freed. Handlers
+// return their replies to the transport's reply sink, and they may block at
+// their usual preemption points — the batch thread simply resumes with the
+// next request afterwards, serializing the batch the way the receiving
+// kernel's single CPU would anyway. When the last request has been
+// dispatched the thread flushes the reply queue feeding the envelope's
+// sender (the sink's dispatch barrier), so the batch is normally answered
+// by a single reply envelope and no reply waits on an idle timer.
+func (k *Kernel) handleBatch(p *sim.Proc, msgs []*dtu.Message, reqs []*ikcRequest) []*ikcRequest {
+	for _, m := range msgs {
+		reqs = append(reqs, m.Payload.(*ikcRequest))
+		k.dtu.Free(m)
+	}
+	from, kind := reqs[0].From, reqs[0].Kind
+	if !k.reliable() {
+		k.returnCredit(from)
+	}
+	for _, req := range reqs {
+		k.exec(p, k.sys.Cost.IKCDispatch)
+		if k.admitRequest(req) && k.dedupCheck(req) {
+			k.dispatchRequest(p, req)
 		}
-		if !k.reliable() {
-			k.returnCredit(batch.From)
-		}
-		for _, req := range batch.Reqs {
-			k.exec(p, k.sys.Cost.IKCDispatch)
-			if k.admitRequest(req) && k.dedupCheck(req) {
-				k.dispatchRequest(p, req)
-			}
-		}
-		k.xport.flushBatchReplies(batch.From, batch.Kind)
-		k.releaseCPU()
-	})
+	}
+	k.xport.flushBatchReplies(from, kind)
+	return reqs
 }
 
 // dispatchRequest routes a request to its handler and hands the returned
@@ -281,8 +380,7 @@ func (k *Kernel) ikReply(p *sim.Proc, req *ikcRequest, rep *ikcReply) {
 		return
 	}
 	k.stats.IKCRepSent++
-	src := k.sys.kernels[req.From]
-	k.sys.Net.Send(k.pe, src.pe, ikcRepBytes, func() { src.recvReply(rep) })
+	k.sendReply(k.sys.kernels[req.From], rep)
 }
 
 // ikReplyAsync sends a reply from event context (used by the
@@ -303,10 +401,9 @@ func (k *Kernel) ikReplyAsync(req *ikcRequest, rep *ikcReply) {
 	k.cacheReply(req.From, req.Seq, rep)
 	k.stats.Busy += k.sys.Cost.IKCCompose
 	k.stats.IKCRepSent++
-	src := k.sys.kernels[req.From]
-	k.dom.Schedule(k.sys.Cost.IKCCompose, func() {
-		k.sys.Net.Send(k.pe, src.pe, ikcRepBytes, func() { src.recvReply(rep) })
-	})
+	w := k.wire(wireCompose, k.sys.kernels[req.From])
+	w.rep = rep
+	k.dom.Schedule(k.sys.Cost.IKCCompose, w.arrive)
 }
 
 // recvReplyVec runs at the requesting kernel when a reply envelope arrives
@@ -317,8 +414,9 @@ func (k *Kernel) ikReplyAsync(req *ikcRequest, rep *ikcReply) {
 // reply order the answering kernel produced.
 func (k *Kernel) recvReplyVec(msgs []*dtu.Message) {
 	for _, m := range msgs {
+		rep := m.Payload.(*ikcReply)
 		k.dtu.Free(m)
-		k.recvReply(m.Payload.(*ikcReply))
+		k.recvReply(rep)
 	}
 }
 

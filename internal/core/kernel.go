@@ -287,45 +287,85 @@ func blockOn[T any](k *Kernel, p *sim.Proc, fut *sim.Future[T]) T {
 	return v
 }
 
-// pool is a lazily grown, bounded worker pool of kernel threads. Jobs are
-// closures run on cooperative procs.
+// jobKind says what a kernel thread is to do with a job.
+type jobKind uint8
+
+const (
+	jobSyscall    jobKind = iota // handle the syscall message msg
+	jobRequest                   // dispatch the inter-kernel request req
+	jobBatch                     // pick up and dispatch the request envelope msgs
+	jobRevokeDone                // account one completed child revocation of rs
+	jobFunc                      // run fn, which brackets the CPU itself: boot, rejoin
+)
+
+// job is one unit of kernel-thread work. The per-message kinds carry their
+// subject in a typed field, so queueing a job allocates nothing.
+type job struct {
+	kind jobKind
+	msg  *dtu.Message
+	req  *ikcRequest
+	msgs []*dtu.Message
+	rs   *revState
+	fn   func(p *sim.Proc)
+}
+
+// pool is a lazily grown, bounded worker pool of kernel threads running
+// jobs on cooperative procs.
 type pool struct {
 	k       *Kernel
 	name    string
 	max     int
 	spawned int
-	q       *sim.Queue[func(p *sim.Proc)]
+	q       *sim.Queue[job]
 }
 
 func newPool(k *Kernel, name string, max int) *pool {
-	return &pool{k: k, name: name, max: max, q: sim.NewQueue[func(p *sim.Proc)](k.sys.Eng)}
+	return &pool{k: k, name: name, max: max, q: sim.NewQueue[job](k.sys.Eng)}
 }
 
 // submit enqueues a job, spawning a worker if none is idle and the pool
 // limit permits. If the pool is saturated the job waits in the queue — the
 // kernel's defense against request floods (paper §4.2).
-func (pl *pool) submit(job func(p *sim.Proc)) {
+func (pl *pool) submit(j job) {
 	if pl.q.Waiters() == 0 && pl.spawned < pl.max {
 		pl.spawned++
 		idx := pl.spawned
 		name := func() string { return fmt.Sprintf("k%d/%s%d", pl.k.id, pl.name, idx) }
-		pl.k.dom.SpawnLazy(name, func(p *sim.Proc) {
-			for {
-				j := pl.q.Pop(p)
-				j(p)
-			}
-		})
+		pl.k.dom.SpawnLazy(name, pl.work)
 	}
-	pl.q.Push(job)
+	pl.q.Push(j)
+}
+
+// work is the body of one kernel thread: take a job, hold the CPU for it,
+// repeat. reqs is the thread's scratch for the envelope it is dispatching.
+func (pl *pool) work(p *sim.Proc) {
+	k := pl.k
+	var reqs []*ikcRequest
+	for {
+		j := pl.q.Pop(p)
+		if j.kind == jobFunc {
+			j.fn(p)
+			continue
+		}
+		k.acquireCPU(p)
+		switch j.kind {
+		case jobSyscall:
+			k.handleSyscall(p, j.msg)
+		case jobRequest:
+			k.handleRequest(p, j.req)
+		case jobBatch:
+			reqs = k.handleBatch(p, j.msgs, reqs[:0])
+			clear(reqs)
+		case jobRevokeDone:
+			k.revokeReplyArrived(p, j.rs)
+		}
+		k.releaseCPU()
+	}
 }
 
 // onSyscallMsg is the DTU handler for the kernel's syscall endpoints.
 func (k *Kernel) onSyscallMsg(m *dtu.Message) {
-	k.syscallPool.submit(func(p *sim.Proc) {
-		k.acquireCPU(p)
-		k.handleSyscall(p, m)
-		k.releaseCPU()
-	})
+	k.syscallPool.submit(job{kind: jobSyscall, msg: m})
 }
 
 // createVPE registers a VPE with its group kernel, configures its DTU and
@@ -333,7 +373,7 @@ func (k *Kernel) onSyscallMsg(m *dtu.Message) {
 // serializes at their group kernels (visible in the application benchmarks
 // as startup cost).
 func (k *Kernel) createVPE(v *VPE) {
-	k.syscallPool.submit(func(p *sim.Proc) {
+	k.syscallPool.submit(job{kind: jobFunc, fn: func(p *sim.Proc) {
 		k.acquireCPU(p)
 		k.exec(p, k.sys.Cost.VPECreate)
 		// Syscall channel: user EP 0 sends to one of the kernel's syscall
@@ -356,7 +396,7 @@ func (k *Kernel) createVPE(v *VPE) {
 		v.selfSel = vcap.Sel
 		k.releaseCPU()
 		v.start()
-	})
+	}})
 }
 
 // vpeOf returns the VPE for a global id if it is local to this kernel.

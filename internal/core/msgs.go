@@ -15,7 +15,7 @@ const (
 	// endpoints (kernelSyscallEP0 .. kernelSyscallEP0+SyscallRecvEPs-1);
 	// a VPE's syscall send endpoint targets one of them by PE number.
 	kernelSyscallEP0 = 2
-	// ikcBatchEP receives coalesced request envelopes (ikcBatch). Its slot
+	// ikcBatchEP receives coalesced request envelopes (sendEnvelope). Its slot
 	// budget covers the in-flight bound of every peer: one envelope is one
 	// wire message and occupies one slot, mirroring the guarantee the
 	// in-flight accounting gives direct sends.
@@ -212,31 +212,6 @@ type ikcRequest struct {
 	ChildPE  int
 	ChildVPE int
 	ChildObj uint64
-}
-
-// ikcBatch is the unified transport's aggregation envelope: N requests of
-// one kind from one kernel to another, travelling as one DTU wire message
-// (the requests are the items of a single coalesced vector — one NoC
-// transfer, one receive slot, one delivery event and one kernel-thread
-// pickup at the destination). The sender's flush assembles it from a
-// per-destination queue (transport.go, flushLocked) and the receiver
-// reassembles it from the delivered vector (ikc.go, recvBatch), which also
-// verifies the one-kind invariant. The requests keep their individual
-// sequence numbers, so each is answered by its own reply; only the request
-// direction is coalesced.
-type ikcBatch struct {
-	From int
-	Kind ikcKind
-	Reqs []*ikcRequest
-}
-
-// items lays the envelope out as the coalesced DTU vector it travels in.
-func (b *ikcBatch) items() []dtu.VecItem {
-	items := make([]dtu.VecItem, len(b.Reqs))
-	for i, r := range b.Reqs {
-		items[i] = dtu.VecItem{Payload: r, Size: ikcBatchedReqBytes}
-	}
-	return items
 }
 
 // ikcReply is the payload of an inter-kernel reply message. Replies are

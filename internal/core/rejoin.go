@@ -146,12 +146,12 @@ func (k *Kernel) admitIncarnation(from int, inc uint32) {
 	// recorded orphan fixes and revoking the chains still linking into the
 	// dead incarnation — blocks on inter-kernel calls, so it runs as a pool
 	// job rather than inline under the admission gate.
-	k.ikcPool.submit(func(p *sim.Proc) {
+	k.ikcPool.submit(job{kind: jobFunc, fn: func(p *sim.Proc) {
 		k.acquireCPU(p)
 		k.replayOrphanFixes(p, from)
 		k.reconcileChains(p, from)
 		k.releaseCPU()
-	})
+	}})
 }
 
 // dropPeerDelegations discards pending delegation-handshake entries whose
@@ -222,7 +222,7 @@ func (k *Kernel) beginRejoin() {
 	// entries after this reset.
 	k.pendingDelegations = ddl.KeyMap[*cap.Capability]{}
 
-	k.ikcPool.submit(func(p *sim.Proc) {
+	k.ikcPool.submit(job{kind: jobFunc, fn: func(p *sim.Proc) {
 		k.acquireCPU(p)
 		// Handshake with every peer, in kernel order. The bumped stamp on
 		// the request re-admits this kernel at the peer (admitRequest); the
@@ -242,7 +242,7 @@ func (k *Kernel) beginRejoin() {
 		k.stats.Rejoins++
 		k.stats.RejoinCycles += k.dom.Now() - start
 		k.releaseCPU()
-	})
+	}})
 }
 
 // republishServices re-registers this kernel's own services with their

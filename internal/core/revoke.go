@@ -40,14 +40,14 @@ type revState struct {
 }
 
 // sysRevoke is the syscall entry point.
-func (k *Kernel) sysRevoke(p *sim.Proc, req *sysRequest) *sysReply {
+func (k *Kernel) sysRevoke(p *sim.Proc, req *sysRequest) sysReply {
 	c := k.lookupSel(p, req.VPE, req.Sel)
 	if c == nil {
-		return &sysReply{Err: ErrNoSuchCap}
+		return sysReply{Err: ErrNoSuchCap}
 	}
 	k.stats.Revokes++
 	k.revokeSubtree(p, c)
-	return &sysReply{}
+	return sysReply{}
 }
 
 // revokeSubtree revokes the subtree rooted at c and blocks until the
@@ -155,11 +155,7 @@ func (k *Kernel) sendRevokeRequest(p *sim.Proc, dst int, key ddl.Key, rs *revSta
 // compSubmit schedules completion processing of one revoke reply on the
 // kernel CPU.
 func (k *Kernel) compSubmit(rs *revState) {
-	k.compPool().submit(func(p *sim.Proc) {
-		k.acquireCPU(p)
-		k.revokeReplyArrived(p, rs)
-		k.releaseCPU()
-	})
+	k.compPool().submit(job{kind: jobRevokeDone, rs: rs})
 }
 
 // compPool lazily creates the completion pool ("main loop" processing of

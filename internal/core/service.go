@@ -82,7 +82,7 @@ type localService struct {
 // After registering, the VPE must run ServeLoop to process requests.
 func (v *VPE) RegisterService(p *sim.Proc, name string, h ServiceHandlers) error {
 	v.svc = &localService{v: v, name: name, handlers: h, queue: sim.NewQueue[svcEvent](v.sys.Eng)}
-	rep := v.syscall(p, &sysRequest{Kind: sysRegisterService, Name: name})
+	rep := v.syscall(p, sysRequest{Kind: sysRegisterService, Name: name})
 	if rep.Err != OK {
 		v.svc = nil
 	}
@@ -159,10 +159,10 @@ func (k *Kernel) queryService(p *sim.Proc, sv *VPE, ev svcEvent) SvcResult {
 // sysRegisterService creates the service capability and publishes the
 // service in the directory. Registration happens at boot time and is not a
 // measured path.
-func (k *Kernel) sysRegisterService(p *sim.Proc, req *sysRequest) *sysReply {
+func (k *Kernel) sysRegisterService(p *sim.Proc, req *sysRequest) sysReply {
 	v := k.vpeOf(req.VPE)
 	if v == nil || v.svc == nil {
-		return &sysReply{Err: ErrBadArgs}
+		return sysReply{Err: ErrBadArgs}
 	}
 	var key ddl.Key
 	if k.sys.rounds {
@@ -170,11 +170,11 @@ func (k *Kernel) sysRegisterService(p *sim.Proc, req *sysRequest) *sysReply {
 		// kernel first — its directory slice is the duplicate authority.
 		key = k.mintKey(v.PE, v.ID, ddl.TypeService)
 		if errno := k.publishService(p, req.Name, key); errno != OK {
-			return &sysReply{Err: errno}
+			return sysReply{Err: errno}
 		}
 	} else {
 		if k.sys.services[req.Name] != nil {
-			return &sysReply{Err: ErrExists}
+			return sysReply{Err: ErrExists}
 		}
 		key = k.mintKey(v.PE, v.ID, ddl.TypeService)
 	}
@@ -199,7 +199,7 @@ func (k *Kernel) sysRegisterService(p *sim.Proc, req *sysRequest) *sysReply {
 	} else {
 		k.sys.services[req.Name] = entry
 	}
-	return &sysReply{Sel: c.Sel}
+	return sysReply{Sel: c.Sel}
 }
 
 // --- session creation ----------------------------------------------------
@@ -212,10 +212,10 @@ type sessionInfo struct {
 	Ident uint64
 }
 
-func (k *Kernel) sysCreateSession(p *sim.Proc, req *sysRequest) *sysReply {
+func (k *Kernel) sysCreateSession(p *sim.Proc, req *sysRequest) sysReply {
 	v := k.vpeOf(req.VPE)
 	if v == nil {
-		return &sysReply{Err: ErrVPEGone}
+		return sysReply{Err: ErrVPEGone}
 	}
 	k.exec(p, k.sys.Cost.DDLDecode+k.sys.Cost.CapLookup)
 	var loc svcLoc
@@ -226,18 +226,18 @@ func (k *Kernel) sysCreateSession(p *sim.Proc, req *sysRequest) *sysReply {
 		var errno Errno
 		loc, errno = k.resolveService(p, req.Name)
 		if errno != OK {
-			return &sysReply{Err: errno}
+			return sysReply{Err: errno}
 		}
 	} else {
 		entry := k.sys.service(req.Name)
 		if entry == nil {
-			return &sysReply{Err: ErrNoService}
+			return sysReply{Err: ErrNoService}
 		}
 		if k.peerDead(entry.kernel) {
 			// Degraded mode: the directory stops routing to a kernel this
 			// kernel has declared dead — clients get ErrNoService instead of
 			// a session doomed to fail-fast errors.
-			return &sysReply{Err: ErrNoService}
+			return sysReply{Err: ErrNoService}
 		}
 		loc = svcLoc{kernel: entry.kernel, key: entry.key}
 	}
@@ -247,15 +247,15 @@ func (k *Kernel) sysCreateSession(p *sim.Proc, req *sysRequest) *sysReply {
 	if loc.kernel == k.id {
 		entry := k.serviceLocal(req.Name)
 		if entry == nil {
-			return &sysReply{Err: ErrNoService}
+			return sysReply{Err: ErrNoService}
 		}
 		svcCap := k.store.Lookup(loc.key)
 		if svcCap == nil || svcCap.Marked {
-			return &sysReply{Err: ErrNoService}
+			return sysReply{Err: ErrNoService}
 		}
 		res := k.queryService(p, entry.vpe, svcEvent{kind: SvcOpen, client: v.ID, args: req.Args})
 		if res.Errno != OK {
-			return &sysReply{Err: res.Errno}
+			return sysReply{Err: res.Errno}
 		}
 		sessKey := ddl.NewKey(v.PE, v.ID, ddl.TypeSession, objID)
 		// The service query is a preemption point and the store compacts
@@ -279,7 +279,7 @@ func (k *Kernel) sysCreateSession(p *sim.Proc, req *sysRequest) *sysReply {
 			ChildObj: objID,
 		})
 		if rep.Err != OK {
-			return &sysReply{Err: rep.Err}
+			return sysReply{Err: rep.Err}
 		}
 		info = rep.Args.(sessionInfo)
 		parentKey = rep.Key
@@ -298,12 +298,12 @@ func (k *Kernel) sysCreateSession(p *sim.Proc, req *sysRequest) *sysReply {
 	// Configure the client's send endpoint for direct service IPC.
 	ep := vpeFirstSessionEP + v.nextSessEP
 	if ep > vpeLastSessionEP {
-		return &sysReply{Err: ErrBadArgs}
+		return sysReply{Err: ErrBadArgs}
 	}
 	v.nextSessEP++
 	k.exec(p, k.sys.Cost.EPConfig)
 	must(v.dtu.ConfigureSend(k.dtu, ep, info.SvcPE, info.SvcEP, 1, info.Ident))
-	return &sysReply{Sel: sess.Sel, Args: ep}
+	return sysReply{Sel: sess.Sel, Args: ep}
 }
 
 // clientEPFor spreads sessions across the service's client endpoints.
@@ -342,21 +342,21 @@ func (k *Kernel) handleSessionReq(p *sim.Proc, req *ikcRequest) *ikcReply {
 
 // --- session-scoped exchanges ---------------------------------------------
 
-func (k *Kernel) sysObtainSess(p *sim.Proc, req *sysRequest) *sysReply {
+func (k *Kernel) sysObtainSess(p *sim.Proc, req *sysRequest) sysReply {
 	v := k.vpeOf(req.VPE)
 	if v == nil {
-		return &sysReply{Err: ErrVPEGone}
+		return sysReply{Err: ErrVPEGone}
 	}
 	sess := k.lookupSel(p, req.VPE, req.Sel)
 	if sess == nil {
-		return &sysReply{Err: ErrNoSuchCap}
+		return sysReply{Err: ErrNoSuchCap}
 	}
 	if sess.Marked {
-		return &sysReply{Err: ErrInRevocation}
+		return sysReply{Err: ErrInRevocation}
 	}
 	so, ok := sess.Object.(*cap.SessionObject)
 	if !ok {
-		return &sysReply{Err: ErrBadArgs}
+		return sysReply{Err: ErrBadArgs}
 	}
 	k.exec(p, k.sys.Cost.DDLDecode)
 	svcKernel := k.member.KernelOfKey(sess.Parent)
@@ -365,18 +365,18 @@ func (k *Kernel) sysObtainSess(p *sim.Proc, req *sysRequest) *sysReply {
 	if svcKernel == k.id {
 		entry := k.serviceLocal(so.Service)
 		if entry == nil {
-			return &sysReply{Err: ErrNoService}
+			return sysReply{Err: ErrNoService}
 		}
 		res := k.queryService(p, entry.vpe, svcEvent{kind: SvcObtain, ident: so.Ident, args: req.Args})
 		if res.Errno != OK {
-			return &sysReply{Err: res.Errno}
+			return sysReply{Err: res.Errno}
 		}
 		src := k.lookupSel(p, entry.vpe.ID, res.SrcSel)
 		if src == nil {
-			return &sysReply{Err: ErrNoSuchCap}
+			return sysReply{Err: ErrNoSuchCap}
 		}
 		if src.Marked {
-			return &sysReply{Err: ErrInRevocation}
+			return sysReply{Err: ErrInRevocation}
 		}
 		obj := deriveObject(src.Object)
 		childKey := ddl.NewKey(v.PE, v.ID, obj.ObjType(), objID)
@@ -392,7 +392,7 @@ func (k *Kernel) sysObtainSess(p *sim.Proc, req *sysRequest) *sysReply {
 		}
 		k.insertCap(p, child)
 		k.stats.Obtains++
-		return &sysReply{Sel: child.Sel, Args: res.Reply}
+		return sysReply{Sel: child.Sel, Args: res.Reply}
 	}
 
 	k.exec(p, k.sys.Cost.IKCMarshal)
@@ -407,13 +407,13 @@ func (k *Kernel) sysObtainSess(p *sim.Proc, req *sysRequest) *sysReply {
 		ChildObj: objID,
 	})
 	if rep.Err != OK {
-		return &sysReply{Err: rep.Err}
+		return sysReply{Err: rep.Err}
 	}
 	childKey := ddl.NewKey(v.PE, v.ID, rep.Object.ObjType(), objID)
 	if v.exited {
 		k.stats.Orphans++
 		k.notifyUnlink(p, svcKernel, rep.Key, childKey)
-		return &sysReply{Err: ErrVPEGone}
+		return sysReply{Err: ErrVPEGone}
 	}
 	child := &cap.Capability{
 		Key:    childKey,
@@ -425,7 +425,7 @@ func (k *Kernel) sysObtainSess(p *sim.Proc, req *sysRequest) *sysReply {
 	}
 	k.insertCap(p, child)
 	k.stats.Obtains++
-	return &sysReply{Sel: child.Sel, Args: rep.Args}
+	return sysReply{Sel: child.Sel, Args: rep.Args}
 }
 
 // handleObtainSessReq runs at the service's kernel: ask the service which
@@ -462,25 +462,25 @@ func (k *Kernel) handleObtainSessReq(p *sim.Proc, req *ikcRequest) *ikcReply {
 // sysDelegateSess pushes the client's capability at req.Sel into the
 // session (req.TargetSel), e.g. granting a service access to client memory.
 // Across kernels it reuses the delegate two-way handshake.
-func (k *Kernel) sysDelegateSess(p *sim.Proc, req *sysRequest) *sysReply {
+func (k *Kernel) sysDelegateSess(p *sim.Proc, req *sysRequest) sysReply {
 	v := k.vpeOf(req.VPE)
 	if v == nil {
-		return &sysReply{Err: ErrVPEGone}
+		return sysReply{Err: ErrVPEGone}
 	}
 	c := k.lookupSel(p, req.VPE, req.Sel)
 	if c == nil {
-		return &sysReply{Err: ErrNoSuchCap}
+		return sysReply{Err: ErrNoSuchCap}
 	}
 	if c.Marked {
-		return &sysReply{Err: ErrInRevocation}
+		return sysReply{Err: ErrInRevocation}
 	}
 	sess := k.lookupSel(p, req.VPE, req.TargetSel)
 	if sess == nil {
-		return &sysReply{Err: ErrNoSuchCap}
+		return sysReply{Err: ErrNoSuchCap}
 	}
 	so, ok := sess.Object.(*cap.SessionObject)
 	if !ok {
-		return &sysReply{Err: ErrBadArgs}
+		return sysReply{Err: ErrBadArgs}
 	}
 	k.exec(p, k.sys.Cost.DDLDecode)
 	svcKernel := k.member.KernelOfKey(sess.Parent)
@@ -488,7 +488,7 @@ func (k *Kernel) sysDelegateSess(p *sim.Proc, req *sysRequest) *sysReply {
 	if svcKernel == k.id {
 		entry := k.serviceLocal(so.Service)
 		if entry == nil {
-			return &sysReply{Err: ErrNoService}
+			return sysReply{Err: ErrNoService}
 		}
 		obj := deriveObject(c.Object)
 		// The service query is a preemption point; re-resolve the delegated
@@ -496,11 +496,11 @@ func (k *Kernel) sysDelegateSess(p *sim.Proc, req *sysRequest) *sysReply {
 		cKey := c.Key
 		res := k.queryService(p, entry.vpe, svcEvent{kind: SvcDelegate, ident: so.Ident, args: req.Args, obj: obj})
 		if res.Errno != OK || !res.Accept {
-			return &sysReply{Err: ErrDenied}
+			return sysReply{Err: ErrDenied}
 		}
 		cur := k.store.Lookup(cKey)
 		if cur == nil || cur.Marked {
-			return &sysReply{Err: ErrInRevocation}
+			return sysReply{Err: ErrInRevocation}
 		}
 		child := &cap.Capability{
 			Key:    k.mintKey(entry.vpe.PE, entry.vpe.ID, obj.ObjType()),
@@ -514,7 +514,7 @@ func (k *Kernel) sysDelegateSess(p *sim.Proc, req *sysRequest) *sysReply {
 		k.exec(p, k.sys.Cost.CapLink)
 		k.insertCap(p, child)
 		k.stats.Delegates++
-		return &sysReply{Sel: child.Sel, Args: res.Reply}
+		return sysReply{Sel: child.Sel, Args: res.Reply}
 	}
 
 	// Inter-kernel calls below are preemption points; resolve the delegated
@@ -532,14 +532,14 @@ func (k *Kernel) sysDelegateSess(p *sim.Proc, req *sysRequest) *sysReply {
 		Child:  sess.Parent, // service capability key
 	})
 	if rep.Err != OK {
-		return &sysReply{Err: rep.Err}
+		return sysReply{Err: rep.Err}
 	}
 	childKey := rep.Key
 	k.exec(p, k.sys.Cost.CapLookup)
 	cur := k.store.Lookup(cKey)
 	if cur == nil || cur.Marked {
 		k.ikCall(p, svcKernel, &ikcRequest{Kind: ikcDelegateAck, Child: childKey, Ok: false})
-		return &sysReply{Err: ErrInRevocation}
+		return sysReply{Err: ErrInRevocation}
 	}
 	cur.AddChild(childKey)
 	k.exec(p, k.sys.Cost.CapLink)
@@ -549,10 +549,10 @@ func (k *Kernel) sysDelegateSess(p *sim.Proc, req *sysRequest) *sysReply {
 			again.RemoveChild(childKey)
 		}
 		k.stats.Orphans++
-		return &sysReply{Err: ack.Err}
+		return sysReply{Err: ack.Err}
 	}
 	k.stats.Delegates++
-	return &sysReply{Args: rep.Args}
+	return sysReply{Args: rep.Args}
 }
 
 // handleDelegateSessReq runs at the service's kernel: ask the service for
@@ -604,7 +604,7 @@ type Session struct {
 // CreateSession connects to a named service, returning a session handle.
 func (v *VPE) CreateSession(p *sim.Proc, name string, args any) (*Session, error) {
 	v.capOps++
-	rep := v.syscall(p, &sysRequest{Kind: sysCreateSession, Name: name, Args: args})
+	rep := v.syscall(p, sysRequest{Kind: sysCreateSession, Name: name, Args: args})
 	if rep.Err != OK {
 		return nil, rep.Err
 	}
@@ -627,14 +627,14 @@ func (s *Session) Call(p *sim.Proc, args any) (any, error) {
 // file range) through the kernels.
 func (s *Session) Obtain(p *sim.Proc, args any) (cap.Selector, any, error) {
 	s.v.capOps++
-	rep := s.v.syscall(p, &sysRequest{Kind: sysObtainSess, Sel: s.Sel, Args: args})
+	rep := s.v.syscall(p, sysRequest{Kind: sysObtainSess, Sel: s.Sel, Args: args})
 	return rep.Sel, rep.Args, rep.Err.Err()
 }
 
 // Delegate pushes one of the client's capabilities into the session.
 func (s *Session) Delegate(p *sim.Proc, sel cap.Selector, args any) (any, error) {
 	s.v.capOps++
-	rep := s.v.syscall(p, &sysRequest{Kind: sysDelegateSess, Sel: sel, TargetSel: s.Sel, Args: args})
+	rep := s.v.syscall(p, sysRequest{Kind: sysDelegateSess, Sel: sel, TargetSel: s.Sel, Args: args})
 	return rep.Args, rep.Err.Err()
 }
 

@@ -9,13 +9,15 @@ import (
 
 // handleSyscall runs on a syscall-pool thread with the CPU held. It decodes
 // the request, executes the handler and replies to the VPE through the DTU
-// (freeing the syscall slot and returning the VPE's credit).
+// (freeing the syscall slot and returning the VPE's credit). req points
+// into the issuing VPE and is only valid until the reply leaves: a handler
+// that needs it longer copies it.
 func (k *Kernel) handleSyscall(p *sim.Proc, m *dtu.Message) {
 	req := m.Payload.(*sysRequest)
 	k.stats.Syscalls++
 	k.exec(p, k.sys.Cost.SyscallDispatch)
 
-	var rep *sysReply
+	var rep sysReply
 	switch req.Kind {
 	case sysAllocMem:
 		rep = k.sysAllocMem(p, req)
@@ -42,13 +44,14 @@ func (k *Kernel) handleSyscall(p *sim.Proc, m *dtu.Message) {
 	case sysExit:
 		rep = k.sysExit(p, req)
 	case sysNoop:
-		rep = &sysReply{}
 	default:
-		rep = &sysReply{Err: ErrBadArgs}
+		rep = sysReply{Err: ErrBadArgs}
 	}
 
 	k.exec(p, k.sys.Cost.SyscallReply)
-	k.dtu.Reply(m, rep, syscallRepBytes)
+	out := &k.sys.vpes[req.VPE].sysRep
+	*out = rep
+	k.dtu.Reply(m, out, syscallRepBytes)
 }
 
 // insertCap stores a freshly created capability, charging creation and
@@ -67,7 +70,7 @@ func (k *Kernel) lookupSel(p *sim.Proc, vpe int, sel cap.Selector) *cap.Capabili
 	return k.store.LookupSel(vpe, sel)
 }
 
-func (k *Kernel) sysAllocMem(p *sim.Proc, req *sysRequest) *sysReply {
+func (k *Kernel) sysAllocMem(p *sim.Proc, req *sysRequest) sysReply {
 	var pe int
 	var off uint64
 	if k.sys.rounds {
@@ -77,18 +80,18 @@ func (k *Kernel) sysAllocMem(p *sim.Proc, req *sysRequest) *sysReply {
 		var errno Errno
 		pe, off, errno = k.allocDRAMRounds(p, req.Size)
 		if errno != OK {
-			return &sysReply{Err: errno}
+			return sysReply{Err: errno}
 		}
 	} else {
 		var err error
 		pe, off, err = k.sys.allocDRAM(req.Size)
 		if err != nil {
-			return &sysReply{Err: ErrOutOfMem}
+			return sysReply{Err: ErrOutOfMem}
 		}
 	}
 	v := k.vpeOf(req.VPE)
 	if v == nil {
-		return &sysReply{Err: ErrVPEGone}
+		return sysReply{Err: ErrVPEGone}
 	}
 	c := &cap.Capability{
 		Key:    k.mintKey(v.PE, v.ID, ddl.TypeMem),
@@ -98,30 +101,30 @@ func (k *Kernel) sysAllocMem(p *sim.Proc, req *sysRequest) *sysReply {
 		Perm:   req.Perm,
 	}
 	k.insertCap(p, c)
-	return &sysReply{Sel: c.Sel}
+	return sysReply{Sel: c.Sel}
 }
 
-func (k *Kernel) sysDeriveMem(p *sim.Proc, req *sysRequest) *sysReply {
+func (k *Kernel) sysDeriveMem(p *sim.Proc, req *sysRequest) sysReply {
 	parent := k.lookupSel(p, req.VPE, req.Sel)
 	if parent == nil {
-		return &sysReply{Err: ErrNoSuchCap}
+		return sysReply{Err: ErrNoSuchCap}
 	}
 	if parent.Marked {
-		return &sysReply{Err: ErrInRevocation}
+		return sysReply{Err: ErrInRevocation}
 	}
 	mo, ok := parent.Object.(*cap.MemObject)
 	if !ok {
-		return &sysReply{Err: ErrBadArgs}
+		return sysReply{Err: ErrBadArgs}
 	}
 	if req.Off+req.Size > mo.Size {
-		return &sysReply{Err: ErrBadArgs}
+		return sysReply{Err: ErrBadArgs}
 	}
 	if req.Perm&^parent.Perm != 0 {
-		return &sysReply{Err: ErrDenied}
+		return sysReply{Err: ErrDenied}
 	}
 	v := k.vpeOf(req.VPE)
 	if v == nil {
-		return &sysReply{Err: ErrVPEGone}
+		return sysReply{Err: ErrVPEGone}
 	}
 	k.stats.Obtains++ // a derive is a local exchange with oneself
 	child := &cap.Capability{
@@ -135,13 +138,13 @@ func (k *Kernel) sysDeriveMem(p *sim.Proc, req *sysRequest) *sysReply {
 	parent.AddChild(child.Key)
 	k.exec(p, k.sys.Cost.CapLink)
 	k.insertCap(p, child)
-	return &sysReply{Sel: child.Sel}
+	return sysReply{Sel: child.Sel}
 }
 
-func (k *Kernel) sysCreateRgate(p *sim.Proc, req *sysRequest) *sysReply {
+func (k *Kernel) sysCreateRgate(p *sim.Proc, req *sysRequest) sysReply {
 	v := k.vpeOf(req.VPE)
 	if v == nil {
-		return &sysReply{Err: ErrVPEGone}
+		return sysReply{Err: ErrVPEGone}
 	}
 	slots := int(req.Size)
 	if slots <= 0 || slots > dtu.DefaultSlots {
@@ -149,7 +152,7 @@ func (k *Kernel) sysCreateRgate(p *sim.Proc, req *sysRequest) *sysReply {
 	}
 	k.exec(p, k.sys.Cost.EPConfig)
 	if err := v.dtu.ConfigureRecv(k.dtu, req.EP, slots, nil); err != nil {
-		return &sysReply{Err: ErrBadArgs}
+		return sysReply{Err: ErrBadArgs}
 	}
 	c := &cap.Capability{
 		Key:    k.mintKey(v.PE, v.ID, ddl.TypeRecv),
@@ -159,20 +162,20 @@ func (k *Kernel) sysCreateRgate(p *sim.Proc, req *sysRequest) *sysReply {
 		Perm:   dtu.PermRW,
 	}
 	k.insertCap(p, c)
-	return &sysReply{Sel: c.Sel}
+	return sysReply{Sel: c.Sel}
 }
 
-func (k *Kernel) sysActivate(p *sim.Proc, req *sysRequest) *sysReply {
+func (k *Kernel) sysActivate(p *sim.Proc, req *sysRequest) sysReply {
 	v := k.vpeOf(req.VPE)
 	if v == nil {
-		return &sysReply{Err: ErrVPEGone}
+		return sysReply{Err: ErrVPEGone}
 	}
 	c := k.lookupSel(p, req.VPE, req.Sel)
 	if c == nil {
-		return &sysReply{Err: ErrNoSuchCap}
+		return sysReply{Err: ErrNoSuchCap}
 	}
 	if c.Marked {
-		return &sysReply{Err: ErrInRevocation}
+		return sysReply{Err: ErrInRevocation}
 	}
 	k.exec(p, k.sys.Cost.EPConfig)
 	// Capture the capability's payload before the round trip below releases
@@ -190,22 +193,22 @@ func (k *Kernel) sysActivate(p *sim.Proc, req *sysRequest) *sysReply {
 	case *cap.SendObject:
 		must(v.dtu.ConfigureSend(k.dtu, req.EP, obj.DstPE, obj.DstEP, obj.Credits, obj.Label))
 	default:
-		return &sysReply{Err: ErrBadArgs}
+		return sysReply{Err: ErrBadArgs}
 	}
 	if v.activeEPs == nil {
 		v.activeEPs = make(map[int]cap.Selector)
 	}
 	v.activeEPs[req.EP] = req.Sel
-	return &sysReply{}
+	return sysReply{}
 }
 
 // sysExit revokes all capabilities of the exiting VPE. Roots owned by the
 // VPE are revoked recursively; capabilities obtained from others are
 // unlinked from their parents.
-func (k *Kernel) sysExit(p *sim.Proc, req *sysRequest) *sysReply {
+func (k *Kernel) sysExit(p *sim.Proc, req *sysRequest) sysReply {
 	v := k.vpeOf(req.VPE)
 	if v == nil {
-		return &sysReply{Err: ErrVPEGone}
+		return sysReply{Err: ErrVPEGone}
 	}
 	v.exited = true
 	for {
@@ -227,5 +230,5 @@ func (k *Kernel) sysExit(p *sim.Proc, req *sysRequest) *sysReply {
 		}
 	}
 	k.sys.peToVPE[v.PE] = nil
-	return &sysReply{}
+	return sysReply{}
 }

@@ -181,6 +181,10 @@ type System struct {
 	centralNext []uint64
 	centralRR   int
 	nextVPE     int
+
+	// wires are the released direct inter-kernel legs awaiting reuse
+	// (ikc.go, ikcWire).
+	wires []*ikcWire
 }
 
 type serviceEntry struct {

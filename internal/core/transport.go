@@ -250,6 +250,9 @@ type transport struct {
 	// convention.
 	flushQ  *sim.Queue[flushRef]
 	spawned bool
+
+	// items is sendEnvelope's scratch: SendVecTo reads it before returning.
+	items []dtu.VecItem
 }
 
 func newTransport(k *Kernel, pol IKCBatching) *transport {
@@ -440,12 +443,26 @@ func (t *transport) flushLocked(p *sim.Proc, key qkey) {
 		sem.Acquire(p)
 		k.acquireCPU(p)
 	}
-	env := &ikcBatch{From: k.id, Kind: key.kind, Reqs: reqs}
-	dk := k.sys.kernels[key.dst]
-	must(k.dtu.SendVecTo(dk.pe, ikcBatchEP, env.items()))
+	t.sendEnvelope(key.dst, reqs)
 	if k.rt != nil {
 		k.rt.track(key.dst, reqs, true, key.kind)
 	}
+}
+
+// sendEnvelope transmits reqs — N requests of one kind for one kernel — as
+// one aggregation envelope: the items of a single coalesced DTU vector (one
+// NoC transfer, one receive slot, one delivery event and one kernel-thread
+// pickup at the destination, which reassembles the envelope and verifies
+// the one-kind invariant: ikc.go, recvBatch). The requests keep their
+// individual sequence numbers, so each is answered by its own reply.
+func (t *transport) sendEnvelope(dst int, reqs []*ikcRequest) {
+	items := t.items[:0]
+	for _, r := range reqs {
+		items = append(items, dtu.VecItem{Payload: r, Size: ikcBatchedReqBytes})
+	}
+	must(t.k.dtu.SendVecTo(t.k.sys.kernels[dst].pe, ikcBatchEP, items))
+	clear(items)
+	t.items = items
 }
 
 // --- reply direction (the sink) ------------------------------------------
@@ -495,26 +512,25 @@ func (t *transport) flushReplies(key rkey) {
 		return
 	}
 	reps := q.reps
-	q.reps = nil
-
 	k := t.k
 	k.stats.IKCRepSent++
 	dk := k.sys.kernels[key.dst]
 	if len(reps) == 1 {
-		rep := reps[0]
-		k.sys.Net.Send(k.pe, dk.pe, ikcRepBytes, func() { dk.recvReply(rep) })
-		return
+		k.sendReply(dk, reps[0])
+	} else {
+		k.stats.IKCRepBatches++
+		k.stats.IKCRepBatched += uint64(len(reps))
+		k.stats.Busy += k.sys.Cost.IKCCompose // envelope header compose
+		items := make([]dtu.VecItem, len(reps))
+		for i, r := range reps {
+			items[i] = dtu.VecItem{Payload: r, Size: ikcBatchedRepBytes}
+		}
+		k.dom.Schedule(k.sys.Cost.IKCCompose, func() {
+			must(k.dtu.SendVecTo(dk.pe, ikcReplyEP, items))
+		})
 	}
-	k.stats.IKCRepBatches++
-	k.stats.IKCRepBatched += uint64(len(reps))
-	k.stats.Busy += k.sys.Cost.IKCCompose // envelope header compose
-	items := make([]dtu.VecItem, len(reps))
-	for i, r := range reps {
-		items[i] = dtu.VecItem{Payload: r, Size: ikcBatchedRepBytes}
-	}
-	k.dom.Schedule(k.sys.Cost.IKCCompose, func() {
-		must(k.dtu.SendVecTo(dk.pe, ikcReplyEP, items))
-	})
+	clear(reps)
+	q.reps = reps[:0]
 }
 
 // --- revocation barrier --------------------------------------------------

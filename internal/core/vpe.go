@@ -58,6 +58,11 @@ type VPE struct {
 	// nextSessEP allocates send endpoints for sessions.
 	nextSessEP int
 
+	// sysReq and sysRep are the payloads of the one syscall the VPE can have
+	// outstanding (see syscall).
+	sysReq sysRequest
+	sysRep sysReply
+
 	exited   bool
 	started  bool
 	doneAt   sim.Time
@@ -118,15 +123,18 @@ func (v *VPE) Kill() { v.exited = true }
 
 // syscall sends a request message to the group kernel and blocks until the
 // reply arrives, like the paper's message-based system calls. Each VPE has
-// a single syscall credit, enforcing one outstanding call.
-func (v *VPE) syscall(p *sim.Proc, req *sysRequest) *sysReply {
+// a single syscall credit, enforcing one outstanding call — which is why
+// the request and the reply can live in the VPE's own buffers: the kernel
+// reads sysReq and writes sysRep only between the send and the reply.
+func (v *VPE) syscall(p *sim.Proc, req sysRequest) sysReply {
 	req.VPE = v.ID
+	v.sysReq = req
 	v.syscalls++
-	if err := v.dtu.Send(vpeSyscallSendEP, req, syscallMsgBytes, vpeSyscallReplyEP, 0); err != nil {
+	if err := v.dtu.Send(vpeSyscallSendEP, &v.sysReq, syscallMsgBytes, vpeSyscallReplyEP, 0); err != nil {
 		panic(fmt.Sprintf("core: syscall send failed: %v", err))
 	}
 	m := v.dtu.Wait(p, vpeSyscallReplyEP)
-	rep := m.Payload.(*sysReply)
+	rep := *m.Payload.(*sysReply)
 	v.dtu.Ack(m)
 	return rep
 }
@@ -149,7 +157,7 @@ func (v *VPE) TransferData(p *sim.Proc, bytes uint64) {
 // AllocMem allocates size bytes of global memory with the given permissions
 // and returns a root memory capability.
 func (v *VPE) AllocMem(p *sim.Proc, size uint64, perm dtu.Perm) (cap.Selector, error) {
-	rep := v.syscall(p, &sysRequest{Kind: sysAllocMem, Size: size, Perm: perm})
+	rep := v.syscall(p, sysRequest{Kind: sysAllocMem, Size: size, Perm: perm})
 	return rep.Sel, rep.Err.Err()
 }
 
@@ -157,7 +165,7 @@ func (v *VPE) AllocMem(p *sim.Proc, size uint64, perm dtu.Perm) (cap.Selector, e
 // the memory capability at sel, with possibly reduced permissions.
 func (v *VPE) DeriveMem(p *sim.Proc, sel cap.Selector, off, size uint64, perm dtu.Perm) (cap.Selector, error) {
 	v.capOps++
-	rep := v.syscall(p, &sysRequest{Kind: sysDeriveMem, Sel: sel, Off: off, Size: size, Perm: perm})
+	rep := v.syscall(p, sysRequest{Kind: sysDeriveMem, Sel: sel, Off: off, Size: size, Perm: perm})
 	return rep.Sel, rep.Err.Err()
 }
 
@@ -166,7 +174,7 @@ func (v *VPE) DeriveMem(p *sim.Proc, sel cap.Selector, off, size uint64, perm dt
 // distributed obtain protocol if the owner lives in another PE group.
 func (v *VPE) ObtainFrom(p *sim.Proc, srcVPE int, srcSel cap.Selector) (cap.Selector, error) {
 	v.capOps++
-	rep := v.syscall(p, &sysRequest{Kind: sysObtainFrom, TargetVPE: srcVPE, TargetSel: srcSel})
+	rep := v.syscall(p, sysRequest{Kind: sysObtainFrom, TargetVPE: srcVPE, TargetSel: srcSel})
 	return rep.Sel, rep.Err.Err()
 }
 
@@ -174,21 +182,21 @@ func (v *VPE) ObtainFrom(p *sim.Proc, srcVPE int, srcSel cap.Selector) (cap.Sele
 // is asked for consent; across groups the two-way handshake protocol runs.
 func (v *VPE) DelegateTo(p *sim.Proc, dstVPE int, sel cap.Selector) (cap.Selector, error) {
 	v.capOps++
-	rep := v.syscall(p, &sysRequest{Kind: sysDelegateTo, TargetVPE: dstVPE, Sel: sel})
+	rep := v.syscall(p, sysRequest{Kind: sysDelegateTo, TargetVPE: dstVPE, Sel: sel})
 	return rep.Sel, rep.Err.Err()
 }
 
 // Revoke recursively revokes the capability subtree rooted at sel.
 func (v *VPE) Revoke(p *sim.Proc, sel cap.Selector) error {
 	v.capOps++
-	rep := v.syscall(p, &sysRequest{Kind: sysRevoke, Sel: sel})
+	rep := v.syscall(p, sysRequest{Kind: sysRevoke, Sel: sel})
 	return rep.Err.Err()
 }
 
 // CreateRgate creates a receive gate on this VPE's endpoint ep and returns
 // its capability. Other VPEs can obtain send capabilities from it.
 func (v *VPE) CreateRgate(p *sim.Proc, ep, slots int) (cap.Selector, error) {
-	rep := v.syscall(p, &sysRequest{Kind: sysCreateRgate, EP: ep, Size: uint64(slots)})
+	rep := v.syscall(p, sysRequest{Kind: sysCreateRgate, EP: ep, Size: uint64(slots)})
 	return rep.Sel, rep.Err.Err()
 }
 
@@ -196,20 +204,20 @@ func (v *VPE) CreateRgate(p *sim.Proc, ep, slots int) (cap.Selector, error) {
 // send capability), enabling direct DTU access without further kernel
 // involvement.
 func (v *VPE) Activate(p *sim.Proc, sel cap.Selector, ep int) error {
-	rep := v.syscall(p, &sysRequest{Kind: sysActivate, Sel: sel, EP: ep})
+	rep := v.syscall(p, sysRequest{Kind: sysActivate, Sel: sel, EP: ep})
 	return rep.Err.Err()
 }
 
 // Exit revokes all of the VPE's capabilities and marks it exited.
 func (v *VPE) Exit(p *sim.Proc) {
-	v.syscall(p, &sysRequest{Kind: sysExit})
+	v.syscall(p, sysRequest{Kind: sysExit})
 	v.exited = true
 	v.doneAt = p.Now()
 }
 
 // Noop issues a no-op syscall (used to measure the bare syscall path).
 func (v *VPE) Noop(p *sim.Proc) {
-	v.syscall(p, &sysRequest{Kind: sysNoop})
+	v.syscall(p, sysRequest{Kind: sysNoop})
 }
 
 // DTU exposes the VPE's DTU for direct data access after Activate.

@@ -95,6 +95,13 @@ func (k EpKind) String() string {
 // until the receiver calls Reply, Ack or Free. Messages that arrived inside
 // a coalesced vector (SendVecTo) share one slot: it is freed when the last
 // sibling is freed.
+//
+// Messages are recycled: Reply, Ack and Free hand the object back to its
+// Fabric, which reuses it for a later send. Nothing of a message — not its
+// Payload, not its Label — may be read after Reply, Ack or Free; take what
+// you need first. A released object keeps its fields zeroed until it is
+// reused, so a stale read yields nil rather than another message's data,
+// and releasing it a second time panics.
 type Message struct {
 	SrcPE   int
 	SrcEP   int
@@ -103,17 +110,30 @@ type Message struct {
 	Payload any
 	Size    int
 
+	// Wire state: where the NoC takes the message. dstDTU is also the DTU
+	// whose slot the message occupies once delivered.
 	dstDTU *DTU
-	dstEP  int
-	freed  bool
 	vec    *vecMeta // non-nil for messages of a coalesced vector
+	// arrive is onArrive bound once, when the object is first made, so a
+	// send schedules the message itself instead of a fresh closure.
+	arrive   func()
+	dstEP    int16 // receive endpoint at dstDTU; -1 for a bare credit message
+	creditEP int16 // send endpoint at dstDTU whose credit the arrival restores; -1 if none
+	dups     uint8 // injected duplicate deliveries still to come after the next one
+	freed    bool
 }
 
-// vecMeta is the shared bookkeeping of one coalesced vector: the siblings
-// occupy a single receive slot (the vector is one wire message), released
-// when the last of them is freed.
+// vecMeta is one coalesced vector on the wire and its shared bookkeeping at
+// the receiver: the siblings occupy a single receive slot (the vector is one
+// wire message), released when the last of them is freed — at which point
+// the vecMeta itself, msgs included, goes back to the Fabric.
 type vecMeta struct {
+	msgs      []*Message
 	remaining int
+	dst       *DTU
+	ep        int
+	dups      uint8
+	arrive    func() // onArrive, bound once
 }
 
 // Handler consumes messages arriving at a receive endpoint.
@@ -121,7 +141,9 @@ type Handler func(*Message)
 
 // VecHandler consumes a whole coalesced vector in one call — one delivery
 // event and (typically) one consumer-thread handoff per batch instead of
-// per message. Endpoints configured with ConfigureRecvVec use it.
+// per message. Endpoints configured with ConfigureRecvVec use it. The slice
+// is recycled with the vector: it is valid until the last of its messages
+// is freed.
 type VecHandler func([]*Message)
 
 // VecItem is one element of a coalesced vectored send.
@@ -190,6 +212,10 @@ type Fabric struct {
 	eng  *sim.Engine
 	net  *noc.Network
 	dtus []*DTU
+	// free and freeVecs are the released messages and vectors awaiting
+	// reuse. They belong to this machine alone and are collected with it.
+	free     []*Message
+	freeVecs []*vecMeta
 }
 
 // NewFabric creates a fabric over the given network. One DTU per PE must be
@@ -339,11 +365,123 @@ func (d *DTU) Credits(ep int) int {
 
 // messaging --------------------------------------------------------------
 
+// newMessage takes a message off the free list, or makes one.
+func (f *Fabric) newMessage() *Message {
+	if n := len(f.free); n > 0 {
+		m := f.free[n-1]
+		f.free[n-1] = nil
+		f.free = f.free[:n-1]
+		m.freed = false
+		return m
+	}
+	m := &Message{}
+	m.arrive = m.onArrive
+	return m
+}
+
+// clone returns a copy of m in an object of its own.
+func (f *Fabric) clone(m *Message) *Message {
+	c := f.newMessage()
+	arrive := c.arrive
+	*c = *m
+	c.arrive = arrive
+	return c
+}
+
+// release puts m on the free list. Its fields stay zeroed and freed stays
+// set while it is listed (see Message).
+func (f *Fabric) release(m *Message) {
+	*m = Message{arrive: m.arrive, freed: true}
+	f.free = append(f.free, m)
+}
+
+func (f *Fabric) newVec() *vecMeta {
+	if n := len(f.freeVecs); n > 0 {
+		v := f.freeVecs[n-1]
+		f.freeVecs[n-1] = nil
+		f.freeVecs = f.freeVecs[:n-1]
+		return v
+	}
+	v := &vecMeta{}
+	v.arrive = v.onArrive
+	return v
+}
+
+// releaseVec puts v on the free list; its messages are released (or still
+// held by their consumers) already.
+func (f *Fabric) releaseVec(v *vecMeta) {
+	clear(v.msgs)
+	*v = vecMeta{msgs: v.msgs[:0], arrive: v.arrive}
+	f.freeVecs = append(f.freeVecs, v)
+}
+
+// dropVec releases a whole vector nobody received.
+func (f *Fabric) dropVec(v *vecMeta) {
+	for _, m := range v.msgs {
+		f.release(m)
+	}
+	f.releaseVec(v)
+}
+
+// transmit puts m on the wire towards m.dstDTU. A message the fabric drops
+// is released at once; one it duplicates stays scheduled for its second
+// delivery while the first arrival takes a copy (onArrive).
+func (f *Fabric) transmit(src, size int, m *Message) {
+	switch f.net.Send(src, m.dstDTU.pe, size, m.arrive) {
+	case 0:
+		f.release(m)
+	case 2:
+		m.dups = 1
+	}
+}
+
+// onArrive is the delivery event of a message: restore the credit it
+// carries, then occupy a slot at the destination endpoint. When an injected
+// duplicate of m is still to come, this arrival delivers a copy: its
+// consumer may reply and release within this very event, before the
+// duplicate lands, so the two deliveries must never share an object.
+func (m *Message) onArrive() {
+	d := m.dstDTU
+	if m.dups > 0 {
+		m.dups--
+		m = d.fabric.clone(m)
+	}
+	if m.creditEP >= 0 {
+		d.restoreCredit(int(m.creditEP))
+	}
+	if m.dstEP < 0 {
+		d.fabric.release(m)
+		return
+	}
+	d.deliver(int(m.dstEP), m)
+}
+
+// onArrive is the delivery event of a coalesced vector; a duplicated vector
+// delivers a copy first, like a single message.
+func (v *vecMeta) onArrive() {
+	if v.dups > 0 {
+		v.dups--
+		f := v.dst.fabric
+		c := f.newVec()
+		c.remaining, c.dst, c.ep = v.remaining, v.dst, v.ep
+		for _, m := range v.msgs {
+			cm := f.clone(m)
+			cm.vec = c
+			c.msgs = append(c.msgs, cm)
+		}
+		v = c
+	}
+	v.dst.deliverVec(v.ep, v)
+}
+
 // Send transmits payload over send endpoint ep. replyEP names the local
 // receive endpoint for the reply (-1 if no reply is expected). One credit is
 // consumed; it returns when the peer replies or acks.
 func (d *DTU) Send(ep int, payload any, size int, replyEP int, label uint64) error {
 	checkEP(ep)
+	if replyEP >= 0 {
+		checkEP(replyEP) // it travels in the message as an int16
+	}
 	e := &d.eps[ep]
 	if e.kind != EpSend {
 		return ErrBadEndpoint
@@ -353,26 +491,16 @@ func (d *DTU) Send(ep int, payload any, size int, replyEP int, label uint64) err
 	}
 	e.credits--
 	d.stats.Sent++
-	// Endpoint state is captured now; the Message object is built inside
-	// the delivery closure so an injected duplicate delivery (see
-	// noc.Verdict.Dup) materializes as a distinct message, exactly as a
-	// duplicated wire transfer would.
-	msgLabel := e.label
+	f := d.fabric
+	m := f.newMessage()
+	m.SrcPE, m.SrcEP, m.ReplyEP = d.pe, ep, replyEP
+	m.Label = e.label
 	if label != 0 {
-		msgLabel = label
+		m.Label = label
 	}
-	srcEP := ep
-	dstPE, dstEP := e.dstPE, e.dstEP
-	d.fabric.net.Send(d.pe, dstPE, size+headerBytes, func() {
-		d.fabric.dtus[dstPE].deliver(dstEP, &Message{
-			SrcPE:   d.pe,
-			SrcEP:   srcEP,
-			ReplyEP: replyEP,
-			Label:   msgLabel,
-			Payload: payload,
-			Size:    size,
-		})
-	})
+	m.Payload, m.Size = payload, size
+	m.dstDTU, m.dstEP, m.creditEP = f.dtus[e.dstPE], int16(e.dstEP), -1
+	f.transmit(d.pe, size+headerBytes, m)
 	return nil
 }
 
@@ -385,12 +513,11 @@ func (d *DTU) deliver(ep int, msg *Message) {
 		d.stats.Lost++
 		d.stats.EPLost[ep]++
 		d.fabric.net.CountLost()
+		d.fabric.release(msg)
 		return
 	}
 	e.used++
 	d.stats.Received++
-	msg.dstDTU = d
-	msg.dstEP = ep
 	if e.vecHandler != nil {
 		e.vecHandler([]*Message{msg})
 		return
@@ -417,7 +544,8 @@ func (d *DTU) deliver(ep int, msg *Message) {
 // on an event-context demux whose handler frees each message as it
 // completes the matching future, so the shared slot is released within the
 // delivery event itself. It cuts the per-message NoC events and consumer
-// handoffs that dominate wide fan-outs.
+// handoffs that dominate wide fan-outs. items is read before SendVecTo
+// returns; the caller may reuse it.
 func (d *DTU) SendVecTo(dstPE, dstEP int, items []VecItem) error {
 	if !d.privileged {
 		return ErrNotPrivileged
@@ -426,28 +554,26 @@ func (d *DTU) SendVecTo(dstPE, dstEP int, items []VecItem) error {
 	if len(items) == 0 {
 		return ErrBadEndpoint
 	}
+	d.stats.Sent += uint64(len(items))
+	f := d.fabric
+	dst := f.dtus[dstPE]
+	v := f.newVec()
+	v.remaining, v.dst, v.ep = len(items), dst, dstEP
 	total := headerBytes
 	for _, it := range items {
 		total += it.Size
+		m := f.newMessage()
+		m.SrcPE, m.SrcEP, m.ReplyEP = d.pe, -1, -1
+		m.Label, m.Payload, m.Size = it.Label, it.Payload, it.Size
+		m.dstDTU, m.dstEP, m.creditEP, m.vec = dst, int16(dstEP), -1, v
+		v.msgs = append(v.msgs, m)
 	}
-	d.stats.Sent += uint64(len(items))
-	// Message objects are built per delivery (not per send) so an injected
-	// duplicate delivery allocates its own copies; the caller must not
-	// mutate items after the call.
-	d.fabric.net.Send(d.pe, dstPE, total, func() {
-		msgs := make([]*Message, len(items))
-		for i, it := range items {
-			msgs[i] = &Message{
-				SrcPE:   d.pe,
-				SrcEP:   -1,
-				ReplyEP: -1,
-				Label:   it.Label,
-				Payload: it.Payload,
-				Size:    it.Size,
-			}
-		}
-		d.fabric.dtus[dstPE].deliverVec(dstEP, msgs)
-	})
+	switch f.net.Send(d.pe, dstPE, total, v.arrive) {
+	case 0:
+		f.dropVec(v)
+	case 2:
+		v.dups = 1
+	}
 	return nil
 }
 
@@ -457,24 +583,20 @@ func (d *DTU) SendVecTo(dstPE, dstEP int, items []VecItem) error {
 // messages; plain handlers are invoked per message but still within the
 // single delivery event; queue endpoints enqueue everything and wake at
 // most one waiter per delivered message.
-func (d *DTU) deliverVec(ep int, msgs []*Message) {
+func (d *DTU) deliverVec(ep int, v *vecMeta) {
 	e := &d.eps[ep]
 	if e.kind != EpRecv || e.used >= e.slots {
 		d.stats.Lost++
 		d.stats.EPLost[ep]++
 		d.fabric.net.CountLost()
+		d.fabric.dropVec(v)
 		return
 	}
+	msgs := v.msgs
 	e.used++
 	d.stats.Received += uint64(len(msgs))
 	d.stats.VecDeliveries++
 	d.stats.VecItems += uint64(len(msgs))
-	meta := &vecMeta{remaining: len(msgs)}
-	for _, m := range msgs {
-		m.dstDTU = d
-		m.dstEP = ep
-		m.vec = meta
-	}
 	if e.vecHandler != nil {
 		e.vecHandler(msgs)
 		return
@@ -537,91 +659,82 @@ func (d *DTU) WaitVec(p *sim.Proc, ep int) []*Message {
 }
 
 // Reply frees msg's slot and sends a reply back to the sender's reply
-// endpoint, returning the sender's credit along with it.
+// endpoint, returning the sender's credit along with it. msg is released.
 func (d *DTU) Reply(msg *Message, payload any, size int) {
-	if msg.dstDTU != d {
-		panic("dtu: Reply on foreign message")
-	}
-	d.free(msg)
+	restore := d.free(msg, "Reply")
+	f := d.fabric
 	if msg.SrcEP < 0 && msg.ReplyEP < 0 {
 		// EP-less sender (SendVecTo) and nowhere to deliver the payload:
 		// there is no credit to return, so sending anything would be pure
 		// wire noise.
+		f.release(msg)
 		return
 	}
-	restore := msg.vec == nil || msg.vec.remaining == 0
-	reply := &Message{
-		SrcPE:   d.pe,
-		SrcEP:   msg.dstEP,
-		ReplyEP: -1,
-		Payload: payload,
-		Size:    size,
+	r := f.newMessage()
+	r.SrcPE, r.SrcEP, r.ReplyEP = d.pe, int(msg.dstEP), -1
+	r.Payload, r.Size = payload, size
+	r.dstDTU, r.dstEP, r.creditEP = f.dtus[msg.SrcPE], int16(msg.ReplyEP), -1
+	if restore {
+		r.creditEP = int16(msg.SrcEP)
 	}
-	srcPE, srcEP, replyEP := msg.SrcPE, msg.SrcEP, msg.ReplyEP
-	d.fabric.net.Send(d.pe, srcPE, size+headerBytes, func() {
-		src := d.fabric.dtus[srcPE]
-		if restore {
-			src.restoreCredit(srcEP)
-		}
-		if replyEP >= 0 {
-			src.deliver(replyEP, reply)
-		}
-	})
+	f.release(msg)
+	f.transmit(d.pe, size+headerBytes, r)
 }
 
 // Ack frees msg's slot without a payload reply; the sender's credit is
 // returned by a (zero-byte) credit message. Messages from an EP-less
 // coalesced vector (SendVecTo) consumed no send credit, so acking them
-// sends nothing — the ack degenerates to Free.
+// sends nothing — the ack degenerates to Free. msg is released.
 func (d *DTU) Ack(msg *Message) {
-	if msg.dstDTU != d {
-		panic("dtu: Ack on foreign message")
-	}
-	d.free(msg)
+	restore := d.free(msg, "Ack")
+	f := d.fabric
 	if msg.SrcEP < 0 {
+		f.release(msg)
 		return
 	}
-	restore := msg.vec == nil || msg.vec.remaining == 0
-	srcPE, srcEP := msg.SrcPE, msg.SrcEP
-	d.fabric.net.Send(d.pe, srcPE, headerBytes, func() {
-		if restore {
-			d.fabric.dtus[srcPE].restoreCredit(srcEP)
-		}
-	})
+	c := f.newMessage()
+	c.dstDTU, c.dstEP, c.creditEP = f.dtus[msg.SrcPE], -1, -1
+	if restore {
+		c.creditEP = int16(msg.SrcEP)
+	}
+	f.release(msg)
+	f.transmit(d.pe, headerBytes, c)
 }
 
-// Free releases msg's slot without any message back to the sender. It is
-// for privileged consumers (the kernels) whose flow control lives above the
-// DTU: returning a credit for an EP-less SendVecTo transfer would be
+// Free releases msg and its slot without any message back to the sender. It
+// is for privileged consumers (the kernels) whose flow control lives above
+// the DTU: returning a credit for an EP-less SendVecTo transfer would be
 // meaningless traffic.
 func (d *DTU) Free(msg *Message) {
-	if msg.dstDTU != d {
-		panic("dtu: Free on foreign message")
-	}
-	d.free(msg)
+	d.free(msg, "Free")
+	d.fabric.release(msg)
 }
 
-func (d *DTU) free(msg *Message) {
+// free gives up msg's hold on its slot and reports whether that emptied
+// the slot (always, except for a vector sibling that is not the last). The
+// caller releases msg once it has read what it needs.
+func (d *DTU) free(msg *Message, op string) bool {
 	if msg.freed {
 		panic("dtu: message freed twice")
 	}
-	msg.freed = true
-	if msg.vec != nil {
-		msg.vec.remaining--
-		if msg.vec.remaining > 0 {
-			return // siblings still hold the shared slot
+	if msg.dstDTU != d {
+		panic("dtu: " + op + " on foreign message")
+	}
+	if v := msg.vec; v != nil {
+		v.remaining--
+		if v.remaining > 0 {
+			return false // siblings still hold the shared slot
 		}
+		d.fabric.releaseVec(v)
 	}
 	e := &d.eps[msg.dstEP]
 	if e.used > 0 {
 		e.used--
 	}
+	return true
 }
 
 func (d *DTU) restoreCredit(ep int) {
-	if ep < 0 || ep >= NumEndpoints {
-		return // EP-less sender (SendVecTo): no credit to restore
-	}
 	e := &d.eps[ep]
 	if e.kind == EpSend && e.credits < e.maxCredits {
 		e.credits++

@@ -487,24 +487,232 @@ func syscallPair(tb testing.TB) (e *sim.Engine, roundTrip func()) {
 	}
 }
 
-// TestWaitQueuesAllocateNothing: a send → Wait → Reply → Wait → Ack round
-// trip allocates its two Messages and its three delivery closures (built
-// per delivery on purpose, see Send) and nothing else: queueing a message
-// at an endpoint and registering a waiter there reuse the endpoint's
-// arrays instead of growing a fresh one after every drain.
+// TestWaitQueuesAllocateNothing: a warmed send → Wait → Reply → Wait → Ack
+// round trip allocates nothing. Its two messages and the credit return come
+// off the fabric's free list and are their own delivery events; queueing a
+// message at an endpoint and registering a waiter there reuse the
+// endpoint's arrays instead of growing a fresh one after every drain. The
+// same holds for a coalesced vector: its messages, its slice and its shared
+// bookkeeping are all recycled.
 func TestWaitQueuesAllocateNothing(t *testing.T) {
 	e, roundTrip := syscallPair(t)
 	defer e.Kill()
 	roundTrip()
-	const perTrip = 2 + 3
-	if allocs := testing.AllocsPerRun(200, roundTrip); allocs != perTrip {
-		t.Fatalf("round trip allocates %v times, want %d", allocs, perTrip)
+	if allocs := testing.AllocsPerRun(200, roundTrip); allocs != 0 {
+		t.Fatalf("round trip allocates %v times, want 0", allocs)
+	}
+
+	e2, f := newFabric(t, 2)
+	a, b := f.DTU(0), f.DTU(1)
+	b.ConfigureRecvVec(b, 2, 4, func(ms []*Message) {
+		for _, m := range ms {
+			b.Free(m)
+		}
+	})
+	items := vecOf(4)
+	vecCycle := func() {
+		if err := a.SendVecTo(1, 2, items); err != nil {
+			t.Fatal(err)
+		}
+		e2.Run()
+	}
+	vecCycle()
+	if allocs := testing.AllocsPerRun(200, vecCycle); allocs != 0 {
+		t.Fatalf("4-item SendVecTo/Free cycle allocates %v times, want 0", allocs)
+	}
+}
+
+// mustPanic runs fn and fails unless it panics with exactly want.
+func mustPanic(t *testing.T, want string, fn func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		if got := recover(); got != want {
+			t.Fatalf("panic = %v, want %q", got, want)
+		}
+	}()
+	fn()
+}
+
+// TestReleasedMessageMisuseIsLoud: a message handed back by Reply, Ack or
+// Free sits on the free list with its fields zeroed and its freed mark set,
+// so a stale read yields nil instead of another message's payload and a
+// second release of any kind panics.
+func TestReleasedMessageMisuseIsLoud(t *testing.T) {
+	e, f := newFabric(t, 2)
+	a, b := f.DTU(0), f.DTU(1)
+	b.ConfigureRecv(b, 2, 4, nil)
+	a.ConfigureRecv(a, 3, 4, nil)
+	a.ConfigureSend(a, 1, 1, 2, 4, 9)
+	release := map[string]func(*Message){
+		"Reply": func(m *Message) { b.Reply(m, "resp", 16) },
+		"Ack":   b.Ack,
+		"Free":  b.Free,
+	}
+	for first, rel := range release {
+		if err := a.Send(1, "secret", 16, 3, 0); err != nil {
+			t.Fatal(err)
+		}
+		e.Run()
+		m := b.Fetch(2)
+		if m.Payload != "secret" || m.Label != 9 {
+			t.Fatalf("bad message: %+v", m)
+		}
+		rel(m)
+		if m.Payload != nil || m.Label != 0 || m.Size != 0 {
+			t.Fatalf("after %s the message still reads payload %v label %d size %d", first, m.Payload, m.Label, m.Size)
+		}
+		for _, again := range release {
+			mustPanic(t, "dtu: message freed twice", func() { again(m) })
+		}
+		e.Run()
+		for r := a.Fetch(3); r != nil; r = a.Fetch(3) {
+			a.Free(r)
+		}
+	}
+	// A foreign release is still told apart from a double one.
+	a.Send(1, "x", 16, -1, 0)
+	e.Run()
+	mustPanic(t, "dtu: Free on foreign message", func() { a.Free(b.Fetch(2)) })
+}
+
+// TestInvalidateDropsQueuedMessages: invalidating a receive endpoint with
+// messages still queued abandons them to the garbage collector — they never
+// reach the free list, so nothing recycled can alias them. The endpoint is
+// empty when reconfigured, and a consumer that fetched a message before the
+// invalidation can still release it.
+func TestInvalidateDropsQueuedMessages(t *testing.T) {
+	e, f := newFabric(t, 2)
+	a, b := f.DTU(0), f.DTU(1)
+	b.ConfigureRecv(b, 2, 4, nil)
+	a.ConfigureSend(a, 1, 1, 2, 4, 0)
+	for i := 0; i < 3; i++ {
+		a.Send(1, i, 16, -1, 0)
+	}
+	e.Run()
+	held := b.Fetch(2) // two more stay queued
+	listed := len(f.free)
+	if err := b.Invalidate(b, 2); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(f.free); got != listed {
+		t.Fatalf("Invalidate moved the free list from %d to %d messages", listed, got)
+	}
+	b.ConfigureRecv(b, 2, 4, nil)
+	if m := b.Fetch(2); m != nil {
+		t.Fatalf("reconfigured endpoint still holds %+v", m)
+	}
+	if held.Payload != 0 {
+		t.Fatalf("held message changed under Invalidate: %+v", held)
+	}
+	b.Free(held) // the new endpoint's slot count must not go negative
+	if used := b.eps[2].used; used != 0 {
+		t.Fatalf("used = %d after releasing a pre-invalidation message, want 0", used)
+	}
+	if got := len(f.free); got != listed+1 {
+		t.Fatalf("free list holds %d messages, want %d (the held one only)", got, listed+1)
+	}
+	a.ConfigureSend(a, 1, 1, 2, 4, 0)
+	for i := 0; i < 4; i++ {
+		if err := a.Send(1, i, 16, -1, 0); err != nil {
+			t.Fatalf("send %d after reconfigure: %v", i, err)
+		}
+	}
+	e.Run()
+	if lost := b.Stats().Lost; lost != 0 {
+		t.Fatalf("Lost = %d, want 0", lost)
+	}
+}
+
+// dupPair duplicates every message of one (src, dst) pair.
+type dupPair struct{ src, dst int }
+
+func (d dupPair) Inspect(now sim.Time, src, dst, size int) noc.Verdict {
+	return noc.Verdict{Dup: src == d.src && dst == d.dst}
+}
+
+// TestDuplicateDeliveriesAreDistinctObjects: the server replies inside the
+// delivery event, so the first copy of a duplicated request is released —
+// and reused for the reply — one cycle before the second copy lands. The
+// two deliveries must therefore be different objects with the same content;
+// each is replied to and each reply acked on its own; the sender's credits
+// end at their maximum; and in steady state a duplicated round trip neither
+// allocates nor changes the length of the free list (no object is lost, none
+// is listed twice).
+func TestDuplicateDeliveriesAreDistinctObjects(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		inj  dupPair
+	}{
+		{"request duplicated", dupPair{0, 1}},
+		{"reply duplicated", dupPair{1, 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, f := newFabric(t, 2)
+			f.Network().SetInjector(tc.inj)
+			a, b := f.DTU(0), f.DTU(1)
+			var reqs, reps []*Message
+			b.ConfigureRecv(b, 2, 4, func(m *Message) {
+				if m.Payload != "req" || m.SrcPE != 0 || m.SrcEP != 1 || m.ReplyEP != 3 {
+					t.Errorf("bad request %+v", m)
+				}
+				reqs = append(reqs, m)
+				b.Reply(m, "rep", 16)
+			})
+			a.ConfigureRecv(a, 3, 4, func(m *Message) {
+				if m.Payload != "rep" || m.SrcPE != 1 {
+					t.Errorf("bad reply %+v", m)
+				}
+				reps = append(reps, m)
+				a.Ack(m)
+			})
+			a.ConfigureSend(a, 1, 1, 2, 2, 0)
+			roundTrip := func() {
+				reqs, reps = reqs[:0], reps[:0]
+				if err := a.Send(1, "req", 64, 3, 0); err != nil {
+					t.Fatal(err)
+				}
+				e.Run()
+			}
+			roundTrip()
+			wantReqs, wantReps := 1, 2
+			if tc.inj.src == 0 {
+				wantReqs, wantReps = 2, 2
+			}
+			if len(reqs) != wantReqs || len(reps) != wantReps {
+				t.Fatalf("%d request and %d reply deliveries, want %d and %d", len(reqs), len(reps), wantReqs, wantReps)
+			}
+			if wantReqs == 2 && reqs[0] == reqs[1] {
+				t.Fatal("both deliveries of the duplicated request are the same object")
+			}
+			if reps[0] == reps[1] {
+				t.Fatal("both reply deliveries are the same object")
+			}
+			if got := a.Credits(1); got != 2 {
+				t.Fatalf("credits = %d, want the maximum 2", got)
+			}
+			if used := a.eps[3].used + b.eps[2].used; used != 0 {
+				t.Fatalf("%d slots still occupied", used)
+			}
+			roundTrip()
+			start := len(f.free)
+			if allocs := testing.AllocsPerRun(100, roundTrip); allocs != 0 {
+				t.Fatalf("duplicated round trip allocates %v times, want 0", allocs)
+			}
+			if got := len(f.free); got != start {
+				t.Fatalf("free list holds %d messages, started at %d", got, start)
+			}
+			for i, m := range f.free {
+				if !m.freed || m.Payload != nil {
+					t.Fatalf("free[%d] is not a released message: %+v", i, m)
+				}
+			}
+		})
 	}
 }
 
 // BenchmarkDTUWaitReply measures one syscall-shaped DTU round trip between
-// two parked procs. Its allocs/op are the messages and delivery closures
-// alone (TestWaitQueuesAllocateNothing pins the count).
+// two parked procs: 0 allocs/op (TestWaitQueuesAllocateNothing pins it).
 func BenchmarkDTUWaitReply(b *testing.B) {
 	e, roundTrip := syscallPair(b)
 	defer e.Kill()

@@ -238,11 +238,15 @@ func (n *Network) Latency(src, dst, size int) sim.Duration {
 // dropped one still advances it to where it would have arrived — the wire
 // consumed the message even though nobody receives it.
 //
+// Send returns how many deliveries it scheduled — 0 dropped, 1, 2
+// duplicated — so a sender whose deliver belongs to a recycled object (see
+// dtu.Message) knows when the object is no longer referenced by the wire.
+//
 // With domains bound, a cross-domain delivery travels as a post. Its delay
 // is at least the engine lookahead by construction: the pair's latency is
 // bounded below by MinLatencyAcross, and the FIFO clamp, an injected delay
 // and a duplicate's gap only push arrival further out.
-func (n *Network) Send(src, dst, size int, deliver func()) {
+func (n *Network) Send(src, dst, size int, deliver func()) int {
 	n.checkNode(src)
 	n.checkNode(dst)
 	n.stats.Messages++
@@ -271,20 +275,22 @@ func (n *Network) Send(src, dst, size int, deliver func()) {
 	n.lastDeliver[key] = arrival
 	if v.Drop {
 		n.stats.Lost++
-		return
+		return 0
 	}
 	n.scheduleDeliver(src, dst, arrival-now, deliver)
-	if v.Dup {
-		// The duplicate trails the original by at least one cycle so the
-		// receiver observes two distinct delivery events in a fixed order.
-		gap := n.cfg.FlitLatency
-		if gap == 0 {
-			gap = 1
-		}
-		dupAt := arrival + gap
-		n.lastDeliver[key] = dupAt
-		n.scheduleDeliver(src, dst, dupAt-now, deliver)
+	if !v.Dup {
+		return 1
 	}
+	// The duplicate trails the original by at least one cycle so the
+	// receiver observes two distinct delivery events in a fixed order.
+	gap := n.cfg.FlitLatency
+	if gap == 0 {
+		gap = 1
+	}
+	dupAt := arrival + gap
+	n.lastDeliver[key] = dupAt
+	n.scheduleDeliver(src, dst, dupAt-now, deliver)
+	return 2
 }
 
 // scheduleDeliver runs deliver at dst, d cycles after the sender's now.

@@ -264,6 +264,28 @@ func TestInjectorDup(t *testing.T) {
 	}
 }
 
+// TestSendReportsScheduledDeliveries: Send returns how many times deliver
+// will run — 0 for a dropped message, 2 for a duplicated one, 1 otherwise
+// (with or without an injector) — and deliver then runs exactly that often.
+func TestSendReportsScheduledDeliveries(t *testing.T) {
+	e, n := newNet(t, 4, false)
+	ran := 0
+	deliver := func() { ran++ }
+	if got := n.Send(0, 1, 64, deliver); got != 1 {
+		t.Fatalf("lossless Send = %d, want 1", got)
+	}
+	n.SetInjector(&scriptedInjector{verdicts: []Verdict{{Drop: true}, {}, {Dup: true}, {Delay: 5}}})
+	for i, want := range []int{0, 1, 2, 1} {
+		if got := n.Send(0, 1, 64, deliver); got != want {
+			t.Fatalf("Send %d under the injector = %d, want %d", i, got, want)
+		}
+	}
+	e.Run()
+	if ran != 1+0+1+2+1 {
+		t.Fatalf("deliver ran %d times, want 5", ran)
+	}
+}
+
 // TestInjectorDelay: injected delay shifts arrival and pushes the FIFO
 // horizon so an undelayed follower cannot overtake.
 func TestInjectorDelay(t *testing.T) {
