@@ -376,9 +376,13 @@ type vpeSpace struct {
 	live int
 }
 
+// ensure extends the selector table to cover sel. Selectors are handed out
+// monotonically, so this is almost always one append; appending zeros one at
+// a time builds no temporary slice (append(s, make(...)...) does whenever
+// the compiler does not fuse the two, as under the race detector).
 func (sp *vpeSpace) ensure(sel Selector) {
 	for int(sel) >= len(sp.sel) {
-		sp.sel = append(sp.sel, make([]uint32, int(sel)+1-len(sp.sel))...)
+		sp.sel = append(sp.sel, 0)
 	}
 }
 

@@ -65,21 +65,20 @@ func BenchmarkNoopSyscall(b *testing.B) {
 
 // TestObtainAllocationCeilings bounds what an obtain still allocates, so
 // the message path cannot quietly grow back. What is left is protocol
-// state, not transport. Local, 6: the consent query's future, its waiter
-// and its three closures, and the child capability handed to the store.
-// Spanning, 11: the same at the owner's kernel, plus the request, the reply,
-// the reply's future and waiter, and the in-flight obtain record. Table
-// growth (slabs, key map, selector space) averages below one per obtain.
-// The ceilings are one higher: the race detector's instrumentation moves
-// one more value to the heap.
+// state, not transport. Local, 0: the consent query rides a recycled record
+// (TestKernelQueriesAllocateNothing) and the child capability is copied
+// into the store's slab. Spanning, 4: the request, the reply, the reply's
+// future and the in-flight obtain record. Table growth (slabs, key map,
+// selector space) averages below one per obtain. The ceilings are the
+// measured counts, with and without the race detector.
 func TestObtainAllocationCeilings(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		kernels int
 		ceiling float64
 	}{
-		{"local", 1, 7},
-		{"spanning", 2, 12},
+		{"local", 1, 0},
+		{"spanning", 2, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := MustNew(Config{Kernels: tc.kernels, UserPEs: 2 * tc.kernels})
@@ -109,6 +108,77 @@ func TestObtainAllocationCeilings(t *testing.T) {
 			}
 			checkAllInvariants(t, s)
 		})
+	}
+}
+
+// TestKernelQueriesAllocateNothing: the two questions a kernel thread parks
+// on inside a syscall — the consent query to an exchange partner (askVPE)
+// and the policy query to a service (queryService) — ride a recycled query
+// record that is its own event on every leg, so a warmed round trip adds
+// nothing to its syscall. Both operations are refused, which ends the
+// syscall right after the query: whatever is measured is the query's. The
+// data-plane call into the same service loop is held to the same standard.
+func TestKernelQueriesAllocateNothing(t *testing.T) {
+	s := MustNew(Config{Kernels: 1, UserPEs: 3})
+	defer s.Close()
+	pes := s.UserPEs()
+	var root cap.Selector
+	owner, err := s.SpawnOn(pes[0], "owner", func(v *VPE, p *sim.Proc) {
+		v.OnExchange = func(ExchangeQuery) ExchangeAnswer { return ExchangeAnswer{} }
+		sel, err := v.AllocMem(p, 4096, dtu.PermRW)
+		if err != nil {
+			t.Error(err)
+		}
+		root = sel
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.SpawnOn(pes[1], "svc", func(v *VPE, p *sim.Proc) {
+		if err := v.RegisterService(p, "svc", ServiceHandlers{
+			Open:    func(*sim.Proc, int, any) SvcResult { return SvcResult{Ident: 1} },
+			Obtain:  func(*sim.Proc, uint64, any) SvcResult { return SvcResult{Errno: ErrDenied} },
+			Request: func(_ *sim.Proc, _ uint64, args any) any { return args },
+		}); err != nil {
+			t.Error(err)
+		}
+		v.ServeLoop(p)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var sess *Session
+	arg := new(int)
+	op := 0
+	step := stepVPE(t, s, pes[2], func(v *VPE, p *sim.Proc) {
+		switch op {
+		case 0:
+			var err error
+			if sess, err = v.CreateSession(p, "svc", nil); err != nil {
+				t.Error(err)
+			}
+		case 1:
+			if _, err := v.ObtainFrom(p, owner.ID, root); err != ErrDenied {
+				t.Errorf("refused obtain returned %v", err)
+			}
+		case 2:
+			if _, _, err := sess.Obtain(p, arg); err != ErrDenied {
+				t.Errorf("refused session obtain returned %v", err)
+			}
+		case 3:
+			if rep, err := sess.Call(p, arg); err != nil || rep != any(arg) {
+				t.Errorf("call returned %v, %v", rep, err)
+			}
+		}
+	})
+	step()
+	for op = 1; op <= 3; op++ {
+		step()
+		if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
+			t.Errorf("operation %d allocates %v times, want 0", op, allocs)
+		}
+	}
+	if got := len(s.kernels[0].queries); got != 1 {
+		t.Errorf("%d query records on the free list, want the one that was reused throughout", got)
 	}
 }
 

@@ -137,6 +137,7 @@ const (
 	ikcMsgBytes     = 96
 	ikcRepBytes     = 64
 	vpeQueryBytes   = 48
+	vpeAnswerBytes  = 16
 	svcReqBytes     = 64
 	svcRepBytes     = 64
 	// ikcBatchedReqBytes is the per-request payload inside a coalesced

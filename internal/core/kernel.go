@@ -135,6 +135,10 @@ type Kernel struct {
 	pending  map[uint64]*sim.Future[*ikcReply]
 	seq      uint64
 
+	// queries are the released VPE/service query records awaiting reuse
+	// (query).
+	queries []*query
+
 	// pendingDelegations holds capabilities created by the delegate
 	// two-way handshake that await the originator's acknowledgement.
 	pendingDelegations ddl.KeyMap[*cap.Capability]
@@ -317,10 +321,21 @@ type pool struct {
 	max     int
 	spawned int
 	q       *sim.Queue[job]
+	// threadName and work as func values, bound once: taking them per
+	// spawned thread would allocate two closures per thread.
+	nameFn func(idx int) string
+	workFn func(p *sim.Proc)
 }
 
 func newPool(k *Kernel, name string, max int) *pool {
-	return &pool{k: k, name: name, max: max, q: sim.NewQueue[job](k.sys.Eng)}
+	pl := &pool{k: k, name: name, max: max, q: sim.NewQueue[job](k.sys.Eng)}
+	pl.nameFn, pl.workFn = pl.threadName, pl.work
+	return pl
+}
+
+// threadName formats the diagnostic name of the pool's idx-th thread.
+func (pl *pool) threadName(idx int) string {
+	return fmt.Sprintf("k%d/%s%d", pl.k.id, pl.name, idx)
 }
 
 // submit enqueues a job, spawning a worker if none is idle and the pool
@@ -329,9 +344,7 @@ func newPool(k *Kernel, name string, max int) *pool {
 func (pl *pool) submit(j job) {
 	if pl.q.Waiters() == 0 && pl.spawned < pl.max {
 		pl.spawned++
-		idx := pl.spawned
-		name := func() string { return fmt.Sprintf("k%d/%s%d", pl.k.id, pl.name, idx) }
-		pl.k.dom.SpawnLazy(name, pl.work)
+		pl.k.dom.SpawnLazy(pl.nameFn, pl.spawned, pl.workFn)
 	}
 	pl.q.Push(j)
 }
@@ -411,22 +424,112 @@ func (k *Kernel) vpeOf(id int) *VPE {
 	return v
 }
 
-// askVPE queries a local VPE for consent to a capability exchange (paper
-// Fig. 3 steps A.2/A.3). The kernel releases its CPU while the query
-// travels to the user PE and back.
-func (k *Kernel) askVPE(p *sim.Proc, v *VPE, q ExchangeQuery) bool {
-	fut := sim.NewFuture[bool](k.sys.Eng)
-	cost := k.sys.Cost
-	k.sys.Net.Send(k.pe, v.PE, vpeQueryBytes, func() {
+// queryStage says what a query does when its next event fires.
+type queryStage uint8
+
+const (
+	stageAtService queryStage = iota // arrived at the service's PE: queue it for ServeLoop
+	stageAtVPE                       // arrived at the VPE's PE: run its exchange handler
+	stageDecided                     // the VPE's decision time is over: send the answer
+	stageAnswered                    // the answer arrived at the kernel: resume the thread
+)
+
+// query is one question a kernel thread puts to a VPE of its own group — a
+// service (queryService) or the partner of a direct exchange (askVPE) — and
+// parks on. Like an ikcWire it is its own event on every leg of the round
+// trip and is recycled, through Kernel.queries. The asking thread owns the
+// record from newQuery to release; the service reads ev and writes res while
+// that thread is parked, and nobody holds the record past the answer's
+// arrival. The fault layer touches kernel-to-kernel links only, so these
+// legs are delivered exactly once.
+type query struct {
+	stage  queryStage
+	k      *Kernel
+	v      *VPE
+	ev     svcEvent      // the question to a service
+	xq     ExchangeQuery // the question to an exchange partner
+	res    SvcResult     // the service's answer
+	accept bool          // the partner's answer
+	done   bool
+	waiter *sim.Proc
+	fire   func() // onFire, bound once
+}
+
+// newQuery takes a record off the free list (or makes one) for a question
+// from k to v.
+func (k *Kernel) newQuery(v *VPE) *query {
+	var q *query
+	if n := len(k.queries); n > 0 {
+		q = k.queries[n-1]
+		k.queries = k.queries[:n-1]
+	} else {
+		q = &query{k: k}
+		q.fire = q.onFire
+	}
+	q.v = v
+	return q
+}
+
+func (q *query) release() {
+	*q = query{k: q.k, fire: q.fire}
+	q.k.queries = append(q.k.queries, q)
+}
+
+// ask sends q to its VPE's PE and parks the calling kernel thread until the
+// answer is back — a preemption point, like blockOn: the CPU is released
+// while parked and re-acquired afterwards.
+func (q *query) ask(p *sim.Proc, stage queryStage, bytes int) {
+	k := q.k
+	q.stage = stage
+	k.sys.Net.Send(k.pe, q.v.PE, bytes, q.fire)
+	k.releaseCPU()
+	for !q.done {
+		q.waiter = p
+		p.Park()
+	}
+	k.acquireCPU(p)
+}
+
+// onFire is q's next event (event context: at the VPE's PE until the answer
+// leaves, then at the kernel).
+func (q *query) onFire() {
+	switch q.stage {
+	case stageAtService:
+		q.v.svc.queue.Push(svcItem{q: q})
+	case stageAtVPE:
 		// The VPE's exchange handler answers after its decision time. The
 		// delay runs on the kernel's own domain (the VPE shares it), which
 		// merged mode executes identically to an engine-level schedule.
-		ans := v.answerExchange(q)
-		k.dom.Schedule(cost.VPEAccept, func() {
-			k.sys.Net.Send(v.PE, k.pe, 16, func() { fut.Complete(ans.Accept) })
-		})
-	})
-	return blockOn(k, p, fut)
+		q.accept = q.v.answerExchange(q.xq).Accept
+		q.stage = stageDecided
+		q.k.dom.Schedule(q.k.sys.Cost.VPEAccept, q.fire)
+	case stageDecided:
+		q.answer(vpeAnswerBytes)
+	case stageAnswered:
+		q.done = true
+		if w := q.waiter; w != nil {
+			q.waiter = nil
+			w.Wake()
+		}
+	}
+}
+
+// answer sends q back to the asking kernel.
+func (q *query) answer(bytes int) {
+	q.stage = stageAnswered
+	q.k.sys.Net.Send(q.v.PE, q.k.pe, bytes, q.fire)
+}
+
+// askVPE queries a local VPE for consent to a capability exchange (paper
+// Fig. 3 steps A.2/A.3). The kernel releases its CPU while the query
+// travels to the user PE and back.
+func (k *Kernel) askVPE(p *sim.Proc, v *VPE, xq ExchangeQuery) bool {
+	q := k.newQuery(v)
+	q.xq = xq
+	q.ask(p, stageAtVPE, vpeQueryBytes)
+	accept := q.accept
+	q.release()
+	return accept
 }
 
 // mintKey creates a fresh DDL key whose partition belongs to this kernel.

@@ -22,16 +22,14 @@ const (
 	svcClientEPs     = svcLastClientEP - svcFirstClientEP + 1
 )
 
-// SvcQueryKind distinguishes events a service processes.
+// SvcQueryKind distinguishes the queries a kernel puts to a service.
 type SvcQueryKind uint8
 
-// Service event kinds.
+// Service query kinds.
 const (
 	SvcOpen SvcQueryKind = iota
 	SvcObtain
 	SvcDelegate
-	SvcRequest
-	SvcClose
 )
 
 // SvcResult is a service's answer to a kernel query.
@@ -46,6 +44,15 @@ type SvcResult struct {
 // ServiceHandlers are the callbacks a service implements. They run on the
 // service VPE's proc, one at a time (the service PE is a serial resource),
 // after the per-request processing cost.
+//
+// Arguments and replies travel as the caller's and the handler's own
+// values, never copied: args is what the client passed to Session.Call,
+// Obtain or Delegate, and the handler may read it until it returns (the
+// client is blocked on the answer, and a VPE has one call outstanding). A
+// reply that is a pointer stays the handler's; the client reads it once the
+// answer has been delivered, so the handler must leave it untouched until
+// that client's next request arrives. One reply record per session does
+// that (m3fs).
 type ServiceHandlers struct {
 	// Open decides on a new session. The handler runs on the service's proc
 	// p and may issue service syscalls (e.g. derive capabilities).
@@ -56,32 +63,36 @@ type ServiceHandlers struct {
 	Delegate func(p *sim.Proc, ident uint64, args any, obj cap.Object) SvcResult
 	// Request handles data-plane IPC from clients (no kernel involved).
 	Request func(p *sim.Proc, ident uint64, args any) any
-	// Close tears down a session.
-	Close func(p *sim.Proc, ident uint64)
 }
 
+// svcEvent is a kernel's question to a service: a session to open, or the
+// policy decision of a session-scoped exchange.
 type svcEvent struct {
 	kind   SvcQueryKind
 	client int
 	ident  uint64
 	args   any
 	obj    cap.Object
-	fromPE int
-	fut    *sim.Future[SvcResult]
-	msg    *dtu.Message
+}
+
+// svcItem is one entry of a service's work queue: a client's IPC request
+// (msg) or a kernel query (q).
+type svcItem struct {
+	msg *dtu.Message
+	q   *query
 }
 
 type localService struct {
 	v        *VPE
 	name     string
 	handlers ServiceHandlers
-	queue    *sim.Queue[svcEvent]
+	queue    *sim.Queue[svcItem]
 }
 
 // RegisterService registers this VPE as a service under the given name.
 // After registering, the VPE must run ServeLoop to process requests.
 func (v *VPE) RegisterService(p *sim.Proc, name string, h ServiceHandlers) error {
-	v.svc = &localService{v: v, name: name, handlers: h, queue: sim.NewQueue[svcEvent](v.sys.Eng)}
+	v.svc = &localService{v: v, name: name, handlers: h, queue: sim.NewQueue[svcItem](v.sys.Eng)}
 	rep := v.syscall(p, sysRequest{Kind: sysRegisterService, Name: name})
 	if rep.Err != OK {
 		v.svc = nil
@@ -91,69 +102,61 @@ func (v *VPE) RegisterService(p *sim.Proc, name string, h ServiceHandlers) error
 
 // ServeLoop processes service events forever: kernel queries (session
 // open, capability exchange policy) and client IPC requests. Each event
-// costs ServiceRequest cycles, so a service instance saturates — the
-// service-dependence effect of the paper's Figure 7.
+// costs ServiceRequest cycles (an exchange-policy query ServiceObtainQuery),
+// so a service instance saturates — the service-dependence effect of the
+// paper's Figure 7.
 func (v *VPE) ServeLoop(p *sim.Proc) {
 	if v.svc == nil {
 		panic("core: ServeLoop without RegisterService")
 	}
 	h := v.svc.handlers
+	cost := &v.sys.Cost
 	for {
-		ev := v.svc.queue.Pop(p)
-		switch ev.kind {
-		case SvcObtain, SvcDelegate, SvcClose:
-			p.Sleep(v.sys.Cost.ServiceObtainQuery)
-		default:
-			p.Sleep(v.sys.Cost.ServiceRequest)
-		}
-		switch ev.kind {
-		case SvcOpen:
-			res := SvcResult{}
-			if h.Open != nil {
-				res = h.Open(p, ev.client, ev.args)
-			}
-			v.svcAnswer(ev, res)
-		case SvcObtain:
-			res := SvcResult{Errno: ErrDenied}
-			if h.Obtain != nil {
-				res = h.Obtain(p, ev.ident, ev.args)
-			}
-			v.svcAnswer(ev, res)
-		case SvcDelegate:
-			res := SvcResult{Errno: ErrDenied}
-			if h.Delegate != nil {
-				res = h.Delegate(p, ev.ident, ev.args, ev.obj)
-			}
-			v.svcAnswer(ev, res)
-		case SvcClose:
-			if h.Close != nil {
-				h.Close(p, ev.ident)
-			}
-			v.svcAnswer(ev, SvcResult{})
-		case SvcRequest:
+		it := v.svc.queue.Pop(p)
+		if m := it.msg; m != nil {
+			p.Sleep(cost.ServiceRequest)
 			var reply any
 			if h.Request != nil {
-				reply = h.Request(p, ev.msg.Label, ev.msg.Payload)
+				reply = h.Request(p, m.Label, m.Payload)
 			}
-			v.dtu.Reply(ev.msg, reply, svcRepBytes)
+			v.dtu.Reply(m, reply, svcRepBytes)
+			continue
 		}
+		q := it.q
+		ev := &q.ev
+		switch ev.kind {
+		case SvcOpen:
+			p.Sleep(cost.ServiceRequest)
+			q.res = SvcResult{}
+			if h.Open != nil {
+				q.res = h.Open(p, ev.client, ev.args)
+			}
+		case SvcObtain:
+			p.Sleep(cost.ServiceObtainQuery)
+			q.res = SvcResult{Errno: ErrDenied}
+			if h.Obtain != nil {
+				q.res = h.Obtain(p, ev.ident, ev.args)
+			}
+		case SvcDelegate:
+			p.Sleep(cost.ServiceObtainQuery)
+			q.res = SvcResult{Errno: ErrDenied}
+			if h.Delegate != nil {
+				q.res = h.Delegate(p, ev.ident, ev.args, ev.obj)
+			}
+		}
+		q.answer(svcRepBytes)
 	}
-}
-
-// svcAnswer returns a kernel query result over the NoC.
-func (v *VPE) svcAnswer(ev svcEvent, res SvcResult) {
-	fut := ev.fut
-	v.sys.Net.Send(v.PE, ev.fromPE, svcRepBytes, func() { fut.Complete(res) })
 }
 
 // queryService sends a query to a service VPE and waits for the answer (a
 // preemption point for the kernel thread).
 func (k *Kernel) queryService(p *sim.Proc, sv *VPE, ev svcEvent) SvcResult {
-	ev.fromPE = k.pe
-	ev.fut = sim.NewFuture[SvcResult](k.sys.Eng)
-	fut := ev.fut
-	k.sys.Net.Send(k.pe, sv.PE, svcReqBytes, func() { sv.svc.queue.Push(ev) })
-	return blockOn(k, p, fut)
+	q := k.newQuery(sv)
+	q.ev = ev
+	q.ask(p, stageAtService, svcReqBytes)
+	res := q.res
+	q.release()
+	return res
 }
 
 // sysRegisterService creates the service capability and publishes the
@@ -187,11 +190,10 @@ func (k *Kernel) sysRegisterService(p *sim.Proc, req *sysRequest) sysReply {
 	}
 	k.insertCap(p, c)
 	// Client IPC endpoints; sessions are spread across them.
+	q := v.svc.queue
+	onRequest := func(m *dtu.Message) { q.Push(svcItem{msg: m}) }
 	for ep := svcFirstClientEP; ep <= svcLastClientEP; ep++ {
-		q := v.svc.queue
-		must(v.dtu.ConfigureRecv(k.dtu, ep, dtu.DefaultSlots, func(m *dtu.Message) {
-			q.Push(svcEvent{kind: SvcRequest, msg: m})
-		}))
+		must(v.dtu.ConfigureRecv(k.dtu, ep, dtu.DefaultSlots, onRequest))
 	}
 	entry := &serviceEntry{name: req.Name, key: c.Key, kernel: k.id, vpe: v}
 	if k.sys.rounds {

@@ -185,6 +185,9 @@ type System struct {
 	// wires are the released direct inter-kernel legs awaiting reuse
 	// (ikc.go, ikcWire).
 	wires []*ikcWire
+
+	// vpeProcNameFn is vpeProcName, bound once for every VPE's SpawnLazy.
+	vpeProcNameFn func(id int) string
 }
 
 type serviceEntry struct {
@@ -238,6 +241,7 @@ func NewSystem(cfg Config) (*System, error) {
 		services: make(map[string]*serviceEntry),
 		dramNext: make([]uint64, cfg.MemPEs),
 	}
+	s.vpeProcNameFn = s.vpeProcName
 	// Fault injection and the reliable IKC mode it requires. Either knob
 	// alone enables reliable mode; the injector only exists with a plan.
 	if cfg.Faults != nil || cfg.Reliability != nil {
@@ -476,6 +480,11 @@ func (s *System) TotalStats() KernelStats {
 		t.add(k.stats)
 	}
 	return t
+}
+
+// vpeProcName formats the diagnostic name of VPE id's proc.
+func (s *System) vpeProcName(id int) string {
+	return fmt.Sprintf("vpe%d:%s", id, s.vpes[id].Name)
 }
 
 // Spawn creates a VPE running prog on the first free user PE.

@@ -382,8 +382,7 @@ func (t *transport) timerFire(key qkey, epoch uint64) {
 	}
 	if !t.spawned {
 		t.spawned = true
-		name := func() string { return fmt.Sprintf("k%d/xmit", t.k.id) }
-		t.k.dom.SpawnLazy(name, func(p *sim.Proc) {
+		t.k.dom.SpawnLazy(xmitName, t.k.id, func(p *sim.Proc) {
 			for {
 				ref := t.flushQ.Pop(p)
 				t.flushFrom(p, ref)
@@ -392,6 +391,9 @@ func (t *transport) timerFire(key qkey, epoch uint64) {
 	}
 	t.flushQ.Push(flushRef{key: key, epoch: epoch})
 }
+
+// xmitName formats the diagnostic name of kernel k's transmit proc.
+func xmitName(k int) string { return fmt.Sprintf("k%d/xmit", k) }
 
 // flushFrom is the transmit proc's entry: acquire the CPU like any kernel
 // thread, then flush. The generation may have been flushed inline while

@@ -95,13 +95,15 @@ func (v *VPE) start() {
 		return
 	}
 	v.started = true
-	name := func() string { return fmt.Sprintf("vpe%d:%s", v.ID, v.Name) }
-	v.proc = v.kernel.dom.SpawnLazy(name, func(p *sim.Proc) {
-		v.prog(v, p)
-		if !v.exited {
-			v.doneAt = p.Now()
-		}
-	})
+	v.proc = v.kernel.dom.SpawnLazy(v.sys.vpeProcNameFn, v.ID, v.run)
+}
+
+// run is the body of the VPE's proc.
+func (v *VPE) run(p *sim.Proc) {
+	v.prog(v, p)
+	if !v.exited {
+		v.doneAt = p.Now()
+	}
 }
 
 // answerExchange runs the VPE's exchange handler (event context; the

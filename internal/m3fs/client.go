@@ -11,6 +11,10 @@ import (
 // Client is an application's connection to one m3fs instance. It mirrors
 // the M3 file API: metadata operations are data-plane IPC; file data is
 // reached through memory capabilities obtained per extent.
+//
+// A Client belongs to one VPE and has one call outstanding at a time, which
+// is what lets it send every request from one record of its own and read
+// every answer out of the service's per-session record (Request, Reply).
 type Client struct {
 	v    *core.VPE
 	sess *core.Session
@@ -20,6 +24,16 @@ type Client struct {
 	// (the paper's §5.3.1 methodology: data accesses are accounted as
 	// compute time rather than simulated through a memory hierarchy).
 	DataCyclesPerByte float64
+
+	// Prefix, if set, is the directory every path this client names is
+	// relative to (the per-instance namespace of the workloads). It travels
+	// beside the path, so a caller need not join the two per operation.
+	Prefix string
+
+	req Request
+	// files holds the handles by descriptor, files[fd-1]: the service hands
+	// a closed descriptor out again, and its handle is reused with it.
+	files []*File
 }
 
 // DefaultDataCyclesPerByte corresponds to ~16 GB/s per PE at 2 GHz.
@@ -40,83 +54,105 @@ func (c *Client) Close(p *sim.Proc) error { return c.sess.Close(p) }
 // Session exposes the underlying session (for tests).
 func (c *Client) Session() *core.Session { return c.sess }
 
-// call performs one data-plane request.
-func (c *Client) call(p *sim.Proc, req any) (any, error) {
-	rep, err := c.sess.Call(p, req)
+// call performs the data-plane request in c.req. The reply is the
+// service's record for this session: valid until the client's next call.
+func (c *Client) call(p *sim.Proc) (*Reply, error) {
+	c.req.Dir = c.Prefix
+	rep, err := c.sess.Call(p, &c.req)
 	if err != nil {
 		return nil, err
 	}
-	return rep, nil
+	return rep.(*Reply), nil
+}
+
+// status performs the request in c.req for its error code alone.
+func (c *Client) status(p *sim.Proc) error {
+	rep, err := c.call(p)
+	if err != nil {
+		return err
+	}
+	return rep.Err.Err()
+}
+
+// FileInfo is the metadata Stat returns.
+type FileInfo struct {
+	IsDir bool
+	Size  uint64
 }
 
 // Stat returns metadata for a path.
-func (c *Client) Stat(p *sim.Proc, path string) (RepStat, error) {
-	rep, err := c.call(p, ReqStat{Path: path})
+func (c *Client) Stat(p *sim.Proc, path string) (FileInfo, error) {
+	c.req = Request{Op: OpStat, Path: path}
+	rep, err := c.call(p)
 	if err != nil {
-		return RepStat{}, err
+		return FileInfo{}, err
 	}
-	st := rep.(RepStat)
-	return st, st.Err.Err()
+	return FileInfo{IsDir: rep.IsDir, Size: rep.Size}, rep.Err.Err()
 }
 
 // Mkdir creates a directory.
 func (c *Client) Mkdir(p *sim.Proc, path string) error {
-	rep, err := c.call(p, ReqMkdir{Path: path})
-	if err != nil {
-		return err
-	}
-	return rep.(RepGeneric).Err.Err()
+	c.req = Request{Op: OpMkdir, Path: path}
+	return c.status(p)
 }
 
 // Unlink removes a file; the service revokes all extent capabilities
 // handed out for it.
 func (c *Client) Unlink(p *sim.Proc, path string) error {
-	rep, err := c.call(p, ReqUnlink{Path: path})
-	if err != nil {
-		return err
-	}
-	return rep.(RepGeneric).Err.Err()
+	c.req = Request{Op: OpUnlink, Path: path}
+	return c.status(p)
 }
 
-// Readdir lists a directory.
+// Readdir lists a directory. The entries are the caller's to keep.
 func (c *Client) Readdir(p *sim.Proc, path string) ([]string, error) {
-	rep, err := c.call(p, ReqReaddir{Path: path})
+	c.req = Request{Op: OpReaddir, Path: path}
+	rep, err := c.call(p)
 	if err != nil {
 		return nil, err
 	}
-	rd := rep.(RepReaddir)
-	return rd.Entries, rd.Err.Err()
+	return rep.Entries, rep.Err.Err()
 }
 
 // File is an open file: it tracks the position and the memory capabilities
-// obtained for the ranges touched so far.
+// obtained for the ranges touched so far. A handle is valid until its Close;
+// the Open that is given the same descriptor again reuses the object.
 type File struct {
 	c    *Client
 	fd   int
+	open bool
 	size uint64
 	pos  uint64
 
-	// ranges holds one obtained capability per touched extent.
-	ranges map[uint64]rangeCap // keyed by range start offset
-	order  []uint64            // obtain order, for deterministic revocation
+	// ranges holds one obtained capability per touched extent, in obtain
+	// order — the order Close revokes them in.
+	ranges []rangeCap
 }
 
 type rangeCap struct {
-	sel  cap.Selector
-	info RangeInfo
+	sel      cap.Selector
+	off, len uint64 // the granted range within the file
 }
 
 // Open opens a file, optionally creating or truncating it.
 func (c *Client) Open(p *sim.Proc, path string, create, truncate bool) (*File, error) {
-	rep, err := c.call(p, ReqOpen{Path: path, Create: create, Truncate: truncate})
+	c.req = Request{Op: OpOpen, Path: path, Create: create, Truncate: truncate}
+	rep, err := c.call(p)
 	if err != nil {
 		return nil, err
 	}
-	ro := rep.(RepOpen)
-	if ro.Err != core.OK {
-		return nil, ro.Err
+	if rep.Err != core.OK {
+		return nil, rep.Err
 	}
-	return &File{c: c, fd: ro.FD, size: ro.Size, ranges: make(map[uint64]rangeCap)}, nil
+	for len(c.files) < rep.FD {
+		c.files = append(c.files, nil)
+	}
+	f := c.files[rep.FD-1]
+	if f == nil {
+		f = &File{c: c}
+		c.files[rep.FD-1] = f
+	}
+	f.fd, f.open, f.size, f.pos, f.ranges = rep.FD, true, rep.Size, 0, f.ranges[:0]
+	return f, nil
 }
 
 // Size returns the file size as of the last server interaction.
@@ -131,49 +167,43 @@ func (f *File) Seek(pos uint64) { f.pos = pos }
 // RangeCaps returns the selectors of all obtained range capabilities in
 // obtain order.
 func (f *File) RangeCaps() []cap.Selector {
-	sels := make([]cap.Selector, 0, len(f.order))
-	for _, off := range f.order {
-		sels = append(sels, f.ranges[off].sel)
+	sels := make([]cap.Selector, 0, len(f.ranges))
+	for _, rc := range f.ranges {
+		sels = append(sels, rc.sel)
 	}
 	return sels
 }
 
 // ensureRange obtains (once) the memory capability covering offset off.
 func (f *File) ensureRange(p *sim.Proc, off uint64) (rangeCap, error) {
-	for start, rc := range f.ranges {
-		if off >= start && off < start+rc.info.Len {
+	for _, rc := range f.ranges {
+		if off >= rc.off && off < rc.off+rc.len {
 			return rc, nil
 		}
 	}
-	sel, reply, err := f.c.sess.Obtain(p, ObtainRange{FD: f.fd, Off: off})
+	c := f.c
+	c.req = Request{Op: OpRange, FD: f.fd, Off: off}
+	sel, reply, err := c.sess.Obtain(p, &c.req)
 	if err != nil {
 		return rangeCap{}, err
 	}
-	info := reply.(RangeInfo)
-	rc := rangeCap{sel: sel, info: info}
-	f.ranges[info.Off] = rc
-	f.order = append(f.order, info.Off)
+	rep := reply.(*Reply)
+	rc := rangeCap{sel: sel, off: rep.Off, len: rep.Len}
+	f.ranges = append(f.ranges, rc)
 	return rc, nil
 }
 
-// Read models reading n bytes sequentially from the current position:
+// transfer models moving n bytes sequentially at the current position:
 // obtaining memory capabilities for newly touched extents and charging the
-// data-movement time. It returns the number of bytes read (less than n at
-// end of file).
-func (f *File) Read(p *sim.Proc, n uint64) (uint64, error) {
-	if f.pos >= f.size {
-		return 0, nil
-	}
-	if f.pos+n > f.size {
-		n = f.size - f.pos
-	}
+// data-movement time. It returns the number of bytes moved.
+func (f *File) transfer(p *sim.Proc, n uint64) (uint64, error) {
 	left := n
 	for left > 0 {
 		rc, err := f.ensureRange(p, f.pos)
 		if err != nil {
 			return n - left, err
 		}
-		chunk := rc.info.Off + rc.info.Len - f.pos
+		chunk := rc.off + rc.len - f.pos
 		if chunk > left {
 			chunk = left
 		}
@@ -185,54 +215,59 @@ func (f *File) Read(p *sim.Proc, n uint64) (uint64, error) {
 	return n, nil
 }
 
+// Read models reading n bytes sequentially from the current position. It
+// returns the number of bytes read (less than n at end of file).
+func (f *File) Read(p *sim.Proc, n uint64) (uint64, error) {
+	if !f.open {
+		return 0, core.ErrBadArgs
+	}
+	if f.pos >= f.size {
+		return 0, nil
+	}
+	if f.pos+n > f.size {
+		n = f.size - f.pos
+	}
+	return f.transfer(p, n)
+}
+
 // Write models writing n bytes sequentially at the current position,
 // extending the file as needed.
 func (f *File) Write(p *sim.Proc, n uint64) error {
+	if !f.open {
+		return core.ErrBadArgs
+	}
 	if f.pos+n > f.size {
-		rep, err := f.c.call(p, ReqExtend{FD: f.fd, NewSize: f.pos + n})
-		if err != nil {
+		f.c.req = Request{Op: OpExtend, FD: f.fd, Off: f.pos + n}
+		if err := f.c.status(p); err != nil {
 			return err
-		}
-		if e := rep.(RepGeneric).Err; e != core.OK {
-			return e
 		}
 		f.size = f.pos + n
 	}
-	left := n
-	for left > 0 {
-		rc, err := f.ensureRange(p, f.pos)
-		if err != nil {
-			return err
-		}
-		chunk := rc.info.Off + rc.info.Len - f.pos
-		if chunk > left {
-			chunk = left
-		}
-		p.Sleep(sim.Duration(float64(chunk) * f.c.DataCyclesPerByte))
-		f.c.v.TransferData(p, chunk)
-		f.pos += chunk
-		left -= chunk
-	}
-	return nil
+	_, err := f.transfer(p, n)
+	return err
 }
 
 // Close closes the file. With revoke=true the client revokes every range
 // capability it obtained (the paper's "when the file is closed again, the
 // memory capabilities are revoked"); with revoke=false the capabilities are
-// left to bulk cleanup at VPE exit.
+// left to bulk cleanup at VPE exit. The descriptor is closed whatever the
+// revocations return; the first error is reported.
 func (f *File) Close(p *sim.Proc, revoke bool) error {
+	if !f.open {
+		return core.ErrBadArgs
+	}
+	var first error
 	if revoke {
-		for _, off := range f.order {
-			if err := f.c.v.Revoke(p, f.ranges[off].sel); err != nil {
-				return err
+		for _, rc := range f.ranges {
+			if err := f.c.v.Revoke(p, rc.sel); err != nil && first == nil {
+				first = err
 			}
 		}
 	}
-	f.ranges = make(map[uint64]rangeCap)
-	f.order = nil
-	rep, err := f.c.call(p, ReqClose{FD: f.fd})
-	if err != nil {
-		return err
+	f.open, f.ranges = false, f.ranges[:0]
+	f.c.req = Request{Op: OpClose, FD: f.fd}
+	if err := f.c.status(p); err != nil && first == nil {
+		first = err
 	}
-	return rep.(RepGeneric).Err.Err()
+	return first
 }

@@ -81,71 +81,53 @@ type Stats struct {
 	RevokesIssued                                            uint64
 }
 
-// --- request/reply payloads (data-plane IPC) ------------------------------
+// --- request/reply records -------------------------------------------------
 
-// ReqOpen opens (optionally creating/truncating) a file.
-type ReqOpen struct {
+// Op selects what a Request asks for.
+type Op uint8
+
+// The data-plane operations, and the one session obtain.
+const (
+	OpOpen    Op = iota // open Path, optionally creating/truncating it
+	OpStat              // query the metadata of Path
+	OpMkdir             // create directory Path
+	OpUnlink            // remove file Path, revoking all extent capabilities handed out for it
+	OpReaddir           // list directory Path
+	OpExtend            // grow the file at FD to Off bytes, allocating extents
+	OpClose             // close FD
+	OpRange             // session obtain: a memory capability covering offset Off of FD
+)
+
+// Request is the one request record of the protocol. It travels by pointer
+// — through Session.Call for the data-plane operations, through
+// Session.Obtain for OpRange — and belongs to the Client, which has exactly
+// one call outstanding: the service may read it until it has answered.
+type Request struct {
+	Op Op
+	// Dir is walked before Path: the client's namespace (Client.Prefix),
+	// carried beside the path so that no request has to join the two.
+	Dir      string
 	Path     string
 	Create   bool
 	Truncate bool
+	FD       int
+	Off      uint64
 }
 
-// RepOpen is the reply to ReqOpen.
-type RepOpen struct {
-	Err  core.Errno
-	FD   int
-	Size uint64
-}
-
-// ReqStat queries file metadata.
-type ReqStat struct{ Path string }
-
-// RepStat is the reply to ReqStat.
-type RepStat struct {
+// Reply is the one reply record. The service keeps one per session and
+// answers every request of that session with a pointer to it, so it stays
+// valid until the session's next request arrives — which the client sends
+// only after copying out what it needs.
+type Reply struct {
 	Err   core.Errno
-	IsDir bool
-	Size  uint64
-}
-
-// ReqMkdir creates a directory.
-type ReqMkdir struct{ Path string }
-
-// ReqUnlink removes a file, revoking all extent capabilities handed out
-// for it.
-type ReqUnlink struct{ Path string }
-
-// ReqReaddir lists a directory.
-type ReqReaddir struct{ Path string }
-
-// RepReaddir is the reply to ReqReaddir.
-type RepReaddir struct {
-	Err     core.Errno
+	FD    int    // OpOpen
+	Size  uint64 // OpOpen, OpStat
+	IsDir bool   // OpStat
+	// Off and Len are the granted range of an OpRange (start within the
+	// file, length).
+	Off, Len uint64
+	// Entries is the OpReaddir listing, a fresh slice the client may keep.
 	Entries []string
-}
-
-// ReqExtend grows a file to NewSize, allocating extents.
-type ReqExtend struct {
-	FD      int
-	NewSize uint64
-}
-
-// ReqClose closes a file descriptor.
-type ReqClose struct{ FD int }
-
-// RepGeneric is the reply to requests that only return a status.
-type RepGeneric struct{ Err core.Errno }
-
-// ObtainRange is the session-obtain argument: the client asks for a memory
-// capability covering the file range starting at Off.
-type ObtainRange struct {
-	FD  int
-	Off uint64
-}
-
-// RangeInfo describes the granted range (the session-obtain reply).
-type RangeInfo struct {
-	Off uint64 // start of the range within the file
-	Len uint64 // length of the range
 }
 
 // --- filesystem state ------------------------------------------------------
@@ -166,15 +148,35 @@ type fileNode struct {
 func (*dirNode) isNode()  {}
 func (*fileNode) isNode() {}
 
-type openFile struct {
-	f *fileNode
-}
-
 type session struct {
 	ident  uint64
 	client int
-	files  map[int]*openFile
-	nextFD int
+	// files are the open descriptors: files[fd-1], nil when free. A closed
+	// descriptor is the next one handed out, so the table stays as small
+	// as the most files the client ever had open.
+	files []*fileNode
+	// rep answers the session's one outstanding request (see Reply).
+	rep Reply
+}
+
+// open enters f into the lowest free descriptor.
+func (s *session) open(f *fileNode) int {
+	for i, of := range s.files {
+		if of == nil {
+			s.files[i] = f
+			return i + 1
+		}
+	}
+	s.files = append(s.files, f)
+	return len(s.files)
+}
+
+// file returns the file open at fd, nil if there is none.
+func (s *session) file(fd int) *fileNode {
+	if fd < 1 || fd > len(s.files) {
+		return nil
+	}
+	return s.files[fd-1]
 }
 
 type extKey struct {
@@ -265,15 +267,25 @@ func nextPart(path string) (part, rest string) {
 	return path, ""
 }
 
-// walk resolves a path to its parent directory and final name.
-func (fs *FS) walk(path string) (parent *dirNode, name string, n node) {
-	name, rest := nextPart(path)
+// nextPart2 is nextPart over dir followed by path, as if the two had been
+// joined with a slash.
+func nextPart2(dir, path string) (part, restDir, restPath string) {
+	if part, restDir = nextPart(dir); part != "" {
+		return part, restDir, path
+	}
+	part, restPath = nextPart(path)
+	return part, "", restPath
+}
+
+// walk resolves dir/path to its parent directory and final name.
+func (fs *FS) walk(dir, path string) (parent *dirNode, name string, n node) {
+	name, dir, path = nextPart2(dir, path)
 	if name == "" {
 		return nil, "", fs.root
 	}
 	d := fs.root
 	for {
-		next, more := nextPart(rest)
+		next, restDir, restPath := nextPart2(dir, path)
 		if next == "" {
 			return d, name, d.entries[name]
 		}
@@ -281,7 +293,7 @@ func (fs *FS) walk(path string) (parent *dirNode, name string, n node) {
 		if !ok {
 			return nil, "", nil
 		}
-		d, name, rest = sub, next, more
+		d, name, dir, path = sub, next, restDir, restPath
 	}
 }
 
@@ -309,7 +321,7 @@ func (fs *FS) MustMkdirAll(path string) {
 
 // MustCreate creates a file of the given size in the image (boot time).
 func (fs *FS) MustCreate(path string, size uint64) {
-	parent, name, existing := fs.walk(path)
+	parent, name, existing := fs.walk("", path)
 	if parent == nil {
 		panic("m3fs: missing parent directory: " + path)
 	}
@@ -346,7 +358,7 @@ func (fs *FS) onOpen(p *sim.Proc, clientVPE int, args any) core.SvcResult {
 	p.Sleep(fs.cfg.SessionCycles)
 	fs.nextSess++
 	ident := fs.nextSess
-	fs.sessions[ident] = &session{ident: ident, client: clientVPE, files: make(map[int]*openFile)}
+	fs.sessions[ident] = &session{ident: ident, client: clientVPE}
 	return core.SvcResult{Ident: ident}
 }
 
@@ -355,16 +367,15 @@ func (fs *FS) onObtain(p *sim.Proc, ident uint64, args any) core.SvcResult {
 	if sess == nil {
 		return core.SvcResult{Errno: core.ErrBadArgs}
 	}
-	rng, ok := args.(ObtainRange)
-	if !ok {
+	req, ok := args.(*Request)
+	if !ok || req.Op != OpRange {
 		return core.SvcResult{Errno: core.ErrBadArgs}
 	}
-	of := sess.files[rng.FD]
-	if of == nil {
+	f := sess.file(req.FD)
+	if f == nil {
 		return core.SvcResult{Errno: core.ErrBadArgs}
 	}
-	f := of.f
-	idx := int(rng.Off / fs.cfg.ExtentBytes)
+	idx := int(req.Off / fs.cfg.ExtentBytes)
 	if idx >= len(f.extents) {
 		return core.SvcResult{Errno: core.ErrBadArgs}
 	}
@@ -376,8 +387,8 @@ func (fs *FS) onObtain(p *sim.Proc, ident uint64, args any) core.SvcResult {
 	// The capability covers the whole extent: a client appending past it is
 	// "provided with an additional memory capability to the next range"
 	// (paper §5.3.1), not with overlapping re-grants of the same extent.
-	start := uint64(idx) * fs.cfg.ExtentBytes
-	return core.SvcResult{SrcSel: sel, Reply: RangeInfo{Off: start, Len: fs.cfg.ExtentBytes}}
+	sess.rep = Reply{Off: uint64(idx) * fs.cfg.ExtentBytes, Len: fs.cfg.ExtentBytes}
+	return core.SvcResult{SrcSel: sel, Reply: &sess.rep}
 }
 
 // extentCap returns (deriving and caching on first use) the service-owned
@@ -399,50 +410,59 @@ func (fs *FS) extentCap(p *sim.Proc, f *fileNode, idx int) (cap.Selector, error)
 	return sel, nil
 }
 
+// onRequest answers one data-plane request in the session's reply record.
 func (fs *FS) onRequest(p *sim.Proc, ident uint64, args any) any {
 	sess := fs.sessions[ident]
-	if sess == nil {
-		return RepGeneric{Err: core.ErrBadArgs}
+	req, ok := args.(*Request)
+	if sess == nil || !ok {
+		return &Reply{Err: core.ErrBadArgs}
 	}
-	switch req := args.(type) {
-	case ReqOpen:
-		return fs.doOpen(p, sess, req)
-	case ReqStat:
-		return fs.doStat(p, req)
-	case ReqMkdir:
-		return fs.doMkdir(p, req)
-	case ReqUnlink:
-		return fs.doUnlink(p, req)
-	case ReqReaddir:
-		return fs.doReaddir(p, req)
-	case ReqExtend:
-		return fs.doExtend(p, sess, req)
-	case ReqClose:
+	rep := &sess.rep
+	*rep = Reply{}
+	switch req.Op {
+	case OpOpen:
+		fs.doOpen(p, sess, req, rep)
+	case OpStat:
+		fs.doStat(p, req, rep)
+	case OpMkdir:
+		rep.Err = fs.doMkdir(p, req)
+	case OpUnlink:
+		rep.Err = fs.doUnlink(p, req)
+	case OpReaddir:
+		fs.doReaddir(p, req, rep)
+	case OpExtend:
+		rep.Err = fs.doExtend(p, sess, req)
+	case OpClose:
 		fs.stats.Closes++
-		delete(sess.files, req.FD)
-		return RepGeneric{}
+		if sess.file(req.FD) != nil {
+			sess.files[req.FD-1] = nil
+		}
 	default:
-		return RepGeneric{Err: core.ErrBadArgs}
+		rep.Err = core.ErrBadArgs
 	}
+	return rep
 }
 
-func (fs *FS) doOpen(p *sim.Proc, sess *session, req ReqOpen) RepOpen {
+func (fs *FS) doOpen(p *sim.Proc, sess *session, req *Request, rep *Reply) {
 	fs.stats.Opens++
 	p.Sleep(fs.cfg.PathWalkCycles)
-	parent, name, n := fs.walk(req.Path)
+	parent, name, n := fs.walk(req.Dir, req.Path)
 	f, isFile := n.(*fileNode)
 	switch {
 	case n == nil && req.Create:
 		if parent == nil {
-			return RepOpen{Err: core.ErrBadArgs}
+			rep.Err = core.ErrBadArgs
+			return
 		}
 		f = &fileNode{id: fs.nextFile}
 		fs.nextFile++
 		parent.entries[name] = f
 	case n == nil:
-		return RepOpen{Err: core.ErrNoSuchCap}
+		rep.Err = core.ErrNoSuchCap
+		return
 	case !isFile:
-		return RepOpen{Err: core.ErrBadArgs}
+		rep.Err = core.ErrBadArgs
+		return
 	}
 	if req.Truncate && f.size > 0 {
 		fs.truncate(p, f)
@@ -452,10 +472,7 @@ func (fs *FS) doOpen(p *sim.Proc, sess *session, req ReqOpen) RepOpen {
 		p.Sleep(fs.cfg.ExtentCycles * sim.Duration(len(f.extents)))
 		f.hot = true
 	}
-	sess.nextFD++
-	fd := sess.nextFD
-	sess.files[fd] = &openFile{f: f}
-	return RepOpen{FD: fd, Size: f.size}
+	rep.FD, rep.Size = sess.open(f), f.size
 }
 
 // truncate discards file content; capabilities handed out for its extents
@@ -480,73 +497,73 @@ func (fs *FS) revokeExtents(p *sim.Proc, f *fileNode) {
 	}
 }
 
-func (fs *FS) doStat(p *sim.Proc, req ReqStat) RepStat {
+func (fs *FS) doStat(p *sim.Proc, req *Request, rep *Reply) {
 	fs.stats.Stats++
 	p.Sleep(fs.cfg.PathWalkCycles)
-	_, _, n := fs.walk(req.Path)
+	_, _, n := fs.walk(req.Dir, req.Path)
 	switch t := n.(type) {
 	case *fileNode:
-		return RepStat{Size: t.size}
+		rep.Size = t.size
 	case *dirNode:
-		return RepStat{IsDir: true}
+		rep.IsDir = true
 	default:
-		return RepStat{Err: core.ErrNoSuchCap}
+		rep.Err = core.ErrNoSuchCap
 	}
 }
 
-func (fs *FS) doMkdir(p *sim.Proc, req ReqMkdir) RepGeneric {
+func (fs *FS) doMkdir(p *sim.Proc, req *Request) core.Errno {
 	fs.stats.Mkdirs++
 	p.Sleep(fs.cfg.PathWalkCycles)
-	parent, name, n := fs.walk(req.Path)
+	parent, name, n := fs.walk(req.Dir, req.Path)
 	if parent == nil {
-		return RepGeneric{Err: core.ErrBadArgs}
+		return core.ErrBadArgs
 	}
 	if n != nil {
-		return RepGeneric{Err: core.ErrExists}
+		return core.ErrExists
 	}
 	parent.entries[name] = &dirNode{entries: make(map[string]node)}
-	return RepGeneric{}
+	return core.OK
 }
 
-func (fs *FS) doUnlink(p *sim.Proc, req ReqUnlink) RepGeneric {
+func (fs *FS) doUnlink(p *sim.Proc, req *Request) core.Errno {
 	fs.stats.Unlinks++
 	p.Sleep(fs.cfg.PathWalkCycles)
-	parent, name, n := fs.walk(req.Path)
+	parent, name, n := fs.walk(req.Dir, req.Path)
 	f, ok := n.(*fileNode)
 	if !ok {
-		return RepGeneric{Err: core.ErrNoSuchCap}
+		return core.ErrNoSuchCap
 	}
 	fs.revokeExtents(p, f)
 	delete(parent.entries, name)
-	return RepGeneric{}
+	return core.OK
 }
 
-func (fs *FS) doReaddir(p *sim.Proc, req ReqReaddir) RepReaddir {
+func (fs *FS) doReaddir(p *sim.Proc, req *Request, rep *Reply) {
 	fs.stats.Readdirs++
 	p.Sleep(fs.cfg.PathWalkCycles)
-	_, _, n := fs.walk(req.Path)
+	_, _, n := fs.walk(req.Dir, req.Path)
 	d, ok := n.(*dirNode)
 	if !ok {
-		return RepReaddir{Err: core.ErrNoSuchCap}
+		rep.Err = core.ErrNoSuchCap
+		return
 	}
-	entries := make([]string, 0, len(d.entries))
+	rep.Entries = make([]string, 0, len(d.entries))
 	for name := range d.entries {
-		entries = append(entries, name)
+		rep.Entries = append(rep.Entries, name)
 	}
-	sort.Strings(entries)
-	return RepReaddir{Entries: entries}
+	sort.Strings(rep.Entries)
 }
 
-func (fs *FS) doExtend(p *sim.Proc, sess *session, req ReqExtend) RepGeneric {
+func (fs *FS) doExtend(p *sim.Proc, sess *session, req *Request) core.Errno {
 	fs.stats.Extends++
-	of := sess.files[req.FD]
-	if of == nil {
-		return RepGeneric{Err: core.ErrBadArgs}
+	f := sess.file(req.FD)
+	if f == nil {
+		return core.ErrBadArgs
 	}
-	before := len(of.f.extents)
-	if err := fs.grow(of.f, req.NewSize); err != nil {
-		return RepGeneric{Err: core.ErrOutOfMem}
+	before := len(f.extents)
+	if err := fs.grow(f, req.Off); err != nil {
+		return core.ErrOutOfMem
 	}
-	p.Sleep(fs.cfg.ExtentCycles * sim.Duration(len(of.f.extents)-before))
-	return RepGeneric{}
+	p.Sleep(fs.cfg.ExtentCycles * sim.Duration(len(f.extents)-before))
+	return core.OK
 }

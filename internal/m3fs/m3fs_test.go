@@ -324,12 +324,22 @@ func TestWalkMatchesSplitReference(t *testing.T) {
 		"/a/missing", "/missing/f", "/a/g/under-a-file", "/a/b/f/x/y", "c", "/c/new",
 	} {
 		wp, wn, wnode := refWalk(path)
-		gp, gn, gnode := fs.walk(path)
+		gp, gn, gnode := fs.walk("", path)
 		if gp != wp || gn != wn || gnode != wnode {
 			t.Errorf("walk(%q) = (%p, %q, %v), reference says (%p, %q, %v)", path, gp, gn, gnode, wp, wn, wnode)
 		}
+		// A namespace carried beside the path resolves like the two joined
+		// with a slash, wherever the cut falls.
+		for i := 0; i <= len(path); i++ {
+			dir, rest := path[:i], path[i:]
+			wp, wn, wnode := refWalk(dir + "/" + rest)
+			gp, gn, gnode := fs.walk(dir, rest)
+			if gp != wp || gn != wn || gnode != wnode {
+				t.Errorf("walk(%q, %q) = (%p, %q, %v), reference says (%p, %q, %v)", dir, rest, gp, gn, gnode, wp, wn, wnode)
+			}
+		}
 	}
-	if allocs := testing.AllocsPerRun(100, func() { fs.walk("/a/b/f") }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { fs.walk("/a", "b/f") }); allocs != 0 {
 		t.Errorf("walk allocates %v times per path, want 0", allocs)
 	}
 }

@@ -66,7 +66,11 @@ type Stats struct {
 	Lost     uint64 // messages dropped by a receiver (no free slot) or by fault injection
 }
 
-type pairKey struct{ src, dst int }
+// pairID packs an ordered node pair into one word. Send looks its pair up
+// and stores it on every message; a one-word key takes the runtime's 64-bit
+// map paths, which a two-int struct key (hashed as 16 bytes of memory) does
+// not.
+func pairID(src, dst int) uint64 { return uint64(src)<<32 | uint64(dst) }
 
 // Verdict is a fault injector's decision about one message: drop it,
 // deliver it twice, and/or delay its arrival by Delay cycles. The zero
@@ -95,7 +99,7 @@ type Network struct {
 	width  int
 	height int
 	// lastDeliver enforces per-pair FIFO ordering.
-	lastDeliver map[pairKey]sim.Time
+	lastDeliver map[uint64]sim.Time
 	// linkFree is the next-free time per directed link (contention mode).
 	linkFree map[int]sim.Time
 	stats    Stats
@@ -130,7 +134,7 @@ func New(eng *sim.Engine, cfg Config) *Network {
 		cfg:         cfg,
 		width:       w,
 		height:      h,
-		lastDeliver: make(map[pairKey]sim.Time),
+		lastDeliver: make(map[uint64]sim.Time),
 		linkFree:    make(map[int]sim.Time),
 	}
 }
@@ -268,7 +272,7 @@ func (n *Network) Send(src, dst, size int, deliver func()) int {
 		arrival = now + n.Latency(src, dst, size)
 	}
 	arrival += v.Delay
-	key := pairKey{src, dst}
+	key := pairID(src, dst)
 	if last, ok := n.lastDeliver[key]; ok && arrival < last {
 		arrival = last
 	}

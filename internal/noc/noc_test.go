@@ -321,6 +321,8 @@ func TestInjectorNilRestoresLossless(t *testing.T) {
 	}
 }
 
+type pairKey struct{ src, dst int }
+
 // pairInjector draws every verdict from (src, dst, per-pair counter) only —
 // like internal/fault — so the verdict a message gets does not depend on how
 // sends of different pairs interleave.

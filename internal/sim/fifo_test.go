@@ -170,3 +170,35 @@ func TestSemaphoreContendedAllocs(t *testing.T) {
 		t.Fatalf("semaphore not back at rest: held=%d waiting=%d count=%d", held, sem.Waiting(), sem.Count())
 	}
 }
+
+// TestFutureWaitAllocs: one proc waiting on a future — every call/reply
+// rendezvous — registers in the future's inline slot, so the wait itself
+// allocates nothing (the Future object is the caller's).
+func TestFutureWaitAllocs(t *testing.T) {
+	e := NewEngine()
+	defer e.Kill()
+	var f Future[int]
+	start := NewQueue[struct{}](e)
+	sum := 0
+	e.Spawn("caller", func(p *Proc) {
+		for {
+			start.Pop(p)
+			sum += f.Wait(p)
+		}
+	})
+	e.Run()
+	complete := func() { f.Complete(1) }
+	cycle := func() {
+		f = Future[int]{eng: e, dom: e.cur}
+		start.Push(struct{}{})
+		e.Schedule(1, complete)
+		e.Run()
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Fatalf("a single-waiter Future.Wait allocates %v times, want 0", allocs)
+	}
+	if sum != 202 {
+		t.Fatalf("caller saw %d completions, want 202", sum)
+	}
+}

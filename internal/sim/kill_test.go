@@ -231,13 +231,13 @@ func TestProcPanicPropagatesToEngineSide(t *testing.T) {
 func TestLazyNameOnlyOnFault(t *testing.T) {
 	e := NewEngine()
 	calls := 0
-	name := func() string { calls++; return "lazy7" }
-	e.Domain(0).SpawnLazy(name, func(p *Proc) { p.Sleep(1) })
+	name := func(i int) string { calls++; return fmt.Sprintf("lazy%d", i) }
+	e.Domain(0).SpawnLazy(name, 6, func(p *Proc) { p.Sleep(1) })
 	e.Run()
 	if calls != 0 {
 		t.Fatalf("name formatted %d times for a proc that never faulted", calls)
 	}
-	e.Domain(0).SpawnLazy(name, func(p *Proc) { panic("boom") })
+	e.Domain(0).SpawnLazy(name, 7, func(p *Proc) { panic("boom") })
 	defer func() {
 		r := recover()
 		if err, ok := r.(error); !ok || err.Error() != `sim: proc "lazy7" panicked: boom` {

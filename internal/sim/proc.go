@@ -30,8 +30,10 @@ type Proc struct {
 	eng  *Engine
 	dom  *Domain
 	name string
-	// lazyName, when set, formats the name on first use (SpawnLazy).
-	lazyName func() string
+	// lazyName, when set, formats the name from nameArg on first use
+	// (SpawnLazy).
+	lazyName func(int) string
+	nameArg  int
 	// fault carries a panic out of the proc body to step, which re-raises
 	// it on the goroutine driving the engine (and therefore recoverable by
 	// callers such as the bench harness).
@@ -75,11 +77,13 @@ func (dm *Domain) Spawn(name string, fn func(p *Proc)) *Proc {
 }
 
 // SpawnLazy is Spawn for spawn sites that would otherwise format a name per
-// proc: name runs only if the name is read, which in practice means only
-// when the proc panics.
-func (dm *Domain) SpawnLazy(name func() string, fn func(p *Proc)) *Proc {
+// proc: name(arg) runs only if the name is read, which in practice means
+// only when the proc panics. Formatter and argument are separate so that a
+// site spawning many procs binds one formatter and passes each proc's index
+// instead of building a closure per proc.
+func (dm *Domain) SpawnLazy(name func(arg int) string, arg int, fn func(p *Proc)) *Proc {
 	p := dm.spawn(fn)
-	p.lazyName = name
+	p.lazyName, p.nameArg = name, arg
 	return p
 }
 
@@ -161,7 +165,7 @@ func (p *Proc) park() {
 // Name returns the proc's diagnostic name.
 func (p *Proc) Name() string {
 	if p.lazyName != nil {
-		p.name, p.lazyName = p.lazyName(), nil
+		p.name, p.lazyName = p.lazyName(p.nameArg), nil
 	}
 	return p.name
 }

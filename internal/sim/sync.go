@@ -14,11 +14,16 @@ package sim
 // rendezvous has on real hardware. Outside isolated rounds every operation
 // short-circuits to the direct path, so merged-mode execution is unchanged.
 type Future[T any] struct {
-	eng       *Engine
-	dom       *Domain
-	done      bool
-	val       T
-	waiters   []*Proc
+	eng  *Engine
+	dom  *Domain
+	done bool
+	val  T
+	// first is the earliest parked waiter, held inline: a call/reply future
+	// has exactly one, so the common Wait allocates nothing. Later waiters
+	// spill to more; Complete wakes first, then more in order, so wake order
+	// is registration order.
+	first     *Proc
+	more      []*Proc
 	callbacks []func(T)
 }
 
@@ -37,10 +42,14 @@ func (f *Future[T]) Complete(val T) {
 	}
 	f.done = true
 	f.val = val
-	for _, w := range f.waiters {
+	if w := f.first; w != nil {
+		f.first = nil
 		w.Wake()
 	}
-	f.waiters = nil
+	for _, w := range f.more {
+		w.Wake()
+	}
+	f.more = nil
 	for _, cb := range f.callbacks {
 		cb(val)
 	}
@@ -88,10 +97,14 @@ func (f *Future[T]) Wait(p *Proc) T {
 	}
 	if f.dom == nil || p.dom == f.dom || !p.dom.inRound {
 		for !f.done {
-			f.waiters = append(f.waiters, p)
+			if f.first == nil {
+				f.first = p
+			} else {
+				f.more = append(f.more, p)
+			}
 			p.park()
 			// A spurious wake is impossible under the handoff discipline, but a
-			// proc can appear in the waiters list only once per park, so loop.
+			// proc is registered only once per park, so loop.
 		}
 		return f.val
 	}

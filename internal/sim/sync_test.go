@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -34,21 +35,26 @@ func TestFutureAlreadyDone(t *testing.T) {
 	}
 }
 
+// TestFutureMultipleWaiters: every waiter gets the value, and they resume in
+// the order they began to wait — the first from its inline slot, the rest
+// from the spill slice.
 func TestFutureMultipleWaiters(t *testing.T) {
 	e := NewEngine()
 	f := NewFuture[int](e)
-	woke := 0
+	var woke []int
 	for i := 0; i < 5; i++ {
+		i := i
 		e.Spawn("w", func(p *Proc) {
+			p.Sleep(Duration(5 - i)) // register in reverse spawn order
 			if f.Wait(p) == 9 {
-				woke++
+				woke = append(woke, i)
 			}
 		})
 	}
 	e.Schedule(10, func() { f.Complete(9) })
 	e.Run()
-	if woke != 5 {
-		t.Fatalf("woke = %d, want 5", woke)
+	if want := []int{4, 3, 2, 1, 0}; !reflect.DeepEqual(woke, want) {
+		t.Fatalf("wake order = %v, want %v", woke, want)
 	}
 }
 

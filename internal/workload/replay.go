@@ -46,22 +46,26 @@ func Replay(v *core.VPE, p *sim.Proc, tr *trace.Trace, service, prefix string) e
 	if err != nil {
 		return fmt.Errorf("replay %s: %w", tr.Name, err)
 	}
-	files := make(map[int]*m3fs.File)
-	for i, op := range tr.Ops {
-		if err := replayOp(client, p, files, prefix, op); err != nil {
+	client.Prefix = prefix
+	var files []*m3fs.File // open files by trace slot
+	for i := range tr.Ops {
+		op := &tr.Ops[i]
+		for op.Slot >= len(files) {
+			files = append(files, nil)
+		}
+		if err := replayOp(client, p, files, op); err != nil {
 			return fmt.Errorf("replay %s op %d (%d): %w", tr.Name, i, op.Kind, err)
 		}
 	}
 	return nil
 }
 
-func replayOp(c *m3fs.Client, p *sim.Proc, files map[int]*m3fs.File, prefix string, op trace.Op) error {
-	path := prefix + "/" + op.Path
+func replayOp(c *m3fs.Client, p *sim.Proc, files []*m3fs.File, op *trace.Op) error {
 	switch op.Kind {
 	case trace.OpCompute:
 		p.Sleep(op.Cycles)
 	case trace.OpOpen:
-		f, err := c.Open(p, path, op.Create, op.Trunc)
+		f, err := c.Open(p, op.Path, op.Create, op.Trunc)
 		if err != nil {
 			return err
 		}
@@ -93,18 +97,18 @@ func replayOp(c *m3fs.Client, p *sim.Proc, files map[int]*m3fs.File, prefix stri
 		if f == nil {
 			return core.ErrBadArgs
 		}
-		delete(files, op.Slot)
+		files[op.Slot] = nil
 		return f.Close(p, op.Revoke)
 	case trace.OpStat:
-		if _, err := c.Stat(p, path); err != nil && err != core.ErrNoSuchCap {
+		if _, err := c.Stat(p, op.Path); err != nil && err != core.ErrNoSuchCap {
 			return err
 		}
 	case trace.OpMkdir:
-		return c.Mkdir(p, path)
+		return c.Mkdir(p, op.Path)
 	case trace.OpUnlink:
-		return c.Unlink(p, path)
+		return c.Unlink(p, op.Path)
 	case trace.OpReaddir:
-		_, err := c.Readdir(p, path)
+		_, err := c.Readdir(p, op.Path)
 		return err
 	default:
 		return core.ErrBadArgs

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"repro/internal/trace"
@@ -151,5 +153,61 @@ func TestDeterminism(t *testing.T) {
 	m2, c2 := run()
 	if m1 != m2 || c1 != c2 {
 		t.Fatalf("nondeterministic: (%d,%d) vs (%d,%d)", m1, c1, m2, c2)
+	}
+}
+
+// TestReplayTimingPinned: the six traces at the quick sweep's Table 4 size
+// (8 kernels, 8 services, 64 instances) end at exactly these cycles, with
+// these capability-operation counts and per-instance start and end times
+// (FNV-1a over "start end\n" per instance, in instance order). The values
+// were taken before the m3fs protocol records, the file handles and the
+// kernel's service queries became recycled objects; a host-side change to
+// the application path must reproduce them.
+func TestReplayTimingPinned(t *testing.T) {
+	for _, want := range []struct {
+		name     string
+		makespan uint64
+		capOps   uint64
+		times    uint64
+	}{
+		{"tar", 6471390, 1344, 0xc3b6c6bf3a895aef},
+		{"untar", 6135408, 704, 0xe9342f7759b1a6b7},
+		{"find", 5112393, 192, 0xa8f65765680299dc},
+		{"sqlite", 10263917, 1536, 0x985042b7941180e5},
+		{"leveldb", 5811693, 1408, 0xc51ea2aaee9a16d5},
+		{"postmark", 4036551, 2432, 0xd7278f5e56271470},
+	} {
+		tr := trace.ByName(want.name)
+		if tr == nil {
+			t.Fatalf("no trace %q", want.name)
+		}
+		res, err := Run(Config{Kernels: 8, Services: 8, Instances: 64, Trace: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		for _, in := range res.Instances {
+			fmt.Fprintf(h, "%d %d\n", in.Start, in.End)
+		}
+		if uint64(res.Makespan) != want.makespan || res.TotalCapOps != want.capOps || h.Sum64() != want.times {
+			t.Errorf("%s: makespan %d, cap ops %d, instance times %#x; pinned %d, %d, %#x",
+				want.name, res.Makespan, res.TotalCapOps, h.Sum64(), want.makespan, want.capOps, want.times)
+		}
+	}
+}
+
+// BenchmarkRun is one workload.Run per trace at the quick sweep's Table 4
+// size; its allocs/op is what machine boot, image preload and the replay of
+// 64 instances allocate together.
+func BenchmarkRun(b *testing.B) {
+	for _, tr := range trace.All() {
+		b.Run(tr.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(Config{Kernels: 8, Services: 8, Instances: 64, Trace: tr}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
