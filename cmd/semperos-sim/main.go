@@ -13,6 +13,7 @@ import (
 	"os"
 
 	"repro/internal/core"
+	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -29,11 +30,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown app %q\n", *app)
 		os.Exit(2)
 	}
+	eng := sim.NewEngine()
 	res, err := workload.Run(workload.Config{
 		Kernels:   *kernels,
 		Services:  *services,
 		Instances: *instances,
 		Trace:     tr,
+		Engine:    eng,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -50,4 +53,5 @@ func main() {
 	fmt.Printf("kernel syscalls: %d\n", res.Kernel.Syscalls)
 	fmt.Printf("inter-kernel:    %d sent\n", res.Kernel.IKCSent)
 	fmt.Printf("caps created:    %d, deleted: %d\n", res.Kernel.CapsCreated, res.Kernel.CapsDeleted)
+	fmt.Printf("engine events:   %d, %d of them resumed a proc\n", eng.Executed(), eng.Resumes())
 }

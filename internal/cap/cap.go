@@ -223,10 +223,12 @@ func (c *Capability) ForEachChild(fn func(k ddl.Key)) {
 
 // AppendChildren appends the live child keys in creation order to dst and
 // returns the result — the snapshot form of ForEachChild, for walks that
-// mutate the tree.
+// mutate the tree. A dst that is too small at least doubles, so a caller that
+// keeps pushing snapshots onto one slice (the revocation mark walk's stack)
+// pays amortized, not quadratic, copying.
 func (c *Capability) AppendChildren(dst []ddl.Key) []ddl.Key {
-	if cap(dst)-len(dst) < int(c.nChildren) {
-		grown := make([]ddl.Key, len(dst), len(dst)+int(c.nChildren))
+	if need := len(dst) + int(c.nChildren); need > cap(dst) {
+		grown := make([]ddl.Key, len(dst), max(need, 2*cap(dst)))
 		copy(grown, dst)
 		dst = grown
 	}

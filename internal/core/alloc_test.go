@@ -63,6 +63,35 @@ func BenchmarkNoopSyscall(b *testing.B) {
 	}
 }
 
+// BenchmarkDeriveSyscall is one local DeriveMem per op: the syscall round
+// trip of BenchmarkNoopSyscall plus a five-term CPU-held stretch in the
+// kernel (dispatch, lookup, link, create, reply) that the thread charges and
+// settles once (TestOperationEventsAndResumes pins the switch count). The
+// children accumulate under one root; the table growth is part of the op.
+func BenchmarkDeriveSyscall(b *testing.B) {
+	s := MustNew(Config{Kernels: 1, UserPEs: 1})
+	defer s.Close()
+	root := cap.NoSel
+	step := stepVPE(b, s, s.UserPEs()[0], func(v *VPE, p *sim.Proc) {
+		var err error
+		if root == cap.NoSel {
+			root, err = v.AllocMem(p, 1<<20, dtu.PermRW)
+		} else {
+			_, err = v.DeriveMem(p, root, 0, 4096, dtu.PermR)
+		}
+		if err != nil {
+			b.Error(err)
+		}
+	})
+	step()
+	step()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
+
 // TestObtainAllocationCeilings bounds what an obtain still allocates, so
 // the message path cannot quietly grow back. What is left is protocol
 // state, not transport. Local, 0: the consent query rides a recycled record
@@ -243,4 +272,66 @@ func TestPooledEngineRetainsNoMessages(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("a message of a closed machine is still reachable from its pooled engine")
 	}
+}
+
+// TestTreeRevokeAllocationCeiling bounds what a warmed local tree revoke
+// allocates: the revocation's record, its list of marked keys and the one
+// stack its mark walk snapshots child lists onto — all three per revocation,
+// grown by doubling (1 + 5 + 2 here), none per capability. (The walk used to
+// allocate a snapshot slice for every marked capability that has children, 4
+// of this tree's 10, for 10 in all.) The ceiling is the measured count, with
+// and without the race detector.
+func TestTreeRevokeAllocationCeiling(t *testing.T) {
+	const ceiling = 8
+	s := MustNew(Config{Kernels: 1, UserPEs: 1})
+	defer s.Close()
+	var root, mid cap.Selector
+	plant := true
+	step := stepVPE(t, s, s.UserPEs()[0], func(v *VPE, p *sim.Proc) {
+		var err error
+		switch {
+		case root == cap.NoSel:
+			root, err = v.AllocMem(p, 1<<20, dtu.PermRW)
+		case plant: // mid, three children, two grandchildren each
+			mid, err = v.DeriveMem(p, root, 0, 64<<10, dtu.PermRW)
+			for i := uint64(0); i < 3 && err == nil; i++ {
+				var child cap.Selector
+				child, err = v.DeriveMem(p, mid, i*8192, 8192, dtu.PermRW)
+				for j := uint64(0); j < 2 && err == nil; j++ {
+					_, err = v.DeriveMem(p, child, j*4096, 4096, dtu.PermR)
+				}
+			}
+		default:
+			err = v.Revoke(p, mid)
+		}
+		if err != nil {
+			t.Error(err)
+		}
+	})
+	step()
+	round := func() uint64 {
+		plant = true
+		step()
+		plant = false
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		step()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	for i := 0; i < 8; i++ {
+		round()
+	}
+	const rounds = 50
+	var total uint64
+	for i := 0; i < rounds; i++ {
+		total += round()
+	}
+	if allocs := float64(total) / rounds; allocs > ceiling {
+		t.Fatalf("revoking a warmed 10-capability local tree allocates %v times, ceiling %v", allocs, ceiling)
+	}
+	if got := s.kernels[0].store.Len(); got != 2 { // the VPE's own capability and root
+		t.Fatalf("%d capabilities left, want 2", got)
+	}
+	checkAllInvariants(t, s)
 }

@@ -28,9 +28,11 @@ func deriveObject(obj cap.Object) cap.Object {
 	}
 }
 
-// kernelOfVPE resolves the kernel managing a VPE, charging a DDL decode.
+// kernelOfVPE resolves the kernel managing a VPE, charging a DDL decode
+// (owed). The VPE table only grows, and an id is known to a caller only once
+// its entry exists, so reading it ahead of the decode time reads the same.
 func (k *Kernel) kernelOfVPE(p *sim.Proc, id int) (*Kernel, Errno) {
-	k.exec(p, k.sys.Cost.DDLDecode)
+	k.charge(p, k.sys.Cost.DDLDecode)
 	if id < 0 || id >= len(k.sys.vpes) {
 		return nil, ErrVPEGone
 	}
@@ -67,7 +69,7 @@ func (k *Kernel) obtainLocal(p *sim.Proc, v *VPE, srcVPE int, srcSel cap.Selecto
 		return sysReply{Err: ErrInRevocation}
 	}
 	srcV := k.vpeOf(srcVPE)
-	if srcV == nil || srcV.exited {
+	if k.gone(p, srcV) {
 		return sysReply{Err: ErrVPEGone}
 	}
 	if !k.askVPE(p, srcV, ExchangeQuery{Obtain: true, PeerVPE: v.ID, Sel: srcSel}) {
@@ -91,7 +93,7 @@ func (k *Kernel) obtainLocal(p *sim.Proc, v *VPE, srcVPE int, srcSel cap.Selecto
 		Parent: src.Key,
 	}
 	src.AddChild(child.Key)
-	k.exec(p, k.sys.Cost.CapLink)
+	k.charge(p, k.sys.Cost.CapLink)
 	k.insertCap(p, child)
 	k.stats.Obtains++
 	return sysReply{Sel: child.Sel}
@@ -128,7 +130,7 @@ func (k *Kernel) obtainSpanning(p *sim.Proc, v *VPE, owner *Kernel, srcVPE int, 
 	exID := exchangeID(v.PE, v.ID, objID)
 	po := &inflightObtain{}
 	k.inflightObtains[exID] = po
-	k.exec(p, k.sys.Cost.IKCMarshal)
+	k.charge(p, k.sys.Cost.IKCMarshal)
 	rep := k.ikCall(p, owner.id, &ikcRequest{
 		Kind:     ikcObtain,
 		VPE:      srcVPE,
@@ -179,7 +181,7 @@ func (k *Kernel) handleObtainReq(p *sim.Proc, req *ikcRequest) *ikcReply {
 		return &ikcReply{Err: ErrInRevocation}
 	}
 	srcV := k.vpeOf(req.VPE)
-	if srcV == nil || srcV.exited {
+	if k.gone(p, srcV) {
 		return &ikcReply{Err: ErrVPEGone}
 	}
 	if !k.askVPE(p, srcV, ExchangeQuery{Obtain: true, PeerVPE: req.ChildVPE, Sel: req.Sel}) {
@@ -192,7 +194,7 @@ func (k *Kernel) handleObtainReq(p *sim.Proc, req *ikcRequest) *ikcReply {
 	obj := deriveObject(src.Object)
 	childKey := ddl.NewKey(req.ChildPE, req.ChildVPE, obj.ObjType(), req.ChildObj)
 	src.AddChild(childKey)
-	k.exec(p, k.sys.Cost.CapLink+k.sys.Cost.IKCMarshal)
+	k.charge(p, k.sys.Cost.CapLink+k.sys.Cost.IKCMarshal)
 	return &ikcReply{Key: src.Key, Object: obj, Perm: src.Perm}
 }
 
@@ -235,7 +237,7 @@ func (k *Kernel) sysDelegateTo(p *sim.Proc, req *sysRequest) sysReply {
 
 func (k *Kernel) delegateLocal(p *sim.Proc, v *VPE, c *cap.Capability, dstVPE int) sysReply {
 	dstV := k.vpeOf(dstVPE)
-	if dstV == nil || dstV.exited {
+	if k.gone(p, dstV) {
 		return sysReply{Err: ErrVPEGone}
 	}
 	// The consent round trip is a preemption point and the store compacts
@@ -261,7 +263,7 @@ func (k *Kernel) delegateLocal(p *sim.Proc, v *VPE, c *cap.Capability, dstVPE in
 		Parent: cKey,
 	}
 	cur.AddChild(child.Key)
-	k.exec(p, k.sys.Cost.CapLink)
+	k.charge(p, k.sys.Cost.CapLink)
 	k.insertCap(p, child)
 	k.stats.Delegates++
 	return sysReply{Sel: child.Sel}
@@ -277,7 +279,7 @@ func (k *Kernel) delegateLocal(p *sim.Proc, v *VPE, c *cap.Capability, dstVPE in
 func (k *Kernel) delegateSpanning(p *sim.Proc, v *VPE, c *cap.Capability, dst *Kernel, dstVPE int) sysReply {
 	parentKey := c.Key
 	obj := deriveObject(c.Object)
-	k.exec(p, k.sys.Cost.IKCMarshal)
+	k.charge(p, k.sys.Cost.IKCMarshal)
 	rep := k.ikCall(p, dst.id, &ikcRequest{
 		Kind:   ikcDelegate,
 		Key:    parentKey,
@@ -300,11 +302,11 @@ func (k *Kernel) delegateSpanning(p *sim.Proc, v *VPE, c *cap.Capability, dst *K
 		return sysReply{Err: ErrInRevocation}
 	}
 	cur.AddChild(childKey)
-	k.exec(p, k.sys.Cost.CapLink)
+	k.charge(p, k.sys.Cost.CapLink)
 	ack := k.ikCall(p, dst.id, &ikcRequest{Kind: ikcDelegateAck, Child: childKey, Ok: true})
 	if ack.Err != OK {
 		// The receiver died before insertion: remove the orphaned link.
-		k.exec(p, k.sys.Cost.CapLink)
+		k.charge(p, k.sys.Cost.CapLink)
 		if again := k.store.Lookup(parentKey); again != nil {
 			again.RemoveChild(childKey)
 		}
@@ -322,7 +324,7 @@ func (k *Kernel) delegateSpanning(p *sim.Proc, v *VPE, c *cap.Capability, dst *K
 // entry is always in place before the ack can arrive.
 func (k *Kernel) handleDelegateReq(p *sim.Proc, req *ikcRequest) *ikcReply {
 	dstV := k.vpeOf(req.VPE)
-	if dstV == nil || dstV.exited {
+	if k.gone(p, dstV) {
 		return &ikcReply{Err: ErrVPEGone}
 	}
 	inc := k.incarnation
@@ -344,9 +346,22 @@ func (k *Kernel) handleDelegateReq(p *sim.Proc, req *ikcRequest) *ikcReply {
 		Perm:   req.Perm,
 		Parent: req.Key,
 	}
-	k.exec(p, k.sys.Cost.CapCreate)
-	k.pendingDelegations.Put(childKey, child)
+	k.charge(p, k.sys.Cost.CapCreate)
+	k.prepareDelegation(p, child)
 	return &ikcReply{Key: childKey}
+}
+
+// prepareDelegation parks a child prepared by step 1 of the delegate
+// handshake until the originator's acknowledgement. Only kernel threads
+// touch the table — except the reset at a scripted recovery (beginRejoin),
+// which runs from an event; on a machine where that can happen the thread's
+// time passes first, so the entry lands on the side of the reset it always
+// did.
+func (k *Kernel) prepareDelegation(p *sim.Proc, child *cap.Capability) {
+	if k.reliable() {
+		p.Settle()
+	}
+	k.pendingDelegations.Put(child.Key, child)
 }
 
 // handleDelegateAck finishes the handshake at the receiver's kernel.
@@ -361,7 +376,7 @@ func (k *Kernel) handleDelegateAck(p *sim.Proc, req *ikcRequest) *ikcReply {
 		return &ikcReply{}
 	}
 	dstV := k.vpeOf(child.Owner)
-	if dstV == nil || dstV.exited {
+	if k.gone(p, dstV) {
 		// Orphaned on the receiver side: report back for unlinking.
 		return &ikcReply{Err: ErrVPEGone}
 	}

@@ -152,7 +152,7 @@ func (k *Kernel) ikSend(p *sim.Proc, dst int, req *ikcRequest) *sim.Future[*ikcR
 
 	sem := k.inflightTo(dst)
 	if !sem.TryAcquire() {
-		k.releaseCPU()
+		k.releaseCPU(p)
 		sem.Acquire(p)
 		k.acquireCPU(p)
 	}
@@ -209,7 +209,7 @@ func (k *Kernel) ikNotify(p *sim.Proc, dst int, req *ikcRequest) *sim.Future[*ik
 	k.stats.IKCSent++
 	sem := k.inflightTo(dst)
 	if !sem.TryAcquire() {
-		k.releaseCPU()
+		k.releaseCPU(p)
 		sem.Acquire(p)
 		k.acquireCPU(p)
 	}
@@ -243,13 +243,18 @@ func (k *Kernel) handleRequest(p *sim.Proc, req *ikcRequest) {
 		// abort in reliability.go) — a lost request must not leak it.
 		k.returnCredit(req.From)
 	}
-	k.exec(p, k.sys.Cost.IKCDispatch)
-	if k.admitRequest(req) && k.dedupCheck(req) {
+	// Owed on the lossless path, where the two gates below are no-ops and the
+	// handler starts in the capability store; with the reliable layer on,
+	// the gates settle before they read its state.
+	k.charge(p, k.sys.Cost.IKCDispatch)
+	if k.admitRequest(p, req) && k.dedupCheck(p, req) {
 		k.dispatchRequest(p, req)
 	}
 	// Dispatch barrier of the reply sink (see flushBatchReplies): a
 	// reply produced by this dispatch leaves now instead of waiting on
-	// an idle window timer. No-op for unbatched families.
+	// an idle window timer. No-op for unbatched families. A handler that
+	// answers later (revocation) may still owe time here.
+	p.Settle()
 	k.xport.flushBatchReplies(req.From, req.Kind)
 }
 
@@ -306,10 +311,11 @@ func (k *Kernel) handleBatch(p *sim.Proc, msgs []*dtu.Message, reqs []*ikcReques
 	}
 	for _, req := range reqs {
 		k.exec(p, k.sys.Cost.IKCDispatch)
-		if k.admitRequest(req) && k.dedupCheck(req) {
+		if k.admitRequest(p, req) && k.dedupCheck(p, req) {
 			k.dispatchRequest(p, req)
 		}
 	}
+	p.Settle() // as in handleRequest
 	k.xport.flushBatchReplies(from, kind)
 	return reqs
 }
@@ -383,10 +389,11 @@ func (k *Kernel) ikReply(p *sim.Proc, req *ikcRequest, rep *ikcReply) {
 	k.sendReply(k.sys.kernels[req.From], rep)
 }
 
-// ikReplyAsync sends a reply from event context (used by the
-// continuation-based revocation, which completes on message arrival rather
-// than on a thread). The compose cost is modeled as a delay before the
-// message leaves. These replies never join reply envelopes, regardless of
+// ikReplyAsync sends a reply without a thread to charge (used by the
+// continuation-based revocation, which completes when the last child's
+// answer arrives rather than where the request was dispatched; its callers
+// are revocation waiters, which run settled). The compose cost is modeled as
+// a delay before the message leaves. These replies never join reply envelopes, regardless of
 // policy: a continuation fires long after any dispatch barrier has passed,
 // so batching it could only park a revocation's completion — the event the
 // initiator's syscall blocks on — on an idle window timer, trading

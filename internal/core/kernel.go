@@ -269,23 +269,48 @@ func (k *Kernel) ThreadPoolSize() int {
 	return len(k.group) + k.ikcWindow()
 }
 
-// exec charges d cycles of kernel CPU time. The caller must hold the CPU
-// token.
-func (k *Kernel) exec(p *sim.Proc, d sim.Duration) {
+// charge spends d cycles of kernel CPU time that the thread owes until it
+// next settles (sim.Proc.Charge): the cycles pass then, and the thread is
+// not switched out and back in for them now. The caller must hold the CPU
+// token. A thread gives the CPU up only at preemption points (paper §4.2), so
+// what it does to state only CPU holders touch — the capability store, the
+// key generator, revocations, pendingDelegations, inflightObtains, the
+// counters — no other thread can observe before the next of them, and
+// releaseCPU settles. Everything else is somebody else's to see, and wants
+// the time to have passed first: a message or a reply (event handlers run
+// at their instants whoever holds the CPU), a user DTU's endpoints, state
+// shared between kernels (the DRAM allocator, the merged service
+// directory), what timers and the fault layer write (rt, dead-peer
+// verdicts, a VPE's exited flag). Such code follows an exec, or calls
+// p.Settle itself. DESIGN.md "Owed time" lists every stretch that charges
+// and the settle point that ends it.
+func (k *Kernel) charge(p *sim.Proc, d sim.Duration) {
 	k.stats.Busy += d
-	p.Sleep(d)
+	p.Charge(d)
+}
+
+// exec spends d cycles of kernel CPU time, and everything the thread owes,
+// now: when it returns, the thread's clock is the machine's. The caller must
+// hold the CPU token.
+func (k *Kernel) exec(p *sim.Proc, d sim.Duration) {
+	k.charge(p, d)
+	p.Settle()
 }
 
 // acquireCPU / releaseCPU bracket kernel work; release happens at
 // preemption points (waiting for an inter-kernel reply, a VPE consent
-// answer, or a service answer).
+// answer, or a service answer) and settles what the thread owes first: the
+// next holder must not start before this one's time is up.
 func (k *Kernel) acquireCPU(p *sim.Proc) { k.cpu.Acquire(p) }
-func (k *Kernel) releaseCPU()            { k.cpu.Release() }
+func (k *Kernel) releaseCPU(p *sim.Proc) {
+	p.Settle()
+	k.cpu.Release()
+}
 
 // blockOn waits for a future at a preemption point: the CPU is released
 // while parked and re-acquired afterwards.
 func blockOn[T any](k *Kernel, p *sim.Proc, fut *sim.Future[T]) T {
-	k.releaseCPU()
+	k.releaseCPU(p)
 	v := fut.Wait(p)
 	k.acquireCPU(p)
 	return v
@@ -372,7 +397,7 @@ func (pl *pool) work(p *sim.Proc) {
 		case jobRevokeDone:
 			k.revokeReplyArrived(p, j.rs)
 		}
-		k.releaseCPU()
+		k.releaseCPU(p)
 	}
 }
 
@@ -407,7 +432,7 @@ func (k *Kernel) createVPE(v *VPE) {
 		k.store.Insert(vcap)
 		k.stats.CapsCreated++
 		v.selfSel = vcap.Sel
-		k.releaseCPU()
+		k.releaseCPU(p)
 		v.start()
 	}})
 }
@@ -422,6 +447,17 @@ func (k *Kernel) vpeOf(id int) *VPE {
 		return nil
 	}
 	return v
+}
+
+// gone reports whether v — a vpeOf result — is missing or has exited. A VPE
+// can be killed from an event at any instant (VPE.Kill), so the flag is not
+// the CPU holder's: a thread that may owe time reads it through gone, which
+// lets that time pass first. All callers but handleDelegateAck park on the
+// VPE's consent next or answer straight away, so for them this is a switch
+// that would happen anyway.
+func (k *Kernel) gone(p *sim.Proc, v *VPE) bool {
+	p.Settle()
+	return v == nil || v.exited
 }
 
 // queryStage says what a query does when its next event fires.
@@ -477,12 +513,14 @@ func (q *query) release() {
 
 // ask sends q to its VPE's PE and parks the calling kernel thread until the
 // answer is back — a preemption point, like blockOn: the CPU is released
-// while parked and re-acquired afterwards.
+// while parked and re-acquired afterwards. The question leaves when the
+// thread's time is up, so what it owes is settled first.
 func (q *query) ask(p *sim.Proc, stage queryStage, bytes int) {
 	k := q.k
 	q.stage = stage
+	p.Settle()
 	k.sys.Net.Send(k.pe, q.v.PE, bytes, q.fire)
-	k.releaseCPU()
+	k.releaseCPU(p)
 	for !q.done {
 		q.waiter = p
 		p.Park()

@@ -237,3 +237,69 @@ func TestNoMessageLossUnderLoad(t *testing.T) {
 	}
 	checkAllInvariants(t, s)
 }
+
+// TestCreateSessionEndpointBudget: a VPE has six session endpoints, and the
+// seventh CreateSession is refused before anything is created — the service
+// is not asked to open a session, no session key is linked under the service
+// capability, no session capability lands in the client's space. (The check
+// used to run last, after all three.)
+func TestCreateSessionEndpointBudget(t *testing.T) {
+	const budget = vpeLastSessionEP - vpeFirstSessionEP + 1
+	for name, kernels := range map[string]int{"local": 1, "spanning": 2} {
+		t.Run(name, func(t *testing.T) {
+			s := newTestSystem(t, kernels, 2)
+			svcReady := sim.NewFuture[struct{}](s.Eng)
+			opens := 0
+			svc, _ := s.SpawnOn(s.userPEs[0], "svc", func(v *VPE, p *sim.Proc) {
+				err := v.RegisterService(p, "svc", ServiceHandlers{
+					Open: func(*sim.Proc, int, any) SvcResult {
+						opens++
+						return SvcResult{Ident: uint64(opens)}
+					},
+				})
+				if err != nil {
+					t.Error(err)
+				}
+				svcReady.Complete(struct{}{})
+				v.ServeLoop(p)
+			})
+			sessions := 0
+			client, _ := s.SpawnOn(s.userPEs[len(s.userPEs)-1], "client", func(v *VPE, p *sim.Proc) {
+				svcReady.Wait(p)
+				for i := 0; i < budget+1; i++ {
+					_, err := v.CreateSession(p, "svc", nil)
+					switch {
+					case err == nil:
+						sessions++
+					case i < budget || err != ErrBadArgs:
+						t.Errorf("create %d: %v", i, err)
+					}
+				}
+			})
+			s.Run()
+			if sessions != budget || opens != budget {
+				t.Fatalf("%d sessions created, the service opened %d; want %d of each", sessions, opens, budget)
+			}
+			held := 0
+			for _, c := range client.kernel.store.VPECaps(client.ID) {
+				if _, ok := c.Object.(*cap.SessionObject); ok {
+					held++
+				}
+			}
+			if held != budget {
+				t.Fatalf("client holds %d session capabilities, want %d", held, budget)
+			}
+			linked := 0
+			for _, c := range svc.kernel.store.VPECaps(svc.ID) {
+				if _, ok := c.Object.(*cap.ServiceObject); ok {
+					linked = len(c.AppendChildren(nil))
+				}
+			}
+			if linked != budget {
+				t.Fatalf("%d session keys linked under the service capability, want %d", linked, budget)
+			}
+			checkAllInvariants(t, s)
+			checkNoLeaks(t, s)
+		})
+	}
+}

@@ -90,10 +90,14 @@ func (k *Kernel) notifyUnlink(p *sim.Proc, dst int, parent, child ddl.Key) {
 // the explicit ikcRejoin handshake is normally the first such request, but
 // any request can carry the news, since the handshake itself may be
 // dropped or reordered by the faulty fabric.
-func (k *Kernel) admitRequest(req *ikcRequest) bool {
+func (k *Kernel) admitRequest(p *sim.Proc, req *ikcRequest) bool {
 	if k.rt == nil || req.Inc == 0 {
 		return true
 	}
+	// Timers and the rejoin reset write what is read from here on, and
+	// admitting a rejoined peer completes futures: the dispatch time passes
+	// first.
+	p.Settle()
 	observed := k.rt.incOf(req.From)
 	switch {
 	case req.Inc < observed:
@@ -150,7 +154,7 @@ func (k *Kernel) admitIncarnation(from int, inc uint32) {
 		k.acquireCPU(p)
 		k.replayOrphanFixes(p, from)
 		k.reconcileChains(p, from)
-		k.releaseCPU()
+		k.releaseCPU(p)
 	}})
 }
 
@@ -241,7 +245,7 @@ func (k *Kernel) beginRejoin() {
 		k.reconcileChains(p, -1)
 		k.stats.Rejoins++
 		k.stats.RejoinCycles += k.dom.Now() - start
-		k.releaseCPU()
+		k.releaseCPU(p)
 	}})
 }
 

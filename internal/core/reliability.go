@@ -332,10 +332,11 @@ func (rt *relState) peer(src int) *peerDedup {
 // dispatch it, false means it is a duplicate — suppressed, and if its
 // reply is already cached, answered by replaying that reply (the original
 // reply was evidently the lost message).
-func (k *Kernel) dedupCheck(req *ikcRequest) bool {
+func (k *Kernel) dedupCheck(p *sim.Proc, req *ikcRequest) bool {
 	if k.rt == nil {
 		return true
 	}
+	p.Settle() // a duplicate's cached reply is replayed from here
 	pd := k.rt.peer(req.From)
 	if e := pd.entries[req.Seq]; e != nil {
 		k.stats.DupSuppressed++

@@ -35,7 +35,8 @@ type revState struct {
 	done    bool
 	// marked are the keys marked under this state, for map cleanup.
 	marked []ddl.Key
-	// waiters run (on the finishing proc, CPU held) after the sweep.
+	// waiters run (on the finishing proc, CPU held, nothing owed) after the
+	// sweep.
 	waiters []func(p *sim.Proc)
 }
 
@@ -67,16 +68,16 @@ func (k *Kernel) revokeSubtree(p *sim.Proc, c *cap.Capability) {
 	}
 	rs := &revState{root: c, sending: true}
 	parentKey := c.Parent
-	k.revokeChildren(p, c, rs)
+	k.revokeChildren(p, c, rs, nil)
 	k.xport.flushRevokes(p, rs)
 	rs.sending = false
 	// Unlink the root from its parent (the parent survives this revoke).
 	if parentKey != 0 {
-		k.exec(p, k.sys.Cost.DDLDecode)
+		k.charge(p, k.sys.Cost.DDLDecode)
 		if owner := k.member.KernelOfKey(parentKey); owner == k.id {
 			if parent := k.store.Lookup(parentKey); parent != nil && !parent.Marked {
 				parent.RemoveChild(c.Key)
-				k.exec(p, k.sys.Cost.CapLink)
+				k.charge(p, k.sys.Cost.CapLink)
 			}
 		} else {
 			k.notifyUnlink(p, owner, parentKey, c.Key)
@@ -93,18 +94,27 @@ func (k *Kernel) revokeSubtree(p *sim.Proc, c *cap.Capability) {
 
 // revokeChildren is phase one: mark the local subtree and fan out
 // inter-kernel requests for remote children (Algorithm 1,
-// revoke_children).
-func (k *Kernel) revokeChildren(p *sim.Proc, c *cap.Capability, rs *revState) {
+// revoke_children). kids is the walk's stack of child-list snapshots: the
+// caller passes nil (or what an earlier walk of its own returned), each level
+// pushes its snapshot on top and hands the stack back popped. It belongs to
+// one walk on one thread — another thread may walk while this one waits for
+// an in-flight credit — and lives no longer than the mark phase.
+func (k *Kernel) revokeChildren(p *sim.Proc, c *cap.Capability, rs *revState, kids []ddl.Key) []ddl.Key {
 	c.Marked = true
 	k.revocations.Put(c.Key, rs)
 	rs.marked = append(rs.marked, c.Key)
-	k.exec(p, k.sys.Cost.RevokeMark)
+	k.charge(p, k.sys.Cost.RevokeMark)
 
 	// Snapshot the child list: the recursion below reaches preemption
-	// points, and c's children may change while this thread is parked.
-	children := c.AppendChildren(nil)
-	for _, childKey := range children {
-		k.exec(p, k.sys.Cost.DDLDecode)
+	// points, and c's children may change while this thread is parked. The
+	// snapshot is kids[base:end], read by index because the recursion pushes
+	// its own snapshots above end and may move the stack doing so.
+	base := len(kids)
+	kids = c.AppendChildren(kids)
+	end := len(kids)
+	for i := base; i < end; i++ {
+		childKey := kids[i]
+		k.charge(p, k.sys.Cost.DDLDecode)
 		owner := k.member.KernelOfKey(childKey)
 		if owner == k.id {
 			child := k.store.Lookup(childKey)
@@ -123,7 +133,7 @@ func (k *Kernel) revokeChildren(p *sim.Proc, c *cap.Capability, rs *revState) {
 				}
 				continue
 			}
-			k.revokeChildren(p, child, rs)
+			kids = k.revokeChildren(p, child, rs, kids)
 		} else if k.xport.pol.Revoke {
 			// Batched revocation: queue the remote child on the unified
 			// transport; the barrier flush at the end of the mark walk
@@ -135,6 +145,7 @@ func (k *Kernel) revokeChildren(p *sim.Proc, c *cap.Capability, rs *revState) {
 			k.sendRevokeRequest(p, owner, childKey, rs)
 		}
 	}
+	return kids[:base]
 }
 
 // sendRevokeRequest fires an inter-kernel revoke request without blocking
@@ -196,6 +207,11 @@ func (k *Kernel) finishRevocation(p *sim.Proc, rs *revState) {
 	waiters := rs.waiters
 	rs.waiters = nil
 	for _, w := range waiters {
+		// Waiters wake the initiating thread, answer the requesting kernel or
+		// complete an overlapping revocation — whose own sweep then runs
+		// right here: the time of every sweep so far passes before the next
+		// waiter learns that this one is over.
+		p.Settle()
 		w(p)
 	}
 }
@@ -218,11 +234,11 @@ func (k *Kernel) deleteTree(p *sim.Proc, c *cap.Capability, rs *revState) {
 			k.deleteTree(p, child, rs)
 		}
 	})
-	k.exec(p, k.sys.Cost.RevokeDelete)
+	k.charge(p, k.sys.Cost.RevokeDelete)
 	// Invalidate any user endpoint configured from this capability so the
 	// resource becomes inaccessible (enforcement). Must precede Remove: the
 	// store recycles the slab slot, so c's fields are gone afterwards.
-	k.invalidateEPs(c)
+	k.invalidateEPs(p, c)
 	k.store.Remove(c.Key)
 	k.stats.CapsDeleted++
 }
@@ -253,7 +269,7 @@ func (k *Kernel) handleRevokeReq(p *sim.Proc, req *ikcRequest) *ikcReply {
 		return nil
 	}
 	rs := &revState{root: c, sending: true}
-	k.revokeChildren(p, c, rs)
+	k.revokeChildren(p, c, rs, nil)
 	k.xport.flushRevokes(p, rs)
 	rs.sending = false
 	if rs.outstanding == 0 {
@@ -273,6 +289,7 @@ func (k *Kernel) handleRevokeReq(p *sim.Proc, req *ikcRequest) *ikcReply {
 func (k *Kernel) handleRevokeBatchReq(p *sim.Proc, req *ikcRequest) *ikcReply {
 	outstanding := 0
 	done := false
+	var kids []ddl.Key // the mark walks' snapshot stack, reused from key to key
 	finish := func() {
 		k.ikReplyAsync(req, &ikcReply{})
 	}
@@ -296,7 +313,7 @@ func (k *Kernel) handleRevokeBatchReq(p *sim.Proc, req *ikcRequest) *ikcReply {
 			continue
 		}
 		rs := &revState{root: c, sending: true}
-		k.revokeChildren(p, c, rs)
+		kids = k.revokeChildren(p, c, rs, kids)
 		k.xport.flushRevokes(p, rs)
 		rs.sending = false
 		if rs.outstanding == 0 {
@@ -341,7 +358,7 @@ func (k *Kernel) revokeUnseen(key ddl.Key) {
 // invalidateEPs resets user DTU endpoints configured from a revoked
 // capability. The scan is bookkeeping-free: we only reset endpoints of the
 // owner VPE whose configuration matches the capability's object.
-func (k *Kernel) invalidateEPs(c *cap.Capability) {
+func (k *Kernel) invalidateEPs(p *sim.Proc, c *cap.Capability) {
 	v := k.vpeOf(c.Owner)
 	if v == nil {
 		return
@@ -349,6 +366,8 @@ func (k *Kernel) invalidateEPs(c *cap.Capability) {
 	if _, ok := c.Object.(*cap.MemObject); ok {
 		for ep := vpeFirstMemEP; ep <= vpeLastMemEP; ep++ {
 			if act, used := v.activeEPs[ep]; used && act == c.Sel {
+				// The endpoint is the VPE's to use until the delete time is up.
+				p.Settle()
 				_ = v.dtu.Invalidate(k.dtu, ep)
 				delete(v.activeEPs, ep)
 			}

@@ -43,7 +43,15 @@ type SvcResult struct {
 
 // ServiceHandlers are the callbacks a service implements. They run on the
 // service VPE's proc, one at a time (the service PE is a serial resource),
-// after the per-request processing cost.
+// with the per-request processing cost owed (sim.Proc.Charge): p.Now()
+// already includes it, but the machine has not caught up yet. ServeLoop
+// settles before the reply or the answer leaves, so a handler may add its own
+// costs with p.Charge and pay for all of them with one switch, as long as it
+// touches only the service's own state meanwhile. Everything that blocks on p
+// — Sleep, a syscall, Session.Call, DTU reads and waits, the sim primitives —
+// settles first and needs no care; a handler that publishes through a call
+// that does not take p (a Queue.Push, a Future.Complete, a Wake, a write
+// another proc polls) must call p.Settle() before it.
 //
 // Arguments and replies travel as the caller's and the handler's own
 // values, never copied: args is what the client passed to Session.Call,
@@ -114,11 +122,12 @@ func (v *VPE) ServeLoop(p *sim.Proc) {
 	for {
 		it := v.svc.queue.Pop(p)
 		if m := it.msg; m != nil {
-			p.Sleep(cost.ServiceRequest)
+			p.Charge(cost.ServiceRequest)
 			var reply any
 			if h.Request != nil {
 				reply = h.Request(p, m.Label, m.Payload)
 			}
+			p.Settle()
 			v.dtu.Reply(m, reply, svcRepBytes)
 			continue
 		}
@@ -126,24 +135,25 @@ func (v *VPE) ServeLoop(p *sim.Proc) {
 		ev := &q.ev
 		switch ev.kind {
 		case SvcOpen:
-			p.Sleep(cost.ServiceRequest)
+			p.Charge(cost.ServiceRequest)
 			q.res = SvcResult{}
 			if h.Open != nil {
 				q.res = h.Open(p, ev.client, ev.args)
 			}
 		case SvcObtain:
-			p.Sleep(cost.ServiceObtainQuery)
+			p.Charge(cost.ServiceObtainQuery)
 			q.res = SvcResult{Errno: ErrDenied}
 			if h.Obtain != nil {
 				q.res = h.Obtain(p, ev.ident, ev.args)
 			}
 		case SvcDelegate:
-			p.Sleep(cost.ServiceObtainQuery)
+			p.Charge(cost.ServiceObtainQuery)
 			q.res = SvcResult{Errno: ErrDenied}
 			if h.Delegate != nil {
 				q.res = h.Delegate(p, ev.ident, ev.args, ev.obj)
 			}
 		}
+		p.Settle()
 		q.answer(svcRepBytes)
 	}
 }
@@ -189,7 +199,10 @@ func (k *Kernel) sysRegisterService(p *sim.Proc, req *sysRequest) sysReply {
 		Perm:   dtu.PermRW,
 	}
 	k.insertCap(p, c)
-	// Client IPC endpoints; sessions are spread across them.
+	// Client IPC endpoints; sessions are spread across them. The endpoints
+	// are the service's and the directory is every kernel's: the creation
+	// time passes first.
+	p.Settle()
 	q := v.svc.queue
 	onRequest := func(m *dtu.Message) { q.Push(svcItem{msg: m}) }
 	for ep := svcFirstClientEP; ep <= svcLastClientEP; ep++ {
@@ -243,6 +256,13 @@ func (k *Kernel) sysCreateSession(p *sim.Proc, req *sysRequest) sysReply {
 		}
 		loc = svcLoc{kernel: entry.kernel, key: entry.key}
 	}
+	// The endpoint budget comes first: past this point the service opens a
+	// session and the session capability is linked and inserted, and a
+	// refusal afterwards would leave all three behind.
+	ep := vpeFirstSessionEP + v.nextSessEP
+	if ep > vpeLastSessionEP {
+		return sysReply{Err: ErrBadArgs}
+	}
 	objID := k.gen.NextID(v.PE, v.ID)
 	var info sessionInfo
 	var parentKey ddl.Key
@@ -265,12 +285,12 @@ func (k *Kernel) sysCreateSession(p *sim.Proc, req *sysRequest) sysReply {
 		if cur := k.store.Lookup(loc.key); cur != nil {
 			cur.AddChild(sessKey)
 		}
-		k.exec(p, k.sys.Cost.CapLink)
+		k.charge(p, k.sys.Cost.CapLink)
 		info = sessionInfo{SvcPE: entry.vpe.PE, SvcEP: clientEPFor(res.Ident), Ident: res.Ident}
 		parentKey = loc.key
 		k.stats.Sessions++
 	} else {
-		k.exec(p, k.sys.Cost.IKCMarshal)
+		k.charge(p, k.sys.Cost.IKCMarshal)
 		rep := k.ikCall(p, loc.kernel, &ikcRequest{
 			Kind:     ikcSession,
 			Key:      loc.key,
@@ -298,10 +318,6 @@ func (k *Kernel) sysCreateSession(p *sim.Proc, req *sysRequest) sysReply {
 	}
 	k.insertCap(p, sess)
 	// Configure the client's send endpoint for direct service IPC.
-	ep := vpeFirstSessionEP + v.nextSessEP
-	if ep > vpeLastSessionEP {
-		return sysReply{Err: ErrBadArgs}
-	}
 	v.nextSessEP++
 	k.exec(p, k.sys.Cost.EPConfig)
 	must(v.dtu.ConfigureSend(k.dtu, ep, info.SvcPE, info.SvcEP, 1, info.Ident))
@@ -335,7 +351,7 @@ func (k *Kernel) handleSessionReq(p *sim.Proc, req *ikcRequest) *ikcReply {
 	if cur := k.store.Lookup(req.Key); cur != nil {
 		cur.AddChild(sessKey)
 	}
-	k.exec(p, k.sys.Cost.CapLink+k.sys.Cost.IKCMarshal)
+	k.charge(p, k.sys.Cost.CapLink+k.sys.Cost.IKCMarshal)
 	return &ikcReply{
 		Key:  req.Key,
 		Args: sessionInfo{SvcPE: sv.PE, SvcEP: clientEPFor(res.Ident), Ident: res.Ident},
@@ -383,7 +399,7 @@ func (k *Kernel) sysObtainSess(p *sim.Proc, req *sysRequest) sysReply {
 		obj := deriveObject(src.Object)
 		childKey := ddl.NewKey(v.PE, v.ID, obj.ObjType(), objID)
 		src.AddChild(childKey)
-		k.exec(p, k.sys.Cost.CapLink)
+		k.charge(p, k.sys.Cost.CapLink)
 		child := &cap.Capability{
 			Key:    childKey,
 			Owner:  v.ID,
@@ -397,7 +413,7 @@ func (k *Kernel) sysObtainSess(p *sim.Proc, req *sysRequest) sysReply {
 		return sysReply{Sel: child.Sel, Args: res.Reply}
 	}
 
-	k.exec(p, k.sys.Cost.IKCMarshal)
+	k.charge(p, k.sys.Cost.IKCMarshal)
 	rep := k.ikCall(p, svcKernel, &ikcRequest{
 		Kind:     ikcObtainSess,
 		Key:      sess.Parent,
@@ -457,7 +473,7 @@ func (k *Kernel) handleObtainSessReq(p *sim.Proc, req *ikcRequest) *ikcReply {
 	obj := deriveObject(src.Object)
 	childKey := ddl.NewKey(req.ChildPE, req.ChildVPE, obj.ObjType(), req.ChildObj)
 	src.AddChild(childKey)
-	k.exec(p, k.sys.Cost.CapLink+k.sys.Cost.IKCMarshal)
+	k.charge(p, k.sys.Cost.CapLink+k.sys.Cost.IKCMarshal)
 	return &ikcReply{Key: src.Key, Object: obj, Perm: src.Perm, Args: res.Reply}
 }
 
@@ -513,7 +529,7 @@ func (k *Kernel) sysDelegateSess(p *sim.Proc, req *sysRequest) sysReply {
 			Parent: cKey,
 		}
 		cur.AddChild(child.Key)
-		k.exec(p, k.sys.Cost.CapLink)
+		k.charge(p, k.sys.Cost.CapLink)
 		k.insertCap(p, child)
 		k.stats.Delegates++
 		return sysReply{Sel: child.Sel, Args: res.Reply}
@@ -522,7 +538,7 @@ func (k *Kernel) sysDelegateSess(p *sim.Proc, req *sysRequest) sysReply {
 	// Inter-kernel calls below are preemption points; resolve the delegated
 	// capability by its hoisted key afterwards, never through the pointer.
 	cKey := c.Key
-	k.exec(p, k.sys.Cost.IKCMarshal)
+	k.charge(p, k.sys.Cost.IKCMarshal)
 	rep := k.ikCall(p, svcKernel, &ikcRequest{
 		Kind:   ikcDelegateSess,
 		Key:    cKey,
@@ -544,7 +560,7 @@ func (k *Kernel) sysDelegateSess(p *sim.Proc, req *sysRequest) sysReply {
 		return sysReply{Err: ErrInRevocation}
 	}
 	cur.AddChild(childKey)
-	k.exec(p, k.sys.Cost.CapLink)
+	k.charge(p, k.sys.Cost.CapLink)
 	ack := k.ikCall(p, svcKernel, &ikcRequest{Kind: ikcDelegateAck, Child: childKey, Ok: true})
 	if ack.Err != OK {
 		if again := k.store.Lookup(cKey); again != nil {
@@ -589,8 +605,8 @@ func (k *Kernel) handleDelegateSessReq(p *sim.Proc, req *ikcRequest) *ikcReply {
 		Perm:   req.Perm,
 		Parent: req.Key,
 	}
-	k.exec(p, k.sys.Cost.CapCreate)
-	k.pendingDelegations.Put(childKey, child)
+	k.charge(p, k.sys.Cost.CapCreate)
+	k.prepareDelegation(p, child)
 	return &ikcReply{Key: childKey, Args: res.Reply}
 }
 
@@ -616,6 +632,7 @@ func (v *VPE) CreateSession(p *sim.Proc, name string, args any) (*Session, error
 // Call performs data-plane IPC with the service: no kernel involved, only
 // the DTU channel configured at session creation.
 func (s *Session) Call(p *sim.Proc, args any) (any, error) {
+	p.Settle() // a service calling another from a handler owes its request cost
 	if err := s.v.dtu.Send(s.ep, args, svcReqBytes, vpeServiceReplyEP, 0); err != nil {
 		return nil, err
 	}

@@ -15,7 +15,18 @@ import (
 func (k *Kernel) handleSyscall(p *sim.Proc, m *dtu.Message) {
 	req := m.Payload.(*sysRequest)
 	k.stats.Syscalls++
-	k.exec(p, k.sys.Cost.SyscallDispatch)
+	switch req.Kind {
+	case sysAllocMem, sysCreateRgate, sysActivate, sysRegisterService, sysExit:
+		// These start on state the CPU does not guard — the DRAM allocator
+		// and the service directory are shared between kernels, an endpoint
+		// or the exited flag is the VPE's to see — so the dispatch time
+		// passes first.
+		k.exec(p, k.sys.Cost.SyscallDispatch)
+	default:
+		// The capability syscalls start in the capability store: dispatch is
+		// the first charge of a CPU-held stretch.
+		k.charge(p, k.sys.Cost.SyscallDispatch)
+	}
 
 	var rep sysReply
 	switch req.Kind {
@@ -48,6 +59,8 @@ func (k *Kernel) handleSyscall(p *sim.Proc, m *dtu.Message) {
 		rep = sysReply{Err: ErrBadArgs}
 	}
 
+	// The reply settles the syscall: everything still owed passes before it
+	// leaves.
 	k.exec(p, k.sys.Cost.SyscallReply)
 	out := &k.sys.vpes[req.VPE].sysRep
 	*out = rep
@@ -55,18 +68,18 @@ func (k *Kernel) handleSyscall(p *sim.Proc, m *dtu.Message) {
 }
 
 // insertCap stores a freshly created capability, charging creation and
-// linking costs.
+// linking costs (owed: the store is the CPU holder's).
 func (k *Kernel) insertCap(p *sim.Proc, c *cap.Capability) {
-	k.exec(p, k.sys.Cost.CapCreate+k.sys.Cost.CapLink)
+	k.charge(p, k.sys.Cost.CapCreate+k.sys.Cost.CapLink)
 	k.store.Insert(c)
 	k.stats.CapsCreated++
 }
 
 // lookupSel finds a VPE's capability and charges lookup plus DDL-decoding
 // cost (SemperOS references capabilities by DDL key rather than pointer;
-// the decode is the overhead measured in Table 3).
+// the decode is the overhead measured in Table 3). The cost is owed.
 func (k *Kernel) lookupSel(p *sim.Proc, vpe int, sel cap.Selector) *cap.Capability {
-	k.exec(p, k.sys.Cost.CapLookup+k.sys.Cost.DDLDecode)
+	k.charge(p, k.sys.Cost.CapLookup+k.sys.Cost.DDLDecode)
 	return k.store.LookupSel(vpe, sel)
 }
 
@@ -136,7 +149,7 @@ func (k *Kernel) sysDeriveMem(p *sim.Proc, req *sysRequest) sysReply {
 		Parent: parent.Key,
 	}
 	parent.AddChild(child.Key)
-	k.exec(p, k.sys.Cost.CapLink)
+	k.charge(p, k.sys.Cost.CapLink)
 	k.insertCap(p, child)
 	return sysReply{Sel: child.Sel}
 }
@@ -184,7 +197,7 @@ func (k *Kernel) sysActivate(p *sim.Proc, req *sysRequest) sysReply {
 	object, perm := c.Object, c.Perm
 	// Configuring a remote DTU costs a NoC round trip.
 	rt := k.sys.Net.Latency(k.pe, v.PE, 32) + k.sys.Net.Latency(v.PE, k.pe, 16)
-	k.releaseCPU()
+	k.releaseCPU(p)
 	p.Sleep(rt)
 	k.acquireCPU(p)
 	switch obj := object.(type) {
@@ -229,6 +242,9 @@ func (k *Kernel) sysExit(p *sim.Proc, req *sysRequest) sysReply {
 			break // everything left is already in revocation
 		}
 	}
+	// The PE table is the whole machine's: the last revocation's time passes
+	// before the PE reads as free.
+	p.Settle()
 	k.sys.peToVPE[v.PE] = nil
 	return sysReply{}
 }

@@ -409,7 +409,7 @@ func (t *transport) flushFrom(p *sim.Proc, ref flushRef) {
 	if q.epoch == ref.epoch { // may have flushed inline while we waited for the CPU
 		t.flushLocked(p, ref.key)
 	}
-	t.k.releaseCPU()
+	t.k.releaseCPU(p)
 }
 
 // flushLocked drains one queue and transmits its requests as a single
@@ -441,7 +441,7 @@ func (t *transport) flushLocked(p *sim.Proc, key qkey) {
 	k.stats.IKCBatches++
 	sem := k.inflightTo(key.dst)
 	if !sem.TryAcquire() {
-		k.releaseCPU()
+		k.releaseCPU(p)
 		sem.Acquire(p)
 		k.acquireCPU(p)
 	}

@@ -129,6 +129,7 @@ func (v *VPE) Kill() { v.exited = true }
 // the request and the reply can live in the VPE's own buffers: the kernel
 // reads sysReq and writes sysRep only between the send and the reply.
 func (v *VPE) syscall(p *sim.Proc, req sysRequest) sysReply {
+	p.Settle() // a service handler issuing a syscall owes its request cost
 	req.VPE = v.ID
 	v.sysReq = req
 	v.syscalls++

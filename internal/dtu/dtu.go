@@ -627,8 +627,10 @@ func (d *DTU) Fetch(ep int) *Message {
 }
 
 // Wait blocks the proc until a message is queued at receive endpoint ep and
-// returns it.
+// returns it. Like every DTU operation that takes the proc, it first settles
+// what the proc owes (sim.Proc.Charge): the endpoint is other parties' state.
 func (d *DTU) Wait(p *sim.Proc, ep int) *Message {
+	p.Settle()
 	checkEP(ep)
 	e := &d.eps[ep]
 	if e.kind != EpRecv {
@@ -646,6 +648,7 @@ func (d *DTU) Wait(p *sim.Proc, ep int) *Message {
 // goroutine handoff) for however many messages have accumulated, the
 // consumer-side half of coalesced delivery.
 func (d *DTU) WaitVec(p *sim.Proc, ep int) []*Message {
+	p.Settle()
 	checkEP(ep)
 	e := &d.eps[ep]
 	if e.kind != EpRecv {
@@ -767,6 +770,7 @@ func (d *DTU) memAccess(ep int, off, size uint64, need Perm) (*DTU, uint64, erro
 // ReadMem reads size bytes at offset off through memory endpoint ep,
 // blocking the proc for the NoC round trip plus data transfer time.
 func (d *DTU) ReadMem(p *sim.Proc, ep int, off, size uint64) ([]byte, error) {
+	p.Settle()
 	target, abs, err := d.memAccess(ep, off, size, PermR)
 	if err != nil {
 		return nil, err
@@ -784,6 +788,7 @@ func (d *DTU) ReadMem(p *sim.Proc, ep int, off, size uint64) ([]byte, error) {
 // WriteMem writes data at offset off through memory endpoint ep, blocking
 // the proc for the transfer plus acknowledgement.
 func (d *DTU) WriteMem(p *sim.Proc, ep int, off uint64, data []byte) error {
+	p.Settle()
 	size := uint64(len(data))
 	target, abs, err := d.memAccess(ep, off, size, PermW)
 	if err != nil {

@@ -400,3 +400,28 @@ func TestPooledEngineRetainsNoFileState(t *testing.T) {
 		t.Fatal("an open file of a closed machine is still reachable from its pooled engine")
 	}
 }
+
+// TestOpenReadCloseEventsAndResumes is core.TestOperationEventsAndResumes
+// for the file path: a warmed open + read + close-with-revoke executes the
+// events it always did, and far fewer of them switch into a proc — the
+// service loop charges its request cost and the handlers theirs and settle
+// once before the reply leaves, the kernel threads behind the obtain and the
+// revoke do the same per CPU-held stretch.
+func TestOpenReadCloseEventsAndResumes(t *testing.T) {
+	var eng *sim.Engine
+	orc := openReadClose(t)
+	_, step := stepClient(t, preloadF, func(c *Client, p *sim.Proc) {
+		eng = p.Engine()
+		orc(c, p)
+	})
+	for i := 0; i < 4; i++ {
+		step()
+	}
+	e0, r0 := eng.Executed(), eng.Resumes()
+	step()
+	events, resumes := eng.Executed()-e0, eng.Resumes()-r0
+	const wantEvents, wantResumes = 45, 19 // 31 resumes with a Sleep per term
+	if events != wantEvents || resumes != wantResumes {
+		t.Fatalf("open+read+close: %d events, %d resumes; want %d, %d", events, resumes, wantEvents, wantResumes)
+	}
+}

@@ -355,7 +355,7 @@ func (fs *FS) grow(f *fileNode, newSize uint64) error {
 // --- service handlers --------------------------------------------------------
 
 func (fs *FS) onOpen(p *sim.Proc, clientVPE int, args any) core.SvcResult {
-	p.Sleep(fs.cfg.SessionCycles)
+	p.Charge(fs.cfg.SessionCycles)
 	fs.nextSess++
 	ident := fs.nextSess
 	fs.sessions[ident] = &session{ident: ident, client: clientVPE}
@@ -445,7 +445,7 @@ func (fs *FS) onRequest(p *sim.Proc, ident uint64, args any) any {
 
 func (fs *FS) doOpen(p *sim.Proc, sess *session, req *Request, rep *Reply) {
 	fs.stats.Opens++
-	p.Sleep(fs.cfg.PathWalkCycles)
+	p.Charge(fs.cfg.PathWalkCycles)
 	parent, name, n := fs.walk(req.Dir, req.Path)
 	f, isFile := n.(*fileNode)
 	switch {
@@ -469,7 +469,7 @@ func (fs *FS) doOpen(p *sim.Proc, sess *session, req *Request, rep *Reply) {
 	}
 	if !f.hot {
 		// First open: load the extent table.
-		p.Sleep(fs.cfg.ExtentCycles * sim.Duration(len(f.extents)))
+		p.Charge(fs.cfg.ExtentCycles * sim.Duration(len(f.extents)))
 		f.hot = true
 	}
 	rep.FD, rep.Size = sess.open(f), f.size
@@ -499,7 +499,7 @@ func (fs *FS) revokeExtents(p *sim.Proc, f *fileNode) {
 
 func (fs *FS) doStat(p *sim.Proc, req *Request, rep *Reply) {
 	fs.stats.Stats++
-	p.Sleep(fs.cfg.PathWalkCycles)
+	p.Charge(fs.cfg.PathWalkCycles)
 	_, _, n := fs.walk(req.Dir, req.Path)
 	switch t := n.(type) {
 	case *fileNode:
@@ -513,7 +513,7 @@ func (fs *FS) doStat(p *sim.Proc, req *Request, rep *Reply) {
 
 func (fs *FS) doMkdir(p *sim.Proc, req *Request) core.Errno {
 	fs.stats.Mkdirs++
-	p.Sleep(fs.cfg.PathWalkCycles)
+	p.Charge(fs.cfg.PathWalkCycles)
 	parent, name, n := fs.walk(req.Dir, req.Path)
 	if parent == nil {
 		return core.ErrBadArgs
@@ -527,7 +527,7 @@ func (fs *FS) doMkdir(p *sim.Proc, req *Request) core.Errno {
 
 func (fs *FS) doUnlink(p *sim.Proc, req *Request) core.Errno {
 	fs.stats.Unlinks++
-	p.Sleep(fs.cfg.PathWalkCycles)
+	p.Charge(fs.cfg.PathWalkCycles)
 	parent, name, n := fs.walk(req.Dir, req.Path)
 	f, ok := n.(*fileNode)
 	if !ok {
@@ -540,7 +540,7 @@ func (fs *FS) doUnlink(p *sim.Proc, req *Request) core.Errno {
 
 func (fs *FS) doReaddir(p *sim.Proc, req *Request, rep *Reply) {
 	fs.stats.Readdirs++
-	p.Sleep(fs.cfg.PathWalkCycles)
+	p.Charge(fs.cfg.PathWalkCycles)
 	_, _, n := fs.walk(req.Dir, req.Path)
 	d, ok := n.(*dirNode)
 	if !ok {
@@ -564,6 +564,6 @@ func (fs *FS) doExtend(p *sim.Proc, sess *session, req *Request) core.Errno {
 	if err := fs.grow(f, req.Off); err != nil {
 		return core.ErrOutOfMem
 	}
-	p.Sleep(fs.cfg.ExtentCycles * sim.Duration(len(f.extents)-before))
+	p.Charge(fs.cfg.ExtentCycles * sim.Duration(len(f.extents)-before))
 	return core.OK
 }

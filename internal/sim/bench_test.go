@@ -69,6 +69,30 @@ func BenchmarkProcHandoff(b *testing.B) {
 	e.Kill()
 }
 
+// BenchmarkProcChargeSettle is BenchmarkProcHandoff with owed time: one op is
+// still one cost term and one event, but the proc charges four terms and
+// settles once, so three of every four switches into and out of the body are
+// gone. The difference to BenchmarkProcHandoff is what a kernel thread saves
+// per term it charges instead of sleeping.
+func BenchmarkProcChargeSettle(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine()
+	n := b.N
+	e.Spawn("bench", func(p *Proc) {
+		for i := 0; i < n; i += 4 {
+			p.Charge(1)
+			p.Charge(1)
+			p.Charge(1)
+			p.Charge(1)
+			p.Settle()
+		}
+	})
+	b.ResetTimer()
+	e.Run()
+	b.StopTimer()
+	e.Kill()
+}
+
 // BenchmarkWakeStorm measures the same-instant lane under the pattern that
 // motivated it: many parked procs woken at one timestamp, FIFO.
 func BenchmarkWakeStorm(b *testing.B) {

@@ -73,6 +73,8 @@ type Domain struct {
 	// Wallclock accounting, filled by the multi-domain run loops.
 	busy   time.Duration
 	events uint64
+	// resumes counts the times step switched into one of this domain's procs.
+	resumes uint64
 }
 
 // post is one cross-domain event in a mailbox: the absolute delivery time
@@ -84,11 +86,12 @@ type post struct {
 }
 
 // DomainStat is one domain's share of a multi-domain run: wallclock spent
-// executing its events (Busy, varies run to run) and the events executed
-// (deterministic).
+// executing its events (Busy, varies run to run), the events executed and
+// how many of them resumed a proc (both deterministic).
 type DomainStat struct {
-	Busy   time.Duration
-	Events uint64
+	Busy    time.Duration
+	Events  uint64
+	Resumes uint64
 }
 
 // NewDomain adds a partition and returns its handle. The root domain (id 0)
@@ -146,7 +149,7 @@ func (e *Engine) DomainStats() []DomainStat {
 	}
 	out := make([]DomainStat, len(e.doms))
 	for i, dm := range e.doms {
-		out[i] = DomainStat{Busy: dm.busy, Events: dm.events}
+		out[i] = DomainStat{Busy: dm.busy, Events: dm.events, Resumes: dm.resumes}
 	}
 	return out
 }
@@ -173,6 +176,7 @@ func (dm *Domain) Schedule(d Duration, fn func()) {
 	if e.killed {
 		return
 	}
+	e.checkSettled()
 	if dm.inRound {
 		dm.rseq++
 		if d == 0 {
@@ -214,6 +218,7 @@ func (dm *Domain) Post(dst *Domain, d Duration, fn func()) {
 		dst.Schedule(d, fn)
 		return
 	}
+	e.checkSettled()
 	if d < e.lookahead {
 		panic(fmt.Sprintf("sim: cross-domain post with delay %d below the lookahead %d", d, e.lookahead))
 	}

@@ -67,6 +67,9 @@ type Engine struct {
 	// of runs. It is nil only while isolated rounds are in flight, when
 	// engine-level scheduling has no defined lane and panics.
 	cur *Domain
+	// running is the proc whose body is executing, nil on the engine side;
+	// checkSettled reads it.
+	running *Proc
 	// root is domain 0, embedded so the common single-domain engine costs no
 	// extra allocation. doms stays nil on the sequential fast path and lists
 	// all domains (root first) once NewDomain has been called.
@@ -94,6 +97,21 @@ func (e *Engine) Now() Time { return e.now }
 // Executed returns the number of events executed so far.
 func (e *Engine) Executed() uint64 { return e.executed }
 
+// Resumes returns the number of proc resumptions so far: the events whose
+// step switched into a proc body, as opposed to running a handler or
+// replaying an owed charge (Proc.Settle). Like Executed it is deterministic;
+// Executed stays put when a Sleep becomes a Charge, Resumes falls.
+func (e *Engine) Resumes() uint64 {
+	if e.doms == nil {
+		return e.root.resumes
+	}
+	var n uint64
+	for _, dm := range e.doms {
+		n += dm.resumes
+	}
+	return n
+}
+
 // SetEventLimit caps the total number of events the engine may execute.
 // Zero (the default) means unlimited. SetEventLimit(n) means at most n
 // events: executing event n+1 panics (in Run and Step alike), which catches
@@ -114,12 +132,25 @@ func (e *Engine) Schedule(d Duration, fn func()) {
 	if dm == nil {
 		panic("sim: Engine.Schedule during isolated rounds (use Domain.Schedule or the proc APIs)")
 	}
+	e.checkSettled()
 	e.seq++
 	if d == 0 {
 		dm.fifo = append(dm.fifo, event{at: e.now, seq: e.seq, fn: fn})
 		return
 	}
 	dm.heapPush(event{at: e.now + d, seq: e.seq, fn: fn})
+}
+
+// checkSettled panics if the running proc schedules while it owes time
+// (Proc.Charge). An event scheduled then would take a sequence number ahead
+// of the owed charges' own events — a Wake, a timer or a message would
+// overtake the time its sender has not spent yet, and the run would drift
+// from the one a Sleep per charge produces without anything failing.
+// Settle's own Schedule is exempt: by then the proc is replaying.
+func (e *Engine) checkSettled() {
+	if r := e.running; r != nil && r.nOwed != 0 && r.replayed == 0 {
+		panic("sim: proc schedules with unsettled charges")
+	}
 }
 
 // At runs fn at absolute time t. Scheduling in the past panics: it would

@@ -26,7 +26,7 @@ func (e *Engine) Reset() {
 	// survive, which is where the reuse win lives anyway.
 	e.doms = nil
 	e.lookahead, e.isolated = 0, false
-	e.root.rnow, e.root.rseq, e.root.busy, e.root.events = 0, 0, 0, 0
+	e.root.rnow, e.root.rseq, e.root.busy, e.root.events, e.root.resumes = 0, 0, 0, 0, 0
 	e.root.inbox = nil
 	e.cur = &e.root
 }

@@ -50,7 +50,21 @@ type Proc struct {
 	// dead is set on the engine side, by step when the body returns and by
 	// Kill, so it also covers procs whose body never started.
 	dead bool
+	// Owed time (Charge, Settle): owed[:nOwed] are the charges recorded since
+	// the last settlement, in order; replayed counts how many of them step
+	// has turned into events so far, and is non-zero only while Settle is
+	// parked.
+	nOwed    uint8
+	replayed uint8
+	owed     [maxOwed]Duration
 }
+
+// maxOwed is how many charges a proc can owe before Charge settles on its
+// own. Seven cover a capability syscall end to end (dispatch, lookup, link,
+// create, reply) with room to spare and fill a Proc up to the 160-byte
+// allocation size class exactly; a longer stretch — a revocation walk —
+// costs one park per seven charges instead of one each.
+const maxOwed = 7
 
 // killed is the panic value used to unwind a proc when its engine is killed.
 type killed struct{}
@@ -133,7 +147,21 @@ func (p *Proc) step() {
 	if p.dead {
 		return
 	}
-	if _, parked := p.next(); parked {
+	if p.replayed < p.nOwed {
+		// Settling, and the charge that just elapsed was not the last: the
+		// next one starts now, as its own event — scheduled at the instant
+		// and in the order Sleep would have scheduled it — and the proc
+		// stays parked.
+		d := p.owed[p.replayed]
+		p.replayed++
+		p.dom.Schedule(d, p.stepFn)
+		return
+	}
+	p.dom.resumes++
+	p.eng.running = p
+	_, parked := p.next()
+	p.eng.running = nil
+	if parked {
 		return
 	}
 	p.exit()
@@ -152,12 +180,24 @@ func (p *Proc) exit() {
 	p.next, p.stop, p.yield = nil, nil, nil
 }
 
-// park hands control back to the engine and blocks until resumed. Once
-// Kill has stopped the proc, yield returns false at once and park unwinds
-// instead — also when a proc defer parks again (e.g. a cleanup Sleep) while
-// the proc is already unwinding.
+// park blocks the proc until something wakes it. A proc that owes time must
+// settle before it waits for anybody else — step would take the wake-up for
+// the first owed charge having elapsed — so parking with charges pending
+// panics instead.
 func (p *Proc) park() {
+	if p.nOwed != 0 {
+		panic("sim: proc parks with unsettled charges")
+	}
+	p.suspend()
+}
+
+// suspend hands control back to the engine and blocks until resumed. Once
+// Kill has stopped the proc, yield returns false at once and suspend unwinds
+// instead — also when a proc defer parks again (e.g. a cleanup Sleep) while
+// the proc is already unwinding. What the proc owed dies with it.
+func (p *Proc) suspend() {
 	if !p.yield(struct{}{}) {
+		p.nOwed, p.replayed = 0, 0
 		panic(killed{})
 	}
 }
@@ -176,14 +216,69 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // Domain returns the domain this proc runs on.
 func (p *Proc) Domain() *Domain { return p.dom }
 
-// Now returns the current virtual time (the proc's domain clock, so it is
-// correct during isolated rounds too).
-func (p *Proc) Now() Time { return p.dom.Now() }
+// Now returns the proc's current virtual time: its domain clock (so it is
+// correct during isolated rounds too) plus whatever the proc owes — the time
+// it would read had every Charge been a Sleep.
+func (p *Proc) Now() Time {
+	t := p.dom.Now()
+	for _, d := range p.owed[:p.nOwed] {
+		t += d
+	}
+	return t
+}
 
-// Sleep blocks the proc for d cycles of virtual time.
+// Sleep blocks the proc for d cycles of virtual time, after settling what it
+// owes.
 func (p *Proc) Sleep(d Duration) {
+	if p.nOwed != 0 {
+		p.Charge(d)
+		p.Settle()
+		return
+	}
 	p.dom.Schedule(d, p.stepFn)
-	p.park()
+	p.suspend()
+}
+
+// Charge records that the proc spends d cycles and returns at once; the time
+// passes when the proc settles. Charge(a); Charge(b); Settle() is
+// Sleep(a); Sleep(b) — the same events with the same (time, sequence) — minus
+// the switch into and out of the proc between the two, provided that between
+// a charge and its settlement the proc touches only state no other proc or
+// event handler reads, and schedules nothing: what it does there runs, in
+// host order, before events that Sleep would have let run first.
+//
+// Everything in this package that blocks settles first; code that publishes
+// by other means (a Queue.Push, a Wake, a NoC send, a write to shared state)
+// calls Settle itself. Half of the proviso is enforced: scheduling anything
+// while owing panics (Engine.checkSettled), and so does parking. The other
+// half — plain reads and writes of shared state — is the caller's to audit.
+//
+// A zero-cycle charge is still a charge: Sleep(0) is an event and a place in
+// the same-instant order. When the proc already owes maxOwed charges, Charge
+// settles them first.
+func (p *Proc) Charge(d Duration) {
+	if p.nOwed == maxOwed {
+		p.Settle()
+	}
+	p.owed[p.nOwed] = d
+	p.nOwed++
+}
+
+// Settle parks the proc once until everything it owes has elapsed. The
+// engine side replays the charges one event each (step), every one scheduled
+// when the previous fires, so the event sequence is the one a Sleep per
+// charge produces. They are never summed into one event: Sleep(a); Sleep(b)
+// takes its place in the order of instant now+a when a has elapsed, and a
+// single Sleep(a+b) would take it now — a different tie-break against every
+// event another party schedules for now+a+b in between.
+func (p *Proc) Settle() {
+	if p.nOwed == 0 {
+		return
+	}
+	p.replayed = 1
+	p.dom.Schedule(p.owed[0], p.stepFn)
+	p.suspend()
+	p.nOwed, p.replayed = 0, 0
 }
 
 // Yield parks the proc and schedules it to resume at the same timestamp,
@@ -191,9 +286,13 @@ func (p *Proc) Sleep(d Duration) {
 // point in the sense of the SemperOS kernel design.
 func (p *Proc) Yield() { p.Sleep(0) }
 
-// Park blocks the proc until some event handler calls Wake. A proc parked
-// this way and never woken leaks until Engine.Kill.
-func (p *Proc) Park() { p.park() }
+// Park blocks the proc until some event handler calls Wake, after settling
+// what it owes. A proc parked this way and never woken leaks until
+// Engine.Kill.
+func (p *Proc) Park() {
+	p.Settle()
+	p.park()
+}
 
 // Wake schedules the proc to resume at the current virtual time, on the
 // proc's own domain lane. It must be called from the engine side or from

@@ -83,7 +83,10 @@ func (f *Future[T]) OnComplete(fn func(T)) {
 func (f *Future[T]) Done() bool { return f.done }
 
 // Wait parks the proc until the future is fulfilled and returns the value.
-// If the future is already fulfilled it returns immediately. During isolated
+// If the future is already fulfilled it returns immediately — in either case
+// after settling what the proc owes (Proc.Charge), like everything in this
+// file that can block: whether there is something to wait for is only known
+// at the instant the proc has really reached. During isolated
 // rounds a waiter on a foreign domain registers with the home domain through
 // a cross-domain post and receives the value the same way, so each leg of the
 // rendezvous costs at least the engine lookahead.
@@ -95,6 +98,7 @@ func (f *Future[T]) Wait(p *Proc) T {
 		}
 		return f.val
 	}
+	p.Settle()
 	if f.dom == nil || p.dom == f.dom || !p.dom.inRound {
 		for !f.done {
 			if f.first == nil {
@@ -157,6 +161,7 @@ func (s *Semaphore) TryAcquire() bool {
 // Acquire takes one unit, parking the proc until one is available.
 // Wakeup order is FIFO.
 func (s *Semaphore) Acquire(p *Proc) {
+	p.Settle()
 	for s.count == 0 {
 		s.waiters.Push(p)
 		p.park()
@@ -213,6 +218,7 @@ func (q *Queue[T]) TryPop() (T, bool) {
 // Pop removes and returns the head element, parking the proc until one is
 // available.
 func (q *Queue[T]) Pop(p *Proc) T {
+	p.Settle()
 	for q.items.Len() == 0 {
 		q.waiters.Push(p)
 		p.park()
@@ -297,6 +303,7 @@ func (wg *WaitGroup) Count() int { return wg.count }
 // waiter on a foreign domain registers with the home domain through a
 // cross-domain post and is woken the same way.
 func (wg *WaitGroup) Wait(p *Proc) {
+	p.Settle()
 	if wg.dom == nil || p.dom == wg.dom || !p.dom.inRound {
 		for wg.count > 0 {
 			wg.waiters = append(wg.waiters, p)
