@@ -27,12 +27,16 @@ func checkAllInvariants(t *testing.T, s *System) {
 	}
 }
 
-// checkNoLeaks asserts CheckLeaks finds nothing after the machine drained.
-// deadKernels excuses kernels that crashed and never recovered.
+// checkNoLeaks asserts CheckLeaks and CheckQuiescent find nothing after the
+// machine drained. deadKernels excuses kernels that crashed and never
+// recovered.
 func checkNoLeaks(t *testing.T, s *System, deadKernels ...int) {
 	t.Helper()
 	for _, p := range s.CheckLeaks(deadKernels...) {
 		t.Errorf("leak: %s", p)
+	}
+	for _, p := range s.CheckQuiescent() {
+		t.Errorf("not quiescent: %s", p)
 	}
 }
 

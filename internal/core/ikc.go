@@ -152,9 +152,7 @@ func (k *Kernel) ikSend(p *sim.Proc, dst int, req *ikcRequest) *sim.Future[*ikcR
 
 	sem := k.inflightTo(dst)
 	if !sem.TryAcquire() {
-		k.releaseCPU(p)
-		sem.Acquire(p)
-		k.acquireCPU(p)
+		k.pause(p, sem)
 	}
 	k.sendRequest(k.sys.kernels[dst], req)
 	if k.rt != nil {
@@ -209,9 +207,7 @@ func (k *Kernel) ikNotify(p *sim.Proc, dst int, req *ikcRequest) *sim.Future[*ik
 	k.stats.IKCSent++
 	sem := k.inflightTo(dst)
 	if !sem.TryAcquire() {
-		k.releaseCPU(p)
-		sem.Acquire(p)
-		k.acquireCPU(p)
+		k.pause(p, sem)
 	}
 	k.sendRequest(k.sys.kernels[dst], req)
 	if k.rt != nil {
@@ -226,7 +222,7 @@ func (k *Kernel) ikNotify(p *sim.Proc, dst int, req *ikcRequest) *sim.Future[*ik
 // inter-kernel pool.
 func (k *Kernel) recvRequest(req *ikcRequest) {
 	k.stats.IKCReceived++
-	j := job{kind: jobRequest, req: req}
+	j := job{kind: jobRequest, subj: req}
 	if req.Kind == ikcRevoke || req.Kind == ikcRevokeBatch {
 		k.revokePool.submit(j)
 	} else {
@@ -250,12 +246,8 @@ func (k *Kernel) handleRequest(p *sim.Proc, req *ikcRequest) {
 	if k.admitRequest(p, req) && k.dedupCheck(p, req) {
 		k.dispatchRequest(p, req)
 	}
-	// Dispatch barrier of the reply sink (see flushBatchReplies): a
-	// reply produced by this dispatch leaves now instead of waiting on
-	// an idle window timer. No-op for unbatched families. A handler that
-	// answers later (revocation) may still owe time here.
-	p.Settle()
-	k.xport.flushBatchReplies(req.From, req.Kind)
+	// A handler that answers later (revocation) may still owe time here; it
+	// elapses in the thread's park, before the epilogue flushes the reply sink.
 }
 
 // returnCredit gives the in-flight credit for one picked-up wire message
@@ -286,7 +278,7 @@ func (k *Kernel) recvBatch(msgs []*dtu.Message) {
 			panic("core: mixed envelope — batches must carry one kind from one kernel")
 		}
 	}
-	k.ikcPool.submit(job{kind: jobBatch, msgs: msgs})
+	k.ikcPool.submit(job{kind: jobBatch, subj: msgs[0]})
 }
 
 // handleBatch picks an envelope up on a kernel thread (CPU held): it frees
@@ -305,9 +297,8 @@ func (k *Kernel) handleBatch(p *sim.Proc, msgs []*dtu.Message, reqs []*ikcReques
 		reqs = append(reqs, m.Payload.(*ikcRequest))
 		k.dtu.Free(m)
 	}
-	from, kind := reqs[0].From, reqs[0].Kind
 	if !k.reliable() {
-		k.returnCredit(from)
+		k.returnCredit(reqs[0].From)
 	}
 	for _, req := range reqs {
 		k.exec(p, k.sys.Cost.IKCDispatch)
@@ -315,8 +306,6 @@ func (k *Kernel) handleBatch(p *sim.Proc, msgs []*dtu.Message, reqs []*ikcReques
 			k.dispatchRequest(p, req)
 		}
 	}
-	p.Settle() // as in handleRequest
-	k.xport.flushBatchReplies(from, kind)
 	return reqs
 }
 

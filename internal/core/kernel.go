@@ -105,6 +105,9 @@ type Kernel struct {
 
 	cpu  *sim.Semaphore // the kernel PE's single core
 	link *sim.Semaphore // the group's shared mesh-region bandwidth
+	// holder is the wait record of the thread that took the CPU last — while
+	// a thread runs with the CPU held, its own (kthread.go).
+	holder *kthread
 
 	syscallPool    *pool
 	ikcPool        *pool
@@ -297,46 +300,31 @@ func (k *Kernel) exec(p *sim.Proc, d sim.Duration) {
 	p.Settle()
 }
 
-// acquireCPU / releaseCPU bracket kernel work; release happens at
-// preemption points (waiting for an inter-kernel reply, a VPE consent
-// answer, or a service answer) and settles what the thread owes first: the
-// next holder must not start before this one's time is up.
-func (k *Kernel) acquireCPU(p *sim.Proc) { k.cpu.Acquire(p) }
-func (k *Kernel) releaseCPU(p *sim.Proc) {
-	p.Settle()
-	k.cpu.Release()
-}
-
-// blockOn waits for a future at a preemption point: the CPU is released
-// while parked and re-acquired afterwards.
-func blockOn[T any](k *Kernel, p *sim.Proc, fut *sim.Future[T]) T {
-	k.releaseCPU(p)
-	v := fut.Wait(p)
-	k.acquireCPU(p)
-	return v
-}
-
 // jobKind says what a kernel thread is to do with a job.
 type jobKind uint8
 
 const (
-	jobSyscall    jobKind = iota // handle the syscall message msg
-	jobRequest                   // dispatch the inter-kernel request req
-	jobBatch                     // pick up and dispatch the request envelope msgs
-	jobRevokeDone                // account one completed child revocation of rs
-	jobFunc                      // run fn, which brackets the CPU itself: boot, rejoin
+	jobSyscall    jobKind = iota // handle the syscall message
+	jobRequest                   // dispatch the inter-kernel request
+	jobBatch                     // pick up and dispatch the request envelope
+	jobRevokeDone                // account one completed child revocation
+	jobFunc                      // run the function, which brackets the CPU itself: boot, rejoin
 )
 
-// job is one unit of kernel-thread work. The per-message kinds carry their
-// subject in a typed field, so queueing a job allocates nothing.
+// job is one unit of kernel-thread work: a kind and its subject, whose
+// dynamic type the kind fixes — the syscall message (*dtu.Message), the
+// request (*ikcRequest), the first message of the envelope (*dtu.Message; the
+// rest are its Vector), the revocation (*revState), the function (jobBody).
+// All of them are pointer-shaped, so queueing a job allocates nothing, and a
+// job is three words: every thread's wait record holds one (kthread).
 type job struct {
 	kind jobKind
-	msg  *dtu.Message
-	req  *ikcRequest
-	msgs []*dtu.Message
-	rs   *revState
-	fn   func(p *sim.Proc)
+	subj any
 }
+
+// jobBody is a jobFunc's subject. t is the record of the thread running it,
+// which acquireCPU wants.
+type jobBody = func(p *sim.Proc, t *kthread)
 
 // pool is a lazily grown, bounded worker pool of kernel threads running
 // jobs on cooperative procs.
@@ -346,6 +334,14 @@ type pool struct {
 	max     int
 	spawned int
 	q       *sim.Queue[job]
+	// threads lists the spawned threads' wait records, newest first; spare
+	// are the records of the current chunk no thread has taken yet. Records
+	// come threadChunk at a time: a pool that needs one thread mostly needs
+	// several (a group's VPEs boot at one instant), and a malloc per thread
+	// would be the only one a thread costs outside sim.
+	threads *kthread
+	spare   []kthread
+	records int // allocated so far, at most max
 	// threadName and work as func values, bound once: taking them per
 	// spawned thread would allocate two closures per thread.
 	nameFn func(idx int) string
@@ -374,36 +370,61 @@ func (pl *pool) submit(j job) {
 	pl.q.Push(j)
 }
 
-// work is the body of one kernel thread: take a job, hold the CPU for it,
-// repeat. reqs is the thread's scratch for the envelope it is dispatching.
+// work is the body of one kernel thread: run a job with the CPU held,
+// repeat. Everything in between — the job's reply, giving the CPU up, the
+// next job, the CPU for it — is the thread's wait record t at work, engine
+// side (kthread.Ready), so the body is switched in once per job and not to
+// find out that there is nothing to do yet. What a job still owes when its
+// handler returns elapses in that park too. reqs is the thread's scratch for
+// the envelope it is dispatching.
 func (pl *pool) work(p *sim.Proc) {
 	k := pl.k
+	t := pl.newThread()
 	var reqs []*ikcRequest
 	for {
-		j := pl.q.Pop(p)
-		if j.kind == jobFunc {
-			j.fn(p)
+		p.ParkOn(t)
+		switch j := &t.job; j.kind {
+		case jobFunc:
+			j.subj.(jobBody)(p, t)
+			t.stage = stageJob // the body gave the CPU back itself: no epilogue
 			continue
-		}
-		k.acquireCPU(p)
-		switch j.kind {
 		case jobSyscall:
-			k.handleSyscall(p, j.msg)
+			k.handleSyscall(p, j.subj.(*dtu.Message))
 		case jobRequest:
-			k.handleRequest(p, j.req)
+			k.handleRequest(p, j.subj.(*ikcRequest))
 		case jobBatch:
-			reqs = k.handleBatch(p, j.msgs, reqs[:0])
+			reqs = k.handleBatch(p, j.subj.(*dtu.Message).Vector(), reqs[:0])
+			// The messages are gone; the first request stands for the envelope
+			// from here on — its sender and kind name the reply queue the
+			// epilogue flushes.
+			j.subj = reqs[0]
 			clear(reqs)
 		case jobRevokeDone:
-			k.revokeReplyArrived(p, j.rs)
+			k.revokeReplyArrived(p, j.subj.(*revState))
 		}
-		k.releaseCPU(p)
+		t.stage = stageEpilogue
 	}
+}
+
+// threadChunk is how many wait records a pool allocates at a time.
+const threadChunk = 4
+
+// newThread hands the calling thread its wait record, parked for a job.
+func (pl *pool) newThread() *kthread {
+	if len(pl.spare) == 0 {
+		pl.spare = make([]kthread, min(threadChunk, pl.max-pl.records))
+		pl.records += len(pl.spare)
+	}
+	t := &pl.spare[0]
+	pl.spare = pl.spare[1:]
+	t.pl, t.next, t.stage = pl, pl.threads, stageJob
+	pl.threads = t
+	return t
 }
 
 // onSyscallMsg is the DTU handler for the kernel's syscall endpoints.
 func (k *Kernel) onSyscallMsg(m *dtu.Message) {
-	k.syscallPool.submit(job{kind: jobSyscall, msg: m})
+	k.syscallPool.submit(job{kind: jobSyscall, subj: m})
 }
 
 // createVPE registers a VPE with its group kernel, configures its DTU and
@@ -411,8 +432,8 @@ func (k *Kernel) onSyscallMsg(m *dtu.Message) {
 // serializes at their group kernels (visible in the application benchmarks
 // as startup cost).
 func (k *Kernel) createVPE(v *VPE) {
-	k.syscallPool.submit(job{kind: jobFunc, fn: func(p *sim.Proc) {
-		k.acquireCPU(p)
+	k.syscallPool.submit(job{kind: jobFunc, subj: func(p *sim.Proc, t *kthread) {
+		k.acquireCPU(p, t)
 		k.exec(p, k.sys.Cost.VPECreate)
 		// Syscall channel: user EP 0 sends to one of the kernel's syscall
 		// endpoints; one credit models the single outstanding syscall.
@@ -520,12 +541,16 @@ func (q *query) ask(p *sim.Proc, stage queryStage, bytes int) {
 	q.stage = stage
 	p.Settle()
 	k.sys.Net.Send(k.pe, q.v.PE, bytes, q.fire)
-	k.releaseCPU(p)
-	for !q.done {
+	k.pause(p, q)
+}
+
+// Ready implements sim.Waiter for the asking thread: the answer is back, or
+// the thread is the one its arrival wakes.
+func (q *query) Ready(p *sim.Proc) bool {
+	if !q.done {
 		q.waiter = p
-		p.Park()
 	}
-	k.acquireCPU(p)
+	return q.done
 }
 
 // onFire is q's next event (event context: at the VPE's PE until the answer

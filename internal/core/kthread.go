@@ -1,0 +1,182 @@
+package core
+
+import (
+	"fmt"
+
+	"repro/internal/dtu"
+	"repro/internal/sim"
+)
+
+// waitStage says what a kernel thread's wait record does when the engine
+// next asks it (kthread.Ready).
+type waitStage uint8
+
+const (
+	// Between jobs: the job's last charge has elapsed, so what it produced
+	// leaves (the epilogue) and the CPU is released; then the thread takes
+	// the next job off its pool's queue, then the CPU for it.
+	stageEpilogue waitStage = iota
+	stageJob
+	// At a preemption point: release the CPU, wait for inner (a reply, a
+	// VPE's answer, an in-flight credit), take the CPU again.
+	stageRelease
+	stageInner
+	stageCPU
+)
+
+// kthread is the wait record of one proc that runs kernel work — a pool
+// thread, or the transport's transmit proc: everything the thread waits for
+// between two stretches of work, as data. The thread parks on the record
+// once (sim.Proc.ParkOn) and the engine walks the stages in the wake-up
+// events themselves, doing in each what the thread's body did when it was
+// switched in only to look and park again — send the reply, release the CPU,
+// find the next job, queue for the CPU — in the same event and the same
+// order; the body runs again when there is work to run and the CPU to run it
+// on. A job allocates nothing: the records come with the pool (newThread),
+// 64 bytes each.
+//
+// The record is also what the machine reports about the thread
+// (System.CheckQuiescent): which job it holds and what it is parked on.
+type kthread struct {
+	// pl is the thread's pool. The transmit proc takes no jobs and never
+	// reaches stageJob; its record borrows the inter-kernel pool to name its
+	// kernel.
+	pl    *pool
+	next  *kthread // the pool's threads, newest first
+	inner sim.Waiter
+	// job is the job in hand, from stageJob's pop to the epilogue.
+	job   job
+	stage waitStage
+}
+
+// Ready implements sim.Waiter.
+func (t *kthread) Ready(p *sim.Proc) bool {
+	k := t.pl.k
+	for {
+		switch t.stage {
+		case stageEpilogue:
+			switch j := &t.job; j.kind {
+			case jobSyscall:
+				// The reply frees the syscall slot and returns the VPE's credit;
+				// handleSyscall left the payload in the VPE's buffer.
+				m := j.subj.(*dtu.Message)
+				k.dtu.Reply(m, &k.sys.vpes[m.Payload.(*sysRequest).VPE].sysRep, syscallRepBytes)
+			case jobRequest, jobBatch:
+				// Dispatch barrier of the reply sink (see flushBatchReplies): a
+				// reply produced by this dispatch leaves now instead of waiting
+				// on an idle window timer. No-op for unbatched families.
+				req := j.subj.(*ikcRequest)
+				k.xport.flushBatchReplies(req.From, req.Kind)
+			}
+			k.cpu.Release()
+			t.stage = stageJob
+		case stageJob:
+			if !t.pl.q.Ready(p) {
+				return false
+			}
+			t.job, _ = t.pl.q.TryPop()
+			if t.job.kind == jobFunc {
+				return true // the body brackets the CPU itself
+			}
+			t.stage = stageCPU
+		case stageRelease:
+			k.cpu.Release()
+			t.stage = stageInner
+		case stageInner:
+			if !t.inner.Ready(p) {
+				return false
+			}
+			t.inner = nil
+			t.stage = stageCPU
+		case stageCPU:
+			if !k.cpu.Ready(p) {
+				return false
+			}
+			k.holder = t
+			return true
+		}
+	}
+}
+
+// acquireCPU / releaseCPU bracket kernel work for the procs that bracket the
+// CPU themselves — a jobFunc body (boot, rejoin), the transmit proc; pool
+// threads get and give the CPU as stages of their record. t is the calling
+// proc's record. Release settles what the proc owes first: the next holder
+// must not start before this one's time is up.
+func (k *Kernel) acquireCPU(p *sim.Proc, t *kthread) {
+	t.stage = stageCPU
+	p.ParkOn(t)
+}
+
+func (k *Kernel) releaseCPU(p *sim.Proc) {
+	p.Settle()
+	k.cpu.Release()
+}
+
+// pause is a preemption point (paper §4.2) of the thread holding the CPU:
+// once what it owes has elapsed the CPU is released, the thread waits for
+// inner, and takes the CPU again — one park, and one switch back into the
+// thread when it has both.
+func (k *Kernel) pause(p *sim.Proc, inner sim.Waiter) {
+	t := k.holder
+	t.inner, t.stage = inner, stageRelease
+	p.ParkOn(t)
+}
+
+// blockOn waits for a future at a preemption point.
+func blockOn[T any](k *Kernel, p *sim.Proc, fut *sim.Future[T]) T {
+	k.pause(p, fut)
+	return fut.Wait(nil)
+}
+
+// describe says, for the quiescence audit, which job the thread holds and
+// what it is parked on; "" for a thread parked for its next job.
+func (t *kthread) describe() string {
+	var wait string
+	switch t.stage {
+	case stageJob:
+		return ""
+	case stageInner:
+		wait = t.pl.k.describeWait(t.inner)
+	case stageCPU:
+		wait = "await-cpu"
+	default:
+		wait = fmt.Sprintf("stage %d", t.stage)
+	}
+	var what string
+	switch j := &t.job; {
+	case t == t.pl.k.xport.xmit:
+		what = "envelope flush"
+	case j.kind == jobSyscall:
+		what = "syscall " + j.subj.(*dtu.Message).Payload.(*sysRequest).Kind.String()
+	case j.kind == jobRequest:
+		req := j.subj.(*ikcRequest)
+		what = fmt.Sprintf("request %v from k%d", req.Kind, req.From)
+	case j.kind == jobBatch:
+		what = "request envelope"
+	case j.kind == jobRevokeDone:
+		what = "revoke completion"
+	default:
+		what = "boot or rejoin"
+	}
+	return what + ", " + wait
+}
+
+// describeWait names what a thread waits for at a preemption point.
+func (k *Kernel) describeWait(w sim.Waiter) string {
+	switch w := w.(type) {
+	case *sim.Semaphore:
+		for dst, s := range k.inflight {
+			if s == w {
+				return fmt.Sprintf("await-credit k%d→k%d", k.id, dst)
+			}
+		}
+	case *query:
+		return fmt.Sprintf("await-answer of VPE %d", w.v.ID)
+	case *sim.Future[*ikcReply]:
+		return "await-reply"
+	case *sim.Future[struct{}]:
+		return "await-revocation"
+	}
+	return fmt.Sprintf("await %T", w)
+}

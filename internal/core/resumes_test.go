@@ -13,10 +13,13 @@ import (
 // many of them switch into a proc. The events are the cost model's terms and
 // the messages — they are what they were when every term was a Sleep of its
 // own, and a change to them is a change to the simulated machine. The
-// resumes are what owed time saves: a kernel thread charges the terms of a
-// CPU-held stretch and settles once. A charge turned back into an exec, or
-// a settle point that became a second park, moves a resume count here
-// before it costs anything measurable elsewhere.
+// resumes are what owed time and waits as data save: a kernel thread charges
+// the terms of a CPU-held stretch and settles once, and what it waits for in
+// between — the reply leaving, the next job, the CPU — the engine evaluates
+// without switching into it (kthread). A charge turned back into an exec, a
+// settle point that became a second park, or a wait that went back into a
+// thread's body moves a resume count here before it costs anything
+// measurable elsewhere.
 func TestOperationEventsAndResumes(t *testing.T) {
 	s := MustNew(Config{Kernels: 2, UserPEs: 4})
 	defer s.Close()
@@ -83,13 +86,14 @@ func TestOperationEventsAndResumes(t *testing.T) {
 		step            func() func()
 		events, resumes uint64
 	}{
-		// Resumes with a Sleep per term, for the record: 8, 10, 16, 29. The
-		// derive's 4 are the client's two (started, answered) and the kernel
-		// thread's two (job taken, settled).
-		{"derive", func() func() { ownerOp = "derive"; return owner }, 11, 4},
-		{"obtain-local", func() func() { return obtainNear }, 16, 6},
-		{"obtain-spanning", func() func() { return obtainFar }, 25, 10},
-		{"revoke-tree", revoke, 35, 13},
+		// Resumes with a Sleep per term, for the record: 8, 10, 16, 29; with
+		// owed time and a park per wait: 4, 6, 10, 13. The derive's 3 are the
+		// client's two (started, answered) and the kernel thread's one: it
+		// runs the handler, and its wait record does the rest.
+		{"derive", func() func() { ownerOp = "derive"; return owner }, 11, 3},
+		{"obtain-local", func() func() { return obtainNear }, 16, 5},
+		{"obtain-spanning", func() func() { return obtainFar }, 25, 9},
+		{"revoke-tree", revoke, 35, 11},
 	} {
 		step := tc.step()
 		e0, r0 := s.Eng.Executed(), s.Eng.Resumes()
@@ -100,4 +104,88 @@ func TestOperationEventsAndResumes(t *testing.T) {
 		}
 	}
 	checkAllInvariants(t, s)
+}
+
+// loadedDerive builds the loaded counterpart of the idle pins above: one
+// kernel, loadedClients clients, and a round in which every client issues
+// loadedDerives DeriveMem calls back to back, all clients starting at one
+// instant — eight syscalls outstanding against one CPU throughout, the
+// regime the capstorm benchmark runs in.
+const (
+	loadedClients = 8
+	loadedDerives = 64
+)
+
+func loadedDerive(tb testing.TB) (s *System, round func()) {
+	tb.Helper()
+	s = MustNew(Config{Kernels: 1, UserPEs: loadedClients})
+	starts := make([]*sim.Queue[struct{}], loadedClients)
+	for i, pe := range s.UserPEs() {
+		start := sim.NewQueue[struct{}](s.Eng)
+		starts[i] = start
+		if _, err := s.SpawnOn(pe, "client", func(v *VPE, p *sim.Proc) {
+			root, err := v.AllocMem(p, 1<<20, dtu.PermRW)
+			if err != nil {
+				tb.Error(err)
+				return
+			}
+			for {
+				start.Pop(p)
+				for j := 0; j < loadedDerives; j++ {
+					if _, err := v.DeriveMem(p, root, 0, 4096, dtu.PermR); err != nil {
+						tb.Error(err)
+					}
+				}
+			}
+		}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	s.Run() // boot, allocate, park
+	return s, func() {
+		for _, start := range starts {
+			start.Push(struct{}{})
+		}
+		s.Run()
+	}
+}
+
+// TestLoadedDeriveEventsAndResumes is the pin under contention. An idle
+// derive saves one resume against a thread that parks once per wait; the
+// loaded one saves the rest: with the CPU always taken and a job always
+// queued, a thread used to be switched in to take the job, again to take the
+// CPU and again to send the reply, and is now switched in once, to run the
+// handler. A syscall costs two resumes — the client's, woken by the reply,
+// and the thread's — where it cost four; the events are what they were.
+func TestLoadedDeriveEventsAndResumes(t *testing.T) {
+	s, round := loadedDerive(t)
+	defer s.Close()
+	round() // warm: threads spawned, tables grown
+	const (
+		syscalls = loadedClients * loadedDerives
+		// The events of one round at 132b96f, where the same round took four
+		// resumes a syscall (2055 in all).
+		wantEvents = 5639
+		// Two a syscall, and each client's wake-up from its start queue.
+		wantResumes = 2*syscalls + loadedClients
+	)
+	e0, r0 := s.Eng.Executed(), s.Eng.Resumes()
+	round()
+	events, resumes := s.Eng.Executed()-e0, s.Eng.Resumes()-r0
+	if events != wantEvents || resumes != wantResumes {
+		t.Errorf("%d loaded derives: %d events, %d resumes; want %d, %d", syscalls, events, resumes, wantEvents, wantResumes)
+	}
+	checkAllInvariants(t, s)
+}
+
+// BenchmarkLoadedDeriveSyscall is one DeriveMem of the loaded round.
+func BenchmarkLoadedDeriveSyscall(b *testing.B) {
+	s, round := loadedDerive(b)
+	defer s.Close()
+	round()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += loadedClients * loadedDerives {
+		round()
+	}
 }

@@ -166,7 +166,7 @@ func (k *Kernel) sendRevokeRequest(p *sim.Proc, dst int, key ddl.Key, rs *revSta
 // compSubmit schedules completion processing of one revoke reply on the
 // kernel CPU.
 func (k *Kernel) compSubmit(rs *revState) {
-	k.compPool().submit(job{kind: jobRevokeDone, rs: rs})
+	k.compPool().submit(job{kind: jobRevokeDone, subj: rs})
 }
 
 // compPool lazily creates the completion pool ("main loop" processing of

@@ -95,6 +95,32 @@ type localService struct {
 	name     string
 	handlers ServiceHandlers
 	queue    *sim.Queue[svcItem]
+	// ServeLoop's wait record (Ready): the item in hand — non-zero from the
+	// moment it is taken until its answer has left — and, for a client
+	// request, the handler's reply.
+	item  svcItem
+	reply any
+}
+
+// Ready implements sim.Waiter for ServeLoop, the service's counterpart of a
+// kernel thread's record (kthread.go): once what the handler owes has
+// elapsed, the answer to the item in hand leaves — the reply to the client,
+// or the query back to the asking kernel — and the loop takes the next item
+// or parks for it. All of that happens in the events themselves; the loop is
+// switched in once per item.
+func (s *localService) Ready(p *sim.Proc) bool {
+	switch it := s.item; {
+	case it.msg != nil:
+		s.v.dtu.Reply(it.msg, s.reply, svcRepBytes)
+	case it.q != nil:
+		it.q.answer(svcRepBytes)
+	}
+	s.item, s.reply = svcItem{}, nil
+	if !s.queue.Ready(p) {
+		return false
+	}
+	s.item, _ = s.queue.TryPop()
+	return true
 }
 
 // RegisterService registers this VPE as a service under the given name.
@@ -117,21 +143,19 @@ func (v *VPE) ServeLoop(p *sim.Proc) {
 	if v.svc == nil {
 		panic("core: ServeLoop without RegisterService")
 	}
-	h := v.svc.handlers
+	svc := v.svc
+	h := svc.handlers
 	cost := &v.sys.Cost
 	for {
-		it := v.svc.queue.Pop(p)
-		if m := it.msg; m != nil {
+		p.ParkOn(svc) // the last item's answer leaves, the next item arrives
+		if m := svc.item.msg; m != nil {
 			p.Charge(cost.ServiceRequest)
-			var reply any
 			if h.Request != nil {
-				reply = h.Request(p, m.Label, m.Payload)
+				svc.reply = h.Request(p, m.Label, m.Payload)
 			}
-			p.Settle()
-			v.dtu.Reply(m, reply, svcRepBytes)
 			continue
 		}
-		q := it.q
+		q := svc.item.q
 		ev := &q.ev
 		switch ev.kind {
 		case SvcOpen:
@@ -153,8 +177,6 @@ func (v *VPE) ServeLoop(p *sim.Proc) {
 				q.res = h.Delegate(p, ev.ident, ev.args, ev.obj)
 			}
 		}
-		p.Settle()
-		q.answer(svcRepBytes)
 	}
 }
 

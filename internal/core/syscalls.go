@@ -8,10 +8,11 @@ import (
 )
 
 // handleSyscall runs on a syscall-pool thread with the CPU held. It decodes
-// the request, executes the handler and replies to the VPE through the DTU
-// (freeing the syscall slot and returning the VPE's credit). req points
-// into the issuing VPE and is only valid until the reply leaves: a handler
-// that needs it longer copies it.
+// the request, executes the handler and leaves the reply in the VPE's
+// buffer; the thread's epilogue sends it through the DTU (freeing the
+// syscall slot and returning the VPE's credit). req points into the issuing
+// VPE and is only valid until the reply leaves: a handler that needs it
+// longer copies it.
 func (k *Kernel) handleSyscall(p *sim.Proc, m *dtu.Message) {
 	req := m.Payload.(*sysRequest)
 	k.stats.Syscalls++
@@ -59,12 +60,13 @@ func (k *Kernel) handleSyscall(p *sim.Proc, m *dtu.Message) {
 		rep = sysReply{Err: ErrBadArgs}
 	}
 
-	// The reply settles the syscall: everything still owed passes before it
-	// leaves.
-	k.exec(p, k.sys.Cost.SyscallReply)
-	out := &k.sys.vpes[req.VPE].sysRep
-	*out = rep
-	k.dtu.Reply(m, out, syscallRepBytes)
+	// The reply is the last term of the syscall, and the thread's park
+	// settles it: the message leaves, engine side, once everything owed has
+	// elapsed (kthread.Ready, the epilogue). Its payload can be written
+	// already — sysRep is the kernel's to write until the reply arrives, and
+	// the VPE reads it only then.
+	k.charge(p, k.sys.Cost.SyscallReply)
+	k.sys.vpes[req.VPE].sysRep = rep
 }
 
 // insertCap stores a freshly created capability, charging creation and
@@ -197,9 +199,10 @@ func (k *Kernel) sysActivate(p *sim.Proc, req *sysRequest) sysReply {
 	object, perm := c.Object, c.Perm
 	// Configuring a remote DTU costs a NoC round trip.
 	rt := k.sys.Net.Latency(k.pe, v.PE, 32) + k.sys.Net.Latency(v.PE, k.pe, 16)
+	t := k.holder
 	k.releaseCPU(p)
 	p.Sleep(rt)
-	k.acquireCPU(p)
+	k.acquireCPU(p, t)
 	switch obj := object.(type) {
 	case *cap.MemObject:
 		must(v.dtu.ConfigureMem(k.dtu, req.EP, obj.PE, obj.Off, obj.Size, perm&obj.Perm))

@@ -247,9 +247,9 @@ type transport struct {
 	// timer-driven request flush so unbatched configurations create no
 	// procs. Reply flushes never need it: nobody blocks on sending a
 	// reply, so they run from event context under the ikReplyAsync cost
-	// convention.
-	flushQ  *sim.Queue[flushRef]
-	spawned bool
+	// convention. xmit is the proc's wait record, non-nil once spawned.
+	flushQ *sim.Queue[flushRef]
+	xmit   *kthread
 
 	// items is sendEnvelope's scratch: SendVecTo reads it before returning.
 	items []dtu.VecItem
@@ -380,8 +380,8 @@ func (t *transport) timerFire(key qkey, epoch uint64) {
 	if q == nil || q.epoch != epoch || len(q.reqs) == 0 {
 		return // already flushed inline
 	}
-	if !t.spawned {
-		t.spawned = true
+	if t.xmit == nil {
+		t.xmit = &kthread{pl: t.k.ikcPool, stage: stageJob}
 		t.k.dom.SpawnLazy(xmitName, t.k.id, func(p *sim.Proc) {
 			for {
 				ref := t.flushQ.Pop(p)
@@ -405,11 +405,12 @@ func (t *transport) flushFrom(p *sim.Proc, ref flushRef) {
 	if q == nil || q.epoch != ref.epoch || len(q.reqs) == 0 {
 		return
 	}
-	t.k.acquireCPU(p)
+	t.k.acquireCPU(p, t.xmit)
 	if q.epoch == ref.epoch { // may have flushed inline while we waited for the CPU
 		t.flushLocked(p, ref.key)
 	}
 	t.k.releaseCPU(p)
+	t.xmit.stage = stageJob // between flushes, for the quiescence audit
 }
 
 // flushLocked drains one queue and transmits its requests as a single
@@ -441,9 +442,7 @@ func (t *transport) flushLocked(p *sim.Proc, key qkey) {
 	k.stats.IKCBatches++
 	sem := k.inflightTo(key.dst)
 	if !sem.TryAcquire() {
-		k.releaseCPU(p)
-		sem.Acquire(p)
-		k.acquireCPU(p)
+		k.pause(p, sem)
 	}
 	t.sendEnvelope(key.dst, reqs)
 	if k.rt != nil {

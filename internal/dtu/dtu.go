@@ -123,6 +123,16 @@ type Message struct {
 	freed    bool
 }
 
+// Vector returns the coalesced vector m arrived in, m included, in send
+// order — what a VecHandler was handed — or nil for a message sent on its
+// own. Like that slice it is valid until the last of its messages is freed.
+func (m *Message) Vector() []*Message {
+	if m.vec == nil {
+		return nil
+	}
+	return m.vec.msgs
+}
+
 // vecMeta is one coalesced vector on the wire and its shared bookkeeping at
 // the receiver: the siblings occupy a single receive slot (the vector is one
 // wire message), released when the last of them is freed — at which point
@@ -361,6 +371,17 @@ func (d *DTU) EpKindOf(ep int) EpKind {
 func (d *DTU) Credits(ep int) int {
 	checkEP(ep)
 	return d.eps[ep].credits
+}
+
+// Occupied returns how many slots of a receive endpoint hold a message that
+// has been delivered and not yet freed (Reply, Ack, Free); 0 for any other
+// kind of endpoint.
+func (d *DTU) Occupied(ep int) int {
+	checkEP(ep)
+	if d.eps[ep].kind != EpRecv {
+		return 0
+	}
+	return d.eps[ep].used
 }
 
 // messaging --------------------------------------------------------------
@@ -630,17 +651,24 @@ func (d *DTU) Fetch(ep int) *Message {
 // returns it. Like every DTU operation that takes the proc, it first settles
 // what the proc owes (sim.Proc.Charge): the endpoint is other parties' state.
 func (d *DTU) Wait(p *sim.Proc, ep int) *Message {
-	p.Settle()
 	checkEP(ep)
 	e := &d.eps[ep]
+	p.ParkOn(e)
+	return e.queue.Pop()
+}
+
+// Ready is Wait's condition as a sim.Waiter: a message is queued, or p joins
+// the waiters a delivery wakes. What kind of endpoint this is, like the rest
+// of its state, is read once the proc's time has passed.
+func (e *endpoint) Ready(p *sim.Proc) bool {
 	if e.kind != EpRecv {
 		panic("dtu: Wait on non-recv endpoint")
 	}
-	for e.queue.Len() == 0 {
+	if e.queue.Len() == 0 {
 		e.waiters.Push(p)
-		p.Park()
+		return false
 	}
-	return e.queue.Pop()
+	return true
 }
 
 // WaitVec blocks the proc until at least one message is queued at receive
@@ -648,16 +676,9 @@ func (d *DTU) Wait(p *sim.Proc, ep int) *Message {
 // goroutine handoff) for however many messages have accumulated, the
 // consumer-side half of coalesced delivery.
 func (d *DTU) WaitVec(p *sim.Proc, ep int) []*Message {
-	p.Settle()
 	checkEP(ep)
 	e := &d.eps[ep]
-	if e.kind != EpRecv {
-		panic("dtu: WaitVec on non-recv endpoint")
-	}
-	for e.queue.Len() == 0 {
-		e.waiters.Push(p)
-		p.Park()
-	}
+	p.ParkOn(e)
 	return e.queue.TakeAll()
 }
 

@@ -405,8 +405,10 @@ func TestPooledEngineRetainsNoFileState(t *testing.T) {
 // for the file path: a warmed open + read + close-with-revoke executes the
 // events it always did, and far fewer of them switch into a proc — the
 // service loop charges its request cost and the handlers theirs and settle
-// once before the reply leaves, the kernel threads behind the obtain and the
-// revoke do the same per CPU-held stretch.
+// once, the kernel threads behind the obtain and the revoke do the same per
+// CPU-held stretch, and for both the reply leaves, and the next request or
+// job is taken, without the proc being switched in for it (the loop's and
+// the threads' wait records).
 func TestOpenReadCloseEventsAndResumes(t *testing.T) {
 	var eng *sim.Engine
 	orc := openReadClose(t)
@@ -420,7 +422,8 @@ func TestOpenReadCloseEventsAndResumes(t *testing.T) {
 	e0, r0 := eng.Executed(), eng.Resumes()
 	step()
 	events, resumes := eng.Executed()-e0, eng.Resumes()-r0
-	const wantEvents, wantResumes = 45, 19 // 31 resumes with a Sleep per term
+	// 31 resumes with a Sleep per term, 19 with owed time and a park per wait.
+	const wantEvents, wantResumes = 45, 14
 	if events != wantEvents || resumes != wantResumes {
 		t.Fatalf("open+read+close: %d events, %d resumes; want %d, %d", events, resumes, wantEvents, wantResumes)
 	}

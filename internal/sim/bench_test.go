@@ -93,6 +93,28 @@ func BenchmarkProcChargeSettle(b *testing.B) {
 	e.Kill()
 }
 
+// BenchmarkProcParkOn is one wait evaluated by the engine: the proc parks on
+// a waiter, is woken and found not ready — the barged semaphore waiter, the
+// kernel thread whose job is there but whose CPU is not — queues up again, is
+// woken again, found ready and switched in. Two events and one switch; with
+// the wait loop in the proc's body it was two of each (BenchmarkProcHandoff
+// is the price of one).
+func BenchmarkProcParkOn(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine()
+	n := b.N
+	w := &stageWaiter{misses: 2, wake: (*Proc).Wake}
+	e.Spawn("bench", func(p *Proc) {
+		for i := 0; i < n; i++ {
+			p.ParkOn(w)
+		}
+	})
+	b.ResetTimer()
+	e.Run()
+	b.StopTimer()
+	e.Kill()
+}
+
 // BenchmarkWakeStorm measures the same-instant lane under the pattern that
 // motivated it: many parked procs woken at one timestamp, FIFO.
 func BenchmarkWakeStorm(b *testing.B) {

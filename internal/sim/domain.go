@@ -75,6 +75,12 @@ type Domain struct {
 	events uint64
 	// resumes counts the times step switched into one of this domain's procs.
 	resumes uint64
+	// fault carries a panic out of a proc body (Proc.run) to the step that
+	// resumed it, which re-raises it on the goroutine driving the engine (and
+	// therefore recoverable by callers such as the bench harness). One body
+	// runs at a time and step looks as soon as it is back, so one slot a
+	// domain does for all its procs.
+	fault error
 }
 
 // post is one cross-domain event in a mailbox: the absolute delivery time
@@ -345,6 +351,7 @@ func (dm *Domain) killProcs() {
 		dm.procs[i] = nil
 	}
 	dm.procs = dm.procs[:0]
+	dm.fault = nil // a body that panicked for real while unwinding: nobody to tell
 }
 
 // minDomain returns the domain holding the globally minimal (at, seq) event,

@@ -1,0 +1,471 @@
+package sim
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
+
+// The wait loops ParkOn replaced, kept as the reference of the differential
+// test below: settle, then look; park, and look again when woken.
+
+func refAcquire(s *Semaphore, p *Proc) {
+	p.Settle()
+	for s.count == 0 {
+		s.waiters.Push(p)
+		p.park()
+	}
+	s.count--
+}
+
+func refPop[T any](q *Queue[T], p *Proc) T {
+	p.Settle()
+	for q.items.Len() == 0 {
+		q.waiters.Push(p)
+		p.park()
+	}
+	return q.items.Pop()
+}
+
+func refWait[T any](f *Future[T], p *Proc) T {
+	p.Settle()
+	for !f.done {
+		if f.first == nil {
+			f.first = p
+		} else {
+			f.more = append(f.more, p)
+		}
+		p.park()
+	}
+	return f.val
+}
+
+func refWaitGroup(wg *WaitGroup, p *Proc) {
+	p.Settle()
+	for wg.count > 0 {
+		wg.waiters = append(wg.waiters, p)
+		p.park()
+	}
+}
+
+// parkOnScenario runs one randomized scenario per domain and returns each
+// domain's trace of visible happenings. Per domain: consumers on one shared
+// queue fed by timers; contenders on one semaphore that hold it for a few
+// charged terms and, every other turn, release and take it again in one go
+// (the barging case: the waiter woken by the release finds nothing);
+// waiters on futures that complete on the very instant the waiter's last
+// charge elapses, or a little later; a waiter on a WaitGroup of timers; and
+// plain timers. Every proc blocks while owing time, and the delays are drawn
+// from a few small values, so wake-ups, completions and elapsing charges
+// keep sharing instants. With ref set the procs block through the
+// hand-written loops above, without through ParkOn; nothing else differs.
+func parkOnScenario(seed uint64, ref bool, doms []*Domain) [][]traceRec {
+	const rounds = 30
+	rng := seed*0x9E3779B97F4A7C15 + 1
+	next := func(n uint64) uint64 {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return rng % n
+	}
+	delays := []Duration{0, 0, 1, 1, 2, 3, 3, 5}
+	delay := func() Duration { return delays[next(uint64(len(delays)))] }
+	plan := func(n int) []Duration {
+		ds := make([]Duration, n)
+		for i := range ds {
+			ds[i] = delay()
+		}
+		return ds
+	}
+
+	acquire := func(s *Semaphore, p *Proc) { s.Acquire(p) }
+	pop := func(q *Queue[int], p *Proc) int { return q.Pop(p) }
+	wait := func(f *Future[int], p *Proc) int { return f.Wait(p) }
+	waitGroup := func(wg *WaitGroup, p *Proc) { wg.Wait(p) }
+	if ref {
+		acquire, pop, wait, waitGroup = refAcquire, refPop[int], refWait[int], refWaitGroup
+	}
+
+	traces := make([][]traceRec, len(doms))
+	for di, dm := range doms {
+		di, dm := di, dm
+		log := func(at Time, format string, args ...any) {
+			traces[di] = append(traces[di], traceRec{at, fmt.Sprintf(format, args...)})
+		}
+
+		// Consumers on a shared queue, producers on timers.
+		q := NewQueue[int](dm.eng)
+		for i := 0; i < 3; i++ {
+			i, ds := i, plan(2*rounds)
+			dm.Spawn("consumer", func(p *Proc) {
+				for j := 0; ; j++ {
+					v := pop(q, p)
+					log(p.Now(), "consumer %d got %d", i, v)
+					p.Charge(ds[j%len(ds)]) // owed into the next Pop
+				}
+			})
+		}
+		for i := 0; i < 2; i++ {
+			i, ds, j := i, plan(2*rounds), 0
+			var produce func()
+			produce = func() {
+				q.Push(100*i + j)
+				if j++; j < len(ds) {
+					dm.Schedule(ds[j], produce)
+				}
+			}
+			dm.Schedule(1+ds[0], produce)
+		}
+
+		// Contenders on a semaphore.
+		sem := NewSemaphore(dm.eng, 1)
+		for i := 0; i < 4; i++ {
+			i, think, hold := i, plan(rounds), plan(2*rounds)
+			dm.Spawn("contender", func(p *Proc) {
+				for r := 0; r < rounds; r++ {
+					p.Charge(think[r])
+					acquire(sem, p)
+					log(p.Now(), "contender %d holds (round %d)", i, r)
+					p.Charge(hold[2*r])
+					p.Charge(hold[2*r+1])
+					p.Settle()
+					sem.Release()
+					if r%2 == 0 {
+						acquire(sem, p) // barges past the waiter Release just woke
+						log(p.Now(), "contender %d holds again (round %d)", i, r)
+						p.Sleep(hold[2*r])
+						sem.Release()
+					}
+				}
+			})
+		}
+
+		// Waiters on futures completed on, or near, the instant their last
+		// charge elapses.
+		for i := 0; i < 2; i++ {
+			i, ds, late := i, plan(2*rounds), plan(rounds)
+			dm.Spawn("waiter", func(p *Proc) {
+				for r := 0; r < rounds; r++ {
+					f := &Future[int]{eng: dm.eng} // domain-local
+					a, b := ds[2*r], ds[2*r+1]
+					if r%3 == 0 {
+						late[r] = 0
+					}
+					dm.Schedule(a+b+late[r], func() { f.Complete(r) })
+					p.Charge(a)
+					p.Charge(b)
+					log(p.Now(), "waiter %d got %d", i, wait(f, p))
+				}
+			})
+		}
+
+		// A WaitGroup of timers, waited for while owing.
+		{
+			ds := plan(3 * rounds)
+			dm.Spawn("joiner", func(p *Proc) {
+				for r := 0; r < rounds; r++ {
+					var wg WaitGroup
+					wg.Add(2)
+					dm.Schedule(ds[3*r], wg.Done)
+					dm.Schedule(ds[3*r+1], wg.Done)
+					p.Charge(ds[3*r+2])
+					waitGroup(&wg, p)
+					log(p.Now(), "joiner round %d", r)
+				}
+			})
+		}
+
+		// Timers on the same instants.
+		for i := 0; i < 2; i++ {
+			i, ds, j := i, plan(3*rounds), 0
+			var tick func()
+			tick = func() {
+				log(dm.Now(), "timer %d tick %d", i, j)
+				if j++; j < len(ds) {
+					dm.Schedule(1+ds[j], tick)
+				}
+			}
+			dm.Schedule(1+ds[0], tick)
+		}
+	}
+	return traces
+}
+
+// TestParkOnMatchesWaitLoops is the order-preservation claim of ParkOn as a
+// differential test, owed_test.go's one step further: the same scenario with
+// every wait written as a loop in the proc's body and with every wait
+// evaluated by the engine produces the identical (time, label) trace and
+// executes the identical number of events — and resumes procs fewer times.
+func TestParkOnMatchesWaitLoops(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		run := func(ref bool) ([]traceRec, uint64, uint64) {
+			e := NewEngine()
+			defer e.Kill()
+			tr := parkOnScenario(seed, ref, []*Domain{e.Domain(0)})
+			e.Run()
+			return tr[0], e.Executed(), e.Resumes()
+		}
+		loops, lExec, lRes := run(true)
+		parked, pExec, pRes := run(false)
+		what := fmt.Sprintf("seed %d", seed)
+		diffTraces(t, what, loops, parked)
+		if lExec != pExec {
+			t.Fatalf("%s: %d events with loops, %d with ParkOn", what, lExec, pExec)
+		}
+		if pRes >= lRes {
+			t.Fatalf("%s: %d resumes with loops, %d with ParkOn: nothing saved", what, lRes, pRes)
+		}
+		if len(loops) < 500 {
+			t.Fatalf("%s: only %d trace entries, the scenario did not run", what, len(loops))
+		}
+	}
+}
+
+// TestParkOnMatchesWaitLoopsIsolated is the same claim under isolated rounds:
+// three domains, each against its own clock and sequence counter.
+func TestParkOnMatchesWaitLoopsIsolated(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		run := func(ref bool) ([][]traceRec, uint64, uint64) {
+			e := NewEngine()
+			defer e.Kill()
+			doms := []*Domain{e.Domain(0), e.NewDomain(), e.NewDomain()}
+			e.SetLookahead(4)
+			e.SetIsolated(true)
+			tr := parkOnScenario(seed, ref, doms)
+			e.Run()
+			return tr, e.Executed(), e.Resumes()
+		}
+		loops, lExec, lRes := run(true)
+		parked, pExec, pRes := run(false)
+		for d := range loops {
+			diffTraces(t, fmt.Sprintf("seed %d domain %d", seed, d), loops[d], parked[d])
+		}
+		if lExec != pExec || pRes >= lRes {
+			t.Fatalf("seed %d: %d events, %d resumes with loops; %d, %d with ParkOn", seed, lExec, lRes, pExec, pRes)
+		}
+	}
+}
+
+// TestSemaphoreBargeKeepsTodaysOrder pins the barging rule (Semaphore): a
+// proc that releases and acquires again in one go keeps the unit; the waiter
+// its release woke finds nothing and goes to the tail, behind everybody who
+// was waiting already.
+func TestSemaphoreBargeKeepsTodaysOrder(t *testing.T) {
+	e := NewEngine()
+	defer e.Kill()
+	s := NewSemaphore(e, 1)
+	var got []string
+	e.Spawn("a", func(p *Proc) {
+		s.Acquire(p)
+		p.Sleep(5) // b, then c, queue up
+		s.Release()
+		s.Acquire(p) // takes the unit b was woken for
+		got = append(got, "a again")
+		p.Sleep(5)
+		s.Release()
+	})
+	for _, name := range []string{"b", "c"} {
+		e.Spawn(name, func(p *Proc) {
+			p.Sleep(1)
+			s.Acquire(p)
+			got = append(got, name)
+			s.Release()
+		})
+	}
+	e.Run()
+	if order := strings.Join(got, ","); order != "a again,c,b" {
+		t.Fatalf("acquisition order %q, want a again,c,b: the barged waiter re-queues at the tail", order)
+	}
+	// Three each: started, slept, and — for b and c — got the unit. b was
+	// woken twice for that and switched in once.
+	if e.Resumes() != 9 {
+		t.Fatalf("%d resumes, want 9", e.Resumes())
+	}
+}
+
+// stageWaiter is a Waiter with stages, the shape of a kernel thread's wait
+// record: not ready the first n times it is asked after arming, registering
+// itself for the next wake-up each time.
+type stageWaiter struct {
+	misses, asked int
+	wake          func(p *Proc)
+}
+
+func (w *stageWaiter) Ready(p *Proc) bool {
+	if w.asked < w.misses {
+		w.asked++
+		w.wake(p)
+		return false
+	}
+	w.asked = 0
+	return true
+}
+
+// TestParkOnEvaluatesOnTheEngineSide: however often the waiter says no, the
+// proc is switched in once; and with nothing owed and a ready waiter, not
+// parked at all.
+func TestParkOnEvaluatesOnTheEngineSide(t *testing.T) {
+	e := NewEngine()
+	defer e.Kill()
+	w := &stageWaiter{misses: 3, wake: func(p *Proc) { p.WakeAfter(2) }}
+	var woke Time
+	e.Spawn("p", func(p *Proc) {
+		p.Charge(4)
+		p.Charge(6)
+		p.ParkOn(w) // asked at 10, 12, 14 and — ready — at 16
+		woke = p.Now()
+		w.misses = 0
+		p.ParkOn(w) // ready at once: no park
+	})
+	e.Run()
+	if woke != 16 || e.LiveProcs() != 0 {
+		t.Fatalf("resumed at %d with %d procs live; want 16, 0", woke, e.LiveProcs())
+	}
+	// Events: start, two charges, three wake-ups. Resumes: start, ready.
+	if e.Executed() != 6 || e.Resumes() != 2 {
+		t.Fatalf("%d events, %d resumes; want 6, 2", e.Executed(), e.Resumes())
+	}
+}
+
+// TestParkOnAllocatesNothing: the waiter is an interface word pair in the
+// Proc; parking on one — through the owed charges, two refusals and the
+// switch back in — allocates nothing.
+func TestParkOnAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	defer e.Kill()
+	start := NewQueue[struct{}](e)
+	w := &stageWaiter{misses: 2, wake: (*Proc).Wake}
+	e.Spawn("p", func(p *Proc) {
+		for {
+			start.Pop(p)
+			p.Charge(1)
+			p.ParkOn(w)
+		}
+	})
+	step := func() {
+		start.Push(struct{}{})
+		e.Run()
+	}
+	step()
+	if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
+		t.Fatalf("a ParkOn round trip allocates %v times, want 0", allocs)
+	}
+}
+
+// TestReadyPanicCarriesProcName: code that moved from a proc's body into its
+// Waiter panics on the engine's goroutine; step reports it like a body's
+// panic — named, recoverable — and the proc, still parked, dies with Kill.
+func TestReadyPanicCarriesProcName(t *testing.T) {
+	for _, owing := range []bool{false, true} {
+		e := NewEngine()
+		w := &stageWaiter{misses: 1, wake: func(p *Proc) { p.WakeAfter(3) }}
+		e.Spawn("k3/sys2", func(p *Proc) {
+			if owing {
+				p.Charge(2)
+			}
+			p.ParkOn(w)
+			t.Error("resumed past a waiter that panicked")
+		})
+		e.Spawn("bystander", func(p *Proc) { p.Park() })
+		// The first Ready (in the body, or at the charge's event) registers a
+		// wake-up; the second, at that wake-up, is engine side either way.
+		e.Schedule(1, func() { w.wake = func(*Proc) { panic("boom") }; w.misses = 9 })
+		var got any
+		func() {
+			defer func() { got = recover() }()
+			e.Run()
+		}()
+		err, ok := got.(error)
+		if !ok || err.Error() != `sim: proc "k3/sys2" panicked: boom` {
+			t.Fatalf("owing=%v: Run panicked with %v, want the fault naming the proc", owing, got)
+		}
+		if e.LiveProcs() != 2 {
+			t.Fatalf("owing=%v: %d procs live after the fault, want 2 (it stays parked)", owing, e.LiveProcs())
+		}
+		e.Kill()
+		if e.LiveProcs() != 0 {
+			t.Fatalf("owing=%v: %d procs live after Kill", owing, e.LiveProcs())
+		}
+	}
+}
+
+// TestReadyPanicUnderIsolatedRounds: the same fault in a round surfaces at
+// the barrier with its domain, like a body's.
+func TestReadyPanicUnderIsolatedRounds(t *testing.T) {
+	e, doms := buildIsolated(2, 10)
+	w := &stageWaiter{misses: 1, wake: func(p *Proc) { panic("boom") }}
+	doms[1].Spawn("d1", func(p *Proc) {
+		p.Charge(5)
+		p.ParkOn(w)
+	})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		e.Run()
+	}()
+	const want = `sim: domain 1: sim: proc "d1" panicked: boom`
+	if err, ok := got.(error); !ok || err.Error() != want {
+		t.Fatalf("Run panicked with %v, want %q", got, want)
+	}
+	e.Kill()
+	if e.LiveProcs() != 0 {
+		t.Fatalf("%d procs live after Kill", e.LiveProcs())
+	}
+}
+
+// TestKillFromInsideReady: a Waiter that ends the simulation while step is
+// asking it — the engine side may call Kill — leaves a dead proc behind, and
+// neither step nor Kill trips over it.
+func TestKillFromInsideReady(t *testing.T) {
+	e := NewEngine()
+	w := &stageWaiter{misses: 1, wake: func(p *Proc) { p.WakeAfter(1) }}
+	unwound := false
+	e.Spawn("p", func(p *Proc) {
+		defer func() { unwound = true }()
+		p.ParkOn(w)
+		t.Error("resumed after Kill")
+	})
+	e.Schedule(0, func() { w.misses, w.wake = 9, func(p *Proc) { p.eng.Kill() } })
+	e.Run()
+	if !unwound || e.LiveProcs() != 0 {
+		t.Fatalf("unwound=%v, %d procs live; want true, 0", unwound, e.LiveProcs())
+	}
+	e.Kill()
+}
+
+// TestKillProcsParkedOnWaiters: procs parked on every kind of Waiter, owing
+// and not, unwind with Kill, and the engine goes round the pool.
+func TestKillProcsParkedOnWaiters(t *testing.T) {
+	pool := NewPool()
+	for round := 0; round < 3; round++ {
+		e := pool.Get()
+		s := NewSemaphore(e, 0)
+		q := NewQueue[int](e)
+		f := NewFuture[int](e)
+		var wg WaitGroup
+		wg.Add(1)
+		never := &stageWaiter{misses: 1 << 30, wake: func(*Proc) {}}
+		for _, w := range []Waiter{s, q, f, &wg, never} {
+			w := w
+			for _, owe := range []Duration{0, 3, 1000} {
+				owe := owe
+				e.Spawn("parked", func(p *Proc) {
+					if owe > 0 {
+						p.Charge(owe)
+					}
+					p.ParkOn(w)
+					t.Error("resumed")
+				})
+			}
+		}
+		e.RunUntil(10) // the third of each is still settling
+		if got := e.LiveProcs(); got != 15 {
+			t.Fatalf("round %d: %d procs live, want 15", round, got)
+		}
+		e.Kill()
+		if got := e.LiveProcs(); got != 0 {
+			t.Fatalf("round %d: %d procs live after Kill", round, got)
+		}
+		pool.Put(e)
+	}
+}

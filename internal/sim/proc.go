@@ -34,10 +34,6 @@ type Proc struct {
 	// (SpawnLazy).
 	lazyName func(int) string
 	nameArg  int
-	// fault carries a panic out of the proc body to step, which re-raises
-	// it on the goroutine driving the engine (and therefore recoverable by
-	// callers such as the bench harness).
-	fault error
 	// next resumes the body until it parks (true) or returns (false); stop
 	// unwinds a parked body; yield, valid once the body has started, parks.
 	next  func() (struct{}, bool)
@@ -52,11 +48,26 @@ type Proc struct {
 	dead bool
 	// Owed time (Charge, Settle): owed[:nOwed] are the charges recorded since
 	// the last settlement, in order; replayed counts how many of them step
-	// has turned into events so far, and is non-zero only while Settle is
-	// parked.
+	// has turned into events so far, and is non-zero only while the proc is
+	// parked settling.
 	nOwed    uint8
 	replayed uint8
 	owed     [maxOwed]Duration
+	// wait is what the proc is parked on (ParkOn), nil when it is running or
+	// parked for a plain wake-up; step evaluates it on the engine side.
+	wait Waiter
+}
+
+// Waiter is what a parked proc waits for, stated as data instead of as a
+// loop in the proc's body: Ready reports whether p may run on, and when it
+// may not, registers p with whatever will Wake it. ParkOn calls Ready — and
+// step calls it again at every wake-up, on the engine side, without switching
+// into the body — so Ready does, in that event and in that order, exactly
+// what the body would have done between waking and parking again: take the
+// unit or the item, or queue up once more. A Waiter may chain several waits
+// (a kernel thread's reply, next job, CPU) by remembering its stage.
+type Waiter interface {
+	Ready(p *Proc) bool
 }
 
 // maxOwed is how many charges a proc can owe before Charge settles on its
@@ -132,7 +143,7 @@ func (p *Proc) run(fn func(p *Proc)) {
 				// side instead of letting it cross the coroutine boundary
 				// bare, so it carries the proc name, and so a body that
 				// panics while Kill unwinds it cannot make Kill panic.
-				p.fault = fmt.Errorf("sim: proc %q panicked: %v", p.Name(), r)
+				p.dom.fault = fmt.Errorf("sim: proc %q panicked: %v", p.Name(), r)
 			}
 		}
 	}()
@@ -157,6 +168,17 @@ func (p *Proc) step() {
 		p.dom.Schedule(d, p.stepFn)
 		return
 	}
+	// Everything owed has elapsed: the proc's clock is the domain's.
+	p.nOwed, p.replayed = 0, 0
+	if w := p.wait; w != nil {
+		// Parked on a Waiter: ask it here, where the body would have looked
+		// after being switched in, and switch in only if there is something
+		// to run on for. A Ready that killed the engine has ended the proc.
+		if !p.poll(w) || p.dead {
+			return
+		}
+		p.wait = nil
+	}
 	p.dom.resumes++
 	p.eng.running = p
 	_, parked := p.next()
@@ -165,10 +187,23 @@ func (p *Proc) step() {
 		return
 	}
 	p.exit()
-	if f := p.fault; f != nil {
-		p.fault = nil
+	if f := p.dom.fault; f != nil {
+		p.dom.fault = nil
 		panic(f)
 	}
+}
+
+// poll is w.Ready on the engine side. The code in there used to be the
+// proc's body, so a panic in it is reported the way run reports a body's:
+// wrapped with the proc's name, raised on the goroutine driving the engine.
+// The proc stays parked where it was; Kill unwinds it like any other.
+func (p *Proc) poll(w Waiter) bool {
+	defer func() {
+		if r := recover(); r != nil {
+			panic(fmt.Errorf("sim: proc %q panicked: %v", p.Name(), r))
+		}
+	}()
+	return w.Ready(p)
 }
 
 // exit does the engine-side accounting for a proc whose body is over, and
@@ -177,7 +212,7 @@ func (p *Proc) step() {
 func (p *Proc) exit() {
 	p.dead = true
 	p.eng.procs.Add(-1)
-	p.next, p.stop, p.yield = nil, nil, nil
+	p.next, p.stop, p.yield, p.wait = nil, nil, nil, nil
 }
 
 // park blocks the proc until something wakes it. A proc that owes time must
@@ -272,13 +307,37 @@ func (p *Proc) Charge(d Duration) {
 // single Sleep(a+b) would take it now — a different tie-break against every
 // event another party schedules for now+a+b in between.
 func (p *Proc) Settle() {
-	if p.nOwed == 0 {
-		return
+	if p.nOwed != 0 {
+		p.replay()
 	}
+}
+
+// replay starts the first owed charge and parks; step replays the rest,
+// clears the debt and — unless the proc waits for more (ParkOn) — resumes it.
+func (p *Proc) replay() {
 	p.replayed = 1
 	p.dom.Schedule(p.owed[0], p.stepFn)
 	p.suspend()
-	p.nOwed, p.replayed = 0, 0
+}
+
+// ParkOn blocks the proc until w is ready, after settling what it owes: the
+// one wait loop of this package. With nothing owed it asks w at once, in the
+// body, and returns without parking if w is ready. Otherwise it parks once;
+// step replays the owed charges exactly as for Settle, asks w at the event
+// where the last of them elapses and again at every Wake, and switches back
+// into the body only when w says so. "Settle, then look; woken, look again"
+// is what each blocking primitive's loop did — the looking now happens
+// without the proc being resumed for it.
+func (p *Proc) ParkOn(w Waiter) {
+	if p.nOwed != 0 {
+		p.wait = w
+		p.replay()
+		return
+	}
+	if !w.Ready(p) {
+		p.wait = w
+		p.suspend()
+	}
 }
 
 // Yield parks the proc and schedules it to resume at the same timestamp,

@@ -98,24 +98,15 @@ func (f *Future[T]) Wait(p *Proc) T {
 		}
 		return f.val
 	}
-	p.Settle()
-	if f.dom == nil || p.dom == f.dom || !p.dom.inRound {
-		for !f.done {
-			if f.first == nil {
-				f.first = p
-			} else {
-				f.more = append(f.more, p)
-			}
-			p.park()
-			// A spurious wake is impossible under the handoff discipline, but a
-			// proc is registered only once per park, so loop.
-		}
+	if f.local(p) {
+		p.ParkOn(f)
 		return f.val
 	}
+	p.Settle()
 	la := f.eng.lookahead
 	home, self := f.dom, p.dom
 	var got T
-	have := false
+	var have flag
 	self.Post(home, la, func() {
 		f.OnComplete(func(v T) {
 			home.Post(self, la, func() {
@@ -124,14 +115,49 @@ func (f *Future[T]) Wait(p *Proc) T {
 			})
 		})
 	})
-	for !have {
-		p.park()
-	}
+	p.ParkOn(&have)
 	return got
 }
 
-// Semaphore is a counting semaphore with FIFO wakeup, used to model bounded
-// resources such as in-flight message slots or DTU credits.
+// local reports whether p can touch the future's state directly: always,
+// except from a foreign domain while isolated rounds are in flight.
+func (f *Future[T]) local(p *Proc) bool {
+	return f.dom == nil || p.dom == f.dom || !p.dom.inRound
+}
+
+// Ready is Wait's condition as a Waiter, for procs on the future's home
+// domain: fulfilled, or p joins the waiters Complete wakes — a proc registers
+// once per park, so one woken early registers again.
+func (f *Future[T]) Ready(p *Proc) bool {
+	if f.done {
+		return true
+	}
+	if !f.local(p) {
+		panic("sim: Future.Ready from a foreign domain during isolated rounds (use Wait)")
+	}
+	if f.first == nil {
+		f.first = p
+	} else {
+		f.more = append(f.more, p)
+	}
+	return false
+}
+
+// flag is the Waiter of a relayed rendezvous: ready once the post that
+// carries the answer back to the waiter's domain has set it.
+type flag bool
+
+func (f *flag) Ready(*Proc) bool { return bool(*f) }
+
+// Semaphore is a counting semaphore, used to model bounded resources such as
+// in-flight message slots, DTU credits or a kernel PE's single core. Waiters
+// are woken in FIFO order, one per released unit — but a wake-up is an event,
+// and whoever runs before it fires may take the unit first (a proc that
+// releases and acquires again in one go always does). The woken waiter then
+// finds nothing and queues up again, at the tail: wake order is FIFO,
+// acquisition order is not. That is the simulated behaviour — a SemperOS
+// kernel thread that finishes a job and finds the next one queued keeps the
+// CPU — and every baseline depends on it.
 type Semaphore struct {
 	eng     *Engine
 	count   int
@@ -158,15 +184,19 @@ func (s *Semaphore) TryAcquire() bool {
 	return false
 }
 
-// Acquire takes one unit, parking the proc until one is available.
-// Wakeup order is FIFO.
-func (s *Semaphore) Acquire(p *Proc) {
-	p.Settle()
-	for s.count == 0 {
+// Acquire takes one unit, parking the proc until it gets one, after settling
+// what the proc owes.
+func (s *Semaphore) Acquire(p *Proc) { p.ParkOn(s) }
+
+// Ready is Acquire as a Waiter: it takes a unit if there is one, and queues p
+// behind the other waiters if not.
+func (s *Semaphore) Ready(p *Proc) bool {
+	if s.count == 0 {
 		s.waiters.Push(p)
-		p.park()
+		return false
 	}
 	s.count--
+	return true
 }
 
 // Release returns one unit and wakes the longest-waiting proc, if any.
@@ -216,14 +246,21 @@ func (q *Queue[T]) TryPop() (T, bool) {
 }
 
 // Pop removes and returns the head element, parking the proc until one is
-// available.
+// available, after settling what the proc owes.
 func (q *Queue[T]) Pop(p *Proc) T {
-	p.Settle()
-	for q.items.Len() == 0 {
-		q.waiters.Push(p)
-		p.park()
-	}
+	p.ParkOn(q)
 	return q.items.Pop()
+}
+
+// Ready is Pop's condition as a Waiter: an element is queued — the caller
+// takes it with TryPop before anything else runs — or p joins the idle
+// consumers.
+func (q *Queue[T]) Ready(p *Proc) bool {
+	if q.items.Len() == 0 {
+		q.waiters.Push(p)
+		return false
+	}
+	return true
 }
 
 // WaitGroup tracks a set of outstanding operations; procs can park until the
@@ -245,7 +282,7 @@ type WaitGroup struct {
 // to its domain, which sets fired and resumes the proc.
 type wgRemote struct {
 	p     *Proc
-	fired bool
+	fired flag
 }
 
 // Bind sets the waitgroup's home domain to the engine's currently executing
@@ -303,14 +340,11 @@ func (wg *WaitGroup) Count() int { return wg.count }
 // waiter on a foreign domain registers with the home domain through a
 // cross-domain post and is woken the same way.
 func (wg *WaitGroup) Wait(p *Proc) {
-	p.Settle()
 	if wg.dom == nil || p.dom == wg.dom || !p.dom.inRound {
-		for wg.count > 0 {
-			wg.waiters = append(wg.waiters, p)
-			p.park()
-		}
+		p.ParkOn(wg)
 		return
 	}
+	p.Settle()
 	la := wg.eng.lookahead
 	home, self := wg.dom, p.dom
 	rw := &wgRemote{p: p}
@@ -324,7 +358,15 @@ func (wg *WaitGroup) Wait(p *Proc) {
 		}
 		wg.remote = append(wg.remote, rw)
 	})
-	for !rw.fired {
-		p.park()
+	p.ParkOn(&rw.fired)
+}
+
+// Ready is Wait's condition as a Waiter, on the home domain: nothing
+// outstanding, or p joins the waiters the last Done wakes.
+func (wg *WaitGroup) Ready(p *Proc) bool {
+	if wg.count > 0 {
+		wg.waiters = append(wg.waiters, p)
+		return false
 	}
+	return true
 }

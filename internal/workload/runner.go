@@ -3,6 +3,7 @@ package workload
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/m3fs"
@@ -47,6 +48,10 @@ type Result struct {
 	// slot). The in-flight accounting keeps it at zero on a healthy run;
 	// the bench report surfaces it so regressions are caught mechanically.
 	LostMsgs uint64
+	// Unfinished is core.System.CheckQuiescent on the drained machine: kernel
+	// threads still holding a job, syscalls that never returned, credits and
+	// receive slots not given back. Empty on a healthy run.
+	Unfinished []string
 }
 
 // MeanRuntime returns the average per-instance replay runtime.
@@ -233,14 +238,15 @@ func Run(cfg Config) (*Result, error) {
 
 	sys.Run()
 
-	res := &Result{Config: cfg, Instances: results}
+	res := &Result{Config: cfg, Instances: results, Unfinished: sys.CheckQuiescent()}
 	for _, in := range results {
 		res.TotalCapOps += in.CapOps
 		if in.End > sim.Time(res.Makespan) {
 			res.Makespan = in.End
 		}
 		if in.End == 0 {
-			return nil, fmt.Errorf("workload: instance %d never finished (err=%v)", in.VPE, in.Err)
+			return nil, fmt.Errorf("workload: instance %d never finished (err=%v); the machine ran dry with:\n  %s",
+				in.VPE, in.Err, strings.Join(res.Unfinished, "\n  "))
 		}
 	}
 	res.Kernel = sys.TotalStats()
