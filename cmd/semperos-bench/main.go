@@ -7,20 +7,17 @@
 //	semperos-bench -experiment table3,fig4      # selected experiments
 //	semperos-bench -experiment fig6 -quick      # reduced scale
 //	semperos-bench -quick -parallel 4 -json out.json
-//	semperos-bench -quick -shards 4 -costs BENCH_quick.json
 //	semperos-bench -quick -simmode rounds       # one event domain per kernel
 //
 // Experiments: table3, fig4, fig5, table4, fig6, fig7, fig8, fig9, fig10,
 // ablation; opt-in extras (excluded from "all"): ablation-ikc, faults,
 // scale, churn — the churn scenario races open-loop session churn and a
 // revocation storm against a kernel crash+recovery (-crashkernel).
-// Every experiment plans its runs as serializable task specs and
-// executes them on a worker pool (-parallel, default GOMAXPROCS) or — with
-// -shards N — on N re-exec'd worker processes speaking an NDJSON
-// spec/result protocol on stdin/stdout, dispatched longest-first by the
-// cost model (-costs seeds it with the wallclocks of a prior report). All
-// simulated metrics are deterministic and independent of the parallelism,
-// the sharding and the schedule. -simmode rounds gives every kernel its own
+// Every experiment plans its runs as task specs and executes them on an
+// in-process worker pool (-parallel, default GOMAXPROCS), largest machine
+// first. All simulated metrics are deterministic and independent of the
+// parallelism and the schedule. A task that fails ends the run with one
+// message on stderr and exit 1. -simmode rounds gives every kernel its own
 // event domain and clock (the partitioned kernel model; its metrics differ
 // by design from merged, the sequential engine). -json writes every
 // experiment run as a machine-readable record (schema semperos-bench/v1,
@@ -52,29 +49,40 @@ var experimentNames = []string{
 var extraExperimentNames = []string{"ablation-ikc", "faults", "scale", "churn"}
 
 func main() {
-	// realMain holds all the defers (profile flushing, worker shutdown, file
-	// closing), so an error exit still stops the CPU profile — os.Exit in
-	// main would skip them and truncate the profile.
+	// realMain holds all the defers (profile flushing, file closing), so an
+	// error exit still stops the CPU profile — os.Exit in main would skip
+	// them and truncate the profile.
 	os.Exit(realMain(os.Args[1:], os.Stderr))
 }
 
-func realMain(args []string, stderr io.Writer) int {
+// reportTaskFailure turns the sweeps' fail-fast panic (bench.TaskError) into
+// a message on stderr and exit code 1; any other panic is a bug and goes on.
+// realMain defers it first, so it runs after the profile and file defers.
+func reportTaskFailure(stderr io.Writer, code *int) {
+	switch r := recover().(type) {
+	case nil:
+	case bench.TaskError:
+		fmt.Fprintf(stderr, "semperos-bench: %v\n", r)
+		*code = 1
+	default:
+		panic(r)
+	}
+}
+
+func realMain(args []string, stderr io.Writer) (code int) {
+	defer reportTaskFailure(stderr, &code)
 	fs := flag.NewFlagSet("semperos-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	experiment := fs.String("experiment", "all", "comma-separated list: table3,fig4,fig5,table4,fig6,fig7,fig8,fig9,fig10,ablation,all; extras (opt-in, excluded from all): ablation-ikc, faults, scale, churn")
 	quick := fs.Bool("quick", false, "run at reduced scale (64 instances, 8 kernels)")
-	parallel := fs.Int("parallel", 0, "experiment worker-pool size (0 = GOMAXPROCS); ignored with -shards")
-	shards := fs.Int("shards", 0, "execute the sweep on N worker processes (0 = in-process)")
-	costs := fs.String("costs", "", "prior report JSON whose wallclocks seed longest-first dispatch (default: instance-count heuristic)")
-	simmode := fs.String("simmode", "", "simulation mode: merged (default; the sequential engine) or rounds (one event domain per kernel, run in isolated barrier-synchronous rounds; deterministic at any -parallel/-shards but metrics differ from merged by design)")
+	parallel := fs.Int("parallel", 0, "experiment worker-pool size (0 = GOMAXPROCS)")
+	simmode := fs.String("simmode", "", "simulation mode: merged (default; the sequential engine) or rounds (one event domain per kernel, run in isolated barrier-synchronous rounds; deterministic at any -parallel but metrics differ from merged by design)")
 	jsonPath := fs.String("json", "", "write machine-readable results to this file")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile (taken after the sweep) to this file")
-	faultseed := fs.Uint64("faultseed", 1, "seed of the deterministic fault injector (faults experiment); identical seeds reproduce runs byte-identically at any -parallel/-shards")
+	faultseed := fs.Uint64("faultseed", 1, "seed of the deterministic fault injector (faults experiment); identical seeds reproduce runs byte-identically at any -parallel")
 	scalekernels := fs.Int("scalekernels", 0, "cap the scale experiment's grid at this many kernels (0 = the full grid up to 1024)")
-	scalebudget := fs.Duration("scalebudget", 10*time.Minute, "wall-clock budget of the scale experiment; grid points past it are skipped (0 = unlimited)")
 	crashkernel := fs.Int("crashkernel", -1, "churn experiment: kernel to crash and recover mid-storm (-1 = the last kernel); crashing kernel 0 under -simmode rounds is rejected")
-	worker := fs.Bool("worker", false, "internal: serve the shard worker protocol on stdin/stdout")
 	switch err := fs.Parse(args); {
 	case err == flag.ErrHelp:
 		return 0
@@ -82,30 +90,15 @@ func realMain(args []string, stderr io.Writer) int {
 		return 2 // Parse already reported the error and the usage
 	}
 
-	if *worker {
-		// Shard worker mode: the coordinator owns stdout; serve the protocol
-		// and exit. Task failures travel inside results — only a broken
-		// stream is fatal here.
-		if err := bench.RunWorker(os.Stdin, os.Stdout); err != nil {
-			fmt.Fprintf(stderr, "semperos-bench -worker: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-
-	// Flag hygiene: sizes and budgets must be non-negative, and -parallel is
-	// ignored under -shards (the shard count sets the process parallelism).
+	// Flag hygiene: sizes must be non-negative.
 	for _, f := range []struct {
 		name     string
 		negative bool
-	}{{"-parallel", *parallel < 0}, {"-shards", *shards < 0}, {"-scalekernels", *scalekernels < 0}, {"-scalebudget", *scalebudget < 0}} {
+	}{{"-parallel", *parallel < 0}, {"-scalekernels", *scalekernels < 0}} {
 		if f.negative {
 			fmt.Fprintf(stderr, "%s must be non-negative\n", f.name)
 			return 2
 		}
-	}
-	if *parallel != 0 && *shards > 0 {
-		fmt.Fprintf(stderr, "warning: -parallel %d is ignored with -shards %d (each worker process runs its tasks serially)\n", *parallel, *shards)
 	}
 	switch *simmode {
 	case "", core.SimModeMerged, core.SimModeRounds:
@@ -168,32 +161,9 @@ func realMain(args []string, stderr io.Writer) int {
 	opts.Parallel = *parallel
 	opts.SimMode = *simmode
 	opts.FaultSeed = *faultseed
-	if *costs != "" {
-		model, err := bench.LoadCostModel(*costs)
-		if err != nil {
-			fmt.Fprintf(stderr, "loading cost model: %v\n", err)
-			return 1
-		}
-		opts.Costs = model
-	}
 	workers := *parallel
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if *shards > 0 {
-		exe, err := os.Executable()
-		if err != nil {
-			fmt.Fprintf(stderr, "resolving own executable for -shards: %v\n", err)
-			return 1
-		}
-		ex := &bench.ShardExecutor{
-			Shards: *shards,
-			Argv:   []string{exe, "-worker"},
-			Costs:  opts.Costs,
-		}
-		defer ex.Close()
-		opts.Executor = ex
-		workers = *shards
 	}
 	report := bench.NewReport(*quick, workers)
 	report.SimMode = *simmode
@@ -251,7 +221,7 @@ func realMain(args []string, stderr io.Writer) int {
 	run("ablation", func() { bench.AblationBatching(opts, 128, 12).Print(os.Stdout) })
 	runExtra("ablation-ikc", func() { bench.AblationIKC(opts, 96, 12).Print(os.Stdout) })
 	runExtra("faults", func() { bench.Faults(opts, 64, 8).Print(os.Stdout) })
-	runExtra("scale", func() { bench.Scale(opts, *scalekernels, *scalebudget).Print(os.Stdout) })
+	runExtra("scale", func() { bench.Scale(opts, *scalekernels).Print(os.Stdout) })
 	var churnErr error
 	runExtra("churn", func() {
 		r, err := bench.Churn(opts, 64, 8, *crashkernel)

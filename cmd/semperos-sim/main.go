@@ -54,11 +54,4 @@ func main() {
 	fmt.Printf("inter-kernel:    %d sent\n", res.Kernel.IKCSent)
 	fmt.Printf("caps created:    %d, deleted: %d\n", res.Kernel.CapsCreated, res.Kernel.CapsDeleted)
 	fmt.Printf("engine events:   %d, %d of them resumed a proc\n", eng.Executed(), eng.Resumes())
-	if len(res.Unfinished) > 0 {
-		fmt.Printf("NOT QUIESCENT — the machine ran dry with work outstanding:\n")
-		for _, f := range res.Unfinished {
-			fmt.Printf("  %s\n", f)
-		}
-		os.Exit(1)
-	}
 }

@@ -35,7 +35,7 @@ type AblationResult struct {
 // ablationTreeRevoke builds a root with n children over 1+extra kernels and
 // measures revoking it, returning the duration and total inter-kernel
 // messages.
-func ablationTreeRevoke(eng *sim.Engine, n, extra int, batching bool, simMode string) (sim.Duration, uint64) {
+func ablationTreeRevoke(eng *sim.Engine, n, extra int, batching bool, simMode string) (sim.Duration, uint64, error) {
 	kernels := extra + 1
 	perGroup := n + 1
 	if extra > 0 {
@@ -122,7 +122,7 @@ func ablationTreeRevoke(eng *sim.Engine, n, extra int, batching bool, simMode st
 	for ki := 0; ki < sys.Kernels(); ki++ {
 		msgsAfter += sys.Kernel(ki).Stats().IKCSent
 	}
-	return revTime, msgsAfter - msgsBefore
+	return revTime, msgsAfter - msgsBefore, quiescent(sys)
 }
 
 // kindAblationRevoke runs one tree-revocation cell of the batching
@@ -134,15 +134,15 @@ const kindAblationRevoke = "ablation-revoke"
 // post-process table (kept out of Metrics so the report layout is
 // unchanged).
 type ablationAux struct {
-	Msgs uint64 `json:"msgs"`
+	Msgs uint64
 }
 
 func init() { registerKind(kindAblationRevoke, runAblationRevokeSpec) }
 
 func runAblationRevokeSpec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 	n, extra := spec.Config.Instances, spec.Config.Kernels-1
-	c, m := ablationTreeRevoke(eng, n, extra, spec.Variant == "batched", spec.SimMode)
-	return Metrics{Cycles: uint64(c)}, ablationAux{Msgs: m}, nil
+	c, m, err := ablationTreeRevoke(eng, n, extra, spec.Variant == "batched", spec.SimMode)
+	return Metrics{Cycles: uint64(c)}, ablationAux{Msgs: m}, err
 }
 
 // ablationSpecs plans the (breadth, variant) grid.
@@ -227,14 +227,16 @@ type AblationIKCResult struct {
 	SvcQuery     []IKCRow
 }
 
-// ikcWireMsgs sums the inter-kernel wire messages of a run by direction.
-func ikcWireMsgs(sys *core.System) (req, rep uint64) {
+// ikcMetrics is the report row of one fan-out run: its makespan and the
+// inter-kernel wire messages of the whole run, summed by direction.
+func ikcMetrics(sys *core.System, makespan sim.Duration) Metrics {
+	m := Metrics{Cycles: uint64(makespan)}
 	for ki := 0; ki < sys.Kernels(); ki++ {
 		st := sys.Kernel(ki).Stats()
-		req += st.IKCSent
-		rep += st.IKCRepSent
+		m.ReqMsgs += st.IKCSent
+		m.RepMsgs += st.IKCRepSent
 	}
-	return req, rep
+	return m
 }
 
 // ablationIKCSystem builds the fan-out machine: the owner/service group
@@ -268,10 +270,9 @@ func ablationIKCSystem(eng *sim.Engine, n, extra int, pol core.IKCBatching, simM
 	return sys, append([]int{byGroup[0][0]}, clientPEs...)
 }
 
-// ablationExchange measures n spanning obtains of one root capability,
-// returning the fan-out makespan and the inter-kernel wire messages by
-// direction.
-func ablationExchange(eng *sim.Engine, n, extra int, batched bool, simMode string) (sim.Duration, uint64, uint64) {
+// ablationExchange measures n spanning obtains of one root capability: the
+// fan-out makespan (Cycles) and the inter-kernel wire messages by direction.
+func ablationExchange(eng *sim.Engine, n, extra int, batched bool, simMode string) (Metrics, error) {
 	sys, pes := ablationIKCSystem(eng, n, extra, core.IKCBatching{Exchange: batched}, simMode)
 	defer sys.Close()
 	ready := sim.NewFuture[cap.Selector](sys.Eng)
@@ -305,14 +306,13 @@ func ablationExchange(eng *sim.Engine, n, extra int, batched bool, simMode strin
 		}
 	}
 	sys.Run()
-	req, rep := ikcWireMsgs(sys)
-	return end - t0, req, rep
+	return ikcMetrics(sys, end-t0), quiescent(sys)
 }
 
 // ablationSvcQuery measures n clients each opening a session to one
-// service and performing one session-scoped obtain, returning the fan-out
-// makespan and the inter-kernel wire messages by direction.
-func ablationSvcQuery(eng *sim.Engine, n, extra int, batched bool, simMode string) (sim.Duration, uint64, uint64) {
+// service and performing one session-scoped obtain: the fan-out makespan
+// (Cycles) and the inter-kernel wire messages by direction.
+func ablationSvcQuery(eng *sim.Engine, n, extra int, batched bool, simMode string) (Metrics, error) {
 	sys, pes := ablationIKCSystem(eng, n, extra, core.IKCBatching{ServiceQuery: batched}, simMode)
 	defer sys.Close()
 	svcReady := sim.NewFuture[struct{}](sys.Eng)
@@ -366,8 +366,7 @@ func ablationSvcQuery(eng *sim.Engine, n, extra int, batched bool, simMode strin
 	for _, e := range ends {
 		end = max(end, e)
 	}
-	req, rep := ikcWireMsgs(sys)
-	return end - t0, req, rep
+	return ikcMetrics(sys, end-t0), quiescent(sys)
 }
 
 // kindIKCExchange and kindIKCSvcQuery run one fan-out cell of the
@@ -380,24 +379,16 @@ const (
 )
 
 func init() {
-	registerKind(kindIKCExchange, runIKCSpec)
-	registerKind(kindIKCSvcQuery, runIKCSpec)
+	registerKind(kindIKCExchange, ikcKind(ablationExchange))
+	registerKind(kindIKCSvcQuery, ikcKind(ablationSvcQuery))
 }
 
-func runIKCSpec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
-	n, extra := spec.Config.Instances, spec.Config.Kernels-1
-	batched := spec.Variant == "batched"
-	var c sim.Duration
-	var req, rep uint64
-	switch spec.Kind {
-	case kindIKCExchange:
-		c, req, rep = ablationExchange(eng, n, extra, batched, spec.SimMode)
-	case kindIKCSvcQuery:
-		c, req, rep = ablationSvcQuery(eng, n, extra, batched, spec.SimMode)
-	default:
-		return Metrics{}, nil, fmt.Errorf("ikc ablation: unknown kind %q", spec.Kind)
+func ikcKind(run func(eng *sim.Engine, n, extra int, batched bool, simMode string) (Metrics, error)) kindFunc {
+	return func(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
+		n, extra := spec.Config.Instances, spec.Config.Kernels-1
+		m, err := run(eng, n, extra, spec.Variant == "batched", spec.SimMode)
+		return m, nil, err
 	}
-	return Metrics{Cycles: uint64(c), ReqMsgs: req, RepMsgs: rep}, nil, nil
 }
 
 // ikcOps is the operation axis of the transport ablation; the planner and

@@ -29,23 +29,15 @@ type Options struct {
 	// Report, when non-nil, collects one Result per experiment run for the
 	// machine-readable JSON report (see report.go).
 	Report *Report
-	// Executor, when non-nil, replaces the in-process worker pool — the
-	// ShardExecutor runs the planned specs on worker subprocesses. All
-	// simulated metrics are independent of the executor.
-	Executor Executor
-	// Costs seeds longest-first dispatch with recorded wallclocks from a
-	// prior report; nil falls back to the instance-count heuristic. Only
-	// wallclock changes.
-	Costs *CostModel
 	// SimMode selects merged (default) or isolated-rounds simulation (see
 	// core.Config.SimMode), stamped onto every planned spec. Rounds metrics
-	// are deterministic at any -parallel/-shards setting but intentionally
+	// are deterministic at any -parallel setting but intentionally
 	// differ from merged: every cross-domain interaction costs NoC latency.
 	// Rounds runs additionally report per-domain busy time (Result.Domains).
 	SimMode string
 	// FaultSeed seeds the deterministic fault injector of the faults
 	// experiment (-faultseed); 0 means seed 1. Identical seeds give
-	// byte-identical faulty runs at any -parallel/-shards.
+	// byte-identical faulty runs at any -parallel.
 	FaultSeed uint64
 }
 
@@ -139,9 +131,8 @@ func Table4(o Options) Table4Result {
 	return res
 }
 
-// capOpsRate mirrors workload.Result.CapOpsPerSecond from the quantities
-// that cross the worker protocol (identical float operations, so the rates
-// match the in-process computation bit for bit).
+// capOpsRate mirrors workload.Result.CapOpsPerSecond from the quantities a
+// Result keeps (identical float operations, so the rates match bit for bit).
 func capOpsRate(ops, makespan uint64) float64 {
 	if makespan == 0 {
 		return 0
@@ -425,7 +416,7 @@ const kindNginx = "nginx"
 // nginxAux is the side data of a server run: the completed request count,
 // from which the post-process derives the requests/s axis.
 type nginxAux struct {
-	Requests uint64 `json:"requests"`
+	Requests uint64
 }
 
 func init() { registerKind(kindNginx, runNginxSpec) }
@@ -444,8 +435,8 @@ func runNginxSpec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 	return m, nginxAux{Requests: r.Requests}, nil
 }
 
-// reqRate mirrors workload.NginxResult.RequestsPerSecond from the
-// serialized quantities (Cycles is the measurement window).
+// reqRate mirrors workload.NginxResult.RequestsPerSecond from the quantities
+// a Result keeps (Cycles is the measurement window).
 func reqRate(requests, duration uint64) float64 {
 	if duration == 0 {
 		return 0

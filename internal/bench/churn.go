@@ -19,7 +19,7 @@ import (
 // drops 1% of the traffic and crashes one kernel, which later recovers and
 // rejoins as a new incarnation. The run must drain (no hangs), the
 // completion fractions are exact functions of (seed, plan) — byte-identical
-// at any -parallel/-shards and deterministic under -simmode rounds — and
+// at any -parallel and deterministic under -simmode rounds — and
 // afterwards core.System.CheckLeaks must find no capability or DDL state
 // owned by the dead incarnation.
 
@@ -46,24 +46,24 @@ const (
 
 // churnAux is the side data of one churn run.
 type churnAux struct {
-	ObtainsAttempted int    `json:"obtainsattempted"`
-	ObtainsOK        int    `json:"obtainsok"`
-	RevokesAttempted int    `json:"revokesattempted"`
-	RevokesOK        int    `json:"revokesok"`
-	Retransmits      uint64 `json:"retransmits"`
-	DupSuppressed    uint64 `json:"dupsuppressed"`
-	FailFast         uint64 `json:"failfast"`
-	DeadPeers        uint64 `json:"deadpeers"`
-	Rejoins          uint64 `json:"rejoins"`
-	MeanRejoinCycles uint64 `json:"meanrejoin"`
-	StaleIncarnation uint64 `json:"staleincarnation"`
-	InjDropped       uint64 `json:"injdropped"`
-	InjBlackholed    uint64 `json:"injblackholed"`
+	ObtainsAttempted int
+	ObtainsOK        int
+	RevokesAttempted int
+	RevokesOK        int
+	Retransmits      uint64
+	DupSuppressed    uint64
+	FailFast         uint64
+	DeadPeers        uint64
+	Rejoins          uint64
+	MeanRejoinCycles uint64
+	StaleIncarnation uint64
+	InjDropped       uint64
+	InjBlackholed    uint64
 	// LeakedEntries counts capability/DDL state owned by a dead incarnation
 	// after the storm drained (core.System.CheckLeaks). The crashed kernel
 	// recovered, so nothing is excused: any nonzero value is a protocol bug.
-	LeakedEntries int    `json:"leakedentries"`
-	CapsCreated   uint64 `json:"capscreated"`
+	LeakedEntries int
+	CapsCreated   uint64
 }
 
 func (a churnAux) capsMinted() uint64 { return a.CapsCreated }
@@ -296,7 +296,7 @@ func Churn(o Options, maxClients, extra, crashKernel int) (ChurnResult, error) {
 		seed = 1
 	}
 	// Pre-flight the exact machine the storm rows build, so mode conflicts
-	// surface as a clean error here instead of a worker panic mid-sweep.
+	// surface as a clean error here instead of a task panic mid-sweep.
 	specs := churnSpecs(maxClients, extra, crashKernel, seed)
 	n := maxClients
 	perGroup := (n+extra-1)/extra + 2

@@ -18,7 +18,7 @@ import (
 // (internal/fault) sweeping drop rates, plus a kernel-crash scenario, and
 // report completion rate, retransmissions, duplicate suppressions and
 // recovery latency. Everything is deterministic in (seed, plan): reruns at
-// any -parallel/-shards produce byte-identical rows.
+// any -parallel produce byte-identical rows.
 
 // faultsRates is the drop-rate axis in basis points (0.00%, 0.25%, 1%,
 // 4%). The zero row runs reliable mode on a lossless fabric: losses are
@@ -53,34 +53,34 @@ func faultsPlan(seed uint64, dropBp int) *fault.Plan {
 // faultsAux is the side data of one faults run: the full reliability and
 // injection picture behind the report row's headline columns.
 type faultsAux struct {
-	Attempted       int    `json:"attempted"`
-	Succeeded       int    `json:"succeeded"`
-	Retransmits     uint64 `json:"retransmits"`
-	DupSuppressed   uint64 `json:"dupsuppressed"`
-	ReplayedReplies uint64 `json:"replayedreplies"`
-	LateReplies     uint64 `json:"latereplies"`
-	FailFast        uint64 `json:"failfast"`
-	DeadPeers       uint64 `json:"deadpeers"`
-	Recovered       uint64 `json:"recovered"`
+	Attempted       int
+	Succeeded       int
+	Retransmits     uint64
+	DupSuppressed   uint64
+	ReplayedReplies uint64
+	LateReplies     uint64
+	FailFast        uint64
+	DeadPeers       uint64
+	Recovered       uint64
 	// MeanRecoveryCycles is the average first-send→completion time of
 	// transmissions that needed at least one retransmit.
-	MeanRecoveryCycles uint64 `json:"meanrecovery"`
-	InjDropped         uint64 `json:"injdropped"`
-	InjDuplicated      uint64 `json:"injduplicated"`
-	InjDelayed         uint64 `json:"injdelayed"`
-	InjBlackholed      uint64 `json:"injblackholed"`
-	CapsCreated        uint64 `json:"capscreated"`
+	MeanRecoveryCycles uint64
+	InjDropped         uint64
+	InjDuplicated      uint64
+	InjDelayed         uint64
+	InjBlackholed      uint64
+	CapsCreated        uint64
 	// Rejoins/MeanRejoinCycles/StaleIncarnation cover the crash+recover
 	// scenario: completed rejoin handshakes, their mean duration, and
 	// dead-incarnation traffic rejected by the incarnation gate. Zero on
 	// rows without a recovery.
-	Rejoins          uint64 `json:"rejoins,omitempty"`
-	MeanRejoinCycles uint64 `json:"meanrejoin,omitempty"`
-	StaleIncarnation uint64 `json:"staleincarnation,omitempty"`
+	Rejoins          uint64
+	MeanRejoinCycles uint64
+	StaleIncarnation uint64
 	// LeakedEntries counts capability/DDL state left owned by a dead
 	// incarnation after the run (core.System.CheckLeaks); permanently
 	// crashed kernels are excused. Any nonzero value is a protocol bug.
-	LeakedEntries int `json:"leakedentries"`
+	LeakedEntries int
 }
 
 func (a faultsAux) capsMinted() uint64 { return a.CapsCreated }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"reflect"
 	"testing"
 )
@@ -83,28 +82,5 @@ func TestFaultsDeterministic(t *testing.T) {
 	c := Faults(Options{FaultSeed: 4, Parallel: 1}, 32, 4)
 	if reflect.DeepEqual(a.Rows, c.Rows) {
 		t.Errorf("seeds 3 and 4 produced identical sweeps")
-	}
-}
-
-// TestFaultsSpecsRoundTrip: faults specs survive the worker-protocol JSON
-// round trip with the seed intact — sharded workers must reproduce the
-// same faults.
-func TestFaultsSpecsRoundTrip(t *testing.T) {
-	specs := faultsSpecs(16, 4, 99)
-	for _, spec := range specs {
-		raw, err := json.Marshal(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var back TaskSpec
-		if err := json.Unmarshal(raw, &back); err != nil {
-			t.Fatal(err)
-		}
-		if back != spec {
-			t.Errorf("spec round trip changed %+v -> %+v", spec, back)
-		}
-		if back.Seed != 99 {
-			t.Errorf("seed lost in round trip: %+v", back)
-		}
 	}
 }

@@ -1,12 +1,14 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
+	"sort"
+	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -16,11 +18,9 @@ import (
 // evaluation (one cell of Table 4, one point of Figures 6-9, one breadth of
 // the ablation, ...) is an independent simulation with its own sim.Engine,
 // so the sweeps are embarrassingly parallel: experiments plan their runs as
-// serializable TaskSpecs (spec.go), an executor — the in-process worker
-// pool here, or the multi-process ShardExecutor (shard.go) — fans them out,
-// and result ordering — and thus every simulated-cycle metric — stays
-// identical to a serial run. Task and RunTasks remain as the closure-based
-// escape hatch for callers outside the planned experiments.
+// TaskSpecs (spec.go), RunSpecs fans them out over an in-process worker
+// pool, and result ordering — and thus every simulated-cycle metric — stays
+// identical to a serial run. RunSpec is the one way a task runs.
 
 // ExpConfig identifies the machine configuration of one experiment. For
 // non-workload experiments the fields map to the closest notion (e.g. the
@@ -62,27 +62,12 @@ type Metrics struct {
 	Completed float64 `json:"completed,omitempty"`
 }
 
-// Task is one independent experiment: Run builds its own simulation on the
-// engine handed to it and returns the measured metrics. Tasks must not share
-// mutable state with each other.
-//
-// The engine comes from the harness's pool: it is in fresh state (new or
-// Reset) when Run starts, and the harness Resets and recycles it after Run
-// returns — unwinding any procs the experiment left parked. Run wires it
-// into its simulation via core.Config.Engine / workload.Config.Engine (or
-// ignores it and builds its own engine; that only forfeits the reuse).
-type Task struct {
-	Experiment string
-	Config     ExpConfig
-	Run        func(eng *sim.Engine) (Metrics, error)
-}
-
 // enginePool recycles sim.Engines (and their grown event-slab backing
 // arrays) across all harness tasks in the process, so per-experiment engine
 // setup stops dominating short runs.
 var enginePool = sim.NewPool()
 
-// Result is the outcome of one Task. It is the unit of the machine-readable
+// Result is the outcome of one task. It is the unit of the machine-readable
 // report (see report.go for the serialization layer).
 type Result struct {
 	Experiment  string    `json:"experiment"`
@@ -90,8 +75,8 @@ type Result struct {
 	Metrics     Metrics   `json:"metrics"`
 	WallclockNS int64     `json:"wallclock_ns"`
 	// CapsMinted is the number of capabilities the run's kernels created,
-	// lifted from the aux payload of kinds that report one (see capsMinter
-	// in spec.go); zero for kinds that do not. HeapPeakBytes is the process
+	// lifted from the aux value of kinds that report one (see capsMinter in
+	// spec.go); zero for kinds that do not. HeapPeakBytes is the process
 	// heap in use (runtime.MemStats.HeapAlloc) when the task finished — an
 	// approximation of the run's footprint that is process-global and, like
 	// WallclockNS, varies run to run; determinism comparisons must ignore
@@ -100,12 +85,10 @@ type Result struct {
 	CapsMinted    uint64 `json:"capsminted,omitempty"`
 	HeapPeakBytes uint64 `json:"heappeak_bytes,omitempty"`
 	Error         string `json:"error,omitempty"`
-	// Aux carries experiment-specific side data (a workload's makespan, an
-	// ablation's message count, ...) from the run function to the
-	// post-process step, across the worker protocol when the sweep is
-	// sharded. It is stripped before a Result enters the report, so the
-	// report layout is unchanged.
-	Aux json.RawMessage `json:"aux,omitempty"`
+	// Aux is the kind's typed side data (a workload's makespan, an
+	// ablation's message count, ...) for the experiment's post-process step,
+	// read with auxOf. It is not part of the report.
+	Aux any `json:"-"`
 	// Domains is the per-domain attribution of a partitioned run (SimMode
 	// rounds on a multi-kernel machine); omitted on the sequential engine.
 	// Like WallclockNS its busy time varies run to run, so determinism
@@ -121,28 +104,17 @@ type DomainWallclock struct {
 	Events uint64 `json:"events"`
 }
 
-// RunTasks executes the tasks on a pool of `parallel` workers (<= 0 means
-// GOMAXPROCS) and returns one Result per task, in task order regardless of
-// completion order. A task that panics is captured as an error Result
-// instead of tearing down the whole sweep.
-func RunTasks(parallel int, tasks []Task) []Result {
-	return runTasksOrdered(parallel, tasks, nil)
-}
-
-// runTasksOrdered is the worker pool shared by both execution paths
-// (closure Tasks here, planned specs via RunSpecs). Dispatch follows order
-// (nil = task order; RunSpecs passes the cost model's longest-first order);
-// results always come back in task order regardless of dispatch or
-// completion order.
-func runTasksOrdered(parallel int, tasks []Task, order []int) []Result {
+// RunSpecs executes the specs on a pool of `parallel` workers (<= 0 means
+// GOMAXPROCS) and returns one Result per spec, in spec order regardless of
+// dispatch or completion order, so all simulated metrics are independent of
+// both the parallelism and the schedule. A task that fails or panics becomes
+// an error Result instead of tearing down the whole sweep.
+func RunSpecs(parallel int, specs []TaskSpec) []Result {
 	if parallel <= 0 {
 		parallel = runtime.GOMAXPROCS(0)
 	}
-	parallel = min(parallel, len(tasks))
-	results := make([]Result, len(tasks))
-	if len(tasks) == 0 {
-		return results
-	}
+	parallel = min(parallel, len(specs))
+	results := make([]Result, len(specs))
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < parallel; w++ {
@@ -150,31 +122,44 @@ func runTasksOrdered(parallel int, tasks []Task, order []int) []Result {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i] = runTask(tasks[i])
+				results[i] = RunSpec(specs[i])
 			}
 		}()
 	}
-	if order == nil {
-		for i := range tasks {
-			idx <- i
-		}
-	} else {
-		for _, i := range order {
-			idx <- i
-		}
+	for _, i := range dispatchOrder(specs) {
+		idx <- i
 	}
 	close(idx)
 	wg.Wait()
 	return results
 }
 
-// runTask executes one task on a pooled engine, capturing wallclock and
-// panics. The engine goes back to the pool (Reset, procs unwound) whatever
-// way the task ends.
-func runTask(t Task) (res Result) {
+// dispatchOrder returns the order in which RunSpecs hands the specs out:
+// largest machine first (kernels + services + instances, the PEs the task
+// simulates), stable on ties. Host cost grows with machine size and the
+// planners list a figure's largest point last, so spec order would leave one
+// worker finishing the most expensive task alone at the end of every batch.
+func dispatchOrder(specs []TaskSpec) []int {
+	order := make([]int, len(specs))
+	for i := range order {
+		order[i] = i
+	}
+	pes := func(i int) int {
+		c := specs[i].Config
+		return c.Kernels + c.Services + c.Instances
+	}
+	sort.SliceStable(order, func(a, b int) bool { return pes(order[a]) > pes(order[b]) })
+	return order
+}
+
+// RunSpec executes one spec on a pooled engine, capturing wallclock and
+// panics. The engine is in fresh state (new or Reset) when the kind function
+// starts and goes back to the pool (Reset, procs unwound) whatever way the
+// task ends.
+func RunSpec(spec TaskSpec) (res Result) {
 	eng := enginePool.Get()
 	defer enginePool.Put(eng)
-	res = Result{Experiment: t.Experiment, Config: t.Config}
+	res = Result{Experiment: spec.Experiment, Config: spec.Config}
 	start := time.Now()
 	defer func() {
 		res.WallclockNS = time.Since(start).Nanoseconds()
@@ -182,7 +167,12 @@ func runTask(t Task) (res Result) {
 			res.Error = fmt.Sprintf("panic: %v", r)
 		}
 	}()
-	m, err := t.Run(eng)
+	fn, ok := kinds[spec.Kind]
+	if !ok {
+		res.Error = fmt.Sprintf("bench: unknown task kind %q", spec.Kind)
+		return res
+	}
+	m, aux, err := fn(spec, eng)
 	var mem runtime.MemStats
 	runtime.ReadMemStats(&mem)
 	res.HeapPeakBytes = mem.HeapAlloc
@@ -196,16 +186,40 @@ func runTask(t Task) (res Result) {
 		res.Error = err.Error()
 		return res
 	}
-	res.Metrics = m
+	res.Metrics, res.Aux = m, aux
+	if cm, ok := aux.(capsMinter); ok {
+		res.CapsMinted = cm.capsMinted()
+	}
 	return res
 }
 
-// mustOK panics on the first failed result, preserving the historical
-// fail-fast behavior of the sweeps (a broken experiment is a bug, not data).
+// quiescent turns work left outstanding on a machine that has run dry — a
+// syscall that never returned, a kernel thread still holding a job, credits
+// or receive slots not given back — into the task's error. Every kind that
+// runs its system until no event is left calls it after the final sys.Run():
+// such a run raises no error by itself, it just measures nothing.
+func quiescent(sys *core.System) error {
+	left := sys.CheckQuiescent()
+	if len(left) == 0 {
+		return nil
+	}
+	return fmt.Errorf("the machine ran dry with work outstanding:\n  %s", strings.Join(left, "\n  "))
+}
+
+// TaskError is the value the sweeps panic with when a task failed: the
+// experiment entry points return tables, not errors, so a caller that wants
+// to survive a failed task recovers it (semperos-bench does, to exit 1 with
+// the message).
+type TaskError string
+
+func (e TaskError) Error() string { return string(e) }
+
+// mustOK panics on the first failed result: the sweeps fail fast (a broken
+// experiment is a bug, not data).
 func mustOK(rs []Result) {
 	for _, r := range rs {
 		if r.Error != "" {
-			panic(fmt.Sprintf("bench: experiment %s %+v failed: %s", r.Experiment, r.Config, r.Error))
+			panic(TaskError(fmt.Sprintf("bench: experiment %s %+v failed: %s", r.Experiment, r.Config, r.Error)))
 		}
 	}
 }
@@ -219,8 +233,8 @@ const kindWorkload = "workload"
 // ops/s rate) while the efficiency sweeps do not, and the total
 // capabilities minted, which feeds Result.CapsMinted.
 type workloadAux struct {
-	Makespan    uint64 `json:"makespan"`
-	CapsCreated uint64 `json:"capscreated"`
+	Makespan    uint64
+	CapsCreated uint64
 }
 
 func (a workloadAux) capsMinted() uint64 { return a.CapsCreated }
@@ -274,18 +288,11 @@ func (o Options) runWorkloads(experiment string, cfgs []workload.Config) []Resul
 	return o.execute(workloadSpecs(experiment, cfgs))
 }
 
-// record appends results to the report, when one is attached, stripping the
-// post-processing Aux payloads so the report layout stays unchanged.
+// record appends results to the report, when one is attached.
 func (o Options) record(rs []Result) {
-	if o.Report == nil {
-		return
+	if o.Report != nil {
+		o.Report.Add(rs...)
 	}
-	clean := make([]Result, len(rs))
-	for i, r := range rs {
-		r.Aux = nil
-		clean[i] = r
-	}
-	o.Report.Add(clean...)
 }
 
 // sweepSpec describes one efficiency sweep: a 1-instance baseline plus one

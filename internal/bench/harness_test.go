@@ -5,29 +5,93 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
-// TestRunTasksOrdering: results come back in task order even when tasks
-// complete in reverse order.
+// Kinds that exist only for the harness tests: RunSpecs is the one way a
+// task runs, so the tests plug their behaviours in where the experiments do.
+var (
+	ranMu sync.Mutex
+	ran   []string // experiments in the order "test-echo" tasks started
+)
+
+func init() {
+	registerKind("test-echo", func(spec TaskSpec, _ *sim.Engine) (Metrics, any, error) {
+		ranMu.Lock()
+		ran = append(ran, spec.Experiment)
+		ranMu.Unlock()
+		return Metrics{Cycles: uint64(spec.Arg)}, nil, nil
+	})
+	registerKind("test-panic", func(TaskSpec, *sim.Engine) (Metrics, any, error) { panic("kaboom") })
+	registerKind("test-error", func(TaskSpec, *sim.Engine) (Metrics, any, error) {
+		return Metrics{}, nil, errors.New("nope")
+	})
+	registerKind("test-proc-panic", func(_ TaskSpec, e *sim.Engine) (Metrics, any, error) {
+		defer e.Kill()
+		e.Spawn("bad", func(p *sim.Proc) { panic("boom") })
+		e.Run()
+		return Metrics{}, nil, nil
+	})
+	registerKind("test-dirty-engine", func(_ TaskSpec, eng *sim.Engine) (Metrics, any, error) {
+		if eng == nil {
+			return Metrics{}, nil, errors.New("nil engine")
+		}
+		if eng.Now() != 0 || eng.Pending() != 0 || eng.Executed() != 0 || eng.LiveProcs() != 0 {
+			return Metrics{}, nil, fmt.Errorf("engine not fresh: now=%d pending=%d executed=%d procs=%d",
+				eng.Now(), eng.Pending(), eng.Executed(), eng.LiveProcs())
+		}
+		// Dirty the engine and leak a parked proc; do NOT Kill — the
+		// harness must clean up on Put.
+		eng.Spawn("leak", func(p *sim.Proc) { p.Park() })
+		eng.Schedule(50, func() {})
+		eng.RunUntil(10)
+		eng.Schedule(100, func() {})
+		return Metrics{Cycles: 1}, nil, nil
+	})
+	// A client opens a session at a service whose Open handler never
+	// answers: the machine drains with the create-session syscall parked.
+	registerKind("test-stuck-syscall", func(_ TaskSpec, eng *sim.Engine) (Metrics, any, error) {
+		sys := core.MustNew(core.Config{Kernels: 1, UserPEs: 2, Engine: eng})
+		defer sys.Close()
+		pes := sys.UserPEs()
+		up := sim.NewFuture[struct{}](sys.Eng)
+		sys.SpawnOn(pes[0], "svc", func(v *core.VPE, p *sim.Proc) {
+			err := v.RegisterService(p, "mute", core.ServiceHandlers{
+				Open: func(p *sim.Proc, _ int, _ any) core.SvcResult { p.Park(); return core.SvcResult{} },
+			})
+			if err != nil {
+				panic(err)
+			}
+			up.CompleteFrom(p, struct{}{})
+			v.ServeLoop(p)
+		})
+		sys.SpawnOn(pes[1], "client", func(v *core.VPE, p *sim.Proc) {
+			up.Wait(p)
+			v.CreateSession(p, "mute", nil)
+			panic("the session opened")
+		})
+		sys.Run()
+		return Metrics{Cycles: 1}, nil, quiescent(sys)
+	})
+}
+
+// TestRunTasksOrdering: results come back in spec order whatever the pool
+// size, and thus whatever order the tasks complete in.
 func TestRunTasksOrdering(t *testing.T) {
 	const n = 16
-	tasks := make([]Task, n)
-	for i := 0; i < n; i++ {
-		i := i
-		tasks[i] = Task{
-			Experiment: fmt.Sprintf("t%d", i),
-			Run: func(*sim.Engine) (Metrics, error) {
-				return Metrics{Cycles: uint64(i)}, nil
-			},
-		}
+	specs := make([]TaskSpec, n)
+	for i := range specs {
+		specs[i] = TaskSpec{Experiment: fmt.Sprintf("t%d", i), Kind: "test-echo", Arg: i}
 	}
 	for _, parallel := range []int{1, 4, n} {
-		rs := RunTasks(parallel, tasks)
+		rs := RunSpecs(parallel, specs)
 		if len(rs) != n {
 			t.Fatalf("parallel=%d: got %d results, want %d", parallel, len(rs), n)
 		}
@@ -40,16 +104,45 @@ func TestRunTasksOrdering(t *testing.T) {
 	}
 }
 
+// TestCostModelOrder: the harness's cost model is the size of the machine a
+// task simulates. Dispatch is largest-first and stable on ties, and it never
+// shows in the results, which stay in spec order.
+func TestCostModelOrder(t *testing.T) {
+	specs := []TaskSpec{
+		{Experiment: "small-a", Kind: "test-echo", Config: ExpConfig{Kernels: 1, Instances: 4}},
+		{Experiment: "mid", Kind: "test-echo", Config: ExpConfig{Kernels: 8, Services: 8, Instances: 4}},
+		{Experiment: "small-b", Kind: "test-echo", Config: ExpConfig{Kernels: 1, Instances: 4}},
+		{Experiment: "large", Kind: "test-echo", Config: ExpConfig{Kernels: 1, Instances: 400}},
+		{Experiment: "small-c", Kind: "test-echo", Config: ExpConfig{Kernels: 2, Services: 2, Instances: 1}},
+	}
+	want := []string{"large", "mid", "small-a", "small-b", "small-c"}
+	order := dispatchOrder(specs)
+	for i, name := range want {
+		if specs[order[i]].Experiment != name {
+			t.Fatalf("dispatchOrder = %v, want the order %v", order, want)
+		}
+	}
+	ran = nil
+	rs := RunSpecs(1, specs)
+	if !slices.Equal(ran, want) {
+		t.Errorf("one worker ran the tasks as %v, want %v", ran, want)
+	}
+	for i, r := range rs {
+		if r.Experiment != specs[i].Experiment || r.Config != specs[i].Config {
+			t.Errorf("result %d is %s %+v, want spec order (%s)", i, r.Experiment, r.Config, specs[i].Experiment)
+		}
+	}
+}
+
 // TestRunTasksPanicCapture: a panicking task becomes an error result and
 // does not take down its worker (later tasks still run).
 func TestRunTasksPanicCapture(t *testing.T) {
-	tasks := []Task{
-		{Experiment: "boom", Run: func(*sim.Engine) (Metrics, error) { panic("kaboom") }},
-		{Experiment: "err", Run: func(*sim.Engine) (Metrics, error) { return Metrics{}, errors.New("nope") }},
-		{Experiment: "ok", Run: func(*sim.Engine) (Metrics, error) { return Metrics{Cycles: 7}, nil }},
-	}
-	rs := RunTasks(1, tasks)
-	if rs[0].Error == "" || rs[0].Error != "panic: kaboom" {
+	rs := RunSpecs(1, []TaskSpec{
+		{Experiment: "boom", Kind: "test-panic"},
+		{Experiment: "err", Kind: "test-error"},
+		{Experiment: "ok", Kind: "test-echo", Arg: 7},
+	})
+	if rs[0].Error != "panic: kaboom" {
 		t.Errorf("panic not captured: %q", rs[0].Error)
 	}
 	if rs[1].Error != "nope" {
@@ -57,6 +150,38 @@ func TestRunTasksPanicCapture(t *testing.T) {
 	}
 	if rs[2].Error != "" || rs[2].Metrics.Cycles != 7 {
 		t.Errorf("healthy task corrupted: %+v", rs[2])
+	}
+}
+
+// TestFailedTaskPanicsWithTaskError: the sweeps fail fast with a value a
+// caller can tell from a bug's panic (semperos-bench exits 1 on it).
+func TestFailedTaskPanicsWithTaskError(t *testing.T) {
+	defer func() {
+		err, ok := recover().(TaskError)
+		if !ok || !strings.Contains(err.Error(), "experiment err") || !strings.Contains(err.Error(), "nope") {
+			t.Errorf("execute panicked with %#v, want a TaskError naming the task and its error", err)
+		}
+	}()
+	Quick().execute([]TaskSpec{{Experiment: "err", Kind: "test-error"}})
+	t.Error("execute returned with a failed task")
+}
+
+// TestNonQuiescentDrainFails: a machine that runs dry with a syscall still
+// parked is a failed task whose error carries the CheckQuiescent lines — not
+// a row of zeros.
+func TestNonQuiescentDrainFails(t *testing.T) {
+	res := RunSpec(TaskSpec{Experiment: "stuck", Kind: "test-stuck-syscall"})
+	for _, want := range []string{
+		"the machine ran dry with work outstanding",
+		"k0/sys2: syscall createsession, await-answer of VPE 0",
+		"VPE 1 (client): syscall createsession has not returned",
+	} {
+		if !strings.Contains(res.Error, want) {
+			t.Errorf("error lacks %q:\n%s", want, res.Error)
+		}
+	}
+	if res.Metrics != (Metrics{}) {
+		t.Errorf("failed task still reports metrics: %+v", res.Metrics)
 	}
 }
 
@@ -198,26 +323,11 @@ func TestSweepRecordsEfficiency(t *testing.T) {
 // after an earlier task on the same worker leaked parked procs and pending
 // events — the engine pool Resets between tasks.
 func TestRunTasksPooledEngines(t *testing.T) {
-	mkTask := func(name string) Task {
-		return Task{Experiment: name, Run: func(eng *sim.Engine) (Metrics, error) {
-			if eng == nil {
-				return Metrics{}, errors.New("nil engine")
-			}
-			if eng.Now() != 0 || eng.Pending() != 0 || eng.Executed() != 0 || eng.LiveProcs() != 0 {
-				return Metrics{}, fmt.Errorf("engine not fresh: now=%d pending=%d executed=%d procs=%d",
-					eng.Now(), eng.Pending(), eng.Executed(), eng.LiveProcs())
-			}
-			// Dirty the engine and leak a parked proc; do NOT Kill — the
-			// harness must clean up on Put.
-			eng.Spawn("leak", func(p *sim.Proc) { p.Park() })
-			eng.Schedule(50, func() {})
-			eng.RunUntil(10)
-			eng.Schedule(100, func() {})
-			return Metrics{Cycles: 1}, nil
-		}}
+	var specs []TaskSpec
+	for _, name := range []string{"a", "b", "c", "d"} {
+		specs = append(specs, TaskSpec{Experiment: name, Kind: "test-dirty-engine"})
 	}
-	tasks := []Task{mkTask("a"), mkTask("b"), mkTask("c"), mkTask("d")}
-	for _, rs := range [][]Result{RunTasks(1, tasks), RunTasks(2, tasks)} {
+	for _, rs := range [][]Result{RunSpecs(1, specs), RunSpecs(2, specs)} {
 		for _, r := range rs {
 			if r.Error != "" {
 				t.Errorf("%s: %s", r.Experiment, r.Error)
@@ -230,16 +340,10 @@ func TestRunTasksPooledEngines(t *testing.T) {
 // the dominant failure mode of a broken experiment — becomes an error
 // Result instead of tearing down the whole sweep.
 func TestRunTasksCapturesProcPanic(t *testing.T) {
-	tasks := []Task{
-		{Experiment: "sim-boom", Run: func(e *sim.Engine) (Metrics, error) {
-			defer e.Kill()
-			e.Spawn("bad", func(p *sim.Proc) { panic("boom") })
-			e.Run()
-			return Metrics{}, nil
-		}},
-		{Experiment: "ok", Run: func(*sim.Engine) (Metrics, error) { return Metrics{Cycles: 1}, nil }},
-	}
-	rs := RunTasks(1, tasks)
+	rs := RunSpecs(1, []TaskSpec{
+		{Experiment: "sim-boom", Kind: "test-proc-panic"},
+		{Experiment: "ok", Kind: "test-echo", Arg: 1},
+	})
 	if !strings.Contains(rs[0].Error, "boom") {
 		t.Errorf("proc panic not captured: %q", rs[0].Error)
 	}

@@ -35,7 +35,7 @@ func buildPair(eng *sim.Engine, spanning bool, simMode string) (*core.System, in
 // measureExchangeRevoke runs the paper's §5.2 microbenchmark on sys: app B
 // obtains a capability from app A, then A revokes it. It returns the
 // syscall latencies observed by the applications.
-func measureExchangeRevoke(sys *core.System, peA, peB int) (exchange, revoke sim.Duration) {
+func measureExchangeRevoke(sys *core.System, peA, peB int) (exchange, revoke sim.Duration, err error) {
 	defer sys.Close()
 	ready := sim.NewFuture[cap.Selector](sys.Eng)
 	obtained := sim.NewFuture[struct{}](sys.Eng)
@@ -63,7 +63,7 @@ func measureExchangeRevoke(sys *core.System, peA, peB int) (exchange, revoke sim
 		obtained.CompleteFrom(p, struct{}{})
 	})
 	sys.Run()
-	return exchange, revoke
+	return exchange, revoke, quiescent(sys)
 }
 
 // Table3Result holds the runtimes of capability operations (paper Table 3).
@@ -83,24 +83,25 @@ const kindTable3 = "table3"
 // table3Aux carries the second measurement of the run: each task measures
 // both the exchange (Metrics.Cycles) and the revocation.
 type table3Aux struct {
-	Revoke uint64 `json:"revoke"`
+	Revoke uint64
 }
 
 func init() { registerKind(kindTable3, runTable3Spec) }
 
 func runTable3Spec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 	var e, v sim.Duration
+	var err error
 	switch spec.Variant {
 	case "local", "spanning":
 		sys, a, b := buildPair(eng, spec.Variant == "spanning", spec.SimMode)
-		e, v = measureExchangeRevoke(sys, a, b)
+		e, v, err = measureExchangeRevoke(sys, a, b)
 	case "m3":
 		m3sys := m3.MustNew(m3.Config{UserPEs: 4, Engine: eng})
-		e, v = measureExchangeRevoke(m3sys.System, 1, 2)
+		e, v, err = measureExchangeRevoke(m3sys.System, 1, 2)
 	default:
-		return Metrics{}, nil, fmt.Errorf("table3: unknown variant %q", spec.Variant)
+		err = fmt.Errorf("table3: unknown variant %q", spec.Variant)
 	}
-	return Metrics{Cycles: uint64(e)}, table3Aux{Revoke: uint64(v)}, nil
+	return Metrics{Cycles: uint64(e)}, table3Aux{Revoke: uint64(v)}, err
 }
 
 // table3Specs plans the three microbenchmark machines.
@@ -180,7 +181,7 @@ type Fig4Result struct {
 // capability is exchanged from VPE to VPE) and measures revoking the root.
 // With alternate=true consecutive VPEs live in different PE groups,
 // creating the paper's ill-behaved cross-kernel ping-pong chain.
-func buildChainAndRevoke(sys *core.System, pes []int, length int, alternate bool) sim.Duration {
+func buildChainAndRevoke(sys *core.System, pes []int, length int, alternate bool) (sim.Duration, error) {
 	defer sys.Close()
 	order := make([]int, length+1)
 	if alternate {
@@ -243,7 +244,7 @@ func buildChainAndRevoke(sys *core.System, pes []int, length int, alternate bool
 		})
 	}
 	sys.Run()
-	return revTime
+	return revTime, quiescent(sys)
 }
 
 // kindFig4 revokes one capability chain; Config.Instances is the chain
@@ -256,17 +257,18 @@ func init() { registerKind(kindFig4, runFig4Spec) }
 func runFig4Spec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 	l, maxLen := spec.Config.Instances, spec.Arg
 	var c sim.Duration
+	var err error
 	switch spec.Variant {
 	case "local", "spanning":
 		sys := core.MustNew(core.Config{Kernels: 2, UserPEs: maxLen + 2, Engine: eng, SimMode: spec.SimMode})
-		c = buildChainAndRevoke(sys, sys.UserPEs(), l, spec.Variant == "spanning")
+		c, err = buildChainAndRevoke(sys, sys.UserPEs(), l, spec.Variant == "spanning")
 	case "m3":
 		m3sys := m3.MustNew(m3.Config{UserPEs: maxLen + 2, Engine: eng})
-		c = buildChainAndRevoke(m3sys.System, m3sys.UserPEs(), l, false)
+		c, err = buildChainAndRevoke(m3sys.System, m3sys.UserPEs(), l, false)
 	default:
-		return Metrics{}, nil, fmt.Errorf("fig4: unknown variant %q", spec.Variant)
+		err = fmt.Errorf("fig4: unknown variant %q", spec.Variant)
 	}
-	return Metrics{Cycles: uint64(c)}, nil, nil
+	return Metrics{Cycles: uint64(c)}, nil, err
 }
 
 // fig4Specs plans the (length, variant) grid.
@@ -331,7 +333,7 @@ type Fig5Result struct {
 
 // buildTreeAndRevoke hands the root capability to n other VPEs (spread over
 // extra kernels if extra > 0) and measures revoking the whole tree.
-func buildTreeAndRevoke(eng *sim.Engine, n, extra int, simMode string) sim.Duration {
+func buildTreeAndRevoke(eng *sim.Engine, n, extra int, simMode string) (sim.Duration, error) {
 	kernels := extra + 1
 	perGroup := n + 1
 	if extra > 0 {
@@ -386,7 +388,7 @@ func buildTreeAndRevoke(eng *sim.Engine, n, extra int, simMode string) sim.Durat
 		})
 	}
 	sys.Run()
-	return revTime
+	return revTime, quiescent(sys)
 }
 
 // kindFig5 revokes one capability tree; Config encodes the cell
@@ -397,7 +399,8 @@ func init() { registerKind(kindFig5, runFig5Spec) }
 
 func runFig5Spec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 	n, extra := spec.Config.Instances, spec.Config.Kernels-1
-	return Metrics{Cycles: uint64(buildTreeAndRevoke(eng, n, extra, spec.SimMode))}, nil, nil
+	c, err := buildTreeAndRevoke(eng, n, extra, spec.SimMode)
+	return Metrics{Cycles: uint64(c)}, nil, err
 }
 
 // fig5Specs plans the (spread, child-count) grid.

@@ -77,9 +77,6 @@ func (r *Report) WriteJSON(w io.Writer) error {
 // WallclockSummary writes the sweep's host-time profile: the topN slowest
 // tasks and the per-experiment wall-clock totals (grouped by the experiment
 // name's top-level component, so fig6/tar and fig6/sqlite pool under fig6).
-// This is the visible input of the cost model: the slowest tasks are the
-// ones longest-first dispatch pulls to the front, and the totals show where
-// a sharded sweep's wall-clock goes.
 func (r *Report) WallclockSummary(w io.Writer, topN int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

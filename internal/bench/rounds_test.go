@@ -1,51 +1,52 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/json"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
 )
 
+// miniSweep runs a cross-section of the evaluation (micro, chain, tree,
+// ablation and workload kinds — including the aux-carrying Table 4 path) in
+// the given simulation mode ("" or core.SimModeMerged for the sequential
+// engine, core.SimModeRounds for isolated rounds), and returns the recorded
+// report rows with wallclocks (and the wallclock-bearing per-domain
+// attribution) zeroed, so two sweeps compare on simulated data only.
+func miniSweep(simMode string) []Result {
+	o := Quick()
+	o.Parallel = 2
+	o.SimMode = simMode
+	o.Report = NewReport(true, 1)
+	Table3(o)
+	Fig4(o, 20)
+	Fig5(o, 32)
+	AblationBatching(o, 32, 3)
+	Table4(o)
+	rs := make([]Result, len(o.Report.Results))
+	copy(rs, o.Report.Results)
+	for i := range rs {
+		rs[i].WallclockNS = 0
+		rs[i].HeapPeakBytes = 0
+		rs[i].Domains = nil
+	}
+	return rs
+}
+
 // TestRoundsDeterminism: the acceptance criterion of the isolated-rounds
 // runtime — a quick-scale sweep in rounds mode produces simulated metrics
-// byte-identical across repeats and across sharded execution. Rounds metrics
-// legitimately differ from merged-mode metrics (cross-kernel rendezvous
-// carry NoC latency), so the baseline here is the rounds run itself.
+// byte-identical across repeats. Rounds metrics legitimately differ from
+// merged-mode metrics (cross-kernel rendezvous carry NoC latency), so the
+// baseline here is the rounds run itself.
 func TestRoundsDeterminism(t *testing.T) {
-	base := miniSweep(nil, core.SimModeRounds)
-	baseJSON, err := json.Marshal(base)
-	if err != nil {
-		t.Fatal(err)
+	base, got := miniSweep(core.SimModeRounds), miniSweep(core.SimModeRounds)
+	if len(got) != len(base) {
+		t.Fatalf("repeat: %d rows, want %d", len(got), len(base))
 	}
-	diff := func(label string, got []Result) {
-		t.Helper()
-		gotJSON, err := json.Marshal(got)
-		if err != nil {
-			t.Fatal(err)
+	for i := range base {
+		if !reflect.DeepEqual(base[i], got[i]) {
+			t.Errorf("repeat row %d differs:\n  first:  %+v\n  second: %+v", i, base[i], got[i])
 		}
-		if bytes.Equal(baseJSON, gotJSON) {
-			return
-		}
-		if len(got) != len(base) {
-			t.Errorf("%s: %d rows, want %d", label, len(got), len(base))
-			return
-		}
-		for i := range base {
-			if base[i].Experiment != got[i].Experiment || base[i].Config != got[i].Config ||
-				base[i].Metrics != got[i].Metrics || base[i].Error != got[i].Error {
-				t.Errorf("%s row %d differs:\n  in-process: %+v\n  got:        %+v",
-					label, i, base[i], got[i])
-			}
-		}
-	}
-	diff("repeat", miniSweep(nil, core.SimModeRounds))
-	if !testing.Short() {
-		ex := testShardExecutor(2)
-		got := miniSweep(ex, core.SimModeRounds)
-		ex.Close()
-		diff("-shards 2", got)
 	}
 }
 
@@ -55,8 +56,8 @@ func TestRoundsDeterminism(t *testing.T) {
 // NoC latency, while every single-kernel row must stay byte-identical
 // (a single kernel has one domain — nothing to isolate).
 func TestRoundsDiverges(t *testing.T) {
-	merged := miniSweep(nil, "")
-	rounds := miniSweep(nil, core.SimModeRounds)
+	merged := miniSweep("")
+	rounds := miniSweep(core.SimModeRounds)
 	if len(merged) != len(rounds) {
 		t.Fatalf("row counts differ: %d merged, %d rounds", len(merged), len(rounds))
 	}

@@ -23,8 +23,8 @@ import (
 // spanning obtain per non-root kernel, and then revokes the root's
 // cross-machine tree — the revocation-latency column. The grid grows
 // geometrically and the sweep runs its points sequentially, stopping when
-// the wall-clock budget or the heap guard trips, so it degrades to a
-// partial table instead of thrashing the host.
+// the heap guard trips, so it degrades to a partial table instead of
+// thrashing the host.
 
 // scalePoint is one cell of the grid: Kernels PE groups, VPEs user PEs
 // (one VPE each), CapsPer derived capabilities per VPE.
@@ -52,20 +52,20 @@ const scaleHeapBudget = 8 << 30
 // (process-global, non-deterministic); everything simulated — caps
 // created, revoke cycles — is deterministic as usual.
 type scaleAux struct {
-	CapsCreated uint64 `json:"capscreated"`
-	CapsDeleted uint64 `json:"capsdeleted"`
+	CapsCreated uint64
+	CapsDeleted uint64
 	// HeapLiveBytes is the post-GC live heap growth between machine
 	// construction and the fully built capability forest (measured just
 	// before the timed revoke), i.e. bytes the machine+caps hold per run.
-	HeapLiveBytes uint64 `json:"heaplivebytes"`
+	HeapLiveBytes uint64
 	// SysBytes is runtime.MemStats.Sys at the peak — the RSS proxy the
 	// sweep's stop condition checks.
-	SysBytes uint64 `json:"sysbytes"`
+	SysBytes uint64
 	// Mallocs is the heap-object allocation count from machine
 	// construction to the built forest; divided by CapsCreated it is the
 	// allocs-per-capability column.
-	Mallocs      uint64 `json:"mallocs"`
-	RevokeCycles uint64 `json:"revokecycles"`
+	Mallocs      uint64
+	RevokeCycles uint64
 }
 
 func (a scaleAux) capsMinted() uint64 { return a.CapsCreated }
@@ -170,6 +170,9 @@ func scaleRun(eng *sim.Engine, kernels, vpes, capsPer int, simMode string) (scal
 		}
 	}
 	sys.Run()
+	if err := quiescent(sys); err != nil {
+		return scaleAux{}, err
+	}
 
 	st := sys.TotalStats()
 	return scaleAux{
@@ -190,10 +193,9 @@ type ScaleRow struct {
 }
 
 // ScaleResult holds the sweep: the completed rows plus the points the
-// budgets cut off (never silently — Print lists them).
+// kernel cap or the heap guard cut off (never silently — Print lists them).
 type ScaleResult struct {
 	MaxKernels int
-	Budget     time.Duration
 	Rows       []ScaleRow
 	Skipped    []string
 }
@@ -201,25 +203,18 @@ type ScaleResult struct {
 // Scale runs the scalability sweep point by point — sequentially on
 // purpose: the points are memory-bound, and the stop condition must see
 // each result before committing to a bigger machine. maxKernels caps the
-// grid (0 = the full grid); budget caps the sweep's wall clock (0 = no
-// cap). The heap guard (scaleHeapBudget) always applies.
-func Scale(o Options, maxKernels int, budget time.Duration) ScaleResult {
-	start := time.Now()
-	r := ScaleResult{MaxKernels: maxKernels, Budget: budget}
-	stop := ""
+// grid (0 = the full grid). The heap guard (scaleHeapBudget) always applies.
+func Scale(o Options, maxKernels int) ScaleResult {
+	r := ScaleResult{MaxKernels: maxKernels}
+	overHeap := false
 	for _, pt := range scaleGrid {
 		name := fmt.Sprintf("scale/%dk-%dv-%dc", pt.Kernels, pt.VPEs, pt.CapsPer)
 		if maxKernels > 0 && pt.Kernels > maxKernels {
 			r.Skipped = append(r.Skipped, name+" (over -scalekernels)")
 			continue
 		}
-		if stop != "" {
-			r.Skipped = append(r.Skipped, name+" ("+stop+")")
-			continue
-		}
-		if budget > 0 && time.Since(start) > budget {
-			stop = "wall-clock budget spent"
-			r.Skipped = append(r.Skipped, name+" ("+stop+")")
+		if overHeap {
+			r.Skipped = append(r.Skipped, name+" (heap budget spent)")
 			continue
 		}
 		rs := o.execute([]TaskSpec{{
@@ -234,9 +229,7 @@ func Scale(o Options, maxKernels int, budget time.Duration) ScaleResult {
 			Aux: aux, WallclockNS: rs[0].WallclockNS,
 		})
 		o.record(rs)
-		if aux.SysBytes > scaleHeapBudget {
-			stop = "heap budget spent"
-		}
+		overHeap = aux.SysBytes > scaleHeapBudget
 	}
 	return r
 }

@@ -1,68 +1,15 @@
 package bench
 
 import (
-	"encoding/json"
 	"testing"
 
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
-// plannedSpecs gathers specs from every experiment planner (small
-// parameterizations — the specs, not the runs, are under test).
-func plannedSpecs() []TaskSpec {
-	var specs []TaskSpec
-	specs = append(specs, table3Specs()...)
-	f4, _ := fig4Specs(20)
-	specs = append(specs, f4...)
-	specs = append(specs, fig5Specs([]int{0, 16}, []int{0, 1, 4})...)
-	specs = append(specs, ablationSpecs([]int{16, 32}, 3)...)
-	specs = append(specs, ablationIKCSpecs([]int{16}, 3)...)
-	specs = append(specs, workloadSpecs("fig6", []workload.Config{
-		{Kernels: 2, Services: 2, Instances: 1, Trace: trace.Tar()},
-		{Kernels: 2, Services: 2, Instances: 8, Trace: trace.SQLite()},
-	})...)
-	specs = append(specs, TaskSpec{
-		Experiment: "fig10",
-		Kind:       kindNginx,
-		Config:     ExpConfig{Kernels: 2, Services: 2, Instances: 8},
-	})
-	return specs
-}
-
-// TestTaskSpecRoundTrip: every spec a planner can produce survives the JSON
-// round trip of the worker protocol unchanged, and its kind resolves in the
-// registry — the two properties the serialization layer owes the shards.
-func TestTaskSpecRoundTrip(t *testing.T) {
-	specs := plannedSpecs()
-	if len(specs) < 20 {
-		t.Fatalf("only %d planned specs; planners missing?", len(specs))
-	}
-	for _, spec := range specs {
-		if spec.Experiment == "" || spec.Kind == "" {
-			t.Errorf("spec missing identity: %+v", spec)
-		}
-		if _, ok := kinds[spec.Kind]; !ok {
-			t.Errorf("spec kind %q not in registry: %+v", spec.Kind, spec)
-		}
-		data, err := json.Marshal(spec)
-		if err != nil {
-			t.Fatalf("marshal %+v: %v", spec, err)
-		}
-		var back TaskSpec
-		if err := json.Unmarshal(data, &back); err != nil {
-			t.Fatalf("unmarshal %s: %v", data, err)
-		}
-		if back != spec {
-			t.Errorf("round trip changed the spec:\n  sent: %+v\n  got:  %+v", spec, back)
-		}
-	}
-}
-
-// TestRunSpecMatchesTaskPath: executing a spec through the registry
-// produces the same simulated metrics as the historical closure path (the
-// experiment functions) — pinned here for one workload cell by running the
-// spec twice and against workload.Run directly.
+// TestRunSpecMatchesWorkloadRun: executing a spec through the registry
+// produces the same simulated metrics as calling workload.Run directly,
+// pinned here for one workload cell.
 func TestRunSpecMatchesWorkloadRun(t *testing.T) {
 	spec := workloadSpecs("det", []workload.Config{
 		{Kernels: 2, Services: 2, Instances: 4, Trace: trace.Tar()},
@@ -85,47 +32,10 @@ func TestRunSpecMatchesWorkloadRun(t *testing.T) {
 }
 
 // TestRunSpecUnknownKind: an unresolvable spec becomes an error Result, not
-// a panic — the coordinator turns it into a fail-fast, the worker survives.
+// a panic.
 func TestRunSpecUnknownKind(t *testing.T) {
 	res := RunSpec(TaskSpec{Experiment: "x", Kind: "no-such-kind"})
 	if res.Error == "" {
 		t.Fatal("unknown kind did not error")
-	}
-}
-
-// TestCostModelOrder: recorded wallclocks dispatch longest-first; unknown
-// specs fall back to the instance-count heuristic; ties keep spec order
-// (deterministic schedules).
-func TestCostModelOrder(t *testing.T) {
-	specA := TaskSpec{Experiment: "a", Kind: kindFig5, Config: ExpConfig{Kernels: 1, Instances: 4}}
-	specB := TaskSpec{Experiment: "b", Kind: kindFig5, Config: ExpConfig{Kernels: 1, Instances: 4}}
-	specC := TaskSpec{Experiment: "c", Kind: kindFig5, Config: ExpConfig{Kernels: 1, Instances: 400}}
-
-	rep := NewReport(true, 1)
-	rep.Add(
-		Result{Experiment: "a", Config: specA.Config, WallclockNS: 10},
-		Result{Experiment: "b", Config: specB.Config, WallclockNS: 99},
-		// "a" again, slower: the model must keep the max.
-		Result{Experiment: "a", Config: specA.Config, WallclockNS: 50},
-	)
-	m := NewCostModel(rep)
-	if got := m.Estimate(specA); got != 50 {
-		t.Errorf("Estimate(a) = %d, want the max recording 50", got)
-	}
-	// Unknown spec C: heuristic ~1ms/PE puts it far above the tiny
-	// recordings, so it must dispatch first.
-	order := m.Order([]TaskSpec{specA, specB, specC})
-	if order[0] != 2 || order[1] != 1 || order[2] != 0 {
-		t.Errorf("order = %v, want [2 1 0] (heuristic C, then b=99ns, then a=50ns)", order)
-	}
-	if known := m.Known([]TaskSpec{specA, specB, specC}); known != 2 {
-		t.Errorf("Known = %d, want 2", known)
-	}
-
-	// Nil model: pure heuristic, instance-count driven, stable on ties.
-	var nilModel *CostModel
-	order = nilModel.Order([]TaskSpec{specA, specB, specC})
-	if order[0] != 2 || order[1] != 0 || order[2] != 1 {
-		t.Errorf("heuristic order = %v, want [2 0 1]", order)
 	}
 }

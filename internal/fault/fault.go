@@ -6,8 +6,8 @@
 // message counter). Because the NoC calls Inspect once per message in a
 // deterministic order (the sequential engine executes events in one total
 // order; isolated rounds order each sender's stream on its own domain and
-// the injector shards all mutable state by source PE; and -parallel/-shards
-// parallelize across independent simulations), a fixed seed yields a
+// the injector shards all mutable state by source PE; and -parallel
+// parallelizes across independent simulations), a fixed seed yields a
 // byte-identical faulty run regardless of host parallelism.
 //
 // Faults apply only to kernel↔kernel links (both endpoints below the

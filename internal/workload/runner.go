@@ -48,10 +48,6 @@ type Result struct {
 	// slot). The in-flight accounting keeps it at zero on a healthy run;
 	// the bench report surfaces it so regressions are caught mechanically.
 	LostMsgs uint64
-	// Unfinished is core.System.CheckQuiescent on the drained machine: kernel
-	// threads still holding a job, syscalls that never returned, credits and
-	// receive slots not given back. Empty on a healthy run.
-	Unfinished []string
 }
 
 // MeanRuntime returns the average per-instance replay runtime.
@@ -238,7 +234,11 @@ func Run(cfg Config) (*Result, error) {
 
 	sys.Run()
 
-	res := &Result{Config: cfg, Instances: results, Unfinished: sys.CheckQuiescent()}
+	// A machine that drains with work outstanding (kernel threads still
+	// holding a job, syscalls that never returned, credits or receive slots
+	// not given back) raises no error by itself; the audit is what notices.
+	unfinished := sys.CheckQuiescent()
+	res := &Result{Config: cfg, Instances: results}
 	for _, in := range results {
 		res.TotalCapOps += in.CapOps
 		if in.End > sim.Time(res.Makespan) {
@@ -246,8 +246,11 @@ func Run(cfg Config) (*Result, error) {
 		}
 		if in.End == 0 {
 			return nil, fmt.Errorf("workload: instance %d never finished (err=%v); the machine ran dry with:\n  %s",
-				in.VPE, in.Err, strings.Join(res.Unfinished, "\n  "))
+				in.VPE, in.Err, strings.Join(unfinished, "\n  "))
 		}
+	}
+	if len(unfinished) > 0 {
+		return nil, fmt.Errorf("workload: the machine ran dry with work outstanding:\n  %s", strings.Join(unfinished, "\n  "))
 	}
 	res.Kernel = sys.TotalStats()
 	res.LostMsgs = sys.Net.Stats().Lost
