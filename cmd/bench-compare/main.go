@@ -16,7 +16,7 @@
 // The two arguments are arbitrary report files — nothing ties the first to
 // the committed baseline. In the default mode any difference is drift and
 // fails; with -delta the tool instead *describes* the differences between
-// two runs (cycle deltas with percentages, message-count changes, rows
+// two runs (every differing metric, cycle deltas with percentages, rows
 // unique to either side) and always exits 0 on readable input. That is the
 // review mode: diff a PR's BENCH_<tag>.json against its predecessor, or an
 // ablation rerun against the recorded one, and paste the deltas.
@@ -32,6 +32,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/bench"
@@ -74,25 +75,33 @@ func byKey(r *bench.Report) (map[key][]bench.Metrics, []key) {
 }
 
 func main() {
-	os.Exit(realMain())
+	os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func realMain() int {
-	allowNew := flag.Bool("allow-new", false, "tolerate experiments present only in the fresh report")
-	delta := flag.Bool("delta", false, "describe metric deltas between two arbitrary reports instead of failing on drift")
-	flag.Parse()
-	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: bench-compare [-allow-new|-delta] BASELINE.json FRESH.json")
+func realMain(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("bench-compare", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	allowNew := fs.Bool("allow-new", false, "tolerate experiments present only in the fresh report")
+	delta := fs.Bool("delta", false, "describe metric deltas between two arbitrary reports instead of failing on drift")
+	switch err := fs.Parse(args); {
+	case err == flag.ErrHelp:
+		return 0
+	case err != nil:
+		return 2 // Parse already reported the error and the usage
+	}
+	if fs.NArg() != 2 {
+		fmt.Fprintln(stderr, "usage: bench-compare [-allow-new|-delta] BASELINE.json FRESH.json")
 		return 2
 	}
-	base, err := load(flag.Arg(0))
+	basePath, freshPath := fs.Arg(0), fs.Arg(1)
+	base, err := load(basePath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	fresh, err := load(flag.Arg(1))
+	fresh, err := load(freshPath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 
@@ -100,14 +109,15 @@ func realMain() int {
 	freshBy, freshOrder := byKey(fresh)
 
 	if *delta {
-		printDeltas(baseBy, baseOrder, freshBy, freshOrder)
+		same, changed := printDeltas(stdout, baseBy, baseOrder, freshBy, freshOrder)
+		fmt.Fprintf(stdout, "bench-compare: %d identical, %d changed between %s and %s\n", same, changed, basePath, freshPath)
 		return 0
 	}
 
-	drift := 0
+	drift, compared := 0, 0
 	report := func(format string, args ...any) {
 		drift++
-		fmt.Printf(format+"\n", args...)
+		fmt.Fprintf(stdout, format+"\n", args...)
 	}
 	for _, k := range baseOrder {
 		want := baseBy[k]
@@ -121,6 +131,7 @@ func realMain() int {
 			continue
 		}
 		for i := range want {
+			compared++
 			if got[i] != want[i] {
 				report("CHANGED  %s %+v: metrics %+v -> %+v", k.Experiment, k.Config, want[i], got[i])
 			}
@@ -131,69 +142,78 @@ func realMain() int {
 			continue
 		}
 		if *allowNew {
-			fmt.Printf("new      %s %+v (allowed)\n", k.Experiment, k.Config)
+			fmt.Fprintf(stdout, "new      %s %+v (allowed)\n", k.Experiment, k.Config)
 		} else {
 			report("NEW      %s %+v: not in baseline (regenerate it or pass -allow-new)", k.Experiment, k.Config)
 		}
 	}
 	if drift > 0 {
-		fmt.Printf("bench-compare: %d drifting triple(s) between %s and %s\n", drift, flag.Arg(0), flag.Arg(1))
+		fmt.Fprintf(stdout, "bench-compare: %d drifting triple(s) between %s and %s\n", drift, basePath, freshPath)
 		return 1
 	}
-	fmt.Printf("bench-compare: %d triples identical between %s and %s\n", len(baseOrder), flag.Arg(0), flag.Arg(1))
+	fmt.Fprintf(stdout, "bench-compare: %d triples identical between %s and %s\n", compared, basePath, freshPath)
 	return 0
 }
 
 // printDeltas is the -delta mode: a human-readable diff of two arbitrary
-// reports, for review rather than enforcement. Matching rows with changed
-// metrics show cycle deltas (with percentage) and message-count changes;
-// identical rows are only summarized; rows unique to either report are
-// listed.
-func printDeltas(baseBy map[key][]bench.Metrics, baseOrder []key, freshBy map[key][]bench.Metrics, freshOrder []key) {
-	same, changed := 0, 0
+// reports, for review rather than enforcement. A matching row with changed
+// metrics shows every field that differs (cycles with a percentage);
+// identical rows are only counted; rows unique to either report are listed.
+func printDeltas(w io.Writer, baseBy map[key][]bench.Metrics, baseOrder []key, freshBy map[key][]bench.Metrics, freshOrder []key) (same, changed int) {
 	for _, k := range baseOrder {
 		want := baseBy[k]
 		got, ok := freshBy[k]
 		if !ok {
-			fmt.Printf("only-old %s %+v\n", k.Experiment, k.Config)
+			fmt.Fprintf(w, "only-old %s %+v\n", k.Experiment, k.Config)
 			continue
 		}
-		n := min(len(want), len(got))
 		if len(want) != len(got) {
-			fmt.Printf("count    %s %+v: %d runs vs %d\n", k.Experiment, k.Config, len(want), len(got))
+			fmt.Fprintf(w, "count    %s %+v: %d runs vs %d\n", k.Experiment, k.Config, len(want), len(got))
 		}
-		for i := 0; i < n; i++ {
+		for i := 0; i < min(len(want), len(got)); i++ {
 			if got[i] == want[i] {
 				same++
 				continue
 			}
 			changed++
-			line := fmt.Sprintf("delta    %s %+v:", k.Experiment, k.Config)
-			if got[i].Cycles != want[i].Cycles {
-				line += fmt.Sprintf(" cycles %d -> %d", want[i].Cycles, got[i].Cycles)
-				if want[i].Cycles != 0 {
-					pct := 100 * (float64(got[i].Cycles) - float64(want[i].Cycles)) / float64(want[i].Cycles)
-					line += fmt.Sprintf(" (%+.2f%%)", pct)
-				}
-			}
-			if got[i].ReqMsgs != want[i].ReqMsgs || got[i].RepMsgs != want[i].RepMsgs {
-				line += fmt.Sprintf(" msgs %d+%d -> %d+%d (req+rep)",
-					want[i].ReqMsgs, want[i].RepMsgs, got[i].ReqMsgs, got[i].RepMsgs)
-			}
-			if got[i].Efficiency != want[i].Efficiency {
-				line += fmt.Sprintf(" eff %.4f -> %.4f", want[i].Efficiency, got[i].Efficiency)
-			}
-			if got[i].CapOps != want[i].CapOps {
-				line += fmt.Sprintf(" capops %d -> %d", want[i].CapOps, got[i].CapOps)
-			}
-			fmt.Println(line)
+			fmt.Fprintf(w, "delta    %s %+v:%s\n", k.Experiment, k.Config, describe(want[i], got[i]))
 		}
 	}
 	for _, k := range freshOrder {
 		if _, ok := baseBy[k]; !ok {
-			fmt.Printf("only-new %s %+v\n", k.Experiment, k.Config)
+			fmt.Fprintf(w, "only-new %s %+v\n", k.Experiment, k.Config)
 		}
 	}
-	fmt.Printf("bench-compare: %d identical, %d changed between %s and %s\n",
-		same, changed, flag.Arg(0), flag.Arg(1))
+	return same, changed
+}
+
+// describe lists every field of bench.Metrics in which b differs from a, in
+// field order: " name old -> new" each. Metrics is comparable, so a row
+// reported as changed always differs in at least one of them.
+func describe(a, b bench.Metrics) string {
+	var line string
+	count := func(name string, old, new uint64) {
+		if old != new {
+			line += fmt.Sprintf(" %s %d -> %d", name, old, new)
+		}
+	}
+	ratio := func(name string, old, new float64) {
+		if old != new {
+			line += fmt.Sprintf(" %s %.4f -> %.4f", name, old, new)
+		}
+	}
+	count("cycles", a.Cycles, b.Cycles)
+	if a.Cycles != b.Cycles && a.Cycles != 0 {
+		line += fmt.Sprintf(" (%+.2f%%)", 100*(float64(b.Cycles)-float64(a.Cycles))/float64(a.Cycles))
+	}
+	ratio("eff", a.Efficiency, b.Efficiency)
+	count("capops", a.CapOps, b.CapOps)
+	if a.ReqMsgs != b.ReqMsgs || a.RepMsgs != b.RepMsgs {
+		line += fmt.Sprintf(" msgs %d+%d -> %d+%d (req+rep)", a.ReqMsgs, a.RepMsgs, b.ReqMsgs, b.RepMsgs)
+	}
+	count("lostmsgs", a.LostMsgs, b.LostMsgs)
+	count("retries", a.Retries, b.Retries)
+	count("dupdrops", a.DupDrops, b.DupDrops)
+	ratio("completed", a.Completed, b.Completed)
+	return line
 }

@@ -7,7 +7,6 @@
 //	semperos-bench -experiment table3,fig4      # selected experiments
 //	semperos-bench -experiment fig6 -quick      # reduced scale
 //	semperos-bench -quick -parallel 4 -json out.json
-//	semperos-bench -quick -simmode rounds       # one event domain per kernel
 //
 // Experiments: table3, fig4, fig5, table4, fig6, fig7, fig8, fig9, fig10,
 // ablation; opt-in extras (excluded from "all"): ablation-ikc, faults,
@@ -17,11 +16,9 @@
 // in-process worker pool (-parallel, default GOMAXPROCS), largest machine
 // first. All simulated metrics are deterministic and independent of the
 // parallelism and the schedule. A task that fails ends the run with one
-// message on stderr and exit 1. -simmode rounds gives every kernel its own
-// event domain and clock (the partitioned kernel model; its metrics differ
-// by design from merged, the sequential engine). -json writes every
-// experiment run as a machine-readable record (schema semperos-bench/v1,
-// see internal/bench/report.go).
+// message on stderr and exit 1. -json writes every experiment run as a
+// machine-readable record (schema semperos-bench/v1, see
+// internal/bench/report.go).
 package main
 
 import (
@@ -36,7 +33,6 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/core"
 )
 
 // experimentNames are the valid -experiment tokens, in run order. The
@@ -76,13 +72,12 @@ func realMain(args []string, stderr io.Writer) (code int) {
 	experiment := fs.String("experiment", "all", "comma-separated list: table3,fig4,fig5,table4,fig6,fig7,fig8,fig9,fig10,ablation,all; extras (opt-in, excluded from all): ablation-ikc, faults, scale, churn")
 	quick := fs.Bool("quick", false, "run at reduced scale (64 instances, 8 kernels)")
 	parallel := fs.Int("parallel", 0, "experiment worker-pool size (0 = GOMAXPROCS)")
-	simmode := fs.String("simmode", "", "simulation mode: merged (default; the sequential engine) or rounds (one event domain per kernel, run in isolated barrier-synchronous rounds; deterministic at any -parallel but metrics differ from merged by design)")
 	jsonPath := fs.String("json", "", "write machine-readable results to this file")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile (taken after the sweep) to this file")
 	faultseed := fs.Uint64("faultseed", 1, "seed of the deterministic fault injector (faults experiment); identical seeds reproduce runs byte-identically at any -parallel")
 	scalekernels := fs.Int("scalekernels", 0, "cap the scale experiment's grid at this many kernels (0 = the full grid up to 1024)")
-	crashkernel := fs.Int("crashkernel", -1, "churn experiment: kernel to crash and recover mid-storm (-1 = the last kernel); crashing kernel 0 under -simmode rounds is rejected")
+	crashkernel := fs.Int("crashkernel", -1, "churn experiment: kernel to crash and recover mid-storm (-1 = the last kernel)")
 	switch err := fs.Parse(args); {
 	case err == flag.ErrHelp:
 		return 0
@@ -99,13 +94,6 @@ func realMain(args []string, stderr io.Writer) (code int) {
 			fmt.Fprintf(stderr, "%s must be non-negative\n", f.name)
 			return 2
 		}
-	}
-	switch *simmode {
-	case "", core.SimModeMerged, core.SimModeRounds:
-	default:
-		fmt.Fprintf(stderr, "unknown -simmode %q; valid modes: %s, %s\n",
-			*simmode, core.SimModeMerged, core.SimModeRounds)
-		return 2
 	}
 
 	valid := map[string]bool{"all": true}
@@ -159,14 +147,12 @@ func realMain(args []string, stderr io.Writer) (code int) {
 		opts = bench.Quick()
 	}
 	opts.Parallel = *parallel
-	opts.SimMode = *simmode
 	opts.FaultSeed = *faultseed
 	workers := *parallel
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	report := bench.NewReport(*quick, workers)
-	report.SimMode = *simmode
 	opts.Report = report
 
 	all := want["all"]
@@ -232,8 +218,8 @@ func realMain(args []string, stderr io.Writer) (code int) {
 		r.Print(os.Stdout)
 	})
 	if churnErr != nil {
-		// An invalid scenario (out-of-range kernel, kernel 0 under rounds) is
-		// a usage error, rejected before any simulation ran.
+		// An invalid scenario (an out-of-range kernel) is a usage error,
+		// rejected before any simulation ran.
 		fmt.Fprintln(stderr, churnErr)
 		return 2
 	}

@@ -21,7 +21,7 @@ func TestBadFlagsExit2(t *testing.T) {
 		{[]string{"-experiment", "scale", "-scalekernels", "-5"}, "-scalekernels must be non-negative"},
 		{[]string{"-parallel", "-1"}, "-parallel must be non-negative"},
 		{[]string{"-quick", "-nosuchflag", "2"}, "flag provided but not defined: -nosuchflag"},
-		{[]string{"-simmode", "parallel"}, "unknown -simmode"},
+		{[]string{"-quick", "-simmode", "rounds"}, "flag provided but not defined: -simmode"},
 		{[]string{"-quick", "-shards", "2"}, "flag provided but not defined: -shards"},
 		{[]string{"-worker"}, "flag provided but not defined: -worker"},
 		{[]string{"-quick", "-costs", "x"}, "flag provided but not defined: -costs"},

@@ -35,7 +35,7 @@ type AblationResult struct {
 // ablationTreeRevoke builds a root with n children over 1+extra kernels and
 // measures revoking it, returning the duration and total inter-kernel
 // messages.
-func ablationTreeRevoke(eng *sim.Engine, n, extra int, batching bool, simMode string) (sim.Duration, uint64, error) {
+func ablationTreeRevoke(eng *sim.Engine, n, extra int, batching bool) (sim.Duration, uint64, error) {
 	kernels := extra + 1
 	perGroup := n + 1
 	if extra > 0 {
@@ -46,15 +46,8 @@ func ablationTreeRevoke(eng *sim.Engine, n, extra int, batching bool, simMode st
 		UserPEs:     kernels * perGroup,
 		IKCBatching: core.IKCBatching{Revoke: batching},
 		Engine:      eng,
-		SimMode:     simMode,
 	})
 	defer sys.Close()
-	// Under isolated rounds the root must not read other kernels' counters
-	// mid-run (cross-domain state): the run splits at the fan-out/revoke
-	// boundary instead, and the driver snapshots the counters between the
-	// two Run calls, when all domains are quiesced. Merged mode keeps the
-	// single-run shape (and its byte-identical trace).
-	rounds := simMode == core.SimModeRounds && kernels > 1
 	byGroup := make(map[int][]int)
 	for _, pe := range sys.UserPEs() {
 		g := sys.KernelOfPE(pe).ID()
@@ -64,9 +57,7 @@ func ablationTreeRevoke(eng *sim.Engine, n, extra int, batching bool, simMode st
 	byGroup[0] = byGroup[0][1:]
 
 	ready := sim.NewFuture[cap.Selector](sys.Eng)
-	goRevoke := sim.NewFuture[struct{}](sys.Eng)
 	var wg sim.WaitGroup
-	wg.Bind(sys.Eng)
 	wg.Add(n)
 	var revTime sim.Duration
 	var msgsBefore uint64
@@ -75,14 +66,10 @@ func ablationTreeRevoke(eng *sim.Engine, n, extra int, batching bool, simMode st
 		if err != nil {
 			panic(err)
 		}
-		ready.CompleteFrom(p, sel)
+		ready.Complete(sel)
 		wg.Wait(p)
-		if rounds {
-			goRevoke.Wait(p)
-		} else {
-			for ki := 0; ki < sys.Kernels(); ki++ {
-				msgsBefore += sys.Kernel(ki).Stats().IKCSent
-			}
+		for ki := 0; ki < sys.Kernels(); ki++ {
+			msgsBefore += sys.Kernel(ki).Stats().IKCSent
 		}
 		t0 := p.Now()
 		if err := v.Revoke(p, sel); err != nil {
@@ -105,17 +92,10 @@ func ablationTreeRevoke(eng *sim.Engine, n, extra int, batching bool, simMode st
 			if _, err := v.ObtainFrom(p, root.ID, sel); err != nil {
 				panic(err)
 			}
-			wg.DoneFrom(p)
+			wg.Done()
 		}); err != nil {
 			panic(err)
 		}
-	}
-	if rounds {
-		sys.Run() // fan-out drains; the root parks on goRevoke
-		for ki := 0; ki < sys.Kernels(); ki++ {
-			msgsBefore += sys.Kernel(ki).Stats().IKCSent
-		}
-		goRevoke.Complete(struct{}{})
 	}
 	sys.Run()
 	var msgsAfter uint64
@@ -141,7 +121,7 @@ func init() { registerKind(kindAblationRevoke, runAblationRevokeSpec) }
 
 func runAblationRevokeSpec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 	n, extra := spec.Config.Instances, spec.Config.Kernels-1
-	c, m, err := ablationTreeRevoke(eng, n, extra, spec.Variant == "batched", spec.SimMode)
+	c, m, err := ablationTreeRevoke(eng, n, extra, spec.Variant == "batched")
 	return Metrics{Cycles: uint64(c)}, ablationAux{Msgs: m}, err
 }
 
@@ -241,7 +221,7 @@ func ikcMetrics(sys *core.System, makespan sim.Duration) Metrics {
 
 // ablationIKCSystem builds the fan-out machine: the owner/service group
 // plus `extra` client groups, n clients spread round-robin over them.
-func ablationIKCSystem(eng *sim.Engine, n, extra int, pol core.IKCBatching, simMode string) (*core.System, []int) {
+func ablationIKCSystem(eng *sim.Engine, n, extra int, pol core.IKCBatching) (*core.System, []int) {
 	kernels := extra + 1
 	perGroup := n + 2
 	if extra > 0 {
@@ -252,7 +232,6 @@ func ablationIKCSystem(eng *sim.Engine, n, extra int, pol core.IKCBatching, simM
 		UserPEs:     kernels * perGroup,
 		IKCBatching: pol,
 		Engine:      eng,
-		SimMode:     simMode,
 	})
 	byGroup := make(map[int][]int)
 	for _, pe := range sys.UserPEs() {
@@ -272,14 +251,13 @@ func ablationIKCSystem(eng *sim.Engine, n, extra int, pol core.IKCBatching, simM
 
 // ablationExchange measures n spanning obtains of one root capability: the
 // fan-out makespan (Cycles) and the inter-kernel wire messages by direction.
-func ablationExchange(eng *sim.Engine, n, extra int, batched bool, simMode string) (Metrics, error) {
-	sys, pes := ablationIKCSystem(eng, n, extra, core.IKCBatching{Exchange: batched}, simMode)
+func ablationExchange(eng *sim.Engine, n, extra int, batched bool) (Metrics, error) {
+	sys, pes := ablationIKCSystem(eng, n, extra, core.IKCBatching{Exchange: batched})
 	defer sys.Close()
 	ready := sim.NewFuture[cap.Selector](sys.Eng)
 	var t0 sim.Time
 	var end sim.Time
 	var wg sim.WaitGroup
-	wg.Bind(sys.Eng)
 	wg.Add(n)
 	root, err := sys.SpawnOn(pes[0], "root", func(v *core.VPE, p *sim.Proc) {
 		sel, err := v.AllocMem(p, 4096, dtu.PermRW)
@@ -287,7 +265,7 @@ func ablationExchange(eng *sim.Engine, n, extra int, batched bool, simMode strin
 			panic(err)
 		}
 		t0 = p.Now()
-		ready.CompleteFrom(p, sel)
+		ready.Complete(sel)
 		wg.Wait(p)
 		end = p.Now()
 	})
@@ -300,7 +278,7 @@ func ablationExchange(eng *sim.Engine, n, extra int, batched bool, simMode strin
 			if _, err := v.ObtainFrom(p, root.ID, sel); err != nil {
 				panic(err)
 			}
-			wg.DoneFrom(p)
+			wg.Done()
 		}); err != nil {
 			panic(err)
 		}
@@ -312,14 +290,12 @@ func ablationExchange(eng *sim.Engine, n, extra int, batched bool, simMode strin
 // ablationSvcQuery measures n clients each opening a session to one
 // service and performing one session-scoped obtain: the fan-out makespan
 // (Cycles) and the inter-kernel wire messages by direction.
-func ablationSvcQuery(eng *sim.Engine, n, extra int, batched bool, simMode string) (Metrics, error) {
-	sys, pes := ablationIKCSystem(eng, n, extra, core.IKCBatching{ServiceQuery: batched}, simMode)
+func ablationSvcQuery(eng *sim.Engine, n, extra int, batched bool) (Metrics, error) {
+	sys, pes := ablationIKCSystem(eng, n, extra, core.IKCBatching{ServiceQuery: batched})
 	defer sys.Close()
 	svcReady := sim.NewFuture[struct{}](sys.Eng)
 	var t0 sim.Time
-	// Per-client finish times: each slot has exactly one writer, so the
-	// fan-out stays race-free under isolated rounds; the max reduction
-	// happens after Run, when all domains are quiesced.
+	// Per-client finish times; the makespan ends at the latest.
 	ends := make([]sim.Time, n)
 	var idents uint64
 	if _, err := sys.SpawnOn(pes[0], "svc", func(v *core.VPE, p *sim.Proc) {
@@ -340,7 +316,7 @@ func ablationSvcQuery(eng *sim.Engine, n, extra int, batched bool, simMode strin
 			panic(err)
 		}
 		t0 = p.Now()
-		svcReady.CompleteFrom(p, struct{}{})
+		svcReady.Complete(struct{}{})
 		v.ServeLoop(p)
 	}); err != nil {
 		panic(err)
@@ -383,10 +359,10 @@ func init() {
 	registerKind(kindIKCSvcQuery, ikcKind(ablationSvcQuery))
 }
 
-func ikcKind(run func(eng *sim.Engine, n, extra int, batched bool, simMode string) (Metrics, error)) kindFunc {
+func ikcKind(run func(eng *sim.Engine, n, extra int, batched bool) (Metrics, error)) kindFunc {
 	return func(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 		n, extra := spec.Config.Instances, spec.Config.Kernels-1
-		m, err := run(eng, n, extra, spec.Variant == "batched", spec.SimMode)
+		m, err := run(eng, n, extra, spec.Variant == "batched")
 		return m, nil, err
 	}
 }

@@ -29,12 +29,6 @@ type Options struct {
 	// Report, when non-nil, collects one Result per experiment run for the
 	// machine-readable JSON report (see report.go).
 	Report *Report
-	// SimMode selects merged (default) or isolated-rounds simulation (see
-	// core.Config.SimMode), stamped onto every planned spec. Rounds metrics
-	// are deterministic at any -parallel setting but intentionally
-	// differ from merged: every cross-domain interaction costs NoC latency.
-	// Rounds runs additionally report per-domain busy time (Result.Domains).
-	SimMode string
 	// FaultSeed seeds the deterministic fault injector of the faults
 	// experiment (-faultseed); 0 means seed 1. Identical seeds give
 	// byte-identical faulty runs at any -parallel.

@@ -19,9 +19,8 @@ import (
 // drops 1% of the traffic and crashes one kernel, which later recovers and
 // rejoins as a new incarnation. The run must drain (no hangs), the
 // completion fractions are exact functions of (seed, plan) — byte-identical
-// at any -parallel and deterministic under -simmode rounds — and
-// afterwards core.System.CheckLeaks must find no capability or DDL state
-// owned by the dead incarnation.
+// at any -parallel — and afterwards core.System.CheckLeaks must find no
+// capability or DDL state owned by the dead incarnation.
 
 const (
 	// churnSlots is the number of slot capabilities the root serves;
@@ -69,10 +68,8 @@ type churnAux struct {
 func (a churnAux) capsMinted() uint64 { return a.CapsCreated }
 
 // churnSystem builds the storm machine: clients spread over the non-root
-// kernels exactly like the fault sweep's fan-out, plus the simulation mode
-// (the churn scenario is the one fault experiment that also runs under
-// isolated rounds).
-func churnSystem(eng *sim.Engine, n, extra int, plan *fault.Plan, simMode string) (*core.System, []int) {
+// kernels exactly like the fault sweep's fan-out.
+func churnSystem(eng *sim.Engine, n, extra int, plan *fault.Plan) (*core.System, []int) {
 	kernels := extra + 1
 	perGroup := n + 2
 	if extra > 0 {
@@ -84,7 +81,6 @@ func churnSystem(eng *sim.Engine, n, extra int, plan *fault.Plan, simMode string
 		IKCBatching: core.IKCBatching{Exchange: true, ServiceQuery: true},
 		Faults:      plan,
 		Engine:      eng,
-		SimMode:     simMode,
 	})
 	byGroup := make(map[int][]int)
 	for _, pe := range sys.UserPEs() {
@@ -115,18 +111,12 @@ func sleepUntil(p *sim.Proc, t sim.Time) {
 // obtaining slot capabilities, churnRevokes scheduled expiries racing them.
 // Failed operations are data, not errors — the degradation under the crash
 // is exactly what the scenario measures.
-func churnStorm(eng *sim.Engine, n, extra int, plan *fault.Plan, simMode string) (*core.System, sim.Duration, churnAux) {
-	sys, pes := churnSystem(eng, n, extra, plan, simMode)
+func churnStorm(eng *sim.Engine, n, extra int, plan *fault.Plan) (*core.System, sim.Duration, churnAux) {
+	sys, pes := churnSystem(eng, n, extra, plan)
 	ready := sim.NewFuture[[]cap.Selector](sys.Eng)
 	var t0, end sim.Time
-	var okRevokes int
-	// Per-client result slots: each client writes only its own entry, so the
-	// storm is race-free when the rounds runtime executes kernel domains
-	// concurrently (the domain-aware CompleteFrom/DoneFrom below carry the
-	// cross-domain synchronization).
-	okObtains := make([]bool, n)
+	var okRevokes, okObtains int
 	var wg sim.WaitGroup
-	wg.Bind(sys.Eng)
 	wg.Add(n)
 	root, err := sys.SpawnOn(pes[0], "root", func(v *core.VPE, p *sim.Proc) {
 		sels := make([]cap.Selector, churnSlots)
@@ -138,7 +128,7 @@ func churnStorm(eng *sim.Engine, n, extra int, plan *fault.Plan, simMode string)
 			sels[i] = sel
 		}
 		t0 = p.Now()
-		ready.CompleteFrom(p, sels)
+		ready.Complete(sels)
 		// The expiry schedule: revoke the first churnRevokes slots on a
 		// fixed timetable, racing the arrivals. Revocations into the
 		// blackhole window orphan the crashed kernel's copies; the rejoin
@@ -163,9 +153,9 @@ func churnStorm(eng *sim.Engine, n, extra int, plan *fault.Plan, simMode string)
 			// sessions completing.
 			sleepUntil(p, sim.Time(sim.Duration(i)*churnGap))
 			if _, err := v.ObtainFrom(p, root.ID, sels[i%churnSlots]); err == nil {
-				okObtains[i] = true
+				okObtains++
 			}
-			wg.DoneFrom(p)
+			wg.Done()
 		}); err != nil {
 			panic(err)
 		}
@@ -175,11 +165,7 @@ func churnStorm(eng *sim.Engine, n, extra int, plan *fault.Plan, simMode string)
 		ObtainsAttempted: n,
 		RevokesAttempted: churnRevokes,
 		RevokesOK:        okRevokes,
-	}
-	for _, ok := range okObtains {
-		if ok {
-			aux.ObtainsOK++
-		}
+		ObtainsOK:        okObtains,
 	}
 	return sys, end - t0, aux
 }
@@ -203,7 +189,7 @@ func runChurnSpec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 			Kernel: spec.CrashKernel, CrashAt: churnCrashAt, RecoverAt: churnRecoverAt,
 		})
 	}
-	sys, mk, aux := churnStorm(eng, n, extra, plan, spec.SimMode)
+	sys, mk, aux := churnStorm(eng, n, extra, plan)
 	defer sys.Close()
 	st := sys.TotalStats()
 	fs := sys.FaultStats()
@@ -275,9 +261,8 @@ type ChurnResult struct {
 // Churn runs the revocation-storm churn scenario: n open-loop sessions over
 // 1+extra kernels with scheduled expiries, a 1% lossy fabric and a
 // crash+recover of crashKernel (-1 = the last kernel) mid-storm. It returns
-// an error — without running anything — if the scenario is invalid for the
-// configured simulation mode (e.g. crashing kernel 0, the DRAM-refill home,
-// under -simmode rounds).
+// an error — without running anything — if the scenario is invalid (a crash
+// kernel out of range, a machine beyond the architectural limits).
 func Churn(o Options, maxClients, extra, crashKernel int) (ChurnResult, error) {
 	if maxClients <= 0 {
 		maxClients = 64
@@ -295,8 +280,8 @@ func Churn(o Options, maxClients, extra, crashKernel int) (ChurnResult, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	// Pre-flight the exact machine the storm rows build, so mode conflicts
-	// surface as a clean error here instead of a task panic mid-sweep.
+	// Pre-flight the exact machine the storm rows build, so a configuration
+	// error surfaces here instead of as a task panic mid-sweep.
 	specs := churnSpecs(maxClients, extra, crashKernel, seed)
 	n := maxClients
 	perGroup := (n+extra-1)/extra + 2
@@ -308,7 +293,6 @@ func Churn(o Options, maxClients, extra, crashKernel int) (ChurnResult, error) {
 		Kernels: extra + 1,
 		UserPEs: (extra + 1) * perGroup,
 		Faults:  plan,
-		SimMode: o.SimMode,
 	}).Validate(); err != nil {
 		return ChurnResult{}, fmt.Errorf("churn: %w", err)
 	}

@@ -87,45 +87,19 @@ func TestChurnDeterministic(t *testing.T) {
 	}
 }
 
-// TestChurnRounds: the scenario runs under isolated rounds — deterministic
-// across repeats and leak-free — as long as the crashed kernel is not the
-// rounds-mode DRAM-refill home.
-func TestChurnRounds(t *testing.T) {
-	run := func() ChurnResult {
-		r, err := Churn(Options{FaultSeed: 1, SimMode: core.SimModeRounds}, 32, 4, -1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	a, b := run(), run()
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("rounds-mode churn diverged across identical runs:\n%+v\n%+v", a, b)
-	}
-	for _, row := range a.Rows {
-		if row.Aux.LeakedEntries != 0 {
-			t.Errorf("rounds %s at %dbp leaked %d entries", row.Scenario, row.DropBp, row.Aux.LeakedEntries)
-		}
-		if row.Scenario == "storm" && row.Aux.Rejoins != 1 {
-			t.Errorf("rounds storm at %dbp: Rejoins = %d, want 1", row.DropBp, row.Aux.Rejoins)
-		}
-	}
-}
-
-// TestChurnRejectsInvalidScenarios: crashing kernel 0 under rounds (the
-// DRAM-refill home) and out-of-range crash kernels are errors before any
-// simulation runs.
+// TestChurnRejectsInvalidScenarios: out-of-range crash kernels and machines
+// beyond the architectural limits are errors before any simulation runs.
 func TestChurnRejectsInvalidScenarios(t *testing.T) {
-	if _, err := Churn(Options{SimMode: core.SimModeRounds}, 16, 4, 0); err == nil {
-		t.Errorf("crashing kernel 0 under rounds was accepted")
-	} else if !strings.Contains(err.Error(), "kernel 0") {
-		t.Errorf("unexpected error for kernel 0 under rounds: %v", err)
-	}
 	if _, err := Churn(Options{}, 16, 4, 9); err == nil {
 		t.Errorf("out-of-range crash kernel was accepted")
 	}
-	// Kernel 0 under merged mode is degenerate but legal.
+	if _, err := Churn(Options{}, 16, core.MaxKernels, -1); err == nil {
+		t.Errorf("a machine of %d kernels was accepted", core.MaxKernels+1)
+	} else if !strings.Contains(err.Error(), "exceed the maximum") {
+		t.Errorf("unexpected error for an oversized machine: %v", err)
+	}
+	// Crashing kernel 0, the root's, is degenerate but legal.
 	if _, err := Churn(Options{}, 16, 4, 0); err != nil {
-		t.Errorf("crashing kernel 0 under merged mode rejected: %v", err)
+		t.Errorf("crashing kernel 0 rejected: %v", err)
 	}
 }

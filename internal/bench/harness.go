@@ -89,19 +89,6 @@ type Result struct {
 	// ablation's message count, ...) for the experiment's post-process step,
 	// read with auxOf. It is not part of the report.
 	Aux any `json:"-"`
-	// Domains is the per-domain attribution of a partitioned run (SimMode
-	// rounds on a multi-kernel machine); omitted on the sequential engine.
-	// Like WallclockNS its busy time varies run to run, so determinism
-	// comparisons must ignore it.
-	Domains []DomainWallclock `json:"domains,omitempty"`
-}
-
-// DomainWallclock is one event domain's share of a partitioned run: how long
-// the run loop spent executing this domain's events (busy) and the
-// deterministic event count.
-type DomainWallclock struct {
-	BusyNS int64  `json:"busy_ns"`
-	Events uint64 `json:"events"`
 }
 
 // RunSpecs executes the specs on a pool of `parallel` workers (<= 0 means
@@ -176,12 +163,6 @@ func RunSpec(spec TaskSpec) (res Result) {
 	var mem runtime.MemStats
 	runtime.ReadMemStats(&mem)
 	res.HeapPeakBytes = mem.HeapAlloc
-	if ds := eng.DomainStats(); len(ds) > 1 {
-		res.Domains = make([]DomainWallclock, len(ds))
-		for i, d := range ds {
-			res.Domains[i] = DomainWallclock{BusyNS: d.Busy.Nanoseconds(), Events: d.Events}
-		}
-	}
 	if err != nil {
 		res.Error = err.Error()
 		return res
@@ -252,7 +233,6 @@ func runWorkloadSpec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 		Instances: spec.Config.Instances,
 		Trace:     tr,
 		Engine:    eng,
-		SimMode:   spec.SimMode,
 	})
 	if err != nil {
 		return Metrics{}, nil, err

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -69,7 +70,7 @@ func init() {
 			if err != nil {
 				panic(err)
 			}
-			up.CompleteFrom(p, struct{}{})
+			up.Complete(struct{}{})
 			v.ServeLoop(p)
 		})
 		sys.SpawnOn(pes[1], "client", func(v *core.VPE, p *sim.Proc) {
@@ -210,6 +211,42 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 }
 
+// miniSweep runs a cross-section of the evaluation (micro, chain, tree,
+// ablation and workload kinds — including the aux-carrying Table 4 path) and
+// returns the recorded report rows with the host readings (wallclock, heap)
+// zeroed, so two sweeps compare on simulated data only.
+func miniSweep() []Result {
+	o := Quick()
+	o.Parallel = 2
+	o.Report = NewReport(true, 1)
+	Table3(o)
+	Fig4(o, 20)
+	Fig5(o, 32)
+	AblationBatching(o, 32, 3)
+	Table4(o)
+	rs := slices.Clone(o.Report.Results)
+	for i := range rs {
+		rs[i].WallclockNS = 0
+		rs[i].HeapPeakBytes = 0
+	}
+	return rs
+}
+
+// TestSweepRepeatDeterminism: the same sweep twice in one process — pooled
+// engines recycled between the two, workers racing for tasks — records rows
+// identical in every simulated field, aux excluded.
+func TestSweepRepeatDeterminism(t *testing.T) {
+	base, got := miniSweep(), miniSweep()
+	if len(got) != len(base) || len(base) == 0 {
+		t.Fatalf("repeat: %d rows, want %d", len(got), len(base))
+	}
+	for i := range base {
+		if !reflect.DeepEqual(base[i], got[i]) {
+			t.Errorf("repeat row %d differs:\n  first:  %+v\n  second: %+v", i, base[i], got[i])
+		}
+	}
+}
+
 // TestReportJSON: the report round-trips through JSON with the stable
 // schema fields.
 func TestReportJSON(t *testing.T) {
@@ -256,44 +293,6 @@ func TestReportJSON(t *testing.T) {
 	if r.Experiment != "fig6/tar" || r.Config.Kernels != 4 || r.Metrics.Cycles != 123 ||
 		r.Metrics.Efficiency != 0.5 || r.Metrics.CapOps != 21 || r.WallclockNS != 456 {
 		t.Errorf("result did not round-trip: %+v", r)
-	}
-}
-
-// TestWallclockSummaryTopDomains: a partitioned sweep's summary lists the
-// topN busiest domains — not one line per domain, which is 1024 lines at the
-// top of the scale grid — with their deterministic event share, plus the
-// imbalance line.
-func TestWallclockSummaryTopDomains(t *testing.T) {
-	rep := NewReport(true, 1)
-	for task := 0; task < 2; task++ {
-		doms := make([]DomainWallclock, 256)
-		for d := range doms {
-			doms[d] = DomainWallclock{BusyNS: int64(d) * 1000, Events: 10}
-		}
-		doms[7].Events = 2550 // as many as the other 255 domains together
-		rep.Add(Result{Experiment: "scale/revoke", WallclockNS: 1, Domains: doms})
-	}
-	var buf bytes.Buffer
-	rep.WallclockSummary(&buf, 3)
-	out := buf.String()
-	if got := strings.Count(out, "  domain "); got != 3 {
-		t.Fatalf("summary prints %d domain lines, want 3:\n%s", got, out)
-	}
-	for _, want := range []string{
-		"busiest domains (3 of 256, 2 partitioned tasks)",
-		"domain 255:", "domain 254:", "domain 253:",
-		"imbalance: 100.0%",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("summary lacks %q:\n%s", want, out)
-		}
-	}
-	if strings.Contains(out, "idle") {
-		t.Errorf("summary still reports idle time:\n%s", out)
-	}
-	rep.WallclockSummary(&buf, 1000)
-	if !strings.Contains(buf.String(), "domain 7:        0.0ms busy  5100 events (50.0%)") {
-		t.Errorf("event share of domain 7 is not 50%%:\n%s", buf.String())
 	}
 }
 

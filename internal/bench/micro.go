@@ -23,8 +23,8 @@ import (
 
 // buildPair constructs a two-app system on eng. With spanning=true the apps
 // land in different PE groups; otherwise both run under kernel 0.
-func buildPair(eng *sim.Engine, spanning bool, simMode string) (*core.System, int, int) {
-	sys := core.MustNew(core.Config{Kernels: 2, UserPEs: 4, Engine: eng, SimMode: simMode})
+func buildPair(eng *sim.Engine, spanning bool) (*core.System, int, int) {
+	sys := core.MustNew(core.Config{Kernels: 2, UserPEs: 4, Engine: eng})
 	// PEs 2,3 -> kernel 0; PEs 4,5 -> kernel 1.
 	if spanning {
 		return sys, 2, 4
@@ -45,7 +45,7 @@ func measureExchangeRevoke(sys *core.System, peA, peB int) (exchange, revoke sim
 		if err != nil {
 			panic(err)
 		}
-		ready.CompleteFrom(p, sel)
+		ready.Complete(sel)
 		obtained.Wait(p)
 		t0 := p.Now()
 		if err := v.Revoke(p, sel); err != nil {
@@ -60,7 +60,7 @@ func measureExchangeRevoke(sys *core.System, peA, peB int) (exchange, revoke sim
 			panic(err)
 		}
 		exchange = p.Now() - t0
-		obtained.CompleteFrom(p, struct{}{})
+		obtained.Complete(struct{}{})
 	})
 	sys.Run()
 	return exchange, revoke, quiescent(sys)
@@ -93,7 +93,7 @@ func runTable3Spec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 	var err error
 	switch spec.Variant {
 	case "local", "spanning":
-		sys, a, b := buildPair(eng, spec.Variant == "spanning", spec.SimMode)
+		sys, a, b := buildPair(eng, spec.Variant == "spanning")
 		e, v, err = measureExchangeRevoke(sys, a, b)
 	case "m3":
 		m3sys := m3.MustNew(m3.Config{UserPEs: 4, Engine: eng})
@@ -209,7 +209,7 @@ func buildChainAndRevoke(sys *core.System, pes []int, length int, alternate bool
 		if err != nil {
 			panic(err)
 		}
-		futs[0].CompleteFrom(p, sel)
+		futs[0].Complete(sel)
 		done.Wait(p)
 		t0 := p.Now()
 		if err := v.Revoke(p, sel); err != nil {
@@ -229,9 +229,9 @@ func buildChainAndRevoke(sys *core.System, pes []int, length int, alternate bool
 			if err != nil {
 				panic(err)
 			}
-			futs[i].CompleteFrom(p, sel)
+			futs[i].Complete(sel)
 			if i == length {
-				done.CompleteFrom(p, struct{}{})
+				done.Complete(struct{}{})
 			}
 		})
 		if err != nil {
@@ -260,7 +260,7 @@ func runFig4Spec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 	var err error
 	switch spec.Variant {
 	case "local", "spanning":
-		sys := core.MustNew(core.Config{Kernels: 2, UserPEs: maxLen + 2, Engine: eng, SimMode: spec.SimMode})
+		sys := core.MustNew(core.Config{Kernels: 2, UserPEs: maxLen + 2, Engine: eng})
 		c, err = buildChainAndRevoke(sys, sys.UserPEs(), l, spec.Variant == "spanning")
 	case "m3":
 		m3sys := m3.MustNew(m3.Config{UserPEs: maxLen + 2, Engine: eng})
@@ -333,13 +333,13 @@ type Fig5Result struct {
 
 // buildTreeAndRevoke hands the root capability to n other VPEs (spread over
 // extra kernels if extra > 0) and measures revoking the whole tree.
-func buildTreeAndRevoke(eng *sim.Engine, n, extra int, simMode string) (sim.Duration, error) {
+func buildTreeAndRevoke(eng *sim.Engine, n, extra int) (sim.Duration, error) {
 	kernels := extra + 1
 	perGroup := n + 1
 	if extra > 0 {
 		perGroup = (n+extra-1)/extra + 1
 	}
-	sys := core.MustNew(core.Config{Kernels: kernels, UserPEs: kernels * perGroup, Engine: eng, SimMode: simMode})
+	sys := core.MustNew(core.Config{Kernels: kernels, UserPEs: kernels * perGroup, Engine: eng})
 	defer sys.Close()
 	pes := sys.UserPEs()
 	// Group 0's first PE hosts the root; children are placed round-robin
@@ -354,7 +354,6 @@ func buildTreeAndRevoke(eng *sim.Engine, n, extra int, simMode string) (sim.Dura
 
 	ready := sim.NewFuture[cap.Selector](sys.Eng)
 	var wg sim.WaitGroup
-	wg.Bind(sys.Eng)
 	wg.Add(n)
 	var revTime sim.Duration
 	root, _ := sys.SpawnOn(rootPE, "root", func(v *core.VPE, p *sim.Proc) {
@@ -362,7 +361,7 @@ func buildTreeAndRevoke(eng *sim.Engine, n, extra int, simMode string) (sim.Dura
 		if err != nil {
 			panic(err)
 		}
-		ready.CompleteFrom(p, sel)
+		ready.Complete(sel)
 		wg.Wait(p)
 		t0 := p.Now()
 		if err := v.Revoke(p, sel); err != nil {
@@ -384,7 +383,7 @@ func buildTreeAndRevoke(eng *sim.Engine, n, extra int, simMode string) (sim.Dura
 			if _, err := v.ObtainFrom(p, root.ID, sel); err != nil {
 				panic(err)
 			}
-			wg.DoneFrom(p)
+			wg.Done()
 		})
 	}
 	sys.Run()
@@ -399,7 +398,7 @@ func init() { registerKind(kindFig5, runFig5Spec) }
 
 func runFig5Spec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 	n, extra := spec.Config.Instances, spec.Config.Kernels-1
-	c, err := buildTreeAndRevoke(eng, n, extra, spec.SimMode)
+	c, err := buildTreeAndRevoke(eng, n, extra)
 	return Metrics{Cycles: uint64(c)}, nil, err
 }
 

@@ -36,13 +36,10 @@ const ReportSchema = "semperos-bench/v1"
 type Report struct {
 	mu sync.Mutex
 
-	Schema   string `json:"schema"`
-	Quick    bool   `json:"quick"`
-	Parallel int    `json:"parallel"`
-	// SimMode records the run's simulation mode (see Options.SimMode);
-	// omitted for merged runs. Optional addition, schema unchanged.
-	SimMode string   `json:"simmode,omitempty"`
-	Results []Result `json:"results"`
+	Schema   string   `json:"schema"`
+	Quick    bool     `json:"quick"`
+	Parallel int      `json:"parallel"`
+	Results  []Result `json:"results"`
 }
 
 // NewReport returns an empty report carrying the run's settings.
@@ -131,57 +128,6 @@ func (r *Report) WallclockSummary(w io.Writer, topN int) {
 	if capsalloc > 0 || capsbytes > 0 {
 		fmt.Fprintf(w, " capsalloc: %d caps minted   capsbytes: %.1f MiB peak task heap\n",
 			capsalloc, float64(capsbytes)/(1<<20))
-	}
-
-	// Partitioned runs: aggregate the per-domain attribution over all tasks
-	// that ran with a partitioned engine and show the topN busiest domains,
-	// so a sweep shows where its event work concentrated (domain 0 hosts
-	// kernel 0, the DRAM-refill home, so skew is expected).
-	var domBusy []int64
-	var domEvents []uint64
-	partitioned := 0
-	for _, res := range r.Results {
-		if len(res.Domains) == 0 {
-			continue
-		}
-		partitioned++
-		for len(domBusy) < len(res.Domains) {
-			domBusy = append(domBusy, 0)
-			domEvents = append(domEvents, 0)
-		}
-		for d, dw := range res.Domains {
-			domBusy[d] += dw.BusyNS
-			domEvents[d] += dw.Events
-		}
-	}
-	if partitioned == 0 {
-		return
-	}
-	var totalEvents uint64
-	var totalBusy int64
-	busiest := make([]int, len(domBusy))
-	for d := range domBusy {
-		busiest[d] = d
-		totalEvents += domEvents[d]
-		totalBusy += domBusy[d]
-	}
-	sort.SliceStable(busiest, func(a, b int) bool { return domBusy[busiest[a]] > domBusy[busiest[b]] })
-	fmt.Fprintf(w, " busiest domains (%d of %d, %d partitioned tasks):\n",
-		min(topN, len(busiest)), len(busiest), partitioned)
-	for _, d := range busiest[:min(topN, len(busiest))] {
-		share := 0.0
-		if totalEvents > 0 {
-			share = 100 * float64(domEvents[d]) / float64(totalEvents)
-		}
-		fmt.Fprintf(w, "  domain %d: %10.1fms busy  %d events (%.1f%%)\n", d, ms(domBusy[d]), domEvents[d], share)
-	}
-	// Imbalance: how far the busiest domain sits above the mean busy time —
-	// 0% means perfectly balanced, 100% means the busiest domain carried
-	// twice the mean.
-	if totalBusy > 0 {
-		mean := float64(totalBusy) / float64(len(domBusy))
-		peak := float64(domBusy[busiest[0]])
-		fmt.Fprintf(w, "  imbalance: %.1f%% (busiest domain vs mean busy)\n", 100*(peak-mean)/mean)
 	}
 }
 

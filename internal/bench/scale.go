@@ -77,7 +77,7 @@ const kindScale = "scale"
 func init() { registerKind(kindScale, runScaleSpec) }
 
 func runScaleSpec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
-	aux, err := scaleRun(eng, spec.Config.Kernels, spec.Config.Instances, spec.Arg, spec.SimMode)
+	aux, err := scaleRun(eng, spec.Config.Kernels, spec.Config.Instances, spec.Arg)
 	if err != nil {
 		return Metrics{}, nil, err
 	}
@@ -90,7 +90,7 @@ func runScaleSpec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 // first VPE of every non-root kernel additionally obtains the root VPE's
 // mem cap (the spanning edges), and the root VPE finally revokes its cap
 // — a tree spanning all kernels — under the clock.
-func scaleRun(eng *sim.Engine, kernels, vpes, capsPer int, simMode string) (scaleAux, error) {
+func scaleRun(eng *sim.Engine, kernels, vpes, capsPer int) (scaleAux, error) {
 	runtime.GC()
 	var base runtime.MemStats
 	runtime.ReadMemStats(&base)
@@ -100,7 +100,6 @@ func scaleRun(eng *sim.Engine, kernels, vpes, capsPer int, simMode string) (scal
 		UserPEs:     vpes,
 		RelaxLimits: true,
 		Engine:      eng,
-		SimMode:     simMode,
 	})
 	if err != nil {
 		return scaleAux{}, err
@@ -117,7 +116,6 @@ func scaleRun(eng *sim.Engine, kernels, vpes, capsPer int, simMode string) (scal
 
 	ready := sim.NewFuture[cap.Selector](sys.Eng)
 	var wg sim.WaitGroup
-	wg.Bind(sys.Eng)
 	wg.Add(vpes - 1)
 
 	var peak runtime.MemStats
@@ -136,7 +134,7 @@ func scaleRun(eng *sim.Engine, kernels, vpes, capsPer int, simMode string) (scal
 	}
 	root, err := sys.SpawnOn(rootPE, "root", func(v *core.VPE, p *sim.Proc) {
 		sel := mint(v, p)
-		ready.CompleteFrom(p, sel)
+		ready.Complete(sel)
 		wg.Wait(p)
 		// The forest is fully built: measure the live heap at its peak.
 		// Host-side only — it reads no simulation state, so determinism
@@ -163,7 +161,7 @@ func scaleRun(eng *sim.Engine, kernels, vpes, capsPer int, simMode string) (scal
 						panic(err)
 					}
 				}
-				wg.DoneFrom(p)
+				wg.Done()
 			}); err != nil {
 				return scaleAux{}, err
 			}

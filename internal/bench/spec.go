@@ -35,10 +35,6 @@ type TaskSpec struct {
 	// CrashKernel is the kernel PE the churn scenario crashes and recovers
 	// (kind "churn" only); -1 means no crash.
 	CrashKernel int
-	// SimMode selects merged (default) or isolated-rounds execution (see
-	// core.Config.SimMode); rounds metrics are deterministic but differ from
-	// merged by design (cross-domain latency is charged, not elided).
-	SimMode string
 }
 
 // kindFunc executes one spec on a fresh-state engine. The second return is
@@ -65,11 +61,6 @@ type capsMinter interface{ capsMinted() uint64 }
 // execute runs the plan on the worker pool and fail-fasts on the first task
 // error (a broken experiment is a bug, not data).
 func (o Options) execute(specs []TaskSpec) []Result {
-	if o.SimMode != "" {
-		for i := range specs {
-			specs[i].SimMode = o.SimMode
-		}
-	}
 	rs := RunSpecs(o.Parallel, specs)
 	mustOK(rs)
 	return rs

@@ -147,9 +147,4 @@ const (
 	// ikcBatchedRepBytes is the per-reply payload inside a coalesced reply
 	// envelope, shrunk from ikcRepBytes the same way.
 	ikcBatchedRepBytes = 48
-	// creditMsgBytes is the rounds-mode in-flight credit return: a bare
-	// acknowledgement carrying only the kernel-pair identity, sent back to
-	// the requester's node so the credit release costs one NoC traversal
-	// instead of an instantaneous cross-kernel event.
-	creditMsgBytes = 16
 )

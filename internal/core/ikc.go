@@ -40,7 +40,7 @@ const (
 )
 
 // wireBytes is the wire size of each kind that crosses the NoC.
-var wireBytes = [...]int{wireRequest: ikcMsgBytes, wireReply: ikcRepBytes, wireCredit: creditMsgBytes}
+var wireBytes = [...]int{wireRequest: ikcMsgBytes, wireReply: ikcRepBytes}
 
 // ikcWire is one direct (envelope-less) inter-kernel leg in flight. Like a
 // dtu.Message it is its own delivery event and is recycled, through
@@ -251,18 +251,11 @@ func (k *Kernel) handleRequest(p *sim.Proc, req *ikcRequest) {
 }
 
 // returnCredit gives the in-flight credit for one picked-up wire message
-// back to its sending kernel. Merged mode returns it instantly (a zero-delay
-// event, the historical baseline trace); rounds mode sends a credit message
-// back over the NoC, so the release lands on the sender's domain one NoC
-// latency later — the semaphore stays single-writer and the edge respects
-// the lookahead bound.
+// back to its sending kernel, instantly: a zero-delay event of its own, no
+// credit message on the NoC (DESIGN.md, "Zero-latency edges of the kernel
+// model").
 func (k *Kernel) returnCredit(from int) {
-	w := k.wire(wireCredit, k.sys.kernels[from])
-	if k.sys.rounds {
-		w.send()
-		return
-	}
-	k.sys.Eng.Schedule(0, w.arrive)
+	k.sys.Eng.Schedule(0, k.wire(wireCredit, k.sys.kernels[from]).arrive)
 }
 
 // recvBatch runs at the receiving kernel when a coalesced envelope arrives
@@ -342,12 +335,6 @@ func (k *Kernel) dispatchRequest(p *sim.Proc, req *ikcRequest) {
 		rep = k.handleObtainSessReq(p, req)
 	case ikcDelegateSess:
 		rep = k.handleDelegateSessReq(p, req)
-	case ikcSvcLookup:
-		rep = k.handleSvcLookup(p, req)
-	case ikcSvcRegister:
-		rep = k.handleSvcRegister(p, req)
-	case ikcDRAMRefill:
-		rep = k.handleDRAMRefill(p, req)
 	case ikcRejoin:
 		rep = k.handleRejoin(p, req)
 	default:
@@ -399,7 +386,7 @@ func (k *Kernel) ikReplyAsync(req *ikcRequest, rep *ikcReply) {
 	k.stats.IKCRepSent++
 	w := k.wire(wireCompose, k.sys.kernels[req.From])
 	w.rep = rep
-	k.dom.Schedule(k.sys.Cost.IKCCompose, w.arrive)
+	k.sys.Eng.Schedule(k.sys.Cost.IKCCompose, w.arrive)
 }
 
 // recvReplyVec runs at the requesting kernel when a reply envelope arrives

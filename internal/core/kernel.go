@@ -96,7 +96,6 @@ type Kernel struct {
 	id     int
 	pe     int
 	sys    *System
-	dom    *sim.Domain // event domain this kernel's procs run on
 	dtu    *dtu.DTU
 	store  *cap.Store
 	gen    *ddl.Generator
@@ -158,32 +157,7 @@ type Kernel struct {
 	// revocation that marked it (paper Algorithm 1).
 	revocations ddl.KeyMap[*revState]
 
-	// Rounds-mode partitioned state (all nil/empty in merged mode, where
-	// System.services and System.dramNext stay authoritative):
-	//
-	// svcOwn holds the services this kernel registered (it is their owner
-	// and serves their sessions). svcDir is the directory slice this kernel
-	// is home for — service names hash to a home kernel, which answers
-	// ikcSvcLookup queries and filters dead owners. svcCache caches remote
-	// lookups (read-mostly: service locations never move once registered).
-	svcOwn   map[string]*serviceEntry
-	svcDir   map[string]svcLoc
-	svcCache map[string]svcLoc
-
-	// dramSpans is the kernel's pre-carved DRAM quota (system.go,
-	// carveDRAMQuota), refilled from kernel 0's central pool via
-	// ikcDRAMRefill when exhausted. dramRR round-robins across spans.
-	dramSpans []dramSpan
-	dramRR    int
-
 	stats KernelStats
-}
-
-// svcLoc is a directory-resident service location: the owning kernel and the
-// service's capability key. It is the payload of ikcSvcLookup replies.
-type svcLoc struct {
-	kernel int
-	key    ddl.Key
 }
 
 func newKernel(s *System, id int) *Kernel {
@@ -192,7 +166,6 @@ func newKernel(s *System, id int) *Kernel {
 		pe:              id,
 		incarnation:     1,
 		sys:             s,
-		dom:             s.domainOfKernel(id),
 		dtu:             s.Fab.DTU(id),
 		store:           cap.NewStore(),
 		gen:             ddl.NewGenerator(),
@@ -202,11 +175,6 @@ func newKernel(s *System, id int) *Kernel {
 		inflight:        make([]*sim.Semaphore, s.cfg.Kernels),
 		pending:         make(map[uint64]*sim.Future[*ikcReply]),
 		inflightObtains: make(map[uint64]*inflightObtain),
-	}
-	if s.rounds {
-		k.svcOwn = make(map[string]*serviceEntry)
-		k.svcDir = make(map[string]svcLoc)
-		k.svcCache = make(map[string]svcLoc)
 	}
 	for _, pe := range s.userPEs {
 		if s.member.KernelOf(pe) == id {
@@ -282,8 +250,8 @@ func (k *Kernel) ThreadPoolSize() int {
 // releaseCPU settles. Everything else is somebody else's to see, and wants
 // the time to have passed first: a message or a reply (event handlers run
 // at their instants whoever holds the CPU), a user DTU's endpoints, state
-// shared between kernels (the DRAM allocator, the merged service
-// directory), what timers and the fault layer write (rt, dead-peer
+// shared between kernels (the DRAM allocator, the service directory),
+// what timers and the fault layer write (rt, dead-peer
 // verdicts, a VPE's exited flag). Such code follows an exec, or calls
 // p.Settle itself. DESIGN.md "Owed time" lists every stretch that charges
 // and the settle point that ends it.
@@ -365,7 +333,7 @@ func (pl *pool) threadName(idx int) string {
 func (pl *pool) submit(j job) {
 	if pl.q.Waiters() == 0 && pl.spawned < pl.max {
 		pl.spawned++
-		pl.k.dom.SpawnLazy(pl.nameFn, pl.spawned, pl.workFn)
+		pl.k.sys.Eng.SpawnLazy(pl.nameFn, pl.spawned, pl.workFn)
 	}
 	pl.q.Push(j)
 }
@@ -560,12 +528,10 @@ func (q *query) onFire() {
 	case stageAtService:
 		q.v.svc.queue.Push(svcItem{q: q})
 	case stageAtVPE:
-		// The VPE's exchange handler answers after its decision time. The
-		// delay runs on the kernel's own domain (the VPE shares it), which
-		// merged mode executes identically to an engine-level schedule.
+		// The VPE's exchange handler answers after its decision time.
 		q.accept = q.v.answerExchange(q.xq).Accept
 		q.stage = stageDecided
-		q.k.dom.Schedule(q.k.sys.Cost.VPEAccept, q.fire)
+		q.k.sys.Eng.Schedule(q.k.sys.Cost.VPEAccept, q.fire)
 	case stageDecided:
 		q.answer(vpeAnswerBytes)
 	case stageAnswered:

@@ -153,16 +153,6 @@ const (
 	ikcObtainSess
 	ikcDelegateSess
 	ikcRevokeBatch
-	// ikcSvcLookup resolves a service name at its directory home kernel
-	// (rounds mode, see service.go): the reply carries the owning kernel and
-	// capability key, which the requester caches.
-	ikcSvcLookup
-	// ikcSvcRegister publishes a service registration to the name's
-	// directory home kernel (rounds mode); the home detects duplicates.
-	ikcSvcRegister
-	// ikcDRAMRefill asks kernel 0 to carve a span out of the central DRAM
-	// pool when a kernel's pre-carved quota runs dry (rounds mode).
-	ikcDRAMRefill
 	// ikcRejoin is the recovery handshake: a kernel that crashed and came
 	// back broadcasts it (with its bumped incarnation number) so every peer
 	// clears its dead verdict and discards state keyed by the dead
@@ -174,8 +164,7 @@ func (k ikcKind) String() string {
 	names := [...]string{
 		"obtain", "delegate", "delegate-ack", "revoke", "revoke-reply",
 		"unlink-child", "session", "obtain-sess", "delegate-sess",
-		"revoke-batch", "svc-lookup", "svc-register", "dram-refill",
-		"rejoin",
+		"revoke-batch", "rejoin",
 	}
 	if int(k) < len(names) {
 		return names[k]
@@ -203,7 +192,6 @@ type ikcRequest struct {
 	Ident  uint64 // session identifier for session-scoped calls
 	Ok     bool   // delegate-ack verdict
 	Object cap.Object
-	Name   string // service name (ikcSvcLookup, ikcSvcRegister)
 	Args   any
 
 	// ChildPE/ChildVPE/ChildObj are the requester-minted child identity;

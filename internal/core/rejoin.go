@@ -27,10 +27,9 @@ import (
 //      what re-admits the kernel at each peer: admitRequest observes a
 //      newer incarnation and runs admitIncarnation — clear the dead
 //      verdict, discard retransmit/dedup/handshake state keyed by the dead
-//      incarnation, invalidate cached service locations, and schedule the
-//      peer's own reconciliation toward the rejoined kernel.
-//   3. After the handshake the recovering kernel re-registers its services
-//      with their directory homes (rounds mode), replays recorded orphan
+//      incarnation, and schedule the peer's own reconciliation toward the
+//      rejoined kernel.
+//   3. After the handshake the recovering kernel replays recorded orphan
 //      fixups and conservatively revokes every delegation chain still
 //      rooted in the dead incarnation (reconcileChains), so no capability
 //      or DDL entry outlives the incarnation that created it.
@@ -60,8 +59,7 @@ type orphanFix struct {
 
 // recordOrphanFix is the OnComplete hook of the fire-and-forget tree
 // maintenance sends: if the operation failed because the peer is dead,
-// remember it for replay at the peer's rejoin. Runs in event context on
-// this kernel's domain (single writer).
+// remember it for replay at the peer's rejoin. Runs in event context.
 func (k *Kernel) recordOrphanFix(f orphanFix, rep *ikcReply) {
 	if rep.Err == ErrPeerDead {
 		k.orphanFixes = append(k.orphanFixes, f)
@@ -138,14 +136,6 @@ func (k *Kernel) admitIncarnation(from int, inc uint32) {
 	// Delegation handshakes whose originator is the dead incarnation can
 	// never be acknowledged: their entries would leak forever.
 	k.dropPeerDelegations(from)
-	// Cached service locations owned by the peer: drop them so the next
-	// resolution asks the name's home again (which re-learned the location
-	// from the peer's re-registration). Deletion-only, order-independent.
-	for name, loc := range k.svcCache {
-		if loc.kernel == from {
-			delete(k.svcCache, name)
-		}
-	}
 	// This kernel's own reconciliation toward the rejoined peer — replaying
 	// recorded orphan fixes and revoking the chains still linking into the
 	// dead incarnation — blocks on inter-kernel calls, so it runs as a pool
@@ -191,7 +181,7 @@ func (k *Kernel) handleRejoin(p *sim.Proc, req *ikcRequest) *ikcReply {
 // every crash+recover fault): the link-level blackhole just ended and the
 // kernel resumes as a new incarnation.
 func (k *Kernel) beginRejoin() {
-	start := k.dom.Now()
+	start := k.sys.Eng.Now()
 	k.incarnation++
 	rt := k.rt
 	// Abort every outstanding transmission, in sorted destination order
@@ -238,33 +228,12 @@ func (k *Kernel) beginRejoin() {
 			k.exec(p, k.sys.Cost.IKCMarshal)
 			k.ikCall(p, peer, &ikcRequest{Kind: ikcRejoin})
 		}
-		if k.sys.rounds {
-			k.republishServices(p)
-		}
 		k.replayOrphanFixes(p, -1)
 		k.reconcileChains(p, -1)
 		k.stats.Rejoins++
-		k.stats.RejoinCycles += k.dom.Now() - start
+		k.stats.RejoinCycles += k.sys.Eng.Now() - start
 		k.releaseCPU(p)
 	}})
-}
-
-// republishServices re-registers this kernel's own services with their
-// directory homes (rounds mode; the merged directory is shared state that
-// never saw the crash). Locations never move, so a home whose entry
-// survived answers ErrExists — which is success here.
-func (k *Kernel) republishServices(p *sim.Proc) {
-	names := make([]string, 0, len(k.svcOwn))
-	for name := range k.svcOwn {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		// ErrExists: the home's entry is intact. ErrPeerDead: the home is
-		// unreachable, and clients will get ErrNoService until it rejoins —
-		// the same degraded answer they got during the crash window.
-		_ = k.publishService(p, name, k.svcOwn[name].key)
-	}
 }
 
 // replayOrphanFixes re-sends the recorded tree-maintenance operations

@@ -182,7 +182,7 @@ func (rt *relState) track(dst int, reqs []*ikcRequest, env bool, kind ikcKind) {
 		reqs:      reqs,
 		remaining: len(reqs),
 		rto:       rt.cfg.RTOBase,
-		firstSent: rt.k.dom.Now(),
+		firstSent: rt.k.sys.Eng.Now(),
 	}
 	for _, r := range reqs {
 		rt.bySeq[r.Seq] = xm
@@ -192,7 +192,7 @@ func (rt *relState) track(dst int, reqs []*ikcRequest, env bool, kind ikcKind) {
 }
 
 func (rt *relState) arm(xm *xmitState) {
-	rt.k.dom.Schedule(xm.rto, func() { rt.expire(xm) })
+	rt.k.sys.Eng.Schedule(xm.rto, func() { rt.expire(xm) })
 }
 
 // onReply marks seq answered. When the last request of its transmission
@@ -213,7 +213,7 @@ func (rt *relState) onReply(seq uint64) {
 	k := rt.k
 	if xm.retried {
 		k.stats.Recovered++
-		k.stats.RecoveryCycles += k.dom.Now() - xm.firstSent
+		k.stats.RecoveryCycles += k.sys.Eng.Now() - xm.firstSent
 	}
 	k.inflightTo(xm.dst).Release()
 }
@@ -252,7 +252,7 @@ func (rt *relState) expire(xm *xmitState) {
 	k.stats.Retransmits++
 	k.stats.Busy += k.sys.Cost.IKCCompose
 	dk := k.sys.kernels[xm.dst]
-	k.dom.Schedule(k.sys.Cost.IKCCompose, func() {
+	k.sys.Eng.Schedule(k.sys.Cost.IKCCompose, func() {
 		if xm.done || rt.dead[xm.dst] {
 			return
 		}

@@ -199,22 +199,11 @@ func (k *Kernel) sysRegisterService(p *sim.Proc, req *sysRequest) sysReply {
 	if v == nil || v.svc == nil {
 		return sysReply{Err: ErrBadArgs}
 	}
-	var key ddl.Key
-	if k.sys.rounds {
-		// Partitioned directory (rounds.go): publish to the name's home
-		// kernel first — its directory slice is the duplicate authority.
-		key = k.mintKey(v.PE, v.ID, ddl.TypeService)
-		if errno := k.publishService(p, req.Name, key); errno != OK {
-			return sysReply{Err: errno}
-		}
-	} else {
-		if k.sys.services[req.Name] != nil {
-			return sysReply{Err: ErrExists}
-		}
-		key = k.mintKey(v.PE, v.ID, ddl.TypeService)
+	if k.sys.services[req.Name] != nil {
+		return sysReply{Err: ErrExists}
 	}
 	c := &cap.Capability{
-		Key:    key,
+		Key:    k.mintKey(v.PE, v.ID, ddl.TypeService),
 		Owner:  v.ID,
 		Sel:    k.store.AllocSel(v.ID),
 		Object: &cap.ServiceObject{Name: req.Name, PE: v.PE, VPE: v.ID},
@@ -230,12 +219,7 @@ func (k *Kernel) sysRegisterService(p *sim.Proc, req *sysRequest) sysReply {
 	for ep := svcFirstClientEP; ep <= svcLastClientEP; ep++ {
 		must(v.dtu.ConfigureRecv(k.dtu, ep, dtu.DefaultSlots, onRequest))
 	}
-	entry := &serviceEntry{name: req.Name, key: c.Key, kernel: k.id, vpe: v}
-	if k.sys.rounds {
-		k.svcOwn[req.Name] = entry
-	} else {
-		k.sys.services[req.Name] = entry
-	}
+	k.sys.services[req.Name] = &serviceEntry{name: req.Name, key: c.Key, kernel: k.id, vpe: v}
 	return sysReply{Sel: c.Sel}
 }
 
@@ -255,28 +239,15 @@ func (k *Kernel) sysCreateSession(p *sim.Proc, req *sysRequest) sysReply {
 		return sysReply{Err: ErrVPEGone}
 	}
 	k.exec(p, k.sys.Cost.DDLDecode+k.sys.Cost.CapLookup)
-	var loc svcLoc
-	if k.sys.rounds {
-		// Partitioned directory (rounds.go): resolve through svcOwn, the
-		// local directory slice, the lookup cache, or an IKC query to the
-		// name's home kernel. Dead-owner filtering happens at the home.
-		var errno Errno
-		loc, errno = k.resolveService(p, req.Name)
-		if errno != OK {
-			return sysReply{Err: errno}
-		}
-	} else {
-		entry := k.sys.service(req.Name)
-		if entry == nil {
-			return sysReply{Err: ErrNoService}
-		}
-		if k.peerDead(entry.kernel) {
-			// Degraded mode: the directory stops routing to a kernel this
-			// kernel has declared dead — clients get ErrNoService instead of
-			// a session doomed to fail-fast errors.
-			return sysReply{Err: ErrNoService}
-		}
-		loc = svcLoc{kernel: entry.kernel, key: entry.key}
+	entry := k.sys.services[req.Name]
+	if entry == nil {
+		return sysReply{Err: ErrNoService}
+	}
+	if k.peerDead(entry.kernel) {
+		// Degraded mode: the directory stops routing to a kernel this
+		// kernel has declared dead — clients get ErrNoService instead of
+		// a session doomed to fail-fast errors.
+		return sysReply{Err: ErrNoService}
 	}
 	// The endpoint budget comes first: past this point the service opens a
 	// session and the session capability is linked and inserted, and a
@@ -288,12 +259,8 @@ func (k *Kernel) sysCreateSession(p *sim.Proc, req *sysRequest) sysReply {
 	objID := k.gen.NextID(v.PE, v.ID)
 	var info sessionInfo
 	var parentKey ddl.Key
-	if loc.kernel == k.id {
-		entry := k.serviceLocal(req.Name)
-		if entry == nil {
-			return sysReply{Err: ErrNoService}
-		}
-		svcCap := k.store.Lookup(loc.key)
+	if entry.kernel == k.id {
+		svcCap := k.store.Lookup(entry.key)
 		if svcCap == nil || svcCap.Marked {
 			return sysReply{Err: ErrNoService}
 		}
@@ -304,18 +271,18 @@ func (k *Kernel) sysCreateSession(p *sim.Proc, req *sysRequest) sysReply {
 		sessKey := ddl.NewKey(v.PE, v.ID, ddl.TypeSession, objID)
 		// The service query is a preemption point and the store compacts
 		// removed slots; re-resolve the service capability before linking.
-		if cur := k.store.Lookup(loc.key); cur != nil {
+		if cur := k.store.Lookup(entry.key); cur != nil {
 			cur.AddChild(sessKey)
 		}
 		k.charge(p, k.sys.Cost.CapLink)
 		info = sessionInfo{SvcPE: entry.vpe.PE, SvcEP: clientEPFor(res.Ident), Ident: res.Ident}
-		parentKey = loc.key
+		parentKey = entry.key
 		k.stats.Sessions++
 	} else {
 		k.charge(p, k.sys.Cost.IKCMarshal)
-		rep := k.ikCall(p, loc.kernel, &ikcRequest{
+		rep := k.ikCall(p, entry.kernel, &ikcRequest{
 			Kind:     ikcSession,
-			Key:      loc.key,
+			Key:      entry.key,
 			VPE:      v.ID,
 			Args:     req.Args,
 			ChildPE:  v.PE,
@@ -403,7 +370,7 @@ func (k *Kernel) sysObtainSess(p *sim.Proc, req *sysRequest) sysReply {
 	objID := k.gen.NextID(v.PE, v.ID)
 
 	if svcKernel == k.id {
-		entry := k.serviceLocal(so.Service)
+		entry := k.sys.services[so.Service]
 		if entry == nil {
 			return sysReply{Err: ErrNoService}
 		}
@@ -526,7 +493,7 @@ func (k *Kernel) sysDelegateSess(p *sim.Proc, req *sysRequest) sysReply {
 	svcKernel := k.member.KernelOfKey(sess.Parent)
 
 	if svcKernel == k.id {
-		entry := k.serviceLocal(so.Service)
+		entry := k.sys.services[so.Service]
 		if entry == nil {
 			return sysReply{Err: ErrNoService}
 		}

@@ -86,23 +86,9 @@ func (k *Kernel) lookupSel(p *sim.Proc, vpe int, sel cap.Selector) *cap.Capabili
 }
 
 func (k *Kernel) sysAllocMem(p *sim.Proc, req *sysRequest) sysReply {
-	var pe int
-	var off uint64
-	if k.sys.rounds {
-		// Rounds mode: allocate from the kernel's pre-carved quota (a refill
-		// round trip to kernel 0 when dry); the shared allocator would be a
-		// cross-domain mutation.
-		var errno Errno
-		pe, off, errno = k.allocDRAMRounds(p, req.Size)
-		if errno != OK {
-			return sysReply{Err: errno}
-		}
-	} else {
-		var err error
-		pe, off, err = k.sys.allocDRAM(req.Size)
-		if err != nil {
-			return sysReply{Err: ErrOutOfMem}
-		}
+	pe, off, err := k.sys.allocDRAM(req.Size)
+	if err != nil {
+		return sysReply{Err: ErrOutOfMem}
 	}
 	v := k.vpeOf(req.VPE)
 	if v == nil {

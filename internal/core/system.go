@@ -49,22 +49,6 @@ type Config struct {
 	// time, sequence and event counters at zero and not killed. The bench
 	// harness uses this to recycle pooled engines across experiments.
 	Engine *sim.Engine
-	// SimMode selects how the simulation engine executes the machine:
-	//
-	//   - "" or "merged": the sequential engine — one event queue, one
-	//     clock, the baseline kernel model.
-	//   - "rounds": conservative isolated rounds. Every kernel (with its PE
-	//     group) gets its own event domain and clock, every cross-domain
-	//     interaction costs at least one NoC latency (credit returns ride
-	//     credit messages, service lookups and DRAM refills ride IKC), and
-	//     the engine advances the domains one after the other in rounds
-	//     bounded by the NoC lookahead. Metrics differ from merged —
-	//     deterministically — because the kernel model is the partitioned
-	//     one. Incompatible with NoC contention, whose link state is shared
-	//     across all senders; fault injection works (the injector shards
-	//     its state by source PE), but the plan must not crash kernel 0,
-	//     the DRAM-refill home (Validate).
-	SimMode string
 	// RelaxLimits lifts the architectural sizing limits (MaxKernels,
 	// MaxPEsPerKernel) for scalability studies: the machine may then be
 	// built with more kernels and larger PE groups than real SemperOS
@@ -74,15 +58,6 @@ type Config struct {
 	// bound the machine at MaxPEs total PEs.
 	RelaxLimits bool
 }
-
-// SimMode values for Config.SimMode.
-const (
-	SimModeMerged = "merged"
-	SimModeRounds = "rounds"
-)
-
-// roundsMode reports whether the config selects isolated-rounds execution.
-func (c Config) roundsMode() bool { return c.SimMode == SimModeRounds }
 
 func (c Config) withDefaults() Config {
 	if c.Kernels <= 0 {
@@ -118,26 +93,8 @@ func (c Config) Validate() error {
 			return err
 		}
 	}
-	switch c.SimMode {
-	case "", SimModeMerged:
-	case SimModeRounds:
-		if c.Noc != nil && c.Noc.Contention {
-			return errors.New("core: SimMode rounds is incompatible with NoC contention (shared link state); use merged mode")
-		}
-		if c.Faults != nil {
-			// The injector itself is rounds-safe (its mutable state is
-			// sharded by source PE), but kernel 0 is the rounds-mode
-			// DRAM-refill home and central-pool owner: crashing it blackholes
-			// every refill and wedges allocation across the machine. Reject
-			// the scenario instead of hanging.
-			for _, kf := range c.Faults.Kernels {
-				if kf.Kernel == 0 && kf.CrashAt > 0 {
-					return errors.New("core: SimMode rounds cannot crash kernel 0 (the DRAM-refill home); crash another kernel or use merged mode")
-				}
-			}
-		}
-	default:
-		return fmt.Errorf("core: unknown SimMode %q (valid: %q, %q)", c.SimMode, SimModeMerged, SimModeRounds)
+	if r := c.Reliability; r != nil && (r.MaxRetries < 0 || r.ReplyCache < 0) {
+		return fmt.Errorf("core: negative Reliability budget (MaxRetries %d, ReplyCache %d)", r.MaxRetries, r.ReplyCache)
 	}
 	return nil
 }
@@ -157,30 +114,19 @@ type System struct {
 	memPEs  []int
 	vpes    []*VPE
 	peToVPE []*VPE
-	// kernelDom maps kernel id to its event domain under isolated rounds;
-	// nil on the sequential engine.
-	kernelDom []*sim.Domain
 
 	// rel is the resolved reliable-IKC configuration; nil in baseline
 	// lossless mode. inj is the attached fault injector, if any.
 	rel *Reliability
 	inj *fault.Injector
 
-	// rounds marks isolated-rounds execution (Config.SimMode == "rounds"):
-	// the shared directory and DRAM state below stay untouched, replaced by
-	// the per-kernel partitioned state on Kernel plus the central DRAM
-	// remainder here (centralNext, single-writer: kernel 0's domain).
-	rounds bool
-
+	// The service directory and the DRAM allocator are the two pieces of
+	// state every kernel reads and writes directly, with no NoC message
+	// (DESIGN.md, "Zero-latency edges of the kernel model").
 	services map[string]*serviceEntry
 	dramNext []uint64
 	dramRR   int
-	// centralNext is the rounds-mode central DRAM pool: the next free offset
-	// per memory PE in the un-carved upper half of its capacity. Only kernel
-	// 0 (the refill grantor) touches it, so it needs no further partitioning.
-	centralNext []uint64
-	centralRR   int
-	nextVPE     int
+	nextVPE  int
 
 	// wires are the released direct inter-kernel legs awaiting reuse
 	// (ikc.go, ikcWire).
@@ -195,15 +141,6 @@ type serviceEntry struct {
 	key    ddl.Key
 	kernel int
 	vpe    *VPE
-}
-
-// dramSpan is one contiguous pre-carved slice of a memory PE, the unit of
-// the rounds-mode per-kernel DRAM quota.
-type dramSpan struct {
-	pe   int
-	off  uint64
-	len  uint64
-	used uint64
 }
 
 // NewSystem builds and boots a machine. PE numbering: kernels occupy PEs
@@ -256,27 +193,6 @@ func NewSystem(cfg Config) (*System, error) {
 		s.inj = fault.NewInjector(*cfg.Faults, cfg.Kernels)
 		net.SetInjector(s.inj)
 	}
-	s.rounds = cfg.roundsMode()
-	if s.rounds && cfg.Kernels > 1 {
-		// Isolated rounds: one domain per kernel. The domain table is
-		// topology-aware: user PEs follow their group kernel (contiguous
-		// blocks, so groups align with mesh rows) and each memory PE joins its
-		// nearest kernel's domain instead of kernel 0's, keeping its traffic on
-		// short same-domain paths. The lookahead is the minimum latency across
-		// the resulting cut, at least MinLatency.
-		s.kernelDom = make([]*sim.Domain, cfg.Kernels)
-		s.kernelDom[0] = eng.Domain(0)
-		for i := 1; i < cfg.Kernels; i++ {
-			s.kernelDom[i] = eng.NewDomain()
-		}
-		nodeDoms := make([]*sim.Domain, nodes)
-		for pe := range nodeDoms {
-			nodeDoms[pe] = s.kernelDom[s.domainKernelOfNode(pe)]
-		}
-		net.BindDomains(nodeDoms)
-		eng.SetLookahead(net.MinLatencyAcross(s.domainKernelOfNode))
-		eng.SetIsolated(true)
-	}
 	// Kernel PEs.
 	for k := 0; k < cfg.Kernels; k++ {
 		fab.Add(k, 0)
@@ -309,92 +225,11 @@ func NewSystem(cfg Config) (*System, error) {
 		for _, kf := range cfg.Faults.Kernels {
 			if kf.CrashAt > 0 && kf.RecoverAt > 0 && kf.Kernel >= 0 && kf.Kernel < cfg.Kernels {
 				kk := s.kernels[kf.Kernel]
-				kk.dom.At(kf.RecoverAt, kk.beginRejoin)
+				eng.At(kf.RecoverAt, kk.beginRejoin)
 			}
 		}
 	}
-	if s.rounds {
-		s.carveDRAMQuota()
-	}
 	return s, nil
-}
-
-// carveDRAMQuota pre-carves half of every memory PE into equal per-kernel
-// spans (the rounds-mode DRAM quota); the upper half stays central, owned by
-// kernel 0 and handed out in ikcDRAMRefill grants. Allocation thereby never
-// touches shared state from a kernel's own domain.
-func (s *System) carveDRAMQuota() {
-	half := uint64(s.cfg.MemBytes) / 2
-	per := half / uint64(s.cfg.Kernels)
-	s.centralNext = make([]uint64, len(s.memPEs))
-	for i, pe := range s.memPEs {
-		s.centralNext[i] = half
-		if per == 0 {
-			continue
-		}
-		for ki, k := range s.kernels {
-			k.dramSpans = append(k.dramSpans, dramSpan{pe: pe, off: uint64(ki) * per, len: per})
-		}
-	}
-}
-
-// carveCentral carves size bytes out of the central DRAM pool (round-robin
-// across memory PEs). Rounds mode only; the sole caller is kernel 0 — on its
-// own domain — granting refills or allocating for itself.
-func (s *System) carveCentral(size uint64) (dramSpan, bool) {
-	for try := 0; try < len(s.memPEs); try++ {
-		i := (s.centralRR + try) % len(s.memPEs)
-		if s.centralNext[i]+size <= uint64(s.cfg.MemBytes) {
-			sp := dramSpan{pe: s.memPEs[i], off: s.centralNext[i], len: size}
-			s.centralNext[i] += size
-			s.centralRR = (i + 1) % len(s.memPEs)
-			return sp, true
-		}
-	}
-	return dramSpan{}, false
-}
-
-// kernelIDOfNode returns the kernel managing a PE purely from the config's
-// static numbering (kernels, then user PEs in contiguous groups, then memory
-// PEs owned by kernel 0). NewSystem needs this before Membership is
-// populated; the Assign calls below follow the same formula.
-func (s *System) kernelIDOfNode(pe int) int {
-	switch {
-	case pe < s.cfg.Kernels:
-		return pe
-	case pe < s.cfg.Kernels+s.cfg.UserPEs:
-		return (pe - s.cfg.Kernels) * s.cfg.Kernels / s.cfg.UserPEs
-	default:
-		return 0
-	}
-}
-
-// domainKernelOfNode returns the kernel whose domain a PE joins under
-// isolated rounds. Kernel and user PEs follow kernelIDOfNode — the contiguous
-// PE groups align with mesh rows, keeping the cross-domain cut tight — but
-// memory PEs join the nearest kernel's domain (by hop count, ties to the
-// lower kernel id) rather than kernel 0's, so DRAM traffic stays on short
-// same-domain paths where the topology allows it.
-func (s *System) domainKernelOfNode(pe int) int {
-	if pe < s.cfg.Kernels+s.cfg.UserPEs {
-		return s.kernelIDOfNode(pe)
-	}
-	best, bestH := 0, int(^uint(0)>>1)
-	for k := 0; k < s.cfg.Kernels; k++ {
-		if h := s.Net.Hops(pe, k); h < bestH {
-			best, bestH = k, h
-		}
-	}
-	return best
-}
-
-// domainOfKernel returns the event domain kernel k runs on: its assigned
-// domain when the engine is partitioned, the root domain otherwise.
-func (s *System) domainOfKernel(k int) *sim.Domain {
-	if s.kernelDom == nil {
-		return s.Eng.Domain(0)
-	}
-	return s.kernelDom[k]
 }
 
 // MustNew is NewSystem for tests and examples where the config is constant.
@@ -461,9 +296,6 @@ func (s *System) allocDRAM(size uint64) (pe int, off uint64, err error) {
 	}
 	return 0, 0, errors.New("core: out of DRAM")
 }
-
-// Service returns the directory entry for a registered service, or nil.
-func (s *System) service(name string) *serviceEntry { return s.services[name] }
 
 // FaultStats returns the fault injector's counters (zero without a plan).
 func (s *System) FaultStats() fault.Stats {

@@ -347,7 +347,7 @@ func (t *transport) enqueue(p *sim.Proc, dst int, req *ikcRequest) *sim.Future[*
 		t.flushLocked(p, key)
 	} else if len(q.reqs) == 1 {
 		epoch := q.epoch
-		k.dom.Schedule(q.window, func() { t.timerFire(key, epoch) })
+		k.sys.Eng.Schedule(q.window, func() { t.timerFire(key, epoch) })
 	}
 	return fut
 }
@@ -382,7 +382,7 @@ func (t *transport) timerFire(key qkey, epoch uint64) {
 	}
 	if t.xmit == nil {
 		t.xmit = &kthread{pl: t.k.ikcPool, stage: stageJob}
-		t.k.dom.SpawnLazy(xmitName, t.k.id, func(p *sim.Proc) {
+		t.k.sys.Eng.SpawnLazy(xmitName, t.k.id, func(p *sim.Proc) {
 			for {
 				ref := t.flushQ.Pop(p)
 				t.flushFrom(p, ref)
@@ -526,7 +526,7 @@ func (t *transport) flushReplies(key rkey) {
 		for i, r := range reps {
 			items[i] = dtu.VecItem{Payload: r, Size: ikcBatchedRepBytes}
 		}
-		k.dom.Schedule(k.sys.Cost.IKCCompose, func() {
+		k.sys.Eng.Schedule(k.sys.Cost.IKCCompose, func() {
 			must(k.dtu.SendVecTo(dk.pe, ikcReplyEP, items))
 		})
 	}

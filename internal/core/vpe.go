@@ -95,7 +95,7 @@ func (v *VPE) start() {
 		return
 	}
 	v.started = true
-	v.proc = v.kernel.dom.SpawnLazy(v.sys.vpeProcNameFn, v.ID, v.run)
+	v.proc = v.sys.Eng.SpawnLazy(v.sys.vpeProcNameFn, v.ID, v.run)
 }
 
 // run is the body of the VPE's proc.

@@ -4,11 +4,9 @@
 // windows and kernel crash times — and an Injector draws every decision
 // from a splittable counter-based PRNG keyed by (seed, src, dst, per-pair
 // message counter). Because the NoC calls Inspect once per message in a
-// deterministic order (the sequential engine executes events in one total
-// order; isolated rounds order each sender's stream on its own domain and
-// the injector shards all mutable state by source PE; and -parallel
-// parallelizes across independent simulations), a fixed seed yields a
-// byte-identical faulty run regardless of host parallelism.
+// deterministic order (the engine executes events in one total order, and
+// -parallel parallelizes across independent simulations), a fixed seed
+// yields a byte-identical faulty run regardless of host parallelism.
 //
 // Faults apply only to kernel↔kernel links (both endpoints below the
 // kernel-PE bound): the inter-kernel protocol is the layer hardened
@@ -131,11 +129,10 @@ type effRates struct {
 }
 
 // Injector implements noc.Injector for a Plan. All mutable state — the
-// per-pair PRNG counters, the resolved-rate cache and the stats — is
-// sharded by source PE: the NoC calls Inspect at send time on the sending
-// node's path, so under isolated rounds (one event domain per kernel) each
-// shard belongs to one domain. Counters advance per (src, dst) pair, so a
-// pair's fault sequence does not depend on how the domains interleave.
+// per-pair PRNG counters, the resolved-rate cache and the stats — is kept
+// per source PE. Counters advance per (src, dst) pair, so a pair's fault
+// sequence does not depend on how the traffic of other pairs interleaves
+// with it.
 type Injector struct {
 	plan      Plan
 	kernelPEs int

@@ -230,9 +230,7 @@ func Program(cfg Config, preload func(*FS), ready *sim.Future[*FS]) core.Program
 			panic(fmt.Sprintf("m3fs: start failed: %v", err))
 		}
 		if ready != nil {
-			// CompleteFrom: under isolated rounds the future lives on the
-			// driver's root domain, not this service's.
-			ready.CompleteFrom(p, fs)
+			ready.Complete(fs)
 		}
 		v.ServeLoop(p)
 	}

@@ -84,9 +84,7 @@ type Verdict struct {
 // Injector inspects every message at send time and returns its fate.
 // Implementations (see internal/fault) must be deterministic functions of
 // their own state and the arguments: the network calls Inspect exactly
-// once per Send, in event order. Under isolated rounds now is the sending
-// node's domain clock and calls are time-ordered per src only: each domain
-// runs ahead of the others by up to the lookahead.
+// once per Send, in event order.
 type Injector interface {
 	Inspect(now sim.Time, src, dst, size int) Verdict
 }
@@ -103,11 +101,6 @@ type Network struct {
 	// linkFree is the next-free time per directed link (contention mode).
 	linkFree map[int]sim.Time
 	stats    Stats
-	// domains, when bound (BindDomains), is the per-node event-domain table
-	// of a partitioned engine (see internal/sim): Send reads the sending
-	// node's domain clock and posts the delivery to the destination node's
-	// domain. Nil means the engine clock and the engine's current lane.
-	domains []*sim.Domain
 	// inj, when set, decides per message whether to drop, duplicate or
 	// delay it (fault injection). Nil means the lossless fabric.
 	inj Injector
@@ -160,65 +153,9 @@ func (n *Network) Hops(src, dst int) int {
 	return abs(sx-dx) + abs(sy-dy)
 }
 
-// MinLatency returns the minimum latency of any cross-PE message (src !=
-// dst: at least one hop, at least one flit), regardless of size or
-// contention — contention and the per-pair FIFO clamp only ever delay
-// delivery further. This is the network's lookahead bound for conservative
-// parallel simulation: an event on one PE cannot affect another PE sooner
-// than MinLatency cycles, as all cross-PE interaction goes through Send.
-func (n *Network) MinLatency() sim.Duration {
-	return n.cfg.BaseLatency + n.cfg.HopLatency + n.cfg.RouterLatency + n.cfg.FlitLatency
-}
-
-// BindDomains attaches a per-node event-domain table (indexed by PE id):
-// from then on every Send takes its clock from the sending node's domain
-// and schedules the delivery onto the destination node's domain, as a
-// cross-domain post where the two differ. The table must cover all nodes.
-// Contention is incompatible: its link state is shared across all senders,
-// which domain-local clocks would make acausal.
-func (n *Network) BindDomains(domains []*sim.Domain) {
-	if len(domains) < n.cfg.Nodes {
-		panic(fmt.Sprintf("noc: BindDomains table covers %d of %d nodes", len(domains), n.cfg.Nodes))
-	}
-	if n.cfg.Contention {
-		panic("noc: contention is incompatible with event domains (shared link state)")
-	}
-	n.domains = domains
-}
-
 // SetInjector attaches a fault injector consulted once per Send. Passing
 // nil restores the lossless fabric.
 func (n *Network) SetInjector(inj Injector) { n.inj = inj }
-
-// MinLatencyAcross returns the minimum latency of any message between nodes
-// in different domains under the given node→domain assignment — the tight
-// lookahead bound for isolated rounds. Same-domain traffic does not
-// constrain the horizon, so an assignment aligned with the mesh topology
-// (groups on contiguous rows) yields a bound at least as large as
-// MinLatency and lets each round cover more local work.
-func (n *Network) MinLatencyAcross(domainOf func(node int) int) sim.Duration {
-	minHops := -1
-	for src := 0; src < n.cfg.Nodes && minHops != 1; src++ {
-		d := domainOf(src)
-		for dst := 0; dst < n.cfg.Nodes; dst++ {
-			if domainOf(dst) == d {
-				continue
-			}
-			if h := n.Hops(src, dst); minHops < 0 || h < minHops {
-				minHops = h
-				if minHops == 1 {
-					break
-				}
-			}
-		}
-	}
-	if minHops < 0 {
-		// Single domain: no cross-domain traffic exists; fall back to the
-		// plain bound so the caller still gets a positive lookahead.
-		return n.MinLatency()
-	}
-	return n.cfg.BaseLatency + sim.Duration(minHops)*(n.cfg.HopLatency+n.cfg.RouterLatency) + n.cfg.FlitLatency
-}
 
 // Latency returns the uncontended latency for a message of the given size.
 func (n *Network) Latency(src, dst, size int) sim.Duration {
@@ -245,11 +182,6 @@ func (n *Network) Latency(src, dst, size int) sim.Duration {
 // Send returns how many deliveries it scheduled — 0 dropped, 1, 2
 // duplicated — so a sender whose deliver belongs to a recycled object (see
 // dtu.Message) knows when the object is no longer referenced by the wire.
-//
-// With domains bound, a cross-domain delivery travels as a post. Its delay
-// is at least the engine lookahead by construction: the pair's latency is
-// bounded below by MinLatencyAcross, and the FIFO clamp, an injected delay
-// and a duplicate's gap only push arrival further out.
 func (n *Network) Send(src, dst, size int, deliver func()) int {
 	n.checkNode(src)
 	n.checkNode(dst)
@@ -258,9 +190,6 @@ func (n *Network) Send(src, dst, size int, deliver func()) int {
 	n.stats.HopsSum += uint64(n.Hops(src, dst))
 
 	now := n.eng.Now()
-	if n.domains != nil {
-		now = n.domains[src].Now()
-	}
 	var v Verdict
 	if n.inj != nil {
 		v = n.inj.Inspect(now, src, dst, size)
@@ -281,7 +210,7 @@ func (n *Network) Send(src, dst, size int, deliver func()) int {
 		n.stats.Lost++
 		return 0
 	}
-	n.scheduleDeliver(src, dst, arrival-now, deliver)
+	n.eng.Schedule(arrival-now, deliver)
 	if !v.Dup {
 		return 1
 	}
@@ -293,17 +222,8 @@ func (n *Network) Send(src, dst, size int, deliver func()) int {
 	}
 	dupAt := arrival + gap
 	n.lastDeliver[key] = dupAt
-	n.scheduleDeliver(src, dst, dupAt-now, deliver)
+	n.eng.Schedule(dupAt-now, deliver)
 	return 2
-}
-
-// scheduleDeliver runs deliver at dst, d cycles after the sender's now.
-func (n *Network) scheduleDeliver(src, dst int, d sim.Duration, deliver func()) {
-	if n.domains != nil {
-		n.domains[src].Post(n.domains[dst], d, deliver)
-		return
-	}
-	n.eng.Schedule(d, deliver)
 }
 
 // directions for XY routing link identifiers.

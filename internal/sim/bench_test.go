@@ -229,34 +229,3 @@ func BenchmarkEngineFresh(b *testing.B) {
 		e.Kill()
 	}
 }
-
-// BenchmarkDomainPingPong bounces a token between two isolated domains: each
-// op is one cross-domain Post delivered through the mailbox-and-barrier
-// machinery (one event, one round). The whole exchange must be allocation-
-// free in steady state — mailboxes and lanes recycle their backing storage.
-func BenchmarkDomainPingPong(b *testing.B) {
-	const lookahead = Duration(10)
-	e := NewEngine()
-	db := e.NewDomain()
-	da := e.Domain(0)
-	e.SetIsolated(true)
-	e.SetLookahead(lookahead)
-	b.ReportAllocs()
-	n := 0
-	var ping, pong func()
-	ping = func() { // runs on da
-		if n++; n < b.N {
-			da.Post(db, lookahead, pong)
-		}
-	}
-	pong = func() { // runs on db
-		if n++; n < b.N {
-			db.Post(da, lookahead, ping)
-		}
-	}
-	da.Schedule(1, ping)
-	e.Run()
-	if n < b.N {
-		b.Fatalf("executed %d hops, want at least %d", n, b.N)
-	}
-}

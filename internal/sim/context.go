@@ -49,10 +49,8 @@ func (e *Engine) RunUntilCtx(ctx context.Context, t Time) error {
 			budget = ctxPollEvents
 		}
 		budget--
-		ev, ok := e.peek()
-		if !ok || ev.at > t {
+		if !e.next(t) {
 			return nil
 		}
-		e.runEvent(e.pop())
 	}
 }

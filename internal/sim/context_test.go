@@ -90,24 +90,11 @@ func TestRunUntilCtxHorizon(t *testing.T) {
 	}
 }
 
-// mergedChains runs four bounded event chains on e, spread over the given
-// number of domains (1: the sequential engine; 4: the one-domain-per-kernel
-// partitioning of a rounds machine, which RunCtx executes through the merged
-// loop), recording (chain, step) into log. onStep, when non-nil, observes
-// the global step count — the hook the cancellation tests use to cancel
-// from inside the simulation at a deterministic point.
-func mergedChains(e *Engine, steps, domains int, log *[]uint64, onStep func(total int)) {
-	doms := make([]*Domain, 4)
-	for i := range doms {
-		switch {
-		case i == 0:
-			doms[i] = e.Domain(0)
-		case i < domains:
-			doms[i] = e.NewDomain()
-		default:
-			doms[i] = doms[i%domains]
-		}
-	}
+// chains starts four bounded event chains on e, recording (chain, step) into
+// log. onStep, when non-nil, observes the global step count — the hook the
+// cancellation tests use to cancel from inside the simulation at a
+// deterministic point.
+func chains(e *Engine, steps int, log *[]uint64, onStep func(total int)) {
 	total := 0
 	var step func(d, i int)
 	step = func(d, i int) {
@@ -117,12 +104,12 @@ func mergedChains(e *Engine, steps, domains int, log *[]uint64, onStep func(tota
 			onStep(total)
 		}
 		if i+1 < steps {
-			doms[d].Schedule(Duration(1+d%3), func() { step(d, i+1) })
+			e.Schedule(Duration(1+d%3), func() { step(d, i+1) })
 		}
 	}
 	for d := 0; d < 4; d++ {
 		d := d
-		doms[d].Schedule(Duration(d+1), func() { step(d, 0) })
+		e.Schedule(Duration(d+1), func() { step(d, 0) })
 	}
 }
 
@@ -138,60 +125,51 @@ func logsEqual(a, b []uint64) bool {
 	return true
 }
 
-// TestRunCtxCancelDeterministicPartitioned: cancelling a run from inside the
-// simulation stops at a deterministic event boundary — identical executed
-// count, virtual time and trace prefix on the sequential engine and on a
-// partitioned one — and a resumed run completes to the uncancelled reference
-// trace.
-func TestRunCtxCancelDeterministicPartitioned(t *testing.T) {
+// TestRunCtxCancelDeterministic: cancelling a run from inside the simulation
+// stops at a deterministic event boundary — identical executed count, virtual
+// time and trace prefix on every repeat — and a resumed run completes to the
+// trace an uncancelled Run produces.
+func TestRunCtxCancelDeterministic(t *testing.T) {
 	const steps = 600
-	// The reference engine runs to completion without cancellation.
 	var ref []uint64
 	refEng := NewEngine()
-	mergedChains(refEng, steps, 1, &ref, nil)
+	chains(refEng, steps, &ref, nil)
 	refEng.Run()
 
-	partial := func(domains int) (uint64, Time, []uint64, []uint64) {
+	partial := func() (uint64, Time, []uint64, []uint64) {
 		e := NewEngine()
 		var log []uint64
 		ctx, cancel := context.WithCancel(context.Background())
-		mergedChains(e, steps, domains, &log, func(total int) {
+		chains(e, steps, &log, func(total int) {
 			if total == 1000 {
 				cancel()
 			}
 		})
 		if err := e.RunCtx(ctx); err != context.Canceled {
-			t.Fatalf("domains=%d: err = %v, want context.Canceled", domains, err)
+			t.Fatalf("err = %v, want context.Canceled", err)
 		}
 		executed, now := e.Executed(), e.Now()
 		prefix := append([]uint64(nil), log...)
 		if err := e.RunCtx(context.Background()); err != nil {
-			t.Fatalf("domains=%d resume: %v", domains, err)
+			t.Fatalf("resume: %v", err)
 		}
 		return executed, now, prefix, log
 	}
 
-	exec1, now1, prefix1, full1 := partial(1)
+	exec1, now1, prefix1, full1 := partial()
 	if exec1 == 0 || int(exec1) >= 4*steps {
 		t.Fatalf("cancellation did not strike mid-run: executed=%d of %d", exec1, 4*steps)
+	}
+	if !logsEqual(prefix1, ref[:len(prefix1)]) {
+		t.Fatalf("cancelled run's prefix is not a prefix of the reference")
 	}
 	if !logsEqual(full1, ref) {
 		t.Fatalf("resumed run diverged from the uncancelled reference")
 	}
-	// The partitioned engine, and a repeat of it: same cancel point, same
-	// prefix, same completed trace.
-	for i := 0; i < 2; i++ {
-		execP, nowP, prefixP, fullP := partial(4)
-		if execP != exec1 || nowP != now1 {
-			t.Errorf("partitioned: cancel point (executed=%d now=%d) differs from sequential (%d, %d)",
-				execP, nowP, exec1, now1)
-		}
-		if !logsEqual(prefixP, prefix1) {
-			t.Errorf("partitioned: completed prefix differs from sequential")
-		}
-		if !logsEqual(fullP, ref) {
-			t.Errorf("partitioned: resumed run diverged from the reference")
-		}
+	exec2, now2, prefix2, full2 := partial()
+	if exec2 != exec1 || now2 != now1 || !logsEqual(prefix2, prefix1) || !logsEqual(full2, ref) {
+		t.Errorf("repeat: cancel point (executed=%d now=%d) or trace differs from the first run (%d, %d)",
+			exec2, now2, exec1, now1)
 	}
 }
 
@@ -202,7 +180,7 @@ func TestRunCtxCancelPoolReuse(t *testing.T) {
 	const steps = 400
 	runFull := func(e *Engine) []uint64 {
 		var log []uint64
-		mergedChains(e, steps, 4, &log, nil)
+		chains(e, steps, &log, nil)
 		e.Spawn("waiter", func(p *Proc) { p.Park() })
 		e.Run()
 		return log
@@ -215,7 +193,7 @@ func TestRunCtxCancelPoolReuse(t *testing.T) {
 	e := pool.Get()
 	var log []uint64
 	ctx, cancel := context.WithCancel(context.Background())
-	mergedChains(e, steps, 4, &log, func(total int) {
+	chains(e, steps, &log, func(total int) {
 		if total == 500 {
 			cancel()
 		}
@@ -224,7 +202,7 @@ func TestRunCtxCancelPoolReuse(t *testing.T) {
 	if err := e.RunCtx(ctx); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	pool.Put(e) // Reset: unwinds the parked proc, drops the partitioning
+	pool.Put(e) // Reset: unwinds the parked proc
 	if n := e.LiveProcs(); n != 0 {
 		t.Fatalf("LiveProcs = %d after Put, want 0", n)
 	}

@@ -6,11 +6,8 @@
 // that run one at a time under strict handoff with the engine, which lets
 // protocol code (e.g. a kernel thread performing an inter-kernel call) be
 // written in a natural blocking style while the simulation stays
-// deterministic.
-//
-// The pending-event store can be partitioned into Domains (domain.go), each
-// advancing against its own clock in conservative rounds; a fresh engine has
-// a single domain and runs on the sequential fast path throughout.
+// deterministic. One engine is one event queue, one clock and one sequence
+// counter, driven by one goroutine.
 package sim
 
 import (
@@ -40,7 +37,7 @@ func eventLess(a, b *event) bool {
 // Engine is a discrete-event simulation engine. The zero value is not usable;
 // use NewEngine.
 //
-// Each domain's pending-event store has two lanes (see Domain in domain.go):
+// The pending-event store has two lanes:
 //
 //   - heap: a monomorphic inline 4-ary min-heap over []event, ordered by
 //     (at, seq), holding events scheduled for a strictly later instant.
@@ -54,42 +51,36 @@ func eventLess(a, b *event) bool {
 // at == now, and any heap event at the same instant was necessarily scheduled
 // before time advanced to that instant (while now was smaller), so its seq is
 // lower than every lane event's — the heap drains first at each instant (see
-// Domain.pop). Time only advances while the lane is empty, so the lane never
-// holds stale timestamps.
+// next). Time only advances while the lane is empty, so the lane never holds
+// stale timestamps.
 type Engine struct {
 	now      Time
 	seq      uint64
 	executed uint64
-	limit    uint64 // safety valve: max events executed, 0 = unlimited
-	killed   bool
-	// cur is the domain that context-free Schedule/Spawn/At calls route to:
-	// the domain whose event is currently executing, the root domain outside
-	// of runs. It is nil only while isolated rounds are in flight, when
-	// engine-level scheduling has no defined lane and panics.
-	cur *Domain
+	// resumes counts the times step switched into a proc body.
+	resumes uint64
+	limit   uint64 // safety valve: max events executed, 0 = unlimited
+	killed  bool
 	// running is the proc whose body is executing, nil on the engine side;
 	// checkSettled reads it.
-	running *Proc
-	// root is domain 0, embedded so the common single-domain engine costs no
-	// extra allocation. doms stays nil on the sequential fast path and lists
-	// all domains (root first) once NewDomain has been called.
-	root Domain
-	doms []*Domain
-	// Isolated-rounds configuration (domain.go): the lookahead horizon slack
-	// and the isolation declaration.
-	lookahead Duration
-	isolated  bool
-	// procs counts live procs for leak diagnostics.
-	procs atomic.Int64
+	running  *Proc
+	heap     []event
+	fifo     []event
+	fifoHead int
+	// procs registers the spawned procs so Kill can stop them; live counts
+	// those that have not exited, for leak diagnostics.
+	procs []*Proc
+	live  atomic.Int64
+	// fault carries a panic out of a proc body (Proc.run) to the step that
+	// resumed it, which re-raises it on the goroutine driving the engine (and
+	// therefore recoverable by callers such as the bench harness). One body
+	// runs at a time and step looks as soon as it is back, so one slot does
+	// for all procs.
+	fault error
 }
 
 // NewEngine returns a ready-to-run engine with time at zero.
-func NewEngine() *Engine {
-	e := &Engine{}
-	e.root.eng = e
-	e.cur = &e.root
-	return e
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -101,44 +92,27 @@ func (e *Engine) Executed() uint64 { return e.executed }
 // step switched into a proc body, as opposed to running a handler or
 // replaying an owed charge (Proc.Settle). Like Executed it is deterministic;
 // Executed stays put when a Sleep becomes a Charge, Resumes falls.
-func (e *Engine) Resumes() uint64 {
-	if e.doms == nil {
-		return e.root.resumes
-	}
-	var n uint64
-	for _, dm := range e.doms {
-		n += dm.resumes
-	}
-	return n
-}
+func (e *Engine) Resumes() uint64 { return e.resumes }
 
 // SetEventLimit caps the total number of events the engine may execute.
 // Zero (the default) means unlimited. SetEventLimit(n) means at most n
 // events: executing event n+1 panics (in Run and Step alike), which catches
-// runaway simulations in tests. Isolated rounds check the limit at their
-// barriers, so the panic there may lag by up to one round.
+// runaway simulations in tests.
 func (e *Engine) SetEventLimit(n uint64) { e.limit = n }
 
-// Schedule runs fn after d cycles of virtual time, on the lane of the
-// currently executing domain (the root domain when only one exists, so the
-// sequential behavior is unchanged). It may be called from event handlers
-// and from Procs; calling it after Kill is a no-op, calling it during
-// isolated rounds panics (use Domain.Schedule or the proc APIs there).
+// Schedule runs fn after d cycles of virtual time. It may be called from
+// event handlers and from Procs; calling it after Kill is a no-op.
 func (e *Engine) Schedule(d Duration, fn func()) {
 	if e.killed {
 		return
 	}
-	dm := e.cur
-	if dm == nil {
-		panic("sim: Engine.Schedule during isolated rounds (use Domain.Schedule or the proc APIs)")
-	}
 	e.checkSettled()
 	e.seq++
 	if d == 0 {
-		dm.fifo = append(dm.fifo, event{at: e.now, seq: e.seq, fn: fn})
+		e.fifo = append(e.fifo, event{at: e.now, seq: e.seq, fn: fn})
 		return
 	}
-	dm.heapPush(event{at: e.now + d, seq: e.seq, fn: fn})
+	e.heapPush(event{at: e.now + d, seq: e.seq, fn: fn})
 }
 
 // checkSettled panics if the running proc schedules while it owes time
@@ -162,34 +136,86 @@ func (e *Engine) At(t Time, fn func()) {
 	e.Schedule(t-e.now, fn)
 }
 
-// peek returns the next event in global (at, seq) order without removing it.
-func (e *Engine) peek() (event, bool) {
-	if e.doms == nil {
-		return e.root.peek(e.now)
+// heapPush inserts ev into the 4-ary heap (sift-up with a hole, one final
+// store instead of swaps).
+func (e *Engine) heapPush(ev event) {
+	h := append(e.heap, ev)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !eventLess(&ev, &h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
 	}
-	dm := e.minDomain()
-	if dm == nil {
-		return event{}, false
-	}
-	return dm.peek(e.now)
+	h[i] = ev
+	e.heap = h
 }
 
-// pop removes and returns the next event in global (at, seq) order, setting
-// the executing domain on the multi-domain path.
-func (e *Engine) pop() event {
-	if e.doms == nil {
-		return e.root.pop(e.now)
+// heapPop removes and returns the heap minimum (sift-down with a hole).
+func (e *Engine) heapPop() event {
+	h := e.heap
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{} // release the closure
+	h = h[:n]
+	e.heap = h
+	if n > 0 {
+		i := 0
+		for {
+			c := 4*i + 1
+			if c >= n {
+				break
+			}
+			end := c + 4
+			if end > n {
+				end = n
+			}
+			min := c
+			for j := c + 1; j < end; j++ {
+				if eventLess(&h[j], &h[min]) {
+					min = j
+				}
+			}
+			if !eventLess(&h[min], &last) {
+				break
+			}
+			h[i] = h[min]
+			i = min
+		}
+		h[i] = last
 	}
-	dm := e.minDomain()
-	e.cur = dm
-	dm.events++
-	return dm.pop(e.now)
+	return top
 }
 
-// runEvent enforces causality and the event limit, advances virtual time to
-// ev.at, and executes ev. It is the single execution path shared by RunUntil
-// and Step, so both do identical accounting.
-func (e *Engine) runEvent(ev event) {
+// next executes the next event in (at, seq) order if there is one at or
+// before t, and reports whether it did. It is the one pop path: Run,
+// RunUntil, Step and RunUntilCtx are loops around it, so all four enforce
+// causality and the event limit and account alike. Lane events carry
+// at == now; a heap event at the same instant has a lower seq and goes first
+// (see the Engine doc).
+func (e *Engine) next(t Time) bool {
+	var ev event
+	if e.fifoHead < len(e.fifo) && !(len(e.heap) > 0 && e.heap[0].at == e.now) {
+		ev = e.fifo[e.fifoHead]
+		if ev.at > t {
+			return false
+		}
+		e.fifo[e.fifoHead].fn = nil // release the closure
+		e.fifoHead++
+		if e.fifoHead == len(e.fifo) {
+			// Lane drained: rewind so the backing array is reused.
+			e.fifo = e.fifo[:0]
+			e.fifoHead = 0
+		}
+	} else {
+		if len(e.heap) == 0 || e.heap[0].at > t {
+			return false
+		}
+		ev = e.heapPop()
+	}
 	if ev.at < e.now {
 		panic("sim: event queue went backwards")
 	}
@@ -199,75 +225,34 @@ func (e *Engine) runEvent(ev event) {
 	e.now = ev.at
 	ev.fn()
 	e.executed++
-}
-
-// Run executes events until the queue is empty. On a partitioned engine that
-// declared isolation (SetIsolated) with a positive lookahead, Run uses the
-// barrier-synchronous rounds; otherwise the merged loop preserves
-// the exact sequential (time, seq) order.
-func (e *Engine) Run() {
-	if e.doms != nil && e.isolated && e.lookahead > 0 {
-		e.runIsolated()
-		return
-	}
-	e.RunUntil(^Time(0))
-}
-
-// RunUntil executes events with timestamps <= t, advancing virtual time.
-// It returns when the queue is empty or the next event is beyond t. It
-// always uses order-preserving execution (sequential or merged), never the
-// isolated rounds — bounded runs need the exact global order.
-func (e *Engine) RunUntil(t Time) {
-	if e.doms == nil {
-		dm := &e.root
-		for {
-			ev, ok := dm.peek(e.now)
-			if !ok || ev.at > t {
-				return
-			}
-			e.runEvent(dm.pop(e.now))
-		}
-	}
-	e.runMerged(t)
-}
-
-// Step executes exactly one event if available and reports whether it did.
-// It shares RunUntil's causality check and event-limit accounting, and is a
-// no-op after Kill.
-func (e *Engine) Step() bool {
-	if e.killed {
-		return false
-	}
-	if _, ok := e.peek(); !ok {
-		return false
-	}
-	e.runEvent(e.pop())
 	return true
 }
 
-// Pending returns the number of queued events across all domains, mailboxes
-// included.
-func (e *Engine) Pending() int {
-	if e.doms == nil {
-		return e.root.pending()
+// Run executes events until the queue is empty.
+func (e *Engine) Run() { e.RunUntil(^Time(0)) }
+
+// RunUntil executes events with timestamps <= t, advancing virtual time.
+// It returns when the queue is empty or the next event is beyond t.
+func (e *Engine) RunUntil(t Time) {
+	for e.next(t) {
 	}
-	n := 0
-	for _, dm := range e.doms {
-		n += dm.pending()
-	}
-	return n
 }
 
-// drain empties all queues, releasing the event closures but keeping the
+// Step executes exactly one event if available and reports whether it did.
+// After Kill there never is one.
+func (e *Engine) Step() bool { return e.next(^Time(0)) }
+
+// Pending returns the number of queued events.
+func (e *Engine) Pending() int { return len(e.heap) + len(e.fifo) - e.fifoHead }
+
+// drain empties the queue, releasing the event closures but keeping the
 // backing arrays so a pooled engine reuses its slabs.
 func (e *Engine) drain() {
-	if e.doms == nil {
-		e.root.drain()
-		return
-	}
-	for _, dm := range e.doms {
-		dm.drain()
-	}
+	clear(e.heap)
+	e.heap = e.heap[:0]
+	clear(e.fifo)
+	e.fifo = e.fifo[:0]
+	e.fifoHead = 0
 }
 
 // Kill terminates the simulation: parked Procs unwind and exit, and further
@@ -287,16 +272,20 @@ func (e *Engine) Kill() {
 	e.drain()
 	// Stop every live proc. All of them are quiescent here — Kill runs on
 	// the engine side — so each is either parked in yield, which now returns
-	// false and unwinds the body, or was never started.
-	if e.doms == nil {
-		e.root.killProcs()
-	} else {
-		for _, dm := range e.doms {
-			dm.killProcs()
+	// false and unwinds the body, or was never started. stop returns once a
+	// parked body has fully unwound — or at once if the proc has no body to
+	// unwind — so the live-proc count is settled here, not in the body.
+	for i, p := range e.procs {
+		if !p.dead {
+			p.stop()
+			p.exit()
 		}
+		e.procs[i] = nil
 	}
+	e.procs = e.procs[:0]
+	e.fault = nil // a body that panicked for real while unwinding: nobody to tell
 }
 
 // LiveProcs returns the number of procs that have been spawned and have not
 // yet exited. Useful to detect leaks in tests.
-func (e *Engine) LiveProcs() int { return int(e.procs.Load()) }
+func (e *Engine) LiveProcs() int { return int(e.live.Load()) }

@@ -160,7 +160,7 @@ func TestEngineStepCausality(t *testing.T) {
 	e := NewEngine()
 	e.Schedule(10, func() {})
 	e.Run() // now = 10
-	e.root.heapPush(event{at: 5, seq: e.seq + 1, fn: func() {}})
+	e.heapPush(event{at: 5, seq: e.seq + 1, fn: func() {}})
 	defer func() {
 		if recover() == nil {
 			t.Error("Step executed an event in the past")

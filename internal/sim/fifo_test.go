@@ -189,7 +189,7 @@ func TestFutureWaitAllocs(t *testing.T) {
 	e.Run()
 	complete := func() { f.Complete(1) }
 	cycle := func() {
-		f = Future[int]{eng: e, dom: e.cur}
+		f = Future[int]{eng: e}
 		start.Push(struct{}{})
 		e.Schedule(1, complete)
 		e.Run()

@@ -232,12 +232,12 @@ func TestLazyNameOnlyOnFault(t *testing.T) {
 	e := NewEngine()
 	calls := 0
 	name := func(i int) string { calls++; return fmt.Sprintf("lazy%d", i) }
-	e.Domain(0).SpawnLazy(name, 6, func(p *Proc) { p.Sleep(1) })
+	e.SpawnLazy(name, 6, func(p *Proc) { p.Sleep(1) })
 	e.Run()
 	if calls != 0 {
 		t.Fatalf("name formatted %d times for a proc that never faulted", calls)
 	}
-	e.Domain(0).SpawnLazy(name, 7, func(p *Proc) { panic("boom") })
+	e.SpawnLazy(name, 7, func(p *Proc) { panic("boom") })
 	defer func() {
 		r := recover()
 		if err, ok := r.(error); !ok || err.Error() != `sim: proc "lazy7" panicked: boom` {
@@ -250,59 +250,4 @@ func TestLazyNameOnlyOnFault(t *testing.T) {
 	}()
 	e.Run()
 	t.Fatal("Run returned without panicking")
-}
-
-// TestRoundsFaultLowestDomainFirst: when procs on several isolated domains
-// panic in the same round, Run panics on the goroutine that called it — the
-// recover below proves that — with the fault of the lowest domain. The whole
-// round runs before the panic, so the other domains' procs are retired too.
-// The subtests run that many independent engines at once, one per goroutine,
-// the way the bench harness's workers do: each caller must get its own
-// engine's fault (and -race sees any state the rounds path shares).
-func TestRoundsFaultLowestDomainFirst(t *testing.T) {
-	faultingRounds := func(t *testing.T) {
-		e, doms := buildIsolated(4, 10)
-		for i := 3; i >= 1; i-- { // spawn order must not matter
-			i := i
-			doms[i].Spawn(fmt.Sprintf("d%d", i), func(p *Proc) {
-				p.Sleep(5)
-				panic(fmt.Sprintf("boom%d", i))
-			})
-		}
-		doms[0].Spawn("healthy", func(p *Proc) { p.Park() })
-		func() {
-			defer func() {
-				r := recover()
-				err, ok := r.(error)
-				const want = `sim: domain 1: sim: proc "d1" panicked: boom1`
-				if !ok || err.Error() != want {
-					t.Errorf("Run panicked with %v, want %q", r, want)
-				}
-			}()
-			e.Run()
-			t.Error("Run returned without panicking")
-		}()
-		if got := e.LiveProcs(); got != 1 {
-			t.Errorf("live procs = %d after the faulting round, want 1", got)
-		}
-		e.Kill()
-		if got := e.LiveProcs(); got != 0 {
-			t.Errorf("live procs = %d after Kill", got)
-		}
-	}
-	for _, workers := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			before := runtime.NumGoroutine()
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					faultingRounds(t)
-				}()
-			}
-			wg.Wait()
-			expectGoroutines(t, before)
-		})
-	}
 }

@@ -12,11 +12,12 @@ type traceRec struct {
 	label string
 }
 
-// owedScenario runs one randomized scenario on one domain per entry of doms
-// and returns each domain's trace of visible happenings plus, per stretch
-// proc, the clock readings it took privately inside its stretches.
+// owedScenario sets up groups independent copies of one randomized scenario
+// on e and returns each group's trace of visible happenings plus, per stretch
+// proc, the clock readings it took privately inside its stretches. The groups
+// share nothing but the engine: its clock, its sequence counter, its instants.
 //
-// Each domain gets: stretch procs, which repeat { spend k cost terms; do
+// Each group gets: stretch procs, which repeat { spend k cost terms; do
 // something visible }, bystander procs sleeping and logging, a consumer
 // parked on a queue the stretch procs feed, and self-rearming timers. The
 // delays are drawn from a few small values so that stretch steps, bystander
@@ -25,7 +26,7 @@ type traceRec struct {
 // the stretch procs spend their terms with Charge and settle before the
 // visible part; without, with one Sleep per term. Everything else is the
 // same code fed by the same generator.
-func owedScenario(seed uint64, owed bool, doms []*Domain) (traces [][]traceRec, private [][]Time) {
+func owedScenario(seed uint64, owed bool, e *Engine, groups int) (traces [][]traceRec, private [][]Time) {
 	const (
 		stretchProcs = 3
 		bystanders   = 3
@@ -41,14 +42,14 @@ func owedScenario(seed uint64, owed bool, doms []*Domain) (traces [][]traceRec, 
 	delays := []Duration{0, 0, 1, 1, 2, 3, 3, 5, 8}
 	delay := func() Duration { return delays[next(uint64(len(delays)))] }
 
-	traces = make([][]traceRec, len(doms))
-	for di, dm := range doms {
-		di, dm := di, dm
+	traces = make([][]traceRec, groups)
+	for di := 0; di < groups; di++ {
+		di := di
 		log := func(at Time, format string, args ...any) {
 			traces[di] = append(traces[di], traceRec{at, fmt.Sprintf(format, args...)})
 		}
-		q := NewQueue[int](dm.eng)
-		dm.Spawn("consumer", func(p *Proc) {
+		q := NewQueue[int](e)
+		e.Spawn("consumer", func(p *Proc) {
 			for {
 				v := q.Pop(p)
 				log(p.Now(), "consumer got %d", v)
@@ -56,7 +57,7 @@ func owedScenario(seed uint64, owed bool, doms []*Domain) (traces [][]traceRec, 
 		})
 		var parked *Proc
 		waiting := false
-		parked = dm.Spawn("parked", func(p *Proc) {
+		parked = e.Spawn("parked", func(p *Proc) {
 			for {
 				waiting = true
 				p.Park()
@@ -69,7 +70,7 @@ func owedScenario(seed uint64, owed bool, doms []*Domain) (traces [][]traceRec, 
 			for j := range plan {
 				plan[j] = delay()
 			}
-			dm.Spawn("bystander", func(p *Proc) {
+			e.Spawn("bystander", func(p *Proc) {
 				for j, d := range plan {
 					p.Sleep(d)
 					log(p.Now(), "bystander %d step %d", i, j)
@@ -85,12 +86,12 @@ func owedScenario(seed uint64, owed bool, doms []*Domain) (traces [][]traceRec, 
 			j := 0
 			var tick func()
 			tick = func() {
-				log(dm.Now(), "timer %d tick %d", i, j)
+				log(e.Now(), "timer %d tick %d", i, j)
 				if j++; j < len(plan) {
-					dm.Schedule(plan[j], tick)
+					e.Schedule(plan[j], tick)
 				}
 			}
-			dm.Schedule(plan[0], tick)
+			e.Schedule(plan[0], tick)
 		}
 		for i := 0; i < stretchProcs; i++ {
 			i := i
@@ -110,7 +111,7 @@ func owedScenario(seed uint64, owed bool, doms []*Domain) (traces [][]traceRec, 
 			}
 			private = append(private, nil)
 			mine := &private[len(private)-1]
-			dm.Spawn("stretch", func(p *Proc) {
+			e.Spawn("stretch", func(p *Proc) {
 				for r, terms := range plan {
 					for _, tm := range terms {
 						if owed && !tm.sleep {
@@ -131,7 +132,7 @@ func owedScenario(seed uint64, owed bool, doms []*Domain) (traces [][]traceRec, 
 							parked.Wake()
 						}
 					case 2:
-						dm.Schedule(delay(), func() { log(dm.Now(), "stretch %d event %d", i, r) })
+						e.Schedule(delay(), func() { log(e.Now(), "stretch %d event %d", i, r) })
 					}
 				}
 			})
@@ -162,7 +163,7 @@ func TestChargeSettleMatchesSleeps(t *testing.T) {
 		run := func(owed bool) ([]traceRec, [][]Time, uint64, uint64) {
 			e := NewEngine()
 			defer e.Kill()
-			tr, priv := owedScenario(seed, owed, []*Domain{e.Domain(0)})
+			tr, priv := owedScenario(seed, owed, e, 1)
 			e.Run()
 			return tr[0], priv, e.Executed(), e.Resumes()
 		}
@@ -185,25 +186,22 @@ func TestChargeSettleMatchesSleeps(t *testing.T) {
 	}
 }
 
-// TestChargeSettleMatchesSleepsIsolated is the same claim under isolated
-// rounds: three domains, each running the scenario against its own clock and
-// sequence counter, with replayed charges crossing round horizons.
-func TestChargeSettleMatchesSleepsIsolated(t *testing.T) {
+// TestChargeSettleMatchesSleepsInterleaved is the same claim with three groups
+// on the engine: each group's trace must hold while the other two keep
+// scheduling onto the same instants, between its replayed charges.
+func TestChargeSettleMatchesSleepsInterleaved(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		run := func(owed bool) ([][]traceRec, uint64) {
 			e := NewEngine()
 			defer e.Kill()
-			doms := []*Domain{e.Domain(0), e.NewDomain(), e.NewDomain()}
-			e.SetLookahead(4)
-			e.SetIsolated(true)
-			tr, _ := owedScenario(seed, owed, doms)
+			tr, _ := owedScenario(seed, owed, e, 3)
 			e.Run()
 			return tr, e.Executed()
 		}
 		slept, sExec := run(false)
 		owed, oExec := run(true)
 		for d := range slept {
-			diffTraces(t, fmt.Sprintf("seed %d domain %d", seed, d), slept[d], owed[d])
+			diffTraces(t, fmt.Sprintf("seed %d group %d", seed, d), slept[d], owed[d])
 		}
 		if sExec != oExec {
 			t.Fatalf("seed %d: %d events slept, %d owed", seed, sExec, oExec)
@@ -401,7 +399,7 @@ func TestScheduleWithUnsettledChargesPanics(t *testing.T) {
 		publish func(e *Engine, other *Proc, q *Queue[int])
 	}{
 		{"Engine.Schedule", func(e *Engine, _ *Proc, _ *Queue[int]) { e.Schedule(1, func() {}) }},
-		{"Domain.Schedule", func(e *Engine, _ *Proc, _ *Queue[int]) { e.Domain(0).Schedule(0, func() {}) }},
+		{"Engine.Schedule(0)", func(e *Engine, _ *Proc, _ *Queue[int]) { e.Schedule(0, func() {}) }},
 		{"Wake", func(_ *Engine, other *Proc, _ *Queue[int]) { other.Wake() }},
 		{"Queue.Push", func(_ *Engine, _ *Proc, q *Queue[int]) { q.Push(1) }},
 	} {

@@ -48,8 +48,9 @@ func refWaitGroup(wg *WaitGroup, p *Proc) {
 	}
 }
 
-// parkOnScenario runs one randomized scenario per domain and returns each
-// domain's trace of visible happenings. Per domain: consumers on one shared
+// parkOnScenario sets up groups independent copies of one randomized
+// scenario on e and returns each group's trace of visible happenings. Per
+// group: consumers on one shared
 // queue fed by timers; contenders on one semaphore that hold it for a few
 // charged terms and, every other turn, release and take it again in one go
 // (the barging case: the waiter woken by the release finds nothing);
@@ -59,7 +60,7 @@ func refWaitGroup(wg *WaitGroup, p *Proc) {
 // from a few small values, so wake-ups, completions and elapsing charges
 // keep sharing instants. With ref set the procs block through the
 // hand-written loops above, without through ParkOn; nothing else differs.
-func parkOnScenario(seed uint64, ref bool, doms []*Domain) [][]traceRec {
+func parkOnScenario(seed uint64, ref bool, e *Engine, groups int) [][]traceRec {
 	const rounds = 30
 	rng := seed*0x9E3779B97F4A7C15 + 1
 	next := func(n uint64) uint64 {
@@ -86,18 +87,18 @@ func parkOnScenario(seed uint64, ref bool, doms []*Domain) [][]traceRec {
 		acquire, pop, wait, waitGroup = refAcquire, refPop[int], refWait[int], refWaitGroup
 	}
 
-	traces := make([][]traceRec, len(doms))
-	for di, dm := range doms {
-		di, dm := di, dm
+	traces := make([][]traceRec, groups)
+	for di := 0; di < groups; di++ {
+		di := di
 		log := func(at Time, format string, args ...any) {
 			traces[di] = append(traces[di], traceRec{at, fmt.Sprintf(format, args...)})
 		}
 
 		// Consumers on a shared queue, producers on timers.
-		q := NewQueue[int](dm.eng)
+		q := NewQueue[int](e)
 		for i := 0; i < 3; i++ {
 			i, ds := i, plan(2*rounds)
-			dm.Spawn("consumer", func(p *Proc) {
+			e.Spawn("consumer", func(p *Proc) {
 				for j := 0; ; j++ {
 					v := pop(q, p)
 					log(p.Now(), "consumer %d got %d", i, v)
@@ -111,17 +112,17 @@ func parkOnScenario(seed uint64, ref bool, doms []*Domain) [][]traceRec {
 			produce = func() {
 				q.Push(100*i + j)
 				if j++; j < len(ds) {
-					dm.Schedule(ds[j], produce)
+					e.Schedule(ds[j], produce)
 				}
 			}
-			dm.Schedule(1+ds[0], produce)
+			e.Schedule(1+ds[0], produce)
 		}
 
 		// Contenders on a semaphore.
-		sem := NewSemaphore(dm.eng, 1)
+		sem := NewSemaphore(e, 1)
 		for i := 0; i < 4; i++ {
 			i, think, hold := i, plan(rounds), plan(2*rounds)
-			dm.Spawn("contender", func(p *Proc) {
+			e.Spawn("contender", func(p *Proc) {
 				for r := 0; r < rounds; r++ {
 					p.Charge(think[r])
 					acquire(sem, p)
@@ -144,14 +145,14 @@ func parkOnScenario(seed uint64, ref bool, doms []*Domain) [][]traceRec {
 		// charge elapses.
 		for i := 0; i < 2; i++ {
 			i, ds, late := i, plan(2*rounds), plan(rounds)
-			dm.Spawn("waiter", func(p *Proc) {
+			e.Spawn("waiter", func(p *Proc) {
 				for r := 0; r < rounds; r++ {
-					f := &Future[int]{eng: dm.eng} // domain-local
+					f := NewFuture[int](e)
 					a, b := ds[2*r], ds[2*r+1]
 					if r%3 == 0 {
 						late[r] = 0
 					}
-					dm.Schedule(a+b+late[r], func() { f.Complete(r) })
+					e.Schedule(a+b+late[r], func() { f.Complete(r) })
 					p.Charge(a)
 					p.Charge(b)
 					log(p.Now(), "waiter %d got %d", i, wait(f, p))
@@ -162,12 +163,12 @@ func parkOnScenario(seed uint64, ref bool, doms []*Domain) [][]traceRec {
 		// A WaitGroup of timers, waited for while owing.
 		{
 			ds := plan(3 * rounds)
-			dm.Spawn("joiner", func(p *Proc) {
+			e.Spawn("joiner", func(p *Proc) {
 				for r := 0; r < rounds; r++ {
 					var wg WaitGroup
 					wg.Add(2)
-					dm.Schedule(ds[3*r], wg.Done)
-					dm.Schedule(ds[3*r+1], wg.Done)
+					e.Schedule(ds[3*r], wg.Done)
+					e.Schedule(ds[3*r+1], wg.Done)
 					p.Charge(ds[3*r+2])
 					waitGroup(&wg, p)
 					log(p.Now(), "joiner round %d", r)
@@ -180,12 +181,12 @@ func parkOnScenario(seed uint64, ref bool, doms []*Domain) [][]traceRec {
 			i, ds, j := i, plan(3*rounds), 0
 			var tick func()
 			tick = func() {
-				log(dm.Now(), "timer %d tick %d", i, j)
+				log(e.Now(), "timer %d tick %d", i, j)
 				if j++; j < len(ds) {
-					dm.Schedule(1+ds[j], tick)
+					e.Schedule(1+ds[j], tick)
 				}
 			}
-			dm.Schedule(1+ds[0], tick)
+			e.Schedule(1+ds[0], tick)
 		}
 	}
 	return traces
@@ -201,7 +202,7 @@ func TestParkOnMatchesWaitLoops(t *testing.T) {
 		run := func(ref bool) ([]traceRec, uint64, uint64) {
 			e := NewEngine()
 			defer e.Kill()
-			tr := parkOnScenario(seed, ref, []*Domain{e.Domain(0)})
+			tr := parkOnScenario(seed, ref, e, 1)
 			e.Run()
 			return tr[0], e.Executed(), e.Resumes()
 		}
@@ -221,24 +222,21 @@ func TestParkOnMatchesWaitLoops(t *testing.T) {
 	}
 }
 
-// TestParkOnMatchesWaitLoopsIsolated is the same claim under isolated rounds:
-// three domains, each against its own clock and sequence counter.
-func TestParkOnMatchesWaitLoopsIsolated(t *testing.T) {
+// TestParkOnMatchesWaitLoopsInterleaved is the same claim with three groups
+// sharing the engine's instants and its one sequence counter.
+func TestParkOnMatchesWaitLoopsInterleaved(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		run := func(ref bool) ([][]traceRec, uint64, uint64) {
 			e := NewEngine()
 			defer e.Kill()
-			doms := []*Domain{e.Domain(0), e.NewDomain(), e.NewDomain()}
-			e.SetLookahead(4)
-			e.SetIsolated(true)
-			tr := parkOnScenario(seed, ref, doms)
+			tr := parkOnScenario(seed, ref, e, 3)
 			e.Run()
 			return tr, e.Executed(), e.Resumes()
 		}
 		loops, lExec, lRes := run(true)
 		parked, pExec, pRes := run(false)
 		for d := range loops {
-			diffTraces(t, fmt.Sprintf("seed %d domain %d", seed, d), loops[d], parked[d])
+			diffTraces(t, fmt.Sprintf("seed %d group %d", seed, d), loops[d], parked[d])
 		}
 		if lExec != pExec || pRes >= lRes {
 			t.Fatalf("seed %d: %d events, %d resumes with loops; %d, %d with ParkOn", seed, lExec, lRes, pExec, pRes)
@@ -386,30 +384,6 @@ func TestReadyPanicCarriesProcName(t *testing.T) {
 		if e.LiveProcs() != 0 {
 			t.Fatalf("owing=%v: %d procs live after Kill", owing, e.LiveProcs())
 		}
-	}
-}
-
-// TestReadyPanicUnderIsolatedRounds: the same fault in a round surfaces at
-// the barrier with its domain, like a body's.
-func TestReadyPanicUnderIsolatedRounds(t *testing.T) {
-	e, doms := buildIsolated(2, 10)
-	w := &stageWaiter{misses: 1, wake: func(p *Proc) { panic("boom") }}
-	doms[1].Spawn("d1", func(p *Proc) {
-		p.Charge(5)
-		p.ParkOn(w)
-	})
-	var got any
-	func() {
-		defer func() { got = recover() }()
-		e.Run()
-	}()
-	const want = `sim: domain 1: sim: proc "d1" panicked: boom`
-	if err, ok := got.(error); !ok || err.Error() != want {
-		t.Fatalf("Run panicked with %v, want %q", got, want)
-	}
-	e.Kill()
-	if e.LiveProcs() != 0 {
-		t.Fatalf("%d procs live after Kill", e.LiveProcs())
 	}
 }
 

@@ -19,16 +19,9 @@ func (e *Engine) Reset() {
 	e.now = 0
 	e.seq = 0
 	e.executed = 0
+	e.resumes = 0
 	e.limit = 0
 	e.killed = false
-	// Drop the partitioning: a recycled engine starts sequential again (the
-	// next experiment wires its own domains). Only the root's grown slabs
-	// survive, which is where the reuse win lives anyway.
-	e.doms = nil
-	e.lookahead, e.isolated = 0, false
-	e.root.rnow, e.root.rseq, e.root.busy, e.root.events, e.root.resumes = 0, 0, 0, 0, 0
-	e.root.inbox = nil
-	e.cur = &e.root
 }
 
 // Pool recycles Engines across simulation runs. Short simulations (one

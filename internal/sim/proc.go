@@ -20,15 +20,14 @@ import (
 // runtime.coroswitch): step calls next, which runs the proc body on its own
 // stack until it parks by calling yield, and control returns to the caller
 // of next without a trip through the Go scheduler. The switch is
-// synchronous in both directions — whoever drives the proc's domain is
-// blocked inside next while the body runs — so proc state needs no atomics,
+// synchronous in both directions — whoever drives the engine is blocked
+// inside next while the body runs — so proc state needs no atomics,
 // and Kill unwinds a parked proc by calling stop, which makes its pending
 // yield return false. This file is the only one that needs the iter package
 // (Go >= 1.23); the build constraint above lifts its language version while
 // go.mod stays at 1.22.
 type Proc struct {
 	eng  *Engine
-	dom  *Domain
 	name string
 	// lazyName, when set, formats the name from nameArg on first use
 	// (SpawnLazy).
@@ -72,31 +71,20 @@ type Waiter interface {
 
 // maxOwed is how many charges a proc can owe before Charge settles on its
 // own. Seven cover a capability syscall end to end (dispatch, lookup, link,
-// create, reply) with room to spare and fill a Proc up to the 160-byte
-// allocation size class exactly; a longer stretch — a revocation walk —
+// create, reply) with room to spare and keep a Proc within the 160-byte
+// allocation size class; a longer stretch — a revocation walk —
 // costs one park per seven charges instead of one each.
 const maxOwed = 7
 
 // killed is the panic value used to unwind a proc when its engine is killed.
 type killed struct{}
 
-// Spawn creates a proc running fn on the currently executing domain (the
-// root domain when only one exists), starting at the current virtual time
+// Spawn creates a proc running fn, starting at the current virtual time
 // (after already-queued events at this timestamp). The name is used in
 // diagnostics only. Spawning on a killed engine returns an already-dead proc
-// whose body never runs. During isolated rounds use Domain.Spawn.
+// whose body never runs.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	if e.cur == nil {
-		panic("sim: Engine.Spawn during isolated rounds (use Domain.Spawn)")
-	}
-	return e.cur.Spawn(name, fn)
-}
-
-// Spawn creates a proc running fn on this domain: its handoff events ride
-// the domain's lane, and Sleep/Wake/Yield route back to it. During isolated
-// rounds it must only be called from the domain's own events and procs.
-func (dm *Domain) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := dm.spawn(fn)
+	p := e.spawn(fn)
 	p.name = name
 	return p
 }
@@ -106,22 +94,21 @@ func (dm *Domain) Spawn(name string, fn func(p *Proc)) *Proc {
 // only when the proc panics. Formatter and argument are separate so that a
 // site spawning many procs binds one formatter and passes each proc's index
 // instead of building a closure per proc.
-func (dm *Domain) SpawnLazy(name func(arg int) string, arg int, fn func(p *Proc)) *Proc {
-	p := dm.spawn(fn)
+func (e *Engine) SpawnLazy(name func(arg int) string, arg int, fn func(p *Proc)) *Proc {
+	p := e.spawn(fn)
 	p.lazyName, p.nameArg = name, arg
 	return p
 }
 
-func (dm *Domain) spawn(fn func(p *Proc)) *Proc {
-	e := dm.eng
-	p := &Proc{eng: e, dom: dm}
+func (e *Engine) spawn(fn func(p *Proc)) *Proc {
+	p := &Proc{eng: e}
 	p.stepFn = p.step
 	if e.killed {
 		p.dead = true
 		return p
 	}
-	dm.procs = append(dm.procs, p)
-	e.procs.Add(1)
+	e.procs = append(e.procs, p)
+	e.live.Add(1)
 	// The coroutine is created suspended: the body first runs when the
 	// handoff scheduled below calls next. If the engine is killed before
 	// that, stop ends it without fn ever running.
@@ -129,7 +116,7 @@ func (dm *Domain) spawn(fn func(p *Proc)) *Proc {
 		p.yield = yield
 		p.run(fn)
 	})
-	dm.Schedule(0, p.stepFn)
+	e.Schedule(0, p.stepFn)
 	return p
 }
 
@@ -143,7 +130,7 @@ func (p *Proc) run(fn func(p *Proc)) {
 				// side instead of letting it cross the coroutine boundary
 				// bare, so it carries the proc name, and so a body that
 				// panics while Kill unwinds it cannot make Kill panic.
-				p.dom.fault = fmt.Errorf("sim: proc %q panicked: %v", p.Name(), r)
+				p.eng.fault = fmt.Errorf("sim: proc %q panicked: %v", p.Name(), r)
 			}
 		}
 	}()
@@ -165,10 +152,10 @@ func (p *Proc) step() {
 		// stays parked.
 		d := p.owed[p.replayed]
 		p.replayed++
-		p.dom.Schedule(d, p.stepFn)
+		p.eng.Schedule(d, p.stepFn)
 		return
 	}
-	// Everything owed has elapsed: the proc's clock is the domain's.
+	// Everything owed has elapsed: the proc's clock is the engine's.
 	p.nOwed, p.replayed = 0, 0
 	if w := p.wait; w != nil {
 		// Parked on a Waiter: ask it here, where the body would have looked
@@ -179,7 +166,7 @@ func (p *Proc) step() {
 		}
 		p.wait = nil
 	}
-	p.dom.resumes++
+	p.eng.resumes++
 	p.eng.running = p
 	_, parked := p.next()
 	p.eng.running = nil
@@ -187,8 +174,8 @@ func (p *Proc) step() {
 		return
 	}
 	p.exit()
-	if f := p.dom.fault; f != nil {
-		p.dom.fault = nil
+	if f := p.eng.fault; f != nil {
+		p.eng.fault = nil
 		panic(f)
 	}
 }
@@ -207,11 +194,11 @@ func (p *Proc) poll(w Waiter) bool {
 }
 
 // exit does the engine-side accounting for a proc whose body is over, and
-// drops the coroutine: the domain's registry keeps the Proc until Kill, and
+// drops the coroutine: the engine's registry keeps the Proc until Kill, and
 // the closures would keep fn and everything it captured alive with it.
 func (p *Proc) exit() {
 	p.dead = true
-	p.eng.procs.Add(-1)
+	p.eng.live.Add(-1)
 	p.next, p.stop, p.yield, p.wait = nil, nil, nil, nil
 }
 
@@ -248,14 +235,11 @@ func (p *Proc) Name() string {
 // Engine returns the engine this proc runs on.
 func (p *Proc) Engine() *Engine { return p.eng }
 
-// Domain returns the domain this proc runs on.
-func (p *Proc) Domain() *Domain { return p.dom }
-
-// Now returns the proc's current virtual time: its domain clock (so it is
-// correct during isolated rounds too) plus whatever the proc owes — the time
-// it would read had every Charge been a Sleep.
+// Now returns the proc's current virtual time: the engine's clock plus
+// whatever the proc owes — the time it would read had every Charge been a
+// Sleep.
 func (p *Proc) Now() Time {
-	t := p.dom.Now()
+	t := p.eng.now
 	for _, d := range p.owed[:p.nOwed] {
 		t += d
 	}
@@ -270,7 +254,7 @@ func (p *Proc) Sleep(d Duration) {
 		p.Settle()
 		return
 	}
-	p.dom.Schedule(d, p.stepFn)
+	p.eng.Schedule(d, p.stepFn)
 	p.suspend()
 }
 
@@ -316,7 +300,7 @@ func (p *Proc) Settle() {
 // clears the debt and — unless the proc waits for more (ParkOn) — resumes it.
 func (p *Proc) replay() {
 	p.replayed = 1
-	p.dom.Schedule(p.owed[0], p.stepFn)
+	p.eng.Schedule(p.owed[0], p.stepFn)
 	p.suspend()
 }
 
@@ -353,17 +337,15 @@ func (p *Proc) Park() {
 	p.park()
 }
 
-// Wake schedules the proc to resume at the current virtual time, on the
-// proc's own domain lane. It must be called from the engine side or from
-// another proc; waking an unparked or dead proc is a bug and will
-// desynchronize the handoff protocol, so callers must track parked state
-// (Future and Semaphore do this for you). During isolated rounds only the
-// proc's own domain may wake it.
+// Wake schedules the proc to resume at the current virtual time. It must be
+// called from the engine side or from another proc; waking an unparked or
+// dead proc is a bug and will desynchronize the handoff protocol, so callers
+// must track parked state (Future and Semaphore do this for you).
 func (p *Proc) Wake() {
-	p.dom.Schedule(0, p.stepFn)
+	p.eng.Schedule(0, p.stepFn)
 }
 
 // WakeAfter schedules the proc to resume after d cycles.
 func (p *Proc) WakeAfter(d Duration) {
-	p.dom.Schedule(d, p.stepFn)
+	p.eng.Schedule(d, p.stepFn)
 }

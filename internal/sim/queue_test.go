@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -112,55 +113,47 @@ func TestQueueMatchesReferenceHeap(t *testing.T) {
 	}
 }
 
-// partEngine drives the same schedule through a partitioned engine: every
-// Schedule call is routed round-robin onto one of D domains. Outside
-// isolated rounds Domain.Schedule keeps the engine-global (time, seq)
-// stamping, so the merged run loop must execute the exact reference order no
-// matter how the events were scattered over lanes.
-type partEngine struct {
-	eng  *Engine
-	doms []*Domain
-	next int
+// drivenEngine runs the production engine through one of its other drivers
+// instead of Run, so driveQueue's schedule goes through that entry point.
+type drivenEngine struct {
+	*Engine
+	drive func(e *Engine)
 }
 
-func newPartEngine(domains int) *partEngine {
-	e := NewEngine()
-	doms := make([]*Domain, domains)
-	for i := 1; i < domains; i++ {
-		doms[i] = e.NewDomain()
+func (de drivenEngine) Run() { de.drive(de.Engine) }
+
+// TestRunDriversMatchReference: Run, RunUntil, Step and RunCtx are loops
+// around one pop path, so whichever of them drives the engine — RunUntil in
+// slices of a few cycles, so that heap events, lane events and the bound keep
+// meeting on one instant — the (id, time) stream is the reference heap's.
+func TestRunDriversMatchReference(t *testing.T) {
+	drivers := map[string]func(e *Engine){
+		"Step": func(e *Engine) {
+			for e.Step() {
+			}
+		},
+		"RunUntil": func(e *Engine) {
+			for e.Pending() > 0 {
+				e.RunUntil(e.Now() + 2)
+			}
+		},
+		"RunCtx": func(e *Engine) {
+			if err := e.RunCtx(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		},
 	}
-	doms[0] = e.Domain(0)
-	return &partEngine{eng: e, doms: doms}
-}
-
-func (pe *partEngine) Schedule(d Duration, fn func()) {
-	dm := pe.doms[pe.next%len(pe.doms)]
-	pe.next++
-	dm.Schedule(d, fn)
-}
-
-func (pe *partEngine) Now() Time { return pe.eng.Now() }
-func (pe *partEngine) Run()      { pe.eng.Run() }
-
-// TestPartitionedQueueMatchesReference: the PR 2 property test generalized to
-// the partitioned engine — for many seeds and domain counts, the merged
-// multi-domain run loop executes the identical (id, time) stream as the
-// reference single heap, even though consecutive events (including
-// same-instant lane entries and parent/child edges) land on different
-// domains.
-func TestPartitionedQueueMatchesReference(t *testing.T) {
-	for _, domains := range []int{1, 2, 4} {
+	for name, drive := range drivers {
 		for seed := int64(1); seed <= 25; seed++ {
-			got := driveQueue(newPartEngine(domains), seed)
+			got := driveQueue(drivenEngine{NewEngine(), drive}, seed)
 			want := driveQueue(&refEngine{}, seed)
 			if len(got) != len(want) {
-				t.Fatalf("domains %d seed %d: trace lengths differ: %d vs %d",
-					domains, seed, len(got), len(want))
+				t.Fatalf("%s seed %d: trace lengths differ: %d vs %d", name, seed, len(got), len(want))
 			}
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("domains %d seed %d: traces diverge at %d: partitioned %v, reference %v",
-						domains, seed, i, got[i], want[i])
+					t.Fatalf("%s seed %d: traces diverge at %d: engine %v, reference %v",
+						name, seed, i, got[i], want[i])
 				}
 			}
 		}

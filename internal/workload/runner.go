@@ -27,9 +27,6 @@ type Config struct {
 	// kills the engine on return), so it must not be shared across Runs
 	// without a Reset in between.
 	Engine *sim.Engine
-	// SimMode selects merged (default, byte-identical) or rounds execution;
-	// see core.Config.SimMode.
-	SimMode string
 }
 
 // Result aggregates one experiment run.
@@ -170,7 +167,6 @@ func Run(cfg Config) (*Result, error) {
 		MemPEs:   1 + cfg.Services/8,
 		MemBytes: 1 << 40, // accounting only; backing is lazily allocated
 		Engine:   cfg.Engine,
-		SimMode:  cfg.SimMode,
 	})
 	if err != nil {
 		return nil, err
@@ -193,7 +189,6 @@ func Run(cfg Config) (*Result, error) {
 	// Services: spawn each with the preloads of its assigned instances.
 	ready := make([]*sim.Future[*m3fs.FS], cfg.Services)
 	var allReady sim.WaitGroup
-	allReady.Bind(sys.Eng) // home the waitgroup for cross-domain waiters
 	allReady.Add(cfg.Services)
 	for j := 0; j < cfg.Services; j++ {
 		j := j
