@@ -7,6 +7,7 @@ import (
 	"repro/internal/cap"
 	"repro/internal/core"
 	"repro/internal/dtu"
+	"repro/internal/fault"
 	"repro/internal/sim"
 )
 
@@ -32,79 +33,6 @@ type AblationResult struct {
 	Rows         []AblationRow
 }
 
-// ablationTreeRevoke builds a root with n children over 1+extra kernels and
-// measures revoking it, returning the duration and total inter-kernel
-// messages.
-func ablationTreeRevoke(eng *sim.Engine, n, extra int, batching bool) (sim.Duration, uint64, error) {
-	kernels := extra + 1
-	perGroup := n + 1
-	if extra > 0 {
-		perGroup = (n+extra-1)/extra + 1
-	}
-	sys := core.MustNew(core.Config{
-		Kernels:     kernels,
-		UserPEs:     kernels * perGroup,
-		IKCBatching: core.IKCBatching{Revoke: batching},
-		Engine:      eng,
-	})
-	defer sys.Close()
-	byGroup := make(map[int][]int)
-	for _, pe := range sys.UserPEs() {
-		g := sys.KernelOfPE(pe).ID()
-		byGroup[g] = append(byGroup[g], pe)
-	}
-	rootPE := byGroup[0][0]
-	byGroup[0] = byGroup[0][1:]
-
-	ready := sim.NewFuture[cap.Selector](sys.Eng)
-	var wg sim.WaitGroup
-	wg.Add(n)
-	var revTime sim.Duration
-	var msgsBefore uint64
-	root, err := sys.SpawnOn(rootPE, "root", func(v *core.VPE, p *sim.Proc) {
-		sel, err := v.AllocMem(p, 4096, dtu.PermRW)
-		if err != nil {
-			panic(err)
-		}
-		ready.Complete(sel)
-		wg.Wait(p)
-		for ki := 0; ki < sys.Kernels(); ki++ {
-			msgsBefore += sys.Kernel(ki).Stats().IKCSent
-		}
-		t0 := p.Now()
-		if err := v.Revoke(p, sel); err != nil {
-			panic(err)
-		}
-		revTime = p.Now() - t0
-	})
-	if err != nil {
-		panic(err)
-	}
-	for i := 0; i < n; i++ {
-		g := 0
-		if extra > 0 {
-			g = 1 + i%extra
-		}
-		pe := byGroup[g][0]
-		byGroup[g] = byGroup[g][1:]
-		if _, err := sys.SpawnOn(pe, fmt.Sprintf("kid%d", i), func(v *core.VPE, p *sim.Proc) {
-			sel := ready.Wait(p)
-			if _, err := v.ObtainFrom(p, root.ID, sel); err != nil {
-				panic(err)
-			}
-			wg.Done()
-		}); err != nil {
-			panic(err)
-		}
-	}
-	sys.Run()
-	var msgsAfter uint64
-	for ki := 0; ki < sys.Kernels(); ki++ {
-		msgsAfter += sys.Kernel(ki).Stats().IKCSent
-	}
-	return revTime, msgsAfter - msgsBefore, quiescent(sys)
-}
-
 // kindAblationRevoke runs one tree-revocation cell of the batching
 // ablation; Config encodes it (Kernels = 1+extra, Instances = children),
 // Variant picks plain or batched.
@@ -121,7 +49,7 @@ func init() { registerKind(kindAblationRevoke, runAblationRevokeSpec) }
 
 func runAblationRevokeSpec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 	n, extra := spec.Config.Instances, spec.Config.Kernels-1
-	c, m, err := ablationTreeRevoke(eng, n, extra, spec.Variant == "batched")
+	c, m, err := treeRevoke(eng, n, extra, spec.Variant == "batched")
 	return Metrics{Cycles: uint64(c)}, ablationAux{Msgs: m}, err
 }
 
@@ -210,18 +138,15 @@ type AblationIKCResult struct {
 // ikcMetrics is the report row of one fan-out run: its makespan and the
 // inter-kernel wire messages of the whole run, summed by direction.
 func ikcMetrics(sys *core.System, makespan sim.Duration) Metrics {
-	m := Metrics{Cycles: uint64(makespan)}
-	for ki := 0; ki < sys.Kernels(); ki++ {
-		st := sys.Kernel(ki).Stats()
-		m.ReqMsgs += st.IKCSent
-		m.RepMsgs += st.IKCRepSent
-	}
-	return m
+	st := sys.TotalStats()
+	return Metrics{Cycles: uint64(makespan), ReqMsgs: st.IKCSent, RepMsgs: st.IKCRepSent}
 }
 
-// ablationIKCSystem builds the fan-out machine: the owner/service group
-// plus `extra` client groups, n clients spread round-robin over them.
-func ablationIKCSystem(eng *sim.Engine, n, extra int, pol core.IKCBatching) (*core.System, []int) {
+// fanoutSystem builds the fan-out machine of the transport ablation, the
+// fault sweep and the churn storm: the owner/service group plus `extra`
+// client groups, n clients spread round-robin over them. pes[0] hosts the
+// owner or service, pes[1:] the clients.
+func fanoutSystem(eng *sim.Engine, n, extra int, pol core.IKCBatching, plan *fault.Plan) (*core.System, []int) {
 	kernels := extra + 1
 	perGroup := n + 2
 	if extra > 0 {
@@ -231,6 +156,7 @@ func ablationIKCSystem(eng *sim.Engine, n, extra int, pol core.IKCBatching) (*co
 		Kernels:     kernels,
 		UserPEs:     kernels * perGroup,
 		IKCBatching: pol,
+		Faults:      plan,
 		Engine:      eng,
 	})
 	byGroup := make(map[int][]int)
@@ -249,20 +175,25 @@ func ablationIKCSystem(eng *sim.Engine, n, extra int, pol core.IKCBatching) (*co
 	return sys, append([]int{byGroup[0][0]}, clientPEs...)
 }
 
-// ablationExchange measures n spanning obtains of one root capability: the
-// fan-out makespan (Cycles) and the inter-kernel wire messages by direction.
-func ablationExchange(eng *sim.Engine, n, extra int, batched bool) (Metrics, error) {
-	sys, pes := ablationIKCSystem(eng, n, extra, core.IKCBatching{Exchange: batched})
-	defer sys.Close()
+// fanoutDriver runs one fan-out on a fanoutSystem machine until it drains and
+// reports the makespan and how many clients' operations failed. A failed
+// operation is data: under a fault plan it is the degradation being
+// measured (faults.go), on the lossless fabric the caller turns it into the
+// task's error.
+type fanoutDriver func(sys *core.System, pes []int) (makespan sim.Duration, failed int)
+
+// fanoutExchange is n spanning obtains of one root capability.
+func fanoutExchange(sys *core.System, pes []int) (sim.Duration, int) {
+	n := len(pes) - 1
 	ready := sim.NewFuture[cap.Selector](sys.Eng)
-	var t0 sim.Time
-	var end sim.Time
+	var t0, end sim.Time
+	var failed int
 	var wg sim.WaitGroup
 	wg.Add(n)
 	root, err := sys.SpawnOn(pes[0], "root", func(v *core.VPE, p *sim.Proc) {
 		sel, err := v.AllocMem(p, 4096, dtu.PermRW)
 		if err != nil {
-			panic(err)
+			panic(err) // local to the owner kernel; never faulted
 		}
 		t0 = p.Now()
 		ready.Complete(sel)
@@ -276,7 +207,7 @@ func ablationExchange(eng *sim.Engine, n, extra int, batched bool) (Metrics, err
 		if _, err := sys.SpawnOn(pes[1+i], fmt.Sprintf("c%d", i), func(v *core.VPE, p *sim.Proc) {
 			sel := ready.Wait(p)
 			if _, err := v.ObtainFrom(p, root.ID, sel); err != nil {
-				panic(err)
+				failed++
 			}
 			wg.Done()
 		}); err != nil {
@@ -284,19 +215,17 @@ func ablationExchange(eng *sim.Engine, n, extra int, batched bool) (Metrics, err
 		}
 	}
 	sys.Run()
-	return ikcMetrics(sys, end-t0), quiescent(sys)
+	return end - t0, failed
 }
 
-// ablationSvcQuery measures n clients each opening a session to one
-// service and performing one session-scoped obtain: the fan-out makespan
-// (Cycles) and the inter-kernel wire messages by direction.
-func ablationSvcQuery(eng *sim.Engine, n, extra int, batched bool) (Metrics, error) {
-	sys, pes := ablationIKCSystem(eng, n, extra, core.IKCBatching{ServiceQuery: batched})
-	defer sys.Close()
+// fanoutSvcQuery is n clients each opening a session to one service and
+// performing one session-scoped obtain; failure at either step fails the
+// client's operation. The makespan ends when the last client is done.
+func fanoutSvcQuery(sys *core.System, pes []int) (sim.Duration, int) {
+	n := len(pes) - 1
 	svcReady := sim.NewFuture[struct{}](sys.Eng)
-	var t0 sim.Time
-	// Per-client finish times; the makespan ends at the latest.
-	ends := make([]sim.Time, n)
+	var t0, end sim.Time
+	var failed int
 	var idents uint64
 	if _, err := sys.SpawnOn(pes[0], "svc", func(v *core.VPE, p *sim.Proc) {
 		sel, err := v.AllocMem(p, 4096, dtu.PermRW)
@@ -322,27 +251,22 @@ func ablationSvcQuery(eng *sim.Engine, n, extra int, batched bool) (Metrics, err
 		panic(err)
 	}
 	for i := 0; i < n; i++ {
-		i := i
 		if _, err := sys.SpawnOn(pes[1+i], fmt.Sprintf("c%d", i), func(v *core.VPE, p *sim.Proc) {
 			svcReady.Wait(p)
 			sess, err := v.CreateSession(p, "fan", nil)
+			if err == nil {
+				_, _, err = sess.Obtain(p, nil)
+			}
 			if err != nil {
-				panic(err)
+				failed++
 			}
-			if _, _, err := sess.Obtain(p, nil); err != nil {
-				panic(err)
-			}
-			ends[i] = p.Now()
+			end = max(end, p.Now())
 		}); err != nil {
 			panic(err)
 		}
 	}
 	sys.Run()
-	var end sim.Time
-	for _, e := range ends {
-		end = max(end, e)
-	}
-	return ikcMetrics(sys, end-t0), quiescent(sys)
+	return end - t0, failed
 }
 
 // kindIKCExchange and kindIKCSvcQuery run one fan-out cell of the
@@ -355,15 +279,26 @@ const (
 )
 
 func init() {
-	registerKind(kindIKCExchange, ikcKind(ablationExchange))
-	registerKind(kindIKCSvcQuery, ikcKind(ablationSvcQuery))
+	registerKind(kindIKCExchange, ikcKind(core.IKCBatching{Exchange: true}, fanoutExchange))
+	registerKind(kindIKCSvcQuery, ikcKind(core.IKCBatching{ServiceQuery: true}, fanoutSvcQuery))
 }
 
-func ikcKind(run func(eng *sim.Engine, n, extra int, batched bool) (Metrics, error)) kindFunc {
+// ikcKind is one cell of the transport ablation: drive's fan-out on the
+// lossless fabric, under the batched policy or none. Nothing may fail there.
+func ikcKind(batched core.IKCBatching, drive fanoutDriver) kindFunc {
 	return func(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 		n, extra := spec.Config.Instances, spec.Config.Kernels-1
-		m, err := run(eng, n, extra, spec.Variant == "batched")
-		return m, nil, err
+		var pol core.IKCBatching
+		if spec.Variant == "batched" {
+			pol = batched
+		}
+		sys, pes := fanoutSystem(eng, n, extra, pol, nil)
+		defer sys.Close()
+		makespan, failed := drive(sys, pes)
+		if failed != 0 {
+			return Metrics{}, nil, fmt.Errorf("%d of %d operations failed on a lossless fabric", failed, n)
+		}
+		return ikcMetrics(sys, makespan), nil, quiescent(sys)
 	}
 }
 

@@ -58,45 +58,10 @@ type churnAux struct {
 	StaleIncarnation uint64
 	InjDropped       uint64
 	InjBlackholed    uint64
-	// LeakedEntries counts capability/DDL state owned by a dead incarnation
-	// after the storm drained (core.System.CheckLeaks). The crashed kernel
-	// recovered, so nothing is excused: any nonzero value is a protocol bug.
-	LeakedEntries int
-	CapsCreated   uint64
+	CapsCreated      uint64
 }
 
 func (a churnAux) capsMinted() uint64 { return a.CapsCreated }
-
-// churnSystem builds the storm machine: clients spread over the non-root
-// kernels exactly like the fault sweep's fan-out.
-func churnSystem(eng *sim.Engine, n, extra int, plan *fault.Plan) (*core.System, []int) {
-	kernels := extra + 1
-	perGroup := n + 2
-	if extra > 0 {
-		perGroup = (n+extra-1)/extra + 2
-	}
-	sys := core.MustNew(core.Config{
-		Kernels:     kernels,
-		UserPEs:     kernels * perGroup,
-		IKCBatching: core.IKCBatching{Exchange: true, ServiceQuery: true},
-		Faults:      plan,
-		Engine:      eng,
-	})
-	byGroup := make(map[int][]int)
-	for _, pe := range sys.UserPEs() {
-		g := sys.KernelOfPE(pe).ID()
-		byGroup[g] = append(byGroup[g], pe)
-	}
-	clientPEs := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		g := 0
-		if extra > 0 {
-			g = 1 + i%extra
-		}
-		clientPEs = append(clientPEs, byGroup[g][1+i/max(extra, 1)])
-	}
-	return sys, append([]int{byGroup[0][0]}, clientPEs...)
-}
 
 // sleepUntil parks the proc until the given absolute simulation time (a
 // no-op when that time has already passed — sim.Time is unsigned, so the
@@ -112,7 +77,8 @@ func sleepUntil(p *sim.Proc, t sim.Time) {
 // Failed operations are data, not errors — the degradation under the crash
 // is exactly what the scenario measures.
 func churnStorm(eng *sim.Engine, n, extra int, plan *fault.Plan) (*core.System, sim.Duration, churnAux) {
-	sys, pes := churnSystem(eng, n, extra, plan)
+	// The fault sweep's machine: clients spread over the non-root kernels.
+	sys, pes := fanoutSystem(eng, n, extra, core.IKCBatching{Exchange: true, ServiceQuery: true}, plan)
 	ready := sim.NewFuture[[]cap.Selector](sys.Eng)
 	var t0, end sim.Time
 	var okRevokes, okObtains int
@@ -200,7 +166,9 @@ func runChurnSpec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 	// Post-storm audit: the crashed kernel recovered, so no kernel is
 	// excused — every capability, child link and DDL entry must have a live,
 	// consistent owner.
-	leaks := sys.CheckLeaks()
+	if err := leakFree(sys); err != nil {
+		return Metrics{}, nil, err
+	}
 	aux.Retransmits = st.Retransmits
 	aux.DupSuppressed = st.DupSuppressed
 	aux.FailFast = st.FailFast
@@ -210,7 +178,6 @@ func runChurnSpec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 	aux.StaleIncarnation = st.StaleIncarnation
 	aux.InjDropped = fs.Dropped
 	aux.InjBlackholed = fs.Blackholed
-	aux.LeakedEntries = len(leaks)
 	aux.CapsCreated = st.CapsCreated
 	attempted := aux.ObtainsAttempted + aux.RevokesAttempted
 	ok := aux.ObtainsOK + aux.RevokesOK
@@ -318,9 +285,9 @@ func Churn(o Options, maxClients, extra, crashKernel int) (ChurnResult, error) {
 func (r ChurnResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "Churn: open-loop revocation storm over 1+%d kernels, crash kernel %d, seed %d\n",
 		r.ExtraKernels, r.CrashKernel, r.Seed)
-	fmt.Fprintln(w, "scenario  drop     makespan(µs)  obtains  revokes  completed  retries  lost  dead  rejoins  rejoin(µs)  stale  leaks")
+	fmt.Fprintln(w, "scenario  drop     makespan(µs)  obtains  revokes  completed  retries  lost  dead  rejoins  rejoin(µs)  stale")
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-8s  %5.2f%%  %12.2f  %3d/%3d  %4d/%2d  %8.1f%%  %7d  %4d  %4d  %7d  %10.2f  %5d  %5d\n",
+		fmt.Fprintf(w, "%-8s  %5.2f%%  %12.2f  %3d/%3d  %4d/%2d  %8.1f%%  %7d  %4d  %4d  %7d  %10.2f  %5d\n",
 			row.Scenario,
 			float64(row.DropBp)/100,
 			float64(row.Makespan)/core.CyclesPerMicrosecond,
@@ -330,7 +297,6 @@ func (r ChurnResult) Print(w io.Writer) {
 			row.Retries, row.LostMsgs, row.Aux.DeadPeers,
 			row.Aux.Rejoins,
 			float64(row.Aux.MeanRejoinCycles)/core.CyclesPerMicrosecond,
-			row.Aux.StaleIncarnation,
-			row.Aux.LeakedEntries)
+			row.Aux.StaleIncarnation)
 	}
 }

@@ -11,7 +11,8 @@ import (
 // TestChurnStorm drives the churn scenario at test scale and checks its
 // headline contract: the storm drains (no hangs), the crashed kernel
 // rejoins exactly once, operations degrade but complete partially, and no
-// capability or DDL state is left owned by the dead incarnation.
+// capability or DDL state is left owned by the dead incarnation (a leak is
+// the task's error, which Churn panics with).
 func TestChurnStorm(t *testing.T) {
 	r, err := Churn(Options{FaultSeed: 1}, 64, 8, -1)
 	if err != nil {
@@ -24,9 +25,6 @@ func TestChurnStorm(t *testing.T) {
 		t.Fatalf("auto crash kernel = %d, want the last kernel (8)", r.CrashKernel)
 	}
 	for _, row := range r.Rows {
-		if row.Aux.LeakedEntries != 0 {
-			t.Errorf("%s at %dbp leaked %d entries", row.Scenario, row.DropBp, row.Aux.LeakedEntries)
-		}
 		if row.Completed <= 0 || row.Completed > 1 {
 			t.Errorf("%s at %dbp: completed %.3f outside (0, 1]", row.Scenario, row.DropBp, row.Completed)
 		}

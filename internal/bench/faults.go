@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/cap"
 	"repro/internal/core"
-	"repro/internal/dtu"
 	"repro/internal/fault"
 	"repro/internal/sim"
 )
@@ -77,137 +75,9 @@ type faultsAux struct {
 	Rejoins          uint64
 	MeanRejoinCycles uint64
 	StaleIncarnation uint64
-	// LeakedEntries counts capability/DDL state left owned by a dead
-	// incarnation after the run (core.System.CheckLeaks); permanently
-	// crashed kernels are excused. Any nonzero value is a protocol bug.
-	LeakedEntries int
 }
 
 func (a faultsAux) capsMinted() uint64 { return a.CapsCreated }
-
-// faultsSystem builds the fan-out machine of the transport ablation with a
-// fault plan attached (both IKC batching families on, so envelopes and
-// their retransmission path are exercised).
-func faultsSystem(eng *sim.Engine, n, extra int, plan *fault.Plan) (*core.System, []int) {
-	kernels := extra + 1
-	perGroup := n + 2
-	if extra > 0 {
-		perGroup = (n+extra-1)/extra + 2
-	}
-	sys := core.MustNew(core.Config{
-		Kernels:     kernels,
-		UserPEs:     kernels * perGroup,
-		IKCBatching: core.IKCBatching{Exchange: true, ServiceQuery: true},
-		Faults:      plan,
-		Engine:      eng,
-	})
-	byGroup := make(map[int][]int)
-	for _, pe := range sys.UserPEs() {
-		g := sys.KernelOfPE(pe).ID()
-		byGroup[g] = append(byGroup[g], pe)
-	}
-	clientPEs := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		g := 0
-		if extra > 0 {
-			g = 1 + i%extra
-		}
-		clientPEs = append(clientPEs, byGroup[g][1+i/max(extra, 1)])
-	}
-	return sys, append([]int{byGroup[0][0]}, clientPEs...)
-}
-
-// faultsExchange is the error-tolerant spanning-obtain fan-out: n clients
-// obtain one root capability across a faulty fabric. Unlike the ablation's
-// panic-on-error clients, a failed obtain (e.g. ErrPeerDead after the
-// owner kernel is declared dead) counts as a failed operation — the run
-// completes either way, which is exactly the degradation contract under
-// test.
-func faultsExchange(eng *sim.Engine, n, extra int, plan *fault.Plan) (*core.System, sim.Duration, int, int) {
-	sys, pes := faultsSystem(eng, n, extra, plan)
-	ready := sim.NewFuture[cap.Selector](sys.Eng)
-	var t0, end sim.Time
-	var okOps int
-	var wg sim.WaitGroup
-	wg.Add(n)
-	root, err := sys.SpawnOn(pes[0], "root", func(v *core.VPE, p *sim.Proc) {
-		sel, err := v.AllocMem(p, 4096, dtu.PermRW)
-		if err != nil {
-			panic(err) // local to the owner kernel; never faulted
-		}
-		t0 = p.Now()
-		ready.Complete(sel)
-		wg.Wait(p)
-		end = p.Now()
-	})
-	if err != nil {
-		panic(err)
-	}
-	for i := 0; i < n; i++ {
-		if _, err := sys.SpawnOn(pes[1+i], fmt.Sprintf("c%d", i), func(v *core.VPE, p *sim.Proc) {
-			sel := ready.Wait(p)
-			if _, err := v.ObtainFrom(p, root.ID, sel); err == nil {
-				okOps++
-			}
-			wg.Done()
-		}); err != nil {
-			panic(err)
-		}
-	}
-	sys.Run()
-	return sys, end - t0, n, okOps
-}
-
-// faultsSvcQuery is the error-tolerant service fan-out: n clients open a
-// session to one service and perform one session-scoped obtain. Failure at
-// either step counts the whole operation failed.
-func faultsSvcQuery(eng *sim.Engine, n, extra int, plan *fault.Plan) (*core.System, sim.Duration, int, int) {
-	sys, pes := faultsSystem(eng, n, extra, plan)
-	svcReady := sim.NewFuture[struct{}](sys.Eng)
-	var t0, end sim.Time
-	var okOps int
-	var idents uint64
-	if _, err := sys.SpawnOn(pes[0], "svc", func(v *core.VPE, p *sim.Proc) {
-		sel, err := v.AllocMem(p, 4096, dtu.PermRW)
-		if err != nil {
-			panic(err)
-		}
-		err = v.RegisterService(p, "fan", core.ServiceHandlers{
-			Open: func(p *sim.Proc, clientVPE int, args any) core.SvcResult {
-				idents++
-				return core.SvcResult{Ident: idents}
-			},
-			Obtain: func(p *sim.Proc, ident uint64, args any) core.SvcResult {
-				return core.SvcResult{SrcSel: sel}
-			},
-		})
-		if err != nil {
-			panic(err)
-		}
-		t0 = p.Now()
-		svcReady.Complete(struct{}{})
-		v.ServeLoop(p)
-	}); err != nil {
-		panic(err)
-	}
-	for i := 0; i < n; i++ {
-		if _, err := sys.SpawnOn(pes[1+i], fmt.Sprintf("c%d", i), func(v *core.VPE, p *sim.Proc) {
-			svcReady.Wait(p)
-			if sess, err := v.CreateSession(p, "fan", nil); err == nil {
-				if _, _, err := sess.Obtain(p, nil); err == nil {
-					okOps++
-				}
-			}
-			if end < p.Now() {
-				end = p.Now()
-			}
-		}); err != nil {
-			panic(err)
-		}
-	}
-	sys.Run()
-	return sys, end - t0, n, okOps
-}
 
 // kindFaults runs one cell of the fault sweep. Config encodes the machine
 // (Kernels = 1+extra, Instances = clients), Variant the workload
@@ -224,19 +94,19 @@ func runFaultsSpec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 		seed = 1
 	}
 	plan := faultsPlan(seed, spec.Arg)
-	var sys *core.System
-	var mk sim.Duration
-	var attempted, ok int
+	drive := fanoutExchange
+	// A permanent crash leaves state only the dead kernel could clean up;
+	// every other scenario — recovery included — must leak nothing.
+	var deadKernels []int
 	switch spec.Variant {
 	case "exchange":
-		sys, mk, attempted, ok = faultsExchange(eng, n, extra, plan)
 	case "crash":
 		// The crash scenario: the last client kernel dies mid-fan-out. Its
 		// clients' pending operations must resolve to errors (the victims
 		// declare the owner dead from their side too — its replies vanish),
 		// while everyone else completes.
 		plan.Kernels = append(plan.Kernels, fault.KernelFault{Kernel: extra, CrashAt: faultsCrashAt})
-		sys, mk, attempted, ok = faultsExchange(eng, n, extra, plan)
+		deadKernels = append(deadKernels, extra)
 	case "crashrecover":
 		// The crash+recover scenario: the same kernel crashes but rejoins
 		// mid-storm as a new incarnation. Operations in flight across the
@@ -246,13 +116,22 @@ func runFaultsSpec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 		plan.Kernels = append(plan.Kernels, fault.KernelFault{
 			Kernel: extra, CrashAt: faultsCrashAt, RecoverAt: faultsRecoverAt,
 		})
-		sys, mk, attempted, ok = faultsExchange(eng, n, extra, plan)
 	case "svcquery":
-		sys, mk, attempted, ok = faultsSvcQuery(eng, n, extra, plan)
+		drive = fanoutSvcQuery
 	default:
 		return Metrics{}, nil, fmt.Errorf("faults: unknown variant %q", spec.Variant)
 	}
+	// Both IKC batching families on, so envelopes and their retransmission
+	// path are exercised. A failed operation (e.g. ErrPeerDead after the owner
+	// kernel is declared dead) is data — the run completes either way, which
+	// is exactly the degradation contract under test.
+	sys, pes := fanoutSystem(eng, n, extra, core.IKCBatching{Exchange: true, ServiceQuery: true}, plan)
 	defer sys.Close()
+	mk, failed := drive(sys, pes)
+	attempted, ok := n, n-failed
+	if err := leakFree(sys, deadKernels...); err != nil {
+		return Metrics{}, nil, err
+	}
 	st := sys.TotalStats()
 	fs := sys.FaultStats()
 	lost := sys.Net.Stats().Lost
@@ -264,13 +143,6 @@ func runFaultsSpec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 	if st.Rejoins > 0 {
 		meanRejoin = uint64(st.RejoinCycles) / st.Rejoins
 	}
-	// The permanent crash leaves state only the dead kernel could clean up;
-	// every other scenario — recovery included — must leak nothing.
-	var deadKernels []int
-	if spec.Variant == "crash" {
-		deadKernels = append(deadKernels, extra)
-	}
-	leaks := sys.CheckLeaks(deadKernels...)
 	m := Metrics{
 		Cycles:    uint64(mk),
 		LostMsgs:  lost,
@@ -297,7 +169,6 @@ func runFaultsSpec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 		Rejoins:            st.Rejoins,
 		MeanRejoinCycles:   meanRejoin,
 		StaleIncarnation:   st.StaleIncarnation,
-		LeakedEntries:      len(leaks),
 	}
 	return m, aux, nil
 }
@@ -399,9 +270,9 @@ func Faults(o Options, maxClients, extra int) FaultsResult {
 // Print writes the fault-sweep table.
 func (r FaultsResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "Fault injection: fan-out over 1+%d kernels, seed %d\n", r.ExtraKernels, r.Seed)
-	fmt.Fprintln(w, "workload      drop     makespan(µs)  completed  retries  dupdrops  lost  dead  recovery(µs)  rejoins  rejoin(µs)  leaks")
+	fmt.Fprintln(w, "workload      drop     makespan(µs)  completed  retries  dupdrops  lost  dead  recovery(µs)  rejoins  rejoin(µs)")
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-12s  %5.2f%%  %12.2f  %8.1f%%  %7d  %8d  %4d  %4d  %12.2f  %7d  %10.2f  %5d\n",
+		fmt.Fprintf(w, "%-12s  %5.2f%%  %12.2f  %8.1f%%  %7d  %8d  %4d  %4d  %12.2f  %7d  %10.2f\n",
 			row.Workload,
 			float64(row.DropBp)/100,
 			float64(row.Makespan)/core.CyclesPerMicrosecond,
@@ -409,7 +280,6 @@ func (r FaultsResult) Print(w io.Writer) {
 			row.Retries, row.DupDrops, row.LostMsgs, row.Aux.DeadPeers,
 			float64(row.Aux.MeanRecoveryCycles)/core.CyclesPerMicrosecond,
 			row.Aux.Rejoins,
-			float64(row.Aux.MeanRejoinCycles)/core.CyclesPerMicrosecond,
-			row.Aux.LeakedEntries)
+			float64(row.Aux.MeanRejoinCycles)/core.CyclesPerMicrosecond)
 	}
 }

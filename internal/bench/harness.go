@@ -187,6 +187,18 @@ func quiescent(sys *core.System) error {
 	return fmt.Errorf("the machine ran dry with work outstanding:\n  %s", strings.Join(left, "\n  "))
 }
 
+// leakFree fails a task whose drained machine holds capability or DDL state
+// that outlived its owner (core.System.CheckLeaks; deadKernels crashed for
+// good and are excused) — like quiescent, a finding is the task's error, not
+// a column somebody has to read.
+func leakFree(sys *core.System, deadKernels ...int) error {
+	leaks := sys.CheckLeaks(deadKernels...)
+	if len(leaks) == 0 {
+		return nil
+	}
+	return fmt.Errorf("the machine leaked capability or DDL state:\n  %s", strings.Join(leaks, "\n  "))
+}
+
 // TaskError is the value the sweeps panic with when a task failed: the
 // experiment entry points return tables, not errors, so a caller that wants
 // to survive a failed task recovers it (semperos-bench does, to exit 1 with

@@ -331,21 +331,26 @@ type Fig5Result struct {
 	Series []TreeSeries
 }
 
-// buildTreeAndRevoke hands the root capability to n other VPEs (spread over
-// extra kernels if extra > 0) and measures revoking the whole tree.
-func buildTreeAndRevoke(eng *sim.Engine, n, extra int) (sim.Duration, error) {
+// treeRevoke hands the root capability to n other VPEs (spread round-robin
+// over extra kernels if extra > 0, local otherwise) and measures revoking the
+// whole tree: the duration and the inter-kernel request messages it took.
+// batching selects the paper's §5.2 revoke batching (the ablation's variant;
+// Figure 5 runs without).
+func treeRevoke(eng *sim.Engine, n, extra int, batching bool) (sim.Duration, uint64, error) {
 	kernels := extra + 1
 	perGroup := n + 1
 	if extra > 0 {
 		perGroup = (n+extra-1)/extra + 1
 	}
-	sys := core.MustNew(core.Config{Kernels: kernels, UserPEs: kernels * perGroup, Engine: eng})
+	sys := core.MustNew(core.Config{
+		Kernels:     kernels,
+		UserPEs:     kernels * perGroup,
+		IKCBatching: core.IKCBatching{Revoke: batching},
+		Engine:      eng,
+	})
 	defer sys.Close()
-	pes := sys.UserPEs()
-	// Group 0's first PE hosts the root; children are placed round-robin
-	// over the extra kernels (or locally if extra == 0).
 	byGroup := make(map[int][]int)
-	for _, pe := range pes {
+	for _, pe := range sys.UserPEs() {
 		g := sys.KernelOfPE(pe).ID()
 		byGroup[g] = append(byGroup[g], pe)
 	}
@@ -356,38 +361,43 @@ func buildTreeAndRevoke(eng *sim.Engine, n, extra int) (sim.Duration, error) {
 	var wg sim.WaitGroup
 	wg.Add(n)
 	var revTime sim.Duration
-	root, _ := sys.SpawnOn(rootPE, "root", func(v *core.VPE, p *sim.Proc) {
+	var msgsBefore uint64
+	root, err := sys.SpawnOn(rootPE, "root", func(v *core.VPE, p *sim.Proc) {
 		sel, err := v.AllocMem(p, 4096, dtu.PermRW)
 		if err != nil {
 			panic(err)
 		}
 		ready.Complete(sel)
 		wg.Wait(p)
+		msgsBefore = sys.TotalStats().IKCSent
 		t0 := p.Now()
 		if err := v.Revoke(p, sel); err != nil {
 			panic(err)
 		}
 		revTime = p.Now() - t0
 	})
+	if err != nil {
+		panic(err)
+	}
 	for i := 0; i < n; i++ {
-		var g int
-		if extra == 0 {
-			g = 0
-		} else {
+		g := 0
+		if extra > 0 {
 			g = 1 + i%extra
 		}
 		pe := byGroup[g][0]
 		byGroup[g] = byGroup[g][1:]
-		sys.SpawnOn(pe, fmt.Sprintf("kid%d", i), func(v *core.VPE, p *sim.Proc) {
+		if _, err := sys.SpawnOn(pe, fmt.Sprintf("kid%d", i), func(v *core.VPE, p *sim.Proc) {
 			sel := ready.Wait(p)
 			if _, err := v.ObtainFrom(p, root.ID, sel); err != nil {
 				panic(err)
 			}
 			wg.Done()
-		})
+		}); err != nil {
+			panic(err)
+		}
 	}
 	sys.Run()
-	return revTime, quiescent(sys)
+	return revTime, sys.TotalStats().IKCSent - msgsBefore, quiescent(sys)
 }
 
 // kindFig5 revokes one capability tree; Config encodes the cell
@@ -398,7 +408,7 @@ func init() { registerKind(kindFig5, runFig5Spec) }
 
 func runFig5Spec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 	n, extra := spec.Config.Instances, spec.Config.Kernels-1
-	c, err := buildTreeAndRevoke(eng, n, extra)
+	c, _, err := treeRevoke(eng, n, extra, false)
 	return Metrics{Cycles: uint64(c)}, nil, err
 }
 

@@ -96,8 +96,8 @@ func BenchmarkDeriveSyscall(b *testing.B) {
 // the message path cannot quietly grow back. What is left is protocol
 // state, not transport. Local, 0: the consent query rides a recycled record
 // (TestKernelQueriesAllocateNothing) and the child capability is copied
-// into the store's slab. Spanning, 4: the request, the reply, the reply's
-// future and the in-flight obtain record. Table growth (slabs, key map,
+// into the store's slab. Spanning, 3: the request, the reply and the reply's
+// future (the in-flight record is two words of the requesting VPE). Table growth (slabs, key map,
 // selector space) averages below one per obtain. The ceilings are the
 // measured counts, with and without the race detector.
 func TestObtainAllocationCeilings(t *testing.T) {
@@ -107,7 +107,7 @@ func TestObtainAllocationCeilings(t *testing.T) {
 		ceiling float64
 	}{
 		{"local", 1, 0},
-		{"spanning", 2, 4},
+		{"spanning", 2, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := MustNew(Config{Kernels: tc.kernels, UserPEs: 2 * tc.kernels})

@@ -3,17 +3,19 @@ package core
 import (
 	"repro/internal/cap"
 	"repro/internal/ddl"
+	"repro/internal/dtu"
 	"repro/internal/sim"
 )
 
-// Capability exchange (paper §4.3.2). Obtain and delegate are the two
-// capability-modifying operations besides revoke. Group-internal exchanges
-// run entirely at one kernel; group-spanning ones use inter-kernel calls.
-// Delegation across groups uses a two-way handshake so a capability never
-// becomes usable at the receiver while its parent link does not exist yet
-// (the "Invalid" interference case of Table 2); obtains that race with the
-// requester's death leave an orphan that is reaped through a notification
-// (the "Orphaned" case).
+// Capability exchange (paper §4.3.2): obtain, delegate and session-open.
+// Each half of the protocol is written once here and the variants are
+// compositions of the halves — direct or through a session (the service is
+// the consenting party), group-internal (both halves run on this kernel, no
+// inter-kernel call in between) or group-spanning. DESIGN.md "The exchange
+// protocol, once" tabulates who consents, who mints the child's identity,
+// where the preemption points are and which check answers which
+// interference case of the paper's Table 2; the comments below name the
+// case where the check stands.
 
 // deriveObject produces the kernel object for a child capability derived
 // from parent's object. Deriving from a receive gate yields a send
@@ -39,7 +41,32 @@ func (k *Kernel) kernelOfVPE(p *sim.Proc, id int) (*Kernel, Errno) {
 	return k.sys.vpes[id].kernel, OK
 }
 
-// --- obtain --------------------------------------------------------------
+// childCap puts together the capability an exchange creates: owner's, under
+// parent, with the selector the caller allocated (NoSel for a delegation
+// prepared but not yet acknowledged). The value is free-standing — insertCap
+// copies it into the store, so it stays on the caller's stack unless the
+// caller keeps the pointer (prepareDelegate).
+func childCap(key ddl.Key, owner int, sel cap.Selector, obj cap.Object, perm dtu.Perm, parent ddl.Key) *cap.Capability {
+	return &cap.Capability{Key: key, Owner: owner, Sel: sel, Object: obj, Perm: perm, Parent: parent}
+}
+
+// serviceOf resolves a service capability's key to the VPE serving it, nil
+// if the service is gone or going. The caller has settled (exited is not the
+// CPU holder's flag) and paid for the lookup: a requester's kernel when it
+// resolved the session, a handler with the remote head of grant/askReceiver.
+func (k *Kernel) serviceOf(key ddl.Key) *VPE {
+	svcCap := k.store.Lookup(key)
+	if svcCap == nil || svcCap.Marked {
+		return nil
+	}
+	sv := k.vpeOf(svcCap.Object.(*cap.ServiceObject).VPE)
+	if sv == nil || sv.exited || sv.svc == nil {
+		return nil
+	}
+	return sv
+}
+
+// --- obtain and session-open: the child is created at the requester -------
 
 func (k *Kernel) sysObtainFrom(p *sim.Proc, req *sysRequest) sysReply {
 	v := k.vpeOf(req.VPE)
@@ -50,152 +77,162 @@ func (k *Kernel) sysObtainFrom(p *sim.Proc, req *sysRequest) sysReply {
 	if errno != OK {
 		return sysReply{Err: errno}
 	}
-	if owner == k {
-		return k.obtainLocal(p, v, req.TargetVPE, req.TargetSel)
-	}
-	return k.obtainSpanning(p, v, owner, req.TargetVPE, req.TargetSel)
+	return k.obtain(p, v, owner.id, ikcRequest{Kind: ikcObtain, VPE: req.TargetVPE, Sel: req.TargetSel})
 }
 
-// obtainLocal handles an obtain where both VPEs are in this kernel's group.
-// Overlapping exchanges serialize here because this kernel owns both
-// capability spaces (the "Serialized" case of Table 2).
-func (k *Kernel) obtainLocal(p *sim.Proc, v *VPE, srcVPE int, srcSel cap.Selector) sysReply {
-	src := k.lookupSel(p, srcVPE, srcSel)
-	if src == nil {
+func (k *Kernel) sysObtainSess(p *sim.Proc, req *sysRequest) sysReply {
+	v := k.vpeOf(req.VPE)
+	if v == nil {
+		return sysReply{Err: ErrVPEGone}
+	}
+	sess := k.lookupSel(p, req.VPE, req.Sel)
+	if sess == nil {
 		return sysReply{Err: ErrNoSuchCap}
 	}
-	if src.Marked {
-		// Deny exchanges of capabilities in revocation ("Pointless").
+	if sess.Marked {
 		return sysReply{Err: ErrInRevocation}
 	}
-	srcV := k.vpeOf(srcVPE)
-	if k.gone(p, srcV) {
-		return sysReply{Err: ErrVPEGone}
+	so, ok := sess.Object.(*cap.SessionObject)
+	if !ok {
+		return sysReply{Err: ErrBadArgs}
 	}
-	if !k.askVPE(p, srcV, ExchangeQuery{Obtain: true, PeerVPE: v.ID, Sel: srcSel}) {
-		return sysReply{Err: ErrDenied}
-	}
-	// Re-check after the consent round trip: the capability may have been
-	// revoked or the requester killed meanwhile.
-	if src != k.store.LookupSel(srcVPE, srcSel) || src.Marked {
-		return sysReply{Err: ErrInRevocation}
-	}
-	if v.exited {
-		return sysReply{Err: ErrVPEGone}
-	}
-	obj := deriveObject(src.Object)
-	child := &cap.Capability{
-		Key:    k.mintKey(v.PE, v.ID, obj.ObjType()),
-		Owner:  v.ID,
-		Sel:    k.store.AllocSel(v.ID),
-		Object: obj,
-		Perm:   src.Perm,
-		Parent: src.Key,
-	}
-	src.AddChild(child.Key)
-	k.charge(p, k.sys.Cost.CapLink)
-	k.insertCap(p, child)
-	k.stats.Obtains++
-	return sysReply{Sel: child.Sel}
+	k.exec(p, k.sys.Cost.DDLDecode)
+	return k.obtain(p, v, k.member.KernelOfKey(sess.Parent),
+		ikcRequest{Kind: ikcObtainSess, Key: sess.Parent, Ident: so.Ident, Args: req.Args})
 }
 
-// inflightObtain tracks one spanning obtain whose reply is still in flight.
-// The owner links the pre-agreed child key before its reply reaches us, so a
-// revocation can race the reply: the revoke request for the not-yet-inserted
-// key arrives here, finds nothing, and is confirmed as already revoked —
-// after which the owner deletes the parent. The tombstone makes the late (or
-// dedup-replayed) reply discard the child instead of inserting an orphan.
-type inflightObtain struct {
-	revoked bool
-}
-
-// exchangeID names an in-flight spanning exchange by the child-key fields
-// both sides know before the reply: creator PE, creator VPE and object id.
-// Object ids are minted per (pe, vpe) across all types (ddl.Generator), so
-// the triple identifies exactly one eventual key.
-func exchangeID(pe, vpe int, object uint64) uint64 {
-	return uint64(pe)<<(ddl.VPEBits+ddl.ObjectBits) |
-		uint64(vpe)<<ddl.ObjectBits | object
-}
-
-// obtainSpanning runs the distributed obtain: the owner kernel links the
-// (pre-agreed) child key under the source capability and returns the object;
-// this kernel then creates the child. If the requester died while the
-// inter-kernel call was in flight, the child at the owner is an orphan and
-// a notification removes it (paper §4.3.2, case 1).
-func (k *Kernel) obtainSpanning(p *sim.Proc, v *VPE, owner *Kernel, srcVPE int, srcSel cap.Selector) sysReply {
+// obtain is the requester half of ikcObtain, ikcObtainSess and ikcSession:
+// agree the child's identity, register it as in flight, put the question to
+// the owner's kernel — grant, over an inter-kernel call or in place when the
+// owner is this kernel — and create the child from the answer. req travels by
+// value so that the group-internal path allocates nothing; only a request
+// that leaves the kernel is copied to the heap.
+func (k *Kernel) obtain(p *sim.Proc, v *VPE, owner int, req ikcRequest) sysReply {
 	objID := k.gen.NextID(v.PE, v.ID)
-	// Register before sending: the owner cannot link (and thus revoke-walk)
-	// the child key before it has seen this request.
-	exID := exchangeID(v.PE, v.ID, objID)
-	po := &inflightObtain{}
-	k.inflightObtains[exID] = po
-	k.charge(p, k.sys.Cost.IKCMarshal)
-	rep := k.ikCall(p, owner.id, &ikcRequest{
-		Kind:     ikcObtain,
-		VPE:      srcVPE,
-		Sel:      srcSel,
-		ChildPE:  v.PE,
-		ChildVPE: v.ID,
-		ChildObj: objID,
-	})
-	delete(k.inflightObtains, exID)
+	req.ChildPE, req.ChildVPE, req.ChildObj = v.PE, v.ID, objID
+	// Register before asking: the owner cannot link (and a revocation cannot
+	// walk to) the child key before it has seen the request. A VPE has one
+	// syscall outstanding, so the record is the VPE's (revokeUnseen).
+	v.obtaining, v.obtainObj, v.obtainRevoked = true, objID, false
+	var rep ikcReply
+	if owner == k.id {
+		// Both capability spaces are this kernel's: overlapping exchanges
+		// serialize here ("Serialized").
+		rep = k.grant(p, &req, false)
+	} else {
+		k.charge(p, k.sys.Cost.IKCMarshal)
+		wire := req
+		rep = *k.ikCall(p, owner, &wire)
+	}
+	v.obtaining = false
 	if rep.Err != OK {
 		return sysReply{Err: rep.Err}
 	}
-	childKey := ddl.NewKey(v.PE, v.ID, rep.Object.ObjType(), objID)
-	if po.revoked {
-		// A revocation consumed the child key while the reply was in
-		// flight: this kernel already confirmed the key as gone and the
-		// owner deleted the parent subtree. Inserting now would leak an
-		// unreachable orphan.
+	if v.obtainRevoked {
+		// A revocation consumed the child key while the reply was in flight:
+		// this kernel already confirmed the key as gone and the owner deleted
+		// the parent subtree. Inserting now would leak an unreachable orphan.
 		return sysReply{Err: ErrInRevocation}
 	}
+	childKey := ddl.NewKey(v.PE, v.ID, rep.Object.ObjType(), objID)
 	if v.exited {
-		// Orphaned: the owner linked a child that will never exist here.
+		// "Orphaned": the owner linked a child that will never exist here; a
+		// notification removes the link (paper §4.3.2, case 1). Across kernels
+		// only — in place, grant saw the requester die and linked nothing.
 		k.stats.Orphans++
-		k.notifyUnlink(p, owner.id, rep.Key, childKey)
+		k.notifyUnlink(p, owner, rep.Key, childKey)
 		return sysReply{Err: ErrVPEGone}
 	}
-	child := &cap.Capability{
-		Key:    childKey,
-		Owner:  v.ID,
-		Sel:    k.store.AllocSel(v.ID),
-		Object: rep.Object,
-		Perm:   rep.Perm,
-		Parent: rep.Key,
-	}
+	child := childCap(childKey, v.ID, k.store.AllocSel(v.ID), rep.Object, rep.Perm, rep.Key)
 	k.insertCap(p, child)
-	k.stats.Obtains++
-	return sysReply{Sel: child.Sel}
+	if req.Kind == ikcSession {
+		k.stats.Sessions++
+	} else {
+		k.stats.Obtains++
+	}
+	return sysReply{Sel: child.Sel, Args: rep.Args}
 }
 
-// handleObtainReq runs at the owner kernel: consent, link the child key,
-// return the object.
-func (k *Kernel) handleObtainReq(p *sim.Proc, req *ikcRequest) *ikcReply {
-	src := k.lookupSel(p, req.VPE, req.Sel)
-	if src == nil {
-		return &ikcReply{Err: ErrNoSuchCap}
+// grant is the owner half of the same three: validate what is asked for, ask
+// the consenting party — the source's owner (askVPE) or, through a session,
+// the service, which names the source (queryService) — re-validate after
+// that preemption point, and link the pre-agreed child key under the source.
+// remote says the requester is another kernel's: the answer is then
+// marshalled into a reply (IKCMarshal rides the link term), and a service
+// capability named by key is looked up first — the lookup a requester's own
+// kernel paid when it resolved the session.
+func (k *Kernel) grant(p *sim.Proc, req *ikcRequest, remote bool) ikcReply {
+	var src *cap.Capability
+	var sv *VPE
+	var res SvcResult
+	if req.Kind == ikcObtain {
+		src = k.lookupSel(p, req.VPE, req.Sel)
+		if src == nil {
+			return ikcReply{Err: ErrNoSuchCap}
+		}
+		if src.Marked {
+			// "Pointless": a capability in revocation is not exchanged.
+			return ikcReply{Err: ErrInRevocation}
+		}
+		srcV := k.vpeOf(req.VPE)
+		if k.gone(p, srcV) {
+			return ikcReply{Err: ErrVPEGone}
+		}
+		if !k.askVPE(p, srcV, ExchangeQuery{Obtain: true, PeerVPE: req.ChildVPE, Sel: req.Sel}) {
+			return ikcReply{Err: ErrDenied}
+		}
+	} else {
+		if remote {
+			k.exec(p, k.sys.Cost.CapLookup+k.sys.Cost.DDLDecode)
+		}
+		if sv = k.serviceOf(req.Key); sv == nil {
+			return ikcReply{Err: ErrNoService}
+		}
+		ev := svcEvent{kind: SvcObtain, ident: req.Ident, args: req.Args}
+		if req.Kind == ikcSession {
+			ev = svcEvent{kind: SvcOpen, client: req.ChildVPE, args: req.Args}
+		}
+		if res = k.queryService(p, sv, ev); res.Errno != OK {
+			return ikcReply{Err: res.Errno}
+		}
 	}
-	if src.Marked {
-		return &ikcReply{Err: ErrInRevocation}
+	// The consent was a preemption point (nothing is owed here). A requester
+	// of this group may have been killed meanwhile; one of another group is
+	// its own kernel's to check, after the reply ("Orphaned").
+	if rv := k.vpeOf(req.ChildVPE); rv != nil && rv.exited {
+		return ikcReply{Err: ErrVPEGone}
 	}
-	srcV := k.vpeOf(req.VPE)
-	if k.gone(p, srcV) {
-		return &ikcReply{Err: ErrVPEGone}
+	// And the source may have been revoked, its slot recycled.
+	var obj cap.Object
+	switch req.Kind {
+	case ikcObtain:
+		if src != k.store.LookupSel(req.VPE, req.Sel) || src.Marked {
+			return ikcReply{Err: ErrInRevocation}
+		}
+	case ikcObtainSess:
+		if src = k.lookupSel(p, sv.ID, res.SrcSel); src == nil {
+			return ikcReply{Err: ErrNoSuchCap}
+		}
+		if src.Marked {
+			return ikcReply{Err: ErrInRevocation}
+		}
+	case ikcSession:
+		// A session is a child of the service capability itself.
+		if src = k.store.Lookup(req.Key); src == nil || src.Marked {
+			return ikcReply{Err: ErrNoService}
+		}
+		obj = &cap.SessionObject{Service: src.Object.(*cap.ServiceObject).Name, Ident: res.Ident}
 	}
-	if !k.askVPE(p, srcV, ExchangeQuery{Obtain: true, PeerVPE: req.ChildVPE, Sel: req.Sel}) {
-		return &ikcReply{Err: ErrDenied}
+	if obj == nil {
+		obj = deriveObject(src.Object)
 	}
-	// Re-check: a revocation may have started during the consent round trip.
-	if src != k.store.LookupSel(req.VPE, req.Sel) || src.Marked {
-		return &ikcReply{Err: ErrInRevocation}
+	src.AddChild(ddl.NewKey(req.ChildPE, req.ChildVPE, obj.ObjType(), req.ChildObj))
+	link := k.sys.Cost.CapLink
+	if remote {
+		link += k.sys.Cost.IKCMarshal
 	}
-	obj := deriveObject(src.Object)
-	childKey := ddl.NewKey(req.ChildPE, req.ChildVPE, obj.ObjType(), req.ChildObj)
-	src.AddChild(childKey)
-	k.charge(p, k.sys.Cost.CapLink+k.sys.Cost.IKCMarshal)
-	return &ikcReply{Key: src.Key, Object: obj, Perm: src.Perm}
+	k.charge(p, link)
+	return ikcReply{Key: src.Key, Object: obj, Perm: src.Perm, Args: res.Reply}
 }
 
 // handleUnlinkChild removes an orphaned child link (notification; no
@@ -211,7 +248,7 @@ func (k *Kernel) handleUnlinkChild(p *sim.Proc, req *ikcRequest) {
 	k.stats.Orphans++
 }
 
-// --- delegate ------------------------------------------------------------
+// --- delegate: the child is created at the receiver ------------------------
 
 func (k *Kernel) sysDelegateTo(p *sim.Proc, req *sysRequest) sysReply {
 	v := k.vpeOf(req.VPE)
@@ -229,139 +266,177 @@ func (k *Kernel) sysDelegateTo(p *sim.Proc, req *sysRequest) sysReply {
 	if errno != OK {
 		return sysReply{Err: errno}
 	}
-	if dst == k {
-		return k.delegateLocal(p, v, c, req.TargetVPE)
-	}
-	return k.delegateSpanning(p, v, c, dst, req.TargetVPE)
+	return k.delegate(p, v, dst.id, ikcRequest{
+		Kind: ikcDelegate, Key: c.Key, VPE: v.ID, ChildVPE: req.TargetVPE,
+		Object: deriveObject(c.Object), Perm: c.Perm,
+	})
 }
 
-func (k *Kernel) delegateLocal(p *sim.Proc, v *VPE, c *cap.Capability, dstVPE int) sysReply {
-	dstV := k.vpeOf(dstVPE)
-	if k.gone(p, dstV) {
+// sysDelegateSess pushes the client's capability at req.Sel into the
+// session (req.TargetSel), e.g. granting a service access to client memory.
+func (k *Kernel) sysDelegateSess(p *sim.Proc, req *sysRequest) sysReply {
+	v := k.vpeOf(req.VPE)
+	if v == nil {
 		return sysReply{Err: ErrVPEGone}
 	}
-	// The consent round trip is a preemption point and the store compacts
-	// removed slots, so re-resolve the parent by key afterwards.
-	cKey := c.Key
-	if !k.askVPE(p, dstV, ExchangeQuery{Obtain: false, PeerVPE: v.ID}) {
-		return sysReply{Err: ErrDenied}
+	c := k.lookupSel(p, req.VPE, req.Sel)
+	if c == nil {
+		return sysReply{Err: ErrNoSuchCap}
 	}
-	cur := k.store.Lookup(cKey)
-	if cur == nil || cur.Marked {
+	if c.Marked {
 		return sysReply{Err: ErrInRevocation}
 	}
-	if dstV.exited {
-		return sysReply{Err: ErrVPEGone}
+	sess := k.lookupSel(p, req.VPE, req.TargetSel)
+	if sess == nil {
+		return sysReply{Err: ErrNoSuchCap}
 	}
-	obj := deriveObject(cur.Object)
-	child := &cap.Capability{
-		Key:    k.mintKey(dstV.PE, dstV.ID, obj.ObjType()),
-		Owner:  dstV.ID,
-		Sel:    k.store.AllocSel(dstV.ID),
-		Object: obj,
-		Perm:   cur.Perm,
-		Parent: cKey,
+	if sess.Marked {
+		return sysReply{Err: ErrInRevocation}
 	}
-	cur.AddChild(child.Key)
-	k.charge(p, k.sys.Cost.CapLink)
-	k.insertCap(p, child)
-	k.stats.Delegates++
-	return sysReply{Sel: child.Sel}
+	so, ok := sess.Object.(*cap.SessionObject)
+	if !ok {
+		return sysReply{Err: ErrBadArgs}
+	}
+	k.exec(p, k.sys.Cost.DDLDecode)
+	return k.delegate(p, v, k.member.KernelOfKey(sess.Parent), ikcRequest{
+		Kind: ikcDelegateSess, Key: c.Key, VPE: v.ID, Child: sess.Parent, Ident: so.Ident,
+		Object: deriveObject(c.Object), Perm: c.Perm, Args: req.Args,
+	})
 }
 
-// delegateSpanning runs the two-way handshake (paper §4.3.2, case 2):
-//  1. ask the receiver's kernel to prepare (but not insert) the child;
-//  2. link the child under the local parent;
-//  3. acknowledge, upon which the receiver's kernel inserts the child.
-//
-// Step 2 re-validates the parent so a delegator killed (and revoked) during
-// step 1 cannot leave a valid child behind — the "Invalid" case.
-func (k *Kernel) delegateSpanning(p *sim.Proc, v *VPE, c *cap.Capability, dst *Kernel, dstVPE int) sysReply {
-	parentKey := c.Key
-	obj := deriveObject(c.Object)
+// delegate is the delegator's side of ikcDelegate and ikcDelegateSess; req
+// names the delegated capability by key (every step below is behind a
+// preemption point, and the store recycles slots) and travels by value, like
+// obtain's. Within one group the kernel owns both capability spaces and
+// links and inserts in one stretch. Across groups the two-way handshake runs
+// (paper §4.3.2, case 2), so that a capability never becomes usable at the
+// receiver while its parent link does not exist:
+//  1. the receiver's kernel prepares, but does not insert, the child
+//     (prepareDelegate);
+//  2. this kernel re-validates the parent and links the child under it;
+//  3. the acknowledgement lets the receiver's kernel insert
+//     (handleDelegateAck).
+func (k *Kernel) delegate(p *sim.Proc, v *VPE, dst int, req ikcRequest) sysReply {
+	if dst == k.id {
+		dstV, args, errno := k.askReceiver(p, &req, false)
+		if errno != OK {
+			return sysReply{Err: errno}
+		}
+		childKey := k.mintKey(dstV.PE, dstV.ID, req.Object.ObjType())
+		if errno := k.linkDelegated(p, v, req.Key, childKey); errno != OK {
+			return sysReply{Err: errno}
+		}
+		child := childCap(childKey, dstV.ID, k.store.AllocSel(dstV.ID), req.Object, req.Perm, req.Key)
+		k.insertCap(p, child)
+		k.stats.Delegates++
+		return sysReply{Sel: child.Sel, Args: args}
+	}
 	k.charge(p, k.sys.Cost.IKCMarshal)
-	rep := k.ikCall(p, dst.id, &ikcRequest{
-		Kind:   ikcDelegate,
-		Key:    parentKey,
-		VPE:    dstVPE,
-		Object: obj,
-		Perm:   c.Perm,
-	})
+	wire := req
+	rep := k.ikCall(p, dst, &wire)
 	if rep.Err != OK {
 		return sysReply{Err: rep.Err}
 	}
 	childKey := rep.Key
-	// Two-way handshake step 2: re-validate the parent.
 	k.exec(p, k.sys.Cost.CapLookup)
-	cur := k.store.Lookup(parentKey)
-	if cur == nil || cur.Marked || v.exited {
-		k.ikCall(p, dst.id, &ikcRequest{Kind: ikcDelegateAck, Child: childKey, Ok: false})
-		if cur == nil {
-			return sysReply{Err: ErrNoSuchCap}
-		}
-		return sysReply{Err: ErrInRevocation}
+	if errno := k.linkDelegated(p, v, req.Key, childKey); errno != OK {
+		// "Invalid": the parent was revoked, or the delegator killed, during
+		// step 1. The receiver discards what it prepared.
+		k.ikCall(p, dst, &ikcRequest{Kind: ikcDelegateAck, Child: childKey, Ok: false})
+		return sysReply{Err: errno}
 	}
-	cur.AddChild(childKey)
-	k.charge(p, k.sys.Cost.CapLink)
-	ack := k.ikCall(p, dst.id, &ikcRequest{Kind: ikcDelegateAck, Child: childKey, Ok: true})
-	if ack.Err != OK {
-		// The receiver died before insertion: remove the orphaned link.
+	if ack := k.ikCall(p, dst, &ikcRequest{Kind: ikcDelegateAck, Child: childKey, Ok: true}); ack.Err != OK {
+		// The receiver died before insertion ("Orphaned" on its side), or a
+		// revocation dropped the prepared child: remove the link again.
 		k.charge(p, k.sys.Cost.CapLink)
-		if again := k.store.Lookup(parentKey); again != nil {
+		if again := k.store.Lookup(req.Key); again != nil {
 			again.RemoveChild(childKey)
 		}
 		k.stats.Orphans++
 		return sysReply{Err: ack.Err}
 	}
 	k.stats.Delegates++
-	return sysReply{}
+	return sysReply{Args: rep.Args}
 }
 
-// handleDelegateReq runs at the receiver's kernel: consent, prepare the
-// child capability without inserting it, and return its key. The reply may
-// ride a reply envelope; the ack that depends on it is only sent by the
-// delegator after that envelope is demuxed, so the pendingDelegations
-// entry is always in place before the ack can arrive.
-func (k *Kernel) handleDelegateReq(p *sim.Proc, req *ikcRequest) *ikcReply {
-	dstV := k.vpeOf(req.VPE)
-	if k.gone(p, dstV) {
-		return &ikcReply{Err: ErrVPEGone}
+// linkDelegated is the delegator's re-validation after the receiver's
+// consent, and the link: a parent revoked meanwhile, or a delegator killed,
+// must not leave a valid child behind.
+func (k *Kernel) linkDelegated(p *sim.Proc, v *VPE, parent, child ddl.Key) Errno {
+	cur := k.store.Lookup(parent)
+	switch {
+	case cur == nil:
+		return ErrNoSuchCap
+	case cur.Marked || v.exited:
+		return ErrInRevocation
 	}
+	cur.AddChild(child)
+	k.charge(p, k.sys.Cost.CapLink)
+	return OK
+}
+
+// askReceiver resolves the receiving party of a delegation — the VPE named,
+// or the service behind the session — and asks it for consent (a preemption
+// point), returning the VPE the child is for and a service's protocol reply.
+// remote as in grant.
+func (k *Kernel) askReceiver(p *sim.Proc, req *ikcRequest, remote bool) (dstV *VPE, args any, errno Errno) {
+	if req.Kind == ikcDelegate {
+		dstV = k.vpeOf(req.ChildVPE)
+		if k.gone(p, dstV) {
+			return nil, nil, ErrVPEGone
+		}
+		if !k.askVPE(p, dstV, ExchangeQuery{Obtain: false, PeerVPE: req.VPE}) {
+			return nil, nil, ErrDenied
+		}
+	} else {
+		if remote {
+			k.exec(p, k.sys.Cost.CapLookup+k.sys.Cost.DDLDecode)
+		}
+		if dstV = k.serviceOf(req.Child); dstV == nil {
+			return nil, nil, ErrNoService
+		}
+		res := k.queryService(p, dstV, svcEvent{kind: SvcDelegate, ident: req.Ident, args: req.Args, obj: req.Object})
+		if res.Errno != OK || !res.Accept {
+			return nil, nil, ErrDenied
+		}
+		args = res.Reply
+	}
+	if dstV.exited {
+		// Killed while it was asked: nothing is created for a dead VPE.
+		return nil, nil, ErrVPEGone
+	}
+	return dstV, args, OK
+}
+
+// prepareDelegate is handshake step 1 at the receiver's kernel: consent,
+// then the child prepared but not inserted, its key returned. The reply may
+// ride a reply envelope; the ack that depends on it is only sent by the
+// delegator after that envelope is demuxed, so the pendingDelegations entry
+// is always in place before the ack can arrive.
+func (k *Kernel) prepareDelegate(p *sim.Proc, req *ikcRequest) ikcReply {
 	inc := k.incarnation
-	if !k.askVPE(p, dstV, ExchangeQuery{Obtain: false, PeerVPE: req.VPE}) {
-		return &ikcReply{Err: ErrDenied}
+	dstV, args, errno := k.askReceiver(p, req, true)
+	if errno != OK {
+		return ikcReply{Err: errno}
 	}
 	if k.incarnation != inc {
 		// This thread was parked across a crash recovery: the rejoin reset
 		// wiped the pending-delegation table, and the originator's future
 		// aborted with ErrPeerDead — an entry created now could never be
 		// acknowledged and would leak forever (rejoin.go).
-		return &ikcReply{Err: ErrPeerDead}
+		return ikcReply{Err: ErrPeerDead}
 	}
-	childKey := k.mintKey(dstV.PE, dstV.ID, req.Object.ObjType())
-	child := &cap.Capability{
-		Key:    childKey,
-		Owner:  dstV.ID,
-		Object: req.Object,
-		Perm:   req.Perm,
-		Parent: req.Key,
-	}
+	child := childCap(k.mintKey(dstV.PE, dstV.ID, req.Object.ObjType()), dstV.ID, cap.NoSel, req.Object, req.Perm, req.Key)
 	k.charge(p, k.sys.Cost.CapCreate)
-	k.prepareDelegation(p, child)
-	return &ikcReply{Key: childKey}
-}
-
-// prepareDelegation parks a child prepared by step 1 of the delegate
-// handshake until the originator's acknowledgement. Only kernel threads
-// touch the table — except the reset at a scripted recovery (beginRejoin),
-// which runs from an event; on a machine where that can happen the thread's
-// time passes first, so the entry lands on the side of the reset it always
-// did.
-func (k *Kernel) prepareDelegation(p *sim.Proc, child *cap.Capability) {
+	// Only kernel threads touch the table — except the reset at a scripted
+	// recovery (beginRejoin), which runs from an event; on a machine where
+	// that can happen the thread's time passes first, so the entry lands on
+	// the side of the reset it always did.
 	if k.reliable() {
 		p.Settle()
 	}
 	k.pendingDelegations.Put(child.Key, child)
+	return ikcReply{Key: child.Key, Args: args}
 }
 
 // handleDelegateAck finishes the handshake at the receiver's kernel.

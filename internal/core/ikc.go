@@ -127,12 +127,14 @@ func (k *Kernel) sendReply(dk *Kernel, rep *ikcReply) {
 	w.send()
 }
 
-// ikSend transmits a request to kernel dst. The caller must hold the CPU
-// token; the in-flight slot is acquired at a preemption point (the CPU is
-// released while waiting for one). The request is matched with a reply via
-// its sequence number; the returned future completes when the reply
-// arrives.
-func (k *Kernel) ikSend(p *sim.Proc, dst int, req *ikcRequest) *sim.Future[*ikcReply] {
+// stamp is the opening every request shares: the compose cost — the last
+// term before a send, so everything owed elapses with it — then the sequence
+// number, sender and incarnation. answered says somebody may wait for the
+// reply (always, except a notification on the lossless fabric): its future
+// then goes into pending, and dead reports that dst exhausted its retry
+// budget earlier, so the future already holds ErrPeerDead and nothing is to
+// be queued or sent (degraded mode).
+func (k *Kernel) stamp(p *sim.Proc, dst int, req *ikcRequest, answered bool) (fut *sim.Future[*ikcReply], dead bool) {
 	if dst == k.id {
 		panic("core: inter-kernel call to self")
 	}
@@ -140,16 +142,23 @@ func (k *Kernel) ikSend(p *sim.Proc, dst int, req *ikcRequest) *sim.Future[*ikcR
 	req.Seq = k.nextSeq()
 	req.From = k.id
 	req.Inc = k.incarnation
-	fut := sim.NewFuture[*ikcReply](k.sys.Eng)
+	if !answered {
+		return nil, false
+	}
+	fut = sim.NewFuture[*ikcReply](k.sys.Eng)
 	k.pending[req.Seq] = fut
 	if k.peerDead(dst) {
-		// Degraded mode: dst exhausted its retry budget earlier. Fail the
-		// call immediately instead of queueing work for a dead kernel.
 		k.rt.failFast(req.Seq, dst)
-		return fut
+		return fut, true
 	}
-	k.stats.IKCSent++
+	return fut, false
+}
 
+// post sends a stamped request to kernel dst as a direct message. The caller
+// holds the CPU token; the in-flight slot is acquired at a preemption point
+// (the CPU is released while waiting for one).
+func (k *Kernel) post(p *sim.Proc, dst int, req *ikcRequest) {
+	k.stats.IKCSent++
 	sem := k.inflightTo(dst)
 	if !sem.TryAcquire() {
 		k.pause(p, sem)
@@ -157,6 +166,16 @@ func (k *Kernel) ikSend(p *sim.Proc, dst int, req *ikcRequest) *sim.Future[*ikcR
 	k.sendRequest(k.sys.kernels[dst], req)
 	if k.rt != nil {
 		k.rt.track(dst, []*ikcRequest{req}, false, req.Kind)
+	}
+}
+
+// ikSend transmits a request to kernel dst. The request is matched with a
+// reply via its sequence number; the returned future completes when the
+// reply arrives.
+func (k *Kernel) ikSend(p *sim.Proc, dst int, req *ikcRequest) *sim.Future[*ikcReply] {
+	fut, dead := k.stamp(p, dst, req, true)
+	if !dead {
+		k.post(p, dst, req)
 	}
 	return fut
 }
@@ -191,27 +210,9 @@ func (k *Kernel) ikCall(p *sim.Proc, dst int, req *ikcRequest) *ikcReply {
 // degraded outcome (ErrPeerDead) without blocking on it; in baseline
 // lossless mode there is no ack and the result is nil.
 func (k *Kernel) ikNotify(p *sim.Proc, dst int, req *ikcRequest) *sim.Future[*ikcReply] {
-	k.exec(p, k.sys.Cost.IKCCompose)
-	req.Seq = k.nextSeq()
-	req.From = k.id
-	req.Inc = k.incarnation
-	var fut *sim.Future[*ikcReply]
-	if k.reliable() {
-		fut = sim.NewFuture[*ikcReply](k.sys.Eng)
-		k.pending[req.Seq] = fut
-		if k.peerDead(dst) {
-			k.rt.failFast(req.Seq, dst)
-			return fut
-		}
-	}
-	k.stats.IKCSent++
-	sem := k.inflightTo(dst)
-	if !sem.TryAcquire() {
-		k.pause(p, sem)
-	}
-	k.sendRequest(k.sys.kernels[dst], req)
-	if k.rt != nil {
-		k.rt.track(dst, []*ikcRequest{req}, false, req.Kind)
+	fut, dead := k.stamp(p, dst, req, k.reliable())
+	if !dead {
+		k.post(p, dst, req)
 	}
 	return fut
 }
@@ -312,10 +313,12 @@ func (k *Kernel) handleBatch(p *sim.Proc, msgs []*dtu.Message, reqs []*ikcReques
 func (k *Kernel) dispatchRequest(p *sim.Proc, req *ikcRequest) {
 	var rep *ikcReply
 	switch req.Kind {
-	case ikcObtain:
-		rep = k.handleObtainReq(p, req)
-	case ikcDelegate:
-		rep = k.handleDelegateReq(p, req)
+	case ikcObtain, ikcSession, ikcObtainSess:
+		r := k.grant(p, req, true)
+		rep = &r
+	case ikcDelegate, ikcDelegateSess:
+		r := k.prepareDelegate(p, req)
+		rep = &r
 	case ikcDelegateAck:
 		rep = k.handleDelegateAck(p, req)
 	case ikcRevoke:
@@ -329,12 +332,6 @@ func (k *Kernel) dispatchRequest(p *sim.Proc, req *ikcRequest) {
 			// notification's loss observable (see ikNotify).
 			rep = &ikcReply{}
 		}
-	case ikcSession:
-		rep = k.handleSessionReq(p, req)
-	case ikcObtainSess:
-		rep = k.handleObtainSessReq(p, req)
-	case ikcDelegateSess:
-		rep = k.handleDelegateSessReq(p, req)
 	case ikcRejoin:
 		rep = k.handleRejoin(p, req)
 	default:

@@ -145,14 +145,6 @@ type Kernel struct {
 	// two-way handshake that await the originator's acknowledgement.
 	pendingDelegations ddl.KeyMap[*cap.Capability]
 
-	// inflightObtains tracks spanning obtains between the moment their
-	// child identity is agreed (the request leaves) and the moment the
-	// reply is consumed, keyed by exchangeID. A revoke reaching this kernel
-	// for a key it has never inserted tombstones a matching entry so a
-	// late or replayed reply cannot resurrect the revoked child
-	// (exchange.go, revoke.go).
-	inflightObtains map[uint64]*inflightObtain
-
 	// revocations maps every marked capability to the state of the
 	// revocation that marked it (paper Algorithm 1).
 	revocations ddl.KeyMap[*revState]
@@ -162,19 +154,18 @@ type Kernel struct {
 
 func newKernel(s *System, id int) *Kernel {
 	k := &Kernel{
-		id:              id,
-		pe:              id,
-		incarnation:     1,
-		sys:             s,
-		dtu:             s.Fab.DTU(id),
-		store:           cap.NewStore(),
-		gen:             ddl.NewGenerator(),
-		member:          s.member.Clone(),
-		cpu:             sim.NewSemaphore(s.Eng, 1),
-		link:            sim.NewSemaphore(s.Eng, 1),
-		inflight:        make([]*sim.Semaphore, s.cfg.Kernels),
-		pending:         make(map[uint64]*sim.Future[*ikcReply]),
-		inflightObtains: make(map[uint64]*inflightObtain),
+		id:          id,
+		pe:          id,
+		incarnation: 1,
+		sys:         s,
+		dtu:         s.Fab.DTU(id),
+		store:       cap.NewStore(),
+		gen:         ddl.NewGenerator(),
+		member:      s.member.Clone(),
+		cpu:         sim.NewSemaphore(s.Eng, 1),
+		link:        sim.NewSemaphore(s.Eng, 1),
+		inflight:    make([]*sim.Semaphore, s.cfg.Kernels),
+		pending:     make(map[uint64]*sim.Future[*ikcReply]),
 	}
 	for _, pe := range s.userPEs {
 		if s.member.KernelOf(pe) == id {
@@ -245,8 +236,8 @@ func (k *Kernel) ThreadPoolSize() int {
 // not switched out and back in for them now. The caller must hold the CPU
 // token. A thread gives the CPU up only at preemption points (paper §4.2), so
 // what it does to state only CPU holders touch — the capability store, the
-// key generator, revocations, pendingDelegations, inflightObtains, the
-// counters — no other thread can observe before the next of them, and
+// key generator, revocations, pendingDelegations, a VPE's in-flight obtain
+// record, the counters — no other thread can observe before the next of them, and
 // releaseCPU settles. Everything else is somebody else's to see, and wants
 // the time to have passed first: a message or a reply (event handlers run
 // at their instants whoever holds the CPU), a user DTU's endpoints, state

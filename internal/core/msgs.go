@@ -183,20 +183,22 @@ type ikcRequest struct {
 	Inc  uint32
 	Kind ikcKind
 
-	Key    ddl.Key      // primary capability (owner side)
+	Key    ddl.Key      // primary capability: the source's service capability, the delegated one, a revocation target
 	Keys   []ddl.Key    // batched revocation targets (ikcRevokeBatch)
-	Child  ddl.Key      // child capability key (acks, unlinks, revokes)
-	VPE    int          // VPE the operation acts for
-	Sel    cap.Selector // selector at the owner side (direct exchange)
+	Child  ddl.Key      // child capability key (acks, unlinks); the session's service capability (ikcDelegateSess)
+	VPE    int          // the source's owner (ikcObtain); the delegator (ikcDelegate, ikcDelegateSess)
+	Sel    cap.Selector // selector at the owner side (ikcObtain)
 	Perm   dtu.Perm
 	Ident  uint64 // session identifier for session-scoped calls
 	Ok     bool   // delegate-ack verdict
 	Object cap.Object
 	Args   any
 
-	// ChildPE/ChildVPE/ChildObj are the requester-minted child identity;
-	// the owner composes the final child key from them once the object type
-	// is known, so both kernels agree on the key with one round trip.
+	// ChildPE/ChildVPE/ChildObj are the requester-minted child identity of an
+	// obtain or session-open; the owner composes the final child key from
+	// them once the object type is known, so both kernels agree on the key
+	// with one round trip. A direct delegate sets only ChildVPE, the
+	// receiver: its kernel mints the rest.
 	ChildPE  int
 	ChildVPE int
 	ChildObj uint64
@@ -218,10 +220,9 @@ type ikcReply struct {
 	Inc uint32
 	Err Errno
 
-	Key    ddl.Key
+	Key    ddl.Key // the parent the child was linked under (obtain, session-open); the prepared child (delegate)
 	Object cap.Object
 	Perm   dtu.Perm
-	Ident  uint64
 	Args   any
 }
 

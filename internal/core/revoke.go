@@ -341,12 +341,16 @@ func (k *Kernel) handleRevokeBatchReq(p *sim.Proc, req *ikcRequest) *ikcReply {
 // exchange whose reply is still in flight: the owner linked the child
 // before the reply reached us, and once we confirm "already revoked" it
 // deletes the parent. The late reply must then discard the child, so
-// tombstone a matching in-flight obtain; a matching pending delegation is
+// tombstone a matching in-flight obtain — the record is the requesting
+// VPE's, and the key's creator fields name that VPE (object ids are minted
+// per (pe, vpe) across all types, so the triple identifies exactly one
+// eventual key); a matching pending delegation is
 // dropped outright — its acknowledgement resolves to ErrNoSuchCap at the
 // delegator, which unlinks the child there (exchange.go).
 func (k *Kernel) revokeUnseen(key ddl.Key) {
-	if po, ok := k.inflightObtains[exchangeID(key.PE(), key.VPE(), key.Object())]; ok && !po.revoked {
-		po.revoked = true
+	if v := k.vpeOf(key.VPE()); v != nil && v.obtaining && !v.obtainRevoked &&
+		v.PE == key.PE() && v.obtainObj == key.Object() {
+		v.obtainRevoked = true
 		k.stats.RevokedInFlight++
 	}
 	if _, ok := k.pendingDelegations.Get(key); ok {

@@ -13,7 +13,12 @@ import (
 // the directory. Clients create sessions — session capabilities are
 // children of the service capability, possibly across kernels — and then
 // talk to the service directly over a DTU channel without kernel
-// involvement; only capability exchanges go through the kernels.
+// involvement; only capability exchanges go through the kernels. Opening a
+// session and the session-scoped obtain and delegate are the exchange
+// protocol of exchange.go with the service as the consenting party
+// (DESIGN.md "The exchange protocol, once"); this file holds what is the
+// service's own: registration, the serve loop, the kernel's query to it, and
+// the client-side handle.
 
 // Service-side DTU endpoints used for client IPC.
 const (
@@ -225,14 +230,9 @@ func (k *Kernel) sysRegisterService(p *sim.Proc, req *sysRequest) sysReply {
 
 // --- session creation ----------------------------------------------------
 
-// sessionInfo travels back to the client's kernel so it can configure the
+// sysCreateSession opens a session: an obtain (exchange.go) whose source is
+// the service capability and whose consenting party is the service, plus the
 // client's send endpoint for direct IPC.
-type sessionInfo struct {
-	SvcPE int
-	SvcEP int
-	Ident uint64
-}
-
 func (k *Kernel) sysCreateSession(p *sim.Proc, req *sysRequest) sysReply {
 	v := k.vpeOf(req.VPE)
 	if v == nil {
@@ -256,347 +256,22 @@ func (k *Kernel) sysCreateSession(p *sim.Proc, req *sysRequest) sysReply {
 	if ep > vpeLastSessionEP {
 		return sysReply{Err: ErrBadArgs}
 	}
-	objID := k.gen.NextID(v.PE, v.ID)
-	var info sessionInfo
-	var parentKey ddl.Key
-	if entry.kernel == k.id {
-		svcCap := k.store.Lookup(entry.key)
-		if svcCap == nil || svcCap.Marked {
-			return sysReply{Err: ErrNoService}
-		}
-		res := k.queryService(p, entry.vpe, svcEvent{kind: SvcOpen, client: v.ID, args: req.Args})
-		if res.Errno != OK {
-			return sysReply{Err: res.Errno}
-		}
-		sessKey := ddl.NewKey(v.PE, v.ID, ddl.TypeSession, objID)
-		// The service query is a preemption point and the store compacts
-		// removed slots; re-resolve the service capability before linking.
-		if cur := k.store.Lookup(entry.key); cur != nil {
-			cur.AddChild(sessKey)
-		}
-		k.charge(p, k.sys.Cost.CapLink)
-		info = sessionInfo{SvcPE: entry.vpe.PE, SvcEP: clientEPFor(res.Ident), Ident: res.Ident}
-		parentKey = entry.key
-		k.stats.Sessions++
-	} else {
-		k.charge(p, k.sys.Cost.IKCMarshal)
-		rep := k.ikCall(p, entry.kernel, &ikcRequest{
-			Kind:     ikcSession,
-			Key:      entry.key,
-			VPE:      v.ID,
-			Args:     req.Args,
-			ChildPE:  v.PE,
-			ChildVPE: v.ID,
-			ChildObj: objID,
-		})
-		if rep.Err != OK {
-			return sysReply{Err: rep.Err}
-		}
-		info = rep.Args.(sessionInfo)
-		parentKey = rep.Key
-		k.stats.Sessions++
+	rep := k.obtain(p, v, entry.kernel, ikcRequest{Kind: ikcSession, Key: entry.key, Args: req.Args})
+	if rep.Err != OK {
+		return rep
 	}
-	sessKey := ddl.NewKey(v.PE, v.ID, ddl.TypeSession, objID)
-	sess := &cap.Capability{
-		Key:    sessKey,
-		Owner:  v.ID,
-		Sel:    k.store.AllocSel(v.ID),
-		Object: &cap.SessionObject{Service: req.Name, Ident: info.Ident},
-		Perm:   dtu.PermRW,
-		Parent: parentKey,
-	}
-	k.insertCap(p, sess)
-	// Configure the client's send endpoint for direct service IPC.
+	// Configure the client's send endpoint for direct service IPC; the
+	// session capability just inserted names the session.
+	ident := k.store.LookupSel(v.ID, rep.Sel).Object.(*cap.SessionObject).Ident
 	v.nextSessEP++
 	k.exec(p, k.sys.Cost.EPConfig)
-	must(v.dtu.ConfigureSend(k.dtu, ep, info.SvcPE, info.SvcEP, 1, info.Ident))
-	return sysReply{Sel: sess.Sel, Args: ep}
+	must(v.dtu.ConfigureSend(k.dtu, ep, entry.vpe.PE, clientEPFor(ident), 1, ident))
+	return sysReply{Sel: rep.Sel, Args: ep}
 }
 
 // clientEPFor spreads sessions across the service's client endpoints.
 func clientEPFor(ident uint64) int {
 	return svcFirstClientEP + int(ident%uint64(svcClientEPs))
-}
-
-// handleSessionReq runs at the service's kernel.
-func (k *Kernel) handleSessionReq(p *sim.Proc, req *ikcRequest) *ikcReply {
-	k.exec(p, k.sys.Cost.CapLookup+k.sys.Cost.DDLDecode)
-	svcCap := k.store.Lookup(req.Key)
-	if svcCap == nil || svcCap.Marked {
-		return &ikcReply{Err: ErrNoService}
-	}
-	so := svcCap.Object.(*cap.ServiceObject)
-	sv := k.vpeOf(so.VPE)
-	if sv == nil || sv.exited || sv.svc == nil {
-		return &ikcReply{Err: ErrNoService}
-	}
-	res := k.queryService(p, sv, svcEvent{kind: SvcOpen, client: req.VPE, args: req.Args})
-	if res.Errno != OK {
-		return &ikcReply{Err: res.Errno}
-	}
-	sessKey := ddl.NewKey(req.ChildPE, req.ChildVPE, ddl.TypeSession, req.ChildObj)
-	// Re-resolve after the service query (preemption point): the store
-	// compacts removed slots, so svcCap may no longer be the service.
-	if cur := k.store.Lookup(req.Key); cur != nil {
-		cur.AddChild(sessKey)
-	}
-	k.charge(p, k.sys.Cost.CapLink+k.sys.Cost.IKCMarshal)
-	return &ikcReply{
-		Key:  req.Key,
-		Args: sessionInfo{SvcPE: sv.PE, SvcEP: clientEPFor(res.Ident), Ident: res.Ident},
-	}
-}
-
-// --- session-scoped exchanges ---------------------------------------------
-
-func (k *Kernel) sysObtainSess(p *sim.Proc, req *sysRequest) sysReply {
-	v := k.vpeOf(req.VPE)
-	if v == nil {
-		return sysReply{Err: ErrVPEGone}
-	}
-	sess := k.lookupSel(p, req.VPE, req.Sel)
-	if sess == nil {
-		return sysReply{Err: ErrNoSuchCap}
-	}
-	if sess.Marked {
-		return sysReply{Err: ErrInRevocation}
-	}
-	so, ok := sess.Object.(*cap.SessionObject)
-	if !ok {
-		return sysReply{Err: ErrBadArgs}
-	}
-	k.exec(p, k.sys.Cost.DDLDecode)
-	svcKernel := k.member.KernelOfKey(sess.Parent)
-	objID := k.gen.NextID(v.PE, v.ID)
-
-	if svcKernel == k.id {
-		entry := k.sys.services[so.Service]
-		if entry == nil {
-			return sysReply{Err: ErrNoService}
-		}
-		res := k.queryService(p, entry.vpe, svcEvent{kind: SvcObtain, ident: so.Ident, args: req.Args})
-		if res.Errno != OK {
-			return sysReply{Err: res.Errno}
-		}
-		src := k.lookupSel(p, entry.vpe.ID, res.SrcSel)
-		if src == nil {
-			return sysReply{Err: ErrNoSuchCap}
-		}
-		if src.Marked {
-			return sysReply{Err: ErrInRevocation}
-		}
-		obj := deriveObject(src.Object)
-		childKey := ddl.NewKey(v.PE, v.ID, obj.ObjType(), objID)
-		src.AddChild(childKey)
-		k.charge(p, k.sys.Cost.CapLink)
-		child := &cap.Capability{
-			Key:    childKey,
-			Owner:  v.ID,
-			Sel:    k.store.AllocSel(v.ID),
-			Object: obj,
-			Perm:   src.Perm,
-			Parent: src.Key,
-		}
-		k.insertCap(p, child)
-		k.stats.Obtains++
-		return sysReply{Sel: child.Sel, Args: res.Reply}
-	}
-
-	k.charge(p, k.sys.Cost.IKCMarshal)
-	rep := k.ikCall(p, svcKernel, &ikcRequest{
-		Kind:     ikcObtainSess,
-		Key:      sess.Parent,
-		Ident:    so.Ident,
-		VPE:      v.ID,
-		Args:     req.Args,
-		ChildPE:  v.PE,
-		ChildVPE: v.ID,
-		ChildObj: objID,
-	})
-	if rep.Err != OK {
-		return sysReply{Err: rep.Err}
-	}
-	childKey := ddl.NewKey(v.PE, v.ID, rep.Object.ObjType(), objID)
-	if v.exited {
-		k.stats.Orphans++
-		k.notifyUnlink(p, svcKernel, rep.Key, childKey)
-		return sysReply{Err: ErrVPEGone}
-	}
-	child := &cap.Capability{
-		Key:    childKey,
-		Owner:  v.ID,
-		Sel:    k.store.AllocSel(v.ID),
-		Object: rep.Object,
-		Perm:   rep.Perm,
-		Parent: rep.Key,
-	}
-	k.insertCap(p, child)
-	k.stats.Obtains++
-	return sysReply{Sel: child.Sel, Args: rep.Args}
-}
-
-// handleObtainSessReq runs at the service's kernel: ask the service which
-// capability to hand out, link the child and return the object.
-func (k *Kernel) handleObtainSessReq(p *sim.Proc, req *ikcRequest) *ikcReply {
-	k.exec(p, k.sys.Cost.CapLookup+k.sys.Cost.DDLDecode)
-	svcCap := k.store.Lookup(req.Key)
-	if svcCap == nil || svcCap.Marked {
-		return &ikcReply{Err: ErrNoService}
-	}
-	so := svcCap.Object.(*cap.ServiceObject)
-	sv := k.vpeOf(so.VPE)
-	if sv == nil || sv.exited || sv.svc == nil {
-		return &ikcReply{Err: ErrNoService}
-	}
-	res := k.queryService(p, sv, svcEvent{kind: SvcObtain, ident: req.Ident, args: req.Args})
-	if res.Errno != OK {
-		return &ikcReply{Err: res.Errno}
-	}
-	src := k.lookupSel(p, sv.ID, res.SrcSel)
-	if src == nil {
-		return &ikcReply{Err: ErrNoSuchCap}
-	}
-	if src.Marked {
-		return &ikcReply{Err: ErrInRevocation}
-	}
-	obj := deriveObject(src.Object)
-	childKey := ddl.NewKey(req.ChildPE, req.ChildVPE, obj.ObjType(), req.ChildObj)
-	src.AddChild(childKey)
-	k.charge(p, k.sys.Cost.CapLink+k.sys.Cost.IKCMarshal)
-	return &ikcReply{Key: src.Key, Object: obj, Perm: src.Perm, Args: res.Reply}
-}
-
-// sysDelegateSess pushes the client's capability at req.Sel into the
-// session (req.TargetSel), e.g. granting a service access to client memory.
-// Across kernels it reuses the delegate two-way handshake.
-func (k *Kernel) sysDelegateSess(p *sim.Proc, req *sysRequest) sysReply {
-	v := k.vpeOf(req.VPE)
-	if v == nil {
-		return sysReply{Err: ErrVPEGone}
-	}
-	c := k.lookupSel(p, req.VPE, req.Sel)
-	if c == nil {
-		return sysReply{Err: ErrNoSuchCap}
-	}
-	if c.Marked {
-		return sysReply{Err: ErrInRevocation}
-	}
-	sess := k.lookupSel(p, req.VPE, req.TargetSel)
-	if sess == nil {
-		return sysReply{Err: ErrNoSuchCap}
-	}
-	so, ok := sess.Object.(*cap.SessionObject)
-	if !ok {
-		return sysReply{Err: ErrBadArgs}
-	}
-	k.exec(p, k.sys.Cost.DDLDecode)
-	svcKernel := k.member.KernelOfKey(sess.Parent)
-
-	if svcKernel == k.id {
-		entry := k.sys.services[so.Service]
-		if entry == nil {
-			return sysReply{Err: ErrNoService}
-		}
-		obj := deriveObject(c.Object)
-		// The service query is a preemption point; re-resolve the delegated
-		// capability by key afterwards (the store compacts removed slots).
-		cKey := c.Key
-		res := k.queryService(p, entry.vpe, svcEvent{kind: SvcDelegate, ident: so.Ident, args: req.Args, obj: obj})
-		if res.Errno != OK || !res.Accept {
-			return sysReply{Err: ErrDenied}
-		}
-		cur := k.store.Lookup(cKey)
-		if cur == nil || cur.Marked {
-			return sysReply{Err: ErrInRevocation}
-		}
-		child := &cap.Capability{
-			Key:    k.mintKey(entry.vpe.PE, entry.vpe.ID, obj.ObjType()),
-			Owner:  entry.vpe.ID,
-			Sel:    k.store.AllocSel(entry.vpe.ID),
-			Object: obj,
-			Perm:   cur.Perm,
-			Parent: cKey,
-		}
-		cur.AddChild(child.Key)
-		k.charge(p, k.sys.Cost.CapLink)
-		k.insertCap(p, child)
-		k.stats.Delegates++
-		return sysReply{Sel: child.Sel, Args: res.Reply}
-	}
-
-	// Inter-kernel calls below are preemption points; resolve the delegated
-	// capability by its hoisted key afterwards, never through the pointer.
-	cKey := c.Key
-	k.charge(p, k.sys.Cost.IKCMarshal)
-	rep := k.ikCall(p, svcKernel, &ikcRequest{
-		Kind:   ikcDelegateSess,
-		Key:    cKey,
-		Ident:  so.Ident,
-		VPE:    v.ID,
-		Object: deriveObject(c.Object),
-		Perm:   c.Perm,
-		Args:   req.Args,
-		Child:  sess.Parent, // service capability key
-	})
-	if rep.Err != OK {
-		return sysReply{Err: rep.Err}
-	}
-	childKey := rep.Key
-	k.exec(p, k.sys.Cost.CapLookup)
-	cur := k.store.Lookup(cKey)
-	if cur == nil || cur.Marked {
-		k.ikCall(p, svcKernel, &ikcRequest{Kind: ikcDelegateAck, Child: childKey, Ok: false})
-		return sysReply{Err: ErrInRevocation}
-	}
-	cur.AddChild(childKey)
-	k.charge(p, k.sys.Cost.CapLink)
-	ack := k.ikCall(p, svcKernel, &ikcRequest{Kind: ikcDelegateAck, Child: childKey, Ok: true})
-	if ack.Err != OK {
-		if again := k.store.Lookup(cKey); again != nil {
-			again.RemoveChild(childKey)
-		}
-		k.stats.Orphans++
-		return sysReply{Err: ack.Err}
-	}
-	k.stats.Delegates++
-	return sysReply{Args: rep.Args}
-}
-
-// handleDelegateSessReq runs at the service's kernel: ask the service for
-// consent, prepare the child (handshake step 1).
-func (k *Kernel) handleDelegateSessReq(p *sim.Proc, req *ikcRequest) *ikcReply {
-	k.exec(p, k.sys.Cost.CapLookup+k.sys.Cost.DDLDecode)
-	svcCap := k.store.Lookup(req.Child)
-	if svcCap == nil || svcCap.Marked {
-		return &ikcReply{Err: ErrNoService}
-	}
-	so := svcCap.Object.(*cap.ServiceObject)
-	sv := k.vpeOf(so.VPE)
-	if sv == nil || sv.exited || sv.svc == nil {
-		return &ikcReply{Err: ErrNoService}
-	}
-	inc := k.incarnation
-	res := k.queryService(p, sv, svcEvent{kind: SvcDelegate, ident: req.Ident, args: req.Args, obj: req.Object})
-	if res.Errno != OK || !res.Accept {
-		return &ikcReply{Err: ErrDenied}
-	}
-	if k.incarnation != inc {
-		// Parked across a crash recovery: the rejoin reset wiped the
-		// pending-delegation table and the originator aborted, so the entry
-		// below could never be acknowledged (rejoin.go).
-		return &ikcReply{Err: ErrPeerDead}
-	}
-	childKey := k.mintKey(sv.PE, sv.ID, req.Object.ObjType())
-	child := &cap.Capability{
-		Key:    childKey,
-		Owner:  sv.ID,
-		Object: req.Object,
-		Perm:   req.Perm,
-		Parent: req.Key,
-	}
-	k.charge(p, k.sys.Cost.CapCreate)
-	k.prepareDelegation(p, child)
-	return &ikcReply{Key: childKey, Args: res.Reply}
 }
 
 // --- client-side session API ----------------------------------------------

@@ -323,19 +323,8 @@ func (t *transport) replyQueue(key rkey) *replyQueue {
 // otherwise the first request of a generation arms the window timer.
 func (t *transport) enqueue(p *sim.Proc, dst int, req *ikcRequest) *sim.Future[*ikcReply] {
 	k := t.k
-	if dst == k.id {
-		panic("core: inter-kernel call to self")
-	}
-	k.exec(p, k.sys.Cost.IKCCompose)
-	req.Seq = k.nextSeq()
-	req.From = k.id
-	req.Inc = k.incarnation
-	fut := sim.NewFuture[*ikcReply](k.sys.Eng)
-	k.pending[req.Seq] = fut
-	if k.peerDead(dst) {
-		// Degraded mode: don't queue requests for a dead kernel — answer
-		// them with an error reply right away (see reliability.go).
-		k.rt.failFast(req.Seq, dst)
+	fut, dead := k.stamp(p, dst, req, true)
+	if dead {
 		return fut
 	}
 	k.stats.IKCBatched++

@@ -63,6 +63,19 @@ type VPE struct {
 	sysReq sysRequest
 	sysRep sysReply
 
+	// The in-flight record of the VPE's outstanding obtain or session-open
+	// (it has one syscall at a time): obtaining from the moment the child's
+	// identity (PE, ID, obtainObj) is agreed — the request leaves — until the
+	// owner's answer is consumed. The owner links the pre-agreed child key
+	// before its reply arrives, so a revocation can race the reply: the
+	// revoke request for the not-yet-inserted key finds nothing here and is
+	// confirmed as already revoked, after which the owner deletes the parent.
+	// obtainRevoked is the tombstone that makes the late (or dedup-replayed)
+	// reply discard the child instead of inserting an orphan (revokeUnseen).
+	obtainObj     uint64
+	obtaining     bool
+	obtainRevoked bool
+
 	exited   bool
 	started  bool
 	doneAt   sim.Time

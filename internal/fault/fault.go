@@ -73,21 +73,47 @@ type Plan struct {
 	Kernels []KernelFault
 }
 
-// Validate checks the plan's static well-formedness. Today that is the
-// crash/recovery window ordering: a recovery that does not strictly follow
-// its crash describes no window at all, and silently treating it as
-// "never crashed" (or "never recovered") would make a scenario pass while
-// testing nothing.
+// planError is what Validate rejects a plan with.
+type planError string
+
+func (e planError) Error() string { return "fault: " + string(e) }
+
+// Validate checks the plan's static well-formedness: every rate is a
+// probability, and every recovery strictly follows its crash. A plan that
+// fails either describes no scenario at all — a NaN or negative rate never
+// fires, a recovery at or before its crash opens no window — and silently
+// running it as "no faults" (or "never recovered") would make a scenario
+// pass while testing nothing. Kernels and link endpoints are not checked
+// against a machine: ones it lacks simply never match (NewInjector).
 func (p *Plan) Validate() error {
+	rates := func(where string, drop, dup float64) error {
+		for _, r := range [...]struct {
+			name string
+			v    float64
+		}{{"Drop", drop}, {"Dup", dup}} {
+			if !(r.v >= 0 && r.v <= 1) { // also catches NaN
+				return planError(fmt.Sprintf("%s %s rate %v is not a probability", where, r.name, r.v))
+			}
+		}
+		return nil
+	}
+	if err := rates("default", p.Drop, p.Dup); err != nil {
+		return err
+	}
+	for i, lr := range p.Links {
+		if err := rates(fmt.Sprintf("link rule %d", i), lr.Drop, lr.Dup); err != nil {
+			return err
+		}
+	}
 	for _, kf := range p.Kernels {
 		if kf.RecoverAt == 0 {
 			continue
 		}
 		if kf.CrashAt == 0 {
-			return fmt.Errorf("fault: kernel %d has RecoverAt %d without a CrashAt", kf.Kernel, kf.RecoverAt)
+			return planError(fmt.Sprintf("kernel %d has RecoverAt %d without a CrashAt", kf.Kernel, kf.RecoverAt))
 		}
 		if kf.RecoverAt <= kf.CrashAt {
-			return fmt.Errorf("fault: kernel %d RecoverAt %d must be after CrashAt %d", kf.Kernel, kf.RecoverAt, kf.CrashAt)
+			return planError(fmt.Sprintf("kernel %d RecoverAt %d must be after CrashAt %d", kf.Kernel, kf.RecoverAt, kf.CrashAt))
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/noc"
@@ -187,6 +188,8 @@ func TestPlanValidate(t *testing.T) {
 		{Kernels: []KernelFault{{Kernel: 1, RecoverAt: 200}}},               // recovery without a crash
 		{Kernels: []KernelFault{{Kernel: 1, CrashAt: 200, RecoverAt: 200}}}, // empty window
 		{Kernels: []KernelFault{{Kernel: 1, CrashAt: 300, RecoverAt: 200}}}, // inverted window
+		{Drop: 1.5}, // not a probability
+		{Links: []LinkRule{{Src: -1, Dst: -1, Dup: math.NaN()}}},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
