@@ -275,14 +275,11 @@ func TestPooledEngineRetainsNoMessages(t *testing.T) {
 }
 
 // TestTreeRevokeAllocationCeiling bounds what a warmed local tree revoke
-// allocates: the revocation's record, its list of marked keys and the one
-// stack its mark walk snapshots child lists onto — all three per revocation,
-// grown by doubling (1 + 5 + 2 here), none per capability. (The walk used to
-// allocate a snapshot slice for every marked capability that has children, 4
-// of this tree's 10, for 10 in all.) The ceiling is the measured count, with
-// and without the race detector.
+// allocates: nothing. The revocation's records, their marked-key lists and
+// the stack its mark walk snapshots child lists onto come from the kernel's
+// free list, and the syscall thread parks on its record.
 func TestTreeRevokeAllocationCeiling(t *testing.T) {
-	const ceiling = 8
+	const ceiling = 0
 	s := MustNew(Config{Kernels: 1, UserPEs: 1})
 	defer s.Close()
 	var root, mid cap.Selector
@@ -328,10 +325,73 @@ func TestTreeRevokeAllocationCeiling(t *testing.T) {
 		total += round()
 	}
 	if allocs := float64(total) / rounds; allocs > ceiling {
-		t.Fatalf("revoking a warmed 10-capability local tree allocates %v times, ceiling %v", allocs, ceiling)
+		t.Fatalf("revoking a warmed 10-capability local tree allocates %v times, want %v", allocs, ceiling)
 	}
 	if got := s.kernels[0].store.Len(); got != 2 { // the VPE's own capability and root
 		t.Fatalf("%d capabilities left, want 2", got)
 	}
+	checkAllInvariants(t, s)
+}
+
+// TestSpanningRevokeAllocationCeiling bounds a warmed revoke whose root has
+// one child on the other kernel: what is left is the wire protocol of the one
+// forward — the request, its reply future, the completion callback and the
+// slice that holds it, and the reply — none of it revocation state. The
+// ceiling is the measured count, with and without the race detector.
+func TestSpanningRevokeAllocationCeiling(t *testing.T) {
+	const ceiling = 5
+	s := MustNew(Config{Kernels: 2, UserPEs: 4})
+	defer s.Close()
+	pes := s.UserPEs()
+	var root, mid cap.Selector
+	var ownerID int
+	revoking := false
+	owner := stepVPE(t, s, pes[0], func(v *VPE, p *sim.Proc) {
+		var err error
+		switch {
+		case root == cap.NoSel:
+			ownerID = v.ID
+			root, err = v.AllocMem(p, 1<<20, dtu.PermRW)
+		case revoking:
+			err = v.Revoke(p, mid)
+		default:
+			mid, err = v.DeriveMem(p, root, 0, 4096, dtu.PermRW)
+		}
+		if err != nil {
+			t.Error(err)
+		}
+	})
+	far := stepVPE(t, s, pes[len(pes)-1], func(v *VPE, p *sim.Proc) {
+		if _, err := v.ObtainFrom(p, ownerID, mid); err != nil {
+			t.Error(err)
+		}
+	})
+	owner()
+	round := func() uint64 {
+		revoking = false
+		owner()
+		far()
+		revoking = true
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		owner()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	for i := 0; i < 8; i++ {
+		round()
+	}
+	const rounds = 50
+	var total uint64
+	for i := 0; i < rounds; i++ {
+		total += round()
+	}
+	if allocs := float64(total) / rounds; allocs > ceiling {
+		t.Fatalf("revoking a warmed root with one remote child allocates %v times, ceiling %v", allocs, ceiling)
+	}
+	if got := memCapsEverywhere(s); got != 1 { // root
+		t.Fatalf("%d memory capabilities left, want 1", got)
+	}
+	checkNoLeaks(t, s)
 	checkAllInvariants(t, s)
 }

@@ -109,7 +109,7 @@ func (w *ikcWire) onArrive() {
 	case wireReply:
 		to.recvReply(rep)
 	case wireCredit:
-		to.inflightTo(from.id).Release()
+		to.creditBack(from.id)
 	}
 }
 
@@ -156,16 +156,52 @@ func (k *Kernel) stamp(p *sim.Proc, dst int, req *ikcRequest, answered bool) (fu
 
 // post sends a stamped request to kernel dst as a direct message. The caller
 // holds the CPU token; the in-flight slot is acquired at a preemption point
-// (the CPU is released while waiting for one).
+// (the CPU is released while waiting for one) — except on a revoke thread,
+// which never waits (DESIGN.md "Deadlock freedom of revocation"): its
+// forward joins dst's deferred FIFO instead and leaves with the next credit
+// that comes back (creditBack).
 func (k *Kernel) post(p *sim.Proc, dst int, req *ikcRequest) {
 	k.stats.IKCSent++
 	sem := k.inflightTo(dst)
 	if !sem.TryAcquire() {
+		if k.holder.pl == k.revokePool {
+			if k.deferred == nil {
+				k.deferred = make([]sim.FIFO[*ikcRequest], len(k.inflight))
+			}
+			k.deferred[dst].Push(req)
+			return
+		}
 		k.pause(p, sem)
 	}
+	k.transmit(dst, req)
+}
+
+// transmit puts a request that holds a credit on the wire to kernel dst.
+func (k *Kernel) transmit(dst int, req *ikcRequest) {
 	k.sendRequest(k.sys.kernels[dst], req)
 	if k.rt != nil {
 		k.rt.track(dst, []*ikcRequest{req}, false, req.Kind)
+	}
+}
+
+// creditBack returns one in-flight credit toward dst — at pickup (wireCredit)
+// or, in reliable mode, when a transmission resolves or aborts. A deferred
+// forward takes it first and leaves now; only then may a parked thread have
+// it. Nothing is sent to a peer declared dead (markDead fails what waits).
+func (k *Kernel) creditBack(dst int) {
+	if dst < len(k.deferred) && k.deferred[dst].Len() > 0 && !k.peerDead(dst) {
+		k.transmit(dst, k.deferred[dst].Pop())
+		return
+	}
+	k.inflightTo(dst).Release()
+}
+
+// failDeferred completes the forwards deferred toward dst with ErrPeerDead
+// without ever putting them on the wire; their completions record the orphan
+// fixes, as for any failed revoke.
+func (k *Kernel) failDeferred(dst int) {
+	for dst < len(k.deferred) && k.deferred[dst].Len() > 0 {
+		k.rt.failFast(k.deferred[dst].Pop().Seq, dst)
 	}
 }
 
@@ -321,10 +357,8 @@ func (k *Kernel) dispatchRequest(p *sim.Proc, req *ikcRequest) {
 		rep = &r
 	case ikcDelegateAck:
 		rep = k.handleDelegateAck(p, req)
-	case ikcRevoke:
+	case ikcRevoke, ikcRevokeBatch:
 		rep = k.handleRevokeReq(p, req)
-	case ikcRevokeBatch:
-		rep = k.handleRevokeBatchReq(p, req)
 	case ikcUnlinkChild:
 		k.handleUnlinkChild(p, req) // notification: nobody to answer
 		if k.reliable() {
@@ -350,12 +384,9 @@ func (k *Kernel) dispatchRequest(p *sim.Proc, req *ikcRequest) {
 // slots reserved by the request and bypass the in-flight limit.
 func (k *Kernel) ikReply(p *sim.Proc, req *ikcRequest, rep *ikcReply) {
 	k.exec(p, k.sys.Cost.IKCCompose)
-	rep.Seq = req.Seq
-	rep.From = k.id
-	rep.Inc = req.Inc
-	k.cacheReply(req.From, req.Seq, rep)
+	k.answers(req, rep)
 	if k.xport.batchesReply(req.Kind) {
-		k.xport.enqueueReply(req.From, replyClassOf(req.Kind), rep)
+		k.xport.enqueueReply(req.From, classOf(req.Kind), rep)
 		return
 	}
 	k.stats.IKCRepSent++
@@ -364,26 +395,30 @@ func (k *Kernel) ikReply(p *sim.Proc, req *ikcRequest, rep *ikcReply) {
 
 // ikReplyAsync sends a reply without a thread to charge (used by the
 // continuation-based revocation, which completes when the last child's
-// answer arrives rather than where the request was dispatched; its callers
-// are revocation waiters, which run settled). The compose cost is modeled as
-// a delay before the message leaves. These replies never join reply envelopes, regardless of
-// policy: a continuation fires long after any dispatch barrier has passed,
-// so batching it could only park a revocation's completion — the event the
-// initiator's syscall blocks on — on an idle window timer, trading
-// latency-critical progress for a coalescing opportunity that barely
-// exists (revocation already answers one reply per batched request).
+// answer arrives rather than where the request was dispatched; its caller
+// is a finishing revocation record, which runs settled). The compose cost is
+// modeled as a delay before the message leaves. These replies never join
+// reply envelopes, regardless of policy: a continuation fires long after any
+// dispatch barrier has passed, so batching it could only park a revocation's
+// completion — the event the initiator's syscall blocks on — on an idle
+// window timer, trading latency-critical progress for a coalescing
+// opportunity that barely exists (revocation already answers one reply per
+// batched request).
 // Keeping them direct also pins batched revocation of arbitrarily deep
 // trees to its pre-sink event trace.
 func (k *Kernel) ikReplyAsync(req *ikcRequest, rep *ikcReply) {
-	rep.Seq = req.Seq
-	rep.From = k.id
-	rep.Inc = req.Inc
-	k.cacheReply(req.From, req.Seq, rep)
+	k.answers(req, rep)
 	k.stats.Busy += k.sys.Cost.IKCCompose
 	k.stats.IKCRepSent++
 	w := k.wire(wireCompose, k.sys.kernels[req.From])
 	w.rep = rep
 	k.sys.Eng.Schedule(k.sys.Cost.IKCCompose, w.arrive)
+}
+
+// answers makes rep the reply to req, and caches it for a duplicate of req.
+func (k *Kernel) answers(req *ikcRequest, rep *ikcReply) {
+	rep.Seq, rep.From, rep.Inc = req.Seq, k.id, req.Inc
+	k.cacheReply(req.From, req.Seq, rep)
 }
 
 // recvReplyVec runs at the requesting kernel when a reply envelope arrives

@@ -132,8 +132,11 @@ type Kernel struct {
 	orphanFixes []orphanFix
 
 	// inflight limits unprocessed requests per destination kernel,
-	// indexed densely by kernel id (entries created lazily).
+	// indexed densely by kernel id (entries created lazily). deferred holds,
+	// per destination, the stamped forwards of revoke threads that found no
+	// credit (post, creditBack); allocated on the first deferral.
 	inflight []*sim.Semaphore
+	deferred []sim.FIFO[*ikcRequest]
 	pending  map[uint64]*sim.Future[*ikcReply]
 	seq      uint64
 
@@ -145,9 +148,11 @@ type Kernel struct {
 	// two-way handshake that await the originator's acknowledgement.
 	pendingDelegations ddl.KeyMap[*cap.Capability]
 
-	// revocations maps every marked capability to the state of the
-	// revocation that marked it (paper Algorithm 1).
+	// revocations maps every marked capability to the record of the
+	// revocation that marked it (paper Algorithm 1); revFree heads the list
+	// of released records awaiting reuse (newRev).
 	revocations ddl.KeyMap[*revState]
+	revFree     *revState
 
 	stats KernelStats
 }

@@ -62,11 +62,11 @@ func (t *kthread) Ready(p *sim.Proc) bool {
 				m := j.subj.(*dtu.Message)
 				k.dtu.Reply(m, &k.sys.vpes[m.Payload.(*sysRequest).VPE].sysRep, syscallRepBytes)
 			case jobRequest, jobBatch:
-				// Dispatch barrier of the reply sink (see flushBatchReplies): a
+				// Dispatch barrier of the reply sink (see flushReplies): a
 				// reply produced by this dispatch leaves now instead of waiting
 				// on an idle window timer. No-op for unbatched families.
 				req := j.subj.(*ikcRequest)
-				k.xport.flushBatchReplies(req.From, req.Kind)
+				k.xport.flushReplies(rkey{dst: req.From, class: classOf(req.Kind)})
 			}
 			k.cpu.Release()
 			t.stage = stageJob
@@ -175,7 +175,7 @@ func (k *Kernel) describeWait(w sim.Waiter) string {
 		return fmt.Sprintf("await-answer of VPE %d", w.v.ID)
 	case *sim.Future[*ikcReply]:
 		return "await-reply"
-	case *sim.Future[struct{}]:
+	case *revState:
 		return "await-revocation"
 	}
 	return fmt.Sprintf("await %T", w)

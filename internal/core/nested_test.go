@@ -1,41 +1,57 @@
 package core
 
 import (
+	"fmt"
+	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/cap"
 	"repro/internal/dtu"
+	"repro/internal/fault"
 	"repro/internal/sim"
 )
 
-// nestedChains builds, on two kernels with n clients each, the capability
-// chains that leave a kernel and come back: every client allocates a root,
-// obtains the root of its counterpart in the other group (A → B) and
-// delegates what it obtained to a neighbour's counterpart — a client of the
-// owner's own group (B → A again). Then all 2n roots are revoked at once. It
-// returns the machine, run dry, and how many of the revokes returned.
+// nestedChains builds — and leaves to the caller to run — capability chains
+// that leave a kernel and come back, on cfg.Kernels kernels with n clients
+// each: every client allocates a root, obtains the root of its counterpart
+// in group g+1 and delegates what it obtained to a neighbour's counterpart in
+// group g+2 — on two kernels the owner's own group (A → B → A), on three a
+// ring (A → B → C → A). Then all roots are revoked at once — or, obtained,
+// all the obtained capabilities, whose revoke also unlinks them from their
+// parent on another kernel. returned counts the revokes that came back.
 // (benchmark/README.md, "The nested-chain revoke finding".)
-func nestedChains(t *testing.T, n int) (s *System, returned int) {
+func nestedChains(t *testing.T, cfg Config, n int, obtained bool) (s *System, returned *int) {
 	t.Helper()
-	s = MustNew(Config{Kernels: 2, UserPEs: 2 * n})
+	groups := cfg.Kernels
+	cfg.UserPEs = groups * n
+	s = MustNew(cfg)
 	pes := s.UserPEs()
-	if s.KernelOfPE(pes[0]) == s.KernelOfPE(pes[n]) || s.KernelOfPE(pes[0]) != s.KernelOfPE(pes[n-1]) {
-		t.Fatalf("PE groups are not [0..%d | %d..%d]", n-1, n, 2*n-1)
+	for c, pe := range pes {
+		if s.KernelOfPE(pe) != s.KernelOfPE(pes[c/n*n]) {
+			t.Fatalf("PE groups are not %d blocks of %d", groups, n)
+		}
 	}
-	vpes := make([]*VPE, 2*n)
-	roots := make([]cap.Selector, 2*n)
+	hop := 2 // the delegate's group, relative to the client's
+	if groups == 2 {
+		hop = 1
+	}
+	vpes := make([]*VPE, len(pes))
+	roots := make([]cap.Selector, len(pes))
+	returned = new(int)
 	// Two barriers: all roots exist, all chains stand.
 	var arrived [2]int
 	open := [2]*sim.Future[struct{}]{sim.NewFuture[struct{}](s.Eng), sim.NewFuture[struct{}](s.Eng)}
 	barrier := func(p *sim.Proc, i int) {
-		if arrived[i]++; arrived[i] == 2*n {
+		if arrived[i]++; arrived[i] == len(pes) {
 			open[i].Complete(struct{}{})
 		}
 		open[i].Wait(p)
 	}
 	for c := range vpes {
 		c := c
+		g, i := c/n, c%n
 		v, err := s.SpawnOn(pes[c], "client", func(v *VPE, p *sim.Proc) {
 			root, err := v.AllocMem(p, 4096, dtu.PermRW)
 			if err != nil {
@@ -43,121 +59,81 @@ func nestedChains(t *testing.T, n int) (s *System, returned int) {
 			}
 			roots[c] = root
 			barrier(p, 0)
-			other := (c/n + 1) % 2
-			owner := other*n + c%n
+			owner := (g+1)%groups*n + i
 			sel, err := v.ObtainFrom(p, vpes[owner].ID, roots[owner])
 			if err != nil {
 				t.Error(err)
 			}
-			if _, err := v.DelegateTo(p, vpes[other*n+(c+1)%n].ID, sel); err != nil {
+			if _, err := v.DelegateTo(p, vpes[(g+hop)%groups*n+(i+1)%n].ID, sel); err != nil {
 				t.Error(err)
 			}
 			barrier(p, 1)
+			if obtained {
+				root = sel
+			}
 			if err := v.Revoke(p, root); err != nil {
 				t.Error(err)
 			}
-			returned++
+			*returned++
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		vpes[c] = v
 	}
-	s.Run()
 	return s, returned
 }
 
-// TestNestedChainRevoke: up to MaxInflight+1 concurrent nested-chain revokes
-// per kernel pair complete, and leave a machine that every audit finds clean.
+// TestNestedChainRevoke: every root of a machine full of nested chains is
+// revoked at once, and every revoke returns, leaving a machine that every
+// audit finds clean — at any number of chains per kernel pair, on pairs and
+// on rings, unbatched and batched. 2 × 6 is the smallest machine on which
+// revoke threads that waited for credits deadlocked: each kernel's two held
+// a picked-up request and waited for a credit to forward it back, while the
+// four requests queued behind them held all four credits of each direction
+// (DESIGN.md "Deadlock freedom of revocation"). Revoking the obtained
+// capabilities instead adds an unlink towards the parent's kernel, which a
+// syscall thread may wait for while the forwards complete.
 func TestNestedChainRevoke(t *testing.T) {
-	for _, n := range []int{4, 5} {
-		s, returned := nestedChains(t, n)
-		if returned != 2*n {
-			t.Errorf("2 x %d: %d of %d revokes returned", n, returned, 2*n)
-		}
-		checkNoLeaks(t, s) // and quiescent
-		if allocs := testing.AllocsPerRun(10, func() { s.CheckQuiescent() }); allocs != 0 {
-			t.Errorf("a clean CheckQuiescent allocates %v times, want 0", allocs)
-		}
-		checkAllInvariants(t, s)
-		s.Close()
-	}
-}
-
-// TestNestedChainRevokeDeadlocksAtSixPerGroup asserts what is true TODAY and
-// is a BUG (ROADMAP "Fix the concurrent-revoke credit deadlock"): at six
-// clients per group — one past MaxInflight+1 — none of the twelve revokes
-// returns. The run drains without an error; what this test pins is that the
-// machine now says why, in its own words:
-//
-//	k0/sys1..6: syscall revoke, await-revocation         (and k1's six)
-//	k0/rev1..2: request revoke from k1, await-credit k0→k1  (and k1's two)
-//	k0/rev: 4 job(s) queued behind a full pool           (and k1's four)
-//	k0→k1: 4 of 4 in-flight credits not returned         (and k1→k0)
-//
-// Each kernel sent six revoke requests to the other. Two were picked up by
-// the two revoke threads, which returned their credits, marked, and now must
-// forward the revoke back (the chain comes home) — and wait for a credit to
-// do so. The other four sit in the pool's queue behind them, and a queued
-// request is what holds a credit: all four of each direction. The threads
-// that would free the credits wait for the credits. A cycle, printed; the
-// syscall threads behind it wait for revocations that cannot finish. The fix
-// flips this test to "12 of 12 return, CheckQuiescent empty".
-func TestNestedChainRevokeDeadlocksAtSixPerGroup(t *testing.T) {
-	const n = 6
-	s, returned := nestedChains(t, n)
-	defer s.Close()
-	if returned != 0 {
-		t.Fatalf("%d of %d revokes returned: if the credit deadlock is fixed, this test asserts the opposite now", returned, 2*n)
-	}
-	findings := s.CheckQuiescent()
-	count := func(all ...string) (c int) {
-	next:
-		for _, f := range findings {
-			for _, sub := range all {
-				if !strings.Contains(f, sub) {
-					continue next
-				}
-			}
-			c++
-		}
-		return c
-	}
-	for _, want := range []struct {
-		n   int
-		sub []string
-	}{
-		{n, []string{"k0/sys", "syscall revoke, await-revocation"}},
-		{n, []string{"k1/sys", "syscall revoke, await-revocation"}},
-		{RevokeThreads, []string{"k0/rev", "request revoke from k1, await-credit k0→k1"}},
-		{RevokeThreads, []string{"k1/rev", "request revoke from k0, await-credit k1→k0"}},
-		{1, []string{"k0/rev: 4 job(s) queued behind a full pool"}},
-		{1, []string{"k1/rev: 4 job(s) queued behind a full pool"}},
-		{1, []string{"k0→k1: 4 of 4 in-flight credits not returned"}},
-		{1, []string{"k1→k0: 4 of 4 in-flight credits not returned"}},
-		{2 * n, []string{"syscall revoke has not returned"}},
-		{2 * n, []string{"receive slot(s) of endpoint"}}, // the twelve syscall messages
+	for _, shape := range []struct{ kernels, n int }{
+		{2, 4}, {2, 5}, {2, 6}, {2, 8}, {2, 16}, {3, 6}, {3, 16}, {4, 6}, {4, 16},
 	} {
-		if got := count(want.sub...); got != want.n {
-			t.Errorf("%d findings match %q, want %d", got, want.sub, want.n)
+		for _, variant := range []struct {
+			name              string
+			obtained, batched bool
+		}{{"", false, false}, {"/batched", false, true}, {"/obtained", true, false}, {"/obtained/batched", true, true}} {
+			t.Run(fmt.Sprintf("%dx%d%s", shape.kernels, shape.n, variant.name), func(t *testing.T) {
+				cfg := Config{Kernels: shape.kernels, IKCBatching: IKCBatching{Revoke: variant.batched}}
+				s, returned := nestedChains(t, cfg, shape.n, variant.obtained)
+				defer s.Close()
+				s.Run()
+				chains := shape.kernels * shape.n
+				if *returned != chains {
+					t.Errorf("%d of %d revokes returned", *returned, chains)
+				}
+				checkNoLeaks(t, s) // and quiescent
+				if allocs := testing.AllocsPerRun(10, func() { s.CheckQuiescent() }); allocs != 0 {
+					t.Errorf("a clean CheckQuiescent allocates %v times, want 0", allocs)
+				}
+				checkAllInvariants(t, s)
+				left := 0 // revoking the roots takes everything; else the roots stay
+				if variant.obtained {
+					left = chains
+				}
+				if got := memCapsEverywhere(s); got != left {
+					t.Errorf("%d memory capabilities left, want %d", got, left)
+				}
+			})
 		}
 	}
-	if t.Failed() {
-		t.Logf("CheckQuiescent:\n  %s", strings.Join(findings, "\n  "))
-	}
-	// Nothing is lost or half-done — the capabilities all stand, marked.
-	for _, l := range s.CheckLeaks() {
-		t.Errorf("leak: %s", l)
-	}
-	checkAllInvariants(t, s)
 }
 
 // TestKillKernelThreadsInEveryStage: Close unwinds kernel threads wherever
 // their wait records have them parked — for a job, for a reply, a credit or
-// a revocation (the deadlocked machine above), for the CPU, and in the middle
-// of a job's owed time with the epilogue still to run (a loaded machine
-// stopped mid-round) — and the engine goes back through the pool for the
-// next machine.
+// a revocation (a nested-chain machine stopped mid-revoke), for the CPU, and
+// in the middle of a job's owed time with the epilogue still to run (a loaded
+// machine stopped mid-round) — and the engine goes back through the pool for
+// the next machine.
 func TestKillKernelThreadsInEveryStage(t *testing.T) {
 	engines := sim.NewPool()
 	stages := map[waitStage]bool{}
@@ -196,15 +172,267 @@ func TestKillKernelThreadsInEveryStage(t *testing.T) {
 		}
 		engines.Put(eng) // the second round builds on it again
 	}
-	s, _ := nestedChains(t, 6)
+	// Sixteen chains per kernel pair, stopped while the revokes are in
+	// flight: syscall threads wait for their revocations and for credits,
+	// revoke forwards wait as data.
+	s, returned := nestedChains(t, Config{Kernels: 2}, 16, false)
+	midRevoke := func() bool {
+		var revocation, credit, deferred bool
+		for _, f := range s.CheckQuiescent() {
+			revocation = revocation || strings.HasSuffix(f, "syscall revoke, await-revocation")
+			credit = credit || strings.HasSuffix(f, "syscall revoke, await-credit k0→k1")
+			deferred = deferred || strings.HasSuffix(f, "forwarded revoke(s) waiting for a credit")
+		}
+		return revocation && credit && deferred
+	}
+	for slice := sim.Time(1); !midRevoke(); slice++ {
+		if slice == 1000 || *returned > 0 {
+			t.Fatal("no instant with revoke syscalls awaiting their revocation and a credit, and a forward deferred")
+		}
+		s.Eng.RunUntil(slice * 1000)
+	}
 	note(s)
 	s.Close()
 	if n := s.Eng.LiveProcs(); n != 0 {
-		t.Fatalf("%d procs live after Close of the deadlocked machine", n)
+		t.Fatalf("%d procs live after Close of the nested-chain machine", n)
 	}
 	for _, st := range []waitStage{stageEpilogue, stageJob, stageInner, stageCPU} {
 		if !stages[st] {
 			t.Errorf("no thread was parked in stage %d when its machine was closed", st)
+		}
+	}
+}
+
+// TestNestedChainRevokeReliableCreditCycle pins a second credit cycle, one
+// this tree does not fix (ROADMAP "A pickup acknowledgement for revokes in
+// reliable mode"). With the reliable layer on — lossless or dropping 1% — a
+// credit comes back with the reply, not at pickup, and a revoke's reply waits
+// for its whole subtree. 2 × 3 chains are clean. At 2 × 4 the four first-hop
+// revokes of each kernel hold all MaxInflight credits of their direction,
+// so the forwards that would complete them never leave; retransmit
+// exhaustion declares the live peer dead, which completes every revoke, but
+// the orphan fixes it records are never replayed — no rejoin follows.
+func TestNestedChainRevokeReliableCreditCycle(t *testing.T) {
+	for _, drop := range []float64{0, 0.01} {
+		cfg := Config{Kernels: 2, Reliability: &Reliability{}}
+		if drop > 0 {
+			cfg.Faults = &fault.Plan{Seed: 1, Drop: drop}
+		}
+		for _, n := range []int{3, 4} {
+			t.Run(fmt.Sprintf("drop=%v/2x%d", drop, n), func(t *testing.T) {
+				s, returned := nestedChains(t, cfg, n, false)
+				defer s.Close()
+				s.Run()
+				if *returned != 2*n {
+					t.Errorf("%d of %d revokes returned", *returned, 2*n)
+				}
+				for _, q := range s.CheckQuiescent() {
+					t.Errorf("not quiescent: %s", q)
+				}
+				checkAllInvariants(t, s)
+				leaks, dead := s.CheckLeaks(), s.TotalStats().DeadPeers
+				if n == 3 {
+					if dead != 0 {
+						t.Errorf("%d live peers declared dead", dead)
+					}
+					for _, l := range leaks {
+						t.Errorf("leak: %s", l)
+					}
+					return
+				}
+				// The pinned failure: both kernels declare the other dead, and
+				// each chain leaves an orphan on each kernel.
+				orphans := 0
+				for _, l := range leaks {
+					if strings.Contains(l, "orphaned") {
+						orphans++
+					}
+				}
+				if dead != 2 || orphans != 2*n {
+					t.Errorf("%d peers declared dead and %d orphans, want 2 and %d — if the cycle is fixed, assert 2 x %d clean", dead, orphans, 2*n, n)
+				}
+			})
+		}
+	}
+}
+
+// TestNestedChainRevokePeerCrashWhileDeferred: a kernel crashes while revoke
+// forwards wait for credits in both directions, and recovers. Crashed
+// briefly, it is never declared dead, and at the rejoin it fails the forwards
+// it deferred itself — they carry its dead incarnation. Crashed for long, each
+// kernel declares the other dead and fails the forwards deferred toward it.
+// Either way the failures record orphan fixes like any revoke to an
+// unreachable peer, the rejoin replays them, every revoke returns, and the
+// recovered machine is leak-free.
+func TestNestedChainRevokePeerCrashWhileDeferred(t *testing.T) {
+	const n = 3
+	deferred := func(s *System) (dirs int) {
+		for _, f := range s.CheckQuiescent() {
+			if strings.HasSuffix(f, "forwarded revoke(s) waiting for a credit") {
+				dirs++
+			}
+		}
+		return dirs
+	}
+	for _, tc := range []struct {
+		name  string
+		rel   Reliability
+		crash sim.Duration
+		dead  bool
+	}{
+		{"brief", Reliability{}, 100_000, false},
+		{"declared-dead", Reliability{RTOBase: 20_000, MaxRetries: 3}, 1_000_000, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The first instant, in steps of 500 cycles, at which a fault-free
+			// run has forwards deferred in both directions.
+			probe, _ := nestedChains(t, Config{Kernels: 2, Reliability: &tc.rel}, n, false)
+			for slice := sim.Time(1); deferred(probe) < 2; slice++ {
+				if probe.Eng.Pending() == 0 {
+					t.Fatal("no forward was ever deferred in both directions")
+				}
+				probe.Eng.RunUntil(slice * 500)
+			}
+			crashAt := probe.Now()
+			probe.Close()
+
+			plan := &fault.Plan{Seed: 1, Kernels: []fault.KernelFault{{Kernel: 1, CrashAt: crashAt, RecoverAt: crashAt + tc.crash}}}
+			s, returned := nestedChains(t, Config{Kernels: 2, Reliability: &tc.rel, Faults: plan}, n, false)
+			defer s.Close()
+			s.Eng.RunUntil(crashAt)
+			if got := deferred(s); got != 2 {
+				t.Fatalf("forwards deferred in %d directions at the crash, want 2", got)
+			}
+			s.Run()
+			if *returned != 2*n {
+				t.Errorf("%d of %d revokes returned", *returned, 2*n)
+			}
+			st := s.TotalStats()
+			if (st.DeadPeers > 0) != tc.dead || st.Rejoins != 1 || st.FailFast == 0 {
+				t.Errorf("%d death verdicts, %d rejoins, %d requests failed unsent; want dead=%v, 1, some",
+					st.DeadPeers, st.Rejoins, st.FailFast, tc.dead)
+			}
+			checkNoLeaks(t, s)
+			checkAllInvariants(t, s)
+			if memCapsEverywhere(s) != 0 {
+				t.Errorf("%d memory capabilities survived", memCapsEverywhere(s))
+			}
+		})
+	}
+}
+
+// TestOnwardDelegationStorm is the capstorm script with the hops it leaves
+// out: 8 kernels × 8 clients, and in every epoch each client obtains two
+// roots of its own group and two of others, delegates each obtained
+// capability onward — to a client of the owner's group and to one of a third
+// group — and, after a barrier, all clients revoke their roots at once. The
+// trees so grow chains that leave a kernel and come back (A → B → A) or hop
+// on (A → B → C). Over seeds 1–5, unbatched and with batched revoke, no
+// operation fails and every audit finds the machine clean.
+func TestOnwardDelegationStorm(t *testing.T) {
+	const (
+		kernels, perGroup, epochs = 8, 8, 3
+		clients                   = kernels * perGroup
+	)
+	for seed := uint64(1); seed <= 5; seed++ {
+		for _, batched := range []bool{false, true} {
+			t.Run(fmt.Sprintf("seed=%d/batched=%v", seed, batched), func(t *testing.T) {
+				rng := rand.New(rand.NewPCG(seed, 0))
+				// member draws a client of group g other than the excluded ones.
+				member := func(g int, not ...int) int {
+					for {
+						if c := g*perGroup + rng.IntN(perGroup); !slices.Contains(not, c) {
+							return c
+						}
+					}
+				}
+				other := func(not ...int) int { // a group none of not is in
+					for {
+						g := rng.IntN(kernels)
+						if !slices.ContainsFunc(not, func(c int) bool { return c/perGroup == g }) {
+							return g
+						}
+					}
+				}
+				// script[e][c] lists client c's obtains in epoch e, each with
+				// its two onward receivers.
+				type hop struct{ from, ownGroup, third int }
+				script := make([][][]hop, epochs)
+				for e := range script {
+					script[e] = make([][]hop, clients)
+					for c := range script[e] {
+						for i := 0; i < 4; i++ {
+							from := member(c/perGroup, c)
+							if i >= 2 {
+								from = member(other(c), c)
+							}
+							script[e][c] = append(script[e][c], hop{
+								from:     from,
+								ownGroup: member(from/perGroup, from, c),
+								third:    member(other(c, from), c),
+							})
+						}
+					}
+				}
+
+				s := MustNew(Config{Kernels: kernels, UserPEs: clients, IKCBatching: IKCBatching{Revoke: batched}})
+				defer s.Close()
+				vpes := make([]*VPE, clients)
+				roots := make([]cap.Selector, clients)
+				arrived, gate := 0, sim.NewFuture[struct{}](s.Eng)
+				barrier := func(p *sim.Proc) {
+					if arrived++; arrived == clients {
+						open := gate
+						arrived, gate = 0, sim.NewFuture[struct{}](s.Eng)
+						open.Complete(struct{}{})
+						return
+					}
+					gate.Wait(p)
+				}
+				failed, revoked := 0, 0
+				fail := func(err error) {
+					if err != nil {
+						failed++
+						t.Error(err)
+					}
+				}
+				for c := range vpes {
+					c := c
+					v, err := s.SpawnOn(s.UserPEs()[c], "client", func(v *VPE, p *sim.Proc) {
+						for e := 0; e < epochs; e++ {
+							root, err := v.AllocMem(p, 4096, dtu.PermRW)
+							fail(err)
+							roots[c] = root
+							barrier(p)
+							for _, h := range script[e][c] {
+								sel, err := v.ObtainFrom(p, vpes[h.from].ID, roots[h.from])
+								fail(err)
+								for _, to := range []int{h.ownGroup, h.third} {
+									_, err := v.DelegateTo(p, vpes[to].ID, sel)
+									fail(err)
+								}
+							}
+							barrier(p)
+							fail(v.Revoke(p, root))
+							revoked++
+							barrier(p) // the next epoch's roots are new
+						}
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					vpes[c] = v
+				}
+				s.Run()
+				if failed != 0 || revoked != epochs*clients {
+					t.Errorf("%d operations failed, %d of %d revokes returned", failed, revoked, epochs*clients)
+				}
+				checkNoLeaks(t, s)
+				checkAllInvariants(t, s)
+				if n := memCapsEverywhere(s); n != 0 {
+					t.Errorf("%d memory capabilities survived", n)
+				}
+			})
 		}
 	}
 }

@@ -17,7 +17,10 @@ import (
 //     record: the job and what the thread is parked on — "k1/sys4: syscall
 //     revoke, await-credit k1→k0";
 //   - VPE whose syscall has not returned;
-//   - pair of kernels whose in-flight credits are not all back;
+//   - pair of kernels whose in-flight credits are not all back, and whose
+//     deferred revoke forwards still wait for one;
+//   - request aggregation queue still holding requests, and kernel with
+//     replies left in the reply sink;
 //   - receive endpoint with slots still occupied.
 //
 // Threads parked for their next job, and service loops parked for their next
@@ -54,6 +57,12 @@ func (s *System) CheckQuiescent() []string {
 				out = append(out, fmt.Sprintf("k%d→k%d: %d of %d in-flight credits not returned", k.id, dst, MaxInflight-sem.Count(), MaxInflight))
 			}
 		}
+		for dst := range k.deferred {
+			if n := k.deferred[dst].Len(); n > 0 {
+				out = append(out, fmt.Sprintf("k%d→k%d: %d forwarded revoke(s) waiting for a credit", k.id, dst, n))
+			}
+		}
+		out = k.xport.audit(out)
 		if occupied(k.dtu) {
 			out = appendSlots(out, fmt.Sprintf("kernel %d", k.id), k.dtu)
 		}
@@ -93,6 +102,22 @@ func appendSlots(out []string, who string, d *dtu.DTU) []string {
 		if n := d.Occupied(ep); n > 0 {
 			out = append(out, fmt.Sprintf("%s: %d receive slot(s) of endpoint %d still occupied", who, n, ep))
 		}
+	}
+	return out
+}
+
+// audit adds what the transport still holds to the findings of
+// CheckQuiescent: requests in aggregation queues, replies in the sink.
+func (t *transport) audit(out []string) []string {
+	for _, key := range t.queued() {
+		out = append(out, fmt.Sprintf("k%d→k%d: %d %v request(s) in an aggregation queue", t.k.id, key.dst, len(t.queues[key].reqs), key.kind))
+	}
+	reps := 0
+	for _, q := range t.repq {
+		reps += len(q.reps)
+	}
+	if reps > 0 {
+		out = append(out, fmt.Sprintf("k%d: %d reply(ies) left in the reply sink", t.k.id, reps))
 	}
 	return out
 }

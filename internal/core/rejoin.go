@@ -184,6 +184,11 @@ func (k *Kernel) beginRejoin() {
 	start := k.sys.Eng.Now()
 	k.incarnation++
 	rt := k.rt
+	// Forwards deferred for a credit carry the dead incarnation's stamp too;
+	// fail them first, or the aborts below would hand them their credits.
+	for dst := range k.deferred {
+		k.failDeferred(dst)
+	}
 	// Abort every outstanding transmission, in sorted destination order
 	// (within one destination, byDst keeps first-send order): the futures
 	// belong to the dead incarnation, and the peers will reject any
@@ -319,19 +324,7 @@ func (k *Kernel) reconcileChains(p *sim.Proc, into int) {
 // requests are stamped with the dead incarnation, so transmitting them
 // after recovery could only earn stale rejections.
 func (t *transport) dropQueued() {
-	keys := make([]qkey, 0, len(t.queues))
-	for key, q := range t.queues {
-		if len(q.reqs) > 0 {
-			keys = append(keys, key)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].dst != keys[j].dst {
-			return keys[i].dst < keys[j].dst
-		}
-		return keys[i].kind < keys[j].kind
-	})
-	for _, key := range keys {
+	for _, key := range t.queued() {
 		q := t.queues[key]
 		reqs := q.reqs
 		q.reqs = nil

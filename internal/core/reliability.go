@@ -160,11 +160,16 @@ func (k *Kernel) reliable() bool { return k.rt != nil }
 // peerDead reports whether this kernel has declared dst dead.
 func (k *Kernel) peerDead(dst int) bool { return k.rt != nil && k.rt.dead[dst] }
 
-// failFast completes a freshly minted request's future with ErrPeerDead
-// without ever putting it on the wire.
+// failFast completes a request's future with ErrPeerDead without ever
+// putting it on the wire.
 func (rt *relState) failFast(seq uint64, dst int) {
-	k := rt.k
-	k.stats.FailFast++
+	rt.k.stats.FailFast++
+	rt.k.failPending(seq, dst)
+}
+
+// failPending completes the future of request seq, if it has one, with
+// ErrPeerDead from dst.
+func (k *Kernel) failPending(seq uint64, dst int) {
 	fut := k.pending[seq]
 	delete(k.pending, seq)
 	if fut != nil {
@@ -215,7 +220,7 @@ func (rt *relState) onReply(seq uint64) {
 		k.stats.Recovered++
 		k.stats.RecoveryCycles += k.sys.Eng.Now() - xm.firstSent
 	}
-	k.inflightTo(xm.dst).Release()
+	k.creditBack(xm.dst)
 }
 
 // expire is the retransmission timer (event context). Still-unanswered
@@ -272,7 +277,8 @@ func (rt *relState) expire(xm *xmitState) {
 
 // markDead is the degradation step: dst exhausted its retry budget, so
 // this kernel stops talking to it. Every outstanding transmission aborts,
-// completing its futures with ErrPeerDead in first-send order.
+// completing its futures with ErrPeerDead in first-send order, and so do the
+// forwards still deferred toward dst, after them.
 func (rt *relState) markDead(dst int) {
 	if rt.dead[dst] {
 		return
@@ -286,6 +292,7 @@ func (rt *relState) markDead(dst int) {
 			rt.abort(xm)
 		}
 	}
+	rt.k.failDeferred(dst)
 }
 
 // abort completes a transmission's unanswered futures with ErrPeerDead
@@ -299,13 +306,9 @@ func (rt *relState) abort(xm *xmitState) {
 			continue
 		}
 		delete(rt.bySeq, req.Seq)
-		fut := k.pending[req.Seq]
-		delete(k.pending, req.Seq)
-		if fut != nil {
-			fut.Complete(&ikcReply{Seq: req.Seq, From: xm.dst, Err: ErrPeerDead})
-		}
+		k.failPending(req.Seq, xm.dst)
 	}
-	k.inflightTo(xm.dst).Release()
+	k.creditBack(xm.dst)
 }
 
 // unlink removes xm from its destination's live list.

@@ -13,31 +13,73 @@ import (
 //     inter-kernel revoke requests for remote children, counting
 //     outstanding replies.
 //  2. Sweep: when the last outstanding reply arrives, delete the local
-//     subtree and notify the initiator (wake the syscall thread) or reply
-//     to the requesting kernel.
+//     subtree and answer whoever waits for it.
 //
 // Incoming revoke requests are handled by at most RevokeThreads kernel
-// threads, and those threads never pause waiting for replies — completion
-// is continuation-based — so malicious applications cannot exhaust the
-// kernel's thread pool with deep cross-kernel capability chains (the DoS
-// defense of §4.3.3). Marked capabilities immediately refuse further
-// exchanges, preventing "pointless" exchanges, and a second revocation
-// reaching an already-marked capability joins the running one instead of
-// acknowledging an incomplete revoke.
+// threads, and those threads never pause — not for replies (completion is
+// continuation-based) and not for in-flight credits (a forward that finds
+// none waits as data, see post) — so malicious applications cannot exhaust
+// the kernel's thread pool with deep cross-kernel capability chains (the DoS
+// defense of §4.3.3), and chains that leave a kernel and come back cannot
+// deadlock it (DESIGN.md "Deadlock freedom of revocation"). Marked
+// capabilities immediately refuse further exchanges, preventing "pointless"
+// exchanges, and a second revocation reaching an already-marked capability
+// joins the running one instead of acknowledging an incomplete revoke.
+
+// revState is one revocation record, and the only thing revocation waits on.
+// A record with a root revokes that subtree. One without answers something
+// once the subtrees it started or joined are gone: the revoke request req
+// (one key or a batch), or else the syscall thread that started it and is
+// parked on the record. A record is answered by its parents — every record
+// that joined it, or that it was started for — in the order they joined.
+// Records, their marked-key lists and walk stacks are recycled through the
+// kernel's free list.
 type revState struct {
 	root *cap.Capability
-	// outstanding counts unanswered revoke requests (plus dependencies on
-	// overlapping local revocations).
+	// outstanding counts unanswered revoke requests and joined revocations.
 	outstanding int
-	// sending is true during the mark phase; completion is deferred until
-	// it ends, so an early reply cannot trigger a premature sweep.
+	// sending is true while revoke runs, which a syscall thread may pause in:
+	// an early reply must neither sweep early nor recycle the record under it.
 	sending bool
-	done    bool
-	// marked are the keys marked under this state, for map cleanup.
-	marked []ddl.Key
-	// waiters run (on the finishing proc, CPU held, nothing owed) after the
-	// sweep.
-	waiters []func(p *sim.Proc)
+	// marked are the keys marked under this record, for map cleanup; kids
+	// is the mark walk's stack of child-list snapshots; remote are the
+	// walk's remote children that batched revocation sends at its end.
+	marked, kids []ddl.Key
+	remote       []remoteChild
+	parents      []*revState
+	req          *ikcRequest
+	thread       *sim.Proc
+	next         *revState // on the free list
+}
+
+// remoteChild is a capability of another kernel found by a mark walk.
+type remoteChild struct {
+	dst int
+	key ddl.Key
+}
+
+// newRev takes a record off the free list (or makes one).
+func (k *Kernel) newRev() *revState {
+	rs := k.revFree
+	if rs == nil {
+		return &revState{}
+	}
+	k.revFree, rs.next = rs.next, nil
+	return rs
+}
+
+func (k *Kernel) freeRev(rs *revState) {
+	*rs = revState{marked: rs.marked[:0], kids: rs.kids[:0], remote: rs.remote[:0], parents: rs.parents[:0], next: k.revFree}
+	k.revFree = rs
+}
+
+// Ready implements sim.Waiter for the syscall thread parked on its record.
+func (rs *revState) Ready(p *sim.Proc) bool {
+	if rs.outstanding > 0 {
+		rs.thread = p
+		return false
+	}
+	return true
 }
 
 // sysRevoke is the syscall entry point.
@@ -47,32 +89,72 @@ func (k *Kernel) sysRevoke(p *sim.Proc, req *sysRequest) sysReply {
 		return sysReply{Err: ErrNoSuchCap}
 	}
 	k.stats.Revokes++
-	k.revokeSubtree(p, c)
+	k.revokeAndWait(p, c)
 	return sysReply{}
 }
 
-// revokeSubtree revokes the subtree rooted at c and blocks until the
-// revocation is complete everywhere — the paper's semantics: a completed
-// revoke is indeed completed (no "Incomplete" acknowledgements).
-func (k *Kernel) revokeSubtree(p *sim.Proc, c *cap.Capability) {
+// revokeAndWait revokes the subtree rooted at c for a syscall and blocks
+// until the revocation is complete everywhere — the paper's semantics: a
+// completed revoke is indeed completed (no "Incomplete" acknowledgements).
+func (k *Kernel) revokeAndWait(p *sim.Proc, c *cap.Capability) {
+	rs := k.newRev()
+	k.revoke(p, c, rs)
+	if rs.outstanding > 0 {
+		k.pause(p, rs)
+	}
+	k.freeRev(rs)
+}
+
+// handleRevokeReq processes an incoming revoke request, single or batched
+// (Algorithm 1, receive_revoke_request). It runs on a revoke thread and
+// never pauses: if a subtree is not gone yet, it returns nil and the record
+// answers later via ikReplyAsync.
+func (k *Kernel) handleRevokeReq(p *sim.Proc, req *ikcRequest) *ikcReply {
+	up := k.newRev()
+	up.req = req
+	if req.Kind == ikcRevoke {
+		k.revokeKey(p, req.Key, up)
+	}
+	for _, key := range req.Keys {
+		k.revokeKey(p, key, up)
+	}
+	if up.outstanding > 0 {
+		return nil
+	}
+	k.freeRev(up)
+	return &ikcReply{}
+}
+
+// revokeKey revokes one target of a revoke request for up. A key this kernel
+// does not hold is confirmed at once (idempotent).
+func (k *Kernel) revokeKey(p *sim.Proc, key ddl.Key, up *revState) {
+	k.exec(p, k.sys.Cost.CapLookup+k.sys.Cost.DDLDecode)
+	if c := k.store.Lookup(key); c != nil {
+		k.revoke(p, c, up)
+	} else {
+		k.revokeUnseen(key)
+	}
+}
+
+// revoke starts revoking the subtree rooted at c on behalf of up: the one
+// start routine. A marked c joins the revocation running for it. Otherwise a
+// new record marks the subtree, forwards its remote children and — started by
+// a syscall — unlinks c from its parent; if nothing is outstanding then, it
+// sweeps at once, else up waits for it.
+func (k *Kernel) revoke(p *sim.Proc, c *cap.Capability, up *revState) {
 	if c.Marked {
-		// Join the revocation already running for this capability.
-		rs, ok := k.revocations.Get(c.Key)
-		if !ok {
-			return // already swept
-		}
-		fut := sim.NewFuture[struct{}](k.sys.Eng)
-		rs.waiters = append(rs.waiters, func(*sim.Proc) { fut.Complete(struct{}{}) })
-		blockOn(k, p, fut)
+		k.join(up, c.Key)
 		return
 	}
-	rs := &revState{root: c, sending: true}
+	rs := k.newRev()
+	rs.root, rs.sending = c, true
 	parentKey := c.Parent
-	k.revokeChildren(p, c, rs, nil)
-	k.xport.flushRevokes(p, rs)
-	rs.sending = false
-	// Unlink the root from its parent (the parent survives this revoke).
-	if parentKey != 0 {
+	rs.kids = k.revokeChildren(p, c, rs, rs.kids)
+	k.forwardBatches(p, rs)
+	// Unlink a syscall's root from its parent (the parent survives this
+	// revoke). A requested root's parent is on the requesting kernel and is
+	// being revoked itself.
+	if up.req == nil && parentKey != 0 {
 		k.charge(p, k.sys.Cost.DDLDecode)
 		if owner := k.member.KernelOfKey(parentKey); owner == k.id {
 			if parent := k.store.Lookup(parentKey); parent != nil && !parent.Marked {
@@ -83,22 +165,31 @@ func (k *Kernel) revokeSubtree(p *sim.Proc, c *cap.Capability) {
 			k.notifyUnlink(p, owner, parentKey, c.Key)
 		}
 	}
+	rs.sending = false
 	if rs.outstanding == 0 {
 		k.finishRevocation(p, rs)
 		return
 	}
-	fut := sim.NewFuture[struct{}](k.sys.Eng)
-	rs.waiters = append(rs.waiters, func(*sim.Proc) { fut.Complete(struct{}{}) })
-	blockOn(k, p, fut)
+	up.outstanding++
+	rs.parents = append(rs.parents, up)
+}
+
+// join makes up wait for the revocation that marked key, if that is still
+// running and not up itself (Table 2 "Incomplete": answering now would
+// acknowledge an incomplete revoke).
+func (k *Kernel) join(up *revState, key ddl.Key) {
+	if rs, _ := k.revocations.Get(key); rs != nil && rs != up {
+		up.outstanding++
+		rs.parents = append(rs.parents, up)
+	}
 }
 
 // revokeChildren is phase one: mark the local subtree and fan out
 // inter-kernel requests for remote children (Algorithm 1,
 // revoke_children). kids is the walk's stack of child-list snapshots: the
-// caller passes nil (or what an earlier walk of its own returned), each level
-// pushes its snapshot on top and hands the stack back popped. It belongs to
-// one walk on one thread — another thread may walk while this one waits for
-// an in-flight credit — and lives no longer than the mark phase.
+// caller passes the record's, each level pushes its snapshot on top and
+// hands the stack back popped. It belongs to one walk, which a syscall
+// thread may park in while it waits for an in-flight credit.
 func (k *Kernel) revokeChildren(p *sim.Proc, c *cap.Capability, rs *revState, kids []ddl.Key) []ddl.Key {
 	c.Marked = true
 	k.revocations.Put(c.Key, rs)
@@ -124,22 +215,15 @@ func (k *Kernel) revokeChildren(p *sim.Proc, c *cap.Capability, rs *revState, ki
 			if child.Marked {
 				// Overlapping revocation: our subtree is complete only when
 				// that one is. Count it like an outstanding reply.
-				other, _ := k.revocations.Get(childKey)
-				if other != nil && other != rs {
-					rs.outstanding++
-					other.waiters = append(other.waiters, func(p2 *sim.Proc) {
-						k.revokeReplyArrived(p2, rs)
-					})
-				}
+				k.join(rs, childKey)
 				continue
 			}
 			kids = k.revokeChildren(p, child, rs, kids)
 		} else if k.xport.pol.Revoke {
-			// Batched revocation: queue the remote child on the unified
-			// transport; the barrier flush at the end of the mark walk
-			// sends one batched request per owning kernel (transport.go,
-			// flushRevokes) — the paper's §5.2 message-batching proposal.
-			k.xport.queueRevoke(owner, childKey, rs)
+			// Batched revocation: the barrier at the end of the mark walk
+			// sends one batched request per owning kernel (forwardBatches) —
+			// the paper's §5.2 message-batching proposal.
+			rs.remote = append(rs.remote, remoteChild{owner, childKey})
 		} else {
 			rs.outstanding++
 			k.sendRevokeRequest(p, owner, childKey, rs)
@@ -163,56 +247,86 @@ func (k *Kernel) sendRevokeRequest(p *sim.Proc, dst int, key ddl.Key, rs *revSta
 	})
 }
 
-// compSubmit schedules completion processing of one revoke reply on the
-// kernel CPU.
-func (k *Kernel) compSubmit(rs *revState) {
-	k.compPool().submit(job{kind: jobRevokeDone, subj: rs})
+// forwardBatches is the barrier at the end of a batched mark walk: group
+// rs's remote children by owning kernel (in first-seen order) and send one
+// ikcRevokeBatch request per kernel, counting one outstanding reply each.
+// The batch is answered once, by the receiver's record; the *reply* to it
+// rides the reply sink (classRevoke).
+func (k *Kernel) forwardBatches(p *sim.Proc, rs *revState) {
+	for i, e := range rs.remote {
+		if e.dst < 0 {
+			continue // sent in an earlier kernel's batch
+		}
+		keys := []ddl.Key{e.key}
+		for j := i + 1; j < len(rs.remote); j++ {
+			if rs.remote[j].dst == e.dst {
+				keys = append(keys, rs.remote[j].key)
+				rs.remote[j].dst = -1
+			}
+		}
+		rs.outstanding++
+		dst := e.dst
+		fut := k.ikSend(p, dst, &ikcRequest{Kind: ikcRevokeBatch, Keys: keys})
+		fut.OnComplete(func(rep *ikcReply) {
+			// An unreachable owner leaves every key of the batch unrevoked
+			// remotely; record each for replay at the owner's rejoin.
+			for _, key := range keys {
+				k.recordOrphanFix(orphanFix{dst: dst, kind: ikcRevoke, key: key}, rep)
+			}
+			k.compSubmit(rs)
+		})
+	}
+	rs.remote = rs.remote[:0]
 }
 
-// compPool lazily creates the completion pool ("main loop" processing of
-// revoke replies).
-func (k *Kernel) compPool() *pool {
+// compSubmit schedules completion processing of one revoke reply on the
+// kernel CPU, in the completion pool ("main loop" work), created lazily.
+func (k *Kernel) compSubmit(rs *revState) {
 	if k.completionPool == nil {
 		k.completionPool = newPool(k, "cmp", 1)
 	}
-	return k.completionPool
+	k.completionPool.submit(job{kind: jobRevokeDone, subj: rs})
 }
 
-// revokeReplyArrived accounts one completed child revocation and sweeps if
-// it was the last.
+// revokeReplyArrived accounts one completed child revocation and finishes
+// rs if it was the last.
 func (k *Kernel) revokeReplyArrived(p *sim.Proc, rs *revState) {
 	rs.outstanding--
 	if rs.outstanding < 0 {
 		panic("core: negative outstanding revoke count")
 	}
-	if rs.outstanding == 0 && !rs.sending && !rs.done {
+	if rs.outstanding == 0 && !rs.sending {
 		k.finishRevocation(p, rs)
 	}
 }
 
-// finishRevocation is phase two: delete the local subtree and run the
-// waiters (waking the initiating syscall thread and/or replying to
-// requesting kernels).
+// finishRevocation is phase two: delete the local subtree, answer the
+// parents — waking the initiating syscall thread, replying to the
+// requesting kernel, or completing an overlapping revocation, whose own
+// sweep then runs right here — and recycle the record. The time of every
+// sweep so far passes before the next parent learns that this one is over.
 func (k *Kernel) finishRevocation(p *sim.Proc, rs *revState) {
-	if rs.done {
-		return
-	}
-	rs.done = true
-	k.deleteTree(p, rs.root, rs)
-	for _, key := range rs.marked {
-		if cur, _ := k.revocations.Get(key); cur == rs {
-			k.revocations.Delete(key)
+	if rs.root != nil {
+		k.deleteTree(p, rs.root, rs)
+		for _, key := range rs.marked {
+			if cur, _ := k.revocations.Get(key); cur == rs {
+				k.revocations.Delete(key)
+			}
 		}
 	}
-	waiters := rs.waiters
-	rs.waiters = nil
-	for _, w := range waiters {
-		// Waiters wake the initiating thread, answer the requesting kernel or
-		// complete an overlapping revocation — whose own sweep then runs
-		// right here: the time of every sweep so far passes before the next
-		// waiter learns that this one is over.
+	for i, up := range rs.parents {
+		rs.parents[i] = nil
 		p.Settle()
-		w(p)
+		k.revokeReplyArrived(p, up)
+	}
+	switch {
+	case rs.root != nil:
+		k.freeRev(rs)
+	case rs.req != nil:
+		k.ikReplyAsync(rs.req, &ikcReply{})
+		k.freeRev(rs)
+	case rs.thread != nil:
+		rs.thread.Wake() // the thread recycles its record
 	}
 }
 
@@ -241,98 +355,6 @@ func (k *Kernel) deleteTree(p *sim.Proc, c *cap.Capability, rs *revState) {
 	k.invalidateEPs(p, c)
 	k.store.Remove(c.Key)
 	k.stats.CapsDeleted++
-}
-
-// handleRevokeReq processes an incoming revoke request (Algorithm 1,
-// receive_revoke_request). It runs on one of the (at most two) revoke
-// threads and never pauses for replies: if remote children remain, it
-// registers a continuation and returns nil, keeping the thread count
-// fixed; the continuation answers later via ikReplyAsync.
-func (k *Kernel) handleRevokeReq(p *sim.Proc, req *ikcRequest) *ikcReply {
-	k.exec(p, k.sys.Cost.CapLookup+k.sys.Cost.DDLDecode)
-	c := k.store.Lookup(req.Key)
-	if c == nil {
-		// Already revoked; confirm (idempotent).
-		k.revokeUnseen(req.Key)
-		return &ikcReply{}
-	}
-	if c.Marked {
-		// Join the running revocation; reply when it completes. Replying
-		// now would acknowledge an incomplete revoke ("Incomplete").
-		rs, ok := k.revocations.Get(req.Key)
-		if !ok {
-			return &ikcReply{}
-		}
-		rs.waiters = append(rs.waiters, func(p2 *sim.Proc) {
-			k.ikReplyAsync(req, &ikcReply{})
-		})
-		return nil
-	}
-	rs := &revState{root: c, sending: true}
-	k.revokeChildren(p, c, rs, nil)
-	k.xport.flushRevokes(p, rs)
-	rs.sending = false
-	if rs.outstanding == 0 {
-		k.finishRevocation(p, rs)
-		return &ikcReply{}
-	}
-	rs.waiters = append(rs.waiters, func(p2 *sim.Proc) {
-		k.ikReplyAsync(req, &ikcReply{})
-	})
-	return nil
-}
-
-// handleRevokeBatchReq processes a batched revoke request: each key is
-// revoked like a single ikcRevoke target; the reply leaves once every
-// key's subtree is gone. Like single revokes, the handler never pauses for
-// remote children — completion is continuation-based.
-func (k *Kernel) handleRevokeBatchReq(p *sim.Proc, req *ikcRequest) *ikcReply {
-	outstanding := 0
-	done := false
-	var kids []ddl.Key // the mark walks' snapshot stack, reused from key to key
-	finish := func() {
-		k.ikReplyAsync(req, &ikcReply{})
-	}
-	for _, key := range req.Keys {
-		k.exec(p, k.sys.Cost.CapLookup+k.sys.Cost.DDLDecode)
-		c := k.store.Lookup(key)
-		if c == nil {
-			k.revokeUnseen(key)
-			continue // already revoked
-		}
-		if c.Marked {
-			if rs, ok := k.revocations.Get(key); ok {
-				outstanding++
-				rs.waiters = append(rs.waiters, func(*sim.Proc) {
-					outstanding--
-					if outstanding == 0 && done {
-						finish()
-					}
-				})
-			}
-			continue
-		}
-		rs := &revState{root: c, sending: true}
-		kids = k.revokeChildren(p, c, rs, kids)
-		k.xport.flushRevokes(p, rs)
-		rs.sending = false
-		if rs.outstanding == 0 {
-			k.finishRevocation(p, rs)
-			continue
-		}
-		outstanding++
-		rs.waiters = append(rs.waiters, func(*sim.Proc) {
-			outstanding--
-			if outstanding == 0 && done {
-				finish()
-			}
-		})
-	}
-	done = true
-	if outstanding == 0 {
-		return &ikcReply{}
-	}
-	return nil
 }
 
 // revokeUnseen runs when a revoke request targets a key this kernel has

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/cap"
 	"repro/internal/ddl"
 	"repro/internal/dtu"
@@ -213,23 +215,15 @@ func (k *Kernel) sysExit(p *sim.Proc, req *sysRequest) sysReply {
 		return sysReply{Err: ErrVPEGone}
 	}
 	v.exited = true
+	// One revocation at a time, re-listing after each: the store changes.
+	// What is left marked is in another revocation already.
 	for {
 		caps := k.store.VPECaps(req.VPE)
-		if len(caps) == 0 {
+		i := slices.IndexFunc(caps, func(c *cap.Capability) bool { return !c.Marked })
+		if i < 0 {
 			break
 		}
-		revoked := false
-		for _, c := range caps {
-			if c.Marked {
-				continue
-			}
-			k.revokeSubtree(p, c)
-			revoked = true
-			break // the store changed; re-list
-		}
-		if !revoked {
-			break // everything left is already in revocation
-		}
+		k.revokeAndWait(p, caps[i])
 	}
 	// The PE table is the whole machine's: the last revocation's time passes
 	// before the PE reads as free.

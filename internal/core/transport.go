@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
-	"repro/internal/ddl"
 	"repro/internal/dtu"
 	"repro/internal/sim"
 )
@@ -23,10 +24,10 @@ import (
 //   - for request queues, after the adaptive flush window closes: a timer
 //     armed when a queue goes non-empty hands the flush to the kernel's
 //     "xmit" proc, since every enqueuer is parked on its reply by then;
-//   - at protocol barriers: the revocation mark phase flushes its request
-//     queues before the walk ends, preserving Algorithm 1's accounting, and
+//   - at protocol barriers: a batched revocation mark walk sends its batches
+//     when it ends (revoke.go), preserving Algorithm 1's accounting, and
 //     every request dispatch ends by flushing the reply queue feeding that
-//     request's sender (flushBatchReplies) — the reply direction needs no
+//     request's sender (flushReplies) — the reply direction needs no
 //     timer at all, because a reply cannot outlive the dispatch that
 //     produced it.
 //
@@ -143,33 +144,20 @@ const (
 // classOf maps a request kind to its batching family. Handshake
 // completions (delegate-ack) and notifications (unlink-child) are never
 // batched: they are latency-critical tails of an operation that already
-// paid its round trips.
+// paid its round trips. Revocation requests ride their own dedicated
+// envelope (ikcRevokeBatch, which the mark walk queues explicitly), but
+// their thread-context replies flow through the generic sink like everything
+// else (continuation completions bypass it — see ikReplyAsync).
 func classOf(kind ikcKind) batchClass {
 	switch kind {
 	case ikcObtain, ikcDelegate:
 		return classExchange
 	case ikcSession, ikcObtainSess, ikcDelegateSess:
 		return classSvcQuery
-	case ikcRevoke:
-		return classRevoke
-	default:
-		return classNone
-	}
-}
-
-// replyClassOf maps a request kind to the family its *reply* batches
-// under. It differs from classOf in the revocation family: revocation
-// requests ride their own dedicated envelope (ikcRevokeBatch, classNone in
-// the request direction because the mark walk queues them explicitly), but
-// their thread-context replies are ordinary ikcReply messages and flow
-// through the generic sink like everything else (continuation completions
-// bypass it — see ikReplyAsync).
-func replyClassOf(kind ikcKind) batchClass {
-	switch kind {
 	case ikcRevoke, ikcRevokeBatch:
 		return classRevoke
 	default:
-		return classOf(kind)
+		return classNone
 	}
 }
 
@@ -213,17 +201,10 @@ type flushRef struct {
 // replyQueue is one reply aggregation queue. It needs no generation or
 // window bookkeeping: replies are only produced inside a request
 // dispatch, and every dispatch ends with a barrier flush of this queue
-// (flushBatchReplies), so the queue can never outlive the event instant
+// (flushReplies), so the queue can never outlive the event instant
 // that filled it — MaxBatch and the barrier are the only flush triggers.
 type replyQueue struct {
 	reps []*ikcReply
-}
-
-// revokeEntry is one remote child queued during a revocation mark phase.
-type revokeEntry struct {
-	dst int
-	key ddl.Key
-	rs  *revState
 }
 
 // transport is a kernel's half of the unified IKC layer: the request
@@ -238,10 +219,6 @@ type transport struct {
 	// it aggregates them into per-(destination, class) envelopes drained
 	// by the dispatch barrier.
 	repq map[rkey]*replyQueue
-	// revQ holds remote revocation targets between a mark walk and its
-	// barrier flush. The kernel CPU is held for the whole walk, so the
-	// queue only ever contains entries of the revocation being walked.
-	revQ []revokeEntry
 
 	// flushQ feeds the transmit proc; spawned lazily on the first
 	// timer-driven request flush so unbatched configurations create no
@@ -266,25 +243,17 @@ func newTransport(k *Kernel, pol IKCBatching) *transport {
 }
 
 // batches reports whether requests of this kind ride aggregation queues.
-// Revocation is excluded here: the mark walk queues its remote children
-// explicitly (queueRevoke) so the barrier flush can keep Algorithm 1's
-// outstanding-reply accounting.
+// Revocation is excluded here: the mark walk collects its remote children
+// on its record and sends them when it ends (forwardBatches), which keeps
+// Algorithm 1's outstanding-reply accounting.
 func (t *transport) batches(kind ikcKind) bool {
-	switch classOf(kind) {
-	case classExchange:
-		return t.pol.Exchange
-	case classSvcQuery:
-		return t.pol.ServiceQuery
-	default:
-		return false
-	}
+	return classOf(kind) != classRevoke && t.batchesReply(kind)
 }
 
 // batchesReply reports whether the reply to a request of this kind rides
-// the reply sink. Symmetric with the request policy, except that the
-// revocation family covers the reply direction too (see replyClassOf).
+// the reply sink: whether the policy batches its family.
 func (t *transport) batchesReply(kind ikcKind) bool {
-	switch replyClassOf(kind) {
+	switch classOf(kind) {
 	case classExchange:
 		return t.pol.Exchange
 	case classSvcQuery:
@@ -305,13 +274,19 @@ func (t *transport) queue(key qkey) *sendQueue {
 	return q
 }
 
-func (t *transport) replyQueue(key rkey) *replyQueue {
-	q := t.repq[key]
-	if q == nil {
-		q = &replyQueue{}
-		t.repq[key] = q
+// queued returns the keys of the request queues holding requests, sorted
+// by (destination, kind); nil, without allocating, when there are none.
+func (t *transport) queued() []qkey {
+	var keys []qkey
+	for key, q := range t.queues {
+		if len(q.reqs) > 0 {
+			keys = append(keys, key)
+		}
 	}
-	return q
+	slices.SortFunc(keys, func(a, b qkey) int {
+		return cmp.Or(cmp.Compare(a.dst, b.dst), cmp.Compare(a.kind, b.kind))
+	})
+	return keys
 }
 
 // --- request direction ---------------------------------------------------
@@ -460,36 +435,32 @@ func (t *transport) sendEnvelope(dst int, reqs []*ikcRequest) {
 // enqueueReply appends rep to its (destination, class) reply queue. The
 // per-reply marshal cost has already been charged by ikReply. It may only
 // be called from request-dispatch context: the dispatch barrier that ends
-// every dispatch (flushBatchReplies, in recvRequest and recvBatch) is what
-// guarantees the queue drains — there is no timer fallback, and none is
-// needed, because a reply cannot outlive the dispatch that produced it.
-// The only other flush trigger is MaxBatch, when a wide envelope's replies
-// overflow mid-dispatch.
+// every dispatch (flushReplies) is what guarantees the queue drains — there
+// is no timer fallback, and none is needed, because a reply cannot outlive
+// the dispatch that produced it. The only other flush trigger is MaxBatch,
+// when a wide envelope's replies overflow mid-dispatch.
 func (t *transport) enqueueReply(dst int, class batchClass, rep *ikcReply) {
 	key := rkey{dst: dst, class: class}
-	q := t.replyQueue(key)
+	q := t.repq[key]
+	if q == nil {
+		q = &replyQueue{}
+		t.repq[key] = q
+	}
 	q.reps = append(q.reps, rep)
 	if len(q.reps) >= t.pol.MaxBatch {
 		t.flushReplies(key)
 	}
 }
 
-// flushBatchReplies is the dispatch barrier of the reply sink: called when
-// a kernel finishes dispatching an incoming request (envelope or direct),
-// it flushes the reply queue feeding that request's sender. Every handler
-// of an envelope has returned its reply to the sink by now (handlers that
-// defer to continuations — revocation — answer later via ikReplyAsync,
-// which bypasses the sink), so the common case answers an envelope of N
-// requests with exactly one reply envelope, and no reply waits on an idle
-// timer. Handlers may block mid-dispatch for consent and service round
-// trips far longer than any flush window — the barrier, unlike a timer,
-// holds the envelope open across them.
-func (t *transport) flushBatchReplies(src int, kind ikcKind) {
-	t.flushReplies(rkey{dst: src, class: replyClassOf(kind)})
-}
-
 // flushReplies drains one reply queue and transmits it as a single
 // coalesced envelope over the vectored DTU path, preserving enqueue order.
+// It is the reply sink's dispatch barrier: the epilogue of every request
+// dispatch (kthread.Ready) flushes the queue feeding the request's sender.
+// Every handler of an envelope has returned its reply by then (revocation
+// answers later, via ikReplyAsync, which bypasses the sink), so an envelope
+// of N requests is answered by one reply envelope and no reply waits on a
+// timer; and the barrier, unlike a timer, holds the envelope open across
+// the handlers' consent and service round trips.
 // The envelope-header compose cost is charged as busy time before the send
 // (the ikReplyAsync convention); replies bypass the in-flight limit — they
 // answer slots the requests reserved — so there is nothing to block on. A
@@ -521,55 +492,4 @@ func (t *transport) flushReplies(key rkey) {
 	}
 	clear(reps)
 	q.reps = reps[:0]
-}
-
-// --- revocation barrier --------------------------------------------------
-
-// queueRevoke records a remote child of a running revocation mark phase.
-// The barrier flush (flushRevokes) groups the children by owning kernel.
-func (t *transport) queueRevoke(dst int, key ddl.Key, rs *revState) {
-	t.revQ = append(t.revQ, revokeEntry{dst: dst, key: key, rs: rs})
-}
-
-// flushRevokes is the revocation barrier flush: group rs's remote children
-// by owning kernel (in first-seen order) and send one batched revoke
-// request per kernel, counting one outstanding reply each — exactly the
-// grouping the pre-transport flushRevokeBatches performed, so batched
-// revocation keeps its original event sequence. The envelope stays the
-// dedicated ikcRevokeBatch request (one reply for the whole batch,
-// completed by the receiver's continuation machinery) rather than the
-// generic per-request envelope of the other classes; the *reply* to it
-// does ride the sink (replyClassOf maps it to classRevoke).
-func (t *transport) flushRevokes(p *sim.Proc, rs *revState) {
-	if len(t.revQ) == 0 {
-		return
-	}
-	batches := make(map[int][]ddl.Key)
-	var order []int
-	var rest []revokeEntry
-	for _, e := range t.revQ {
-		if e.rs != rs {
-			rest = append(rest, e) // defensive; the CPU discipline makes this unreachable
-			continue
-		}
-		if _, seen := batches[e.dst]; !seen {
-			order = append(order, e.dst)
-		}
-		batches[e.dst] = append(batches[e.dst], e.key)
-	}
-	t.revQ = rest
-	k := t.k
-	for _, dst := range order {
-		rs.outstanding++
-		keys := batches[dst]
-		fut := k.ikSend(p, dst, &ikcRequest{Kind: ikcRevokeBatch, Keys: keys})
-		fut.OnComplete(func(rep *ikcReply) {
-			// An unreachable owner leaves every key of the batch unrevoked
-			// remotely; record each for replay at the owner's rejoin.
-			for _, key := range keys {
-				k.recordOrphanFix(orphanFix{dst: dst, kind: ikcRevoke, key: key}, rep)
-			}
-			k.compSubmit(rs)
-		})
-	}
 }
