@@ -163,28 +163,36 @@ type VecItem struct {
 	Label   uint64
 }
 
+// endpoint is one endpoint register set, sized for send and memory
+// endpoints: those are what most endpoints of a machine are, and a user PE
+// configures only two or three of its sixteen. The receive-only state sits
+// behind recv, which is non-nil exactly while the endpoint is a receive
+// endpoint.
 type endpoint struct {
 	kind EpKind
+	perm Perm // mem
 
-	// send
-	dstPE, dstEP int
-	credits      int
-	maxCredits   int
-	label        uint64
+	// A send endpoint's target, credits and label; a memory endpoint's
+	// window of PE memPE's memory. The order packs them into six words.
+	dstPE, dstEP        int32
+	credits, maxCredits int32
+	memPE               int32
+	label               uint64
+	memOff, memSize     uint64
 
-	// recv
+	recv *recvState
+}
+
+// recvState is what only a receive endpoint holds. It comes from its
+// Fabric's slab and goes back to the Fabric when the endpoint is
+// reconfigured (see Fabric.newRecv).
+type recvState struct {
 	slots      int
 	used       int
 	queue      sim.FIFO[*Message]
 	handler    Handler
 	vecHandler VecHandler
 	waiters    sim.FIFO[*sim.Proc]
-
-	// mem
-	memPE   int
-	memOff  uint64
-	memSize uint64
-	perm    Perm
 }
 
 // Stats counts per-DTU activity. Sent/Received count logical messages;
@@ -222,10 +230,16 @@ type Fabric struct {
 	eng  *sim.Engine
 	net  *noc.Network
 	dtus []*DTU
+	// slab holds the DTUs themselves, one per PE, in one allocation.
+	slab []DTU
 	// free and freeVecs are the released messages and vectors awaiting
 	// reuse. They belong to this machine alone and are collected with it.
 	free     []*Message
 	freeVecs []*vecMeta
+	// recvSlab hands out receive-endpoint state without an allocation per
+	// endpoint; freeRecv holds the state of reconfigured endpoints.
+	recvSlab []recvState
+	freeRecv []*recvState
 }
 
 // NewFabric creates a fabric over the given network. One DTU per PE must be
@@ -235,6 +249,7 @@ func NewFabric(eng *sim.Engine, net *noc.Network) *Fabric {
 		eng:  eng,
 		net:  net,
 		dtus: make([]*DTU, net.Nodes()),
+		slab: make([]DTU, net.Nodes()),
 	}
 }
 
@@ -244,10 +259,8 @@ func (f *Fabric) Add(pe int, memBytes int) *DTU {
 	if f.dtus[pe] != nil {
 		panic(fmt.Sprintf("dtu: PE %d already has a DTU", pe))
 	}
-	d := &DTU{fabric: f, pe: pe, privileged: true, memCap: memBytes}
-	for i := range d.eps {
-		d.eps[i].kind = EpInvalid
-	}
+	d := &f.slab[pe]
+	*d = DTU{fabric: f, pe: pe, privileged: true, memCap: memBytes}
 	f.dtus[pe] = d
 	return d
 }
@@ -297,6 +310,35 @@ func checkEP(ep int) {
 	}
 }
 
+// newRecv returns zeroed receive state: a reconfigured endpoint's, or the
+// next one of the slab. A slab holds one state per PE of the machine, so
+// booting takes one allocation for every that many receive endpoints.
+func (f *Fabric) newRecv() *recvState {
+	if n := len(f.freeRecv); n > 0 {
+		r := f.freeRecv[n-1]
+		f.freeRecv[n-1] = nil
+		f.freeRecv = f.freeRecv[:n-1]
+		return r
+	}
+	if len(f.recvSlab) == 0 {
+		f.recvSlab = make([]recvState, max(len(f.dtus), 16))
+	}
+	r := &f.recvSlab[0]
+	f.recvSlab = f.recvSlab[1:]
+	return r
+}
+
+// configure replaces endpoint ep's configuration with e. The receive state
+// of the old configuration is dropped — its queued messages and waiters
+// with it, as the hardware forgets them — and kept for reuse.
+func (d *DTU) configure(ep int, e endpoint) {
+	if r := d.eps[ep].recv; r != nil {
+		*r = recvState{}
+		d.fabric.freeRecv = append(d.fabric.freeRecv, r)
+	}
+	d.eps[ep] = e
+}
+
 // ConfigureSend sets up a send endpoint targeting (dstPE, dstEP) with the
 // given credits. by must be privileged (pass the DTU itself if it is).
 func (d *DTU) ConfigureSend(by *DTU, ep, dstPE, dstEP, credits int, label uint64) error {
@@ -304,7 +346,24 @@ func (d *DTU) ConfigureSend(by *DTU, ep, dstPE, dstEP, credits int, label uint64
 	if !by.privileged {
 		return ErrNotPrivileged
 	}
-	d.eps[ep] = endpoint{kind: EpSend, dstPE: dstPE, dstEP: dstEP, credits: credits, maxCredits: credits, label: label}
+	d.configure(ep, endpoint{kind: EpSend, dstPE: int32(dstPE), dstEP: int32(dstEP),
+		credits: int32(credits), maxCredits: int32(credits), label: label})
+	return nil
+}
+
+// configureRecv sets up a receive endpoint with one of the two handlers.
+func (d *DTU) configureRecv(by *DTU, ep, slots int, h Handler, vh VecHandler) error {
+	checkEP(ep)
+	if !by.privileged {
+		return ErrNotPrivileged
+	}
+	if slots <= 0 {
+		slots = DefaultSlots
+	}
+	d.configure(ep, endpoint{kind: EpRecv})
+	r := d.fabric.newRecv()
+	r.slots, r.handler, r.vecHandler = slots, h, vh
+	d.eps[ep].recv = r
 	return nil
 }
 
@@ -312,15 +371,7 @@ func (d *DTU) ConfigureSend(by *DTU, ep, dstPE, dstEP, credits int, label uint64
 // slots (0 means DefaultSlots) and an optional handler. With a handler,
 // arriving messages are passed to it; without, they queue for Fetch/Wait.
 func (d *DTU) ConfigureRecv(by *DTU, ep, slots int, h Handler) error {
-	checkEP(ep)
-	if !by.privileged {
-		return ErrNotPrivileged
-	}
-	if slots <= 0 {
-		slots = DefaultSlots
-	}
-	d.eps[ep] = endpoint{kind: EpRecv, slots: slots, handler: h}
-	return nil
+	return d.configureRecv(by, ep, slots, h, nil)
 }
 
 // ConfigureRecvVec sets up a receive endpoint whose handler consumes whole
@@ -328,15 +379,7 @@ func (d *DTU) ConfigureRecv(by *DTU, ep, slots int, h Handler) error {
 // instead of one per message. Single messages arriving at the endpoint are
 // passed as one-element vectors.
 func (d *DTU) ConfigureRecvVec(by *DTU, ep, slots int, h VecHandler) error {
-	checkEP(ep)
-	if !by.privileged {
-		return ErrNotPrivileged
-	}
-	if slots <= 0 {
-		slots = DefaultSlots
-	}
-	d.eps[ep] = endpoint{kind: EpRecv, slots: slots, vecHandler: h}
-	return nil
+	return d.configureRecv(by, ep, slots, nil, h)
 }
 
 // ConfigureMem sets up a memory endpoint granting perm access to
@@ -346,7 +389,7 @@ func (d *DTU) ConfigureMem(by *DTU, ep, memPE int, off, size uint64, perm Perm) 
 	if !by.privileged {
 		return ErrNotPrivileged
 	}
-	d.eps[ep] = endpoint{kind: EpMem, memPE: memPE, memOff: off, memSize: size, perm: perm}
+	d.configure(ep, endpoint{kind: EpMem, memPE: int32(memPE), memOff: off, memSize: size, perm: perm})
 	return nil
 }
 
@@ -357,7 +400,7 @@ func (d *DTU) Invalidate(by *DTU, ep int) error {
 	if !by.privileged {
 		return ErrNotPrivileged
 	}
-	d.eps[ep] = endpoint{kind: EpInvalid}
+	d.configure(ep, endpoint{})
 	return nil
 }
 
@@ -370,7 +413,7 @@ func (d *DTU) EpKindOf(ep int) EpKind {
 // Credits returns the available credits of a send endpoint.
 func (d *DTU) Credits(ep int) int {
 	checkEP(ep)
-	return d.eps[ep].credits
+	return int(d.eps[ep].credits)
 }
 
 // Occupied returns how many slots of a receive endpoint hold a message that
@@ -378,10 +421,10 @@ func (d *DTU) Credits(ep int) int {
 // kind of endpoint.
 func (d *DTU) Occupied(ep int) int {
 	checkEP(ep)
-	if d.eps[ep].kind != EpRecv {
-		return 0
+	if r := d.eps[ep].recv; r != nil {
+		return r.used
 	}
-	return d.eps[ep].used
+	return 0
 }
 
 // messaging --------------------------------------------------------------
@@ -529,8 +572,8 @@ func (d *DTU) Send(ep int, payload any, size int, replyEP int, label uint64) err
 // free (the architectural behavior the kernels must avoid by bounding their
 // in-flight messages).
 func (d *DTU) deliver(ep int, msg *Message) {
-	e := &d.eps[ep]
-	if e.kind != EpRecv || e.used >= e.slots {
+	e := d.eps[ep].recv
+	if e == nil || e.used >= e.slots {
 		d.stats.Lost++
 		d.stats.EPLost[ep]++
 		d.fabric.net.CountLost()
@@ -605,8 +648,8 @@ func (d *DTU) SendVecTo(dstPE, dstEP int, items []VecItem) error {
 // single delivery event; queue endpoints enqueue everything and wake at
 // most one waiter per delivered message.
 func (d *DTU) deliverVec(ep int, v *vecMeta) {
-	e := &d.eps[ep]
-	if e.kind != EpRecv || e.used >= e.slots {
+	e := d.eps[ep].recv
+	if e == nil || e.used >= e.slots {
 		d.stats.Lost++
 		d.stats.EPLost[ep]++
 		d.fabric.net.CountLost()
@@ -640,8 +683,8 @@ func (d *DTU) deliverVec(ep int, v *vecMeta) {
 // ep, or nil. The slot stays occupied until Reply or Ack.
 func (d *DTU) Fetch(ep int) *Message {
 	checkEP(ep)
-	e := &d.eps[ep]
-	if e.kind != EpRecv || e.queue.Len() == 0 {
+	e := d.eps[ep].recv
+	if e == nil || e.queue.Len() == 0 {
 		return nil
 	}
 	return e.queue.Pop()
@@ -654,18 +697,19 @@ func (d *DTU) Wait(p *sim.Proc, ep int) *Message {
 	checkEP(ep)
 	e := &d.eps[ep]
 	p.ParkOn(e)
-	return e.queue.Pop()
+	return e.recv.queue.Pop()
 }
 
 // Ready is Wait's condition as a sim.Waiter: a message is queued, or p joins
 // the waiters a delivery wakes. What kind of endpoint this is, like the rest
 // of its state, is read once the proc's time has passed.
 func (e *endpoint) Ready(p *sim.Proc) bool {
-	if e.kind != EpRecv {
+	r := e.recv
+	if r == nil {
 		panic("dtu: Wait on non-recv endpoint")
 	}
-	if e.queue.Len() == 0 {
-		e.waiters.Push(p)
+	if r.queue.Len() == 0 {
+		r.waiters.Push(p)
 		return false
 	}
 	return true
@@ -679,7 +723,7 @@ func (d *DTU) WaitVec(p *sim.Proc, ep int) []*Message {
 	checkEP(ep)
 	e := &d.eps[ep]
 	p.ParkOn(e)
-	return e.queue.TakeAll()
+	return e.recv.queue.TakeAll()
 }
 
 // Reply frees msg's slot and sends a reply back to the sender's reply
@@ -751,9 +795,8 @@ func (d *DTU) free(msg *Message, op string) bool {
 		}
 		d.fabric.releaseVec(v)
 	}
-	e := &d.eps[msg.dstEP]
-	if e.used > 0 {
-		e.used--
+	if r := d.eps[msg.dstEP].recv; r != nil && r.used > 0 {
+		r.used--
 	}
 	return true
 }

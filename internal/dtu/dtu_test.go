@@ -3,6 +3,7 @@ package dtu
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/noc"
 	"repro/internal/sim"
@@ -606,7 +607,7 @@ func TestInvalidateDropsQueuedMessages(t *testing.T) {
 		t.Fatalf("held message changed under Invalidate: %+v", held)
 	}
 	b.Free(held) // the new endpoint's slot count must not go negative
-	if used := b.eps[2].used; used != 0 {
+	if used := b.Occupied(2); used != 0 {
 		t.Fatalf("used = %d after releasing a pre-invalidation message, want 0", used)
 	}
 	if got := len(f.free); got != listed+1 {
@@ -691,7 +692,7 @@ func TestDuplicateDeliveriesAreDistinctObjects(t *testing.T) {
 			if got := a.Credits(1); got != 2 {
 				t.Fatalf("credits = %d, want the maximum 2", got)
 			}
-			if used := a.eps[3].used + b.eps[2].used; used != 0 {
+			if used := a.Occupied(3) + b.Occupied(2); used != 0 {
 				t.Fatalf("%d slots still occupied", used)
 			}
 			roundTrip()
@@ -721,5 +722,17 @@ func BenchmarkDTUWaitReply(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		roundTrip()
+	}
+}
+
+// TestDTUSizeClass pins a DTU to the 1152 B allocation size class. Every PE
+// has one, and most are user PEs that configure two or three of their
+// sixteen endpoints; with the receive state inline in every endpoint a DTU
+// took 3056 B, the 3072 B class. Receive state now sits behind a pointer and
+// the send and memory fields are narrowed, so growing an endpoint by a word
+// costs 128 B per DTU and fails here.
+func TestDTUSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(DTU{}); got > 1152 {
+		t.Fatalf("unsafe.Sizeof(DTU{}) = %d B, want at most 1152 (its size class)", got)
 	}
 }

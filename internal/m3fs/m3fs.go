@@ -134,9 +134,8 @@ type Reply struct {
 
 type node interface{ isNode() }
 
-type dirNode struct {
-	entries map[string]node
-}
+// dirNode is a directory: its entries by name.
+type dirNode map[string]node
 
 type fileNode struct {
 	id      uint64
@@ -145,7 +144,7 @@ type fileNode struct {
 	hot     bool     // extent table loaded (first open paid for it)
 }
 
-func (*dirNode) isNode()  {}
+func (dirNode) isNode()   {}
 func (*fileNode) isNode() {}
 
 type session struct {
@@ -188,7 +187,7 @@ type extKey struct {
 type FS struct {
 	cfg      Config
 	v        *core.VPE
-	root     *dirNode
+	root     dirNode
 	rootSel  cap.Selector
 	nextOff  uint64
 	nextFile uint64
@@ -196,6 +195,10 @@ type FS struct {
 	sessions map[uint64]*session
 	extCaps  map[extKey]cap.Selector
 	stats    Stats
+	// fileSlab and extSlab hold the records and extent lists Reserve made
+	// room for (see there).
+	fileSlab []fileNode
+	extSlab  []uint64
 }
 
 // NewFS creates an (unstarted) filesystem instance for the given service
@@ -205,7 +208,7 @@ func NewFS(cfg Config, v *core.VPE) *FS {
 	return &FS{
 		cfg:      cfg,
 		v:        v,
-		root:     &dirNode{entries: make(map[string]node)},
+		root:     make(dirNode),
 		sessions: make(map[uint64]*session),
 		extCaps:  make(map[extKey]cap.Selector),
 	}
@@ -276,7 +279,7 @@ func nextPart2(dir, path string) (part, restDir, restPath string) {
 }
 
 // walk resolves dir/path to its parent directory and final name.
-func (fs *FS) walk(dir, path string) (parent *dirNode, name string, n node) {
+func (fs *FS) walk(dir, path string) (parent dirNode, name string, n node) {
 	name, dir, path = nextPart2(dir, path)
 	if name == "" {
 		return nil, "", fs.root
@@ -285,9 +288,9 @@ func (fs *FS) walk(dir, path string) (parent *dirNode, name string, n node) {
 	for {
 		next, restDir, restPath := nextPart2(dir, path)
 		if next == "" {
-			return d, name, d.entries[name]
+			return d, name, d[name]
 		}
-		sub, ok := d.entries[name].(*dirNode)
+		sub, ok := d[name].(dirNode)
 		if !ok {
 			return nil, "", nil
 		}
@@ -297,47 +300,99 @@ func (fs *FS) walk(dir, path string) (parent *dirNode, name string, n node) {
 
 // --- boot-time image construction -------------------------------------------
 
+// Reserve makes room for the next files preloaded files, which hold extents
+// extents in all (see ExtentsFor): their records and extent lists then come
+// from one allocation each instead of one per file. A file's extent list is
+// capped at its own length, so growing the file later copies the list out
+// instead of overwriting the next file's.
+func (fs *FS) Reserve(files, extents int) {
+	fs.fileSlab = make([]fileNode, files)
+	fs.extSlab = make([]uint64, extents)
+}
+
+// ExtentsFor returns how many extents a file of size bytes occupies.
+func (fs *FS) ExtentsFor(size uint64) int {
+	return int((size + fs.cfg.ExtentBytes - 1) / fs.cfg.ExtentBytes)
+}
+
 // MustMkdirAll creates a directory path in the image (boot time; no
 // simulated cost).
-func (fs *FS) MustMkdirAll(path string) {
+func (fs *FS) MustMkdirAll(path string) { fs.MustMkdirAllIn("", path, 0) }
+
+// MustMkdirAllIn creates directory dir/path in the image, walking the two
+// as a request does rather than joining them. A directory it creates last
+// is made with room for entries entries.
+func (fs *FS) MustMkdirAllIn(dir, path string, entries int) {
 	d := fs.root
-	for part, rest := nextPart(path); part != ""; part, rest = nextPart(rest) {
-		next, ok := d.entries[part]
+	part, restDir, restPath := nextPart2(dir, path)
+	for part != "" {
+		var next string
+		next, restDir, restPath = nextPart2(restDir, restPath)
+		n, ok := d[part]
 		if !ok {
-			nd := &dirNode{entries: make(map[string]node)}
-			d.entries[part] = nd
-			d = nd
-			continue
+			hint := 0
+			if next == "" {
+				hint = entries
+			}
+			n = make(dirNode, hint)
+			d[part] = n
 		}
-		dn, ok := next.(*dirNode)
-		if !ok {
-			panic("m3fs: path component is a file: " + path)
+		if d, ok = n.(dirNode); !ok {
+			panic("m3fs: path component is a file: " + joinPath(dir, path))
 		}
-		d = dn
+		part = next
 	}
 }
 
 // MustCreate creates a file of the given size in the image (boot time).
-func (fs *FS) MustCreate(path string, size uint64) {
-	parent, name, existing := fs.walk("", path)
+func (fs *FS) MustCreate(path string, size uint64) { fs.MustCreateIn("", path, size) }
+
+// MustCreateIn creates file dir/path of the given size in the image,
+// walking the two as a request does rather than joining them.
+func (fs *FS) MustCreateIn(dir, path string, size uint64) {
+	parent, name, existing := fs.walk(dir, path)
 	if parent == nil {
-		panic("m3fs: missing parent directory: " + path)
+		panic("m3fs: missing parent directory: " + joinPath(dir, path))
 	}
 	if existing != nil {
-		panic("m3fs: file exists: " + path)
+		panic("m3fs: file exists: " + joinPath(dir, path))
 	}
-	f := &fileNode{id: fs.nextFile}
-	fs.nextFile++
+	f := fs.newFile()
+	if need := fs.ExtentsFor(size); need > 0 && need <= len(fs.extSlab) {
+		f.extents = fs.extSlab[:0:need]
+		fs.extSlab = fs.extSlab[need:]
+	}
 	if err := fs.grow(f, size); err != nil {
-		panic("m3fs: image full while preloading " + path)
+		panic("m3fs: image full while preloading " + joinPath(dir, path))
 	}
-	parent.entries[name] = f
+	parent[name] = f
+}
+
+// joinPath is dir/path, for messages.
+func joinPath(dir, path string) string {
+	if dir == "" {
+		return path
+	}
+	return dir + "/" + path
+}
+
+// newFile returns the record of a new, empty file, from the Reserve slab
+// while it lasts.
+func (fs *FS) newFile() *fileNode {
+	var f *fileNode
+	if len(fs.fileSlab) > 0 {
+		f, fs.fileSlab = &fs.fileSlab[0], fs.fileSlab[1:]
+	} else {
+		f = new(fileNode)
+	}
+	f.id = fs.nextFile
+	fs.nextFile++
+	return f
 }
 
 // grow extends a file to newSize, allocating extents from the image.
 func (fs *FS) grow(f *fileNode, newSize uint64) error {
-	need := int((newSize + fs.cfg.ExtentBytes - 1) / fs.cfg.ExtentBytes)
-	for len(f.extents) < need {
+	for need := fs.ExtentsFor(newSize); len(f.extents) < need; {
 		if fs.nextOff+fs.cfg.ExtentBytes > fs.cfg.ImageBytes {
 			return core.ErrOutOfMem
 		}
@@ -452,9 +507,8 @@ func (fs *FS) doOpen(p *sim.Proc, sess *session, req *Request, rep *Reply) {
 			rep.Err = core.ErrBadArgs
 			return
 		}
-		f = &fileNode{id: fs.nextFile}
-		fs.nextFile++
-		parent.entries[name] = f
+		f = fs.newFile()
+		parent[name] = f
 	case n == nil:
 		rep.Err = core.ErrNoSuchCap
 		return
@@ -502,7 +556,7 @@ func (fs *FS) doStat(p *sim.Proc, req *Request, rep *Reply) {
 	switch t := n.(type) {
 	case *fileNode:
 		rep.Size = t.size
-	case *dirNode:
+	case dirNode:
 		rep.IsDir = true
 	default:
 		rep.Err = core.ErrNoSuchCap
@@ -519,7 +573,7 @@ func (fs *FS) doMkdir(p *sim.Proc, req *Request) core.Errno {
 	if n != nil {
 		return core.ErrExists
 	}
-	parent.entries[name] = &dirNode{entries: make(map[string]node)}
+	parent[name] = make(dirNode)
 	return core.OK
 }
 
@@ -532,7 +586,7 @@ func (fs *FS) doUnlink(p *sim.Proc, req *Request) core.Errno {
 		return core.ErrNoSuchCap
 	}
 	fs.revokeExtents(p, f)
-	delete(parent.entries, name)
+	delete(parent, name)
 	return core.OK
 }
 
@@ -540,13 +594,13 @@ func (fs *FS) doReaddir(p *sim.Proc, req *Request, rep *Reply) {
 	fs.stats.Readdirs++
 	p.Charge(fs.cfg.PathWalkCycles)
 	_, _, n := fs.walk(req.Dir, req.Path)
-	d, ok := n.(*dirNode)
+	d, ok := n.(dirNode)
 	if !ok {
 		rep.Err = core.ErrNoSuchCap
 		return
 	}
-	rep.Entries = make([]string, 0, len(d.entries))
-	for name := range d.entries {
+	rep.Entries = make([]string, 0, len(d))
+	for name := range d {
 		rep.Entries = append(rep.Entries, name)
 	}
 	sort.Strings(rep.Entries)

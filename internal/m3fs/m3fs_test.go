@@ -1,6 +1,8 @@
 package m3fs
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -85,6 +87,40 @@ func TestWriteExtendsFile(t *testing.T) {
 		}
 	})
 	s.Run()
+}
+
+// TestGrowingPreloadedFileKeepsNeighbour: preloaded files share one slab of
+// extents, each list capped at its own length, so an OpExtend of the first
+// file copies its list out instead of writing over the second file's.
+func TestGrowingPreloadedFileKeepsNeighbour(t *testing.T) {
+	s, ready := startFS(t, 1, 2, func(fs *FS) {
+		fs.Reserve(2, 2)
+		fs.MustMkdirAllIn("", "inst0", 2)
+		fs.MustCreateIn("inst0", "a", 100)
+		fs.MustCreateIn("inst0", "b", 100)
+	})
+	var fs *FS
+	s.Spawn("app", func(v *core.VPE, p *sim.Proc) {
+		fs = ready.Wait(p)
+		c, _ := Dial(p, v, "m3fs")
+		c.Prefix = "inst0"
+		f, err := c.Open(p, "a", false, false)
+		if err != nil {
+			t.Errorf("open: %v", err)
+			return
+		}
+		if err := f.Write(p, 3<<20); err != nil {
+			t.Errorf("write: %v", err)
+		}
+	})
+	s.Run()
+	a, b := fs.root["inst0"].(dirNode)["a"].(*fileNode), fs.root["inst0"].(dirNode)["b"].(*fileNode)
+	if want := []uint64{0, 2 << 20, 3 << 20}; !slices.Equal(a.extents, want) {
+		t.Errorf("grown file's extents = %v, want %v", a.extents, want)
+	}
+	if want := []uint64{1 << 20}; !slices.Equal(b.extents, want) {
+		t.Errorf("neighbour's extents = %v after the first file grew, want %v", b.extents, want)
+	}
 }
 
 func TestMetadataOps(t *testing.T) {
@@ -298,7 +334,7 @@ func TestWalkMatchesSplitReference(t *testing.T) {
 	fs.MustCreate("/a/b/f", 0)
 	fs.MustCreate("a/g", 0)
 
-	refWalk := func(path string) (*dirNode, string, node) {
+	refWalk := func(path string) (dirNode, string, node) {
 		var parts []string
 		for _, s := range strings.Split(path, "/") {
 			if s != "" {
@@ -310,14 +346,22 @@ func TestWalkMatchesSplitReference(t *testing.T) {
 		}
 		d := fs.root
 		for _, part := range parts[:len(parts)-1] {
-			next, ok := d.entries[part].(*dirNode)
+			next, ok := d[part].(dirNode)
 			if !ok {
 				return nil, "", nil
 			}
 			d = next
 		}
 		name := parts[len(parts)-1]
-		return d, name, d.entries[name]
+		return d, name, d[name]
+	}
+	// Directories are maps, which compare by identity only through reflect.
+	same := func(a, b node) bool {
+		if da, ok := a.(dirNode); ok {
+			db, ok := b.(dirNode)
+			return ok && reflect.ValueOf(da).Pointer() == reflect.ValueOf(db).Pointer()
+		}
+		return a == b
 	}
 	for _, path := range []string{
 		"", "/", "///", "a", "/a", "a/", "//a//", "/a/b", "a//b/f", "/a/b/f/", "/a/g",
@@ -325,7 +369,7 @@ func TestWalkMatchesSplitReference(t *testing.T) {
 	} {
 		wp, wn, wnode := refWalk(path)
 		gp, gn, gnode := fs.walk("", path)
-		if gp != wp || gn != wn || gnode != wnode {
+		if !same(gp, wp) || gn != wn || !same(gnode, wnode) {
 			t.Errorf("walk(%q) = (%p, %q, %v), reference says (%p, %q, %v)", path, gp, gn, gnode, wp, wn, wnode)
 		}
 		// A namespace carried beside the path resolves like the two joined
@@ -334,7 +378,7 @@ func TestWalkMatchesSplitReference(t *testing.T) {
 			dir, rest := path[:i], path[i:]
 			wp, wn, wnode := refWalk(dir + "/" + rest)
 			gp, gn, gnode := fs.walk(dir, rest)
-			if gp != wp || gn != wn || gnode != wnode {
+			if !same(gp, wp) || gn != wn || !same(gnode, wnode) {
 				t.Errorf("walk(%q, %q) = (%p, %q, %v), reference says (%p, %q, %v)", dir, rest, gp, gn, gnode, wp, wn, wnode)
 			}
 		}

@@ -99,9 +99,11 @@ func RunNginx(cfg NginxConfig) (*NginxResult, error) {
 	var allReady sim.WaitGroup
 	allReady.Add(cfg.Services)
 	preload := func(fs *m3fs.FS) {
+		fs.Reserve(cfg.Servers, cfg.Servers*fs.ExtentsFor(cfg.DocBytes))
 		for i := 0; i < cfg.Servers; i++ {
-			fs.MustMkdirAll("srv" + trace.Itoa(i))
-			fs.MustCreate("srv"+trace.Itoa(i)+"/index.html", cfg.DocBytes)
+			root := "srv" + trace.Itoa(i)
+			fs.MustMkdirAllIn("", root, 1)
+			fs.MustCreateIn(root, "index.html", cfg.DocBytes)
 		}
 	}
 	for j := 0; j < cfg.Services; j++ {

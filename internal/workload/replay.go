@@ -7,6 +7,7 @@ package workload
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/m3fs"
@@ -117,17 +118,50 @@ func replayOp(c *m3fs.Client, p *sim.Proc, files []*m3fs.File, op *trace.Op) err
 }
 
 // Preload populates one filesystem instance with the input files for a set
-// of instance prefixes.
+// of instance prefixes. It builds no paths: each file is created by walking
+// its prefix and its trace path in turn, from slabs sized to the whole
+// preload, in directories made with room for their entries.
 func Preload(tr *trace.Trace, prefixes []string) func(*m3fs.FS) {
+	top, entries := dirEntries(tr)
 	return func(fs *m3fs.FS) {
+		extents := 0
+		for _, f := range tr.Files {
+			extents += fs.ExtentsFor(f.Size)
+		}
+		fs.Reserve(len(prefixes)*len(tr.Files), len(prefixes)*extents)
 		for _, prefix := range prefixes {
-			fs.MustMkdirAll(prefix)
-			for _, d := range tr.Dirs {
-				fs.MustMkdirAll(prefix + "/" + d)
+			fs.MustMkdirAllIn("", prefix, top)
+			for i, d := range tr.Dirs {
+				fs.MustMkdirAllIn(prefix, d, entries[i])
 			}
 			for _, f := range tr.Files {
-				fs.MustCreate(prefix+"/"+f.Path, f.Size)
+				fs.MustCreateIn(prefix, f.Path, f.Size)
 			}
 		}
 	}
+}
+
+// dirEntries counts the preloaded entries of an instance's directory (top)
+// and of each of tr.Dirs.
+func dirEntries(tr *trace.Trace) (top int, entries []int) {
+	entries = make([]int, len(tr.Dirs))
+	count := func(path string) {
+		i := strings.LastIndexByte(path, '/')
+		if i < 0 {
+			top++
+			return
+		}
+		for j, d := range tr.Dirs {
+			if d == path[:i] {
+				entries[j]++
+			}
+		}
+	}
+	for _, d := range tr.Dirs {
+		count(d)
+	}
+	for _, f := range tr.Files {
+		count(f.Path)
+	}
+	return top, entries
 }
