@@ -117,48 +117,52 @@ type childChunk struct {
 //
 // A Capability is created free-standing (a composite literal) and handed to
 // Store.Insert, which copies it into a slab and returns the slab pointer —
-// the live instance all further reads and mutations must go through.
+// the live instance all further reads and mutations must go through. A
+// free-standing capability holds at most inlineChildren children: the spill
+// chunks belong to a Store.
+//
+// Fields are ordered 8-byte words, 4-byte words, bytes, so the struct packs
+// into 104 B (TestCapabilitySize).
 type Capability struct {
 	// Key is the capability's globally valid DDL key.
 	Key ddl.Key
 	// Owner is the global id of the VPE holding the rights.
 	Owner int
-	// Sel is the capability's selector in the owner's capability space.
-	Sel Selector
 	// Object is the referenced kernel object. Child capabilities share the
 	// object of their parent (possibly with restricted permissions).
 	Object Object
-	// Perm restricts the rights of this capability relative to the object.
-	Perm dtu.Perm
 	// Parent is the DDL key of the parent capability (0 for roots).
 	Parent ddl.Key
-
-	// Marked is set during phase one of the two-phase revocation
-	// (mark-and-sweep, paper §4.3.3). A marked capability is logically dead:
-	// exchanges involving it are denied.
-	Marked bool
-	// Outstanding counts revoke inter-kernel calls sent for this
-	// capability's children that have not been answered yet.
-	Outstanding int
 
 	// Child links, in creation order. nChildren counts live children;
 	// childSlots is the append cursor including tombstones (removed children
 	// leave a zero key so the creation order of the survivors is preserved).
 	// Slots [0, inlineChildren) are inline; further slots live in arena
-	// chunks (spillHead/spillTail, chunk index+1, 0 = none) once the
-	// capability is stored, or in the private spill slice while it is still
-	// free-standing.
-	nChildren  int32
-	childSlots int32
-	spillHead  int32
-	spillTail  int32
-	inline     [inlineChildren]ddl.Key
-	spill      []ddl.Key
+	// chunks (spillHead/spillTail, chunk index+1, 0 = none).
+	inline [inlineChildren]ddl.Key
 
 	// store and slot locate the capability inside its Store's slabs; both
 	// are zero while free-standing.
 	store *Store
 	slot  uint32
+
+	// Sel is the capability's selector in the owner's capability space.
+	Sel Selector
+
+	nChildren  int32
+	childSlots int32
+	spillHead  int32
+	spillTail  int32
+
+	// gen is the slot's generation, bumped by Remove; it belongs to the slab
+	// slot, not to the capability, and survives Insert's copy (Handle).
+	gen uint32
+	// Perm restricts the rights of this capability relative to the object.
+	Perm dtu.Perm
+	// Marked is set during phase one of the two-phase revocation
+	// (mark-and-sweep, paper §4.3.3). A marked capability is logically dead:
+	// exchanges involving it are denied.
+	Marked bool
 }
 
 // Type returns the capability's object type.
@@ -188,14 +192,6 @@ func (c *Capability) forEachChildSlot(fn func(k ddl.Key) bool) {
 	}
 	spillN := n - inlineChildren
 	if spillN <= 0 {
-		return
-	}
-	if c.store == nil {
-		for i := 0; i < spillN; i++ {
-			if !fn(c.spill[i]) {
-				return
-			}
-		}
 		return
 	}
 	ci := c.spillHead
@@ -238,12 +234,16 @@ func (c *Capability) AppendChildren(dst []ddl.Key) []ddl.Key {
 
 // AddChild appends a child key. Duplicate insertion is a protocol bug; the
 // O(children) scan that asserts it only runs with Debug set — wide fan-outs
-// must not pay it per link.
+// must not pay it per link. A free-standing capability past inlineChildren
+// panics: the kernels link children only to stored capabilities.
 func (c *Capability) AddChild(k ddl.Key) {
 	if Debug && c.HasChild(k) {
 		panic(fmt.Sprintf("cap: duplicate child %v on %v", k, c.Key))
 	}
 	slot := int(c.childSlots)
+	if slot >= inlineChildren && c.store == nil {
+		panic(fmt.Sprintf("cap: free-standing %v holds at most %d children", c.Key, inlineChildren))
+	}
 	c.childSlots++
 	c.nChildren++
 	if slot < inlineChildren {
@@ -251,10 +251,6 @@ func (c *Capability) AddChild(k ddl.Key) {
 		return
 	}
 	off := (slot - inlineChildren) % chunkKeys
-	if c.store == nil {
-		c.spill = append(c.spill, k)
-		return
-	}
 	if off == 0 {
 		ci := c.store.allocChunk()
 		if c.spillTail != 0 {
@@ -287,16 +283,6 @@ func (c *Capability) RemoveChild(k ddl.Key) {
 	if spillN <= 0 {
 		return
 	}
-	if c.store == nil {
-		for i := 0; i < spillN; i++ {
-			if c.spill[i] == k {
-				c.spill[i] = 0
-				c.childRemoved()
-				return
-			}
-		}
-		return
-	}
 	ci := c.spillHead
 	for i := 0; i < spillN; i++ {
 		off := i % chunkKeys
@@ -326,7 +312,6 @@ func (c *Capability) resetChildren() {
 		c.store.freeChunkChain(c.spillHead)
 	}
 	c.spillHead, c.spillTail = 0, 0
-	c.spill = nil
 	c.childSlots = 0
 	c.nChildren = 0
 }
@@ -400,7 +385,6 @@ type Store struct {
 	ReuseSelectors bool
 
 	slabs     []*slab
-	gens      []uint32 // per-slot generation, bumped on free
 	freeSlots []uint32 // LIFO free list
 	used      uint32   // high-water slot count
 	n         int      // live capabilities
@@ -434,7 +418,6 @@ func (s *Store) allocSlot() uint32 {
 	slot := s.used
 	if int(slot>>slabShift) == len(s.slabs) {
 		s.slabs = append(s.slabs, new(slab))
-		s.gens = append(s.gens, make([]uint32, slabSize)...)
 	}
 	s.used++
 	return slot
@@ -458,27 +441,6 @@ func (s *Store) freeChunkChain(head int32) {
 		s.chunks[ci] = childChunk{}
 		s.freeChunks = append(s.freeChunks, ci)
 		head = next
-	}
-}
-
-// migrateSpill moves a freshly inserted capability's private spill slice
-// into the shared chunk arena.
-func (s *Store) migrateSpill(c *Capability) {
-	priv := c.spill
-	c.spill = nil
-	c.spillHead, c.spillTail = 0, 0
-	for i, k := range priv {
-		off := i % chunkKeys
-		if off == 0 {
-			ci := s.allocChunk()
-			if c.spillTail != 0 {
-				s.chunks[c.spillTail-1].next = ci + 1
-			} else {
-				c.spillHead = ci + 1
-			}
-			c.spillTail = ci + 1
-		}
-		s.chunks[c.spillTail-1].keys[off] = k
 	}
 }
 
@@ -531,14 +493,9 @@ func (s *Store) Insert(c *Capability) *Capability {
 	}
 	slot := s.allocSlot()
 	sc := s.capAt(slot)
+	gen := sc.gen
 	*sc = *c
-	sc.store = s
-	sc.slot = slot
-	if int(sc.childSlots) > inlineChildren {
-		s.migrateSpill(sc)
-	} else {
-		sc.spill = nil
-	}
+	sc.store, sc.slot, sc.gen = s, slot, gen
 	s.byKey.Put(c.Key, slot)
 	if sp != nil {
 		sp.sel[c.Sel] = slot + 1
@@ -580,7 +537,7 @@ func (s *Store) HandleOf(c *Capability) Handle {
 	if c == nil || c.store != s {
 		return NoHandle
 	}
-	return Handle(uint64(s.gens[c.slot])<<32 | uint64(c.slot) + 1)
+	return Handle(uint64(c.gen)<<32 | uint64(c.slot) + 1)
 }
 
 // Resolve returns the capability a handle refers to, or nil if it has been
@@ -590,11 +547,11 @@ func (s *Store) Resolve(h Handle) *Capability {
 		return nil
 	}
 	slot := uint32(h) - 1
-	if slot >= s.used || s.gens[slot] != uint32(h>>32) {
+	if slot >= s.used {
 		return nil
 	}
 	c := s.capAt(slot)
-	if c.Key == 0 {
+	if c.gen != uint32(h>>32) || c.Key == 0 {
 		return nil
 	}
 	return c
@@ -602,8 +559,9 @@ func (s *Store) Resolve(h Handle) *Capability {
 
 // Remove deletes a capability from the database. It does not touch tree
 // links; callers unlink first. Removing an absent key is a no-op. The slab
-// slot is zeroed (so the GC drops the object reference), its generation is
-// bumped, and slot and spill chunks return to the free lists.
+// slot is zeroed except for its generation, which is bumped (so the GC drops
+// the object reference and stale handles stop resolving), and slot and spill
+// chunks return to the free lists.
 func (s *Store) Remove(k ddl.Key) {
 	slot, ok := s.byKey.Get(k)
 	if !ok {
@@ -623,8 +581,7 @@ func (s *Store) Remove(k ddl.Key) {
 		}
 	}
 	s.byKey.Delete(k)
-	*c = Capability{}
-	s.gens[slot]++
+	*c = Capability{gen: c.gen + 1}
 	s.freeSlots = append(s.freeSlots, slot)
 	s.n--
 }
@@ -670,7 +627,7 @@ func (s *Store) Keys() []ddl.Key {
 //     list;
 //   - selector index, key index and slab agree;
 //   - slab free lists are consistent: every slot is either live and indexed
-//     or zeroed and on the free list, exactly once;
+//     or zeroed but for its generation and on the free list, exactly once;
 //   - child spill chains are well-formed: acyclic, owned by exactly one
 //     capability, sized to the child-slot count, and disjoint from the
 //     chunk free list.
@@ -713,7 +670,7 @@ func (s *Store) CheckLocalInvariants() error {
 			if !freeSlot[slot] {
 				return fmt.Errorf("slot %d is empty but not on the free list", slot)
 			}
-			if c.Object != nil || c.store != nil || c.childSlots != 0 || c.spillHead != 0 || c.spill != nil {
+			if *c != (Capability{gen: c.gen}) {
 				return fmt.Errorf("free slot %d not zeroed", slot)
 			}
 			continue
@@ -726,9 +683,6 @@ func (s *Store) CheckLocalInvariants() error {
 		}
 		if got, ok := s.byKey.Get(c.Key); !ok || got != slot {
 			return fmt.Errorf("cap %v missing from the key index", c.Key)
-		}
-		if c.spill != nil {
-			return fmt.Errorf("stored cap %v still has a private spill slice", c.Key)
 		}
 		// Child links and spill-chain shape.
 		spillSlots := int(c.childSlots) - inlineChildren

@@ -116,90 +116,123 @@ func TestDuplicateChildPanics(t *testing.T) {
 	parent.AddChild(child.Key)
 }
 
-// Children must survive the inline→spill transition and keep creation order
-// under interleaved removals, both free-standing and store-backed.
+// Children of a stored capability must survive the inline→spill transition
+// and keep creation order under interleaved removals.
 func TestChildSpill(t *testing.T) {
-	for _, stored := range []bool{false, true} {
-		s := NewStore()
-		g := ddl.NewGenerator()
-		parent := memCap(g, 1, 1)
-		if stored {
-			parent = s.Insert(parent)
-		}
-		var want []ddl.Key
-		for i := 0; i < 4*chunkKeys+inlineChildren+2; i++ {
-			k := g.Next(0, 2, ddl.TypeMem)
-			parent.AddChild(k)
-			want = append(want, k)
-		}
-		got := parent.AppendChildren(nil)
-		if len(got) != len(want) {
-			t.Fatalf("stored=%v: %d children, want %d", stored, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("stored=%v: child %d = %v, want %v", stored, i, got[i], want[i])
-			}
-		}
-		// Remove every other child: survivors keep creation order.
-		for i := 0; i < len(want); i += 2 {
-			parent.RemoveChild(want[i])
-		}
-		var still []ddl.Key
-		for i := 1; i < len(want); i += 2 {
-			still = append(still, want[i])
-		}
-		got = parent.AppendChildren(nil)
-		if len(got) != len(still) {
-			t.Fatalf("stored=%v: %d children after removal, want %d", stored, len(got), len(still))
-		}
-		for i := range still {
-			if got[i] != still[i] {
-				t.Fatalf("stored=%v: child %d = %v, want %v after removal", stored, i, got[i], still[i])
-			}
-		}
-		// Removing the rest releases all spill storage.
-		for _, k := range still {
-			parent.RemoveChild(k)
-		}
-		if parent.NumChildren() != 0 {
-			t.Fatalf("stored=%v: %d children left", stored, parent.NumChildren())
-		}
-		if stored {
-			if err := s.CheckLocalInvariants(); err != nil {
-				t.Fatalf("stored=%v: %v", stored, err)
-			}
-			if len(s.freeChunks) != len(s.chunks) {
-				t.Fatalf("stored=%v: %d of %d chunks still owned", stored, len(s.chunks)-len(s.freeChunks), len(s.chunks))
-			}
-		}
-	}
-}
-
-// A free-standing capability built with spilled children must migrate them
-// into the arena on Insert.
-func TestSpillMigratesOnInsert(t *testing.T) {
 	s := NewStore()
 	g := ddl.NewGenerator()
-	parent := memCap(g, 1, s.AllocSel(1))
+	parent := s.Insert(memCap(g, 1, 1))
 	var want []ddl.Key
-	for i := 0; i < 3*chunkKeys; i++ {
+	for i := 0; i < 4*chunkKeys+inlineChildren+2; i++ {
 		k := g.Next(0, 2, ddl.TypeMem)
 		parent.AddChild(k)
 		want = append(want, k)
 	}
-	parent = s.Insert(parent)
 	got := parent.AppendChildren(nil)
 	if len(got) != len(want) {
-		t.Fatalf("%d children after insert, want %d", len(got), len(want))
+		t.Fatalf("%d children, want %d", len(got), len(want))
 	}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("child %d = %v, want %v", i, got[i], want[i])
 		}
 	}
+	// Remove every other child: survivors keep creation order.
+	for i := 0; i < len(want); i += 2 {
+		parent.RemoveChild(want[i])
+	}
+	var still []ddl.Key
+	for i := 1; i < len(want); i += 2 {
+		still = append(still, want[i])
+	}
+	got = parent.AppendChildren(nil)
+	if len(got) != len(still) {
+		t.Fatalf("%d children after removal, want %d", len(got), len(still))
+	}
+	for i := range still {
+		if got[i] != still[i] {
+			t.Fatalf("child %d = %v, want %v after removal", i, got[i], still[i])
+		}
+	}
+	// Removing the rest releases all spill storage.
+	for _, k := range still {
+		parent.RemoveChild(k)
+	}
+	if parent.NumChildren() != 0 {
+		t.Fatalf("%d children left", parent.NumChildren())
+	}
 	if err := s.CheckLocalInvariants(); err != nil {
 		t.Fatal(err)
+	}
+	if len(s.freeChunks) != len(s.chunks) {
+		t.Fatalf("%d of %d chunks still owned", len(s.chunks)-len(s.freeChunks), len(s.chunks))
+	}
+}
+
+// A free-standing capability has no arena to spill into: it takes
+// inlineChildren children, and one more is a protocol bug.
+func TestFreeStandingChildLimit(t *testing.T) {
+	g := ddl.NewGenerator()
+	c := memCap(g, 1, 1)
+	for i := 0; i < inlineChildren; i++ {
+		c.AddChild(g.Next(0, 2, ddl.TypeMem))
+	}
+	if c.NumChildren() != inlineChildren {
+		t.Fatalf("NumChildren = %d, want %d", c.NumChildren(), inlineChildren)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("spilling a free-standing capability did not panic")
+		}
+	}()
+	c.AddChild(g.Next(0, 2, ddl.TypeMem))
+}
+
+// The generation lives in the slot: it survives Insert's copy and Remove's
+// zeroing, so a handle stays stale however often its slot is recycled.
+func TestHandleStaleAcrossSlotReuse(t *testing.T) {
+	s := NewStore()
+	g := ddl.NewGenerator()
+	c := s.Insert(memCap(g, 1, s.AllocSel(1)))
+	old := s.HandleOf(c)
+	for i := 0; i < 4; i++ {
+		s.Remove(c.Key)
+		d := s.Insert(memCap(g, 1, s.AllocSel(1)))
+		if d != c {
+			t.Fatalf("cycle %d: Insert did not recycle the freed slot", i)
+		}
+		if s.Resolve(old) != nil {
+			t.Fatalf("cycle %d: stale handle resolved", i)
+		}
+		if h := s.HandleOf(d); h == old || s.Resolve(h) != d {
+			t.Fatalf("cycle %d: fresh handle %#x does not resolve", i, h)
+		}
+	}
+	if err := s.CheckLocalInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A freed slot may keep its generation and nothing else.
+func TestFreeSlotKeepsOnlyGeneration(t *testing.T) {
+	s := NewStore()
+	g := ddl.NewGenerator()
+	keep := s.Insert(memCap(g, 1, s.AllocSel(1)))
+	c := s.Insert(memCap(g, 1, s.AllocSel(1)))
+	s.Remove(c.Key)
+	if c.gen == 0 {
+		t.Fatal("Remove did not bump the slot's generation")
+	}
+	if err := s.CheckLocalInvariants(); err != nil {
+		t.Fatalf("freed slot with only a generation rejected: %v", err)
+	}
+	c.Object = keep.Object
+	if s.CheckLocalInvariants() == nil {
+		t.Fatal("freed slot holding an Object accepted")
+	}
+	c.Object, c.store = nil, s
+	if s.CheckLocalInvariants() == nil {
+		t.Fatal("freed slot holding a store accepted")
 	}
 }
 

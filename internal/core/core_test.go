@@ -83,6 +83,20 @@ func TestGroupAssignment(t *testing.T) {
 				t.Fatalf("membership mismatch for PE %d", pe)
 			}
 		}
+		// The table is static after boot: every kernel reads the machine's.
+		if k.member != s.member {
+			t.Fatalf("kernel %d holds a membership table of its own", i)
+		}
+	}
+	// PEs 0-3 are the kernels, 4-11 the users in pairs, 12 the DRAM (kernel 0).
+	want := []int{0, 1, 2, 3, 0, 0, 1, 1, 2, 2, 3, 3, 0}
+	if s.member.PEs() != len(want) {
+		t.Fatalf("membership covers %d PEs, want %d", s.member.PEs(), len(want))
+	}
+	for pe, kernel := range want {
+		if got := s.kernels[pe%4].member.KernelOfKey(ddl.NewKey(pe, 0, ddl.TypeMem, 1)); got != kernel {
+			t.Errorf("KernelOfKey(PE %d) = %d, want %d", pe, got, kernel)
+		}
 	}
 }
 

@@ -166,7 +166,7 @@ func newKernel(s *System, id int) *Kernel {
 		dtu:         s.Fab.DTU(id),
 		store:       cap.NewStore(),
 		gen:         ddl.NewGenerator(),
-		member:      s.member.Clone(),
+		member:      s.member,
 		cpu:         sim.NewSemaphore(s.Eng, 1),
 		link:        sim.NewSemaphore(s.Eng, 1),
 		inflight:    make([]*sim.Semaphore, s.cfg.Kernels),

@@ -213,7 +213,7 @@ func NewSystem(cfg Config) (*System, error) {
 		s.member.Assign(pe, 0)
 		fab.DTU(pe).Downgrade()
 	}
-	// Boot the kernels; each gets its own membership replica.
+	// Boot the kernels; the now-static table stands for every replica.
 	for k := 0; k < cfg.Kernels; k++ {
 		s.kernels = append(s.kernels, newKernel(s, k))
 	}

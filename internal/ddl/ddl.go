@@ -201,8 +201,9 @@ func (g *Generator) NextID(pe, vpe int) uint64 {
 }
 
 // Membership is the table mapping key-space partitions (PE IDs) to kernels.
-// Every kernel holds a copy; in the current system (like the paper's
-// implementation) the mapping is static because PE migration is unsupported.
+// In the paper every kernel holds a replica. The mapping is static — filled
+// once at boot, never changed, because PE migration is unsupported — so the
+// replicas are identical and one table per machine models all of them.
 type Membership struct {
 	kernelOf []int
 }
@@ -246,11 +247,4 @@ func (m *Membership) Group(kernel int) []int {
 		}
 	}
 	return pes
-}
-
-// Clone returns an independent copy, modeling the per-kernel replica.
-func (m *Membership) Clone() *Membership {
-	c := &Membership{kernelOf: make([]int, len(m.kernelOf))}
-	copy(c.kernelOf, m.kernelOf)
-	return c
 }

@@ -124,19 +124,6 @@ func TestMembershipOutOfRange(t *testing.T) {
 	}
 }
 
-func TestMembershipClone(t *testing.T) {
-	m := NewMembership(4)
-	m.Assign(0, 7)
-	c := m.Clone()
-	c.Assign(0, 9)
-	if m.KernelOf(0) != 7 {
-		t.Fatal("clone is not independent")
-	}
-	if c.KernelOf(0) != 9 {
-		t.Fatal("clone assignment lost")
-	}
-}
-
 func TestTypeStrings(t *testing.T) {
 	want := map[Type]string{
 		TypeVPE: "vpe", TypeMem: "mem", TypeSend: "send", TypeRecv: "recv",
