@@ -84,6 +84,11 @@ func realMain(args []string, stderr io.Writer) (code int) {
 	case err != nil:
 		return 2 // Parse already reported the error and the usage
 	}
+	if fs.NArg() > 0 {
+		// "semperos-bench -quick table3" would otherwise run all experiments.
+		fmt.Fprintf(stderr, "unexpected argument %q; name experiments with -experiment\n", fs.Arg(0))
+		return 2
+	}
 
 	// Flag hygiene: sizes must be non-negative.
 	for _, f := range []struct {

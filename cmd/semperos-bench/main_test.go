@@ -8,9 +8,11 @@ import (
 	"repro/internal/bench"
 )
 
-// TestBadFlagsExit2: negative sizes, unknown modes and unknown flags are
-// usage errors — a message on stderr and exit 2 before any simulation runs.
-// A negative -scalekernels used to run the whole 1024-kernel grid. The flags
+// TestBadFlagsExit2: negative sizes, unknown modes, unknown flags and
+// positional arguments are usage errors — a message on stderr and exit 2
+// before any simulation runs. A negative -scalekernels used to run the whole
+// 1024-kernel grid, and an experiment named without -experiment ran all ten.
+// The flags
 // of the retired shard protocol, recorded-cost scheduler and scale budget are
 // unknown flags like any other.
 func TestBadFlagsExit2(t *testing.T) {
@@ -26,6 +28,7 @@ func TestBadFlagsExit2(t *testing.T) {
 		{[]string{"-worker"}, "flag provided but not defined: -worker"},
 		{[]string{"-quick", "-costs", "x"}, "flag provided but not defined: -costs"},
 		{[]string{"-experiment", "scale", "-scalebudget", "1s"}, "flag provided but not defined: -scalebudget"},
+		{[]string{"-quick", "table3"}, `unexpected argument "table3"; name experiments with -experiment`},
 	} {
 		var stderr bytes.Buffer
 		if code := realMain(c.args, &stderr); code != 2 {

@@ -211,6 +211,32 @@ func TestKernelQueriesAllocateNothing(t *testing.T) {
 	}
 }
 
+// TestReplyEnvelopeFlushAllocatesNothing: once warm, flushing a reply
+// envelope — its compose delay, the NoC and its arrival, which completes (here:
+// counts as late) each reply in order — allocates nothing. The replies ride a
+// recycled ikcWire that keeps its grown payload slice, where a vectored DTU
+// send took a slice of items and a closure per envelope.
+func TestReplyEnvelopeFlushAllocatesNothing(t *testing.T) {
+	s := MustNew(Config{Kernels: 2, UserPEs: 2, IKCBatching: IKCBatching{Exchange: true}})
+	defer s.Close()
+	k := s.kernels[1]
+	reps := make([]ikcReply, 4)
+	flush := func() {
+		for i := range reps {
+			k.xport.enqueueReply(0, classExchange, &reps[i])
+		}
+		k.xport.flushReplies(rkey{dst: 0, class: classExchange})
+		s.Run()
+	}
+	flush()
+	if allocs := testing.AllocsPerRun(100, flush); allocs != 0 {
+		t.Fatalf("flushing a 4-reply envelope allocates %v times, want 0", allocs)
+	}
+	if got, want := s.kernels[0].Stats().LateReplies, k.Stats().IKCRepBatched; got != want || k.Stats().IKCRepBatches == 0 {
+		t.Fatalf("%d replies arrived, %d were sent in %d envelopes", got, want, k.Stats().IKCRepBatches)
+	}
+}
+
 // TestPooledEngineRetainsNoMessages: the message free list lives and dies
 // with its Fabric. After System.Close and Pool.Put the pooled engine — its
 // event slabs, lanes and proc table — must not reach the machine it last

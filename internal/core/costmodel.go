@@ -140,9 +140,11 @@ const (
 	vpeAnswerBytes  = 16
 	svcReqBytes     = 64
 	svcRepBytes     = 64
-	// ikcBatchedReqBytes is the per-request payload inside a coalesced
-	// envelope: a request standalone costs ikcMsgBytes plus the DTU header,
-	// batched it shares the envelope's header and drops per-message framing.
+	// ikcEnvelopeBytes is an envelope's header, which its payloads share.
+	ikcEnvelopeBytes = 32
+	// ikcBatchedReqBytes is the per-request payload inside an envelope: a
+	// request standalone costs ikcMsgBytes, batched it shares the
+	// envelope's header and drops per-message framing.
 	ikcBatchedReqBytes = 72
 	// ikcBatchedRepBytes is the per-reply payload inside a coalesced reply
 	// envelope, shrunk from ikcRepBytes the same way.

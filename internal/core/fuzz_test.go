@@ -5,14 +5,13 @@ import (
 
 	"repro/internal/dtu"
 	"repro/internal/fault"
-	"repro/internal/noc"
 	"repro/internal/sim"
 )
 
 // fuzzConfig decodes bytes into a small machine description: at most 8
 // kernels, 64 user PEs and 3 memory PEs — counts are signed, so zero and
-// negative ones come up — and, each behind a bit of the flags byte, a NoC
-// override, a batching policy, reliability knobs and a fault plan whose
+// negative ones come up — and, each behind a bit of the flags byte, a
+// batching policy, reliable mode on a lossless fabric and a fault plan whose
 // kernel faults may name kernels the machine does not have and recoveries
 // that precede their crash. Missing bytes read as zero, so every input
 // decodes.
@@ -33,28 +32,18 @@ func fuzzConfig(data []byte) Config {
 	}
 	flags := next()
 	cfg.RelaxLimits = flags&1 != 0
-	if flags&2 != 0 {
-		cfg.Noc = &noc.Config{Width: next() % 12, BaseLatency: 24, HopLatency: 2, FlitLatency: 1, Contention: flags&4 != 0}
-	}
 	if flags&8 != 0 {
 		b := next()
-		cfg.IKCBatching = IKCBatching{
-			Exchange: b&1 != 0, ServiceQuery: b&2 != 0, Revoke: b&4 != 0,
-			MaxBatch: next() % 9, FlushWindow: sim.Duration(next()&0x7f) * 100,
-		}
+		cfg.IKCBatching = IKCBatching{Exchange: b&1 != 0, ServiceQuery: b&2 != 0, Revoke: b&4 != 0}
 	}
 	if flags&16 != 0 {
-		cfg.Reliability = &Reliability{
-			RTOBase: sim.Duration(next()&0x7f) * 1000, RTOMax: sim.Duration(next()&0x7f) * 1000,
-			MaxRetries: next() % 5, ReplyCache: next() % 9,
-		}
+		cfg.Faults = &fault.Plan{}
 	}
 	if flags&32 != 0 {
 		plan := &fault.Plan{Seed: uint64(next()), Drop: float64(next()&0x7f) / 512, Dup: float64(next()&0x7f) / 512, Jitter: sim.Duration(next() & 0x3f)}
 		for n := next() & 3; n > 0; n-- {
 			plan.Kernels = append(plan.Kernels, fault.KernelFault{
 				Kernel:  next() % 10,
-				StallAt: sim.Time(next()&0x7f) * 500, StallFor: sim.Duration(next()&0x7f) * 100,
 				CrashAt: sim.Time(next()&0x7f) * 1000, RecoverAt: sim.Time(next()&0x7f) * 1000,
 			})
 		}
@@ -70,19 +59,19 @@ func fuzzConfig(data []byte) Config {
 // and Close unwinds every proc that leaves behind.
 func FuzzConfigValidate(f *testing.F) {
 	for _, seed := range [][]byte{
-		nil,                            // all defaults, no user PE: rejected
-		{1, 1},                         // the smallest machine
-		{8, 64, 3, 1},                  // the largest the decoder makes
-		{0, 253, 255},                  // negative counts
-		{4, 16, 1, 0, 2 | 4, 3},        // contended 3-wide mesh
-		{4, 16, 1, 0, 8, 7, 4, 20},     // every family batched
-		{2, 8, 1, 0, 16, 60, 10, 2, 4}, // reliable, RTOMax below RTOBase
-		{2, 8, 1, 0, 16, 1, 1, 1, 255}, // a negative reply cache: rejected (the fuzzer's first find)
-		{4, 16, 1, 0, 32, 7, 5, 5, 3, 1, 3, 2, 4, 20, 60},           // lossy, kernel 3 crashes and recovers
-		{4, 16, 1, 0, 32, 7, 0, 0, 0, 1, 1, 0, 0, 40, 40},           // recovery at its crash: rejected
-		{4, 16, 1, 0, 32, 7, 0, 0, 0, 1, 1, 0, 0, 0, 40},            // recovery without a crash: rejected
-		{4, 16, 1, 0, 32, 7, 0, 0, 0, 2, 9, 1, 1, 5, 0, 0, 0, 0, 1}, // a kernel the machine lacks, kernel 0 crashed for good
-		{8, 64, 2, 3, 1 | 8 | 16 | 32, 3, 8, 127, 1, 1, 1, 1, 9, 64, 64, 9, 1, 2, 3, 4, 5, 100},
+		nil,                     // all defaults, no user PE: rejected
+		{1, 1},                  // the smallest machine
+		{8, 64, 3, 1},           // the largest the decoder makes
+		{0, 253, 255},           // negative counts
+		{4, 16, 1, 0, 16},       // reliable on a lossless fabric
+		{4, 16, 1, 0, 8, 7},     // every family batched
+		{2, 8, 1, 0, 8 | 16, 7}, // batched and reliable
+		{4, 16, 1, 0, 8 | 32, 7, 9, 20, 20, 30, 0},      // batched over a lossy, duplicating, jittery fabric
+		{4, 16, 1, 0, 32, 7, 5, 5, 3, 1, 3, 20, 60},     // lossy, kernel 3 crashes and recovers
+		{4, 16, 1, 0, 32, 7, 0, 0, 0, 1, 1, 40, 40},     // recovery at its crash: rejected
+		{4, 16, 1, 0, 32, 7, 0, 0, 0, 1, 1, 0, 40},      // recovery without a crash: rejected
+		{4, 16, 1, 0, 32, 7, 0, 0, 0, 2, 9, 5, 0, 0, 1}, // a kernel the machine lacks, kernel 0 crashed for good
+		{8, 64, 2, 3, 1 | 8 | 16 | 32, 3, 9, 64, 64, 9, 1, 2, 5, 100},
 	} {
 		f.Add(seed)
 	}

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"repro/internal/dtu"
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // Inter-kernel calls (paper §4.1): kernels communicate via messages over
 // the NoC, adhering to a messaging protocol with per-pair FIFO ordering
@@ -29,32 +26,37 @@ func (k *Kernel) nextSeq() uint64 {
 	return k.seq
 }
 
-// wireKind says what an ikcWire does when it arrives.
+// wireKind says what an ikcWire carries.
 type wireKind uint8
 
 const (
-	wireRequest wireKind = iota // hand req to the receiving kernel
-	wireReply                   // hand rep to the receiving kernel
-	wireCredit                  // return one in-flight credit to the receiving kernel
-	wireCompose                 // an event-context reply is composed: put it on the wire
+	wireRequest wireKind = iota // requests for the receiving kernel
+	wireReply                   // replies for the receiving kernel
+	wireCredit                  // one in-flight credit back to the receiving kernel
 )
 
-// wireBytes is the wire size of each kind that crosses the NoC.
-var wireBytes = [...]int{wireRequest: ikcMsgBytes, wireReply: ikcRepBytes}
-
-// ikcWire is one direct (envelope-less) inter-kernel leg in flight. Like a
-// dtu.Message it is its own delivery event and is recycled, through
-// System.wires: a leg the fabric drops goes straight back, one it
-// duplicates is released by its second arrival. Nobody holds a wire record
-// past its arrival, so unlike a duplicated message it needs no copy. The
-// list is shared by all kernels; a simulation runs on one goroutine.
+// ikcWire is one inter-kernel leg in flight: a direct request or reply, an
+// envelope of N requests or N replies (one NoC transfer: 32 B of header plus
+// the batched size of each payload), or a returned credit. Like a dtu.Message
+// it is its own delivery event and is recycled, through System.wires: a leg
+// the fabric drops goes straight back, one it duplicates is released by its
+// second arrival. Every leg is released at its arrival but a request
+// envelope, which waits for the kernel thread that picks it up (pickUp); a
+// duplicated envelope therefore arrives the first time as a copy of its own.
+// A fresh record backs its payload slices with the one-element arrays inside
+// it, so a direct leg costs no slice; an envelope grows them once and keeps
+// them. The list is shared by all kernels; a simulation runs on one goroutine.
 type ikcWire struct {
 	kind     wireKind
+	env      bool // an envelope, sized per payload; else one direct leg
+	compose  bool // the leg is still being composed: put it on the wire when it fires
 	dups     uint8
 	from, to *Kernel
-	req      *ikcRequest
-	rep      *ikcReply
+	reqs     []*ikcRequest
+	reps     []*ikcReply
 	arrive   func() // onArrive, bound once
+	req1     [1]*ikcRequest
+	rep1     [1]*ikcReply
 }
 
 // wire takes a record off the free list (or makes one) for a leg from k.
@@ -67,6 +69,7 @@ func (k *Kernel) wire(kind wireKind, to *Kernel) *ikcWire {
 	} else {
 		w = &ikcWire{}
 		w.arrive = w.onArrive
+		w.reqs, w.reps = w.req1[:0], w.rep1[:0]
 	}
 	w.kind, w.from, w.to = kind, k, to
 	return w
@@ -74,13 +77,38 @@ func (k *Kernel) wire(kind wireKind, to *Kernel) *ikcWire {
 
 func (w *ikcWire) release() {
 	s := w.from.sys
-	*w = ikcWire{arrive: w.arrive}
+	clear(w.reqs)
+	clear(w.reps)
+	*w = ikcWire{arrive: w.arrive, reqs: w.reqs[:0], reps: w.reps[:0]}
 	s.wires = append(s.wires, w)
+}
+
+// done releases w at an arrival, unless a duplicate of it is still to come.
+func (w *ikcWire) done() {
+	if w.dups > 0 {
+		w.dups--
+	} else {
+		w.release()
+	}
+}
+
+// bytes is w's size on the NoC.
+func (w *ikcWire) bytes() int {
+	switch {
+	case w.kind == wireRequest && w.env:
+		return ikcEnvelopeBytes + len(w.reqs)*ikcBatchedReqBytes
+	case w.kind == wireRequest:
+		return ikcMsgBytes
+	case w.env:
+		return ikcEnvelopeBytes + len(w.reps)*ikcBatchedRepBytes
+	default:
+		return ikcRepBytes
+	}
 }
 
 // send puts w on the NoC.
 func (w *ikcWire) send() {
-	switch w.from.sys.Net.Send(w.from.pe, w.to.pe, wireBytes[w.kind], w.arrive) {
+	switch w.from.sys.Net.Send(w.from.pe, w.to.pe, w.bytes(), w.arrive) {
 	case 0:
 		w.release()
 	case 2:
@@ -88,27 +116,37 @@ func (w *ikcWire) send() {
 	}
 }
 
-// onArrive is w's delivery event (event context at the receiving kernel,
-// or at the sender for wireCompose). The record is released before the
-// payload is handed on: what runs below may send, and so reuse it.
+// onArrive is w's delivery event (event context at the receiving kernel, or
+// at the sender while the leg is composed). A direct request's record is
+// released before the request is handed on: what runs below may send, and so
+// reuse it. Replies, direct or in an envelope, complete their futures in
+// order — the order the answering kernel produced them — and cost no thread.
 func (w *ikcWire) onArrive() {
-	if w.kind == wireCompose {
-		w.kind = wireReply
+	switch {
+	case w.compose:
+		w.compose = false
 		w.send()
-		return
-	}
-	kind, from, to, req, rep := w.kind, w.from, w.to, w.req, w.rep
-	if w.dups > 0 {
-		w.dups--
-	} else {
-		w.release()
-	}
-	switch kind {
-	case wireRequest:
-		to.recvRequest(req)
-	case wireReply:
-		to.recvReply(rep)
-	case wireCredit:
+	case w.kind == wireRequest && w.env:
+		env := w
+		if w.dups > 0 {
+			w.dups--
+			env = w.from.wire(wireRequest, w.to)
+			env.env = true
+			env.reqs = append(env.reqs, w.reqs...)
+		}
+		env.to.recvRequest(env.reqs[0].Kind, env)
+	case w.kind == wireRequest:
+		to, req := w.to, w.reqs[0]
+		w.done()
+		to.recvRequest(req.Kind, req)
+	case w.kind == wireReply:
+		for _, rep := range w.reps {
+			w.to.recvReply(rep)
+		}
+		w.done()
+	default:
+		from, to := w.from, w.to
+		w.done()
 		to.creditBack(from.id)
 	}
 }
@@ -116,15 +154,38 @@ func (w *ikcWire) onArrive() {
 // sendRequest puts req on the wire to kernel dk as a direct message.
 func (k *Kernel) sendRequest(dk *Kernel, req *ikcRequest) {
 	w := k.wire(wireRequest, dk)
-	w.req = req
+	w.reqs = append(w.reqs, req)
+	w.send()
+}
+
+// sendEnvelope puts reqs — N requests of one kind for kernel dst — on the
+// wire as one envelope: one NoC transfer, one delivery event and one
+// kernel-thread pickup at the destination. The requests keep their
+// individual sequence numbers, so each is answered by its own reply.
+func (k *Kernel) sendEnvelope(dst int, reqs []*ikcRequest) {
+	w := k.wire(wireRequest, k.sys.kernels[dst])
+	w.env = true
+	w.reqs = append(w.reqs, reqs...)
 	w.send()
 }
 
 // sendReply puts rep on the wire to kernel dk as a direct message.
 func (k *Kernel) sendReply(dk *Kernel, rep *ikcReply) {
 	w := k.wire(wireReply, dk)
-	w.rep = rep
+	w.reps = append(w.reps, rep)
 	w.send()
+}
+
+// composeReplies puts reps on the wire to kernel dk once their compose cost
+// has elapsed — one direct reply, or an envelope of several — for a sender
+// without a thread to charge: the cost is busy time of the kernel and a delay
+// before the leg leaves (ikReplyAsync, flushReplies).
+func (k *Kernel) composeReplies(dk *Kernel, reps []*ikcReply) {
+	k.stats.Busy += k.sys.Cost.IKCCompose
+	w := k.wire(wireReply, dk)
+	w.env, w.compose = len(reps) > 1, true
+	w.reps = append(w.reps, reps...)
+	k.sys.Eng.Schedule(k.sys.Cost.IKCCompose, w.arrive)
 }
 
 // stamp is the opening every request shares: the compose cost — the last
@@ -253,38 +314,59 @@ func (k *Kernel) ikNotify(p *sim.Proc, dst int, req *ikcRequest) *sim.Future[*ik
 	return fut
 }
 
-// recvRequest runs at the receiving kernel when a request message arrives
-// (event context). Revoke requests go to the bounded revoke pool (at most
-// two threads, the paper's DoS defense); everything else to the general
-// inter-kernel pool.
-func (k *Kernel) recvRequest(req *ikcRequest) {
+// recvRequest runs at the receiving kernel when a request leg arrives (event
+// context): subj is the direct request or the envelope's wire, kind what the
+// leg carries. The leg counts as one received wire message and is picked up
+// by one kernel thread (pickUp). Revoke requests go to the bounded revoke
+// pool (at most two threads, the paper's DoS defense); everything else —
+// every envelope among it — to the general inter-kernel pool.
+func (k *Kernel) recvRequest(kind ikcKind, subj any) {
 	k.stats.IKCReceived++
-	j := job{kind: jobRequest, subj: req}
-	if req.Kind == ikcRevoke || req.Kind == ikcRevokeBatch {
+	j := job{kind: jobRequest, subj: subj}
+	if kind == ikcRevoke || kind == ikcRevokeBatch {
 		k.revokePool.submit(j)
 	} else {
 		k.ikcPool.submit(j)
 	}
 }
 
-// handleRequest picks one direct request up on a kernel thread (CPU held).
-func (k *Kernel) handleRequest(p *sim.Proc, req *ikcRequest) {
-	if !k.reliable() {
-		// Picking the message up frees its slot: return the in-flight
-		// credit to the sender. In reliable mode the credit instead
-		// returns when the sender's transmission resolves (onReply /
-		// abort in reliability.go) — a lost request must not leak it.
-		k.returnCredit(req.From)
+// pickUp picks a request leg up on a kernel thread (CPU held) and dispatches
+// what it carries, in order. An envelope's requests move into the thread's
+// scratch (returned for reuse), its wire goes back to the free list, and its
+// first request stands for the job from here on: its sender and kind name
+// the reply queue the epilogue flushes. Picking the leg up frees its slot,
+// so on the lossless fabric the sender's in-flight credit returns now, once
+// per leg; in reliable mode it returns when the sender's transmission
+// resolves (onReply / abort in reliability.go) — a lost leg must not leak it.
+// Each request's dispatch is owed: on the lossless path the two gates are
+// no-ops and the handler starts in the capability store; with the reliable
+// layer on, the gates settle before they read its state. Handlers may block
+// at their usual preemption points; the thread resumes with the next request
+// afterwards, serializing an envelope the way the kernel's single CPU would
+// anyway, and the epilogue's flush answers it with one reply envelope.
+func (k *Kernel) pickUp(p *sim.Proc, j *job, scratch []*ikcRequest) []*ikcRequest {
+	var direct [1]*ikcRequest
+	reqs := direct[:]
+	if w, ok := j.subj.(*ikcWire); ok {
+		scratch = append(scratch, w.reqs...)
+		w.release()
+		reqs, j.subj = scratch, scratch[0]
+	} else {
+		direct[0] = j.subj.(*ikcRequest)
 	}
-	// Owed on the lossless path, where the two gates below are no-ops and the
-	// handler starts in the capability store; with the reliable layer on,
-	// the gates settle before they read its state.
-	k.charge(p, k.sys.Cost.IKCDispatch)
-	if k.admitRequest(p, req) && k.dedupCheck(p, req) {
-		k.dispatchRequest(p, req)
+	if !k.reliable() {
+		k.returnCredit(reqs[0].From)
+	}
+	for _, req := range reqs {
+		k.charge(p, k.sys.Cost.IKCDispatch)
+		if k.admitRequest(p, req) && k.dedupCheck(p, req) {
+			k.dispatchRequest(p, req)
+		}
 	}
 	// A handler that answers later (revocation) may still owe time here; it
 	// elapses in the thread's park, before the epilogue flushes the reply sink.
+	clear(scratch)
+	return scratch[:0]
 }
 
 // returnCredit gives the in-flight credit for one picked-up wire message
@@ -293,50 +375,6 @@ func (k *Kernel) handleRequest(p *sim.Proc, req *ikcRequest) {
 // model").
 func (k *Kernel) returnCredit(from int) {
 	k.sys.Eng.Schedule(0, k.wire(wireCredit, k.sys.kernels[from]).arrive)
-}
-
-// recvBatch runs at the receiving kernel when a coalesced envelope arrives
-// at its batch endpoint (event context, one delivery event for the whole
-// vector). The envelope counts as one received wire message, occupies one
-// in-flight slot of its sender and is picked up by a single kernel thread
-// (handleBatch).
-func (k *Kernel) recvBatch(msgs []*dtu.Message) {
-	k.stats.IKCReceived++
-	first := msgs[0].Payload.(*ikcRequest)
-	for _, m := range msgs[1:] {
-		if req := m.Payload.(*ikcRequest); req.From != first.From || req.Kind != first.Kind {
-			panic("core: mixed envelope — batches must carry one kind from one kernel")
-		}
-	}
-	k.ikcPool.submit(job{kind: jobBatch, subj: msgs[0]})
-}
-
-// handleBatch picks an envelope up on a kernel thread (CPU held): it frees
-// the shared receive slot, returns the in-flight credit and dispatches the
-// carried requests in order, collecting them in the thread's scratch reqs
-// (returned for reuse) because the messages are gone once freed. Handlers
-// return their replies to the transport's reply sink, and they may block at
-// their usual preemption points — the batch thread simply resumes with the
-// next request afterwards, serializing the batch the way the receiving
-// kernel's single CPU would anyway. When the last request has been
-// dispatched the thread flushes the reply queue feeding the envelope's
-// sender (the sink's dispatch barrier), so the batch is normally answered
-// by a single reply envelope and no reply waits on an idle timer.
-func (k *Kernel) handleBatch(p *sim.Proc, msgs []*dtu.Message, reqs []*ikcRequest) []*ikcRequest {
-	for _, m := range msgs {
-		reqs = append(reqs, m.Payload.(*ikcRequest))
-		k.dtu.Free(m)
-	}
-	if !k.reliable() {
-		k.returnCredit(reqs[0].From)
-	}
-	for _, req := range reqs {
-		k.exec(p, k.sys.Cost.IKCDispatch)
-		if k.admitRequest(p, req) && k.dedupCheck(p, req) {
-			k.dispatchRequest(p, req)
-		}
-	}
-	return reqs
 }
 
 // dispatchRequest routes a request to its handler and hands the returned
@@ -378,7 +416,7 @@ func (k *Kernel) dispatchRequest(p *sim.Proc, req *ikcRequest) {
 
 // ikReply sends the reply for req back to its sender, routing it through
 // the reply sink when the policy batches this operation family (it then
-// rides a coalesced envelope instead of its own wire message). The caller
+// rides a reply envelope instead of its own wire message). The caller
 // must hold the CPU token; the compose cost models marshalling the reply —
 // into a message or into the envelope buffer. Direct replies travel in
 // slots reserved by the request and bypass the in-flight limit.
@@ -408,31 +446,14 @@ func (k *Kernel) ikReply(p *sim.Proc, req *ikcRequest, rep *ikcReply) {
 // trees to its pre-sink event trace.
 func (k *Kernel) ikReplyAsync(req *ikcRequest, rep *ikcReply) {
 	k.answers(req, rep)
-	k.stats.Busy += k.sys.Cost.IKCCompose
 	k.stats.IKCRepSent++
-	w := k.wire(wireCompose, k.sys.kernels[req.From])
-	w.rep = rep
-	k.sys.Eng.Schedule(k.sys.Cost.IKCCompose, w.arrive)
+	k.composeReplies(k.sys.kernels[req.From], []*ikcReply{rep})
 }
 
 // answers makes rep the reply to req, and caches it for a duplicate of req.
 func (k *Kernel) answers(req *ikcRequest, rep *ikcReply) {
 	rep.Seq, rep.From, rep.Inc = req.Seq, k.id, req.Inc
 	k.cacheReply(req.From, req.Seq, rep)
-}
-
-// recvReplyVec runs at the requesting kernel when a reply envelope arrives
-// at its reply endpoint (event context, one delivery event for the whole
-// vector). Like direct replies, the demux costs no kernel thread: each
-// carried reply frees its share of the slot and completes its pending
-// future, in envelope (= enqueue) order, so requesters observe the same
-// reply order the answering kernel produced.
-func (k *Kernel) recvReplyVec(msgs []*dtu.Message) {
-	for _, m := range msgs {
-		rep := m.Payload.(*ikcReply)
-		k.dtu.Free(m)
-		k.recvReply(rep)
-	}
 }
 
 // recvReply completes the pending future for a reply (event context). A

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cap"
 	"repro/internal/dtu"
+	"repro/internal/fault"
 	"repro/internal/noc"
 	"repro/internal/sim"
 )
@@ -331,7 +332,7 @@ func (d *dropOnce) Inspect(_ sim.Time, src, dst, size int) noc.Verdict {
 // tombstone) instead of inserting a capability whose parent is gone.
 func TestInterferenceRevokeRacesReply(t *testing.T) {
 	forExchangeVariants(t, func(t *testing.T, session bool) {
-		s := MustNew(Config{Kernels: 2, UserPEs: 4, Reliability: &Reliability{}})
+		s := MustNew(Config{Kernels: 2, UserPEs: 4, Faults: &fault.Plan{}})
 		defer s.Close()
 		lost := &dropOnce{src: 0, dst: 1, size: ikcRepBytes}
 		s.Net.SetInjector(lost)
@@ -344,7 +345,7 @@ func TestInterferenceRevokeRacesReply(t *testing.T) {
 			revokeNow.Wait(p)
 			// After the owner's kernel linked the child and answered, long
 			// before the requester's retransmission timer fires.
-			p.Sleep(DefaultRTOBase / 3)
+			p.Sleep(rtoBase / 3)
 			if err := v.Revoke(p, sel); err != nil {
 				t.Errorf("revoke: %v", err)
 			}

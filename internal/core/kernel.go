@@ -180,25 +180,17 @@ func newKernel(s *System, id int) *Kernel {
 	k.syscallPool = newPool(k, "sys", max(len(k.group), 1))
 	k.ikcPool = newPool(k, "ikc", k.ikcWindow())
 	k.revokePool = newPool(k, "rev", RevokeThreads)
-	k.xport = newTransport(k, s.cfg.IKCBatching.withDefaults())
-	if s.rel != nil {
-		k.rt = newRelState(k, *s.rel)
+	k.xport = newTransport(k, s.cfg.IKCBatching)
+	if s.cfg.Faults != nil {
+		k.rt = newRelState(k)
 	}
 	// Configure the kernel DTU's syscall receive endpoints; messages are
-	// dispatched to the syscall pool.
+	// dispatched to the syscall pool. Inter-kernel legs are ikcWires.
 	for ep := kernelSyscallEP0; ep < kernelSyscallEP0+SyscallRecvEPs; ep++ {
 		if err := k.dtu.ConfigureRecv(k.dtu, ep, dtu.DefaultSlots, k.onSyscallMsg); err != nil {
 			panic(err)
 		}
 	}
-	// The coalesced request-envelope endpoint. One envelope is one wire
-	// message and occupies one slot, so the in-flight bound per peer sizes
-	// the budget.
-	must(k.dtu.ConfigureRecvVec(k.dtu, ikcBatchEP, k.ikcWindow(), k.recvBatch))
-	// The coalesced reply-envelope endpoint. The demux frees every carried
-	// message within the delivery event, so occupancy is transient; the
-	// budget mirrors the batch endpoint's for symmetry.
-	must(k.dtu.ConfigureRecvVec(k.dtu, ikcReplyEP, k.ikcWindow(), k.recvReplyVec))
 	return k
 }
 
@@ -269,16 +261,15 @@ type jobKind uint8
 
 const (
 	jobSyscall    jobKind = iota // handle the syscall message
-	jobRequest                   // dispatch the inter-kernel request
-	jobBatch                     // pick up and dispatch the request envelope
+	jobRequest                   // pick up and dispatch the inter-kernel request(s)
 	jobRevokeDone                // account one completed child revocation
 	jobFunc                      // run the function, which brackets the CPU itself: boot, rejoin
 )
 
 // job is one unit of kernel-thread work: a kind and its subject, whose
 // dynamic type the kind fixes — the syscall message (*dtu.Message), the
-// request (*ikcRequest), the first message of the envelope (*dtu.Message; the
-// rest are its Vector), the revocation (*revState), the function (jobBody).
+// direct request (*ikcRequest) or the envelope's wire (*ikcWire, until its
+// pickup), the revocation (*revState), the function (jobBody).
 // All of them are pointer-shaped, so queueing a job allocates nothing, and a
 // job is three words: every thread's wait record holds one (kthread).
 type job struct {
@@ -355,14 +346,7 @@ func (pl *pool) work(p *sim.Proc) {
 		case jobSyscall:
 			k.handleSyscall(p, j.subj.(*dtu.Message))
 		case jobRequest:
-			k.handleRequest(p, j.subj.(*ikcRequest))
-		case jobBatch:
-			reqs = k.handleBatch(p, j.subj.(*dtu.Message).Vector(), reqs[:0])
-			// The messages are gone; the first request stands for the envelope
-			// from here on — its sender and kind name the reply queue the
-			// epilogue flushes.
-			j.subj = reqs[0]
-			clear(reqs)
+			reqs = k.pickUp(p, j, reqs)
 		case jobRevokeDone:
 			k.revokeReplyArrived(p, j.subj.(*revState))
 		}

@@ -61,11 +61,11 @@ func (t *kthread) Ready(p *sim.Proc) bool {
 				// handleSyscall left the payload in the VPE's buffer.
 				m := j.subj.(*dtu.Message)
 				k.dtu.Reply(m, &k.sys.vpes[m.Payload.(*sysRequest).VPE].sysRep, syscallRepBytes)
-			case jobRequest, jobBatch:
+			case jobRequest:
 				// Dispatch barrier of the reply sink (see flushReplies): a
 				// reply produced by this dispatch leaves now instead of waiting
 				// on an idle window timer. No-op for unbatched families.
-				req := j.subj.(*ikcRequest)
+				req := j.subj.(*ikcRequest) // an envelope's first, since pickUp
 				k.xport.flushReplies(rkey{dst: req.From, class: classOf(req.Kind)})
 			}
 			k.cpu.Release()
@@ -150,10 +150,11 @@ func (t *kthread) describe() string {
 	case j.kind == jobSyscall:
 		what = "syscall " + j.subj.(*dtu.Message).Payload.(*sysRequest).Kind.String()
 	case j.kind == jobRequest:
-		req := j.subj.(*ikcRequest)
-		what = fmt.Sprintf("request %v from k%d", req.Kind, req.From)
-	case j.kind == jobBatch:
-		what = "request envelope"
+		if req, ok := j.subj.(*ikcRequest); ok {
+			what = fmt.Sprintf("request %v from k%d", req.Kind, req.From)
+		} else {
+			what = "request envelope"
+		}
 	case j.kind == jobRevokeDone:
 		what = "revoke completion"
 	default:

@@ -9,21 +9,13 @@ import (
 // Kernel DTU endpoint layout. User-PE endpoints live in vpe.go; these are
 // the receive endpoints every kernel configures at boot (endpoints 0 and 1
 // are left unconfigured so the kernel layout cannot be confused with the
-// user layout, whose syscall channel occupies them).
+// user layout, whose syscall channel occupies them). Inter-kernel legs do
+// not use the DTU's endpoints: they are ikcWires (ikc.go).
 const (
 	// kernelSyscallEP0 is the first of the SyscallRecvEPs syscall receive
 	// endpoints (kernelSyscallEP0 .. kernelSyscallEP0+SyscallRecvEPs-1);
 	// a VPE's syscall send endpoint targets one of them by PE number.
 	kernelSyscallEP0 = 2
-	// ikcBatchEP receives coalesced request envelopes (sendEnvelope). Its slot
-	// budget covers the in-flight bound of every peer: one envelope is one
-	// wire message and occupies one slot, mirroring the guarantee the
-	// in-flight accounting gives direct sends.
-	ikcBatchEP = kernelSyscallEP0 + SyscallRecvEPs
-	// ikcReplyEP receives coalesced reply envelopes. The demux frees each
-	// carried message as it completes the matching pending future, so the
-	// shared slot is released within the delivery event itself.
-	ikcReplyEP = ikcBatchEP + 1
 )
 
 // Errno is the error code space shared by system calls and inter-kernel
@@ -207,10 +199,9 @@ type ikcRequest struct {
 // ikcReply is the payload of an inter-kernel reply message. Replies are
 // matched to their request by sequence number. A reply either travels as
 // its own wire message (the unbatched transport) or rides a reply
-// envelope: the sink (transport.go, flushReplies) coalesces the replies
-// queued for one destination kernel into a single vectored DTU transfer
-// into the destination's ikcReplyEP, where recvReplyVec demuxes them — in
-// enqueue order — into the pending per-request futures.
+// envelope: the sink (transport.go, flushReplies) puts the replies queued
+// for one destination kernel into one ikcWire, whose arrival completes the
+// pending per-request futures in enqueue order.
 type ikcReply struct {
 	Seq  uint64
 	From int

@@ -214,10 +214,7 @@ func TestKillKernelThreadsInEveryStage(t *testing.T) {
 // the orphan fixes it records are never replayed — no rejoin follows.
 func TestNestedChainRevokeReliableCreditCycle(t *testing.T) {
 	for _, drop := range []float64{0, 0.01} {
-		cfg := Config{Kernels: 2, Reliability: &Reliability{}}
-		if drop > 0 {
-			cfg.Faults = &fault.Plan{Seed: 1, Drop: drop}
-		}
+		cfg := Config{Kernels: 2, Faults: &fault.Plan{Seed: 1, Drop: drop}}
 		for _, n := range []int{3, 4} {
 			t.Run(fmt.Sprintf("drop=%v/2x%d", drop, n), func(t *testing.T) {
 				s, returned := nestedChains(t, cfg, n, false)
@@ -276,17 +273,16 @@ func TestNestedChainRevokePeerCrashWhileDeferred(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name  string
-		rel   Reliability
 		crash sim.Duration
 		dead  bool
 	}{
-		{"brief", Reliability{}, 100_000, false},
-		{"declared-dead", Reliability{RTOBase: 20_000, MaxRetries: 3}, 1_000_000, true},
+		{"brief", 100_000, false},
+		{"declared-dead", 8_000_000, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// The first instant, in steps of 500 cycles, at which a fault-free
 			// run has forwards deferred in both directions.
-			probe, _ := nestedChains(t, Config{Kernels: 2, Reliability: &tc.rel}, n, false)
+			probe, _ := nestedChains(t, Config{Kernels: 2, Faults: &fault.Plan{}}, n, false)
 			for slice := sim.Time(1); deferred(probe) < 2; slice++ {
 				if probe.Eng.Pending() == 0 {
 					t.Fatal("no forward was ever deferred in both directions")
@@ -297,7 +293,7 @@ func TestNestedChainRevokePeerCrashWhileDeferred(t *testing.T) {
 			probe.Close()
 
 			plan := &fault.Plan{Seed: 1, Kernels: []fault.KernelFault{{Kernel: 1, CrashAt: crashAt, RecoverAt: crashAt + tc.crash}}}
-			s, returned := nestedChains(t, Config{Kernels: 2, Reliability: &tc.rel, Faults: plan}, n, false)
+			s, returned := nestedChains(t, Config{Kernels: 2, Faults: plan}, n, false)
 			defer s.Close()
 			s.Eng.RunUntil(crashAt)
 			if got := deferred(s); got != 2 {

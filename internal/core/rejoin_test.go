@@ -25,10 +25,9 @@ func sleepUntil(p *sim.Proc, t sim.Time) {
 // runs as a new incarnation, and no capability state leaks.
 func TestKernelRejoin(t *testing.T) {
 	plan := &fault.Plan{Seed: 1, Kernels: []fault.KernelFault{
-		{Kernel: 1, CrashAt: 1, RecoverAt: 1_000_000},
+		{Kernel: 1, CrashAt: 1, RecoverAt: 8_000_000},
 	}}
-	rel := &Reliability{RTOBase: 2_000, MaxRetries: 2}
-	s := MustNew(Config{Kernels: 2, UserPEs: 8, Faults: plan, Reliability: rel})
+	s := MustNew(Config{Kernels: 2, UserPEs: 8, Faults: plan})
 	t.Cleanup(s.Close)
 
 	var rootPE, clientPE int
@@ -59,11 +58,12 @@ func TestKernelRejoin(t *testing.T) {
 	if _, err := s.SpawnOn(clientPE, "client", func(v *VPE, p *sim.Proc) {
 		sel := ready.Wait(p)
 		// Kernel 1 is crashed: the spanning obtain must resolve to
-		// ErrPeerDead, not hang.
+		// ErrPeerDead, not hang — after the retransmit ladder, 60k + 120k +
+		// 240k + 480k + 5 × 960k ≈ 5.7M cycles.
 		_, errCrashed = v.ObtainFrom(p, root.ID, sel)
-		// Well past RecoverAt the rejoin handshake has run; the same obtain
-		// must now succeed against the new incarnation.
-		sleepUntil(p, 1_500_000)
+		// Past RecoverAt the rejoin handshake has run; the same obtain must
+		// now succeed against the new incarnation.
+		sleepUntil(p, 9_000_000)
 		_, errRecovered = v.ObtainFrom(p, root.ID, sel)
 		done.Done()
 	}); err != nil {
@@ -105,8 +105,7 @@ func TestRejoinReplaysOrphanedRevocation(t *testing.T) {
 	plan := &fault.Plan{Seed: 3, Kernels: []fault.KernelFault{
 		{Kernel: 1, CrashAt: 200_000, RecoverAt: 800_000},
 	}}
-	rel := &Reliability{RTOBase: 2_000, MaxRetries: 2}
-	s := MustNew(Config{Kernels: 2, UserPEs: 8, Faults: plan, Reliability: rel})
+	s := MustNew(Config{Kernels: 2, UserPEs: 8, Faults: plan})
 	t.Cleanup(s.Close)
 
 	var rootPE, clientPE int

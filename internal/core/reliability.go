@@ -4,21 +4,21 @@ import "repro/internal/sim"
 
 // Reliable IKC mode. The baseline inter-kernel protocol assumes the
 // lossless fabric the paper assumes: a dropped message hangs its future
-// and a stray reply panics. When a fault plan is attached
-// (Config.Faults) — or Config.Reliability is set explicitly — every
-// kernel runs this layer on top of the unchanged request/reply protocol:
+// and a stray reply panics. When a fault plan is attached (Config.Faults,
+// even one that injects nothing) every kernel runs this layer on top of the
+// unchanged request/reply protocol:
 //
 //   - Sender: every wire transmission (direct request or coalesced
 //     envelope) is tracked with a retransmission timer. On expiry the
 //     still-unanswered requests are re-sent, the timeout doubles (capped
-//     at RTOMax), and after MaxRetries expiries the destination kernel is
+//     at rtoMax), and after maxRetries expiries the destination kernel is
 //     declared dead: all its outstanding futures complete with
 //     ErrPeerDead, new requests to it fail fast, and the service
 //     directory stops routing to it (service.go). Death is a per-observer
 //     verdict — each kernel judges its peers from its own traffic only.
 //   - Receiver: requests are deduplicated by (sender, sequence number),
 //     so a retransmitted request whose original made it through dispatches
-//     exactly once; the reply is cached (bounded FIFO, ReplyCache entries
+//     exactly once; the reply is cached (bounded FIFO, replyCache entries
 //     per peer) and replayed for duplicates whose reply was the lost
 //     message. Late or duplicate replies at the requester are counted
 //     (LateReplies), never fatal.
@@ -28,53 +28,25 @@ import "repro/internal/sim"
 //     not leak the credit, and retransmits reuse the original's slot so
 //     the receiver's bounded slot budget still holds.
 //
-// With neither Faults nor Reliability configured none of this code runs
-// and the event trace is byte-identical to the baseline.
+// Without a fault plan none of this code runs and the event trace is
+// byte-identical to the baseline.
 
-// Reliability tunes the reliable IKC mode. The zero value of each field
-// selects its default.
-type Reliability struct {
-	// RTOBase is the initial retransmission timeout per transmission.
-	RTOBase sim.Duration
-	// RTOMax caps the exponential backoff.
-	RTOMax sim.Duration
-	// MaxRetries is the retry budget per transmission; one more expiry
-	// declares the destination dead.
-	MaxRetries int
-	// ReplyCache bounds the per-peer reply-retransmission cache.
-	ReplyCache int
-}
-
-// Reliable-mode defaults. The base timeout must comfortably exceed a
-// loaded round trip (compose + NoC + dispatch queueing + handler work,
-// which can itself block on nested round trips); 30µs (60k cycles at
+// The reliable layer's timers and budgets. The base timeout must comfortably
+// exceed a loaded round trip (compose + NoC + dispatch queueing + handler
+// work, which can itself block on nested round trips); 30µs (60k cycles at
 // 2GHz) keeps spurious retransmits rare at the sweep's contention levels
 // while recovering losses long before the makespan scale.
 const (
-	DefaultRTOBase    sim.Duration = 60_000
-	DefaultRTOMax     sim.Duration = 960_000
-	DefaultMaxRetries              = 8
-	DefaultReplyCache              = 128
+	// rtoBase is the initial retransmission timeout per transmission.
+	rtoBase sim.Duration = 60_000
+	// rtoMax caps the exponential backoff.
+	rtoMax sim.Duration = 960_000
+	// maxRetries is the retry budget per transmission; one more expiry
+	// declares the destination dead.
+	maxRetries = 8
+	// replyCache bounds the per-peer reply-retransmission cache.
+	replyCache = 128
 )
-
-func (r Reliability) withDefaults() Reliability {
-	if r.RTOBase == 0 {
-		r.RTOBase = DefaultRTOBase
-	}
-	if r.RTOMax == 0 {
-		r.RTOMax = DefaultRTOMax
-	}
-	if r.RTOMax < r.RTOBase {
-		r.RTOMax = r.RTOBase
-	}
-	if r.MaxRetries == 0 {
-		r.MaxRetries = DefaultMaxRetries
-	}
-	if r.ReplyCache == 0 {
-		r.ReplyCache = DefaultReplyCache
-	}
-	return r
-}
 
 // xmitState tracks one wire transmission — a direct request or a
 // coalesced envelope of several — until every carried request is answered
@@ -82,7 +54,7 @@ func (r Reliability) withDefaults() Reliability {
 type xmitState struct {
 	dst       int
 	kind      ikcKind
-	env       bool // envelope (vectored) vs direct send
+	env       bool // envelope vs direct send
 	reqs      []*ikcRequest
 	remaining int
 	tries     int
@@ -106,7 +78,7 @@ type dedupEntry struct {
 
 // peerDedup is the receiver-side duplicate filter for one sending peer:
 // every dispatched sequence number, with the reply cached once it exists.
-// doneOrder drives FIFO eviction of completed entries beyond ReplyCache;
+// doneOrder drives FIFO eviction of completed entries beyond replyCache;
 // in-progress entries are never evicted (their reply is still owed).
 type peerDedup struct {
 	entries   map[uint64]*dedupEntry
@@ -115,8 +87,7 @@ type peerDedup struct {
 
 // relState is one kernel's half of the reliable layer.
 type relState struct {
-	k   *Kernel
-	cfg Reliability
+	k *Kernel
 	// bySeq maps every unanswered sequence number to its transmission.
 	bySeq map[uint64]*xmitState
 	// byDst lists the live transmissions per destination in first-send
@@ -134,10 +105,9 @@ type relState struct {
 	peerInc map[int]uint32
 }
 
-func newRelState(k *Kernel, cfg Reliability) *relState {
+func newRelState(k *Kernel) *relState {
 	return &relState{
 		k:       k,
-		cfg:     cfg,
 		bySeq:   make(map[uint64]*xmitState),
 		byDst:   make(map[int][]*xmitState),
 		dedup:   make(map[int]*peerDedup),
@@ -186,7 +156,7 @@ func (rt *relState) track(dst int, reqs []*ikcRequest, env bool, kind ikcKind) {
 		env:       env,
 		reqs:      reqs,
 		remaining: len(reqs),
-		rto:       rt.cfg.RTOBase,
+		rto:       rtoBase,
 		firstSent: rt.k.sys.Eng.Now(),
 	}
 	for _, r := range reqs {
@@ -236,13 +206,13 @@ func (rt *relState) expire(xm *xmitState) {
 		rt.abort(xm)
 		return
 	}
-	if xm.tries >= rt.cfg.MaxRetries {
+	if xm.tries >= maxRetries {
 		rt.markDead(xm.dst)
 		return
 	}
 	xm.tries++
 	xm.retried = true
-	xm.rto = min(xm.rto*2, rt.cfg.RTOMax)
+	xm.rto = min(xm.rto*2, rtoMax)
 	// Only requests this transmission still owns are re-sent: a request
 	// answered (or aborted) since the last send left bySeq.
 	live := make([]*ikcRequest, 0, len(xm.reqs))
@@ -265,7 +235,7 @@ func (rt *relState) expire(xm *xmitState) {
 		// slot (the receiver either lost the original or will dedup this
 		// copy, so its slot budget is respected either way).
 		if xm.env {
-			k.xport.sendEnvelope(xm.dst, live)
+			k.sendEnvelope(xm.dst, live)
 		} else {
 			for _, req := range live {
 				k.sendRequest(dk, req)
@@ -357,7 +327,7 @@ func (k *Kernel) dedupCheck(p *sim.Proc, req *ikcRequest) bool {
 // request can be answered by replay. Completed entries beyond the cache
 // bound evict FIFO; with MaxInflight bounding concurrent requests per
 // pair, a duplicate arriving after its entry's eviction would require a
-// retransmit delayed past ReplyCache newer completions — out of scope by
+// retransmit delayed past replyCache newer completions — out of scope by
 // design (the sweep's timeouts resolve far sooner).
 func (k *Kernel) cacheReply(from int, seq uint64, rep *ikcReply) {
 	if k.rt == nil {
@@ -372,7 +342,7 @@ func (k *Kernel) cacheReply(from int, seq uint64, rep *ikcReply) {
 	e.state = dedupDone
 	e.rep = rep
 	pd.doneOrder = append(pd.doneOrder, seq)
-	for len(pd.doneOrder) > k.rt.cfg.ReplyCache {
+	for len(pd.doneOrder) > replyCache {
 		delete(pd.entries, pd.doneOrder[0])
 		pd.doneOrder = pd.doneOrder[1:]
 	}

@@ -53,7 +53,7 @@ func reliableFanout(t *testing.T, cfg Config, n int) (*System, []error) {
 // (retransmit, dedup, late reply, death) ever fires at this scale.
 func TestReliableModeLossless(t *testing.T) {
 	const kids = 12
-	s, errs := reliableFanout(t, Config{Kernels: 4, UserPEs: kids + 7, Reliability: &Reliability{}}, kids)
+	s, errs := reliableFanout(t, Config{Kernels: 4, UserPEs: kids + 7, Faults: &fault.Plan{}}, kids)
 	for i, err := range errs {
 		if err != nil {
 			t.Errorf("client %d: %v", i, err)
@@ -126,11 +126,9 @@ func TestFaultyRunDeterministic(t *testing.T) {
 // to ErrPeerDead — promptly for requests minted after the death verdict —
 // and the run must terminate (no hung futures).
 func TestDeadKernelFailFast(t *testing.T) {
-	// Kernel 1 crashes before any traffic; aggressive timeouts keep the
-	// death verdict quick.
+	// Kernel 1 crashes before any traffic.
 	plan := &fault.Plan{Seed: 1, Kernels: []fault.KernelFault{{Kernel: 1, CrashAt: 1}}}
-	rel := &Reliability{RTOBase: 2_000, MaxRetries: 2}
-	s := MustNew(Config{Kernels: 2, UserPEs: 8, Faults: plan, Reliability: rel})
+	s := MustNew(Config{Kernels: 2, UserPEs: 8, Faults: plan})
 	t.Cleanup(s.Close)
 
 	// Root lives in kernel 0's group; the client in kernel 1's.
@@ -197,8 +195,8 @@ func TestDeadKernelFailFast(t *testing.T) {
 	}
 }
 
-// TestBaselineHasNoReliabilityState: without Faults or Reliability the
-// reliable layer must not exist at all — its state is nil and its
+// TestBaselineHasNoReliabilityState: without a fault plan the reliable
+// layer must not exist at all — its state is nil and its
 // counters stay zero, preserving the byte-identical baseline.
 func TestBaselineHasNoReliabilityState(t *testing.T) {
 	const kids = 8
@@ -210,7 +208,7 @@ func TestBaselineHasNoReliabilityState(t *testing.T) {
 	}
 	for ki := 0; ki < s.Kernels(); ki++ {
 		if s.Kernel(ki).rt != nil {
-			t.Errorf("kernel %d has reliability state without Faults/Reliability", ki)
+			t.Errorf("kernel %d has reliability state without a fault plan", ki)
 		}
 	}
 	st := s.TotalStats()

@@ -23,27 +23,22 @@ type Config struct {
 	MemPEs int
 	// MemBytes is the DRAM capacity per memory PE (default 64 MiB).
 	MemBytes int
-	// Noc overrides the NoC configuration (nil uses noc.DefaultConfig).
-	Noc *noc.Config
 	// Cost overrides the cost model (nil uses DefaultCostModel).
 	Cost *CostModel
 	// IKCBatching configures the unified inter-kernel transport: which
 	// operation families (capability exchange, service queries, tree
-	// revocation) aggregate into coalesced per-destination envelopes — in
-	// both directions, requests and replies — and the flush policy,
-	// including the adaptive flush window (see transport.go). The zero
-	// value disables all batching.
+	// revocation) aggregate into per-destination envelopes — in both
+	// directions, requests and replies (see transport.go). The zero value
+	// disables all batching.
 	IKCBatching IKCBatching
 	// Faults attaches a deterministic fault-injection plan to the NoC's
 	// kernel↔kernel links (internal/fault). Setting it switches the IKC
 	// protocol into reliable mode — timeouts, retransmit with backoff,
-	// receiver dedup, dead-peer degradation (reliability.go). Nil keeps
-	// the lossless fabric and the byte-identical baseline event trace.
+	// receiver dedup, dead-peer degradation (reliability.go); a plan that
+	// injects nothing (&fault.Plan{}) is reliable mode on a lossless fabric.
+	// Nil keeps the lossless fabric and the byte-identical baseline event
+	// trace.
 	Faults *fault.Plan
-	// Reliability tunes the reliable IKC mode's timers and budgets; nil
-	// uses the defaults. Setting it (even with Faults nil) enables
-	// reliable mode on a lossless fabric.
-	Reliability *Reliability
 	// Engine, when non-nil, is the simulation engine to build on instead of
 	// a fresh sim.NewEngine. It must be in fresh state (new or Reset):
 	// time, sequence and event counters at zero and not killed. The bench
@@ -53,9 +48,9 @@ type Config struct {
 	// MaxPEsPerKernel) for scalability studies: the machine may then be
 	// built with more kernels and larger PE groups than real SemperOS
 	// hardware would allow. Per-kernel resources that are sized from
-	// MaxKernels (inter-kernel thread pools, envelope endpoints) grow with
-	// the actual kernel count instead. The ddl.Key bit-field widths still
-	// bound the machine at MaxPEs total PEs.
+	// MaxKernels (the inter-kernel thread pools) grow with the actual kernel
+	// count instead. The ddl.Key bit-field widths still bound the machine at
+	// MaxPEs total PEs.
 	RelaxLimits bool
 }
 
@@ -89,12 +84,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: %d total PEs exceed the DDL key space of %d", total, ddl.MaxPEs)
 	}
 	if c.Faults != nil {
-		if err := c.Faults.Validate(); err != nil {
-			return err
-		}
-	}
-	if r := c.Reliability; r != nil && (r.MaxRetries < 0 || r.ReplyCache < 0) {
-		return fmt.Errorf("core: negative Reliability budget (MaxRetries %d, ReplyCache %d)", r.MaxRetries, r.ReplyCache)
+		return c.Faults.Validate()
 	}
 	return nil
 }
@@ -115,9 +105,7 @@ type System struct {
 	vpes    []*VPE
 	peToVPE []*VPE
 
-	// rel is the resolved reliable-IKC configuration; nil in baseline
-	// lossless mode. inj is the attached fault injector, if any.
-	rel *Reliability
+	// inj is the attached fault injector, nil without a plan.
 	inj *fault.Injector
 
 	// The service directory and the DRAM allocator are the two pieces of
@@ -128,8 +116,8 @@ type System struct {
 	dramRR   int
 	nextVPE  int
 
-	// wires are the released direct inter-kernel legs awaiting reuse
-	// (ikc.go, ikcWire).
+	// wires are the released inter-kernel legs awaiting reuse (ikc.go,
+	// ikcWire).
 	wires []*ikcWire
 
 	// vpeProcNameFn is vpeProcName, bound once for every VPE's SpawnLazy.
@@ -156,16 +144,11 @@ func NewSystem(cfg Config) (*System, error) {
 	if eng == nil {
 		eng = sim.NewEngine()
 	}
-	ncfg := noc.DefaultConfig(nodes)
-	if cfg.Noc != nil {
-		ncfg = *cfg.Noc
-		ncfg.Nodes = nodes
-	}
 	cost := DefaultCostModel()
 	if cfg.Cost != nil {
 		cost = *cfg.Cost
 	}
-	net := noc.New(eng, ncfg)
+	net := noc.New(eng, noc.DefaultConfig(nodes))
 	fab := dtu.NewFabric(eng, net)
 	s := &System{
 		cfg:      cfg,
@@ -179,16 +162,8 @@ func NewSystem(cfg Config) (*System, error) {
 		dramNext: make([]uint64, cfg.MemPEs),
 	}
 	s.vpeProcNameFn = s.vpeProcName
-	// Fault injection and the reliable IKC mode it requires. Either knob
-	// alone enables reliable mode; the injector only exists with a plan.
-	if cfg.Faults != nil || cfg.Reliability != nil {
-		rel := Reliability{}
-		if cfg.Reliability != nil {
-			rel = *cfg.Reliability
-		}
-		rel = rel.withDefaults()
-		s.rel = &rel
-	}
+	// Fault injection; the kernels run the reliable IKC mode it requires
+	// (newKernel).
 	if cfg.Faults != nil {
 		s.inj = fault.NewInjector(*cfg.Faults, cfg.Kernels)
 		net.SetInjector(s.inj)

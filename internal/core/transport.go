@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/dtu"
 	"repro/internal/sim"
 )
 
@@ -16,10 +15,10 @@ import (
 // hoists that idea out of revoke.go and makes the transport symmetric: each
 // kernel owns per-(destination, request-kind) aggregation queues for the
 // request direction AND per-(destination, class) reply queues for the reply
-// direction, under one configurable policy that decides which operation
-// families are batched and when queues flush:
+// direction, under one policy that decides which operation families are
+// batched; when queues flush is fixed:
 //
-//   - inline, when a queue reaches MaxBatch (the enqueuing thread holds the
+//   - inline, when a queue reaches maxBatch (the enqueuing thread holds the
 //     CPU and composes the envelope itself);
 //   - for request queues, after the adaptive flush window closes: a timer
 //     armed when a queue goes non-empty hands the flush to the kernel's
@@ -31,13 +30,12 @@ import (
 //     timer at all, because a reply cannot outlive the dispatch that
 //     produced it.
 //
-// A flushed batch travels as one DTU message — dtu.SendVecTo coalesces the
-// requests (or replies) into a single NoC transfer occupying a single
-// receive slot and raising a single delivery event. Request envelopes are
-// picked up by one kernel thread (recvBatch); reply envelopes are demuxed
-// in event context (recvReplyVec) into the per-request futures, exactly
-// like direct replies. So where PR 3 still answered an envelope of N
-// requests with N wire messages, the sink now answers it with one.
+// A flushed batch travels as one ikcWire, the record every inter-kernel leg
+// rides (ikc.go): one NoC transfer, one delivery event. A request envelope
+// is picked up by one kernel thread (pickUp, the routine that picks up
+// direct requests too); a reply envelope completes its futures in event
+// context, exactly like a direct reply. An envelope of N requests is
+// answered by one reply envelope.
 //
 // Correctness of the flush points: delaying a request or reply by at most
 // the flush window is equivalent to a slower NoC — every protocol in
@@ -54,10 +52,10 @@ import (
 // transfers alike — so the delegate two-phase handshake observes the same
 // order it did with per-request replies.
 
-// IKCBatching configures the unified transport. The zero value disables
-// all batching (every request is a direct send, bit-identical to the
-// pre-transport behavior). An enabled family batches both directions:
-// requests into per-(destination, kind) envelopes and their replies into
+// IKCBatching configures the unified transport: which operation families
+// batch. The zero value disables all batching (every request is a direct
+// send). An enabled family batches both directions: requests into
+// per-(destination, kind) envelopes and their replies into
 // per-(destination, class) envelopes.
 type IKCBatching struct {
 	// Exchange batches group-spanning capability exchange requests
@@ -73,63 +71,29 @@ type IKCBatching struct {
 	// at the dispatch barrier); continuation-completed replies stay direct —
 	// see ikReplyAsync — so revocation completion never waits on a window.
 	Revoke bool
-	// MaxBatch flushes an exchange/service-query queue inline when it
-	// reaches this many requests (default DefaultMaxBatch). Revoke batches
-	// are bounded by the mark phase instead. Reply queues use the same bound.
-	MaxBatch int
-	// FlushWindow is the *ceiling* of the adaptive aggregation window: the
-	// longest a non-empty request queue may wait for more traffic before
-	// it is flushed (default DefaultFlushWindow cycles). Each request
-	// queue adapts its own window between FlushWindowMin and FlushWindow
-	// by drain feedback at every flush: draining a full MaxBatch envelope
-	// (sustained load) doubles the window, draining a lone message (the
-	// wait bought nothing: the link is quiet) halves it, anything between
-	// leaves it — so batching stops costing latency on idle links and
-	// still aggregates aggressively on busy ones. Reply queues have no
-	// window: they drain at the dispatch barrier (see transport.repq).
-	FlushWindow sim.Duration
-	// FlushWindowMin is the floor of the adaptive window (default
-	// DefaultFlushWindowMin). Setting FlushWindowMin = FlushWindow pins
-	// the window fixed, disabling adaptation.
-	FlushWindowMin sim.Duration
 }
 
-// Transport defaults.
+// The transport's bounds.
 const (
-	// DefaultMaxBatch is the inline-flush threshold per destination queue.
-	DefaultMaxBatch = 16
-	// DefaultFlushWindow is the aggregation-window ceiling in cycles
-	// (0.5 µs at 2 GHz): long enough to capture concurrent spanning
+	// maxBatch flushes an exchange/service-query queue inline when it
+	// reaches this many requests; reply queues use the same bound. Revoke
+	// batches are bounded by the mark phase instead.
+	maxBatch = 16
+	// flushWindow is the ceiling of the adaptive aggregation window in
+	// cycles (0.5 µs at 2 GHz): the longest a non-empty request queue waits
+	// for more traffic — long enough to capture concurrent spanning
 	// operations, short against the multi-thousand-cycle cost of the
-	// operations themselves.
-	DefaultFlushWindow sim.Duration = 1000
-	// DefaultFlushWindowMin is the adaptive window's floor (32 ns at
-	// 2 GHz): close enough to an inline flush that a lone request on a
-	// quiet link pays almost nothing for riding the transport.
-	DefaultFlushWindowMin sim.Duration = 64
+	// operations themselves. Each request queue adapts its own window
+	// between flushWindowMin and flushWindow (adaptWindow), so batching
+	// stops costing latency on idle links and still aggregates
+	// aggressively on busy ones. Reply queues have no window: they drain at
+	// the dispatch barrier (see transport.repq).
+	flushWindow sim.Duration = 1000
+	// flushWindowMin is the adaptive window's floor (32 ns at 2 GHz): close
+	// enough to an inline flush that a lone request on a quiet link pays
+	// almost nothing for riding the transport.
+	flushWindowMin sim.Duration = 64
 )
-
-// Enabled reports whether any operation family is batched.
-func (b IKCBatching) Enabled() bool {
-	return b.Exchange || b.ServiceQuery || b.Revoke
-}
-
-// withDefaults fills MaxBatch and the flush-window bounds.
-func (b IKCBatching) withDefaults() IKCBatching {
-	if b.MaxBatch <= 0 {
-		b.MaxBatch = DefaultMaxBatch
-	}
-	if b.FlushWindow == 0 {
-		b.FlushWindow = DefaultFlushWindow
-	}
-	if b.FlushWindowMin == 0 {
-		b.FlushWindowMin = DefaultFlushWindowMin
-	}
-	if b.FlushWindowMin > b.FlushWindow {
-		b.FlushWindowMin = b.FlushWindow
-	}
-	return b
-}
 
 // batchClass groups request kinds into the policy's operation families.
 type batchClass uint8
@@ -202,7 +166,7 @@ type flushRef struct {
 // window bookkeeping: replies are only produced inside a request
 // dispatch, and every dispatch ends with a barrier flush of this queue
 // (flushReplies), so the queue can never outlive the event instant
-// that filled it — MaxBatch and the barrier are the only flush triggers.
+// that filled it — maxBatch and the barrier are the only flush triggers.
 type replyQueue struct {
 	reps []*ikcReply
 }
@@ -227,15 +191,12 @@ type transport struct {
 	// convention. xmit is the proc's wait record, non-nil once spawned.
 	flushQ *sim.Queue[flushRef]
 	xmit   *kthread
-
-	// items is sendEnvelope's scratch: SendVecTo reads it before returning.
-	items []dtu.VecItem
 }
 
 func newTransport(k *Kernel, pol IKCBatching) *transport {
 	return &transport{
 		k:      k,
-		pol:    pol.withDefaults(),
+		pol:    pol,
 		queues: make(map[qkey]*sendQueue),
 		repq:   make(map[rkey]*replyQueue),
 		flushQ: sim.NewQueue[flushRef](k.sys.Eng),
@@ -268,7 +229,7 @@ func (t *transport) batchesReply(kind ikcKind) bool {
 func (t *transport) queue(key qkey) *sendQueue {
 	q := t.queues[key]
 	if q == nil {
-		q = &sendQueue{window: t.pol.FlushWindow}
+		q = &sendQueue{window: flushWindow}
 		t.queues[key] = q
 	}
 	return q
@@ -294,7 +255,7 @@ func (t *transport) queued() []qkey {
 // enqueue appends req to its aggregation queue and returns the future its
 // reply will complete. The caller holds the CPU; the compose cost models
 // marshalling the request into the batch buffer. The queue flushes inline
-// at MaxBatch (growing the adaptive window: load sustains batching);
+// at maxBatch (growing the adaptive window: load sustains batching);
 // otherwise the first request of a generation arms the window timer.
 func (t *transport) enqueue(p *sim.Proc, dst int, req *ikcRequest) *sim.Future[*ikcReply] {
 	k := t.k
@@ -307,7 +268,7 @@ func (t *transport) enqueue(p *sim.Proc, dst int, req *ikcRequest) *sim.Future[*
 	key := qkey{dst: dst, kind: req.Kind}
 	q := t.queue(key)
 	q.reqs = append(q.reqs, req)
-	if len(q.reqs) >= t.pol.MaxBatch {
+	if len(q.reqs) >= maxBatch {
 		t.flushLocked(p, key)
 	} else if len(q.reqs) == 1 {
 		epoch := q.epoch
@@ -317,21 +278,21 @@ func (t *transport) enqueue(p *sim.Proc, dst int, req *ikcRequest) *sim.Future[*
 }
 
 // adaptWindow is the drain feedback of the adaptive flush window: a flush
-// that drained a full MaxBatch envelope means
-// sustained load — double the window (up to the FlushWindow ceiling) so
+// that drained a full maxBatch envelope means
+// sustained load — double the window (up to the flushWindow ceiling) so
 // the queue aggregates even more next time; a flush that drained a single
 // message means the wait bought nothing — halve it (down to the
-// FlushWindowMin floor) so a quiet link converges toward inline sends.
-// In-between yields leave the window alone. The trigger (timer, MaxBatch,
+// flushWindowMin floor) so a quiet link converges toward inline sends.
+// In-between yields leave the window alone. The trigger (timer, maxBatch,
 // dispatch barrier) is deliberately ignored: under CPU contention a
 // timer-armed flush routinely drains a full queue, which is load, not
 // idleness.
-func (t *transport) adaptWindow(window *sim.Duration, drained int) {
+func adaptWindow(window *sim.Duration, drained int) {
 	switch {
-	case drained >= t.pol.MaxBatch:
-		*window = min(t.pol.FlushWindow, *window*2)
+	case drained >= maxBatch:
+		*window = min(flushWindow, *window*2)
 	case drained == 1:
-		*window = max(t.pol.FlushWindowMin, *window/2)
+		*window = max(flushWindowMin, *window/2)
 	}
 }
 
@@ -389,7 +350,7 @@ func (t *transport) flushLocked(p *sim.Proc, key qkey) {
 	reqs := q.reqs
 	q.reqs = nil
 	q.epoch++
-	t.adaptWindow(&q.window, len(reqs))
+	adaptWindow(&q.window, len(reqs))
 
 	k := t.k
 	if k.peerDead(key.dst) {
@@ -408,26 +369,10 @@ func (t *transport) flushLocked(p *sim.Proc, key qkey) {
 	if !sem.TryAcquire() {
 		k.pause(p, sem)
 	}
-	t.sendEnvelope(key.dst, reqs)
+	k.sendEnvelope(key.dst, reqs)
 	if k.rt != nil {
 		k.rt.track(key.dst, reqs, true, key.kind)
 	}
-}
-
-// sendEnvelope transmits reqs — N requests of one kind for one kernel — as
-// one aggregation envelope: the items of a single coalesced DTU vector (one
-// NoC transfer, one receive slot, one delivery event and one kernel-thread
-// pickup at the destination, which reassembles the envelope and verifies
-// the one-kind invariant: ikc.go, recvBatch). The requests keep their
-// individual sequence numbers, so each is answered by its own reply.
-func (t *transport) sendEnvelope(dst int, reqs []*ikcRequest) {
-	items := t.items[:0]
-	for _, r := range reqs {
-		items = append(items, dtu.VecItem{Payload: r, Size: ikcBatchedReqBytes})
-	}
-	must(t.k.dtu.SendVecTo(t.k.sys.kernels[dst].pe, ikcBatchEP, items))
-	clear(items)
-	t.items = items
 }
 
 // --- reply direction (the sink) ------------------------------------------
@@ -437,7 +382,7 @@ func (t *transport) sendEnvelope(dst int, reqs []*ikcRequest) {
 // be called from request-dispatch context: the dispatch barrier that ends
 // every dispatch (flushReplies) is what guarantees the queue drains — there
 // is no timer fallback, and none is needed, because a reply cannot outlive
-// the dispatch that produced it. The only other flush trigger is MaxBatch,
+// the dispatch that produced it. The only other flush trigger is maxBatch,
 // when a wide envelope's replies overflow mid-dispatch.
 func (t *transport) enqueueReply(dst int, class batchClass, rep *ikcReply) {
 	key := rkey{dst: dst, class: class}
@@ -447,13 +392,13 @@ func (t *transport) enqueueReply(dst int, class batchClass, rep *ikcReply) {
 		t.repq[key] = q
 	}
 	q.reps = append(q.reps, rep)
-	if len(q.reps) >= t.pol.MaxBatch {
+	if len(q.reps) >= maxBatch {
 		t.flushReplies(key)
 	}
 }
 
-// flushReplies drains one reply queue and transmits it as a single
-// coalesced envelope over the vectored DTU path, preserving enqueue order.
+// flushReplies drains one reply queue and transmits it as one reply
+// envelope, preserving enqueue order.
 // It is the reply sink's dispatch barrier: the epilogue of every request
 // dispatch (kthread.Ready) flushes the queue feeding the request's sender.
 // Every handler of an envelope has returned its reply by then (revocation
@@ -462,11 +407,11 @@ func (t *transport) enqueueReply(dst int, class batchClass, rep *ikcReply) {
 // timer; and the barrier, unlike a timer, holds the envelope open across
 // the handlers' consent and service round trips.
 // The envelope-header compose cost is charged as busy time before the send
-// (the ikReplyAsync convention); replies bypass the in-flight limit — they
-// answer slots the requests reserved — so there is nothing to block on. A
-// queue holding a single reply degenerates to a direct reply message:
-// there is nothing to share an envelope header with, so wrapping it would
-// only add compose time and wire bytes.
+// (composeReplies, the ikReplyAsync convention); replies bypass the
+// in-flight limit — they answer slots the requests reserved — so there is
+// nothing to block on. A queue holding a single reply degenerates to a
+// direct reply message: there is nothing to share an envelope header with,
+// so wrapping it would only add compose time and wire bytes.
 func (t *transport) flushReplies(key rkey) {
 	q := t.repq[key]
 	if q == nil || len(q.reps) == 0 {
@@ -481,14 +426,7 @@ func (t *transport) flushReplies(key rkey) {
 	} else {
 		k.stats.IKCRepBatches++
 		k.stats.IKCRepBatched += uint64(len(reps))
-		k.stats.Busy += k.sys.Cost.IKCCompose // envelope header compose
-		items := make([]dtu.VecItem, len(reps))
-		for i, r := range reps {
-			items[i] = dtu.VecItem{Payload: r, Size: ikcBatchedRepBytes}
-		}
-		k.sys.Eng.Schedule(k.sys.Cost.IKCCompose, func() {
-			must(k.dtu.SendVecTo(dk.pe, ikcReplyEP, items))
-		})
+		k.composeReplies(dk, reps)
 	}
 	clear(reps)
 	q.reps = reps[:0]

@@ -5,22 +5,28 @@ import (
 
 	"repro/internal/cap"
 	"repro/internal/dtu"
+	"repro/internal/fault"
 	"repro/internal/sim"
 )
 
 // Tests for the unified IKC transport: cross-operation batching of
-// capability exchange and service queries, coalesced DTU delivery, and
-// bit-reproducibility of batched configurations.
+// capability exchange and service queries, envelopes on the wire in both
+// directions, and bit-reproducibility of batched configurations.
 
 // wireStats sums the inter-kernel wire traffic of a run.
 type wireStats struct {
 	ikcSent       uint64 // request-direction wire messages (envelope counts once)
 	ikcBatched    uint64 // requests that rode inside an envelope
+	ikcBatches    uint64 // request envelopes sent
 	ikcRepSent    uint64 // reply-direction wire messages (envelope counts once)
 	ikcRepBatched uint64 // replies that rode inside an envelope
 	ikcRepBatches uint64 // reply envelopes sent
 	nocMsgs       uint64 // every NoC delivery event (incl. syscalls, replies)
-	vecs          uint64 // coalesced DTU vector deliveries
+}
+
+// envelopes reports whether envelopes travelled in both directions.
+func (w wireStats) envelopes() bool {
+	return w.ikcBatches > 0 && w.ikcBatched > 0 && w.ikcRepBatches > 0 && w.ikcRepBatched > 0
 }
 
 func gatherWire(s *System) wireStats {
@@ -29,10 +35,10 @@ func gatherWire(s *System) wireStats {
 		st := s.Kernel(ki).Stats()
 		w.ikcSent += st.IKCSent
 		w.ikcBatched += st.IKCBatched
+		w.ikcBatches += st.IKCBatches
 		w.ikcRepSent += st.IKCRepSent
 		w.ikcRepBatched += st.IKCRepBatched
 		w.ikcRepBatches += st.IKCRepBatches
-		w.vecs += s.Fab.DTU(s.Kernel(ki).PE()).Stats().VecDeliveries
 	}
 	w.nocMsgs = s.Net.Stats().Messages
 	return w
@@ -73,8 +79,8 @@ func runFanoutObtain(t *testing.T, cfg Config, n int) *System {
 
 // TestExchangeBatchingReducesMessages: with exchange batching on, a
 // spanning obtain fan-out needs strictly fewer inter-kernel wire messages
-// and strictly fewer NoC delivery events, and the batched requests arrive
-// in coalesced DTU vectors.
+// and strictly fewer NoC delivery events, and requests and replies travel
+// in envelopes.
 func TestExchangeBatchingReducesMessages(t *testing.T) {
 	const kids = 12
 	run := func(b IKCBatching) (wireStats, int) {
@@ -93,11 +99,11 @@ func TestExchangeBatchingReducesMessages(t *testing.T) {
 	if batched.nocMsgs >= plain.nocMsgs {
 		t.Fatalf("exchange batching did not reduce NoC deliveries: %d vs %d", batched.nocMsgs, plain.nocMsgs)
 	}
-	if batched.ikcBatched == 0 || batched.vecs == 0 {
-		t.Fatalf("no coalesced traffic recorded: batched=%d vecs=%d", batched.ikcBatched, batched.vecs)
+	if !batched.envelopes() {
+		t.Fatalf("envelopes missing from the batched run: %+v", batched)
 	}
-	if plain.ikcBatched != 0 || plain.vecs != 0 {
-		t.Fatalf("unbatched run produced coalesced traffic: batched=%d vecs=%d", plain.ikcBatched, plain.vecs)
+	if plain.ikcBatches+plain.ikcBatched+plain.ikcRepBatches+plain.ikcRepBatched != 0 {
+		t.Fatalf("unbatched run produced envelopes: %+v", plain)
 	}
 }
 
@@ -175,8 +181,8 @@ func runServiceFanout(t *testing.T, cfg Config, n int) (*System, *uint64) {
 
 // TestServiceQueryBatchingReducesMessages: with service-query batching on,
 // spanning session creation and session-scoped obtains need strictly fewer
-// inter-kernel wire messages and NoC deliveries, with every session still
-// established.
+// inter-kernel wire messages and NoC deliveries, travel in envelopes both
+// ways, and every session is still established.
 func TestServiceQueryBatchingReducesMessages(t *testing.T) {
 	const clients = 9
 	cfg := func(b IKCBatching) Config {
@@ -195,32 +201,27 @@ func TestServiceQueryBatchingReducesMessages(t *testing.T) {
 	if batched.nocMsgs >= plain.nocMsgs {
 		t.Fatalf("service-query batching did not reduce NoC deliveries: %d vs %d", batched.nocMsgs, plain.nocMsgs)
 	}
-	if batched.vecs == 0 {
-		t.Fatal("no coalesced DTU deliveries recorded")
+	if !batched.envelopes() {
+		t.Fatalf("envelopes missing from the batched run: %+v", batched)
+	}
+	if plain.ikcBatches+plain.ikcRepBatches != 0 {
+		t.Fatalf("unbatched run produced envelopes: %+v", plain)
 	}
 	checkAllInvariants(t, sBatched)
 }
 
-// TestMaxBatchInlineFlush: a queue reaching MaxBatch flushes without
-// waiting for the window, so a huge FlushWindow cannot stall traffic.
+// TestMaxBatchInlineFlush: a queue reaching maxBatch flushes inline, without
+// waiting for its window timer. Of 2 × 16 obtainers the 16 in kernel 1's
+// group obtain across kernels at one instant; their syscalls hold kernel 1's
+// CPU ahead of the transmit proc the window timer wakes, so all 16 are queued
+// first, and the one envelope that leaves is a full one.
 func TestMaxBatchInlineFlush(t *testing.T) {
-	const kids = 8
-	cfg := Config{
-		Kernels: 2,
-		UserPEs: kids + 2,
-		IKCBatching: IKCBatching{
-			Exchange:    true,
-			MaxBatch:    2,
-			FlushWindow: 50_000_000, // effectively never
-		},
-	}
+	const kids = 2 * maxBatch
+	cfg := Config{Kernels: 2, UserPEs: kids + 2, IKCBatching: IKCBatching{Exchange: true}}
 	s := runFanoutObtain(t, cfg, kids)
-	var batches uint64
-	for ki := 0; ki < s.Kernels(); ki++ {
-		batches += s.Kernel(ki).Stats().IKCBatches
-	}
-	if batches < kids/2/2 {
-		t.Fatalf("inline flushes did not happen: %d envelopes", batches)
+	w := gatherWire(s)
+	if w.ikcBatches == 0 || w.ikcBatched != maxBatch*w.ikcBatches {
+		t.Fatalf("%d requests in %d envelopes, want only full envelopes of %d", w.ikcBatched, w.ikcBatches, maxBatch)
 	}
 	if n := memCapsEverywhere(s); n != kids+1 {
 		t.Fatalf("obtains incomplete: %d mem caps, want %d", n, kids+1)
@@ -341,19 +342,61 @@ func TestReplyEnvelopeDelegateHandshake(t *testing.T) {
 	checkAllInvariants(t, s)
 }
 
+// TestDuplicatedEnvelopes: on a fabric that delivers every kernel message
+// twice, an envelope's two arrivals are two legs of their own. Every request
+// of a duplicated request envelope is dispatched once — the copy of each is
+// suppressed — and a duplicated reply envelope completes each future once —
+// the copy of each is a late reply, as are both arrivals of a reply the
+// receiver replays for a duplicate that came after it had answered. A
+// batched fan-out obtain and the tree revocation that undoes it both
+// complete, and the machine drains clean.
+func TestDuplicatedEnvelopes(t *testing.T) {
+	const kids = 12
+	cfg := Config{
+		Kernels:     4,
+		UserPEs:     kids + 7,
+		IKCBatching: IKCBatching{Exchange: true, Revoke: true},
+		Faults:      &fault.Plan{Seed: 1, Dup: 1},
+	}
+	s, _ := buildFanout(t, cfg, kids)
+	st := s.TotalStats()
+	if st.IKCBatches == 0 || st.IKCRepBatches == 0 {
+		t.Fatalf("no envelopes in either direction: %+v", st)
+	}
+	if st.Retransmits != 0 {
+		t.Fatalf("%d retransmits: the counts below assume one send per request", st.Retransmits)
+	}
+	requests := st.IKCBatched + st.IKCSent - st.IKCBatches
+	if st.DupSuppressed != requests {
+		t.Errorf("%d duplicates suppressed, want one per request, %d", st.DupSuppressed, requests)
+	}
+	replies := st.IKCRepBatched + st.IKCRepSent - st.IKCRepBatches
+	if want := replies + 2*st.ReplayedReplies; st.LateReplies != want {
+		t.Errorf("%d late replies, want %d: the copy of each of %d replies and both arrivals of %d replays",
+			st.LateReplies, want, replies, st.ReplayedReplies)
+	}
+	if n := memCapsEverywhere(s); n != 0 {
+		t.Errorf("%d memory capabilities survived the revocation", n)
+	}
+	checkNoLeaks(t, s)
+	checkAllInvariants(t, s)
+}
+
 // TestAdaptiveFlushWindow: the drain feedback of the flush window. Lone
 // spanning obtains (flushes draining a single request) shrink a queue's
-// window below the FlushWindow ceiling; a subsequent burst that fills
-// MaxBatch envelopes grows it back.
+// window below the flushWindow ceiling; a subsequent burst of maxBatch
+// obtains, which fills an envelope, grows it back.
 func TestAdaptiveFlushWindow(t *testing.T) {
+	const group = maxBatch + 1 // kernel 1's group: the lone obtainer and the burst
 	cfg := Config{
 		Kernels:     2,
-		UserPEs:     20,
-		IKCBatching: IKCBatching{Exchange: true, MaxBatch: 2},
+		UserPEs:     2 * group,
+		IKCBatching: IKCBatching{Exchange: true},
 	}
 	s := MustNew(cfg)
 	t.Cleanup(s.Close)
-	requesterK := s.KernelOfPE(s.userPEs[10]) // kernel 1, where the obtains originate
+	lonePE := s.userPEs[group]
+	requesterK := s.KernelOfPE(lonePE) // kernel 1, where the obtains originate
 	key := qkey{dst: 0, kind: ikcObtain}
 
 	ready := sim.NewFuture[cap.Selector](s.Eng)
@@ -370,22 +413,22 @@ func TestAdaptiveFlushWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	var afterLone sim.Duration
-	if _, err := s.SpawnOn(s.userPEs[10], "lone", func(v *VPE, p *sim.Proc) {
+	if _, err := s.SpawnOn(lonePE, "lone", func(v *VPE, p *sim.Proc) {
 		sel := ready.Wait(p)
 		for i := 0; i < 2; i++ {
 			if _, err := v.ObtainFrom(p, root.ID, sel); err != nil {
 				t.Errorf("lone obtain: %v", err)
 				return
 			}
-			p.Sleep(5 * DefaultFlushWindow) // let the link go quiet between obtains
+			p.Sleep(5 * flushWindow) // let the link go quiet between obtains
 		}
 		afterLone = requesterK.xport.queue(key).window
 		burst.Complete(struct{}{})
 	}); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
-		if _, err := s.SpawnOn(s.userPEs[11+i], "burst", func(v *VPE, p *sim.Proc) {
+	for i := 1; i <= maxBatch; i++ {
+		if _, err := s.SpawnOn(s.userPEs[group+i], "burst", func(v *VPE, p *sim.Proc) {
 			burst.Wait(p)
 			sel := ready.Wait(p)
 			if _, err := v.ObtainFrom(p, root.ID, sel); err != nil {
@@ -397,16 +440,16 @@ func TestAdaptiveFlushWindow(t *testing.T) {
 	}
 	s.Run()
 
-	if afterLone >= DefaultFlushWindow {
+	if afterLone >= flushWindow {
 		t.Fatalf("lone flushes did not shrink the window: %d (ceiling %d)",
-			afterLone, DefaultFlushWindow)
+			afterLone, flushWindow)
 	}
-	if afterLone < DefaultFlushWindowMin {
-		t.Fatalf("window %d fell below the floor %d", afterLone, DefaultFlushWindowMin)
+	if afterLone < flushWindowMin {
+		t.Fatalf("window %d fell below the floor %d", afterLone, flushWindowMin)
 	}
 	final := requesterK.xport.queue(key).window
 	if final <= afterLone {
-		t.Fatalf("MaxBatch burst did not grow the window: %d after lone obtains, %d after burst",
+		t.Fatalf("maxBatch burst did not grow the window: %d after lone obtains, %d after burst",
 			afterLone, final)
 	}
 }

@@ -123,16 +123,6 @@ type Message struct {
 	freed    bool
 }
 
-// Vector returns the coalesced vector m arrived in, m included, in send
-// order — what a VecHandler was handed — or nil for a message sent on its
-// own. Like that slice it is valid until the last of its messages is freed.
-func (m *Message) Vector() []*Message {
-	if m.vec == nil {
-		return nil
-	}
-	return m.vec.msgs
-}
-
 // vecMeta is one coalesced vector on the wire and its shared bookkeeping at
 // the receiver: the siblings occupy a single receive slot (the vector is one
 // wire message), released when the last of them is freed — at which point
@@ -602,14 +592,12 @@ func (d *DTU) deliver(ep int, msg *Message) {
 // receiver sees as len(items) logical messages. Only privileged DTUs (the
 // kernels) may use it — their flow control lives above the DTU, in the
 // in-flight message accounting of the inter-kernel protocol, so no send
-// credits are consumed. This is the batched-delivery primitive the unified
-// IKC transport rides in both directions: request envelopes land on a
-// kernel-thread consumer (one handoff per batch), and reply envelopes land
-// on an event-context demux whose handler frees each message as it
-// completes the matching future, so the shared slot is released within the
-// delivery event itself. It cuts the per-message NoC events and consumer
-// handoffs that dominate wide fan-outs. items is read before SendVecTo
-// returns; the caller may reuse it.
+// credits are consumed. A vec-handler endpoint gets the whole vector in one
+// call (one consumer handoff per batch), and a handler that frees each
+// message as it goes releases the shared slot within the delivery event
+// itself. It cuts the per-message NoC events and consumer handoffs that
+// dominate wide fan-outs. items is read before SendVecTo returns; the
+// caller may reuse it.
 func (d *DTU) SendVecTo(dstPE, dstEP int, items []VecItem) error {
 	if !d.privileged {
 		return ErrNotPrivileged
@@ -713,17 +701,6 @@ func (e *endpoint) Ready(p *sim.Proc) bool {
 		return false
 	}
 	return true
-}
-
-// WaitVec blocks the proc until at least one message is queued at receive
-// endpoint ep and drains the whole queue — one park/wake cycle (one
-// goroutine handoff) for however many messages have accumulated, the
-// consumer-side half of coalesced delivery.
-func (d *DTU) WaitVec(p *sim.Proc, ep int) []*Message {
-	checkEP(ep)
-	e := &d.eps[ep]
-	p.ParkOn(e)
-	return e.recv.queue.TakeAll()
 }
 
 // Reply frees msg's slot and sends a reply back to the sender's reply

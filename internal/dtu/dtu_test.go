@@ -342,17 +342,21 @@ func TestSendVecSharedSlot(t *testing.T) {
 	}
 }
 
-// TestWaitVecSingleWake: a consumer draining with WaitVec is woken once per
-// vector, not once per message — one goroutine handoff per batch.
-func TestWaitVecSingleWake(t *testing.T) {
+// TestVecQueueSingleWake: a consumer parked in Wait on a queue endpoint is
+// woken once per vector, not once per message — one goroutine handoff per
+// batch — and finds the rest of the vector queued behind the first message.
+func TestVecQueueSingleWake(t *testing.T) {
 	e, f := newFabric(t, 4)
 	a, b := f.DTU(0), f.DTU(1)
 	b.ConfigureRecv(b, 2, 8, nil) // queue endpoint, no handler
 	wakes := 0
 	var sizes []int
 	e.Spawn("drain", func(p *sim.Proc) {
-		msgs := b.WaitVec(p, 2)
+		msgs := []*Message{b.Wait(p, 2)}
 		wakes++
+		for m := b.Fetch(2); m != nil; m = b.Fetch(2) {
+			msgs = append(msgs, m)
+		}
 		sizes = append(sizes, len(msgs))
 		for _, m := range msgs {
 			b.Free(m)
@@ -362,6 +366,9 @@ func TestWaitVecSingleWake(t *testing.T) {
 	e.Run()
 	if wakes != 1 || len(sizes) != 1 || sizes[0] != 6 {
 		t.Fatalf("wakes=%d sizes=%v, want one wake draining 6", wakes, sizes)
+	}
+	if r := e.Resumes(); r != 2 { // its start, and the vector's arrival
+		t.Fatalf("the consumer was switched in %d times, want 2", r)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package fault is the deterministic fault-injection layer of the
-// simulated machine. A Plan describes what goes wrong — per-link message
-// drop/duplication probabilities, delivery-delay jitter, kernel stall
-// windows and kernel crash times — and an Injector draws every decision
+// simulated machine. A Plan describes what goes wrong — message
+// drop/duplication probabilities, delivery-delay jitter and kernel crash
+// and recovery times — and an Injector draws every decision
 // from a splittable counter-based PRNG keyed by (seed, src, dst, per-pair
 // message counter). Because the NoC calls Inspect once per message in a
 // deterministic order (the engine executes events in one total order, and
@@ -23,29 +23,13 @@ import (
 	"repro/internal/sim"
 )
 
-// LinkRule overrides the plan's default fault rates for matching directed
-// links. Src/Dst are kernel PE numbers; -1 matches any kernel. The first
-// matching rule wins and replaces the defaults wholesale.
-type LinkRule struct {
-	Src    int // source kernel PE, -1 for any
-	Dst    int // destination kernel PE, -1 for any
-	Drop   float64
-	Dup    float64
-	Jitter sim.Duration
-}
-
-// KernelFault schedules time-driven faults of one kernel. A stall window
-// delays every delivery into the kernel until the window closes (the
-// kernel stops draining its DTU); a crash blackholes all its inter-kernel
-// traffic — both directions — from CrashAt on. With RecoverAt zero the
+// KernelFault schedules a crash of one kernel: from CrashAt on it blackholes
+// all its inter-kernel traffic, both directions. With RecoverAt zero the
 // crash is permanent; a nonzero RecoverAt ends the blackhole window, after
 // which the kernel runs as a new incarnation (core schedules the rejoin
 // handshake at RecoverAt, see core's rejoin protocol).
 type KernelFault struct {
-	Kernel  int // kernel PE number
-	StallAt sim.Time
-	// StallFor is the stall window length; 0 means no stall.
-	StallFor sim.Duration
+	Kernel int // kernel PE number
 	// CrashAt is the crash time; 0 means the kernel never crashes.
 	CrashAt sim.Time
 	// RecoverAt, when nonzero, is the cycle at which the crashed kernel's
@@ -60,16 +44,14 @@ type Plan struct {
 	// Seed keys the PRNG; identical plans with identical seeds produce
 	// identical fault sequences. Seed 0 is valid and distinct from 1.
 	Seed uint64
-	// Drop is the default per-message drop probability on kernel links.
+	// Drop is the per-message drop probability on kernel links.
 	Drop float64
-	// Dup is the default per-message duplication probability.
+	// Dup is the per-message duplication probability.
 	Dup float64
-	// Jitter is the default delay-jitter bound: each message is delayed by
-	// a uniform draw from [0, Jitter).
+	// Jitter is the delay-jitter bound: each message is delayed by a
+	// uniform draw from [0, Jitter).
 	Jitter sim.Duration
-	// Links overrides the defaults per directed link.
-	Links []LinkRule
-	// Kernels schedules stall windows, crashes and recoveries.
+	// Kernels schedules crashes and recoveries.
 	Kernels []KernelFault
 }
 
@@ -83,26 +65,15 @@ func (e planError) Error() string { return "fault: " + string(e) }
 // fails either describes no scenario at all — a NaN or negative rate never
 // fires, a recovery at or before its crash opens no window — and silently
 // running it as "no faults" (or "never recovered") would make a scenario
-// pass while testing nothing. Kernels and link endpoints are not checked
-// against a machine: ones it lacks simply never match (NewInjector).
+// pass while testing nothing. Kernels are not checked against a machine:
+// ones it lacks simply never match (NewInjector).
 func (p *Plan) Validate() error {
-	rates := func(where string, drop, dup float64) error {
-		for _, r := range [...]struct {
-			name string
-			v    float64
-		}{{"Drop", drop}, {"Dup", dup}} {
-			if !(r.v >= 0 && r.v <= 1) { // also catches NaN
-				return planError(fmt.Sprintf("%s %s rate %v is not a probability", where, r.name, r.v))
-			}
-		}
-		return nil
-	}
-	if err := rates("default", p.Drop, p.Dup); err != nil {
-		return err
-	}
-	for i, lr := range p.Links {
-		if err := rates(fmt.Sprintf("link rule %d", i), lr.Drop, lr.Dup); err != nil {
-			return err
+	for _, r := range [...]struct {
+		name string
+		v    float64
+	}{{"Drop", p.Drop}, {"Dup", p.Dup}} {
+		if !(r.v >= 0 && r.v <= 1) { // also catches NaN
+			return planError(fmt.Sprintf("%s rate %v is not a probability", r.name, r.v))
 		}
 	}
 	for _, kf := range p.Kernels {
@@ -126,7 +97,6 @@ type Stats struct {
 	Dropped    uint64 // probabilistic drops
 	Duplicated uint64
 	Delayed    uint64 // messages given nonzero jitter
-	Stalled    uint64 // messages delayed by a stall window
 	Blackholed uint64 // messages dropped because an endpoint had crashed
 }
 
@@ -148,15 +118,8 @@ const (
 	saltJitter
 )
 
-// effRates is the resolved rate set for one directed link.
-type effRates struct {
-	drop, dup float64
-	jitter    sim.Duration
-}
-
 // Injector implements noc.Injector for a Plan. All mutable state — the
-// per-pair PRNG counters, the resolved-rate cache and the stats — is kept
-// per source PE. Counters advance per (src, dst) pair, so a pair's fault
+// per-pair PRNG counters and the stats — is kept per source PE. Counters advance per (src, dst) pair, so a pair's fault
 // sequence does not depend on how the traffic of other pairs interleaves
 // with it.
 type Injector struct {
@@ -169,13 +132,12 @@ type Injector struct {
 // srcState is one source PE's shard of the injector's mutable state, maps
 // keyed by destination PE.
 type srcState struct {
-	rates    map[int]effRates
 	counters map[int]uint64
 	stats    Stats
 }
 
 // NewInjector compiles a plan against a machine whose kernel PEs are
-// [0, kernelPEs). Link rules naming kernels outside that range simply
+// [0, kernelPEs). Kernel faults naming kernels outside that range simply
 // never match.
 func NewInjector(plan Plan, kernelPEs int) *Injector {
 	in := &Injector{
@@ -185,7 +147,6 @@ func NewInjector(plan Plan, kernelPEs int) *Injector {
 		kfaults:   make(map[int][]KernelFault),
 	}
 	for i := range in.perSrc {
-		in.perSrc[i].rates = make(map[int]effRates)
 		in.perSrc[i].counters = make(map[int]uint64)
 	}
 	for _, kf := range plan.Kernels {
@@ -203,25 +164,9 @@ func (in *Injector) Stats() Stats {
 		out.Dropped += s.Dropped
 		out.Duplicated += s.Duplicated
 		out.Delayed += s.Delayed
-		out.Stalled += s.Stalled
 		out.Blackholed += s.Blackholed
 	}
 	return out
-}
-
-func (in *Injector) ratesFor(ss *srcState, src, dst int) effRates {
-	if r, ok := ss.rates[dst]; ok {
-		return r
-	}
-	r := effRates{drop: in.plan.Drop, dup: in.plan.Dup, jitter: in.plan.Jitter}
-	for _, lr := range in.plan.Links {
-		if (lr.Src == -1 || lr.Src == src) && (lr.Dst == -1 || lr.Dst == dst) {
-			r = effRates{drop: lr.Drop, dup: lr.Dup, jitter: lr.Jitter}
-			break
-		}
-	}
-	ss.rates[dst] = r
-	return r
 }
 
 // draw returns a uniform float64 in [0,1) for one decision of one message.
@@ -237,15 +182,6 @@ func (in *Injector) crashed(pe int, now sim.Time) bool {
 		}
 	}
 	return false
-}
-
-func (in *Injector) stallDelay(pe int, now sim.Time) sim.Duration {
-	for _, kf := range in.kfaults[pe] {
-		if kf.StallFor > 0 && now >= kf.StallAt && now < kf.StallAt+kf.StallFor {
-			return kf.StallAt + kf.StallFor - now
-		}
-	}
-	return 0
 }
 
 // Inspect decides the fate of one message, called by the NoC at send time
@@ -267,28 +203,20 @@ func (in *Injector) Inspect(now sim.Time, src, dst, size int) noc.Verdict {
 		ss.stats.Blackholed++
 		return noc.Verdict{Drop: true}
 	}
-	r := in.ratesFor(ss, src, dst)
+	p := &in.plan
 	var v noc.Verdict
-	if r.drop > 0 && in.draw(src, dst, ctr, saltDrop) < r.drop {
+	if p.Drop > 0 && in.draw(src, dst, ctr, saltDrop) < p.Drop {
 		v.Drop = true
 		ss.stats.Dropped++
 	}
-	if !v.Drop && r.dup > 0 && in.draw(src, dst, ctr, saltDup) < r.dup {
+	if !v.Drop && p.Dup > 0 && in.draw(src, dst, ctr, saltDup) < p.Dup {
 		v.Dup = true
 		ss.stats.Duplicated++
 	}
-	if r.jitter > 0 {
-		if j := sim.Duration(in.draw(src, dst, ctr, saltJitter) * float64(r.jitter)); j > 0 {
-			v.Delay += j
+	if p.Jitter > 0 {
+		if j := sim.Duration(in.draw(src, dst, ctr, saltJitter) * float64(p.Jitter)); j > 0 {
+			v.Delay = j
 			ss.stats.Delayed++
-		}
-	}
-	// Stall windows delay delivery into the stalled kernel (it stops
-	// draining its DTU) on top of any jitter. Dropped messages skip it.
-	if !v.Drop {
-		if d := in.stallDelay(dst, now); d > 0 {
-			v.Delay += d
-			ss.stats.Stalled++
 		}
 	}
 	return v

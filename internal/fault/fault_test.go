@@ -115,26 +115,6 @@ func TestInjectorScopeCountersIndependent(t *testing.T) {
 	}
 }
 
-func TestLinkRuleOverride(t *testing.T) {
-	plan := Plan{
-		Seed: 5, Drop: 1,
-		Links: []LinkRule{
-			{Src: 0, Dst: 1, Drop: 0}, // lossless exception
-			{Src: -1, Dst: 2, Drop: 1},
-		},
-	}
-	in := NewInjector(plan, 4)
-	if v := in.Inspect(0, 0, 1, 64); v.Drop {
-		t.Fatalf("link rule 0->1 should make the link lossless")
-	}
-	if v := in.Inspect(0, 3, 2, 64); !v.Drop {
-		t.Fatalf("wildcard rule ->2 should drop")
-	}
-	if v := in.Inspect(0, 1, 3, 64); !v.Drop {
-		t.Fatalf("unmatched link should fall back to the plan default (drop=1)")
-	}
-}
-
 func TestKernelCrash(t *testing.T) {
 	in := NewInjector(Plan{Seed: 1, Kernels: []KernelFault{{Kernel: 1, CrashAt: 1000}}}, 4)
 	if v := in.Inspect(999, 0, 1, 64); v.Drop {
@@ -189,33 +169,12 @@ func TestPlanValidate(t *testing.T) {
 		{Kernels: []KernelFault{{Kernel: 1, CrashAt: 200, RecoverAt: 200}}}, // empty window
 		{Kernels: []KernelFault{{Kernel: 1, CrashAt: 300, RecoverAt: 200}}}, // inverted window
 		{Drop: 1.5}, // not a probability
-		{Links: []LinkRule{{Src: -1, Dst: -1, Dup: math.NaN()}}},
+		{Dup: math.NaN()},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
 			t.Errorf("invalid plan %d accepted", i)
 		}
-	}
-}
-
-func TestKernelStall(t *testing.T) {
-	in := NewInjector(Plan{Seed: 1, Kernels: []KernelFault{{Kernel: 1, StallAt: 1000, StallFor: 500}}}, 4)
-	if v := in.Inspect(500, 0, 1, 64); v.Delay != 0 {
-		t.Fatalf("pre-stall message delayed by %d", v.Delay)
-	}
-	// A message arriving mid-window is held until the window closes.
-	if v := in.Inspect(1200, 0, 1, 64); v.Delay != 300 {
-		t.Fatalf("mid-stall delay = %d, want 300", v.Delay)
-	}
-	// Stall applies to traffic INTO the stalled kernel only.
-	if v := in.Inspect(1200, 1, 0, 64); v.Delay != 0 {
-		t.Fatalf("outbound traffic of a stalled kernel delayed by %d", v.Delay)
-	}
-	if v := in.Inspect(1500, 0, 1, 64); v.Delay != 0 {
-		t.Fatalf("post-stall message delayed by %d", v.Delay)
-	}
-	if got := in.Stats().Stalled; got != 1 {
-		t.Fatalf("Stalled = %d, want 1", got)
 	}
 }
 
@@ -227,7 +186,7 @@ func TestZeroPlanInjectsNothing(t *testing.T) {
 		}
 	}
 	st := in.Stats()
-	if st.Dropped+st.Duplicated+st.Delayed+st.Stalled+st.Blackholed != 0 {
+	if st.Dropped+st.Duplicated+st.Delayed+st.Blackholed != 0 {
 		t.Fatalf("zero plan counted injections: %+v", st)
 	}
 }

@@ -13,11 +13,11 @@ import (
 // two ends, and everything a careless caller can produce.
 var fuzzRates = [...]float64{0, 0.01, 0.25, 1, 1.5, -0.1, math.NaN(), math.Inf(1), math.SmallestNonzeroFloat64}
 
-// fuzzPlan decodes bytes into a plan for a 4-kernel machine: default rates
-// and jitter, up to three link rules and up to three kernel faults whose
-// kernels run from -2 to 7 — so negative, duplicate and out-of-range ones
-// come up — and whose recoveries may precede their crashes. Missing bytes
-// read as zero, so every input decodes.
+// fuzzPlan decodes bytes into a plan for a 4-kernel machine: rates and
+// jitter, and up to three kernel faults whose kernels run from -2 to 7 — so
+// negative, duplicate and out-of-range ones come up — and whose recoveries
+// may precede their crashes. Missing bytes read as zero, so every input
+// decodes.
 func fuzzPlan(data []byte) Plan {
 	next := func() int {
 		if len(data) == 0 {
@@ -30,15 +30,8 @@ func fuzzPlan(data []byte) Plan {
 	rate := func() float64 { return fuzzRates[next()%len(fuzzRates)] }
 	p := Plan{Seed: uint64(next()), Drop: rate(), Dup: rate(), Jitter: sim.Duration(next()) * 40}
 	for n := next() % 4; n > 0; n-- {
-		p.Links = append(p.Links, LinkRule{
-			Src: next()%10 - 2, Dst: next()%10 - 2,
-			Drop: rate(), Dup: rate(), Jitter: sim.Duration(next()) * 40,
-		})
-	}
-	for n := next() % 4; n > 0; n-- {
 		p.Kernels = append(p.Kernels, KernelFault{
 			Kernel:  next()%10 - 2,
-			StallAt: sim.Time(next()) * 100, StallFor: sim.Duration(next()) * 100,
 			CrashAt: sim.Time(next()) * 100, RecoverAt: sim.Time(next()) * 100,
 		})
 	}
@@ -53,18 +46,18 @@ func fuzzPlan(data []byte) Plan {
 // What Validate rejects, it rejects with a planError.
 func FuzzPlanValidate(f *testing.F) {
 	for _, seed := range [][]byte{
-		nil,                            // the zero plan
-		{7, 1, 2, 5},                   // 1% drop, 25% dup, jitter 200
-		{7, 3, 3},                      // everything dropped
-		{7, 4},                         // a drop rate above 1: rejected
-		{7, 0, 5},                      // a negative dup rate: rejected
-		{7, 6},                         // NaN: rejected
-		{7, 1, 1, 0, 1, 1, 3, 7, 0, 0}, // a link rule with an infinite drop rate: rejected
-		{7, 1, 1, 0, 2, 0, 1, 3, 0, 2, 11, 1, 0, 0, 9},                    // two rules, -2 and 9 as wildcards that match nothing
-		{7, 1, 1, 0, 0, 1, 3, 2, 5, 10, 40},                               // kernel 1 stalls, crashes at 1000, recovers at 4000
-		{7, 1, 1, 0, 0, 1, 3, 0, 0, 40, 10},                               // recovery before its crash: rejected
-		{7, 1, 1, 0, 0, 1, 3, 0, 0, 0, 10},                                // recovery without a crash: rejected
-		{7, 1, 1, 0, 0, 3, 3, 0, 0, 5, 0, 3, 0, 0, 20, 30, 0, 1, 1, 1, 0}, // kernel 1 twice, kernel -2
+		nil,                        // the zero plan
+		{7, 1, 2, 5},               // 1% drop, 25% dup, jitter 200
+		{7, 3, 3},                  // everything dropped
+		{7, 4},                     // a drop rate above 1: rejected
+		{7, 0, 5},                  // a negative dup rate: rejected
+		{7, 6},                     // NaN: rejected
+		{7, 7},                     // an infinite drop rate: rejected
+		{7, 8, 8, 255},             // the smallest nonzero rates, jitter 10 200
+		{7, 1, 1, 0, 1, 3, 10, 40}, // kernel 1 crashes at 1000, recovers at 4000
+		{7, 1, 1, 0, 1, 3, 40, 10}, // recovery before its crash: rejected
+		{7, 1, 1, 0, 1, 3, 0, 10},  // recovery without a crash: rejected
+		{7, 1, 1, 0, 3, 3, 5, 0, 3, 20, 30, 0, 1}, // kernel 1 twice, kernel -2
 	} {
 		f.Add(seed)
 	}
@@ -82,7 +75,7 @@ func FuzzPlanValidate(f *testing.F) {
 		var inScope uint64
 		for i := 0; i < msgs; i++ {
 			// Every pair of the 4 kernels and 2 user PEs, self-sends included,
-			// at times that sweep the decoder's stall and crash windows.
+			// at times that sweep the decoder's crash windows.
 			now, src, dst := sim.Time(i)*40, i%6, i/6%6
 			va, vb := a.Inspect(now, src, dst, 64), b.Inspect(now, src, dst, 64)
 			if va != vb {

@@ -19,20 +19,14 @@ import (
 	"errors"
 
 	"repro/internal/core"
-	"repro/internal/noc"
 	"repro/internal/sim"
 )
 
-// Config describes an M3 machine.
+// Config describes an M3 machine: its single kernel, its user PEs and one
+// DRAM PE of the default capacity.
 type Config struct {
 	// UserPEs is the number of user PEs controlled by the single kernel.
 	UserPEs int
-	// MemPEs is the number of DRAM PEs (default 1).
-	MemPEs int
-	// MemBytes is the DRAM capacity per memory PE.
-	MemBytes int
-	// Noc overrides the NoC configuration.
-	Noc *noc.Config
 	// Engine, when non-nil, is a fresh (or Reset) simulation engine to build
 	// on instead of a new one; see core.Config.Engine.
 	Engine *sim.Engine
@@ -65,13 +59,10 @@ func New(cfg Config) (*System, error) {
 	}
 	cost := CostModel()
 	s, err := core.NewSystem(core.Config{
-		Kernels:  1,
-		UserPEs:  cfg.UserPEs,
-		MemPEs:   cfg.MemPEs,
-		MemBytes: cfg.MemBytes,
-		Noc:      cfg.Noc,
-		Cost:     &cost,
-		Engine:   cfg.Engine,
+		Kernels: 1,
+		UserPEs: cfg.UserPEs,
+		Cost:    &cost,
+		Engine:  cfg.Engine,
 	})
 	if err != nil {
 		return nil, err

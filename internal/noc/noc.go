@@ -3,16 +3,12 @@
 //
 // The model is a 2D mesh with dimension-ordered (XY) routing. Message
 // latency is base + hops*(router+hop) + serialization, where serialization
-// grows with the message size. Two latency regimes are supported:
+// grows with the message size. Links have infinite bandwidth: latency
+// depends only on distance and size, the paper's assumption of a
+// non-contended interconnect for the capability experiments (§5.1), and the
+// only regime the model has.
 //
-//   - uncontended (default): links have infinite bandwidth; latency depends
-//     only on distance and size, matching the paper's assumption of a
-//     non-contended interconnect for the capability experiments, and
-//   - contended: each mesh link serializes flits, so concurrent messages
-//     crossing the same link queue up.
-//
-// Regardless of the regime, the network guarantees per-(src,dst) FIFO
-// ordering, a stated precondition of the SemperOS distributed capability
+// The network guarantees per-(src,dst) FIFO ordering, a stated precondition of the SemperOS distributed capability
 // protocols ("if kernel K1 first sends a message M1 to kernel K2, followed
 // by a message M2, then K2 has to receive M1 before M2").
 package noc
@@ -40,8 +36,6 @@ type Config struct {
 	FlitBytes int
 	// FlitLatency is the serialization cost per flit (default 1).
 	FlitLatency sim.Duration
-	// Contention enables per-link serialization.
-	Contention bool
 }
 
 // DefaultConfig returns the timing parameters used throughout the
@@ -98,9 +92,7 @@ type Network struct {
 	height int
 	// lastDeliver enforces per-pair FIFO ordering.
 	lastDeliver map[uint64]sim.Time
-	// linkFree is the next-free time per directed link (contention mode).
-	linkFree map[int]sim.Time
-	stats    Stats
+	stats       Stats
 	// inj, when set, decides per message whether to drop, duplicate or
 	// delay it (fault injection). Nil means the lossless fabric.
 	inj Injector
@@ -128,7 +120,6 @@ func New(eng *sim.Engine, cfg Config) *Network {
 		width:       w,
 		height:      h,
 		lastDeliver: make(map[uint64]sim.Time),
-		linkFree:    make(map[int]sim.Time),
 	}
 }
 
@@ -157,7 +148,7 @@ func (n *Network) Hops(src, dst int) int {
 // nil restores the lossless fabric.
 func (n *Network) SetInjector(inj Injector) { n.inj = inj }
 
-// Latency returns the uncontended latency for a message of the given size.
+// Latency returns the latency of a message of the given size.
 func (n *Network) Latency(src, dst, size int) sim.Duration {
 	hops := sim.Duration(n.Hops(src, dst))
 	flits := sim.Duration((size + n.cfg.FlitBytes - 1) / n.cfg.FlitBytes)
@@ -194,13 +185,7 @@ func (n *Network) Send(src, dst, size int, deliver func()) int {
 	if n.inj != nil {
 		v = n.inj.Inspect(now, src, dst, size)
 	}
-	var arrival sim.Time
-	if n.cfg.Contention {
-		arrival = n.contendedArrival(now, src, dst, size)
-	} else {
-		arrival = now + n.Latency(src, dst, size)
-	}
-	arrival += v.Delay
+	arrival := now + n.Latency(src, dst, size) + v.Delay
 	key := pairID(src, dst)
 	if last, ok := n.lastDeliver[key]; ok && arrival < last {
 		arrival = last
@@ -224,60 +209,6 @@ func (n *Network) Send(src, dst, size int, deliver func()) int {
 	n.lastDeliver[key] = dupAt
 	n.eng.Schedule(dupAt-now, deliver)
 	return 2
-}
-
-// directions for XY routing link identifiers.
-const (
-	dirEast = iota
-	dirWest
-	dirNorth
-	dirSouth
-)
-
-func (n *Network) linkID(node, dir int) int { return node*4 + dir }
-
-// contendedArrival walks the XY route from time now, serializing the message
-// on each link.
-func (n *Network) contendedArrival(now sim.Time, src, dst, size int) sim.Time {
-	flits := sim.Duration((size + n.cfg.FlitBytes - 1) / n.cfg.FlitBytes)
-	if flits == 0 {
-		flits = 1
-	}
-	ser := flits * n.cfg.FlitLatency
-	t := now + n.cfg.BaseLatency
-	cx, cy := n.coord(src)
-	dx, dy := n.coord(dst)
-	step := func(node, dir, nx, ny int) (int, int) {
-		l := n.linkID(node, dir)
-		start := t
-		if free := n.linkFree[l]; free > start {
-			start = free
-		}
-		n.linkFree[l] = start + ser
-		t = start + ser + n.cfg.HopLatency + n.cfg.RouterLatency
-		return nx, ny
-	}
-	node := src
-	for cx != dx {
-		if cx < dx {
-			cx, cy = step(node, dirEast, cx+1, cy)
-		} else {
-			cx, cy = step(node, dirWest, cx-1, cy)
-		}
-		node = cy*n.width + cx
-	}
-	for cy != dy {
-		if cy < dy {
-			cx, cy = step(node, dirSouth, cx, cy+1)
-		} else {
-			cx, cy = step(node, dirNorth, cx, cy-1)
-		}
-		node = cy*n.width + cx
-	}
-	if node == src { // src == dst: still charge serialization
-		t += ser
-	}
-	return t
 }
 
 func (n *Network) checkNode(id int) {

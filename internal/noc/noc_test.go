@@ -9,16 +9,14 @@ import (
 	"repro/internal/sim"
 )
 
-func newNet(t *testing.T, nodes int, contention bool) (*sim.Engine, *Network) {
+func newNet(t *testing.T, nodes int) (*sim.Engine, *Network) {
 	t.Helper()
 	e := sim.NewEngine()
-	cfg := DefaultConfig(nodes)
-	cfg.Contention = contention
-	return e, New(e, cfg)
+	return e, New(e, DefaultConfig(nodes))
 }
 
 func TestHops(t *testing.T) {
-	_, n := newNet(t, 16, false) // 4x4 mesh
+	_, n := newNet(t, 16) // 4x4 mesh
 	cases := []struct{ src, dst, want int }{
 		{0, 0, 0},
 		{0, 1, 1},
@@ -36,7 +34,7 @@ func TestHops(t *testing.T) {
 }
 
 func TestLatencyGrowsWithDistance(t *testing.T) {
-	_, n := newNet(t, 64, false)
+	_, n := newNet(t, 64)
 	near := n.Latency(0, 1, 64)
 	far := n.Latency(0, 63, 64)
 	if near >= far {
@@ -45,7 +43,7 @@ func TestLatencyGrowsWithDistance(t *testing.T) {
 }
 
 func TestLatencyGrowsWithSize(t *testing.T) {
-	_, n := newNet(t, 16, false)
+	_, n := newNet(t, 16)
 	small := n.Latency(0, 5, 16)
 	big := n.Latency(0, 5, 4096)
 	if small >= big {
@@ -54,7 +52,7 @@ func TestLatencyGrowsWithSize(t *testing.T) {
 }
 
 func TestDeliveryTime(t *testing.T) {
-	e, n := newNet(t, 16, false)
+	e, n := newNet(t, 16)
 	var arrived sim.Time
 	n.Send(0, 15, 64, func() { arrived = e.Now() })
 	e.Run()
@@ -66,7 +64,7 @@ func TestDeliveryTime(t *testing.T) {
 func TestPairFIFOWithMixedSizes(t *testing.T) {
 	// A huge message sent first must not be overtaken by a tiny one sent
 	// immediately after, even though the tiny one has lower model latency.
-	e, n := newNet(t, 16, false)
+	e, n := newNet(t, 16)
 	var order []int
 	n.Send(0, 15, 1<<20, func() { order = append(order, 1) })
 	n.Send(0, 15, 1, func() { order = append(order, 2) })
@@ -78,7 +76,7 @@ func TestPairFIFOWithMixedSizes(t *testing.T) {
 
 func TestDifferentPairsMayOvertake(t *testing.T) {
 	// FIFO is per pair: a message on a different pair may overtake.
-	e, n := newNet(t, 16, false)
+	e, n := newNet(t, 16)
 	var order []int
 	n.Send(0, 15, 1<<20, func() { order = append(order, 1) })
 	n.Send(1, 2, 1, func() { order = append(order, 2) })
@@ -88,40 +86,8 @@ func TestDifferentPairsMayOvertake(t *testing.T) {
 	}
 }
 
-func TestContentionSerializesSharedLink(t *testing.T) {
-	// Two messages from the same source over the same first link: the
-	// second must arrive later than it would on an idle network.
-	e, n := newNet(t, 16, true)
-	var first, second sim.Time
-	n.Send(0, 3, 4096, func() { first = e.Now() })
-	n.Send(0, 3, 4096, func() { second = e.Now() })
-	e.Run()
-	if second <= first {
-		t.Fatalf("second=%d first=%d; want serialization", second, first)
-	}
-	// Compare against an idle network.
-	e2, n2 := newNet(t, 16, true)
-	var alone sim.Time
-	n2.Send(0, 3, 4096, func() { alone = e2.Now() })
-	e2.Run()
-	if second <= alone {
-		t.Fatalf("second=%d alone=%d; contention had no effect", second, alone)
-	}
-}
-
-func TestContentionDisjointPathsDoNotInterfere(t *testing.T) {
-	e, n := newNet(t, 16, true)
-	var a, b sim.Time
-	n.Send(0, 1, 4096, func() { a = e.Now() })
-	n.Send(14, 15, 4096, func() { b = e.Now() })
-	e.Run()
-	if a != b {
-		t.Fatalf("disjoint paths a=%d b=%d; want equal", a, b)
-	}
-}
-
 func TestStats(t *testing.T) {
-	e, n := newNet(t, 16, false)
+	e, n := newNet(t, 16)
 	n.Send(0, 15, 100, func() {})
 	n.Send(3, 7, 50, func() {})
 	e.Run()
@@ -138,7 +104,7 @@ func TestStats(t *testing.T) {
 }
 
 func TestSelfSend(t *testing.T) {
-	e, n := newNet(t, 4, false)
+	e, n := newNet(t, 4)
 	done := false
 	n.Send(2, 2, 32, func() { done = true })
 	e.Run()
@@ -148,7 +114,7 @@ func TestSelfSend(t *testing.T) {
 }
 
 func TestInvalidNodePanics(t *testing.T) {
-	e, n := newNet(t, 4, false)
+	e, n := newNet(t, 4)
 	_ = e
 	defer func() {
 		if recover() == nil {
@@ -221,7 +187,7 @@ func (s *scriptedInjector) Inspect(now sim.Time, src, dst, size int) Verdict {
 // TestInjectorDrop: a dropped message never delivers, counts as lost, and
 // still advances the pair's FIFO horizon (the wire consumed it).
 func TestInjectorDrop(t *testing.T) {
-	e, n := newNet(t, 4, false)
+	e, n := newNet(t, 4)
 	inj := &scriptedInjector{verdicts: []Verdict{{Drop: true}, {}}}
 	n.SetInjector(inj)
 	var got []int
@@ -243,7 +209,7 @@ func TestInjectorDrop(t *testing.T) {
 // strictly after the original, and later sends on the pair stay FIFO
 // behind the copy.
 func TestInjectorDup(t *testing.T) {
-	e, n := newNet(t, 4, false)
+	e, n := newNet(t, 4)
 	n.SetInjector(&scriptedInjector{verdicts: []Verdict{{Dup: true}, {}}})
 	var got []int
 	var times []sim.Time
@@ -268,7 +234,7 @@ func TestInjectorDup(t *testing.T) {
 // will run — 0 for a dropped message, 2 for a duplicated one, 1 otherwise
 // (with or without an injector) — and deliver then runs exactly that often.
 func TestSendReportsScheduledDeliveries(t *testing.T) {
-	e, n := newNet(t, 4, false)
+	e, n := newNet(t, 4)
 	ran := 0
 	deliver := func() { ran++ }
 	if got := n.Send(0, 1, 64, deliver); got != 1 {
@@ -289,7 +255,7 @@ func TestSendReportsScheduledDeliveries(t *testing.T) {
 // TestInjectorDelay: injected delay shifts arrival and pushes the FIFO
 // horizon so an undelayed follower cannot overtake.
 func TestInjectorDelay(t *testing.T) {
-	e, n := newNet(t, 4, false)
+	e, n := newNet(t, 4)
 	base := n.Latency(0, 1, 64)
 	n.SetInjector(&scriptedInjector{verdicts: []Verdict{{Delay: 500}, {}}})
 	var first, second sim.Time
@@ -307,7 +273,7 @@ func TestInjectorDelay(t *testing.T) {
 // TestInjectorNilRestoresLossless: clearing the injector restores plain
 // delivery.
 func TestInjectorNilRestoresLossless(t *testing.T) {
-	e, n := newNet(t, 4, false)
+	e, n := newNet(t, 4)
 	n.SetInjector(&scriptedInjector{verdicts: []Verdict{{Drop: true}}})
 	n.SetInjector(nil)
 	delivered := false
@@ -348,7 +314,7 @@ type delivery struct {
 func runScript(t *testing.T) (map[pairKey][]delivery, Stats) {
 	t.Helper()
 	const nodes = 9
-	e, n := newNet(t, nodes, false)
+	e, n := newNet(t, nodes)
 	n.SetInjector(&pairInjector{count: map[pairKey]uint64{}})
 	got := map[pairKey][]delivery{}
 	var send func(id, src, dst, size int)

@@ -148,26 +148,41 @@ func svcName(j int) string { return "m3fs" + trace.Itoa(j) }
 
 func instPrefix(i int) string { return "inst" + trace.Itoa(i) }
 
-// Run executes the experiment and returns its result.
-func Run(cfg Config) (*Result, error) {
+// machine is the machine Run builds for cfg: one user PE per service and per
+// instance, and a memory PE per eight services.
+func (cfg Config) machine() core.Config {
+	return core.Config{
+		Kernels:  cfg.Kernels,
+		UserPEs:  cfg.Services + cfg.Instances,
+		MemPEs:   1 + cfg.Services/8,
+		MemBytes: 1 << 40, // accounting only; backing is lazily allocated
+		Engine:   cfg.Engine,
+	}
+}
+
+// Validate reports what Run refuses before it builds anything: a missing
+// trace, a count that is not positive, or a machine core.Config.Validate
+// rejects.
+func (cfg Config) Validate() error {
 	if cfg.Trace == nil {
-		return nil, errors.New("workload: no trace")
+		return errors.New("workload: no trace")
 	}
 	if cfg.Kernels <= 0 || cfg.Services <= 0 || cfg.Instances <= 0 {
-		return nil, errors.New("workload: kernels, services, instances must be positive")
+		return errors.New("workload: kernels, services, instances must be positive")
+	}
+	return cfg.machine().Validate()
+}
+
+// Run executes the experiment and returns its result.
+func Run(cfg Config) (*Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	extent := cfg.ExtentBytes
 	if extent == 0 {
 		extent = 1 << 20
 	}
-	userPEs := cfg.Services + cfg.Instances
-	sys, err := core.NewSystem(core.Config{
-		Kernels:  cfg.Kernels,
-		UserPEs:  userPEs,
-		MemPEs:   1 + cfg.Services/8,
-		MemBytes: 1 << 40, // accounting only; backing is lazily allocated
-		Engine:   cfg.Engine,
-	})
+	sys, err := core.NewSystem(cfg.machine())
 	if err != nil {
 		return nil, err
 	}

@@ -69,8 +69,8 @@ type (
 	// CostModel holds the calibrated cycle costs.
 	CostModel = core.CostModel
 	// IKCBatching configures the unified inter-kernel transport: which
-	// operation families batch their requests into coalesced
-	// per-destination envelopes, and when the queues flush.
+	// operation families batch their requests and replies into
+	// per-destination envelopes. When queues flush is fixed.
 	IKCBatching = core.IKCBatching
 	// Errno is the system's error code space.
 	Errno = core.Errno
