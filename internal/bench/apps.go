@@ -18,9 +18,9 @@ type Options struct {
 	MaxInstances int
 	// Kernels64 is the "64 kernels" of the paper's sweeps.
 	Kernels64 int
-	// InstanceSteps are the x-axis instance counts, as fractions (x/8) of
-	// MaxInstances*? — concretely the multiples used: 1..8 of
-	// MaxInstances/8.
+	// InstanceSteps are the x-axis instance counts of the efficiency sweeps
+	// (Figures 6-9), ascending and ending at MaxInstances: the multiples 1..8
+	// of MaxInstances/8 at paper scale.
 	InstanceSteps []int
 	// Parallel is the experiment worker-pool size (0 = GOMAXPROCS). Every
 	// experiment configuration runs on its own sim.Engine, so all simulated
@@ -48,7 +48,7 @@ func Quick() Options {
 func (o Options) scaleCfg(k, s int) (int, int) {
 	// Scale kernel/service counts proportionally when running quick.
 	f := o.Kernels64
-	return maxi(1, k*f/64), maxi(1, s*f/64)
+	return max(1, k*f/64), max(1, s*f/64)
 }
 
 // sparseSteps thins the instance axis to the paper's Figures 7-9 x-axis
@@ -64,13 +64,6 @@ func (o Options) sparseSteps() []int {
 		}
 	}
 	return out
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // --- Table 4 ---------------------------------------------------------------

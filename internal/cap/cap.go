@@ -8,15 +8,15 @@
 // kernels; this package only stores and manipulates the local part, while
 // package core runs the distributed protocols on top.
 //
-// Storage layout (beyond-paper scale work): capabilities live in
-// generation-versioned slabs owned by the Store — fixed-size arrays of
-// Capability values addressed by a dense slot number — instead of being
-// individually heap-allocated and map-indexed. The key index is an
-// open-addressing hash over the uint64 DDL key (ddl.KeyMap), per-VPE
-// selector spaces are dense slices, and child links are stored inline in
-// the Capability with spill to a shared chunk arena. At millions of
-// capabilities this removes the per-capability allocations and the three
-// layers of Go map overhead that previously dominated RSS and GC time.
+// Storage layout (beyond-paper scale work): capabilities live in slabs owned
+// by the Store — fixed-size arrays of Capability values addressed by a dense
+// slot number — instead of being individually heap-allocated and
+// map-indexed. The key index is an open-addressing hash over the uint64 DDL
+// key (ddl.KeyMap), per-VPE selector spaces are dense slices, and child
+// links are stored inline in the Capability with spill to a shared chunk
+// arena. At millions of capabilities this removes the per-capability
+// allocations and the three layers of Go map overhead that previously
+// dominated RSS and GC time.
 package cap
 
 import (
@@ -154,9 +154,6 @@ type Capability struct {
 	spillHead  int32
 	spillTail  int32
 
-	// gen is the slot's generation, bumped by Remove; it belongs to the slab
-	// slot, not to the capability, and survives Insert's copy (Handle).
-	gen uint32
 	// Perm restricts the rights of this capability relative to the object.
 	Perm dtu.Perm
 	// Marked is set during phase one of the two-phase revocation
@@ -344,22 +341,11 @@ const (
 
 type slab [slabSize]Capability
 
-// Handle is a dense, generation-versioned reference to a stored capability:
-// the slot's generation counter in the upper 32 bits, the slot number plus
-// one in the lower 32 (so the zero Handle is invalid). A Handle outlives the
-// *Capability pointer safely — once the slot is freed and reused, Resolve
-// returns nil instead of the impostor.
-type Handle uint64
-
-// NoHandle is the invalid handle.
-const NoHandle Handle = 0
-
 // vpeSpace is one VPE's capability space: a dense selector-indexed table of
 // slab slot references (slot+1, 0 = empty) plus the allocation cursor.
 type vpeSpace struct {
 	sel  []uint32
-	free []Selector // freed selectors, reused only with Store.ReuseSelectors
-	next Selector   // highest selector handed out
+	next Selector // highest selector handed out
 	live int
 }
 
@@ -377,13 +363,6 @@ func (sp *vpeSpace) ensure(sel Selector) {
 // by DDL key and by (VPE, selector). Capabilities live in slabs owned by the
 // Store; see the package comment for the layout.
 type Store struct {
-	// ReuseSelectors makes AllocSel reuse selectors freed by Remove instead
-	// of allocating monotonically. The kernels leave it off: monotonic
-	// selectors keep (vpe, selector) pairs unique for the lifetime of a run,
-	// which the exchange protocols' re-validation checks rely on, and keep
-	// bulk revocation order (VPECaps) independent of deletion history.
-	ReuseSelectors bool
-
 	slabs     []*slab
 	freeSlots []uint32 // LIFO free list
 	used      uint32   // high-water slot count
@@ -456,17 +435,14 @@ func (s *Store) space(vpe int) *vpeSpace {
 	return sp
 }
 
-// AllocSel returns a fresh selector for the VPE's capability space:
-// monotonically increasing, or a recycled one with ReuseSelectors set.
+// AllocSel returns a fresh selector for the VPE's capability space.
+// Selectors increase monotonically and are never reused: a (vpe, selector)
+// pair names one capability for the lifetime of a run, which the exchange
+// protocols' re-validation after a round trip relies on (a recycled slab slot
+// can hold a newcomer at the same address), and bulk revocation order
+// (VPECaps) does not depend on deletion history.
 func (s *Store) AllocSel(vpe int) Selector {
 	sp := s.space(vpe)
-	if s.ReuseSelectors {
-		if n := len(sp.free); n > 0 {
-			sel := sp.free[n-1]
-			sp.free = sp.free[:n-1]
-			return sel
-		}
-	}
 	sp.next++
 	return sp.next
 }
@@ -493,9 +469,8 @@ func (s *Store) Insert(c *Capability) *Capability {
 	}
 	slot := s.allocSlot()
 	sc := s.capAt(slot)
-	gen := sc.gen
 	*sc = *c
-	sc.store, sc.slot, sc.gen = s, slot, gen
+	sc.store, sc.slot = s, slot
 	s.byKey.Put(c.Key, slot)
 	if sp != nil {
 		sp.sel[c.Sel] = slot + 1
@@ -531,36 +506,9 @@ func (s *Store) LookupSel(vpe int, sel Selector) *Capability {
 	return s.capAt(ref - 1)
 }
 
-// HandleOf returns the generation-versioned handle of a stored capability,
-// or NoHandle for nil or free-standing capabilities.
-func (s *Store) HandleOf(c *Capability) Handle {
-	if c == nil || c.store != s {
-		return NoHandle
-	}
-	return Handle(uint64(c.gen)<<32 | uint64(c.slot) + 1)
-}
-
-// Resolve returns the capability a handle refers to, or nil if it has been
-// removed since (the slot's generation moved on).
-func (s *Store) Resolve(h Handle) *Capability {
-	if h == NoHandle {
-		return nil
-	}
-	slot := uint32(h) - 1
-	if slot >= s.used {
-		return nil
-	}
-	c := s.capAt(slot)
-	if c.gen != uint32(h>>32) || c.Key == 0 {
-		return nil
-	}
-	return c
-}
-
 // Remove deletes a capability from the database. It does not touch tree
 // links; callers unlink first. Removing an absent key is a no-op. The slab
-// slot is zeroed except for its generation, which is bumped (so the GC drops
-// the object reference and stale handles stop resolving), and slot and spill
+// slot is zeroed (so the GC drops the object reference), and slot and spill
 // chunks return to the free lists.
 func (s *Store) Remove(k ddl.Key) {
 	slot, ok := s.byKey.Get(k)
@@ -575,13 +523,10 @@ func (s *Store) Remove(k ddl.Key) {
 		if sp := s.vpes[c.Owner]; sp != nil && int(c.Sel) < len(sp.sel) && sp.sel[c.Sel] == slot+1 {
 			sp.sel[c.Sel] = 0
 			sp.live--
-			if s.ReuseSelectors {
-				sp.free = append(sp.free, c.Sel)
-			}
 		}
 	}
 	s.byKey.Delete(k)
-	*c = Capability{gen: c.gen + 1}
+	*c = Capability{}
 	s.freeSlots = append(s.freeSlots, slot)
 	s.n--
 }
@@ -627,7 +572,7 @@ func (s *Store) Keys() []ddl.Key {
 //     list;
 //   - selector index, key index and slab agree;
 //   - slab free lists are consistent: every slot is either live and indexed
-//     or zeroed but for its generation and on the free list, exactly once;
+//     or zeroed and on the free list, exactly once;
 //   - child spill chains are well-formed: acyclic, owned by exactly one
 //     capability, sized to the child-slot count, and disjoint from the
 //     chunk free list.
@@ -670,7 +615,7 @@ func (s *Store) CheckLocalInvariants() error {
 			if !freeSlot[slot] {
 				return fmt.Errorf("slot %d is empty but not on the free list", slot)
 			}
-			if *c != (Capability{gen: c.gen}) {
+			if *c != (Capability{}) {
 				return fmt.Errorf("free slot %d not zeroed", slot)
 			}
 			continue

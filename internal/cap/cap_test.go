@@ -188,43 +188,19 @@ func TestFreeStandingChildLimit(t *testing.T) {
 	c.AddChild(g.Next(0, 2, ddl.TypeMem))
 }
 
-// The generation lives in the slot: it survives Insert's copy and Remove's
-// zeroing, so a handle stays stale however often its slot is recycled.
-func TestHandleStaleAcrossSlotReuse(t *testing.T) {
-	s := NewStore()
-	g := ddl.NewGenerator()
-	c := s.Insert(memCap(g, 1, s.AllocSel(1)))
-	old := s.HandleOf(c)
-	for i := 0; i < 4; i++ {
-		s.Remove(c.Key)
-		d := s.Insert(memCap(g, 1, s.AllocSel(1)))
-		if d != c {
-			t.Fatalf("cycle %d: Insert did not recycle the freed slot", i)
-		}
-		if s.Resolve(old) != nil {
-			t.Fatalf("cycle %d: stale handle resolved", i)
-		}
-		if h := s.HandleOf(d); h == old || s.Resolve(h) != d {
-			t.Fatalf("cycle %d: fresh handle %#x does not resolve", i, h)
-		}
-	}
-	if err := s.CheckLocalInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// A freed slot may keep its generation and nothing else.
-func TestFreeSlotKeepsOnlyGeneration(t *testing.T) {
+// A freed slot keeps nothing: the invariant check rejects one that still
+// holds an object or a store back-reference.
+func TestFreeSlotKeepsNothing(t *testing.T) {
 	s := NewStore()
 	g := ddl.NewGenerator()
 	keep := s.Insert(memCap(g, 1, s.AllocSel(1)))
 	c := s.Insert(memCap(g, 1, s.AllocSel(1)))
 	s.Remove(c.Key)
-	if c.gen == 0 {
-		t.Fatal("Remove did not bump the slot's generation")
+	if *c != (Capability{}) {
+		t.Fatalf("Remove left %+v in the freed slot", *c)
 	}
 	if err := s.CheckLocalInvariants(); err != nil {
-		t.Fatalf("freed slot with only a generation rejected: %v", err)
+		t.Fatalf("zeroed free slot rejected: %v", err)
 	}
 	c.Object = keep.Object
 	if s.CheckLocalInvariants() == nil {
@@ -233,35 +209,6 @@ func TestFreeSlotKeepsOnlyGeneration(t *testing.T) {
 	c.Object, c.store = nil, s
 	if s.CheckLocalInvariants() == nil {
 		t.Fatal("freed slot holding a store accepted")
-	}
-}
-
-func TestHandles(t *testing.T) {
-	s := NewStore()
-	g := ddl.NewGenerator()
-	c := s.Insert(memCap(g, 1, s.AllocSel(1)))
-	h := s.HandleOf(c)
-	if h == NoHandle {
-		t.Fatal("stored cap has no handle")
-	}
-	if s.Resolve(h) != c {
-		t.Fatal("Resolve did not return the stored cap")
-	}
-	key := c.Key
-	s.Remove(key)
-	if s.Resolve(h) != nil {
-		t.Fatal("stale handle resolved after Remove")
-	}
-	// Slot reuse must not resurrect the old handle.
-	d := s.Insert(memCap(g, 1, s.AllocSel(1)))
-	if s.Resolve(h) != nil {
-		t.Fatal("stale handle resolved into a reused slot")
-	}
-	if s.Resolve(s.HandleOf(d)) != d {
-		t.Fatal("fresh handle failed")
-	}
-	if s.HandleOf(nil) != NoHandle {
-		t.Fatal("nil cap must have NoHandle")
 	}
 }
 
@@ -376,122 +323,95 @@ func (m *refModel) vpeCaps(vpe int) []*refCap {
 }
 
 // Property: after any sequence of inserts, child links, revoke-unlinks and
-// removes — with and without selector reuse — the slab store agrees with
-// the map-based reference model and its local invariants hold.
+// removes, the slab store agrees with the map-based reference model and its
+// local invariants hold.
 func TestStoreRandomOpsProperty(t *testing.T) {
-	for _, reuse := range []bool{false, true} {
-		f := func(seed int64, n uint16) bool {
-			rng := rand.New(rand.NewSource(seed))
-			s := NewStore()
-			s.ReuseSelectors = reuse
-			g := ddl.NewGenerator()
-			ref := newRefModel()
-			var keys []ddl.Key
-			ops := int(n)%300 + 20
-			for i := 0; i < ops; i++ {
-				switch op := rng.Intn(10); {
-				case op < 6 || len(keys) == 0: // insert, maybe linked under a parent
-					vpe := rng.Intn(4)
-					sel := s.AllocSel(vpe)
-					c := memCap(g, vpe, sel)
-					rc := &refCap{key: c.Key, owner: vpe, sel: sel}
-					if len(keys) > 0 && rng.Intn(2) == 0 {
-						pk := keys[rng.Intn(len(keys))]
-						parent := s.Lookup(pk)
-						rp := ref.caps[pk]
-						c.Parent = pk
-						rc.parent = pk
-						parent.AddChild(c.Key)
-						rp.children = append(rp.children, c.Key)
+	f := func(seed int64, n uint16) bool {
+		rng := rand.New(rand.NewSource(seed))
+		s := NewStore()
+		g := ddl.NewGenerator()
+		ref := newRefModel()
+		var keys []ddl.Key
+		ops := int(n)%300 + 20
+		for i := 0; i < ops; i++ {
+			switch op := rng.Intn(10); {
+			case op < 6 || len(keys) == 0: // insert, maybe linked under a parent
+				vpe := rng.Intn(4)
+				sel := s.AllocSel(vpe)
+				c := memCap(g, vpe, sel)
+				rc := &refCap{key: c.Key, owner: vpe, sel: sel}
+				if len(keys) > 0 && rng.Intn(2) == 0 {
+					pk := keys[rng.Intn(len(keys))]
+					parent := s.Lookup(pk)
+					rp := ref.caps[pk]
+					c.Parent = pk
+					rc.parent = pk
+					parent.AddChild(c.Key)
+					rp.children = append(rp.children, c.Key)
+				}
+				s.Insert(c)
+				ref.insert(rc)
+				keys = append(keys, c.Key)
+			default: // remove with revoke-style unlink from the parent
+				i := rng.Intn(len(keys))
+				k := keys[i]
+				rc := ref.caps[k]
+				if rc.parent != 0 {
+					if p := s.Lookup(rc.parent); p != nil {
+						p.RemoveChild(k)
 					}
-					s.Insert(c)
-					ref.insert(rc)
-					keys = append(keys, c.Key)
-				default: // remove with revoke-style unlink from the parent
-					i := rng.Intn(len(keys))
-					k := keys[i]
-					rc := ref.caps[k]
-					if rc.parent != 0 {
-						if p := s.Lookup(rc.parent); p != nil {
-							p.RemoveChild(k)
-						}
-						if rp := ref.caps[rc.parent]; rp != nil {
-							for j, ch := range rp.children {
-								if ch == k {
-									rp.children = append(rp.children[:j], rp.children[j+1:]...)
-									break
-								}
+					if rp := ref.caps[rc.parent]; rp != nil {
+						for j, ch := range rp.children {
+							if ch == k {
+								rp.children = append(rp.children[:j], rp.children[j+1:]...)
+								break
 							}
 						}
 					}
-					// Orphan the children (their parent link dangles, which
-					// the store tolerates: remote parents look the same).
-					s.Remove(k)
-					ref.remove(k)
-					keys = append(keys[:i], keys[i+1:]...)
 				}
+				// Orphan the children (their parent link dangles, which
+				// the store tolerates: remote parents look the same).
+				s.Remove(k)
+				ref.remove(k)
+				keys = append(keys[:i], keys[i+1:]...)
 			}
-			if s.Len() != len(ref.caps) {
+		}
+		if s.Len() != len(ref.caps) {
+			return false
+		}
+		for k, rc := range ref.caps {
+			c := s.Lookup(k)
+			if c == nil || c.Owner != rc.owner || c.Sel != rc.sel {
 				return false
 			}
-			for k, rc := range ref.caps {
-				c := s.Lookup(k)
-				if c == nil || c.Owner != rc.owner || c.Sel != rc.sel {
+			if s.LookupSel(rc.owner, rc.sel) != c {
+				return false
+			}
+			got := c.AppendChildren(nil)
+			if len(got) != len(rc.children) {
+				return false
+			}
+			for i := range got {
+				if got[i] != rc.children[i] {
 					return false
-				}
-				if s.LookupSel(rc.owner, rc.sel) != c {
-					return false
-				}
-				got := c.AppendChildren(nil)
-				if len(got) != len(rc.children) {
-					return false
-				}
-				for i := range got {
-					if got[i] != rc.children[i] {
-						return false
-					}
 				}
 			}
-			for vpe := 0; vpe < 4; vpe++ {
-				want := ref.vpeCaps(vpe)
-				got := s.VPECaps(vpe)
-				if len(got) != len(want) {
+		}
+		for vpe := 0; vpe < 4; vpe++ {
+			want := ref.vpeCaps(vpe)
+			got := s.VPECaps(vpe)
+			if len(got) != len(want) {
+				return false
+			}
+			for i := range want {
+				if got[i].Key != want[i].key || got[i].Sel != want[i].sel {
 					return false
 				}
-				for i := range want {
-					if got[i].Key != want[i].key || got[i].Sel != want[i].sel {
-						return false
-					}
-				}
 			}
-			return s.CheckLocalInvariants() == nil
 		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-			t.Fatalf("reuse=%v: %v", reuse, err)
-		}
+		return s.CheckLocalInvariants() == nil
 	}
-}
-
-// Selector reuse after free is opt-in and must hand back freed selectors.
-func TestSelectorReuse(t *testing.T) {
-	s := NewStore()
-	s.ReuseSelectors = true
-	g := ddl.NewGenerator()
-	a := s.Insert(memCap(g, 1, s.AllocSel(1)))
-	b := s.Insert(memCap(g, 1, s.AllocSel(1)))
-	if a.Sel != 1 || b.Sel != 2 {
-		t.Fatalf("sels = %d, %d", a.Sel, b.Sel)
-	}
-	s.Remove(a.Key)
-	if sel := s.AllocSel(1); sel != 1 {
-		t.Fatalf("freed selector not reused: got %d", sel)
-	}
-	c := memCap(g, 1, 1)
-	c = s.Insert(c)
-	if s.LookupSel(1, 1) != c {
-		t.Fatal("reused selector does not resolve")
-	}
-	if err := s.CheckLocalInvariants(); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }

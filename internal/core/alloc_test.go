@@ -248,8 +248,8 @@ func TestReplyEnvelopeFlushAllocatesNothing(t *testing.T) {
 func TestPooledEngineRetainsNoMessages(t *testing.T) {
 	pool := sim.NewPool()
 	collected := make(chan struct{})
+	eng := pool.Get()
 	func() {
-		eng := pool.Get()
 		s := MustNew(Config{Kernels: 2, UserPEs: 4, Engine: eng})
 		pes := s.UserPEs()
 		ready := sim.NewFuture[cap.Selector](s.Eng)
@@ -288,9 +288,10 @@ func TestPooledEngineRetainsNoMessages(t *testing.T) {
 		s.Close()
 		pool.Put(eng)
 	}()
-	if pool.Idle() != 1 {
-		t.Fatalf("pool holds %d engines, want 1", pool.Idle())
+	if pool.Get() != eng {
+		t.Fatal("Put did not shelve the engine")
 	}
+	pool.Put(eng)
 	runtime.GC()
 	runtime.GC()
 	select {

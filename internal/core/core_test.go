@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/cap"
@@ -74,7 +75,7 @@ func TestSpawnAndNoop(t *testing.T) {
 func TestGroupAssignment(t *testing.T) {
 	s := newTestSystem(t, 4, 8)
 	for i, k := range s.kernels {
-		g := k.Group()
+		g := k.group
 		if len(g) != 2 {
 			t.Fatalf("kernel %d group size = %d, want 2", i, len(g))
 		}
@@ -116,12 +117,12 @@ func TestThreadPoolSizing(t *testing.T) {
 	// Equation 1: V_group + K_max * M_inflight.
 	s := newTestSystem(t, 2, 10)
 	k := s.Kernel(0)
-	want := len(k.Group()) + MaxKernels*MaxInflight
-	if got := k.ThreadPoolSize(); got != want {
-		t.Fatalf("ThreadPoolSize = %d, want %d", got, want)
+	want := len(k.group) + MaxKernels*MaxInflight
+	if got := k.syscallPool.max + k.ikcPool.max; got != want {
+		t.Fatalf("syscall + ikc threads = %d, want %d", got, want)
 	}
-	if k.syscallPool.max != len(k.Group()) {
-		t.Fatalf("syscall pool max = %d, want %d", k.syscallPool.max, len(k.Group()))
+	if k.syscallPool.max != len(k.group) {
+		t.Fatalf("syscall pool max = %d, want %d", k.syscallPool.max, len(k.group))
 	}
 	if k.ikcPool.max != MaxKernels*MaxInflight {
 		t.Fatalf("ikc pool max = %d", k.ikcPool.max)
@@ -189,6 +190,75 @@ func TestMemCapActivateAndAccess(t *testing.T) {
 	s.Run()
 	if string(got) != "hello" {
 		t.Fatalf("read %q, want hello", got)
+	}
+}
+
+// TestRevokeInvalidatesActivatedEndpoint: a child activates a memory
+// endpoint from an obtained capability and reads through it; once the owner
+// revokes the parent, the child's endpoint is invalid and the read fails —
+// within one PE group and across two.
+func TestRevokeInvalidatesActivatedEndpoint(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		kernels          int
+		ownerPE, childPE int
+	}{
+		{"local", 1, 1, 2},
+		{"spanning", 2, 2, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newTestSystem(t, tc.kernels, 2)
+			ready := sim.NewFuture[cap.Selector](s.Eng)
+			activated := sim.NewFuture[struct{}](s.Eng)
+			revoked := sim.NewFuture[struct{}](s.Eng)
+			owner, err := s.SpawnOn(tc.ownerPE, "owner", func(v *VPE, p *sim.Proc) {
+				sel, err := v.AllocMem(p, 4096, dtu.PermRW)
+				if err != nil {
+					t.Errorf("AllocMem: %v", err)
+					return
+				}
+				ready.Complete(sel)
+				activated.Wait(p)
+				if err := v.Revoke(p, sel); err != nil {
+					t.Errorf("Revoke: %v", err)
+				}
+				revoked.Complete(struct{}{})
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checked := false
+			if _, err := s.SpawnOn(tc.childPE, "child", func(v *VPE, p *sim.Proc) {
+				sel, err := v.ObtainFrom(p, owner.ID, ready.Wait(p))
+				if err != nil {
+					t.Errorf("ObtainFrom: %v", err)
+					return
+				}
+				if err := v.Activate(p, sel, vpeFirstMemEP); err != nil {
+					t.Errorf("Activate: %v", err)
+					return
+				}
+				if _, err := v.DTU().ReadMem(p, vpeFirstMemEP, 0, 16); err != nil {
+					t.Errorf("ReadMem before revoke: %v", err)
+				}
+				activated.Complete(struct{}{})
+				revoked.Wait(p)
+				if _, err := v.DTU().ReadMem(p, vpeFirstMemEP, 0, 16); !errors.Is(err, dtu.ErrBadEndpoint) {
+					t.Errorf("ReadMem after revoke = %v, want %v", err, dtu.ErrBadEndpoint)
+				}
+				if kind := v.DTU().EpKindOf(vpeFirstMemEP); kind != dtu.EpInvalid {
+					t.Errorf("endpoint kind after revoke = %v, want %v", kind, dtu.EpInvalid)
+				}
+				checked = true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			s.Run()
+			if !checked {
+				t.Fatal("the child never got past the revocation")
+			}
+			checkNoLeaks(t, s)
+		})
 	}
 }
 

@@ -593,7 +593,7 @@ func TestExitRevokesEverything(t *testing.T) {
 		obtained.Complete(struct{}{})
 	})
 	s.Run()
-	if !owner.Exited() {
+	if !owner.exited {
 		t.Fatal("owner not exited")
 	}
 	if n := memCapsEverywhere(s); n != 0 {

@@ -209,24 +209,11 @@ func (k *Kernel) ID() int { return k.id }
 // PE returns the kernel PE.
 func (k *Kernel) PE() int { return k.pe }
 
-// Group returns the user PEs managed by this kernel.
-func (k *Kernel) Group() []int { return k.group }
-
 // Stats returns a snapshot of the kernel's counters.
 func (k *Kernel) Stats() KernelStats { return k.stats }
 
-// Incarnation returns the kernel's current incarnation number: 1 unless it
-// crashed and recovered (rejoin.go bumps it at every scripted recovery).
-func (k *Kernel) Incarnation() uint32 { return k.incarnation }
-
 // Store exposes the mapping database for tests and diagnostics.
 func (k *Kernel) Store() *cap.Store { return k.store }
-
-// ThreadPoolSize returns the bound of Equation 1:
-// V_group + K_max * M_inflight.
-func (k *Kernel) ThreadPoolSize() int {
-	return len(k.group) + k.ikcWindow()
-}
 
 // charge spends d cycles of kernel CPU time that the thread owes until it
 // next settles (sim.Proc.Charge): the cycles pass then, and the thread is
@@ -400,7 +387,6 @@ func (k *Kernel) createVPE(v *VPE) {
 		}
 		k.store.Insert(vcap)
 		k.stats.CapsCreated++
-		v.selfSel = vcap.Sel
 		k.releaseCPU(p)
 		v.start()
 	}})

@@ -139,7 +139,6 @@ const (
 	ikcDelegate
 	ikcDelegateAck
 	ikcRevoke
-	ikcRevokeReply // carried as a reply, listed for stats symmetry
 	ikcUnlinkChild
 	ikcSession
 	ikcObtainSess
@@ -154,9 +153,8 @@ const (
 
 func (k ikcKind) String() string {
 	names := [...]string{
-		"obtain", "delegate", "delegate-ack", "revoke", "revoke-reply",
-		"unlink-child", "session", "obtain-sess", "delegate-sess",
-		"revoke-batch", "rejoin",
+		"obtain", "delegate", "delegate-ack", "revoke", "unlink-child",
+		"session", "obtain-sess", "delegate-sess", "revoke-batch", "rejoin",
 	}
 	if int(k) < len(names) {
 		return names[k]

@@ -77,10 +77,10 @@ func TestKernelRejoin(t *testing.T) {
 	if errRecovered != nil {
 		t.Errorf("obtain after recovery failed: %v", errRecovered)
 	}
-	if inc := s.Kernel(1).Incarnation(); inc != 2 {
+	if inc := s.Kernel(1).incarnation; inc != 2 {
 		t.Errorf("recovered kernel incarnation = %d, want 2", inc)
 	}
-	if inc := s.Kernel(0).Incarnation(); inc != 1 {
+	if inc := s.Kernel(0).incarnation; inc != 1 {
 		t.Errorf("surviving kernel incarnation = %d, want 1", inc)
 	}
 	st1 := s.Kernel(1).Stats()

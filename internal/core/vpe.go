@@ -42,8 +42,6 @@ type VPE struct {
 	prog   Program
 	proc   *sim.Proc
 
-	selfSel cap.Selector // selector of the VPE's own control capability
-
 	// OnExchange, if set, decides on incoming exchange requests; the
 	// default accepts everything. It runs as the VPE's exchange handler.
 	OnExchange func(ExchangeQuery) ExchangeAnswer
@@ -78,22 +76,12 @@ type VPE struct {
 
 	exited   bool
 	started  bool
-	doneAt   sim.Time
 	capOps   uint64
 	syscalls uint64
 }
 
 // Kernel returns the kernel managing this VPE.
 func (v *VPE) Kernel() *Kernel { return v.kernel }
-
-// SelfSel returns the selector of the VPE's own control capability.
-func (v *VPE) SelfSel() cap.Selector { return v.selfSel }
-
-// Exited reports whether the VPE has exited (or was killed).
-func (v *VPE) Exited() bool { return v.exited }
-
-// DoneAt returns the virtual time the program finished (0 if running).
-func (v *VPE) DoneAt() sim.Time { return v.doneAt }
 
 // CapOps returns the number of capability operations (obtain, delegate,
 // revoke, session create) this VPE has issued — the paper's Table 4 metric.
@@ -112,12 +100,7 @@ func (v *VPE) start() {
 }
 
 // run is the body of the VPE's proc.
-func (v *VPE) run(p *sim.Proc) {
-	v.prog(v, p)
-	if !v.exited {
-		v.doneAt = p.Now()
-	}
-}
+func (v *VPE) run(p *sim.Proc) { v.prog(v, p) }
 
 // answerExchange runs the VPE's exchange handler (event context; the
 // decision cost is charged by the kernel's query round trip).
@@ -154,9 +137,6 @@ func (v *VPE) syscall(p *sim.Proc, req sysRequest) sysReply {
 	v.dtu.Ack(m)
 	return rep
 }
-
-// Compute models local computation for d cycles.
-func (v *VPE) Compute(p *sim.Proc, d sim.Duration) { p.Sleep(d) }
 
 // TransferData models moving bytes of bulk data over the PE group's shared
 // mesh region: transfers of VPEs in the same group serialize on the link.
@@ -228,7 +208,6 @@ func (v *VPE) Activate(p *sim.Proc, sel cap.Selector, ep int) error {
 func (v *VPE) Exit(p *sim.Proc) {
 	v.syscall(p, sysRequest{Kind: sysExit})
 	v.exited = true
-	v.doneAt = p.Now()
 }
 
 // Noop issues a no-op syscall (used to measure the bare syscall path).

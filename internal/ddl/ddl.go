@@ -237,14 +237,3 @@ func (m *Membership) KernelOfKey(k Key) int { return m.KernelOf(k.PE()) }
 
 // PEs returns the number of PEs covered by the table.
 func (m *Membership) PEs() int { return len(m.kernelOf) }
-
-// Group returns all PEs assigned to the given kernel, in ascending order.
-func (m *Membership) Group(kernel int) []int {
-	var pes []int
-	for pe, k := range m.kernelOf {
-		if k == kernel {
-			pes = append(pes, pe)
-		}
-	}
-	return pes
-}

@@ -199,9 +199,6 @@ type Stats struct {
 	MemWrites     uint64
 	VecDeliveries uint64
 	VecItems      uint64
-	// EPLost breaks Lost down by receive endpoint, so a slot-exhaustion
-	// bug names the channel it starved (syscall EPs vs envelope EPs).
-	EPLost [NumEndpoints]uint64
 }
 
 // DTU is one data transfer unit, attached to PE `pe`.
@@ -270,9 +267,6 @@ func (d *DTU) PE() int { return d.pe }
 // Stats returns a snapshot of the DTU's counters.
 func (d *DTU) Stats() Stats { return d.stats }
 
-// Privileged reports whether this DTU may configure endpoints.
-func (d *DTU) Privileged() bool { return d.privileged }
-
 // Downgrade removes the privileged status. The kernel downgrades all user
 // DTUs during boot; only kernel DTUs stay privileged.
 func (d *DTU) Downgrade() { d.privileged = false }
@@ -286,9 +280,6 @@ func (d *DTU) Memory() []byte {
 	}
 	return d.mem
 }
-
-// MemorySize returns the declared local memory size.
-func (d *DTU) MemorySize() int { return d.memCap }
 
 // configuring endpoints ------------------------------------------------
 
@@ -565,7 +556,6 @@ func (d *DTU) deliver(ep int, msg *Message) {
 	e := d.eps[ep].recv
 	if e == nil || e.used >= e.slots {
 		d.stats.Lost++
-		d.stats.EPLost[ep]++
 		d.fabric.net.CountLost()
 		d.fabric.release(msg)
 		return
@@ -639,7 +629,6 @@ func (d *DTU) deliverVec(ep int, v *vecMeta) {
 	e := d.eps[ep].recv
 	if e == nil || e.used >= e.slots {
 		d.stats.Lost++
-		d.stats.EPLost[ep]++
 		d.fabric.net.CountLost()
 		d.fabric.dropVec(v)
 		return

@@ -422,9 +422,9 @@ func TestVecQueueDeliveryAndSlotRelease(t *testing.T) {
 	}
 }
 
-// TestPerEndpointLossBreakdown: receiver-side drops are attributed to the
-// endpoint whose slots ran out, the per-EP counters sum to the DTU's Lost
-// total, and each drop also reaches the fabric-wide NoC counter.
+// TestPerEndpointLossBreakdown: drops at two endpoints whose slots ran out
+// both count in the DTU's Lost total, and each drop also reaches the
+// fabric-wide NoC counter.
 func TestPerEndpointLossBreakdown(t *testing.T) {
 	e, f := newFabric(t, 4)
 	a, b := f.DTU(0), f.DTU(1)
@@ -440,21 +440,11 @@ func TestPerEndpointLossBreakdown(t *testing.T) {
 	}
 	e.Run()
 	st := b.Stats()
-	if st.EPLost[2] != 2 || st.EPLost[3] != 2 {
-		t.Fatalf("EPLost = [ep2:%d ep3:%d], want [2 2]", st.EPLost[2], st.EPLost[3])
-	}
-	var sum uint64
-	for _, v := range st.EPLost {
-		sum += v
-	}
-	if sum != st.Lost {
-		t.Fatalf("sum(EPLost) = %d, Lost = %d; breakdown must account for every drop", sum, st.Lost)
+	if st.Lost != 4 || st.Received != 3 {
+		t.Fatalf("Lost = %d, Received = %d, want 4 and 3", st.Lost, st.Received)
 	}
 	if got := f.Network().Stats().Lost; got != st.Lost {
 		t.Fatalf("NoC Lost = %d, want %d (receiver drops aggregate fabric-wide)", got, st.Lost)
-	}
-	if st.EPLost[0] != 0 || st.EPLost[1] != 0 {
-		t.Fatalf("untouched endpoints accumulated losses: %v", st.EPLost[:4])
 	}
 }
 
@@ -732,14 +722,14 @@ func BenchmarkDTUWaitReply(b *testing.B) {
 	}
 }
 
-// TestDTUSizeClass pins a DTU to the 1152 B allocation size class. Every PE
+// TestDTUSizeClass pins a DTU to the 1024 B allocation size class. Every PE
 // has one, and most are user PEs that configure two or three of their
 // sixteen endpoints; with the receive state inline in every endpoint a DTU
 // took 3056 B, the 3072 B class. Receive state now sits behind a pointer and
 // the send and memory fields are narrowed, so growing an endpoint by a word
 // costs 128 B per DTU and fails here.
 func TestDTUSizeClass(t *testing.T) {
-	if got := unsafe.Sizeof(DTU{}); got > 1152 {
-		t.Fatalf("unsafe.Sizeof(DTU{}) = %d B, want at most 1152 (its size class)", got)
+	if got := unsafe.Sizeof(DTU{}); got > 1024 {
+		t.Fatalf("unsafe.Sizeof(DTU{}) = %d B, want at most 1024 (its size class)", got)
 	}
 }

@@ -162,7 +162,7 @@ func TestRecycledHandleStartsClean(t *testing.T) {
 		if _, err := big.Read(p, 2<<20); err != nil {
 			t.Error(err)
 		}
-		if n := len(big.RangeCaps()); n != 2 {
+		if n := len(big.ranges); n != 2 {
 			t.Errorf("%d range capabilities after reading two extents, want 2", n)
 		}
 		other, err := c.Open(p, "/small", false, false)
@@ -190,9 +190,9 @@ func TestRecycledHandleStartsClean(t *testing.T) {
 		if again != big {
 			t.Error("the freed descriptor's handle was not reused")
 		}
-		if again.Size() != 100 || again.Pos() != 0 || len(again.RangeCaps()) != 0 {
+		if again.Size() != 100 || again.pos != 0 || len(again.ranges) != 0 {
 			t.Errorf("recycled handle: size %d, pos %d, %d ranges; want 100, 0, 0",
-				again.Size(), again.Pos(), len(again.RangeCaps()))
+				again.Size(), again.pos, len(again.ranges))
 		}
 		if n, err := again.Read(p, 1000); err != nil || n != 100 {
 			t.Errorf("read through the recycled handle = %d, %v", n, err)
@@ -319,7 +319,7 @@ func TestCloseClosesDescriptorWhenRevokeFails(t *testing.T) {
 		if err := f.Close(p, true); err != core.ErrNoSuchCap {
 			t.Errorf("close after unlink returned %v, want %v", err, core.ErrNoSuchCap)
 		}
-		if n := len(f.RangeCaps()); n != 0 {
+		if n := len(f.ranges); n != 0 {
 			t.Errorf("%d ranges left on the closed handle", n)
 		}
 	})
@@ -349,8 +349,8 @@ func TestCloseClosesDescriptorWhenRevokeFails(t *testing.T) {
 func TestPooledEngineRetainsNoFileState(t *testing.T) {
 	pool := sim.NewPool()
 	collected := make(chan struct{})
+	eng := pool.Get()
 	func() {
-		eng := pool.Get()
 		s := core.MustNew(core.Config{Kernels: 1, UserPEs: 2, Engine: eng})
 		ready := sim.NewFuture[*FS](s.Eng)
 		preload := func(fs *FS) {
@@ -389,9 +389,10 @@ func TestPooledEngineRetainsNoFileState(t *testing.T) {
 		s.Close()
 		pool.Put(eng)
 	}()
-	if pool.Idle() != 1 {
-		t.Fatalf("pool holds %d engines, want 1", pool.Idle())
+	if pool.Get() != eng {
+		t.Fatal("Put did not shelve the engine")
 	}
+	pool.Put(eng)
 	runtime.GC()
 	runtime.GC()
 	select {

@@ -19,12 +19,6 @@ type Client struct {
 	v    *core.VPE
 	sess *core.Session
 
-	// DataCyclesPerByte models the time to move one byte of file data
-	// through a memory endpoint against a non-contended memory controller
-	// (the paper's §5.3.1 methodology: data accesses are accounted as
-	// compute time rather than simulated through a memory hierarchy).
-	DataCyclesPerByte float64
-
 	// Prefix, if set, is the directory every path this client names is
 	// relative to (the per-instance namespace of the workloads). It travels
 	// beside the path, so a caller need not join the two per operation.
@@ -36,8 +30,11 @@ type Client struct {
 	files []*File
 }
 
-// DefaultDataCyclesPerByte corresponds to ~16 GB/s per PE at 2 GHz.
-const DefaultDataCyclesPerByte = 0.125
+// dataCyclesPerByte models the time to move one byte of file data through a
+// memory endpoint against a non-contended memory controller (the paper's
+// §5.3.1 methodology: data accesses are accounted as compute time rather
+// than simulated through a memory hierarchy): ~16 GB/s per PE at 2 GHz.
+const dataCyclesPerByte = 0.125
 
 // Dial connects a VPE to the named filesystem service.
 func Dial(p *sim.Proc, v *core.VPE, service string) (*Client, error) {
@@ -45,14 +42,11 @@ func Dial(p *sim.Proc, v *core.VPE, service string) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("m3fs: dial %s: %w", service, err)
 	}
-	return &Client{v: v, sess: sess, DataCyclesPerByte: DefaultDataCyclesPerByte}, nil
+	return &Client{v: v, sess: sess}, nil
 }
 
 // Close closes the session (revoking the session capability).
 func (c *Client) Close(p *sim.Proc) error { return c.sess.Close(p) }
-
-// Session exposes the underlying session (for tests).
-func (c *Client) Session() *core.Session { return c.sess }
 
 // call performs the data-plane request in c.req. The reply is the
 // service's record for this session: valid until the client's next call.
@@ -158,21 +152,8 @@ func (c *Client) Open(p *sim.Proc, path string, create, truncate bool) (*File, e
 // Size returns the file size as of the last server interaction.
 func (f *File) Size() uint64 { return f.size }
 
-// Pos returns the current file position.
-func (f *File) Pos() uint64 { return f.pos }
-
 // Seek sets the file position.
 func (f *File) Seek(pos uint64) { f.pos = pos }
-
-// RangeCaps returns the selectors of all obtained range capabilities in
-// obtain order.
-func (f *File) RangeCaps() []cap.Selector {
-	sels := make([]cap.Selector, 0, len(f.ranges))
-	for _, rc := range f.ranges {
-		sels = append(sels, rc.sel)
-	}
-	return sels
-}
 
 // ensureRange obtains (once) the memory capability covering offset off.
 func (f *File) ensureRange(p *sim.Proc, off uint64) (rangeCap, error) {
@@ -207,7 +188,7 @@ func (f *File) transfer(p *sim.Proc, n uint64) (uint64, error) {
 		if chunk > left {
 			chunk = left
 		}
-		p.Sleep(sim.Duration(float64(chunk) * f.c.DataCyclesPerByte))
+		p.Sleep(sim.Duration(float64(chunk) * dataCyclesPerByte))
 		f.c.v.TransferData(p, chunk)
 		f.pos += chunk
 		left -= chunk

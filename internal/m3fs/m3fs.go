@@ -28,47 +28,38 @@ import (
 	"repro/internal/sim"
 )
 
+// ExtentBytes is the size of one extent: the unit of memory-capability
+// hand-out.
+const ExtentBytes = 1 << 20
+
+// Service costs, in cycles.
+const (
+	// pathWalkCycles is the processing cost of resolving a path on top of
+	// the base request cost.
+	pathWalkCycles sim.Duration = 1800
+	// extentCycles is the per-extent cost of loading a file's extent table
+	// on first open and of allocating new extents on extend. Extent tables
+	// are cached, so re-opens pay only the path walk — the behavior that
+	// lets m3fs sustain file-churn workloads like PostMark.
+	extentCycles sim.Duration = 5000
+	// sessionCycles is the cost of setting up a client session.
+	sessionCycles sim.Duration = 5000
+)
+
 // Config parameterizes a filesystem instance.
 type Config struct {
 	// ServiceName is the name registered in the service directory.
 	ServiceName string
-	// ExtentBytes is the size of one extent (default 1 MiB): the unit of
-	// memory-capability hand-out.
-	ExtentBytes uint64
 	// ImageBytes is the size of the in-memory image (default 16 MiB).
 	ImageBytes uint64
-
-	// PathWalkCycles is the processing cost of resolving a path on top of
-	// the base request cost (default 2000).
-	PathWalkCycles sim.Duration
-	// ExtentCycles is the per-extent cost of loading a file's extent table
-	// on first open and of allocating new extents on extend (default 6500).
-	// Extent tables are cached, so re-opens pay only the path walk — the
-	// behavior that lets m3fs sustain file-churn workloads like PostMark.
-	ExtentCycles sim.Duration
-	// SessionCycles is the cost of setting up a client session (default
-	// 5000).
-	SessionCycles sim.Duration
 }
 
 func (c Config) withDefaults() Config {
 	if c.ServiceName == "" {
 		c.ServiceName = "m3fs"
 	}
-	if c.ExtentBytes == 0 {
-		c.ExtentBytes = 1 << 20
-	}
 	if c.ImageBytes == 0 {
 		c.ImageBytes = 16 << 20
-	}
-	if c.PathWalkCycles == 0 {
-		c.PathWalkCycles = 1800
-	}
-	if c.ExtentCycles == 0 {
-		c.ExtentCycles = 5000
-	}
-	if c.SessionCycles == 0 {
-		c.SessionCycles = 5000
 	}
 	return c
 }
@@ -312,7 +303,7 @@ func (fs *FS) Reserve(files, extents int) {
 
 // ExtentsFor returns how many extents a file of size bytes occupies.
 func (fs *FS) ExtentsFor(size uint64) int {
-	return int((size + fs.cfg.ExtentBytes - 1) / fs.cfg.ExtentBytes)
+	return int((size + ExtentBytes - 1) / ExtentBytes)
 }
 
 // MustMkdirAll creates a directory path in the image (boot time; no
@@ -393,11 +384,11 @@ func (fs *FS) newFile() *fileNode {
 // grow extends a file to newSize, allocating extents from the image.
 func (fs *FS) grow(f *fileNode, newSize uint64) error {
 	for need := fs.ExtentsFor(newSize); len(f.extents) < need; {
-		if fs.nextOff+fs.cfg.ExtentBytes > fs.cfg.ImageBytes {
+		if fs.nextOff+ExtentBytes > fs.cfg.ImageBytes {
 			return core.ErrOutOfMem
 		}
 		f.extents = append(f.extents, fs.nextOff)
-		fs.nextOff += fs.cfg.ExtentBytes
+		fs.nextOff += ExtentBytes
 	}
 	if newSize > f.size {
 		f.size = newSize
@@ -408,7 +399,7 @@ func (fs *FS) grow(f *fileNode, newSize uint64) error {
 // --- service handlers --------------------------------------------------------
 
 func (fs *FS) onOpen(p *sim.Proc, clientVPE int, args any) core.SvcResult {
-	p.Charge(fs.cfg.SessionCycles)
+	p.Charge(sessionCycles)
 	fs.nextSess++
 	ident := fs.nextSess
 	fs.sessions[ident] = &session{ident: ident, client: clientVPE}
@@ -428,7 +419,7 @@ func (fs *FS) onObtain(p *sim.Proc, ident uint64, args any) core.SvcResult {
 	if f == nil {
 		return core.SvcResult{Errno: core.ErrBadArgs}
 	}
-	idx := int(req.Off / fs.cfg.ExtentBytes)
+	idx := int(req.Off / ExtentBytes)
 	if idx >= len(f.extents) {
 		return core.SvcResult{Errno: core.ErrBadArgs}
 	}
@@ -440,7 +431,7 @@ func (fs *FS) onObtain(p *sim.Proc, ident uint64, args any) core.SvcResult {
 	// The capability covers the whole extent: a client appending past it is
 	// "provided with an additional memory capability to the next range"
 	// (paper §5.3.1), not with overlapping re-grants of the same extent.
-	sess.rep = Reply{Off: uint64(idx) * fs.cfg.ExtentBytes, Len: fs.cfg.ExtentBytes}
+	sess.rep = Reply{Off: uint64(idx) * ExtentBytes, Len: ExtentBytes}
 	return core.SvcResult{SrcSel: sel, Reply: &sess.rep}
 }
 
@@ -454,7 +445,7 @@ func (fs *FS) extentCap(p *sim.Proc, f *fileNode, idx int) (cap.Selector, error)
 	if sel, ok := fs.extCaps[key]; ok {
 		return sel, nil
 	}
-	sel, err := fs.v.DeriveMem(p, fs.rootSel, f.extents[idx], fs.cfg.ExtentBytes, dtu.PermRW)
+	sel, err := fs.v.DeriveMem(p, fs.rootSel, f.extents[idx], ExtentBytes, dtu.PermRW)
 	if err != nil {
 		return cap.NoSel, err
 	}
@@ -498,7 +489,7 @@ func (fs *FS) onRequest(p *sim.Proc, ident uint64, args any) any {
 
 func (fs *FS) doOpen(p *sim.Proc, sess *session, req *Request, rep *Reply) {
 	fs.stats.Opens++
-	p.Charge(fs.cfg.PathWalkCycles)
+	p.Charge(pathWalkCycles)
 	parent, name, n := fs.walk(req.Dir, req.Path)
 	f, isFile := n.(*fileNode)
 	switch {
@@ -521,7 +512,7 @@ func (fs *FS) doOpen(p *sim.Proc, sess *session, req *Request, rep *Reply) {
 	}
 	if !f.hot {
 		// First open: load the extent table.
-		p.Charge(fs.cfg.ExtentCycles * sim.Duration(len(f.extents)))
+		p.Charge(extentCycles * sim.Duration(len(f.extents)))
 		f.hot = true
 	}
 	rep.FD, rep.Size = sess.open(f), f.size
@@ -551,7 +542,7 @@ func (fs *FS) revokeExtents(p *sim.Proc, f *fileNode) {
 
 func (fs *FS) doStat(p *sim.Proc, req *Request, rep *Reply) {
 	fs.stats.Stats++
-	p.Charge(fs.cfg.PathWalkCycles)
+	p.Charge(pathWalkCycles)
 	_, _, n := fs.walk(req.Dir, req.Path)
 	switch t := n.(type) {
 	case *fileNode:
@@ -565,7 +556,7 @@ func (fs *FS) doStat(p *sim.Proc, req *Request, rep *Reply) {
 
 func (fs *FS) doMkdir(p *sim.Proc, req *Request) core.Errno {
 	fs.stats.Mkdirs++
-	p.Charge(fs.cfg.PathWalkCycles)
+	p.Charge(pathWalkCycles)
 	parent, name, n := fs.walk(req.Dir, req.Path)
 	if parent == nil {
 		return core.ErrBadArgs
@@ -579,7 +570,7 @@ func (fs *FS) doMkdir(p *sim.Proc, req *Request) core.Errno {
 
 func (fs *FS) doUnlink(p *sim.Proc, req *Request) core.Errno {
 	fs.stats.Unlinks++
-	p.Charge(fs.cfg.PathWalkCycles)
+	p.Charge(pathWalkCycles)
 	parent, name, n := fs.walk(req.Dir, req.Path)
 	f, ok := n.(*fileNode)
 	if !ok {
@@ -592,7 +583,7 @@ func (fs *FS) doUnlink(p *sim.Proc, req *Request) core.Errno {
 
 func (fs *FS) doReaddir(p *sim.Proc, req *Request, rep *Reply) {
 	fs.stats.Readdirs++
-	p.Charge(fs.cfg.PathWalkCycles)
+	p.Charge(pathWalkCycles)
 	_, _, n := fs.walk(req.Dir, req.Path)
 	d, ok := n.(dirNode)
 	if !ok {
@@ -616,6 +607,6 @@ func (fs *FS) doExtend(p *sim.Proc, sess *session, req *Request) core.Errno {
 	if err := fs.grow(f, req.Off); err != nil {
 		return core.ErrOutOfMem
 	}
-	p.Charge(fs.cfg.ExtentCycles * sim.Duration(len(f.extents)-before))
+	p.Charge(extentCycles * sim.Duration(len(f.extents)-before))
 	return core.OK
 }

@@ -29,26 +29,23 @@ func joinedPreload(tr *trace.Trace, prefixes []string) func(*m3fs.FS) {
 }
 
 // configFor sizes an instance for len(prefixes) trees of tr.
-func configFor(tr *trace.Trace, extent uint64, prefixes []string) m3fs.Config {
-	image := tr.Footprint(extent)*uint64(len(prefixes)) + 8<<20
-	return m3fs.Config{ExtentBytes: extent, ImageBytes: image}
+func configFor(tr *trace.Trace, prefixes []string) m3fs.Config {
+	image := tr.Footprint(m3fs.ExtentBytes)*uint64(len(prefixes)) + 8<<20
+	return m3fs.Config{ImageBytes: image}
 }
 
 // TestPreloadMatchesJoinedPaths: for every trace, workload.Preload builds
 // the image the joined-path loop builds — the same directories and files in
 // the same readdir order, the same file ids, sizes and extent offsets, and
-// the same bump-allocator position — with extents smaller and larger than
-// the traces' files.
+// the same bump-allocator position. Tar's 2 MiB files span two extents.
 func TestPreloadMatchesJoinedPaths(t *testing.T) {
 	for _, tr := range trace.All() {
-		for _, extent := range []uint64{64 << 10, 1 << 20} {
-			cfg := configFor(tr, extent, instances)
-			want, got := m3fs.NewFS(cfg, nil), m3fs.NewFS(cfg, nil)
-			joinedPreload(tr, instances)(want)
-			workload.Preload(tr, instances)(got)
-			if g, w := got.Listing(), want.Listing(); g != w {
-				t.Errorf("%s, %d B extents: preload built\n%s\nwant\n%s", tr.Name, extent, g, w)
-			}
+		cfg := configFor(tr, instances)
+		want, got := m3fs.NewFS(cfg, nil), m3fs.NewFS(cfg, nil)
+		joinedPreload(tr, instances)(want)
+		workload.Preload(tr, instances)(got)
+		if g, w := got.Listing(), want.Listing(); g != w {
+			t.Errorf("%s: preload built\n%s\nwant\n%s", tr.Name, g, w)
 		}
 	}
 }
@@ -66,7 +63,7 @@ func TestPreloadAllocationCeiling(t *testing.T) {
 		"tar": 9, "untar": 9, "find": 43, "sqlite": 6, "leveldb": 6, "postmark": 10,
 	}
 	for _, tr := range trace.All() {
-		cfg, preload := configFor(tr, 1<<20, instances[:1]), workload.Preload(tr, instances[:1])
+		cfg, preload := configFor(tr, instances[:1]), workload.Preload(tr, instances[:1])
 		allocs := testing.AllocsPerRun(50, func() { preload(m3fs.NewFS(cfg, nil)) })
 		if allocs > ceiling[tr.Name] {
 			t.Errorf("%s: preloading one instance tree allocates %v times, ceiling %v", tr.Name, allocs, ceiling[tr.Name])
@@ -78,7 +75,7 @@ func TestPreloadAllocationCeiling(t *testing.T) {
 // tree of the postmark trace.
 func BenchmarkPreload(b *testing.B) {
 	tr := trace.PostMark()
-	cfg, preload := configFor(tr, 1<<20, instances[:1]), workload.Preload(tr, instances[:1])
+	cfg, preload := configFor(tr, instances[:1]), workload.Preload(tr, instances[:1])
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -19,38 +19,25 @@ import (
 	"repro/internal/sim"
 )
 
-// Config describes the mesh and its timing parameters. All latencies are in
-// cycles. The zero value of a latency field is legal (that cost is skipped).
+// Config describes the mesh.
 type Config struct {
 	// Nodes is the number of attached PEs. Required.
 	Nodes int
-	// Width is the mesh width; 0 derives a near-square mesh.
-	Width int
-	// BaseLatency is charged once per message (injection + ejection).
-	BaseLatency sim.Duration
-	// HopLatency is the wire latency per hop.
-	HopLatency sim.Duration
-	// RouterLatency is the router pipeline latency per hop.
-	RouterLatency sim.Duration
-	// FlitBytes is the payload carried per flit (default 16).
-	FlitBytes int
-	// FlitLatency is the serialization cost per flit (default 1).
-	FlitLatency sim.Duration
 }
 
-// DefaultConfig returns the timing parameters used throughout the
-// reproduction: a lightweight mesh calibrated against the paper's
-// microbenchmark magnitudes (a few hundred cycles per kernel round trip).
-func DefaultConfig(nodes int) Config {
-	return Config{
-		Nodes:         nodes,
-		BaseLatency:   24,
-		HopLatency:    2,
-		RouterLatency: 3,
-		FlitBytes:     16,
-		FlitLatency:   1,
-	}
-}
+// DefaultConfig returns the configuration of a mesh of nodes PEs.
+func DefaultConfig(nodes int) Config { return Config{Nodes: nodes} }
+
+// Timing of the mesh, in cycles: a lightweight mesh calibrated against the
+// paper's microbenchmark magnitudes (a few hundred cycles per kernel round
+// trip). The mesh is near-square.
+const (
+	baseLatency   sim.Duration = 24 // once per message (injection + ejection)
+	hopLatency    sim.Duration = 2  // wire latency per hop
+	routerLatency sim.Duration = 3  // router pipeline latency per hop
+	flitBytes                  = 16 // payload carried per flit
+	flitLatency   sim.Duration = 1  // serialization cost per flit
+)
 
 // Stats aggregates network activity counters.
 type Stats struct {
@@ -86,10 +73,9 @@ type Injector interface {
 // Network is the mesh instance. It is bound to a sim.Engine and delivers
 // messages by scheduling events.
 type Network struct {
-	eng    *sim.Engine
-	cfg    Config
-	width  int
-	height int
+	eng   *sim.Engine
+	cfg   Config
+	width int
 	// lastDeliver enforces per-pair FIFO ordering.
 	lastDeliver map[uint64]sim.Time
 	stats       Stats
@@ -103,22 +89,14 @@ func New(eng *sim.Engine, cfg Config) *Network {
 	if cfg.Nodes <= 0 {
 		panic("noc: Config.Nodes must be positive")
 	}
-	if cfg.FlitBytes <= 0 {
-		cfg.FlitBytes = 16
+	w := 1
+	for w*w < cfg.Nodes {
+		w++
 	}
-	w := cfg.Width
-	if w <= 0 {
-		w = 1
-		for w*w < cfg.Nodes {
-			w++
-		}
-	}
-	h := (cfg.Nodes + w - 1) / w
 	return &Network{
 		eng:         eng,
 		cfg:         cfg,
 		width:       w,
-		height:      h,
 		lastDeliver: make(map[uint64]sim.Time),
 	}
 }
@@ -151,11 +129,11 @@ func (n *Network) SetInjector(inj Injector) { n.inj = inj }
 // Latency returns the latency of a message of the given size.
 func (n *Network) Latency(src, dst, size int) sim.Duration {
 	hops := sim.Duration(n.Hops(src, dst))
-	flits := sim.Duration((size + n.cfg.FlitBytes - 1) / n.cfg.FlitBytes)
+	flits := sim.Duration((size + flitBytes - 1) / flitBytes)
 	if flits == 0 {
 		flits = 1
 	}
-	return n.cfg.BaseLatency + hops*(n.cfg.HopLatency+n.cfg.RouterLatency) + flits*n.cfg.FlitLatency
+	return baseLatency + hops*(hopLatency+routerLatency) + flits*flitLatency
 }
 
 // Send transmits a message of size bytes from src to dst and invokes deliver
@@ -199,13 +177,9 @@ func (n *Network) Send(src, dst, size int, deliver func()) int {
 	if !v.Dup {
 		return 1
 	}
-	// The duplicate trails the original by at least one cycle so the
+	// The duplicate trails the original by one flit time so the
 	// receiver observes two distinct delivery events in a fixed order.
-	gap := n.cfg.FlitLatency
-	if gap == 0 {
-		gap = 1
-	}
-	dupAt := arrival + gap
+	dupAt := arrival + flitLatency
 	n.lastDeliver[key] = dupAt
 	n.eng.Schedule(dupAt-now, deliver)
 	return 2

@@ -41,11 +41,3 @@ func (f *FIFO[T]) Pop() T {
 	}
 	return v
 }
-
-// TakeAll removes and returns every queued element, oldest first. The
-// caller owns the returned slice: the queue gives up its backing array.
-func (f *FIFO[T]) TakeAll() []T {
-	out := f.items[f.head:]
-	f.items, f.head = nil, 0
-	return out
-}

@@ -2,22 +2,20 @@ package sim
 
 import (
 	"math/rand"
-	"slices"
 	"testing"
 )
 
 // TestFIFOMatchesReferenceSlice drives a FIFO and the idiom it replaces — a
 // plain slice popped with q = q[1:] — with the same random interleaving of
-// push, pop and take-all, in two regimes: one that drains the queue all the
-// time, and one that never lets it fall below a standing backlog, where
-// only sliding can reclaim the dead prefix.
+// push and pop, in two regimes: one that drains the queue all the time, and
+// one that never lets it fall below a standing backlog, where only sliding
+// can reclaim the dead prefix.
 func TestFIFOMatchesReferenceSlice(t *testing.T) {
 	regimes := []struct {
-		name    string
-		floor   int // pops stop here
-		takeAll bool
+		name  string
+		floor int // pops stop here
 	}{
-		{name: "drained", floor: 0, takeAll: true},
+		{name: "drained", floor: 0},
 		{name: "never-drained", floor: 5},
 	}
 	for _, rg := range regimes {
@@ -39,11 +37,6 @@ func TestFIFOMatchesReferenceSlice(t *testing.T) {
 			emptied, maxLen := 0, 0
 			for step := 0; step < 20000; step++ {
 				switch r := rng.Intn(3); {
-				case rg.takeAll && rng.Intn(50) == 0:
-					if got := f.TakeAll(); !slices.Equal(got, ref) {
-						t.Fatalf("step %d: TakeAll returned %d elements, reference holds %d", step, len(got), len(ref))
-					}
-					ref = nil
 				case r == 0 && len(ref) < rg.floor+40:
 					// Bursts make the queue outgrow and re-fill its array.
 					for n := rng.Intn(3) + 1; n > 0; n-- {
@@ -166,8 +159,8 @@ func TestSemaphoreContendedAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
 		t.Fatalf("contended acquire/release allocates %v times per cycle, want 0", allocs)
 	}
-	if held != 201*contenders || sem.Waiting() != 0 || sem.Count() != 1 {
-		t.Fatalf("semaphore not back at rest: held=%d waiting=%d count=%d", held, sem.Waiting(), sem.Count())
+	if held != 201*contenders || sem.waiters.Len() != 0 || sem.Count() != 1 {
+		t.Fatalf("semaphore not back at rest: held=%d waiting=%d count=%d", held, sem.waiters.Len(), sem.Count())
 	}
 }
 

@@ -69,10 +69,3 @@ func (p *Pool) Put(e *Engine) {
 	p.free = append(p.free, e)
 	p.mu.Unlock()
 }
-
-// Idle returns the number of engines currently shelved in the pool.
-func (p *Pool) Idle() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.free)
-}

@@ -70,8 +70,8 @@ func TestPoolRecyclesEngines(t *testing.T) {
 	e1.Schedule(1, func() {})
 	e1.Run()
 	p.Put(e1)
-	if p.Idle() != 1 {
-		t.Fatalf("Idle = %d after Put, want 1", p.Idle())
+	if len(p.free) != 1 {
+		t.Fatalf("%d engines shelved after Put, want 1", len(p.free))
 	}
 	e2 := p.Get()
 	if e2 != e1 {
@@ -81,11 +81,11 @@ func TestPoolRecyclesEngines(t *testing.T) {
 		t.Fatalf("recycled engine not fresh: now=%d pending=%d executed=%d",
 			e2.Now(), e2.Pending(), e2.Executed())
 	}
-	if p.Idle() != 0 {
-		t.Fatalf("Idle = %d after Get, want 0", p.Idle())
+	if len(p.free) != 0 {
+		t.Fatalf("%d engines shelved after Get, want 0", len(p.free))
 	}
 	p.Put(nil) // no-op
-	if p.Idle() != 0 {
+	if len(p.free) != 0 {
 		t.Fatal("Put(nil) shelved something")
 	}
 }

@@ -112,9 +112,6 @@ func NewSemaphore(e *Engine, count int) *Semaphore {
 // Count returns the currently available units.
 func (s *Semaphore) Count() int { return s.count }
 
-// Waiting returns the number of procs parked in Acquire.
-func (s *Semaphore) Waiting() int { return s.waiters.Len() }
-
 // TryAcquire takes one unit if available and reports success.
 func (s *Semaphore) TryAcquire() bool {
 	if s.count > 0 {

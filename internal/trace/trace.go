@@ -379,8 +379,12 @@ func file(prefix byte, i int) string {
 	return string(prefix) + itoa(i)
 }
 
-// Itoa formats a small non-negative integer without importing strconv into
-// hot paths; exported for workload naming.
+// Itoa formats a small non-negative integer; workload naming uses it in
+// place of strconv.Itoa for the allocation it saves. Inlined, its
+// conversion of a stack buffer to a string feeds a concatenation such as
+// "inst" + Itoa(i) without an allocation of its own, so the name costs one
+// allocation; strconv.Itoa allocates its result for n >= 100, which makes
+// two (TestItoa pins the one).
 func Itoa(i int) string { return itoa(i) }
 
 func itoa(i int) string {

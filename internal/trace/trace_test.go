@@ -148,11 +148,19 @@ func TestFootprintCoversWrites(t *testing.T) {
 	}
 }
 
+var (
+	itoaArg  = 511
+	itoaSink string
+)
+
 func TestItoa(t *testing.T) {
 	cases := map[int]string{0: "0", 7: "7", 42: "42", 511: "511"}
 	for n, want := range cases {
 		if got := Itoa(n); got != want {
 			t.Errorf("Itoa(%d) = %q, want %q", n, got, want)
 		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { itoaSink = "inst" + Itoa(itoaArg) }); allocs != 1 {
+		t.Errorf(`"inst" + Itoa(%d) allocates %v times, want 1`, itoaArg, allocs)
 	}
 }

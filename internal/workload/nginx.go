@@ -23,11 +23,6 @@ type NginxConfig struct {
 	Servers  int
 	// Duration is the measurement window in cycles (default 10 ms).
 	Duration sim.Duration
-	// DocBytes is the static file size served per request (default 8 KiB).
-	DocBytes uint64
-	// RequestCompute is the per-request HTTP processing time in cycles
-	// (default 60k ≈ 30 µs, from the shape of the paper's Figure 10).
-	RequestCompute sim.Duration
 	// Engine, when non-nil, is a fresh (or Reset) simulation engine to build
 	// the experiment on; see core.Config.Engine.
 	Engine *sim.Engine
@@ -37,14 +32,16 @@ func (c NginxConfig) withDefaults() NginxConfig {
 	if c.Duration == 0 {
 		c.Duration = 20_000_000 // 10 ms at 2 GHz
 	}
-	if c.DocBytes == 0 {
-		c.DocBytes = 8 << 10
-	}
-	if c.RequestCompute == 0 {
-		c.RequestCompute = 60_000
-	}
 	return c
 }
+
+const (
+	// docBytes is the static file size served per request.
+	docBytes = 8 << 10
+	// requestCompute is the per-request HTTP processing time in cycles
+	// (≈ 30 µs, from the shape of the paper's Figure 10).
+	requestCompute sim.Duration = 60_000
+)
 
 // NginxResult is the outcome of one server-benchmark run.
 type NginxResult struct {
@@ -74,7 +71,7 @@ func RunNginx(cfg NginxConfig) (*NginxResult, error) {
 		return nil, errors.New("workload: kernels, services, servers must be positive")
 	}
 	userPEs := cfg.Services + 2*cfg.Servers // servers + load generators
-	imageBytes := uint64(cfg.Servers)*(cfg.DocBytes+1<<20) + 16<<20
+	imageBytes := uint64(cfg.Servers)*(docBytes+1<<20) + 16<<20
 
 	sys, err := core.NewSystem(core.Config{
 		Kernels:  cfg.Kernels,
@@ -99,11 +96,11 @@ func RunNginx(cfg NginxConfig) (*NginxResult, error) {
 	var allReady sim.WaitGroup
 	allReady.Add(cfg.Services)
 	preload := func(fs *m3fs.FS) {
-		fs.Reserve(cfg.Servers, cfg.Servers*fs.ExtentsFor(cfg.DocBytes))
+		fs.Reserve(cfg.Servers, cfg.Servers*fs.ExtentsFor(docBytes))
 		for i := 0; i < cfg.Servers; i++ {
 			root := "srv" + trace.Itoa(i)
 			fs.MustMkdirAllIn("", root, 1)
-			fs.MustCreateIn(root, "index.html", cfg.DocBytes)
+			fs.MustCreateIn(root, "index.html", docBytes)
 		}
 	}
 	for j := 0; j < cfg.Services; j++ {
@@ -121,7 +118,7 @@ func RunNginx(cfg NginxConfig) (*NginxResult, error) {
 
 	// Servers: set up an rgate, publish its selector, then serve requests.
 	type serverInfo struct {
-		vpe  *VPEHandle
+		vpe  *core.VPE
 		gate cap.Selector
 	}
 	gates := make([]*sim.Future[serverInfo], cfg.Servers)
@@ -146,10 +143,10 @@ func RunNginx(cfg NginxConfig) (*NginxResult, error) {
 			if err != nil {
 				panic(err)
 			}
-			gates[i].Complete(serverInfo{vpe: &VPEHandle{v}, gate: gateSel})
+			gates[i].Complete(serverInfo{vpe: v, gate: gateSel})
 			for {
 				m := v.DTU().Wait(p, serverRgateEP)
-				p.Sleep(cfg.RequestCompute)
+				p.Sleep(requestCompute)
 				// Per-request file activity, as in the recorded trace:
 				// stat, open, read the document, close (revoking).
 				if _, err := client.Stat(p, doc); err != nil {
@@ -159,7 +156,7 @@ func RunNginx(cfg NginxConfig) (*NginxResult, error) {
 				if err != nil {
 					panic(err)
 				}
-				if _, err := f.Read(p, cfg.DocBytes); err != nil {
+				if _, err := f.Read(p, docBytes); err != nil {
 					panic(err)
 				}
 				if err := f.Close(p, true); err != nil {
@@ -185,7 +182,7 @@ func RunNginx(cfg NginxConfig) (*NginxResult, error) {
 		}
 		prog := func(v *core.VPE, p *sim.Proc) {
 			info := gates[i].Wait(p)
-			sendSel, err := v.ObtainFrom(p, info.vpe.V.ID, info.gate)
+			sendSel, err := v.ObtainFrom(p, info.vpe.ID, info.gate)
 			if err != nil {
 				panic(err)
 			}
@@ -223,9 +220,6 @@ func RunNginx(cfg NginxConfig) (*NginxResult, error) {
 	}
 	return &NginxResult{Config: cfg, Requests: after - before, Duration: sys.Now() - start, TotalCapOps: capOps}, nil
 }
-
-// VPEHandle wraps a VPE pointer for futures.
-type VPEHandle struct{ V *core.VPE }
 
 // vpeServiceReplyEPForLoadgen is the load generator's reply endpoint (the
 // standard service-reply endpoint is unused by load generators).

@@ -20,8 +20,6 @@ type Config struct {
 	Services  int
 	Instances int
 	Trace     *trace.Trace
-	// ExtentBytes overrides the filesystem extent size (default 1 MiB).
-	ExtentBytes uint64
 	// Engine, when non-nil, is a fresh (or Reset) simulation engine to build
 	// the experiment on; see core.Config.Engine. One Run consumes it (Run
 	// kills the engine on return), so it must not be shared across Runs
@@ -178,10 +176,6 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	extent := cfg.ExtentBytes
-	if extent == 0 {
-		extent = 1 << 20
-	}
 	sys, err := core.NewSystem(cfg.machine())
 	if err != nil {
 		return nil, err
@@ -194,7 +188,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	// Image sizing: footprint per instance times the largest per-service
 	// assignment, plus slack.
-	perInst := cfg.Trace.Footprint(extent)
+	perInst := cfg.Trace.Footprint(m3fs.ExtentBytes)
 	maxPerSvc := 1
 	for _, insts := range pl.instOfSvc {
 		maxPerSvc = max(maxPerSvc, len(insts))
@@ -217,7 +211,7 @@ func Run(cfg Config) (*Result, error) {
 		for _, i := range pl.instOfSvc[j] {
 			prefixes = append(prefixes, instPrefix(i))
 		}
-		fscfg := m3fs.Config{ServiceName: svcName(j), ExtentBytes: extent, ImageBytes: imageBytes}
+		fscfg := m3fs.Config{ServiceName: svcName(j), ImageBytes: imageBytes}
 		if _, err := sys.SpawnOn(pe, svcName(j), m3fs.Program(fscfg, Preload(cfg.Trace, prefixes), ready[j])); err != nil {
 			return nil, err
 		}
@@ -268,33 +262,6 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	return res, nil
-}
-
-// ParallelEfficiency runs the experiment twice — once with a single
-// instance, once with cfg.Instances — and returns the parallel efficiency
-// t_alone / t_parallel (paper §5.3.1: "In a perfectly scaling system, a
-// benchmark instance will have the same execution time when running alone
-// as when running with other instances in parallel").
-func ParallelEfficiency(cfg Config) (eff float64, alone, parallel sim.Duration, err error) {
-	// Two Runs: a caller-provided engine could serve at most one of them, so
-	// both build their own.
-	cfg.Engine = nil
-	one := cfg
-	one.Instances = 1
-	r1, err := Run(one)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	rn, err := Run(cfg)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	alone = r1.MeanRuntime()
-	parallel = rn.MeanRuntime()
-	if parallel == 0 {
-		return 0, alone, parallel, errors.New("workload: zero parallel runtime")
-	}
-	return float64(alone) / float64(parallel), alone, parallel, nil
 }
 
 // SystemEfficiency weights parallel efficiency by the fraction of PEs doing

@@ -53,47 +53,6 @@ func TestPlacementPrefersLocalService(t *testing.T) {
 	}
 }
 
-func TestParallelEfficiencyDegrades(t *testing.T) {
-	// More instances per kernel/service must not *increase* efficiency;
-	// with heavy sharing it must drop below 1.
-	cfg := Config{Kernels: 2, Services: 2, Instances: 16, Trace: trace.PostMark()}
-	eff, alone, parallel, err := ParallelEfficiency(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if alone == 0 || parallel == 0 {
-		t.Fatal("zero runtimes")
-	}
-	if eff > 1.001 {
-		t.Fatalf("efficiency %.3f > 1", eff)
-	}
-	if eff < 0.05 {
-		t.Fatalf("efficiency %.3f implausibly low", eff)
-	}
-	if parallel < alone {
-		t.Fatalf("parallel runtime %d < alone %d", parallel, alone)
-	}
-}
-
-func TestMoreKernelsHelp(t *testing.T) {
-	// The paper's kernel-dependence result (Fig. 8): with a fixed instance
-	// count, more kernels must not hurt parallel efficiency.
-	base := Config{Kernels: 1, Services: 1, Instances: 12, Trace: trace.PostMark()}
-	eff1, _, _, err := ParallelEfficiency(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base.Kernels = 4
-	base.Services = 4
-	eff4, _, _, err := ParallelEfficiency(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eff4 < eff1 {
-		t.Fatalf("efficiency fell from %.3f (1K/1S) to %.3f (4K/4S)", eff1, eff4)
-	}
-}
-
 func TestSystemEfficiency(t *testing.T) {
 	// Weighted by application PEs over total PEs.
 	if got := SystemEfficiency(1.0, 2, 2, 12); got != 12.0/16.0 {
@@ -123,20 +82,6 @@ func TestNginxRuns(t *testing.T) {
 	}
 	if res.RequestsPerSecond() <= 0 {
 		t.Fatal("zero request rate")
-	}
-}
-
-func TestNginxScalesWithServers(t *testing.T) {
-	small, err := RunNginx(NginxConfig{Kernels: 2, Services: 2, Servers: 2, Duration: 4_000_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, err := RunNginx(NginxConfig{Kernels: 2, Services: 2, Servers: 6, Duration: 4_000_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if big.Requests <= small.Requests {
-		t.Fatalf("6 servers (%d reqs) not faster than 2 (%d reqs)", big.Requests, small.Requests)
 	}
 }
 
