@@ -40,6 +40,14 @@ const NoSel Selector = 0
 
 // Object is the kernel object a capability grants access to. Implementations
 // are the *Object types below.
+//
+// An object is immutable once constructed: no field is assigned after its
+// composite literal. Kernels therefore share objects by reference — a child
+// capability, an obtained or delegated capability on another kernel, and an
+// activation that captures the object across a NoC round trip all hold the
+// same pointer, where the paper's kernels copy a fixed-format value. That is
+// also what lets package core carve memory objects out of shared chunks
+// with no recycling: a slot is never written twice.
 type Object interface {
 	// ObjType returns the DDL type tag for this object.
 	ObjType() ddl.Type

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/cap"
+	"repro/internal/ddl"
 	"repro/internal/dtu"
 	"repro/internal/sim"
 )
@@ -63,16 +64,12 @@ func BenchmarkNoopSyscall(b *testing.B) {
 	}
 }
 
-// BenchmarkDeriveSyscall is one local DeriveMem per op: the syscall round
-// trip of BenchmarkNoopSyscall plus a five-term CPU-held stretch in the
-// kernel (dispatch, lookup, link, create, reply) that the thread charges and
-// settles once (TestOperationEventsAndResumes pins the switch count). The
-// children accumulate under one root; the table growth is part of the op.
-func BenchmarkDeriveSyscall(b *testing.B) {
+// deriveStepper is one local DeriveMem per step on a one-kernel machine; the
+// first step allocates the root, and the children accumulate under it.
+func deriveStepper(tb testing.TB) (*System, func()) {
 	s := MustNew(Config{Kernels: 1, UserPEs: 1})
-	defer s.Close()
 	root := cap.NoSel
-	step := stepVPE(b, s, s.UserPEs()[0], func(v *VPE, p *sim.Proc) {
+	return s, stepVPE(tb, s, s.UserPEs()[0], func(v *VPE, p *sim.Proc) {
 		var err error
 		if root == cap.NoSel {
 			root, err = v.AllocMem(p, 1<<20, dtu.PermRW)
@@ -80,9 +77,31 @@ func BenchmarkDeriveSyscall(b *testing.B) {
 			_, err = v.DeriveMem(p, root, 0, 4096, dtu.PermR)
 		}
 		if err != nil {
-			b.Error(err)
+			tb.Error(err)
 		}
 	})
+}
+
+// mallocs is the number of heap allocations made while f runs. The caller
+// pins GOMAXPROCS to 1 for the measurement, as testing.AllocsPerRun does, or
+// the runtime's background work on other Ps is counted too.
+func mallocs(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// BenchmarkDeriveSyscall is one local DeriveMem per op: the syscall round
+// trip of BenchmarkNoopSyscall plus a five-term CPU-held stretch in the
+// kernel (dispatch, lookup, link, create, reply) that the thread charges and
+// settles once (TestOperationEventsAndResumes pins the switch count). The
+// table growth is part of the op (TestDeriveAllocationCeiling pins the
+// allocations).
+func BenchmarkDeriveSyscall(b *testing.B) {
+	s, step := deriveStepper(b)
+	defer s.Close()
 	step()
 	step()
 	b.ReportAllocs()
@@ -90,6 +109,182 @@ func BenchmarkDeriveSyscall(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		step()
 	}
+}
+
+// TestDeriveAllocationCeiling bounds what a warmed local derive allocates:
+// its memory object is a slot in the machine's current chunk
+// (System.newMemObject), 1/64 of a malloc, and the capability is copied
+// into the store's slab; the rest is the amortized growth of the slabs, the
+// key map and the selector space under the one root. The warm-up ends on a
+// chunk boundary, so the 640 derives take exactly ten chunks, and the
+// measured 32 mallocs are those plus 22 growth steps. A derive allocated a
+// whole object of its own, 1 per op, before objects came in chunks. The
+// ceiling is the measured average, with and without the race detector.
+func TestDeriveAllocationCeiling(t *testing.T) {
+	const ceiling, runs = 0.05, 10 * memObjChunk
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s, step := deriveStepper(t)
+	defer s.Close()
+	for i := 0; i < 2*memObjChunk; i++ { // the root and 127 children
+		step()
+	}
+	total := mallocs(func() {
+		for i := 0; i < runs; i++ {
+			step()
+		}
+	})
+	if allocs := float64(total) / runs; allocs > ceiling {
+		t.Fatalf("a warmed local derive allocates %v times, ceiling %v", allocs, ceiling)
+	}
+	checkAllInvariants(t, s)
+}
+
+// TestMemObjectsAcrossChunks: the memory objects of both kernels of a
+// machine come out of one chunk sequence (System.newMemObject), and a slot
+// is never shared by two objects. VPEs on the two kernels take turns over
+// 3×64+1 derives, each of a region no other derive has, which fills three
+// chunks and opens a fourth. Every child holds its own region, no two
+// separately minted capabilities share an object, and an obtained
+// capability shares its parent's object by design. After the revoke of one
+// VPE's root, a collection and more derives, an endpoint activated from a
+// surviving capability still reaches exactly its own region.
+func TestMemObjectsAcrossChunks(t *testing.T) {
+	const derives = 3*memObjChunk + 1
+	s := newTestSystem(t, 2, 2)
+	pes := s.UserPEs()
+	var job func(v *VPE, p *sim.Proc)
+	var ids [2]int
+	var steps [2]func()
+	for i, pe := range pes {
+		steps[i] = stepVPE(t, s, pe, func(v *VPE, p *sim.Proc) {
+			ids[i] = v.ID
+			job(v, p)
+		})
+	}
+	run := func(i int, f func(v *VPE, p *sim.Proc) error) {
+		t.Helper()
+		job = func(v *VPE, p *sim.Proc) {
+			if err := f(v, p); err != nil {
+				t.Errorf("VPE %d: %v", v.ID, err)
+			}
+		}
+		steps[i]()
+		if t.Failed() {
+			t.FailNow()
+		}
+	}
+	lookup := func(i int, sel cap.Selector) *cap.Capability {
+		c := s.KernelOfPE(pes[i]).store.LookupSel(ids[i], sel)
+		if c == nil {
+			t.Fatalf("VPE %d has no capability at selector %d", ids[i], sel)
+		}
+		return c
+	}
+	memObj := func(i int, sel cap.Selector) *cap.MemObject { return lookup(i, sel).Object.(*cap.MemObject) }
+
+	var roots [2]cap.Selector
+	for i := range roots {
+		run(i, func(v *VPE, p *sim.Proc) (err error) {
+			roots[i], err = v.AllocMem(p, 1<<20, dtu.PermRW)
+			return err
+		})
+	}
+	type child struct {
+		vpe       int
+		sel       cap.Selector
+		off, size uint64
+	}
+	derive := func(i, n int) child {
+		c := child{vpe: i, off: uint64(n) * 1024, size: 64 + uint64(n)}
+		run(i, func(v *VPE, p *sim.Proc) (err error) {
+			c.sel, err = v.DeriveMem(p, roots[i], c.off, c.size, dtu.PermR)
+			return err
+		})
+		return c
+	}
+	var children []child
+	for n := 0; n < derives; n++ {
+		children = append(children, derive(n%2, n))
+	}
+	check := func(cs []child) {
+		t.Helper()
+		for _, c := range cs {
+			root := memObj(c.vpe, roots[c.vpe])
+			want := cap.MemObject{PE: root.PE, Off: root.Off + c.off, Size: c.size, Perm: dtu.PermR}
+			if got := *memObj(c.vpe, c.sel); got != want {
+				t.Fatalf("child at offset %d holds %+v, want %+v", c.off, got, want)
+			}
+		}
+	}
+	check(children)
+	owners := make(map[*cap.MemObject]ddl.Key)
+	for _, k := range s.kernels {
+		for _, key := range k.store.Keys() {
+			if mo, ok := k.store.Lookup(key).Object.(*cap.MemObject); ok {
+				if prev, dup := owners[mo]; dup {
+					t.Fatalf("capabilities %v and %v share one object", prev, key)
+				}
+				owners[mo] = key
+			}
+		}
+	}
+
+	// A spanning obtain: the child on kernel 1 shares its parent's object.
+	parent := children[0]
+	var obtained cap.Selector
+	run(1, func(v *VPE, p *sim.Proc) (err error) {
+		obtained, err = v.ObtainFrom(p, ids[0], parent.sel)
+		return err
+	})
+	if got, want := lookup(1, obtained), lookup(0, parent.sel); got.Object != want.Object || got.Parent != want.Key {
+		t.Fatalf("obtained capability holds object %p under parent %v, want %p under %v",
+			got.Object, got.Parent, want.Object, want.Key)
+	}
+
+	// Revoke VPE 0's tree, collect, and mint a chunk's worth more on kernel 1.
+	run(0, func(v *VPE, p *sim.Proc) error { return v.Revoke(p, roots[0]) })
+	runtime.GC()
+	var survivors []child
+	for _, c := range children {
+		if c.vpe == 1 {
+			survivors = append(survivors, c)
+		}
+	}
+	for n := derives; n < derives+memObjChunk; n++ {
+		survivors = append(survivors, derive(1, n))
+	}
+	check(survivors)
+	if got, want := memCapsEverywhere(s), 1+len(survivors); got != want {
+		t.Fatalf("%d memory capabilities left, want %d", got, want)
+	}
+
+	// The first surviving child reads, through its own endpoint, what was
+	// written through its root's at its offset, and not a byte past its size.
+	c := survivors[0]
+	run(1, func(v *VPE, p *sim.Proc) error {
+		if err := v.Activate(p, roots[1], vpeFirstMemEP); err != nil {
+			return err
+		}
+		if err := v.Activate(p, c.sel, vpeFirstMemEP+1); err != nil {
+			return err
+		}
+		if err := v.DTU().WriteMem(p, vpeFirstMemEP, c.off, []byte("chunked")); err != nil {
+			return err
+		}
+		got, err := v.DTU().ReadMem(p, vpeFirstMemEP+1, 0, 7)
+		if err != nil {
+			return err
+		}
+		if string(got) != "chunked" {
+			t.Errorf("child endpoint read %q, want %q", got, "chunked")
+		}
+		if _, err := v.DTU().ReadMem(p, vpeFirstMemEP+1, 0, c.size+1); err == nil {
+			t.Errorf("child endpoint reads past its %d bytes", c.size)
+		}
+		return nil
+	})
+	checkAllInvariants(t, s)
+	checkNoLeaks(t, s)
 }
 
 // TestObtainAllocationCeilings bounds what an obtain still allocates, so
@@ -307,6 +502,7 @@ func TestPooledEngineRetainsNoMessages(t *testing.T) {
 // free list, and the syscall thread parks on its record.
 func TestTreeRevokeAllocationCeiling(t *testing.T) {
 	const ceiling = 0
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	s := MustNew(Config{Kernels: 1, UserPEs: 1})
 	defer s.Close()
 	var root, mid cap.Selector
@@ -337,11 +533,7 @@ func TestTreeRevokeAllocationCeiling(t *testing.T) {
 		plant = true
 		step()
 		plant = false
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		step()
-		runtime.ReadMemStats(&after)
-		return after.Mallocs - before.Mallocs
+		return mallocs(step)
 	}
 	for i := 0; i < 8; i++ {
 		round()
@@ -367,6 +559,7 @@ func TestTreeRevokeAllocationCeiling(t *testing.T) {
 // ceiling is the measured count, with and without the race detector.
 func TestSpanningRevokeAllocationCeiling(t *testing.T) {
 	const ceiling = 5
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	s := MustNew(Config{Kernels: 2, UserPEs: 4})
 	defer s.Close()
 	pes := s.UserPEs()
@@ -399,11 +592,7 @@ func TestSpanningRevokeAllocationCeiling(t *testing.T) {
 		owner()
 		far()
 		revoking = true
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		owner()
-		runtime.ReadMemStats(&after)
-		return after.Mallocs - before.Mallocs
+		return mallocs(owner)
 	}
 	for i := 0; i < 8; i++ {
 		round()

@@ -100,7 +100,7 @@ func (k *Kernel) sysAllocMem(p *sim.Proc, req *sysRequest) sysReply {
 		Key:    k.mintKey(v.PE, v.ID, ddl.TypeMem),
 		Owner:  v.ID,
 		Sel:    k.store.AllocSel(v.ID),
-		Object: &cap.MemObject{PE: pe, Off: off, Size: req.Size, Perm: req.Perm},
+		Object: k.sys.newMemObject(cap.MemObject{PE: pe, Off: off, Size: req.Size, Perm: req.Perm}),
 		Perm:   req.Perm,
 	}
 	k.insertCap(p, c)
@@ -134,7 +134,7 @@ func (k *Kernel) sysDeriveMem(p *sim.Proc, req *sysRequest) sysReply {
 		Key:    k.mintKey(v.PE, v.ID, ddl.TypeMem),
 		Owner:  v.ID,
 		Sel:    k.store.AllocSel(v.ID),
-		Object: &cap.MemObject{PE: mo.PE, Off: mo.Off + req.Off, Size: req.Size, Perm: req.Perm},
+		Object: k.sys.newMemObject(cap.MemObject{PE: mo.PE, Off: mo.Off + req.Off, Size: req.Size, Perm: req.Perm}),
 		Perm:   req.Perm,
 		Parent: parent.Key,
 	}

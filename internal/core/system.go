@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/cap"
 	"repro/internal/ddl"
 	"repro/internal/dtu"
 	"repro/internal/fault"
@@ -119,6 +120,10 @@ type System struct {
 	// wires are the released inter-kernel legs awaiting reuse (ikc.go,
 	// ikcWire).
 	wires []*ikcWire
+
+	// memObjs is the unused tail of the current memory-object chunk
+	// (newMemObject).
+	memObjs []cap.MemObject
 
 	// vpeProcNameFn is vpeProcName, bound once for every VPE's SpawnLazy.
 	vpeProcNameFn func(id int) string
@@ -270,6 +275,24 @@ func (s *System) allocDRAM(size uint64) (pe int, off uint64, err error) {
 		}
 	}
 	return 0, 0, errors.New("core: out of DRAM")
+}
+
+// memObjChunk is how many memory objects one allocation serves.
+const memObjChunk = 64
+
+// newMemObject returns a pointer to a copy of o in the machine's current
+// chunk of memory objects, starting a new chunk when that one is used up.
+// Objects are immutable (cap.Object), so a slot is never reused: a chunk is
+// garbage once none of its objects is referenced. One chunk serves every
+// kernel of the machine, since only one proc runs at a time.
+func (s *System) newMemObject(o cap.MemObject) *cap.MemObject {
+	if len(s.memObjs) == 0 {
+		s.memObjs = make([]cap.MemObject, memObjChunk)
+	}
+	obj := &s.memObjs[0]
+	*obj = o
+	s.memObjs = s.memObjs[1:]
+	return obj
 }
 
 // FaultStats returns the fault injector's counters (zero without a plan).
