@@ -298,7 +298,7 @@ func ikcKind(batched core.IKCBatching, drive fanoutDriver) kindFunc {
 		if failed != 0 {
 			return Metrics{}, nil, fmt.Errorf("%d of %d operations failed on a lossless fabric", failed, n)
 		}
-		return ikcMetrics(sys, makespan), nil, quiescent(sys)
+		return ikcMetrics(sys, makespan), nil, audit(sys)
 	}
 }
 

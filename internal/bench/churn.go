@@ -19,8 +19,9 @@ import (
 // drops 1% of the traffic and crashes one kernel, which later recovers and
 // rejoins as a new incarnation. The run must drain (no hangs), the
 // completion fractions are exact functions of (seed, plan) — byte-identical
-// at any -parallel — and afterwards core.System.CheckLeaks must find no
-// capability or DDL state owned by the dead incarnation.
+// at any -parallel — and afterwards core.System.Audit must find the machine
+// quiescent, its tables sound and no capability or DDL state owned by the
+// dead incarnation.
 
 const (
 	// churnSlots is the number of slot capabilities the root serves;
@@ -43,22 +44,17 @@ const (
 	churnRecoverAt sim.Time = 400_000
 )
 
-// churnAux is the side data of one churn run.
+// churnAux is the side data of one churn run: the operation outcomes, the
+// machine's summed kernel counters and the injector's, and the mean
+// duration of a completed rejoin handshake.
 type churnAux struct {
 	ObtainsAttempted int
 	ObtainsOK        int
 	RevokesAttempted int
 	RevokesOK        int
-	Retransmits      uint64
-	DupSuppressed    uint64
-	FailFast         uint64
-	DeadPeers        uint64
-	Rejoins          uint64
+	core.KernelStats
+	fault.Stats
 	MeanRejoinCycles uint64
-	StaleIncarnation uint64
-	InjDropped       uint64
-	InjBlackholed    uint64
-	CapsCreated      uint64
 }
 
 func (a churnAux) capsMinted() uint64 { return a.CapsCreated }
@@ -157,28 +153,15 @@ func runChurnSpec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 	}
 	sys, mk, aux := churnStorm(eng, n, extra, plan)
 	defer sys.Close()
-	st := sys.TotalStats()
-	fs := sys.FaultStats()
-	var meanRejoin uint64
-	if st.Rejoins > 0 {
-		meanRejoin = uint64(st.RejoinCycles) / st.Rejoins
-	}
 	// Post-storm audit: the crashed kernel recovered, so no kernel is
 	// excused — every capability, child link and DDL entry must have a live,
 	// consistent owner.
-	if err := leakFree(sys); err != nil {
+	if err := audit(sys); err != nil {
 		return Metrics{}, nil, err
 	}
-	aux.Retransmits = st.Retransmits
-	aux.DupSuppressed = st.DupSuppressed
-	aux.FailFast = st.FailFast
-	aux.DeadPeers = st.DeadPeers
-	aux.Rejoins = st.Rejoins
-	aux.MeanRejoinCycles = meanRejoin
-	aux.StaleIncarnation = st.StaleIncarnation
-	aux.InjDropped = fs.Dropped
-	aux.InjBlackholed = fs.Blackholed
-	aux.CapsCreated = st.CapsCreated
+	st := sys.TotalStats()
+	aux.KernelStats, aux.Stats = st, sys.FaultStats()
+	aux.MeanRejoinCycles = meanCycles(st.RejoinCycles, st.Rejoins)
 	attempted := aux.ObtainsAttempted + aux.RevokesAttempted
 	ok := aux.ObtainsOK + aux.RevokesOK
 	m := Metrics{

@@ -49,7 +49,7 @@ func TestChurnStorm(t *testing.T) {
 			if row.Aux.MeanRejoinCycles == 0 {
 				t.Errorf("storm at %dbp: rejoin recorded no cycles", row.DropBp)
 			}
-			if row.Aux.InjBlackholed == 0 {
+			if row.Aux.Blackholed == 0 {
 				t.Errorf("storm at %dbp: nothing blackholed — crash window missed the storm", row.DropBp)
 			}
 			// Post-recovery arrivals must reach the rejoined fabric: the

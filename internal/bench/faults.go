@@ -49,32 +49,27 @@ func faultsPlan(seed uint64, dropBp int) *fault.Plan {
 }
 
 // faultsAux is the side data of one faults run: the full reliability and
-// injection picture behind the report row's headline columns.
+// injection picture behind the report row's headline columns — the
+// machine's summed kernel counters and the injector's, and two means.
 type faultsAux struct {
-	Attempted       int
-	Succeeded       int
-	Retransmits     uint64
-	DupSuppressed   uint64
-	ReplayedReplies uint64
-	LateReplies     uint64
-	FailFast        uint64
-	DeadPeers       uint64
-	Recovered       uint64
+	Attempted int
+	Succeeded int
+	core.KernelStats
+	fault.Stats
 	// MeanRecoveryCycles is the average first-send→completion time of
-	// transmissions that needed at least one retransmit.
+	// transmissions that needed at least one retransmit; MeanRejoinCycles
+	// the mean duration of a completed rejoin handshake (zero on rows
+	// without a recovery).
 	MeanRecoveryCycles uint64
-	InjDropped         uint64
-	InjDuplicated      uint64
-	InjDelayed         uint64
-	InjBlackholed      uint64
-	CapsCreated        uint64
-	// Rejoins/MeanRejoinCycles/StaleIncarnation cover the crash+recover
-	// scenario: completed rejoin handshakes, their mean duration, and
-	// dead-incarnation traffic rejected by the incarnation gate. Zero on
-	// rows without a recovery.
-	Rejoins          uint64
-	MeanRejoinCycles uint64
-	StaleIncarnation uint64
+	MeanRejoinCycles   uint64
+}
+
+// meanCycles is sum/n, or 0 when n is 0.
+func meanCycles(sum sim.Duration, n uint64) uint64 {
+	if n == 0 {
+		return 0
+	}
+	return uint64(sum) / n
 }
 
 func (a faultsAux) capsMinted() uint64 { return a.CapsCreated }
@@ -129,23 +124,13 @@ func runFaultsSpec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 	defer sys.Close()
 	mk, failed := drive(sys, pes)
 	attempted, ok := n, n-failed
-	if err := leakFree(sys, deadKernels...); err != nil {
+	if err := audit(sys, deadKernels...); err != nil {
 		return Metrics{}, nil, err
 	}
 	st := sys.TotalStats()
-	fs := sys.FaultStats()
-	lost := sys.Net.Stats().Lost
-	var meanRec uint64
-	if st.Recovered > 0 {
-		meanRec = uint64(st.RecoveryCycles) / st.Recovered
-	}
-	var meanRejoin uint64
-	if st.Rejoins > 0 {
-		meanRejoin = uint64(st.RejoinCycles) / st.Rejoins
-	}
 	m := Metrics{
 		Cycles:    uint64(mk),
-		LostMsgs:  lost,
+		LostMsgs:  sys.Net.Stats().Lost,
 		Retries:   st.Retransmits,
 		DupDrops:  st.DupSuppressed,
 		Completed: float64(ok) / float64(attempted),
@@ -153,22 +138,10 @@ func runFaultsSpec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 	aux := faultsAux{
 		Attempted:          attempted,
 		Succeeded:          ok,
-		Retransmits:        st.Retransmits,
-		DupSuppressed:      st.DupSuppressed,
-		ReplayedReplies:    st.ReplayedReplies,
-		LateReplies:        st.LateReplies,
-		FailFast:           st.FailFast,
-		DeadPeers:          st.DeadPeers,
-		Recovered:          st.Recovered,
-		MeanRecoveryCycles: meanRec,
-		InjDropped:         fs.Dropped,
-		InjDuplicated:      fs.Duplicated,
-		InjDelayed:         fs.Delayed,
-		InjBlackholed:      fs.Blackholed,
-		CapsCreated:        st.CapsCreated,
-		Rejoins:            st.Rejoins,
-		MeanRejoinCycles:   meanRejoin,
-		StaleIncarnation:   st.StaleIncarnation,
+		KernelStats:        st,
+		Stats:              sys.FaultStats(),
+		MeanRecoveryCycles: meanCycles(st.RecoveryCycles, st.Recovered),
+		MeanRejoinCycles:   meanCycles(st.RejoinCycles, st.Rejoins),
 	}
 	return m, aux, nil
 }

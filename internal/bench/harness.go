@@ -174,29 +174,21 @@ func RunSpec(spec TaskSpec) (res Result) {
 	return res
 }
 
-// quiescent turns work left outstanding on a machine that has run dry — a
-// syscall that never returned, a kernel thread still holding a job, credits
-// or receive slots not given back — into the task's error. Every kind that
-// runs its system until no event is left calls it after the final sys.Run():
-// such a run raises no error by itself, it just measures nothing.
-func quiescent(sys *core.System) error {
-	left := sys.CheckQuiescent()
-	if len(left) == 0 {
+// audit turns what core.System.Audit finds on a machine that has run dry —
+// work left outstanding (a syscall that never returned, a kernel thread
+// still holding a job, credits or receive slots not given back), capability
+// or DDL state that outlived its owner, a broken capability table — into
+// the task's error. Every kind that runs its system until no event is left
+// calls it after the final sys.Run(): such a run raises no error by itself,
+// it just measures nothing, and a finding is the task's error, not a column
+// somebody has to read. dead lists the kernels that crashed for good; what
+// only they could clean up is excused.
+func audit(sys *core.System, dead ...int) error {
+	found := sys.Audit(dead...)
+	if len(found) == 0 {
 		return nil
 	}
-	return fmt.Errorf("the machine ran dry with work outstanding:\n  %s", strings.Join(left, "\n  "))
-}
-
-// leakFree fails a task whose drained machine holds capability or DDL state
-// that outlived its owner (core.System.CheckLeaks; deadKernels crashed for
-// good and are excused) — like quiescent, a finding is the task's error, not
-// a column somebody has to read.
-func leakFree(sys *core.System, deadKernels ...int) error {
-	leaks := sys.CheckLeaks(deadKernels...)
-	if len(leaks) == 0 {
-		return nil
-	}
-	return fmt.Errorf("the machine leaked capability or DDL state:\n  %s", strings.Join(leaks, "\n  "))
+	return fmt.Errorf("the drained machine failed its audit:\n  %s", strings.Join(found, "\n  "))
 }
 
 // TaskError is the value the sweeps panic with when a task failed: the

@@ -79,7 +79,7 @@ func init() {
 			panic("the session opened")
 		})
 		sys.Run()
-		return Metrics{Cycles: 1}, nil, quiescent(sys)
+		return Metrics{Cycles: 1}, nil, audit(sys)
 	})
 }
 
@@ -168,12 +168,12 @@ func TestFailedTaskPanicsWithTaskError(t *testing.T) {
 }
 
 // TestNonQuiescentDrainFails: a machine that runs dry with a syscall still
-// parked is a failed task whose error carries the CheckQuiescent lines — not
-// a row of zeros.
+// parked is a failed task whose error carries the audit's lines — not a row
+// of zeros.
 func TestNonQuiescentDrainFails(t *testing.T) {
 	res := RunSpec(TaskSpec{Experiment: "stuck", Kind: "test-stuck-syscall"})
 	for _, want := range []string{
-		"the machine ran dry with work outstanding",
+		"the drained machine failed its audit",
 		"k0/sys2: syscall createsession, await-answer of VPE 0",
 		"VPE 1 (client): syscall createsession has not returned",
 	} {

@@ -63,7 +63,7 @@ func measureExchangeRevoke(sys *core.System, peA, peB int) (exchange, revoke sim
 		obtained.Complete(struct{}{})
 	})
 	sys.Run()
-	return exchange, revoke, quiescent(sys)
+	return exchange, revoke, audit(sys)
 }
 
 // Table3Result holds the runtimes of capability operations (paper Table 3).
@@ -244,7 +244,7 @@ func buildChainAndRevoke(sys *core.System, pes []int, length int, alternate bool
 		})
 	}
 	sys.Run()
-	return revTime, quiescent(sys)
+	return revTime, audit(sys)
 }
 
 // kindFig4 revokes one capability chain; Config.Instances is the chain
@@ -397,7 +397,7 @@ func treeRevoke(eng *sim.Engine, n, extra int, batching bool) (sim.Duration, uin
 		}
 	}
 	sys.Run()
-	return revTime, sys.TotalStats().IKCSent - msgsBefore, quiescent(sys)
+	return revTime, sys.TotalStats().IKCSent - msgsBefore, audit(sys)
 }
 
 // kindFig5 revokes one capability tree; Config encodes the cell

@@ -168,7 +168,7 @@ func scaleRun(eng *sim.Engine, kernels, vpes, capsPer int) (scaleAux, error) {
 		}
 	}
 	sys.Run()
-	if err := quiescent(sys); err != nil {
+	if err := audit(sys); err != nil {
 		return scaleAux{}, err
 	}
 

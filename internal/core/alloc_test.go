@@ -136,7 +136,7 @@ func TestDeriveAllocationCeiling(t *testing.T) {
 	if allocs := float64(total) / runs; allocs > ceiling {
 		t.Fatalf("a warmed local derive allocates %v times, ceiling %v", allocs, ceiling)
 	}
-	checkAllInvariants(t, s)
+	checkAudit(t, s)
 }
 
 // TestMemObjectsAcrossChunks: the memory objects of both kernels of a
@@ -283,8 +283,7 @@ func TestMemObjectsAcrossChunks(t *testing.T) {
 		}
 		return nil
 	})
-	checkAllInvariants(t, s)
-	checkNoLeaks(t, s)
+	checkAudit(t, s)
 }
 
 // TestObtainAllocationCeilings bounds what an obtain still allocates, so
@@ -330,7 +329,7 @@ func TestObtainAllocationCeilings(t *testing.T) {
 			if allocs := testing.AllocsPerRun(100, step); allocs > tc.ceiling {
 				t.Fatalf("%s obtain allocates %v times, ceiling %v", tc.name, allocs, tc.ceiling)
 			}
-			checkAllInvariants(t, s)
+			checkAudit(t, s)
 		})
 	}
 }
@@ -418,9 +417,9 @@ func TestReplyEnvelopeFlushAllocatesNothing(t *testing.T) {
 	reps := make([]ikcReply, 4)
 	flush := func() {
 		for i := range reps {
-			k.xport.enqueueReply(0, classExchange, &reps[i])
+			k.enqueueReply(0, classExchange, &reps[i])
 		}
-		k.xport.flushReplies(rkey{dst: 0, class: classExchange})
+		k.flushReplies(0, classExchange)
 		s.Run()
 	}
 	flush()
@@ -549,7 +548,7 @@ func TestTreeRevokeAllocationCeiling(t *testing.T) {
 	if got := s.kernels[0].store.Len(); got != 2 { // the VPE's own capability and root
 		t.Fatalf("%d capabilities left, want 2", got)
 	}
-	checkAllInvariants(t, s)
+	checkAudit(t, s)
 }
 
 // TestSpanningRevokeAllocationCeiling bounds a warmed revoke whose root has
@@ -608,6 +607,5 @@ func TestSpanningRevokeAllocationCeiling(t *testing.T) {
 	if got := memCapsEverywhere(s); got != 1 { // root
 		t.Fatalf("%d memory capabilities left, want 1", got)
 	}
-	checkNoLeaks(t, s)
-	checkAllInvariants(t, s)
+	checkAudit(t, s)
 }

@@ -18,26 +18,14 @@ func newTestSystem(t *testing.T, kernels, userPEs int) *System {
 	return s
 }
 
-// checkAllInvariants validates every kernel's mapping database.
-func checkAllInvariants(t *testing.T, s *System) {
+// checkAudit asserts that System.Audit finds nothing on the drained
+// machine: it is quiescent, leaks nothing and every live kernel's mapping
+// database holds its invariants. deadKernels excuses kernels that crashed
+// and never recovered.
+func checkAudit(t *testing.T, s *System, deadKernels ...int) {
 	t.Helper()
-	for _, k := range s.kernels {
-		if err := k.store.CheckLocalInvariants(); err != nil {
-			t.Fatalf("kernel %d invariants: %v", k.id, err)
-		}
-	}
-}
-
-// checkNoLeaks asserts CheckLeaks and CheckQuiescent find nothing after the
-// machine drained. deadKernels excuses kernels that crashed and never
-// recovered.
-func checkNoLeaks(t *testing.T, s *System, deadKernels ...int) {
-	t.Helper()
-	for _, p := range s.CheckLeaks(deadKernels...) {
-		t.Errorf("leak: %s", p)
-	}
-	for _, p := range s.CheckQuiescent() {
-		t.Errorf("not quiescent: %s", p)
+	for _, f := range s.Audit(deadKernels...) {
+		t.Errorf("audit: %s", f)
 	}
 }
 
@@ -162,7 +150,7 @@ func TestAllocAndDeriveMem(t *testing.T) {
 	if derr != nil {
 		t.Fatal(derr)
 	}
-	checkAllInvariants(t, s)
+	checkAudit(t, s)
 }
 
 func TestMemCapActivateAndAccess(t *testing.T) {
@@ -257,7 +245,7 @@ func TestRevokeInvalidatesActivatedEndpoint(t *testing.T) {
 			if !checked {
 				t.Fatal("the child never got past the revocation")
 			}
-			checkNoLeaks(t, s)
+			checkAudit(t, s)
 		})
 	}
 }
@@ -305,7 +293,7 @@ func TestObtainLocal(t *testing.T) {
 		t.Fatalf("obtains = %d, want 1", k.Stats().Obtains)
 	}
 	// Owner cap has one child; requester cap points back.
-	checkAllInvariants(t, s)
+	checkAudit(t, s)
 	if totalCaps(s) != 4 { // 2 VPE caps + owner mem + child mem
 		t.Fatalf("total caps = %d, want 4", totalCaps(s))
 	}
@@ -321,7 +309,7 @@ func TestObtainSpanning(t *testing.T) {
 	if k0.Stats().IKCReceived == 0 || k1.Stats().IKCSent == 0 {
 		t.Fatal("no inter-kernel call recorded")
 	}
-	checkAllInvariants(t, s)
+	checkAudit(t, s)
 	// The child lives at kernel 1, the parent at kernel 0; links cross.
 	var crossChild bool
 	for _, key := range k0.store.Keys() {
@@ -354,7 +342,7 @@ func TestObtainDenied(t *testing.T) {
 	if got != ErrDenied {
 		t.Fatalf("err = %v, want ErrDenied", got)
 	}
-	checkAllInvariants(t, s)
+	checkAudit(t, s)
 }
 
 func TestDelegateLocalAndSpanning(t *testing.T) {
@@ -406,7 +394,7 @@ func TestDelegateLocalAndSpanning(t *testing.T) {
 			if memCaps != 1 {
 				t.Fatalf("receiver mem caps = %d, want 1", memCaps)
 			}
-			checkAllInvariants(t, s)
+			checkAudit(t, s)
 		})
 	}
 }
@@ -422,7 +410,7 @@ func TestRevokeLocal(t *testing.T) {
 	if k.Stats().CapsDeleted != 1 {
 		t.Fatalf("deleted = %d, want 1", k.Stats().CapsDeleted)
 	}
-	checkAllInvariants(t, s)
+	checkAudit(t, s)
 	if totalCaps(s) != 3 {
 		t.Fatalf("total caps = %d, want 3", totalCaps(s))
 	}
@@ -462,7 +450,7 @@ func TestRevokeRecursiveSpanning(t *testing.T) {
 			}
 		}
 	}
-	checkAllInvariants(t, s)
+	checkAudit(t, s)
 	if got := s.Kernel(0).Stats().CapsDeleted + s.Kernel(1).Stats().CapsDeleted; got != 2 {
 		t.Fatalf("caps deleted = %d, want 2", got)
 	}
@@ -564,7 +552,7 @@ func TestChainRevocation(t *testing.T) {
 			if deleted != chainLen+1 {
 				t.Fatalf("deleted = %d, want %d", deleted, chainLen+1)
 			}
-			checkAllInvariants(t, s)
+			checkAudit(t, s)
 		})
 	}
 }
@@ -600,7 +588,7 @@ func TestTreeRevocationAcrossKernels(t *testing.T) {
 	if deleted != kids+1 {
 		t.Fatalf("deleted = %d, want %d", deleted, kids+1)
 	}
-	checkAllInvariants(t, s)
+	checkAudit(t, s)
 }
 
 func TestPermStringsAndErrno(t *testing.T) {

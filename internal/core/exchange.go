@@ -432,7 +432,7 @@ func (k *Kernel) prepareDelegate(p *sim.Proc, req *ikcRequest) ikcReply {
 	// recovery (beginRejoin), which runs from an event; on a machine where
 	// that can happen the thread's time passes first, so the entry lands on
 	// the side of the reset it always did.
-	if k.reliable() {
+	if k.reliable {
 		p.Settle()
 	}
 	k.pendingDelegations.Put(child.Key, child)

@@ -9,15 +9,56 @@ import "repro/internal/sim"
 // overflow. Replies travel in slots reserved by the request (as in the M3
 // DTU design), so only requests count against the in-flight limit.
 
-// inflightTo returns the in-flight semaphore for requests to kernel dst,
-// created lazily in its dense per-kernel slot.
-func (k *Kernel) inflightTo(dst int) *sim.Semaphore {
-	s := k.inflight[dst]
-	if s == nil {
-		s = sim.NewSemaphore(k.sys.Eng, MaxInflight)
-		k.inflight[dst] = s
+// peer is a kernel's IKC state toward one other kernel, created the first
+// time the two talk (Kernel.peer) and held in Kernel.peers at the other
+// kernel's id: everything the kernel keeps per pair, in one place, so every
+// walk over it is a walk in kernel-id order.
+type peer struct {
+	// credits bounds the unprocessed requests toward the peer (MaxInflight,
+	// paper §5.1); deferred holds the stamped forwards of revoke threads
+	// that found no credit (post), sent by the next credit that comes back
+	// (creditBack).
+	credits  sim.Semaphore
+	deferred sim.FIFO[*ikcRequest]
+	// reqq are the request aggregation queues toward the peer, by kind, each
+	// made on first use (only batched kinds get one, and none of them comes
+	// after ikcDelegateSess); repq are the reply queues toward it, by class
+	// (classNone's stays empty). See transport.go.
+	reqq [ikcDelegateSess + 1]*sendQueue
+	repq [classRevoke + 1][]*ikcReply
+
+	// Reliable mode only (reliability.go, rejoin.go). dead is this kernel's
+	// verdict on the peer, sticky until the peer rejoins with a newer
+	// incarnation; inc is the peer's highest incarnation observed, from 1.
+	// live lists the transmissions toward the peer still tracked, in
+	// first-send order. replies is the receiver's duplicate filter for
+	// requests from the peer: every dispatched sequence number, mapped to
+	// its reply once it exists (nil while in progress); answered orders the
+	// replied ones for FIFO eviction beyond replyCache.
+	dead     bool
+	inc      uint32
+	live     []*xmitState
+	replies  map[uint64]*ikcReply
+	answered []uint64
+}
+
+// peer returns k's record for kernel dst, creating it on first use.
+func (k *Kernel) peer(dst int) *peer {
+	pr := k.peers[dst]
+	if pr == nil {
+		pr = &peer{credits: *sim.NewSemaphore(k.sys.Eng, MaxInflight), inc: 1}
+		k.peers[dst] = pr
 	}
-	return s
+	return pr
+}
+
+// awaited is what a kernel keeps per request that awaits its reply: the
+// future the reply completes and, once the reliable layer tracks the request
+// on the wire, its transmission (nil before, and always on the lossless
+// fabric).
+type awaited struct {
+	fut *sim.Future[*ikcReply]
+	xm  *xmitState
 }
 
 // nextSeq mints a request sequence number.
@@ -207,9 +248,9 @@ func (k *Kernel) stamp(p *sim.Proc, dst int, req *ikcRequest, answered bool) (fu
 		return nil, false
 	}
 	fut = sim.NewFuture[*ikcReply](k.sys.Eng)
-	k.pending[req.Seq] = fut
+	k.pending[req.Seq] = awaited{fut: fut}
 	if k.peerDead(dst) {
-		k.rt.failFast(req.Seq, dst)
+		k.failFast(req.Seq, dst)
 		return fut, true
 	}
 	return fut, false
@@ -223,16 +264,13 @@ func (k *Kernel) stamp(p *sim.Proc, dst int, req *ikcRequest, answered bool) (fu
 // that comes back (creditBack).
 func (k *Kernel) post(p *sim.Proc, dst int, req *ikcRequest) {
 	k.stats.IKCSent++
-	sem := k.inflightTo(dst)
-	if !sem.TryAcquire() {
+	pr := k.peer(dst)
+	if !pr.credits.TryAcquire() {
 		if k.holder.pl == k.revokePool {
-			if k.deferred == nil {
-				k.deferred = make([]sim.FIFO[*ikcRequest], len(k.inflight))
-			}
-			k.deferred[dst].Push(req)
+			pr.deferred.Push(req)
 			return
 		}
-		k.pause(p, sem)
+		k.pause(p, &pr.credits)
 	}
 	k.transmit(dst, req)
 }
@@ -240,8 +278,8 @@ func (k *Kernel) post(p *sim.Proc, dst int, req *ikcRequest) {
 // transmit puts a request that holds a credit on the wire to kernel dst.
 func (k *Kernel) transmit(dst int, req *ikcRequest) {
 	k.sendRequest(k.sys.kernels[dst], req)
-	if k.rt != nil {
-		k.rt.track(dst, []*ikcRequest{req}, false, req.Kind)
+	if k.reliable {
+		k.track(dst, []*ikcRequest{req}, false)
 	}
 }
 
@@ -250,19 +288,20 @@ func (k *Kernel) transmit(dst int, req *ikcRequest) {
 // forward takes it first and leaves now; only then may a parked thread have
 // it. Nothing is sent to a peer declared dead (markDead fails what waits).
 func (k *Kernel) creditBack(dst int) {
-	if dst < len(k.deferred) && k.deferred[dst].Len() > 0 && !k.peerDead(dst) {
-		k.transmit(dst, k.deferred[dst].Pop())
+	pr := k.peers[dst]
+	if pr.deferred.Len() > 0 && !pr.dead {
+		k.transmit(dst, pr.deferred.Pop())
 		return
 	}
-	k.inflightTo(dst).Release()
+	pr.credits.Release()
 }
 
 // failDeferred completes the forwards deferred toward dst with ErrPeerDead
 // without ever putting them on the wire; their completions record the orphan
 // fixes, as for any failed revoke.
 func (k *Kernel) failDeferred(dst int) {
-	for dst < len(k.deferred) && k.deferred[dst].Len() > 0 {
-		k.rt.failFast(k.deferred[dst].Pop().Seq, dst)
+	for pr := k.peers[dst]; pr != nil && pr.deferred.Len() > 0; {
+		k.failFast(pr.deferred.Pop().Seq, dst)
 	}
 }
 
@@ -282,8 +321,8 @@ func (k *Kernel) ikSend(p *sim.Proc, dst int, req *ikcRequest) *sim.Future[*ikcR
 // travel in a coalesced envelope; everything else is a direct ikSend. With
 // batching disabled this is exactly ikSend.
 func (k *Kernel) ikSubmit(p *sim.Proc, dst int, req *ikcRequest) *sim.Future[*ikcReply] {
-	if k.xport.batches(req.Kind) {
-		return k.xport.enqueue(p, dst, req)
+	if k.batches(req.Kind) {
+		return k.enqueue(p, dst, req)
 	}
 	return k.ikSend(p, dst, req)
 }
@@ -292,9 +331,7 @@ func (k *Kernel) ikSubmit(p *sim.Proc, dst int, req *ikcRequest) *sim.Future[*ik
 // transport, release the CPU (preemption point), wait for the reply.
 func (k *Kernel) ikCall(p *sim.Proc, dst int, req *ikcRequest) *ikcReply {
 	fut := k.ikSubmit(p, dst, req)
-	rep := blockOn(k, p, fut)
-	delete(k.pending, req.Seq)
-	return rep
+	return blockOn(k, p, fut)
 }
 
 // ikNotify sends a one-way notification (e.g. orphan unlink). It consumes
@@ -307,7 +344,7 @@ func (k *Kernel) ikCall(p *sim.Proc, dst int, req *ikcRequest) *ikcReply {
 // degraded outcome (ErrPeerDead) without blocking on it; in baseline
 // lossless mode there is no ack and the result is nil.
 func (k *Kernel) ikNotify(p *sim.Proc, dst int, req *ikcRequest) *sim.Future[*ikcReply] {
-	fut, dead := k.stamp(p, dst, req, k.reliable())
+	fut, dead := k.stamp(p, dst, req, k.reliable)
 	if !dead {
 		k.post(p, dst, req)
 	}
@@ -354,7 +391,7 @@ func (k *Kernel) pickUp(p *sim.Proc, j *job, scratch []*ikcRequest) []*ikcReques
 	} else {
 		direct[0] = j.subj.(*ikcRequest)
 	}
-	if !k.reliable() {
+	if !k.reliable {
 		k.returnCredit(reqs[0].From)
 	}
 	for _, req := range reqs {
@@ -399,7 +436,7 @@ func (k *Kernel) dispatchRequest(p *sim.Proc, req *ikcRequest) {
 		rep = k.handleRevokeReq(p, req)
 	case ikcUnlinkChild:
 		k.handleUnlinkChild(p, req) // notification: nobody to answer
-		if k.reliable() {
+		if k.reliable {
 			// ...except in reliable mode, where an empty ack makes the
 			// notification's loss observable (see ikNotify).
 			rep = &ikcReply{}
@@ -423,8 +460,8 @@ func (k *Kernel) dispatchRequest(p *sim.Proc, req *ikcRequest) {
 func (k *Kernel) ikReply(p *sim.Proc, req *ikcRequest, rep *ikcReply) {
 	k.exec(p, k.sys.Cost.IKCCompose)
 	k.answers(req, rep)
-	if k.xport.batchesReply(req.Kind) {
-		k.xport.enqueueReply(req.From, classOf(req.Kind), rep)
+	if k.batchesReply(req.Kind) {
+		k.enqueueReply(req.From, classOf(req.Kind), rep)
 		return
 	}
 	k.stats.IKCRepSent++
@@ -463,21 +500,21 @@ func (k *Kernel) answers(req *ikcRequest, rep *ikcReply) {
 // — on the lossless baseline the counter provably stays zero (every
 // reply matches a pending future), so flags-off traces are unchanged.
 func (k *Kernel) recvReply(rep *ikcReply) {
-	if k.rt != nil && rep.Inc != 0 && rep.Inc != k.incarnation {
+	if k.reliable && rep.Inc != 0 && rep.Inc != k.incarnation {
 		// The reply echoes the incarnation that asked the question; this
 		// kernel has since crashed and recovered, so the answer belongs to
 		// the dead incarnation (its futures were already aborted at rejoin).
 		k.stats.StaleIncarnation++
 		return
 	}
-	fut := k.pending[rep.Seq]
-	if fut == nil {
+	a, ok := k.pending[rep.Seq]
+	if !ok {
 		k.stats.LateReplies++
 		return
 	}
 	delete(k.pending, rep.Seq)
-	if k.rt != nil {
-		k.rt.onReply(rep.Seq)
+	if a.xm != nil {
+		k.onReply(a.xm)
 	}
-	fut.Complete(rep)
+	a.fut.Complete(rep)
 }

@@ -53,8 +53,7 @@ func TestInterferenceSerialized(t *testing.T) {
 			}
 		}
 	}
-	checkAllInvariants(t, s)
-	checkNoLeaks(t, s)
+	checkAudit(t, s)
 }
 
 // The exchanges under test run in two variants: directly between two VPEs
@@ -234,8 +233,7 @@ func runInterferenceOrphaned(t *testing.T, cfg Config, session bool) {
 	if k0.Stats().Orphans+k1.Stats().Orphans == 0 {
 		t.Fatal("orphan cleanup not recorded")
 	}
-	checkAllInvariants(t, s)
-	checkNoLeaks(t, s)
+	checkAudit(t, s)
 }
 
 // TestInterferenceInvalid: the delegator's capability is revoked while a
@@ -304,8 +302,7 @@ func runInterferenceInvalid(t *testing.T, b IKCBatching, session bool) {
 	if n := memCapsEverywhere(s); n != 0 {
 		t.Fatalf("%d mem caps survived", n)
 	}
-	checkAllInvariants(t, s)
-	checkNoLeaks(t, s)
+	checkAudit(t, s)
 }
 
 // dropOnce is a fabric that, once armed, loses the next message of one size
@@ -378,8 +375,7 @@ func TestInterferenceRevokeRacesReply(t *testing.T) {
 		if n := memCapsEverywhere(s); n != 0 {
 			t.Errorf("%d mem caps survived the revoke", n)
 		}
-		checkAllInvariants(t, s)
-		checkNoLeaks(t, s)
+		checkAudit(t, s)
 	})
 }
 
@@ -404,8 +400,7 @@ func TestInterferenceKilledDuringLocalConsent(t *testing.T) {
 			if n := ownedMemCaps(s, requester.ID); n != 0 {
 				t.Errorf("dead requester owns %d mem caps", n)
 			}
-			checkAllInvariants(t, s)
-			checkNoLeaks(t, s)
+			checkAudit(t, s)
 		})
 		t.Run("delegate", func(t *testing.T) {
 			s := newTestSystem(t, 1, 2)
@@ -422,8 +417,7 @@ func TestInterferenceKilledDuringLocalConsent(t *testing.T) {
 			if n := ownedMemCaps(s, receiver.v.ID); n != 0 {
 				t.Errorf("dead receiver owns %d mem caps", n)
 			}
-			checkAllInvariants(t, s)
-			checkNoLeaks(t, s)
+			checkAudit(t, s)
 		})
 	})
 }
@@ -495,8 +489,7 @@ func TestInterferenceIncomplete(t *testing.T) {
 	if n := memCapsEverywhere(s); n != 0 {
 		t.Fatalf("%d mem caps survived", n)
 	}
-	checkAllInvariants(t, s)
-	checkNoLeaks(t, s)
+	checkAudit(t, s)
 }
 
 // TestInterferencePointless: exchanges of capabilities that are in
@@ -542,8 +535,7 @@ func TestInterferencePointless(t *testing.T) {
 		if n := memCapsEverywhere(s); n != 0 {
 			t.Fatalf("%d mem caps survived the revoke", n)
 		}
-		checkAllInvariants(t, s)
-		checkNoLeaks(t, s)
+		checkAudit(t, s)
 	})
 }
 
@@ -603,6 +595,5 @@ func TestExitRevokesEverything(t *testing.T) {
 	if got := len(s.Kernel(0).store.VPECaps(owner.ID)); got != 0 {
 		t.Fatalf("owner still holds %d caps", got)
 	}
-	checkAllInvariants(t, s)
-	checkNoLeaks(t, s)
+	checkAudit(t, s)
 }

@@ -113,13 +113,17 @@ type Kernel struct {
 	revokePool     *pool
 	completionPool *pool // revoke-reply processing ("main loop" work)
 
-	// xport is the unified IKC transport: per-destination aggregation
-	// queues and the batching policy (transport.go).
-	xport *transport
+	// batching is the unified IKC transport's policy; xmit is the wait
+	// record of the transport's transmit proc and flushQ its work queue,
+	// both made with the proc, on the first timer-driven flush
+	// (transport.go).
+	batching IKCBatching
+	xmit     *kthread
+	flushQ   *sim.Queue[flushRef]
 
-	// rt is the reliable-IKC state (retransmission tracking, receiver
-	// dedup, dead-peer verdicts); nil in the baseline lossless mode.
-	rt *relState
+	// reliable says the kernel runs the reliable IKC layer
+	// (reliability.go): exactly when the machine has a fault plan.
+	reliable bool
 
 	// incarnation numbers this kernel's lifetimes, starting at 1 and
 	// bumped at every scripted recovery (rejoin.go). It stamps outgoing
@@ -131,14 +135,13 @@ type Kernel struct {
 	// failed with ErrPeerDead, replayed when the peer rejoins (rejoin.go).
 	orphanFixes []orphanFix
 
-	// inflight limits unprocessed requests per destination kernel,
-	// indexed densely by kernel id (entries created lazily). deferred holds,
-	// per destination, the stamped forwards of revoke threads that found no
-	// credit (post, creditBack); allocated on the first deferral.
-	inflight []*sim.Semaphore
-	deferred []sim.FIFO[*ikcRequest]
-	pending  map[uint64]*sim.Future[*ikcReply]
-	seq      uint64
+	// peers holds the IKC state toward each other kernel, indexed by its
+	// id; nil until the two talk (peer). pending maps the sequence number of
+	// every request still awaiting its reply to its future and, in reliable
+	// mode once it is on the wire, its transmission.
+	peers   []*peer
+	pending map[uint64]awaited
+	seq     uint64
 
 	// queries are the released VPE/service query records awaiting reuse
 	// (query).
@@ -169,8 +172,10 @@ func newKernel(s *System, id int) *Kernel {
 		member:      s.member,
 		cpu:         sim.NewSemaphore(s.Eng, 1),
 		link:        sim.NewSemaphore(s.Eng, 1),
-		inflight:    make([]*sim.Semaphore, s.cfg.Kernels),
-		pending:     make(map[uint64]*sim.Future[*ikcReply]),
+		batching:    s.cfg.IKCBatching,
+		reliable:    s.cfg.Faults != nil,
+		peers:       make([]*peer, s.cfg.Kernels),
+		pending:     make(map[uint64]awaited),
 	}
 	for _, pe := range s.userPEs {
 		if s.member.KernelOf(pe) == id {
@@ -180,10 +185,6 @@ func newKernel(s *System, id int) *Kernel {
 	k.syscallPool = newPool(k, "sys", max(len(k.group), 1))
 	k.ikcPool = newPool(k, "ikc", k.ikcWindow())
 	k.revokePool = newPool(k, "rev", RevokeThreads)
-	k.xport = newTransport(k, s.cfg.IKCBatching)
-	if s.cfg.Faults != nil {
-		k.rt = newRelState(k)
-	}
 	// Configure the kernel DTU's syscall receive endpoints; messages are
 	// dispatched to the syscall pool. Inter-kernel legs are ikcWires.
 	for ep := kernelSyscallEP0; ep < kernelSyscallEP0+SyscallRecvEPs; ep++ {
@@ -226,8 +227,8 @@ func (k *Kernel) Store() *cap.Store { return k.store }
 // the time to have passed first: a message or a reply (event handlers run
 // at their instants whoever holds the CPU), a user DTU's endpoints, state
 // shared between kernels (the DRAM allocator, the service directory),
-// what timers and the fault layer write (rt, dead-peer
-// verdicts, a VPE's exited flag). Such code follows an exec, or calls
+// what timers and the fault layer write (the reliable state of the peer
+// records, a VPE's exited flag). Such code follows an exec, or calls
 // p.Settle itself. DESIGN.md "Owed time" lists every stretch that charges
 // and the settle point that ends it.
 func (k *Kernel) charge(p *sim.Proc, d sim.Duration) {

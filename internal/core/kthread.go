@@ -66,7 +66,7 @@ func (t *kthread) Ready(p *sim.Proc) bool {
 				// reply produced by this dispatch leaves now instead of waiting
 				// on an idle window timer. No-op for unbatched families.
 				req := j.subj.(*ikcRequest) // an envelope's first, since pickUp
-				k.xport.flushReplies(rkey{dst: req.From, class: classOf(req.Kind)})
+				k.flushReplies(req.From, classOf(req.Kind))
 			}
 			k.cpu.Release()
 			t.stage = stageJob
@@ -145,7 +145,7 @@ func (t *kthread) describe() string {
 	}
 	var what string
 	switch j := &t.job; {
-	case t == t.pl.k.xport.xmit:
+	case t == t.pl.k.xmit:
 		what = "envelope flush"
 	case j.kind == jobSyscall:
 		what = "syscall " + j.subj.(*dtu.Message).Payload.(*sysRequest).Kind.String()
@@ -167,8 +167,8 @@ func (t *kthread) describe() string {
 func (k *Kernel) describeWait(w sim.Waiter) string {
 	switch w := w.(type) {
 	case *sim.Semaphore:
-		for dst, s := range k.inflight {
-			if s == w {
+		for dst, pr := range k.peers {
+			if pr != nil && &pr.credits == w {
 				return fmt.Sprintf("await-credit k%d→k%d", k.id, dst)
 			}
 		}

@@ -93,7 +93,7 @@ func TestInflightLimitThrottlesSenders(t *testing.T) {
 		t.Fatalf("%d messages lost despite in-flight limiting", lost)
 	}
 	// The sender-side semaphore is back to its full budget.
-	if sem := s.Kernel(1).inflightTo(0); sem.Count() != MaxInflight {
+	if sem := &s.Kernel(1).peers[0].credits; sem.Count() != MaxInflight {
 		t.Fatalf("in-flight budget = %d, want %d", sem.Count(), MaxInflight)
 	}
 }
@@ -162,7 +162,7 @@ func TestDelegateSess(t *testing.T) {
 			if svcMem != 1 {
 				t.Fatalf("service mem caps = %d, want 1", svcMem)
 			}
-			checkAllInvariants(t, s)
+			checkAudit(t, s)
 		})
 	}
 }
@@ -205,7 +205,7 @@ func TestSessionCloseSevers(t *testing.T) {
 			t.Fatalf("service cap still has %d children after session close", c.NumChildren())
 		}
 	}
-	checkAllInvariants(t, s)
+	checkAudit(t, s)
 }
 
 // TestNoMessageLossUnderLoad: a full application-style run loses no DTU
@@ -235,7 +235,7 @@ func TestNoMessageLossUnderLoad(t *testing.T) {
 	if lost := s.Net.Stats().Lost; lost != 0 {
 		t.Fatalf("%d messages lost", lost)
 	}
-	checkAllInvariants(t, s)
+	checkAudit(t, s)
 }
 
 // TestCreateSessionEndpointBudget: a VPE has six session endpoints, and the
@@ -298,8 +298,7 @@ func TestCreateSessionEndpointBudget(t *testing.T) {
 			if linked != budget {
 				t.Fatalf("%d session keys linked under the service capability, want %d", linked, budget)
 			}
-			checkAllInvariants(t, s)
-			checkNoLeaks(t, s)
+			checkAudit(t, s)
 		})
 	}
 }

@@ -111,11 +111,10 @@ func TestNestedChainRevoke(t *testing.T) {
 				if *returned != chains {
 					t.Errorf("%d of %d revokes returned", *returned, chains)
 				}
-				checkNoLeaks(t, s) // and quiescent
+				checkAudit(t, s)
 				if allocs := testing.AllocsPerRun(10, func() { s.CheckQuiescent() }); allocs != 0 {
 					t.Errorf("a clean CheckQuiescent allocates %v times, want 0", allocs)
 				}
-				checkAllInvariants(t, s)
 				left := 0 // revoking the roots takes everything; else the roots stay
 				if variant.obtained {
 					left = chains
@@ -223,24 +222,27 @@ func TestNestedChainRevokeReliableCreditCycle(t *testing.T) {
 				if *returned != 2*n {
 					t.Errorf("%d of %d revokes returned", *returned, 2*n)
 				}
-				for _, q := range s.CheckQuiescent() {
-					t.Errorf("not quiescent: %s", q)
-				}
-				checkAllInvariants(t, s)
-				leaks, dead := s.CheckLeaks(), s.TotalStats().DeadPeers
+				dead := s.TotalStats().DeadPeers
 				if n == 3 {
 					if dead != 0 {
 						t.Errorf("%d live peers declared dead", dead)
 					}
-					for _, l := range leaks {
-						t.Errorf("leak: %s", l)
-					}
+					checkAudit(t, s)
 					return
 				}
-				// The pinned failure: both kernels declare the other dead, and
-				// each chain leaves an orphan on each kernel.
+				// The pinned failure: the machine is quiescent and its tables
+				// sound, but both kernels declare the other dead, and each
+				// chain leaves an orphan on each kernel.
+				for _, q := range s.CheckQuiescent() {
+					t.Errorf("not quiescent: %s", q)
+				}
+				for _, k := range s.kernels {
+					if err := k.store.CheckLocalInvariants(); err != nil {
+						t.Errorf("kernel %d invariants: %v", k.id, err)
+					}
+				}
 				orphans := 0
-				for _, l := range leaks {
+				for _, l := range s.CheckLeaks() {
 					if strings.Contains(l, "orphaned") {
 						orphans++
 					}
@@ -308,8 +310,7 @@ func TestNestedChainRevokePeerCrashWhileDeferred(t *testing.T) {
 				t.Errorf("%d death verdicts, %d rejoins, %d requests failed unsent; want dead=%v, 1, some",
 					st.DeadPeers, st.Rejoins, st.FailFast, tc.dead)
 			}
-			checkNoLeaks(t, s)
-			checkAllInvariants(t, s)
+			checkAudit(t, s)
 			if memCapsEverywhere(s) != 0 {
 				t.Errorf("%d memory capabilities survived", memCapsEverywhere(s))
 			}
@@ -423,8 +424,7 @@ func TestOnwardDelegationStorm(t *testing.T) {
 				if failed != 0 || revoked != epochs*clients {
 					t.Errorf("%d operations failed, %d of %d revokes returned", failed, revoked, epochs*clients)
 				}
-				checkNoLeaks(t, s)
-				checkAllInvariants(t, s)
+				checkAudit(t, s)
 				if n := memCapsEverywhere(s); n != 0 {
 					t.Errorf("%d memory capabilities survived", n)
 				}

@@ -2,30 +2,54 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/dtu"
 )
 
-// CheckQuiescent audits a machine that has run dry — call it like CheckLeaks,
-// when the engine has no events left — for work that stopped without
-// finishing: the question CheckLeaks, which looks at capabilities only,
-// cannot answer. A run that drains with operations outstanding is not an
-// error the engine can see; every party is parked on another, and the only
-// record of who waits for what is the wait records themselves. One line per
+// Audit is the one check of a machine that has run dry (no events left):
+// the CheckQuiescent findings — work that stopped without finishing — then
+// the CheckLeaks findings for the kernels that crashed and never recovered,
+// dead, then every live kernel's capability-table invariants
+// (cap.Store.CheckLocalInvariants). Empty means the run ended clean.
+func (s *System) Audit(dead ...int) []string {
+	out := s.CheckQuiescent()
+	out = append(out, s.CheckLeaks(dead...)...)
+	for _, k := range s.kernels {
+		if slices.Contains(dead, k.id) {
+			continue
+		}
+		if err := k.store.CheckLocalInvariants(); err != nil {
+			out = append(out, fmt.Sprintf("kernel %d: %v", k.id, err))
+		}
+	}
+	return out
+}
+
+// CheckQuiescent lists the work a machine that has run dry stopped without
+// finishing: the part of Audit that looks at what is in flight rather than
+// at capabilities, and the one that may also be called mid-run as a probe.
+// A run that drains with operations outstanding is not an error the engine
+// can see; every party is parked on another, and the only record of who
+// waits for what is the wait records themselves. One line per
 //
 //   - kernel thread (or transmit proc) that still holds a job, from its wait
 //     record: the job and what the thread is parked on — "k1/sys4: syscall
 //     revoke, await-credit k1→k0";
 //   - VPE whose syscall has not returned;
-//   - pair of kernels whose in-flight credits are not all back, and whose
-//     deferred revoke forwards still wait for one;
-//   - request aggregation queue still holding requests, and kernel with
-//     replies left in the reply sink;
+//   - pair of kernels, from the sender's peer record, whose in-flight
+//     credits are not all back, whose deferred revoke forwards still wait
+//     for one, whose aggregation queues still hold requests, or whose
+//     transmissions are still tracked although the peer is not declared
+//     dead;
+//   - kernel with replies left in the reply sink, or with requests whose
+//     futures still await a reply;
 //   - receive endpoint with slots still occupied.
 //
 // Threads parked for their next job, and service loops parked for their next
 // request, are idle and not findings. Empty means quiescent; the order is
-// fixed (kernels by id, then user PEs), so the list is reproducible.
+// fixed (kernels by id, each kernel's peers by id, then user PEs), so the
+// list is reproducible.
 func (s *System) CheckQuiescent() []string {
 	var out []string
 	for _, k := range s.kernels {
@@ -47,22 +71,40 @@ func (s *System) CheckQuiescent() []string {
 				out = append(out, fmt.Sprintf("k%d/%s: %d job(s) queued behind a full pool", k.id, pl.name, n))
 			}
 		}
-		if t := k.xport.xmit; t != nil {
+		if t := k.xmit; t != nil {
 			if d := t.describe(); d != "" {
 				out = append(out, fmt.Sprintf("%s: %s", xmitName(k.id), d))
 			}
 		}
-		for dst, sem := range k.inflight {
-			if sem != nil && sem.Count() != MaxInflight {
-				out = append(out, fmt.Sprintf("k%d→k%d: %d of %d in-flight credits not returned", k.id, dst, MaxInflight-sem.Count(), MaxInflight))
+		reps := 0
+		for dst, pr := range k.peers {
+			if pr == nil {
+				continue
 			}
-		}
-		for dst := range k.deferred {
-			if n := k.deferred[dst].Len(); n > 0 {
+			if n := MaxInflight - pr.credits.Count(); n != 0 {
+				out = append(out, fmt.Sprintf("k%d→k%d: %d of %d in-flight credits not returned", k.id, dst, n, MaxInflight))
+			}
+			if n := pr.deferred.Len(); n > 0 {
 				out = append(out, fmt.Sprintf("k%d→k%d: %d forwarded revoke(s) waiting for a credit", k.id, dst, n))
 			}
+			for kind, q := range pr.reqq {
+				if q != nil && len(q.reqs) > 0 {
+					out = append(out, fmt.Sprintf("k%d→k%d: %d %v request(s) in an aggregation queue", k.id, dst, len(q.reqs), ikcKind(kind)))
+				}
+			}
+			if len(pr.live) > 0 && !pr.dead {
+				out = append(out, fmt.Sprintf("k%d→k%d: %d transmission(s) still tracked for retransmission", k.id, dst, len(pr.live)))
+			}
+			for _, q := range pr.repq {
+				reps += len(q)
+			}
 		}
-		out = k.xport.audit(out)
+		if reps > 0 {
+			out = append(out, fmt.Sprintf("k%d: %d reply(ies) left in the reply sink", k.id, reps))
+		}
+		if n := len(k.pending); n > 0 {
+			out = append(out, fmt.Sprintf("k%d: %d request(s) still awaiting a reply", k.id, n))
+		}
 		if occupied(k.dtu) {
 			out = appendSlots(out, fmt.Sprintf("kernel %d", k.id), k.dtu)
 		}
@@ -102,22 +144,6 @@ func appendSlots(out []string, who string, d *dtu.DTU) []string {
 		if n := d.Occupied(ep); n > 0 {
 			out = append(out, fmt.Sprintf("%s: %d receive slot(s) of endpoint %d still occupied", who, n, ep))
 		}
-	}
-	return out
-}
-
-// audit adds what the transport still holds to the findings of
-// CheckQuiescent: requests in aggregation queues, replies in the sink.
-func (t *transport) audit(out []string) []string {
-	for _, key := range t.queued() {
-		out = append(out, fmt.Sprintf("k%d→k%d: %d %v request(s) in an aggregation queue", t.k.id, key.dst, len(t.queues[key].reqs), key.kind))
-	}
-	reps := 0
-	for _, q := range t.repq {
-		reps += len(q.reps)
-	}
-	if reps > 0 {
-		out = append(out, fmt.Sprintf("k%d: %d reply(ies) left in the reply sink", t.k.id, reps))
 	}
 	return out
 }

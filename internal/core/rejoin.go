@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"repro/internal/cap"
 	"repro/internal/ddl"
 	"repro/internal/sim"
@@ -89,14 +87,14 @@ func (k *Kernel) notifyUnlink(p *sim.Proc, dst int, parent, child ddl.Key) {
 // any request can carry the news, since the handshake itself may be
 // dropped or reordered by the faulty fabric.
 func (k *Kernel) admitRequest(p *sim.Proc, req *ikcRequest) bool {
-	if k.rt == nil || req.Inc == 0 {
+	if !k.reliable || req.Inc == 0 {
 		return true
 	}
 	// Timers and the rejoin reset write what is read from here on, and
 	// admitting a rejoined peer completes futures: the dispatch time passes
 	// first.
 	p.Settle()
-	observed := k.rt.incOf(req.From)
+	observed := k.peer(req.From).inc
 	switch {
 	case req.Inc < observed:
 		k.stats.StaleIncarnation++
@@ -113,26 +111,19 @@ func (k *Kernel) admitRequest(p *sim.Proc, req *ikcRequest) bool {
 // either a local map operation or a job submission, never a preemption
 // point.
 func (k *Kernel) admitIncarnation(from int, inc uint32) {
-	rt := k.rt
-	rt.peerInc[from] = inc
-	delete(rt.dead, from)
-	// The dedup and reply-cache state for the peer is keyed by the dead
-	// incarnation's sequence numbers: the recovering kernel aborted all its
-	// outstanding transmissions at rejoin, so none of them will ever be
+	pr := k.peers[from]
+	pr.inc, pr.dead = inc, false
+	// The duplicate filter and reply cache for the peer are keyed by the
+	// dead incarnation's sequence numbers: the recovering kernel aborted all
+	// its outstanding transmissions at rejoin, so none of them will ever be
 	// retransmitted, and stragglers already on the wire are rejected by the
 	// incarnation gate before they reach the filter.
-	delete(rt.dedup, from)
+	pr.replies, pr.answered = nil, nil
 	// Outstanding transmissions *to* the peer were addressed to the dead
 	// incarnation — it lost its receive state, so they could only be
-	// rejected as stale. Abort them in first-send order (the deterministic
-	// order byDst maintains), completing their futures with ErrPeerDead.
-	xms := rt.byDst[from]
-	delete(rt.byDst, from)
-	for _, xm := range xms {
-		if !xm.done {
-			rt.abort(xm)
-		}
-	}
+	// rejected as stale. Abort them in first-send order, completing their
+	// futures with ErrPeerDead.
+	k.abortLive(pr)
 	// Delegation handshakes whose originator is the dead incarnation can
 	// never be acknowledged: their entries would leak forever.
 	k.dropPeerDelegations(from)
@@ -183,37 +174,27 @@ func (k *Kernel) handleRejoin(p *sim.Proc, req *ikcRequest) *ikcReply {
 func (k *Kernel) beginRejoin() {
 	start := k.sys.Eng.Now()
 	k.incarnation++
-	rt := k.rt
 	// Forwards deferred for a credit carry the dead incarnation's stamp too;
 	// fail them first, or the aborts below would hand them their credits.
-	for dst := range k.deferred {
+	for dst := range k.peers {
 		k.failDeferred(dst)
 	}
-	// Abort every outstanding transmission, in sorted destination order
-	// (within one destination, byDst keeps first-send order): the futures
-	// belong to the dead incarnation, and the peers will reject any
-	// retransmit by incarnation mismatch anyway.
-	dsts := make([]int, 0, len(rt.byDst))
-	for dst := range rt.byDst {
-		dsts = append(dsts, dst)
-	}
-	sort.Ints(dsts)
-	for _, dst := range dsts {
-		xms := rt.byDst[dst]
-		delete(rt.byDst, dst)
-		for _, xm := range xms {
-			if !xm.done {
-				rt.abort(xm)
-			}
+	// Abort every outstanding transmission, in destination order, each
+	// destination's in first-send order: the futures belong to the dead
+	// incarnation, and the peers will reject any retransmit by incarnation
+	// mismatch anyway. This kernel's own verdicts on its peers were formed
+	// by a dead link, not dead peers: forget them and let fresh traffic
+	// judge.
+	for _, pr := range k.peers {
+		if pr != nil {
+			k.abortLive(pr)
+			pr.dead = false
 		}
 	}
-	// This kernel's own verdicts on its peers were formed by a dead link,
-	// not dead peers: forget them wholesale and let fresh traffic judge.
-	clear(rt.dead)
 	// Requests still parked in aggregation queues carry the dead
 	// incarnation's stamp; flushing them later could only produce stale
 	// rejections (and re-mark the peers dead). Fail them now.
-	k.xport.dropQueued()
+	k.dropQueued()
 	// Delegation handshakes prepared for remote originators: every
 	// originator aborted (this kernel was unreachable), so no entry can be
 	// acknowledged. The epoch guards in the delegate handlers keep threads
@@ -320,17 +301,24 @@ func (k *Kernel) reconcileChains(p *sim.Proc, into int) {
 }
 
 // dropQueued fails every request parked in an aggregation queue, in
-// sorted (destination, kind) order. Called from beginRejoin: the queued
-// requests are stamped with the dead incarnation, so transmitting them
-// after recovery could only earn stale rejections.
-func (t *transport) dropQueued() {
-	for _, key := range t.queued() {
-		q := t.queues[key]
-		reqs := q.reqs
-		q.reqs = nil
-		q.epoch++ // a pending window timer for the old generation no-ops
-		for _, req := range reqs {
-			t.k.rt.failFast(req.Seq, key.dst)
+// (destination, kind) order. Called from beginRejoin: the queued requests
+// are stamped with the dead incarnation, so transmitting them after
+// recovery could only earn stale rejections.
+func (k *Kernel) dropQueued() {
+	for dst, pr := range k.peers {
+		if pr == nil {
+			continue
+		}
+		for _, q := range pr.reqq {
+			if q == nil || len(q.reqs) == 0 {
+				continue
+			}
+			reqs := q.reqs
+			q.reqs = nil
+			q.epoch++ // a pending window timer for the old generation no-ops
+			for _, req := range reqs {
+				k.failFast(req.Seq, dst)
+			}
 		}
 	}
 }

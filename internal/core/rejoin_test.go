@@ -93,8 +93,7 @@ func TestKernelRejoin(t *testing.T) {
 	if s.TotalStats().DeadPeers == 0 {
 		t.Errorf("crash window produced no death verdict")
 	}
-	checkAllInvariants(t, s)
-	checkNoLeaks(t, s)
+	checkAudit(t, s)
 }
 
 // TestRejoinReplaysOrphanedRevocation: a revocation races the crash — the
@@ -159,8 +158,7 @@ func TestRejoinReplaysOrphanedRevocation(t *testing.T) {
 	if st := s.Kernel(1).Stats(); st.Rejoins != 1 {
 		t.Errorf("Rejoins = %d, want 1", st.Rejoins)
 	}
-	checkAllInvariants(t, s)
-	checkNoLeaks(t, s)
+	checkAudit(t, s)
 }
 
 // TestRejoinDeterministic: a lossy run with a crash+recover window in the
@@ -176,8 +174,7 @@ func TestRejoinDeterministic(t *testing.T) {
 		if got := s.Kernel(1).Stats().Rejoins; got != 1 {
 			t.Errorf("Rejoins = %d, want 1", got)
 		}
-		checkAllInvariants(t, s)
-		checkNoLeaks(t, s)
+		checkAudit(t, s)
 		return s.TotalStats(), s.FaultStats(), s.Net.Stats().Lost
 	}
 	st1, fs1, lost1 := run()

@@ -18,10 +18,10 @@ import "repro/internal/sim"
 //     verdict — each kernel judges its peers from its own traffic only.
 //   - Receiver: requests are deduplicated by (sender, sequence number),
 //     so a retransmitted request whose original made it through dispatches
-//     exactly once; the reply is cached (bounded FIFO, replyCache entries
-//     per peer) and replayed for duplicates whose reply was the lost
-//     message. Late or duplicate replies at the requester are counted
-//     (LateReplies), never fatal.
+//     exactly once; the reply is cached in the sender's peer record
+//     (bounded FIFO, replyCache entries) and replayed for duplicates whose
+//     reply was the lost message. Late or duplicate replies at the
+//     requester are counted (LateReplies), never fatal.
 //   - Credits: in reliable mode the sender's in-flight credit returns
 //     when the transmission resolves (all replies in, or the peer
 //     declared dead) instead of at receiver pickup — a lost request must
@@ -53,7 +53,6 @@ const (
 // or the destination is declared dead.
 type xmitState struct {
 	dst       int
-	kind      ikcKind
 	env       bool // envelope vs direct send
 	reqs      []*ikcRequest
 	remaining int
@@ -64,128 +63,65 @@ type xmitState struct {
 	done      bool
 }
 
-type dedupState uint8
-
-const (
-	dedupInProgress dedupState = iota
-	dedupDone
-)
-
-type dedupEntry struct {
-	state dedupState
-	rep   *ikcReply
-}
-
-// peerDedup is the receiver-side duplicate filter for one sending peer:
-// every dispatched sequence number, with the reply cached once it exists.
-// doneOrder drives FIFO eviction of completed entries beyond replyCache;
-// in-progress entries are never evicted (their reply is still owed).
-type peerDedup struct {
-	entries   map[uint64]*dedupEntry
-	doneOrder []uint64
-}
-
-// relState is one kernel's half of the reliable layer.
-type relState struct {
-	k *Kernel
-	// bySeq maps every unanswered sequence number to its transmission.
-	bySeq map[uint64]*xmitState
-	// byDst lists the live transmissions per destination in first-send
-	// order (a slice, not a map: dead-peer aborts must complete futures
-	// in a deterministic order).
-	byDst map[int][]*xmitState
-	dedup map[int]*peerDedup
-	// dead is this kernel's own verdict on its peers; sticky until the peer
-	// rejoins with a newer incarnation (admitIncarnation).
-	dead map[int]bool
-	// peerInc is the highest incarnation number observed per peer; a
-	// missing entry means the boot incarnation 1. Requests stamped with an
-	// older incarnation are stale retransmits from before the peer's crash
-	// and are rejected; a newer stamp admits the rejoined peer.
-	peerInc map[int]uint32
-}
-
-func newRelState(k *Kernel) *relState {
-	return &relState{
-		k:       k,
-		bySeq:   make(map[uint64]*xmitState),
-		byDst:   make(map[int][]*xmitState),
-		dedup:   make(map[int]*peerDedup),
-		dead:    make(map[int]bool),
-		peerInc: make(map[int]uint32),
-	}
-}
-
-// incOf returns the highest incarnation observed for a peer.
-func (rt *relState) incOf(from int) uint32 {
-	if inc, ok := rt.peerInc[from]; ok {
-		return inc
-	}
-	return 1
-}
-
-// reliable reports whether this kernel runs the reliable IKC layer.
-func (k *Kernel) reliable() bool { return k.rt != nil }
-
 // peerDead reports whether this kernel has declared dst dead.
-func (k *Kernel) peerDead(dst int) bool { return k.rt != nil && k.rt.dead[dst] }
+func (k *Kernel) peerDead(dst int) bool {
+	pr := k.peers[dst]
+	return pr != nil && pr.dead
+}
 
 // failFast completes a request's future with ErrPeerDead without ever
 // putting it on the wire.
-func (rt *relState) failFast(seq uint64, dst int) {
-	rt.k.stats.FailFast++
-	rt.k.failPending(seq, dst)
+func (k *Kernel) failFast(seq uint64, dst int) {
+	k.stats.FailFast++
+	k.failPending(seq, dst)
 }
 
 // failPending completes the future of request seq, if it has one, with
 // ErrPeerDead from dst.
 func (k *Kernel) failPending(seq uint64, dst int) {
-	fut := k.pending[seq]
+	a, ok := k.pending[seq]
 	delete(k.pending, seq)
-	if fut != nil {
-		fut.Complete(&ikcReply{Seq: seq, From: dst, Err: ErrPeerDead})
+	if ok {
+		a.fut.Complete(&ikcReply{Seq: seq, From: dst, Err: ErrPeerDead})
 	}
 }
 
 // track registers a transmission that just left on the wire and arms its
 // retransmission timer.
-func (rt *relState) track(dst int, reqs []*ikcRequest, env bool, kind ikcKind) {
+func (k *Kernel) track(dst int, reqs []*ikcRequest, env bool) {
 	xm := &xmitState{
 		dst:       dst,
-		kind:      kind,
 		env:       env,
 		reqs:      reqs,
 		remaining: len(reqs),
 		rto:       rtoBase,
-		firstSent: rt.k.sys.Eng.Now(),
+		firstSent: k.sys.Eng.Now(),
 	}
 	for _, r := range reqs {
-		rt.bySeq[r.Seq] = xm
+		a := k.pending[r.Seq]
+		a.xm = xm
+		k.pending[r.Seq] = a
 	}
-	rt.byDst[dst] = append(rt.byDst[dst], xm)
-	rt.arm(xm)
+	pr := k.peers[dst]
+	pr.live = append(pr.live, xm)
+	k.arm(xm)
 }
 
-func (rt *relState) arm(xm *xmitState) {
-	rt.k.sys.Eng.Schedule(xm.rto, func() { rt.expire(xm) })
+func (k *Kernel) arm(xm *xmitState) {
+	k.sys.Eng.Schedule(xm.rto, func() { k.expire(xm) })
 }
 
-// onReply marks seq answered. When the last request of its transmission
-// resolves, the transmission completes: the in-flight credit returns and
-// a retransmitted transmission records its recovery latency.
-func (rt *relState) onReply(seq uint64) {
-	xm := rt.bySeq[seq]
-	if xm == nil {
-		return
-	}
-	delete(rt.bySeq, seq)
+// onReply counts one request of xm answered (recvReply has dropped it from
+// pending). When the last request of the transmission resolves, the
+// transmission completes: the in-flight credit returns and a retransmitted
+// transmission records its recovery latency.
+func (k *Kernel) onReply(xm *xmitState) {
 	xm.remaining--
 	if xm.remaining > 0 || xm.done {
 		return
 	}
 	xm.done = true
-	rt.unlink(xm)
-	k := rt.k
+	k.unlink(xm)
 	if xm.retried {
 		k.stats.Recovered++
 		k.stats.RecoveryCycles += k.sys.Eng.Now() - xm.firstSent
@@ -196,28 +132,27 @@ func (rt *relState) onReply(seq uint64) {
 // expire is the retransmission timer (event context). Still-unanswered
 // requests of the transmission are re-sent with doubled timeout; past the
 // retry budget the destination is declared dead instead.
-func (rt *relState) expire(xm *xmitState) {
+func (k *Kernel) expire(xm *xmitState) {
 	if xm.done {
 		return
 	}
-	k := rt.k
-	if rt.dead[xm.dst] {
-		rt.unlink(xm)
-		rt.abort(xm)
+	if k.peerDead(xm.dst) {
+		k.unlink(xm)
+		k.abort(xm)
 		return
 	}
 	if xm.tries >= maxRetries {
-		rt.markDead(xm.dst)
+		k.markDead(xm.dst)
 		return
 	}
 	xm.tries++
 	xm.retried = true
 	xm.rto = min(xm.rto*2, rtoMax)
 	// Only requests this transmission still owns are re-sent: a request
-	// answered (or aborted) since the last send left bySeq.
+	// answered (or aborted) since the last send left pending.
 	live := make([]*ikcRequest, 0, len(xm.reqs))
 	for _, r := range xm.reqs {
-		if rt.bySeq[r.Seq] == xm {
+		if k.pending[r.Seq].xm == xm {
 			live = append(live, r)
 		}
 	}
@@ -228,7 +163,7 @@ func (rt *relState) expire(xm *xmitState) {
 	k.stats.Busy += k.sys.Cost.IKCCompose
 	dk := k.sys.kernels[xm.dst]
 	k.sys.Eng.Schedule(k.sys.Cost.IKCCompose, func() {
-		if xm.done || rt.dead[xm.dst] {
+		if xm.done || k.peerDead(xm.dst) {
 			return
 		}
 		// No new in-flight credit: the retransmit reuses the original's
@@ -242,63 +177,58 @@ func (rt *relState) expire(xm *xmitState) {
 			}
 		}
 	})
-	rt.arm(xm)
+	k.arm(xm)
 }
 
 // markDead is the degradation step: dst exhausted its retry budget, so
 // this kernel stops talking to it. Every outstanding transmission aborts,
 // completing its futures with ErrPeerDead in first-send order, and so do the
 // forwards still deferred toward dst, after them.
-func (rt *relState) markDead(dst int) {
-	if rt.dead[dst] {
+func (k *Kernel) markDead(dst int) {
+	pr := k.peers[dst]
+	if pr.dead {
 		return
 	}
-	rt.dead[dst] = true
-	rt.k.stats.DeadPeers++
-	xms := rt.byDst[dst]
-	delete(rt.byDst, dst)
+	pr.dead = true
+	k.stats.DeadPeers++
+	k.abortLive(pr)
+	k.failDeferred(dst)
+}
+
+// abortLive aborts the transmissions still live toward pr, in first-send
+// order.
+func (k *Kernel) abortLive(pr *peer) {
+	xms := pr.live
+	pr.live = nil
 	for _, xm := range xms {
 		if !xm.done {
-			rt.abort(xm)
+			k.abort(xm)
 		}
 	}
-	rt.k.failDeferred(dst)
 }
 
 // abort completes a transmission's unanswered futures with ErrPeerDead
 // and returns its in-flight credit. The caller has already unlinked xm
-// from byDst (or is draining the whole destination).
-func (rt *relState) abort(xm *xmitState) {
+// from its peer's live list (or is draining the whole list).
+func (k *Kernel) abort(xm *xmitState) {
 	xm.done = true
-	k := rt.k
 	for _, req := range xm.reqs {
-		if rt.bySeq[req.Seq] != xm {
-			continue
+		if k.pending[req.Seq].xm == xm {
+			k.failPending(req.Seq, xm.dst)
 		}
-		delete(rt.bySeq, req.Seq)
-		k.failPending(req.Seq, xm.dst)
 	}
 	k.creditBack(xm.dst)
 }
 
 // unlink removes xm from its destination's live list.
-func (rt *relState) unlink(xm *xmitState) {
-	xms := rt.byDst[xm.dst]
-	for i, x := range xms {
+func (k *Kernel) unlink(xm *xmitState) {
+	pr := k.peers[xm.dst]
+	for i, x := range pr.live {
 		if x == xm {
-			rt.byDst[xm.dst] = append(xms[:i], xms[i+1:]...)
+			pr.live = append(pr.live[:i], pr.live[i+1:]...)
 			return
 		}
 	}
-}
-
-func (rt *relState) peer(src int) *peerDedup {
-	pd := rt.dedup[src]
-	if pd == nil {
-		pd = &peerDedup{entries: make(map[uint64]*dedupEntry)}
-		rt.dedup[src] = pd
-	}
-	return pd
 }
 
 // dedupCheck runs before dispatching a received request: true means
@@ -306,20 +236,23 @@ func (rt *relState) peer(src int) *peerDedup {
 // reply is already cached, answered by replaying that reply (the original
 // reply was evidently the lost message).
 func (k *Kernel) dedupCheck(p *sim.Proc, req *ikcRequest) bool {
-	if k.rt == nil {
+	if !k.reliable {
 		return true
 	}
 	p.Settle() // a duplicate's cached reply is replayed from here
-	pd := k.rt.peer(req.From)
-	if e := pd.entries[req.Seq]; e != nil {
+	pr := k.peer(req.From)
+	if rep, seen := pr.replies[req.Seq]; seen {
 		k.stats.DupSuppressed++
-		if e.state == dedupDone && e.rep != nil {
+		if rep != nil {
 			k.stats.ReplayedReplies++
-			k.sendReply(k.sys.kernels[req.From], e.rep)
+			k.sendReply(k.sys.kernels[req.From], rep)
 		}
 		return false
 	}
-	pd.entries[req.Seq] = &dedupEntry{state: dedupInProgress}
+	if pr.replies == nil {
+		pr.replies = make(map[uint64]*ikcReply)
+	}
+	pr.replies[req.Seq] = nil // in progress
 	return true
 }
 
@@ -330,20 +263,17 @@ func (k *Kernel) dedupCheck(p *sim.Proc, req *ikcRequest) bool {
 // retransmit delayed past replyCache newer completions — out of scope by
 // design (the sweep's timeouts resolve far sooner).
 func (k *Kernel) cacheReply(from int, seq uint64, rep *ikcReply) {
-	if k.rt == nil {
+	if !k.reliable {
 		return
 	}
-	pd := k.rt.peer(from)
-	e := pd.entries[seq]
-	if e == nil {
-		e = &dedupEntry{}
-		pd.entries[seq] = e
+	pr := k.peer(from)
+	if pr.replies == nil {
+		pr.replies = make(map[uint64]*ikcReply)
 	}
-	e.state = dedupDone
-	e.rep = rep
-	pd.doneOrder = append(pd.doneOrder, seq)
-	for len(pd.doneOrder) > replyCache {
-		delete(pd.entries, pd.doneOrder[0])
-		pd.doneOrder = pd.doneOrder[1:]
+	pr.replies[seq] = rep
+	pr.answered = append(pr.answered, seq)
+	for len(pr.answered) > replyCache {
+		delete(pr.replies, pr.answered[0])
+		pr.answered = pr.answered[1:]
 	}
 }

@@ -67,7 +67,7 @@ func TestReliableModeLossless(t *testing.T) {
 	if lost := s.Net.Stats().Lost; lost != 0 {
 		t.Errorf("Lost = %d on a lossless fabric", lost)
 	}
-	checkAllInvariants(t, s)
+	checkAudit(t, s)
 }
 
 // TestReliableRecoversFromDrops: with a lossy, duplicating, jittery fabric
@@ -96,7 +96,7 @@ func TestReliableRecoversFromDrops(t *testing.T) {
 	if got := s.Net.Stats().Lost; got < fs.Dropped {
 		t.Errorf("Net lost %d < injector dropped %d", got, fs.Dropped)
 	}
-	checkAllInvariants(t, s)
+	checkAudit(t, s)
 }
 
 // TestFaultyRunDeterministic: the same seed reproduces a faulty run
@@ -196,8 +196,9 @@ func TestDeadKernelFailFast(t *testing.T) {
 }
 
 // TestBaselineHasNoReliabilityState: without a fault plan the reliable
-// layer must not exist at all — its state is nil and its
-// counters stay zero, preserving the byte-identical baseline.
+// layer must not exist at all — no peer record holds a reply cache or a
+// live transmission, and its counters stay zero, preserving the
+// byte-identical baseline.
 func TestBaselineHasNoReliabilityState(t *testing.T) {
 	const kids = 8
 	s, errs := reliableFanout(t, Config{Kernels: 4, UserPEs: kids + 7}, kids)
@@ -206,10 +207,24 @@ func TestBaselineHasNoReliabilityState(t *testing.T) {
 			t.Errorf("client %d: %v", i, err)
 		}
 	}
+	records := 0
 	for ki := 0; ki < s.Kernels(); ki++ {
-		if s.Kernel(ki).rt != nil {
-			t.Errorf("kernel %d has reliability state without a fault plan", ki)
+		k := s.Kernel(ki)
+		if k.reliable {
+			t.Errorf("kernel %d runs the reliable layer without a fault plan", ki)
 		}
+		for dst, pr := range k.peers {
+			if pr == nil {
+				continue
+			}
+			records++
+			if pr.replies != nil || pr.answered != nil || pr.live != nil || pr.dead || pr.inc != 1 {
+				t.Errorf("kernel %d has reliability state toward kernel %d without a fault plan", ki, dst)
+			}
+		}
+	}
+	if records == 0 {
+		t.Error("no peer record at all: the fan-out did not cross kernels")
 	}
 	st := s.TotalStats()
 	if st.Retransmits+st.DupSuppressed+st.ReplayedReplies+st.LateReplies+

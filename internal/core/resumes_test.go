@@ -103,7 +103,7 @@ func TestOperationEventsAndResumes(t *testing.T) {
 			t.Errorf("%s: %d events, %d resumes; want %d, %d", tc.name, events, resumes, tc.events, tc.resumes)
 		}
 	}
-	checkAllInvariants(t, s)
+	checkAudit(t, s)
 }
 
 // loadedDerive builds the loaded counterpart of the idle pins above: one
@@ -175,7 +175,7 @@ func TestLoadedDeriveEventsAndResumes(t *testing.T) {
 	if events != wantEvents || resumes != wantResumes {
 		t.Errorf("%d loaded derives: %d events, %d resumes; want %d, %d", syscalls, events, resumes, wantEvents, wantResumes)
 	}
-	checkAllInvariants(t, s)
+	checkAudit(t, s)
 }
 
 // BenchmarkLoadedDeriveSyscall is one DeriveMem of the loaded round.

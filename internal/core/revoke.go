@@ -219,7 +219,7 @@ func (k *Kernel) revokeChildren(p *sim.Proc, c *cap.Capability, rs *revState, ki
 				continue
 			}
 			kids = k.revokeChildren(p, child, rs, kids)
-		} else if k.xport.pol.Revoke {
+		} else if k.batching.Revoke {
 			// Batched revocation: the barrier at the end of the mark walk
 			// sends one batched request per owning kernel (forwardBatches) —
 			// the paper's §5.2 message-batching proposal.

@@ -43,9 +43,9 @@ func buildFanoutNoRun(t *testing.T, s *System, n int) []error {
 	return errs
 }
 
-// TestSystemRunCtxCancelDeterministic: cancelling System.RunCtx from an
-// in-simulation event stops at a reproducible executed count and virtual
-// time, the resumed run completes every operation, and the final kernel
+// TestSystemRunCtxCancelDeterministic: cancelling a System's run
+// (Eng.RunCtx) from an in-simulation event stops at a reproducible executed
+// count and virtual time, the resumed run completes every operation, and the final kernel
 // stats match an uncancelled run. Teardown after a cancelled run is clean
 // (Close settles LiveProcs to zero).
 func TestSystemRunCtxCancelDeterministic(t *testing.T) {
@@ -55,7 +55,7 @@ func TestSystemRunCtxCancelDeterministic(t *testing.T) {
 	// Uncancelled reference.
 	refSys := MustNew(cfg)
 	refErrs := buildFanoutNoRun(t, refSys, kids)
-	if err := refSys.RunCtx(context.Background()); err != nil {
+	if err := refSys.Eng.RunCtx(context.Background()); err != nil {
 		t.Fatalf("reference: %v", err)
 	}
 	refStats := refSys.TotalStats()
@@ -74,12 +74,12 @@ func TestSystemRunCtxCancelDeterministic(t *testing.T) {
 		// poll boundary makes the stop point a pure function of the event
 		// sequence.
 		s.Eng.Schedule(3_000, cancel)
-		if err := s.RunCtx(ctx); err != context.Canceled {
+		if err := s.Eng.RunCtx(ctx); err != context.Canceled {
 			t.Fatalf("RunCtx = %v, want context.Canceled", err)
 		}
 		executed, now := s.Eng.Executed(), s.Now()
 		// The engine stays valid: resuming completes the workload exactly.
-		if err := s.RunCtx(context.Background()); err != nil {
+		if err := s.Eng.RunCtx(context.Background()); err != nil {
 			t.Fatalf("resume: %v", err)
 		}
 		for i, err := range errs {
@@ -116,7 +116,7 @@ func TestSystemRunCtxCancelPoolReuse(t *testing.T) {
 
 	ref := MustNew(cfg)
 	buildFanoutNoRun(t, ref, kids)
-	if err := ref.RunCtx(context.Background()); err != nil {
+	if err := ref.Eng.RunCtx(context.Background()); err != nil {
 		t.Fatalf("reference: %v", err)
 	}
 	refStats := ref.TotalStats()
@@ -130,7 +130,7 @@ func TestSystemRunCtxCancelPoolReuse(t *testing.T) {
 	buildFanoutNoRun(t, s1, kids)
 	ctx, cancel := context.WithCancel(context.Background())
 	s1.Eng.Schedule(3_000, cancel)
-	if err := s1.RunCtx(ctx); err != context.Canceled {
+	if err := s1.Eng.RunCtx(ctx); err != context.Canceled {
 		t.Fatalf("RunCtx = %v, want context.Canceled", err)
 	}
 	pool.Put(e) // Reset: unwinds every parked kernel and VPE proc
@@ -146,7 +146,7 @@ func TestSystemRunCtxCancelPoolReuse(t *testing.T) {
 	s2 := MustNew(cfgPooled)
 	t.Cleanup(s2.Close)
 	errs := buildFanoutNoRun(t, s2, kids)
-	if err := s2.RunCtx(context.Background()); err != nil {
+	if err := s2.Eng.RunCtx(context.Background()); err != nil {
 		t.Fatalf("reused engine: %v", err)
 	}
 	for i, err := range errs {
@@ -157,5 +157,5 @@ func TestSystemRunCtxCancelPoolReuse(t *testing.T) {
 	if st := s2.TotalStats(); st != refStats {
 		t.Errorf("pool-reused run stats differ from a fresh run:\n%+v\n%+v", st, refStats)
 	}
-	checkAllInvariants(t, s2)
+	checkAudit(t, s2)
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -247,11 +246,6 @@ func (s *System) VPEs() []*VPE { return s.vpes }
 
 // Run executes the simulation until no events remain.
 func (s *System) Run() { s.Eng.Run() }
-
-// RunCtx executes the simulation until no events remain or ctx is done,
-// returning the context's error in the latter case. A cancelled system is
-// still consistent; Close unwinds its parked procs.
-func (s *System) RunCtx(ctx context.Context) error { return s.Eng.RunCtx(ctx) }
 
 // RunFor advances the simulation by d cycles.
 func (s *System) RunFor(d sim.Duration) { s.Eng.RunUntil(s.Eng.Now() + d) }

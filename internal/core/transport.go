@@ -1,9 +1,7 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"repro/internal/sim"
 )
@@ -12,11 +10,11 @@ import (
 // proposal, generalized). The paper implements batching only for tree
 // revocation; related capability systems make aggregation a property of the
 // transport instead, so every inter-kernel operation can ride it. This file
-// hoists that idea out of revoke.go and makes the transport symmetric: each
-// kernel owns per-(destination, request-kind) aggregation queues for the
-// request direction AND per-(destination, class) reply queues for the reply
-// direction, under one policy that decides which operation families are
-// batched; when queues flush is fixed:
+// hoists that idea out of revoke.go and makes the transport symmetric: a
+// kernel's record for each destination (peer) holds one aggregation queue
+// per request kind for the request direction AND one reply queue per class
+// for the reply direction, under one policy that decides which operation
+// families are batched; when queues flush is fixed:
 //
 //   - inline, when a queue reaches maxBatch (the enqueuing thread holds the
 //     CPU and composes the envelope itself);
@@ -87,7 +85,7 @@ const (
 	// between flushWindowMin and flushWindow (adaptWindow), so batching
 	// stops costing latency on idle links and still aggregates
 	// aggressively on busy ones. Reply queues have no window: they drain at
-	// the dispatch barrier (see transport.repq).
+	// the dispatch barrier (see flushReplies).
 	flushWindow sim.Duration = 1000
 	// flushWindowMin is the adaptive window's floor (32 ns at 2 GHz): close
 	// enough to an inline flush that a lone request on a quiet link pays
@@ -125,27 +123,11 @@ func classOf(kind ikcKind) batchClass {
 	}
 }
 
-// qkey identifies one request aggregation queue: requests of one kind
-// bound for one kernel (so every envelope carries N requests of a single
-// kind).
-type qkey struct {
-	dst  int
-	kind ikcKind
-}
-
-// rkey identifies one reply aggregation queue: replies of one operation
-// family bound for one kernel. Replies are matched to their request by
-// sequence number, not by kind, so the reply direction can coalesce at the
-// coarser class granularity.
-type rkey struct {
-	dst   int
-	class batchClass
-}
-
-// sendQueue is one request aggregation queue. epoch distinguishes queue
-// generations so a flush (timer or transmit-proc entry) aimed at an
-// already-flushed generation is a no-op; window is the queue's adaptive
-// flush window.
+// sendQueue is one request aggregation queue: the requests of one kind for
+// one kernel, so every envelope carries N requests of a single kind. epoch
+// distinguishes queue generations so a flush (timer or transmit-proc entry)
+// aimed at an already-flushed generation is a no-op; window is the queue's
+// adaptive flush window.
 type sendQueue struct {
 	reqs   []*ikcRequest
 	epoch  uint64
@@ -158,96 +140,32 @@ type sendQueue struct {
 // from draining the *next* generation early, which would both cut that
 // envelope short and feed adaptWindow a false idle signal.
 type flushRef struct {
-	key   qkey
+	dst   int
+	q     *sendQueue
 	epoch uint64
-}
-
-// replyQueue is one reply aggregation queue. It needs no generation or
-// window bookkeeping: replies are only produced inside a request
-// dispatch, and every dispatch ends with a barrier flush of this queue
-// (flushReplies), so the queue can never outlive the event instant
-// that filled it — maxBatch and the barrier are the only flush triggers.
-type replyQueue struct {
-	reps []*ikcReply
-}
-
-// transport is a kernel's half of the unified IKC layer: the request
-// aggregation queues (sending side) and the reply sink (answering side).
-type transport struct {
-	k   *Kernel
-	pol IKCBatching
-
-	queues map[qkey]*sendQueue
-	// repq is the reply sink: handlers return their results to it (via
-	// ikReply; continuation completions bypass it, see ikReplyAsync) and
-	// it aggregates them into per-(destination, class) envelopes drained
-	// by the dispatch barrier.
-	repq map[rkey]*replyQueue
-
-	// flushQ feeds the transmit proc; spawned lazily on the first
-	// timer-driven request flush so unbatched configurations create no
-	// procs. Reply flushes never need it: nobody blocks on sending a
-	// reply, so they run from event context under the ikReplyAsync cost
-	// convention. xmit is the proc's wait record, non-nil once spawned.
-	flushQ *sim.Queue[flushRef]
-	xmit   *kthread
-}
-
-func newTransport(k *Kernel, pol IKCBatching) *transport {
-	return &transport{
-		k:      k,
-		pol:    pol,
-		queues: make(map[qkey]*sendQueue),
-		repq:   make(map[rkey]*replyQueue),
-		flushQ: sim.NewQueue[flushRef](k.sys.Eng),
-	}
 }
 
 // batches reports whether requests of this kind ride aggregation queues.
 // Revocation is excluded here: the mark walk collects its remote children
 // on its record and sends them when it ends (forwardBatches), which keeps
 // Algorithm 1's outstanding-reply accounting.
-func (t *transport) batches(kind ikcKind) bool {
-	return classOf(kind) != classRevoke && t.batchesReply(kind)
+func (k *Kernel) batches(kind ikcKind) bool {
+	return classOf(kind) != classRevoke && k.batchesReply(kind)
 }
 
 // batchesReply reports whether the reply to a request of this kind rides
 // the reply sink: whether the policy batches its family.
-func (t *transport) batchesReply(kind ikcKind) bool {
+func (k *Kernel) batchesReply(kind ikcKind) bool {
 	switch classOf(kind) {
 	case classExchange:
-		return t.pol.Exchange
+		return k.batching.Exchange
 	case classSvcQuery:
-		return t.pol.ServiceQuery
+		return k.batching.ServiceQuery
 	case classRevoke:
-		return t.pol.Revoke
+		return k.batching.Revoke
 	default:
 		return false
 	}
-}
-
-func (t *transport) queue(key qkey) *sendQueue {
-	q := t.queues[key]
-	if q == nil {
-		q = &sendQueue{window: flushWindow}
-		t.queues[key] = q
-	}
-	return q
-}
-
-// queued returns the keys of the request queues holding requests, sorted
-// by (destination, kind); nil, without allocating, when there are none.
-func (t *transport) queued() []qkey {
-	var keys []qkey
-	for key, q := range t.queues {
-		if len(q.reqs) > 0 {
-			keys = append(keys, key)
-		}
-	}
-	slices.SortFunc(keys, func(a, b qkey) int {
-		return cmp.Or(cmp.Compare(a.dst, b.dst), cmp.Compare(a.kind, b.kind))
-	})
-	return keys
 }
 
 // --- request direction ---------------------------------------------------
@@ -257,22 +175,25 @@ func (t *transport) queued() []qkey {
 // marshalling the request into the batch buffer. The queue flushes inline
 // at maxBatch (growing the adaptive window: load sustains batching);
 // otherwise the first request of a generation arms the window timer.
-func (t *transport) enqueue(p *sim.Proc, dst int, req *ikcRequest) *sim.Future[*ikcReply] {
-	k := t.k
+func (k *Kernel) enqueue(p *sim.Proc, dst int, req *ikcRequest) *sim.Future[*ikcReply] {
 	fut, dead := k.stamp(p, dst, req, true)
 	if dead {
 		return fut
 	}
 	k.stats.IKCBatched++
 
-	key := qkey{dst: dst, kind: req.Kind}
-	q := t.queue(key)
+	pr := k.peer(dst)
+	q := pr.reqq[req.Kind]
+	if q == nil {
+		q = &sendQueue{window: flushWindow}
+		pr.reqq[req.Kind] = q
+	}
 	q.reqs = append(q.reqs, req)
 	if len(q.reqs) >= maxBatch {
-		t.flushLocked(p, key)
+		k.flushLocked(p, dst, q)
 	} else if len(q.reqs) == 1 {
 		epoch := q.epoch
-		k.sys.Eng.Schedule(q.window, func() { t.timerFire(key, epoch) })
+		k.sys.Eng.Schedule(q.window, func() { k.timerFire(dst, q, epoch) })
 	}
 	return fut
 }
@@ -299,22 +220,24 @@ func adaptWindow(window *sim.Duration, drained int) {
 // timerFire runs in event context when a queue's aggregation window
 // closes. If the generation is still pending, the flush is handed to the
 // transmit proc (the enqueuers are parked on their replies and cannot
-// flush themselves).
-func (t *transport) timerFire(key qkey, epoch uint64) {
-	q := t.queues[key]
-	if q == nil || q.epoch != epoch || len(q.reqs) == 0 {
+// flush themselves). The proc and its work queue are made on the first
+// such flush, so unbatched configurations create neither. Reply flushes
+// never need it: nobody blocks on sending a reply, so they run from event
+// context under the ikReplyAsync cost convention.
+func (k *Kernel) timerFire(dst int, q *sendQueue, epoch uint64) {
+	if q.epoch != epoch || len(q.reqs) == 0 {
 		return // already flushed inline
 	}
-	if t.xmit == nil {
-		t.xmit = &kthread{pl: t.k.ikcPool, stage: stageJob}
-		t.k.sys.Eng.SpawnLazy(xmitName, t.k.id, func(p *sim.Proc) {
+	if k.xmit == nil {
+		k.xmit = &kthread{pl: k.ikcPool, stage: stageJob}
+		k.flushQ = sim.NewQueue[flushRef](k.sys.Eng)
+		k.sys.Eng.SpawnLazy(xmitName, k.id, func(p *sim.Proc) {
 			for {
-				ref := t.flushQ.Pop(p)
-				t.flushFrom(p, ref)
+				k.flushFrom(p, k.flushQ.Pop(p))
 			}
 		})
 	}
-	t.flushQ.Push(flushRef{key: key, epoch: epoch})
+	k.flushQ.Push(flushRef{dst: dst, q: q, epoch: epoch})
 }
 
 // xmitName formats the diagnostic name of kernel k's transmit proc.
@@ -325,26 +248,25 @@ func xmitName(k int) string { return fmt.Sprintf("k%d/xmit", k) }
 // this entry waited behind the CPU; the epoch check makes that a no-op —
 // draining the *successor* generation here would cut its envelope short
 // and misreport idleness to adaptWindow.
-func (t *transport) flushFrom(p *sim.Proc, ref flushRef) {
-	q := t.queues[ref.key]
-	if q == nil || q.epoch != ref.epoch || len(q.reqs) == 0 {
+func (k *Kernel) flushFrom(p *sim.Proc, ref flushRef) {
+	q := ref.q
+	if q.epoch != ref.epoch || len(q.reqs) == 0 {
 		return
 	}
-	t.k.acquireCPU(p, t.xmit)
+	k.acquireCPU(p, k.xmit)
 	if q.epoch == ref.epoch { // may have flushed inline while we waited for the CPU
-		t.flushLocked(p, ref.key)
+		k.flushLocked(p, ref.dst, q)
 	}
-	t.k.releaseCPU(p)
-	t.xmit.stage = stageJob // between flushes, for the quiescence audit
+	k.releaseCPU(p)
+	k.xmit.stage = stageJob // between flushes, for the quiescence audit
 }
 
-// flushLocked drains one queue and transmits its requests as a single
-// coalesced envelope. The caller holds the CPU. The queue is detached
+// flushLocked drains q, a queue toward dst, and transmits its requests as a
+// single coalesced envelope. The caller holds the CPU. The queue is detached
 // before any preemption point, so requests enqueued while this envelope
 // waits for an in-flight slot start a fresh generation.
-func (t *transport) flushLocked(p *sim.Proc, key qkey) {
-	q := t.queues[key]
-	if q == nil || len(q.reqs) == 0 {
+func (k *Kernel) flushLocked(p *sim.Proc, dst int, q *sendQueue) {
+	if len(q.reqs) == 0 {
 		return
 	}
 	reqs := q.reqs
@@ -352,53 +274,46 @@ func (t *transport) flushLocked(p *sim.Proc, key qkey) {
 	q.epoch++
 	adaptWindow(&q.window, len(reqs))
 
-	k := t.k
-	if k.peerDead(key.dst) {
+	if k.peerDead(dst) {
 		// The destination died while these requests were queued: complete
 		// them with error replies instead of transmitting into a black
 		// hole (and tying up an in-flight credit).
 		for _, req := range reqs {
-			k.rt.failFast(req.Seq, key.dst)
+			k.failFast(req.Seq, dst)
 		}
 		return
 	}
 	k.exec(p, k.sys.Cost.IKCCompose) // envelope header compose
 	k.stats.IKCSent++
 	k.stats.IKCBatches++
-	sem := k.inflightTo(key.dst)
-	if !sem.TryAcquire() {
-		k.pause(p, sem)
+	if pr := k.peers[dst]; !pr.credits.TryAcquire() {
+		k.pause(p, &pr.credits)
 	}
-	k.sendEnvelope(key.dst, reqs)
-	if k.rt != nil {
-		k.rt.track(key.dst, reqs, true, key.kind)
+	k.sendEnvelope(dst, reqs)
+	if k.reliable {
+		k.track(dst, reqs, true)
 	}
 }
 
 // --- reply direction (the sink) ------------------------------------------
 
-// enqueueReply appends rep to its (destination, class) reply queue. The
+// enqueueReply appends rep to the reply queue of its class toward dst. The
 // per-reply marshal cost has already been charged by ikReply. It may only
 // be called from request-dispatch context: the dispatch barrier that ends
 // every dispatch (flushReplies) is what guarantees the queue drains — there
 // is no timer fallback, and none is needed, because a reply cannot outlive
 // the dispatch that produced it. The only other flush trigger is maxBatch,
 // when a wide envelope's replies overflow mid-dispatch.
-func (t *transport) enqueueReply(dst int, class batchClass, rep *ikcReply) {
-	key := rkey{dst: dst, class: class}
-	q := t.repq[key]
-	if q == nil {
-		q = &replyQueue{}
-		t.repq[key] = q
-	}
-	q.reps = append(q.reps, rep)
-	if len(q.reps) >= maxBatch {
-		t.flushReplies(key)
+func (k *Kernel) enqueueReply(dst int, class batchClass, rep *ikcReply) {
+	q := &k.peer(dst).repq[class]
+	*q = append(*q, rep)
+	if len(*q) >= maxBatch {
+		k.flushReplies(dst, class)
 	}
 }
 
-// flushReplies drains one reply queue and transmits it as one reply
-// envelope, preserving enqueue order.
+// flushReplies drains the reply queue of one class toward dst and transmits
+// it as one reply envelope, preserving enqueue order.
 // It is the reply sink's dispatch barrier: the epilogue of every request
 // dispatch (kthread.Ready) flushes the queue feeding the request's sender.
 // Every handler of an envelope has returned its reply by then (revocation
@@ -412,15 +327,14 @@ func (t *transport) enqueueReply(dst int, class batchClass, rep *ikcReply) {
 // nothing to block on. A queue holding a single reply degenerates to a
 // direct reply message: there is nothing to share an envelope header with,
 // so wrapping it would only add compose time and wire bytes.
-func (t *transport) flushReplies(key rkey) {
-	q := t.repq[key]
-	if q == nil || len(q.reps) == 0 {
+func (k *Kernel) flushReplies(dst int, class batchClass) {
+	pr := k.peers[dst]
+	if pr == nil || len(pr.repq[class]) == 0 {
 		return
 	}
-	reps := q.reps
-	k := t.k
+	reps := pr.repq[class]
 	k.stats.IKCRepSent++
-	dk := k.sys.kernels[key.dst]
+	dk := k.sys.kernels[dst]
 	if len(reps) == 1 {
 		k.sendReply(dk, reps[0])
 	} else {
@@ -429,5 +343,5 @@ func (t *transport) flushReplies(key rkey) {
 		k.composeReplies(dk, reps)
 	}
 	clear(reps)
-	q.reps = reps[:0]
+	pr.repq[class] = reps[:0]
 }

@@ -121,7 +121,7 @@ func TestExchangeBatchingCorrect(t *testing.T) {
 	if n := memCapsEverywhere(s); n != 0 {
 		t.Fatalf("%d mem caps survived batched revoke after batched obtains", n)
 	}
-	checkAllInvariants(t, s)
+	checkAudit(t, s)
 }
 
 // runServiceFanout registers a service on kernel 0 and lets n clients on
@@ -207,7 +207,7 @@ func TestServiceQueryBatchingReducesMessages(t *testing.T) {
 	if plain.ikcBatches+plain.ikcRepBatches != 0 {
 		t.Fatalf("unbatched run produced envelopes: %+v", plain)
 	}
-	checkAllInvariants(t, sBatched)
+	checkAudit(t, sBatched)
 }
 
 // TestMaxBatchInlineFlush: a queue reaching maxBatch flushes inline, without
@@ -226,7 +226,7 @@ func TestMaxBatchInlineFlush(t *testing.T) {
 	if n := memCapsEverywhere(s); n != kids+1 {
 		t.Fatalf("obtains incomplete: %d mem caps, want %d", n, kids+1)
 	}
-	checkAllInvariants(t, s)
+	checkAudit(t, s)
 }
 
 // TestReplyBatchingReducesMessages: the symmetric transport — with
@@ -339,7 +339,7 @@ func TestReplyEnvelopeDelegateHandshake(t *testing.T) {
 	if w := gatherWire(s); w.ikcRepBatches == 0 {
 		t.Fatal("handshake replies never rode a reply envelope")
 	}
-	checkAllInvariants(t, s)
+	checkAudit(t, s)
 }
 
 // TestDuplicatedEnvelopes: on a fabric that delivers every kernel message
@@ -378,8 +378,7 @@ func TestDuplicatedEnvelopes(t *testing.T) {
 	if n := memCapsEverywhere(s); n != 0 {
 		t.Errorf("%d memory capabilities survived the revocation", n)
 	}
-	checkNoLeaks(t, s)
-	checkAllInvariants(t, s)
+	checkAudit(t, s)
 }
 
 // TestAdaptiveFlushWindow: the drain feedback of the flush window. Lone
@@ -397,7 +396,6 @@ func TestAdaptiveFlushWindow(t *testing.T) {
 	t.Cleanup(s.Close)
 	lonePE := s.userPEs[group]
 	requesterK := s.KernelOfPE(lonePE) // kernel 1, where the obtains originate
-	key := qkey{dst: 0, kind: ikcObtain}
 
 	ready := sim.NewFuture[cap.Selector](s.Eng)
 	burst := sim.NewFuture[struct{}](s.Eng)
@@ -422,7 +420,7 @@ func TestAdaptiveFlushWindow(t *testing.T) {
 			}
 			p.Sleep(5 * flushWindow) // let the link go quiet between obtains
 		}
-		afterLone = requesterK.xport.queue(key).window
+		afterLone = requesterK.peers[0].reqq[ikcObtain].window
 		burst.Complete(struct{}{})
 	}); err != nil {
 		t.Fatal(err)
@@ -447,7 +445,7 @@ func TestAdaptiveFlushWindow(t *testing.T) {
 	if afterLone < flushWindowMin {
 		t.Fatalf("window %d fell below the floor %d", afterLone, flushWindowMin)
 	}
-	final := requesterK.xport.queue(key).window
+	final := requesterK.peers[0].reqq[ikcObtain].window
 	if final <= afterLone {
 		t.Fatalf("maxBatch burst did not grow the window: %d after lone obtains, %d after burst",
 			afterLone, final)
@@ -526,5 +524,71 @@ func TestBatchedPoolReuseDeterminism(t *testing.T) {
 	got := batchedTrace(t, pool.Get())
 	if got != want {
 		t.Fatalf("batched run diverged on pooled engine: %v vs %v", got, want)
+	}
+}
+
+// TestPeerRecordsOnlyForTalkingPairs: a kernel's IKC record toward another
+// exists only once the two talk. In a star — every foreign kernel obtains
+// from kernel 0, whose revoke then reaches each of them — exactly the
+// 2(K−1) pairs of the star hold a record: each foreign kernel's toward 0
+// and 0's toward each of them. This is the scale sweep's traffic, so a
+// record per kernel pair would show in its live heap.
+func TestPeerRecordsOnlyForTalkingPairs(t *testing.T) {
+	const kernels = 8
+	s := MustNew(Config{Kernels: kernels, UserPEs: 2 * kernels})
+	t.Cleanup(s.Close)
+	pes := make([]int, kernels) // one user PE of each kernel
+	for i := len(s.userPEs) - 1; i >= 0; i-- {
+		pes[s.KernelOfPE(s.userPEs[i]).ID()] = s.userPEs[i]
+	}
+	ready := sim.NewFuture[cap.Selector](s.Eng)
+	var obtained sim.WaitGroup
+	obtained.Add(kernels - 1)
+	revoked := false
+	root, err := s.SpawnOn(pes[0], "root", func(v *VPE, p *sim.Proc) {
+		sel, err := v.AllocMem(p, 4096, dtu.PermRW)
+		if err != nil {
+			t.Errorf("alloc: %v", err)
+			return
+		}
+		ready.Complete(sel)
+		obtained.Wait(p)
+		if err := v.Revoke(p, sel); err != nil {
+			t.Errorf("revoke: %v", err)
+		}
+		revoked = true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g := 1; g < kernels; g++ {
+		if _, err := s.SpawnOn(pes[g], "leaf", func(v *VPE, p *sim.Proc) {
+			if _, err := v.ObtainFrom(p, root.ID, ready.Wait(p)); err != nil {
+				t.Errorf("obtain: %v", err)
+			}
+			obtained.Done()
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Run()
+	if !revoked || memCapsEverywhere(s) != 0 {
+		t.Fatalf("revoked=%v, %d memory capabilities left", revoked, memCapsEverywhere(s))
+	}
+	checkAudit(t, s)
+	records := 0
+	for _, k := range s.kernels {
+		for dst, pr := range k.peers {
+			if pr == nil {
+				continue
+			}
+			records++
+			if k.id != 0 && dst != 0 {
+				t.Errorf("kernel %d holds a record toward kernel %d, which it never talked to", k.id, dst)
+			}
+		}
+	}
+	if records != 2*(kernels-1) {
+		t.Errorf("%d peer records, want %d", records, 2*(kernels-1))
 	}
 }

@@ -240,8 +240,9 @@ func Run(cfg Config) (*Result, error) {
 
 	// A machine that drains with work outstanding (kernel threads still
 	// holding a job, syscalls that never returned, credits or receive slots
-	// not given back) raises no error by itself; the audit is what notices.
-	unfinished := sys.CheckQuiescent()
+	// not given back), or with leaked or broken capability state, raises no
+	// error by itself; the audit is what notices.
+	unfinished := sys.Audit()
 	res := &Result{Config: cfg, Instances: results}
 	for _, in := range results {
 		res.TotalCapOps += in.CapOps
@@ -254,7 +255,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	if len(unfinished) > 0 {
-		return nil, fmt.Errorf("workload: the machine ran dry with work outstanding:\n  %s", strings.Join(unfinished, "\n  "))
+		return nil, fmt.Errorf("workload: the drained machine failed its audit:\n  %s", strings.Join(unfinished, "\n  "))
 	}
 	res.Kernel = sys.TotalStats()
 	res.LostMsgs = sys.Net.Stats().Lost
