@@ -11,7 +11,7 @@
 // Experiments: table3, fig4, fig5, table4, fig6, fig7, fig8, fig9, fig10,
 // ablation; opt-in extras (excluded from "all"): ablation-ikc, faults,
 // scale, churn — the churn scenario races open-loop session churn and a
-// revocation storm against a kernel crash+recovery (-crashkernel).
+// revocation storm against a crash+recovery of the last kernel.
 // Every experiment plans its runs as task specs and executes them on an
 // in-process worker pool (-parallel, default GOMAXPROCS), largest machine
 // first. All simulated metrics are deterministic and independent of the
@@ -77,7 +77,6 @@ func realMain(args []string, stderr io.Writer) (code int) {
 	memprofile := fs.String("memprofile", "", "write a heap profile (taken after the sweep) to this file")
 	faultseed := fs.Uint64("faultseed", 1, "seed of the deterministic fault injector (faults experiment); identical seeds reproduce runs byte-identically at any -parallel")
 	scalekernels := fs.Int("scalekernels", 0, "cap the scale experiment's grid at this many kernels (0 = the full grid up to 1024)")
-	crashkernel := fs.Int("crashkernel", -1, "churn experiment: kernel to crash and recover mid-storm (-1 = the last kernel)")
 	switch err := fs.Parse(args); {
 	case err == flag.ErrHelp:
 		return 0
@@ -213,21 +212,13 @@ func realMain(args []string, stderr io.Writer) (code int) {
 	runExtra("ablation-ikc", func() { bench.AblationIKC(opts, 96, 12).Print(os.Stdout) })
 	runExtra("faults", func() { bench.Faults(opts, 64, 8).Print(os.Stdout) })
 	runExtra("scale", func() { bench.Scale(opts, *scalekernels).Print(os.Stdout) })
-	var churnErr error
 	runExtra("churn", func() {
-		r, err := bench.Churn(opts, 64, 8, *crashkernel)
+		r, err := bench.Churn(opts, 64, 8)
 		if err != nil {
-			churnErr = err
-			return
+			panic(err) // 1+8 kernels are always a machine
 		}
 		r.Print(os.Stdout)
 	})
-	if churnErr != nil {
-		// An invalid scenario (an out-of-range kernel) is a usage error,
-		// rejected before any simulation ran.
-		fmt.Fprintln(stderr, churnErr)
-		return 2
-	}
 
 	fmt.Printf("[%d experiments, %d workers, total %v]\n", ran, workers, total.Round(time.Millisecond))
 	report.WallclockSummary(os.Stdout, 10)

@@ -133,8 +133,8 @@ func churnStorm(eng *sim.Engine, n, extra int, plan *fault.Plan) (*core.System, 
 }
 
 // kindChurn runs one churn scenario. Config encodes the machine, Arg the
-// drop rate in basis points, Seed the injector seed and CrashKernel the
-// kernel that crashes and recovers (-1 = none).
+// drop rate in basis points, Seed the injector seed and Variant whether the
+// last kernel crashes and recovers ("storm") or not ("nocrash").
 const kindChurn = "churn"
 
 func init() { registerKind(kindChurn, runChurnSpec) }
@@ -146,10 +146,8 @@ func runChurnSpec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 		seed = 1
 	}
 	plan := faultsPlan(seed, spec.Arg)
-	if spec.CrashKernel >= 0 {
-		plan.Kernels = append(plan.Kernels, fault.KernelFault{
-			Kernel: spec.CrashKernel, CrashAt: churnCrashAt, RecoverAt: churnRecoverAt,
-		})
+	if spec.Variant == "storm" {
+		plan.Kernels = append(plan.Kernels, churnCrash(extra))
 	}
 	sys, mk, aux := churnStorm(eng, n, extra, plan)
 	defer sys.Close()
@@ -174,18 +172,24 @@ func runChurnSpec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 	return m, aux, nil
 }
 
+// churnCrash is the storm's kernel fault: the last kernel, never the root's,
+// crashes mid-storm and recovers.
+func churnCrash(extra int) fault.KernelFault {
+	return fault.KernelFault{Kernel: extra, CrashAt: churnCrashAt, RecoverAt: churnRecoverAt}
+}
+
 // churnSpecs plans the scenario rows: a no-crash control at the storm's
 // drop rate, then the crash+recover storm on a lossless and on a lossy
 // fabric.
-func churnSpecs(n, extra, crashKernel int, seed uint64) []TaskSpec {
+func churnSpecs(n, extra int, seed uint64) []TaskSpec {
 	cfg := ExpConfig{Kernels: extra + 1, Instances: n}
 	return []TaskSpec{
 		{Experiment: "churn/nocrash-100bp", Kind: kindChurn, Variant: "nocrash",
-			Arg: 100, Seed: seed, CrashKernel: -1, Config: cfg},
+			Arg: 100, Seed: seed, Config: cfg},
 		{Experiment: "churn/storm-0bp", Kind: kindChurn, Variant: "storm",
-			Arg: 0, Seed: seed, CrashKernel: crashKernel, Config: cfg},
+			Arg: 0, Seed: seed, Config: cfg},
 		{Experiment: "churn/storm-100bp", Kind: kindChurn, Variant: "storm",
-			Arg: 100, Seed: seed, CrashKernel: crashKernel, Config: cfg},
+			Arg: 100, Seed: seed, Config: cfg},
 	}
 }
 
@@ -203,28 +207,20 @@ type ChurnRow struct {
 // ChurnResult holds the churn scenario sweep.
 type ChurnResult struct {
 	ExtraKernels int
-	CrashKernel  int
 	Seed         uint64
 	Rows         []ChurnRow
 }
 
 // Churn runs the revocation-storm churn scenario: n open-loop sessions over
 // 1+extra kernels with scheduled expiries, a 1% lossy fabric and a
-// crash+recover of crashKernel (-1 = the last kernel) mid-storm. It returns
-// an error — without running anything — if the scenario is invalid (a crash
-// kernel out of range, a machine beyond the architectural limits).
-func Churn(o Options, maxClients, extra, crashKernel int) (ChurnResult, error) {
+// crash+recover of the last kernel mid-storm. It returns an error — without
+// running anything — if the machine is beyond the architectural limits.
+func Churn(o Options, maxClients, extra int) (ChurnResult, error) {
 	if maxClients <= 0 {
 		maxClients = 64
 	}
 	if extra <= 0 {
 		extra = 8
-	}
-	if crashKernel < 0 {
-		crashKernel = extra // the last kernel, never the root's
-	}
-	if crashKernel > extra {
-		return ChurnResult{}, fmt.Errorf("churn: crash kernel %d out of range [0, %d]", crashKernel, extra)
 	}
 	seed := o.FaultSeed
 	if seed == 0 {
@@ -232,13 +228,11 @@ func Churn(o Options, maxClients, extra, crashKernel int) (ChurnResult, error) {
 	}
 	// Pre-flight the exact machine the storm rows build, so a configuration
 	// error surfaces here instead of as a task panic mid-sweep.
-	specs := churnSpecs(maxClients, extra, crashKernel, seed)
+	specs := churnSpecs(maxClients, extra, seed)
 	n := maxClients
 	perGroup := (n+extra-1)/extra + 2
 	plan := faultsPlan(seed, 100)
-	plan.Kernels = append(plan.Kernels, fault.KernelFault{
-		Kernel: crashKernel, CrashAt: churnCrashAt, RecoverAt: churnRecoverAt,
-	})
+	plan.Kernels = append(plan.Kernels, churnCrash(extra))
 	if err := (core.Config{
 		Kernels: extra + 1,
 		UserPEs: (extra + 1) * perGroup,
@@ -247,7 +241,7 @@ func Churn(o Options, maxClients, extra, crashKernel int) (ChurnResult, error) {
 		return ChurnResult{}, fmt.Errorf("churn: %w", err)
 	}
 	rs := o.execute(specs)
-	r := ChurnResult{ExtraKernels: extra, CrashKernel: crashKernel, Seed: seed}
+	r := ChurnResult{ExtraKernels: extra, Seed: seed}
 	for i, spec := range specs {
 		m := rs[i].Metrics
 		r.Rows = append(r.Rows, ChurnRow{
@@ -267,7 +261,7 @@ func Churn(o Options, maxClients, extra, crashKernel int) (ChurnResult, error) {
 // Print writes the churn table.
 func (r ChurnResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "Churn: open-loop revocation storm over 1+%d kernels, crash kernel %d, seed %d\n",
-		r.ExtraKernels, r.CrashKernel, r.Seed)
+		r.ExtraKernels, r.ExtraKernels, r.Seed)
 	fmt.Fprintln(w, "scenario  drop     makespan(µs)  obtains  revokes  completed  retries  lost  dead  rejoins  rejoin(µs)  stale")
 	for _, row := range r.Rows {
 		fmt.Fprintf(w, "%-8s  %5.2f%%  %12.2f  %3d/%3d  %4d/%2d  %8.1f%%  %7d  %4d  %4d  %7d  %10.2f  %5d\n",

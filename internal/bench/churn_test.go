@@ -10,20 +10,19 @@ import (
 
 // TestChurnStorm drives the churn scenario at test scale and checks its
 // headline contract: the storm drains (no hangs), the crashed kernel
-// rejoins exactly once, operations degrade but complete partially, and no
-// capability or DDL state is left owned by the dead incarnation (a leak is
-// the task's error, which Churn panics with).
+// rejoins exactly once, operations degrade but complete partially, no
+// kernel declares a live peer dead, the storm ends within twice the no-crash
+// control's makespan, and no capability or DDL state is left owned by the
+// dead incarnation (a leak is the task's error, which Churn panics with).
 func TestChurnStorm(t *testing.T) {
-	r, err := Churn(Options{FaultSeed: 1}, 64, 8, -1)
+	r, err := Churn(Options{FaultSeed: 1}, 64, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(r.Rows) != 3 {
 		t.Fatalf("got %d rows, want 3", len(r.Rows))
 	}
-	if r.CrashKernel != 8 {
-		t.Fatalf("auto crash kernel = %d, want the last kernel (8)", r.CrashKernel)
-	}
+	control := r.Rows[0].Makespan // the nocrash row
 	for _, row := range r.Rows {
 		if row.Completed <= 0 || row.Completed > 1 {
 			t.Errorf("%s at %dbp: completed %.3f outside (0, 1]", row.Scenario, row.DropBp, row.Completed)
@@ -57,6 +56,15 @@ func TestChurnStorm(t *testing.T) {
 			if row.Aux.ObtainsOK == 0 {
 				t.Errorf("storm at %dbp: every obtain failed", row.DropBp)
 			}
+			// A request that waited across the rejoin leaves as the new
+			// incarnation's: no peer rejects it as stale and no retry ladder
+			// runs out against a live kernel.
+			if row.Aux.DeadPeers != 0 {
+				t.Errorf("storm at %dbp: %d live peers declared dead", row.DropBp, row.Aux.DeadPeers)
+			}
+			if row.Makespan > 2*control {
+				t.Errorf("storm at %dbp: makespan %d cycles, over twice the no-crash row's %d", row.DropBp, row.Makespan, control)
+			}
 		}
 	}
 }
@@ -65,18 +73,18 @@ func TestChurnStorm(t *testing.T) {
 // plan) — byte-identical across worker-pool sizes, and different under a
 // different seed.
 func TestChurnDeterministic(t *testing.T) {
-	a, err := Churn(Options{FaultSeed: 3, Parallel: 1}, 32, 4, -1)
+	a, err := Churn(Options{FaultSeed: 3, Parallel: 1}, 32, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Churn(Options{FaultSeed: 3, Parallel: 4}, 32, 4, -1)
+	b, err := Churn(Options{FaultSeed: 3, Parallel: 4}, 32, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("identical seeds diverged across pool sizes:\n%+v\n%+v", a, b)
 	}
-	d, err := Churn(Options{FaultSeed: 4}, 32, 4, -1)
+	d, err := Churn(Options{FaultSeed: 4}, 32, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,19 +93,12 @@ func TestChurnDeterministic(t *testing.T) {
 	}
 }
 
-// TestChurnRejectsInvalidScenarios: out-of-range crash kernels and machines
-// beyond the architectural limits are errors before any simulation runs.
+// TestChurnRejectsInvalidScenarios: a machine beyond the architectural
+// limits is an error before any simulation runs.
 func TestChurnRejectsInvalidScenarios(t *testing.T) {
-	if _, err := Churn(Options{}, 16, 4, 9); err == nil {
-		t.Errorf("out-of-range crash kernel was accepted")
-	}
-	if _, err := Churn(Options{}, 16, core.MaxKernels, -1); err == nil {
+	if _, err := Churn(Options{}, 16, core.MaxKernels); err == nil {
 		t.Errorf("a machine of %d kernels was accepted", core.MaxKernels+1)
 	} else if !strings.Contains(err.Error(), "exceed the maximum") {
 		t.Errorf("unexpected error for an oversized machine: %v", err)
-	}
-	// Crashing kernel 0, the root's, is degenerate but legal.
-	if _, err := Churn(Options{}, 16, 4, 0); err != nil {
-		t.Errorf("crashing kernel 0 rejected: %v", err)
 	}
 }

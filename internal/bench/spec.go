@@ -32,9 +32,6 @@ type TaskSpec struct {
 	// Seed keys the deterministic fault injector (kinds "faults" and
 	// "churn").
 	Seed uint64
-	// CrashKernel is the kernel PE the churn scenario crashes and recovers
-	// (kind "churn" only); -1 means no crash.
-	CrashKernel int
 }
 
 // kindFunc executes one spec on a fresh-state engine. The second return is

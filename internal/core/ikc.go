@@ -73,7 +73,7 @@ type wireKind uint8
 const (
 	wireRequest wireKind = iota // requests for the receiving kernel
 	wireReply                   // replies for the receiving kernel
-	wireCredit                  // one in-flight credit back to the receiving kernel
+	wireCredit                  // one in-flight credit back to the receiving kernel, for the leg reqs[0] led
 )
 
 // ikcWire is one inter-kernel leg in flight: a direct request or reply, an
@@ -186,9 +186,9 @@ func (w *ikcWire) onArrive() {
 		}
 		w.done()
 	default:
-		from, to := w.from, w.to
+		from, to, req := w.from, w.to, w.reqs[0]
 		w.done()
-		to.creditBack(from.id)
+		to.onCredit(from.id, req)
 	}
 }
 
@@ -231,11 +231,12 @@ func (k *Kernel) composeReplies(dk *Kernel, reps []*ikcReply) {
 
 // stamp is the opening every request shares: the compose cost — the last
 // term before a send, so everything owed elapses with it — then the sequence
-// number, sender and incarnation. answered says somebody may wait for the
-// reply (always, except a notification on the lossless fabric): its future
-// then goes into pending, and dead reports that dst exhausted its retry
-// budget earlier, so the future already holds ErrPeerDead and nothing is to
-// be queued or sent (degraded mode).
+// number and sender; the incarnation is stamped when the request first goes
+// on the wire (transmit, flushLocked). answered says somebody may wait for
+// the reply (always, except a notification on the lossless fabric): its
+// future then goes into pending, and dead reports that dst exhausted its
+// retry budget earlier, so the future already holds ErrPeerDead and nothing
+// is to be queued or sent (degraded mode).
 func (k *Kernel) stamp(p *sim.Proc, dst int, req *ikcRequest, answered bool) (fut *sim.Future[*ikcReply], dead bool) {
 	if dst == k.id {
 		panic("core: inter-kernel call to self")
@@ -243,7 +244,6 @@ func (k *Kernel) stamp(p *sim.Proc, dst int, req *ikcRequest, answered bool) (fu
 	k.exec(p, k.sys.Cost.IKCCompose)
 	req.Seq = k.nextSeq()
 	req.From = k.id
-	req.Inc = k.incarnation
 	if !answered {
 		return nil, false
 	}
@@ -275,18 +275,35 @@ func (k *Kernel) post(p *sim.Proc, dst int, req *ikcRequest) {
 	k.transmit(dst, req)
 }
 
-// transmit puts a request that holds a credit on the wire to kernel dst.
+// transmit puts a request that holds a credit on the wire to kernel dst,
+// stamped with the incarnation it leaves in.
 func (k *Kernel) transmit(dst int, req *ikcRequest) {
+	req.Inc = k.incarnation
 	k.sendRequest(k.sys.kernels[dst], req)
 	if k.reliable {
 		k.track(dst, []*ikcRequest{req}, false)
 	}
 }
 
-// creditBack returns one in-flight credit toward dst — at pickup (wireCredit)
-// or, in reliable mode, when a transmission resolves or aborts. A deferred
-// forward takes it first and leaves now; only then may a parked thread have
-// it. Nothing is sent to a peer declared dead (markDead fails what waits).
+// onCredit takes back the credit of a leg dst picked up, req its first
+// request (event context). In reliable mode a leg may be picked up twice — a
+// duplicate, a retransmit — or after its transmission aborted, so the credit
+// counts once per transmission, and only while it is live.
+func (k *Kernel) onCredit(dst int, req *ikcRequest) {
+	if k.reliable {
+		xm := k.pending[req.Seq].xm
+		if xm == nil || xm.done || xm.credited {
+			return
+		}
+		xm.credited = true
+	}
+	k.creditBack(dst)
+}
+
+// creditBack returns one in-flight credit toward dst — at pickup (onCredit)
+// or when a transmission aborts before it was picked up. A deferred forward
+// takes it first and leaves now; only then may a parked thread have it.
+// Nothing is sent to a peer declared dead (markDead fails what waits).
 func (k *Kernel) creditBack(dst int) {
 	pr := k.peers[dst]
 	if pr.deferred.Len() > 0 && !pr.dead {
@@ -372,12 +389,11 @@ func (k *Kernel) recvRequest(kind ikcKind, subj any) {
 // scratch (returned for reuse), its wire goes back to the free list, and its
 // first request stands for the job from here on: its sender and kind name
 // the reply queue the epilogue flushes. Picking the leg up frees its slot,
-// so on the lossless fabric the sender's in-flight credit returns now, once
-// per leg; in reliable mode it returns when the sender's transmission
-// resolves (onReply / abort in reliability.go) — a lost leg must not leak it.
-// Each request's dispatch is owed: on the lossless path the two gates are
-// no-ops and the handler starts in the capability store; with the reliable
-// layer on, the gates settle before they read its state. Handlers may block
+// so the sender's in-flight credit returns now, on every fabric (a leg lost
+// on the way is credited when its transmission aborts, reliability.go).
+// Each request's dispatch is owed: on the lossless path the receive gate is
+// a no-op and the handler starts in the capability store; with the reliable
+// layer on, the gate settles before it reads its state. Handlers may block
 // at their usual preemption points; the thread resumes with the next request
 // afterwards, serializing an envelope the way the kernel's single CPU would
 // anyway, and the epilogue's flush answers it with one reply envelope.
@@ -391,12 +407,10 @@ func (k *Kernel) pickUp(p *sim.Proc, j *job, scratch []*ikcRequest) []*ikcReques
 	} else {
 		direct[0] = j.subj.(*ikcRequest)
 	}
-	if !k.reliable {
-		k.returnCredit(reqs[0].From)
-	}
+	k.returnCredit(reqs[0])
 	for _, req := range reqs {
 		k.charge(p, k.sys.Cost.IKCDispatch)
-		if k.admitRequest(p, req) && k.dedupCheck(p, req) {
+		if k.admit(p, req) {
 			k.dispatchRequest(p, req)
 		}
 	}
@@ -406,12 +420,15 @@ func (k *Kernel) pickUp(p *sim.Proc, j *job, scratch []*ikcRequest) []*ikcReques
 	return scratch[:0]
 }
 
-// returnCredit gives the in-flight credit for one picked-up wire message
-// back to its sending kernel, instantly: a zero-delay event of its own, no
-// credit message on the NoC (DESIGN.md, "Zero-latency edges of the kernel
-// model").
-func (k *Kernel) returnCredit(from int) {
-	k.sys.Eng.Schedule(0, k.wire(wireCredit, k.sys.kernels[from]).arrive)
+// returnCredit gives the in-flight credit for one picked-up wire message,
+// req its first request, back to its sending kernel, instantly: a zero-delay
+// event of its own, no credit message on the NoC (DESIGN.md, "Zero-latency
+// edges of the kernel model"). req names the transmission the credit belongs
+// to (onCredit).
+func (k *Kernel) returnCredit(req *ikcRequest) {
+	w := k.wire(wireCredit, k.sys.kernels[req.From])
+	w.reqs = append(w.reqs, req)
+	k.sys.Eng.Schedule(0, w.arrive)
 }
 
 // dispatchRequest routes a request to its handler and hands the returned

@@ -126,9 +126,9 @@ type Kernel struct {
 	reliable bool
 
 	// incarnation numbers this kernel's lifetimes, starting at 1 and
-	// bumped at every scripted recovery (rejoin.go). It stamps outgoing
-	// IKC envelopes so peers can tell a live request from a dead
-	// incarnation's retransmit.
+	// bumped at every scripted recovery (rejoin.go). It stamps each request
+	// when it first goes on the wire, so peers can tell a live request from
+	// a dead incarnation's retransmit.
 	incarnation uint32
 
 	// orphanFixes records cross-kernel tree-maintenance operations that

@@ -166,10 +166,11 @@ func (k ikcKind) String() string {
 type ikcRequest struct {
 	Seq  uint64
 	From int // sender kernel id
-	// Inc is the sender's incarnation number at stamp time. A receiver
-	// running the reliable layer rejects requests from an incarnation older
-	// than the one it has observed — a stale retransmit from before the
-	// sender's crash — and implicitly admits a newer one (rejoin.go).
+	// Inc is the sender's incarnation number when the request first went
+	// on the wire (a retransmit keeps it). A receiver running the reliable
+	// layer rejects requests from an incarnation older than the one it has
+	// observed — a stale retransmit from before the sender's crash — and
+	// implicitly admits a newer one (rejoin.go).
 	Inc  uint32
 	Kind ikcKind
 

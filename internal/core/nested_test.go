@@ -86,43 +86,121 @@ func nestedChains(t *testing.T, cfg Config, n int, obtained bool) (s *System, re
 
 // TestNestedChainRevoke: every root of a machine full of nested chains is
 // revoked at once, and every revoke returns, leaving a machine that every
-// audit finds clean — at any number of chains per kernel pair, on pairs and
-// on rings, unbatched and batched. 2 × 6 is the smallest machine on which
-// revoke threads that waited for credits deadlocked: each kernel's two held
-// a picked-up request and waited for a credit to forward it back, while the
-// four requests queued behind them held all four credits of each direction
-// (DESIGN.md "Deadlock freedom of revocation"). Revoking the obtained
-// capabilities instead adds an unlink towards the parent's kernel, which a
-// syscall thread may wait for while the forwards complete.
+// audit finds clean and no kernel that declared a live peer dead — at any
+// number of chains per kernel pair, on pairs and on rings, unbatched and
+// batched, on the lossless fabric and in reliable mode, lossless or dropping
+// 1%. 2 × 6 is the smallest machine on which revoke threads that waited for
+// credits deadlocked: each kernel's two held a picked-up request and waited
+// for a credit to forward it back, while the four requests queued behind
+// them held all four credits of each direction (DESIGN.md "Deadlock freedom
+// of revocation"). In reliable mode a credit once came back with the reply,
+// not at pickup, so from 2 × 4 on the first-hop revokes held every credit
+// their forwards needed until retransmit exhaustion declared the live peer
+// dead. Revoking the obtained capabilities instead adds an unlink towards
+// the parent's kernel, which a syscall thread may wait for while the
+// forwards complete.
 func TestNestedChainRevoke(t *testing.T) {
 	for _, shape := range []struct{ kernels, n int }{
-		{2, 4}, {2, 5}, {2, 6}, {2, 8}, {2, 16}, {3, 6}, {3, 16}, {4, 6}, {4, 16},
+		{2, 3}, {2, 4}, {2, 5}, {2, 6}, {2, 8}, {2, 16}, {3, 4}, {3, 6}, {3, 16}, {4, 6}, {4, 16},
 	} {
 		for _, variant := range []struct {
 			name              string
 			obtained, batched bool
 		}{{"", false, false}, {"/batched", false, true}, {"/obtained", true, false}, {"/obtained/batched", true, true}} {
-			t.Run(fmt.Sprintf("%dx%d%s", shape.kernels, shape.n, variant.name), func(t *testing.T) {
-				cfg := Config{Kernels: shape.kernels, IKCBatching: IKCBatching{Revoke: variant.batched}}
-				s, returned := nestedChains(t, cfg, shape.n, variant.obtained)
+			for _, fabric := range []struct {
+				name   string
+				faults *fault.Plan
+			}{{"", nil}, {"/reliable", &fault.Plan{}}, {"/drop=0.01", &fault.Plan{Seed: 1, Drop: 0.01}}} {
+				t.Run(fmt.Sprintf("%dx%d%s%s", shape.kernels, shape.n, variant.name, fabric.name), func(t *testing.T) {
+					cfg := Config{Kernels: shape.kernels, IKCBatching: IKCBatching{Revoke: variant.batched}, Faults: fabric.faults}
+					s, returned := nestedChains(t, cfg, shape.n, variant.obtained)
+					defer s.Close()
+					s.Run()
+					chains := shape.kernels * shape.n
+					if *returned != chains {
+						t.Errorf("%d of %d revokes returned", *returned, chains)
+					}
+					if dead := s.TotalStats().DeadPeers; dead != 0 {
+						t.Errorf("%d live peers declared dead", dead)
+					}
+					checkAudit(t, s)
+					if allocs := testing.AllocsPerRun(10, func() { s.CheckQuiescent() }); allocs != 0 {
+						t.Errorf("a clean CheckQuiescent allocates %v times, want 0", allocs)
+					}
+					left := 0 // revoking the roots takes everything; else the roots stay
+					if variant.obtained {
+						left = chains
+					}
+					if got := memCapsEverywhere(s); got != left {
+						t.Errorf("%d memory capabilities left, want %d", got, left)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestNestedChainRevokeReliableCreditCycle: the shapes around the reliable
+// mode's old credit cycle, lossless and dropping 1%. When a reliable leg's
+// credit came back with its reply rather than at pickup, the first-hop
+// revokes of 2 × 4 held every credit their forwards needed, until retransmit
+// exhaustion declared the live peer dead and each chain left an orphan on
+// each kernel. With one credit rule on every fabric both shapes end clean.
+func TestNestedChainRevokeReliableCreditCycle(t *testing.T) {
+	for _, drop := range []float64{0, 0.01} {
+		cfg := Config{Kernels: 2, Faults: &fault.Plan{Seed: 1, Drop: drop}}
+		for _, n := range []int{3, 4} {
+			t.Run(fmt.Sprintf("drop=%v/2x%d", drop, n), func(t *testing.T) {
+				s, returned := nestedChains(t, cfg, n, false)
 				defer s.Close()
 				s.Run()
-				chains := shape.kernels * shape.n
-				if *returned != chains {
-					t.Errorf("%d of %d revokes returned", *returned, chains)
+				if *returned != 2*n {
+					t.Errorf("%d of %d revokes returned", *returned, 2*n)
+				}
+				if dead := s.TotalStats().DeadPeers; dead != 0 {
+					t.Errorf("%d live peers declared dead", dead)
 				}
 				checkAudit(t, s)
-				if allocs := testing.AllocsPerRun(10, func() { s.CheckQuiescent() }); allocs != 0 {
-					t.Errorf("a clean CheckQuiescent allocates %v times, want 0", allocs)
-				}
-				left := 0 // revoking the roots takes everything; else the roots stay
-				if variant.obtained {
-					left = chains
-				}
-				if got := memCapsEverywhere(s); got != left {
-					t.Errorf("%d memory capabilities left, want %d", got, left)
+				if got := memCapsEverywhere(s); got != 0 {
+					t.Errorf("%d memory capabilities left, want 0", got)
 				}
 			})
+		}
+	}
+}
+
+// TestCreditsBalanceUnderDuplication: in reliable mode a leg may be picked up
+// more than once — the fabric duplicates it, or a retransmit races the
+// original — and a transmission may abort after its pickup; its credit comes
+// back once all the same. Nested chains revoked over fabrics that duplicate
+// every message, or drop, duplicate and delay them, unbatched and with
+// exchange and revoke batching, end with every credit home: the audit
+// (CheckQuiescent) reports a credit leaked or returned twice.
+func TestCreditsBalanceUnderDuplication(t *testing.T) {
+	for _, plan := range []fault.Plan{
+		{Seed: 1, Dup: 1},
+		{Seed: 1, Drop: 0.05, Dup: 0.05, Jitter: 200},
+		{Seed: 1, Drop: 0.02, Dup: 0.5, Jitter: 500},
+	} {
+		for _, shape := range []struct{ kernels, n int }{{2, 3}, {2, 6}, {2, 16}, {3, 6}, {4, 16}} {
+			for _, batched := range []bool{false, true} {
+				name := fmt.Sprintf("drop=%v/dup=%v/jitter=%d/%dx%d/batched=%v", plan.Drop, plan.Dup, plan.Jitter, shape.kernels, shape.n, batched)
+				t.Run(name, func(t *testing.T) {
+					plan := plan
+					cfg := Config{Kernels: shape.kernels, Faults: &plan,
+						IKCBatching: IKCBatching{Exchange: batched, Revoke: batched}}
+					s, returned := nestedChains(t, cfg, shape.n, false)
+					defer s.Close()
+					s.Run()
+					if chains := shape.kernels * shape.n; *returned != chains {
+						t.Errorf("%d of %d revokes returned", *returned, chains)
+					}
+					if dead := s.TotalStats().DeadPeers; dead != 0 {
+						t.Errorf("%d live peers declared dead", dead)
+					}
+					checkAudit(t, s)
+				})
+			}
 		}
 	}
 }
@@ -202,69 +280,34 @@ func TestKillKernelThreadsInEveryStage(t *testing.T) {
 	}
 }
 
-// TestNestedChainRevokeReliableCreditCycle pins a second credit cycle, one
-// this tree does not fix (ROADMAP "A pickup acknowledgement for revokes in
-// reliable mode"). With the reliable layer on — lossless or dropping 1% — a
-// credit comes back with the reply, not at pickup, and a revoke's reply waits
-// for its whole subtree. 2 × 3 chains are clean. At 2 × 4 the four first-hop
-// revokes of each kernel hold all MaxInflight credits of their direction,
-// so the forwards that would complete them never leave; retransmit
-// exhaustion declares the live peer dead, which completes every revoke, but
-// the orphan fixes it records are never replayed — no rejoin follows.
-func TestNestedChainRevokeReliableCreditCycle(t *testing.T) {
-	for _, drop := range []float64{0, 0.01} {
-		cfg := Config{Kernels: 2, Faults: &fault.Plan{Seed: 1, Drop: drop}}
-		for _, n := range []int{3, 4} {
-			t.Run(fmt.Sprintf("drop=%v/2x%d", drop, n), func(t *testing.T) {
-				s, returned := nestedChains(t, cfg, n, false)
-				defer s.Close()
-				s.Run()
-				if *returned != 2*n {
-					t.Errorf("%d of %d revokes returned", *returned, 2*n)
-				}
-				dead := s.TotalStats().DeadPeers
-				if n == 3 {
-					if dead != 0 {
-						t.Errorf("%d live peers declared dead", dead)
-					}
-					checkAudit(t, s)
-					return
-				}
-				// The pinned failure: the machine is quiescent and its tables
-				// sound, but both kernels declare the other dead, and each
-				// chain leaves an orphan on each kernel.
-				for _, q := range s.CheckQuiescent() {
-					t.Errorf("not quiescent: %s", q)
-				}
-				for _, k := range s.kernels {
-					if err := k.store.CheckLocalInvariants(); err != nil {
-						t.Errorf("kernel %d invariants: %v", k.id, err)
-					}
-				}
-				orphans := 0
-				for _, l := range s.CheckLeaks() {
-					if strings.Contains(l, "orphaned") {
-						orphans++
-					}
-				}
-				if dead != 2 || orphans != 2*n {
-					t.Errorf("%d peers declared dead and %d orphans, want 2 and %d — if the cycle is fixed, assert 2 x %d clean", dead, orphans, 2*n, n)
-				}
-			})
-		}
-	}
-}
-
-// TestNestedChainRevokePeerCrashWhileDeferred: a kernel crashes while revoke
-// forwards wait for credits in both directions, and recovers. Crashed
-// briefly, it is never declared dead, and at the rejoin it fails the forwards
-// it deferred itself — they carry its dead incarnation. Crashed for long, each
-// kernel declares the other dead and fails the forwards deferred toward it.
-// Either way the failures record orphan fixes like any revoke to an
-// unreachable peer, the rejoin replays them, every revoke returns, and the
-// recovered machine is leak-free.
+// TestNestedChainRevokePeerCrashWhileDeferred: a kernel crashes at the first
+// instant revokes are in flight both ways on a 2 × 8 nested-chain machine —
+// each kernel has picked one up — and recovers. The blackhole keeps every credit it swallows, so revoke forwards
+// wait for credits in both directions while it lasts. Crashed briefly, no
+// kernel declares the other dead and no request fails unsent: the rejoin
+// aborts only what travelled in the dead incarnation, and the deferred
+// forwards leave with the credits those aborts return, stamped with the new
+// incarnation. Crashed for long, each kernel declares the other dead and
+// fails the forwards deferred toward it (markDead); the failures record
+// orphan fixes like any revoke to an unreachable peer, and the rejoin
+// replays them. Either way every revoke returns and the recovered machine is
+// clean, with no memory capability left.
 func TestNestedChainRevokePeerCrashWhileDeferred(t *testing.T) {
-	const n = 3
+	const n = 8
+	// revoking says both kernels have picked up a revoke request: each holds
+	// a revoke-pool thread with a job.
+	revoking := func(s *System) bool {
+		for _, k := range s.kernels {
+			th := k.revokePool.threads
+			for th != nil && th.describe() == "" {
+				th = th.next
+			}
+			if th == nil {
+				return false
+			}
+		}
+		return true
+	}
 	deferred := func(s *System) (dirs int) {
 		for _, f := range s.CheckQuiescent() {
 			if strings.HasSuffix(f, "forwarded revoke(s) waiting for a credit") {
@@ -273,6 +316,19 @@ func TestNestedChainRevokePeerCrashWhileDeferred(t *testing.T) {
 		}
 		return dirs
 	}
+	// The first instant at which a fault-free reliable run has revokes in
+	// flight both ways, picked up on each kernel.
+	probe, _ := nestedChains(t, Config{Kernels: 2, Faults: &fault.Plan{}}, n, false)
+	crashAt := sim.Time(0)
+	for !revoking(probe) {
+		if probe.Eng.Pending() == 0 {
+			t.Fatal("no revoke was ever picked up on both kernels")
+		}
+		crashAt++
+		probe.Eng.RunUntil(crashAt)
+	}
+	probe.Close()
+
 	for _, tc := range []struct {
 		name  string
 		crash sim.Duration
@@ -282,37 +338,25 @@ func TestNestedChainRevokePeerCrashWhileDeferred(t *testing.T) {
 		{"declared-dead", 8_000_000, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			// The first instant, in steps of 500 cycles, at which a fault-free
-			// run has forwards deferred in both directions.
-			probe, _ := nestedChains(t, Config{Kernels: 2, Faults: &fault.Plan{}}, n, false)
-			for slice := sim.Time(1); deferred(probe) < 2; slice++ {
-				if probe.Eng.Pending() == 0 {
-					t.Fatal("no forward was ever deferred in both directions")
-				}
-				probe.Eng.RunUntil(slice * 500)
-			}
-			crashAt := probe.Now()
-			probe.Close()
-
 			plan := &fault.Plan{Seed: 1, Kernels: []fault.KernelFault{{Kernel: 1, CrashAt: crashAt, RecoverAt: crashAt + tc.crash}}}
 			s, returned := nestedChains(t, Config{Kernels: 2, Faults: plan}, n, false)
 			defer s.Close()
-			s.Eng.RunUntil(crashAt)
+			s.Eng.RunUntil(crashAt + 50_000)
 			if got := deferred(s); got != 2 {
-				t.Fatalf("forwards deferred in %d directions at the crash, want 2", got)
+				t.Fatalf("forwards deferred in %d directions during the blackhole, want 2", got)
 			}
 			s.Run()
 			if *returned != 2*n {
 				t.Errorf("%d of %d revokes returned", *returned, 2*n)
 			}
 			st := s.TotalStats()
-			if (st.DeadPeers > 0) != tc.dead || st.Rejoins != 1 || st.FailFast == 0 {
-				t.Errorf("%d death verdicts, %d rejoins, %d requests failed unsent; want dead=%v, 1, some",
-					st.DeadPeers, st.Rejoins, st.FailFast, tc.dead)
+			if (st.DeadPeers > 0) != tc.dead || (st.FailFast > 0) != tc.dead || st.Rejoins != 1 {
+				t.Errorf("%d death verdicts, %d requests failed unsent, %d rejoins; want both nonzero=%v, 1 rejoin",
+					st.DeadPeers, st.FailFast, st.Rejoins, tc.dead)
 			}
 			checkAudit(t, s)
-			if memCapsEverywhere(s) != 0 {
-				t.Errorf("%d memory capabilities survived", memCapsEverywhere(s))
+			if got := memCapsEverywhere(s); got != 0 {
+				t.Errorf("%d memory capabilities survived", got)
 			}
 		})
 	}

@@ -15,18 +15,20 @@ import (
 // a reboot but a reconciliation:
 //
 //   1. At RecoverAt (beginRejoin, event context) the kernel bumps its
-//      incarnation number, aborts every outstanding transmission and every
-//      request still parked in an aggregation queue (they were asked by
-//      the dead incarnation; no answer can ever resolve them), clears its
-//      own dead-peer verdicts and resets the delegation-handshake state
-//      that can no longer be acknowledged.
+//      incarnation number, clears its own dead-peer verdicts, aborts every
+//      transmission that travelled in the dead incarnation (no answer can
+//      ever resolve them) and resets the delegation-handshake state that
+//      can no longer be acknowledged. A request is stamped when it first
+//      goes on the wire, so what never left — a forward deferred for a
+//      credit, a request in an aggregation queue or waiting for a credit —
+//      leaves later as the new incarnation's.
 //   2. A kernel thread then broadcasts an ikcRejoin handshake. The bumped
 //      incarnation stamp on that request (and on any later request) is
-//      what re-admits the kernel at each peer: admitRequest observes a
-//      newer incarnation and runs admitIncarnation — clear the dead
-//      verdict, discard retransmit/dedup/handshake state keyed by the dead
-//      incarnation, and schedule the peer's own reconciliation toward the
-//      rejoined kernel.
+//      what re-admits the kernel at each peer: the receive gate (admit)
+//      observes a newer incarnation and runs admitIncarnation — clear the
+//      dead verdict, discard retransmit/dedup/handshake state keyed by the
+//      dead incarnation, and schedule the peer's own reconciliation toward
+//      the rejoined kernel.
 //   3. After the handshake the recovering kernel replays recorded orphan
 //      fixups and conservatively revokes every delegation chain still
 //      rooted in the dead incarnation (reconcileChains), so no capability
@@ -34,7 +36,7 @@ import (
 //
 // Stale traffic from the dead incarnation — retransmits of its requests,
 // late replies to questions it asked — is rejected by incarnation
-// mismatch (admitRequest / recvReply) and counted in
+// mismatch (admit / recvReply) and counted in
 // KernelStats.StaleIncarnation. Rejecting stale requests instead of
 // tracking them is also what keeps the receiver dedup state bounded: a
 // peer can discard everything keyed by a dead incarnation wholesale
@@ -77,37 +79,9 @@ func (k *Kernel) notifyUnlink(p *sim.Proc, dst int, parent, child ddl.Key) {
 	fut.OnComplete(func(rep *ikcReply) { k.recordOrphanFix(fix, rep) })
 }
 
-// admitRequest is the receiver-side incarnation gate, run before the
-// duplicate filter on every dispatched request. A request stamped with an
-// incarnation older than the highest observed for its sender is a stale
-// retransmit from before the sender's crash: it is dropped silently (the
-// dead incarnation's futures were aborted at its rejoin, so nobody waits
-// for an answer). A newer stamp implicitly admits the rejoined sender —
-// the explicit ikcRejoin handshake is normally the first such request, but
-// any request can carry the news, since the handshake itself may be
-// dropped or reordered by the faulty fabric.
-func (k *Kernel) admitRequest(p *sim.Proc, req *ikcRequest) bool {
-	if !k.reliable || req.Inc == 0 {
-		return true
-	}
-	// Timers and the rejoin reset write what is read from here on, and
-	// admitting a rejoined peer completes futures: the dispatch time passes
-	// first.
-	p.Settle()
-	observed := k.peer(req.From).inc
-	switch {
-	case req.Inc < observed:
-		k.stats.StaleIncarnation++
-		return false
-	case req.Inc > observed:
-		k.admitIncarnation(req.From, req.Inc)
-	}
-	return true
-}
-
 // admitIncarnation re-admits a peer that crashed and came back: record the
 // new incarnation and discard every piece of state keyed by the dead one.
-// Runs in thread context (CPU held) from admitRequest; everything here is
+// Runs in thread context (CPU held) from admit; everything here is
 // either a local map operation or a job submission, never a preemption
 // point.
 func (k *Kernel) admitIncarnation(from int, inc uint32) {
@@ -158,7 +132,7 @@ func (k *Kernel) dropPeerDelegations(from int) {
 }
 
 // handleRejoin acknowledges a rejoin handshake. All the actual
-// re-admission work already ran in the incarnation gate (admitRequest saw
+// re-admission work already ran in the receive gate (admit saw
 // the bumped stamp and called admitIncarnation before this handler was
 // dispatched); the explicit handshake exists so the recovering kernel
 // *knows* every peer routes to it again before it reconciles its own
@@ -174,27 +148,20 @@ func (k *Kernel) handleRejoin(p *sim.Proc, req *ikcRequest) *ikcReply {
 func (k *Kernel) beginRejoin() {
 	start := k.sys.Eng.Now()
 	k.incarnation++
-	// Forwards deferred for a credit carry the dead incarnation's stamp too;
-	// fail them first, or the aborts below would hand them their credits.
-	for dst := range k.peers {
-		k.failDeferred(dst)
-	}
-	// Abort every outstanding transmission, in destination order, each
-	// destination's in first-send order: the futures belong to the dead
-	// incarnation, and the peers will reject any retransmit by incarnation
-	// mismatch anyway. This kernel's own verdicts on its peers were formed
-	// by a dead link, not dead peers: forget them and let fresh traffic
-	// judge.
+	// Per peer, in destination order: forget the verdict — formed by a dead
+	// link, not a dead peer — and then abort, in first-send order, every
+	// transmission that travelled in the dead incarnation, whose retransmits
+	// the peer would reject by incarnation mismatch. The verdict goes first,
+	// so the credits the aborts return go to the forwards deferred for them.
+	// What never left — forwards deferred for a credit, requests in an
+	// aggregation queue or waiting for a credit — leaves later, stamped with
+	// the new incarnation.
 	for _, pr := range k.peers {
 		if pr != nil {
-			k.abortLive(pr)
 			pr.dead = false
+			k.abortLive(pr)
 		}
 	}
-	// Requests still parked in aggregation queues carry the dead
-	// incarnation's stamp; flushing them later could only produce stale
-	// rejections (and re-mark the peers dead). Fail them now.
-	k.dropQueued()
 	// Delegation handshakes prepared for remote originators: every
 	// originator aborted (this kernel was unreachable), so no entry can be
 	// acknowledged. The epoch guards in the delegate handlers keep threads
@@ -205,7 +172,7 @@ func (k *Kernel) beginRejoin() {
 	k.ikcPool.submit(job{kind: jobFunc, subj: func(p *sim.Proc, t *kthread) {
 		k.acquireCPU(p, t)
 		// Handshake with every peer, in kernel order. The bumped stamp on
-		// the request re-admits this kernel at the peer (admitRequest); the
+		// the request re-admits this kernel at the peer (admit); the
 		// reply tells this kernel the peer routes to it again.
 		for peer := range k.sys.kernels {
 			if peer == k.id {
@@ -295,29 +262,6 @@ func (k *Kernel) reconcileChains(p *sim.Proc, into int) {
 			if cur := k.store.Lookup(key); cur != nil && !cur.Marked {
 				cur.RemoveChild(ck)
 				k.exec(p, k.sys.Cost.CapLink)
-			}
-		}
-	}
-}
-
-// dropQueued fails every request parked in an aggregation queue, in
-// (destination, kind) order. Called from beginRejoin: the queued requests
-// are stamped with the dead incarnation, so transmitting them after
-// recovery could only earn stale rejections.
-func (k *Kernel) dropQueued() {
-	for dst, pr := range k.peers {
-		if pr == nil {
-			continue
-		}
-		for _, q := range pr.reqq {
-			if q == nil || len(q.reqs) == 0 {
-				continue
-			}
-			reqs := q.reqs
-			q.reqs = nil
-			q.epoch++ // a pending window timer for the old generation no-ops
-			for _, req := range reqs {
-				k.failFast(req.Seq, dst)
 			}
 		}
 	}

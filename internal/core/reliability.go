@@ -22,11 +22,11 @@ import "repro/internal/sim"
 //     (bounded FIFO, replyCache entries) and replayed for duplicates whose
 //     reply was the lost message. Late or duplicate replies at the
 //     requester are counted (LateReplies), never fatal.
-//   - Credits: in reliable mode the sender's in-flight credit returns
-//     when the transmission resolves (all replies in, or the peer
-//     declared dead) instead of at receiver pickup — a lost request must
-//     not leak the credit, and retransmits reuse the original's slot so
-//     the receiver's bounded slot budget still holds.
+//   - Credits: as on the lossless fabric, the sender's in-flight credit
+//     returns when the receiver picks the leg up (onCredit), once per
+//     transmission however often its copies are picked up. A leg that is
+//     never picked up returns it when its transmission aborts (the peer
+//     declared dead, or a rejoin), so a lost request cannot leak it.
 //
 // Without a fault plan none of this code runs and the event trace is
 // byte-identical to the baseline.
@@ -50,7 +50,8 @@ const (
 
 // xmitState tracks one wire transmission — a direct request or a
 // coalesced envelope of several — until every carried request is answered
-// or the destination is declared dead.
+// or the destination is declared dead. credited says the receiver picked a
+// copy of it up, which returned its in-flight credit.
 type xmitState struct {
 	dst       int
 	env       bool // envelope vs direct send
@@ -60,6 +61,7 @@ type xmitState struct {
 	rto       sim.Duration
 	firstSent sim.Time
 	retried   bool
+	credited  bool
 	done      bool
 }
 
@@ -113,8 +115,8 @@ func (k *Kernel) arm(xm *xmitState) {
 
 // onReply counts one request of xm answered (recvReply has dropped it from
 // pending). When the last request of the transmission resolves, the
-// transmission completes: the in-flight credit returns and a retransmitted
-// transmission records its recovery latency.
+// transmission completes, and a retransmitted one records its recovery
+// latency; its credit came back when it was picked up.
 func (k *Kernel) onReply(xm *xmitState) {
 	xm.remaining--
 	if xm.remaining > 0 || xm.done {
@@ -126,7 +128,6 @@ func (k *Kernel) onReply(xm *xmitState) {
 		k.stats.Recovered++
 		k.stats.RecoveryCycles += k.sys.Eng.Now() - xm.firstSent
 	}
-	k.creditBack(xm.dst)
 }
 
 // expire is the retransmission timer (event context). Still-unanswered
@@ -166,9 +167,8 @@ func (k *Kernel) expire(xm *xmitState) {
 		if xm.done || k.peerDead(xm.dst) {
 			return
 		}
-		// No new in-flight credit: the retransmit reuses the original's
-		// slot (the receiver either lost the original or will dedup this
-		// copy, so its slot budget is respected either way).
+		// No new in-flight credit: the retransmit rides the original's,
+		// which a pickup of either copy returns once (onCredit).
 		if xm.env {
 			k.sendEnvelope(xm.dst, live)
 		} else {
@@ -208,8 +208,8 @@ func (k *Kernel) abortLive(pr *peer) {
 }
 
 // abort completes a transmission's unanswered futures with ErrPeerDead
-// and returns its in-flight credit. The caller has already unlinked xm
-// from its peer's live list (or is draining the whole list).
+// and returns its in-flight credit if no pickup did. The caller has already
+// unlinked xm from its peer's live list (or is draining the whole list).
 func (k *Kernel) abort(xm *xmitState) {
 	xm.done = true
 	for _, req := range xm.reqs {
@@ -217,7 +217,9 @@ func (k *Kernel) abort(xm *xmitState) {
 			k.failPending(req.Seq, xm.dst)
 		}
 	}
-	k.creditBack(xm.dst)
+	if !xm.credited {
+		k.creditBack(xm.dst)
+	}
 }
 
 // unlink removes xm from its destination's live list.
@@ -231,16 +233,36 @@ func (k *Kernel) unlink(xm *xmitState) {
 	}
 }
 
-// dedupCheck runs before dispatching a received request: true means
-// dispatch it, false means it is a duplicate — suppressed, and if its
-// reply is already cached, answered by replaying that reply (the original
-// reply was evidently the lost message).
-func (k *Kernel) dedupCheck(p *sim.Proc, req *ikcRequest) bool {
+// admit is the receive gate every picked-up request passes before its
+// dispatch: true means dispatch it. Timers and the rejoin reset write what it
+// reads, admitting a rejoined peer completes futures and a duplicate's cached
+// reply is replayed from here, so the dispatch time passes first. Then two
+// checks, in order:
+//
+//   - Incarnation: a request stamped with an incarnation older than the
+//     highest observed for its sender is a stale retransmit from before the
+//     sender's crash, dropped silently (the dead incarnation's futures were
+//     aborted at its rejoin, so nobody waits for an answer). A newer stamp
+//     admits the rejoined sender (admitIncarnation) — the explicit ikcRejoin
+//     handshake is normally the first such request, but any request can carry
+//     the news, since the handshake itself may be dropped or reordered by the
+//     faulty fabric.
+//   - Duplicates: a request already dispatched is suppressed and, if its
+//     reply is already cached, answered by replaying that reply (the original
+//     reply was evidently the lost message).
+func (k *Kernel) admit(p *sim.Proc, req *ikcRequest) bool {
 	if !k.reliable {
 		return true
 	}
-	p.Settle() // a duplicate's cached reply is replayed from here
+	p.Settle()
 	pr := k.peer(req.From)
+	switch {
+	case req.Inc < pr.inc:
+		k.stats.StaleIncarnation++
+		return false
+	case req.Inc > pr.inc:
+		k.admitIncarnation(req.From, req.Inc)
+	}
 	if rep, seen := pr.replies[req.Seq]; seen {
 		k.stats.DupSuppressed++
 		if rep != nil {

@@ -220,9 +220,6 @@ func MustNew(cfg Config) *System {
 	return s
 }
 
-// Config returns the (defaulted) configuration.
-func (s *System) Config() Config { return s.cfg }
-
 // Kernel returns kernel k.
 func (s *System) Kernel(k int) *Kernel { return s.kernels[k] }
 

@@ -289,6 +289,9 @@ func (k *Kernel) flushLocked(p *sim.Proc, dst int, q *sendQueue) {
 	if pr := k.peers[dst]; !pr.credits.TryAcquire() {
 		k.pause(p, &pr.credits)
 	}
+	for _, req := range reqs {
+		req.Inc = k.incarnation
+	}
 	k.sendEnvelope(dst, reqs)
 	if k.reliable {
 		k.track(dst, reqs, true)

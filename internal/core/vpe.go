@@ -74,10 +74,9 @@ type VPE struct {
 	obtaining     bool
 	obtainRevoked bool
 
-	exited   bool
-	started  bool
-	capOps   uint64
-	syscalls uint64
+	exited  bool
+	started bool
+	capOps  uint64
 }
 
 // Kernel returns the kernel managing this VPE.
@@ -86,9 +85,6 @@ func (v *VPE) Kernel() *Kernel { return v.kernel }
 // CapOps returns the number of capability operations (obtain, delegate,
 // revoke, session create) this VPE has issued — the paper's Table 4 metric.
 func (v *VPE) CapOps() uint64 { return v.capOps }
-
-// Syscalls returns the number of system calls this VPE has issued.
-func (v *VPE) Syscalls() uint64 { return v.syscalls }
 
 // start launches the VPE's program (called by the kernel after setup).
 func (v *VPE) start() {
@@ -128,7 +124,6 @@ func (v *VPE) syscall(p *sim.Proc, req sysRequest) sysReply {
 	p.Settle() // a service handler issuing a syscall owes its request cost
 	req.VPE = v.ID
 	v.sysReq = req
-	v.syscalls++
 	if err := v.dtu.Send(vpeSyscallSendEP, &v.sysReq, syscallMsgBytes, vpeSyscallReplyEP, 0); err != nil {
 		panic(fmt.Sprintf("core: syscall send failed: %v", err))
 	}

@@ -186,19 +186,13 @@ type recvState struct {
 }
 
 // Stats counts per-DTU activity. Sent/Received count logical messages;
-// VecDeliveries counts coalesced vectors delivered (each carrying several
-// logical messages in one delivery event and one receive slot) and
-// VecItems the logical messages that arrived inside them, so
-// VecItems/VecDeliveries is the average coalescing factor this DTU
-// observed.
+// VecDeliveries counts coalesced vectors delivered, each carrying several
+// logical messages in one delivery event and one receive slot.
 type Stats struct {
 	Sent          uint64
 	Received      uint64
 	Lost          uint64
-	MemReads      uint64
-	MemWrites     uint64
 	VecDeliveries uint64
-	VecItems      uint64
 }
 
 // DTU is one data transfer unit, attached to PE `pe`.
@@ -254,12 +248,6 @@ func (f *Fabric) Add(pe int, memBytes int) *DTU {
 
 // DTU returns the DTU attached to PE pe.
 func (f *Fabric) DTU(pe int) *DTU { return f.dtus[pe] }
-
-// Engine returns the fabric's simulation engine.
-func (f *Fabric) Engine() *sim.Engine { return f.eng }
-
-// Network returns the fabric's NoC.
-func (f *Fabric) Network() *noc.Network { return f.net }
 
 // PE returns the PE this DTU is attached to.
 func (d *DTU) PE() int { return d.pe }
@@ -637,7 +625,6 @@ func (d *DTU) deliverVec(ep int, v *vecMeta) {
 	e.used++
 	d.stats.Received += uint64(len(msgs))
 	d.stats.VecDeliveries++
-	d.stats.VecItems += uint64(len(msgs))
 	if e.vecHandler != nil {
 		e.vecHandler(msgs)
 		return
@@ -805,7 +792,6 @@ func (d *DTU) ReadMem(p *sim.Proc, ep int, off, size uint64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.stats.MemReads++
 	// Request travels to the memory, data travels back.
 	lat := d.fabric.net.Latency(d.pe, target.pe, headerBytes) +
 		d.fabric.net.Latency(target.pe, d.pe, int(size))
@@ -824,7 +810,6 @@ func (d *DTU) WriteMem(p *sim.Proc, ep int, off uint64, data []byte) error {
 	if err != nil {
 		return err
 	}
-	d.stats.MemWrites++
 	lat := d.fabric.net.Latency(d.pe, target.pe, int(size)) +
 		d.fabric.net.Latency(target.pe, d.pe, headerBytes)
 	p.Sleep(lat)

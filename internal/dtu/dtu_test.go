@@ -443,7 +443,7 @@ func TestPerEndpointLossBreakdown(t *testing.T) {
 	if st.Lost != 4 || st.Received != 3 {
 		t.Fatalf("Lost = %d, Received = %d, want 4 and 3", st.Lost, st.Received)
 	}
-	if got := f.Network().Stats().Lost; got != st.Lost {
+	if got := f.net.Stats().Lost; got != st.Lost {
 		t.Fatalf("NoC Lost = %d, want %d (receiver drops aggregate fabric-wide)", got, st.Lost)
 	}
 }
@@ -647,7 +647,7 @@ func TestDuplicateDeliveriesAreDistinctObjects(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e, f := newFabric(t, 2)
-			f.Network().SetInjector(tc.inj)
+			f.net.SetInjector(tc.inj)
 			a, b := f.DTU(0), f.DTU(1)
 			var reqs, reps []*Message
 			b.ConfigureRecv(b, 2, 4, func(m *Message) {

@@ -90,8 +90,7 @@ func (p *Plan) Validate() error {
 	return nil
 }
 
-// Stats counts what the injector did. All counters are per-Injector (=
-// per-System), so concurrent simulations never share them.
+// Stats counts what the injector did.
 type Stats struct {
 	Inspected  uint64 // kernel↔kernel messages examined
 	Dropped    uint64 // probabilistic drops
@@ -118,22 +117,15 @@ const (
 	saltJitter
 )
 
-// Injector implements noc.Injector for a Plan. All mutable state — the
-// per-pair PRNG counters and the stats — is kept per source PE. Counters advance per (src, dst) pair, so a pair's fault
-// sequence does not depend on how the traffic of other pairs interleaves
-// with it.
+// Injector implements noc.Injector for a Plan. Its PRNG counters advance
+// per ordered (src, dst) kernel pair, so a pair's fault sequence does not
+// depend on how the traffic of other pairs interleaves with it.
 type Injector struct {
 	plan      Plan
 	kernelPEs int
-	perSrc    []srcState
+	counters  []uint64 // at src*kernelPEs + dst
+	stats     Stats
 	kfaults   map[int][]KernelFault // read-only after NewInjector
-}
-
-// srcState is one source PE's shard of the injector's mutable state, maps
-// keyed by destination PE.
-type srcState struct {
-	counters map[int]uint64
-	stats    Stats
 }
 
 // NewInjector compiles a plan against a machine whose kernel PEs are
@@ -143,11 +135,8 @@ func NewInjector(plan Plan, kernelPEs int) *Injector {
 	in := &Injector{
 		plan:      plan,
 		kernelPEs: kernelPEs,
-		perSrc:    make([]srcState, kernelPEs),
+		counters:  make([]uint64, kernelPEs*kernelPEs),
 		kfaults:   make(map[int][]KernelFault),
-	}
-	for i := range in.perSrc {
-		in.perSrc[i].counters = make(map[int]uint64)
 	}
 	for _, kf := range plan.Kernels {
 		in.kfaults[kf.Kernel] = append(in.kfaults[kf.Kernel], kf)
@@ -155,19 +144,8 @@ func NewInjector(plan Plan, kernelPEs int) *Injector {
 	return in
 }
 
-// Stats sums the per-source shards into one snapshot.
-func (in *Injector) Stats() Stats {
-	var out Stats
-	for i := range in.perSrc {
-		s := &in.perSrc[i].stats
-		out.Inspected += s.Inspected
-		out.Dropped += s.Dropped
-		out.Duplicated += s.Duplicated
-		out.Delayed += s.Delayed
-		out.Blackholed += s.Blackholed
-	}
-	return out
-}
+// Stats returns what the injector did so far.
+func (in *Injector) Stats() Stats { return in.stats }
 
 // draw returns a uniform float64 in [0,1) for one decision of one message.
 func (in *Injector) draw(src, dst int, ctr, salt uint64) float64 {
@@ -192,31 +170,31 @@ func (in *Injector) Inspect(now sim.Time, src, dst, size int) noc.Verdict {
 	if src == dst || src >= in.kernelPEs || dst >= in.kernelPEs {
 		return noc.Verdict{}
 	}
-	ss := &in.perSrc[src]
-	ss.stats.Inspected++
-	ctr := ss.counters[dst]
-	ss.counters[dst] = ctr + 1
+	in.stats.Inspected++
+	c := &in.counters[src*in.kernelPEs+dst]
+	ctr := *c
+	*c++
 	// A crashed endpoint blackholes the link in both directions: messages
 	// to a dead kernel vanish, and a dead kernel sends nothing (its
 	// in-flight sends at crash time vanish too).
 	if in.crashed(src, now) || in.crashed(dst, now) {
-		ss.stats.Blackholed++
+		in.stats.Blackholed++
 		return noc.Verdict{Drop: true}
 	}
 	p := &in.plan
 	var v noc.Verdict
 	if p.Drop > 0 && in.draw(src, dst, ctr, saltDrop) < p.Drop {
 		v.Drop = true
-		ss.stats.Dropped++
+		in.stats.Dropped++
 	}
 	if !v.Drop && p.Dup > 0 && in.draw(src, dst, ctr, saltDup) < p.Dup {
 		v.Dup = true
-		ss.stats.Duplicated++
+		in.stats.Duplicated++
 	}
 	if p.Jitter > 0 {
 		if j := sim.Duration(in.draw(src, dst, ctr, saltJitter) * float64(p.Jitter)); j > 0 {
 			v.Delay = j
-			ss.stats.Delayed++
+			in.stats.Delayed++
 		}
 	}
 	return v
