@@ -8,6 +8,7 @@ import (
 	"repro/internal/cap"
 	"repro/internal/ddl"
 	"repro/internal/dtu"
+	"repro/internal/fault"
 	"repro/internal/sim"
 )
 
@@ -290,39 +291,28 @@ func TestMemObjectsAcrossChunks(t *testing.T) {
 // the message path cannot quietly grow back. What is left is protocol
 // state, not transport. Local, 0: the consent query rides a recycled record
 // (TestKernelQueriesAllocateNothing) and the child capability is copied
-// into the store's slab. Spanning, 3: the request, the reply and the reply's
-// future (the in-flight record is two words of the requesting VPE). Table growth (slabs, key map,
-// selector space) averages below one per obtain. The ceilings are the
-// measured counts, with and without the race detector.
+// into the store's slab. Spanning, 1: the request, the one heap object of an
+// inter-kernel call — the reply travels by value into the slot of the
+// thread parked on it, and the in-flight record is two words of the
+// requesting VPE. Reliable, 3: the spanning obtain on a lossless fabric with
+// the reliable layer on adds its transmission record and the closure of
+// the record's retransmission timer; the reply cache is a map of values
+// that stays at its bound. Table growth (slabs, key map, selector space,
+// the cache's eviction order) averages below one per obtain. The ceilings
+// are the measured counts, with and without the race detector.
 func TestObtainAllocationCeilings(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
-		kernels int
+		cfg     Config
 		ceiling float64
 	}{
-		{"local", 1, 0},
-		{"spanning", 2, 3},
+		{"local", Config{Kernels: 1, UserPEs: 2}, 0},
+		{"spanning", Config{Kernels: 2, UserPEs: 4}, 1},
+		{"reliable", Config{Kernels: 2, UserPEs: 4, Faults: &fault.Plan{}}, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := MustNew(Config{Kernels: tc.kernels, UserPEs: 2 * tc.kernels})
+			s, step := obtainStepper(t, tc.cfg)
 			defer s.Close()
-			pes := s.UserPEs()
-			var root cap.Selector
-			owner, err := s.SpawnOn(pes[0], "owner", func(v *VPE, p *sim.Proc) {
-				sel, err := v.AllocMem(p, 4096, dtu.PermRW)
-				if err != nil {
-					t.Error(err)
-				}
-				root = sel
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			step := stepVPE(t, s, pes[len(pes)-1], func(v *VPE, p *sim.Proc) {
-				if _, err := v.ObtainFrom(p, owner.ID, root); err != nil {
-					t.Error(err)
-				}
-			})
 			for i := 0; i < 8; i++ {
 				step()
 			}
@@ -331,6 +321,47 @@ func TestObtainAllocationCeilings(t *testing.T) {
 			}
 			checkAudit(t, s)
 		})
+	}
+}
+
+// obtainStepper is one ObtainFrom per step, by the last user PE's VPE, of a
+// memory capability the first user PE's VPE allocated: in place on a
+// one-kernel machine, across kernels on a larger one.
+func obtainStepper(tb testing.TB, cfg Config) (*System, func()) {
+	s := MustNew(cfg)
+	pes := s.UserPEs()
+	var root cap.Selector
+	owner, err := s.SpawnOn(pes[0], "owner", func(v *VPE, p *sim.Proc) {
+		sel, err := v.AllocMem(p, 4096, dtu.PermRW)
+		if err != nil {
+			tb.Error(err)
+		}
+		root = sel
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s, stepVPE(tb, s, pes[len(pes)-1], func(v *VPE, p *sim.Proc) {
+		if _, err := v.ObtainFrom(p, owner.ID, root); err != nil {
+			tb.Error(err)
+		}
+	})
+}
+
+// BenchmarkSpanningObtain is one warmed obtain across two kernels per op:
+// the syscall, one inter-kernel round trip with the owner's consent query
+// in the middle, and the child's insertion. 1 alloc/op, the request
+// (TestObtainAllocationCeilings pins it).
+func BenchmarkSpanningObtain(b *testing.B) {
+	s, step := obtainStepper(b, Config{Kernels: 2, UserPEs: 4})
+	defer s.Close()
+	for i := 0; i < 8; i++ {
+		step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
 	}
 }
 
@@ -417,7 +448,7 @@ func TestReplyEnvelopeFlushAllocatesNothing(t *testing.T) {
 	reps := make([]ikcReply, 4)
 	flush := func() {
 		for i := range reps {
-			k.enqueueReply(0, classExchange, &reps[i])
+			k.enqueueReply(0, classExchange, reps[i])
 		}
 		k.flushReplies(0, classExchange)
 		s.Run()
@@ -552,20 +583,65 @@ func TestTreeRevokeAllocationCeiling(t *testing.T) {
 }
 
 // TestSpanningRevokeAllocationCeiling bounds a warmed revoke whose root has
-// one child on the other kernel: what is left is the wire protocol of the one
-// forward — the request, its reply future, the completion callback and the
-// slice that holds it, and the reply — none of it revocation state. The
-// ceiling is the measured count, with and without the race detector.
+// one child on the other kernel: what is left is the request of the one
+// forward, none of it revocation state. The forward's continuation — the
+// record it counts toward and the request — is data in the pending table,
+// and its reply travels by value. The ceiling is the measured count, with
+// and without the race detector.
 func TestSpanningRevokeAllocationCeiling(t *testing.T) {
-	const ceiling = 5
+	const ceiling = 1
+	if allocs := spanningRevokeMallocs(t, Config{Kernels: 2, UserPEs: 4}); allocs > ceiling {
+		t.Fatalf("revoking a warmed root with one remote child allocates %v times, ceiling %v", allocs, ceiling)
+	}
+}
+
+// TestBatchedSpanningRevokeAllocationCeiling is the same revoke with batched
+// revocation: the forward is a batch of one, so what is left is its request
+// and the key list it carries. The ceiling is the measured count, with and
+// without the race detector.
+func TestBatchedSpanningRevokeAllocationCeiling(t *testing.T) {
+	const ceiling = 2
+	cfg := Config{Kernels: 2, UserPEs: 4, IKCBatching: IKCBatching{Revoke: true}}
+	if allocs := spanningRevokeMallocs(t, cfg); allocs > ceiling {
+		t.Fatalf("a batched revoke of a warmed root with one remote child allocates %v times, ceiling %v", allocs, ceiling)
+	}
+}
+
+// spanningRevokeMallocs is the average number of allocations of a warmed
+// spanning revoke (spanningRevokeSteppers) on a machine built from cfg.
+func spanningRevokeMallocs(t *testing.T, cfg Config) float64 {
+	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	s := MustNew(Config{Kernels: 2, UserPEs: 4})
+	s, plant, revoke := spanningRevokeSteppers(t, cfg)
 	defer s.Close()
+	for i := 0; i < 8; i++ {
+		plant()
+		revoke()
+	}
+	const rounds = 50
+	var total uint64
+	for i := 0; i < rounds; i++ {
+		plant()
+		total += mallocs(revoke)
+	}
+	if got := memCapsEverywhere(s); got != 1 { // root
+		t.Fatalf("%d memory capabilities left, want 1", got)
+	}
+	checkAudit(t, s)
+	return float64(total) / rounds
+}
+
+// spanningRevokeSteppers sets up a root memory capability on the first user
+// PE's kernel. plant derives a child of it and has the last user PE's VPE,
+// on another kernel, obtain that child; revoke revokes the child, which
+// takes one forward to the other kernel and its reply.
+func spanningRevokeSteppers(tb testing.TB, cfg Config) (s *System, plant, revoke func()) {
+	s = MustNew(cfg)
 	pes := s.UserPEs()
 	var root, mid cap.Selector
 	var ownerID int
 	revoking := false
-	owner := stepVPE(t, s, pes[0], func(v *VPE, p *sim.Proc) {
+	owner := stepVPE(tb, s, pes[0], func(v *VPE, p *sim.Proc) {
 		var err error
 		switch {
 		case root == cap.NoSel:
@@ -577,35 +653,45 @@ func TestSpanningRevokeAllocationCeiling(t *testing.T) {
 			mid, err = v.DeriveMem(p, root, 0, 4096, dtu.PermRW)
 		}
 		if err != nil {
-			t.Error(err)
+			tb.Error(err)
 		}
 	})
-	far := stepVPE(t, s, pes[len(pes)-1], func(v *VPE, p *sim.Proc) {
+	far := stepVPE(tb, s, pes[len(pes)-1], func(v *VPE, p *sim.Proc) {
 		if _, err := v.ObtainFrom(p, ownerID, mid); err != nil {
-			t.Error(err)
+			tb.Error(err)
 		}
 	})
 	owner()
-	round := func() uint64 {
+	plant = func() {
 		revoking = false
 		owner()
 		far()
+	}
+	revoke = func() {
 		revoking = true
-		return mallocs(owner)
+		owner()
 	}
+	return s, plant, revoke
+}
+
+// BenchmarkSpanningRevoke is one warmed revoke per op of a capability with
+// one child on the other kernel: the syscall, the mark walk, one forward and
+// its reply, and the sweep. The child is planted between ops, off the
+// clock. 1 alloc/op, the forward's request
+// (TestSpanningRevokeAllocationCeiling pins it).
+func BenchmarkSpanningRevoke(b *testing.B) {
+	s, plant, revoke := spanningRevokeSteppers(b, Config{Kernels: 2, UserPEs: 4})
+	defer s.Close()
 	for i := 0; i < 8; i++ {
-		round()
+		plant()
+		revoke()
 	}
-	const rounds = 50
-	var total uint64
-	for i := 0; i < rounds; i++ {
-		total += round()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		plant()
+		b.StartTimer()
+		revoke()
 	}
-	if allocs := float64(total) / rounds; allocs > ceiling {
-		t.Fatalf("revoking a warmed root with one remote child allocates %v times, ceiling %v", allocs, ceiling)
-	}
-	if got := memCapsEverywhere(s); got != 1 { // root
-		t.Fatalf("%d memory capabilities left, want 1", got)
-	}
-	checkAudit(t, s)
 }

@@ -122,7 +122,7 @@ func (k *Kernel) obtain(p *sim.Proc, v *VPE, owner int, req ikcRequest) sysReply
 	} else {
 		k.charge(p, k.sys.Cost.IKCMarshal)
 		wire := req
-		rep = *k.ikCall(p, owner, &wire)
+		rep = k.ikCall(p, owner, &wire)
 	}
 	v.obtaining = false
 	if rep.Err != OK {
@@ -421,7 +421,7 @@ func (k *Kernel) prepareDelegate(p *sim.Proc, req *ikcRequest) ikcReply {
 	}
 	if k.incarnation != inc {
 		// This thread was parked across a crash recovery: the rejoin reset
-		// wiped the pending-delegation table, and the originator's future
+		// wiped the pending-delegation table, and the originator's call
 		// aborted with ErrPeerDead — an entry created now could never be
 		// acknowledged and would leak forever (rejoin.go).
 		return ikcReply{Err: ErrPeerDead}
@@ -440,23 +440,23 @@ func (k *Kernel) prepareDelegate(p *sim.Proc, req *ikcRequest) ikcReply {
 }
 
 // handleDelegateAck finishes the handshake at the receiver's kernel.
-func (k *Kernel) handleDelegateAck(p *sim.Proc, req *ikcRequest) *ikcReply {
+func (k *Kernel) handleDelegateAck(p *sim.Proc, req *ikcRequest) ikcReply {
 	child, _ := k.pendingDelegations.Get(req.Child)
 	k.pendingDelegations.Delete(req.Child)
 	if child == nil {
-		return &ikcReply{Err: ErrNoSuchCap}
+		return ikcReply{Err: ErrNoSuchCap}
 	}
 	if !req.Ok {
 		// Delegator aborted (parent revoked meanwhile): discard.
-		return &ikcReply{}
+		return ikcReply{}
 	}
 	dstV := k.vpeOf(child.Owner)
 	if k.gone(p, dstV) {
 		// Orphaned on the receiver side: report back for unlinking.
-		return &ikcReply{Err: ErrVPEGone}
+		return ikcReply{Err: ErrVPEGone}
 	}
 	child.Sel = k.store.AllocSel(child.Owner)
 	k.insertCap(p, child)
 	k.stats.Delegates++
-	return &ikcReply{}
+	return ikcReply{}
 }

@@ -1,6 +1,9 @@
 package core
 
-import "repro/internal/sim"
+import (
+	"repro/internal/ddl"
+	"repro/internal/sim"
+)
 
 // Inter-kernel calls (paper §4.1): kernels communicate via messages over
 // the NoC, adhering to a messaging protocol with per-pair FIFO ordering
@@ -25,7 +28,7 @@ type peer struct {
 	// after ikcDelegateSess); repq are the reply queues toward it, by class
 	// (classNone's stays empty). See transport.go.
 	reqq [ikcDelegateSess + 1]*sendQueue
-	repq [classRevoke + 1][]*ikcReply
+	repq [classRevoke + 1][]ikcReply
 
 	// Reliable mode only (reliability.go, rejoin.go). dead is this kernel's
 	// verdict on the peer, sticky until the peer rejoins with a newer
@@ -33,13 +36,16 @@ type peer struct {
 	// live lists the transmissions toward the peer still tracked, in
 	// first-send order. replies is the receiver's duplicate filter for
 	// requests from the peer: every dispatched sequence number, mapped to
-	// its reply once it exists (nil while in progress); answered orders the
-	// replied ones for FIFO eviction beyond replyCache.
+	// its reply's slot in answered once the reply exists (-1 while in
+	// progress). answered is the reply cache: the last replyCache replies,
+	// by value, in a ring whose oldest slot, once it is full, is oldest; a
+	// reply the ring overwrites leaves the filter.
 	dead     bool
 	inc      uint32
 	live     []*xmitState
-	replies  map[uint64]*ikcReply
-	answered []uint64
+	replies  map[uint64]int32
+	answered []ikcReply
+	oldest   int
 }
 
 // peer returns k's record for kernel dst, creating it on first use.
@@ -53,12 +59,42 @@ func (k *Kernel) peer(dst int) *peer {
 }
 
 // awaited is what a kernel keeps per request that awaits its reply: the
-// future the reply completes and, once the reliable layer tracks the request
-// on the wire, its transmission (nil before, and always on the lossless
-// fabric).
+// call's continuation, as data, and — once the reliable layer tracks the
+// request on the wire — its transmission (nil before, and always on the
+// lossless fabric). The continuation is one of
+//
+//   - t: the thread parked for the reply in its slot (ikCall);
+//   - rs and req: a revoke forward, whose reply counts toward rs and whose
+//     failure records an orphan fix for each target of req;
+//   - req alone: a reliable-mode unlink, whose failed ack records its fix;
+//   - nothing: nobody waits.
+//
+// complete runs it.
 type awaited struct {
-	fut *sim.Future[*ikcReply]
+	t   *kthread
+	rs  *revState
+	req *ikcRequest
 	xm  *xmitState
+}
+
+// complete runs the continuation of a call whose entry just left pending,
+// with its reply: a real one (recvReply) or ErrPeerDead (failPending). It
+// runs in event context, or inline where a request to a dead peer fails
+// fast. A parked thread gets the reply in its slot and one wake-up; a revoke
+// forward's reply goes to the completion pool, after an unreachable owner's
+// orphan fixes are recorded.
+func (k *Kernel) complete(a awaited, rep *ikcReply) {
+	switch {
+	case a.t != nil:
+		a.t.reply.fill(rep)
+	case a.req != nil:
+		if rep.Err == ErrPeerDead {
+			k.recordOrphanFixes(rep.From, a.req)
+		}
+		if a.rs != nil {
+			k.compSubmit(a.rs)
+		}
+	}
 }
 
 // nextSeq mints a request sequence number.
@@ -94,10 +130,10 @@ type ikcWire struct {
 	dups     uint8
 	from, to *Kernel
 	reqs     []*ikcRequest
-	reps     []*ikcReply
+	reps     []ikcReply
 	arrive   func() // onArrive, bound once
 	req1     [1]*ikcRequest
-	rep1     [1]*ikcReply
+	rep1     [1]ikcReply
 }
 
 // wire takes a record off the free list (or makes one) for a leg from k.
@@ -160,7 +196,7 @@ func (w *ikcWire) send() {
 // onArrive is w's delivery event (event context at the receiving kernel, or
 // at the sender while the leg is composed). A direct request's record is
 // released before the request is handed on: what runs below may send, and so
-// reuse it. Replies, direct or in an envelope, complete their futures in
+// reuse it. Replies, direct or in an envelope, complete their calls in
 // order — the order the answering kernel produced them — and cost no thread.
 func (w *ikcWire) onArrive() {
 	switch {
@@ -181,8 +217,8 @@ func (w *ikcWire) onArrive() {
 		w.done()
 		to.recvRequest(req.Kind, req)
 	case w.kind == wireReply:
-		for _, rep := range w.reps {
-			w.to.recvReply(rep)
+		for i := range w.reps {
+			w.to.recvReply(&w.reps[i])
 		}
 		w.done()
 	default:
@@ -213,7 +249,7 @@ func (k *Kernel) sendEnvelope(dst int, reqs []*ikcRequest) {
 // sendReply puts rep on the wire to kernel dk as a direct message.
 func (k *Kernel) sendReply(dk *Kernel, rep *ikcReply) {
 	w := k.wire(wireReply, dk)
-	w.reps = append(w.reps, rep)
+	w.reps = append(w.reps, *rep)
 	w.send()
 }
 
@@ -221,7 +257,7 @@ func (k *Kernel) sendReply(dk *Kernel, rep *ikcReply) {
 // has elapsed — one direct reply, or an envelope of several — for a sender
 // without a thread to charge: the cost is busy time of the kernel and a delay
 // before the leg leaves (ikReplyAsync, flushReplies).
-func (k *Kernel) composeReplies(dk *Kernel, reps []*ikcReply) {
+func (k *Kernel) composeReplies(dk *Kernel, reps ...ikcReply) {
 	k.stats.Busy += k.sys.Cost.IKCCompose
 	w := k.wire(wireReply, dk)
 	w.env, w.compose = len(reps) > 1, true
@@ -232,12 +268,12 @@ func (k *Kernel) composeReplies(dk *Kernel, reps []*ikcReply) {
 // stamp is the opening every request shares: the compose cost — the last
 // term before a send, so everything owed elapses with it — then the sequence
 // number and sender; the incarnation is stamped when the request first goes
-// on the wire (transmit, flushLocked). answered says somebody may wait for
-// the reply (always, except a notification on the lossless fabric): its
-// future then goes into pending, and dead reports that dst exhausted its
-// retry budget earlier, so the future already holds ErrPeerDead and nothing
-// is to be queued or sent (degraded mode).
-func (k *Kernel) stamp(p *sim.Proc, dst int, req *ikcRequest, answered bool) (fut *sim.Future[*ikcReply], dead bool) {
+// on the wire (transmit, flushLocked). answered says a reply will come
+// (always, except for a notification on the lossless fabric): a then goes
+// into pending as the call's continuation, and dead reports that dst
+// exhausted its retry budget earlier, so the call has already completed
+// with ErrPeerDead and nothing is to be queued or sent (degraded mode).
+func (k *Kernel) stamp(p *sim.Proc, dst int, req *ikcRequest, a awaited, answered bool) (dead bool) {
 	if dst == k.id {
 		panic("core: inter-kernel call to self")
 	}
@@ -245,15 +281,14 @@ func (k *Kernel) stamp(p *sim.Proc, dst int, req *ikcRequest, answered bool) (fu
 	req.Seq = k.nextSeq()
 	req.From = k.id
 	if !answered {
-		return nil, false
+		return false
 	}
-	fut = sim.NewFuture[*ikcReply](k.sys.Eng)
-	k.pending[req.Seq] = awaited{fut: fut}
+	k.pending[req.Seq] = a
 	if k.peerDead(dst) {
 		k.failFast(req.Seq, dst)
-		return fut, true
+		return true
 	}
-	return fut, false
+	return false
 }
 
 // post sends a stamped request to kernel dst as a direct message. The caller
@@ -281,7 +316,9 @@ func (k *Kernel) transmit(dst int, req *ikcRequest) {
 	req.Inc = k.incarnation
 	k.sendRequest(k.sys.kernels[dst], req)
 	if k.reliable {
-		k.track(dst, []*ikcRequest{req}, false)
+		xm := &xmitState{req1: [1]*ikcRequest{req}}
+		xm.reqs = xm.req1[:]
+		k.track(dst, xm)
 	}
 }
 
@@ -322,50 +359,52 @@ func (k *Kernel) failDeferred(dst int) {
 	}
 }
 
-// ikSend transmits a request to kernel dst. The request is matched with a
-// reply via its sequence number; the returned future completes when the
-// reply arrives.
-func (k *Kernel) ikSend(p *sim.Proc, dst int, req *ikcRequest) *sim.Future[*ikcReply] {
-	fut, dead := k.stamp(p, dst, req, true)
-	if !dead {
+// ikSend transmits a request to kernel dst as a direct message. The request
+// is matched with its reply via its sequence number; the reply runs a, the
+// call's continuation (complete).
+func (k *Kernel) ikSend(p *sim.Proc, dst int, req *ikcRequest, a awaited) {
+	if !k.stamp(p, dst, req, a, true) {
 		k.post(p, dst, req)
 	}
-	return fut
 }
 
 // ikSubmit hands a request to the unified transport: kinds the batching
 // policy covers join a per-destination aggregation queue (transport.go) and
 // travel in a coalesced envelope; everything else is a direct ikSend. With
 // batching disabled this is exactly ikSend.
-func (k *Kernel) ikSubmit(p *sim.Proc, dst int, req *ikcRequest) *sim.Future[*ikcReply] {
+func (k *Kernel) ikSubmit(p *sim.Proc, dst int, req *ikcRequest, a awaited) {
 	if k.batches(req.Kind) {
-		return k.enqueue(p, dst, req)
+		k.enqueue(p, dst, req, a)
+		return
 	}
-	return k.ikSend(p, dst, req)
+	k.ikSend(p, dst, req, a)
 }
 
 // ikCall performs a blocking inter-kernel call: submit the request to the
-// transport, release the CPU (preemption point), wait for the reply.
-func (k *Kernel) ikCall(p *sim.Proc, dst int, req *ikcRequest) *ikcReply {
-	fut := k.ikSubmit(p, dst, req)
-	return blockOn(k, p, fut)
+// transport, release the CPU (preemption point) and wait for the reply in
+// the calling thread's slot.
+func (k *Kernel) ikCall(p *sim.Proc, dst int, req *ikcRequest) ikcReply {
+	t := k.holder
+	k.ikSubmit(p, dst, req, awaited{t: t})
+	k.pause(p, &t.reply)
+	return t.reply.take()
 }
 
-// ikNotify sends a one-way notification (e.g. orphan unlink). It consumes
-// an in-flight slot like any request but nobody waits for a reply; the
-// receiver must not send one. In reliable mode the receiver *does* answer
-// with an empty ack (see dispatchRequest): loss of a notification must be
-// observable so it can be retransmitted and its credit returned, and the
-// ack — completing a future nobody waits on — is what resolves the
-// transmission. The ack's future is returned so callers can observe a
-// degraded outcome (ErrPeerDead) without blocking on it; in baseline
-// lossless mode there is no ack and the result is nil.
-func (k *Kernel) ikNotify(p *sim.Proc, dst int, req *ikcRequest) *sim.Future[*ikcReply] {
-	fut, dead := k.stamp(p, dst, req, k.reliable)
-	if !dead {
+// notifyUnlink sends kernel dst the one-way notification that child is no
+// longer a child of parent (an orphan unlink). It consumes an in-flight
+// slot like any request but nobody waits for a reply; the receiver must not
+// send one. In reliable mode the receiver *does* answer with an empty ack
+// (see dispatchRequest): loss of a notification must be observable so it
+// can be retransmitted and its credit returned, and the ack is what
+// resolves the transmission. Its continuation is the request itself, so if
+// dst is unreachable the orphan fix is recorded (complete) and the dangling
+// link is removed when dst rejoins; in baseline lossless mode there is no
+// ack and no entry.
+func (k *Kernel) notifyUnlink(p *sim.Proc, dst int, parent, child ddl.Key) {
+	req := &ikcRequest{Kind: ikcUnlinkChild, Key: parent, Child: child}
+	if !k.stamp(p, dst, req, awaited{req: req}, k.reliable) {
 		k.post(p, dst, req)
 	}
-	return fut
 }
 
 // recvRequest runs at the receiving kernel when a request leg arrives (event
@@ -433,39 +472,37 @@ func (k *Kernel) returnCredit(req *ikcRequest) {
 
 // dispatchRequest routes a request to its handler and hands the returned
 // result to the reply path. Handlers run on a kernel thread with the CPU
-// held and *return* their reply instead of composing wire messages
-// themselves — the transport decides whether it leaves as a direct message
-// or joins a reply envelope. A nil result means no reply now: notifications
-// are never answered, and the continuation-based revocation paths answer
-// later via ikReplyAsync.
+// held and *return* their reply, by value, instead of composing wire
+// messages themselves — the transport decides whether it leaves as a direct
+// message or joins a reply envelope. Two kinds may have no reply now:
+// notifications are never answered, and a revocation whose subtree is not
+// gone yet answers later via ikReplyAsync.
 func (k *Kernel) dispatchRequest(p *sim.Proc, req *ikcRequest) {
-	var rep *ikcReply
+	var rep ikcReply
 	switch req.Kind {
 	case ikcObtain, ikcSession, ikcObtainSess:
-		r := k.grant(p, req, true)
-		rep = &r
+		rep = k.grant(p, req, true)
 	case ikcDelegate, ikcDelegateSess:
-		r := k.prepareDelegate(p, req)
-		rep = &r
+		rep = k.prepareDelegate(p, req)
 	case ikcDelegateAck:
 		rep = k.handleDelegateAck(p, req)
 	case ikcRevoke, ikcRevokeBatch:
-		rep = k.handleRevokeReq(p, req)
-	case ikcUnlinkChild:
-		k.handleUnlinkChild(p, req) // notification: nobody to answer
-		if k.reliable {
-			// ...except in reliable mode, where an empty ack makes the
-			// notification's loss observable (see ikNotify).
-			rep = &ikcReply{}
+		if !k.handleRevokeReq(p, req) {
+			return
 		}
+	case ikcUnlinkChild:
+		k.handleUnlinkChild(p, req) // notification: nobody to answer...
+		if !k.reliable {
+			return
+		}
+		// ...except in reliable mode, where an empty ack makes the
+		// notification's loss observable (see notifyUnlink).
 	case ikcRejoin:
 		rep = k.handleRejoin(p, req)
 	default:
 		panic("core: unknown inter-kernel request kind")
 	}
-	if rep != nil {
-		k.ikReply(p, req, rep)
-	}
+	k.ikReply(p, req, rep)
 }
 
 // ikReply sends the reply for req back to its sender, routing it through
@@ -474,15 +511,15 @@ func (k *Kernel) dispatchRequest(p *sim.Proc, req *ikcRequest) {
 // must hold the CPU token; the compose cost models marshalling the reply —
 // into a message or into the envelope buffer. Direct replies travel in
 // slots reserved by the request and bypass the in-flight limit.
-func (k *Kernel) ikReply(p *sim.Proc, req *ikcRequest, rep *ikcReply) {
+func (k *Kernel) ikReply(p *sim.Proc, req *ikcRequest, rep ikcReply) {
 	k.exec(p, k.sys.Cost.IKCCompose)
-	k.answers(req, rep)
+	k.answers(req, &rep)
 	if k.batchesReply(req.Kind) {
 		k.enqueueReply(req.From, classOf(req.Kind), rep)
 		return
 	}
 	k.stats.IKCRepSent++
-	k.sendReply(k.sys.kernels[req.From], rep)
+	k.sendReply(k.sys.kernels[req.From], &rep)
 }
 
 // ikReplyAsync sends a reply without a thread to charge (used by the
@@ -498,29 +535,30 @@ func (k *Kernel) ikReply(p *sim.Proc, req *ikcRequest, rep *ikcReply) {
 // batched request).
 // Keeping them direct also pins batched revocation of arbitrarily deep
 // trees to its pre-sink event trace.
-func (k *Kernel) ikReplyAsync(req *ikcRequest, rep *ikcReply) {
-	k.answers(req, rep)
+func (k *Kernel) ikReplyAsync(req *ikcRequest, rep ikcReply) {
+	k.answers(req, &rep)
 	k.stats.IKCRepSent++
-	k.composeReplies(k.sys.kernels[req.From], []*ikcReply{rep})
+	k.composeReplies(k.sys.kernels[req.From], rep)
 }
 
-// answers makes rep the reply to req, and caches it for a duplicate of req.
+// answers makes rep the reply to req, and caches a copy for a duplicate of
+// req.
 func (k *Kernel) answers(req *ikcRequest, rep *ikcReply) {
 	rep.Seq, rep.From, rep.Inc = req.Seq, k.id, req.Inc
-	k.cacheReply(req.From, req.Seq, rep)
+	k.cacheReply(req.From, rep)
 }
 
-// recvReply completes the pending future for a reply (event context). A
-// reply for an unknown sequence number is late or duplicated: its request
-// was retransmitted and already answered, or the peer was declared dead
-// and the future completed with an error reply. It is counted, not fatal
-// — on the lossless baseline the counter provably stays zero (every
-// reply matches a pending future), so flags-off traces are unchanged.
+// recvReply completes the call pending on a reply (event context). A reply
+// for an unknown sequence number is late or duplicated: its request was
+// retransmitted and already answered, or the peer was declared dead and the
+// call completed with an error reply. It is counted, not fatal — on the
+// lossless baseline the counter provably stays zero (every reply matches a
+// pending call), so flags-off traces are unchanged.
 func (k *Kernel) recvReply(rep *ikcReply) {
 	if k.reliable && rep.Inc != 0 && rep.Inc != k.incarnation {
 		// The reply echoes the incarnation that asked the question; this
 		// kernel has since crashed and recovered, so the answer belongs to
-		// the dead incarnation (its futures were already aborted at rejoin).
+		// the dead incarnation (its calls were already aborted at rejoin).
 		k.stats.StaleIncarnation++
 		return
 	}
@@ -533,5 +571,5 @@ func (k *Kernel) recvReply(rep *ikcReply) {
 	if a.xm != nil {
 		k.onReply(a.xm)
 	}
-	a.fut.Complete(rep)
+	k.complete(a, rep)
 }

@@ -137,8 +137,8 @@ type Kernel struct {
 
 	// peers holds the IKC state toward each other kernel, indexed by its
 	// id; nil until the two talk (peer). pending maps the sequence number of
-	// every request still awaiting its reply to its future and, in reliable
-	// mode once it is on the wire, its transmission.
+	// every request still awaiting its reply to the call's continuation and,
+	// in reliable mode once it is on the wire, its transmission (awaited).
 	peers   []*peer
 	pending map[uint64]awaited
 	seq     uint64
@@ -468,7 +468,7 @@ func (q *query) release() {
 }
 
 // ask sends q to its VPE's PE and parks the calling kernel thread until the
-// answer is back — a preemption point, like blockOn: the CPU is released
+// answer is back — a preemption point, like ikCall: the CPU is released
 // while parked and re-acquired afterwards. The question leaves when the
 // thread's time is up, so what it owes is settled first.
 func (q *query) ask(p *sim.Proc, stage queryStage, bytes int) {

@@ -33,7 +33,8 @@ const (
 // find the next job, queue for the CPU — in the same event and the same
 // order; the body runs again when there is work to run and the CPU to run it
 // on. A job allocates nothing: the records come with the pool (newThread),
-// 64 bytes each.
+// 144 bytes each, and hold the slot the thread's inter-kernel calls are
+// answered in (ikCall).
 //
 // The record is also what the machine reports about the thread
 // (System.CheckQuiescent): which job it holds and what it is parked on.
@@ -47,6 +48,40 @@ type kthread struct {
 	// job is the job in hand, from stageJob's pop to the epilogue.
 	job   job
 	stage waitStage
+	reply replySlot
+}
+
+// replySlot is where the reply to a thread's inter-kernel call lands, as
+// VPE.sysRep holds a syscall's: the call's continuation in Kernel.pending
+// names the thread, and complete fills the slot and wakes the thread if it
+// is parked on it already.
+type replySlot struct {
+	rep    ikcReply
+	done   bool
+	waiter *sim.Proc
+}
+
+func (r *replySlot) fill(rep *ikcReply) {
+	r.rep, r.done = *rep, true
+	if w := r.waiter; w != nil {
+		r.waiter = nil
+		w.Wake()
+	}
+}
+
+// Ready implements sim.Waiter for the thread parked on the slot.
+func (r *replySlot) Ready(p *sim.Proc) bool {
+	if !r.done {
+		r.waiter = p
+	}
+	return r.done
+}
+
+// take hands the reply over and empties the slot for the next call.
+func (r *replySlot) take() ikcReply {
+	rep := r.rep
+	*r = replySlot{}
+	return rep
 }
 
 // Ready implements sim.Waiter.
@@ -123,12 +158,6 @@ func (k *Kernel) pause(p *sim.Proc, inner sim.Waiter) {
 	p.ParkOn(t)
 }
 
-// blockOn waits for a future at a preemption point.
-func blockOn[T any](k *Kernel, p *sim.Proc, fut *sim.Future[T]) T {
-	k.pause(p, fut)
-	return fut.Wait(nil)
-}
-
 // describe says, for the quiescence audit, which job the thread holds and
 // what it is parked on; "" for a thread parked for its next job.
 func (t *kthread) describe() string {
@@ -174,7 +203,7 @@ func (k *Kernel) describeWait(w sim.Waiter) string {
 		}
 	case *query:
 		return fmt.Sprintf("await-answer of VPE %d", w.v.ID)
-	case *sim.Future[*ikcReply]:
+	case *replySlot:
 		return "await-reply"
 	case *revState:
 		return "await-revocation"

@@ -34,7 +34,7 @@ const (
 	ErrOutOfMem
 	ErrExists
 	// ErrPeerDead is the degraded-mode answer for requests to a kernel
-	// that exhausted its retry budget (see reliability.go): the future
+	// that exhausted its retry budget (see reliability.go): the call
 	// completes with this error instead of hanging.
 	ErrPeerDead
 )
@@ -196,23 +196,26 @@ type ikcRequest struct {
 }
 
 // ikcReply is the payload of an inter-kernel reply message. Replies are
-// matched to their request by sequence number. A reply either travels as
-// its own wire message (the unbatched transport) or rides a reply
-// envelope: the sink (transport.go, flushReplies) puts the replies queued
-// for one destination kernel into one ikcWire, whose arrival completes the
-// pending per-request futures in enqueue order.
+// values, from the handler that returns one to the slot of the thread that
+// waits for it: the wire, the reply sink and the reliable reply cache hold
+// copies, so a reply costs no allocation. They are matched to their request
+// by sequence number. A reply either travels as its own wire message (the
+// unbatched transport) or rides a reply envelope: the sink (transport.go,
+// flushReplies) puts the replies queued for one destination kernel into one
+// ikcWire, whose arrival completes the calls pending on them in enqueue
+// order.
 type ikcReply struct {
 	Seq  uint64
 	From int
 	// Inc echoes the request's incarnation stamp, so a requester that
 	// crashed and recovered in between rejects the late reply — it answers
 	// a question asked by the dead incarnation (rejoin.go).
-	Inc uint32
-	Err Errno
+	Inc  uint32
+	Err  Errno
+	Perm dtu.Perm
 
 	Key    ddl.Key // the parent the child was linked under (obtain, session-open); the prepared child (delegate)
 	Object cap.Object
-	Perm   dtu.Perm
 	Args   any
 }
 

@@ -43,7 +43,7 @@ func (s *System) Audit(dead ...int) []string {
 //     transmissions are still tracked although the peer is not declared
 //     dead;
 //   - kernel with replies left in the reply sink, or with requests whose
-//     futures still await a reply;
+//     calls still await a reply;
 //   - receive endpoint with slots still occupied.
 //
 // Threads parked for their next job, and service loops parked for their next

@@ -57,26 +57,22 @@ type orphanFix struct {
 	child ddl.Key // unlinked child (ikcUnlinkChild only)
 }
 
-// recordOrphanFix is the OnComplete hook of the fire-and-forget tree
-// maintenance sends: if the operation failed because the peer is dead,
-// remember it for replay at the peer's rejoin. Runs in event context.
-func (k *Kernel) recordOrphanFix(f orphanFix, rep *ikcReply) {
-	if rep.Err == ErrPeerDead {
-		k.orphanFixes = append(k.orphanFixes, f)
+// recordOrphanFixes remembers, for replay at dst's rejoin, the tree
+// maintenance of a fire-and-forget request that failed because dst is dead:
+// each target of a revoke forward, or the link an unlink would have removed.
+// It is the continuation of those requests (complete), so it runs in event
+// context, or inline where the request failed fast.
+func (k *Kernel) recordOrphanFixes(dst int, req *ikcRequest) {
+	switch req.Kind {
+	case ikcUnlinkChild:
+		k.orphanFixes = append(k.orphanFixes, orphanFix{dst: dst, kind: ikcUnlinkChild, key: req.Key, child: req.Child})
+	case ikcRevoke:
+		k.orphanFixes = append(k.orphanFixes, orphanFix{dst: dst, kind: ikcRevoke, key: req.Key})
+	case ikcRevokeBatch:
+		for _, key := range req.Keys {
+			k.orphanFixes = append(k.orphanFixes, orphanFix{dst: dst, kind: ikcRevoke, key: key})
+		}
 	}
-}
-
-// notifyUnlink sends an unlink-child notification, recording an orphan fix
-// if the owner's kernel is unreachable so the dangling link is removed
-// when it rejoins. In baseline lossless mode the notification cannot fail
-// and nothing is tracked.
-func (k *Kernel) notifyUnlink(p *sim.Proc, dst int, parent, child ddl.Key) {
-	fut := k.ikNotify(p, dst, &ikcRequest{Kind: ikcUnlinkChild, Key: parent, Child: child})
-	if fut == nil {
-		return
-	}
-	fix := orphanFix{dst: dst, kind: ikcUnlinkChild, key: parent, child: child}
-	fut.OnComplete(func(rep *ikcReply) { k.recordOrphanFix(fix, rep) })
 }
 
 // admitIncarnation re-admits a peer that crashed and came back: record the
@@ -92,11 +88,11 @@ func (k *Kernel) admitIncarnation(from int, inc uint32) {
 	// its outstanding transmissions at rejoin, so none of them will ever be
 	// retransmitted, and stragglers already on the wire are rejected by the
 	// incarnation gate before they reach the filter.
-	pr.replies, pr.answered = nil, nil
+	pr.replies, pr.answered, pr.oldest = nil, nil, 0
 	// Outstanding transmissions *to* the peer were addressed to the dead
 	// incarnation — it lost its receive state, so they could only be
 	// rejected as stale. Abort them in first-send order, completing their
-	// futures with ErrPeerDead.
+	// calls with ErrPeerDead.
 	k.abortLive(pr)
 	// Delegation handshakes whose originator is the dead incarnation can
 	// never be acknowledged: their entries would leak forever.
@@ -137,9 +133,9 @@ func (k *Kernel) dropPeerDelegations(from int) {
 // dispatched); the explicit handshake exists so the recovering kernel
 // *knows* every peer routes to it again before it reconciles its own
 // state.
-func (k *Kernel) handleRejoin(p *sim.Proc, req *ikcRequest) *ikcReply {
+func (k *Kernel) handleRejoin(p *sim.Proc, req *ikcRequest) ikcReply {
 	k.exec(p, k.sys.Cost.DDLDecode)
-	return &ikcReply{}
+	return ikcReply{}
 }
 
 // beginRejoin runs at RecoverAt (event context, scheduled by NewSystem for

@@ -3,8 +3,8 @@ package core
 import "repro/internal/sim"
 
 // Reliable IKC mode. The baseline inter-kernel protocol assumes the
-// lossless fabric the paper assumes: a dropped message hangs its future
-// and a stray reply panics. When a fault plan is attached (Config.Faults,
+// lossless fabric the paper assumes: a dropped message hangs its call
+// forever. When a fault plan is attached (Config.Faults,
 // even one that injects nothing) every kernel runs this layer on top of the
 // unchanged request/reply protocol:
 //
@@ -12,7 +12,7 @@ import "repro/internal/sim"
 //     envelope) is tracked with a retransmission timer. On expiry the
 //     still-unanswered requests are re-sent, the timeout doubles (capped
 //     at rtoMax), and after maxRetries expiries the destination kernel is
-//     declared dead: all its outstanding futures complete with
+//     declared dead: all its outstanding calls complete with
 //     ErrPeerDead, new requests to it fail fast, and the service
 //     directory stops routing to it (service.go). Death is a per-observer
 //     verdict — each kernel judges its peers from its own traffic only.
@@ -51,11 +51,13 @@ const (
 // xmitState tracks one wire transmission — a direct request or a
 // coalesced envelope of several — until every carried request is answered
 // or the destination is declared dead. credited says the receiver picked a
-// copy of it up, which returned its in-flight credit.
+// copy of it up, which returned its in-flight credit. A direct transmission
+// keeps its one request inline, in req1, as an ikcWire does.
 type xmitState struct {
 	dst       int
 	env       bool // envelope vs direct send
 	reqs      []*ikcRequest
+	req1      [1]*ikcRequest
 	remaining int
 	tries     int
 	rto       sim.Duration
@@ -71,35 +73,31 @@ func (k *Kernel) peerDead(dst int) bool {
 	return pr != nil && pr.dead
 }
 
-// failFast completes a request's future with ErrPeerDead without ever
+// failFast completes a request's call with ErrPeerDead without ever
 // putting it on the wire.
 func (k *Kernel) failFast(seq uint64, dst int) {
 	k.stats.FailFast++
 	k.failPending(seq, dst)
 }
 
-// failPending completes the future of request seq, if it has one, with
-// ErrPeerDead from dst.
+// failPending completes the call of request seq, if it is still pending,
+// with ErrPeerDead from dst.
 func (k *Kernel) failPending(seq uint64, dst int) {
 	a, ok := k.pending[seq]
 	delete(k.pending, seq)
 	if ok {
-		a.fut.Complete(&ikcReply{Seq: seq, From: dst, Err: ErrPeerDead})
+		k.complete(a, &ikcReply{Seq: seq, From: dst, Err: ErrPeerDead})
 	}
 }
 
-// track registers a transmission that just left on the wire and arms its
-// retransmission timer.
-func (k *Kernel) track(dst int, reqs []*ikcRequest, env bool) {
-	xm := &xmitState{
-		dst:       dst,
-		env:       env,
-		reqs:      reqs,
-		remaining: len(reqs),
-		rto:       rtoBase,
-		firstSent: k.sys.Eng.Now(),
-	}
-	for _, r := range reqs {
+// track registers xm, a transmission of its requests that just left on the
+// wire toward dst, and arms its retransmission timer.
+func (k *Kernel) track(dst int, xm *xmitState) {
+	xm.dst = dst
+	xm.remaining = len(xm.reqs)
+	xm.rto = rtoBase
+	xm.firstSent = k.sys.Eng.Now()
+	for _, r := range xm.reqs {
 		a := k.pending[r.Seq]
 		a.xm = xm
 		k.pending[r.Seq] = a
@@ -182,7 +180,7 @@ func (k *Kernel) expire(xm *xmitState) {
 
 // markDead is the degradation step: dst exhausted its retry budget, so
 // this kernel stops talking to it. Every outstanding transmission aborts,
-// completing its futures with ErrPeerDead in first-send order, and so do the
+// completing its calls with ErrPeerDead in first-send order, and so do the
 // forwards still deferred toward dst, after them.
 func (k *Kernel) markDead(dst int) {
 	pr := k.peers[dst]
@@ -207,7 +205,7 @@ func (k *Kernel) abortLive(pr *peer) {
 	}
 }
 
-// abort completes a transmission's unanswered futures with ErrPeerDead
+// abort completes a transmission's unanswered calls with ErrPeerDead
 // and returns its in-flight credit if no pickup did. The caller has already
 // unlinked xm from its peer's live list (or is draining the whole list).
 func (k *Kernel) abort(xm *xmitState) {
@@ -235,13 +233,13 @@ func (k *Kernel) unlink(xm *xmitState) {
 
 // admit is the receive gate every picked-up request passes before its
 // dispatch: true means dispatch it. Timers and the rejoin reset write what it
-// reads, admitting a rejoined peer completes futures and a duplicate's cached
+// reads, admitting a rejoined peer completes calls and a duplicate's cached
 // reply is replayed from here, so the dispatch time passes first. Then two
 // checks, in order:
 //
 //   - Incarnation: a request stamped with an incarnation older than the
 //     highest observed for its sender is a stale retransmit from before the
-//     sender's crash, dropped silently (the dead incarnation's futures were
+//     sender's crash, dropped silently (the dead incarnation's calls were
 //     aborted at its rejoin, so nobody waits for an answer). A newer stamp
 //     admits the rejoined sender (admitIncarnation) — the explicit ikcRejoin
 //     handshake is normally the first such request, but any request can carry
@@ -263,39 +261,43 @@ func (k *Kernel) admit(p *sim.Proc, req *ikcRequest) bool {
 	case req.Inc > pr.inc:
 		k.admitIncarnation(req.From, req.Inc)
 	}
-	if rep, seen := pr.replies[req.Seq]; seen {
+	if slot, seen := pr.replies[req.Seq]; seen {
 		k.stats.DupSuppressed++
-		if rep != nil {
+		if slot >= 0 {
 			k.stats.ReplayedReplies++
-			k.sendReply(k.sys.kernels[req.From], rep)
+			k.sendReply(k.sys.kernels[req.From], &pr.answered[slot])
 		}
 		return false
 	}
 	if pr.replies == nil {
-		pr.replies = make(map[uint64]*ikcReply)
+		pr.replies = make(map[uint64]int32)
 	}
-	pr.replies[req.Seq] = nil // in progress
+	pr.replies[req.Seq] = -1 // in progress
 	return true
 }
 
-// cacheReply records the reply for (from, seq) so a duplicate of the
-// request can be answered by replay. Completed entries beyond the cache
-// bound evict FIFO; with MaxInflight bounding concurrent requests per
-// pair, a duplicate arriving after its entry's eviction would require a
-// retransmit delayed past replyCache newer completions — out of scope by
-// design (the sweep's timeouts resolve far sooner).
-func (k *Kernel) cacheReply(from int, seq uint64, rep *ikcReply) {
+// cacheReply records rep, the reply to request rep.Seq from kernel from, so
+// a duplicate of the request can be answered by replay. Completed entries
+// beyond the cache bound evict FIFO; with MaxInflight bounding concurrent
+// requests per pair, a duplicate arriving after its entry's eviction would
+// require a retransmit delayed past replyCache newer completions — out of
+// scope by design (the sweep's timeouts resolve far sooner).
+func (k *Kernel) cacheReply(from int, rep *ikcReply) {
 	if !k.reliable {
 		return
 	}
 	pr := k.peer(from)
 	if pr.replies == nil {
-		pr.replies = make(map[uint64]*ikcReply)
+		pr.replies = make(map[uint64]int32)
 	}
-	pr.replies[seq] = rep
-	pr.answered = append(pr.answered, seq)
-	for len(pr.answered) > replyCache {
-		delete(pr.replies, pr.answered[0])
-		pr.answered = pr.answered[1:]
+	slot := len(pr.answered)
+	if slot < replyCache {
+		pr.answered = append(pr.answered, *rep)
+	} else {
+		slot = pr.oldest
+		delete(pr.replies, pr.answered[slot].Seq)
+		pr.answered[slot] = *rep
+		pr.oldest = (slot + 1) % replyCache
 	}
+	pr.replies[rep.Seq] = int32(slot)
 }

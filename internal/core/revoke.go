@@ -106,10 +106,10 @@ func (k *Kernel) revokeAndWait(p *sim.Proc, c *cap.Capability) {
 }
 
 // handleRevokeReq processes an incoming revoke request, single or batched
-// (Algorithm 1, receive_revoke_request). It runs on a revoke thread and
-// never pauses: if a subtree is not gone yet, it returns nil and the record
-// answers later via ikReplyAsync.
-func (k *Kernel) handleRevokeReq(p *sim.Proc, req *ikcRequest) *ikcReply {
+// (Algorithm 1, receive_revoke_request), and reports whether it is answered
+// now, with an empty reply. It runs on a revoke thread and never pauses: if
+// a subtree is not gone yet, the record answers later via ikReplyAsync.
+func (k *Kernel) handleRevokeReq(p *sim.Proc, req *ikcRequest) (answered bool) {
 	up := k.newRev()
 	up.req = req
 	if req.Kind == ikcRevoke {
@@ -119,10 +119,10 @@ func (k *Kernel) handleRevokeReq(p *sim.Proc, req *ikcRequest) *ikcReply {
 		k.revokeKey(p, key, up)
 	}
 	if up.outstanding > 0 {
-		return nil
+		return false
 	}
 	k.freeRev(up)
-	return &ikcReply{}
+	return true
 }
 
 // revokeKey revokes one target of a revoke request for up. A key this kernel
@@ -233,25 +233,24 @@ func (k *Kernel) revokeChildren(p *sim.Proc, c *cap.Capability, rs *revState, ki
 }
 
 // sendRevokeRequest fires an inter-kernel revoke request without blocking
-// on the reply; the reply decrements the outstanding counter and may
-// trigger the sweep (Algorithm 1, receive_revoke_reply).
+// on the reply. Its continuation is rs and the request: the reply hands rs
+// to a kernel thread, which decrements the outstanding counter and may
+// trigger the sweep (Algorithm 1, receive_revoke_reply). An unreachable
+// owner is recorded for replay at its rejoin — the local subtree (including
+// the link to this child) is deleted regardless, so the recorded fix is the
+// only remaining route to the remote state (complete).
 func (k *Kernel) sendRevokeRequest(p *sim.Proc, dst int, key ddl.Key, rs *revState) {
-	fut := k.ikSend(p, dst, &ikcRequest{Kind: ikcRevoke, Key: key})
-	fut.OnComplete(func(rep *ikcReply) {
-		// Event context: hand completion to a kernel thread. An unreachable
-		// owner is recorded for replay at its rejoin — the local subtree
-		// (including the link to this child) is deleted regardless, so the
-		// recorded fix is the only remaining route to the remote state.
-		k.recordOrphanFix(orphanFix{dst: dst, kind: ikcRevoke, key: key}, rep)
-		k.compSubmit(rs)
-	})
+	req := &ikcRequest{Kind: ikcRevoke, Key: key}
+	k.ikSend(p, dst, req, awaited{rs: rs, req: req})
 }
 
 // forwardBatches is the barrier at the end of a batched mark walk: group
 // rs's remote children by owning kernel (in first-seen order) and send one
 // ikcRevokeBatch request per kernel, counting one outstanding reply each.
 // The batch is answered once, by the receiver's record; the *reply* to it
-// rides the reply sink (classRevoke).
+// rides the reply sink (classRevoke). Its continuation is that of a single
+// forward: an unreachable owner leaves every key of the batch unrevoked
+// remotely, and each is recorded for replay at the owner's rejoin.
 func (k *Kernel) forwardBatches(p *sim.Proc, rs *revState) {
 	for i, e := range rs.remote {
 		if e.dst < 0 {
@@ -265,16 +264,8 @@ func (k *Kernel) forwardBatches(p *sim.Proc, rs *revState) {
 			}
 		}
 		rs.outstanding++
-		dst := e.dst
-		fut := k.ikSend(p, dst, &ikcRequest{Kind: ikcRevokeBatch, Keys: keys})
-		fut.OnComplete(func(rep *ikcReply) {
-			// An unreachable owner leaves every key of the batch unrevoked
-			// remotely; record each for replay at the owner's rejoin.
-			for _, key := range keys {
-				k.recordOrphanFix(orphanFix{dst: dst, kind: ikcRevoke, key: key}, rep)
-			}
-			k.compSubmit(rs)
-		})
+		req := &ikcRequest{Kind: ikcRevokeBatch, Keys: keys}
+		k.ikSend(p, e.dst, req, awaited{rs: rs, req: req})
 	}
 	rs.remote = rs.remote[:0]
 }
@@ -323,7 +314,7 @@ func (k *Kernel) finishRevocation(p *sim.Proc, rs *revState) {
 	case rs.root != nil:
 		k.freeRev(rs)
 	case rs.req != nil:
-		k.ikReplyAsync(rs.req, &ikcReply{})
+		k.ikReplyAsync(rs.req, ikcReply{})
 		k.freeRev(rs)
 	case rs.thread != nil:
 		rs.thread.Wake() // the thread recycles its record

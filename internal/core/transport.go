@@ -31,7 +31,7 @@ import (
 // A flushed batch travels as one ikcWire, the record every inter-kernel leg
 // rides (ikc.go): one NoC transfer, one delivery event. A request envelope
 // is picked up by one kernel thread (pickUp, the routine that picks up
-// direct requests too); a reply envelope completes its futures in event
+// direct requests too); a reply envelope completes its calls in event
 // context, exactly like a direct reply. An envelope of N requests is
 // answered by one reply envelope.
 //
@@ -170,15 +170,14 @@ func (k *Kernel) batchesReply(kind ikcKind) bool {
 
 // --- request direction ---------------------------------------------------
 
-// enqueue appends req to its aggregation queue and returns the future its
-// reply will complete. The caller holds the CPU; the compose cost models
+// enqueue appends req to its aggregation queue, with a as the continuation
+// its reply runs. The caller holds the CPU; the compose cost models
 // marshalling the request into the batch buffer. The queue flushes inline
 // at maxBatch (growing the adaptive window: load sustains batching);
 // otherwise the first request of a generation arms the window timer.
-func (k *Kernel) enqueue(p *sim.Proc, dst int, req *ikcRequest) *sim.Future[*ikcReply] {
-	fut, dead := k.stamp(p, dst, req, true)
-	if dead {
-		return fut
+func (k *Kernel) enqueue(p *sim.Proc, dst int, req *ikcRequest, a awaited) {
+	if k.stamp(p, dst, req, a, true) {
+		return
 	}
 	k.stats.IKCBatched++
 
@@ -195,7 +194,6 @@ func (k *Kernel) enqueue(p *sim.Proc, dst int, req *ikcRequest) *sim.Future[*ikc
 		epoch := q.epoch
 		k.sys.Eng.Schedule(q.window, func() { k.timerFire(dst, q, epoch) })
 	}
-	return fut
 }
 
 // adaptWindow is the drain feedback of the adaptive flush window: a flush
@@ -294,7 +292,7 @@ func (k *Kernel) flushLocked(p *sim.Proc, dst int, q *sendQueue) {
 	}
 	k.sendEnvelope(dst, reqs)
 	if k.reliable {
-		k.track(dst, reqs, true)
+		k.track(dst, &xmitState{env: true, reqs: reqs})
 	}
 }
 
@@ -307,7 +305,7 @@ func (k *Kernel) flushLocked(p *sim.Proc, dst int, q *sendQueue) {
 // is no timer fallback, and none is needed, because a reply cannot outlive
 // the dispatch that produced it. The only other flush trigger is maxBatch,
 // when a wide envelope's replies overflow mid-dispatch.
-func (k *Kernel) enqueueReply(dst int, class batchClass, rep *ikcReply) {
+func (k *Kernel) enqueueReply(dst int, class batchClass, rep ikcReply) {
 	q := &k.peer(dst).repq[class]
 	*q = append(*q, rep)
 	if len(*q) >= maxBatch {
@@ -339,11 +337,11 @@ func (k *Kernel) flushReplies(dst int, class batchClass) {
 	k.stats.IKCRepSent++
 	dk := k.sys.kernels[dst]
 	if len(reps) == 1 {
-		k.sendReply(dk, reps[0])
+		k.sendReply(dk, &reps[0])
 	} else {
 		k.stats.IKCRepBatches++
 		k.stats.IKCRepBatched += uint64(len(reps))
-		k.composeReplies(dk, reps)
+		k.composeReplies(dk, reps...)
 	}
 	clear(reps)
 	pr.repq[class] = reps[:0]
