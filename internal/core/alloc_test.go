@@ -294,12 +294,14 @@ func TestMemObjectsAcrossChunks(t *testing.T) {
 // into the store's slab. Spanning, 1: the request, the one heap object of an
 // inter-kernel call — the reply travels by value into the slot of the
 // thread parked on it, and the in-flight record is two words of the
-// requesting VPE. Reliable, 3: the spanning obtain on a lossless fabric with
-// the reliable layer on adds its transmission record and the closure of
-// the record's retransmission timer; the reply cache is a map of values
-// that stays at its bound. Table growth (slabs, key map, selector space,
-// the cache's eviction order) averages below one per obtain. The ceilings
-// are the measured counts, with and without the race detector.
+// requesting VPE. Reliable, 1: the spanning obtain on a lossless fabric with
+// the reliable layer on adds nothing — its transmission record is recycled
+// with its timer bound once, and the reply cache is a ring of values behind
+// a seq → slot map. Reliable-batched, 1: the same with exchange batching,
+// whose envelope buffer moves between the queue and the record. Table growth
+// (slabs, key map, selector space, the reply cache up to its bound) averages
+// below one per obtain. The ceilings are the measured counts, with and
+// without the race detector.
 func TestObtainAllocationCeilings(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -308,7 +310,8 @@ func TestObtainAllocationCeilings(t *testing.T) {
 	}{
 		{"local", Config{Kernels: 1, UserPEs: 2}, 0},
 		{"spanning", Config{Kernels: 2, UserPEs: 4}, 1},
-		{"reliable", Config{Kernels: 2, UserPEs: 4, Faults: &fault.Plan{}}, 3},
+		{"reliable", Config{Kernels: 2, UserPEs: 4, Faults: &fault.Plan{}}, 1},
+		{"reliable-batched", reliableBatched, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, step := obtainStepper(t, tc.cfg)
@@ -323,6 +326,10 @@ func TestObtainAllocationCeilings(t *testing.T) {
 		})
 	}
 }
+
+// reliableBatched is a two-kernel machine in reliable mode on a lossless
+// fabric, batching exchanges: every obtain rides an envelope.
+var reliableBatched = Config{Kernels: 2, UserPEs: 4, Faults: &fault.Plan{}, IKCBatching: IKCBatching{Exchange: true}}
 
 // obtainStepper is one ObtainFrom per step, by the last user PE's VPE, of a
 // memory capability the first user PE's VPE allocated: in place on a
@@ -353,7 +360,21 @@ func obtainStepper(tb testing.TB, cfg Config) (*System, func()) {
 // in the middle, and the child's insertion. 1 alloc/op, the request
 // (TestObtainAllocationCeilings pins it).
 func BenchmarkSpanningObtain(b *testing.B) {
-	s, step := obtainStepper(b, Config{Kernels: 2, UserPEs: 4})
+	benchmarkObtain(b, Config{Kernels: 2, UserPEs: 4})
+}
+
+// BenchmarkSpanningObtainReliable is the same obtain in reliable mode with
+// exchange batching (reliableBatched): the request rides an envelope that is
+// tracked for retransmission. 1 alloc/op, the request
+// (TestObtainAllocationCeilings pins it).
+func BenchmarkSpanningObtainReliable(b *testing.B) {
+	benchmarkObtain(b, reliableBatched)
+}
+
+// benchmarkObtain runs obtainStepper's warmed obtain once per op on a machine
+// built from cfg.
+func benchmarkObtain(b *testing.B, cfg Config) {
+	s, step := obtainStepper(b, cfg)
 	defer s.Close()
 	for i := 0; i < 8; i++ {
 		step()
@@ -607,14 +628,27 @@ func TestBatchedSpanningRevokeAllocationCeiling(t *testing.T) {
 	}
 }
 
+// TestReliableBatchedSpanningRevokeAllocationCeiling is the batched revoke
+// in reliable mode on a lossless fabric: the transmission record is
+// recycled, so the ceiling stays at the request and its key list.
+func TestReliableBatchedSpanningRevokeAllocationCeiling(t *testing.T) {
+	const ceiling = 2
+	cfg := Config{Kernels: 2, UserPEs: 4, Faults: &fault.Plan{}, IKCBatching: IKCBatching{Revoke: true}}
+	if allocs := spanningRevokeMallocs(t, cfg); allocs > ceiling {
+		t.Fatalf("a reliable batched revoke of a warmed root with one remote child allocates %v times, ceiling %v", allocs, ceiling)
+	}
+}
+
 // spanningRevokeMallocs is the average number of allocations of a warmed
-// spanning revoke (spanningRevokeSteppers) on a machine built from cfg.
+// spanning revoke (spanningRevokeSteppers) on a machine built from cfg. The
+// warm-up outlasts the reliable layer's reply cache, so the cache's growth
+// to its bound is not counted.
 func spanningRevokeMallocs(t *testing.T, cfg Config) float64 {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	s, plant, revoke := spanningRevokeSteppers(t, cfg)
 	defer s.Close()
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 2*replyCache; i++ {
 		plant()
 		revoke()
 	}

@@ -316,8 +316,8 @@ func (k *Kernel) transmit(dst int, req *ikcRequest) {
 	req.Inc = k.incarnation
 	k.sendRequest(k.sys.kernels[dst], req)
 	if k.reliable {
-		xm := &xmitState{req1: [1]*ikcRequest{req}}
-		xm.reqs = xm.req1[:]
+		xm := k.newXmit()
+		xm.reqs = append(xm.reqs, req)
 		k.track(dst, xm)
 	}
 }

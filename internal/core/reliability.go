@@ -16,6 +16,14 @@ import "repro/internal/sim"
 //     ErrPeerDead, new requests to it fail fast, and the service
 //     directory stops routing to it (service.go). Death is a per-observer
 //     verdict — each kernel judges its peers from its own traffic only.
+//     A transmission is one recycled record (xmitState), taken when its
+//     requests first go on the wire and returned from its last event — the
+//     timer or resend that finds it done with nothing else pending — so a
+//     stale event never reaches a reused record. Its timer and resend are
+//     bound to the record once; an aggregation queue's window timer is
+//     bound to its queue once, too, and names no generation, because a
+//     queue's window timers fire in the order they were armed (sendQueue,
+//     transport.go, has the argument).
 //   - Receiver: requests are deduplicated by (sender, sequence number),
 //     so a retransmitted request whose original made it through dispatches
 //     exactly once; the reply is cached in the sender's peer record
@@ -51,13 +59,28 @@ const (
 // xmitState tracks one wire transmission — a direct request or a
 // coalesced envelope of several — until every carried request is answered
 // or the destination is declared dead. credited says the receiver picked a
-// copy of it up, which returned its in-flight credit. A direct transmission
-// keeps its one request inline, in req1, as an ikcWire does.
+// copy of it up, which returned its in-flight credit.
+//
+// Like an ikcWire it is recycled, through System.xmits (newXmit): its timer
+// and resend events are bound once, and its two request lists keep their
+// buffers, so a warmed transmission allocates nothing. A record has at most
+// one retransmission timer (armed) and one resend (resending) pending:
+// track arms the first timer and every expiry arms at most the next, and a
+// resend, scheduled IKCCompose ahead of the timer armed with it, leaves
+// before that timer fires unless composing outlasts the timeout (expire
+// asserts it). While either is pending the event still holds the record,
+// so the record goes back to the free list only from its own event, once
+// it is done and neither is pending (release). By then no pending entry
+// and no live list names it: a done record answered or aborted every
+// request it tracked and was unlinked.
 type xmitState struct {
-	dst       int
-	env       bool // envelope vs direct send
-	reqs      []*ikcRequest
-	req1      [1]*ikcRequest
+	k    *Kernel
+	dst  int
+	env  bool // envelope vs direct send
+	reqs []*ikcRequest
+	// resend are the requests the pending resend re-sends: those the
+	// transmission still owned when its timer expired.
+	resend    []*ikcRequest
 	remaining int
 	tries     int
 	rto       sim.Duration
@@ -65,6 +88,40 @@ type xmitState struct {
 	retried   bool
 	credited  bool
 	done      bool
+	armed     bool   // its retransmission timer is pending
+	resending bool   // its resend is being composed
+	expireFn  func() // onExpire, bound once
+	resendFn  func() // onResend, bound once
+}
+
+// newXmit takes a transmission record off the free list (or makes one) for
+// a transmission of k.
+func (k *Kernel) newXmit() *xmitState {
+	s := k.sys
+	var xm *xmitState
+	if n := len(s.xmits); n > 0 {
+		xm = s.xmits[n-1]
+		s.xmits = s.xmits[:n-1]
+	} else {
+		xm = &xmitState{}
+		xm.expireFn, xm.resendFn = xm.onExpire, xm.onResend
+	}
+	xm.k = k
+	return xm
+}
+
+// release returns xm to the free list once nothing can reach it any more:
+// it is done, and neither its timer nor its resend is pending. Only xm's
+// own events call it.
+func (xm *xmitState) release() {
+	if !xm.done || xm.armed || xm.resending {
+		return
+	}
+	s := xm.k.sys
+	clear(xm.reqs)
+	clear(xm.resend)
+	*xm = xmitState{reqs: xm.reqs[:0], resend: xm.resend[:0], expireFn: xm.expireFn, resendFn: xm.resendFn}
+	s.xmits = append(s.xmits, xm)
 }
 
 // peerDead reports whether this kernel has declared dst dead.
@@ -108,7 +165,23 @@ func (k *Kernel) track(dst int, xm *xmitState) {
 }
 
 func (k *Kernel) arm(xm *xmitState) {
-	k.sys.Eng.Schedule(xm.rto, func() { k.expire(xm) })
+	xm.armed = true
+	k.sys.Eng.Schedule(xm.rto, xm.expireFn)
+}
+
+// onExpire is xm's retransmission timer event.
+func (xm *xmitState) onExpire() {
+	xm.armed = false
+	xm.k.expire(xm)
+	xm.release()
+}
+
+// onResend is xm's resend event, IKCCompose after the expiry that
+// scheduled it.
+func (xm *xmitState) onResend() {
+	xm.resending = false
+	xm.k.resend(xm)
+	xm.release()
 }
 
 // onReply counts one request of xm answered (recvReply has dropped it from
@@ -147,35 +220,43 @@ func (k *Kernel) expire(xm *xmitState) {
 	xm.tries++
 	xm.retried = true
 	xm.rto = min(xm.rto*2, rtoMax)
+	if xm.resending {
+		panic("core: a retransmission timer fired before its predecessor's resend left (IKCCompose exceeds the timeout)")
+	}
 	// Only requests this transmission still owns are re-sent: a request
 	// answered (or aborted) since the last send left pending.
-	live := make([]*ikcRequest, 0, len(xm.reqs))
+	xm.resend = xm.resend[:0]
 	for _, r := range xm.reqs {
 		if k.pending[r.Seq].xm == xm {
-			live = append(live, r)
+			xm.resend = append(xm.resend, r)
 		}
 	}
-	if len(live) == 0 {
+	if len(xm.resend) == 0 {
 		return
 	}
 	k.stats.Retransmits++
 	k.stats.Busy += k.sys.Cost.IKCCompose
-	dk := k.sys.kernels[xm.dst]
-	k.sys.Eng.Schedule(k.sys.Cost.IKCCompose, func() {
-		if xm.done || k.peerDead(xm.dst) {
-			return
-		}
-		// No new in-flight credit: the retransmit rides the original's,
-		// which a pickup of either copy returns once (onCredit).
-		if xm.env {
-			k.sendEnvelope(xm.dst, live)
-		} else {
-			for _, req := range live {
-				k.sendRequest(dk, req)
-			}
-		}
-	})
+	xm.resending = true
+	k.sys.Eng.Schedule(k.sys.Cost.IKCCompose, xm.resendFn)
 	k.arm(xm)
+}
+
+// resend puts the requests expire picked back on the wire, once their
+// compose cost has elapsed (event context). No new in-flight credit: the
+// retransmit rides the original's, which a pickup of either copy returns
+// once (onCredit).
+func (k *Kernel) resend(xm *xmitState) {
+	if xm.done || k.peerDead(xm.dst) {
+		return
+	}
+	if xm.env {
+		k.sendEnvelope(xm.dst, xm.resend)
+		return
+	}
+	dk := k.sys.kernels[xm.dst]
+	for _, req := range xm.resend {
+		k.sendRequest(dk, req)
+	}
 }
 
 // markDead is the degradation step: dst exhausted its retry budget, so

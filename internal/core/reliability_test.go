@@ -232,3 +232,130 @@ func TestBaselineHasNoReliabilityState(t *testing.T) {
 		t.Errorf("baseline run counted reliability events: %+v", st)
 	}
 }
+
+// spanningChurn runs n spanning obtains and revokes back to back between a
+// machine's first and last user PE, which sit on different kernels: the
+// owner derives a child of its root, the far VPE obtains it, and the owner
+// revokes it, which takes one forward to the far kernel. It returns the
+// machine, drained, and how many operations failed.
+func spanningChurn(t *testing.T, cfg Config, n int) (*System, int) {
+	t.Helper()
+	s := MustNew(cfg)
+	t.Cleanup(s.Close)
+	pes := s.UserPEs()
+	offered := sim.NewQueue[cap.Selector](s.Eng)
+	obtained := sim.NewQueue[struct{}](s.Eng)
+	failed := 0
+	owner, err := s.SpawnOn(pes[0], "owner", func(v *VPE, p *sim.Proc) {
+		root, err := v.AllocMem(p, 1<<20, dtu.PermRW)
+		if err != nil {
+			t.Errorf("alloc: %v", err)
+			return
+		}
+		for i := 0; i < n; i++ {
+			mid, err := v.DeriveMem(p, root, 0, 4096, dtu.PermRW)
+			if err != nil {
+				t.Errorf("derive: %v", err)
+				return
+			}
+			offered.Push(mid)
+			obtained.Pop(p)
+			if err := v.Revoke(p, mid); err != nil {
+				failed++
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.SpawnOn(pes[len(pes)-1], "far", func(v *VPE, p *sim.Proc) {
+		for i := 0; i < n; i++ {
+			if _, err := v.ObtainFrom(p, owner.ID, offered.Pop(p)); err != nil {
+				failed++
+			}
+			obtained.Push(struct{}{})
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	s.Run()
+	return s, failed
+}
+
+// TestRecycledTransmissionsStayQuiet: 200 spanning obtains and revokes in
+// reliable mode on a lossless fabric, direct and batched. Each operation's
+// transmission records are recycled while the timers of earlier ones are
+// still pending, so a stale timer reaching a reused record would show up as
+// a spurious retransmit, a duplicate or a late reply; none appears.
+func TestRecycledTransmissionsStayQuiet(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		batching IKCBatching
+	}{
+		{"direct", IKCBatching{}},
+		{"batched", IKCBatching{Exchange: true, Revoke: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Kernels: 2, UserPEs: 4, Faults: &fault.Plan{}, IKCBatching: tc.batching}
+			s, failed := spanningChurn(t, cfg, 200)
+			if failed != 0 {
+				t.Errorf("%d operations failed on a lossless fabric", failed)
+			}
+			st := s.TotalStats()
+			if st.Retransmits != 0 || st.LateReplies != 0 || st.DupSuppressed != 0 {
+				t.Errorf("Retransmits %d, LateReplies %d, DupSuppressed %d, want all 0",
+					st.Retransmits, st.LateReplies, st.DupSuppressed)
+			}
+			if len(s.xmits) == 0 {
+				t.Error("no transmission record came back to the free list")
+			}
+			checkAudit(t, s)
+		})
+	}
+}
+
+// TestRecycledTransmissionsUnderDrops: the same churn on a fabric dropping
+// 5% of kernel messages, direct and batched, at five seeds. Its
+// retransmissions, recoveries and suppressed duplicates are pinned to the
+// values the reliable layer produced before its transmission records were
+// recycled.
+func TestRecycledTransmissionsUnderDrops(t *testing.T) {
+	// Per seed 1..5: Retransmits, Recovered, RecoveryCycles, DupSuppressed.
+	for _, tc := range []struct {
+		name     string
+		batching IKCBatching
+		want     [5][4]uint64
+	}{
+		{"direct", IKCBatching{}, [5][4]uint64{
+			{38, 35, 2520101, 22},
+			{38, 36, 2472786, 17},
+			{47, 42, 3188105, 27},
+			{39, 38, 2476207, 20},
+			{33, 29, 2752640, 18},
+		}},
+		{"batched", IKCBatching{Exchange: true, Revoke: true}, [5][4]uint64{
+			{38, 35, 2520121, 22},
+			{38, 36, 2472805, 17},
+			{47, 42, 3188129, 27},
+			{39, 38, 2476224, 20},
+			{33, 29, 2752655, 18},
+		}},
+	} {
+		for i, want := range tc.want {
+			seed := uint64(i + 1)
+			t.Run(fmt.Sprintf("%s/seed%d", tc.name, seed), func(t *testing.T) {
+				plan := &fault.Plan{Seed: seed, Drop: 0.05}
+				s, failed := spanningChurn(t, Config{Kernels: 2, UserPEs: 4, Faults: plan, IKCBatching: tc.batching}, 200)
+				if failed != 0 {
+					t.Errorf("%d operations failed", failed)
+				}
+				st := s.TotalStats()
+				got := [4]uint64{st.Retransmits, st.Recovered, uint64(st.RecoveryCycles), st.DupSuppressed}
+				if got != want {
+					t.Errorf("Retransmits, Recovered, RecoveryCycles, DupSuppressed = %v, want %v", got, want)
+				}
+				checkAudit(t, s)
+			})
+		}
+	}
+}

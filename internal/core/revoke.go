@@ -250,19 +250,24 @@ func (k *Kernel) sendRevokeRequest(p *sim.Proc, dst int, key ddl.Key, rs *revSta
 // The batch is answered once, by the receiver's record; the *reply* to it
 // rides the reply sink (classRevoke). Its continuation is that of a single
 // forward: an unreachable owner leaves every key of the batch unrevoked
-// remotely, and each is recorded for replay at the owner's rejoin.
+// remotely, and each is recorded for replay at the owner's rejoin. The walk's
+// keys share one array, each batch a window of it that cannot grow into the
+// next; receivers only read them.
 func (k *Kernel) forwardBatches(p *sim.Proc, rs *revState) {
+	all := make([]ddl.Key, 0, len(rs.remote))
 	for i, e := range rs.remote {
 		if e.dst < 0 {
 			continue // sent in an earlier kernel's batch
 		}
-		keys := []ddl.Key{e.key}
+		start := len(all)
+		all = append(all, e.key)
 		for j := i + 1; j < len(rs.remote); j++ {
 			if rs.remote[j].dst == e.dst {
-				keys = append(keys, rs.remote[j].key)
+				all = append(all, rs.remote[j].key)
 				rs.remote[j].dst = -1
 			}
 		}
+		keys := all[start:len(all):len(all)]
 		rs.outstanding++
 		req := &ikcRequest{Kind: ikcRevokeBatch, Keys: keys}
 		k.ikSend(p, e.dst, req, awaited{rs: rs, req: req})

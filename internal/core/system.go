@@ -119,6 +119,9 @@ type System struct {
 	// wires are the released inter-kernel legs awaiting reuse (ikc.go,
 	// ikcWire).
 	wires []*ikcWire
+	// xmits are the released reliable-mode transmission records awaiting
+	// reuse (reliability.go, xmitState).
+	xmits []*xmitState
 
 	// memObjs is the unused tail of the current memory-object chunk
 	// (newMemObject).

@@ -124,14 +124,31 @@ func classOf(kind ikcKind) batchClass {
 }
 
 // sendQueue is one request aggregation queue: the requests of one kind for
-// one kernel, so every envelope carries N requests of a single kind. epoch
-// distinguishes queue generations so a flush (timer or transmit-proc entry)
+// kernel dst, so every envelope carries N requests of a single kind. epoch
+// counts the generations flushed, so a flush (timer or transmit-proc entry)
 // aimed at an already-flushed generation is a no-op; window is the queue's
 // adaptive flush window.
+//
+// Every generation arms exactly one window timer, at its first request, and
+// the timers fire in arming order, so the timer that fires is generation
+// fired's and fire, bound once, needs no captured epoch. The order holds
+// because no armed timer is ever due before one armed earlier (arm asserts
+// it; the engine breaks ties by scheduling order). Suppose timer m is still
+// pending when a later generation n arms its own. Every generation from m
+// on was flushed by some trigger in between; a window timer cannot have done
+// it (timers m.. have not fired, by induction, and a transmit-proc entry of
+// an older generation is a no-op), so the inline maxBatch flush did, and a
+// full drain never shrinks the window (adaptWindow). Timer n is armed no
+// earlier, with no shorter a window.
 type sendQueue struct {
+	k      *Kernel
+	dst    int
 	reqs   []*ikcRequest
 	epoch  uint64
+	fired  uint64   // window timers fired
+	due    sim.Time // when the last armed window timer fires
 	window sim.Duration
+	fire   func() // timerFire, bound once
 }
 
 // flushRef names one generation of one request queue on the transmit
@@ -140,7 +157,6 @@ type sendQueue struct {
 // from draining the *next* generation early, which would both cut that
 // envelope short and feed adaptWindow a false idle signal.
 type flushRef struct {
-	dst   int
 	q     *sendQueue
 	epoch uint64
 }
@@ -184,16 +200,27 @@ func (k *Kernel) enqueue(p *sim.Proc, dst int, req *ikcRequest, a awaited) {
 	pr := k.peer(dst)
 	q := pr.reqq[req.Kind]
 	if q == nil {
-		q = &sendQueue{window: flushWindow}
+		q = &sendQueue{k: k, dst: dst, window: flushWindow}
+		q.fire = q.timerFire
 		pr.reqq[req.Kind] = q
 	}
 	q.reqs = append(q.reqs, req)
 	if len(q.reqs) >= maxBatch {
-		k.flushLocked(p, dst, q)
+		k.flushLocked(p, q)
 	} else if len(q.reqs) == 1 {
-		epoch := q.epoch
-		k.sys.Eng.Schedule(q.window, func() { k.timerFire(dst, q, epoch) })
+		q.arm()
 	}
+}
+
+// arm schedules the window timer of the generation q just started.
+func (q *sendQueue) arm() {
+	eng := q.k.sys.Eng
+	due := eng.Now() + q.window
+	if due < q.due {
+		panic("core: a flush-window timer is due before one armed earlier")
+	}
+	q.due = due
+	eng.Schedule(q.window, q.fire)
 }
 
 // adaptWindow is the drain feedback of the adaptive flush window: a flush
@@ -216,16 +243,19 @@ func adaptWindow(window *sim.Duration, drained int) {
 }
 
 // timerFire runs in event context when a queue's aggregation window
-// closes. If the generation is still pending, the flush is handed to the
-// transmit proc (the enqueuers are parked on their replies and cannot
+// closes. If the timer's generation is still pending, the flush is handed to
+// the transmit proc (the enqueuers are parked on their replies and cannot
 // flush themselves). The proc and its work queue are made on the first
 // such flush, so unbatched configurations create neither. Reply flushes
 // never need it: nobody blocks on sending a reply, so they run from event
 // context under the ikReplyAsync cost convention.
-func (k *Kernel) timerFire(dst int, q *sendQueue, epoch uint64) {
+func (q *sendQueue) timerFire() {
+	epoch := q.fired // timers fire in arming order, one per generation
+	q.fired++
 	if q.epoch != epoch || len(q.reqs) == 0 {
 		return // already flushed inline
 	}
+	k := q.k
 	if k.xmit == nil {
 		k.xmit = &kthread{pl: k.ikcPool, stage: stageJob}
 		k.flushQ = sim.NewQueue[flushRef](k.sys.Eng)
@@ -235,7 +265,7 @@ func (k *Kernel) timerFire(dst int, q *sendQueue, epoch uint64) {
 			}
 		})
 	}
-	k.flushQ.Push(flushRef{dst: dst, q: q, epoch: epoch})
+	k.flushQ.Push(flushRef{q: q, epoch: epoch})
 }
 
 // xmitName formats the diagnostic name of kernel k's transmit proc.
@@ -253,21 +283,23 @@ func (k *Kernel) flushFrom(p *sim.Proc, ref flushRef) {
 	}
 	k.acquireCPU(p, k.xmit)
 	if q.epoch == ref.epoch { // may have flushed inline while we waited for the CPU
-		k.flushLocked(p, ref.dst, q)
+		k.flushLocked(p, q)
 	}
 	k.releaseCPU(p)
 	k.xmit.stage = stageJob // between flushes, for the quiescence audit
 }
 
-// flushLocked drains q, a queue toward dst, and transmits its requests as a
-// single coalesced envelope. The caller holds the CPU. The queue is detached
-// before any preemption point, so requests enqueued while this envelope
-// waits for an in-flight slot start a fresh generation.
-func (k *Kernel) flushLocked(p *sim.Proc, dst int, q *sendQueue) {
+// flushLocked drains q and transmits its requests to q.dst as a single
+// coalesced envelope. The caller holds the CPU. The queue is detached before
+// any preemption point, so requests enqueued while this envelope waits for
+// an in-flight slot start a fresh generation. In reliable mode the requests
+// move into the transmission record, and the queue continues in the
+// record's spare buffer.
+func (k *Kernel) flushLocked(p *sim.Proc, q *sendQueue) {
 	if len(q.reqs) == 0 {
 		return
 	}
-	reqs := q.reqs
+	dst, reqs := q.dst, q.reqs
 	q.reqs = nil
 	q.epoch++
 	adaptWindow(&q.window, len(reqs))
@@ -281,6 +313,12 @@ func (k *Kernel) flushLocked(p *sim.Proc, dst int, q *sendQueue) {
 		}
 		return
 	}
+	var xm *xmitState
+	if k.reliable {
+		xm = k.newXmit()
+		xm.env = true
+		xm.reqs, q.reqs = reqs, xm.reqs
+	}
 	k.exec(p, k.sys.Cost.IKCCompose) // envelope header compose
 	k.stats.IKCSent++
 	k.stats.IKCBatches++
@@ -291,8 +329,8 @@ func (k *Kernel) flushLocked(p *sim.Proc, dst int, q *sendQueue) {
 		req.Inc = k.incarnation
 	}
 	k.sendEnvelope(dst, reqs)
-	if k.reliable {
-		k.track(dst, &xmitState{env: true, reqs: reqs})
+	if xm != nil {
+		k.track(dst, xm)
 	}
 }
 
