@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/cap"
 	"repro/internal/core"
-	"repro/internal/dtu"
 	"repro/internal/fault"
+	"repro/internal/script"
 	"repro/internal/sim"
 )
 
@@ -135,138 +134,75 @@ type AblationIKCResult struct {
 	SvcQuery     []IKCRow
 }
 
-// ikcMetrics is the report row of one fan-out run: its makespan and the
-// inter-kernel wire messages of the whole run, summed by direction.
-func ikcMetrics(sys *core.System, makespan sim.Duration) Metrics {
-	st := sys.TotalStats()
-	return Metrics{Cycles: uint64(makespan), ReqMsgs: st.IKCSent, RepMsgs: st.IKCRepSent}
-}
-
-// fanoutSystem builds the fan-out machine of the transport ablation, the
-// fault sweep and the churn storm: the owner/service group plus `extra`
-// client groups, n clients spread round-robin over them. pes[0] hosts the
-// owner or service, pes[1:] the clients.
-func fanoutSystem(eng *sim.Engine, n, extra int, pol core.IKCBatching, plan *fault.Plan) (*core.System, []int) {
-	kernels := extra + 1
-	perGroup := n + 2
+// fanoutConfig is the machine of fanoutSystem: 1+extra PE groups, each
+// spare PEs larger than its share of the n clients.
+func fanoutConfig(n, extra, spare int, pol core.IKCBatching, plan *fault.Plan) core.Config {
+	perGroup := n + spare
 	if extra > 0 {
-		perGroup = (n+extra-1)/extra + 2
+		perGroup = (n+extra-1)/extra + spare
 	}
-	sys := core.MustNew(core.Config{
-		Kernels:     kernels,
-		UserPEs:     kernels * perGroup,
-		IKCBatching: pol,
-		Faults:      plan,
-		Engine:      eng,
-	})
-	byGroup := make(map[int][]int)
-	for _, pe := range sys.UserPEs() {
-		g := sys.KernelOfPE(pe).ID()
-		byGroup[g] = append(byGroup[g], pe)
-	}
-	clientPEs := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		g := 0
-		if extra > 0 {
-			g = 1 + i%extra
-		}
-		clientPEs = append(clientPEs, byGroup[g][1+i/max(extra, 1)])
-	}
-	return sys, append([]int{byGroup[0][0]}, clientPEs...)
+	return core.Config{Kernels: extra + 1, UserPEs: (extra + 1) * perGroup, IKCBatching: pol, Faults: plan}
 }
 
-// fanoutDriver runs one fan-out on a fanoutSystem machine until it drains and
-// reports the makespan and how many clients' operations failed. A failed
-// operation is data: under a fault plan it is the degradation being
-// measured (faults.go), on the lossless fabric the caller turns it into the
+// fanoutSystem builds the fan-out machine of the ablations, the fault sweep
+// and the churn storm: the owner/service group plus `extra` client groups, n
+// clients spread round-robin over them. pes[0] hosts the owner or service,
+// pes[1:] the clients, which leave the first spare-1 PEs of a client group
+// free (the tree revocation has spare 1, the fan-outs 2).
+func fanoutSystem(eng *sim.Engine, n, extra, spare int, pol core.IKCBatching, plan *fault.Plan) (*core.System, []int) {
+	cfg := fanoutConfig(n, extra, spare, pol, plan)
+	cfg.Engine = eng
+	sys := core.MustNew(cfg)
+	byGroup := script.Groups(sys)
+	pes := make([]int, n+1)
+	pes[0] = byGroup[0][0]
+	for i := 0; i < n; i++ {
+		g, off := 0, 1 // after the owner
+		if extra > 0 {
+			g, off = 1+i%extra, spare-1
+		}
+		pes[1+i] = byGroup[g][off+i/max(extra, 1)]
+	}
+	return sys, pes
+}
+
+// A fan-out script runs on a fanoutSystem machine's pes: VPE 0 is the owner
+// or service, the others its clients, each with one op that may fail. Its
+// second result is the op whose end starts the makespan, which ends with the
+// run's last op. A failed op is data: under a fault plan it is the
+// degradation being measured (faults.go), on the lossless fabric it is the
 // task's error.
-type fanoutDriver func(sys *core.System, pes []int) (makespan sim.Duration, failed int)
 
 // fanoutExchange is n spanning obtains of one root capability.
-func fanoutExchange(sys *core.System, pes []int) (sim.Duration, int) {
-	n := len(pes) - 1
-	ready := sim.NewFuture[cap.Selector](sys.Eng)
-	var t0, end sim.Time
-	var failed int
-	var wg sim.WaitGroup
-	wg.Add(n)
-	root, err := sys.SpawnOn(pes[0], "root", func(v *core.VPE, p *sim.Proc) {
-		sel, err := v.AllocMem(p, 4096, dtu.PermRW)
-		if err != nil {
-			panic(err) // local to the owner kernel; never faulted
-		}
-		t0 = p.Now()
-		ready.Complete(sel)
-		wg.Wait(p)
-		end = p.Now()
-	})
-	if err != nil {
-		panic(err)
-	}
-	for i := 0; i < n; i++ {
-		if _, err := sys.SpawnOn(pes[1+i], fmt.Sprintf("c%d", i), func(v *core.VPE, p *sim.Proc) {
-			sel := ready.Wait(p)
-			if _, err := v.ObtainFrom(p, root.ID, sel); err != nil {
-				failed++
-			}
-			wg.Done()
-		}); err != nil {
-			panic(err)
-		}
-	}
-	sys.Run()
-	return end - t0, failed
+func fanoutExchange(pes []int) (script.Script, script.Ref) {
+	return fan(pes, rootOps[:2], kidOps), script.Ref{}
 }
+
+// svcOps is fanoutSvcQuery's service, handing out a capability of its own;
+// svcClientOps opens a session once the service is up and obtains through
+// it.
+var (
+	svcOps       = []script.Op{{Kind: script.Alloc}, {Kind: script.Serve, Latch: 1}}
+	svcClientOps = []script.Op{{Kind: script.Wait, Latch: 1}, {Kind: script.Session}}
+)
 
 // fanoutSvcQuery is n clients each opening a session to one service and
 // performing one session-scoped obtain; failure at either step fails the
-// client's operation. The makespan ends when the last client is done.
-func fanoutSvcQuery(sys *core.System, pes []int) (sim.Duration, int) {
-	n := len(pes) - 1
-	svcReady := sim.NewFuture[struct{}](sys.Eng)
-	var t0, end sim.Time
-	var failed int
-	var idents uint64
-	if _, err := sys.SpawnOn(pes[0], "svc", func(v *core.VPE, p *sim.Proc) {
-		sel, err := v.AllocMem(p, 4096, dtu.PermRW)
-		if err != nil {
-			panic(err)
-		}
-		err = v.RegisterService(p, "fan", core.ServiceHandlers{
-			Open: func(p *sim.Proc, clientVPE int, args any) core.SvcResult {
-				idents++
-				return core.SvcResult{Ident: idents}
-			},
-			Obtain: func(p *sim.Proc, ident uint64, args any) core.SvcResult {
-				return core.SvcResult{SrcSel: sel}
-			},
-		})
-		if err != nil {
-			panic(err)
-		}
-		t0 = p.Now()
-		svcReady.Complete(struct{}{})
-		v.ServeLoop(p)
-	}); err != nil {
-		panic(err)
-	}
-	for i := 0; i < n; i++ {
-		if _, err := sys.SpawnOn(pes[1+i], fmt.Sprintf("c%d", i), func(v *core.VPE, p *sim.Proc) {
-			svcReady.Wait(p)
-			sess, err := v.CreateSession(p, "fan", nil)
-			if err == nil {
-				_, _, err = sess.Obtain(p, nil)
-			}
-			if err != nil {
-				failed++
-			}
-			end = max(end, p.Now())
-		}); err != nil {
-			panic(err)
+// client's op. The makespan starts when the service is registered.
+func fanoutSvcQuery(pes []int) (script.Script, script.Ref) {
+	return fan(pes, svcOps, svcClientOps), script.Ref{Op: 1}
+}
+
+// makespan is the time from the end of op from to the end of the run's
+// last op.
+func makespan(recs [][]script.Record, from script.Ref) sim.Duration {
+	var end sim.Time
+	for _, rs := range recs {
+		for _, r := range rs {
+			end = max(end, r.End)
 		}
 	}
-	sys.Run()
-	return end - t0, failed
+	return end - recs[from.VPE][from.Op].End
 }
 
 // kindIKCExchange and kindIKCSvcQuery run one fan-out cell of the
@@ -283,22 +219,25 @@ func init() {
 	registerKind(kindIKCSvcQuery, ikcKind(core.IKCBatching{ServiceQuery: true}, fanoutSvcQuery))
 }
 
-// ikcKind is one cell of the transport ablation: drive's fan-out on the
+// ikcKind is one cell of the transport ablation: gen's fan-out on the
 // lossless fabric, under the batched policy or none. Nothing may fail there.
-func ikcKind(batched core.IKCBatching, drive fanoutDriver) kindFunc {
+func ikcKind(batched core.IKCBatching, gen func([]int) (script.Script, script.Ref)) kindFunc {
 	return func(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 		n, extra := spec.Config.Instances, spec.Config.Kernels-1
 		var pol core.IKCBatching
 		if spec.Variant == "batched" {
 			pol = batched
 		}
-		sys, pes := fanoutSystem(eng, n, extra, pol, nil)
+		sys, pes := fanoutSystem(eng, n, extra, 2, pol, nil)
 		defer sys.Close()
-		makespan, failed := drive(sys, pes)
-		if failed != 0 {
-			return Metrics{}, nil, fmt.Errorf("%d of %d operations failed on a lossless fabric", failed, n)
+		sc, from := gen(pes)
+		recs, err := playLossless(sys, sc, nil)
+		if err != nil {
+			return Metrics{}, nil, err
 		}
-		return ikcMetrics(sys, makespan), nil, audit(sys)
+		// The makespan and the run's wire messages, summed by direction.
+		st := sys.TotalStats()
+		return Metrics{Cycles: uint64(makespan(recs, from)), ReqMsgs: st.IKCSent, RepMsgs: st.IKCRepSent}, nil, nil
 	}
 }
 

@@ -97,7 +97,7 @@ func Table4(o Options) Table4Result {
 			workload.Config{Kernels: 1, Services: 1, Instances: 1, Trace: tr},
 			workload.Config{Kernels: kernels, Services: services, Instances: o.MaxInstances, Trace: tr})
 	}
-	rs := o.runWorkloads("table4", cfgs)
+	rs := o.execute(workloadSpecs("table4", cfgs))
 	for i, tr := range traces {
 		make1 := auxOf[workloadAux](rs[2*i]).Makespan
 		makeN := auxOf[workloadAux](rs[2*i+1]).Makespan
@@ -334,7 +334,7 @@ func Fig9(o Options) []Fig9Result {
 			plans = append(plans, pl)
 		}
 	}
-	rs := o.runWorkloads("fig9", cfgs)
+	rs := o.execute(workloadSpecs("fig9", cfgs))
 
 	var out []Fig9Result
 	pi := 0

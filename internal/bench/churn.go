@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/cap"
 	"repro/internal/core"
-	"repro/internal/dtu"
 	"repro/internal/fault"
+	"repro/internal/script"
 	"repro/internal/sim"
 )
 
@@ -59,77 +58,33 @@ type churnAux struct {
 
 func (a churnAux) capsMinted() uint64 { return a.CapsCreated }
 
-// sleepUntil parks the proc until the given absolute simulation time (a
-// no-op when that time has already passed — sim.Time is unsigned, so the
-// comparison must precede the subtraction).
-func sleepUntil(p *sim.Proc, t sim.Time) {
-	if now := p.Now(); t > now {
-		p.Sleep(t - now)
+// churnScript is the storm on a fanoutSystem machine's pes: VPE 0 allocates
+// churnSlots slot capabilities (the last alloc starts the makespan) and
+// expires the first churnRevokes of them on a fixed timetable, racing the
+// open-loop arrivals: client i sleeps until its arrival time and obtains slot
+// i%churnSlots. Revocations into the blackhole window orphan the crashed
+// kernel's copies; the rejoin replay must clean them up. VPE 0 ends by
+// waiting for every client, so its last op ends the run.
+func churnScript(pes []int) script.Script {
+	n := len(pes) - 1
+	root := make([]script.Op, churnSlots, churnSlots+2*churnRevokes+1)
+	root[churnSlots-1].Latch = 1
+	for j := 0; j < churnRevokes; j++ {
+		at := churnRevokeAt + sim.Time(sim.Duration(j)*churnRevokeGap)
+		root = append(root, script.Op{Kind: script.SleepUntil, At: at}, script.Op{Kind: script.Revoke, Ref: script.Ref{Op: j}})
 	}
-}
-
-// churnStorm runs the storm on one machine: n open-loop client arrivals
-// obtaining slot capabilities, churnRevokes scheduled expiries racing them.
-// Failed operations are data, not errors — the degradation under the crash
-// is exactly what the scenario measures.
-func churnStorm(eng *sim.Engine, n, extra int, plan *fault.Plan) (*core.System, sim.Duration, churnAux) {
-	// The fault sweep's machine: clients spread over the non-root kernels.
-	sys, pes := fanoutSystem(eng, n, extra, core.IKCBatching{Exchange: true, ServiceQuery: true}, plan)
-	ready := sim.NewFuture[[]cap.Selector](sys.Eng)
-	var t0, end sim.Time
-	var okRevokes, okObtains int
-	var wg sim.WaitGroup
-	wg.Add(n)
-	root, err := sys.SpawnOn(pes[0], "root", func(v *core.VPE, p *sim.Proc) {
-		sels := make([]cap.Selector, churnSlots)
-		for i := range sels {
-			sel, err := v.AllocMem(p, 4096, dtu.PermRW)
-			if err != nil {
-				panic(err) // local to the root kernel; never faulted
-			}
-			sels[i] = sel
-		}
-		t0 = p.Now()
-		ready.Complete(sels)
-		// The expiry schedule: revoke the first churnRevokes slots on a
-		// fixed timetable, racing the arrivals. Revocations into the
-		// blackhole window orphan the crashed kernel's copies; the rejoin
-		// replay must clean them up.
-		for j := 0; j < churnRevokes; j++ {
-			sleepUntil(p, churnRevokeAt+sim.Time(sim.Duration(j)*churnRevokeGap))
-			if err := v.Revoke(p, sels[j]); err == nil {
-				okRevokes++
-			}
-		}
-		wg.Wait(p)
-		end = p.Now()
-	})
-	if err != nil {
-		panic(err)
-	}
+	root = append(root, script.Op{Kind: script.Wait, Latch: 2})
+	sc := make(script.Script, n+1)
+	sc[0] = script.VPE{PE: pes[0], Ops: root}
+	clients := make([]script.Op, 3*n)
 	for i := 0; i < n; i++ {
-		i := i
-		if _, err := sys.SpawnOn(pes[1+i], fmt.Sprintf("c%d", i), func(v *core.VPE, p *sim.Proc) {
-			sels := ready.Wait(p)
-			// Open-loop arrival: the schedule is fixed, not gated on other
-			// sessions completing.
-			sleepUntil(p, sim.Time(sim.Duration(i)*churnGap))
-			if _, err := v.ObtainFrom(p, root.ID, sels[i%churnSlots]); err == nil {
-				okObtains++
-			}
-			wg.Done()
-		}); err != nil {
-			panic(err)
-		}
+		ops := clients[3*i : 3*i+3 : 3*i+3]
+		ops[0] = script.Op{Kind: script.Wait, Latch: 1}
+		ops[1] = script.Op{Kind: script.SleepUntil, At: sim.Time(sim.Duration(i) * churnGap)}
+		ops[2] = script.Op{Kind: script.Obtain, Ref: script.Ref{Op: i % churnSlots}, Latch: 2}
+		sc[1+i] = script.VPE{PE: pes[1+i], Ops: ops}
 	}
-	sys.Run()
-	aux := churnAux{
-		ObtainsAttempted: n,
-		RevokesAttempted: churnRevokes,
-		RevokesOK:        okRevokes,
-		ObtainsOK:        okObtains,
-	}
-	return sys, end - t0, aux
+	return sc
 }
 
 // kindChurn runs one churn scenario. Config encodes the machine, Arg the
@@ -149,8 +104,20 @@ func runChurnSpec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 	if spec.Variant == "storm" {
 		plan.Kernels = append(plan.Kernels, churnCrash(extra))
 	}
-	sys, mk, aux := churnStorm(eng, n, extra, plan)
+	// The fault sweep's machine: clients spread over the non-root kernels.
+	// Failed operations are data, not errors — the degradation under the
+	// crash is exactly what the scenario measures.
+	sys, pes := fanoutSystem(eng, n, extra, 2, core.IKCBatching{Exchange: true, ServiceQuery: true}, plan)
 	defer sys.Close()
+	recs := script.Run(sys, churnScript(pes), nil)
+	failedObtains, _ := script.Failures(recs[1:]...)
+	failedRevokes, _ := script.Failures(recs[0][churnSlots:])
+	aux := churnAux{
+		ObtainsAttempted: n,
+		ObtainsOK:        n - failedObtains,
+		RevokesAttempted: churnRevokes,
+		RevokesOK:        churnRevokes - failedRevokes,
+	}
 	// Post-storm audit: the crashed kernel recovered, so no kernel is
 	// excused — every capability, child link and DDL entry must have a live,
 	// consistent owner.
@@ -163,7 +130,7 @@ func runChurnSpec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 	attempted := aux.ObtainsAttempted + aux.RevokesAttempted
 	ok := aux.ObtainsOK + aux.RevokesOK
 	m := Metrics{
-		Cycles:    uint64(mk),
+		Cycles:    uint64(makespan(recs, script.Ref{Op: churnSlots - 1})),
 		LostMsgs:  sys.Net.Stats().Lost,
 		Retries:   st.Retransmits,
 		DupDrops:  st.DupSuppressed,
@@ -228,18 +195,12 @@ func Churn(o Options, maxClients, extra int) (ChurnResult, error) {
 	}
 	// Pre-flight the exact machine the storm rows build, so a configuration
 	// error surfaces here instead of as a task panic mid-sweep.
-	specs := churnSpecs(maxClients, extra, seed)
-	n := maxClients
-	perGroup := (n+extra-1)/extra + 2
 	plan := faultsPlan(seed, 100)
 	plan.Kernels = append(plan.Kernels, churnCrash(extra))
-	if err := (core.Config{
-		Kernels: extra + 1,
-		UserPEs: (extra + 1) * perGroup,
-		Faults:  plan,
-	}).Validate(); err != nil {
+	if err := fanoutConfig(maxClients, extra, 2, core.IKCBatching{}, plan).Validate(); err != nil {
 		return ChurnResult{}, fmt.Errorf("churn: %w", err)
 	}
+	specs := churnSpecs(maxClients, extra, seed)
 	rs := o.execute(specs)
 	r := ChurnResult{ExtraKernels: extra, Seed: seed}
 	for i, spec := range specs {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/script"
 	"repro/internal/sim"
 )
 
@@ -89,7 +90,7 @@ func runFaultsSpec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 		seed = 1
 	}
 	plan := faultsPlan(seed, spec.Arg)
-	drive := fanoutExchange
+	gen := fanoutExchange
 	// A permanent crash leaves state only the dead kernel could clean up;
 	// every other scenario — recovery included — must leak nothing.
 	var deadKernels []int
@@ -112,7 +113,7 @@ func runFaultsSpec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 			Kernel: extra, CrashAt: faultsCrashAt, RecoverAt: faultsRecoverAt,
 		})
 	case "svcquery":
-		drive = fanoutSvcQuery
+		gen = fanoutSvcQuery
 	default:
 		return Metrics{}, nil, fmt.Errorf("faults: unknown variant %q", spec.Variant)
 	}
@@ -120,16 +121,18 @@ func runFaultsSpec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 	// path are exercised. A failed operation (e.g. ErrPeerDead after the owner
 	// kernel is declared dead) is data — the run completes either way, which
 	// is exactly the degradation contract under test.
-	sys, pes := fanoutSystem(eng, n, extra, core.IKCBatching{Exchange: true, ServiceQuery: true}, plan)
+	sys, pes := fanoutSystem(eng, n, extra, 2, core.IKCBatching{Exchange: true, ServiceQuery: true}, plan)
 	defer sys.Close()
-	mk, failed := drive(sys, pes)
+	sc, from := gen(pes)
+	recs := script.Run(sys, sc, nil)
+	failed, _ := script.Failures(recs[1:]...)
 	attempted, ok := n, n-failed
 	if err := audit(sys, deadKernels...); err != nil {
 		return Metrics{}, nil, err
 	}
 	st := sys.TotalStats()
 	m := Metrics{
-		Cycles:    uint64(mk),
+		Cycles:    uint64(makespan(recs, from)),
 		LostMsgs:  sys.Net.Stats().Lost,
 		Retries:   st.Retransmits,
 		DupDrops:  st.DupSuppressed,
@@ -166,22 +169,16 @@ func faultsSpecs(n, extra int, seed uint64) []TaskSpec {
 			})
 		}
 	}
-	specs = append(specs, TaskSpec{
-		Experiment: "faults/crash-100bp",
-		Kind:       kindFaults,
-		Variant:    "crash",
-		Arg:        100,
-		Seed:       seed,
-		Config:     ExpConfig{Kernels: extra + 1, Instances: n},
-	})
-	specs = append(specs, TaskSpec{
-		Experiment: "faults/crashrecover-100bp",
-		Kind:       kindFaults,
-		Variant:    "crashrecover",
-		Arg:        100,
-		Seed:       seed,
-		Config:     ExpConfig{Kernels: extra + 1, Instances: n},
-	})
+	for _, crash := range []string{"crash", "crashrecover"} {
+		specs = append(specs, TaskSpec{
+			Experiment: "faults/" + crash + "-100bp",
+			Kind:       kindFaults,
+			Variant:    crash,
+			Arg:        100,
+			Seed:       seed,
+			Config:     ExpConfig{Kernels: extra + 1, Instances: n},
+		})
+	}
 	return specs
 }
 

@@ -1,8 +1,10 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"runtime"
+	"runtime/pprof"
 	"sort"
 	"strings"
 	"sync"
@@ -159,7 +161,14 @@ func RunSpec(spec TaskSpec) (res Result) {
 		res.Error = fmt.Sprintf("bench: unknown task kind %q", spec.Kind)
 		return res
 	}
-	m, aux, err := fn(spec, eng)
+	var m Metrics
+	var aux any
+	var err error
+	// CPU profile samples carry the task's experiment and kind (go tool pprof
+	// -tagfocus); the procs the kind spawns inherit them.
+	pprof.Do(context.Background(), pprof.Labels("experiment", spec.Experiment, "kind", spec.Kind), func(context.Context) {
+		m, aux, err = fn(spec, eng)
+	})
 	var mem runtime.MemStats
 	runtime.ReadMemStats(&mem)
 	res.HeapPeakBytes = mem.HeapAlloc
@@ -263,15 +272,6 @@ func workloadSpecs(experiment string, cfgs []workload.Config) []TaskSpec {
 	return specs
 }
 
-// runWorkloads plans and executes one workload run per config, returning
-// one Result per run in config order (Cycles = mean instance runtime,
-// CapOps = total capability operations, Aux = workloadAux). Callers may
-// patch the Results (e.g. fill Efficiency) before recording them. It panics
-// on the first experiment error.
-func (o Options) runWorkloads(experiment string, cfgs []workload.Config) []Result {
-	return o.execute(workloadSpecs(experiment, cfgs))
-}
-
 // record appends results to the report, when one is attached.
 func (o Options) record(rs []Result) {
 	if o.Report != nil {
@@ -303,7 +303,7 @@ func (o Options) runEffSweeps(experiment string, specs []sweepSpec) [][]EffPoint
 			cfgs = append(cfgs, workload.Config{Kernels: sp.kernels, Services: sp.services, Instances: n, Trace: sp.tr})
 		}
 	}
-	rs := o.runWorkloads(experiment, cfgs)
+	rs := o.execute(workloadSpecs(experiment, cfgs))
 	out := make([][]EffPoint, len(specs))
 	for si, sp := range specs {
 		base := offsets[si]

@@ -14,56 +14,41 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/cap"
 	"repro/internal/core"
-	"repro/internal/dtu"
 	"repro/internal/m3"
+	"repro/internal/script"
 	"repro/internal/sim"
 )
 
-// buildPair constructs a two-app system on eng. With spanning=true the apps
-// land in different PE groups; otherwise both run under kernel 0.
-func buildPair(eng *sim.Engine, spanning bool) (*core.System, int, int) {
-	sys := core.MustNew(core.Config{Kernels: 2, UserPEs: 4, Engine: eng})
-	// PEs 2,3 -> kernel 0; PEs 4,5 -> kernel 1.
-	if spanning {
-		return sys, 2, 4
+// rootOps and kidOps are a capability tree: VPE 0 allocates the root
+// capability, every other VPE obtains it (the zero Ref), and once all hold
+// it VPE 0 revokes it (op 2). Table 3 is the tree of one kid, Figure 5 and
+// the revoke ablation are wider ones, and the exchange fan-out stops before
+// the revoke.
+var (
+	rootOps = []script.Op{{Kind: script.Alloc, Latch: 1}, {Kind: script.Wait, Latch: 2}, {Kind: script.Revoke}}
+	kidOps  = []script.Op{{Kind: script.Wait, Latch: 1}, {Kind: script.Obtain, Latch: 2}}
+)
+
+// fan is the script of a root VPE on pes[0] and one VPE on each of pes[1:],
+// all running kid.
+func fan(pes []int, root, kid []script.Op) script.Script {
+	sc := make(script.Script, len(pes))
+	sc[0] = script.VPE{PE: pes[0], Ops: root}
+	for i, pe := range pes[1:] {
+		sc[1+i] = script.VPE{PE: pe, Ops: kid}
 	}
-	return sys, 2, 3
+	return sc
 }
 
-// measureExchangeRevoke runs the paper's §5.2 microbenchmark on sys: app B
-// obtains a capability from app A, then A revokes it. It returns the
-// syscall latencies observed by the applications.
-func measureExchangeRevoke(sys *core.System, peA, peB int) (exchange, revoke sim.Duration, err error) {
-	defer sys.Close()
-	ready := sim.NewFuture[cap.Selector](sys.Eng)
-	obtained := sim.NewFuture[struct{}](sys.Eng)
-	var vA *core.VPE
-	vA, _ = sys.SpawnOn(peA, "A", func(v *core.VPE, p *sim.Proc) {
-		sel, err := v.AllocMem(p, 4096, dtu.PermRW)
-		if err != nil {
-			panic(err)
-		}
-		ready.Complete(sel)
-		obtained.Wait(p)
-		t0 := p.Now()
-		if err := v.Revoke(p, sel); err != nil {
-			panic(err)
-		}
-		revoke = p.Now() - t0
-	})
-	sys.SpawnOn(peB, "B", func(v *core.VPE, p *sim.Proc) {
-		sel := ready.Wait(p)
-		t0 := p.Now()
-		if _, err := v.ObtainFrom(p, vA.ID, sel); err != nil {
-			panic(err)
-		}
-		exchange = p.Now() - t0
-		obtained.Complete(struct{}{})
-	})
-	sys.Run()
-	return exchange, revoke, audit(sys)
+// playLossless runs sc on sys until it drains. On a lossless fabric a failed
+// op is the task's error, and so is an audit finding.
+func playLossless(sys *core.System, sc script.Script, onStart func(vpe, op int)) ([][]script.Record, error) {
+	recs := script.Run(sys, sc, onStart)
+	if n, first := script.Failures(recs...); n != 0 {
+		return nil, fmt.Errorf("%d operations failed on a lossless fabric, the first: %w", n, first)
+	}
+	return recs, audit(sys)
 }
 
 // Table3Result holds the runtimes of capability operations (paper Table 3).
@@ -88,20 +73,35 @@ type table3Aux struct {
 
 func init() { registerKind(kindTable3, runTable3Spec) }
 
-func runTable3Spec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
-	var e, v sim.Duration
-	var err error
-	switch spec.Variant {
+// microSystem builds the machine of a Table 3 or Figure 4 variant: local
+// and spanning run on two kernels, m3 on M3's one.
+func microSystem(variant string, userPEs int, eng *sim.Engine) (*core.System, error) {
+	switch variant {
 	case "local", "spanning":
-		sys, a, b := buildPair(eng, spec.Variant == "spanning")
-		e, v, err = measureExchangeRevoke(sys, a, b)
+		return core.MustNew(core.Config{Kernels: 2, UserPEs: userPEs, Engine: eng}), nil
 	case "m3":
-		m3sys := m3.MustNew(m3.Config{UserPEs: 4, Engine: eng})
-		e, v, err = measureExchangeRevoke(m3sys.System, 1, 2)
-	default:
-		err = fmt.Errorf("table3: unknown variant %q", spec.Variant)
+		return m3.MustNew(m3.Config{UserPEs: userPEs, Engine: eng}).System, nil
 	}
-	return Metrics{Cycles: uint64(e)}, table3Aux{Revoke: uint64(v)}, err
+	return nil, fmt.Errorf("unknown variant %q", variant)
+}
+
+// runTable3Spec is the paper's §5.2 microbenchmark: B obtains a capability
+// from A (the exchange, B's op 1), then A revokes it (A's op 2).
+func runTable3Spec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
+	sys, err := microSystem(spec.Variant, 4, eng)
+	if err != nil {
+		return Metrics{}, nil, fmt.Errorf("table3: %w", err)
+	}
+	defer sys.Close()
+	pes := sys.UserPEs() // on two kernels: PEs 2,3 -> kernel 0; PEs 4,5 -> kernel 1
+	if spec.Variant == "spanning" {
+		pes = []int{pes[0], pes[2]}
+	}
+	recs, err := playLossless(sys, fan(pes[:2], rootOps, kidOps), nil)
+	if err != nil {
+		return Metrics{}, nil, err
+	}
+	return Metrics{Cycles: uint64(recs[1][1].Took())}, table3Aux{Revoke: uint64(recs[0][2].Took())}, nil
 }
 
 // table3Specs plans the three microbenchmark machines.
@@ -118,30 +118,22 @@ func table3Specs() []TaskSpec {
 // systems are independent simulations and run in parallel.
 func Table3(o Options) Table3Result {
 	rs := o.execute(table3Specs())
-	revs := make([]uint64, len(rs))
-	for i := range rs {
-		revs[i] = auxOf[table3Aux](rs[i]).Revoke
-	}
 	// Each task measured two operations; mirror the revoke latencies as
 	// their own report entries.
-	names := []string{"table3/revoke-local", "table3/revoke-spanning", "table3/revoke-m3"}
-	for i, name := range names {
+	for i, name := range []string{"table3/revoke-local", "table3/revoke-spanning", "table3/revoke-m3"} {
 		rev := rs[i]
 		rev.Experiment = name
-		rev.Metrics.Cycles = revs[i]
+		rev.Metrics.Cycles = auxOf[table3Aux](rs[i]).Revoke
 		// The task's wallclock covers both measurements; charging it again
 		// here would double-count it in the trajectory.
 		rev.WallclockNS = 0
 		rs = append(rs, rev)
 	}
 	o.record(rs)
+	c := func(i int) sim.Duration { return sim.Duration(rs[i].Metrics.Cycles) }
 	return Table3Result{
-		ExchangeLocal:    sim.Duration(rs[0].Metrics.Cycles),
-		RevokeLocal:      sim.Duration(revs[0]),
-		ExchangeSpanning: sim.Duration(rs[1].Metrics.Cycles),
-		RevokeSpanning:   sim.Duration(revs[1]),
-		M3Exchange:       sim.Duration(rs[2].Metrics.Cycles),
-		M3Revoke:         sim.Duration(revs[2]),
+		ExchangeLocal: c(0), ExchangeSpanning: c(1), M3Exchange: c(2),
+		RevokeLocal: c(3), RevokeSpanning: c(4), M3Revoke: c(5),
 	}
 }
 
@@ -177,74 +169,23 @@ type Fig4Result struct {
 	LocalM3       []ChainPoint
 }
 
-// buildChainAndRevoke creates a capability chain of the given length (the
-// capability is exchanged from VPE to VPE) and measures revoking the root.
-// With alternate=true consecutive VPEs live in different PE groups,
-// creating the paper's ill-behaved cross-kernel ping-pong chain.
-func buildChainAndRevoke(sys *core.System, pes []int, length int, alternate bool) (sim.Duration, error) {
-	defer sys.Close()
-	order := make([]int, length+1)
-	if alternate {
-		half := (len(pes) + 1) / 2
-		for i := range order {
-			if i%2 == 0 {
-				order[i] = pes[i/2]
-			} else {
-				order[i] = pes[half+i/2]
-			}
-		}
-	} else {
-		copy(order, pes[:length+1])
-	}
-	futs := make([]*sim.Future[cap.Selector], length+1)
-	for i := range futs {
-		futs[i] = sim.NewFuture[cap.Selector](sys.Eng)
-	}
-	vpes := make([]*core.VPE, length+1)
-	var revTime sim.Duration
-	done := sim.NewFuture[struct{}](sys.Eng)
-	var err0 error
-	vpes[0], err0 = sys.SpawnOn(order[0], "chain0", func(v *core.VPE, p *sim.Proc) {
-		sel, err := v.AllocMem(p, 4096, dtu.PermRW)
-		if err != nil {
-			panic(err)
-		}
-		futs[0].Complete(sel)
-		done.Wait(p)
-		t0 := p.Now()
-		if err := v.Revoke(p, sel); err != nil {
-			panic(err)
-		}
-		revTime = p.Now() - t0
-	})
-	if err0 != nil {
-		panic(err0)
-	}
+// chain hands a capability down the VPEs on pes, each obtaining it from the
+// one before, then revokes the root (VPE 0's op 2). Latch i opens when VPE
+// i-1 holds its link. With alternate=true consecutive VPEs live in different
+// PE groups, creating the paper's ill-behaved cross-kernel ping-pong chain.
+func chain(pes []int, length int, alternate bool) script.Script {
+	sc := make(script.Script, length+1)
+	sc[0] = script.VPE{PE: pes[0], Ops: []script.Op{{Kind: script.Alloc, Latch: 1}, {Kind: script.Wait, Latch: length + 1}, {Kind: script.Revoke}}}
+	half := (len(pes) + 1) / 2
 	for i := 1; i <= length; i++ {
-		i := i
-		var err error
-		vpes[i], err = sys.SpawnOn(order[i], fmt.Sprintf("chain%d", i), func(v *core.VPE, p *sim.Proc) {
-			prev := futs[i-1].Wait(p)
-			sel, err := v.ObtainFrom(p, vpes[i-1].ID, prev)
-			if err != nil {
-				panic(err)
-			}
-			futs[i].Complete(sel)
-			if i == length {
-				done.Complete(struct{}{})
-			}
-		})
-		if err != nil {
-			panic(err)
+		pe := pes[i]
+		if alternate {
+			pe = pes[i/2+i%2*half]
 		}
+		prev := script.Ref{VPE: i - 1, Op: min(i-1, 1)} // the alloc, or the obtain
+		sc[i] = script.VPE{PE: pe, Ops: []script.Op{{Kind: script.Wait, Latch: i}, {Kind: script.Obtain, Ref: prev, Latch: i + 1}}}
 	}
-	if length == 0 {
-		sys.Eng.Schedule(0, func() {
-			futs[0].OnComplete(func(cap.Selector) { done.Complete(struct{}{}) })
-		})
-	}
-	sys.Run()
-	return revTime, audit(sys)
+	return sc
 }
 
 // kindFig4 revokes one capability chain; Config.Instances is the chain
@@ -255,20 +196,16 @@ const kindFig4 = "fig4"
 func init() { registerKind(kindFig4, runFig4Spec) }
 
 func runFig4Spec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
-	l, maxLen := spec.Config.Instances, spec.Arg
-	var c sim.Duration
-	var err error
-	switch spec.Variant {
-	case "local", "spanning":
-		sys := core.MustNew(core.Config{Kernels: 2, UserPEs: maxLen + 2, Engine: eng})
-		c, err = buildChainAndRevoke(sys, sys.UserPEs(), l, spec.Variant == "spanning")
-	case "m3":
-		m3sys := m3.MustNew(m3.Config{UserPEs: maxLen + 2, Engine: eng})
-		c, err = buildChainAndRevoke(m3sys.System, m3sys.UserPEs(), l, false)
-	default:
-		err = fmt.Errorf("fig4: unknown variant %q", spec.Variant)
+	sys, err := microSystem(spec.Variant, spec.Arg+2, eng)
+	if err != nil {
+		return Metrics{}, nil, fmt.Errorf("fig4: %w", err)
 	}
-	return Metrics{Cycles: uint64(c)}, nil, err
+	defer sys.Close()
+	recs, err := playLossless(sys, chain(sys.UserPEs(), spec.Config.Instances, spec.Variant == "spanning"), nil)
+	if err != nil {
+		return Metrics{}, nil, err
+	}
+	return Metrics{Cycles: uint64(recs[0][2].Took())}, nil, nil
 }
 
 // fig4Specs plans the (length, variant) grid.
@@ -337,67 +274,18 @@ type Fig5Result struct {
 // batching selects the paper's §5.2 revoke batching (the ablation's variant;
 // Figure 5 runs without).
 func treeRevoke(eng *sim.Engine, n, extra int, batching bool) (sim.Duration, uint64, error) {
-	kernels := extra + 1
-	perGroup := n + 1
-	if extra > 0 {
-		perGroup = (n+extra-1)/extra + 1
-	}
-	sys := core.MustNew(core.Config{
-		Kernels:     kernels,
-		UserPEs:     kernels * perGroup,
-		IKCBatching: core.IKCBatching{Revoke: batching},
-		Engine:      eng,
-	})
+	sys, pes := fanoutSystem(eng, n, extra, 1, core.IKCBatching{Revoke: batching}, nil)
 	defer sys.Close()
-	byGroup := make(map[int][]int)
-	for _, pe := range sys.UserPEs() {
-		g := sys.KernelOfPE(pe).ID()
-		byGroup[g] = append(byGroup[g], pe)
-	}
-	rootPE := byGroup[0][0]
-	byGroup[0] = byGroup[0][1:]
-
-	ready := sim.NewFuture[cap.Selector](sys.Eng)
-	var wg sim.WaitGroup
-	wg.Add(n)
-	var revTime sim.Duration
 	var msgsBefore uint64
-	root, err := sys.SpawnOn(rootPE, "root", func(v *core.VPE, p *sim.Proc) {
-		sel, err := v.AllocMem(p, 4096, dtu.PermRW)
-		if err != nil {
-			panic(err)
+	recs, err := playLossless(sys, fan(pes, rootOps, kidOps), func(vpe, op int) {
+		if vpe == 0 && op == 2 {
+			msgsBefore = sys.TotalStats().IKCSent
 		}
-		ready.Complete(sel)
-		wg.Wait(p)
-		msgsBefore = sys.TotalStats().IKCSent
-		t0 := p.Now()
-		if err := v.Revoke(p, sel); err != nil {
-			panic(err)
-		}
-		revTime = p.Now() - t0
 	})
 	if err != nil {
-		panic(err)
+		return 0, 0, err
 	}
-	for i := 0; i < n; i++ {
-		g := 0
-		if extra > 0 {
-			g = 1 + i%extra
-		}
-		pe := byGroup[g][0]
-		byGroup[g] = byGroup[g][1:]
-		if _, err := sys.SpawnOn(pe, fmt.Sprintf("kid%d", i), func(v *core.VPE, p *sim.Proc) {
-			sel := ready.Wait(p)
-			if _, err := v.ObtainFrom(p, root.ID, sel); err != nil {
-				panic(err)
-			}
-			wg.Done()
-		}); err != nil {
-			panic(err)
-		}
-	}
-	sys.Run()
-	return revTime, sys.TotalStats().IKCSent - msgsBefore, audit(sys)
+	return recs[0][2].Took(), sys.TotalStats().IKCSent - msgsBefore, nil
 }
 
 // kindFig5 revokes one capability tree; Config encodes the cell

@@ -45,8 +45,6 @@ type CostModel struct {
 	// CapLink is charged to insert a capability into the mapping database
 	// (parent/child links plus selector table).
 	CapLink sim.Duration
-	// CapErase is charged to delete a capability from the mapping database.
-	CapErase sim.Duration
 	// RevokeMark is charged per capability marked in revocation phase one.
 	RevokeMark sim.Duration
 	// RevokeDelete is charged per capability deleted in phase two.
@@ -95,7 +93,6 @@ func DefaultCostModel() CostModel {
 		CapLookup:          200,
 		CapCreate:          1400,
 		CapLink:            485,
-		CapErase:           160,
 		RevokeMark:         240,
 		RevokeDelete:       291,
 		IKCDispatch:        442,
