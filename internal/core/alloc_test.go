@@ -288,17 +288,16 @@ func TestMemObjectsAcrossChunks(t *testing.T) {
 }
 
 // TestObtainAllocationCeilings bounds what an obtain still allocates, so
-// the message path cannot quietly grow back. What is left is protocol
-// state, not transport. Local, 0: the consent query rides a recycled record
-// (TestKernelQueriesAllocateNothing) and the child capability is copied
-// into the store's slab. Spanning, 1: the request, the one heap object of an
-// inter-kernel call — the reply travels by value into the slot of the
-// thread parked on it, and the in-flight record is two words of the
-// requesting VPE. Reliable, 1: the spanning obtain on a lossless fabric with
-// the reliable layer on adds nothing — its transmission record is recycled
+// the message path cannot quietly grow back: nothing. Local: the consent
+// query rides a recycled record (TestKernelQueriesAllocateNothing) and the
+// child capability is copied into the store's slab. Spanning: the request
+// is a recycled record (Kernel.request), the reply travels by value into
+// the slot of the thread parked on it, and the in-flight record is two
+// words of the requesting VPE. Reliable: the spanning obtain on a lossless
+// fabric with the reliable layer on — its transmission record is recycled
 // with its timer bound once, and the reply cache is a ring of values behind
-// a seq → slot map. Reliable-batched, 1: the same with exchange batching,
-// whose envelope buffer moves between the queue and the record. Table growth
+// a seq → slot map. Reliable-batched: the same with exchange batching, whose
+// envelope buffer moves between the queue and the record. Table growth
 // (slabs, key map, selector space, the reply cache up to its bound) averages
 // below one per obtain. The ceilings are the measured counts, with and
 // without the race detector.
@@ -309,9 +308,9 @@ func TestObtainAllocationCeilings(t *testing.T) {
 		ceiling float64
 	}{
 		{"local", Config{Kernels: 1, UserPEs: 2}, 0},
-		{"spanning", Config{Kernels: 2, UserPEs: 4}, 1},
-		{"reliable", Config{Kernels: 2, UserPEs: 4, Faults: &fault.Plan{}}, 1},
-		{"reliable-batched", reliableBatched, 1},
+		{"spanning", Config{Kernels: 2, UserPEs: 4}, 0},
+		{"reliable", Config{Kernels: 2, UserPEs: 4, Faults: &fault.Plan{}}, 0},
+		{"reliable-batched", reliableBatched, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, step := obtainStepper(t, tc.cfg)
@@ -357,7 +356,7 @@ func obtainStepper(tb testing.TB, cfg Config) (*System, func()) {
 
 // BenchmarkSpanningObtain is one warmed obtain across two kernels per op:
 // the syscall, one inter-kernel round trip with the owner's consent query
-// in the middle, and the child's insertion. 1 alloc/op, the request
+// in the middle, and the child's insertion. 0 allocs/op
 // (TestObtainAllocationCeilings pins it).
 func BenchmarkSpanningObtain(b *testing.B) {
 	benchmarkObtain(b, Config{Kernels: 2, UserPEs: 4})
@@ -365,8 +364,8 @@ func BenchmarkSpanningObtain(b *testing.B) {
 
 // BenchmarkSpanningObtainReliable is the same obtain in reliable mode with
 // exchange batching (reliableBatched): the request rides an envelope that is
-// tracked for retransmission. 1 alloc/op, the request
-// (TestObtainAllocationCeilings pins it).
+// tracked for retransmission. 0 allocs/op (TestObtainAllocationCeilings
+// pins it).
 func BenchmarkSpanningObtainReliable(b *testing.B) {
 	benchmarkObtain(b, reliableBatched)
 }
@@ -375,6 +374,71 @@ func BenchmarkSpanningObtainReliable(b *testing.B) {
 // built from cfg.
 func benchmarkObtain(b *testing.B, cfg Config) {
 	s, step := obtainStepper(b, cfg)
+	defer s.Close()
+	for i := 0; i < 8; i++ {
+		step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
+
+// TestSpanningDelegateAllocationCeiling bounds what a warmed delegate
+// across two kernels allocates: the child the receiver's kernel prepares,
+// which waits for the ack in its pending-delegation table (prepareDelegate)
+// before the store copies it into its slab. The delegate is two
+// inter-kernel calls — the delegate, with the receiver's consent query in
+// the middle, and the ack that inserts the prepared child — and neither
+// request is in the count: both are recycled records. The children
+// accumulate under the one root; that growth averages below one per
+// delegate. The ceiling is the measured count, with and without the race
+// detector.
+func TestSpanningDelegateAllocationCeiling(t *testing.T) {
+	const ceiling = 1
+	s, step := delegateStepper(t)
+	defer s.Close()
+	for i := 0; i < 8; i++ {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(100, step); allocs > ceiling {
+		t.Fatalf("a spanning delegate allocates %v times, ceiling %v", allocs, ceiling)
+	}
+	checkAudit(t, s)
+}
+
+// delegateStepper is one DelegateTo per step, by the first user PE's VPE on
+// a two-kernel machine, of a memory capability it allocated on its first
+// step to the last user PE's VPE, on the other kernel.
+func delegateStepper(tb testing.TB) (*System, func()) {
+	s := MustNew(Config{Kernels: 2, UserPEs: 4})
+	pes := s.UserPEs()
+	recv, err := s.SpawnOn(pes[len(pes)-1], "receiver", func(v *VPE, p *sim.Proc) {})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	root := cap.NoSel
+	return s, stepVPE(tb, s, pes[0], func(v *VPE, p *sim.Proc) {
+		var err error
+		if root == cap.NoSel {
+			root, err = v.AllocMem(p, 4096, dtu.PermRW)
+		}
+		if err == nil {
+			_, err = v.DelegateTo(p, recv.ID, root)
+		}
+		if err != nil {
+			tb.Error(err)
+		}
+	})
+}
+
+// BenchmarkSpanningDelegate is one warmed delegate across two kernels per
+// op: the syscall, the delegate round trip with the receiver's consent query
+// in the middle, and the ack round trip. 1 alloc/op, the prepared child
+// (TestSpanningDelegateAllocationCeiling pins it).
+func BenchmarkSpanningDelegate(b *testing.B) {
+	s, step := delegateStepper(b)
 	defer s.Close()
 	for i := 0; i < 8; i++ {
 		step()
@@ -604,24 +668,23 @@ func TestTreeRevokeAllocationCeiling(t *testing.T) {
 }
 
 // TestSpanningRevokeAllocationCeiling bounds a warmed revoke whose root has
-// one child on the other kernel: what is left is the request of the one
-// forward, none of it revocation state. The forward's continuation — the
-// record it counts toward and the request — is data in the pending table,
-// and its reply travels by value. The ceiling is the measured count, with
-// and without the race detector.
+// one child on the other kernel: nothing. The forward's request is a
+// recycled record, its continuation — the record it counts toward and the
+// request — is data in the pending table, and its reply travels by value.
+// The ceiling is the measured count, with and without the race detector.
 func TestSpanningRevokeAllocationCeiling(t *testing.T) {
-	const ceiling = 1
+	const ceiling = 0
 	if allocs := spanningRevokeMallocs(t, Config{Kernels: 2, UserPEs: 4}); allocs > ceiling {
 		t.Fatalf("revoking a warmed root with one remote child allocates %v times, ceiling %v", allocs, ceiling)
 	}
 }
 
 // TestBatchedSpanningRevokeAllocationCeiling is the same revoke with batched
-// revocation: the forward is a batch of one, so what is left is its request
-// and the key list it carries. The ceiling is the measured count, with and
-// without the race detector.
+// revocation: the forward is a batch of one, so what is left is the key
+// list it carries (forwardBatches). The ceiling is the measured count, with
+// and without the race detector.
 func TestBatchedSpanningRevokeAllocationCeiling(t *testing.T) {
-	const ceiling = 2
+	const ceiling = 1
 	cfg := Config{Kernels: 2, UserPEs: 4, IKCBatching: IKCBatching{Revoke: true}}
 	if allocs := spanningRevokeMallocs(t, cfg); allocs > ceiling {
 		t.Fatalf("a batched revoke of a warmed root with one remote child allocates %v times, ceiling %v", allocs, ceiling)
@@ -630,9 +693,9 @@ func TestBatchedSpanningRevokeAllocationCeiling(t *testing.T) {
 
 // TestReliableBatchedSpanningRevokeAllocationCeiling is the batched revoke
 // in reliable mode on a lossless fabric: the transmission record is
-// recycled, so the ceiling stays at the request and its key list.
+// recycled, so the ceiling stays at the key list.
 func TestReliableBatchedSpanningRevokeAllocationCeiling(t *testing.T) {
-	const ceiling = 2
+	const ceiling = 1
 	cfg := Config{Kernels: 2, UserPEs: 4, Faults: &fault.Plan{}, IKCBatching: IKCBatching{Revoke: true}}
 	if allocs := spanningRevokeMallocs(t, cfg); allocs > ceiling {
 		t.Fatalf("a reliable batched revoke of a warmed root with one remote child allocates %v times, ceiling %v", allocs, ceiling)
@@ -711,8 +774,7 @@ func spanningRevokeSteppers(tb testing.TB, cfg Config) (s *System, plant, revoke
 // BenchmarkSpanningRevoke is one warmed revoke per op of a capability with
 // one child on the other kernel: the syscall, the mark walk, one forward and
 // its reply, and the sweep. The child is planted between ops, off the
-// clock. 1 alloc/op, the forward's request
-// (TestSpanningRevokeAllocationCeiling pins it).
+// clock. 0 allocs/op (TestSpanningRevokeAllocationCeiling pins it).
 func BenchmarkSpanningRevoke(b *testing.B) {
 	s, plant, revoke := spanningRevokeSteppers(b, Config{Kernels: 2, UserPEs: 4})
 	defer s.Close()

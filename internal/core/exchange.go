@@ -105,8 +105,8 @@ func (k *Kernel) sysObtainSess(p *sim.Proc, req *sysRequest) sysReply {
 // agree the child's identity, register it as in flight, put the question to
 // the owner's kernel — grant, over an inter-kernel call or in place when the
 // owner is this kernel — and create the child from the answer. req travels by
-// value so that the group-internal path allocates nothing; only a request
-// that leaves the kernel is copied to the heap.
+// value: the group-internal path reads it in place, and a request that leaves
+// the kernel is copied into a recycled record (ikCall).
 func (k *Kernel) obtain(p *sim.Proc, v *VPE, owner int, req ikcRequest) sysReply {
 	objID := k.gen.NextID(v.PE, v.ID)
 	req.ChildPE, req.ChildVPE, req.ChildObj = v.PE, v.ID, objID
@@ -121,8 +121,7 @@ func (k *Kernel) obtain(p *sim.Proc, v *VPE, owner int, req ikcRequest) sysReply
 		rep = k.grant(p, &req, false)
 	} else {
 		k.charge(p, k.sys.Cost.IKCMarshal)
-		wire := req
-		rep = k.ikCall(p, owner, &wire)
+		rep = k.ikCall(p, owner, req)
 	}
 	v.obtaining = false
 	if rep.Err != OK {
@@ -332,8 +331,7 @@ func (k *Kernel) delegate(p *sim.Proc, v *VPE, dst int, req ikcRequest) sysReply
 		return sysReply{Sel: child.Sel, Args: args}
 	}
 	k.charge(p, k.sys.Cost.IKCMarshal)
-	wire := req
-	rep := k.ikCall(p, dst, &wire)
+	rep := k.ikCall(p, dst, req)
 	if rep.Err != OK {
 		return sysReply{Err: rep.Err}
 	}
@@ -342,10 +340,10 @@ func (k *Kernel) delegate(p *sim.Proc, v *VPE, dst int, req ikcRequest) sysReply
 	if errno := k.linkDelegated(p, v, req.Key, childKey); errno != OK {
 		// "Invalid": the parent was revoked, or the delegator killed, during
 		// step 1. The receiver discards what it prepared.
-		k.ikCall(p, dst, &ikcRequest{Kind: ikcDelegateAck, Child: childKey, Ok: false})
+		k.ikCall(p, dst, ikcRequest{Kind: ikcDelegateAck, Child: childKey, Ok: false})
 		return sysReply{Err: errno}
 	}
-	if ack := k.ikCall(p, dst, &ikcRequest{Kind: ikcDelegateAck, Child: childKey, Ok: true}); ack.Err != OK {
+	if ack := k.ikCall(p, dst, ikcRequest{Kind: ikcDelegateAck, Child: childKey, Ok: true}); ack.Err != OK {
 		// The receiver died before insertion ("Orphaned" on its side), or a
 		// revocation dropped the prepared child: remove the link again.
 		k.charge(p, k.sys.Cost.CapLink)

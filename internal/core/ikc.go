@@ -63,13 +63,15 @@ func (k *Kernel) peer(dst int) *peer {
 // request on the wire — its transmission (nil before, and always on the
 // lossless fabric). The continuation is one of
 //
-//   - t: the thread parked for the reply in its slot (ikCall);
+//   - t: the thread parked for the reply in its slot (ikCall), which holds
+//     the request's reference itself;
 //   - rs and req: a revoke forward, whose reply counts toward rs and whose
 //     failure records an orphan fix for each target of req;
 //   - req alone: a reliable-mode unlink, whose failed ack records its fix;
 //   - nothing: nobody waits.
 //
-// complete runs it.
+// A fire-and-forget call hands its reference to req, and complete, which
+// runs the continuation, drops it.
 type awaited struct {
 	t   *kthread
 	rs  *revState
@@ -91,9 +93,62 @@ func (k *Kernel) complete(a awaited, rep *ikcReply) {
 		if rep.Err == ErrPeerDead {
 			k.recordOrphanFixes(rep.From, a.req)
 		}
+		a.req.drop(k.sys)
 		if a.rs != nil {
 			k.compSubmit(a.rs)
 		}
+	}
+}
+
+// request takes a request record off the free list (or makes one), fills it
+// with r and hands back one reference, the caller's.
+func (k *Kernel) request(r ikcRequest) *ikcRequest {
+	s := k.sys
+	var req *ikcRequest
+	if n := len(s.reqs); n > 0 {
+		req = s.reqs[n-1]
+		s.reqs = s.reqs[:n-1]
+	} else {
+		req = new(ikcRequest)
+		s.reqsMade++
+	}
+	*req = r
+	req.refs = 1
+	return req
+}
+
+// hold takes one more reference to req.
+func (req *ikcRequest) hold() *ikcRequest {
+	req.refs++
+	return req
+}
+
+// drop gives one reference to req up; the last zeroes the record, so a
+// holder that missed its hold reads sequence number 0, which no request
+// has, and shelves it on s.reqs.
+func (req *ikcRequest) drop(s *System) {
+	req.refs--
+	switch {
+	case req.refs < 0:
+		panic("core: an inter-kernel request dropped more often than held")
+	case req.refs == 0:
+		*req = ikcRequest{}
+		s.reqs = append(s.reqs, req)
+	}
+}
+
+// appendHeld appends reqs to dst, holding a reference to each.
+func appendHeld(dst, reqs []*ikcRequest) []*ikcRequest {
+	for _, req := range reqs {
+		dst = append(dst, req.hold())
+	}
+	return dst
+}
+
+// dropAll drops one reference to each of reqs.
+func dropAll(s *System, reqs []*ikcRequest) {
+	for _, req := range reqs {
+		req.drop(s)
 	}
 }
 
@@ -109,7 +164,7 @@ type wireKind uint8
 const (
 	wireRequest wireKind = iota // requests for the receiving kernel
 	wireReply                   // replies for the receiving kernel
-	wireCredit                  // one in-flight credit back to the receiving kernel, for the leg reqs[0] led
+	wireCredit                  // one in-flight credit back to the receiving kernel, for the leg led by request seq
 )
 
 // ikcWire is one inter-kernel leg in flight: a direct request or reply, an
@@ -120,15 +175,19 @@ const (
 // second arrival. Every leg is released at its arrival but a request
 // envelope, which waits for the kernel thread that picks it up (pickUp); a
 // duplicated envelope therefore arrives the first time as a copy of its own.
-// A fresh record backs its payload slices with the one-element arrays inside
-// it, so a direct leg costs no slice; an envelope grows them once and keeps
-// them. The list is shared by all kernels; a simulation runs on one goroutine.
+// A request leg holds a reference to each request it carries, which release
+// drops, so it may carry pointers: the sender's records stay put however
+// long the leg is in flight. A fresh record backs its payload slices with
+// the one-element arrays inside it, so a direct leg costs no slice; an
+// envelope grows them once and keeps them. The list is shared by all
+// kernels; a simulation runs on one goroutine.
 type ikcWire struct {
 	kind     wireKind
 	env      bool // an envelope, sized per payload; else one direct leg
 	compose  bool // the leg is still being composed: put it on the wire when it fires
 	dups     uint8
 	from, to *Kernel
+	seq      uint64 // a credit leg's
 	reqs     []*ikcRequest
 	reps     []ikcReply
 	arrive   func() // onArrive, bound once
@@ -154,6 +213,7 @@ func (k *Kernel) wire(kind wireKind, to *Kernel) *ikcWire {
 
 func (w *ikcWire) release() {
 	s := w.from.sys
+	dropAll(s, w.reqs)
 	clear(w.reqs)
 	clear(w.reps)
 	*w = ikcWire{arrive: w.arrive, reqs: w.reqs[:0], reps: w.reps[:0]}
@@ -195,9 +255,11 @@ func (w *ikcWire) send() {
 
 // onArrive is w's delivery event (event context at the receiving kernel, or
 // at the sender while the leg is composed). A direct request's record is
-// released before the request is handed on: what runs below may send, and so
-// reuse it. Replies, direct or in an envelope, complete their calls in
-// order — the order the answering kernel produced them — and cost no thread.
+// released before the request is handed on — what runs below may send, and
+// so reuse it — and the job takes its own reference first; a credit leg's
+// sequence number is read first for the same reason. Replies, direct or in
+// an envelope, complete their calls in order — the order the answering
+// kernel produced them — and cost no thread.
 func (w *ikcWire) onArrive() {
 	switch {
 	case w.compose:
@@ -209,11 +271,11 @@ func (w *ikcWire) onArrive() {
 			w.dups--
 			env = w.from.wire(wireRequest, w.to)
 			env.env = true
-			env.reqs = append(env.reqs, w.reqs...)
+			env.reqs = appendHeld(env.reqs, w.reqs)
 		}
 		env.to.recvRequest(env.reqs[0].Kind, env)
 	case w.kind == wireRequest:
-		to, req := w.to, w.reqs[0]
+		to, req := w.to, w.reqs[0].hold()
 		w.done()
 		to.recvRequest(req.Kind, req)
 	case w.kind == wireReply:
@@ -222,16 +284,16 @@ func (w *ikcWire) onArrive() {
 		}
 		w.done()
 	default:
-		from, to, req := w.from, w.to, w.reqs[0]
+		from, to, seq := w.from, w.to, w.seq
 		w.done()
-		to.onCredit(from.id, req)
+		to.onCredit(from.id, seq)
 	}
 }
 
 // sendRequest puts req on the wire to kernel dk as a direct message.
 func (k *Kernel) sendRequest(dk *Kernel, req *ikcRequest) {
 	w := k.wire(wireRequest, dk)
-	w.reqs = append(w.reqs, req)
+	w.reqs = append(w.reqs, req.hold())
 	w.send()
 }
 
@@ -242,7 +304,7 @@ func (k *Kernel) sendRequest(dk *Kernel, req *ikcRequest) {
 func (k *Kernel) sendEnvelope(dst int, reqs []*ikcRequest) {
 	w := k.wire(wireRequest, k.sys.kernels[dst])
 	w.env = true
-	w.reqs = append(w.reqs, reqs...)
+	w.reqs = appendHeld(w.reqs, reqs)
 	w.send()
 }
 
@@ -295,14 +357,14 @@ func (k *Kernel) stamp(p *sim.Proc, dst int, req *ikcRequest, a awaited, answere
 // holds the CPU token; the in-flight slot is acquired at a preemption point
 // (the CPU is released while waiting for one) — except on a revoke thread,
 // which never waits (DESIGN.md "Deadlock freedom of revocation"): its
-// forward joins dst's deferred FIFO instead and leaves with the next credit
-// that comes back (creditBack).
+// forward joins dst's deferred FIFO instead, which holds a reference to it,
+// and leaves with the next credit that comes back (creditBack).
 func (k *Kernel) post(p *sim.Proc, dst int, req *ikcRequest) {
 	k.stats.IKCSent++
 	pr := k.peer(dst)
 	if !pr.credits.TryAcquire() {
 		if k.holder.pl == k.revokePool {
-			pr.deferred.Push(req)
+			pr.deferred.Push(req.hold())
 			return
 		}
 		k.pause(p, &pr.credits)
@@ -311,24 +373,25 @@ func (k *Kernel) post(p *sim.Proc, dst int, req *ikcRequest) {
 }
 
 // transmit puts a request that holds a credit on the wire to kernel dst,
-// stamped with the incarnation it leaves in.
+// stamped with the incarnation it leaves in. In reliable mode its
+// transmission record holds a reference to it.
 func (k *Kernel) transmit(dst int, req *ikcRequest) {
 	req.Inc = k.incarnation
 	k.sendRequest(k.sys.kernels[dst], req)
 	if k.reliable {
 		xm := k.newXmit()
-		xm.reqs = append(xm.reqs, req)
+		xm.reqs = append(xm.reqs, req.hold())
 		k.track(dst, xm)
 	}
 }
 
-// onCredit takes back the credit of a leg dst picked up, req its first
+// onCredit takes back the credit of a leg dst picked up, seq its first
 // request (event context). In reliable mode a leg may be picked up twice — a
 // duplicate, a retransmit — or after its transmission aborted, so the credit
 // counts once per transmission, and only while it is live.
-func (k *Kernel) onCredit(dst int, req *ikcRequest) {
+func (k *Kernel) onCredit(dst int, seq uint64) {
 	if k.reliable {
-		xm := k.pending[req.Seq].xm
+		xm := k.pending[seq].xm
 		if xm == nil || xm.done || xm.credited {
 			return
 		}
@@ -344,7 +407,9 @@ func (k *Kernel) onCredit(dst int, req *ikcRequest) {
 func (k *Kernel) creditBack(dst int) {
 	pr := k.peers[dst]
 	if pr.deferred.Len() > 0 && !pr.dead {
-		k.transmit(dst, pr.deferred.Pop())
+		req := pr.deferred.Pop()
+		k.transmit(dst, req)
+		req.drop(k.sys)
 		return
 	}
 	pr.credits.Release()
@@ -355,7 +420,9 @@ func (k *Kernel) creditBack(dst int) {
 // fixes, as for any failed revoke.
 func (k *Kernel) failDeferred(dst int) {
 	for pr := k.peers[dst]; pr != nil && pr.deferred.Len() > 0; {
-		k.failFast(pr.deferred.Pop().Seq, dst)
+		req := pr.deferred.Pop()
+		k.failFast(req.Seq, dst)
+		req.drop(k.sys)
 	}
 }
 
@@ -380,13 +447,16 @@ func (k *Kernel) ikSubmit(p *sim.Proc, dst int, req *ikcRequest, a awaited) {
 	k.ikSend(p, dst, req, a)
 }
 
-// ikCall performs a blocking inter-kernel call: submit the request to the
-// transport, release the CPU (preemption point) and wait for the reply in
-// the calling thread's slot.
-func (k *Kernel) ikCall(p *sim.Proc, dst int, req *ikcRequest) ikcReply {
+// ikCall performs a blocking inter-kernel call: make r a request record,
+// submit it to the transport, release the CPU (preemption point) and wait
+// for the reply in the calling thread's slot. The call holds the record's
+// first reference until the reply is in.
+func (k *Kernel) ikCall(p *sim.Proc, dst int, r ikcRequest) ikcReply {
+	req := k.request(r)
 	t := k.holder
 	k.ikSubmit(p, dst, req, awaited{t: t})
 	k.pause(p, &t.reply)
+	req.drop(k.sys)
 	return t.reply.take()
 }
 
@@ -399,11 +469,14 @@ func (k *Kernel) ikCall(p *sim.Proc, dst int, req *ikcRequest) ikcReply {
 // resolves the transmission. Its continuation is the request itself, so if
 // dst is unreachable the orphan fix is recorded (complete) and the dangling
 // link is removed when dst rejoins; in baseline lossless mode there is no
-// ack and no entry.
+// ack and no entry, and the call drops its reference once it is posted.
 func (k *Kernel) notifyUnlink(p *sim.Proc, dst int, parent, child ddl.Key) {
-	req := &ikcRequest{Kind: ikcUnlinkChild, Key: parent, Child: child}
+	req := k.request(ikcRequest{Kind: ikcUnlinkChild, Key: parent, Child: child})
 	if !k.stamp(p, dst, req, awaited{req: req}, k.reliable) {
 		k.post(p, dst, req)
+	}
+	if !k.reliable {
+		req.drop(k.sys)
 	}
 }
 
@@ -425,9 +498,11 @@ func (k *Kernel) recvRequest(kind ikcKind, subj any) {
 
 // pickUp picks a request leg up on a kernel thread (CPU held) and dispatches
 // what it carries, in order. An envelope's requests move into the thread's
-// scratch (returned for reuse), its wire goes back to the free list, and its
-// first request stands for the job from here on: its sender and kind name
-// the reply queue the epilogue flushes. Picking the leg up frees its slot,
+// scratch (returned for reuse), each with a reference of the job's, and its
+// wire goes back to the free list. The first request's sender and kind stand
+// for the job from here on, copied into the thread's record: they name the
+// reply queue the epilogue flushes, which runs after the job has dropped its
+// references. Picking the leg up frees its slot,
 // so the sender's in-flight credit returns now, on every fabric (a leg lost
 // on the way is credited when its transmission aborts, reliability.go).
 // Each request's dispatch is owed: on the lossless path the receive gate is
@@ -436,16 +511,18 @@ func (k *Kernel) recvRequest(kind ikcKind, subj any) {
 // at their usual preemption points; the thread resumes with the next request
 // afterwards, serializing an envelope the way the kernel's single CPU would
 // anyway, and the epilogue's flush answers it with one reply envelope.
-func (k *Kernel) pickUp(p *sim.Proc, j *job, scratch []*ikcRequest) []*ikcRequest {
+func (k *Kernel) pickUp(p *sim.Proc, t *kthread, scratch []*ikcRequest) []*ikcRequest {
 	var direct [1]*ikcRequest
 	reqs := direct[:]
+	j := &t.job
 	if w, ok := j.subj.(*ikcWire); ok {
-		scratch = append(scratch, w.reqs...)
+		scratch = appendHeld(scratch, w.reqs)
 		w.release()
-		reqs, j.subj = scratch, scratch[0]
+		reqs = scratch
 	} else {
 		direct[0] = j.subj.(*ikcRequest)
 	}
+	t.from, t.kind, j.subj = int32(reqs[0].From), reqs[0].Kind, nil
 	k.returnCredit(reqs[0])
 	for _, req := range reqs {
 		k.charge(p, k.sys.Cost.IKCDispatch)
@@ -455,6 +532,7 @@ func (k *Kernel) pickUp(p *sim.Proc, j *job, scratch []*ikcRequest) []*ikcReques
 	}
 	// A handler that answers later (revocation) may still owe time here; it
 	// elapses in the thread's park, before the epilogue flushes the reply sink.
+	dropAll(k.sys, reqs)
 	clear(scratch)
 	return scratch[:0]
 }
@@ -462,11 +540,11 @@ func (k *Kernel) pickUp(p *sim.Proc, j *job, scratch []*ikcRequest) []*ikcReques
 // returnCredit gives the in-flight credit for one picked-up wire message,
 // req its first request, back to its sending kernel, instantly: a zero-delay
 // event of its own, no credit message on the NoC (DESIGN.md, "Zero-latency
-// edges of the kernel model"). req names the transmission the credit belongs
-// to (onCredit).
+// edges of the kernel model"). req's sequence number names the transmission
+// the credit belongs to (onCredit).
 func (k *Kernel) returnCredit(req *ikcRequest) {
 	w := k.wire(wireCredit, k.sys.kernels[req.From])
-	w.reqs = append(w.reqs, req)
+	w.seq = req.Seq
 	k.sys.Eng.Schedule(0, w.arrive)
 }
 

@@ -101,3 +101,57 @@ func TestDuplicatedReplyCompletesCallOnce(t *testing.T) {
 	}
 	checkAudit(t, s)
 }
+
+// TestRequestRecordsComeHome: on a drained machine every request record
+// ever made is back on the free list, so no holder kept a reference — on
+// the nested-chain machine of three kernels, six chains each, revoking the
+// roots or the obtained capabilities, unbatched and batched, on the
+// lossless fabric and in reliable mode on one that drops and duplicates
+// 5% of kernel messages, where retransmits, duplicated envelopes and
+// replayed replies hold and drop references too. CheckQuiescent reports a
+// record still held; the test also checks that records were recycled.
+func TestRequestRecordsComeHome(t *testing.T) {
+	for _, obtained := range []bool{false, true} {
+		for _, batched := range []bool{false, true} {
+			for _, faults := range []*fault.Plan{nil, {Seed: 2, Drop: 0.05, Dup: 0.05}} {
+				name := fmt.Sprintf("obtained=%v/batched=%v/faults=%v", obtained, batched, faults != nil)
+				t.Run(name, func(t *testing.T) {
+					cfg := Config{Kernels: 3, IKCBatching: IKCBatching{Exchange: batched, Revoke: batched}, Faults: faults}
+					s, returned := nestedChains(t, cfg, 6, obtained)
+					defer s.Close()
+					s.Run()
+					if *returned != 18 {
+						t.Errorf("%d of 18 revokes returned", *returned)
+					}
+					checkAudit(t, s)
+					st := s.TotalStats()
+					if s.reqsMade == 0 || uint64(s.reqsMade) >= st.IKCSent || len(s.reqs) != s.reqsMade {
+						t.Errorf("%d request records made, %d on the free list, for %d requests sent", s.reqsMade, len(s.reqs), st.IKCSent)
+					}
+					if faults != nil && (st.Retransmits == 0 || st.DupSuppressed == 0) {
+						t.Errorf("%d retransmits and %d duplicates suppressed: the faults did not reach the requests", st.Retransmits, st.DupSuppressed)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestRequestDroppedTwicePanics: a reference dropped more often than held
+// is a bug in the holders, and the second drop of a record says so.
+func TestRequestDroppedTwicePanics(t *testing.T) {
+	s := MustNew(Config{Kernels: 2, UserPEs: 2})
+	defer s.Close()
+	req := s.kernels[0].request(ikcRequest{Kind: ikcRevoke})
+	req.hold().drop(s)
+	req.drop(s)
+	if len(s.reqs) != 1 || req.refs != 0 || req.Kind != 0 {
+		t.Fatalf("the last drop left %d records on the free list and the record %+v", len(s.reqs), *req)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("dropping a record twice did not panic")
+		}
+	}()
+	req.drop(s)
+}

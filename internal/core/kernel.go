@@ -334,7 +334,7 @@ func (pl *pool) work(p *sim.Proc) {
 		case jobSyscall:
 			k.handleSyscall(p, j.subj.(*dtu.Message))
 		case jobRequest:
-			reqs = k.pickUp(p, j, reqs)
+			reqs = k.pickUp(p, t, reqs)
 		case jobRevokeDone:
 			k.revokeReplyArrived(p, j.subj.(*revState))
 		}

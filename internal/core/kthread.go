@@ -45,9 +45,13 @@ type kthread struct {
 	pl    *pool
 	next  *kthread // the pool's threads, newest first
 	inner sim.Waiter
-	// job is the job in hand, from stageJob's pop to the epilogue.
+	// job is the job in hand, from stageJob's pop to the epilogue. A
+	// request job's subject is gone once it is picked up (pickUp), and
+	// kind and from, of its first request, stand for it.
 	job   job
 	stage waitStage
+	kind  ikcKind
+	from  int32
 	reply replySlot
 }
 
@@ -100,8 +104,7 @@ func (t *kthread) Ready(p *sim.Proc) bool {
 				// Dispatch barrier of the reply sink (see flushReplies): a
 				// reply produced by this dispatch leaves now instead of waiting
 				// on an idle window timer. No-op for unbatched families.
-				req := j.subj.(*ikcRequest) // an envelope's first, since pickUp
-				k.flushReplies(req.From, classOf(req.Kind))
+				k.flushReplies(int(t.from), classOf(t.kind))
 			}
 			k.cpu.Release()
 			t.stage = stageJob
@@ -179,10 +182,13 @@ func (t *kthread) describe() string {
 	case j.kind == jobSyscall:
 		what = "syscall " + j.subj.(*dtu.Message).Payload.(*sysRequest).Kind.String()
 	case j.kind == jobRequest:
-		if req, ok := j.subj.(*ikcRequest); ok {
-			what = fmt.Sprintf("request %v from k%d", req.Kind, req.From)
-		} else {
+		switch subj := j.subj.(type) {
+		case *ikcWire:
 			what = "request envelope"
+		case *ikcRequest:
+			what = fmt.Sprintf("request %v from k%d", subj.Kind, subj.From)
+		default: // picked up
+			what = fmt.Sprintf("request %v from k%d", t.kind, t.from)
 		}
 	case j.kind == jobRevokeDone:
 		what = "revoke completion"

@@ -162,7 +162,10 @@ func (k ikcKind) String() string {
 	return "unknown"
 }
 
-// ikcRequest is the payload of an inter-kernel request message.
+// ikcRequest is the payload of an inter-kernel request message, a record
+// recycled through System.reqs by reference count (Kernel.request, hold,
+// drop): every holder of a *ikcRequest — the call, a wire leg, the receiving
+// job, a queue, a transmission, a revocation — holds one reference.
 type ikcRequest struct {
 	Seq  uint64
 	From int // sender kernel id
@@ -182,6 +185,7 @@ type ikcRequest struct {
 	Perm   dtu.Perm
 	Ident  uint64 // session identifier for session-scoped calls
 	Ok     bool   // delegate-ack verdict
+	refs   int32  // references held; the record is on System.reqs at 0
 	Object cap.Object
 	Args   any
 

@@ -44,12 +44,14 @@ func (s *System) Audit(dead ...int) []string {
 //     dead;
 //   - kernel with replies left in the reply sink, or with requests whose
 //     calls still await a reply;
-//   - receive endpoint with slots still occupied.
+//   - receive endpoint with slots still occupied;
+//   - and one for the machine if some inter-kernel request record is not
+//     back on its free list: a holder that never dropped its reference.
 //
 // Threads parked for their next job, and service loops parked for their next
 // request, are idle and not findings. Empty means quiescent; the order is
-// fixed (kernels by id, each kernel's peers by id, then user PEs), so the
-// list is reproducible.
+// fixed (kernels by id, each kernel's peers by id, then user PEs, then the
+// machine), so the list is reproducible.
 func (s *System) CheckQuiescent() []string {
 	var out []string
 	for _, k := range s.kernels {
@@ -124,6 +126,9 @@ func (s *System) CheckQuiescent() []string {
 			out = append(out, fmt.Sprintf("%s: syscall %v has not returned", who, v.sysReq.Kind))
 		}
 		out = appendSlots(out, who, d)
+	}
+	if n := s.reqsMade - len(s.reqs); n != 0 {
+		out = append(out, fmt.Sprintf("%d of %d inter-kernel request record(s) still held", n, s.reqsMade))
 	}
 	return out
 }

@@ -175,7 +175,7 @@ func (k *Kernel) beginRejoin() {
 				continue
 			}
 			k.exec(p, k.sys.Cost.IKCMarshal)
-			k.ikCall(p, peer, &ikcRequest{Kind: ikcRejoin})
+			k.ikCall(p, peer, ikcRequest{Kind: ikcRejoin})
 		}
 		k.replayOrphanFixes(p, -1)
 		k.reconcileChains(p, -1)
@@ -205,7 +205,7 @@ func (k *Kernel) replayOrphanFixes(p *sim.Proc, dst int) {
 		case ikcRevoke:
 			// Idempotent at the owner: a key already gone just confirms.
 			k.exec(p, k.sys.Cost.IKCMarshal)
-			rep := k.ikCall(p, f.dst, &ikcRequest{Kind: ikcRevoke, Key: f.key})
+			rep := k.ikCall(p, f.dst, ikcRequest{Kind: ikcRevoke, Key: f.key})
 			if rep.Err == ErrPeerDead {
 				keep = append(keep, f)
 			}
@@ -249,7 +249,7 @@ func (k *Kernel) reconcileChains(p *sim.Proc, into int) {
 		for _, ck := range remote {
 			k.exec(p, k.sys.Cost.DDLDecode+k.sys.Cost.IKCMarshal)
 			owner := k.member.KernelOfKey(ck)
-			rep := k.ikCall(p, owner, &ikcRequest{Kind: ikcRevoke, Key: ck})
+			rep := k.ikCall(p, owner, ikcRequest{Kind: ikcRevoke, Key: ck})
 			if rep.Err == ErrPeerDead {
 				k.orphanFixes = append(k.orphanFixes, orphanFix{dst: owner, kind: ikcRevoke, key: ck})
 			}

@@ -63,16 +63,17 @@ const (
 //
 // Like an ikcWire it is recycled, through System.xmits (newXmit): its timer
 // and resend events are bound once, and its two request lists keep their
-// buffers, so a warmed transmission allocates nothing. A record has at most
-// one retransmission timer (armed) and one resend (resending) pending:
-// track arms the first timer and every expiry arms at most the next, and a
-// resend, scheduled IKCCompose ahead of the timer armed with it, leaves
-// before that timer fires unless composing outlasts the timeout (expire
-// asserts it). While either is pending the event still holds the record,
-// so the record goes back to the free list only from its own event, once
-// it is done and neither is pending (release). By then no pending entry
-// and no live list names it: a done record answered or aborted every
-// request it tracked and was unlinked.
+// buffers, so a warmed transmission allocates nothing. It holds a reference
+// to each request in reqs until release; resend is a subset of reqs. A
+// record has at most one retransmission timer (armed) and one resend
+// (resending) pending: track arms the first timer and every expiry arms at
+// most the next, and a resend, scheduled IKCCompose ahead of the timer
+// armed with it, leaves before that timer fires unless composing outlasts
+// the timeout (expire asserts it). While either is pending the event still
+// holds the record, so the record goes back to the free list only from its
+// own event, once it is done and neither is pending (release). By then no
+// pending entry and no live list names it: a done record answered or
+// aborted every request it tracked and was unlinked.
 type xmitState struct {
 	k    *Kernel
 	dst  int
@@ -118,6 +119,7 @@ func (xm *xmitState) release() {
 		return
 	}
 	s := xm.k.sys
+	dropAll(s, xm.reqs)
 	clear(xm.reqs)
 	clear(xm.resend)
 	*xm = xmitState{reqs: xm.reqs[:0], resend: xm.resend[:0], expireFn: xm.expireFn, resendFn: xm.resendFn}

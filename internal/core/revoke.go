@@ -47,7 +47,7 @@ type revState struct {
 	marked, kids []ddl.Key
 	remote       []remoteChild
 	parents      []*revState
-	req          *ikcRequest
+	req          *ikcRequest // held until the record is freed
 	thread       *sim.Proc
 	next         *revState // on the free list
 }
@@ -69,6 +69,9 @@ func (k *Kernel) newRev() *revState {
 }
 
 func (k *Kernel) freeRev(rs *revState) {
+	if rs.req != nil {
+		rs.req.drop(k.sys)
+	}
 	*rs = revState{marked: rs.marked[:0], kids: rs.kids[:0], remote: rs.remote[:0], parents: rs.parents[:0], next: k.revFree}
 	k.revFree = rs
 }
@@ -111,7 +114,7 @@ func (k *Kernel) revokeAndWait(p *sim.Proc, c *cap.Capability) {
 // a subtree is not gone yet, the record answers later via ikReplyAsync.
 func (k *Kernel) handleRevokeReq(p *sim.Proc, req *ikcRequest) (answered bool) {
 	up := k.newRev()
-	up.req = req
+	up.req = req.hold()
 	if req.Kind == ikcRevoke {
 		k.revokeKey(p, req.Key, up)
 	}
@@ -240,7 +243,7 @@ func (k *Kernel) revokeChildren(p *sim.Proc, c *cap.Capability, rs *revState, ki
 // the link to this child) is deleted regardless, so the recorded fix is the
 // only remaining route to the remote state (complete).
 func (k *Kernel) sendRevokeRequest(p *sim.Proc, dst int, key ddl.Key, rs *revState) {
-	req := &ikcRequest{Kind: ikcRevoke, Key: key}
+	req := k.request(ikcRequest{Kind: ikcRevoke, Key: key})
 	k.ikSend(p, dst, req, awaited{rs: rs, req: req})
 }
 
@@ -269,7 +272,7 @@ func (k *Kernel) forwardBatches(p *sim.Proc, rs *revState) {
 		}
 		keys := all[start:len(all):len(all)]
 		rs.outstanding++
-		req := &ikcRequest{Kind: ikcRevokeBatch, Keys: keys}
+		req := k.request(ikcRequest{Kind: ikcRevokeBatch, Keys: keys})
 		k.ikSend(p, e.dst, req, awaited{rs: rs, req: req})
 	}
 	rs.remote = rs.remote[:0]

@@ -119,6 +119,11 @@ type System struct {
 	// wires are the released inter-kernel legs awaiting reuse (ikc.go,
 	// ikcWire).
 	wires []*ikcWire
+	// reqs are the inter-kernel request records no one holds a reference
+	// to, awaiting reuse (ikc.go, Kernel.request); reqsMade counts the
+	// records ever made, all of which are back here at quiescence.
+	reqs     []*ikcRequest
+	reqsMade int
 	// xmits are the released reliable-mode transmission records awaiting
 	// reuse (reliability.go, xmitState).
 	xmits []*xmitState

@@ -186,11 +186,12 @@ func (k *Kernel) batchesReply(kind ikcKind) bool {
 
 // --- request direction ---------------------------------------------------
 
-// enqueue appends req to its aggregation queue, with a as the continuation
-// its reply runs. The caller holds the CPU; the compose cost models
-// marshalling the request into the batch buffer. The queue flushes inline
-// at maxBatch (growing the adaptive window: load sustains batching);
-// otherwise the first request of a generation arms the window timer.
+// enqueue appends req to its aggregation queue, which holds a reference to
+// it, with a as the continuation its reply runs. The caller holds the CPU;
+// the compose cost models marshalling the request into the batch buffer.
+// The queue flushes inline at maxBatch (growing the adaptive window: load
+// sustains batching); otherwise the first request of a generation arms the
+// window timer.
 func (k *Kernel) enqueue(p *sim.Proc, dst int, req *ikcRequest, a awaited) {
 	if k.stamp(p, dst, req, a, true) {
 		return
@@ -204,7 +205,7 @@ func (k *Kernel) enqueue(p *sim.Proc, dst int, req *ikcRequest, a awaited) {
 		q.fire = q.timerFire
 		pr.reqq[req.Kind] = q
 	}
-	q.reqs = append(q.reqs, req)
+	q.reqs = append(q.reqs, req.hold())
 	if len(q.reqs) >= maxBatch {
 		k.flushLocked(p, q)
 	} else if len(q.reqs) == 1 {
@@ -293,8 +294,9 @@ func (k *Kernel) flushFrom(p *sim.Proc, ref flushRef) {
 // coalesced envelope. The caller holds the CPU. The queue is detached before
 // any preemption point, so requests enqueued while this envelope waits for
 // an in-flight slot start a fresh generation. In reliable mode the requests
-// move into the transmission record, and the queue continues in the
-// record's spare buffer.
+// move into the transmission record, the queue's references with them, and
+// the queue continues in the record's spare buffer; otherwise the queue's
+// references are dropped once the envelope holds its own.
 func (k *Kernel) flushLocked(p *sim.Proc, q *sendQueue) {
 	if len(q.reqs) == 0 {
 		return
@@ -310,6 +312,7 @@ func (k *Kernel) flushLocked(p *sim.Proc, q *sendQueue) {
 		// hole (and tying up an in-flight credit).
 		for _, req := range reqs {
 			k.failFast(req.Seq, dst)
+			req.drop(k.sys)
 		}
 		return
 	}
@@ -331,7 +334,9 @@ func (k *Kernel) flushLocked(p *sim.Proc, q *sendQueue) {
 	k.sendEnvelope(dst, reqs)
 	if xm != nil {
 		k.track(dst, xm)
+		return
 	}
+	dropAll(k.sys, reqs)
 }
 
 // --- reply direction (the sink) ------------------------------------------

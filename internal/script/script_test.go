@@ -2,10 +2,12 @@ package script
 
 import (
 	"errors"
+	"hash/fnv"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/sim"
 )
 
@@ -134,10 +136,13 @@ func decode(data []byte, pes []int) Script {
 }
 
 // FuzzScript plays decoded scripts on one, two and three kernels, with and
-// without batched exchange and revocation, and checks that every op
-// returns and that System.Audit finds the drained machine quiescent, leak-free
-// and with sound capability tables. Failed ops are legitimate (obtaining a
-// revoked capability, revoking twice); a machine the audit faults is not.
+// without batched exchange and revocation, on the lossless fabric and in
+// reliable mode on one that drops and duplicates 2% of kernel messages
+// (seeded from the input), and checks that every op returns and that
+// System.Audit finds the drained machine quiescent, leak-free, with every
+// inter-kernel request record back on its free list and with sound
+// capability tables. Failed ops are legitimate (obtaining a revoked
+// capability, revoking twice); a machine the audit faults is not.
 func FuzzScript(f *testing.F) {
 	for _, seed := range [][]byte{
 		{0, 0, 0, 0, 0},                                     // one VPE, one alloc
@@ -149,24 +154,29 @@ func FuzzScript(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		h := fnv.New64a()
+		h.Write(data)
+		lossy := &fault.Plan{Seed: h.Sum64(), Drop: 0.02, Dup: 0.02}
 		for kernels := 1; kernels <= 3; kernels++ {
 			for _, pol := range []core.IKCBatching{{}, {Exchange: true, Revoke: true}} {
-				eng := sim.NewEngine()
-				eng.SetEventLimit(1 << 22)
-				sys := core.MustNew(core.Config{Kernels: kernels, UserPEs: 6, IKCBatching: pol, Engine: eng})
-				sc := decode(data, sys.UserPEs())
-				recs := Run(sys, sc, nil)
-				for v, rs := range recs {
-					for i, r := range rs {
-						if r.End == 0 {
-							t.Errorf("%d kernels, %+v: op %d.%d %+v never returned", kernels, pol, v, i, sc[v].Ops[i])
+				for _, faults := range []*fault.Plan{nil, lossy} {
+					eng := sim.NewEngine()
+					eng.SetEventLimit(1 << 22)
+					sys := core.MustNew(core.Config{Kernels: kernels, UserPEs: 6, IKCBatching: pol, Faults: faults, Engine: eng})
+					sc := decode(data, sys.UserPEs())
+					recs := Run(sys, sc, nil)
+					for v, rs := range recs {
+						for i, r := range rs {
+							if r.End == 0 {
+								t.Errorf("%d kernels, %+v, faults %+v: op %d.%d %+v never returned", kernels, pol, faults, v, i, sc[v].Ops[i])
+							}
 						}
 					}
+					if found := sys.Audit(); len(found) != 0 {
+						t.Errorf("%d kernels, %+v, faults %+v, script %+v:\n  %s", kernels, pol, faults, sc, strings.Join(found, "\n  "))
+					}
+					sys.Close()
 				}
-				if found := sys.Audit(); len(found) != 0 {
-					t.Errorf("%d kernels, %+v, script %+v:\n  %s", kernels, pol, sc, strings.Join(found, "\n  "))
-				}
-				sys.Close()
 			}
 		}
 	})
