@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/ddl"
 	"repro/internal/dtu"
+	"repro/internal/sim"
 )
 
 // Debug enables expensive correctness asserts that are not part of the
@@ -46,7 +47,7 @@ const NoSel Selector = 0
 // capability, an obtained or delegated capability on another kernel, and an
 // activation that captures the object across a NoC round trip all hold the
 // same pointer, where the paper's kernels copy a fixed-format value. That is
-// also what lets package core carve memory objects out of shared chunks
+// also what lets package core carve memory objects out of shared blocks
 // with no recycling: a slot is never written twice.
 type Object interface {
 	// ObjType returns the DDL type tag for this object.
@@ -350,12 +351,24 @@ const (
 type slab [slabSize]Capability
 
 // vpeSpace is one VPE's capability space: a dense selector-indexed table of
-// slab slot references (slot+1, 0 = empty) plus the allocation cursor.
+// slab slot references (slot+1, 0 = empty) plus the allocation cursor. The
+// table starts in the record itself (first), which covers a VPE with a
+// handful of capabilities; a larger one moves out, doubling.
 type vpeSpace struct {
-	sel  []uint32
-	next Selector // highest selector handed out
-	live int
+	sel   []uint32
+	next  Selector // highest selector handed out
+	live  int
+	first [firstSels]uint32
 }
+
+// firstSels is how many selectors a space's table holds inline; spaceBlock
+// is how many spaces one allocation serves. A Store does not know how many
+// VPEs it will hold (a kernel's group, at most a few dozen), so its blocks
+// are small and fixed.
+const (
+	firstSels  = 16
+	spaceBlock = 4
+)
 
 // ensure extends the selector table to cover sel. Selectors are handed out
 // monotonically, so this is almost always one append; appending zeros one at
@@ -378,7 +391,8 @@ type Store struct {
 
 	byKey ddl.KeyMap[uint32] // DDL key -> slot
 
-	vpes map[int]*vpeSpace // one entry per VPE, not per capability
+	vpes   map[int]*vpeSpace // one entry per VPE, not per capability
+	spaces sim.Blocks[vpeSpace]
 
 	chunks     []childChunk // shared child-spill arena
 	freeChunks []int32
@@ -437,7 +451,8 @@ func (s *Store) space(vpe int) *vpeSpace {
 		if s.vpes == nil {
 			s.vpes = make(map[int]*vpeSpace)
 		}
-		sp = &vpeSpace{}
+		sp = s.spaces.New(spaceBlock)
+		sp.sel = sp.first[:0]
 		s.vpes[vpe] = sp
 	}
 	return sp

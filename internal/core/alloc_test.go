@@ -113,20 +113,20 @@ func BenchmarkDeriveSyscall(b *testing.B) {
 }
 
 // TestDeriveAllocationCeiling bounds what a warmed local derive allocates:
-// its memory object is a slot in the machine's current chunk
+// its memory object is a slot in the machine's current block
 // (System.newMemObject), 1/64 of a malloc, and the capability is copied
 // into the store's slab; the rest is the amortized growth of the slabs, the
 // key map and the selector space under the one root. The warm-up ends on a
-// chunk boundary, so the 640 derives take exactly ten chunks, and the
+// block boundary, so the 640 derives take exactly ten blocks, and the
 // measured 32 mallocs are those plus 22 growth steps. A derive allocated a
-// whole object of its own, 1 per op, before objects came in chunks. The
+// whole object of its own, 1 per op, before objects came in blocks. The
 // ceiling is the measured average, with and without the race detector.
 func TestDeriveAllocationCeiling(t *testing.T) {
-	const ceiling, runs = 0.05, 10 * memObjChunk
+	const ceiling, runs = 0.05, 10 * memObjBlock
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	s, step := deriveStepper(t)
 	defer s.Close()
-	for i := 0; i < 2*memObjChunk; i++ { // the root and 127 children
+	for i := 0; i < 2*memObjBlock; i++ { // the root and 127 children
 		step()
 	}
 	total := mallocs(func() {
@@ -141,16 +141,16 @@ func TestDeriveAllocationCeiling(t *testing.T) {
 }
 
 // TestMemObjectsAcrossChunks: the memory objects of both kernels of a
-// machine come out of one chunk sequence (System.newMemObject), and a slot
+// machine come out of one block sequence (System.newMemObject), and a slot
 // is never shared by two objects. VPEs on the two kernels take turns over
 // 3×64+1 derives, each of a region no other derive has, which fills three
-// chunks and opens a fourth. Every child holds its own region, no two
+// blocks and opens a fourth. Every child holds its own region, no two
 // separately minted capabilities share an object, and an obtained
 // capability shares its parent's object by design. After the revoke of one
 // VPE's root, a collection and more derives, an endpoint activated from a
 // surviving capability still reaches exactly its own region.
 func TestMemObjectsAcrossChunks(t *testing.T) {
-	const derives = 3*memObjChunk + 1
+	const derives = 3*memObjBlock + 1
 	s := newTestSystem(t, 2, 2)
 	pes := s.UserPEs()
 	var job func(v *VPE, p *sim.Proc)
@@ -242,7 +242,7 @@ func TestMemObjectsAcrossChunks(t *testing.T) {
 			got.Object, got.Parent, want.Object, want.Key)
 	}
 
-	// Revoke VPE 0's tree, collect, and mint a chunk's worth more on kernel 1.
+	// Revoke VPE 0's tree, collect, and mint a block's worth more on kernel 1.
 	run(0, func(v *VPE, p *sim.Proc) error { return v.Revoke(p, roots[0]) })
 	runtime.GC()
 	var survivors []child
@@ -251,7 +251,7 @@ func TestMemObjectsAcrossChunks(t *testing.T) {
 			survivors = append(survivors, c)
 		}
 	}
-	for n := derives; n < derives+memObjChunk; n++ {
+	for n := derives; n < derives+memObjBlock; n++ {
 		survivors = append(survivors, derive(1, n))
 	}
 	check(survivors)
@@ -789,5 +789,33 @@ func BenchmarkSpanningRevoke(b *testing.B) {
 		plant()
 		b.StartTimer()
 		revoke()
+	}
+}
+
+// BenchmarkBoot is one machine's boot per op: NewSystem with 8 kernels and
+// 64 user PEs, a VPE on each that exits from its program at once, run to
+// quiescence and closed, on an engine recycled through a pool as the harness
+// does. Its allocs/op are the per-machine records: kernels, pools, DTUs,
+// the VPEs and the wait records of their syscall threads.
+func BenchmarkBoot(b *testing.B) {
+	pool := sim.NewPool()
+	empty := func(*VPE, *sim.Proc) {}
+	boot := func() {
+		eng := pool.Get()
+		s := MustNew(Config{Kernels: 8, UserPEs: 64, Engine: eng})
+		for _, pe := range s.UserPEs() {
+			if _, err := s.SpawnOn(pe, "empty", empty); err != nil {
+				b.Fatal(err)
+			}
+		}
+		s.Run()
+		s.Close()
+		pool.Put(eng)
+	}
+	boot()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		boot()
 	}
 }

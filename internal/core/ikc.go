@@ -363,7 +363,7 @@ func (k *Kernel) post(p *sim.Proc, dst int, req *ikcRequest) {
 	k.stats.IKCSent++
 	pr := k.peer(dst)
 	if !pr.credits.TryAcquire() {
-		if k.holder.pl == k.revokePool {
+		if k.holder.pl == &k.revokePool {
 			pr.deferred.Push(req.hold())
 			return
 		}

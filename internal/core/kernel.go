@@ -108,10 +108,12 @@ type Kernel struct {
 	// a thread runs with the CPU held, its own (kthread.go).
 	holder *kthread
 
-	syscallPool    *pool
-	ikcPool        *pool
-	revokePool     *pool
-	completionPool *pool // revoke-reply processing ("main loop" work)
+	syscallPool pool
+	ikcPool     pool
+	revokePool  pool
+	// completionPool does revoke-reply processing ("main loop" work); it
+	// is set up on first use, and its k is nil until then (compSubmit).
+	completionPool pool
 
 	// batching is the unified IKC transport's policy; xmit is the wait
 	// record of the transport's transmit proc and flushQ its work queue,
@@ -144,8 +146,9 @@ type Kernel struct {
 	seq     uint64
 
 	// queries are the released VPE/service query records awaiting reuse
-	// (query).
-	queries []*query
+	// (query); new ones come from queryRecs.
+	queries   []*query
+	queryRecs sim.Blocks[query]
 
 	// pendingDelegations holds capabilities created by the delegate
 	// two-way handshake that await the originator's acknowledgement.
@@ -160,8 +163,9 @@ type Kernel struct {
 	stats KernelStats
 }
 
-func newKernel(s *System, id int) *Kernel {
-	k := &Kernel{
+// newKernel boots kernel id of s in the record k.
+func newKernel(k *Kernel, s *System, id int) {
+	*k = Kernel{
 		id:          id,
 		pe:          id,
 		incarnation: 1,
@@ -177,22 +181,25 @@ func newKernel(s *System, id int) *Kernel {
 		peers:       make([]*peer, s.cfg.Kernels),
 		pending:     make(map[uint64]awaited),
 	}
+	// Groups are contiguous runs of the user PEs, none longer than this.
+	k.group = make([]int, 0, (len(s.userPEs)+s.cfg.Kernels-1)/s.cfg.Kernels)
 	for _, pe := range s.userPEs {
 		if s.member.KernelOf(pe) == id {
 			k.group = append(k.group, pe)
 		}
 	}
-	k.syscallPool = newPool(k, "sys", max(len(k.group), 1))
-	k.ikcPool = newPool(k, "ikc", k.ikcWindow())
-	k.revokePool = newPool(k, "rev", RevokeThreads)
+	newPool(&k.syscallPool, k, "sys", max(len(k.group), 1))
+	newPool(&k.ikcPool, k, "ikc", k.ikcWindow())
+	newPool(&k.revokePool, k, "rev", RevokeThreads)
 	// Configure the kernel DTU's syscall receive endpoints; messages are
-	// dispatched to the syscall pool. Inter-kernel legs are ikcWires.
+	// dispatched to the syscall pool. Inter-kernel legs are ikcWires. The
+	// handler is bound once for all of them.
+	onMsg := k.onSyscallMsg
 	for ep := kernelSyscallEP0; ep < kernelSyscallEP0+SyscallRecvEPs; ep++ {
-		if err := k.dtu.ConfigureRecv(k.dtu, ep, dtu.DefaultSlots, k.onSyscallMsg); err != nil {
+		if err := k.dtu.ConfigureRecv(k.dtu, ep, dtu.DefaultSlots, onMsg); err != nil {
 			panic(err)
 		}
 	}
-	return k
 }
 
 // ikcWindow is the total inter-kernel in-flight budget this kernel must be
@@ -277,24 +284,24 @@ type pool struct {
 	max     int
 	spawned int
 	q       *sim.Queue[job]
-	// threads lists the spawned threads' wait records, newest first; spare
-	// are the records of the current chunk no thread has taken yet. Records
-	// come threadChunk at a time: a pool that needs one thread mostly needs
+	// threads lists the spawned threads' wait records, newest first. The
+	// records come from blocks of threadBlock, or of what is left of max if
+	// that is less (newThread): a pool that needs one thread mostly needs
 	// several (a group's VPEs boot at one instant), and a malloc per thread
 	// would be the only one a thread costs outside sim.
 	threads *kthread
-	spare   []kthread
-	records int // allocated so far, at most max
+	records sim.Blocks[kthread]
+	taken   int // records handed out so far, at most max
 	// threadName and work as func values, bound once: taking them per
 	// spawned thread would allocate two closures per thread.
 	nameFn func(idx int) string
 	workFn func(p *sim.Proc)
 }
 
-func newPool(k *Kernel, name string, max int) *pool {
-	pl := &pool{k: k, name: name, max: max, q: sim.NewQueue[job](k.sys.Eng)}
+// newPool sets up the pool in the record pl.
+func newPool(pl *pool, k *Kernel, name string, max int) {
+	*pl = pool{k: k, name: name, max: max, q: sim.NewQueue[job](k.sys.Eng)}
 	pl.nameFn, pl.workFn = pl.threadName, pl.work
-	return pl
 }
 
 // threadName formats the diagnostic name of the pool's idx-th thread.
@@ -342,17 +349,13 @@ func (pl *pool) work(p *sim.Proc) {
 	}
 }
 
-// threadChunk is how many wait records a pool allocates at a time.
-const threadChunk = 4
+// threadBlock is how many wait records a pool allocates at a time.
+const threadBlock = 4
 
 // newThread hands the calling thread its wait record, parked for a job.
 func (pl *pool) newThread() *kthread {
-	if len(pl.spare) == 0 {
-		pl.spare = make([]kthread, min(threadChunk, pl.max-pl.records))
-		pl.records += len(pl.spare)
-	}
-	t := &pl.spare[0]
-	pl.spare = pl.spare[1:]
+	t := pl.records.New(min(threadBlock, pl.max-pl.taken))
+	pl.taken++
 	t.pl, t.next, t.stage = pl, pl.threads, stageJob
 	pl.threads = t
 	return t
@@ -378,12 +381,14 @@ func (k *Kernel) createVPE(v *VPE) {
 		must(v.dtu.ConfigureRecv(k.dtu, vpeSyscallReplyEP, 2, nil))
 		must(v.dtu.ConfigureRecv(k.dtu, vpeServiceReplyEP, 2, nil))
 		v.dtu.Downgrade()
-		// The VPE's root capability: control over itself.
+		// The VPE's root capability: control over itself. Its object lives
+		// in the VPE's record.
+		v.obj = cap.VPEObject{VPE: v.ID, PE: v.PE}
 		vcap := &cap.Capability{
 			Key:    k.gen.Next(v.PE, v.ID, ddl.TypeVPE),
 			Owner:  v.ID,
 			Sel:    k.store.AllocSel(v.ID),
-			Object: &cap.VPEObject{VPE: v.ID, PE: v.PE},
+			Object: &v.obj,
 			Perm:   dtu.PermRW,
 		}
 		k.store.Insert(vcap)
@@ -447,6 +452,10 @@ type query struct {
 	fire   func() // onFire, bound once
 }
 
+// queryBlock is how many query records a kernel allocates at a time: about
+// as many as a kernel of a loaded machine ever has out at once.
+const queryBlock = 2
+
 // newQuery takes a record off the free list (or makes one) for a question
 // from k to v.
 func (k *Kernel) newQuery(v *VPE) *query {
@@ -455,8 +464,8 @@ func (k *Kernel) newQuery(v *VPE) *query {
 		q = k.queries[n-1]
 		k.queries = k.queries[:n-1]
 	} else {
-		q = &query{k: k}
-		q.fire = q.onFire
+		q = k.queryRecs.New(queryBlock)
+		q.k, q.fire = k, q.onFire
 	}
 	q.v = v
 	return q

@@ -216,8 +216,8 @@ func TestKillKernelThreadsInEveryStage(t *testing.T) {
 	stages := map[waitStage]bool{}
 	note := func(s *System) {
 		for _, k := range s.kernels {
-			for _, pl := range [...]*pool{k.syscallPool, k.ikcPool, k.revokePool, k.completionPool} {
-				if pl == nil {
+			for _, pl := range [...]*pool{&k.syscallPool, &k.ikcPool, &k.revokePool, &k.completionPool} {
+				if pl.k == nil {
 					continue
 				}
 				for th := pl.threads; th != nil; th = th.next {

@@ -55,8 +55,8 @@ func (s *System) Audit(dead ...int) []string {
 func (s *System) CheckQuiescent() []string {
 	var out []string
 	for _, k := range s.kernels {
-		for _, pl := range [...]*pool{k.syscallPool, k.ikcPool, k.revokePool, k.completionPool} {
-			if pl == nil {
+		for _, pl := range [...]*pool{&k.syscallPool, &k.ikcPool, &k.revokePool, &k.completionPool} {
+			if pl.k == nil {
 				continue
 			}
 			// threads is newest first; names count from the oldest.

@@ -281,8 +281,8 @@ func (k *Kernel) forwardBatches(p *sim.Proc, rs *revState) {
 // compSubmit schedules completion processing of one revoke reply on the
 // kernel CPU, in the completion pool ("main loop" work), created lazily.
 func (k *Kernel) compSubmit(rs *revState) {
-	if k.completionPool == nil {
-		k.completionPool = newPool(k, "cmp", 1)
+	if k.completionPool.k == nil {
+		newPool(&k.completionPool, k, "cmp", 1)
 	}
 	k.completionPool.submit(job{kind: jobRevokeDone, subj: rs})
 }

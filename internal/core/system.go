@@ -128,9 +128,10 @@ type System struct {
 	// reuse (reliability.go, xmitState).
 	xmits []*xmitState
 
-	// memObjs is the unused tail of the current memory-object chunk
-	// (newMemObject).
-	memObjs []cap.MemObject
+	// vpeRecs and memObjs are the blocks the machine's VPEs (SpawnOn) and
+	// memory objects (newMemObject) come from.
+	vpeRecs sim.Blocks[VPE]
+	memObjs sim.Blocks[cap.MemObject]
 
 	// vpeProcNameFn is vpeProcName, bound once for every VPE's SpawnLazy.
 	vpeProcNameFn func(id int) string
@@ -169,6 +170,10 @@ func NewSystem(cfg Config) (*System, error) {
 		Fab:      fab,
 		Cost:     cost,
 		member:   ddl.NewMembership(nodes),
+		kernels:  make([]*Kernel, cfg.Kernels),
+		userPEs:  make([]int, 0, cfg.UserPEs),
+		memPEs:   make([]int, 0, cfg.MemPEs),
+		vpes:     make([]*VPE, 0, cfg.UserPEs),
 		peToVPE:  make([]*VPE, nodes),
 		services: make(map[string]*serviceEntry),
 		dramNext: make([]uint64, cfg.MemPEs),
@@ -201,8 +206,10 @@ func NewSystem(cfg Config) (*System, error) {
 		fab.DTU(pe).Downgrade()
 	}
 	// Boot the kernels; the now-static table stands for every replica.
-	for k := 0; k < cfg.Kernels; k++ {
-		s.kernels = append(s.kernels, newKernel(s, k))
+	recs := make([]Kernel, cfg.Kernels)
+	for k := range recs {
+		newKernel(&recs[k], s, k)
+		s.kernels[k] = &recs[k]
 	}
 	// Schedule crash recoveries: at RecoverAt the kernel's links
 	// un-blackhole (fault.Injector window) and the kernel itself starts the
@@ -276,21 +283,17 @@ func (s *System) allocDRAM(size uint64) (pe int, off uint64, err error) {
 	return 0, 0, errors.New("core: out of DRAM")
 }
 
-// memObjChunk is how many memory objects one allocation serves.
-const memObjChunk = 64
+// memObjBlock is how many memory objects one allocation serves.
+const memObjBlock = 64
 
 // newMemObject returns a pointer to a copy of o in the machine's current
-// chunk of memory objects, starting a new chunk when that one is used up.
-// Objects are immutable (cap.Object), so a slot is never reused: a chunk is
-// garbage once none of its objects is referenced. One chunk serves every
-// kernel of the machine, since only one proc runs at a time.
+// block of memory objects. Objects are immutable (cap.Object), so a slot is
+// never reused: a block is garbage once none of its objects is referenced.
+// One block serves every kernel of the machine, since only one proc runs at
+// a time.
 func (s *System) newMemObject(o cap.MemObject) *cap.MemObject {
-	if len(s.memObjs) == 0 {
-		s.memObjs = make([]cap.MemObject, memObjChunk)
-	}
-	obj := &s.memObjs[0]
+	obj := s.memObjs.New(memObjBlock)
 	*obj = o
-	s.memObjs = s.memObjs[1:]
 	return obj
 }
 
@@ -336,7 +339,10 @@ func (s *System) SpawnOn(pe int, name string, prog Program) (*VPE, error) {
 		return nil, fmt.Errorf("core: PE %d is already occupied", pe)
 	}
 	k := s.KernelOfPE(pe)
-	v := &VPE{
+	// One block holds a VPE for every user PE: a machine mostly runs one on
+	// each, and an exited VPE's PE may take another.
+	v := s.vpeRecs.New(s.cfg.UserPEs)
+	*v = VPE{
 		ID:     s.nextVPE,
 		Name:   name,
 		PE:     pe,

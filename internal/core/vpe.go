@@ -77,6 +77,10 @@ type VPE struct {
 	exited  bool
 	started bool
 	capOps  uint64
+
+	// obj is the object of the VPE's root capability (createVPE), set once
+	// before the capability is made and never again (cap.Object).
+	obj cap.VPEObject
 }
 
 // Kernel returns the kernel managing this VPE.

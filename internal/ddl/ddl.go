@@ -128,26 +128,13 @@ func (k Key) String() string {
 }
 
 // Generator hands out fresh object ids per creator (pe, vpe) pair, so that
-// keys minted by one kernel never collide.
-//
-// Counters live in lazily allocated dense pages indexed by VPE id: almost
-// every VPE mints exclusively through its own PE, so one (pe, counter) entry
-// per VPE covers the hot path without a map lookup or per-creator
-// allocation. The rare second PE minting for the same VPE falls back to a
-// small overflow map, preserving the independent per-(pe, vpe) counters.
+// keys minted by one kernel never collide. Each creator has a counter of its
+// own, from 0, in a KeyMap: a kernel holds counters only for the creators
+// it serves (its group's VPEs, and the rare second PE minting for one of
+// them), whatever their global ids.
 type Generator struct {
-	pages    []*genPage
-	overflow map[uint32]uint64
+	counters KeyMap[uint64]
 }
-
-const genPageSize = 64
-
-type genEntry struct {
-	pe int32 // PE bound to this VPE's dense counter; -1 = unused
-	n  uint64
-}
-
-type genPage [genPageSize]genEntry
 
 // NewGenerator returns an empty key generator.
 func NewGenerator() *Generator {
@@ -166,37 +153,11 @@ func (g *Generator) NextID(pe, vpe int) uint64 {
 	if pe < 0 || pe >= MaxPEs || vpe < 0 || vpe >= MaxVPEs {
 		panic(fmt.Sprintf("ddl: creator (%d, %d) out of range", pe, vpe))
 	}
-	pi := vpe / genPageSize
-	for pi >= len(g.pages) {
-		g.pages = append(g.pages, nil)
-	}
-	pg := g.pages[pi]
-	if pg == nil {
-		pg = new(genPage)
-		for i := range pg {
-			pg[i].pe = -1
-		}
-		g.pages[pi] = pg
-	}
-	e := &pg[vpe%genPageSize]
-	switch e.pe {
-	case int32(pe):
-		obj := e.n
-		e.n++
-		return obj
-	case -1:
-		e.pe = int32(pe)
-		e.n = 1
-		return 0
-	}
-	// A second PE minting for the same VPE: independent counter via the
-	// overflow map, exactly like the pre-slab map-per-creator behavior.
-	if g.overflow == nil {
-		g.overflow = make(map[uint32]uint64)
-	}
-	id := uint32(pe)<<16 | uint32(vpe)
-	obj := g.overflow[id]
-	g.overflow[id] = obj + 1
+	// The creator's fields alone, plus one: never the invalid key 0.
+	creator := Key(uint64(pe)<<VPEBits|uint64(vpe)) + 1
+	n := g.counters.slot(creator)
+	obj := *n
+	*n++
 	return obj
 }
 

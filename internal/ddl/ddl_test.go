@@ -96,6 +96,43 @@ func TestGeneratorIndependentCreators(t *testing.T) {
 	}
 }
 
+// TestGeneratorSequences: interleaved creators each count from 0 on their
+// own, whatever their global ids — VPEs 63 and 64, which the generator once
+// kept on different pages, and 4095 — and a second PE minting for a VPE
+// that another PE minted for first has a sequence of its own too. These are
+// the ids the generator produced when it paged its counters by VPE id and
+// kept second PEs in an overflow map.
+func TestGeneratorSequences(t *testing.T) {
+	type mint struct {
+		pe, vpe int
+		want    uint64
+	}
+	for _, tc := range []struct {
+		name  string
+		mints []mint
+	}{
+		{"one creator", []mint{{3, 0, 0}, {3, 0, 1}, {3, 0, 2}}},
+		{"interleaved VPEs", []mint{
+			{10, 63, 0}, {11, 64, 0}, {10, 63, 1}, {12, 4095, 0}, {11, 64, 1}, {10, 63, 2}, {12, 4095, 1},
+		}},
+		{"second PE for one VPE", []mint{
+			{5, 7, 0}, {6, 7, 0}, {5, 7, 1}, {6, 7, 1}, {6, 7, 2}, {5, 7, 2}, {9, 7, 0},
+		}},
+		{"PE 0, VPE 0 and the field limits", []mint{
+			{0, 0, 0}, {MaxPEs - 1, MaxVPEs - 1, 0}, {0, 0, 1}, {0, MaxVPEs - 1, 0}, {MaxPEs - 1, 0, 0}, {MaxPEs - 1, MaxVPEs - 1, 1},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := NewGenerator()
+			for i, m := range tc.mints {
+				if got := g.NextID(m.pe, m.vpe); got != m.want {
+					t.Fatalf("mint %d by (%d, %d) = %d, want %d", i, m.pe, m.vpe, got, m.want)
+				}
+			}
+		})
+	}
+}
+
 func TestMembership(t *testing.T) {
 	m := NewMembership(8)
 	if m.KernelOf(3) != -1 {

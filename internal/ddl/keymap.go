@@ -53,7 +53,12 @@ func (m *KeyMap[V]) Get(k Key) (V, bool) {
 }
 
 // Put stores v under k, replacing any existing entry.
-func (m *KeyMap[V]) Put(k Key, v V) {
+func (m *KeyMap[V]) Put(k Key, v V) { *m.slot(k) = v }
+
+// slot returns a pointer to the value stored under k, entering k with the
+// zero value first if it is absent: a read-modify-write in one probe. The
+// pointer is valid until the table next changes.
+func (m *KeyMap[V]) slot(k Key) *V {
 	if k == 0 {
 		panic("ddl: KeyMap key 0 (invalid key)")
 	}
@@ -65,13 +70,11 @@ func (m *KeyMap[V]) Put(k Key, v V) {
 	for i := hashKey(k) & mask; ; i = (i + 1) & mask {
 		switch m.keys[i] {
 		case k:
-			m.vals[i] = v
-			return
+			return &m.vals[i]
 		case 0:
 			m.keys[i] = k
-			m.vals[i] = v
 			m.n++
-			return
+			return &m.vals[i]
 		}
 	}
 }

@@ -26,9 +26,21 @@ type Client struct {
 
 	req Request
 	// files holds the handles by descriptor, files[fd-1]: the service hands
-	// a closed descriptor out again, and its handle is reused with it.
-	files []*File
+	// a closed descriptor out again, and its handle is reused with it. The
+	// table starts in the record (first), like the service's, and the
+	// handles come from a block of the client's.
+	files   []*File
+	first   [firstFDs]*File
+	handles sim.Blocks[File]
 }
+
+// Block sizes of a client's records: the handles of the files an
+// application keeps open at once, and the range capabilities one file
+// holds before its list moves out of the handle.
+const (
+	handleBlock = 2
+	firstRanges = 4
+)
 
 // dataCyclesPerByte models the time to move one byte of file data through a
 // memory endpoint against a non-contended memory controller (the paper's
@@ -42,7 +54,9 @@ func Dial(p *sim.Proc, v *core.VPE, service string) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("m3fs: dial %s: %w", service, err)
 	}
-	return &Client{v: v, sess: sess}, nil
+	c := &Client{v: v, sess: sess}
+	c.files = c.first[:0]
+	return c, nil
 }
 
 // Close closes the session (revoking the session capability).
@@ -118,8 +132,10 @@ type File struct {
 	pos  uint64
 
 	// ranges holds one obtained capability per touched extent, in obtain
-	// order — the order Close revokes them in.
+	// order — the order Close revokes them in. It starts in the handle
+	// (first).
 	ranges []rangeCap
+	first  [firstRanges]rangeCap
 }
 
 type rangeCap struct {
@@ -142,7 +158,8 @@ func (c *Client) Open(p *sim.Proc, path string, create, truncate bool) (*File, e
 	}
 	f := c.files[rep.FD-1]
 	if f == nil {
-		f = &File{c: c}
+		f = c.handles.New(handleBlock)
+		f.c, f.ranges = c, f.first[:0]
 		c.files[rep.FD-1] = f
 	}
 	f.fd, f.open, f.size, f.pos, f.ranges = rep.FD, true, rep.Size, 0, f.ranges[:0]

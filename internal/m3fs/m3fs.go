@@ -142,8 +142,10 @@ type session struct {
 	client int
 	// files are the open descriptors: files[fd-1], nil when free. A closed
 	// descriptor is the next one handed out, so the table stays as small
-	// as the most files the client ever had open.
+	// as the most files the client ever had open. It starts in the record
+	// (first), which covers the files an application keeps open at once.
 	files []*fileNode
+	first [firstFDs]*fileNode
 	// rep answers the session's one outstanding request (see Reply).
 	rep Reply
 }
@@ -173,6 +175,16 @@ type extKey struct {
 	idx    int
 }
 
+// Block sizes of an FS's records where nothing tells it better (Reserve
+// does for the preloaded image), and how many descriptors a session holds
+// before its table moves out of the record.
+const (
+	sessionBlock = 4
+	fileBlock    = 8
+	extentBlock  = 32
+	firstFDs     = 4
+)
+
 // FS is one filesystem service instance.
 type FS struct {
 	cfg      Config
@@ -185,10 +197,14 @@ type FS struct {
 	sessions map[uint64]*session
 	extCaps  map[extKey]cap.Selector
 	stats    Stats
-	// fileSlab and extSlab hold the records and extent lists Reserve made
-	// room for (see there).
-	fileSlab []fileNode
-	extSlab  []uint64
+	// The FS's sessions, files and extent lists come from blocks it owns.
+	// reserved is the preloaded files Reserve announced that are still to
+	// be made. extents is the unused rest of the current extent arena
+	// (extentList).
+	sessRecs sim.Blocks[session]
+	fileRecs sim.Blocks[fileNode]
+	reserved int
+	extents  []uint64
 }
 
 // NewFS creates an (unstarted) filesystem instance for the given service
@@ -292,17 +308,10 @@ func (fs *FS) walk(dir, path string) (parent dirNode, name string, n node) {
 
 // Reserve makes room for the next files preloaded files, which hold extents
 // extents in all (see ExtentsFor): their records and extent lists then come
-// from one allocation each instead of one per file. A file's extent list is
-// capped at its own length, so growing the file later copies the list out
-// instead of overwriting the next file's.
+// from one allocation each instead of one per file.
 func (fs *FS) Reserve(files, extents int) {
-	fs.fileSlab = make([]fileNode, files)
-	fs.extSlab = make([]uint64, extents)
-}
-
-// ExtentsFor returns how many extents a file of size bytes occupies.
-func (fs *FS) ExtentsFor(size uint64) int {
-	return int((size + ExtentBytes - 1) / ExtentBytes)
+	fs.reserved = files
+	fs.extents = make([]uint64, extents)
 }
 
 // MustMkdirAll creates a directory path in the image (boot time; no
@@ -348,10 +357,6 @@ func (fs *FS) MustCreateIn(dir, path string, size uint64) {
 		panic("m3fs: file exists: " + joinPath(dir, path))
 	}
 	f := fs.newFile()
-	if need := fs.ExtentsFor(size); need > 0 && need <= len(fs.extSlab) {
-		f.extents = fs.extSlab[:0:need]
-		fs.extSlab = fs.extSlab[need:]
-	}
 	if err := fs.grow(f, size); err != nil {
 		panic("m3fs: image full while preloading " + joinPath(dir, path))
 	}
@@ -366,33 +371,19 @@ func joinPath(dir, path string) string {
 	return dir + "/" + path
 }
 
-// newFile returns the record of a new, empty file, from the Reserve slab
-// while it lasts.
+// newFile returns the record of a new, empty file. The files Reserve
+// announced come from one block of their number, the rest fileBlock at a
+// time.
 func (fs *FS) newFile() *fileNode {
-	var f *fileNode
-	if len(fs.fileSlab) > 0 {
-		f, fs.fileSlab = &fs.fileSlab[0], fs.fileSlab[1:]
-	} else {
-		f = new(fileNode)
+	block := fileBlock
+	if fs.reserved > 0 {
+		block = fs.reserved
+		fs.reserved--
 	}
+	f := fs.fileRecs.New(block)
 	f.id = fs.nextFile
 	fs.nextFile++
 	return f
-}
-
-// grow extends a file to newSize, allocating extents from the image.
-func (fs *FS) grow(f *fileNode, newSize uint64) error {
-	for need := fs.ExtentsFor(newSize); len(f.extents) < need; {
-		if fs.nextOff+ExtentBytes > fs.cfg.ImageBytes {
-			return core.ErrOutOfMem
-		}
-		f.extents = append(f.extents, fs.nextOff)
-		fs.nextOff += ExtentBytes
-	}
-	if newSize > f.size {
-		f.size = newSize
-	}
-	return nil
 }
 
 // --- service handlers --------------------------------------------------------
@@ -401,7 +392,10 @@ func (fs *FS) onOpen(p *sim.Proc, clientVPE int, args any) core.SvcResult {
 	p.Charge(sessionCycles)
 	fs.nextSess++
 	ident := fs.nextSess
-	fs.sessions[ident] = &session{ident: ident, client: clientVPE}
+	sess := fs.sessRecs.New(sessionBlock)
+	sess.ident, sess.client = ident, clientVPE
+	sess.files = sess.first[:0]
+	fs.sessions[ident] = sess
 	return core.SvcResult{Ident: ident}
 }
 

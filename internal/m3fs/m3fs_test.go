@@ -89,7 +89,7 @@ func TestWriteExtendsFile(t *testing.T) {
 	s.Run()
 }
 
-// TestGrowingPreloadedFileKeepsNeighbour: preloaded files share one slab of
+// TestGrowingPreloadedFileKeepsNeighbour: preloaded files share one arena of
 // extents, each list capped at its own length, so an OpExtend of the first
 // file copies its list out instead of writing over the second file's.
 func TestGrowingPreloadedFileKeepsNeighbour(t *testing.T) {

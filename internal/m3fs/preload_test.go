@@ -55,9 +55,9 @@ func TestPreloadMatchesJoinedPaths(t *testing.T) {
 // and the root's first entry 1 more. Each directory is one map: 1 or 2
 // allocations up to eight entries, 4 beyond (find's nine-entry
 // directories), made at that size so it never grows. The files take one
-// slab of records and one of extents between them. No path is joined and no
-// file has an allocation of its own. The ceilings are the measured counts,
-// with and without the race detector.
+// block of records and one arena of extents between them. No path is
+// joined and no file has an allocation of its own. The ceilings are the
+// measured counts, with and without the race detector.
 func TestPreloadAllocationCeiling(t *testing.T) {
 	ceiling := map[string]float64{
 		"tar": 9, "untar": 9, "find": 43, "sqlite": 6, "leveldb": 6, "postmark": 10,

@@ -1,6 +1,9 @@
 package trace
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestAllTracesPresent(t *testing.T) {
 	all := All()
@@ -28,12 +31,18 @@ func TestAllTracesPresent(t *testing.T) {
 	}
 }
 
+// TestByName: ByName generates each of All's traces on its own, equal to
+// All's in every field, and knows no other name.
 func TestByName(t *testing.T) {
-	if ByName("tar") == nil || ByName("postmark") == nil {
-		t.Fatal("ByName failed for known traces")
+	for _, want := range All() {
+		if got := ByName(want.Name); !reflect.DeepEqual(got, want) {
+			t.Errorf("ByName(%q) differs from All's trace of that name", want.Name)
+		}
 	}
-	if ByName("nope") != nil {
-		t.Fatal("ByName returned a trace for an unknown name")
+	for _, name := range []string{"nope", "", "Tar", "nginx"} {
+		if got := ByName(name); got != nil {
+			t.Errorf("ByName(%q) = trace %q, want nil", name, got.Name)
+		}
 	}
 }
 

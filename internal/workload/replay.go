@@ -48,17 +48,24 @@ func Replay(v *core.VPE, p *sim.Proc, tr *trace.Trace, service, prefix string) e
 		return fmt.Errorf("replay %s: %w", tr.Name, err)
 	}
 	client.Prefix = prefix
-	var files []*m3fs.File // open files by trace slot
+	files := make([]*m3fs.File, slots(tr)) // open files by trace slot
 	for i := range tr.Ops {
 		op := &tr.Ops[i]
-		for op.Slot >= len(files) {
-			files = append(files, nil)
-		}
 		if err := replayOp(client, p, files, op); err != nil {
 			return fmt.Errorf("replay %s op %d (%d): %w", tr.Name, i, op.Kind, err)
 		}
 	}
 	return nil
+}
+
+// slots returns how many file slots tr's operations name: its highest
+// slot, plus one.
+func slots(tr *trace.Trace) int {
+	n := 0
+	for i := range tr.Ops {
+		n = max(n, tr.Ops[i].Slot+1)
+	}
+	return n
 }
 
 func replayOp(c *m3fs.Client, p *sim.Proc, files []*m3fs.File, op *trace.Op) error {
@@ -119,7 +126,7 @@ func replayOp(c *m3fs.Client, p *sim.Proc, files []*m3fs.File, op *trace.Op) err
 
 // Preload populates one filesystem instance with the input files for a set
 // of instance prefixes. It builds no paths: each file is created by walking
-// its prefix and its trace path in turn, from slabs sized to the whole
+// its prefix and its trace path in turn, from blocks sized to the whole
 // preload, in directories made with room for their entries.
 func Preload(tr *trace.Trace, prefixes []string) func(*m3fs.FS) {
 	top, entries := dirEntries(tr)

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -154,5 +155,37 @@ func BenchmarkRun(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestRunAllocationCeiling pins what one Run allocates per instance, warm:
+// a 4-kernel machine with 4 services and 64 instances per trace, on an
+// engine recycled through a pool, as the harness runs it. Machine boot,
+// image preload, replay and audit all count. The VPEs, sessions, open
+// files, extent lists, messages and wait records come in blocks, so what is
+// left per instance is mostly its procs and the closures and strings that
+// name them; find is the highest because each of its readdirs returns a
+// fresh listing. The ceilings are the measured counts (64.3 to 104.3, the
+// same with and without the race detector) rounded up to whole allocations,
+// so that a stray runtime allocation does not fail the pin; the records
+// made one at a time had every trace at 93 to 118.
+func TestRunAllocationCeiling(t *testing.T) {
+	const instances = 64
+	ceiling := map[string]float64{
+		"tar": 65, "untar": 65, "find": 105, "sqlite": 65, "leveldb": 65, "postmark": 68,
+	}
+	pool := sim.NewPool()
+	for _, tr := range trace.All() {
+		run := func() {
+			eng := pool.Get()
+			defer pool.Put(eng)
+			if _, err := Run(Config{Kernels: 4, Services: 4, Instances: instances, Trace: tr, Engine: eng}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		per := testing.AllocsPerRun(3, run) / instances
+		if per > ceiling[tr.Name] {
+			t.Errorf("%s: a warm run allocates %.1f times per instance, ceiling %v", tr.Name, per, ceiling[tr.Name])
+		}
 	}
 }
