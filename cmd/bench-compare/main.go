@@ -23,8 +23,9 @@
 //
 // Exit status: 0 when the reports agree (or -delta on readable input), 1
 // on drift (changed metrics, baseline rows missing from the fresh run, or
-// — unless -allow-new — rows the baseline does not know), 2 on usage or
-// read errors. Wallclock and worker-pool fields are ignored: only
+// — unless -allow-new — rows the baseline does not know) or when no row was
+// compared at all (an empty baseline side agrees with anything), 2 on usage
+// or read errors. Wallclock and worker-pool fields are ignored: only
 // simulated quantities are compared.
 package main
 
@@ -149,6 +150,10 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	}
 	if drift > 0 {
 		fmt.Fprintf(stdout, "bench-compare: %d drifting triple(s) between %s and %s\n", drift, basePath, freshPath)
+		return 1
+	}
+	if compared == 0 {
+		fmt.Fprintf(stdout, "bench-compare: no triple compared between %s and %s\n", basePath, freshPath)
 		return 1
 	}
 	fmt.Fprintf(stdout, "bench-compare: %d triples identical between %s and %s\n", compared, basePath, freshPath)

@@ -94,6 +94,23 @@ func TestDrift(t *testing.T) {
 	}
 }
 
+// TestNothingComparedFails: an empty baseline side — CI's race smoke is the
+// baseline of its compare — agrees with every row under -allow-new, so a
+// compare that matched no row fails instead of passing on nothing. -delta
+// only describes, and still exits 0.
+func TestNothingComparedFails(t *testing.T) {
+	code, out, _ := compare(t, nil, baseline(), "-allow-new")
+	if code != 1 || !strings.Contains(out, "bench-compare: no triple compared") || strings.Contains(out, "identical") {
+		t.Errorf("-allow-new with an empty baseline: exit %d, want 1 and no triple compared:\n%s", code, out)
+	}
+	if code, out, _ := compare(t, nil, nil); code != 1 {
+		t.Errorf("two empty reports: exit %d, want 1:\n%s", code, out)
+	}
+	if code, out, _ := compare(t, nil, baseline(), "-delta"); code != 0 {
+		t.Errorf("-delta with an empty baseline: exit %d, want 0:\n%s", code, out)
+	}
+}
+
 func TestDeltaPrintsEveryDifferingField(t *testing.T) {
 	fresh := baseline()
 	fresh[1].Metrics.Cycles = 110

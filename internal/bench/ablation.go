@@ -112,19 +112,12 @@ func AblationBatching(o Options, maxKids, extra int) AblationResult {
 // envelope counts once), so the reply-direction saving is visible on its
 // own.
 
-// IKCRow compares plain and batched transport at one fan-out breadth.
-// PlainMsgs/BatchedMsgs are request+reply totals; the *ReqMsgs/*RepMsgs
-// fields split them by direction.
+// IKCRow compares plain and batched transport at one fan-out breadth: the
+// Metrics of its two cells (Cycles is the fan-out's makespan, ReqMsgs and
+// RepMsgs its wire messages by direction).
 type IKCRow struct {
 	Clients        int
-	PlainCycles    sim.Duration
-	BatchedCycles  sim.Duration
-	PlainMsgs      uint64
-	BatchedMsgs    uint64
-	PlainReqMsgs   uint64
-	BatchedReqMsgs uint64
-	PlainRepMsgs   uint64
-	BatchedRepMsgs uint64
+	Plain, Batched Metrics
 }
 
 // AblationIKCResult holds the transport ablation over fan-out breadths.
@@ -288,19 +281,7 @@ func AblationIKC(o Options, maxClients, extra int) AblationIKCResult {
 	for ki := range ikcOps {
 		rows := make([]IKCRow, 0, len(breadths))
 		for bi, n := range breadths {
-			plain := rs[idx(ki, bi, 0)].Metrics
-			batched := rs[idx(ki, bi, 1)].Metrics
-			rows = append(rows, IKCRow{
-				Clients:        n,
-				PlainCycles:    sim.Duration(plain.Cycles),
-				BatchedCycles:  sim.Duration(batched.Cycles),
-				PlainMsgs:      plain.ReqMsgs + plain.RepMsgs,
-				BatchedMsgs:    batched.ReqMsgs + batched.RepMsgs,
-				PlainReqMsgs:   plain.ReqMsgs,
-				BatchedReqMsgs: batched.ReqMsgs,
-				PlainRepMsgs:   plain.RepMsgs,
-				BatchedRepMsgs: batched.RepMsgs,
-			})
+			rows = append(rows, IKCRow{Clients: n, Plain: rs[idx(ki, bi, 0)].Metrics, Batched: rs[idx(ki, bi, 1)].Metrics})
 		}
 		if ki == 0 {
 			r.Exchange = rows
@@ -319,14 +300,15 @@ func (r AblationIKCResult) Print(w io.Writer) {
 		fmt.Fprintf(w, "Ablation: %s batching (fan-out over 1+%d kernels)\n", name, r.ExtraKernels)
 		fmt.Fprintln(w, "clients  plain(µs)  batched(µs)  speedup   plain req+rep      batched req+rep    msg-cut")
 		for _, row := range rows {
+			p, b := row.Plain, row.Batched
 			fmt.Fprintf(w, "%6d   %9.2f  %11.2f  %6.2fx   %6d+%-6d      %6d+%-6d     %5.2fx\n",
 				row.Clients,
-				float64(row.PlainCycles)/core.CyclesPerMicrosecond,
-				float64(row.BatchedCycles)/core.CyclesPerMicrosecond,
-				float64(row.PlainCycles)/float64(row.BatchedCycles),
-				row.PlainReqMsgs, row.PlainRepMsgs,
-				row.BatchedReqMsgs, row.BatchedRepMsgs,
-				float64(row.PlainMsgs)/float64(row.BatchedMsgs))
+				float64(p.Cycles)/core.CyclesPerMicrosecond,
+				float64(b.Cycles)/core.CyclesPerMicrosecond,
+				float64(p.Cycles)/float64(b.Cycles),
+				p.ReqMsgs, p.RepMsgs,
+				b.ReqMsgs, b.RepMsgs,
+				float64(p.ReqMsgs+p.RepMsgs)/float64(b.ReqMsgs+b.RepMsgs))
 		}
 	}
 	section("capability exchange", r.Exchange)

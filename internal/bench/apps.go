@@ -207,56 +207,40 @@ func Fig6(o Options) EffResult {
 // counts form one task batch.
 func Fig7(o Options) []EffResult {
 	kernels, _ := o.scaleCfg(64, 64)
-	svcCounts := []int{4, 8, 16, 32, 48, 64}
-	traces := []*trace.Trace{trace.Tar(), trace.SQLite()}
-	var specs []sweepSpec
-	for _, tr := range traces {
-		for _, s := range svcCounts {
-			_, services := o.scaleCfg(64, s)
-			specs = append(specs, sweepSpec{tr: tr, kernels: kernels, services: services, steps: o.sparseSteps()})
-		}
-	}
-	pts := o.runEffSweeps("fig7", specs)
-	var out []EffResult
-	for ti, tr := range traces {
-		res := EffResult{Title: fmt.Sprintf("Figure 7 (%s): service dependence, %d kernels", tr.Name, kernels)}
-		for si := range svcCounts {
-			sp := specs[ti*len(svcCounts)+si]
-			res.Series = append(res.Series, EffSeries{
-				Label:  fmt.Sprintf("%dK %dS", sp.kernels, sp.services),
-				Points: pts[ti*len(svcCounts)+si],
-			})
-		}
-		out = append(out, res)
-	}
-	return out
+	return o.dependence("fig7", "Figure 7", fmt.Sprintf("service dependence, %d kernels", kernels),
+		[]*trace.Trace{trace.Tar(), trace.SQLite()}, func(n int) (int, int) { return o.scaleCfg(64, n) })
 }
 
 // Fig8 measures kernel dependence: PostMark and LevelDB at max services
 // with a growing number of kernels (paper Figure 8).
 func Fig8(o Options) []EffResult {
 	_, services := o.scaleCfg(64, 64)
-	kCounts := []int{4, 8, 16, 32, 48, 64}
-	traces := []*trace.Trace{trace.PostMark(), trace.LevelDB()}
+	return o.dependence("fig8", "Figure 8", fmt.Sprintf("kernel dependence, %d services", services),
+		[]*trace.Trace{trace.PostMark(), trace.LevelDB()}, func(n int) (int, int) { return o.scaleCfg(n, 64) })
+}
+
+// dependence plans Figures 7 and 8: every trace at each paper count of the
+// varied resource, machine(count) giving the (kernels, services) of the
+// machine, as one task batch; one figure per trace, one series per count.
+func (o Options) dependence(exp, fig, what string, traces []*trace.Trace, machine func(n int) (kernels, services int)) []EffResult {
+	counts := []int{4, 8, 16, 32, 48, 64}
 	var specs []sweepSpec
 	for _, tr := range traces {
-		for _, k := range kCounts {
-			kernels, _ := o.scaleCfg(k, 64)
+		for _, n := range counts {
+			kernels, services := machine(n)
 			specs = append(specs, sweepSpec{tr: tr, kernels: kernels, services: services, steps: o.sparseSteps()})
 		}
 	}
-	pts := o.runEffSweeps("fig8", specs)
-	var out []EffResult
+	pts := o.runEffSweeps(exp, specs)
+	out := make([]EffResult, len(traces))
 	for ti, tr := range traces {
-		res := EffResult{Title: fmt.Sprintf("Figure 8 (%s): kernel dependence, %d services", tr.Name, services)}
-		for ki := range kCounts {
-			sp := specs[ti*len(kCounts)+ki]
-			res.Series = append(res.Series, EffSeries{
-				Label:  fmt.Sprintf("%dK %dS", sp.kernels, sp.services),
-				Points: pts[ti*len(kCounts)+ki],
+		out[ti].Title = fmt.Sprintf("%s (%s): %s", fig, tr.Name, what)
+		for i := ti * len(counts); i < (ti+1)*len(counts); i++ {
+			out[ti].Series = append(out[ti].Series, EffSeries{
+				Label:  fmt.Sprintf("%dK %dS", specs[i].kernels, specs[i].services),
+				Points: pts[i],
 			})
 		}
-		out = append(out, res)
 	}
 	return out
 }

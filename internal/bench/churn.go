@@ -43,21 +43,6 @@ const (
 	churnRecoverAt sim.Time = 400_000
 )
 
-// churnAux is the side data of one churn run: the operation outcomes, the
-// machine's summed kernel counters and the injector's, and the mean
-// duration of a completed rejoin handshake.
-type churnAux struct {
-	ObtainsAttempted int
-	ObtainsOK        int
-	RevokesAttempted int
-	RevokesOK        int
-	core.KernelStats
-	fault.Stats
-	MeanRejoinCycles uint64
-}
-
-func (a churnAux) capsMinted() uint64 { return a.CapsCreated }
-
 // churnScript is the storm on a fanoutSystem machine's pes: VPE 0 allocates
 // churnSlots slot capabilities (the last alloc starts the makespan) and
 // expires the first churnRevokes of them on a fixed timetable, racing the
@@ -112,12 +97,6 @@ func runChurnSpec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 	recs := script.Run(sys, churnScript(pes), nil)
 	failedObtains, _ := script.Failures(recs[1:]...)
 	failedRevokes, _ := script.Failures(recs[0][churnSlots:])
-	aux := churnAux{
-		ObtainsAttempted: n,
-		ObtainsOK:        n - failedObtains,
-		RevokesAttempted: churnRevokes,
-		RevokesOK:        churnRevokes - failedRevokes,
-	}
 	// Post-storm audit: the crashed kernel recovered, so no kernel is
 	// excused — every capability, child link and DDL entry must have a live,
 	// consistent owner.
@@ -125,18 +104,15 @@ func runChurnSpec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 		return Metrics{}, nil, err
 	}
 	st := sys.TotalStats()
-	aux.KernelStats, aux.Stats = st, sys.FaultStats()
-	aux.MeanRejoinCycles = meanCycles(st.RejoinCycles, st.Rejoins)
-	attempted := aux.ObtainsAttempted + aux.RevokesAttempted
-	ok := aux.ObtainsOK + aux.RevokesOK
+	attempted := n + churnRevokes
 	m := Metrics{
 		Cycles:    uint64(makespan(recs, script.Ref{Op: churnSlots - 1})),
 		LostMsgs:  sys.Net.Stats().Lost,
 		Retries:   st.Retransmits,
 		DupDrops:  st.DupSuppressed,
-		Completed: float64(ok) / float64(attempted),
+		Completed: float64(attempted-failedObtains-failedRevokes) / float64(attempted),
 	}
-	return m, aux, nil
+	return m, machineCounters{st, sys.FaultStats()}, nil
 }
 
 // churnCrash is the storm's kernel fault: the last kernel, never the root's,
@@ -160,20 +136,23 @@ func churnSpecs(n, extra int, seed uint64) []TaskSpec {
 	}
 }
 
-// ChurnRow is one report row of the churn scenario.
+// ChurnRow is one report row of the churn scenario: the cell's Metrics
+// (Cycles is the storm's makespan) and the machine's counters. Their
+// Obtains and Revokes are the storm's successful obtains and revokes: only
+// the clients obtain, only the root revokes, and a kernel counts an obtain
+// once the child is in place and a revocation once it found the capability,
+// after which neither fails.
 type ChurnRow struct {
-	Scenario  string
-	DropBp    int
-	Makespan  sim.Duration
-	Completed float64
-	Retries   uint64
-	LostMsgs  uint64
-	Aux       churnAux
+	Scenario string
+	DropBp   int
+	Metrics
+	Aux machineCounters
 }
 
 // ChurnResult holds the churn scenario sweep.
 type ChurnResult struct {
 	ExtraKernels int
+	Clients      int
 	Seed         uint64
 	Rows         []ChurnRow
 }
@@ -202,17 +181,13 @@ func Churn(o Options, maxClients, extra int) (ChurnResult, error) {
 	}
 	specs := churnSpecs(maxClients, extra, seed)
 	rs := o.execute(specs)
-	r := ChurnResult{ExtraKernels: extra, Seed: seed}
+	r := ChurnResult{ExtraKernels: extra, Clients: maxClients, Seed: seed}
 	for i, spec := range specs {
-		m := rs[i].Metrics
 		r.Rows = append(r.Rows, ChurnRow{
-			Scenario:  spec.Variant,
-			DropBp:    spec.Arg,
-			Makespan:  sim.Duration(m.Cycles),
-			Completed: m.Completed,
-			Retries:   m.Retries,
-			LostMsgs:  m.LostMsgs,
-			Aux:       auxOf[churnAux](rs[i]),
+			Scenario: spec.Variant,
+			DropBp:   spec.Arg,
+			Metrics:  rs[i].Metrics,
+			Aux:      auxOf[machineCounters](rs[i]),
 		})
 	}
 	o.record(rs)
@@ -228,13 +203,13 @@ func (r ChurnResult) Print(w io.Writer) {
 		fmt.Fprintf(w, "%-8s  %5.2f%%  %12.2f  %3d/%3d  %4d/%2d  %8.1f%%  %7d  %4d  %4d  %7d  %10.2f  %5d\n",
 			row.Scenario,
 			float64(row.DropBp)/100,
-			float64(row.Makespan)/core.CyclesPerMicrosecond,
-			row.Aux.ObtainsOK, row.Aux.ObtainsAttempted,
-			row.Aux.RevokesOK, row.Aux.RevokesAttempted,
+			float64(row.Cycles)/core.CyclesPerMicrosecond,
+			row.Aux.Obtains, r.Clients,
+			row.Aux.Revokes, churnRevokes,
 			row.Completed*100,
 			row.Retries, row.LostMsgs, row.Aux.DeadPeers,
 			row.Aux.Rejoins,
-			float64(row.Aux.MeanRejoinCycles)/core.CyclesPerMicrosecond,
+			float64(meanCycles(row.Aux.RejoinCycles, row.Aux.Rejoins))/core.CyclesPerMicrosecond,
 			row.Aux.StaleIncarnation)
 	}
 }

@@ -49,20 +49,11 @@ func faultsPlan(seed uint64, dropBp int) *fault.Plan {
 	}
 }
 
-// faultsAux is the side data of one faults run: the full reliability and
-// injection picture behind the report row's headline columns — the
-// machine's summed kernel counters and the injector's, and two means.
-type faultsAux struct {
-	Attempted int
-	Succeeded int
+// machineCounters is the side data of a faults or churn run: the machine's
+// summed kernel counters and the injector's, behind the row's Metrics.
+type machineCounters struct {
 	core.KernelStats
 	fault.Stats
-	// MeanRecoveryCycles is the average first-send→completion time of
-	// transmissions that needed at least one retransmit; MeanRejoinCycles
-	// the mean duration of a completed rejoin handshake (zero on rows
-	// without a recovery).
-	MeanRecoveryCycles uint64
-	MeanRejoinCycles   uint64
 }
 
 // meanCycles is sum/n, or 0 when n is 0.
@@ -73,7 +64,7 @@ func meanCycles(sum sim.Duration, n uint64) uint64 {
 	return uint64(sum) / n
 }
 
-func (a faultsAux) capsMinted() uint64 { return a.CapsCreated }
+func (a machineCounters) capsMinted() uint64 { return a.CapsCreated }
 
 // kindFaults runs one cell of the fault sweep. Config encodes the machine
 // (Kernels = 1+extra, Instances = clients), Variant the workload
@@ -126,7 +117,6 @@ func runFaultsSpec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 	sc, from := gen(pes)
 	recs := script.Run(sys, sc, nil)
 	failed, _ := script.Failures(recs[1:]...)
-	attempted, ok := n, n-failed
 	if err := audit(sys, deadKernels...); err != nil {
 		return Metrics{}, nil, err
 	}
@@ -136,17 +126,9 @@ func runFaultsSpec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 		LostMsgs:  sys.Net.Stats().Lost,
 		Retries:   st.Retransmits,
 		DupDrops:  st.DupSuppressed,
-		Completed: float64(ok) / float64(attempted),
+		Completed: float64(n-failed) / float64(n),
 	}
-	aux := faultsAux{
-		Attempted:          attempted,
-		Succeeded:          ok,
-		KernelStats:        st,
-		Stats:              sys.FaultStats(),
-		MeanRecoveryCycles: meanCycles(st.RecoveryCycles, st.Recovered),
-		MeanRejoinCycles:   meanCycles(st.RejoinCycles, st.Rejoins),
-	}
-	return m, aux, nil
+	return m, machineCounters{st, sys.FaultStats()}, nil
 }
 
 // faultsOps is the workload axis of the sweep. The crash and crash+recover
@@ -182,17 +164,14 @@ func faultsSpecs(n, extra int, seed uint64) []TaskSpec {
 	return specs
 }
 
-// FaultsRow is one report row of the sweep.
+// FaultsRow is one report row of the sweep: the cell's Metrics (Cycles is
+// the fan-out's makespan) and the machine's counters.
 type FaultsRow struct {
-	Workload  string
-	DropBp    int
-	Clients   int
-	Makespan  sim.Duration
-	Completed float64
-	Retries   uint64
-	DupDrops  uint64
-	LostMsgs  uint64
-	Aux       faultsAux
+	Workload string
+	DropBp   int
+	Clients  int
+	Metrics
+	Aux machineCounters
 }
 
 // FaultsResult holds the fault sweep.
@@ -220,17 +199,12 @@ func Faults(o Options, maxClients, extra int) FaultsResult {
 	rs := o.execute(specs)
 	r := FaultsResult{ExtraKernels: extra, Seed: seed}
 	for i, spec := range specs {
-		m := rs[i].Metrics
 		r.Rows = append(r.Rows, FaultsRow{
-			Workload:  spec.Variant,
-			DropBp:    spec.Arg,
-			Clients:   spec.Config.Instances,
-			Makespan:  sim.Duration(m.Cycles),
-			Completed: m.Completed,
-			Retries:   m.Retries,
-			DupDrops:  m.DupDrops,
-			LostMsgs:  m.LostMsgs,
-			Aux:       auxOf[faultsAux](rs[i]),
+			Workload: spec.Variant,
+			DropBp:   spec.Arg,
+			Clients:  spec.Config.Instances,
+			Metrics:  rs[i].Metrics,
+			Aux:      auxOf[machineCounters](rs[i]),
 		})
 	}
 	o.record(rs)
@@ -245,11 +219,11 @@ func (r FaultsResult) Print(w io.Writer) {
 		fmt.Fprintf(w, "%-12s  %5.2f%%  %12.2f  %8.1f%%  %7d  %8d  %4d  %4d  %12.2f  %7d  %10.2f\n",
 			row.Workload,
 			float64(row.DropBp)/100,
-			float64(row.Makespan)/core.CyclesPerMicrosecond,
+			float64(row.Cycles)/core.CyclesPerMicrosecond,
 			row.Completed*100,
 			row.Retries, row.DupDrops, row.LostMsgs, row.Aux.DeadPeers,
-			float64(row.Aux.MeanRecoveryCycles)/core.CyclesPerMicrosecond,
+			float64(meanCycles(row.Aux.RecoveryCycles, row.Aux.Recovered))/core.CyclesPerMicrosecond,
 			row.Aux.Rejoins,
-			float64(row.Aux.MeanRejoinCycles)/core.CyclesPerMicrosecond)
+			float64(meanCycles(row.Aux.RejoinCycles, row.Aux.Rejoins))/core.CyclesPerMicrosecond)
 	}
 }

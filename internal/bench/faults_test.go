@@ -43,7 +43,7 @@ func TestFaultsSweep(t *testing.T) {
 	if crashRow.Aux.DeadPeers == 0 {
 		t.Errorf("crash: no kernel declared a peer dead")
 	}
-	if crashRow.Aux.FailFast == 0 && crashRow.Aux.Attempted-crashRow.Aux.Succeeded == 0 {
+	if crashRow.Aux.FailFast == 0 && crashRow.Completed == 1 {
 		t.Errorf("crash: no degraded operations at all: %+v", crashRow.Aux)
 	}
 	// The crash+recover scenario: the same kernel rejoins mid-storm. The old
@@ -56,15 +56,15 @@ func TestFaultsSweep(t *testing.T) {
 	if recoverRow.Aux.Rejoins != 1 {
 		t.Errorf("crashrecover: Rejoins = %d, want 1", recoverRow.Aux.Rejoins)
 	}
-	if recoverRow.Aux.MeanRejoinCycles == 0 {
+	if recoverRow.Aux.RejoinCycles == 0 {
 		t.Errorf("crashrecover: rejoin recorded no cycles")
 	}
 	if crashRow.Aux.Rejoins != 0 {
 		t.Errorf("crash: Rejoins = %d on a permanent crash", crashRow.Aux.Rejoins)
 	}
-	if recoverRow.Makespan >= crashRow.Makespan {
+	if recoverRow.Cycles >= crashRow.Cycles {
 		t.Errorf("crashrecover makespan %d not faster than permanent crash %d — rejoin did not resolve the storm",
-			recoverRow.Makespan, crashRow.Makespan)
+			recoverRow.Cycles, crashRow.Cycles)
 	}
 }
 

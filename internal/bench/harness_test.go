@@ -381,9 +381,10 @@ func TestBatchedParallelDeterminism(t *testing.T) {
 	// Batching must strictly reduce wire messages at every breadth.
 	for _, rows := range [][]IKCRow{serial.Exchange, serial.SvcQuery} {
 		for _, row := range rows {
-			if row.BatchedMsgs >= row.PlainMsgs {
+			p, b := row.Plain, row.Batched
+			if b.ReqMsgs+b.RepMsgs >= p.ReqMsgs+p.RepMsgs {
 				t.Errorf("no message reduction at %d clients: %d vs %d",
-					row.Clients, row.BatchedMsgs, row.PlainMsgs)
+					row.Clients, b.ReqMsgs+b.RepMsgs, p.ReqMsgs+p.RepMsgs)
 			}
 		}
 	}
@@ -413,9 +414,9 @@ func TestReplyEnvelopeParallelDeterminism(t *testing.T) {
 			}
 		}
 		for _, row := range pair[0] {
-			if row.BatchedRepMsgs >= row.PlainRepMsgs {
+			if row.Batched.RepMsgs >= row.Plain.RepMsgs {
 				t.Errorf("%s: no reply coalescing at %d clients: %d vs %d",
-					name, row.Clients, row.BatchedRepMsgs, row.PlainRepMsgs)
+					name, row.Clients, row.Batched.RepMsgs, row.Plain.RepMsgs)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -30,6 +31,37 @@ func stepVPE(tb testing.TB, s *System, pe int, op func(v *VPE, p *sim.Proc)) (st
 	return func() {
 		start.Push(struct{}{})
 		s.Run()
+	}
+}
+
+// TestTotalStatsSumsEveryField: TotalStats sums each KernelStats field
+// across the kernels and allocates nothing. Every field gets a value distinct
+// per field and kernel, so a field summed into the wrong total, or not at
+// all, shows; a field that is not an unsigned integer fails here first.
+func TestTotalStatsSumsEveryField(t *testing.T) {
+	s := MustNew(Config{Kernels: 2, UserPEs: 2})
+	defer s.Close()
+	for ki, k := range s.kernels {
+		st := reflect.ValueOf(&k.stats).Elem()
+		for i := 0; i < st.NumField(); i++ {
+			f := st.Field(i)
+			switch f.Kind() {
+			case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+			default:
+				t.Fatalf("KernelStats.%s is a %s, not an unsigned integer", st.Type().Field(i).Name, f.Kind())
+			}
+			f.SetUint(uint64(i+1) << (20 * ki))
+		}
+	}
+	total := s.TotalStats()
+	tv := reflect.ValueOf(total)
+	for i := 0; i < tv.NumField(); i++ {
+		if got, want := tv.Field(i).Uint(), uint64(i+1)+uint64(i+1)<<20; got != want {
+			t.Errorf("TotalStats().%s = %#x, want %#x", tv.Type().Field(i).Name, got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { total = s.TotalStats() }); allocs != 0 {
+		t.Errorf("TotalStats allocates %v times, want 0", allocs)
 	}
 }
 

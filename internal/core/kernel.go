@@ -11,6 +11,8 @@ import (
 
 // KernelStats counts per-kernel activity. Busy is the accumulated CPU time
 // of the kernel PE, which divided by elapsed time gives its utilization.
+// Every field is an unsigned integer that System.TotalStats sums across the
+// kernels; a new counter is one new field.
 type KernelStats struct {
 	Syscalls      uint64
 	IKCSent       uint64 // request-direction wire messages sent (an envelope counts once)
@@ -44,37 +46,6 @@ type KernelStats struct {
 	Rejoins          uint64       // rejoin handshakes completed as the recovering kernel
 	RejoinCycles     sim.Duration // summed recovery-start→handshake-completion time
 	StaleIncarnation uint64       // envelopes rejected: sent by or to a dead incarnation
-}
-
-func (a *KernelStats) add(b KernelStats) {
-	a.Syscalls += b.Syscalls
-	a.IKCSent += b.IKCSent
-	a.IKCReceived += b.IKCReceived
-	a.IKCBatched += b.IKCBatched
-	a.IKCBatches += b.IKCBatches
-	a.IKCRepSent += b.IKCRepSent
-	a.IKCRepBatched += b.IKCRepBatched
-	a.IKCRepBatches += b.IKCRepBatches
-	a.Obtains += b.Obtains
-	a.Delegates += b.Delegates
-	a.Revokes += b.Revokes
-	a.Sessions += b.Sessions
-	a.CapsCreated += b.CapsCreated
-	a.CapsDeleted += b.CapsDeleted
-	a.Orphans += b.Orphans
-	a.Busy += b.Busy
-	a.Retransmits += b.Retransmits
-	a.DupSuppressed += b.DupSuppressed
-	a.ReplayedReplies += b.ReplayedReplies
-	a.LateReplies += b.LateReplies
-	a.FailFast += b.FailFast
-	a.DeadPeers += b.DeadPeers
-	a.Recovered += b.Recovered
-	a.RecoveryCycles += b.RecoveryCycles
-	a.RevokedInFlight += b.RevokedInFlight
-	a.Rejoins += b.Rejoins
-	a.RejoinCycles += b.RejoinCycles
-	a.StaleIncarnation += b.StaleIncarnation
 }
 
 // CapOps returns the number of capability-modifying and session operations,

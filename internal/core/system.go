@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
 
 	"repro/internal/cap"
 	"repro/internal/ddl"
@@ -305,11 +306,16 @@ func (s *System) FaultStats() fault.Stats {
 	return s.inj.Stats()
 }
 
-// TotalStats sums the per-kernel statistics.
+// TotalStats sums the per-kernel statistics field by field.
 func (s *System) TotalStats() KernelStats {
 	var t KernelStats
+	sum := reflect.ValueOf(&t).Elem()
 	for _, k := range s.kernels {
-		t.add(k.stats)
+		st := reflect.ValueOf(&k.stats).Elem()
+		for i := 0; i < sum.NumField(); i++ {
+			f := sum.Field(i)
+			f.SetUint(f.Uint() + st.Field(i).Uint())
+		}
 	}
 	return t
 }

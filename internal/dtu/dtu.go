@@ -185,11 +185,11 @@ type recvState struct {
 	waiters    sim.FIFO[*sim.Proc]
 }
 
-// Stats counts per-DTU activity. Sent/Received count logical messages;
-// VecDeliveries counts coalesced vectors delivered, each carrying several
-// logical messages in one delivery event and one receive slot.
+// Stats counts per-DTU receive activity (the NoC counts every send).
+// Received counts logical messages; VecDeliveries counts coalesced vectors
+// delivered, each carrying several logical messages in one delivery event
+// and one receive slot.
 type Stats struct {
-	Sent          uint64
 	Received      uint64
 	Lost          uint64
 	VecDeliveries uint64
@@ -525,7 +525,6 @@ func (d *DTU) Send(ep int, payload any, size int, replyEP int, label uint64) err
 		return ErrNoCredits
 	}
 	e.credits--
-	d.stats.Sent++
 	f := d.fabric
 	m := f.newMessage()
 	m.SrcPE, m.SrcEP, m.ReplyEP = d.pe, ep, replyEP
@@ -586,7 +585,6 @@ func (d *DTU) SendVecTo(dstPE, dstEP int, items []VecItem) error {
 	if len(items) == 0 {
 		return ErrBadEndpoint
 	}
-	d.stats.Sent += uint64(len(items))
 	f := d.fabric
 	dst := f.dtus[dstPE]
 	v := f.newVec()
