@@ -15,8 +15,10 @@
 // Every experiment plans its runs as task specs and executes them on an
 // in-process worker pool (-parallel, default GOMAXPROCS), largest machine
 // first. All simulated metrics are deterministic and independent of the
-// parallelism and the schedule. A task that fails ends the run with one
-// message on stderr and exit 1. -json writes every experiment run as a
+// parallelism and the schedule. Every task runs under an event budget
+// proportional to the PEs it simulates, so one that cannot end fails like
+// any other. A task that fails ends the run with one message on stderr,
+// naming the task, and exit 1. -json writes every experiment run as a
 // machine-readable record (schema semperos-bench/v1, see
 // internal/bench/report.go).
 package main
@@ -98,6 +100,10 @@ func realMain(args []string, stderr io.Writer) (code int) {
 			fmt.Fprintf(stderr, "%s must be non-negative\n", f.name)
 			return 2
 		}
+	}
+	if *scalekernels > 0 && *scalekernels < bench.ScaleMinKernels() {
+		fmt.Fprintf(stderr, "-scalekernels %d is below the smallest scale point (%d kernels)\n", *scalekernels, bench.ScaleMinKernels())
+		return 2
 	}
 
 	valid := map[string]bool{"all": true}

@@ -11,7 +11,8 @@ import (
 // TestBadFlagsExit2: negative sizes, unknown modes, unknown flags and
 // positional arguments are usage errors — a message on stderr and exit 2
 // before any simulation runs. A negative -scalekernels used to run the whole
-// 1024-kernel grid, and an experiment named without -experiment ran all ten.
+// 1024-kernel grid, one below the smallest grid point ran nothing and exited
+// 0, and an experiment named without -experiment ran all ten.
 // The flags
 // of the retired shard protocol, recorded-cost scheduler and scale budget are
 // unknown flags like any other.
@@ -21,6 +22,7 @@ func TestBadFlagsExit2(t *testing.T) {
 		want string
 	}{
 		{[]string{"-experiment", "scale", "-scalekernels", "-5"}, "-scalekernels must be non-negative"},
+		{[]string{"-quick", "-experiment", "scale", "-scalekernels", "1"}, "-scalekernels 1 is below the smallest scale point (64 kernels)"},
 		{[]string{"-parallel", "-1"}, "-parallel must be non-negative"},
 		{[]string{"-quick", "-nosuchflag", "2"}, "flag provided but not defined: -nosuchflag"},
 		{[]string{"-quick", "-simmode", "rounds"}, "flag provided but not defined: -simmode"},

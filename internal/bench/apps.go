@@ -406,8 +406,8 @@ func runNginxSpec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 	return m, nginxAux{Requests: r.Requests}, nil
 }
 
-// reqRate mirrors workload.NginxResult.RequestsPerSecond from the quantities
-// a Result keeps (Cycles is the measurement window).
+// reqRate is the aggregate request rate over a measurement window of
+// duration cycles (a Result's Cycles).
 func reqRate(requests, duration uint64) float64 {
 	if duration == 0 {
 		return 0

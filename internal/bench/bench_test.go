@@ -166,9 +166,9 @@ func TestFig10QuickShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if big.RequestsPerSecond() <= small.RequestsPerSecond() {
-		t.Errorf("12 servers (%.0f/s) not faster than 4 (%.0f/s)",
-			big.RequestsPerSecond(), small.RequestsPerSecond())
+	bigRate, smallRate := reqRate(big.Requests, uint64(big.Duration)), reqRate(small.Requests, uint64(small.Duration))
+	if bigRate <= smallRate {
+		t.Errorf("12 servers (%.0f/s) not faster than 4 (%.0f/s)", bigRate, smallRate)
 	}
 }
 

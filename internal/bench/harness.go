@@ -33,6 +33,19 @@ type ExpConfig struct {
 	Instances int `json:"instances"`
 }
 
+// pes is the number of PEs the task simulates. It orders dispatch
+// (dispatchOrder) and sizes the task's event budget (taskEventsPerPE).
+func (c ExpConfig) pes() int { return c.Kernels + c.Services + c.Instances }
+
+// taskEventsPerPE is the event budget of a task per simulated PE: RunSpec
+// caps the engine at taskEventsPerPE × pes events (at least one PE's worth),
+// so a task that cannot end panics between events and comes back as an
+// error Result — and from a sweep as a TaskError — instead of hanging it.
+// The densest tasks execute ~15 400 events per PE (fig10, nginx), ~3 800
+// (scale at 512 and 1024 kernels) and ~1 300 (fig9, sqlite); every other
+// kind stays under 60. 1<<18 leaves at least 17× headroom.
+const taskEventsPerPE = 1 << 18
+
 // Metrics holds the simulated measurements of one experiment. Cycles is the
 // experiment's headline simulated-time metric: mean instance runtime for the
 // efficiency sweeps, makespan for Table 4, revocation latency for the
@@ -124,36 +137,39 @@ func RunSpecs(parallel int, specs []TaskSpec) []Result {
 }
 
 // dispatchOrder returns the order in which RunSpecs hands the specs out:
-// largest machine first (kernels + services + instances, the PEs the task
-// simulates), stable on ties. Host cost grows with machine size and the
-// planners list a figure's largest point last, so spec order would leave one
-// worker finishing the most expensive task alone at the end of every batch.
+// largest machine first (ExpConfig.pes), stable on ties. Host cost grows
+// with machine size and the planners list a figure's largest point last, so
+// spec order would leave one worker finishing the most expensive task alone
+// at the end of every batch.
 func dispatchOrder(specs []TaskSpec) []int {
 	order := make([]int, len(specs))
 	for i := range order {
 		order[i] = i
 	}
-	pes := func(i int) int {
-		c := specs[i].Config
-		return c.Kernels + c.Services + c.Instances
-	}
-	sort.SliceStable(order, func(a, b int) bool { return pes(order[a]) > pes(order[b]) })
+	sort.SliceStable(order, func(a, b int) bool {
+		return specs[order[a]].Config.pes() > specs[order[b]].Config.pes()
+	})
 	return order
 }
 
-// RunSpec executes one spec on a pooled engine, capturing wallclock and
-// panics. The engine is in fresh state (new or Reset) when the kind function
-// starts and goes back to the pool (Reset, procs unwound) whatever way the
-// task ends.
+// RunSpec executes one spec on a pooled engine under the task's event
+// budget (taskEventsPerPE), capturing wallclock and panics. The engine is in
+// fresh state (new or Reset) when the kind function starts and goes back to
+// the pool (Reset, procs unwound) whatever way the task ends. A failed
+// task's error names the whole spec, so the message alone reruns it.
 func RunSpec(spec TaskSpec) (res Result) {
 	eng := enginePool.Get()
 	defer enginePool.Put(eng)
+	eng.SetEventLimit(taskEventsPerPE * uint64(max(spec.Config.pes(), 1)))
 	res = Result{Experiment: spec.Experiment, Config: spec.Config}
 	start := time.Now()
 	defer func() {
 		res.WallclockNS = time.Since(start).Nanoseconds()
 		if r := recover(); r != nil {
 			res.Error = fmt.Sprintf("panic: %v", r)
+		}
+		if res.Error != "" {
+			res.Error = fmt.Sprintf("task %+v: %s", spec, res.Error)
 		}
 	}()
 	fn, ok := kinds[spec.Kind]
@@ -213,7 +229,7 @@ func (e TaskError) Error() string { return string(e) }
 func mustOK(rs []Result) {
 	for _, r := range rs {
 		if r.Error != "" {
-			panic(TaskError(fmt.Sprintf("bench: experiment %s %+v failed: %s", r.Experiment, r.Config, r.Error)))
+			panic(TaskError(fmt.Sprintf("bench: experiment %s failed: %s", r.Experiment, r.Error)))
 		}
 	}
 }

@@ -21,6 +21,8 @@ import (
 var (
 	ranMu sync.Mutex
 	ran   []string // experiments in the order "test-echo" tasks started
+	// runawayEngine is the engine the last "test-runaway" task ran on.
+	runawayEngine *sim.Engine
 )
 
 func init() {
@@ -54,6 +56,17 @@ func init() {
 		eng.Schedule(50, func() {})
 		eng.RunUntil(10)
 		eng.Schedule(100, func() {})
+		return Metrics{Cycles: 1}, nil, nil
+	})
+	// A task that never ends: one proc reschedules itself forever.
+	registerKind("test-runaway", func(_ TaskSpec, eng *sim.Engine) (Metrics, any, error) {
+		runawayEngine = eng
+		eng.Spawn("spinner", func(p *sim.Proc) {
+			for {
+				p.Sleep(1)
+			}
+		})
+		eng.Run()
 		return Metrics{Cycles: 1}, nil, nil
 	})
 	// A client opens a session at a service whose Open handler never
@@ -138,16 +151,17 @@ func TestCostModelOrder(t *testing.T) {
 // TestRunTasksPanicCapture: a panicking task becomes an error result and
 // does not take down its worker (later tasks still run).
 func TestRunTasksPanicCapture(t *testing.T) {
-	rs := RunSpecs(1, []TaskSpec{
+	specs := []TaskSpec{
 		{Experiment: "boom", Kind: "test-panic"},
 		{Experiment: "err", Kind: "test-error"},
 		{Experiment: "ok", Kind: "test-echo", Arg: 7},
-	})
-	if rs[0].Error != "panic: kaboom" {
-		t.Errorf("panic not captured: %q", rs[0].Error)
 	}
-	if rs[1].Error != "nope" {
-		t.Errorf("error not captured: %q", rs[1].Error)
+	rs := RunSpecs(1, specs)
+	if want := fmt.Sprintf("task %+v: panic: kaboom", specs[0]); rs[0].Error != want {
+		t.Errorf("panic not captured: %q, want %q", rs[0].Error, want)
+	}
+	if want := fmt.Sprintf("task %+v: nope", specs[1]); rs[1].Error != want {
+		t.Errorf("error not captured: %q, want %q", rs[1].Error, want)
 	}
 	if rs[2].Error != "" || rs[2].Metrics.Cycles != 7 {
 		t.Errorf("healthy task corrupted: %+v", rs[2])
@@ -165,6 +179,53 @@ func TestFailedTaskPanicsWithTaskError(t *testing.T) {
 	}()
 	Quick().execute([]TaskSpec{{Experiment: "err", Kind: "test-error"}})
 	t.Error("execute returned with a failed task")
+}
+
+// TestRunawayTaskHitsBudget: a task that never ends runs into its event
+// budget. It comes back as an error Result naming the whole spec and fails a
+// sweep with a TaskError; its engine goes back to the pool with every proc
+// unwound and runs the next task exactly as a fresh engine does.
+func TestRunawayTaskHitsBudget(t *testing.T) {
+	spec := TaskSpec{
+		Experiment: "runaway", Kind: "test-runaway",
+		Config:  ExpConfig{Kernels: 1, Instances: 2},
+		Variant: "spin", Arg: 5, Seed: 7,
+	}
+	res := RunSpec(spec)
+	want := fmt.Sprintf("task %+v: panic: sim: event limit %d exceeded", spec, 3*taskEventsPerPE)
+	if !strings.HasPrefix(res.Error, want) {
+		t.Errorf("error %q, want it to start with %q", res.Error, want)
+	}
+	if n := runawayEngine.LiveProcs(); n != 0 {
+		t.Errorf("the pooled engine still has %d live procs", n)
+	}
+
+	func() {
+		defer func() {
+			err, ok := recover().(TaskError)
+			if !ok || !strings.Contains(err.Error(), "bench: experiment runaway failed: "+want) {
+				t.Errorf("execute panicked with %#v, want a TaskError naming the spec", err)
+			}
+		}()
+		Quick().execute([]TaskSpec{spec})
+		t.Error("execute returned with a runaway task")
+	}()
+
+	// The pool hands the runaway's engine to the next task.
+	eng := enginePool.Get()
+	enginePool.Put(eng)
+	if eng != runawayEngine {
+		t.Fatal("the pool did not recycle the runaway task's engine")
+	}
+	cell := TaskSpec{Experiment: "fig4/spanning", Kind: kindFig4, Variant: "spanning", Config: ExpConfig{Kernels: 2, Instances: 20}, Arg: 20}
+	got := RunSpec(cell)
+	m, aux, err := kinds[kindFig4](cell, sim.NewEngine())
+	if err != nil || got.Error != "" {
+		t.Fatalf("fig4 cell failed: fresh engine %v, pooled engine %s", err, got.Error)
+	}
+	if got.Metrics != m || !reflect.DeepEqual(got.Aux, aux) {
+		t.Errorf("pooled engine: %+v %+v; fresh engine: %+v %+v", got.Metrics, got.Aux, m, aux)
+	}
 }
 
 // TestNonQuiescentDrainFails: a machine that runs dry with a syscall still

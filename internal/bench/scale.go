@@ -44,6 +44,10 @@ var scaleGrid = []scalePoint{
 	{1024, 2048, 512},
 }
 
+// ScaleMinKernels is the smallest grid point's kernel count: a
+// maxKernels cap below it would skip every point.
+func ScaleMinKernels() int { return scaleGrid[0].Kernels }
+
 // scaleHeapBudget stops the sweep when a completed point's runtime.Sys
 // (OS-claimed memory, the closest in-process RSS proxy) exceeds it.
 const scaleHeapBudget = 8 << 30

@@ -336,7 +336,7 @@ func (d *DTU) configureRecv(by *DTU, ep, slots int, h Handler, vh VecHandler) er
 
 // ConfigureRecv sets up a receive endpoint with the given number of message
 // slots (0 means DefaultSlots) and an optional handler. With a handler,
-// arriving messages are passed to it; without, they queue for Fetch/Wait.
+// arriving messages are passed to it; without, they queue for Wait.
 func (d *DTU) ConfigureRecv(by *DTU, ep, slots int, h Handler) error {
 	return d.configureRecv(by, ep, slots, h, nil)
 }
@@ -641,17 +641,6 @@ func (d *DTU) deliverVec(ep int, v *vecMeta) {
 	for wake := min(len(msgs), e.waiters.Len()); wake > 0; wake-- {
 		e.waiters.Pop().Wake()
 	}
-}
-
-// Fetch removes and returns the oldest queued message on receive endpoint
-// ep, or nil. The slot stays occupied until Reply or Ack.
-func (d *DTU) Fetch(ep int) *Message {
-	checkEP(ep)
-	e := d.eps[ep].recv
-	if e == nil || e.queue.Len() == 0 {
-		return nil
-	}
-	return e.queue.Pop()
 }
 
 // Wait blocks the proc until a message is queued at receive endpoint ep and

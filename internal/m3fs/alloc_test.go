@@ -49,7 +49,7 @@ func stepClient(tb testing.TB, preload func(*FS), op func(c *Client, p *sim.Proc
 // its last Close gave back.
 func TestDataPlaneAllocatesNothing(t *testing.T) {
 	preload := func(fs *FS) {
-		fs.MustMkdirAll("inst0/dir")
+		fs.MustMkdirAllIn("", "inst0/dir", 0)
 		fs.MustCreate("inst0/dir/f", 64<<10)
 	}
 	for _, tc := range []struct {
@@ -258,8 +258,8 @@ func TestReplyBelongsToItsSession(t *testing.T) {
 // requests on the same session, another Readdir included, leave it alone.
 func TestReaddirEntriesSurviveNextRequest(t *testing.T) {
 	s, ready := startFS(t, 1, 2, func(fs *FS) {
-		fs.MustMkdirAll("/d1")
-		fs.MustMkdirAll("/d2")
+		fs.MustMkdirAllIn("", "/d1", 0)
+		fs.MustMkdirAllIn("", "/d2", 0)
 		fs.MustCreate("/d1/x", 1)
 		fs.MustCreate("/d1/y", 1)
 		fs.MustCreate("/d2/p", 1)

@@ -208,7 +208,7 @@ type FS struct {
 }
 
 // NewFS creates an (unstarted) filesystem instance for the given service
-// VPE. Preload the image with MustCreate/MustMkdirAll, then call Start.
+// VPE. Preload the image with MustCreate/MustMkdirAllIn, then call Start.
 func NewFS(cfg Config, v *core.VPE) *FS {
 	cfg = cfg.withDefaults()
 	return &FS{
@@ -314,13 +314,9 @@ func (fs *FS) Reserve(files, extents int) {
 	fs.extents = make([]uint64, extents)
 }
 
-// MustMkdirAll creates a directory path in the image (boot time; no
-// simulated cost).
-func (fs *FS) MustMkdirAll(path string) { fs.MustMkdirAllIn("", path, 0) }
-
-// MustMkdirAllIn creates directory dir/path in the image, walking the two
-// as a request does rather than joining them. A directory it creates last
-// is made with room for entries entries.
+// MustMkdirAllIn creates directory dir/path in the image (boot time; no
+// simulated cost), walking the two as a request does rather than joining
+// them. A directory it creates last is made with room for entries entries.
 func (fs *FS) MustMkdirAllIn(dir, path string, entries int) {
 	d := fs.root
 	part, restDir, restPath := nextPart2(dir, path)

@@ -125,7 +125,7 @@ func TestGrowingPreloadedFileKeepsNeighbour(t *testing.T) {
 
 func TestMetadataOps(t *testing.T) {
 	s, ready := startFS(t, 1, 2, func(fs *FS) {
-		fs.MustMkdirAll("/a/b")
+		fs.MustMkdirAllIn("", "/a/b", 0)
 		fs.MustCreate("/a/b/x", 100)
 		fs.MustCreate("/a/b/y", 200)
 	})
@@ -329,8 +329,8 @@ func TestSpanningSession(t *testing.T) {
 // directory intermediate, and the root.
 func TestWalkMatchesSplitReference(t *testing.T) {
 	fs := NewFS(Config{}, nil)
-	fs.MustMkdirAll("/a//b/")
-	fs.MustMkdirAll("c")
+	fs.MustMkdirAllIn("", "/a//b/", 0)
+	fs.MustMkdirAllIn("", "c", 0)
 	fs.MustCreate("/a/b/f", 0)
 	fs.MustCreate("a/g", 0)
 

@@ -17,9 +17,9 @@ var instances = []string{"inst0", "inst17", "srv/inst3"}
 func joinedPreload(tr *trace.Trace, prefixes []string) func(*m3fs.FS) {
 	return func(fs *m3fs.FS) {
 		for _, prefix := range prefixes {
-			fs.MustMkdirAll(prefix)
+			fs.MustMkdirAllIn("", prefix, 0)
 			for _, d := range tr.Dirs {
-				fs.MustMkdirAll(prefix + "/" + d)
+				fs.MustMkdirAllIn("", prefix+"/"+d, 0)
 			}
 			for _, f := range tr.Files {
 				fs.MustCreate(prefix+"/"+f.Path, f.Size)

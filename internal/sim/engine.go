@@ -43,7 +43,7 @@ func eventLess(a, b *event) bool {
 //     (at, seq), holding events scheduled for a strictly later instant.
 //     No interface boxing, no container/heap indirection.
 //   - fifo: the same-instant lane. Schedule(0, ...) — the storm generated by
-//     Wake, Yield and Spawn — appends here instead of touching the heap.
+//     Wake, Sleep(0) and Spawn — appends here instead of touching the heap.
 //     Because seq only grows, appending keeps the lane sorted by (at, seq),
 //     and popping is a head-index increment.
 //
@@ -96,8 +96,9 @@ func (e *Engine) Resumes() uint64 { return e.resumes }
 
 // SetEventLimit caps the total number of events the engine may execute.
 // Zero (the default) means unlimited. SetEventLimit(n) means at most n
-// events: executing event n+1 panics (in Run and Step alike), which catches
-// runaway simulations in tests.
+// events: executing event n+1 panics between events, so a runaway
+// simulation ends in an error instead of running forever. The bench harness
+// sets one for every task (bench.RunSpec); Reset clears it.
 func (e *Engine) SetEventLimit(n uint64) { e.limit = n }
 
 // Schedule runs fn after d cycles of virtual time. It may be called from
@@ -191,11 +192,10 @@ func (e *Engine) heapPop() event {
 }
 
 // next executes the next event in (at, seq) order if there is one at or
-// before t, and reports whether it did. It is the one pop path: Run,
-// RunUntil, Step and RunUntilCtx are loops around it, so all four enforce
-// causality and the event limit and account alike. Lane events carry
-// at == now; a heap event at the same instant has a lower seq and goes first
-// (see the Engine doc).
+// before t, and reports whether it did. It is the one pop path: Run and
+// RunUntil are loops around it, so both enforce causality and the event
+// limit and account alike. Lane events carry at == now; a heap event at the
+// same instant has a lower seq and goes first (see the Engine doc).
 func (e *Engine) next(t Time) bool {
 	var ev event
 	if e.fifoHead < len(e.fifo) && !(len(e.heap) > 0 && e.heap[0].at == e.now) {
@@ -237,10 +237,6 @@ func (e *Engine) RunUntil(t Time) {
 	for e.next(t) {
 	}
 }
-
-// Step executes exactly one event if available and reports whether it did.
-// After Kill there never is one.
-func (e *Engine) Step() bool { return e.next(^Time(0)) }
 
 // Pending returns the number of queued events.
 func (e *Engine) Pending() int { return len(e.heap) + len(e.fifo) - e.fifoHead }

@@ -85,22 +85,6 @@ func TestEngineAtPastPanics(t *testing.T) {
 	e.Run()
 }
 
-func TestEngineStep(t *testing.T) {
-	e := NewEngine()
-	n := 0
-	e.Schedule(1, func() { n++ })
-	e.Schedule(2, func() { n++ })
-	if !e.Step() || n != 1 {
-		t.Fatalf("first Step: n=%d", n)
-	}
-	if !e.Step() || n != 2 {
-		t.Fatalf("second Step: n=%d", n)
-	}
-	if e.Step() {
-		t.Fatal("Step on empty queue returned true")
-	}
-}
-
 // TestEngineEventLimitExact: SetEventLimit(n) means at most n events — the
 // nth event runs, the (n+1)th panics.
 func TestEngineEventLimitExact(t *testing.T) {
@@ -126,47 +110,54 @@ func TestEngineEventLimitExact(t *testing.T) {
 	e.Run()
 }
 
-// TestEngineStepEventLimit: Step does the same limit accounting as Run.
-func TestEngineStepEventLimit(t *testing.T) {
+// TestEngineRunUntilEventLimit: RunUntil does the same limit accounting as
+// Run.
+func TestEngineRunUntilEventLimit(t *testing.T) {
 	e := NewEngine()
 	e.SetEventLimit(1)
-	e.Schedule(1, func() {})
-	e.Schedule(2, func() {})
-	if !e.Step() {
-		t.Fatal("first Step did nothing")
+	ran := 0
+	e.Schedule(1, func() { ran++ })
+	e.Schedule(2, func() { ran++ })
+	e.RunUntil(1)
+	if ran != 1 {
+		t.Fatalf("ran = %d, want 1", ran)
 	}
 	defer func() {
 		if recover() == nil {
-			t.Error("Step beyond the event limit did not panic")
+			t.Error("RunUntil beyond the event limit did not panic")
+		}
+		if ran != 1 {
+			t.Errorf("event beyond the limit executed (ran = %d)", ran)
 		}
 	}()
-	e.Step()
+	e.RunUntil(2)
 }
 
-// TestEngineStepRespectsKilled: Step after Kill is a no-op.
-func TestEngineStepRespectsKilled(t *testing.T) {
+// TestEngineRunRespectsKilled: an event queued before Kill never runs.
+func TestEngineRunRespectsKilled(t *testing.T) {
 	e := NewEngine()
 	e.Schedule(1, func() { t.Error("event ran after Kill") })
 	e.Kill()
-	if e.Step() {
-		t.Fatal("Step executed an event after Kill")
+	e.Run()
+	if e.Executed() != 0 {
+		t.Fatalf("executed = %d after Kill", e.Executed())
 	}
 }
 
-// TestEngineStepCausality: Step shares Run's queue-went-backwards check.
+// TestEngineRunCausality: Run checks that the queue never goes backwards.
 // The queue cannot be corrupted through the public API (Schedule delays are
 // unsigned), so plant the bad event directly.
-func TestEngineStepCausality(t *testing.T) {
+func TestEngineRunCausality(t *testing.T) {
 	e := NewEngine()
 	e.Schedule(10, func() {})
 	e.Run() // now = 10
-	e.heapPush(event{at: 5, seq: e.seq + 1, fn: func() {}})
+	e.heapPush(event{at: 5, seq: e.seq + 1, fn: func() { t.Error("an event in the past ran") }})
 	defer func() {
 		if recover() == nil {
-			t.Error("Step executed an event in the past")
+			t.Error("Run executed an event in the past")
 		}
 	}()
-	e.Step()
+	e.Run()
 }
 
 func TestEngineEventLimit(t *testing.T) {

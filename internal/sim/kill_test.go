@@ -147,7 +147,7 @@ func TestPoolReuseAfterKill(t *testing.T) {
 		e.Spawn("finished", func(p *Proc) { p.Sleep(1) })
 		e.Spawn("parked", func(p *Proc) { p.Park() })
 		e.Spawn("reparking", func(p *Proc) {
-			defer p.Yield()
+			defer p.Sleep(0)
 			p.Park()
 		})
 		e.Run()

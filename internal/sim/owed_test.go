@@ -336,9 +336,6 @@ func TestBlockingSettlesFirst(t *testing.T) {
 		{"Sleep", func(e *Engine) (func(), func(*Proc)) {
 			return func() {}, func(p *Proc) { p.Sleep(0) }
 		}},
-		{"Yield", func(e *Engine) (func(), func(*Proc)) {
-			return func() {}, func(p *Proc) { p.Yield() }
-		}},
 	} {
 		e := NewEngine()
 		arm, wait := tc.block(e)

@@ -305,7 +305,7 @@ func (w *stageWaiter) Ready(p *Proc) bool {
 func TestParkOnEvaluatesOnTheEngineSide(t *testing.T) {
 	e := NewEngine()
 	defer e.Kill()
-	w := &stageWaiter{misses: 3, wake: func(p *Proc) { p.WakeAfter(2) }}
+	w := &stageWaiter{misses: 3, wake: func(p *Proc) { p.eng.Schedule(2, p.stepFn) }}
 	var woke Time
 	e.Spawn("p", func(p *Proc) {
 		p.Charge(4)
@@ -356,7 +356,7 @@ func TestParkOnAllocatesNothing(t *testing.T) {
 func TestReadyPanicCarriesProcName(t *testing.T) {
 	for _, owing := range []bool{false, true} {
 		e := NewEngine()
-		w := &stageWaiter{misses: 1, wake: func(p *Proc) { p.WakeAfter(3) }}
+		w := &stageWaiter{misses: 1, wake: func(p *Proc) { p.eng.Schedule(3, p.stepFn) }}
 		e.Spawn("k3/sys2", func(p *Proc) {
 			if owing {
 				p.Charge(2)
@@ -392,7 +392,7 @@ func TestReadyPanicCarriesProcName(t *testing.T) {
 // neither step nor Kill trips over it.
 func TestKillFromInsideReady(t *testing.T) {
 	e := NewEngine()
-	w := &stageWaiter{misses: 1, wake: func(p *Proc) { p.WakeAfter(1) }}
+	w := &stageWaiter{misses: 1, wake: func(p *Proc) { p.eng.Schedule(1, p.stepFn) }}
 	unwound := false
 	e.Spawn("p", func(p *Proc) {
 		defer func() { unwound = true }()

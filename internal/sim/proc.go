@@ -40,7 +40,7 @@ type Proc struct {
 	yield func(struct{}) bool
 	// stepFn is p.step bound once at Spawn. Taking the method value inline
 	// (e.Schedule(d, p.step)) would allocate a fresh closure on every
-	// Sleep/Wake/Yield; binding it once makes the handoff allocation-free.
+	// Sleep/Wake; binding it once makes the handoff allocation-free.
 	stepFn func()
 	// dead is set on the engine side, by step when the body returns and by
 	// Kill, so it also covers procs whose body never started.
@@ -247,7 +247,8 @@ func (p *Proc) Now() Time {
 }
 
 // Sleep blocks the proc for d cycles of virtual time, after settling what it
-// owes.
+// owes. Sleep(0) yields: the proc resumes at the same timestamp, after the
+// events already queued for this instant.
 func (p *Proc) Sleep(d Duration) {
 	if p.nOwed != 0 {
 		p.Charge(d)
@@ -324,11 +325,6 @@ func (p *Proc) ParkOn(w Waiter) {
 	}
 }
 
-// Yield parks the proc and schedules it to resume at the same timestamp,
-// after other events already queued for this instant. This is a preemption
-// point in the sense of the SemperOS kernel design.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // Park blocks the proc until some event handler calls Wake, after settling
 // what it owes. A proc parked this way and never woken leaks until
 // Engine.Kill.
@@ -343,9 +339,4 @@ func (p *Proc) Park() {
 // must track parked state (Future and Semaphore do this for you).
 func (p *Proc) Wake() {
 	p.eng.Schedule(0, p.stepFn)
-}
-
-// WakeAfter schedules the proc to resume after d cycles.
-func (p *Proc) WakeAfter(d Duration) {
-	p.eng.Schedule(d, p.stepFn)
 }

@@ -64,7 +64,7 @@ func TestProcYieldRunsAfterQueuedEvents(t *testing.T) {
 	var got []string
 	e.Spawn("y", func(p *Proc) {
 		e.Schedule(0, func() { got = append(got, "event") })
-		p.Yield()
+		p.Sleep(0)
 		got = append(got, "proc")
 	})
 	e.Run()

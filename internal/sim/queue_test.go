@@ -2,7 +2,6 @@ package sim
 
 import (
 	"container/heap"
-	"context"
 	"math/rand"
 	"testing"
 )
@@ -113,48 +112,31 @@ func TestQueueMatchesReferenceHeap(t *testing.T) {
 	}
 }
 
-// drivenEngine runs the production engine through one of its other drivers
-// instead of Run, so driveQueue's schedule goes through that entry point.
-type drivenEngine struct {
-	*Engine
-	drive func(e *Engine)
+// slicedEngine drives the production engine through RunUntil in slices of a
+// few cycles instead of Run, so that heap events, lane events and the bound
+// keep meeting on one instant.
+type slicedEngine struct{ *Engine }
+
+func (e slicedEngine) Run() {
+	for e.Pending() > 0 {
+		e.RunUntil(e.Now() + 2)
+	}
 }
 
-func (de drivenEngine) Run() { de.drive(de.Engine) }
-
-// TestRunDriversMatchReference: Run, RunUntil, Step and RunCtx are loops
-// around one pop path, so whichever of them drives the engine — RunUntil in
-// slices of a few cycles, so that heap events, lane events and the bound keep
-// meeting on one instant — the (id, time) stream is the reference heap's.
+// TestRunDriversMatchReference: Run and RunUntil are loops around one pop
+// path, so a run sliced by RunUntil executes the reference heap's (id, time)
+// stream too.
 func TestRunDriversMatchReference(t *testing.T) {
-	drivers := map[string]func(e *Engine){
-		"Step": func(e *Engine) {
-			for e.Step() {
-			}
-		},
-		"RunUntil": func(e *Engine) {
-			for e.Pending() > 0 {
-				e.RunUntil(e.Now() + 2)
-			}
-		},
-		"RunCtx": func(e *Engine) {
-			if err := e.RunCtx(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-		},
-	}
-	for name, drive := range drivers {
-		for seed := int64(1); seed <= 25; seed++ {
-			got := driveQueue(drivenEngine{NewEngine(), drive}, seed)
-			want := driveQueue(&refEngine{}, seed)
-			if len(got) != len(want) {
-				t.Fatalf("%s seed %d: trace lengths differ: %d vs %d", name, seed, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s seed %d: traces diverge at %d: engine %v, reference %v",
-						name, seed, i, got[i], want[i])
-				}
+	for seed := int64(1); seed <= 25; seed++ {
+		got := driveQueue(slicedEngine{NewEngine()}, seed)
+		want := driveQueue(&refEngine{}, seed)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: trace lengths differ: %d vs %d", seed, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: traces diverge at %d: engine %v, reference %v",
+					seed, i, got[i], want[i])
 			}
 		}
 	}
@@ -224,8 +206,8 @@ func TestWakeOrderFIFO(t *testing.T) {
 	}
 }
 
-// TestYieldInterleavesFIFO: procs that Yield in a loop round-robin in spawn
-// order, every round, without time advancing.
+// TestYieldInterleavesFIFO: procs that yield (Sleep(0)) in a loop
+// round-robin in spawn order, every round, without time advancing.
 func TestYieldInterleavesFIFO(t *testing.T) {
 	e := NewEngine()
 	defer e.Kill()
@@ -235,7 +217,7 @@ func TestYieldInterleavesFIFO(t *testing.T) {
 		e.Spawn("y", func(p *Proc) {
 			for r := 0; r < 3; r++ {
 				got = append(got, i)
-				p.Yield()
+				p.Sleep(0)
 			}
 		})
 	}
@@ -250,6 +232,6 @@ func TestYieldInterleavesFIFO(t *testing.T) {
 		}
 	}
 	if e.Now() != 0 {
-		t.Fatalf("Yield advanced time to %d", e.Now())
+		t.Fatalf("Sleep(0) advanced time to %d", e.Now())
 	}
 }

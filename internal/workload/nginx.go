@@ -53,14 +53,6 @@ type NginxResult struct {
 	TotalCapOps uint64
 }
 
-// RequestsPerSecond returns the aggregate request rate.
-func (r *NginxResult) RequestsPerSecond() float64 {
-	if r.Duration == 0 {
-		return 0
-	}
-	return float64(r.Requests) / (float64(r.Duration) / core.CyclesPerSecond)
-}
-
 // serverRgateEP is the server-side receive endpoint for HTTP requests.
 const serverRgateEP = 11
 

@@ -81,8 +81,8 @@ func TestNginxRuns(t *testing.T) {
 	if res.Requests == 0 {
 		t.Fatal("no requests completed")
 	}
-	if res.RequestsPerSecond() <= 0 {
-		t.Fatal("zero request rate")
+	if res.Duration == 0 {
+		t.Fatal("empty measurement window")
 	}
 }
 
