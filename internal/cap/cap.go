@@ -609,35 +609,43 @@ func (s *Store) CheckLocalInvariants() error {
 		return fmt.Errorf("slot accounting: %d free + %d live != %d used",
 			len(s.freeSlots), s.n, s.used)
 	}
-	freeSlot := make(map[uint32]bool, len(s.freeSlots))
+	// One word per slot: on the free list, listed by its local parent (marked
+	// in the parent's child walk, so the audit is linear in the links); then
+	// one per chunk: 1 + the slot whose spill chain holds it, or chunkFree.
+	// A small table's words stay on the stack.
+	const slotFree, slotListed, chunkFree = 1, 2, ^uint32(0)
+	var buf [512]uint32
+	words := buf[:]
+	if n := int(s.used) + len(s.chunks); n > len(buf) {
+		words = make([]uint32, n)
+	}
+	state, chunkOwner := words[:s.used], words[s.used:int(s.used)+len(s.chunks)]
 	for _, slot := range s.freeSlots {
 		if slot >= s.used {
 			return fmt.Errorf("free slot %d beyond high water %d", slot, s.used)
 		}
-		if freeSlot[slot] {
+		if state[slot]&slotFree != 0 {
 			return fmt.Errorf("slot %d on the free list twice", slot)
 		}
-		freeSlot[slot] = true
+		state[slot] |= slotFree
 	}
-	freeChunk := make(map[int32]bool, len(s.freeChunks))
 	for _, ci := range s.freeChunks {
 		if ci < 0 || int(ci) >= len(s.chunks) {
 			return fmt.Errorf("free chunk %d out of range", ci)
 		}
-		if freeChunk[ci] {
+		if chunkOwner[ci] == chunkFree {
 			return fmt.Errorf("chunk %d on the free list twice", ci)
 		}
 		if s.chunks[ci] != (childChunk{}) {
 			return fmt.Errorf("free chunk %d not zeroed", ci)
 		}
-		freeChunk[ci] = true
+		chunkOwner[ci] = chunkFree
 	}
-	chunkOwner := make(map[int32]uint32)
 	ownedChunks := 0
 	for slot := uint32(0); slot < s.used; slot++ {
 		c := s.capAt(slot)
 		if c.Key == 0 {
-			if !freeSlot[slot] {
+			if state[slot]&slotFree == 0 {
 				return fmt.Errorf("slot %d is empty but not on the free list", slot)
 			}
 			if *c != (Capability{}) {
@@ -645,7 +653,7 @@ func (s *Store) CheckLocalInvariants() error {
 			}
 			continue
 		}
-		if freeSlot[slot] {
+		if state[slot]&slotFree != 0 {
 			return fmt.Errorf("slot %d holds %v but is on the free list", slot, c.Key)
 		}
 		if c.store != s || c.slot != slot {
@@ -666,16 +674,16 @@ func (s *Store) CheckLocalInvariants() error {
 				return fmt.Errorf("cap %v spill chain too short: %d chunks, want %d", c.Key, i, wantChunks)
 			}
 			idx := ci - 1
-			if int(idx) >= len(s.chunks) {
+			if idx < 0 || int(idx) >= len(s.chunks) {
 				return fmt.Errorf("cap %v spill chunk %d out of range", c.Key, idx)
 			}
-			if freeChunk[idx] {
+			switch owner := chunkOwner[idx]; {
+			case owner == chunkFree:
 				return fmt.Errorf("cap %v references free chunk %d", c.Key, idx)
+			case owner != 0:
+				return fmt.Errorf("chunk %d shared by slots %d and %d", idx, owner-1, slot)
 			}
-			if owner, shared := chunkOwner[idx]; shared {
-				return fmt.Errorf("chunk %d shared by slots %d and %d", idx, owner, slot)
-			}
-			chunkOwner[idx] = slot
+			chunkOwner[idx] = slot + 1
 			ownedChunks++
 			if i == wantChunks-1 {
 				if ci != c.spillTail {
@@ -697,9 +705,12 @@ func (s *Store) CheckLocalInvariants() error {
 				return true
 			}
 			liveChildren++
-			if child := s.Lookup(ch); child != nil && child.Parent != c.Key {
-				childErr = fmt.Errorf("child %v of %v has parent %v", ch, c.Key, child.Parent)
-				return false
+			if child := s.Lookup(ch); child != nil {
+				if child.Parent != c.Key {
+					childErr = fmt.Errorf("child %v of %v has parent %v", ch, c.Key, child.Parent)
+					return false
+				}
+				state[child.slot] |= slotListed
 			}
 			return true
 		})
@@ -709,15 +720,16 @@ func (s *Store) CheckLocalInvariants() error {
 		if liveChildren != int(c.nChildren) {
 			return fmt.Errorf("cap %v counts %d children, slots hold %d", c.Key, c.nChildren, liveChildren)
 		}
-		if c.Parent != 0 {
-			if parent := s.Lookup(c.Parent); parent != nil && !parent.HasChild(c.Key) {
-				return fmt.Errorf("cap %v not in parent %v child list", c.Key, c.Parent)
-			}
-		}
 		if c.Sel != NoSel {
 			if s.LookupSel(c.Owner, c.Sel) != c {
 				return fmt.Errorf("cap %v selector index mismatch", c.Key)
 			}
+		}
+	}
+	// Every walk is done: a capability its local parent does not list is unmarked.
+	for slot := uint32(0); slot < s.used; slot++ {
+		if c := s.capAt(slot); c.Parent != 0 && state[slot]&slotListed == 0 && s.Lookup(c.Parent) != nil {
+			return fmt.Errorf("cap %v not in parent %v child list", c.Key, c.Parent)
 		}
 	}
 	if ownedChunks+len(s.freeChunks) != len(s.chunks) {

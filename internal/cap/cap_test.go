@@ -1,6 +1,7 @@
 package cap
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -253,6 +254,26 @@ func TestInvariantViolationDetected(t *testing.T) {
 	if err := s.CheckLocalInvariants(); err != nil {
 		t.Fatal(err)
 	}
+
+	// A parent whose list has spilled into chunks lists every claimant but
+	// one, which sits in a slot after all the listed ones.
+	wide := s.Insert(memCap(g, 1, 2))
+	for i := 0; i < inlineChildren+2*chunkKeys; i++ {
+		c := memCap(g, 3, Selector(i+1))
+		c.Parent = wide.Key
+		wide.AddChild(s.Insert(c).Key)
+	}
+	missing := memCap(g, 3, 100)
+	missing.Parent = wide.Key
+	s.Insert(missing)
+	want := fmt.Sprintf("cap %v not in parent %v child list", missing.Key, wide.Key)
+	if err := s.CheckLocalInvariants(); err == nil || err.Error() != want {
+		t.Fatalf("audit = %v, want %q", err, want)
+	}
+	wide.AddChild(missing.Key)
+	if err := s.CheckLocalInvariants(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestObjectTypes(t *testing.T) {
@@ -413,5 +434,54 @@ func TestStoreRandomOpsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAuditFindsSpillCorruption: the audit names one chunk in two spill
+// chains, a chain that runs through a free chunk, and a chunk listed free
+// twice.
+func TestAuditFindsSpillCorruption(t *testing.T) {
+	// Two capabilities whose child lists have spilled into one chunk each.
+	build := func() (s *Store, a, b *Capability) {
+		s = NewStore()
+		g := ddl.NewGenerator()
+		var caps [2]*Capability
+		for i := range caps {
+			caps[i] = s.Insert(memCap(g, 1, s.AllocSel(1)))
+			for j := 0; j <= inlineChildren; j++ {
+				caps[i].AddChild(g.Next(1, 2, ddl.TypeMem))
+			}
+		}
+		return s, caps[0], caps[1]
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(s *Store, a, b *Capability) string
+	}{
+		{"shared", func(s *Store, a, b *Capability) string {
+			b.spillHead, b.spillTail = a.spillHead, a.spillTail
+			return fmt.Sprintf("chunk %d shared by slots %d and %d", a.spillHead-1, a.slot, b.slot)
+		}},
+		{"references free", func(s *Store, a, b *Capability) string {
+			idx := b.spillHead - 1
+			s.chunks[idx] = childChunk{}
+			s.freeChunks = append(s.freeChunks, idx)
+			return fmt.Sprintf("cap %v references free chunk %d", b.Key, idx)
+		}},
+		{"free twice", func(s *Store, a, b *Capability) string {
+			idx := b.spillHead - 1
+			b.resetChildren()
+			s.freeChunks = append(s.freeChunks, idx)
+			return fmt.Sprintf("chunk %d on the free list twice", idx)
+		}},
+	} {
+		s, a, b := build()
+		if err := s.CheckLocalInvariants(); err != nil {
+			t.Fatalf("%s: intact store: %v", tc.name, err)
+		}
+		want := tc.corrupt(s, a, b)
+		if err := s.CheckLocalInvariants(); err == nil || err.Error() != want {
+			t.Errorf("%s: audit = %v, want %q", tc.name, err, want)
+		}
 	}
 }

@@ -291,8 +291,8 @@ func TestMemObjectsAcrossChunks(t *testing.T) {
 		t.Fatalf("%d memory capabilities left, want %d", got, want)
 	}
 
-	// The first surviving child reads, through its own endpoint, what was
-	// written through its root's at its offset, and not a byte past its size.
+	// The first surviving child's endpoint reaches its root's region at its
+	// offset, and not a byte past its size.
 	c := survivors[0]
 	run(1, func(v *VPE, p *sim.Proc) error {
 		if err := v.Activate(p, roots[1], vpeFirstMemEP); err != nil {
@@ -301,17 +301,15 @@ func TestMemObjectsAcrossChunks(t *testing.T) {
 		if err := v.Activate(p, c.sel, vpeFirstMemEP+1); err != nil {
 			return err
 		}
-		if err := v.DTU().WriteMem(p, vpeFirstMemEP, c.off, []byte("chunked")); err != nil {
+		rootPE, rootOff, _ := v.DTU().MemWindow(vpeFirstMemEP)
+		if pe, off, size := v.DTU().MemWindow(vpeFirstMemEP + 1); pe != rootPE || off != rootOff+c.off || size != c.size {
+			t.Errorf("child endpoint reaches PE %d at %d, %d bytes; want PE %d at %d, %d bytes",
+				pe, off, size, rootPE, rootOff+c.off, c.size)
+		}
+		if err := v.Access(p, vpeFirstMemEP+1, 0, c.size, dtu.PermR); err != nil {
 			return err
 		}
-		got, err := v.DTU().ReadMem(p, vpeFirstMemEP+1, 0, 7)
-		if err != nil {
-			return err
-		}
-		if string(got) != "chunked" {
-			t.Errorf("child endpoint read %q, want %q", got, "chunked")
-		}
-		if _, err := v.DTU().ReadMem(p, vpeFirstMemEP+1, 0, c.size+1); err == nil {
+		if err := v.Access(p, vpeFirstMemEP+1, 0, c.size+1, dtu.PermR); err == nil {
 			t.Errorf("child endpoint reads past its %d bytes", c.size)
 		}
 		return nil

@@ -153,11 +153,52 @@ func TestAllocAndDeriveMem(t *testing.T) {
 	checkAudit(t, s)
 }
 
+// TestMemCapActivateAndAccess: an endpoint activated from a memory
+// capability admits accesses inside the capability's region with its
+// permissions, and no others.
 func TestMemCapActivateAndAccess(t *testing.T) {
 	s := newTestSystem(t, 1, 1)
-	var got []byte
+	done := false
 	s.Spawn("app", func(v *VPE, p *sim.Proc) {
 		sel, err := v.AllocMem(p, 4096, dtu.PermRW)
+		if err != nil {
+			t.Errorf("AllocMem: %v", err)
+			return
+		}
+		if err := v.Access(p, vpeFirstMemEP, 10, 5, dtu.PermW); !errors.Is(err, dtu.ErrBadEndpoint) {
+			t.Errorf("Access before Activate = %v, want %v", err, dtu.ErrBadEndpoint)
+		}
+		if err := v.Activate(p, sel, vpeFirstMemEP); err != nil {
+			t.Errorf("Activate: %v", err)
+			return
+		}
+		if err := v.Access(p, vpeFirstMemEP, 10, 5, dtu.PermW); err != nil {
+			t.Errorf("write: %v", err)
+		}
+		if err := v.Access(p, vpeFirstMemEP, 10, 5, dtu.PermR); err != nil {
+			t.Errorf("read: %v", err)
+		}
+		if err := v.Access(p, vpeFirstMemEP, 4090, 8, dtu.PermR); !errors.Is(err, dtu.ErrOutOfBounds) {
+			t.Errorf("read past the region = %v, want %v", err, dtu.ErrOutOfBounds)
+		}
+		done = true
+	})
+	s.Run()
+	if !done {
+		t.Fatal("the app never finished")
+	}
+	checkAudit(t, s)
+}
+
+// TestAccessCostsTransfer: a checked access takes exactly the time of a
+// transfer of the same size, and a refused one takes none.
+func TestAccessCostsTransfer(t *testing.T) {
+	s := newTestSystem(t, 1, 1)
+	const n = 1000
+	want := sim.Duration(n*dataCyclesPerByte) + sim.Duration(n*s.Cost.LinkCyclesPerByte)
+	var transfer, access, refused sim.Duration
+	s.Spawn("app", func(v *VPE, p *sim.Proc) {
+		sel, err := v.AllocMem(p, 4096, dtu.PermR)
 		if err != nil {
 			t.Errorf("AllocMem: %v", err)
 			return
@@ -166,19 +207,24 @@ func TestMemCapActivateAndAccess(t *testing.T) {
 			t.Errorf("Activate: %v", err)
 			return
 		}
-		if err := v.DTU().WriteMem(p, vpeFirstMemEP, 10, []byte("hello")); err != nil {
-			t.Errorf("WriteMem: %v", err)
-			return
+		t0 := p.Now()
+		v.Transfer(p, n)
+		t1 := p.Now()
+		if err := v.Access(p, vpeFirstMemEP, 0, n, dtu.PermR); err != nil {
+			t.Errorf("Access: %v", err)
 		}
-		got, err = v.DTU().ReadMem(p, vpeFirstMemEP, 10, 5)
-		if err != nil {
-			t.Errorf("ReadMem: %v", err)
+		t2 := p.Now()
+		if err := v.Access(p, vpeFirstMemEP, 0, n, dtu.PermW); !errors.Is(err, dtu.ErrNoPerm) {
+			t.Errorf("write to a read-only region = %v, want %v", err, dtu.ErrNoPerm)
 		}
+		transfer, access, refused = t1-t0, t2-t1, p.Now()-t2
 	})
 	s.Run()
-	if string(got) != "hello" {
-		t.Fatalf("read %q, want hello", got)
+	if transfer != want || access != want || refused != 0 {
+		t.Fatalf("transfer %d, access %d, refused access %d cycles; want %d, %d, 0",
+			transfer, access, refused, want, want)
 	}
+	checkAudit(t, s)
 }
 
 // TestRevokeInvalidatesActivatedEndpoint: a child activates a memory
@@ -226,13 +272,13 @@ func TestRevokeInvalidatesActivatedEndpoint(t *testing.T) {
 					t.Errorf("Activate: %v", err)
 					return
 				}
-				if _, err := v.DTU().ReadMem(p, vpeFirstMemEP, 0, 16); err != nil {
-					t.Errorf("ReadMem before revoke: %v", err)
+				if err := v.Access(p, vpeFirstMemEP, 0, 16, dtu.PermR); err != nil {
+					t.Errorf("read before revoke: %v", err)
 				}
 				activated.Complete(struct{}{})
 				revoked.Wait(p)
-				if _, err := v.DTU().ReadMem(p, vpeFirstMemEP, 0, 16); !errors.Is(err, dtu.ErrBadEndpoint) {
-					t.Errorf("ReadMem after revoke = %v, want %v", err, dtu.ErrBadEndpoint)
+				if err := v.Access(p, vpeFirstMemEP, 0, 16, dtu.PermR); !errors.Is(err, dtu.ErrBadEndpoint) {
+					t.Errorf("read after revoke = %v, want %v", err, dtu.ErrBadEndpoint)
 				}
 				if kind := v.DTU().EpKindOf(vpeFirstMemEP); kind != dtu.EpInvalid {
 					t.Errorf("endpoint kind after revoke = %v, want %v", kind, dtu.EpInvalid)

@@ -229,7 +229,7 @@ const (
 	jobSyscall    jobKind = iota // handle the syscall message
 	jobRequest                   // pick up and dispatch the inter-kernel request(s)
 	jobRevokeDone                // account one completed child revocation
-	jobFunc                      // run the function, which brackets the CPU itself: boot, rejoin
+	jobFunc                      // run the function, which gives the CPU back itself: boot, rejoin
 )
 
 // job is one unit of kernel-thread work: a kind and its subject, whose
@@ -243,9 +243,9 @@ type job struct {
 	subj any
 }
 
-// jobBody is a jobFunc's subject. t is the record of the thread running it,
-// which acquireCPU wants.
-type jobBody = func(p *sim.Proc, t *kthread)
+// jobBody is a jobFunc's subject. It starts with the CPU held, like every
+// job, and releases it itself (releaseCPU).
+type jobBody = func(p *sim.Proc)
 
 // pool is a lazily grown, bounded worker pool of kernel threads running
 // jobs on cooperative procs.
@@ -306,7 +306,7 @@ func (pl *pool) work(p *sim.Proc) {
 		p.ParkOn(t)
 		switch j := &t.job; j.kind {
 		case jobFunc:
-			j.subj.(jobBody)(p, t)
+			j.subj.(jobBody)(p)
 			t.stage = stageJob // the body gave the CPU back itself: no epilogue
 			continue
 		case jobSyscall:
@@ -342,8 +342,7 @@ func (k *Kernel) onSyscallMsg(m *dtu.Message) {
 // serializes at their group kernels (visible in the application benchmarks
 // as startup cost).
 func (k *Kernel) createVPE(v *VPE) {
-	k.syscallPool.submit(job{kind: jobFunc, subj: func(p *sim.Proc, t *kthread) {
-		k.acquireCPU(p, t)
+	k.syscallPool.submit(job{kind: jobFunc, subj: func(p *sim.Proc) {
 		k.exec(p, k.sys.Cost.VPECreate)
 		// Syscall channel: user EP 0 sends to one of the kernel's syscall
 		// endpoints; one credit models the single outstanding syscall.

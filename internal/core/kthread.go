@@ -113,9 +113,6 @@ func (t *kthread) Ready(p *sim.Proc) bool {
 				return false
 			}
 			t.job, _ = t.pl.q.TryPop()
-			if t.job.kind == jobFunc {
-				return true // the body brackets the CPU itself
-			}
 			t.stage = stageCPU
 		case stageRelease:
 			k.cpu.Release()
@@ -136,11 +133,10 @@ func (t *kthread) Ready(p *sim.Proc) bool {
 	}
 }
 
-// acquireCPU / releaseCPU bracket kernel work for the procs that bracket the
-// CPU themselves — a jobFunc body (boot, rejoin), the transmit proc; pool
-// threads get and give the CPU as stages of their record. t is the calling
-// proc's record. Release settles what the proc owes first: the next holder
-// must not start before this one's time is up.
+// acquireCPU / releaseCPU bracket the kernel work a job's own CPU stage does
+// not cover: sysActivate's stretch after its round trip, the transmit proc's
+// flushes. t is the calling proc's record. Release settles what the proc
+// owes first: the next holder must not start before this one's time is up.
 func (k *Kernel) acquireCPU(p *sim.Proc, t *kthread) {
 	t.stage = stageCPU
 	p.ParkOn(t)

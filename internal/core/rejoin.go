@@ -101,8 +101,7 @@ func (k *Kernel) admitIncarnation(from int, inc uint32) {
 	// recorded orphan fixes and revoking the chains still linking into the
 	// dead incarnation — blocks on inter-kernel calls, so it runs as a pool
 	// job rather than inline under the admission gate.
-	k.ikcPool.submit(job{kind: jobFunc, subj: func(p *sim.Proc, t *kthread) {
-		k.acquireCPU(p, t)
+	k.ikcPool.submit(job{kind: jobFunc, subj: func(p *sim.Proc) {
 		k.replayOrphanFixes(p, from)
 		k.reconcileChains(p, from)
 		k.releaseCPU(p)
@@ -165,8 +164,7 @@ func (k *Kernel) beginRejoin() {
 	// entries after this reset.
 	k.pendingDelegations = ddl.KeyMap[*cap.Capability]{}
 
-	k.ikcPool.submit(job{kind: jobFunc, subj: func(p *sim.Proc, t *kthread) {
-		k.acquireCPU(p, t)
+	k.ikcPool.submit(job{kind: jobFunc, subj: func(p *sim.Proc) {
 		// Handshake with every peer, in kernel order. The bumped stamp on
 		// the request re-admits this kernel at the peer (admit); the
 		// reply tells this kernel the peer routes to it again.

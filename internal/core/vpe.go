@@ -137,16 +137,34 @@ func (v *VPE) syscall(p *sim.Proc, req sysRequest) sysReply {
 	return rep
 }
 
-// TransferData models moving bytes of bulk data over the PE group's shared
-// mesh region: transfers of VPEs in the same group serialize on the link.
-func (v *VPE) TransferData(p *sim.Proc, bytes uint64) {
-	d := sim.Duration(float64(bytes) * v.sys.Cost.LinkCyclesPerByte)
-	if d == 0 {
-		return
+// dataCyclesPerByte models the time to move one byte of data through a
+// memory endpoint against a non-contended memory controller (the paper's
+// §5.3.1 methodology: data accesses are accounted as compute time rather
+// than simulated through a memory hierarchy): ~16 GB/s per PE at 2 GHz.
+const dataCyclesPerByte = 0.125
+
+// Transfer models moving bytes of bulk data, as time only: through the
+// VPE's memory endpoint, then over the PE group's shared mesh region, where
+// transfers of VPEs in the same group serialize.
+func (v *VPE) Transfer(p *sim.Proc, bytes uint64) {
+	p.Sleep(sim.Duration(float64(bytes) * dataCyclesPerByte))
+	if d := sim.Duration(float64(bytes) * v.sys.Cost.LinkCyclesPerByte); d > 0 {
+		v.kernel.link.Acquire(p)
+		p.Sleep(d)
+		v.kernel.link.Release()
 	}
-	v.kernel.link.Acquire(p)
-	p.Sleep(d)
-	v.kernel.link.Release()
+}
+
+// Access moves size bytes at offset off through memory endpoint ep if the DTU
+// grants need there (dtu.CheckMem), in Transfer's time. What the proc owes
+// elapses before the check: revocations rewrite endpoints from other procs.
+func (v *VPE) Access(p *sim.Proc, ep int, off, size uint64, need dtu.Perm) error {
+	p.Settle()
+	if err := v.dtu.CheckMem(ep, off, size, need); err != nil {
+		return err
+	}
+	v.Transfer(p, size)
+	return nil
 }
 
 // AllocMem allocates size bytes of global memory with the given permissions
@@ -214,5 +232,5 @@ func (v *VPE) Noop(p *sim.Proc) {
 	v.syscall(p, sysRequest{Kind: sysNoop})
 }
 
-// DTU exposes the VPE's DTU for direct data access after Activate.
+// DTU exposes the VPE's DTU: its endpoints and the checks behind Access.
 func (v *VPE) DTU() *dtu.DTU { return v.dtu }

@@ -2,12 +2,12 @@
 // that M3 and SemperOS place next to every processing element (PE).
 //
 // The DTU is the PE's only gateway to the rest of the machine: it exchanges
-// messages with other DTUs and performs remote memory accesses, both over
-// the NoC. Controlling a PE's DTU therefore suffices to isolate the PE
-// (NoC-level isolation). Following the paper's evaluation platform, each DTU
-// provides 16 endpoints; receive endpoints hold up to 32 message slots; a
-// message arriving at a full endpoint is lost, which is why the kernels
-// bound their in-flight messages.
+// messages with other DTUs over the NoC and checks every remote memory
+// access (CheckMem). Controlling a PE's DTU therefore suffices to isolate
+// the PE (NoC-level isolation). Following the paper's evaluation platform,
+// each DTU provides 16 endpoints; receive endpoints hold up to 32 message
+// slots; a message arriving at a full endpoint is lost, which is why the
+// kernels bound their in-flight messages.
 //
 // Endpoints are configured only by privileged DTUs. At boot all DTUs are
 // privileged; the kernel downgrades every user DTU and remains the only
@@ -201,8 +201,7 @@ type DTU struct {
 	pe         int
 	privileged bool
 	eps        [NumEndpoints]endpoint
-	mem        []byte
-	memCap     int // declared local memory size; backing allocated lazily
+	memCap     int // declared local memory size, the bound of CheckMem
 	stats      Stats
 }
 
@@ -260,16 +259,6 @@ func (d *DTU) Stats() Stats { return d.stats }
 // Downgrade removes the privileged status. The kernel downgrades all user
 // DTUs during boot; only kernel DTUs stay privileged.
 func (d *DTU) Downgrade() { d.privileged = false }
-
-// Memory returns the DTU's local memory (nil if none declared). The backing
-// storage is allocated on first use: simulations that model data movement as
-// time (the paper's methodology) never pay for it.
-func (d *DTU) Memory() []byte {
-	if d.mem == nil && d.memCap > 0 {
-		d.mem = make([]byte, d.memCap)
-	}
-	return d.mem
-}
 
 // configuring endpoints ------------------------------------------------
 
@@ -375,6 +364,14 @@ func (d *DTU) Invalidate(by *DTU, ep int) error {
 func (d *DTU) EpKindOf(ep int) EpKind {
 	checkEP(ep)
 	return d.eps[ep].kind
+}
+
+// MemWindow returns the window a memory endpoint grants: the target PE and
+// the offset and size of the region in its memory.
+func (d *DTU) MemWindow(ep int) (pe int, off, size uint64) {
+	checkEP(ep)
+	e := &d.eps[ep]
+	return int(e.memPE), e.memOff, e.memSize
 }
 
 // Credits returns the available credits of a send endpoint.
@@ -752,56 +749,21 @@ func (d *DTU) restoreCredit(ep int) {
 
 // remote memory ----------------------------------------------------------
 
-// memAccess validates a request against endpoint ep and returns the target.
-func (d *DTU) memAccess(ep int, off, size uint64, need Perm) (*DTU, uint64, error) {
+// CheckMem checks an access of size bytes at offset off through memory
+// endpoint ep, needing need: the endpoint must grant need, and the access
+// must lie inside its window and inside the memory its target PE declared
+// (Fabric.Add). It takes no time; moving the data is core.VPE.Transfer's.
+func (d *DTU) CheckMem(ep int, off, size uint64, need Perm) error {
 	checkEP(ep)
 	e := &d.eps[ep]
 	if e.kind != EpMem {
-		return nil, 0, ErrBadEndpoint
+		return ErrBadEndpoint
 	}
 	if e.perm&need != need {
-		return nil, 0, ErrNoPerm
+		return ErrNoPerm
 	}
-	if off+size > e.memSize || off+size < off {
-		return nil, 0, ErrOutOfBounds
+	if end := off + size; end > e.memSize || end < off || e.memOff+end > uint64(d.fabric.dtus[e.memPE].memCap) {
+		return ErrOutOfBounds
 	}
-	target := d.fabric.dtus[e.memPE]
-	abs := e.memOff + off
-	if abs+size > uint64(target.memCap) {
-		return nil, 0, ErrOutOfBounds
-	}
-	return target, abs, nil
-}
-
-// ReadMem reads size bytes at offset off through memory endpoint ep,
-// blocking the proc for the NoC round trip plus data transfer time.
-func (d *DTU) ReadMem(p *sim.Proc, ep int, off, size uint64) ([]byte, error) {
-	p.Settle()
-	target, abs, err := d.memAccess(ep, off, size, PermR)
-	if err != nil {
-		return nil, err
-	}
-	// Request travels to the memory, data travels back.
-	lat := d.fabric.net.Latency(d.pe, target.pe, headerBytes) +
-		d.fabric.net.Latency(target.pe, d.pe, int(size))
-	p.Sleep(lat)
-	buf := make([]byte, size)
-	copy(buf, target.Memory()[abs:abs+size])
-	return buf, nil
-}
-
-// WriteMem writes data at offset off through memory endpoint ep, blocking
-// the proc for the transfer plus acknowledgement.
-func (d *DTU) WriteMem(p *sim.Proc, ep int, off uint64, data []byte) error {
-	p.Settle()
-	size := uint64(len(data))
-	target, abs, err := d.memAccess(ep, off, size, PermW)
-	if err != nil {
-		return err
-	}
-	lat := d.fabric.net.Latency(d.pe, target.pe, int(size)) +
-		d.fabric.net.Latency(target.pe, d.pe, headerBytes)
-	p.Sleep(lat)
-	copy(target.Memory()[abs:abs+size], data)
 	return nil
 }

@@ -173,56 +173,82 @@ func TestInvalidate(t *testing.T) {
 	}
 }
 
-func TestMemReadWrite(t *testing.T) {
+// TestCheckMemWindow: a read-write window admits reads and writes anywhere
+// inside it, up to its last byte, and checking takes no simulated time.
+func TestCheckMemWindow(t *testing.T) {
 	e, f := newFabric(t, 4)
-	a, m := f.DTU(0), f.DTU(3)
-	copy(m.Memory()[100:], []byte("persistent"))
+	a := f.DTU(0)
 	a.ConfigureMem(a, 5, 3, 100, 64, PermRW)
-	var got []byte
-	e.Spawn("reader", func(p *sim.Proc) {
-		var err error
-		got, err = a.ReadMem(p, 5, 0, 10)
-		if err != nil {
-			t.Errorf("ReadMem: %v", err)
+	for _, c := range []struct {
+		off, size uint64
+		need      Perm
+	}{
+		{0, 10, PermR}, {10, 2, PermW}, {0, 64, PermRW}, {63, 1, PermR}, {64, 0, PermW},
+	} {
+		if err := a.CheckMem(5, c.off, c.size, c.need); err != nil {
+			t.Errorf("CheckMem(%d, %d, %v) = %v, want nil", c.off, c.size, c.need, err)
 		}
-		if err := a.WriteMem(p, 5, 10, []byte("XY")); err != nil {
-			t.Errorf("WriteMem: %v", err)
+	}
+	if pe, off, size := a.MemWindow(5); pe != 3 || off != 100 || size != 64 {
+		t.Errorf("MemWindow = (%d, %d, %d), want (3, 100, 64)", pe, off, size)
+	}
+	if e.Now() != 0 {
+		t.Fatalf("checks took %d cycles", e.Now())
+	}
+}
+
+// TestCheckMemEndpointKind: only a memory endpoint admits an access, and an
+// invalidated one no longer does.
+func TestCheckMemEndpointKind(t *testing.T) {
+	_, f := newFabric(t, 4)
+	a := f.DTU(0)
+	a.ConfigureSend(a, 1, 1, 2, 4, 0)
+	a.ConfigureRecv(a, 2, 4, nil)
+	a.ConfigureMem(a, 5, 3, 0, 64, PermRW)
+	a.Invalidate(a, 5)
+	for _, ep := range []int{0, 1, 2, 5} {
+		if err := a.CheckMem(ep, 0, 8, PermR); err != ErrBadEndpoint {
+			t.Errorf("%v endpoint %d: err = %v, want ErrBadEndpoint", a.EpKindOf(ep), ep, err)
 		}
-	})
-	e.Run()
-	if string(got) != "persistent" {
-		t.Fatalf("read %q", got)
-	}
-	if string(m.Memory()[110:112]) != "XY" {
-		t.Fatalf("write not visible: %q", m.Memory()[110:112])
-	}
-	if e.Now() == 0 {
-		t.Fatal("memory access took no simulated time")
 	}
 }
 
 func TestMemPermissionDenied(t *testing.T) {
-	e, f := newFabric(t, 4)
+	_, f := newFabric(t, 4)
 	a := f.DTU(0)
 	a.ConfigureMem(a, 5, 3, 0, 64, PermR)
-	e.Spawn("w", func(p *sim.Proc) {
-		if err := a.WriteMem(p, 5, 0, []byte("no")); err != ErrNoPerm {
-			t.Errorf("err = %v, want ErrNoPerm", err)
+	a.ConfigureMem(a, 6, 3, 0, 64, PermW)
+	for _, c := range []struct {
+		ep   int
+		need Perm
+	}{{5, PermW}, {5, PermRW}, {5, PermX}, {6, PermR}} {
+		if err := a.CheckMem(c.ep, 0, 2, c.need); err != ErrNoPerm {
+			t.Errorf("endpoint %d, %v: err = %v, want ErrNoPerm", c.ep, c.need, err)
 		}
-	})
-	e.Run()
+	}
 }
 
+// TestMemOutOfBounds: an access past the window's end, one whose end
+// overflows, and one inside the window but past the memory the target PE
+// declared are all refused.
 func TestMemOutOfBounds(t *testing.T) {
-	e, f := newFabric(t, 4)
+	_, f := newFabric(t, 4)
 	a := f.DTU(0)
 	a.ConfigureMem(a, 5, 3, 0, 64, PermRW)
-	e.Spawn("r", func(p *sim.Proc) {
-		if _, err := a.ReadMem(p, 5, 60, 10); err != ErrOutOfBounds {
-			t.Errorf("err = %v, want ErrOutOfBounds", err)
+	a.ConfigureMem(a, 6, 3, 1<<16-32, 64, PermRW) // the target has 1<<16 bytes
+	for _, c := range []struct {
+		ep        int
+		off, size uint64
+	}{
+		{5, 60, 10}, {5, 64, 1}, {5, 8, ^uint64(0) - 4}, {6, 16, 32}, {6, 32, 1},
+	} {
+		if err := a.CheckMem(c.ep, c.off, c.size, PermR); err != ErrOutOfBounds {
+			t.Errorf("endpoint %d at %d, %d bytes: err = %v, want ErrOutOfBounds", c.ep, c.off, c.size, err)
 		}
-	})
-	e.Run()
+	}
+	if err := a.CheckMem(6, 0, 32, PermR); err != nil {
+		t.Errorf("the target's last 32 bytes: err = %v, want nil", err)
+	}
 }
 
 func TestPermString(t *testing.T) {

@@ -42,12 +42,6 @@ const (
 	firstRanges = 4
 )
 
-// dataCyclesPerByte models the time to move one byte of file data through a
-// memory endpoint against a non-contended memory controller (the paper's
-// §5.3.1 methodology: data accesses are accounted as compute time rather
-// than simulated through a memory hierarchy): ~16 GB/s per PE at 2 GHz.
-const dataCyclesPerByte = 0.125
-
 // Dial connects a VPE to the named filesystem service.
 func Dial(p *sim.Proc, v *core.VPE, service string) (*Client, error) {
 	sess, err := v.CreateSession(p, service, nil)
@@ -201,12 +195,8 @@ func (f *File) transfer(p *sim.Proc, n uint64) (uint64, error) {
 		if err != nil {
 			return n - left, err
 		}
-		chunk := rc.off + rc.len - f.pos
-		if chunk > left {
-			chunk = left
-		}
-		p.Sleep(sim.Duration(float64(chunk) * dataCyclesPerByte))
-		f.c.v.TransferData(p, chunk)
+		chunk := min(rc.off+rc.len-f.pos, left)
+		f.c.v.Transfer(p, chunk)
 		f.pos += chunk
 		left -= chunk
 	}

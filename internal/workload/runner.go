@@ -153,7 +153,7 @@ func (cfg Config) machine() core.Config {
 		Kernels:  cfg.Kernels,
 		UserPEs:  cfg.Services + cfg.Instances,
 		MemPEs:   1 + cfg.Services/8,
-		MemBytes: 1 << 40, // accounting only; backing is lazily allocated
+		MemBytes: 1 << 40, // accounting only: no memory is allocated
 		Engine:   cfg.Engine,
 	}
 }
