@@ -10,7 +10,7 @@ import (
 )
 
 // benchVPEs/benchChildren shape one iteration's forest: benchVPEs roots
-// with benchChildren derives each — deep enough to exercise child spill.
+// with benchChildren derives each — wide enough to chain many child chunks.
 const (
 	benchVPEs     = 8
 	benchChildren = 128
@@ -75,13 +75,13 @@ func heapNow() (bytes, mallocs uint64) {
 	return m.HeapAlloc, m.Mallocs
 }
 
-// TestCapabilitySize pins the slab slot. 104 B makes a 64-slot slab 6656 B,
-// which the allocator serves from its 6784 B size class (106 B per slot); at
-// 112 B the slab would be 7168 B and land in the 8192 B class (128 B per
-// slot). A field added to Capability must fit the tail padding or pay that.
+// TestCapabilitySize pins the slab slot. 72 B makes a 64-slot slab 4608 B,
+// which the allocator serves from its 4864 B size class (76 B per slot); at
+// 80 B the slab would be 5120 B and land in the 5376 B class (84 B per slot).
+// A field added to Capability must fit the tail padding or pay that.
 func TestCapabilitySize(t *testing.T) {
-	if got := unsafe.Sizeof(Capability{}); got != 104 {
-		t.Fatalf("Capability is %d B, want 104", got)
+	if got := unsafe.Sizeof(Capability{}); got != 72 {
+		t.Fatalf("Capability is %d B, want 72", got)
 	}
 }
 
@@ -89,7 +89,7 @@ func TestCapabilitySize(t *testing.T) {
 // and heap allocations per capability over a store of 64Ki capabilities in
 // trees of 128 — the quantity the repo benchmark reports as
 // cap.probe_bytes_per_cap. The ceilings sit a few percent above what the
-// store measures today: 146 B and 0.028 allocations per capability (slab,
+// store measures today: 118.3 B and 0.024 allocations per capability (slab,
 // chunk arena and index growth only — a capability is not a heap object of
 // its own).
 func TestStoreFootprint(t *testing.T) {
@@ -113,10 +113,10 @@ func TestStoreFootprint(t *testing.T) {
 	perCap := float64(bytes-min(bytes, baseBytes)) / n
 	allocs := float64(mallocs-baseMallocs) / n
 	t.Logf("slab store: %.1f live B/cap, %.4f allocs/cap", perCap, allocs)
-	if perCap > 152 {
-		t.Errorf("%.1f live bytes per capability, ceiling 152", perCap)
+	if perCap > 123 {
+		t.Errorf("%.1f live bytes per capability, ceiling 123", perCap)
 	}
-	if allocs > 0.030 {
-		t.Errorf("%.4f allocations per capability, ceiling 0.030", allocs)
+	if allocs > 0.025 {
+		t.Errorf("%.4f allocations per capability, ceiling 0.025", allocs)
 	}
 }

@@ -13,10 +13,11 @@
 // slot number — instead of being individually heap-allocated and
 // map-indexed. The key index is an open-addressing hash over the uint64 DDL
 // key (ddl.KeyMap), per-VPE selector spaces are dense slices, and child
-// links are stored inline in the Capability with spill to a shared chunk
-// arena. At millions of capabilities this removes the per-capability
-// allocations and the three layers of Go map overhead that previously
-// dominated RSS and GC time.
+// links live only in chained chunks of an arena owned by the Store, so the
+// slab slot of a leaf — nearly every capability — carries no child storage.
+// At millions of capabilities this removes the per-capability allocations
+// and the three layers of Go map overhead that previously dominated RSS and
+// GC time.
 package cap
 
 import (
@@ -105,18 +106,22 @@ func (*RecvObject) ObjType() ddl.Type    { return ddl.TypeRecv }
 func (*ServiceObject) ObjType() ddl.Type { return ddl.TypeService }
 func (*SessionObject) ObjType() ddl.Type { return ddl.TypeSession }
 
-// Child-link storage parameters. Most capabilities have at most a handful of
-// children (a derive chain, a session), so the first few keys live inline in
-// the Capability; wide fan-outs (a service capability with thousands of
-// sessions) spill to chunks of a shared arena owned by the Store.
+// Child-link storage parameters. Child keys live in chunks of a shared arena
+// owned by the Store, chained per parent. Nearly every capability is a leaf,
+// and most parents hold a handful of children (a derive chain, a session),
+// so a chunk is small: 3 keys and a link make 32 B. A wide fan-out (a service
+// capability with thousands of sessions) chains many chunks. The arena starts
+// with room for firstChunks chunks (1 KiB) and then grows by append: growing
+// it from one chunk by append instead allocates more objects and more bytes
+// on every workload of the repo benchmark (DESIGN.md "Child links").
 const (
-	inlineChildren = 3
-	chunkKeys      = 7
+	chunkKeys   = 3
+	firstChunks = 32
 )
 
-// childChunk is one spill block of the shared child arena. The next field is
-// the arena index of the following chunk plus one (0 = end of chain), so the
-// zero chunk is a valid empty chunk.
+// childChunk is one block of the shared child arena. The next field is the
+// arena index of the following chunk plus one (0 = end of chain), so the zero
+// chunk is a valid empty chunk.
 type childChunk struct {
 	keys [chunkKeys]ddl.Key
 	next int32
@@ -127,11 +132,10 @@ type childChunk struct {
 // A Capability is created free-standing (a composite literal) and handed to
 // Store.Insert, which copies it into a slab and returns the slab pointer —
 // the live instance all further reads and mutations must go through. A
-// free-standing capability holds at most inlineChildren children: the spill
-// chunks belong to a Store.
+// free-standing capability holds no children: the chunks belong to a Store.
 //
 // Fields are ordered 8-byte words, 4-byte words, bytes, so the struct packs
-// into 104 B (TestCapabilitySize).
+// into 72 B (TestCapabilitySize).
 type Capability struct {
 	// Key is the capability's globally valid DDL key.
 	Key ddl.Key
@@ -143,21 +147,19 @@ type Capability struct {
 	// Parent is the DDL key of the parent capability (0 for roots).
 	Parent ddl.Key
 
-	// Child links, in creation order. nChildren counts live children;
-	// childSlots is the append cursor including tombstones (removed children
-	// leave a zero key so the creation order of the survivors is preserved).
-	// Slots [0, inlineChildren) are inline; further slots live in arena
-	// chunks (spillHead/spillTail, chunk index+1, 0 = none).
-	inline [inlineChildren]ddl.Key
-
-	// store and slot locate the capability inside its Store's slabs; both
-	// are zero while free-standing.
+	// store is the Store holding the capability (nil while free-standing),
+	// whose arena holds its child chunks.
 	store *Store
-	slot  uint32
 
 	// Sel is the capability's selector in the owner's capability space.
 	Sel Selector
 
+	// Child links, in creation order. nChildren counts live children;
+	// childSlots is the append cursor including tombstones (removed children
+	// leave a zero key so the creation order of the survivors is preserved).
+	// Slot i lives at offset i%chunkKeys of the chain's (i/chunkKeys)-th
+	// chunk; spillHead and spillTail are the chain's ends (chunk index+1,
+	// 0 = none).
 	nChildren  int32
 	childSlots int32
 	spillHead  int32
@@ -188,26 +190,18 @@ func (c *Capability) String() string {
 func (c *Capability) NumChildren() int { return int(c.nChildren) }
 
 // forEachChildSlot visits every child slot (including tombstones, which are
-// zero keys) in creation order until fn returns false.
-func (c *Capability) forEachChildSlot(fn func(k ddl.Key) bool) {
-	n := int(c.childSlots)
-	for i := 0; i < n && i < inlineChildren; i++ {
-		if !fn(c.inline[i]) {
-			return
-		}
-	}
-	spillN := n - inlineChildren
-	if spillN <= 0 {
-		return
-	}
+// zero keys) in creation order until fn returns false. fn may overwrite the
+// slot it is given.
+func (c *Capability) forEachChildSlot(fn func(k *ddl.Key) bool) {
 	ci := c.spillHead
-	for i := 0; i < spillN; i++ {
+	for i := 0; i < int(c.childSlots); i++ {
+		ch := &c.store.chunks[ci-1]
 		off := i % chunkKeys
-		if !fn(c.store.chunks[ci-1].keys[off]) {
+		if !fn(&ch.keys[off]) {
 			return
 		}
 		if off == chunkKeys-1 {
-			ci = c.store.chunks[ci-1].next
+			ci = ch.next
 		}
 	}
 }
@@ -215,9 +209,9 @@ func (c *Capability) forEachChildSlot(fn func(k ddl.Key) bool) {
 // ForEachChild calls fn for every live child key in creation order. The
 // capability's child set must not be mutated during the walk.
 func (c *Capability) ForEachChild(fn func(k ddl.Key)) {
-	c.forEachChildSlot(func(k ddl.Key) bool {
-		if k != 0 {
-			fn(k)
+	c.forEachChildSlot(func(k *ddl.Key) bool {
+		if *k != 0 {
+			fn(*k)
 		}
 		return true
 	})
@@ -240,23 +234,16 @@ func (c *Capability) AppendChildren(dst []ddl.Key) []ddl.Key {
 
 // AddChild appends a child key. Duplicate insertion is a protocol bug; the
 // O(children) scan that asserts it only runs with Debug set — wide fan-outs
-// must not pay it per link. A free-standing capability past inlineChildren
-// panics: the kernels link children only to stored capabilities.
+// must not pay it per link. A free-standing capability panics: the kernels
+// link children only to stored capabilities.
 func (c *Capability) AddChild(k ddl.Key) {
 	if Debug && c.HasChild(k) {
 		panic(fmt.Sprintf("cap: duplicate child %v on %v", k, c.Key))
 	}
-	slot := int(c.childSlots)
-	if slot >= inlineChildren && c.store == nil {
-		panic(fmt.Sprintf("cap: free-standing %v holds at most %d children", c.Key, inlineChildren))
+	if c.store == nil {
+		panic(fmt.Sprintf("cap: free-standing %v holds no children", c.Key))
 	}
-	c.childSlots++
-	c.nChildren++
-	if slot < inlineChildren {
-		c.inline[slot] = k
-		return
-	}
-	off := (slot - inlineChildren) % chunkKeys
+	off := int(c.childSlots) % chunkKeys
 	if off == 0 {
 		ci := c.store.allocChunk()
 		if c.spillTail != 0 {
@@ -267,45 +254,30 @@ func (c *Capability) AddChild(k ddl.Key) {
 		c.spillTail = ci + 1
 	}
 	c.store.chunks[c.spillTail-1].keys[off] = k
+	c.childSlots++
+	c.nChildren++
 }
 
 // RemoveChild deletes a child key; removing an absent child is a no-op
 // (revocation may race with orphan cleanup). The slot is tombstoned so the
 // surviving children keep their creation order; when the last child goes,
-// the whole spill chain is released.
+// the whole chain is released.
 func (c *Capability) RemoveChild(k ddl.Key) {
 	if k == 0 {
 		return
 	}
-	n := int(c.childSlots)
-	for i := 0; i < n && i < inlineChildren; i++ {
-		if c.inline[i] == k {
-			c.inline[i] = 0
-			c.childRemoved()
-			return
+	removed := false
+	c.forEachChildSlot(func(ch *ddl.Key) bool {
+		if *ch == k {
+			*ch, removed = 0, true
+			return false
 		}
-	}
-	spillN := n - inlineChildren
-	if spillN <= 0 {
+		return true
+	})
+	if !removed {
 		return
 	}
-	ci := c.spillHead
-	for i := 0; i < spillN; i++ {
-		off := i % chunkKeys
-		if c.store.chunks[ci-1].keys[off] == k {
-			c.store.chunks[ci-1].keys[off] = 0
-			c.childRemoved()
-			return
-		}
-		if off == chunkKeys-1 {
-			ci = c.store.chunks[ci-1].next
-		}
-	}
-}
-
-func (c *Capability) childRemoved() {
-	c.nChildren--
-	if c.nChildren == 0 {
+	if c.nChildren--; c.nChildren == 0 {
 		c.resetChildren()
 	}
 }
@@ -313,10 +285,7 @@ func (c *Capability) childRemoved() {
 // resetChildren releases all child storage (the tombstone-compaction point:
 // a capability whose children are all gone starts over empty).
 func (c *Capability) resetChildren() {
-	c.inline = [inlineChildren]ddl.Key{}
-	if c.store != nil {
-		c.store.freeChunkChain(c.spillHead)
-	}
+	c.store.freeChunkChain(c.spillHead)
 	c.spillHead, c.spillTail = 0, 0
 	c.childSlots = 0
 	c.nChildren = 0
@@ -328,8 +297,8 @@ func (c *Capability) HasChild(k ddl.Key) bool {
 		return false
 	}
 	found := false
-	c.forEachChildSlot(func(ch ddl.Key) bool {
-		if ch == k {
+	c.forEachChildSlot(func(ch *ddl.Key) bool {
+		if *ch == k {
 			found = true
 			return false
 		}
@@ -394,7 +363,7 @@ type Store struct {
 	vpes   map[int]*vpeSpace // one entry per VPE, not per capability
 	spaces sim.Blocks[vpeSpace]
 
-	chunks     []childChunk // shared child-spill arena
+	chunks     []childChunk // shared child arena
 	freeChunks []int32
 }
 
@@ -429,6 +398,9 @@ func (s *Store) allocChunk() int32 {
 		ci := s.freeChunks[n-1]
 		s.freeChunks = s.freeChunks[:n-1]
 		return ci
+	}
+	if s.chunks == nil {
+		s.chunks = make([]childChunk, 0, firstChunks)
 	}
 	s.chunks = append(s.chunks, childChunk{})
 	return int32(len(s.chunks) - 1)
@@ -474,10 +446,15 @@ func (s *Store) AllocSel(vpe int) Selector {
 // slab instance — the pointer all further accesses must use; the argument
 // stays a dead free-standing value. Inserting a duplicate key or a
 // (vpe, selector) collision panics: keys are minted uniquely and selectors
-// allocated by AllocSel, so either indicates kernel corruption.
+// allocated by AllocSel, so either indicates kernel corruption. So does a
+// capability carrying child links — a copy of a stored value, which would
+// share its chunk chain with the original.
 func (s *Store) Insert(c *Capability) *Capability {
 	if !c.Key.Valid() {
 		panic("cap: inserting capability with invalid key")
+	}
+	if c.childSlots != 0 || c.spillHead != 0 || c.spillTail != 0 {
+		panic(fmt.Sprintf("cap: inserting %v with child links", c.Key))
 	}
 	if _, dup := s.byKey.Get(c.Key); dup {
 		panic(fmt.Sprintf("cap: duplicate key %v", c.Key))
@@ -493,7 +470,7 @@ func (s *Store) Insert(c *Capability) *Capability {
 	slot := s.allocSlot()
 	sc := s.capAt(slot)
 	*sc = *c
-	sc.store, sc.slot = s, slot
+	sc.store = s
 	s.byKey.Put(c.Key, slot)
 	if sp != nil {
 		sp.sel[c.Sel] = slot + 1
@@ -531,7 +508,7 @@ func (s *Store) LookupSel(vpe int, sel Selector) *Capability {
 
 // Remove deletes a capability from the database. It does not touch tree
 // links; callers unlink first. Removing an absent key is a no-op. The slab
-// slot is zeroed (so the GC drops the object reference), and slot and spill
+// slot is zeroed (so the GC drops the object reference), and slot and child
 // chunks return to the free lists.
 func (s *Store) Remove(k ddl.Key) {
 	slot, ok := s.byKey.Get(k)
@@ -539,9 +516,7 @@ func (s *Store) Remove(k ddl.Key) {
 		return
 	}
 	c := s.capAt(slot)
-	if c.spillHead != 0 {
-		s.freeChunkChain(c.spillHead)
-	}
+	s.freeChunkChain(c.spillHead)
 	if c.Sel != NoSel {
 		if sp := s.vpes[c.Owner]; sp != nil && int(c.Sel) < len(sp.sel) && sp.sel[c.Sel] == slot+1 {
 			sp.sel[c.Sel] = 0
@@ -573,18 +548,24 @@ func (s *Store) VPECaps(vpe int) []*Capability {
 	return caps
 }
 
-// Keys returns all stored keys in slot order (for tests/diagnostics) — the
-// slab table's natural order, no sort or map iteration. The order is a
+// ForEach calls fn for every stored capability in slot order — the slab
+// table's natural order, no sort or map iteration. The order is a
 // deterministic function of the store's operation history (slots allocate
-// densely, frees recycle LIFO), but not of the key values; callers that
-// need a value order must sort.
-func (s *Store) Keys() []ddl.Key {
-	keys := make([]ddl.Key, 0, s.n)
+// densely, frees recycle LIFO), but not of the key values; callers that need
+// a value order must sort. fn must not insert or remove capabilities.
+func (s *Store) ForEach(fn func(c *Capability)) {
 	for slot := uint32(0); slot < s.used; slot++ {
 		if c := s.capAt(slot); c.Key != 0 {
-			keys = append(keys, c.Key)
+			fn(c)
 		}
 	}
+}
+
+// Keys returns all stored keys in ForEach order: the snapshot form, for walks
+// that mutate the store.
+func (s *Store) Keys() []ddl.Key {
+	keys := make([]ddl.Key, 0, s.n)
+	s.ForEach(func(c *Capability) { keys = append(keys, c.Key) })
 	return keys
 }
 
@@ -596,7 +577,7 @@ func (s *Store) Keys() []ddl.Key {
 //   - selector index, key index and slab agree;
 //   - slab free lists are consistent: every slot is either live and indexed
 //     or zeroed and on the free list, exactly once;
-//   - child spill chains are well-formed: acyclic, owned by exactly one
+//   - child chunk chains are well-formed: acyclic, owned by exactly one
 //     capability, sized to the child-slot count, and disjoint from the
 //     chunk free list.
 //
@@ -611,7 +592,7 @@ func (s *Store) CheckLocalInvariants() error {
 	}
 	// One word per slot: on the free list, listed by its local parent (marked
 	// in the parent's child walk, so the audit is linear in the links); then
-	// one per chunk: 1 + the slot whose spill chain holds it, or chunkFree.
+	// one per chunk: 1 + the slot whose chain holds it, or chunkFree.
 	// A small table's words stay on the stack.
 	const slotFree, slotListed, chunkFree = 1, 2, ^uint32(0)
 	var buf [512]uint32
@@ -656,18 +637,14 @@ func (s *Store) CheckLocalInvariants() error {
 		if state[slot]&slotFree != 0 {
 			return fmt.Errorf("slot %d holds %v but is on the free list", slot, c.Key)
 		}
-		if c.store != s || c.slot != slot {
+		if c.store != s {
 			return fmt.Errorf("cap %v has wrong slab back-reference", c.Key)
 		}
 		if got, ok := s.byKey.Get(c.Key); !ok || got != slot {
 			return fmt.Errorf("cap %v missing from the key index", c.Key)
 		}
-		// Child links and spill-chain shape.
-		spillSlots := int(c.childSlots) - inlineChildren
-		wantChunks := 0
-		if spillSlots > 0 {
-			wantChunks = (spillSlots + chunkKeys - 1) / chunkKeys
-		}
+		// Child links and chain shape.
+		wantChunks := (int(c.childSlots) + chunkKeys - 1) / chunkKeys
 		ci := c.spillHead
 		for i := 0; i < wantChunks; i++ {
 			if ci == 0 {
@@ -700,17 +677,17 @@ func (s *Store) CheckLocalInvariants() error {
 		}
 		liveChildren := 0
 		var childErr error
-		c.forEachChildSlot(func(ch ddl.Key) bool {
-			if ch == 0 {
+		c.forEachChildSlot(func(ch *ddl.Key) bool {
+			if *ch == 0 {
 				return true
 			}
 			liveChildren++
-			if child := s.Lookup(ch); child != nil {
-				if child.Parent != c.Key {
-					childErr = fmt.Errorf("child %v of %v has parent %v", ch, c.Key, child.Parent)
+			if cs, ok := s.byKey.Get(*ch); ok {
+				if child := s.capAt(cs); child.Parent != c.Key {
+					childErr = fmt.Errorf("child %v of %v has parent %v", *ch, c.Key, child.Parent)
 					return false
 				}
-				state[child.slot] |= slotListed
+				state[cs] |= slotListed
 			}
 			return true
 		})

@@ -84,8 +84,9 @@ func TestStoreSelectorCollisionPanics(t *testing.T) {
 }
 
 func TestChildLinks(t *testing.T) {
+	s := NewStore()
 	g := ddl.NewGenerator()
-	parent := memCap(g, 1, 1)
+	parent := s.Insert(memCap(g, 1, 1))
 	child := memCap(g, 2, 1)
 	child.Parent = parent.Key
 	parent.AddChild(child.Key)
@@ -100,13 +101,17 @@ func TestChildLinks(t *testing.T) {
 		t.Fatal("child not removed")
 	}
 	parent.RemoveChild(child.Key) // absent removal is a no-op
+	if err := s.CheckLocalInvariants(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestDuplicateChildPanics(t *testing.T) {
 	defer func(old bool) { Debug = old }(Debug)
 	Debug = true // the duplicate scan is a debug-gated assert
+	s := NewStore()
 	g := ddl.NewGenerator()
-	parent := memCap(g, 1, 1)
+	parent := s.Insert(memCap(g, 1, 1))
 	child := memCap(g, 2, 1)
 	parent.AddChild(child.Key)
 	defer func() {
@@ -117,14 +122,15 @@ func TestDuplicateChildPanics(t *testing.T) {
 	parent.AddChild(child.Key)
 }
 
-// Children of a stored capability must survive the inline→spill transition
-// and keep creation order under interleaved removals.
-func TestChildSpill(t *testing.T) {
+// Children of a stored capability keep creation order across several chunks
+// and under interleaved removals, and the chain goes back to the arena when
+// the last child does.
+func TestChildChain(t *testing.T) {
 	s := NewStore()
 	g := ddl.NewGenerator()
 	parent := s.Insert(memCap(g, 1, 1))
 	var want []ddl.Key
-	for i := 0; i < 4*chunkKeys+inlineChildren+2; i++ {
+	for i := 0; i < 4*chunkKeys+2; i++ {
 		k := g.Next(0, 2, ddl.TypeMem)
 		parent.AddChild(k)
 		want = append(want, k)
@@ -155,7 +161,7 @@ func TestChildSpill(t *testing.T) {
 			t.Fatalf("child %d = %v, want %v after removal", i, got[i], still[i])
 		}
 	}
-	// Removing the rest releases all spill storage.
+	// Removing the rest releases the whole chain.
 	for _, k := range still {
 		parent.RemoveChild(k)
 	}
@@ -170,23 +176,42 @@ func TestChildSpill(t *testing.T) {
 	}
 }
 
-// A free-standing capability has no arena to spill into: it takes
-// inlineChildren children, and one more is a protocol bug.
+// A free-standing capability has no arena to hold child links: its first
+// child is a protocol bug.
 func TestFreeStandingChildLimit(t *testing.T) {
 	g := ddl.NewGenerator()
 	c := memCap(g, 1, 1)
-	for i := 0; i < inlineChildren; i++ {
-		c.AddChild(g.Next(0, 2, ddl.TypeMem))
-	}
-	if c.NumChildren() != inlineChildren {
-		t.Fatalf("NumChildren = %d, want %d", c.NumChildren(), inlineChildren)
-	}
 	defer func() {
 		if recover() == nil {
-			t.Error("spilling a free-standing capability did not panic")
+			t.Error("linking a child to a free-standing capability did not panic")
 		}
 	}()
 	c.AddChild(g.Next(0, 2, ddl.TypeMem))
+}
+
+// Insert refuses a copy of a stored capability that has children: the copy
+// would share the original's chunk chain. The store is left as it was.
+func TestInsertRefusesChildLinks(t *testing.T) {
+	s := NewStore()
+	g := ddl.NewGenerator()
+	parent := s.Insert(memCap(g, 1, s.AllocSel(1)))
+	parent.AddChild(g.Next(0, 2, ddl.TypeMem))
+	dup := *parent
+	dup.Key, dup.Sel = g.Next(0, 1, ddl.TypeMem), s.AllocSel(1)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("inserting a capability with child links did not panic")
+			}
+		}()
+		s.Insert(&dup)
+	}()
+	if s.Len() != 1 || s.Lookup(dup.Key) != nil {
+		t.Fatalf("refused insert changed the store: %d capabilities", s.Len())
+	}
+	if err := s.CheckLocalInvariants(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // A freed slot keeps nothing: the invariant check rejects one that still
@@ -255,10 +280,10 @@ func TestInvariantViolationDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A parent whose list has spilled into chunks lists every claimant but
-	// one, which sits in a slot after all the listed ones.
+	// A parent whose list fills several chunks lists every claimant but one,
+	// which sits in a slot after all the listed ones.
 	wide := s.Insert(memCap(g, 1, 2))
-	for i := 0; i < inlineChildren+2*chunkKeys; i++ {
+	for i := 0; i < 2*chunkKeys+1; i++ {
 		c := memCap(g, 3, Selector(i+1))
 		c.Parent = wide.Key
 		wide.AddChild(s.Insert(c).Key)
@@ -437,18 +462,19 @@ func TestStoreRandomOpsProperty(t *testing.T) {
 	}
 }
 
-// TestAuditFindsSpillCorruption: the audit names one chunk in two spill
+// TestAuditFindsSpillCorruption: the audit names one chunk in two child
 // chains, a chain that runs through a free chunk, and a chunk listed free
 // twice.
 func TestAuditFindsSpillCorruption(t *testing.T) {
-	// Two capabilities whose child lists have spilled into one chunk each.
+	// Two capabilities, in slots 0 and 1, whose child lists fill one chunk
+	// each.
 	build := func() (s *Store, a, b *Capability) {
 		s = NewStore()
 		g := ddl.NewGenerator()
 		var caps [2]*Capability
 		for i := range caps {
 			caps[i] = s.Insert(memCap(g, 1, s.AllocSel(1)))
-			for j := 0; j <= inlineChildren; j++ {
+			for j := 0; j < chunkKeys; j++ {
 				caps[i].AddChild(g.Next(1, 2, ddl.TypeMem))
 			}
 		}
@@ -460,7 +486,7 @@ func TestAuditFindsSpillCorruption(t *testing.T) {
 	}{
 		{"shared", func(s *Store, a, b *Capability) string {
 			b.spillHead, b.spillTail = a.spillHead, a.spillTail
-			return fmt.Sprintf("chunk %d shared by slots %d and %d", a.spillHead-1, a.slot, b.slot)
+			return fmt.Sprintf("chunk %d shared by slots 0 and 1", a.spillHead-1)
 		}},
 		{"references free", func(s *Store, a, b *Capability) string {
 			idx := b.spillHead - 1
@@ -484,4 +510,100 @@ func TestAuditFindsSpillCorruption(t *testing.T) {
 			t.Errorf("%s: audit = %v, want %q", tc.name, err, want)
 		}
 	}
+}
+
+// fuzzParents is how many stored parents FuzzChildList drives.
+const fuzzParents = 3
+
+// FuzzChildList plays random child adds and removes on a few stored parents
+// against a model of each parent's child slots: keys in creation order, a
+// zero key for each removed child (a tombstone), and the whole list, chunks
+// included, freed when its last child goes. Two bytes make one step: the
+// first picks the parent and the operation — link a child held by another
+// kernel, link a stored child, remove the child the second byte picks
+// (possibly a tombstone, which is a no-op), or remove the parent itself and
+// store a fresh one in its place. The store's audit runs after every step.
+func FuzzChildList(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 0, 4, 0, 2, 0})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 2, 1, 2, 0, 2, 3, 3, 0, 0, 0})
+	f.Add([]byte{0, 0, 1, 0, 0, 0, 1, 0, 2, 0, 2, 1, 2, 2, 2, 3, 0, 0, 1, 0})
+	f.Add([]byte{1, 0, 1, 0, 1, 0, 1, 0, 6, 2, 6, 0, 6, 1, 6, 3, 7, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 512 {
+			data = data[:512]
+		}
+		s := NewStore()
+		g := ddl.NewGenerator()
+		var parents [fuzzParents]*Capability
+		var model [fuzzParents][]ddl.Key
+		for i := range parents {
+			parents[i] = s.Insert(memCap(g, 1, s.AllocSel(1)))
+		}
+		for step := 0; step+1 < len(data); step += 2 {
+			op, arg := data[step], int(data[step+1])
+			p := int(op>>2) % fuzzParents
+			parent := parents[p]
+			switch op & 3 {
+			case 0: // a child another kernel holds
+				k := g.Next(0, 2, ddl.TypeMem)
+				parent.AddChild(k)
+				model[p] = append(model[p], k)
+			case 1: // a stored child
+				c := memCap(g, 2, s.AllocSel(2))
+				c.Parent = parent.Key
+				parent.AddChild(c.Key)
+				s.Insert(c)
+				model[p] = append(model[p], c.Key)
+			case 2: // remove a child, and the capability if stored here
+				if len(model[p]) == 0 {
+					parent.RemoveChild(g.Next(0, 2, ddl.TypeMem)) // absent: a no-op
+					break
+				}
+				i := arg % len(model[p])
+				k := model[p][i]
+				parent.RemoveChild(k)
+				s.Remove(k)
+				model[p][i] = 0
+				live := 0
+				for _, ch := range model[p] {
+					if ch != 0 {
+						live++
+					}
+				}
+				if live == 0 {
+					model[p] = nil
+				}
+			case 3: // remove the parent; its stored children become orphans
+				s.Remove(parent.Key)
+				parents[p] = s.Insert(memCap(g, 1, s.AllocSel(1)))
+				model[p] = nil
+			}
+			if err := s.CheckLocalInvariants(); err != nil {
+				t.Fatalf("step %d: %v", step/2, err)
+			}
+			owned := 0
+			for i, c := range parents {
+				var want []ddl.Key
+				for _, k := range model[i] {
+					if k != 0 {
+						want = append(want, k)
+					}
+				}
+				got := c.AppendChildren(nil)
+				if len(got) != len(want) || c.NumChildren() != len(want) || int(c.childSlots) != len(model[i]) {
+					t.Fatalf("step %d: parent %d holds %v in %d slots, want %v in %d",
+						step/2, i, got, c.childSlots, want, len(model[i]))
+				}
+				for j := range want {
+					if got[j] != want[j] {
+						t.Fatalf("step %d: parent %d child %d = %v, want %v", step/2, i, j, got[j], want[j])
+					}
+				}
+				owned += (len(model[i]) + chunkKeys - 1) / chunkKeys
+			}
+			if held := len(s.chunks) - len(s.freeChunks); held != owned {
+				t.Fatalf("step %d: %d chunks held, the model's lists fill %d", step/2, held, owned)
+			}
+		}
+	})
 }

@@ -58,11 +58,8 @@ func (s *System) CheckLeaks(deadKernels ...int) []string {
 					fmt.Sprintf("kernel %d: unreplayed orphan fix (%v key %v) for live kernel %d", k.id, f.kind, f.key, f.dst))
 			}
 		}
-		for _, key := range k.store.Keys() {
-			c := k.store.Lookup(key)
-			if c == nil {
-				continue
-			}
+		k.store.ForEach(func(c *cap.Capability) {
+			key := c.Key
 			c.ForEachChild(func(ck ddl.Key) {
 				owner := k.member.KernelOfKey(ck)
 				if !dead[owner] && s.kernels[owner].store.Lookup(ck) == nil {
@@ -71,11 +68,11 @@ func (s *System) CheckLeaks(deadKernels ...int) []string {
 				}
 			})
 			if c.Parent == 0 {
-				continue
+				return
 			}
 			powner := k.member.KernelOfKey(c.Parent)
 			if powner == k.id || dead[powner] {
-				continue
+				return
 			}
 			parent := s.kernels[powner].store.Lookup(c.Parent)
 			switch {
@@ -86,7 +83,7 @@ func (s *System) CheckLeaks(deadKernels ...int) []string {
 				problems = append(problems,
 					fmt.Sprintf("kernel %d: %v unlinked — parent %v at kernel %d lacks the child link", k.id, key, c.Parent, powner))
 			}
-		}
+		})
 	}
 	return problems
 }
