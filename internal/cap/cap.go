@@ -12,9 +12,9 @@
 // by the Store — fixed-size arrays of Capability values addressed by a dense
 // slot number — instead of being individually heap-allocated and
 // map-indexed. The key index is an open-addressing hash over the uint64 DDL
-// key (ddl.KeyMap), per-VPE selector spaces are dense slices, and child
-// links live only in chained chunks of an arena owned by the Store, so the
-// slab slot of a leaf — nearly every capability — carries no child storage.
+// key (ddl.KeyMap), selector spaces keep only pages with live selectors, and
+// child links live only in chunks of a Store-owned arena, so the slab slot of
+// a leaf — nearly every capability — carries no child storage.
 // At millions of capabilities this removes the per-capability allocations
 // and the three layers of Go map overhead that previously dominated RSS and
 // GC time.
@@ -22,6 +22,7 @@ package cap
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ddl"
 	"repro/internal/dtu"
@@ -260,8 +261,8 @@ func (c *Capability) AddChild(k ddl.Key) {
 
 // RemoveChild deletes a child key; removing an absent child is a no-op
 // (revocation may race with orphan cleanup). The slot is tombstoned so the
-// surviving children keep their creation order; when the last child goes,
-// the whole chain is released.
+// surviving children keep their creation order, until tombstones outnumber
+// the live children plus a chunk; the last child's removal frees the chain.
 func (c *Capability) RemoveChild(k ddl.Key) {
 	if k == 0 {
 		return
@@ -279,11 +280,33 @@ func (c *Capability) RemoveChild(k ddl.Key) {
 	}
 	if c.nChildren--; c.nChildren == 0 {
 		c.resetChildren()
+	} else if c.childSlots-c.nChildren > c.nChildren+chunkKeys {
+		c.compactChildren()
 	}
 }
 
-// resetChildren releases all child storage (the tombstone-compaction point:
-// a capability whose children are all gone starts over empty).
+// compactChildren moves the live children to the front of the chain, in
+// creation order, and frees the chunks left holding only tombstones.
+func (c *Capability) compactChildren() {
+	chunks := c.store.chunks
+	dst, tail, n := c.spillHead, c.spillHead, int32(0)
+	c.forEachChildSlot(func(k *ddl.Key) bool {
+		if key := *k; key != 0 {
+			*k, tail = 0, dst
+			chunks[dst-1].keys[n%chunkKeys] = key
+			if n++; n%chunkKeys == 0 {
+				dst = chunks[dst-1].next
+			}
+		}
+		return true
+	})
+	c.store.freeChunkChain(chunks[tail-1].next)
+	chunks[tail-1].next = 0
+	c.spillTail, c.childSlots = tail, n
+}
+
+// resetChildren releases all child storage: a capability whose children are
+// all gone starts over empty.
 func (c *Capability) resetChildren() {
 	c.store.freeChunkChain(c.spillHead)
 	c.spillHead, c.spillTail = 0, 0
@@ -319,34 +342,51 @@ const (
 
 type slab [slabSize]Capability
 
-// vpeSpace is one VPE's capability space: a dense selector-indexed table of
-// slab slot references (slot+1, 0 = empty) plus the allocation cursor. The
-// table starts in the record itself (first), which covers a VPE with a
-// handful of capabilities; a larger one moves out, doubling.
+// vpeSpace is one VPE's capability space: the pages holding its live
+// selectors, sorted by base (a page goes with its last capability), and the
+// allocation cursor. The first page lives in the record itself (first).
 type vpeSpace struct {
-	sel   []uint32
+	pages []selPage
 	next  Selector // highest selector handed out
 	live  int
-	first [firstSels]uint32
+	first [1]selPage
 }
 
-// firstSels is how many selectors a space's table holds inline; spaceBlock
-// is how many spaces one allocation serves. A Store does not know how many
-// VPEs it will hold (a kernel's group, at most a few dozen), so its blocks
-// are small and fixed.
+// selPage holds the slab slot references (slot+1, 0 = empty) of selectors
+// base … base+pageSels-1; live counts the non-zero ones.
+type selPage struct {
+	base Selector
+	live int32
+	refs [pageSels]uint32
+}
+
+// pageSels is how many selectors a page covers; spaceBlock is how many
+// spaces one allocation serves. A Store does not know how many VPEs it will
+// hold (a kernel's group, at most a few dozen), so its blocks are small and
+// fixed.
 const (
-	firstSels  = 16
+	pageSels   = 16
 	spaceBlock = 4
 )
 
-// ensure extends the selector table to cover sel. Selectors are handed out
-// monotonically, so this is almost always one append; appending zeros one at
-// a time builds no temporary slice (append(s, make(...)...) does whenever
-// the compiler does not fuse the two, as under the race detector).
-func (sp *vpeSpace) ensure(sel Selector) {
-	for int(sel) >= len(sp.sel) {
-		sp.sel = append(sp.sel, 0)
+// find returns the index of the page holding sel, or where it would go. The
+// last page (inserts) and the first (revocation) are tried before the search.
+func (sp *vpeSpace) find(sel Selector) (int, bool) {
+	base := sel &^ (pageSels - 1)
+	lo, hi := 0, len(sp.pages)
+	if hi > 0 && sp.pages[hi-1].base <= base {
+		lo = hi - 1
+	} else if hi > 0 && sp.pages[0].base >= base {
+		hi = 0
 	}
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); sp.pages[m].base < base {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(sp.pages) && sp.pages[lo].base == base
 }
 
 // Store is one kernel's mapping database: all capabilities it owns, indexed
@@ -424,7 +464,7 @@ func (s *Store) space(vpe int) *vpeSpace {
 			s.vpes = make(map[int]*vpeSpace)
 		}
 		sp = s.spaces.New(spaceBlock)
-		sp.sel = sp.first[:0]
+		sp.pages = sp.first[:0]
 		s.vpes[vpe] = sp
 	}
 	return sp
@@ -460,10 +500,10 @@ func (s *Store) Insert(c *Capability) *Capability {
 		panic(fmt.Sprintf("cap: duplicate key %v", c.Key))
 	}
 	var sp *vpeSpace
+	pi, found := 0, false
 	if c.Sel != NoSel {
 		sp = s.space(c.Owner)
-		sp.ensure(c.Sel)
-		if sp.sel[c.Sel] != 0 {
+		if pi, found = sp.find(c.Sel); found && sp.pages[pi].refs[c.Sel%pageSels] != 0 {
 			panic(fmt.Sprintf("cap: duplicate selector %d for vpe %d", c.Sel, c.Owner))
 		}
 	}
@@ -473,7 +513,12 @@ func (s *Store) Insert(c *Capability) *Capability {
 	sc.store = s
 	s.byKey.Put(c.Key, slot)
 	if sp != nil {
-		sp.sel[c.Sel] = slot + 1
+		if !found { // selectors grow, so nearly always at the end
+			sp.pages = slices.Insert(sp.pages, pi, selPage{base: c.Sel &^ (pageSels - 1)})
+		}
+		p := &sp.pages[pi]
+		p.refs[c.Sel%pageSels] = slot + 1
+		p.live++
 		sp.live++
 		if c.Sel > sp.next {
 			// Directly chosen selector (tests): keep AllocSel ahead of it.
@@ -495,15 +540,12 @@ func (s *Store) Lookup(k ddl.Key) *Capability {
 
 // LookupSel returns the VPE's capability at sel, or nil.
 func (s *Store) LookupSel(vpe int, sel Selector) *Capability {
-	sp := s.vpes[vpe]
-	if sp == nil || int(sel) >= len(sp.sel) {
-		return nil
+	if sp := s.vpes[vpe]; sp != nil {
+		if pi, ok := sp.find(sel); ok && sp.pages[pi].refs[sel%pageSels] != 0 {
+			return s.capAt(sp.pages[pi].refs[sel%pageSels] - 1)
+		}
 	}
-	ref := sp.sel[sel]
-	if ref == 0 {
-		return nil
-	}
-	return s.capAt(ref - 1)
+	return nil
 }
 
 // Remove deletes a capability from the database. It does not touch tree
@@ -518,9 +560,13 @@ func (s *Store) Remove(k ddl.Key) {
 	c := s.capAt(slot)
 	s.freeChunkChain(c.spillHead)
 	if c.Sel != NoSel {
-		if sp := s.vpes[c.Owner]; sp != nil && int(c.Sel) < len(sp.sel) && sp.sel[c.Sel] == slot+1 {
-			sp.sel[c.Sel] = 0
+		sp := s.vpes[c.Owner]
+		if pi, ok := sp.find(c.Sel); ok && sp.pages[pi].refs[c.Sel%pageSels] == slot+1 {
+			sp.pages[pi].refs[c.Sel%pageSels] = 0
 			sp.live--
+			if sp.pages[pi].live--; sp.pages[pi].live == 0 {
+				sp.pages = slices.Delete(sp.pages, pi, pi+1)
+			}
 		}
 	}
 	s.byKey.Delete(k)
@@ -530,7 +576,7 @@ func (s *Store) Remove(k ddl.Key) {
 }
 
 // VPECaps returns all capabilities of a VPE ordered by ascending selector —
-// the selector table's natural order, no sort needed. The order is
+// the pages' natural order, no sort needed. The order is
 // deterministic so that bulk revocation (VPE exit) is reproducible: with
 // monotonic selectors it equals creation order regardless of deletion
 // history.
@@ -540,9 +586,11 @@ func (s *Store) VPECaps(vpe int) []*Capability {
 		return nil
 	}
 	caps := make([]*Capability, 0, sp.live)
-	for _, ref := range sp.sel {
-		if ref != 0 {
-			caps = append(caps, s.capAt(ref-1))
+	for pi := range sp.pages {
+		for _, ref := range sp.pages[pi].refs {
+			if ref != 0 {
+				caps = append(caps, s.capAt(ref-1))
+			}
 		}
 	}
 	return caps
@@ -574,7 +622,8 @@ func (s *Store) Keys() []ddl.Key {
 //     Parent pointing back;
 //   - every local capability with a local parent is in that parent's child
 //     list;
-//   - selector index, key index and slab agree;
+//   - selector index, key index and slab agree; page bases ascend strictly
+//     in multiples of pageSels, each page counting its live selectors (> 0);
 //   - slab free lists are consistent: every slot is either live and indexed
 //     or zeroed and on the free list, exactly once;
 //   - child chunk chains are well-formed: acyclic, owned by exactly one
@@ -589,6 +638,36 @@ func (s *Store) CheckLocalInvariants() error {
 	if len(s.freeSlots)+s.n != int(s.used) {
 		return fmt.Errorf("slot accounting: %d free + %d live != %d used",
 			len(s.freeSlots), s.n, s.used)
+	}
+	for vpe, sp := range s.vpes {
+		live := 0
+		for pi, p := range sp.pages {
+			if p.base%pageSels != 0 {
+				return fmt.Errorf("vpe %d page base %d is not a multiple of %d", vpe, p.base, pageSels)
+			}
+			if pi > 0 && p.base <= sp.pages[pi-1].base {
+				return fmt.Errorf("vpe %d pages out of order: base %d after %d", vpe, p.base, sp.pages[pi-1].base)
+			}
+			held := int32(0)
+			for i, ref := range p.refs {
+				if ref == 0 {
+					continue
+				}
+				held++
+				sel := p.base + Selector(i)
+				if ref > s.used || s.capAt(ref-1).Key == 0 ||
+					s.capAt(ref-1).Owner != vpe || s.capAt(ref-1).Sel != sel {
+					return fmt.Errorf("selector index corrupt for vpe %d sel %d", vpe, sel)
+				}
+			}
+			if held == 0 || held != p.live {
+				return fmt.Errorf("vpe %d page %d counts %d live, holds %d", vpe, p.base, p.live, held)
+			}
+			live += int(held)
+		}
+		if live != sp.live {
+			return fmt.Errorf("vpe %d selector space counts %d live, pages hold %d", vpe, sp.live, live)
+		}
 	}
 	// One word per slot: on the free list, listed by its local parent (marked
 	// in the parent's child walk, so the audit is linear in the links); then
@@ -715,25 +794,6 @@ func (s *Store) CheckLocalInvariants() error {
 	}
 	if s.byKey.Len() != s.n {
 		return fmt.Errorf("key index holds %d entries, store %d", s.byKey.Len(), s.n)
-	}
-	for vpe, sp := range s.vpes {
-		live := 0
-		for sel, ref := range sp.sel {
-			if ref == 0 {
-				continue
-			}
-			live++
-			if ref-1 >= s.used {
-				return fmt.Errorf("selector index for vpe %d sel %d points beyond the slabs", vpe, sel)
-			}
-			c := s.capAt(ref - 1)
-			if c.Key == 0 || c.Owner != vpe || c.Sel != Selector(sel) {
-				return fmt.Errorf("selector index corrupt for vpe %d sel %d", vpe, sel)
-			}
-		}
-		if live != sp.live {
-			return fmt.Errorf("vpe %d selector space counts %d live, table holds %d", vpe, sp.live, live)
-		}
 	}
 	return nil
 }

@@ -299,6 +299,81 @@ func TestInvariantViolationDetected(t *testing.T) {
 	if err := s.CheckLocalInvariants(); err != nil {
 		t.Fatal(err)
 	}
+
+	// A selector space whose pages are out of order, off their page
+	// boundary, miscounted or empty, or do not sum to its live count.
+	for _, tc := range []struct {
+		corrupt func(sp *vpeSpace)
+		want    string
+	}{
+		{func(sp *vpeSpace) { sp.pages[1].base = 0 }, "vpe 1 pages out of order: base 0 after 0"},
+		{func(sp *vpeSpace) { sp.pages[1].base = 17 }, "vpe 1 page base 17 is not a multiple of 16"},
+		{func(sp *vpeSpace) { sp.pages[0].live++ }, "vpe 1 page 0 counts 3 live, holds 2"},
+		{func(sp *vpeSpace) { sp.pages = append(sp.pages, selPage{base: 32}) }, "vpe 1 page 32 counts 0 live, holds 0"},
+		{func(sp *vpeSpace) { sp.live-- }, "vpe 1 selector space counts 2 live, pages hold 3"},
+	} {
+		// Selectors 1, 2 and 17: pages 0 and 16.
+		s := NewStore()
+		g := ddl.NewGenerator()
+		for _, sel := range []Selector{1, 2, 17} {
+			s.Insert(memCap(g, 1, sel))
+		}
+		if err := s.CheckLocalInvariants(); err != nil {
+			t.Fatalf("intact store: %v", err)
+		}
+		tc.corrupt(s.vpes[1])
+		if err := s.CheckLocalInvariants(); err == nil || err.Error() != tc.want {
+			t.Errorf("audit = %v, want %q", err, tc.want)
+		}
+	}
+}
+
+// A VPE's capability space follows what it holds: after a thousand rounds
+// that mint twenty capabilities and remove them again, the space of the one
+// survivor is its single page, looked up and listed as before, and a warm
+// round allocates nothing.
+func TestSelectorSpaceFollowsLiveCaps(t *testing.T) {
+	const vpe, rounds, perRound = 1, 1000, 20
+	s := NewStore()
+	obj := &MemObject{PE: 1, Size: 4096, Perm: dtu.PermRW}
+	keep := s.Insert(&Capability{Key: benchKey(vpe, 0), Owner: vpe, Sel: s.AllocSel(vpe), Object: obj})
+	var keys [perRound]ddl.Key
+	minted := 0
+	round := func() {
+		for i := range keys {
+			minted++
+			keys[i] = benchKey(vpe, minted)
+			s.Insert(&Capability{Key: keys[i], Owner: vpe, Sel: s.AllocSel(vpe), Object: obj, Perm: dtu.PermR})
+		}
+		for _, k := range keys {
+			s.Remove(k)
+		}
+	}
+	for i := 0; i < rounds; i++ {
+		round()
+	}
+	sp := s.vpes[vpe]
+	if len(sp.pages) != 1 || cap(sp.pages) > 4 {
+		t.Fatalf("space holds %d pages in room for %d after %d selectors", len(sp.pages), cap(sp.pages), sp.next)
+	}
+	if err := s.CheckLocalInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	for sel := Selector(1); sel <= sp.next+1; sel++ {
+		want := keep
+		if sel != keep.Sel {
+			want = nil
+		}
+		if got := s.LookupSel(vpe, sel); got != want {
+			t.Fatalf("LookupSel(%d) = %v, want %v", sel, got, want)
+		}
+	}
+	if caps := s.VPECaps(vpe); len(caps) != 1 || caps[0] != keep {
+		t.Fatalf("VPECaps = %v, want the survivor alone", caps)
+	}
+	if allocs := testing.AllocsPerRun(10, round); allocs != 0 {
+		t.Fatalf("a warm round allocates %.1f times", allocs)
+	}
 }
 
 func TestObjectTypes(t *testing.T) {
@@ -517,17 +592,22 @@ const fuzzParents = 3
 
 // FuzzChildList plays random child adds and removes on a few stored parents
 // against a model of each parent's child slots: keys in creation order, a
-// zero key for each removed child (a tombstone), and the whole list, chunks
-// included, freed when its last child goes. Two bytes make one step: the
-// first picks the parent and the operation — link a child held by another
-// kernel, link a stored child, remove the child the second byte picks
-// (possibly a tombstone, which is a no-op), or remove the parent itself and
-// store a fresh one in its place. The store's audit runs after every step.
+// zero key for each removed child (a tombstone), the tombstones dropped once
+// they outnumber the live children plus a chunk, and the whole list, chunks
+// included, freed when its last child goes; no list keeps more tombstones.
+// Two bytes make one step: the first picks the parent and the operation —
+// link a child held by another kernel, link a stored child, remove the child
+// the second byte picks (possibly a tombstone, which is a no-op), or remove
+// the parent itself and store a fresh one in its place. The store's audit
+// runs after every step.
 func FuzzChildList(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 4, 0, 2, 0})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 2, 1, 2, 0, 2, 3, 3, 0, 0, 0})
 	f.Add([]byte{0, 0, 1, 0, 0, 0, 1, 0, 2, 0, 2, 1, 2, 2, 2, 3, 0, 0, 1, 0})
 	f.Add([]byte{1, 0, 1, 0, 1, 0, 1, 0, 6, 2, 6, 0, 6, 1, 6, 3, 7, 0})
+	// Ten children, seven removed: the seventh removal compacts the list.
+	f.Add([]byte{0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0,
+		2, 0, 2, 1, 2, 2, 2, 3, 2, 4, 2, 5, 2, 6, 0, 0, 1, 0, 2, 7, 2, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 512 {
 			data = data[:512]
@@ -564,14 +644,14 @@ func FuzzChildList(f *testing.F) {
 				parent.RemoveChild(k)
 				s.Remove(k)
 				model[p][i] = 0
-				live := 0
+				var live []ddl.Key
 				for _, ch := range model[p] {
 					if ch != 0 {
-						live++
+						live = append(live, ch)
 					}
 				}
-				if live == 0 {
-					model[p] = nil
+				if dead := len(model[p]) - len(live); len(live) == 0 || dead > len(live)+chunkKeys {
+					model[p] = live
 				}
 			case 3: // remove the parent; its stored children become orphans
 				s.Remove(parent.Key)
@@ -589,6 +669,9 @@ func FuzzChildList(f *testing.F) {
 						want = append(want, k)
 					}
 				}
+				if dead := len(model[i]) - len(want); dead > len(want)+chunkKeys {
+					t.Fatalf("step %d: parent %d keeps %d tombstones for %d children", step/2, i, dead, len(want))
+				}
 				got := c.AppendChildren(nil)
 				if len(got) != len(want) || c.NumChildren() != len(want) || int(c.childSlots) != len(model[i]) {
 					t.Fatalf("step %d: parent %d holds %v in %d slots, want %v in %d",
@@ -603,6 +686,89 @@ func FuzzChildList(f *testing.F) {
 			}
 			if held := len(s.chunks) - len(s.freeChunks); held != owned {
 				t.Fatalf("step %d: %d chunks held, the model's lists fill %d", step/2, held, owned)
+			}
+		}
+	})
+}
+
+// fuzzVPEs is how many VPEs FuzzSelectorSpace drives.
+const fuzzVPEs = 3
+
+// FuzzSelectorSpace plays random mints and removes over a few VPEs against a
+// model of each VPE's live selectors. Two bytes make one step: the first
+// picks the VPE and the operation — mint at the next selector, mint at a
+// selector the second byte chooses (skipped if it was ever used), or remove
+// the live capability the second byte picks. After every step the audit
+// runs, every selector ever handed out looks up what the model holds,
+// VPECaps lists the model in selector order, and each space holds exactly
+// the pages of its live selectors.
+func FuzzSelectorSpace(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 8, 0, 2, 0, 3, 40, 3, 5, 2, 1})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 3, 2, 0, 3, 2, 2, 1})
+	f.Add([]byte{3, 200, 3, 100, 3, 20, 3, 1, 2, 1, 7, 9, 6, 0, 11, 3, 10, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 512 {
+			data = data[:512]
+		}
+		s := NewStore()
+		g := ddl.NewGenerator()
+		var live, used [fuzzVPEs]map[Selector]ddl.Key
+		for v := range live {
+			live[v], used[v] = make(map[Selector]ddl.Key), make(map[Selector]ddl.Key)
+		}
+		for step := 0; step+1 < len(data); step += 2 {
+			op, arg := data[step], int(data[step+1])
+			v := int(op>>2) % fuzzVPEs
+			switch op & 3 {
+			case 0, 1: // mint at the next selector
+				c := s.Insert(memCap(g, v, s.AllocSel(v)))
+				live[v][c.Sel], used[v][c.Sel] = c.Key, c.Key
+			case 3: // mint at a chosen selector, possibly below live pages
+				sel := Selector(3*arg + 1)
+				if _, ok := used[v][sel]; ok {
+					break
+				}
+				c := s.Insert(memCap(g, v, sel))
+				live[v][sel], used[v][sel] = c.Key, c.Key
+			case 2: // remove a live capability
+				if len(live[v]) == 0 {
+					break
+				}
+				sels := make([]Selector, 0, len(live[v]))
+				for sel := range live[v] {
+					sels = append(sels, sel)
+				}
+				sort.Slice(sels, func(i, j int) bool { return sels[i] < sels[j] })
+				sel := sels[arg%len(sels)]
+				s.Remove(live[v][sel])
+				delete(live[v], sel)
+			}
+			if err := s.CheckLocalInvariants(); err != nil {
+				t.Fatalf("step %d: %v", step/2, err)
+			}
+			for v := range live {
+				for sel, k := range used[v] {
+					c := s.LookupSel(v, sel)
+					if _, ok := live[v][sel]; ok != (c != nil) || ok && c.Key != k {
+						t.Fatalf("step %d: vpe %d sel %d looks up %v, live %v", step/2, v, sel, c, ok)
+					}
+				}
+				caps := s.VPECaps(v)
+				bases := make(map[Selector]bool)
+				for sel := range live[v] {
+					bases[sel&^(pageSels-1)] = true
+				}
+				if len(caps) != len(live[v]) {
+					t.Fatalf("step %d: vpe %d lists %d capabilities, model %d", step/2, v, len(caps), len(live[v]))
+				}
+				for i, c := range caps {
+					if live[v][c.Sel] != c.Key || i > 0 && caps[i-1].Sel >= c.Sel {
+						t.Fatalf("step %d: vpe %d VPECaps %v not the model in selector order", step/2, v, caps)
+					}
+				}
+				if sp := s.vpes[v]; sp != nil && len(sp.pages) != len(bases) {
+					t.Fatalf("step %d: vpe %d holds %d pages for %d live pages", step/2, v, len(sp.pages), len(bases))
+				}
 			}
 		}
 	})
