@@ -176,7 +176,7 @@ func fanoutExchange(pes []int) (script.Script, script.Ref) {
 // it.
 var (
 	svcOps       = []script.Op{{Kind: script.Alloc}, {Kind: script.Serve, Latch: 1}}
-	svcClientOps = []script.Op{{Kind: script.Wait, Latch: 1}, {Kind: script.Session}}
+	svcClientOps = []script.Op{{Kind: script.Wait, Latch: 1}, {Kind: script.Obtain, Session: true}}
 )
 
 // fanoutSvcQuery is n clients each opening a session to one service and

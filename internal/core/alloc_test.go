@@ -287,7 +287,7 @@ func TestMemObjectsAcrossChunks(t *testing.T) {
 		survivors = append(survivors, derive(1, n))
 	}
 	check(survivors)
-	if got, want := memCapsEverywhere(s), 1+len(survivors); got != want {
+	if got, want := MemCapsEverywhere(s), 1+len(survivors); got != want {
 		t.Fatalf("%d memory capabilities left, want %d", got, want)
 	}
 
@@ -751,7 +751,7 @@ func spanningRevokeMallocs(t *testing.T, cfg Config) float64 {
 		plant()
 		total += mallocs(revoke)
 	}
-	if got := memCapsEverywhere(s); got != 1 { // root
+	if got := MemCapsEverywhere(s); got != 1 { // root
 		t.Fatalf("%d memory capabilities left, want 1", got)
 	}
 	checkAudit(t, s)

@@ -56,7 +56,7 @@ func buildFanout(t *testing.T, cfg Config, n int) (*System, sim.Duration) {
 func TestBatchedRevocationCorrect(t *testing.T) {
 	const kids = 9
 	s, _ := buildFanout(t, Config{Kernels: 4, UserPEs: kids + 7, IKCBatching: IKCBatching{Revoke: true}}, kids)
-	if n := memCapsEverywhere(s); n != 0 {
+	if n := MemCapsEverywhere(s); n != 0 {
 		t.Fatalf("%d mem caps survived batched revoke", n)
 	}
 	deleted := uint64(0)
@@ -149,7 +149,7 @@ func TestBatchedChainStillCorrect(t *testing.T) {
 		}
 	}
 	s.Run()
-	if n := memCapsEverywhere(s); n != 0 {
+	if n := MemCapsEverywhere(s); n != 0 {
 		t.Fatalf("%d caps survived batched chain revoke", n)
 	}
 	checkAudit(t, s)

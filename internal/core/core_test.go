@@ -29,15 +29,6 @@ func checkAudit(t *testing.T, s *System, deadKernels ...int) {
 	}
 }
 
-// totalCaps counts capabilities across all kernels.
-func totalCaps(s *System) int {
-	n := 0
-	for _, k := range s.kernels {
-		n += k.store.Len()
-	}
-	return n
-}
-
 func TestSpawnAndNoop(t *testing.T) {
 	s := newTestSystem(t, 1, 2)
 	ran := false
@@ -294,347 +285,6 @@ func TestRevokeInvalidatesActivatedEndpoint(t *testing.T) {
 			checkAudit(t, s)
 		})
 	}
-}
-
-// runExchange spawns an owner (allocates memory, parks) and a requester
-// (obtains from the owner), placed by the caller, and returns the system.
-func runExchange(t *testing.T, kernels, userPEs, ownerPE, reqPE int,
-	after func(owner, req *VPE, ownerSel, reqSel cap.Selector, p *sim.Proc)) *System {
-	t.Helper()
-	s := newTestSystem(t, kernels, userPEs)
-	ready := sim.NewFuture[cap.Selector](s.Eng)
-	owner, err := s.SpawnOn(ownerPE, "owner", func(v *VPE, p *sim.Proc) {
-		sel, err := v.AllocMem(p, 4096, dtu.PermRW)
-		if err != nil {
-			t.Errorf("owner alloc: %v", err)
-			return
-		}
-		ready.Complete(sel)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = s.SpawnOn(reqPE, "requester", func(v *VPE, p *sim.Proc) {
-		ownerSel := ready.Wait(p)
-		reqSel, err := v.ObtainFrom(p, owner.ID, ownerSel)
-		if err != nil {
-			t.Errorf("obtain: %v", err)
-			return
-		}
-		if after != nil {
-			after(owner, v, ownerSel, reqSel, p)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Run()
-	return s
-}
-
-func TestObtainLocal(t *testing.T) {
-	s := runExchange(t, 1, 2, 1, 2, nil)
-	k := s.Kernel(0)
-	if k.Stats().Obtains != 1 {
-		t.Fatalf("obtains = %d, want 1", k.Stats().Obtains)
-	}
-	// Owner cap has one child; requester cap points back.
-	checkAudit(t, s)
-	if totalCaps(s) != 4 { // 2 VPE caps + owner mem + child mem
-		t.Fatalf("total caps = %d, want 4", totalCaps(s))
-	}
-}
-
-func TestObtainSpanning(t *testing.T) {
-	// 2 kernels, 2 user PEs: PE 2 -> kernel 0, PE 3 -> kernel 1.
-	s := runExchange(t, 2, 2, 2, 3, nil)
-	k0, k1 := s.Kernel(0), s.Kernel(1)
-	if k1.Stats().Obtains != 1 {
-		t.Fatalf("requester kernel obtains = %d, want 1", k1.Stats().Obtains)
-	}
-	if k0.Stats().IKCReceived == 0 || k1.Stats().IKCSent == 0 {
-		t.Fatal("no inter-kernel call recorded")
-	}
-	checkAudit(t, s)
-	// The child lives at kernel 1, the parent at kernel 0; links cross.
-	var crossChild bool
-	for _, key := range k0.store.Keys() {
-		c := k0.store.Lookup(key)
-		c.ForEachChild(func(ch ddl.Key) {
-			if k0.member.KernelOfKey(ch) == 1 {
-				crossChild = true
-			}
-		})
-	}
-	if !crossChild {
-		t.Fatal("no cross-kernel child link found")
-	}
-}
-
-func TestObtainDenied(t *testing.T) {
-	s := newTestSystem(t, 1, 2)
-	ready := sim.NewFuture[cap.Selector](s.Eng)
-	owner, _ := s.Spawn("owner", func(v *VPE, p *sim.Proc) {
-		v.OnExchange = func(q ExchangeQuery) ExchangeAnswer { return ExchangeAnswer{Accept: false} }
-		sel, _ := v.AllocMem(p, 64, dtu.PermR)
-		ready.Complete(sel)
-	})
-	var got error
-	s.Spawn("req", func(v *VPE, p *sim.Proc) {
-		sel := ready.Wait(p)
-		_, got = v.ObtainFrom(p, owner.ID, sel)
-	})
-	s.Run()
-	if got != ErrDenied {
-		t.Fatalf("err = %v, want ErrDenied", got)
-	}
-	checkAudit(t, s)
-}
-
-func TestDelegateLocalAndSpanning(t *testing.T) {
-	for name, cfg := range map[string]struct{ kernels, peA, peB int }{
-		"local":    {1, 1, 2},
-		"spanning": {2, 2, 3},
-	} {
-		t.Run(name, func(t *testing.T) {
-			s := newTestSystem(t, cfg.kernels, 2)
-			done := sim.NewFuture[error](s.Eng)
-			b, err := s.SpawnOn(cfg.peB, "receiver", func(v *VPE, p *sim.Proc) {
-				p.Park() // passive receiver
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, err = s.SpawnOn(cfg.peA, "delegator", func(v *VPE, p *sim.Proc) {
-				sel, err := v.AllocMem(p, 128, dtu.PermRW)
-				if err != nil {
-					done.Complete(err)
-					return
-				}
-				_, err = v.DelegateTo(p, b.ID, sel)
-				done.Complete(err)
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.Run()
-			if !done.Done() {
-				t.Fatal("delegator did not finish")
-			}
-			if err := done.Wait(nil); err != nil {
-				// Wait with nil proc is safe: future already complete.
-				t.Fatalf("delegate: %v", err)
-			}
-			// The receiver must now own a mem cap child.
-			kb := s.KernelOfPE(cfg.peB)
-			caps := kb.store.VPECaps(b.ID)
-			var memCaps int
-			for _, c := range caps {
-				if _, ok := c.Object.(*cap.MemObject); ok {
-					memCaps++
-					if c.Parent == 0 {
-						t.Error("delegated cap has no parent link")
-					}
-				}
-			}
-			if memCaps != 1 {
-				t.Fatalf("receiver mem caps = %d, want 1", memCaps)
-			}
-			checkAudit(t, s)
-		})
-	}
-}
-
-func TestRevokeLocal(t *testing.T) {
-	s := runExchange(t, 1, 2, 1, 2, func(owner, req *VPE, ownerSel, reqSel cap.Selector, p *sim.Proc) {
-		// Requester revokes its obtained cap: only the child disappears.
-		if err := req.Revoke(p, reqSel); err != nil {
-			t.Errorf("revoke child: %v", err)
-		}
-	})
-	k := s.Kernel(0)
-	if k.Stats().CapsDeleted != 1 {
-		t.Fatalf("deleted = %d, want 1", k.Stats().CapsDeleted)
-	}
-	checkAudit(t, s)
-	if totalCaps(s) != 3 {
-		t.Fatalf("total caps = %d, want 3", totalCaps(s))
-	}
-}
-
-func TestRevokeRecursiveSpanning(t *testing.T) {
-	// Owner revokes its root: the remote child must disappear too.
-	var ownerV *VPE
-	var rootSel cap.Selector
-	s := newTestSystem(t, 2, 2)
-	ready := sim.NewFuture[cap.Selector](s.Eng)
-	obtained := sim.NewFuture[struct{}](s.Eng)
-	ownerV, _ = s.SpawnOn(2, "owner", func(v *VPE, p *sim.Proc) {
-		sel, _ := v.AllocMem(p, 4096, dtu.PermRW)
-		rootSel = sel
-		ready.Complete(sel)
-		obtained.Wait(p)
-		if err := v.Revoke(p, sel); err != nil {
-			t.Errorf("revoke: %v", err)
-		}
-	})
-	s.SpawnOn(3, "req", func(v *VPE, p *sim.Proc) {
-		sel := ready.Wait(p)
-		if _, err := v.ObtainFrom(p, ownerV.ID, sel); err != nil {
-			t.Errorf("obtain: %v", err)
-		}
-		obtained.Complete(struct{}{})
-	})
-	s.Run()
-	_ = rootSel
-	// Both the root (kernel 0) and the child (kernel 1) must be gone.
-	for ki, k := range s.kernels {
-		for _, key := range k.store.Keys() {
-			c := k.store.Lookup(key)
-			if _, ok := c.Object.(*cap.MemObject); ok {
-				t.Fatalf("kernel %d still holds mem cap %v", ki, c)
-			}
-		}
-	}
-	checkAudit(t, s)
-	if got := s.Kernel(0).Stats().CapsDeleted + s.Kernel(1).Stats().CapsDeleted; got != 2 {
-		t.Fatalf("caps deleted = %d, want 2", got)
-	}
-}
-
-// buildChain delegates a capability down a chain of VPEs and returns the
-// system plus the VPEs. With alternate=true the VPEs alternate between two
-// kernels (the paper's group-spanning chain).
-func buildChain(t *testing.T, kernels, length int, alternate bool) (*System, []*VPE) {
-	t.Helper()
-	s := newTestSystem(t, kernels, length+1)
-	vpes := make([]*VPE, length+1)
-	futs := make([]*sim.Future[cap.Selector], length+1)
-	for i := range futs {
-		futs[i] = sim.NewFuture[cap.Selector](s.Eng)
-	}
-	pes := make([]int, length+1)
-	for i := range pes {
-		if alternate {
-			// Alternate between the first PE of group 0 and group 1.
-			half := (len(s.userPEs) + 1) / 2
-			if i%2 == 0 {
-				pes[i] = s.userPEs[i/2]
-			} else {
-				pes[i] = s.userPEs[half+i/2]
-			}
-		} else {
-			pes[i] = s.userPEs[i]
-		}
-	}
-	var err error
-	vpes[0], err = s.SpawnOn(pes[0], "chain0", func(v *VPE, p *sim.Proc) {
-		sel, e := v.AllocMem(p, 4096, dtu.PermRW)
-		if e != nil {
-			t.Errorf("alloc: %v", e)
-			return
-		}
-		futs[0].Complete(sel)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= length; i++ {
-		i := i
-		vpes[i], err = s.SpawnOn(pes[i], "chain", func(v *VPE, p *sim.Proc) {
-			prev := futs[i-1].Wait(p)
-			sel, e := v.ObtainFrom(p, vpes[i-1].ID, prev)
-			if e != nil {
-				t.Errorf("chain obtain %d: %v", i, e)
-				return
-			}
-			futs[i].Complete(sel)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	return s, vpes
-}
-
-func TestChainRevocation(t *testing.T) {
-	for name, alternate := range map[string]bool{"local": false, "spanning": true} {
-		t.Run(name, func(t *testing.T) {
-			kernels := 1
-			if alternate {
-				kernels = 2
-			}
-			const chainLen = 8
-			s, vpes := buildChain(t, kernels, chainLen, alternate)
-			s.Run() // build the chain
-			// Now revoke the root from VPE 0.
-			root := s.KernelOfPE(vpes[0].PE).store.VPECaps(vpes[0].ID)
-			var rootSel cap.Selector
-			for _, c := range root {
-				if _, ok := c.Object.(*cap.MemObject); ok {
-					rootSel = c.Sel
-				}
-			}
-			if rootSel == cap.NoSel {
-				t.Fatal("root mem cap not found")
-			}
-			done := false
-			s.Eng.Spawn("drive", func(p *sim.Proc) {
-				// Drive the revoke through the root owner's program context:
-				// issue the syscall directly from a fresh proc bound to vpe0.
-				if err := vpes[0].Revoke(p, rootSel); err != nil {
-					t.Errorf("revoke: %v", err)
-				}
-				done = true
-			})
-			s.Run()
-			if !done {
-				t.Fatal("revoke did not complete")
-			}
-			deleted := uint64(0)
-			for _, k := range s.kernels {
-				deleted += k.Stats().CapsDeleted
-			}
-			if deleted != chainLen+1 {
-				t.Fatalf("deleted = %d, want %d", deleted, chainLen+1)
-			}
-			checkAudit(t, s)
-		})
-	}
-}
-
-func TestTreeRevocationAcrossKernels(t *testing.T) {
-	const kids = 12
-	s := newTestSystem(t, 4, kids+1)
-	ready := sim.NewFuture[cap.Selector](s.Eng)
-	var wg sim.WaitGroup
-	wg.Add(kids)
-	owner, _ := s.SpawnOn(s.userPEs[0], "root", func(v *VPE, p *sim.Proc) {
-		sel, _ := v.AllocMem(p, 4096, dtu.PermRW)
-		ready.Complete(sel)
-		wg.Wait(p)
-		if err := v.Revoke(p, sel); err != nil {
-			t.Errorf("revoke: %v", err)
-		}
-	})
-	for i := 0; i < kids; i++ {
-		s.SpawnOn(s.userPEs[i+1], "kid", func(v *VPE, p *sim.Proc) {
-			sel := ready.Wait(p)
-			if _, err := v.ObtainFrom(p, owner.ID, sel); err != nil {
-				t.Errorf("obtain: %v", err)
-			}
-			wg.Done()
-		})
-	}
-	s.Run()
-	deleted := uint64(0)
-	for _, k := range s.kernels {
-		deleted += k.Stats().CapsDeleted
-	}
-	if deleted != kids+1 {
-		t.Fatalf("deleted = %d, want %d", deleted, kids+1)
-	}
-	checkAudit(t, s)
 }
 
 func TestPermStringsAndErrno(t *testing.T) {

@@ -343,7 +343,14 @@ func (k *Kernel) delegate(p *sim.Proc, v *VPE, dst int, req ikcRequest) sysReply
 		k.ikCall(p, dst, ikcRequest{Kind: ikcDelegateAck, Child: childKey, Ok: false})
 		return sysReply{Err: errno}
 	}
-	if ack := k.ikCall(p, dst, ikcRequest{Kind: ikcDelegateAck, Child: childKey, Ok: true}); ack.Err != OK {
+	ack := k.ikCall(p, dst, ikcRequest{Kind: ikcDelegateAck, Child: childKey, Ok: true})
+	if ack.Err == ErrPeerDead {
+		// The receiver's kernel may have inserted the child before a crash
+		// swallowed its answer: the link stays for the reconciliation at its
+		// rejoin, which revokes the child there (reconcileChains).
+		return sysReply{Err: ack.Err}
+	}
+	if ack.Err != OK {
 		// The receiver died before insertion ("Orphaned" on its side), or a
 		// revocation dropped the prepared child: remove the link again.
 		k.charge(p, k.sys.Cost.CapLink)

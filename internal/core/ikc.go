@@ -376,7 +376,7 @@ func (k *Kernel) post(p *sim.Proc, dst int, req *ikcRequest) {
 // stamped with the incarnation it leaves in. In reliable mode its
 // transmission record holds a reference to it.
 func (k *Kernel) transmit(dst int, req *ikcRequest) {
-	req.Inc = k.incarnation
+	req.Inc, req.ToInc = k.incarnation, k.peers[dst].inc
 	k.sendRequest(k.sys.kernels[dst], req)
 	if k.reliable {
 		xm := k.newXmit()

@@ -48,7 +48,7 @@ func TestRevokeThreadBound(t *testing.T) {
 				ki, k.revokePool.spawned, RevokeThreads)
 		}
 	}
-	if n := memCapsEverywhere(s); n != 0 {
+	if n := MemCapsEverywhere(s); n != 0 {
 		t.Fatalf("%d caps survived the revoke storm", n)
 	}
 }

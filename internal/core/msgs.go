@@ -170,12 +170,15 @@ type ikcRequest struct {
 	Seq  uint64
 	From int // sender kernel id
 	// Inc is the sender's incarnation number when the request first went
-	// on the wire (a retransmit keeps it). A receiver running the reliable
-	// layer rejects requests from an incarnation older than the one it has
-	// observed — a stale retransmit from before the sender's crash — and
-	// implicitly admits a newer one (rejoin.go).
-	Inc  uint32
-	Kind ikcKind
+	// on the wire (a retransmit keeps it), and ToInc the addressee's as the
+	// sender knew it then. A receiver running the reliable layer rejects
+	// requests from an incarnation older than the one it has observed — a
+	// stale retransmit from before the sender's crash — and implicitly
+	// admits a newer one; it also rejects a request addressed to a dead
+	// incarnation of its own, which the sender aborts when it admits the
+	// rejoin (rejoin.go).
+	Inc   uint32
+	ToInc uint32
 
 	Key    ddl.Key      // primary capability: the source's service capability, the delegated one, a revocation target
 	Keys   []ddl.Key    // batched revocation targets (ikcRevokeBatch)
@@ -183,6 +186,7 @@ type ikcRequest struct {
 	VPE    int          // the source's owner (ikcObtain); the delegator (ikcDelegate, ikcDelegateSess)
 	Sel    cap.Selector // selector at the owner side (ikcObtain)
 	Perm   dtu.Perm
+	Kind   ikcKind
 	Ident  uint64 // session identifier for session-scoped calls
 	Ok     bool   // delegate-ack verdict
 	refs   int32  // references held; the record is on System.reqs at 0

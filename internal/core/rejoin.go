@@ -35,8 +35,8 @@ import (
 //      or DDL entry outlives the incarnation that created it.
 //
 // Stale traffic from the dead incarnation — retransmits of its requests,
-// late replies to questions it asked — is rejected by incarnation
-// mismatch (admit / recvReply) and counted in
+// late replies to questions it asked, requests addressed to it — is
+// rejected by incarnation mismatch (admit / recvReply) and counted in
 // KernelStats.StaleIncarnation. Rejecting stale requests instead of
 // tracking them is also what keeps the receiver dedup state bounded: a
 // peer can discard everything keyed by a dead incarnation wholesale
@@ -90,9 +90,10 @@ func (k *Kernel) admitIncarnation(from int, inc uint32) {
 	// incarnation gate before they reach the filter.
 	pr.replies, pr.answered, pr.oldest = nil, nil, 0
 	// Outstanding transmissions *to* the peer were addressed to the dead
-	// incarnation — it lost its receive state, so they could only be
-	// rejected as stale. Abort them in first-send order, completing their
-	// calls with ErrPeerDead.
+	// incarnation (their ToInc stamp), and the peer's receive gate rejects
+	// every copy of them as stale, so nothing acts on a call failed here.
+	// Abort them in first-send order, completing their calls with
+	// ErrPeerDead.
 	k.abortLive(pr)
 	// Delegation handshakes whose originator is the dead incarnation can
 	// never be acknowledged: their entries would leak forever.

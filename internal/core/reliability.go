@@ -327,7 +327,8 @@ func (k *Kernel) unlink(xm *xmitState) {
 //     admits the rejoined sender (admitIncarnation) — the explicit ikcRejoin
 //     handshake is normally the first such request, but any request can carry
 //     the news, since the handshake itself may be dropped or reordered by the
-//     faulty fabric.
+//     faulty fabric. Then a request addressed to a dead incarnation of this
+//     kernel is dropped too: its sender aborts it when it admits the rejoin.
 //   - Duplicates: a request already dispatched is suppressed and, if its
 //     reply is already cached, answered by replaying that reply (the original
 //     reply was evidently the lost message).
@@ -343,6 +344,10 @@ func (k *Kernel) admit(p *sim.Proc, req *ikcRequest) bool {
 		return false
 	case req.Inc > pr.inc:
 		k.admitIncarnation(req.From, req.Inc)
+	}
+	if req.ToInc < k.incarnation {
+		k.stats.StaleIncarnation++
+		return false
 	}
 	if slot, seen := pr.replies[req.Seq]; seen {
 		k.stats.DupSuppressed++

@@ -325,11 +325,12 @@ func (k *Kernel) flushLocked(p *sim.Proc, q *sendQueue) {
 	k.exec(p, k.sys.Cost.IKCCompose) // envelope header compose
 	k.stats.IKCSent++
 	k.stats.IKCBatches++
-	if pr := k.peers[dst]; !pr.credits.TryAcquire() {
+	pr := k.peers[dst]
+	if !pr.credits.TryAcquire() {
 		k.pause(p, &pr.credits)
 	}
 	for _, req := range reqs {
-		req.Inc = k.incarnation
+		req.Inc, req.ToInc = k.incarnation, pr.inc
 	}
 	k.sendEnvelope(dst, reqs)
 	if xm != nil {

@@ -85,7 +85,7 @@ func TestExchangeBatchingReducesMessages(t *testing.T) {
 	const kids = 12
 	run := func(b IKCBatching) (wireStats, int) {
 		s := runFanoutObtain(t, Config{Kernels: 4, UserPEs: kids + 7, IKCBatching: b}, kids)
-		return gatherWire(s), memCapsEverywhere(s)
+		return gatherWire(s), MemCapsEverywhere(s)
 	}
 	plain, plainCaps := run(IKCBatching{})
 	batched, batchedCaps := run(IKCBatching{Exchange: true})
@@ -118,7 +118,7 @@ func TestExchangeBatchingCorrect(t *testing.T) {
 		IKCBatching: IKCBatching{Exchange: true, ServiceQuery: true, Revoke: true},
 	}
 	s, _ := buildFanout(t, cfg, kids)
-	if n := memCapsEverywhere(s); n != 0 {
+	if n := MemCapsEverywhere(s); n != 0 {
 		t.Fatalf("%d mem caps survived batched revoke after batched obtains", n)
 	}
 	checkAudit(t, s)
@@ -223,7 +223,7 @@ func TestMaxBatchInlineFlush(t *testing.T) {
 	if w.ikcBatches == 0 || w.ikcBatched != maxBatch*w.ikcBatches {
 		t.Fatalf("%d requests in %d envelopes, want only full envelopes of %d", w.ikcBatched, w.ikcBatches, maxBatch)
 	}
-	if n := memCapsEverywhere(s); n != kids+1 {
+	if n := MemCapsEverywhere(s); n != kids+1 {
 		t.Fatalf("obtains incomplete: %d mem caps, want %d", n, kids+1)
 	}
 	checkAudit(t, s)
@@ -238,7 +238,7 @@ func TestReplyBatchingReducesMessages(t *testing.T) {
 	const kids = 12
 	run := func(b IKCBatching) (wireStats, int) {
 		s := runFanoutObtain(t, Config{Kernels: 4, UserPEs: kids + 7, IKCBatching: b}, kids)
-		return gatherWire(s), memCapsEverywhere(s)
+		return gatherWire(s), MemCapsEverywhere(s)
 	}
 	plain, plainCaps := run(IKCBatching{})
 	batched, batchedCaps := run(IKCBatching{Exchange: true})
@@ -375,7 +375,7 @@ func TestDuplicatedEnvelopes(t *testing.T) {
 		t.Errorf("%d late replies, want %d: the copy of each of %d replies and both arrivals of %d replays",
 			st.LateReplies, want, replies, st.ReplayedReplies)
 	}
-	if n := memCapsEverywhere(s); n != 0 {
+	if n := MemCapsEverywhere(s); n != 0 {
 		t.Errorf("%d memory capabilities survived the revocation", n)
 	}
 	checkAudit(t, s)
@@ -572,8 +572,8 @@ func TestPeerRecordsOnlyForTalkingPairs(t *testing.T) {
 		}
 	}
 	s.Run()
-	if !revoked || memCapsEverywhere(s) != 0 {
-		t.Fatalf("revoked=%v, %d memory capabilities left", revoked, memCapsEverywhere(s))
+	if !revoked || MemCapsEverywhere(s) != 0 {
+		t.Fatalf("revoked=%v, %d memory capabilities left", revoked, MemCapsEverywhere(s))
 	}
 	checkAudit(t, s)
 	records := 0

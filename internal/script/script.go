@@ -25,24 +25,41 @@ const (
 	Alloc Kind = iota
 	// Derive derives a 64-byte read-only capability from Ref's.
 	Derive
-	// Obtain obtains Ref's capability from Ref's VPE.
+	// Obtain obtains Ref's capability from Ref's VPE or, with Session,
+	// opens a session to the script's service and obtains through it; the
+	// service hands out its Serve's Ref, which Ref then names too.
 	Obtain
+	// Delegate delegates Ref's capability (one of the VPE's own) to VPE To
+	// or, with Session, opens a session to the script's service and
+	// delegates it into that.
+	Delegate
 	// Revoke revokes Ref's capability (one of the VPE's own).
 	Revoke
+	// Exit exits the VPE, which revokes all its capabilities.
+	Exit
+	// Kill kills VPE To at once, without a syscall (core.VPE.Kill): the
+	// fault model of Table 2.
+	Kill
 	// Wait parks until latch Latch is open.
 	Wait
 	// SleepUntil sleeps until simulated time At (no-op once past it).
 	SleepUntil
+	// Sleep sleeps for At cycles from its start: a delay that follows the op
+	// before it wherever the placement puts that.
+	Sleep
 	// Serve registers the script's service, which hands Ref's capability to
-	// every session obtaining through it, counts its latch down and serves
-	// until the machine stops. It must be its VPE's last op.
+	// every session obtaining through it and decides on every capability
+	// delegated into one, counts its latch down and serves until the machine
+	// stops. It must be its VPE's last op.
 	Serve
-	// Session opens a session to the script's service and obtains through
-	// it.
-	Session
+	// Consent makes the VPE the direct partner of exchanges with it
+	// (core.VPE.OnExchange), counts its latch down and parks for good. It
+	// must be its VPE's last op.
+	Consent
 )
 
-// service is the name the Serve op registers and Session connects to.
+// service is the name the Serve op registers and a Session exchange
+// connects to.
 const service = "script"
 
 // Ref names an op of the script absolutely: op Op of VPE VPE. A selector
@@ -54,11 +71,18 @@ type Ref struct{ VPE, Op int }
 // the latch any other op counts down when it ends; 0 is none. A latch's
 // count is the number of ops that count it down, so one nobody counts down
 // is open from the start.
+//
+// Consent is data: a Serve or Consent op counts latch Asked down when its
+// VPE is asked to consent to an exchange while the latch is closed, and
+// refuses every exchange if Deny is set. A Serve with an Asked latch takes
+// the machine's VPEAccept to decide, as the kernel times a direct
+// partner's decision.
 type Op struct {
-	Kind  Kind
-	Ref   Ref
-	Latch int
-	At    sim.Time
+	Kind             Kind
+	Session, Deny    bool
+	Ref              Ref
+	To, Latch, Asked int
+	At               sim.Time
 }
 
 // VPE is one VPE of a script: the user PE it runs on and its ops. VPEs with
@@ -110,6 +134,7 @@ func Groups(sys *core.System) [][]int {
 }
 
 type runner struct {
+	sys     *core.System
 	sc      Script
 	vpes    []*core.VPE
 	recs    [][]Record
@@ -122,15 +147,26 @@ type runner struct {
 // each op starts, before its Start is read. A spawn that fails panics: the
 // script names a PE that is not a free user PE of sys.
 func Run(sys *core.System, sc Script, onStart func(vpe, op int)) [][]Record {
-	r := &runner{sc: sc, vpes: make([]*core.VPE, len(sc)), recs: make([][]Record, len(sc)), onStart: onStart}
+	recs := Start(sys, sc, onStart)
+	sys.Run()
+	return recs
+}
+
+// Start is Run without running sys: the records fill in as its caller runs
+// the machine.
+func Start(sys *core.System, sc Script, onStart func(vpe, op int)) [][]Record {
+	r := &runner{sys: sys, sc: sc, vpes: make([]*core.VPE, len(sc)), recs: make([][]Record, len(sc)), onStart: onStart}
 	n := 0
 	for _, v := range sc {
 		for _, op := range v.Ops {
-			if op.Latch >= len(r.latches) {
-				r.latches = append(r.latches, make([]sim.WaitGroup, op.Latch+1-len(r.latches))...)
+			if m := max(op.Latch, op.Asked) + 1; m > len(r.latches) {
+				r.latches = append(r.latches, make([]sim.WaitGroup, m-len(r.latches))...)
 			}
 			if op.Kind != Wait && op.Latch != 0 {
 				r.latches[op.Latch].Add(1)
+			}
+			if op.Asked != 0 {
+				r.latches[op.Asked].Add(1)
 			}
 		}
 		n += len(v.Ops)
@@ -143,7 +179,6 @@ func Run(sys *core.System, sc Script, onStart func(vpe, op int)) [][]Record {
 			panic(err)
 		}
 	}
-	sys.Run()
 	return r.recs
 }
 
@@ -161,16 +196,27 @@ func (r *runner) play(v *core.VPE, p *sim.Proc) {
 		if op.Kind != Wait && op.Latch != 0 {
 			r.latches[op.Latch].Done()
 		}
-		if op.Kind == Serve && rec.Err == nil {
+		switch {
+		case op.Kind == Serve && rec.Err == nil:
 			v.ServeLoop(p)
+		case op.Kind == Consent:
+			p.Park()
 		}
 	}
+}
+
+// asked is a Serve's or a Consent's answer to an exchange.
+func (r *runner) asked(op Op) bool {
+	if l := &r.latches[op.Asked]; l.Count() > 0 {
+		l.Done()
+	}
+	return !op.Deny
 }
 
 func (r *runner) do(v *core.VPE, p *sim.Proc, op Op) (cap.Selector, error) {
 	var ref Record
 	switch op.Kind {
-	case Derive, Obtain, Revoke, Serve:
+	case Derive, Obtain, Delegate, Revoke, Serve:
 		if ref = r.recs[op.Ref.VPE][op.Ref.Op]; ref.Err != nil {
 			return 0, ErrRefFailed
 		}
@@ -180,32 +226,64 @@ func (r *runner) do(v *core.VPE, p *sim.Proc, op Op) (cap.Selector, error) {
 		return v.AllocMem(p, 4096, dtu.PermRW)
 	case Derive:
 		return v.DeriveMem(p, ref.Sel, 0, 64, dtu.PermR)
-	case Obtain:
-		return v.ObtainFrom(p, r.vpes[op.Ref.VPE].ID, ref.Sel)
+	case Obtain, Delegate:
+		switch {
+		case !op.Session && op.Kind == Obtain:
+			return v.ObtainFrom(p, r.vpes[op.Ref.VPE].ID, ref.Sel)
+		case !op.Session:
+			return v.DelegateTo(p, r.vpes[op.To].ID, ref.Sel)
+		}
+		sess, err := v.CreateSession(p, service, nil)
+		if err != nil {
+			return 0, err
+		}
+		if op.Kind == Obtain {
+			sel, _, err := sess.Obtain(p, nil)
+			return sel, err
+		}
+		_, err = sess.Delegate(p, ref.Sel, nil)
+		return 0, err
 	case Revoke:
 		return 0, v.Revoke(p, ref.Sel)
+	case Exit:
+		v.Exit(p)
+	case Kill:
+		r.vpes[op.To].Kill()
 	case Wait:
 		r.latches[op.Latch].Wait(p)
 	case SleepUntil:
 		if now := p.Now(); op.At > now { // sim.Time is unsigned
 			p.Sleep(op.At - now)
 		}
+	case Sleep:
+		p.Sleep(sim.Duration(op.At))
 	case Serve:
 		var idents uint64
+		decide := func(p *sim.Proc) bool {
+			if op.Asked == 0 {
+				return !op.Deny
+			}
+			p.Settle() // the latch publishes: the query's cost passes first
+			defer p.Sleep(r.sys.Cost.VPEAccept)
+			return r.asked(op)
+		}
 		return 0, v.RegisterService(p, service, core.ServiceHandlers{
 			Open: func(*sim.Proc, int, any) core.SvcResult {
 				idents++
 				return core.SvcResult{Ident: idents}
 			},
-			Obtain: func(*sim.Proc, uint64, any) core.SvcResult { return core.SvcResult{SrcSel: ref.Sel} },
+			Obtain: func(p *sim.Proc, _ uint64, _ any) core.SvcResult {
+				if !decide(p) {
+					return core.SvcResult{Errno: core.ErrDenied}
+				}
+				return core.SvcResult{SrcSel: ref.Sel}
+			},
+			Delegate: func(p *sim.Proc, _ uint64, _ any, _ cap.Object) core.SvcResult {
+				return core.SvcResult{Accept: decide(p)}
+			},
 		})
-	case Session:
-		sess, err := v.CreateSession(p, service, nil)
-		if err != nil {
-			return 0, err
-		}
-		sel, _, err := sess.Obtain(p, nil)
-		return sel, err
+	case Consent:
+		v.OnExchange = func(core.ExchangeQuery) core.ExchangeAnswer { return core.ExchangeAnswer{Accept: r.asked(op)} }
 	}
 	return 0, nil
 }

@@ -85,9 +85,10 @@ func TestRunRecords(t *testing.T) {
 }
 
 // decode builds a well-formed script from data for up to four VPEs on a
-// six-PE machine. Each VPE allocates, derives from and revokes capabilities
-// of its own and obtains capabilities that lower-numbered VPEs produced, each
-// obtain behind a Wait on the producing op's latch. A VPE waits only for
+// six-PE machine. Each VPE allocates, derives from, revokes and delegates
+// capabilities of its own to another VPE, obtains capabilities that
+// lower-numbered VPEs produced, each obtain behind a Wait on the producing
+// op's latch, and may exit, which ends its list. A VPE waits only for
 // lower-numbered ones, so the script cannot deadlock on its latches; what
 // may still go wrong is the capability system. Missing bytes read as zero,
 // so every input decodes.
@@ -103,6 +104,7 @@ func decode(data []byte, pes []int) Script {
 	n, off, step := 1+next()%4, next(), 1+4*(next()%2) // step 1 or 5 walks all six PEs
 	sc := make(Script, n)
 	caps := make([][]int, n) // the ops of each VPE that produce a selector
+	exited := make([]bool, n)
 	latches := 0
 	for i := range sc {
 		sc[i].PE = pes[(off+i*step)%len(pes)]
@@ -110,13 +112,20 @@ func decode(data []byte, pes []int) Script {
 	for ops := 0; ops < 32 && len(data) > 0; ops++ {
 		c, a := next(), next()
 		v := c % n
+		if exited[v] {
+			continue
+		}
 		own := caps[v]
 		op := Op{Kind: Alloc}
-		switch kind := c / n % 4; {
+		switch kind := c / n % 6; {
 		case kind == 1 && len(own) > 0:
 			op = Op{Kind: Derive, Ref: Ref{v, own[a%len(own)]}}
 		case kind == 2 && len(own) > 0:
 			op = Op{Kind: Revoke, Ref: Ref{v, own[a%len(own)]}}
+		case kind == 4 && len(own) > 0 && n > 1:
+			op = Op{Kind: Delegate, Ref: Ref{v, own[a%len(own)]}, To: (v + 1 + a/len(own)%(n-1)) % n}
+		case kind == 5 && a%4 == 0:
+			op, exited[v] = Op{Kind: Exit}, true
 		case kind == 3 && v > 0 && len(caps[a%v]) > 0:
 			j := a % v
 			k := caps[j][a/v%len(caps[j])]
@@ -127,7 +136,7 @@ func decode(data []byte, pes []int) Script {
 			sc[v].Ops = append(sc[v].Ops, Op{Kind: Wait, Latch: sc[j].Ops[k].Latch})
 			op = Op{Kind: Obtain, Ref: Ref{j, k}}
 		}
-		if op.Kind != Revoke {
+		if op.Kind == Alloc || op.Kind == Derive || op.Kind == Obtain {
 			caps[v] = append(caps[v], len(sc[v].Ops))
 		}
 		sc[v].Ops = append(sc[v].Ops, op)
@@ -136,13 +145,15 @@ func decode(data []byte, pes []int) Script {
 }
 
 // FuzzScript plays decoded scripts on one, two and three kernels, with and
-// without batched exchange and revocation, on the lossless fabric and in
-// reliable mode on one that drops and duplicates 2% of kernel messages
-// (seeded from the input), and checks that every op returns and that
-// System.Audit finds the drained machine quiescent, leak-free, with every
-// inter-kernel request record back on its free list and with sound
-// capability tables. Failed ops are legitimate (obtaining a revoked
-// capability, revoking twice); a machine the audit faults is not.
+// without batched exchange and revocation, on the lossless fabric, in
+// reliable mode on one that drops and duplicates 2% of kernel messages and,
+// on two kernels and more, on one that drops and duplicates 1%, jitters
+// and crashes the last kernel and recovers it (all seeded from the input),
+// and checks that every op returns and that System.Audit finds the drained
+// machine quiescent, leak-free, with every inter-kernel request record back
+// on its free list and with sound capability tables. Failed ops are
+// legitimate (obtaining a revoked capability, revoking twice, delegating to
+// a VPE that exited); a machine the audit faults is not.
 func FuzzScript(f *testing.F) {
 	for _, seed := range [][]byte{
 		{0, 0, 0, 0, 0},                                     // one VPE, one alloc
@@ -156,10 +167,17 @@ func FuzzScript(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h := fnv.New64a()
 		h.Write(data)
-		lossy := &fault.Plan{Seed: h.Sum64(), Drop: 0.02, Dup: 0.02}
+		seed := h.Sum64()
+		lossy := &fault.Plan{Seed: seed, Drop: 0.02, Dup: 0.02}
+		crash := sim.Time(1000 + seed%60000)
 		for kernels := 1; kernels <= 3; kernels++ {
+			plans := []*fault.Plan{nil, lossy}
+			if kernels >= 2 {
+				plans = append(plans, &fault.Plan{Seed: seed, Drop: 0.01, Dup: 0.01, Jitter: sim.Duration(seed >> 40 % 400),
+					Kernels: []fault.KernelFault{{Kernel: kernels - 1, CrashAt: crash, RecoverAt: crash + 10000 + sim.Time(seed>>20%300000)}}})
+			}
 			for _, pol := range []core.IKCBatching{{}, {Exchange: true, Revoke: true}} {
-				for _, faults := range []*fault.Plan{nil, lossy} {
+				for _, faults := range plans {
 					eng := sim.NewEngine()
 					eng.SetEventLimit(1 << 22)
 					sys := core.MustNew(core.Config{Kernels: kernels, UserPEs: 6, IKCBatching: pol, Faults: faults, Engine: eng})
