@@ -12,7 +12,7 @@
 // ablation; opt-in extras (excluded from "all"): ablation-ikc, faults,
 // scale, churn — the churn scenario races open-loop session churn and a
 // revocation storm against a crash+recovery of the last kernel.
-// Every experiment plans its runs as task specs and executes them on an
+// Every experiment plans its runs as tasks and executes them on an
 // in-process worker pool (-parallel, default GOMAXPROCS), largest machine
 // first. All simulated metrics are deterministic and independent of the
 // parallelism and the schedule. Every task runs under an event budget
@@ -218,13 +218,7 @@ func realMain(args []string, stderr io.Writer) (code int) {
 	runExtra("ablation-ikc", func() { bench.AblationIKC(opts, 96, 12).Print(os.Stdout) })
 	runExtra("faults", func() { bench.Faults(opts, 64, 8).Print(os.Stdout) })
 	runExtra("scale", func() { bench.Scale(opts, *scalekernels).Print(os.Stdout) })
-	runExtra("churn", func() {
-		r, err := bench.Churn(opts, 64, 8)
-		if err != nil {
-			panic(err) // 1+8 kernels are always a machine
-		}
-		r.Print(os.Stdout)
-	})
+	runExtra("churn", func() { bench.Churn(opts, 64, 8).Print(os.Stdout) })
 
 	fmt.Printf("[%d experiments, %d workers, total %v]\n", ran, workers, total.Round(time.Millisecond))
 	report.WallclockSummary(os.Stdout, 10)

@@ -32,45 +32,10 @@ type AblationResult struct {
 	Rows         []AblationRow
 }
 
-// kindAblationRevoke runs one tree-revocation cell of the batching
-// ablation; Config encodes it (Kernels = 1+extra, Instances = children),
-// Variant picks plain or batched.
-const kindAblationRevoke = "ablation-revoke"
-
-// ablationAux carries the run's inter-kernel message count for the
-// post-process table (kept out of Metrics so the report layout is
-// unchanged).
-type ablationAux struct {
-	Msgs uint64
-}
-
-func init() { registerKind(kindAblationRevoke, runAblationRevokeSpec) }
-
-func runAblationRevokeSpec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
-	n, extra := spec.Config.Instances, spec.Config.Kernels-1
-	c, m, err := treeRevoke(eng, n, extra, spec.Variant == "batched")
-	return Metrics{Cycles: uint64(c)}, ablationAux{Msgs: m}, err
-}
-
-// ablationSpecs plans the (breadth, variant) grid.
-func ablationSpecs(breadths []int, extra int) []TaskSpec {
-	specs := make([]TaskSpec, 0, 2*len(breadths))
-	for _, n := range breadths {
-		for _, variant := range []string{"plain", "batched"} {
-			specs = append(specs, TaskSpec{
-				Experiment: "ablation/" + variant,
-				Kind:       kindAblationRevoke,
-				Variant:    variant,
-				Config:     ExpConfig{Kernels: extra + 1, Instances: n},
-			})
-		}
-	}
-	return specs
-}
-
 // AblationBatching measures tree revocation with and without message
 // batching, spreading the children over 1+extra kernels. Every (breadth,
-// variant) cell is an independent simulation in one planned batch.
+// variant) cell is an independent simulation in one planned batch; each
+// writes its inter-kernel message count into its row.
 func AblationBatching(o Options, maxKids, extra int) AblationResult {
 	if maxKids <= 0 {
 		maxKids = 128
@@ -78,20 +43,21 @@ func AblationBatching(o Options, maxKids, extra int) AblationResult {
 	if extra <= 0 {
 		extra = 12
 	}
-	var breadths []int
-	for n := 16; n <= maxKids; n += 16 {
-		breadths = append(breadths, n)
-	}
-	rs := o.execute(ablationSpecs(breadths, extra))
 	r := AblationResult{ExtraKernels: extra}
-	for i, n := range breadths {
-		r.Rows = append(r.Rows, AblationRow{
-			Children:      n,
-			PlainCycles:   sim.Duration(rs[2*i].Metrics.Cycles),
-			BatchedCycles: sim.Duration(rs[2*i+1].Metrics.Cycles),
-			PlainMsgs:     auxOf[ablationAux](rs[2*i]).Msgs,
-			BatchedMsgs:   auxOf[ablationAux](rs[2*i+1]).Msgs,
-		})
+	for n := 16; n <= maxKids; n += 16 {
+		r.Rows = append(r.Rows, AblationRow{Children: n})
+	}
+	tasks := make([]Task, 0, 2*len(r.Rows))
+	for i := range r.Rows {
+		row := &r.Rows[i]
+		tasks = append(tasks,
+			treeRevoke("ablation/plain", row.Children, extra, false, &row.PlainMsgs),
+			treeRevoke("ablation/batched", row.Children, extra, true, &row.BatchedMsgs))
+	}
+	rs := o.execute(tasks)
+	for i := range r.Rows {
+		r.Rows[i].PlainCycles = sim.Duration(rs[2*i].Metrics.Cycles)
+		r.Rows[i].BatchedCycles = sim.Duration(rs[2*i+1].Metrics.Cycles)
 	}
 	o.record(rs)
 	return r
@@ -127,25 +93,18 @@ type AblationIKCResult struct {
 	SvcQuery     []IKCRow
 }
 
-// fanoutConfig is the machine of fanoutSystem: 1+extra PE groups, each
-// spare PEs larger than its share of the n clients.
-func fanoutConfig(n, extra, spare int, pol core.IKCBatching, plan *fault.Plan) core.Config {
+// fanoutSystem builds the fan-out machine of the ablations, the fault sweep
+// and the churn storm: the owner/service group plus `extra` client groups,
+// each spare PEs larger than its share of the n clients, spread round-robin
+// over them. pes[0] hosts the owner or service, pes[1:] the clients, which
+// leave the first spare-1 PEs of a client group free (the tree revocation
+// has spare 1, the fan-outs 2).
+func fanoutSystem(eng *sim.Engine, n, extra, spare int, pol core.IKCBatching, plan *fault.Plan) (*core.System, []int) {
 	perGroup := n + spare
 	if extra > 0 {
 		perGroup = (n+extra-1)/extra + spare
 	}
-	return core.Config{Kernels: extra + 1, UserPEs: (extra + 1) * perGroup, IKCBatching: pol, Faults: plan}
-}
-
-// fanoutSystem builds the fan-out machine of the ablations, the fault sweep
-// and the churn storm: the owner/service group plus `extra` client groups, n
-// clients spread round-robin over them. pes[0] hosts the owner or service,
-// pes[1:] the clients, which leave the first spare-1 PEs of a client group
-// free (the tree revocation has spare 1, the fan-outs 2).
-func fanoutSystem(eng *sim.Engine, n, extra, spare int, pol core.IKCBatching, plan *fault.Plan) (*core.System, []int) {
-	cfg := fanoutConfig(n, extra, spare, pol, plan)
-	cfg.Engine = eng
-	sys := core.MustNew(cfg)
+	sys := core.MustNew(core.Config{Kernels: extra + 1, UserPEs: (extra + 1) * perGroup, IKCBatching: pol, Faults: plan, Engine: eng})
 	byGroup := script.Groups(sys)
 	pes := make([]int, n+1)
 	pes[0] = byGroup[0][0]
@@ -198,65 +157,39 @@ func makespan(recs [][]script.Record, from script.Ref) sim.Duration {
 	return end - recs[from.VPE][from.Op].End
 }
 
-// kindIKCExchange and kindIKCSvcQuery run one fan-out cell of the
-// transport ablation; Config encodes it (Kernels = 1+extra, Instances =
-// clients), Variant picks plain or batched. The wire-message split lives in
-// Metrics (ReqMsgs/RepMsgs), so these kinds need no aux.
-const (
-	kindIKCExchange = "ikc-exchange"
-	kindIKCSvcQuery = "ikc-svcquery"
-)
-
-func init() {
-	registerKind(kindIKCExchange, ikcKind(core.IKCBatching{Exchange: true}, fanoutExchange))
-	registerKind(kindIKCSvcQuery, ikcKind(core.IKCBatching{ServiceQuery: true}, fanoutSvcQuery))
-}
-
-// ikcKind is one cell of the transport ablation: gen's fan-out on the
-// lossless fabric, under the batched policy or none. Nothing may fail there.
-func ikcKind(batched core.IKCBatching, gen func([]int) (script.Script, script.Ref)) kindFunc {
-	return func(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
-		n, extra := spec.Config.Instances, spec.Config.Kernels-1
-		var pol core.IKCBatching
-		if spec.Variant == "batched" {
-			pol = batched
-		}
-		sys, pes := fanoutSystem(eng, n, extra, 2, pol, nil)
-		defer sys.Close()
-		sc, from := gen(pes)
-		recs, err := playLossless(sys, sc, nil)
-		if err != nil {
-			return Metrics{}, nil, err
-		}
-		// The makespan and the run's wire messages, summed by direction.
-		st := sys.TotalStats()
-		return Metrics{Cycles: uint64(makespan(recs, from)), ReqMsgs: st.IKCSent, RepMsgs: st.IKCRepSent}, nil, nil
-	}
-}
-
-// ikcOps is the operation axis of the transport ablation; the planner and
-// the post-process both iterate it so the grid cannot fall out of step.
-var ikcOps = []struct{ name, kind string }{
-	{"exchange", kindIKCExchange},
-	{"svcquery", kindIKCSvcQuery},
-}
-
-// ablationIKCSpecs plans the (operation, breadth, variant) grid.
-func ablationIKCSpecs(breadths []int, extra int) []TaskSpec {
-	var specs []TaskSpec
-	for _, op := range ikcOps {
-		for _, n := range breadths {
-			for _, variant := range []string{"plain", "batched"} {
-				specs = append(specs, TaskSpec{
-					Experiment: "ablation/" + op.name + "-" + variant,
-					Kind:       op.kind,
-					Variant:    variant,
-					Config:     ExpConfig{Kernels: extra + 1, Instances: n},
-				})
+// ikcTask is one cell of the transport ablation: gen's fan-out of n clients
+// over 1+extra kernels (Config: Kernels = 1+extra, Instances = n) on the
+// lossless fabric under pol. Nothing may fail there. The wire-message split
+// lives in Metrics (ReqMsgs/RepMsgs).
+func ikcTask(experiment string, n, extra int, pol core.IKCBatching, gen func([]int) (script.Script, script.Ref)) Task {
+	return Task{
+		Experiment: experiment,
+		Config:     ExpConfig{Kernels: extra + 1, Instances: n},
+		Run: func(eng *sim.Engine, res *Result) error {
+			sys, pes := fanoutSystem(eng, n, extra, 2, pol, nil)
+			defer sys.Close()
+			sc, from := gen(pes)
+			recs, err := playLossless(sys, sc, nil)
+			if err != nil {
+				return err
 			}
-		}
+			// The makespan and the run's wire messages, summed by direction.
+			st := sys.TotalStats()
+			res.Metrics = Metrics{Cycles: uint64(makespan(recs, from)), ReqMsgs: st.IKCSent, RepMsgs: st.IKCRepSent}
+			return nil
+		},
 	}
-	return specs
+}
+
+// ikcOps is the operation axis of the transport ablation: its fan-out and
+// the policy its batched cells run under.
+var ikcOps = []struct {
+	name    string
+	batched core.IKCBatching
+	gen     func([]int) (script.Script, script.Ref)
+}{
+	{"exchange", core.IKCBatching{Exchange: true}, fanoutExchange},
+	{"svcquery", core.IKCBatching{ServiceQuery: true}, fanoutSvcQuery},
 }
 
 // AblationIKC measures the unified-transport batching of capability
@@ -274,14 +207,21 @@ func AblationIKC(o Options, maxClients, extra int) AblationIKCResult {
 	for n := 16; n <= maxClients; n += 16 {
 		breadths = append(breadths, n)
 	}
-	const nvariants = 2 // plain, batched
-	idx := func(k, b, v int) int { return (k*len(breadths)+b)*nvariants + v }
-	rs := o.execute(ablationIKCSpecs(breadths, extra))
+	var tasks []Task
+	for _, op := range ikcOps {
+		for _, n := range breadths {
+			tasks = append(tasks,
+				ikcTask("ablation/"+op.name+"-plain", n, extra, core.IKCBatching{}, op.gen),
+				ikcTask("ablation/"+op.name+"-batched", n, extra, op.batched, op.gen))
+		}
+	}
+	rs := o.execute(tasks)
 	r := AblationIKCResult{ExtraKernels: extra}
 	for ki := range ikcOps {
 		rows := make([]IKCRow, 0, len(breadths))
 		for bi, n := range breadths {
-			rows = append(rows, IKCRow{Clients: n, Plain: rs[idx(ki, bi, 0)].Metrics, Batched: rs[idx(ki, bi, 1)].Metrics})
+			i := 2 * (ki*len(breadths) + bi)
+			rows = append(rows, IKCRow{Clients: n, Plain: rs[i].Metrics, Batched: rs[i+1].Metrics})
 		}
 		if ki == 0 {
 			r.Exchange = rows

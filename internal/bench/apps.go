@@ -29,9 +29,9 @@ type Options struct {
 	// Report, when non-nil, collects one Result per experiment run for the
 	// machine-readable JSON report (see report.go).
 	Report *Report
-	// FaultSeed seeds the deterministic fault injector of the faults
-	// experiment (-faultseed); 0 means seed 1. Identical seeds give
-	// byte-identical faulty runs at any -parallel.
+	// FaultSeed seeds the deterministic fault injector of the faults and
+	// churn experiments (-faultseed); 0 means seed 1 (faultSeed). Identical
+	// seeds give byte-identical faulty runs at any -parallel.
 	FaultSeed uint64
 }
 
@@ -43,6 +43,14 @@ func Full() Options {
 // Quick returns reduced options for smoke runs.
 func Quick() Options {
 	return Options{MaxInstances: 64, Kernels64: 8, InstanceSteps: []int{16, 32, 48, 64}}
+}
+
+// faultSeed is the seed of the fault injector: FaultSeed, with 0 meaning 1.
+func (o Options) faultSeed() uint64 {
+	if o.FaultSeed == 0 {
+		return 1
+	}
+	return o.FaultSeed
 }
 
 func (o Options) scaleCfg(k, s int) (int, int) {
@@ -97,10 +105,10 @@ func Table4(o Options) Table4Result {
 			workload.Config{Kernels: 1, Services: 1, Instances: 1, Trace: tr},
 			workload.Config{Kernels: kernels, Services: services, Instances: o.MaxInstances, Trace: tr})
 	}
-	rs := o.execute(workloadSpecs("table4", cfgs))
+	tasks, makespans := workloadTasks("table4", cfgs)
+	rs := o.execute(tasks)
 	for i, tr := range traces {
-		make1 := auxOf[workloadAux](rs[2*i]).Makespan
-		makeN := auxOf[workloadAux](rs[2*i+1]).Makespan
+		make1, makeN := makespans[2*i], makespans[2*i+1]
 		// Table 4's headline cycle metric is the makespan (the denominator
 		// of the ops/s rate), not the mean instance runtime.
 		rs[2*i].Metrics.Cycles = make1
@@ -318,7 +326,8 @@ func Fig9(o Options) []Fig9Result {
 			plans = append(plans, pl)
 		}
 	}
-	rs := o.execute(workloadSpecs("fig9", cfgs))
+	tasks, _ := workloadTasks("fig9", cfgs)
+	rs := o.execute(tasks)
 
 	var out []Fig9Result
 	pi := 0
@@ -381,31 +390,6 @@ func (r Fig10Result) Print(w io.Writer) {
 	}
 }
 
-// kindNginx runs the closed-loop Nginx server benchmark of Figure 10.
-const kindNginx = "nginx"
-
-// nginxAux is the side data of a server run: the completed request count,
-// from which the post-process derives the requests/s axis.
-type nginxAux struct {
-	Requests uint64
-}
-
-func init() { registerKind(kindNginx, runNginxSpec) }
-
-func runNginxSpec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
-	r, err := workload.RunNginx(workload.NginxConfig{
-		Kernels:  spec.Config.Kernels,
-		Services: spec.Config.Services,
-		Servers:  spec.Config.Instances,
-		Engine:   eng,
-	})
-	if err != nil {
-		return Metrics{}, nil, err
-	}
-	m := Metrics{Cycles: uint64(r.Duration), CapOps: r.TotalCapOps}
-	return m, nginxAux{Requests: r.Requests}, nil
-}
-
 // reqRate is the aggregate request rate over a measurement window of
 // duration cycles (a Result's Cycles).
 func reqRate(requests, duration uint64) float64 {
@@ -426,27 +410,40 @@ func Fig10(o Options) Fig10Result {
 	if o.MaxInstances < 512 {
 		serverCounts = []int{8, 16, 24, 32}
 	}
-	var specs []TaskSpec
+	// Each cell runs the closed-loop Nginx server benchmark and writes its
+	// completed request count, from which the post-process derives the
+	// requests/s axis.
+	var tasks []Task
+	requests := make([]uint64, len(configs)*len(serverCounts))
 	for _, cfg := range configs {
 		kernels, services := o.scaleCfg(cfg.k, cfg.s)
 		for _, n := range serverCounts {
-			specs = append(specs, TaskSpec{
+			reqs := &requests[len(tasks)]
+			tasks = append(tasks, Task{
 				Experiment: "fig10",
-				Kind:       kindNginx,
 				Config:     ExpConfig{Kernels: kernels, Services: services, Instances: n},
+				Run: func(eng *sim.Engine, res *Result) error {
+					r, err := workload.RunNginx(workload.NginxConfig{Kernels: kernels, Services: services, Servers: n, Engine: eng})
+					if err != nil {
+						return err
+					}
+					res.Metrics = Metrics{Cycles: uint64(r.Duration), CapOps: r.TotalCapOps}
+					*reqs = r.Requests
+					return nil
+				},
 			})
 		}
 	}
-	rs := o.execute(specs)
+	rs := o.execute(tasks)
 	res := Fig10Result{Title: "Figure 10: Scalability of the Nginx webserver"}
 	for ci := range configs {
-		first := specs[ci*len(serverCounts)].Config
+		first := tasks[ci*len(serverCounts)].Config
 		s := NginxSeries{Label: fmt.Sprintf("%dK %dS", first.Kernels, first.Services)}
 		for si, n := range serverCounts {
-			r := rs[ci*len(serverCounts)+si]
+			i := ci*len(serverCounts) + si
 			s.Points = append(s.Points, NginxPoint{
 				Servers: n,
-				ReqPerS: reqRate(auxOf[nginxAux](r).Requests, r.Metrics.Cycles),
+				ReqPerS: reqRate(requests[i], rs[i].Metrics.Cycles),
 			})
 		}
 		res.Series = append(res.Series, s)

@@ -72,68 +72,53 @@ func churnScript(pes []int) script.Script {
 	return sc
 }
 
-// kindChurn runs one churn scenario. Config encodes the machine, Arg the
-// drop rate in basis points, Seed the injector seed and Variant whether the
-// last kernel crashes and recovers ("storm") or not ("nocrash").
-const kindChurn = "churn"
-
-func init() { registerKind(kindChurn, runChurnSpec) }
-
-func runChurnSpec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
-	n, extra := spec.Config.Instances, spec.Config.Kernels-1
-	seed := spec.Seed
-	if seed == 0 {
-		seed = 1
+// churnTask runs the row's scenario at its drop rate: n clients over
+// 1+extra kernels (Config: Kernels = 1+extra, Instances = n) under the
+// injector seeded with seed, the last kernel crashing and recovering in the
+// "storm" scenario and not in "nocrash". It fills the row's counters.
+func churnTask(row *ChurnRow, n, extra int, seed uint64) Task {
+	return Task{
+		Experiment: fmt.Sprintf("churn/%s-%dbp", row.Scenario, row.DropBp),
+		Config:     ExpConfig{Kernels: extra + 1, Instances: n},
+		Run: func(eng *sim.Engine, res *Result) error {
+			plan := faultsPlan(seed, row.DropBp)
+			if row.Scenario == "storm" {
+				plan.Kernels = append(plan.Kernels, churnCrash(extra))
+			}
+			// The fault sweep's machine: clients spread over the non-root kernels.
+			// Failed operations are data, not errors — the degradation under the
+			// crash is exactly what the scenario measures.
+			sys, pes := fanoutSystem(eng, n, extra, 2, core.IKCBatching{Exchange: true, ServiceQuery: true}, plan)
+			defer sys.Close()
+			recs := script.Run(sys, churnScript(pes), nil)
+			failedObtains, _ := script.Failures(recs[1:]...)
+			failedRevokes, _ := script.Failures(recs[0][churnSlots:])
+			// Post-storm audit: the crashed kernel recovered, so no kernel is
+			// excused — every capability, child link and DDL entry must have a live,
+			// consistent owner.
+			if err := audit(sys); err != nil {
+				return err
+			}
+			st := sys.TotalStats()
+			attempted := n + churnRevokes
+			res.Metrics = Metrics{
+				Cycles:    uint64(makespan(recs, script.Ref{Op: churnSlots - 1})),
+				LostMsgs:  sys.Net.Stats().Lost,
+				Retries:   st.Retransmits,
+				DupDrops:  st.DupSuppressed,
+				Completed: float64(attempted-failedObtains-failedRevokes) / float64(attempted),
+			}
+			res.CapsMinted = st.CapsCreated
+			row.Counters = machineCounters{st, sys.FaultStats()}
+			return nil
+		},
 	}
-	plan := faultsPlan(seed, spec.Arg)
-	if spec.Variant == "storm" {
-		plan.Kernels = append(plan.Kernels, churnCrash(extra))
-	}
-	// The fault sweep's machine: clients spread over the non-root kernels.
-	// Failed operations are data, not errors — the degradation under the
-	// crash is exactly what the scenario measures.
-	sys, pes := fanoutSystem(eng, n, extra, 2, core.IKCBatching{Exchange: true, ServiceQuery: true}, plan)
-	defer sys.Close()
-	recs := script.Run(sys, churnScript(pes), nil)
-	failedObtains, _ := script.Failures(recs[1:]...)
-	failedRevokes, _ := script.Failures(recs[0][churnSlots:])
-	// Post-storm audit: the crashed kernel recovered, so no kernel is
-	// excused — every capability, child link and DDL entry must have a live,
-	// consistent owner.
-	if err := audit(sys); err != nil {
-		return Metrics{}, nil, err
-	}
-	st := sys.TotalStats()
-	attempted := n + churnRevokes
-	m := Metrics{
-		Cycles:    uint64(makespan(recs, script.Ref{Op: churnSlots - 1})),
-		LostMsgs:  sys.Net.Stats().Lost,
-		Retries:   st.Retransmits,
-		DupDrops:  st.DupSuppressed,
-		Completed: float64(attempted-failedObtains-failedRevokes) / float64(attempted),
-	}
-	return m, machineCounters{st, sys.FaultStats()}, nil
 }
 
 // churnCrash is the storm's kernel fault: the last kernel, never the root's,
 // crashes mid-storm and recovers.
 func churnCrash(extra int) fault.KernelFault {
 	return fault.KernelFault{Kernel: extra, CrashAt: churnCrashAt, RecoverAt: churnRecoverAt}
-}
-
-// churnSpecs plans the scenario rows: a no-crash control at the storm's
-// drop rate, then the crash+recover storm on a lossless and on a lossy
-// fabric.
-func churnSpecs(n, extra int, seed uint64) []TaskSpec {
-	cfg := ExpConfig{Kernels: extra + 1, Instances: n}
-	return []TaskSpec{
-		{Experiment: "churn/nocrash-100bp", Kind: kindChurn, Variant: "nocrash",
-			Arg: 100, Seed: seed, Config: cfg},
-		{Experiment: "churn/storm-0bp", Kind: kindChurn, Variant: "storm",
-			Arg: 0, Seed: seed, Config: cfg},
-		{Experiment: "churn/storm-100bp", Kind: kindChurn, Variant: "storm",
-			Arg: 100, Seed: seed, Config: cfg},
-	}
 }
 
 // ChurnRow is one report row of the churn scenario: the cell's Metrics
@@ -146,7 +131,7 @@ type ChurnRow struct {
 	Scenario string
 	DropBp   int
 	Metrics
-	Aux machineCounters
+	Counters machineCounters
 }
 
 // ChurnResult holds the churn scenario sweep.
@@ -159,39 +144,31 @@ type ChurnResult struct {
 
 // Churn runs the revocation-storm churn scenario: n open-loop sessions over
 // 1+extra kernels with scheduled expiries, a 1% lossy fabric and a
-// crash+recover of the last kernel mid-storm. It returns an error — without
-// running anything — if the machine is beyond the architectural limits.
-func Churn(o Options, maxClients, extra int) (ChurnResult, error) {
+// crash+recover of the last kernel mid-storm. Its rows are a no-crash
+// control at the storm's drop rate, then the crash+recover storm on a
+// lossless and on a lossy fabric.
+func Churn(o Options, maxClients, extra int) ChurnResult {
 	if maxClients <= 0 {
 		maxClients = 64
 	}
 	if extra <= 0 {
 		extra = 8
 	}
-	seed := o.FaultSeed
-	if seed == 0 {
-		seed = 1
+	r := ChurnResult{ExtraKernels: extra, Clients: maxClients, Seed: o.faultSeed(), Rows: []ChurnRow{
+		{Scenario: "nocrash", DropBp: 100},
+		{Scenario: "storm", DropBp: 0},
+		{Scenario: "storm", DropBp: 100},
+	}}
+	tasks := make([]Task, len(r.Rows))
+	for i := range r.Rows {
+		tasks[i] = churnTask(&r.Rows[i], maxClients, extra, r.Seed)
 	}
-	// Pre-flight the exact machine the storm rows build, so a configuration
-	// error surfaces here instead of as a task panic mid-sweep.
-	plan := faultsPlan(seed, 100)
-	plan.Kernels = append(plan.Kernels, churnCrash(extra))
-	if err := fanoutConfig(maxClients, extra, 2, core.IKCBatching{}, plan).Validate(); err != nil {
-		return ChurnResult{}, fmt.Errorf("churn: %w", err)
-	}
-	specs := churnSpecs(maxClients, extra, seed)
-	rs := o.execute(specs)
-	r := ChurnResult{ExtraKernels: extra, Clients: maxClients, Seed: seed}
-	for i, spec := range specs {
-		r.Rows = append(r.Rows, ChurnRow{
-			Scenario: spec.Variant,
-			DropBp:   spec.Arg,
-			Metrics:  rs[i].Metrics,
-			Aux:      auxOf[machineCounters](rs[i]),
-		})
+	rs := o.execute(tasks)
+	for i := range r.Rows {
+		r.Rows[i].Metrics = rs[i].Metrics
 	}
 	o.record(rs)
-	return r, nil
+	return r
 }
 
 // Print writes the churn table.
@@ -204,12 +181,12 @@ func (r ChurnResult) Print(w io.Writer) {
 			row.Scenario,
 			float64(row.DropBp)/100,
 			float64(row.Cycles)/core.CyclesPerMicrosecond,
-			row.Aux.Obtains, r.Clients,
-			row.Aux.Revokes, churnRevokes,
+			row.Counters.Obtains, r.Clients,
+			row.Counters.Revokes, churnRevokes,
 			row.Completed*100,
-			row.Retries, row.LostMsgs, row.Aux.DeadPeers,
-			row.Aux.Rejoins,
-			float64(meanCycles(row.Aux.RejoinCycles, row.Aux.Rejoins))/core.CyclesPerMicrosecond,
-			row.Aux.StaleIncarnation)
+			row.Retries, row.LostMsgs, row.Counters.DeadPeers,
+			row.Counters.Rejoins,
+			float64(meanCycles(row.Counters.RejoinCycles, row.Counters.Rejoins))/core.CyclesPerMicrosecond,
+			row.Counters.StaleIncarnation)
 	}
 }

@@ -49,8 +49,8 @@ func faultsPlan(seed uint64, dropBp int) *fault.Plan {
 	}
 }
 
-// machineCounters is the side data of a faults or churn run: the machine's
-// summed kernel counters and the injector's, behind the row's Metrics.
+// machineCounters are a faults or churn row's counters behind its Metrics:
+// the machine's summed kernel counters and the injector's.
 type machineCounters struct {
 	core.KernelStats
 	fault.Stats
@@ -64,105 +64,72 @@ func meanCycles(sum sim.Duration, n uint64) uint64 {
 	return uint64(sum) / n
 }
 
-func (a machineCounters) capsMinted() uint64 { return a.CapsCreated }
-
-// kindFaults runs one cell of the fault sweep. Config encodes the machine
-// (Kernels = 1+extra, Instances = clients), Variant the workload
-// (exchange, svcquery, crash), Arg the drop rate in basis points and Seed
-// the injector seed.
-const kindFaults = "faults"
-
-func init() { registerKind(kindFaults, runFaultsSpec) }
-
-func runFaultsSpec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
-	n, extra := spec.Config.Instances, spec.Config.Kernels-1
-	seed := spec.Seed
-	if seed == 0 {
-		seed = 1
+// faultsTask runs one cell of the fault sweep, row's workload (exchange,
+// svcquery, crash, crashrecover) at its drop rate: the fan-out of the row's
+// clients over 1+extra kernels (Config: Kernels = 1+extra, Instances =
+// clients) under the injector seeded with seed. It fills the row's counters.
+func faultsTask(row *FaultsRow, extra int, seed uint64) Task {
+	n := row.Clients
+	return Task{
+		Experiment: fmt.Sprintf("faults/%s-%dbp", row.Workload, row.DropBp),
+		Config:     ExpConfig{Kernels: extra + 1, Instances: n},
+		Run: func(eng *sim.Engine, res *Result) error {
+			plan := faultsPlan(seed, row.DropBp)
+			gen := fanoutExchange
+			// A permanent crash leaves state only the dead kernel could clean up;
+			// every other scenario — recovery included — must leak nothing.
+			var deadKernels []int
+			switch row.Workload {
+			case "crash":
+				// The crash scenario: the last client kernel dies mid-fan-out. Its
+				// clients' pending operations must resolve to errors (the victims
+				// declare the owner dead from their side too — its replies vanish),
+				// while everyone else completes.
+				plan.Kernels = append(plan.Kernels, fault.KernelFault{Kernel: extra, CrashAt: faultsCrashAt})
+				deadKernels = append(deadKernels, extra)
+			case "crashrecover":
+				// The crash+recover scenario: the same kernel crashes but rejoins
+				// mid-storm as a new incarnation. Operations in flight across the
+				// window abort (the old incarnation's requests cannot be completed),
+				// but the run resolves at the rejoin instead of grinding through the
+				// full RTO ladder, and no capability state may leak.
+				plan.Kernels = append(plan.Kernels, fault.KernelFault{
+					Kernel: extra, CrashAt: faultsCrashAt, RecoverAt: faultsRecoverAt,
+				})
+			case "svcquery":
+				gen = fanoutSvcQuery
+			}
+			// Both IKC batching families on, so envelopes and their retransmission
+			// path are exercised. A failed operation (e.g. ErrPeerDead after the owner
+			// kernel is declared dead) is data — the run completes either way, which
+			// is exactly the degradation contract under test.
+			sys, pes := fanoutSystem(eng, n, extra, 2, core.IKCBatching{Exchange: true, ServiceQuery: true}, plan)
+			defer sys.Close()
+			sc, from := gen(pes)
+			recs := script.Run(sys, sc, nil)
+			failed, _ := script.Failures(recs[1:]...)
+			if err := audit(sys, deadKernels...); err != nil {
+				return err
+			}
+			st := sys.TotalStats()
+			res.Metrics = Metrics{
+				Cycles:    uint64(makespan(recs, from)),
+				LostMsgs:  sys.Net.Stats().Lost,
+				Retries:   st.Retransmits,
+				DupDrops:  st.DupSuppressed,
+				Completed: float64(n-failed) / float64(n),
+			}
+			res.CapsMinted = st.CapsCreated
+			row.Counters = machineCounters{st, sys.FaultStats()}
+			return nil
+		},
 	}
-	plan := faultsPlan(seed, spec.Arg)
-	gen := fanoutExchange
-	// A permanent crash leaves state only the dead kernel could clean up;
-	// every other scenario — recovery included — must leak nothing.
-	var deadKernels []int
-	switch spec.Variant {
-	case "exchange":
-	case "crash":
-		// The crash scenario: the last client kernel dies mid-fan-out. Its
-		// clients' pending operations must resolve to errors (the victims
-		// declare the owner dead from their side too — its replies vanish),
-		// while everyone else completes.
-		plan.Kernels = append(plan.Kernels, fault.KernelFault{Kernel: extra, CrashAt: faultsCrashAt})
-		deadKernels = append(deadKernels, extra)
-	case "crashrecover":
-		// The crash+recover scenario: the same kernel crashes but rejoins
-		// mid-storm as a new incarnation. Operations in flight across the
-		// window abort (the old incarnation's requests cannot be completed),
-		// but the run resolves at the rejoin instead of grinding through the
-		// full RTO ladder, and no capability state may leak.
-		plan.Kernels = append(plan.Kernels, fault.KernelFault{
-			Kernel: extra, CrashAt: faultsCrashAt, RecoverAt: faultsRecoverAt,
-		})
-	case "svcquery":
-		gen = fanoutSvcQuery
-	default:
-		return Metrics{}, nil, fmt.Errorf("faults: unknown variant %q", spec.Variant)
-	}
-	// Both IKC batching families on, so envelopes and their retransmission
-	// path are exercised. A failed operation (e.g. ErrPeerDead after the owner
-	// kernel is declared dead) is data — the run completes either way, which
-	// is exactly the degradation contract under test.
-	sys, pes := fanoutSystem(eng, n, extra, 2, core.IKCBatching{Exchange: true, ServiceQuery: true}, plan)
-	defer sys.Close()
-	sc, from := gen(pes)
-	recs := script.Run(sys, sc, nil)
-	failed, _ := script.Failures(recs[1:]...)
-	if err := audit(sys, deadKernels...); err != nil {
-		return Metrics{}, nil, err
-	}
-	st := sys.TotalStats()
-	m := Metrics{
-		Cycles:    uint64(makespan(recs, from)),
-		LostMsgs:  sys.Net.Stats().Lost,
-		Retries:   st.Retransmits,
-		DupDrops:  st.DupSuppressed,
-		Completed: float64(n-failed) / float64(n),
-	}
-	return m, machineCounters{st, sys.FaultStats()}, nil
 }
 
 // faultsOps is the workload axis of the sweep. The crash and crash+recover
 // scenarios run at one fixed drop rate: their point is the dead-kernel
 // degradation and the rejoin resolution, not the rate sweep.
 var faultsOps = []string{"exchange", "svcquery"}
-
-// faultsSpecs plans the (workload × drop rate) grid plus the crash cell.
-func faultsSpecs(n, extra int, seed uint64) []TaskSpec {
-	var specs []TaskSpec
-	for _, op := range faultsOps {
-		for _, bp := range faultsRates {
-			specs = append(specs, TaskSpec{
-				Experiment: fmt.Sprintf("faults/%s-%dbp", op, bp),
-				Kind:       kindFaults,
-				Variant:    op,
-				Arg:        bp,
-				Seed:       seed,
-				Config:     ExpConfig{Kernels: extra + 1, Instances: n},
-			})
-		}
-	}
-	for _, crash := range []string{"crash", "crashrecover"} {
-		specs = append(specs, TaskSpec{
-			Experiment: "faults/" + crash + "-100bp",
-			Kind:       kindFaults,
-			Variant:    crash,
-			Arg:        100,
-			Seed:       seed,
-			Config:     ExpConfig{Kernels: extra + 1, Instances: n},
-		})
-	}
-	return specs
-}
 
 // FaultsRow is one report row of the sweep: the cell's Metrics (Cycles is
 // the fan-out's makespan) and the machine's counters.
@@ -171,7 +138,7 @@ type FaultsRow struct {
 	DropBp   int
 	Clients  int
 	Metrics
-	Aux machineCounters
+	Counters machineCounters
 }
 
 // FaultsResult holds the fault sweep.
@@ -191,21 +158,22 @@ func Faults(o Options, maxClients, extra int) FaultsResult {
 	if extra <= 0 {
 		extra = 8
 	}
-	seed := o.FaultSeed
-	if seed == 0 {
-		seed = 1
+	r := FaultsResult{ExtraKernels: extra, Seed: o.faultSeed()}
+	for _, op := range faultsOps {
+		for _, bp := range faultsRates {
+			r.Rows = append(r.Rows, FaultsRow{Workload: op, DropBp: bp, Clients: maxClients})
+		}
 	}
-	specs := faultsSpecs(maxClients, extra, seed)
-	rs := o.execute(specs)
-	r := FaultsResult{ExtraKernels: extra, Seed: seed}
-	for i, spec := range specs {
-		r.Rows = append(r.Rows, FaultsRow{
-			Workload: spec.Variant,
-			DropBp:   spec.Arg,
-			Clients:  spec.Config.Instances,
-			Metrics:  rs[i].Metrics,
-			Aux:      auxOf[machineCounters](rs[i]),
-		})
+	for _, crash := range []string{"crash", "crashrecover"} {
+		r.Rows = append(r.Rows, FaultsRow{Workload: crash, DropBp: 100, Clients: maxClients})
+	}
+	tasks := make([]Task, len(r.Rows))
+	for i := range r.Rows {
+		tasks[i] = faultsTask(&r.Rows[i], extra, r.Seed)
+	}
+	rs := o.execute(tasks)
+	for i := range r.Rows {
+		r.Rows[i].Metrics = rs[i].Metrics
 	}
 	o.record(rs)
 	return r
@@ -221,9 +189,9 @@ func (r FaultsResult) Print(w io.Writer) {
 			float64(row.DropBp)/100,
 			float64(row.Cycles)/core.CyclesPerMicrosecond,
 			row.Completed*100,
-			row.Retries, row.DupDrops, row.LostMsgs, row.Aux.DeadPeers,
-			float64(meanCycles(row.Aux.RecoveryCycles, row.Aux.Recovered))/core.CyclesPerMicrosecond,
-			row.Aux.Rejoins,
-			float64(meanCycles(row.Aux.RejoinCycles, row.Aux.Rejoins))/core.CyclesPerMicrosecond)
+			row.Retries, row.DupDrops, row.LostMsgs, row.Counters.DeadPeers,
+			float64(meanCycles(row.Counters.RecoveryCycles, row.Counters.Recovered))/core.CyclesPerMicrosecond,
+			row.Counters.Rejoins,
+			float64(meanCycles(row.Counters.RejoinCycles, row.Counters.Rejoins))/core.CyclesPerMicrosecond)
 	}
 }

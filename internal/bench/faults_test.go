@@ -40,11 +40,11 @@ func TestFaultsSweep(t *testing.T) {
 	if crashRow.Completed >= 1 || crashRow.Completed <= 0 {
 		t.Errorf("crash: completed %.3f, want partial completion in (0, 1)", crashRow.Completed)
 	}
-	if crashRow.Aux.DeadPeers == 0 {
+	if crashRow.Counters.DeadPeers == 0 {
 		t.Errorf("crash: no kernel declared a peer dead")
 	}
-	if crashRow.Aux.FailFast == 0 && crashRow.Completed == 1 {
-		t.Errorf("crash: no degraded operations at all: %+v", crashRow.Aux)
+	if crashRow.Counters.FailFast == 0 && crashRow.Completed == 1 {
+		t.Errorf("crash: no degraded operations at all: %+v", crashRow.Counters)
 	}
 	// The crash+recover scenario: the same kernel rejoins mid-storm. The old
 	// incarnation's in-flight operations abort, so completion stays partial,
@@ -53,14 +53,14 @@ func TestFaultsSweep(t *testing.T) {
 	if recoverRow.Completed >= 1 || recoverRow.Completed <= 0 {
 		t.Errorf("crashrecover: completed %.3f, want partial completion in (0, 1)", recoverRow.Completed)
 	}
-	if recoverRow.Aux.Rejoins != 1 {
-		t.Errorf("crashrecover: Rejoins = %d, want 1", recoverRow.Aux.Rejoins)
+	if recoverRow.Counters.Rejoins != 1 {
+		t.Errorf("crashrecover: Rejoins = %d, want 1", recoverRow.Counters.Rejoins)
 	}
-	if recoverRow.Aux.RejoinCycles == 0 {
+	if recoverRow.Counters.RejoinCycles == 0 {
 		t.Errorf("crashrecover: rejoin recorded no cycles")
 	}
-	if crashRow.Aux.Rejoins != 0 {
-		t.Errorf("crash: Rejoins = %d on a permanent crash", crashRow.Aux.Rejoins)
+	if crashRow.Counters.Rejoins != 0 {
+		t.Errorf("crash: Rejoins = %d on a permanent crash", crashRow.Counters.Rejoins)
 	}
 	if recoverRow.Cycles >= crashRow.Cycles {
 		t.Errorf("crashrecover makespan %d not faster than permanent crash %d — rejoin did not resolve the storm",

@@ -20,9 +20,9 @@ import (
 // evaluation (one cell of Table 4, one point of Figures 6-9, one breadth of
 // the ablation, ...) is an independent simulation with its own sim.Engine,
 // so the sweeps are embarrassingly parallel: experiments plan their runs as
-// TaskSpecs (spec.go), RunSpecs fans them out over an in-process worker
-// pool, and result ordering — and thus every simulated-cycle metric — stays
-// identical to a serial run. RunSpec is the one way a task runs.
+// Tasks (spec.go), runTasks fans them out over an in-process worker pool,
+// and result ordering — and thus every simulated-cycle metric — stays
+// identical to a serial run. runTask is the one way a task runs.
 
 // ExpConfig identifies the machine configuration of one experiment. For
 // non-workload experiments the fields map to the closest notion (e.g. the
@@ -37,13 +37,13 @@ type ExpConfig struct {
 // (dispatchOrder) and sizes the task's event budget (taskEventsPerPE).
 func (c ExpConfig) pes() int { return c.Kernels + c.Services + c.Instances }
 
-// taskEventsPerPE is the event budget of a task per simulated PE: RunSpec
+// taskEventsPerPE is the event budget of a task per simulated PE: runTask
 // caps the engine at taskEventsPerPE × pes events (at least one PE's worth),
 // so a task that cannot end panics between events and comes back as an
 // error Result — and from a sweep as a TaskError — instead of hanging it.
 // The densest tasks execute ~15 400 events per PE (fig10, nginx), ~3 800
 // (scale at 512 and 1024 kernels) and ~1 300 (fig9, sqlite); every other
-// kind stays under 60. 1<<18 leaves at least 17× headroom.
+// task stays under 60. 1<<18 leaves at least 17× headroom.
 const taskEventsPerPE = 1 << 18
 
 // Metrics holds the simulated measurements of one experiment. Cycles is the
@@ -90,33 +90,28 @@ type Result struct {
 	Metrics     Metrics   `json:"metrics"`
 	WallclockNS int64     `json:"wallclock_ns"`
 	// CapsMinted is the number of capabilities the run's kernels created,
-	// lifted from the aux value of kinds that report one (see capsMinter in
-	// spec.go); zero for kinds that do not. HeapPeakBytes is the process
-	// heap in use (runtime.MemStats.HeapAlloc) when the task finished — an
-	// approximation of the run's footprint that is process-global and, like
-	// WallclockNS, varies run to run; determinism comparisons must ignore
-	// both. Together they back the wallclock summary's capsalloc/capsbytes
+	// filled by the tasks that count them; zero for the others.
+	// HeapPeakBytes is the process heap in use (runtime.MemStats.HeapAlloc)
+	// when the task finished — an approximation of the run's footprint that
+	// is process-global and, like WallclockNS, varies run to run;
+	// determinism comparisons must ignore both. Together they back the wallclock summary's capsalloc/capsbytes
 	// line.
 	CapsMinted    uint64 `json:"capsminted,omitempty"`
 	HeapPeakBytes uint64 `json:"heappeak_bytes,omitempty"`
 	Error         string `json:"error,omitempty"`
-	// Aux is the kind's typed side data (a workload's makespan, an
-	// ablation's message count, ...) for the experiment's post-process step,
-	// read with auxOf. It is not part of the report.
-	Aux any `json:"-"`
 }
 
-// RunSpecs executes the specs on a pool of `parallel` workers (<= 0 means
-// GOMAXPROCS) and returns one Result per spec, in spec order regardless of
+// runTasks executes the tasks on a pool of `parallel` workers (<= 0 means
+// GOMAXPROCS) and returns one Result per task, in plan order regardless of
 // dispatch or completion order, so all simulated metrics are independent of
 // both the parallelism and the schedule. A task that fails or panics becomes
 // an error Result instead of tearing down the whole sweep.
-func RunSpecs(parallel int, specs []TaskSpec) []Result {
+func runTasks(parallel int, tasks []Task) []Result {
 	if parallel <= 0 {
 		parallel = runtime.GOMAXPROCS(0)
 	}
-	parallel = min(parallel, len(specs))
-	results := make([]Result, len(specs))
+	parallel = min(parallel, len(tasks))
+	results := make([]Result, len(tasks))
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < parallel; w++ {
@@ -124,11 +119,11 @@ func RunSpecs(parallel int, specs []TaskSpec) []Result {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i] = RunSpec(specs[i])
+				results[i] = runTask(tasks[i])
 			}
 		}()
 	}
-	for _, i := range dispatchOrder(specs) {
+	for _, i := range dispatchOrder(tasks) {
 		idx <- i
 	}
 	close(idx)
@@ -136,32 +131,33 @@ func RunSpecs(parallel int, specs []TaskSpec) []Result {
 	return results
 }
 
-// dispatchOrder returns the order in which RunSpecs hands the specs out:
+// dispatchOrder returns the order in which runTasks hands the tasks out:
 // largest machine first (ExpConfig.pes), stable on ties. Host cost grows
 // with machine size and the planners list a figure's largest point last, so
-// spec order would leave one worker finishing the most expensive task alone
+// plan order would leave one worker finishing the most expensive task alone
 // at the end of every batch.
-func dispatchOrder(specs []TaskSpec) []int {
-	order := make([]int, len(specs))
+func dispatchOrder(tasks []Task) []int {
+	order := make([]int, len(tasks))
 	for i := range order {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool {
-		return specs[order[a]].Config.pes() > specs[order[b]].Config.pes()
+		return tasks[order[a]].Config.pes() > tasks[order[b]].Config.pes()
 	})
 	return order
 }
 
-// RunSpec executes one spec on a pooled engine under the task's event
-// budget (taskEventsPerPE), capturing wallclock and panics. The engine is in
-// fresh state (new or Reset) when the kind function starts and goes back to
-// the pool (Reset, procs unwound) whatever way the task ends. A failed
-// task's error names the whole spec, so the message alone reruns it.
-func RunSpec(spec TaskSpec) (res Result) {
+// runTask executes one task on a pooled engine under its event budget
+// (taskEventsPerPE), capturing wallclock and panics. The engine is in fresh
+// state (new or Reset) when Run starts and goes back to the pool (Reset,
+// procs unwound) whatever way the task ends. A failed task reports no
+// metrics, and its error names its report row, which with the command line
+// reruns it.
+func runTask(t Task) (res Result) {
 	eng := enginePool.Get()
 	defer enginePool.Put(eng)
-	eng.SetEventLimit(taskEventsPerPE * uint64(max(spec.Config.pes(), 1)))
-	res = Result{Experiment: spec.Experiment, Config: spec.Config}
+	eng.SetEventLimit(taskEventsPerPE * uint64(max(t.Config.pes(), 1)))
+	res = Result{Experiment: t.Experiment, Config: t.Config}
 	start := time.Now()
 	defer func() {
 		res.WallclockNS = time.Since(start).Nanoseconds()
@@ -169,32 +165,21 @@ func RunSpec(spec TaskSpec) (res Result) {
 			res.Error = fmt.Sprintf("panic: %v", r)
 		}
 		if res.Error != "" {
-			res.Error = fmt.Sprintf("task %+v: %s", spec, res.Error)
+			res.Metrics, res.CapsMinted = Metrics{}, 0
+			res.Error = fmt.Sprintf("task %s %+v: %s", t.Experiment, t.Config, res.Error)
 		}
 	}()
-	fn, ok := kinds[spec.Kind]
-	if !ok {
-		res.Error = fmt.Sprintf("bench: unknown task kind %q", spec.Kind)
-		return res
-	}
-	var m Metrics
-	var aux any
 	var err error
-	// CPU profile samples carry the task's experiment and kind (go tool pprof
-	// -tagfocus); the procs the kind spawns inherit them.
-	pprof.Do(context.Background(), pprof.Labels("experiment", spec.Experiment, "kind", spec.Kind), func(context.Context) {
-		m, aux, err = fn(spec, eng)
+	// CPU profile samples carry the task's experiment (go tool pprof
+	// -tagfocus); the procs the task spawns inherit it.
+	pprof.Do(context.Background(), pprof.Labels("experiment", t.Experiment), func(context.Context) {
+		err = t.Run(eng, &res)
 	})
 	var mem runtime.MemStats
 	runtime.ReadMemStats(&mem)
 	res.HeapPeakBytes = mem.HeapAlloc
 	if err != nil {
 		res.Error = err.Error()
-		return res
-	}
-	res.Metrics, res.Aux = m, aux
-	if cm, ok := aux.(capsMinter); ok {
-		res.CapsMinted = cm.capsMinted()
 	}
 	return res
 }
@@ -203,7 +188,7 @@ func RunSpec(spec TaskSpec) (res Result) {
 // work left outstanding (a syscall that never returned, a kernel thread
 // still holding a job, credits or receive slots not given back), capability
 // or DDL state that outlived its owner, a broken capability table — into
-// the task's error. Every kind that runs its system until no event is left
+// the task's error. Every task that runs its system until no event is left
 // calls it after the final sys.Run(): such a run raises no error by itself,
 // it just measures nothing, and a finding is the task's error, not a column
 // somebody has to read. dead lists the kernels that crashed for good; what
@@ -234,58 +219,32 @@ func mustOK(rs []Result) {
 	}
 }
 
-// kindWorkload runs one application workload (trace replay against m3fs
-// services); it backs Table 4 and Figures 6-9.
-const kindWorkload = "workload"
-
-// workloadAux is the side data of a workload run: the makespan, which
-// Table 4 needs (its headline cycle metric and the denominator of the
-// ops/s rate) while the efficiency sweeps do not, and the total
-// capabilities minted, which feeds Result.CapsMinted.
-type workloadAux struct {
-	Makespan    uint64
-	CapsCreated uint64
-}
-
-func (a workloadAux) capsMinted() uint64 { return a.CapsCreated }
-
-func init() { registerKind(kindWorkload, runWorkloadSpec) }
-
-func runWorkloadSpec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
-	tr := trace.ByName(spec.Trace)
-	if tr == nil {
-		return Metrics{}, nil, fmt.Errorf("workload: unknown trace %q", spec.Trace)
-	}
-	r, err := workload.Run(workload.Config{
-		Kernels:   spec.Config.Kernels,
-		Services:  spec.Config.Services,
-		Instances: spec.Config.Instances,
-		Trace:     tr,
-		Engine:    eng,
-	})
-	if err != nil {
-		return Metrics{}, nil, err
-	}
-	m := Metrics{Cycles: uint64(r.MeanRuntime()), CapOps: r.TotalCapOps, LostMsgs: r.LostMsgs}
-	return m, workloadAux{Makespan: uint64(r.Makespan), CapsCreated: r.Kernel.CapsCreated}, nil
-}
-
-// workloadSpecs plans one kind-"workload" spec per config.
-func workloadSpecs(experiment string, cfgs []workload.Config) []TaskSpec {
-	specs := make([]TaskSpec, len(cfgs))
+// workloadTasks plans one application workload run (trace replay against
+// m3fs services) per config; they back Table 4 and Figures 6-9. Each task
+// writes its makespan, which Table 4 needs (its headline cycle metric and
+// the denominator of the ops/s rate) while the efficiency sweeps do not,
+// into its slot of the returned slice.
+func workloadTasks(experiment string, cfgs []workload.Config) ([]Task, []uint64) {
+	tasks := make([]Task, len(cfgs))
+	makespans := make([]uint64, len(cfgs))
 	for i, cfg := range cfgs {
-		spec := TaskSpec{
-			Experiment: experiment,
-			Kind:       kindWorkload,
+		tasks[i] = Task{
+			Experiment: experiment + "/" + cfg.Trace.Name,
 			Config:     ExpConfig{Kernels: cfg.Kernels, Services: cfg.Services, Instances: cfg.Instances},
+			Run: func(eng *sim.Engine, res *Result) error {
+				cfg.Engine = eng
+				r, err := workload.Run(cfg)
+				if err != nil {
+					return err
+				}
+				res.Metrics = Metrics{Cycles: uint64(r.MeanRuntime()), CapOps: r.TotalCapOps, LostMsgs: r.LostMsgs}
+				res.CapsMinted = r.Kernel.CapsCreated
+				makespans[i] = uint64(r.Makespan)
+				return nil
+			},
 		}
-		if cfg.Trace != nil {
-			spec.Experiment = experiment + "/" + cfg.Trace.Name
-			spec.Trace = cfg.Trace.Name
-		}
-		specs[i] = spec
 	}
-	return specs
+	return tasks, makespans
 }
 
 // record appends results to the report, when one is attached.
@@ -319,7 +278,8 @@ func (o Options) runEffSweeps(experiment string, specs []sweepSpec) [][]EffPoint
 			cfgs = append(cfgs, workload.Config{Kernels: sp.kernels, Services: sp.services, Instances: n, Trace: sp.tr})
 		}
 	}
-	rs := o.execute(workloadSpecs(experiment, cfgs))
+	tasks, _ := workloadTasks(experiment, cfgs)
+	rs := o.execute(tasks)
 	out := make([][]EffPoint, len(specs))
 	for si, sp := range specs {
 		base := offsets[si]

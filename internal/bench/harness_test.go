@@ -16,96 +16,106 @@ import (
 	"repro/internal/trace"
 )
 
-// Kinds that exist only for the harness tests: RunSpecs is the one way a
+// Tasks that exist only for the harness tests: runTasks is the one way a
 // task runs, so the tests plug their behaviours in where the experiments do.
 var (
 	ranMu sync.Mutex
-	ran   []string // experiments in the order "test-echo" tasks started
-	// runawayEngine is the engine the last "test-runaway" task ran on.
+	ran   []string // experiments in the order echo tasks started
+	// runawayEngine is the engine the last runaway task ran on.
 	runawayEngine *sim.Engine
 )
 
-func init() {
-	registerKind("test-echo", func(spec TaskSpec, _ *sim.Engine) (Metrics, any, error) {
+// echo is a task that records its start and reports the given cycles.
+func echo(experiment string, cfg ExpConfig, cycles int) Task {
+	return Task{Experiment: experiment, Config: cfg, Run: func(_ *sim.Engine, res *Result) error {
 		ranMu.Lock()
-		ran = append(ran, spec.Experiment)
+		ran = append(ran, experiment)
 		ranMu.Unlock()
-		return Metrics{Cycles: uint64(spec.Arg)}, nil, nil
-	})
-	registerKind("test-panic", func(TaskSpec, *sim.Engine) (Metrics, any, error) { panic("kaboom") })
-	registerKind("test-error", func(TaskSpec, *sim.Engine) (Metrics, any, error) {
-		return Metrics{}, nil, errors.New("nope")
-	})
-	registerKind("test-proc-panic", func(_ TaskSpec, e *sim.Engine) (Metrics, any, error) {
-		defer e.Kill()
-		e.Spawn("bad", func(p *sim.Proc) { panic("boom") })
-		e.Run()
-		return Metrics{}, nil, nil
-	})
-	registerKind("test-dirty-engine", func(_ TaskSpec, eng *sim.Engine) (Metrics, any, error) {
-		if eng == nil {
-			return Metrics{}, nil, errors.New("nil engine")
-		}
-		if eng.Now() != 0 || eng.Pending() != 0 || eng.Executed() != 0 || eng.LiveProcs() != 0 {
-			return Metrics{}, nil, fmt.Errorf("engine not fresh: now=%d pending=%d executed=%d procs=%d",
-				eng.Now(), eng.Pending(), eng.Executed(), eng.LiveProcs())
-		}
-		// Dirty the engine and leak a parked proc; do NOT Kill — the
-		// harness must clean up on Put.
-		eng.Spawn("leak", func(p *sim.Proc) { p.Park() })
-		eng.Schedule(50, func() {})
-		eng.RunUntil(10)
-		eng.Schedule(100, func() {})
-		return Metrics{Cycles: 1}, nil, nil
-	})
-	// A task that never ends: one proc reschedules itself forever.
-	registerKind("test-runaway", func(_ TaskSpec, eng *sim.Engine) (Metrics, any, error) {
-		runawayEngine = eng
-		eng.Spawn("spinner", func(p *sim.Proc) {
-			for {
-				p.Sleep(1)
-			}
-		})
-		eng.Run()
-		return Metrics{Cycles: 1}, nil, nil
-	})
-	// A client opens a session at a service whose Open handler never
-	// answers: the machine drains with the create-session syscall parked.
-	registerKind("test-stuck-syscall", func(_ TaskSpec, eng *sim.Engine) (Metrics, any, error) {
-		sys := core.MustNew(core.Config{Kernels: 1, UserPEs: 2, Engine: eng})
-		defer sys.Close()
-		pes := sys.UserPEs()
-		up := sim.NewFuture[struct{}](sys.Eng)
-		sys.SpawnOn(pes[0], "svc", func(v *core.VPE, p *sim.Proc) {
-			err := v.RegisterService(p, "mute", core.ServiceHandlers{
-				Open: func(p *sim.Proc, _ int, _ any) core.SvcResult { p.Park(); return core.SvcResult{} },
-			})
-			if err != nil {
-				panic(err)
-			}
-			up.Complete(struct{}{})
-			v.ServeLoop(p)
-		})
-		sys.SpawnOn(pes[1], "client", func(v *core.VPE, p *sim.Proc) {
-			up.Wait(p)
-			v.CreateSession(p, "mute", nil)
-			panic("the session opened")
-		})
-		sys.Run()
-		return Metrics{Cycles: 1}, nil, audit(sys)
-	})
+		res.Metrics.Cycles = uint64(cycles)
+		return nil
+	}}
 }
 
-// TestRunTasksOrdering: results come back in spec order whatever the pool
+func panicRun(*sim.Engine, *Result) error { panic("kaboom") }
+
+func errorRun(*sim.Engine, *Result) error { return errors.New("nope") }
+
+func procPanicRun(e *sim.Engine, _ *Result) error {
+	defer e.Kill()
+	e.Spawn("bad", func(p *sim.Proc) { panic("boom") })
+	e.Run()
+	return nil
+}
+
+func dirtyEngineRun(eng *sim.Engine, res *Result) error {
+	if eng == nil {
+		return errors.New("nil engine")
+	}
+	if eng.Now() != 0 || eng.Pending() != 0 || eng.Executed() != 0 || eng.LiveProcs() != 0 {
+		return fmt.Errorf("engine not fresh: now=%d pending=%d executed=%d procs=%d",
+			eng.Now(), eng.Pending(), eng.Executed(), eng.LiveProcs())
+	}
+	// Dirty the engine and leak a parked proc; do NOT Kill — the
+	// harness must clean up on Put.
+	eng.Spawn("leak", func(p *sim.Proc) { p.Park() })
+	eng.Schedule(50, func() {})
+	eng.RunUntil(10)
+	eng.Schedule(100, func() {})
+	res.Metrics.Cycles = 1
+	return nil
+}
+
+// runawayRun never ends: one proc reschedules itself forever.
+func runawayRun(eng *sim.Engine, res *Result) error {
+	runawayEngine = eng
+	eng.Spawn("spinner", func(p *sim.Proc) {
+		for {
+			p.Sleep(1)
+		}
+	})
+	eng.Run()
+	res.Metrics.Cycles = 1
+	return nil
+}
+
+// stuckSyscallRun has a client open a session at a service whose Open
+// handler never answers: the machine drains with the create-session syscall
+// parked.
+func stuckSyscallRun(eng *sim.Engine, res *Result) error {
+	sys := core.MustNew(core.Config{Kernels: 1, UserPEs: 2, Engine: eng})
+	defer sys.Close()
+	pes := sys.UserPEs()
+	up := sim.NewFuture[struct{}](sys.Eng)
+	sys.SpawnOn(pes[0], "svc", func(v *core.VPE, p *sim.Proc) {
+		err := v.RegisterService(p, "mute", core.ServiceHandlers{
+			Open: func(p *sim.Proc, _ int, _ any) core.SvcResult { p.Park(); return core.SvcResult{} },
+		})
+		if err != nil {
+			panic(err)
+		}
+		up.Complete(struct{}{})
+		v.ServeLoop(p)
+	})
+	sys.SpawnOn(pes[1], "client", func(v *core.VPE, p *sim.Proc) {
+		up.Wait(p)
+		v.CreateSession(p, "mute", nil)
+		panic("the session opened")
+	})
+	sys.Run()
+	res.Metrics.Cycles = 1
+	return audit(sys)
+}
+
+// TestRunTasksOrdering: results come back in plan order whatever the pool
 // size, and thus whatever order the tasks complete in.
 func TestRunTasksOrdering(t *testing.T) {
 	const n = 16
-	specs := make([]TaskSpec, n)
-	for i := range specs {
-		specs[i] = TaskSpec{Experiment: fmt.Sprintf("t%d", i), Kind: "test-echo", Arg: i}
+	tasks := make([]Task, n)
+	for i := range tasks {
+		tasks[i] = echo(fmt.Sprintf("t%d", i), ExpConfig{}, i)
 	}
 	for _, parallel := range []int{1, 4, n} {
-		rs := RunSpecs(parallel, specs)
+		rs := runTasks(parallel, tasks)
 		if len(rs) != n {
 			t.Fatalf("parallel=%d: got %d results, want %d", parallel, len(rs), n)
 		}
@@ -120,30 +130,30 @@ func TestRunTasksOrdering(t *testing.T) {
 
 // TestCostModelOrder: the harness's cost model is the size of the machine a
 // task simulates. Dispatch is largest-first and stable on ties, and it never
-// shows in the results, which stay in spec order.
+// shows in the results, which stay in plan order.
 func TestCostModelOrder(t *testing.T) {
-	specs := []TaskSpec{
-		{Experiment: "small-a", Kind: "test-echo", Config: ExpConfig{Kernels: 1, Instances: 4}},
-		{Experiment: "mid", Kind: "test-echo", Config: ExpConfig{Kernels: 8, Services: 8, Instances: 4}},
-		{Experiment: "small-b", Kind: "test-echo", Config: ExpConfig{Kernels: 1, Instances: 4}},
-		{Experiment: "large", Kind: "test-echo", Config: ExpConfig{Kernels: 1, Instances: 400}},
-		{Experiment: "small-c", Kind: "test-echo", Config: ExpConfig{Kernels: 2, Services: 2, Instances: 1}},
+	tasks := []Task{
+		echo("small-a", ExpConfig{Kernels: 1, Instances: 4}, 0),
+		echo("mid", ExpConfig{Kernels: 8, Services: 8, Instances: 4}, 0),
+		echo("small-b", ExpConfig{Kernels: 1, Instances: 4}, 0),
+		echo("large", ExpConfig{Kernels: 1, Instances: 400}, 0),
+		echo("small-c", ExpConfig{Kernels: 2, Services: 2, Instances: 1}, 0),
 	}
 	want := []string{"large", "mid", "small-a", "small-b", "small-c"}
-	order := dispatchOrder(specs)
+	order := dispatchOrder(tasks)
 	for i, name := range want {
-		if specs[order[i]].Experiment != name {
+		if tasks[order[i]].Experiment != name {
 			t.Fatalf("dispatchOrder = %v, want the order %v", order, want)
 		}
 	}
 	ran = nil
-	rs := RunSpecs(1, specs)
+	rs := runTasks(1, tasks)
 	if !slices.Equal(ran, want) {
 		t.Errorf("one worker ran the tasks as %v, want %v", ran, want)
 	}
 	for i, r := range rs {
-		if r.Experiment != specs[i].Experiment || r.Config != specs[i].Config {
-			t.Errorf("result %d is %s %+v, want spec order (%s)", i, r.Experiment, r.Config, specs[i].Experiment)
+		if r.Experiment != tasks[i].Experiment || r.Config != tasks[i].Config {
+			t.Errorf("result %d is %s %+v, want plan order (%s)", i, r.Experiment, r.Config, tasks[i].Experiment)
 		}
 	}
 }
@@ -151,16 +161,15 @@ func TestCostModelOrder(t *testing.T) {
 // TestRunTasksPanicCapture: a panicking task becomes an error result and
 // does not take down its worker (later tasks still run).
 func TestRunTasksPanicCapture(t *testing.T) {
-	specs := []TaskSpec{
-		{Experiment: "boom", Kind: "test-panic"},
-		{Experiment: "err", Kind: "test-error"},
-		{Experiment: "ok", Kind: "test-echo", Arg: 7},
-	}
-	rs := RunSpecs(1, specs)
-	if want := fmt.Sprintf("task %+v: panic: kaboom", specs[0]); rs[0].Error != want {
+	rs := runTasks(1, []Task{
+		{Experiment: "boom", Config: ExpConfig{Kernels: 3}, Run: panicRun},
+		{Experiment: "err", Run: errorRun},
+		echo("ok", ExpConfig{}, 7),
+	})
+	if want := "task boom {Kernels:3 Services:0 Instances:0}: panic: kaboom"; rs[0].Error != want {
 		t.Errorf("panic not captured: %q, want %q", rs[0].Error, want)
 	}
-	if want := fmt.Sprintf("task %+v: nope", specs[1]); rs[1].Error != want {
+	if want := "task err {Kernels:0 Services:0 Instances:0}: nope"; rs[1].Error != want {
 		t.Errorf("error not captured: %q, want %q", rs[1].Error, want)
 	}
 	if rs[2].Error != "" || rs[2].Metrics.Cycles != 7 {
@@ -177,22 +186,18 @@ func TestFailedTaskPanicsWithTaskError(t *testing.T) {
 			t.Errorf("execute panicked with %#v, want a TaskError naming the task and its error", err)
 		}
 	}()
-	Quick().execute([]TaskSpec{{Experiment: "err", Kind: "test-error"}})
+	Quick().execute([]Task{{Experiment: "err", Run: errorRun}})
 	t.Error("execute returned with a failed task")
 }
 
 // TestRunawayTaskHitsBudget: a task that never ends runs into its event
-// budget. It comes back as an error Result naming the whole spec and fails a
+// budget. It comes back as an error Result naming its report row and fails a
 // sweep with a TaskError; its engine goes back to the pool with every proc
 // unwound and runs the next task exactly as a fresh engine does.
 func TestRunawayTaskHitsBudget(t *testing.T) {
-	spec := TaskSpec{
-		Experiment: "runaway", Kind: "test-runaway",
-		Config:  ExpConfig{Kernels: 1, Instances: 2},
-		Variant: "spin", Arg: 5, Seed: 7,
-	}
-	res := RunSpec(spec)
-	want := fmt.Sprintf("task %+v: panic: sim: event limit %d exceeded", spec, 3*taskEventsPerPE)
+	task := Task{Experiment: "runaway", Config: ExpConfig{Kernels: 1, Instances: 2}, Run: runawayRun}
+	res := runTask(task)
+	want := fmt.Sprintf("task runaway {Kernels:1 Services:0 Instances:2}: panic: sim: event limit %d exceeded", 3*taskEventsPerPE)
 	if !strings.HasPrefix(res.Error, want) {
 		t.Errorf("error %q, want it to start with %q", res.Error, want)
 	}
@@ -204,10 +209,10 @@ func TestRunawayTaskHitsBudget(t *testing.T) {
 		defer func() {
 			err, ok := recover().(TaskError)
 			if !ok || !strings.Contains(err.Error(), "bench: experiment runaway failed: "+want) {
-				t.Errorf("execute panicked with %#v, want a TaskError naming the spec", err)
+				t.Errorf("execute panicked with %#v, want a TaskError naming the task", err)
 			}
 		}()
-		Quick().execute([]TaskSpec{spec})
+		Quick().execute([]Task{task})
 		t.Error("execute returned with a runaway task")
 	}()
 
@@ -217,14 +222,14 @@ func TestRunawayTaskHitsBudget(t *testing.T) {
 	if eng != runawayEngine {
 		t.Fatal("the pool did not recycle the runaway task's engine")
 	}
-	cell := TaskSpec{Experiment: "fig4/spanning", Kind: kindFig4, Variant: "spanning", Config: ExpConfig{Kernels: 2, Instances: 20}, Arg: 20}
-	got := RunSpec(cell)
-	m, aux, err := kinds[kindFig4](cell, sim.NewEngine())
-	if err != nil || got.Error != "" {
+	cell := fig4Task("spanning", 20, 20)
+	got := runTask(cell)
+	var fresh Result
+	if err := cell.Run(sim.NewEngine(), &fresh); err != nil || got.Error != "" {
 		t.Fatalf("fig4 cell failed: fresh engine %v, pooled engine %s", err, got.Error)
 	}
-	if got.Metrics != m || !reflect.DeepEqual(got.Aux, aux) {
-		t.Errorf("pooled engine: %+v %+v; fresh engine: %+v %+v", got.Metrics, got.Aux, m, aux)
+	if got.Metrics != fresh.Metrics || got.CapsMinted != fresh.CapsMinted {
+		t.Errorf("pooled engine: %+v %d; fresh engine: %+v %d", got.Metrics, got.CapsMinted, fresh.Metrics, fresh.CapsMinted)
 	}
 }
 
@@ -232,7 +237,7 @@ func TestRunawayTaskHitsBudget(t *testing.T) {
 // parked is a failed task whose error carries the audit's lines — not a row
 // of zeros.
 func TestNonQuiescentDrainFails(t *testing.T) {
-	res := RunSpec(TaskSpec{Experiment: "stuck", Kind: "test-stuck-syscall"})
+	res := runTask(Task{Experiment: "stuck", Run: stuckSyscallRun})
 	for _, want := range []string{
 		"the drained machine failed its audit",
 		"k0/sys2: syscall createsession, await-answer of VPE 0",
@@ -273,7 +278,7 @@ func TestParallelDeterminism(t *testing.T) {
 }
 
 // miniSweep runs a cross-section of the evaluation (micro, chain, tree,
-// ablation and workload kinds — including the aux-carrying Table 4 path) and
+// ablation and workload tasks — including Table 4's makespan slots) and
 // returns the recorded report rows with the host readings (wallclock, heap)
 // zeroed, so two sweeps compare on simulated data only.
 func miniSweep() []Result {
@@ -295,7 +300,7 @@ func miniSweep() []Result {
 
 // TestSweepRepeatDeterminism: the same sweep twice in one process — pooled
 // engines recycled between the two, workers racing for tasks — records rows
-// identical in every simulated field, aux excluded.
+// identical in every simulated field.
 func TestSweepRepeatDeterminism(t *testing.T) {
 	base, got := miniSweep(), miniSweep()
 	if len(got) != len(base) || len(base) == 0 {
@@ -383,11 +388,11 @@ func TestSweepRecordsEfficiency(t *testing.T) {
 // after an earlier task on the same worker leaked parked procs and pending
 // events — the engine pool Resets between tasks.
 func TestRunTasksPooledEngines(t *testing.T) {
-	var specs []TaskSpec
+	var tasks []Task
 	for _, name := range []string{"a", "b", "c", "d"} {
-		specs = append(specs, TaskSpec{Experiment: name, Kind: "test-dirty-engine"})
+		tasks = append(tasks, Task{Experiment: name, Run: dirtyEngineRun})
 	}
-	for _, rs := range [][]Result{RunSpecs(1, specs), RunSpecs(2, specs)} {
+	for _, rs := range [][]Result{runTasks(1, tasks), runTasks(2, tasks)} {
 		for _, r := range rs {
 			if r.Error != "" {
 				t.Errorf("%s: %s", r.Experiment, r.Error)
@@ -400,10 +405,7 @@ func TestRunTasksPooledEngines(t *testing.T) {
 // the dominant failure mode of a broken experiment — becomes an error
 // Result instead of tearing down the whole sweep.
 func TestRunTasksCapturesProcPanic(t *testing.T) {
-	rs := RunSpecs(1, []TaskSpec{
-		{Experiment: "sim-boom", Kind: "test-proc-panic"},
-		{Experiment: "ok", Kind: "test-echo", Arg: 1},
-	})
+	rs := runTasks(1, []Task{{Experiment: "sim-boom", Run: procPanicRun}, echo("ok", ExpConfig{}, 1)})
 	if !strings.Contains(rs[0].Error, "boom") {
 		t.Errorf("proc panic not captured: %q", rs[0].Error)
 	}

@@ -61,55 +61,45 @@ type Table3Result struct {
 	M3Revoke         sim.Duration
 }
 
-// kindTable3 runs one §5.2 exchange+revoke microbenchmark; the Variant
-// selects the machine (local, spanning, m3).
-const kindTable3 = "table3"
+// microVariants are the machines of Table 3 and Figure 4: SemperOS's two
+// kernels, with the VPEs in one PE group (local) or across both (spanning),
+// and M3's one kernel.
+var microVariants = []string{"local", "spanning", "m3"}
 
-// table3Aux carries the second measurement of the run: each task measures
-// both the exchange (Metrics.Cycles) and the revocation.
-type table3Aux struct {
-	Revoke uint64
+// microSystem builds the machine of a Table 3 or Figure 4 variant and
+// microKernels is its kernel count, the report rows' Config.Kernels.
+func microSystem(variant string, userPEs int, eng *sim.Engine) *core.System {
+	if variant == "m3" {
+		return m3.MustNew(m3.Config{UserPEs: userPEs, Engine: eng}).System
+	}
+	return core.MustNew(core.Config{Kernels: 2, UserPEs: userPEs, Engine: eng})
 }
 
-func init() { registerKind(kindTable3, runTable3Spec) }
-
-// microSystem builds the machine of a Table 3 or Figure 4 variant: local
-// and spanning run on two kernels, m3 on M3's one.
-func microSystem(variant string, userPEs int, eng *sim.Engine) (*core.System, error) {
-	switch variant {
-	case "local", "spanning":
-		return core.MustNew(core.Config{Kernels: 2, UserPEs: userPEs, Engine: eng}), nil
-	case "m3":
-		return m3.MustNew(m3.Config{UserPEs: userPEs, Engine: eng}).System, nil
+func microKernels(variant string) int {
+	if variant == "m3" {
+		return 1
 	}
-	return nil, fmt.Errorf("unknown variant %q", variant)
+	return 2
 }
 
-// runTable3Spec is the paper's §5.2 microbenchmark: B obtains a capability
-// from A (the exchange, B's op 1), then A revokes it (A's op 2).
-func runTable3Spec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
-	sys, err := microSystem(spec.Variant, 4, eng)
-	if err != nil {
-		return Metrics{}, nil, fmt.Errorf("table3: %w", err)
-	}
-	defer sys.Close()
-	pes := sys.UserPEs() // on two kernels: PEs 2,3 -> kernel 0; PEs 4,5 -> kernel 1
-	if spec.Variant == "spanning" {
-		pes = []int{pes[0], pes[2]}
-	}
-	recs, err := playLossless(sys, fan(pes[:2], rootOps, kidOps), nil)
-	if err != nil {
-		return Metrics{}, nil, err
-	}
-	return Metrics{Cycles: uint64(recs[1][1].Took())}, table3Aux{Revoke: uint64(recs[0][2].Took())}, nil
-}
-
-// table3Specs plans the three microbenchmark machines.
-func table3Specs() []TaskSpec {
-	return []TaskSpec{
-		{Experiment: "table3/exchange-local", Kind: kindTable3, Variant: "local", Config: ExpConfig{Kernels: 2, Instances: 2}},
-		{Experiment: "table3/exchange-spanning", Kind: kindTable3, Variant: "spanning", Config: ExpConfig{Kernels: 2, Instances: 2}},
-		{Experiment: "table3/exchange-m3", Kind: kindTable3, Variant: "m3", Config: ExpConfig{Kernels: 1, Instances: 2}},
+// table3Run is the paper's §5.2 microbenchmark on a variant's machine: B
+// obtains a capability from A (the exchange, B's op 1, the row's Cycles),
+// then A revokes it (A's op 2, written to *revoke).
+func table3Run(variant string, revoke *uint64) func(*sim.Engine, *Result) error {
+	return func(eng *sim.Engine, res *Result) error {
+		sys := microSystem(variant, 4, eng)
+		defer sys.Close()
+		pes := sys.UserPEs() // on two kernels: PEs 2,3 -> kernel 0; PEs 4,5 -> kernel 1
+		if variant == "spanning" {
+			pes = []int{pes[0], pes[2]}
+		}
+		recs, err := playLossless(sys, fan(pes[:2], rootOps, kidOps), nil)
+		if err != nil {
+			return err
+		}
+		res.Metrics.Cycles = uint64(recs[1][1].Took())
+		*revoke = uint64(recs[0][2].Took())
+		return nil
 	}
 }
 
@@ -117,13 +107,18 @@ func table3Specs() []TaskSpec {
 // group-spanning cases, for SemperOS and the M3 baseline. The three
 // systems are independent simulations and run in parallel.
 func Table3(o Options) Table3Result {
-	rs := o.execute(table3Specs())
+	tasks := make([]Task, len(microVariants))
+	revokes := make([]uint64, len(microVariants))
+	for i, v := range microVariants {
+		tasks[i] = Task{Experiment: "table3/exchange-" + v, Config: ExpConfig{Kernels: microKernels(v), Instances: 2}, Run: table3Run(v, &revokes[i])}
+	}
+	rs := o.execute(tasks)
 	// Each task measured two operations; mirror the revoke latencies as
 	// their own report entries.
-	for i, name := range []string{"table3/revoke-local", "table3/revoke-spanning", "table3/revoke-m3"} {
+	for i, v := range microVariants {
 		rev := rs[i]
-		rev.Experiment = name
-		rev.Metrics.Cycles = auxOf[table3Aux](rs[i]).Revoke
+		rev.Experiment = "table3/revoke-" + v
+		rev.Metrics.Cycles = revokes[i]
 		// The task's wallclock covers both measurements; charging it again
 		// here would double-count it in the trajectory.
 		rev.WallclockNS = 0
@@ -188,40 +183,24 @@ func chain(pes []int, length int, alternate bool) script.Script {
 	return sc
 }
 
-// kindFig4 revokes one capability chain; Config.Instances is the chain
-// length, Arg the figure's max length (which sizes the machine identically
-// across all cells), Variant the machine (local, spanning, m3).
-const kindFig4 = "fig4"
-
-func init() { registerKind(kindFig4, runFig4Spec) }
-
-func runFig4Spec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
-	sys, err := microSystem(spec.Variant, spec.Arg+2, eng)
-	if err != nil {
-		return Metrics{}, nil, fmt.Errorf("fig4: %w", err)
+// fig4Task revokes one capability chain of the given length on a variant's
+// machine, sized for the figure's maxLen so every cell of a variant runs on
+// the same machine.
+func fig4Task(variant string, length, maxLen int) Task {
+	return Task{
+		Experiment: "fig4/" + variant,
+		Config:     ExpConfig{Kernels: microKernels(variant), Instances: length},
+		Run: func(eng *sim.Engine, res *Result) error {
+			sys := microSystem(variant, maxLen+2, eng)
+			defer sys.Close()
+			recs, err := playLossless(sys, chain(sys.UserPEs(), length, variant == "spanning"), nil)
+			if err != nil {
+				return err
+			}
+			res.Metrics.Cycles = uint64(recs[0][2].Took())
+			return nil
+		},
 	}
-	defer sys.Close()
-	recs, err := playLossless(sys, chain(sys.UserPEs(), spec.Config.Instances, spec.Variant == "spanning"), nil)
-	if err != nil {
-		return Metrics{}, nil, err
-	}
-	return Metrics{Cycles: uint64(recs[0][2].Took())}, nil, nil
-}
-
-// fig4Specs plans the (length, variant) grid.
-func fig4Specs(maxLen int) ([]TaskSpec, []int) {
-	var lengths []int
-	for l := 0; l <= maxLen; l += 10 {
-		lengths = append(lengths, l)
-	}
-	specs := make([]TaskSpec, 0, 3*len(lengths))
-	for _, l := range lengths {
-		specs = append(specs,
-			TaskSpec{Experiment: "fig4/local", Kind: kindFig4, Variant: "local", Config: ExpConfig{Kernels: 2, Instances: l}, Arg: maxLen},
-			TaskSpec{Experiment: "fig4/spanning", Kind: kindFig4, Variant: "spanning", Config: ExpConfig{Kernels: 2, Instances: l}, Arg: maxLen},
-			TaskSpec{Experiment: "fig4/m3", Kind: kindFig4, Variant: "m3", Config: ExpConfig{Kernels: 1, Instances: l}, Arg: maxLen})
-	}
-	return specs, lengths
 }
 
 // Fig4 measures chain revocation for chain lengths 0..maxLen (step 10).
@@ -231,10 +210,16 @@ func Fig4(o Options, maxLen int) Fig4Result {
 	if maxLen <= 0 {
 		maxLen = 100
 	}
-	specs, lengths := fig4Specs(maxLen)
-	rs := o.execute(specs)
-	r := Fig4Result{Lengths: lengths}
-	for i, l := range lengths {
+	r := Fig4Result{}
+	var tasks []Task
+	for l := 0; l <= maxLen; l += 10 {
+		r.Lengths = append(r.Lengths, l)
+		for _, v := range microVariants {
+			tasks = append(tasks, fig4Task(v, l, maxLen))
+		}
+	}
+	rs := o.execute(tasks)
+	for i, l := range r.Lengths {
 		r.LocalSemperOS = append(r.LocalSemperOS, ChainPoint{l, sim.Duration(rs[3*i].Metrics.Cycles)})
 		r.SpanningChain = append(r.SpanningChain, ChainPoint{l, sim.Duration(rs[3*i+1].Metrics.Cycles)})
 		r.LocalM3 = append(r.LocalM3, ChainPoint{l, sim.Duration(rs[3*i+2].Metrics.Cycles)})
@@ -269,50 +254,34 @@ type Fig5Result struct {
 }
 
 // treeRevoke hands the root capability to n other VPEs (spread round-robin
-// over extra kernels if extra > 0, local otherwise) and measures revoking the
-// whole tree: the duration and the inter-kernel request messages it took.
-// batching selects the paper's §5.2 revoke batching (the ablation's variant;
-// Figure 5 runs without).
-func treeRevoke(eng *sim.Engine, n, extra int, batching bool) (sim.Duration, uint64, error) {
-	sys, pes := fanoutSystem(eng, n, extra, 1, core.IKCBatching{Revoke: batching}, nil)
-	defer sys.Close()
-	var msgsBefore uint64
-	recs, err := playLossless(sys, fan(pes, rootOps, kidOps), func(vpe, op int) {
-		if vpe == 0 && op == 2 {
-			msgsBefore = sys.TotalStats().IKCSent
-		}
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	return recs[0][2].Took(), sys.TotalStats().IKCSent - msgsBefore, nil
-}
-
-// kindFig5 revokes one capability tree; Config encodes the cell
-// (Kernels = 1+extra, Instances = child count).
-const kindFig5 = "fig5"
-
-func init() { registerKind(kindFig5, runFig5Spec) }
-
-func runFig5Spec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
-	n, extra := spec.Config.Instances, spec.Config.Kernels-1
-	c, _, err := treeRevoke(eng, n, extra, false)
-	return Metrics{Cycles: uint64(c)}, nil, err
-}
-
-// fig5Specs plans the (spread, child-count) grid.
-func fig5Specs(counts, extras []int) []TaskSpec {
-	specs := make([]TaskSpec, 0, len(extras)*len(counts))
-	for _, extra := range extras {
-		for _, n := range counts {
-			specs = append(specs, TaskSpec{
-				Experiment: "fig5",
-				Kind:       kindFig5,
-				Config:     ExpConfig{Kernels: 1 + extra, Instances: n},
+// over extra kernels if extra > 0, local otherwise; the row's Config is
+// Kernels = 1+extra, Instances = n) and measures revoking the whole tree:
+// the row's Cycles and, when msgs is non-nil, the inter-kernel request
+// messages it took. batching selects the paper's §5.2 revoke batching (the
+// ablation's variant; Figure 5 runs without).
+func treeRevoke(experiment string, n, extra int, batching bool, msgs *uint64) Task {
+	return Task{
+		Experiment: experiment,
+		Config:     ExpConfig{Kernels: 1 + extra, Instances: n},
+		Run: func(eng *sim.Engine, res *Result) error {
+			sys, pes := fanoutSystem(eng, n, extra, 1, core.IKCBatching{Revoke: batching}, nil)
+			defer sys.Close()
+			var msgsBefore uint64
+			recs, err := playLossless(sys, fan(pes, rootOps, kidOps), func(vpe, op int) {
+				if vpe == 0 && op == 2 {
+					msgsBefore = sys.TotalStats().IKCSent
+				}
 			})
-		}
+			if err != nil {
+				return err
+			}
+			res.Metrics.Cycles = uint64(recs[0][2].Took())
+			if msgs != nil {
+				*msgs = sys.TotalStats().IKCSent - msgsBefore
+			}
+			return nil
+		},
 	}
-	return specs
 }
 
 // Fig5 measures tree revocation for child counts 0..maxKids (step 16) and
@@ -326,7 +295,13 @@ func Fig5(o Options, maxKids int) Fig5Result {
 		r.Counts = append(r.Counts, n)
 	}
 	extras := []int{0, 1, 4, 8, 12}
-	rs := o.execute(fig5Specs(r.Counts, extras))
+	var tasks []Task
+	for _, extra := range extras {
+		for _, n := range r.Counts {
+			tasks = append(tasks, treeRevoke("fig5", n, extra, false, nil))
+		}
+	}
+	rs := o.execute(tasks)
 	for ei, extra := range extras {
 		s := TreeSeries{ExtraKernels: extra}
 		for ni, n := range r.Counts {

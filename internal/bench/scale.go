@@ -52,11 +52,11 @@ func ScaleMinKernels() int { return scaleGrid[0].Kernels }
 // (OS-claimed memory, the closest in-process RSS proxy) exceeds it.
 const scaleHeapBudget = 8 << 30
 
-// scaleAux is the side data of one scale point: the allocation profile
+// scaleStats are one scale point's measurements: the allocation profile
 // behind the report row. The heap numbers are host-side measurements
 // (process-global, non-deterministic); everything simulated — caps
 // created, revoke cycles — is deterministic as usual.
-type scaleAux struct {
+type scaleStats struct {
 	CapsCreated uint64
 	CapsDeleted uint64
 	// HeapLiveBytes is the post-GC live heap growth between machine
@@ -73,29 +73,12 @@ type scaleAux struct {
 	RevokeCycles uint64
 }
 
-func (a scaleAux) capsMinted() uint64 { return a.CapsCreated }
-
-// kindScale runs one grid point. Config encodes the machine (Kernels,
-// Instances = VPEs) and Arg the derives per VPE.
-const kindScale = "scale"
-
-func init() { registerKind(kindScale, runScaleSpec) }
-
-func runScaleSpec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
-	aux, err := scaleRun(eng, spec.Config.Kernels, spec.Config.Instances, spec.Arg)
-	if err != nil {
-		return Metrics{}, nil, err
-	}
-	m := Metrics{Cycles: aux.RevokeCycles, CapOps: aux.CapsCreated}
-	return m, aux, nil
-}
-
 // scaleRun builds one point's machine and capability forest: every VPE
 // allocates a root mem cap and derives capsPer children from it; the
 // first VPE of every non-root kernel additionally obtains the root VPE's
 // mem cap (the spanning edges), and the root VPE finally revokes its cap
 // — a tree spanning all kernels — under the clock.
-func scaleRun(eng *sim.Engine, kernels, vpes, capsPer int) (scaleAux, error) {
+func scaleRun(eng *sim.Engine, kernels, vpes, capsPer int) (scaleStats, error) {
 	runtime.GC()
 	var base runtime.MemStats
 	runtime.ReadMemStats(&base)
@@ -107,7 +90,7 @@ func scaleRun(eng *sim.Engine, kernels, vpes, capsPer int) (scaleAux, error) {
 		Engine:      eng,
 	})
 	if err != nil {
-		return scaleAux{}, err
+		return scaleStats{}, err
 	}
 	defer sys.Close()
 
@@ -153,7 +136,7 @@ func scaleRun(eng *sim.Engine, kernels, vpes, capsPer int) (scaleAux, error) {
 		revTime = p.Now() - t0
 	})
 	if err != nil {
-		return scaleAux{}, err
+		return scaleStats{}, err
 	}
 	for g := 0; g < kernels; g++ {
 		for i, pe := range byGroup[g] {
@@ -168,17 +151,17 @@ func scaleRun(eng *sim.Engine, kernels, vpes, capsPer int) (scaleAux, error) {
 				}
 				wg.Done()
 			}); err != nil {
-				return scaleAux{}, err
+				return scaleStats{}, err
 			}
 		}
 	}
 	sys.Run()
 	if err := audit(sys); err != nil {
-		return scaleAux{}, err
+		return scaleStats{}, err
 	}
 
 	st := sys.TotalStats()
-	return scaleAux{
+	return scaleStats{
 		CapsCreated:   st.CapsCreated,
 		CapsDeleted:   st.CapsDeleted,
 		HeapLiveBytes: peak.HeapAlloc - min(peak.HeapAlloc, base.HeapAlloc),
@@ -191,7 +174,7 @@ func scaleRun(eng *sim.Engine, kernels, vpes, capsPer int) (scaleAux, error) {
 // ScaleRow is one completed grid point.
 type ScaleRow struct {
 	Kernels, VPEs, CapsPer int
-	Aux                    scaleAux
+	Stats                  scaleStats
 	WallclockNS            int64
 }
 
@@ -220,19 +203,21 @@ func Scale(o Options, maxKernels int) ScaleResult {
 			r.Skipped = append(r.Skipped, name+" (heap budget spent)")
 			continue
 		}
-		rs := o.execute([]TaskSpec{{
+		row := ScaleRow{Kernels: pt.Kernels, VPEs: pt.VPEs, CapsPer: pt.CapsPer}
+		rs := o.execute([]Task{{
 			Experiment: name,
-			Kind:       kindScale,
 			Config:     ExpConfig{Kernels: pt.Kernels, Instances: pt.VPEs},
-			Arg:        pt.CapsPer,
+			Run: func(eng *sim.Engine, res *Result) (err error) {
+				row.Stats, err = scaleRun(eng, pt.Kernels, pt.VPEs, pt.CapsPer)
+				res.Metrics = Metrics{Cycles: row.Stats.RevokeCycles, CapOps: row.Stats.CapsCreated}
+				res.CapsMinted = row.Stats.CapsCreated
+				return err
+			},
 		}})
-		aux := auxOf[scaleAux](rs[0])
-		r.Rows = append(r.Rows, ScaleRow{
-			Kernels: pt.Kernels, VPEs: pt.VPEs, CapsPer: pt.CapsPer,
-			Aux: aux, WallclockNS: rs[0].WallclockNS,
-		})
+		row.WallclockNS = rs[0].WallclockNS
+		r.Rows = append(r.Rows, row)
 		o.record(rs)
-		overHeap = aux.SysBytes > scaleHeapBudget
+		overHeap = row.Stats.SysBytes > scaleHeapBudget
 	}
 	return r
 }
@@ -243,18 +228,18 @@ func (r ScaleResult) Print(w io.Writer) {
 	fmt.Fprintln(w, "kernels   vpes  caps/vpe  caps-created  liveB/cap  allocs/cap  peak-sys(MiB)  revoke(µs)   wall(s)")
 	for _, row := range r.Rows {
 		perCap := func(v uint64) float64 {
-			if row.Aux.CapsCreated == 0 {
+			if row.Stats.CapsCreated == 0 {
 				return 0
 			}
-			return float64(v) / float64(row.Aux.CapsCreated)
+			return float64(v) / float64(row.Stats.CapsCreated)
 		}
 		fmt.Fprintf(w, "%7d  %5d  %8d  %12d  %9.1f  %10.2f  %13.1f  %10.2f  %8.2f\n",
 			row.Kernels, row.VPEs, row.CapsPer,
-			row.Aux.CapsCreated,
-			perCap(row.Aux.HeapLiveBytes),
-			perCap(row.Aux.Mallocs),
-			float64(row.Aux.SysBytes)/(1<<20),
-			float64(row.Aux.RevokeCycles)/core.CyclesPerMicrosecond,
+			row.Stats.CapsCreated,
+			perCap(row.Stats.HeapLiveBytes),
+			perCap(row.Stats.Mallocs),
+			float64(row.Stats.SysBytes)/(1<<20),
+			float64(row.Stats.RevokeCycles)/core.CyclesPerMicrosecond,
 			float64(row.WallclockNS)/float64(time.Second))
 	}
 	for _, s := range r.Skipped {

@@ -1,75 +1,47 @@
 package bench
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // The plan → execute → post-process architecture. Every experiment first
-// enumerates its runs as TaskSpecs (the plan), hands them to the worker pool
-// (Options.execute → RunSpecs) and derives its figure/table values from the
-// ordered Results afterwards (the post-process). A TaskSpec carries
-// everything a run needs (experiment name, machine configuration, trace and
-// scalar parameters) and the kind registry maps it to a run function, so the
-// interface of a task is TaskSpec → Result and nothing else.
+// enumerates its runs as Tasks (the plan), hands them to the worker pool
+// (Options.execute → runTasks) and derives its figure/table values from the
+// ordered Results afterwards (the post-process). A task is its report row
+// (experiment name, machine configuration) and a closure the planner builds
+// over everything else the run needs, so the planner states a run once: the
+// closure fills the task's Result and writes any value only the post-process
+// reads (Table 4's makespan, the ablation's message count, a fault row's
+// counters, ...) into a slot the planner owns. The post-process reads the
+// slots after the pool has finished, so the writes need no locking.
 
-// TaskSpec describes one experiment run. Kind selects the run function from
-// the registry; Config, Trace, Variant and Arg parameterize it. Experiment is
-// the report row name.
-type TaskSpec struct {
+// Task is one experiment run. Experiment and Config name its report row;
+// Run runs it on a fresh-state engine, fills res.Metrics (and
+// res.CapsMinted, where the run counts the capabilities its kernels
+// created) and returns the task's error.
+type Task struct {
 	Experiment string
-	Kind       string
 	Config     ExpConfig
-	// Trace names the workload trace (kind "workload" only).
-	Trace string
-	// Variant distinguishes sub-cases of a kind (local/spanning/m3,
-	// plain/batched, ...).
-	Variant string
-	// Arg is a kind-specific scalar (fig4: the figure's max chain length,
-	// which sizes the machine identically across all its cells).
-	Arg int
-	// Seed keys the deterministic fault injector (kinds "faults" and
-	// "churn").
-	Seed uint64
+	Run        func(eng *sim.Engine, res *Result) error
 }
-
-// kindFunc executes one spec on a fresh-state engine. The second return is
-// optional typed side data for the post-process step (Result.Aux); it never
-// enters the report.
-type kindFunc func(spec TaskSpec, eng *sim.Engine) (Metrics, any, error)
-
-// kinds is the registry mapping TaskSpec.Kind to run functions. Each
-// experiment file registers its kinds from init.
-var kinds = map[string]kindFunc{}
-
-func registerKind(name string, fn kindFunc) {
-	if _, dup := kinds[name]; dup {
-		panic("bench: duplicate task kind " + name)
-	}
-	kinds[name] = fn
-}
-
-// capsMinter is implemented by aux values that know how many capabilities
-// their run minted; RunSpec lifts the count into Result.CapsMinted for the
-// wallclock summary's capsalloc line.
-type capsMinter interface{ capsMinted() uint64 }
 
 // execute runs the plan on the worker pool and fail-fasts on the first task
 // error (a broken experiment is a bug, not data).
-func (o Options) execute(specs []TaskSpec) []Result {
-	rs := RunSpecs(o.Parallel, specs)
+func (o Options) execute(tasks []Task) []Result {
+	rs := runTasks(o.Parallel, tasks)
 	mustOK(rs)
 	return rs
 }
 
-// auxOf returns a Result's side data as T. The post-process steps call it
-// only on results whose kind produced that aux type; a mismatch is a
-// programming error and panics like any other broken experiment.
-func auxOf[T any](r Result) T {
-	v, ok := r.Aux.(T)
-	if !ok {
-		panic(fmt.Sprintf("bench: aux of %s %+v is %T, not %T", r.Experiment, r.Config, r.Aux, v))
-	}
-	return v
+// TaskSpec and RunSpec are frozen by the benchmark module, which times one
+// Table 3 cell through them (benchmark/probes.go); nothing in this module
+// calls them, and nothing new may use or extend them. Experiments plan Tasks.
+type TaskSpec struct {
+	Experiment, Kind, Variant string
+	Config                    ExpConfig
+}
+
+// RunSpec runs the Table 3 cell named by spec.Variant through the task
+// runner.
+func RunSpec(spec TaskSpec) Result {
+	var revoke uint64
+	return runTask(Task{Experiment: spec.Experiment, Config: spec.Config, Run: table3Run(spec.Variant, &revoke)})
 }

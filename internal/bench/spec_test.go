@@ -7,35 +7,38 @@ import (
 	"repro/internal/workload"
 )
 
-// TestRunSpecMatchesWorkloadRun: executing a spec through the registry
-// produces the same simulated metrics as calling workload.Run directly,
-// pinned here for one workload cell.
+// TestRunSpecMatchesWorkloadRun: a planned workload task produces the same
+// simulated metrics, and writes the same makespan into its slot, as calling
+// workload.Run directly, pinned here for one workload cell.
 func TestRunSpecMatchesWorkloadRun(t *testing.T) {
-	spec := workloadSpecs("det", []workload.Config{
-		{Kernels: 2, Services: 2, Instances: 4, Trace: trace.Tar()},
-	})[0]
-	res := RunSpec(spec)
+	cfg := workload.Config{Kernels: 2, Services: 2, Instances: 4, Trace: trace.Tar()}
+	tasks, makespans := workloadTasks("det", []workload.Config{cfg})
+	res := runTask(tasks[0])
 	if res.Error != "" {
-		t.Fatalf("spec run failed: %s", res.Error)
+		t.Fatalf("task failed: %s", res.Error)
 	}
-	direct, err := workload.Run(workload.Config{Kernels: 2, Services: 2, Instances: 4, Trace: trace.Tar()})
+	direct, err := workload.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Metrics.Cycles != uint64(direct.MeanRuntime()) || res.Metrics.CapOps != direct.TotalCapOps {
-		t.Errorf("spec metrics %+v != direct run (cycles %d, capops %d)",
+		t.Errorf("task metrics %+v != direct run (cycles %d, capops %d)",
 			res.Metrics, direct.MeanRuntime(), direct.TotalCapOps)
 	}
-	if aux := auxOf[workloadAux](res); aux.Makespan != uint64(direct.Makespan) {
-		t.Errorf("aux makespan %d != direct %d", aux.Makespan, direct.Makespan)
+	if makespans[0] != uint64(direct.Makespan) {
+		t.Errorf("makespan slot %d != direct %d", makespans[0], direct.Makespan)
 	}
 }
 
-// TestRunSpecUnknownKind: an unresolvable spec becomes an error Result, not
-// a panic.
-func TestRunSpecUnknownKind(t *testing.T) {
-	res := RunSpec(TaskSpec{Experiment: "x", Kind: "no-such-kind"})
-	if res.Error == "" {
-		t.Fatal("unknown kind did not error")
+// TestRunSpecRunsTable3Cell: the frozen RunSpec runs the Table 3 cell its
+// Variant names, with the metrics of Table 3's own row.
+func TestRunSpecRunsTable3Cell(t *testing.T) {
+	res := RunSpec(TaskSpec{Experiment: "table3/exchange-local", Kind: "table3", Variant: "local", Config: ExpConfig{Kernels: 2, Instances: 2}})
+	o := Quick()
+	o.Report = NewReport(true, 1)
+	Table3(o)
+	row := o.Report.Results[0]
+	if res.Error != "" || res.Experiment != row.Experiment || res.Config != row.Config || res.Metrics != row.Metrics {
+		t.Errorf("RunSpec: %+v; Table 3's row: %+v", res, row)
 	}
 }

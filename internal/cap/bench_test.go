@@ -89,7 +89,7 @@ func TestCapabilitySize(t *testing.T) {
 // and heap allocations per capability over a store of 64Ki capabilities in
 // trees of 128 — the quantity the repo benchmark reports as
 // cap.probe_bytes_per_cap. The ceilings sit a few percent above what the
-// store measures today: 118.3 B and 0.024 allocations per capability (slab,
+// store measures today: 117.8 B and 0.023 allocations per capability (slab,
 // chunk arena and index growth only — a capability is not a heap object of
 // its own).
 func TestStoreFootprint(t *testing.T) {

@@ -98,7 +98,7 @@ func (e *Engine) Resumes() uint64 { return e.resumes }
 // Zero (the default) means unlimited. SetEventLimit(n) means at most n
 // events: executing event n+1 panics between events, so a runaway
 // simulation ends in an error instead of running forever. The bench harness
-// sets one for every task (bench.RunSpec); Reset clears it.
+// sets one for every task (runTask in internal/bench); Reset clears it.
 func (e *Engine) SetEventLimit(n uint64) { e.limit = n }
 
 // Schedule runs fn after d cycles of virtual time. It may be called from

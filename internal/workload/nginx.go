@@ -77,10 +77,7 @@ func RunNginx(cfg NginxConfig) (*NginxResult, error) {
 	}
 	defer sys.Close()
 
-	pl, err := place(sys, cfg.Services, 2*cfg.Servers)
-	if err != nil {
-		return nil, err
-	}
+	pl := place(sys, cfg.Services, 2*cfg.Servers)
 
 	// Services, each preloaded with the doc roots of every server (servers
 	// may be served by any instance depending on placement; preloading all

@@ -89,7 +89,7 @@ type placement struct {
 // preferring the service hosted in the instance's own group (paper §5.3.2:
 // "Kernels which host a service in their PE group prefer to connect their
 // applications to the service in their PE group").
-func place(s *core.System, services, instances int) (*placement, error) {
+func place(s *core.System, services, instances int) *placement {
 	k := s.Kernels()
 	pl := &placement{
 		svcGroup:     make([]int, services),
@@ -126,7 +126,7 @@ func place(s *core.System, services, instances int) (*placement, error) {
 		svc := pl.svcOfGroup[g]
 		pl.instOfSvc[svc] = append(pl.instOfSvc[svc], i)
 	}
-	return pl, nil
+	return pl
 }
 
 // takePE pops the next free user PE in a group, falling back to any group.
@@ -182,10 +182,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	defer sys.Close()
 
-	pl, err := place(sys, cfg.Services, cfg.Instances)
-	if err != nil {
-		return nil, err
-	}
+	pl := place(sys, cfg.Services, cfg.Instances)
 	// Image sizing: footprint per instance times the largest per-service
 	// assignment, plus slack.
 	perInst := cfg.Trace.Footprint(m3fs.ExtentBytes)
