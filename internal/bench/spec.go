@@ -1,6 +1,11 @@
 package bench
 
-import "repro/internal/sim"
+import (
+	"fmt"
+	"slices"
+
+	"repro/internal/sim"
+)
 
 // The plan → execute → post-process architecture. Every experiment first
 // enumerates its runs as Tasks (the plan), hands them to the worker pool
@@ -40,8 +45,11 @@ type TaskSpec struct {
 }
 
 // RunSpec runs the Table 3 cell named by spec.Variant through the task
-// runner.
+// runner; any other kind or variant is an error Result.
 func RunSpec(spec TaskSpec) Result {
+	if spec.Kind != "table3" || !slices.Contains(microVariants, spec.Variant) {
+		return Result{Experiment: spec.Experiment, Config: spec.Config, Error: fmt.Sprintf("bench: no Table 3 cell %q/%q", spec.Kind, spec.Variant)}
+	}
 	var revoke uint64
 	return runTask(Task{Experiment: spec.Experiment, Config: spec.Config, Run: table3Run(spec.Variant, &revoke)})
 }

@@ -30,8 +30,7 @@ func TestRunSpecMatchesWorkloadRun(t *testing.T) {
 	}
 }
 
-// TestRunSpecRunsTable3Cell: the frozen RunSpec runs the Table 3 cell its
-// Variant names, with the metrics of Table 3's own row.
+// TestRunSpecRunsTable3Cell: RunSpec runs the Table 3 cell its Variant names, and no other spec.
 func TestRunSpecRunsTable3Cell(t *testing.T) {
 	res := RunSpec(TaskSpec{Experiment: "table3/exchange-local", Kind: "table3", Variant: "local", Config: ExpConfig{Kernels: 2, Instances: 2}})
 	o := Quick()
@@ -40,5 +39,10 @@ func TestRunSpecRunsTable3Cell(t *testing.T) {
 	row := o.Report.Results[0]
 	if res.Error != "" || res.Experiment != row.Experiment || res.Config != row.Config || res.Metrics != row.Metrics {
 		t.Errorf("RunSpec: %+v; Table 3's row: %+v", res, row)
+	}
+	for _, bad := range []TaskSpec{{Kind: "fig4", Variant: "local"}, {Kind: "table3", Variant: "lokal"}} {
+		if res := RunSpec(bad); res.Error == "" {
+			t.Errorf("RunSpec ran %+v as a Table 3 cell: %+v", bad, res)
+		}
 	}
 }
