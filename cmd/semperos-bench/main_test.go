@@ -42,10 +42,16 @@ func TestBadFlagsExit2(t *testing.T) {
 	}
 }
 
-// TestFailedTaskExits1: the sweeps' fail-fast panic ends the run as one line
-// on stderr and exit 1, after the defers registered later (profile flush,
-// file close) have run; any other panic is a bug and is not swallowed.
+// TestFailedTaskExits1: the sweeps' fail-fast panic — a failed result's
+// error, as it stands — ends the run as one line on stderr and exit 1, after
+// the defers registered later (profile flush, file close) have run; any
+// other panic is a bug and is not swallowed.
 func TestFailedTaskExits1(t *testing.T) {
+	// A real failed result: a task that names no Table 3 cell.
+	failed := bench.RunSpec(bench.TaskSpec{Experiment: "table3/exchange-x", Kind: "table3", Variant: "x", Config: bench.ExpConfig{Kernels: 2}})
+	if want := `task table3/exchange-x {Kernels:2 Services:0 Instances:0}: no Table 3 cell "table3"/"x"`; failed.Error != want {
+		t.Fatalf("the failed task's error is %q, want %q", failed.Error, want)
+	}
 	var stderr bytes.Buffer
 	flushed := false
 	run := func(v any) (code int) {
@@ -53,13 +59,13 @@ func TestFailedTaskExits1(t *testing.T) {
 		defer func() { flushed = true }()
 		panic(v)
 	}
-	if code := run(bench.TaskError("bench: experiment fig5 {Kernels:2} failed: nope")); code != 1 {
+	if code := run(bench.TaskError(failed.Error)); code != 1 {
 		t.Errorf("exit %d, want 1", code)
 	}
 	if !flushed {
 		t.Error("the later defers did not run")
 	}
-	if got, want := stderr.String(), "semperos-bench: bench: experiment fig5 {Kernels:2} failed: nope\n"; got != want {
+	if got, want := stderr.String(), "semperos-bench: "+failed.Error+"\n"; got != want {
 		t.Errorf("stderr %q, want %q", got, want)
 	}
 

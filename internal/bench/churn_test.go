@@ -91,7 +91,7 @@ func TestChurnDeterministic(t *testing.T) {
 func TestChurnRejectsInvalidScenarios(t *testing.T) {
 	defer func() {
 		err, ok := recover().(TaskError)
-		if !ok || !strings.Contains(err.Error(), "experiment churn/nocrash-100bp") || !strings.Contains(err.Error(), "exceed the maximum") {
+		if !ok || !strings.HasPrefix(err.Error(), "task churn/nocrash-100bp {") || !strings.Contains(err.Error(), "exceed the maximum") {
 			t.Errorf("an oversized machine panicked with %#v, want a TaskError naming the task and the limit", err)
 		}
 	}()

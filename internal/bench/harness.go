@@ -210,11 +210,12 @@ type TaskError string
 func (e TaskError) Error() string { return string(e) }
 
 // mustOK panics on the first failed result: the sweeps fail fast (a broken
-// experiment is a bug, not data).
+// experiment is a bug, not data). The result's error is the message as it
+// stands: it names the task's report row already (runTask).
 func mustOK(rs []Result) {
 	for _, r := range rs {
 		if r.Error != "" {
-			panic(TaskError(fmt.Sprintf("bench: experiment %s failed: %s", r.Experiment, r.Error)))
+			panic(TaskError(r.Error))
 		}
 	}
 }

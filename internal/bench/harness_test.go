@@ -182,8 +182,8 @@ func TestRunTasksPanicCapture(t *testing.T) {
 func TestFailedTaskPanicsWithTaskError(t *testing.T) {
 	defer func() {
 		err, ok := recover().(TaskError)
-		if !ok || !strings.Contains(err.Error(), "experiment err") || !strings.Contains(err.Error(), "nope") {
-			t.Errorf("execute panicked with %#v, want a TaskError naming the task and its error", err)
+		if want := "task err {Kernels:0 Services:0 Instances:0}: nope"; !ok || err.Error() != want {
+			t.Errorf("execute panicked with %#v, want the TaskError %q: the task named once, and its error", err, want)
 		}
 	}()
 	Quick().execute([]Task{{Experiment: "err", Run: errorRun}})
@@ -208,7 +208,7 @@ func TestRunawayTaskHitsBudget(t *testing.T) {
 	func() {
 		defer func() {
 			err, ok := recover().(TaskError)
-			if !ok || !strings.Contains(err.Error(), "bench: experiment runaway failed: "+want) {
+			if !ok || !strings.HasPrefix(err.Error(), want) {
 				t.Errorf("execute panicked with %#v, want a TaskError naming the task", err)
 			}
 		}()

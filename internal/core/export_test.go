@@ -46,7 +46,7 @@ func (s *System) RevokingEverywhere() bool {
 
 // stageNames names the wait stages TestKillKernelThreadsInEveryStage must
 // find a thread parked in.
-var stageNames = map[waitStage]string{stageEpilogue: "epilogue", stageJob: "job", stageInner: "inner", stageCPU: "cpu"}
+var stageNames = map[waitStage]string{stageEpilogue: "epilogue", stageJob: "job", stageJobCPU: "job-cpu", stageInner: "inner", stageCPU: "cpu"}
 
 // NoteStages adds to seen the name of the wait stage of every thread of s's
 // kernel pools that stageNames names.

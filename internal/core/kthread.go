@@ -14,9 +14,12 @@ type waitStage uint8
 const (
 	// Between jobs: the job's last charge has elapsed, so what it produced
 	// leaves (the epilogue) and the CPU is released; then the thread takes
-	// the next job off its pool's queue, then the CPU for it.
+	// the next job off its pool's queue, then the CPU to start it on. A job
+	// whose handler cannot block runs right there, in the record
+	// (job.inline); any other is the body's to run.
 	stageEpilogue waitStage = iota
 	stageJob
+	stageJobCPU
 	// At a preemption point: release the CPU, wait for inner (a reply, a
 	// VPE's answer, an in-flight credit), take the CPU again.
 	stageRelease
@@ -113,7 +116,23 @@ func (t *kthread) Ready(p *sim.Proc) bool {
 				return false
 			}
 			t.job, _ = t.pl.q.TryPop()
-			t.stage = stageCPU
+			t.stage = stageJobCPU
+		case stageJobCPU:
+			if !k.cpu.Ready(p) {
+				return false
+			}
+			k.holder = t
+			if !t.job.inline() {
+				return true
+			}
+			// The handler runs here, in the event and at the point where
+			// the body, switched in, would have run it. It ends owing the
+			// reply's charge at least, so the thread stays parked while what
+			// it owes elapses (sim.Waiter), and is asked again for the
+			// epilogue.
+			k.handleSyscall(p, t.job.subj.(*dtu.Message))
+			t.stage = stageEpilogue
+			return false
 		case stageRelease:
 			k.cpu.Release()
 			t.stage = stageInner
@@ -131,6 +150,25 @@ func (t *kthread) Ready(p *sim.Proc) bool {
 			return true
 		}
 	}
+}
+
+// inline reports whether the job's handler runs in the thread's wait record
+// (stageJobCPU) instead of the thread's body: a syscall whose handler
+// neither settles nor parks on any path — it charges its terms, the last of
+// them the reply, and returns. Such a handler needs no stack of its own, and
+// running it engine side saves the switch into the thread. DESIGN.md "Waits
+// as data" walks every path of the two. The transmit proc's record holds the
+// zero job, which carries no syscall message and never matches.
+func (j *job) inline() bool {
+	m, ok := j.subj.(*dtu.Message)
+	if !ok || j.kind != jobSyscall {
+		return false
+	}
+	switch m.Payload.(*sysRequest).Kind {
+	case sysDeriveMem, sysNoop:
+		return true
+	}
+	return false
 }
 
 // acquireCPU / releaseCPU bracket the kernel work a job's own CPU stage does
@@ -166,6 +204,8 @@ func (t *kthread) describe() string {
 		return ""
 	case stageInner:
 		wait = t.pl.k.describeWait(t.inner)
+	case stageJobCPU:
+		wait = "await-cpu to start"
 	case stageCPU:
 		wait = "await-cpu"
 	default:

@@ -1215,10 +1215,11 @@ func TestRequestRecordsComeHome(t *testing.T) {
 
 // TestKillKernelThreadsInEveryStage: Close unwinds kernel threads wherever
 // their wait records have them parked — for a job, for a reply, a credit or
-// a revocation (a nested-chain machine stopped mid-revoke), for the CPU, and
-// in the middle of a job's owed time with the epilogue still to run (a loaded
-// machine, its clients deriving from their roots, stopped mid-round) — and
-// the engine goes back through the pool for the next machine.
+// a revocation (a nested-chain machine stopped mid-revoke), for the CPU to
+// start a job on or to go on with one, and in the middle of a job's owed
+// time with the epilogue still to run (a loaded machine, its clients
+// deriving from their roots, stopped mid-round) — and the engine goes back
+// through the pool for the next machine.
 func TestKillKernelThreadsInEveryStage(t *testing.T) {
 	engines := sim.NewPool()
 	stages := map[string]bool{}
@@ -1234,7 +1235,7 @@ func TestKillKernelThreadsInEveryStage(t *testing.T) {
 			sc = append(sc, script.VPE{PE: pe, Ops: storm})
 		}
 		recs := script.Start(s, sc, nil)
-		s.RunFor(1_000_000) // mid-storm: one thread settling, the rest queued for the CPU
+		s.RunFor(1_000_000) // mid-storm: one thread settling, the rest queued for the CPU to start a derive on
 		if n, first := script.Failures(recs...); n != 0 {
 			t.Errorf("%d ops of the loaded machine failed, the first with %v", n, first)
 		}
@@ -1269,7 +1270,7 @@ func TestKillKernelThreadsInEveryStage(t *testing.T) {
 	if n := s.Eng.LiveProcs(); n != 0 {
 		t.Fatalf("%d procs live after Close of the nested-chain machine", n)
 	}
-	for _, st := range []string{"epilogue", "job", "inner", "cpu"} {
+	for _, st := range []string{"epilogue", "job", "job-cpu", "inner", "cpu"} {
 		if !stages[st] {
 			t.Errorf("no thread was parked in stage %s when its machine was closed", st)
 		}

@@ -16,10 +16,11 @@ import (
 // resumes are what owed time and waits as data save: a kernel thread charges
 // the terms of a CPU-held stretch and settles once, and what it waits for in
 // between — the reply leaving, the next job, the CPU — the engine evaluates
-// without switching into it (kthread). A charge turned back into an exec, a
-// settle point that became a second park, or a wait that went back into a
-// thread's body moves a resume count here before it costs anything
-// measurable elsewhere.
+// without switching into it (kthread); a syscall whose handler cannot block
+// runs in that record too (job.inline). A charge turned back into an exec, a
+// settle point that became a second park, or a wait or a handler that went
+// back into a thread's body moves a resume count here before it costs
+// anything measurable elsewhere.
 func TestOperationEventsAndResumes(t *testing.T) {
 	s := MustNew(Config{Kernels: 2, UserPEs: 4})
 	defer s.Close()
@@ -40,6 +41,8 @@ func TestOperationEventsAndResumes(t *testing.T) {
 			root, err = v.AllocMem(p, 1<<20, dtu.PermRW)
 		case "derive":
 			_, err = v.DeriveMem(p, root, 0, 4096, dtu.PermRW)
+		case "noop":
+			v.Noop(p)
 		case "plant": // mid and three local children; the far VPE adds a remote one
 			mid, err = v.DeriveMem(p, root, 0, 64<<10, dtu.PermRW)
 			for i := uint64(0); i < 3 && err == nil; i++ {
@@ -87,10 +90,15 @@ func TestOperationEventsAndResumes(t *testing.T) {
 		events, resumes uint64
 	}{
 		// Resumes with a Sleep per term, for the record: 8, 10, 16, 29; with
-		// owed time and a park per wait: 4, 6, 10, 13. The derive's 3 are the
-		// client's two (started, answered) and the kernel thread's one: it
-		// runs the handler, and its wait record does the rest.
-		{"derive", func() func() { ownerOp = "derive"; return owner }, 11, 3},
+		// owed time and a park per wait: 4, 6, 10, 13; with the waits as
+		// data: 3, 5, 9, 11. The derive's 2 are the client's (started,
+		// answered): its handler cannot block, so the kernel thread's wait
+		// record runs it and the thread is not switched in at all. The
+		// others still switch their threads in to run their handlers.
+		{"derive", func() func() { ownerOp = "derive"; return owner }, 11, 2},
+		// The bare syscall: the client's two resumes and none of the
+		// thread's, which runs the handler in its record like the derive's.
+		{"noop", func() func() { ownerOp = "noop"; return owner }, 8, 2},
 		{"obtain-local", func() func() { return obtainNear }, 16, 5},
 		{"obtain-spanning", func() func() { return obtainFar }, 25, 9},
 		{"revoke-tree", revoke, 35, 11},
@@ -104,6 +112,32 @@ func TestOperationEventsAndResumes(t *testing.T) {
 		}
 	}
 	checkAudit(t, s)
+}
+
+// TestInlineJobs: only a derive or a noop syscall runs in its thread's wait
+// record. The zero job, which the transmit proc's record holds, is a
+// syscall by kind but carries no message, and must not match.
+func TestInlineJobs(t *testing.T) {
+	sys := func(k sysKind) job {
+		return job{kind: jobSyscall, subj: &dtu.Message{Payload: &sysRequest{Kind: k}}}
+	}
+	for _, tc := range []struct {
+		name   string
+		j      job
+		inline bool
+	}{
+		{"zero job", job{}, false},
+		{"derive", sys(sysDeriveMem), true},
+		{"noop", sys(sysNoop), true},
+		{"obtain", sys(sysObtainFrom), false},
+		{"revoke", sys(sysRevoke), false},
+		{"alloc", sys(sysAllocMem), false},
+		{"request", job{kind: jobRequest, subj: &ikcRequest{}}, false},
+	} {
+		if got := tc.j.inline(); got != tc.inline {
+			t.Errorf("%s: inline %v, want %v", tc.name, got, tc.inline)
+		}
+	}
 }
 
 // loadedDerive builds the loaded counterpart of the idle pins above: one
@@ -150,13 +184,13 @@ func loadedDerive(tb testing.TB) (s *System, round func()) {
 	}
 }
 
-// TestLoadedDeriveEventsAndResumes is the pin under contention. An idle
-// derive saves one resume against a thread that parks once per wait; the
-// loaded one saves the rest: with the CPU always taken and a job always
-// queued, a thread used to be switched in to take the job, again to take the
-// CPU and again to send the reply, and is now switched in once, to run the
-// handler. A syscall costs two resumes — the client's, woken by the reply,
-// and the thread's — where it cost four; the events are what they were.
+// TestLoadedDeriveEventsAndResumes is the pin under contention. With the
+// CPU always taken and a job always queued, a thread used to be switched in
+// to take the job, again to take the CPU and again to send the reply — four
+// resumes a syscall with the client's. Waits as data left one, to run the
+// handler; a derive's handler cannot block, so its thread's wait record runs
+// it, and a syscall now costs the client's resume alone, woken by the reply.
+// The events are what they were.
 func TestLoadedDeriveEventsAndResumes(t *testing.T) {
 	s, round := loadedDerive(t)
 	defer s.Close()
@@ -164,10 +198,12 @@ func TestLoadedDeriveEventsAndResumes(t *testing.T) {
 	const (
 		syscalls = loadedClients * loadedDerives
 		// The events of one round at 132b96f, where the same round took four
-		// resumes a syscall (2055 in all).
+		// resumes a syscall (2055 in all), and two (1032) once the thread's
+		// waits were data.
 		wantEvents = 5639
-		// Two a syscall, and each client's wake-up from its start queue.
-		wantResumes = 2*syscalls + loadedClients
+		// One a syscall, the client's, and each client's wake-up from its
+		// start queue.
+		wantResumes = syscalls + loadedClients
 	)
 	e0, r0 := s.Eng.Executed(), s.Eng.Resumes()
 	round()

@@ -61,7 +61,8 @@ type Engine struct {
 	resumes uint64
 	limit   uint64 // safety valve: max events executed, 0 = unlimited
 	killed  bool
-	// running is the proc whose body is executing, nil on the engine side;
+	// running is the proc whose body — or whose Waiter, asked by step
+	// (Proc.poll) — is executing, nil on the engine side otherwise;
 	// checkSettled reads it.
 	running  *Proc
 	heap     []event

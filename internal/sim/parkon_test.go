@@ -443,3 +443,251 @@ func TestKillProcsParkedOnWaiters(t *testing.T) {
 		pool.Put(e)
 	}
 }
+
+// workRecord is a Waiter of a kernel thread's shape that does work itself:
+// the next job off a shared queue, the one unit of a semaphore (the CPU),
+// then the job — a few charged terms — and an epilogue that logs and gives
+// the unit back. A job that blocks in the middle is the body's to run; with
+// inline set, Ready runs every other one itself, engine side, charging the
+// parked proc and reporting false. Without, Ready reports ready and the body
+// runs every job: that is the reference.
+type workRecord struct {
+	id     int
+	q      *Queue[recordJob]
+	cpu    *Semaphore
+	inline bool
+	log    func(at Time, format string, args ...any)
+	stage  int // 0: the next job; 1: the CPU for it; 2: its epilogue
+	job    recordJob
+}
+
+type recordJob struct {
+	n     int
+	terms []Duration
+	block Duration // > 0: the job sleeps this long after its terms
+}
+
+func (w *workRecord) Ready(p *Proc) bool {
+	for {
+		switch w.stage {
+		case 0:
+			if !w.q.Ready(p) {
+				return false
+			}
+			w.job, _ = w.q.TryPop()
+			w.stage = 1
+		case 1:
+			if !w.cpu.Ready(p) {
+				return false
+			}
+			if !w.inline || w.job.block > 0 {
+				return true
+			}
+			w.work(p)
+			w.stage = 2
+			return false
+		case 2:
+			w.log(p.eng.Now(), "worker %d done with job %d", w.id, w.job.n)
+			w.cpu.Release()
+			w.stage = 0
+		}
+	}
+}
+
+// work is the job, wherever it runs: the terms are charged, and a blocking
+// job then sleeps with the CPU held. The private reading of the clock is
+// logged where the body would have taken it.
+func (w *workRecord) work(p *Proc) {
+	w.log(p.Now(), "worker %d starts job %d", w.id, w.job.n)
+	for _, d := range w.job.terms {
+		p.Charge(d)
+	}
+	if w.job.block > 0 {
+		p.Sleep(w.job.block)
+	}
+}
+
+// chargingScenario sets up groups copies of a seeded machine of three
+// workers parked on their records, jobs pushed by timers onto their shared
+// queue, a contender that takes the CPU now and then through Acquire, and
+// timers on the same instants. A blocking job ends on its sleep, so the body
+// that ran it owes nothing when it parks on its record again, and that
+// record's Ready — in the body — runs the next job itself.
+func chargingScenario(seed uint64, inline bool, e *Engine, groups int) [][]traceRec {
+	const jobs = 60
+	rng := seed*0x9E3779B97F4A7C15 + 7
+	next := func(n uint64) uint64 {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return rng % n
+	}
+	delays := []Duration{0, 0, 1, 1, 2, 3, 5}
+	delay := func() Duration { return delays[next(uint64(len(delays)))] }
+
+	traces := make([][]traceRec, groups)
+	for g := 0; g < groups; g++ {
+		g := g
+		log := func(at Time, format string, args ...any) {
+			traces[g] = append(traces[g], traceRec{at, fmt.Sprintf(format, args...)})
+		}
+		q := NewQueue[recordJob](e)
+		cpu := NewSemaphore(e, 1)
+		for i := 0; i < 3; i++ {
+			w := &workRecord{id: i, q: q, cpu: cpu, inline: inline, log: log}
+			e.Spawn("worker", func(p *Proc) {
+				for {
+					p.ParkOn(w)
+					w.work(p)
+					w.stage = 2
+				}
+			})
+		}
+		js, gaps := make([]recordJob, jobs), make([]Duration, jobs)
+		for n := range js {
+			js[n] = recordJob{n: n, terms: make([]Duration, 1+next(5))}
+			for i := range js[n].terms {
+				js[n].terms[i] = delay()
+			}
+			if next(4) == 0 {
+				js[n].block = 1 + delay()
+			}
+			gaps[n] = delay()
+		}
+		var push func()
+		pushed := 0
+		push = func() {
+			q.Push(js[pushed])
+			if pushed++; pushed < len(js) {
+				e.Schedule(gaps[pushed], push)
+			}
+		}
+		e.Schedule(1+gaps[0], push)
+		think := make([]Duration, jobs/4)
+		for i := range think {
+			think[i] = 1 + 2*delay()
+		}
+		e.Spawn("contender", func(p *Proc) {
+			for r, d := range think {
+				p.Sleep(d)
+				cpu.Acquire(p)
+				log(p.Now(), "contender holds (round %d)", r)
+				p.Charge(think[len(think)-1-r])
+				p.Settle()
+				cpu.Release()
+			}
+		})
+		ticks := make([]Duration, 2*jobs)
+		for i := range ticks {
+			ticks[i] = 1 + delay()
+		}
+		j := 0
+		var tick func()
+		tick = func() {
+			log(e.Now(), "tick %d", j)
+			if j++; j < len(ticks) {
+				e.Schedule(ticks[j], tick)
+			}
+		}
+		e.Schedule(ticks[0], tick)
+	}
+	return traces
+}
+
+// TestChargingReadyMatchesBody is the claim of a Waiter that does work as a
+// differential test: jobs run by the record's Ready, engine side or in the
+// body's ParkOn, against the same jobs run by the switched-in body, alone on
+// the engine and as three groups on it. The traces and the events are the
+// same; the resumes are fewer.
+func TestChargingReadyMatchesBody(t *testing.T) {
+	for _, groups := range []int{1, 3} {
+		for seed := uint64(1); seed <= 20; seed++ {
+			run := func(inline bool) ([][]traceRec, uint64, uint64) {
+				e := NewEngine()
+				defer e.Kill()
+				tr := chargingScenario(seed, inline, e, groups)
+				e.Run()
+				return tr, e.Executed(), e.Resumes()
+			}
+			body, bExec, bRes := run(false)
+			rec, rExec, rRes := run(true)
+			for g := range body {
+				what := fmt.Sprintf("%d group(s), seed %d, group %d", groups, seed, g)
+				diffTraces(t, what, body[g], rec[g])
+				if jobs := strings.Count(fmt.Sprint(body[g]), "done with job"); jobs != 60 {
+					t.Fatalf("%s: %d jobs done, want 60", what, jobs)
+				}
+			}
+			if bExec != rExec || rRes >= bRes {
+				t.Fatalf("%d group(s), seed %d: %d events, %d resumes with the body; %d, %d with the record",
+					groups, seed, bExec, bRes, rExec, rRes)
+			}
+		}
+	}
+}
+
+// readyDoes is a Waiter that is not ready when the body first asks, and
+// does act when step asks it at the wake-up it registered for.
+type readyDoes struct {
+	asked bool
+	act   func(p *Proc)
+}
+
+func (w *readyDoes) Ready(p *Proc) bool {
+	if !w.asked {
+		w.asked = true
+		p.eng.Schedule(1, p.stepFn)
+		return false
+	}
+	w.act(p)
+	return false
+}
+
+// TestReadyMayNotParkOrScheduleWhileOwing: on the engine side a Ready has
+// no stack to park the proc on, and every way of parking there — Settle,
+// Sleep, Park, ParkOn, a Charge past maxOwed — panics with a message naming
+// it, as does scheduling while the proc owes time; the proc stays parked
+// where it was and Kill unwinds it.
+func TestReadyMayNotParkOrScheduleWhileOwing(t *testing.T) {
+	const parks = "sim: proc parks inside Waiter.Ready on the engine side"
+	const schedules = "sim: proc schedules with unsettled charges"
+	for _, tc := range []struct {
+		name, want string
+		act        func(p *Proc)
+	}{
+		{"settle", parks, func(p *Proc) { p.Charge(2); p.Settle() }},
+		{"sleep", parks, func(p *Proc) { p.Sleep(2) }},
+		{"park", parks, func(p *Proc) { p.Park() }},
+		{"parkon", parks, func(p *Proc) { p.ParkOn(&stageWaiter{misses: 1, wake: (*Proc).Wake}) }},
+		{"charge past maxOwed", parks, func(p *Proc) {
+			for i := 0; i <= maxOwed; i++ {
+				p.Charge(1)
+			}
+		}},
+		{"schedule while owing", schedules, func(p *Proc) { p.Charge(2); p.eng.Schedule(1, func() {}) }},
+		{"wake while owing", schedules, func(p *Proc) { p.Charge(2); p.Wake() }},
+	} {
+		e := NewEngine()
+		w := &readyDoes{act: tc.act}
+		e.Spawn("k0/sys1", func(p *Proc) {
+			p.ParkOn(w)
+			t.Errorf("%s: resumed past a Ready that panicked", tc.name)
+		})
+		var got any
+		func() {
+			defer func() { got = recover() }()
+			e.Run()
+		}()
+		err, ok := got.(error)
+		if want := `sim: proc "k0/sys1" panicked: ` + tc.want; !ok || err.Error() != want {
+			t.Fatalf("%s: Run panicked with %v, want %q", tc.name, got, want)
+		}
+		if e.LiveProcs() != 1 {
+			t.Fatalf("%s: %d procs live after the fault, want 1 (it stays parked)", tc.name, e.LiveProcs())
+		}
+		e.Kill()
+		if e.LiveProcs() != 0 {
+			t.Fatalf("%s: %d procs live after Kill", tc.name, e.LiveProcs())
+		}
+	}
+}

@@ -51,7 +51,10 @@ type Proc struct {
 	// parked settling.
 	nOwed    uint8
 	replayed uint8
-	owed     [maxOwed]Duration
+	// polling is set while step asks the proc's Waiter on the engine side
+	// (poll): the proc has no stack to park there, so suspend refuses.
+	polling bool
+	owed    [maxOwed]Duration
 	// wait is what the proc is parked on (ParkOn), nil when it is running or
 	// parked for a plain wake-up; step evaluates it on the engine side.
 	wait Waiter
@@ -65,6 +68,15 @@ type Proc struct {
 // what the body would have done between waking and parking again: take the
 // unit or the item, or queue up once more. A Waiter may chain several waits
 // (a kernel thread's reply, next job, CPU) by remembering its stage.
+//
+// Ready may also do work that takes time, as long as it never blocks: it may
+// Charge p and report false, and the charges are replayed one event each, as
+// Settle replays them, before Ready is asked again. Such work is what the
+// body would have done right after being switched in, so the events and their
+// order are the same, and the body is not switched in for it. While p owes,
+// Ready schedules nothing (Engine.checkSettled panics), and on the engine
+// side it may not park p at all: Settle, Sleep, Park, ParkOn and a Charge at
+// maxOwed panic there (suspend).
 type Waiter interface {
 	Ready(p *Proc) bool
 }
@@ -160,8 +172,18 @@ func (p *Proc) step() {
 	if w := p.wait; w != nil {
 		// Parked on a Waiter: ask it here, where the body would have looked
 		// after being switched in, and switch in only if there is something
-		// to run on for. A Ready that killed the engine has ended the proc.
-		if !p.poll(w) || p.dead {
+		// to run on for. A Ready that killed the engine has ended the proc. A
+		// Ready that charged p did the body's work up to its next settle
+		// point: that time elapses as Settle's would, and then w is asked
+		// again.
+		ready := p.poll(w)
+		if p.dead {
+			return
+		}
+		if !ready {
+			if p.nOwed != 0 {
+				p.startReplay()
+			}
 			return
 		}
 		p.wait = nil
@@ -181,11 +203,16 @@ func (p *Proc) step() {
 }
 
 // poll is w.Ready on the engine side. The code in there used to be the
-// proc's body, so a panic in it is reported the way run reports a body's:
-// wrapped with the proc's name, raised on the goroutine driving the engine.
-// The proc stays parked where it was; Kill unwinds it like any other.
+// proc's body, so it runs as the body would: p is the running proc, and
+// scheduling while it owes panics (Engine.checkSettled). A panic in it is
+// reported the way run reports a body's: wrapped with the proc's name, raised
+// on the goroutine driving the engine. The proc stays parked where it was;
+// Kill unwinds it like any other.
 func (p *Proc) poll(w Waiter) bool {
+	e := p.eng
+	e.running, p.polling = p, true
 	defer func() {
+		e.running, p.polling = nil, false
 		if r := recover(); r != nil {
 			panic(fmt.Errorf("sim: proc %q panicked: %v", p.Name(), r))
 		}
@@ -216,8 +243,13 @@ func (p *Proc) park() {
 // suspend hands control back to the engine and blocks until resumed. Once
 // Kill has stopped the proc, yield returns false at once and suspend unwinds
 // instead — also when a proc defer parks again (e.g. a cleanup Sleep) while
-// the proc is already unwinding. What the proc owed dies with it.
+// the proc is already unwinding. What the proc owed dies with it. A Waiter's
+// Ready on the engine side is not in the body's coroutine and cannot park it:
+// everything that blocks ends here, so here it panics.
 func (p *Proc) suspend() {
+	if p.polling {
+		panic("sim: proc parks inside Waiter.Ready on the engine side")
+	}
 	if !p.yield(struct{}{}) {
 		p.nOwed, p.replayed = 0, 0
 		panic(killed{})
@@ -300,9 +332,15 @@ func (p *Proc) Settle() {
 // replay starts the first owed charge and parks; step replays the rest,
 // clears the debt and — unless the proc waits for more (ParkOn) — resumes it.
 func (p *Proc) replay() {
+	p.startReplay()
+	p.suspend()
+}
+
+// startReplay schedules the first owed charge, as the event Sleep would have
+// scheduled for it.
+func (p *Proc) startReplay() {
 	p.replayed = 1
 	p.eng.Schedule(p.owed[0], p.stepFn)
-	p.suspend()
 }
 
 // ParkOn blocks the proc until w is ready, after settling what it owes: the
@@ -312,15 +350,16 @@ func (p *Proc) replay() {
 // where the last of them elapses and again at every Wake, and switches back
 // into the body only when w says so. "Settle, then look; woken, look again"
 // is what each blocking primitive's loop did — the looking now happens
-// without the proc being resumed for it.
+// without the proc being resumed for it. A Ready that charges p (Waiter) is
+// replayed and asked again here too.
 func (p *Proc) ParkOn(w Waiter) {
-	if p.nOwed != 0 {
-		p.wait = w
-		p.replay()
+	if p.nOwed == 0 && w.Ready(p) {
 		return
 	}
-	if !w.Ready(p) {
-		p.wait = w
+	p.wait = w
+	if p.nOwed != 0 {
+		p.replay()
+	} else {
 		p.suspend()
 	}
 }
