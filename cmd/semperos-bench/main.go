@@ -37,14 +37,39 @@ import (
 	"repro/internal/bench"
 )
 
-// experimentNames are the valid -experiment tokens, in run order. The
-// extras (run only when named, never under "all") keep the default report
-// directly comparable across PRs.
-var experimentNames = []string{
-	"table3", "fig4", "fig5", "table4", "fig6", "fig7", "fig8", "fig9", "fig10", "ablation",
+// experiment is one valid -experiment token and what it runs. An extra runs
+// only when named, never under "all", so the default report stays directly
+// comparable across changes.
+type experiment struct {
+	name  string
+	extra bool
+	run   func(o bench.Options, scaleKernels int)
 }
 
-var extraExperimentNames = []string{"ablation-ikc", "faults", "scale", "churn"}
+// experiments are all the experiments, in run order.
+var experiments = []experiment{
+	{"table3", false, func(o bench.Options, _ int) { bench.Table3(o).Print(os.Stdout) }},
+	{"fig4", false, func(o bench.Options, _ int) { bench.Fig4(o, 100).Print(os.Stdout) }},
+	{"fig5", false, func(o bench.Options, _ int) { bench.Fig5(o, 128).Print(os.Stdout) }},
+	{"table4", false, func(o bench.Options, _ int) { bench.Table4(o).Print(os.Stdout) }},
+	{"fig6", false, func(o bench.Options, _ int) { bench.Fig6(o).Print(os.Stdout) }},
+	{"fig7", false, func(o bench.Options, _ int) { printAll(bench.Fig7(o)) }},
+	{"fig8", false, func(o bench.Options, _ int) { printAll(bench.Fig8(o)) }},
+	{"fig9", false, func(o bench.Options, _ int) { printAll(bench.Fig9(o)) }},
+	{"fig10", false, func(o bench.Options, _ int) { bench.Fig10(o).Print(os.Stdout) }},
+	{"ablation", false, func(o bench.Options, _ int) { bench.AblationBatching(o, 128, 12).Print(os.Stdout) }},
+	{"ablation-ikc", true, func(o bench.Options, _ int) { bench.AblationIKC(o, 96, 12).Print(os.Stdout) }},
+	{"faults", true, func(o bench.Options, _ int) { bench.Faults(o, 64, 8).Print(os.Stdout) }},
+	{"scale", true, func(o bench.Options, k int) { bench.Scale(o, k).Print(os.Stdout) }},
+	{"churn", true, func(o bench.Options, _ int) { bench.Churn(o, 64, 8).Print(os.Stdout) }},
+}
+
+// printAll prints each figure of an experiment that makes several.
+func printAll[R interface{ Print(io.Writer) }](rs []R) {
+	for _, r := range rs {
+		r.Print(os.Stdout)
+	}
+}
 
 func main() {
 	// realMain holds all the defers (profile flushing, file closing), so an
@@ -69,9 +94,19 @@ func reportTaskFailure(stderr io.Writer, code *int) {
 
 func realMain(args []string, stderr io.Writer) (code int) {
 	defer reportTaskFailure(stderr, &code)
+	valid := map[string]bool{"all": true}
+	var names, extras []string // in run order, for the usage messages
+	for _, e := range experiments {
+		valid[e.name] = true
+		if e.extra {
+			extras = append(extras, e.name)
+		} else {
+			names = append(names, e.name)
+		}
+	}
 	fs := flag.NewFlagSet("semperos-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	experiment := fs.String("experiment", "all", "comma-separated list: table3,fig4,fig5,table4,fig6,fig7,fig8,fig9,fig10,ablation,all; extras (opt-in, excluded from all): ablation-ikc, faults, scale, churn")
+	experiment := fs.String("experiment", "all", "comma-separated list: "+strings.Join(names, ",")+",all; extras (opt-in, excluded from all): "+strings.Join(extras, ", "))
 	quick := fs.Bool("quick", false, "run at reduced scale (64 instances, 8 kernels)")
 	parallel := fs.Int("parallel", 0, "experiment worker-pool size (0 = GOMAXPROCS)")
 	jsonPath := fs.String("json", "", "write machine-readable results to this file")
@@ -106,13 +141,6 @@ func realMain(args []string, stderr io.Writer) (code int) {
 		return 2
 	}
 
-	valid := map[string]bool{"all": true}
-	for _, n := range experimentNames {
-		valid[n] = true
-	}
-	for _, n := range extraExperimentNames {
-		valid[n] = true
-	}
 	want := map[string]bool{}
 	var unknown []string
 	for _, e := range strings.Split(*experiment, ",") {
@@ -133,8 +161,7 @@ func realMain(args []string, stderr io.Writer) (code int) {
 		sort.Strings(unknown)
 		fmt.Fprintf(stderr, "unknown experiment(s) %q; valid names: all, %s (extras: %s)\n",
 			strings.Join(unknown, ", "),
-			strings.Join(experimentNames, ", "),
-			strings.Join(extraExperimentNames, ", "))
+			strings.Join(names, ", "), strings.Join(extras, ", "))
 		return 2
 	}
 
@@ -165,60 +192,19 @@ func realMain(args []string, stderr io.Writer) (code int) {
 	report := bench.NewReport(*quick, workers)
 	opts.Report = report
 
-	all := want["all"]
 	ran := 0
 	total := time.Duration(0)
-	doRun := func(name string, fn func()) {
+	for _, e := range experiments {
+		if !want[e.name] && (e.extra || !want["all"]) {
+			continue
+		}
 		ran++
 		start := time.Now()
-		fn()
+		e.run(opts, *scalekernels)
 		elapsed := time.Since(start)
 		total += elapsed
-		fmt.Printf("[%s took %v]\n\n", name, elapsed.Round(time.Millisecond))
+		fmt.Printf("[%s took %v]\n\n", e.name, elapsed.Round(time.Millisecond))
 	}
-	run := func(name string, fn func()) {
-		if !all && !want[name] {
-			return
-		}
-		doRun(name, fn)
-	}
-	// runExtra experiments are opt-in only: they are excluded from
-	// `-experiment all` so the default run (and its BENCH_*.json
-	// trajectory) stays directly comparable across PRs; request them by
-	// name (e.g. `-experiment all,ablation-ikc`).
-	runExtra := func(name string, fn func()) {
-		if !want[name] {
-			return
-		}
-		doRun(name, fn)
-	}
-
-	run("table3", func() { bench.Table3(opts).Print(os.Stdout) })
-	run("fig4", func() { bench.Fig4(opts, 100).Print(os.Stdout) })
-	run("fig5", func() { bench.Fig5(opts, 128).Print(os.Stdout) })
-	run("table4", func() { bench.Table4(opts).Print(os.Stdout) })
-	run("fig6", func() { bench.Fig6(opts).Print(os.Stdout) })
-	run("fig7", func() {
-		for _, r := range bench.Fig7(opts) {
-			r.Print(os.Stdout)
-		}
-	})
-	run("fig8", func() {
-		for _, r := range bench.Fig8(opts) {
-			r.Print(os.Stdout)
-		}
-	})
-	run("fig9", func() {
-		for _, r := range bench.Fig9(opts) {
-			r.Print(os.Stdout)
-		}
-	})
-	run("fig10", func() { bench.Fig10(opts).Print(os.Stdout) })
-	run("ablation", func() { bench.AblationBatching(opts, 128, 12).Print(os.Stdout) })
-	runExtra("ablation-ikc", func() { bench.AblationIKC(opts, 96, 12).Print(os.Stdout) })
-	runExtra("faults", func() { bench.Faults(opts, 64, 8).Print(os.Stdout) })
-	runExtra("scale", func() { bench.Scale(opts, *scalekernels).Print(os.Stdout) })
-	runExtra("churn", func() { bench.Churn(opts, 64, 8).Print(os.Stdout) })
 
 	fmt.Printf("[%d experiments, %d workers, total %v]\n", ran, workers, total.Round(time.Millisecond))
 	report.WallclockSummary(os.Stdout, 10)

@@ -286,8 +286,9 @@ func (r Fig9Result) Print(w io.Writer) {
 }
 
 // Fig9 measures system efficiency (OS PEs count as zero) for PostMark and
-// SQLite across OS configurations and machine sizes (paper Figure 9).
-// Every baseline and machine-size run across both traces is one task batch.
+// SQLite across OS configurations and machine sizes (paper Figure 9): one
+// system-efficiency sweep per (trace, configuration), over the instances
+// that fill each machine size, all in one task batch.
 func Fig9(o Options) []Fig9Result {
 	configs := []struct{ k, s int }{
 		{8, 8}, {16, 16}, {32, 16}, {32, 32}, {48, 32}, {64, 32},
@@ -297,64 +298,32 @@ func Fig9(o Options) []Fig9Result {
 		peCounts = []int{32, 64, 96, 128}
 	}
 	traces := []*trace.Trace{trace.PostMark(), trace.SQLite()}
-
-	// Flatten every run into one config list, remembering the layout:
-	// per (trace, config): baseline index, then the (pes, run index) points.
-	type seriesPlan struct {
-		tr               *trace.Trace
-		kernels, service int
-		baseIdx          int
-		pes              []int
-		runIdx           []int
-	}
-	var cfgs []workload.Config
-	var plans []seriesPlan
+	var specs []sweepSpec
 	for _, tr := range traces {
 		for _, cfg := range configs {
 			kernels, services := o.scaleCfg(cfg.k, cfg.s)
-			pl := seriesPlan{tr: tr, kernels: kernels, service: services, baseIdx: len(cfgs)}
-			cfgs = append(cfgs, workload.Config{Kernels: kernels, Services: services, Instances: 1, Trace: tr})
+			sp := sweepSpec{tr: tr, kernels: kernels, services: services, system: true}
 			for _, pes := range peCounts {
-				instances := pes - kernels - services
-				if instances < 1 {
-					continue
+				if instances := pes - kernels - services; instances >= 1 {
+					sp.steps = append(sp.steps, instances)
 				}
-				pl.pes = append(pl.pes, pes)
-				pl.runIdx = append(pl.runIdx, len(cfgs))
-				cfgs = append(cfgs, workload.Config{Kernels: kernels, Services: services, Instances: instances, Trace: tr})
 			}
-			plans = append(plans, pl)
+			specs = append(specs, sp)
 		}
 	}
-	tasks, _ := workloadTasks("fig9", cfgs)
-	rs := o.execute(tasks)
-
-	var out []Fig9Result
-	pi := 0
-	for _, tr := range traces {
-		res := Fig9Result{Title: fmt.Sprintf("Figure 9 (%s): system efficiency", tr.Name)}
-		for range configs {
-			pl := plans[pi]
-			pi++
-			s := SysEffSeries{
-				Label:    fmt.Sprintf("%dK %dS", pl.kernels, pl.service),
-				Kernels:  pl.kernels,
-				Services: pl.service,
+	pts := o.runEffSweeps("fig9", specs)
+	out := make([]Fig9Result, len(traces))
+	for ti, tr := range traces {
+		out[ti].Title = fmt.Sprintf("Figure 9 (%s): system efficiency", tr.Name)
+		for i := ti * len(configs); i < (ti+1)*len(configs); i++ {
+			sp := specs[i]
+			s := SysEffSeries{Label: fmt.Sprintf("%dK %dS", sp.kernels, sp.services), Kernels: sp.kernels, Services: sp.services}
+			for _, pt := range pts[i] {
+				s.Points = append(s.Points, SysEffPoint{PEs: pt.Instances + sp.kernels + sp.services, Efficiency: pt.Efficiency})
 			}
-			alone := rs[pl.baseIdx].Metrics.Cycles
-			rs[pl.baseIdx].Metrics.Efficiency = 1
-			for j, pes := range pl.pes {
-				r := &rs[pl.runIdx[j]]
-				eff := float64(alone) / float64(r.Metrics.Cycles)
-				sysEff := workload.SystemEfficiency(eff, pl.kernels, pl.service, pes-pl.kernels-pl.service)
-				r.Metrics.Efficiency = sysEff
-				s.Points = append(s.Points, SysEffPoint{PEs: pes, Efficiency: sysEff})
-			}
-			res.Series = append(res.Series, s)
+			out[ti].Series = append(out[ti].Series, s)
 		}
-		out = append(out, res)
 	}
-	o.record(rs)
 	return out
 }
 

@@ -262,13 +262,14 @@ type sweepSpec struct {
 	kernels  int
 	services int
 	steps    []int
+	system   bool // the points are system efficiencies (workload.SystemEfficiency)
 }
 
 // runEffSweeps runs several efficiency sweeps as one parallel task batch:
 // every baseline and every point across all sweeps is an independent
 // simulation, so a whole figure saturates the pool at once. For each sweep
-// it returns the (instances, alone/parallel) points in step order and
-// records one Result per run with Efficiency filled on the sweep points.
+// it returns the (instances, efficiency) points in step order and records
+// one Result per run with Efficiency filled on the sweep points.
 func (o Options) runEffSweeps(experiment string, specs []sweepSpec) [][]EffPoint {
 	var cfgs []workload.Config
 	offsets := make([]int, len(specs))
@@ -290,6 +291,9 @@ func (o Options) runEffSweeps(experiment string, specs []sweepSpec) [][]EffPoint
 		for j, n := range sp.steps {
 			r := &rs[base+1+j]
 			eff := float64(alone) / float64(r.Metrics.Cycles)
+			if sp.system {
+				eff = workload.SystemEfficiency(eff, sp.kernels, sp.services, n)
+			}
 			r.Metrics.Efficiency = eff
 			pts = append(pts, EffPoint{Instances: n, Efficiency: eff})
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -18,7 +19,7 @@ import (
 // pushed through a quiescent machine.
 func stepVPE(tb testing.TB, s *System, pe int, op func(v *VPE, p *sim.Proc)) (step func()) {
 	tb.Helper()
-	start := sim.NewQueue[struct{}](s.Eng)
+	start := sim.NewQueue[struct{}]()
 	if _, err := s.SpawnOn(pe, "stepper", func(v *VPE, p *sim.Proc) {
 		for {
 			start.Pop(p)
@@ -60,7 +61,7 @@ func TestTotalStatsSumsEveryField(t *testing.T) {
 			t.Errorf("TotalStats().%s = %#x, want %#x", tv.Type().Field(i).Name, got, want)
 		}
 	}
-	if allocs := testing.AllocsPerRun(100, func() { total = s.TotalStats() }); allocs != 0 {
+	if allocs := allocsPerRun(100, func() { total = s.TotalStats() }); allocs != 0 {
 		t.Errorf("TotalStats allocates %v times, want 0", allocs)
 	}
 }
@@ -79,7 +80,7 @@ func TestNoopSyscallAllocatesNothing(t *testing.T) {
 	s, step := noopStepper(t)
 	defer s.Close()
 	step()
-	if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
+	if allocs := allocsPerRun(200, step); allocs != 0 {
 		t.Fatalf("no-op syscall allocates %v times, want 0", allocs)
 	}
 }
@@ -115,15 +116,31 @@ func deriveStepper(tb testing.TB) (*System, func()) {
 	})
 }
 
-// mallocs is the number of heap allocations made while f runs. The caller
-// pins GOMAXPROCS to 1 for the measurement, as testing.AllocsPerRun does, or
-// the runtime's background work on other Ps is counted too.
+// warmRuntime runs one garbage collection, the first time any pin of this
+// file measures in the process. Allocations are counted process-wide
+// (runtime.MemStats.Mallocs), and the process's first collection starts the
+// runtime's mark workers, which allocate: come due inside a measured window,
+// it reads as the code's own (under -race it fell into a measured tree
+// revoke in about one fresh run in fifteen).
+var warmRuntime = sync.OnceFunc(runtime.GC)
+
+// mallocs is the number of heap allocations made while f runs, after
+// warmRuntime. The caller pins GOMAXPROCS to 1 for the measurement, as
+// testing.AllocsPerRun does, or the runtime's background work on other Ps
+// is counted too.
 func mallocs(f func()) uint64 {
+	warmRuntime()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	f()
 	runtime.ReadMemStats(&after)
 	return after.Mallocs - before.Mallocs
+}
+
+// allocsPerRun is testing.AllocsPerRun after warmRuntime.
+func allocsPerRun(runs int, f func()) float64 {
+	warmRuntime()
+	return testing.AllocsPerRun(runs, f)
 }
 
 // BenchmarkDeriveSyscall is one local DeriveMem per op: the syscall round
@@ -348,7 +365,7 @@ func TestObtainAllocationCeilings(t *testing.T) {
 			for i := 0; i < 8; i++ {
 				step()
 			}
-			if allocs := testing.AllocsPerRun(100, step); allocs > tc.ceiling {
+			if allocs := allocsPerRun(100, step); allocs > tc.ceiling {
 				t.Fatalf("%s obtain allocates %v times, ceiling %v", tc.name, allocs, tc.ceiling)
 			}
 			checkAudit(t, s)
@@ -432,7 +449,7 @@ func TestSpanningDelegateAllocationCeiling(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		step()
 	}
-	if allocs := testing.AllocsPerRun(100, step); allocs > ceiling {
+	if allocs := allocsPerRun(100, step); allocs > ceiling {
 		t.Fatalf("a spanning delegate allocates %v times, ceiling %v", allocs, ceiling)
 	}
 	checkAudit(t, s)
@@ -542,12 +559,12 @@ func TestKernelQueriesAllocateNothing(t *testing.T) {
 	step()
 	for op = 1; op <= 3; op++ {
 		step()
-		if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
+		if allocs := allocsPerRun(200, step); allocs != 0 {
 			t.Errorf("operation %d allocates %v times, want 0", op, allocs)
 		}
 	}
-	if got := len(s.kernels[0].queries); got != 1 {
-		t.Errorf("%d query records on the free list, want the one that was reused throughout", got)
+	if q := &s.kernels[0].queries; q.Idle() != 1 || q.Held() != 0 {
+		t.Errorf("%d query records released and %d held, want the one that was reused throughout, released", q.Idle(), q.Held())
 	}
 }
 
@@ -569,7 +586,7 @@ func TestReplyEnvelopeFlushAllocatesNothing(t *testing.T) {
 		s.Run()
 	}
 	flush()
-	if allocs := testing.AllocsPerRun(100, flush); allocs != 0 {
+	if allocs := allocsPerRun(100, flush); allocs != 0 {
 		t.Fatalf("flushing a 4-reply envelope allocates %v times, want 0", allocs)
 	}
 	if got, want := s.kernels[0].Stats().LateReplies, k.Stats().IKCRepBatched; got != want || k.Stats().IKCRepBatches == 0 {
@@ -683,10 +700,6 @@ func TestTreeRevokeAllocationCeiling(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		round()
 	}
-	// The process's first collection starts the runtime's mark workers,
-	// which allocate; run it here, not inside a measured revoke (under -race
-	// it came due in one of the first rounds in about one run in fifteen).
-	runtime.GC()
 	const rounds = 50
 	var total uint64
 	for i := 0; i < rounds; i++ {

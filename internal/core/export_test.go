@@ -18,16 +18,35 @@ const (
 // Incarnation is the kernel's incarnation number, from 1.
 func (k *Kernel) Incarnation() uint32 { return k.incarnation }
 
-// FreeXmits is how many reliable-mode transmission records are on s's free
-// list.
-func (s *System) FreeXmits() int { return len(s.xmits) }
+// FreeXmits is how many released reliable-mode transmission records s
+// keeps for reuse.
+func (s *System) FreeXmits() int { return s.xmits.Idle() }
 
 // Exited says whether the VPE exited or was killed.
 func (v *VPE) Exited() bool { return v.exited }
 
 // RequestRecords is how many inter-kernel request records s made and how
-// many are on its free list.
-func (s *System) RequestRecords() (made, free int) { return s.reqsMade, len(s.reqs) }
+// many of them are released, kept for reuse.
+func (s *System) RequestRecords() (made, free int) {
+	return s.reqs.Held() + s.reqs.Idle(), s.reqs.Idle()
+}
+
+// HeldRecords is, for every kind of record s recycles, how many records are
+// handed out and not back: on a drained machine, none.
+func (s *System) HeldRecords() map[string]int {
+	msgs, vecs := s.Fab.Held()
+	held := map[string]int{
+		"inter-kernel leg": s.wires.Held(),
+		"request":          s.reqs.Held(),
+		"transmission":     s.xmits.Held(),
+		"DTU message":      msgs,
+		"DTU vector":       vecs,
+	}
+	for _, k := range s.kernels {
+		held["query"] += k.queries.Held()
+	}
+	return held
+}
 
 // RevokingEverywhere says whether every kernel has picked up a revoke
 // request: each holds a revoke-pool thread with a job.

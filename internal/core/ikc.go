@@ -52,7 +52,7 @@ type peer struct {
 func (k *Kernel) peer(dst int) *peer {
 	pr := k.peers[dst]
 	if pr == nil {
-		pr = &peer{credits: *sim.NewSemaphore(k.sys.Eng, MaxInflight), inc: 1}
+		pr = &peer{credits: *sim.NewSemaphore(MaxInflight), inc: 1}
 		k.peers[dst] = pr
 	}
 	return pr
@@ -100,18 +100,10 @@ func (k *Kernel) complete(a awaited, rep *ikcReply) {
 	}
 }
 
-// request takes a request record off the free list (or makes one), fills it
-// with r and hands back one reference, the caller's.
+// request takes a released request record (or makes one), fills it with r
+// and hands back one reference, the caller's.
 func (k *Kernel) request(r ikcRequest) *ikcRequest {
-	s := k.sys
-	var req *ikcRequest
-	if n := len(s.reqs); n > 0 {
-		req = s.reqs[n-1]
-		s.reqs = s.reqs[:n-1]
-	} else {
-		req = new(ikcRequest)
-		s.reqsMade++
-	}
+	req := k.sys.reqs.New(1)
 	*req = r
 	req.refs = 1
 	return req
@@ -125,7 +117,7 @@ func (req *ikcRequest) hold() *ikcRequest {
 
 // drop gives one reference to req up; the last zeroes the record, so a
 // holder that missed its hold reads sequence number 0, which no request
-// has, and shelves it on s.reqs.
+// has, and hands it back to s.reqs.
 func (req *ikcRequest) drop(s *System) {
 	req.refs--
 	switch {
@@ -133,7 +125,7 @@ func (req *ikcRequest) drop(s *System) {
 		panic("core: an inter-kernel request dropped more often than held")
 	case req.refs == 0:
 		*req = ikcRequest{}
-		s.reqs = append(s.reqs, req)
+		s.reqs.Put(req)
 	}
 }
 
@@ -179,7 +171,7 @@ const (
 // drops, so it may carry pointers: the sender's records stay put however
 // long the leg is in flight. A fresh record backs its payload slices with
 // the one-element arrays inside it, so a direct leg costs no slice; an
-// envelope grows them once and keeps them. The list is shared by all
+// envelope grows them once and keeps them. The recycler is shared by all
 // kernels; a simulation runs on one goroutine.
 type ikcWire struct {
 	kind     wireKind
@@ -195,15 +187,10 @@ type ikcWire struct {
 	rep1     [1]ikcReply
 }
 
-// wire takes a record off the free list (or makes one) for a leg from k.
+// wire takes a released record (or makes one) for a leg from k.
 func (k *Kernel) wire(kind wireKind, to *Kernel) *ikcWire {
-	s := k.sys
-	var w *ikcWire
-	if n := len(s.wires); n > 0 {
-		w = s.wires[n-1]
-		s.wires = s.wires[:n-1]
-	} else {
-		w = &ikcWire{}
+	w := k.sys.wires.New(1)
+	if w.arrive == nil {
 		w.arrive = w.onArrive
 		w.reqs, w.reps = w.req1[:0], w.rep1[:0]
 	}
@@ -217,7 +204,7 @@ func (w *ikcWire) release() {
 	clear(w.reqs)
 	clear(w.reps)
 	*w = ikcWire{arrive: w.arrive, reqs: w.reqs[:0], reps: w.reps[:0]}
-	s.wires = append(s.wires, w)
+	s.wires.Put(w)
 }
 
 // done releases w at an arrival, unless a duplicate of it is still to come.
@@ -499,7 +486,7 @@ func (k *Kernel) recvRequest(kind ikcKind, subj any) {
 // pickUp picks a request leg up on a kernel thread (CPU held) and dispatches
 // what it carries, in order. An envelope's requests move into the thread's
 // scratch (returned for reuse), each with a reference of the job's, and its
-// wire goes back to the free list. The first request's sender and kind stand
+// wire goes back to System.wires. The first request's sender and kind stand
 // for the job from here on, copied into the thread's record: they name the
 // reply queue the epilogue flushes, which runs after the job has dropped its
 // references. Picking the leg up frees its slot,

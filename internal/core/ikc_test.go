@@ -21,8 +21,8 @@ func TestRequestDroppedTwicePanics(t *testing.T) {
 	req := s.kernels[0].request(ikcRequest{Kind: ikcRevoke})
 	req.hold().drop(s)
 	req.drop(s)
-	if len(s.reqs) != 1 || req.refs != 0 || req.Kind != 0 {
-		t.Fatalf("the last drop left %d records on the free list and the record %+v", len(s.reqs), *req)
+	if s.reqs.Idle() != 1 || s.reqs.Held() != 0 || req.refs != 0 || req.Kind != 0 {
+		t.Fatalf("the last drop left %d records released, %d held, and the record %+v", s.reqs.Idle(), s.reqs.Held(), *req)
 	}
 	defer func() {
 		if recover() == nil {

@@ -116,10 +116,8 @@ type Kernel struct {
 	pending map[uint64]awaited
 	seq     uint64
 
-	// queries are the released VPE/service query records awaiting reuse
-	// (query); new ones come from queryRecs.
-	queries   []*query
-	queryRecs sim.Blocks[query]
+	// queries recycles the VPE/service query records (query).
+	queries sim.Recycler[query]
 
 	// pendingDelegations holds capabilities created by the delegate
 	// two-way handshake that await the originator's acknowledgement.
@@ -145,8 +143,8 @@ func newKernel(k *Kernel, s *System, id int) {
 		store:       cap.NewStore(),
 		gen:         ddl.NewGenerator(),
 		member:      s.member,
-		cpu:         sim.NewSemaphore(s.Eng, 1),
-		link:        sim.NewSemaphore(s.Eng, 1),
+		cpu:         sim.NewSemaphore(1),
+		link:        sim.NewSemaphore(1),
 		batching:    s.cfg.IKCBatching,
 		reliable:    s.cfg.Faults != nil,
 		peers:       make([]*peer, s.cfg.Kernels),
@@ -271,7 +269,7 @@ type pool struct {
 
 // newPool sets up the pool in the record pl.
 func newPool(pl *pool, k *Kernel, name string, max int) {
-	*pl = pool{k: k, name: name, max: max, q: sim.NewQueue[job](k.sys.Eng)}
+	*pl = pool{k: k, name: name, max: max, q: sim.NewQueue[job]()}
 	pl.nameFn, pl.workFn = pl.threadName, pl.work
 }
 
@@ -426,15 +424,11 @@ type query struct {
 // as many as a kernel of a loaded machine ever has out at once.
 const queryBlock = 2
 
-// newQuery takes a record off the free list (or makes one) for a question
-// from k to v.
+// newQuery takes a released record (or makes one) for a question from k to
+// v.
 func (k *Kernel) newQuery(v *VPE) *query {
-	var q *query
-	if n := len(k.queries); n > 0 {
-		q = k.queries[n-1]
-		k.queries = k.queries[:n-1]
-	} else {
-		q = k.queryRecs.New(queryBlock)
+	q := k.queries.New(queryBlock)
+	if q.fire == nil {
 		q.k, q.fire = k, q.onFire
 	}
 	q.v = v
@@ -443,7 +437,7 @@ func (k *Kernel) newQuery(v *VPE) *query {
 
 func (q *query) release() {
 	*q = query{k: q.k, fire: q.fire}
-	q.k.queries = append(q.k.queries, q)
+	q.k.queries.Put(q)
 }
 
 // ask sends q to its VPE's PE and parks the calling kernel thread until the

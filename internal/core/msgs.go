@@ -189,7 +189,7 @@ type ikcRequest struct {
 	Kind   ikcKind
 	Ident  uint64 // session identifier for session-scoped calls
 	Ok     bool   // delegate-ack verdict
-	refs   int32  // references held; the record is on System.reqs at 0
+	refs   int32  // references held; the record is back in System.reqs at 0
 	Object cap.Object
 	Args   any
 

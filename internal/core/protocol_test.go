@@ -40,11 +40,21 @@ const (
 
 // checkAudit asserts that System.Audit finds nothing on the drained
 // machine: it is quiescent, leaks nothing and every live kernel's mapping
-// database holds its invariants.
+// database holds its invariants. A machine the audit finds clean also has
+// every recycled record back (System.HeldRecords).
 func checkAudit(t *testing.T, s *core.System) {
 	t.Helper()
-	for _, f := range s.Audit() {
+	findings := s.Audit()
+	for _, f := range findings {
 		t.Errorf("audit: %s", f)
+	}
+	if len(findings) > 0 {
+		return
+	}
+	for kind, n := range s.HeldRecords() {
+		if n != 0 {
+			t.Errorf("%d %s record(s) still held on a drained machine", n, kind)
+		}
 	}
 }
 

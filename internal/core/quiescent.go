@@ -46,7 +46,7 @@ func (s *System) Audit(dead ...int) []string {
 //     calls still await a reply;
 //   - receive endpoint with slots still occupied;
 //   - and one for the machine if some inter-kernel request record is not
-//     back on its free list: a holder that never dropped its reference.
+//     back in System.reqs: a holder that never dropped its reference.
 //
 // Threads parked for their next job, and service loops parked for their next
 // request, are idle and not findings. Empty means quiescent; the order is
@@ -127,8 +127,8 @@ func (s *System) CheckQuiescent() []string {
 		}
 		out = appendSlots(out, who, d)
 	}
-	if n := s.reqsMade - len(s.reqs); n != 0 {
-		out = append(out, fmt.Sprintf("%d of %d inter-kernel request record(s) still held", n, s.reqsMade))
+	if n := s.reqs.Held(); n != 0 {
+		out = append(out, fmt.Sprintf("%d of %d inter-kernel request record(s) still held", n, n+s.reqs.Idle()))
 	}
 	return out
 }

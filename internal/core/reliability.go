@@ -70,7 +70,7 @@ const (
 // most the next, and a resend, scheduled IKCCompose ahead of the timer
 // armed with it, leaves before that timer fires unless composing outlasts
 // the timeout (expire asserts it). While either is pending the event still
-// holds the record, so the record goes back to the free list only from its
+// holds the record, so the record goes back to System.xmits only from its
 // own event, once it is done and neither is pending (release). By then no
 // pending entry and no live list names it: a done record answered or
 // aborted every request it tracked and was unlinked.
@@ -95,23 +95,18 @@ type xmitState struct {
 	resendFn  func() // onResend, bound once
 }
 
-// newXmit takes a transmission record off the free list (or makes one) for
-// a transmission of k.
+// newXmit takes a released transmission record (or makes one) for a
+// transmission of k.
 func (k *Kernel) newXmit() *xmitState {
-	s := k.sys
-	var xm *xmitState
-	if n := len(s.xmits); n > 0 {
-		xm = s.xmits[n-1]
-		s.xmits = s.xmits[:n-1]
-	} else {
-		xm = &xmitState{}
+	xm := k.sys.xmits.New(1)
+	if xm.expireFn == nil {
 		xm.expireFn, xm.resendFn = xm.onExpire, xm.onResend
 	}
 	xm.k = k
 	return xm
 }
 
-// release returns xm to the free list once nothing can reach it any more:
+// release hands xm back for reuse once nothing can reach it any more:
 // it is done, and neither its timer nor its resend is pending. Only xm's
 // own events call it.
 func (xm *xmitState) release() {
@@ -123,7 +118,7 @@ func (xm *xmitState) release() {
 	clear(xm.reqs)
 	clear(xm.resend)
 	*xm = xmitState{reqs: xm.reqs[:0], resend: xm.resend[:0], expireFn: xm.expireFn, resendFn: xm.resendFn}
-	s.xmits = append(s.xmits, xm)
+	s.xmits.Put(xm)
 }
 
 // peerDead reports whether this kernel has declared dst dead.

@@ -155,7 +155,7 @@ func loadedDerive(tb testing.TB) (s *System, round func()) {
 	s = MustNew(Config{Kernels: 1, UserPEs: loadedClients})
 	starts := make([]*sim.Queue[struct{}], loadedClients)
 	for i, pe := range s.UserPEs() {
-		start := sim.NewQueue[struct{}](s.Eng)
+		start := sim.NewQueue[struct{}]()
 		starts[i] = start
 		if _, err := s.SpawnOn(pe, "client", func(v *VPE, p *sim.Proc) {
 			root, err := v.AllocMem(p, 1<<20, dtu.PermRW)

@@ -131,7 +131,7 @@ func (s *localService) Ready(p *sim.Proc) bool {
 // RegisterService registers this VPE as a service under the given name.
 // After registering, the VPE must run ServeLoop to process requests.
 func (v *VPE) RegisterService(p *sim.Proc, name string, h ServiceHandlers) error {
-	v.svc = &localService{v: v, name: name, handlers: h, queue: sim.NewQueue[svcItem](v.sys.Eng)}
+	v.svc = &localService{v: v, name: name, handlers: h, queue: sim.NewQueue[svcItem]()}
 	rep := v.syscall(p, sysRequest{Kind: sysRegisterService, Name: name})
 	if rep.Err != OK {
 		v.svc = nil

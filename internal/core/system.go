@@ -117,17 +117,13 @@ type System struct {
 	dramRR   int
 	nextVPE  int
 
-	// wires are the released inter-kernel legs awaiting reuse (ikc.go,
-	// ikcWire).
-	wires []*ikcWire
-	// reqs are the inter-kernel request records no one holds a reference
-	// to, awaiting reuse (ikc.go, Kernel.request); reqsMade counts the
-	// records ever made, all of which are back here at quiescence.
-	reqs     []*ikcRequest
-	reqsMade int
-	// xmits are the released reliable-mode transmission records awaiting
-	// reuse (reliability.go, xmitState).
-	xmits []*xmitState
+	// wires, reqs and xmits recycle the inter-kernel legs (ikc.go,
+	// ikcWire), request records (ikc.go, Kernel.request) and reliable-mode
+	// transmission records (reliability.go, xmitState). Every request
+	// record is back in reqs at quiescence.
+	wires sim.Recycler[ikcWire]
+	reqs  sim.Recycler[ikcRequest]
+	xmits sim.Recycler[xmitState]
 
 	// vpeRecs and memObjs are the blocks the machine's VPEs (SpawnOn) and
 	// memory objects (newMemObject) come from.

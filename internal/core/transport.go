@@ -259,7 +259,7 @@ func (q *sendQueue) timerFire() {
 	k := q.k
 	if k.xmit == nil {
 		k.xmit = &kthread{pl: &k.ikcPool, stage: stageJob}
-		k.flushQ = sim.NewQueue[flushRef](k.sys.Eng)
+		k.flushQ = sim.NewQueue[flushRef]()
 		k.sys.Eng.SpawnLazy(xmitName, k.id, func(p *sim.Proc) {
 			for {
 				k.flushFrom(p, k.flushQ.Pop(p))

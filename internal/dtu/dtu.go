@@ -174,15 +174,15 @@ type endpoint struct {
 }
 
 // recvState is what only a receive endpoint holds. It comes from its
-// Fabric's slab and goes back to the Fabric when the endpoint is
-// reconfigured (see Fabric.newRecv).
+// Fabric's recycler and goes back to it when the endpoint is reconfigured
+// (configureRecv). An endpoint without a handler queues its messages on
+// queue, where Wait's procs wait for them.
 type recvState struct {
 	slots      int
 	used       int
-	queue      sim.FIFO[*Message]
+	queue      sim.Queue[*Message]
 	handler    Handler
 	vecHandler VecHandler
-	waiters    sim.FIFO[*sim.Proc]
 }
 
 // Stats counts per-DTU receive activity (the NoC counts every send).
@@ -207,28 +207,23 @@ type DTU struct {
 
 // Fabric owns all DTUs of a machine and the NoC connecting them.
 type Fabric struct {
-	eng  *sim.Engine
 	net  *noc.Network
 	dtus []*DTU
 	// slab holds the DTUs themselves, one per PE, in one allocation.
 	slab []DTU
-	// free and freeVecs are the released messages and vectors awaiting
-	// reuse; msgs is the block new messages come from. They belong to this
-	// machine alone and are collected with it.
-	free     []*Message
-	freeVecs []*vecMeta
-	msgs     sim.Blocks[Message]
-	// recvs hands out receive-endpoint state without an allocation per
-	// endpoint; freeRecv holds the state of reconfigured endpoints.
-	recvs    sim.Blocks[recvState]
-	freeRecv []*recvState
+	// msgs, vecs and recvs recycle the machine's messages, coalesced
+	// vectors and receive-endpoint state. They belong to this machine alone
+	// and are collected with it.
+	msgs  sim.Recycler[Message]
+	vecs  sim.Recycler[vecMeta]
+	recvs sim.Recycler[recvState]
 }
 
 // NewFabric creates a fabric over the given network. One DTU per PE must be
-// added with Add before use.
-func NewFabric(eng *sim.Engine, net *noc.Network) *Fabric {
+// added with Add before use. The engine is the network's; the fabric keeps
+// no reference of its own.
+func NewFabric(_ *sim.Engine, net *noc.Network) *Fabric {
 	return &Fabric{
-		eng:  eng,
 		net:  net,
 		dtus: make([]*DTU, net.Nodes()),
 		slab: make([]DTU, net.Nodes()),
@@ -250,6 +245,12 @@ func (f *Fabric) Add(pe int, memBytes int) *DTU {
 // DTU returns the DTU attached to PE pe.
 func (f *Fabric) DTU(pe int) *DTU { return f.dtus[pe] }
 
+// Held returns how many messages and coalesced vectors of the fabric are
+// out of its recyclers: on the wire, queued at an endpoint, held by a
+// consumer, or abandoned to the garbage collector by an endpoint
+// reconfigured with messages still queued.
+func (f *Fabric) Held() (msgs, vecs int) { return f.msgs.Held(), f.vecs.Held() }
+
 // PE returns the PE this DTU is attached to.
 func (d *DTU) PE() int { return d.pe }
 
@@ -270,27 +271,13 @@ func checkEP(ep int) {
 	}
 }
 
-// newRecv returns zeroed receive state: a reconfigured endpoint's, or the
-// next one of the current block. A block holds one state per PE of the
-// machine, so booting takes one allocation for every that many receive
-// endpoints.
-func (f *Fabric) newRecv() *recvState {
-	if n := len(f.freeRecv); n > 0 {
-		r := f.freeRecv[n-1]
-		f.freeRecv[n-1] = nil
-		f.freeRecv = f.freeRecv[:n-1]
-		return r
-	}
-	return f.recvs.New(max(len(f.dtus), 16))
-}
-
 // configure replaces endpoint ep's configuration with e. The receive state
 // of the old configuration is dropped — its queued messages and waiters
 // with it, as the hardware forgets them — and kept for reuse.
 func (d *DTU) configure(ep int, e endpoint) {
 	if r := d.eps[ep].recv; r != nil {
 		*r = recvState{}
-		d.fabric.freeRecv = append(d.fabric.freeRecv, r)
+		d.fabric.recvs.Put(r)
 	}
 	d.eps[ep] = e
 }
@@ -317,7 +304,10 @@ func (d *DTU) configureRecv(by *DTU, ep, slots int, h Handler, vh VecHandler) er
 		slots = DefaultSlots
 	}
 	d.configure(ep, endpoint{kind: EpRecv})
-	r := d.fabric.newRecv()
+	// Zeroed state: a reconfigured endpoint's, or the next of a block of one
+	// state per PE, so booting takes one allocation for every that many
+	// receive endpoints.
+	r := d.fabric.recvs.New(max(len(d.fabric.dtus), 16))
 	r.slots, r.handler, r.vecHandler = slots, h, vh
 	d.eps[ep].recv = r
 	return nil
@@ -393,21 +383,17 @@ func (d *DTU) Occupied(ep int) int {
 
 // messaging --------------------------------------------------------------
 
-// newMessage takes a message off the free list, or makes one from the
-// current block. A machine has fewer messages in flight at once than it has
-// PEs (a loaded apps machine about 0.9 per PE), so blocks of a quarter of
-// its PEs serve a busy machine in a few allocations and waste little of an
-// idle one.
+// newMessage takes a released message, or makes one from the current
+// block. A machine has fewer messages in flight at once than it has PEs (a
+// loaded apps machine about 0.9 per PE), so blocks of a quarter of its PEs
+// serve a busy machine in a few allocations and waste little of an idle
+// one.
 func (f *Fabric) newMessage() *Message {
-	if n := len(f.free); n > 0 {
-		m := f.free[n-1]
-		f.free[n-1] = nil
-		f.free = f.free[:n-1]
-		m.freed = false
-		return m
-	}
 	m := f.msgs.New(max(len(f.dtus)/4, 16))
-	m.arrive = m.onArrive
+	if m.arrive == nil {
+		m.arrive = m.onArrive
+	}
+	m.freed = false
 	return m
 }
 
@@ -420,31 +406,27 @@ func (f *Fabric) clone(m *Message) *Message {
 	return c
 }
 
-// release puts m on the free list. Its fields stay zeroed and freed stays
-// set while it is listed (see Message).
+// release hands m back for reuse. Its fields stay zeroed and freed stays
+// set until it is reused (see Message).
 func (f *Fabric) release(m *Message) {
 	*m = Message{arrive: m.arrive, freed: true}
-	f.free = append(f.free, m)
+	f.msgs.Put(m)
 }
 
 func (f *Fabric) newVec() *vecMeta {
-	if n := len(f.freeVecs); n > 0 {
-		v := f.freeVecs[n-1]
-		f.freeVecs[n-1] = nil
-		f.freeVecs = f.freeVecs[:n-1]
-		return v
+	v := f.vecs.New(1)
+	if v.arrive == nil {
+		v.arrive = v.onArrive
 	}
-	v := &vecMeta{}
-	v.arrive = v.onArrive
 	return v
 }
 
-// releaseVec puts v on the free list; its messages are released (or still
+// releaseVec hands v back for reuse; its messages are released (or still
 // held by their consumers) already.
 func (f *Fabric) releaseVec(v *vecMeta) {
 	clear(v.msgs)
 	*v = vecMeta{msgs: v.msgs[:0], arrive: v.arrive}
-	f.freeVecs = append(f.freeVecs, v)
+	f.vecs.Put(v)
 }
 
 // dropVec releases a whole vector nobody received.
@@ -557,9 +539,6 @@ func (d *DTU) deliver(ep int, msg *Message) {
 		return
 	}
 	e.queue.Push(msg)
-	if e.waiters.Len() > 0 {
-		e.waiters.Pop().Wake()
-	}
 }
 
 // SendVecTo transmits items as one coalesced transfer into (dstPE, dstEP),
@@ -608,8 +587,8 @@ func (d *DTU) SendVecTo(dstPE, dstEP int, items []VecItem) error {
 // occupies a single slot (it is one wire message); if none is free the
 // whole vector is lost. Vec-handler endpoints get one call with all
 // messages; plain handlers are invoked per message but still within the
-// single delivery event; queue endpoints enqueue everything and wake at
-// most one waiter per delivered message.
+// single delivery event; queue endpoints enqueue every message, each Push
+// waking at most one waiter.
 func (d *DTU) deliverVec(ep int, v *vecMeta) {
 	e := d.eps[ep].recv
 	if e == nil || e.used >= e.slots {
@@ -635,9 +614,6 @@ func (d *DTU) deliverVec(ep int, v *vecMeta) {
 	for _, m := range msgs {
 		e.queue.Push(m)
 	}
-	for wake := min(len(msgs), e.waiters.Len()); wake > 0; wake-- {
-		e.waiters.Pop().Wake()
-	}
 }
 
 // Wait blocks the proc until a message is queued at receive endpoint ep and
@@ -647,22 +623,20 @@ func (d *DTU) Wait(p *sim.Proc, ep int) *Message {
 	checkEP(ep)
 	e := &d.eps[ep]
 	p.ParkOn(e)
-	return e.recv.queue.Pop()
+	m, _ := e.recv.queue.TryPop()
+	return m
 }
 
-// Ready is Wait's condition as a sim.Waiter: a message is queued, or p joins
-// the waiters a delivery wakes. What kind of endpoint this is, like the rest
-// of its state, is read once the proc's time has passed.
+// Ready is Wait's condition as a sim.Waiter: the endpoint's queue is ready
+// (sim.Queue.Ready). What kind of endpoint this is, like the rest of its
+// state, is read once the proc's time has passed — an endpoint invalidated
+// while the proc waited is one it may no longer wait on.
 func (e *endpoint) Ready(p *sim.Proc) bool {
 	r := e.recv
 	if r == nil {
 		panic("dtu: Wait on non-recv endpoint")
 	}
-	if r.queue.Len() == 0 {
-		r.waiters.Push(p)
-		return false
-	}
-	return true
+	return r.queue.Ready(p)
 }
 
 // Reply frees msg's slot and sends a reply back to the sender's reply

@@ -488,7 +488,7 @@ func syscallPair(tb testing.TB) (e *sim.Engine, roundTrip func()) {
 	client.ConfigureRecv(client, 3, 2, nil)
 	client.ConfigureSend(client, 1, 1, 2, 1, 0)
 	req, rep := new(int), new(int) // pointer payloads: boxing them is free
-	start := sim.NewQueue[struct{}](e)
+	start := sim.NewQueue[struct{}]()
 	e.Spawn("server", func(p *sim.Proc) {
 		for {
 			server.Reply(server.Wait(p, 2), rep, 16)
@@ -559,7 +559,7 @@ func mustPanic(t *testing.T, want string, fn func()) {
 }
 
 // TestReleasedMessageMisuseIsLoud: a message handed back by Reply, Ack or
-// Free sits on the free list with its fields zeroed and its freed mark set,
+// Free waits for reuse with its fields zeroed and its freed mark set,
 // so a stale read yields nil instead of another message's payload and a
 // second release of any kind panics.
 func TestReleasedMessageMisuseIsLoud(t *testing.T) {
@@ -602,7 +602,7 @@ func TestReleasedMessageMisuseIsLoud(t *testing.T) {
 
 // TestInvalidateDropsQueuedMessages: invalidating a receive endpoint with
 // messages still queued abandons them to the garbage collector — they never
-// reach the free list, so nothing recycled can alias them. The endpoint is
+// go back for reuse, so nothing recycled can alias them. The endpoint is
 // empty when reconfigured, and a consumer that fetched a message before the
 // invalidation can still release it.
 func TestInvalidateDropsQueuedMessages(t *testing.T) {
@@ -615,12 +615,12 @@ func TestInvalidateDropsQueuedMessages(t *testing.T) {
 	}
 	e.Run()
 	held := b.Fetch(2) // two more stay queued
-	listed := len(f.free)
+	listed, out := f.msgs.Idle(), f.msgs.Held()
 	if err := b.Invalidate(b, 2); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(f.free); got != listed {
-		t.Fatalf("Invalidate moved the free list from %d to %d messages", listed, got)
+	if idle, got := f.msgs.Idle(), f.msgs.Held(); idle != listed || got != out {
+		t.Fatalf("Invalidate moved the released messages from %d to %d and the held ones from %d to %d", listed, idle, out, got)
 	}
 	b.ConfigureRecv(b, 2, 4, nil)
 	if m := b.Fetch(2); m != nil {
@@ -633,8 +633,8 @@ func TestInvalidateDropsQueuedMessages(t *testing.T) {
 	if used := b.Occupied(2); used != 0 {
 		t.Fatalf("used = %d after releasing a pre-invalidation message, want 0", used)
 	}
-	if got := len(f.free); got != listed+1 {
-		t.Fatalf("free list holds %d messages, want %d (the held one only)", got, listed+1)
+	if idle, got := f.msgs.Idle(), f.msgs.Held(); idle != listed+1 || got != out-1 {
+		t.Fatalf("%d messages released and %d held, want %d and %d (the held one only came back)", idle, got, listed+1, out-1)
 	}
 	a.ConfigureSend(a, 1, 1, 2, 4, 0)
 	for i := 0; i < 4; i++ {
@@ -661,8 +661,8 @@ func (d dupPair) Inspect(now sim.Time, src, dst, size int) noc.Verdict {
 // two deliveries must therefore be different objects with the same content;
 // each is replied to and each reply acked on its own; the sender's credits
 // end at their maximum; and in steady state a duplicated round trip neither
-// allocates nor changes the length of the free list (no object is lost, none
-// is listed twice).
+// allocates nor changes how many messages are released or held (no object
+// is lost, none is released twice), and every released one reads as such.
 func TestDuplicateDeliveriesAreDistinctObjects(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -719,16 +719,16 @@ func TestDuplicateDeliveriesAreDistinctObjects(t *testing.T) {
 				t.Fatalf("%d slots still occupied", used)
 			}
 			roundTrip()
-			start := len(f.free)
+			start, held := f.msgs.Idle(), f.msgs.Held()
 			if allocs := testing.AllocsPerRun(100, roundTrip); allocs != 0 {
 				t.Fatalf("duplicated round trip allocates %v times, want 0", allocs)
 			}
-			if got := len(f.free); got != start {
-				t.Fatalf("free list holds %d messages, started at %d", got, start)
+			if got, h := f.msgs.Idle(), f.msgs.Held(); got != start || h != held {
+				t.Fatalf("%d messages released and %d held, started at %d and %d", got, h, start, held)
 			}
-			for i, m := range f.free {
+			for i, m := range releasedMessages(f) {
 				if !m.freed || m.Payload != nil {
-					t.Fatalf("free[%d] is not a released message: %+v", i, m)
+					t.Fatalf("released message %d is not a released message: %+v", i, m)
 				}
 			}
 		})
@@ -757,5 +757,15 @@ func BenchmarkDTUWaitReply(b *testing.B) {
 func TestDTUSizeClass(t *testing.T) {
 	if got := unsafe.Sizeof(DTU{}); got > 1024 {
 		t.Fatalf("unsafe.Sizeof(DTU{}) = %d B, want at most 1024 (its size class)", got)
+	}
+}
+
+// TestRecvStateSize pins a receive endpoint's state to the 96 B size
+// class: its queue is a sim.Queue, which keeps no engine pointer, so the
+// items and waiters of the queue take the place of the two FIFOs the state
+// held before.
+func TestRecvStateSize(t *testing.T) {
+	if got := unsafe.Sizeof(recvState{}); got != 96 {
+		t.Fatalf("unsafe.Sizeof(recvState{}) = %d B, want 96", got)
 	}
 }

@@ -20,7 +20,7 @@ func stepClient(tb testing.TB, preload func(*FS), op func(c *Client, p *sim.Proc
 	if _, err := s.Spawn("m3fs", Program(Config{}, preload, ready)); err != nil {
 		tb.Fatal(err)
 	}
-	start := sim.NewQueue[struct{}](s.Eng)
+	start := sim.NewQueue[struct{}]()
 	if _, err := s.Spawn("client", func(v *core.VPE, p *sim.Proc) {
 		fs = ready.Wait(p)
 		c, err := Dial(p, v, "m3fs")

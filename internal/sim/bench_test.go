@@ -163,7 +163,7 @@ func BenchmarkWakeStorm(b *testing.B) {
 func BenchmarkQueuePushPop(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine()
-	q := NewQueue[int](e)
+	q := NewQueue[int]()
 	n := b.N
 	e.Spawn("consumer", func(p *Proc) {
 		for i := 0; i < n; i++ {

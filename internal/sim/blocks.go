@@ -5,9 +5,9 @@ package sim
 // of once per record. A record is never handed out twice: there is no free
 // operation, and a block is garbage once none of its records is referenced.
 // That makes a Blocks right for records that live as long as their owner
-// (the VPEs, sessions and open files of one machine) or that the owner
-// recycles through a free list of its own, and wrong for short-lived
-// records that nobody recycles, whose blocks a single survivor would pin.
+// (the VPEs, sessions and open files of one machine) or that go back to a
+// Recycler, and wrong for short-lived records that nobody recycles, whose
+// blocks a single survivor would pin.
 //
 // A Blocks belongs to the object that owns the records, and dies with it;
 // nothing shares one across machines. The zero value is ready to use. Like
@@ -33,3 +33,43 @@ func (b *Blocks[T]) New(block int) *T {
 	}
 	return r
 }
+
+// Recycler hands out records of type T for reuse: New returns the record
+// released last, if any, and carves a zeroed one from Blocks otherwise; Put
+// takes a record back. Held counts the records out, so an owner that must
+// get every record home — a drained machine — can check it did. A reused
+// record is what Put got: the owner resets it before Put, keeping what must
+// survive reuse (a callback bound once, a grown slice), and tells a fresh
+// record by such a field still being zero. Like Blocks, a Recycler belongs
+// to its owner; the zero value is ready to use.
+type Recycler[T any] struct {
+	blocks Blocks[T]
+	free   []*T
+	held   int
+}
+
+// New returns a released record, or a zeroed one from a block of
+// max(block, 1) records; block 1 allocates each record on its own.
+func (r *Recycler[T]) New(block int) *T {
+	r.held++
+	if n := len(r.free); n > 0 {
+		x := r.free[n-1]
+		r.free[n-1] = nil
+		r.free = r.free[:n-1]
+		return x
+	}
+	return r.blocks.New(block)
+}
+
+// Put takes x back for a later New. A record put back twice is handed out
+// twice.
+func (r *Recycler[T]) Put(x *T) {
+	r.held--
+	r.free = append(r.free, x)
+}
+
+// Held returns how many records New handed out that are not back yet.
+func (r *Recycler[T]) Held() int { return r.held }
+
+// Idle returns how many released records wait for reuse.
+func (r *Recycler[T]) Idle() int { return len(r.free) }

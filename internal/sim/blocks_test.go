@@ -72,3 +72,50 @@ func TestBlocksDieWithTheirRecords(t *testing.T) {
 	}
 	runtime.KeepAlive(b)
 }
+
+// TestRecyclerReusesLastReleasedFirst: New hands back the record put back
+// last, with whatever Put got; only when none waits does it carve a zeroed
+// record from a block. Held and Idle count records out and records back.
+func TestRecyclerReusesLastReleasedFirst(t *testing.T) {
+	var r Recycler[blockRec]
+	a, b, c := r.New(2), r.New(2), r.New(2)
+	if a == b || b == c || a == c {
+		t.Fatal("fresh records are not distinct")
+	}
+	if r.Held() != 3 || r.Idle() != 0 {
+		t.Fatalf("Held %d, Idle %d after three News, want 3 and 0", r.Held(), r.Idle())
+	}
+	a.a, b.a = 1, 2
+	r.Put(a)
+	r.Put(b)
+	if r.Held() != 1 || r.Idle() != 2 {
+		t.Fatalf("Held %d, Idle %d after two Puts, want 1 and 2", r.Held(), r.Idle())
+	}
+	if got := r.New(2); got != b || got.a != 2 {
+		t.Fatalf("New returned %p (a=%d), want the last released %p as Put left it", got, got.a, b)
+	}
+	if got := r.New(2); got != a {
+		t.Fatalf("New returned %p, want %p", got, a)
+	}
+	if d := r.New(2); *d != (blockRec{}) || d == a || d == b || d == c {
+		t.Fatalf("with nothing released New returned %p %+v, want a fresh zeroed record", d, *d)
+	}
+	if r.Held() != 4 || r.Idle() != 0 {
+		t.Fatalf("Held %d, Idle %d, want 4 and 0", r.Held(), r.Idle())
+	}
+}
+
+// TestRecyclerCycleAllocatesNothing: once a record has been released, a
+// New/Put cycle reuses it and allocates nothing; a record of block 1 is
+// one allocation of its own.
+func TestRecyclerCycleAllocatesNothing(t *testing.T) {
+	var r Recycler[blockRec]
+	r.Put(r.New(1))
+	if allocs := testing.AllocsPerRun(100, func() { r.Put(r.New(1)) }); allocs != 0 {
+		t.Fatalf("a New/Put cycle allocates %v times, want 0", allocs)
+	}
+	var fresh Recycler[blockRec]
+	if allocs := testing.AllocsPerRun(100, func() { fresh.New(1) }); allocs != 1 {
+		t.Fatalf("a fresh record of block 1 allocates %v times, want 1", allocs)
+	}
+}

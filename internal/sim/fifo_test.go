@@ -105,7 +105,7 @@ func TestFIFOKeepsCapacityAcrossDrains(t *testing.T) {
 func TestQueueSteadyStateAllocs(t *testing.T) {
 	e := NewEngine()
 	defer e.Kill()
-	q := NewQueue[int](e)
+	q := NewQueue[int]()
 	sum := 0
 	e.Spawn("consumer", func(p *Proc) {
 		for {
@@ -132,8 +132,8 @@ func TestQueueSteadyStateAllocs(t *testing.T) {
 func TestSemaphoreContendedAllocs(t *testing.T) {
 	e := NewEngine()
 	defer e.Kill()
-	sem := NewSemaphore(e, 1)
-	start := NewQueue[struct{}](e)
+	sem := NewSemaphore(1)
+	start := NewQueue[struct{}]()
 	const contenders = 4
 	held := 0
 	for i := 0; i < contenders; i++ {
@@ -171,7 +171,7 @@ func TestFutureWaitAllocs(t *testing.T) {
 	e := NewEngine()
 	defer e.Kill()
 	var f Future[int]
-	start := NewQueue[struct{}](e)
+	start := NewQueue[struct{}]()
 	sum := 0
 	e.Spawn("caller", func(p *Proc) {
 		for {
@@ -182,7 +182,7 @@ func TestFutureWaitAllocs(t *testing.T) {
 	e.Run()
 	complete := func() { f.Complete(1) }
 	cycle := func() {
-		f = Future[int]{eng: e}
+		f = Future[int]{}
 		start.Push(struct{}{})
 		e.Schedule(1, complete)
 		e.Run()

@@ -24,9 +24,10 @@ type traceRec struct {
 // wake-ups, timers and queue wakes keep landing on the same instants — the
 // ties whose order the (time, sequence) discipline decides. With owed set,
 // the stretch procs spend their terms with Charge and settle before the
-// visible part; without, with one Sleep per term. Everything else is the
-// same code fed by the same generator.
-func owedScenario(seed uint64, owed bool, e *Engine, groups int) (traces [][]traceRec, private [][]Time) {
+// visible part; without, with one sleep per term. Every sleep of the
+// scenario is sleep(p, d). Everything else is the same code fed by the same
+// generator.
+func owedScenario(seed uint64, owed bool, sleep func(*Proc, Duration), e *Engine, groups int) (traces [][]traceRec, private [][]Time) {
 	const (
 		stretchProcs = 3
 		bystanders   = 3
@@ -48,7 +49,7 @@ func owedScenario(seed uint64, owed bool, e *Engine, groups int) (traces [][]tra
 		log := func(at Time, format string, args ...any) {
 			traces[di] = append(traces[di], traceRec{at, fmt.Sprintf(format, args...)})
 		}
-		q := NewQueue[int](e)
+		q := NewQueue[int]()
 		e.Spawn("consumer", func(p *Proc) {
 			for {
 				v := q.Pop(p)
@@ -72,7 +73,7 @@ func owedScenario(seed uint64, owed bool, e *Engine, groups int) (traces [][]tra
 			}
 			e.Spawn("bystander", func(p *Proc) {
 				for j, d := range plan {
-					p.Sleep(d)
+					sleep(p, d)
 					log(p.Now(), "bystander %d step %d", i, j)
 				}
 			})
@@ -117,7 +118,7 @@ func owedScenario(seed uint64, owed bool, e *Engine, groups int) (traces [][]tra
 						if owed && !tm.sleep {
 							p.Charge(tm.d)
 						} else {
-							p.Sleep(tm.d)
+							sleep(p, tm.d)
 						}
 						*mine = append(*mine, p.Now())
 					}
@@ -139,6 +140,48 @@ func owedScenario(seed uint64, owed bool, e *Engine, groups int) (traces [][]tra
 		}
 	}
 	return traces, private
+}
+
+// refSleep is Sleep as it was before it became Charge(d) + Settle(): with
+// nothing owed, one event d ahead, scheduled from the body, and one park.
+// The owed-time tests compare with it, so that they do not compare
+// Charge/Settle with itself.
+func refSleep(p *Proc, d Duration) {
+	if p.nOwed != 0 {
+		p.Charge(d)
+		p.Settle()
+		return
+	}
+	p.eng.Schedule(d, p.stepFn)
+	p.suspend()
+}
+
+// TestSleepIsASettledCharge: Sleep, which is Charge(d) + Settle(), runs the
+// owed-time scenario exactly as refSleep does, with and without owed
+// stretches — the same (time, label) trace, the same private clock
+// readings, the same number of events and the same number of resumes.
+func TestSleepIsASettledCharge(t *testing.T) {
+	for seed := uint64(1); seed <= 10; seed++ {
+		for _, owed := range []bool{false, true} {
+			run := func(sleep func(*Proc, Duration)) ([]traceRec, [][]Time, uint64, uint64) {
+				e := NewEngine()
+				defer e.Kill()
+				tr, priv := owedScenario(seed, owed, sleep, e, 1)
+				e.Run()
+				return tr[0], priv, e.Executed(), e.Resumes()
+			}
+			ref, rPriv, rExec, rRes := run(refSleep)
+			got, gPriv, gExec, gRes := run((*Proc).Sleep)
+			what := fmt.Sprintf("seed %d, owed %v", seed, owed)
+			diffTraces(t, what, ref, got)
+			if fmt.Sprint(rPriv) != fmt.Sprint(gPriv) {
+				t.Fatalf("%s: Now() inside a stretch read differently", what)
+			}
+			if rExec != gExec || rRes != gRes {
+				t.Fatalf("%s: %d events and %d resumes with the old Sleep, %d and %d now", what, rExec, rRes, gExec, gRes)
+			}
+		}
+	}
 }
 
 func diffTraces(t *testing.T, what string, a, b []traceRec) {
@@ -163,7 +206,7 @@ func TestChargeSettleMatchesSleeps(t *testing.T) {
 		run := func(owed bool) ([]traceRec, [][]Time, uint64, uint64) {
 			e := NewEngine()
 			defer e.Kill()
-			tr, priv := owedScenario(seed, owed, e, 1)
+			tr, priv := owedScenario(seed, owed, refSleep, e, 1)
 			e.Run()
 			return tr[0], priv, e.Executed(), e.Resumes()
 		}
@@ -194,7 +237,7 @@ func TestChargeSettleMatchesSleepsInterleaved(t *testing.T) {
 		run := func(owed bool) ([][]traceRec, uint64) {
 			e := NewEngine()
 			defer e.Kill()
-			tr, _ := owedScenario(seed, owed, e, 3)
+			tr, _ := owedScenario(seed, owed, refSleep, e, 3)
 			e.Run()
 			return tr, e.Executed()
 		}
@@ -321,11 +364,11 @@ func TestBlockingSettlesFirst(t *testing.T) {
 			return func() { f.Complete(1) }, func(p *Proc) { f.Wait(p) }
 		}},
 		{"Queue.Pop", func(e *Engine) (func(), func(*Proc)) {
-			q := NewQueue[int](e)
+			q := NewQueue[int]()
 			return func() { q.Push(1) }, func(p *Proc) { q.Pop(p) }
 		}},
 		{"Semaphore.Acquire", func(e *Engine) (func(), func(*Proc)) {
-			s := NewSemaphore(e, 0)
+			s := NewSemaphore(0)
 			return s.Release, func(p *Proc) { s.Acquire(p) }
 		}},
 		{"WaitGroup.Wait", func(e *Engine) (func(), func(*Proc)) {
@@ -402,7 +445,7 @@ func TestScheduleWithUnsettledChargesPanics(t *testing.T) {
 	} {
 		for _, settle := range []bool{false, true} {
 			e := NewEngine()
-			q := NewQueue[int](e)
+			q := NewQueue[int]()
 			other := e.Spawn("consumer", func(p *Proc) { q.Pop(p) })
 			if tc.name == "Wake" {
 				other = e.Spawn("parked", func(p *Proc) { p.Park() })
@@ -461,7 +504,7 @@ func TestKillWhileSettling(t *testing.T) {
 func TestChargeSettleAllocatesNothing(t *testing.T) {
 	e := NewEngine()
 	defer e.Kill()
-	start := NewQueue[struct{}](e)
+	start := NewQueue[struct{}]()
 	e.Spawn("p", func(p *Proc) {
 		for {
 			start.Pop(p)

@@ -95,7 +95,7 @@ func parkOnScenario(seed uint64, ref bool, e *Engine, groups int) [][]traceRec {
 		}
 
 		// Consumers on a shared queue, producers on timers.
-		q := NewQueue[int](e)
+		q := NewQueue[int]()
 		for i := 0; i < 3; i++ {
 			i, ds := i, plan(2*rounds)
 			e.Spawn("consumer", func(p *Proc) {
@@ -119,7 +119,7 @@ func parkOnScenario(seed uint64, ref bool, e *Engine, groups int) [][]traceRec {
 		}
 
 		// Contenders on a semaphore.
-		sem := NewSemaphore(e, 1)
+		sem := NewSemaphore(1)
 		for i := 0; i < 4; i++ {
 			i, think, hold := i, plan(rounds), plan(2*rounds)
 			e.Spawn("contender", func(p *Proc) {
@@ -251,7 +251,7 @@ func TestParkOnMatchesWaitLoopsInterleaved(t *testing.T) {
 func TestSemaphoreBargeKeepsTodaysOrder(t *testing.T) {
 	e := NewEngine()
 	defer e.Kill()
-	s := NewSemaphore(e, 1)
+	s := NewSemaphore(1)
 	var got []string
 	e.Spawn("a", func(p *Proc) {
 		s.Acquire(p)
@@ -331,7 +331,7 @@ func TestParkOnEvaluatesOnTheEngineSide(t *testing.T) {
 func TestParkOnAllocatesNothing(t *testing.T) {
 	e := NewEngine()
 	defer e.Kill()
-	start := NewQueue[struct{}](e)
+	start := NewQueue[struct{}]()
 	w := &stageWaiter{misses: 2, wake: (*Proc).Wake}
 	e.Spawn("p", func(p *Proc) {
 		for {
@@ -413,8 +413,8 @@ func TestKillProcsParkedOnWaiters(t *testing.T) {
 	pool := NewPool()
 	for round := 0; round < 3; round++ {
 		e := pool.Get()
-		s := NewSemaphore(e, 0)
-		q := NewQueue[int](e)
+		s := NewSemaphore(0)
+		q := NewQueue[int]()
 		f := NewFuture[int](e)
 		var wg WaitGroup
 		wg.Add(1)
@@ -531,8 +531,8 @@ func chargingScenario(seed uint64, inline bool, e *Engine, groups int) [][]trace
 		log := func(at Time, format string, args ...any) {
 			traces[g] = append(traces[g], traceRec{at, fmt.Sprintf(format, args...)})
 		}
-		q := NewQueue[recordJob](e)
-		cpu := NewSemaphore(e, 1)
+		q := NewQueue[recordJob]()
+		cpu := NewSemaphore(1)
 		for i := 0; i < 3; i++ {
 			w := &workRecord{id: i, q: q, cpu: cpu, inline: inline, log: log}
 			e.Spawn("worker", func(p *Proc) {

@@ -279,16 +279,11 @@ func (p *Proc) Now() Time {
 }
 
 // Sleep blocks the proc for d cycles of virtual time, after settling what it
-// owes. Sleep(0) yields: the proc resumes at the same timestamp, after the
-// events already queued for this instant.
+// owes: it is Charge(d) settled at once. Sleep(0) yields: the proc resumes
+// at the same timestamp, after the events already queued for this instant.
 func (p *Proc) Sleep(d Duration) {
-	if p.nOwed != 0 {
-		p.Charge(d)
-		p.Settle()
-		return
-	}
-	p.eng.Schedule(d, p.stepFn)
-	p.suspend()
+	p.Charge(d)
+	p.Settle()
 }
 
 // Charge records that the proc spends d cycles and returns at once; the time

@@ -4,7 +4,6 @@ package sim
 // building block for call/reply protocols: the caller parks on Wait and the
 // reply handler fulfills the future via Complete, waking the caller.
 type Future[T any] struct {
-	eng  *Engine
 	done bool
 	val  T
 	// first is the earliest parked waiter, held inline: a call/reply future
@@ -16,9 +15,10 @@ type Future[T any] struct {
 	callbacks []func(T)
 }
 
-// NewFuture returns an unfulfilled future bound to the engine.
-func NewFuture[T any](e *Engine) *Future[T] {
-	return &Future[T]{eng: e}
+// NewFuture returns an unfulfilled future, as the zero Future is. No
+// primitive of this file keeps its engine: the engine argument is unused.
+func NewFuture[T any](*Engine) *Future[T] {
+	return &Future[T]{}
 }
 
 // Complete fulfills the future with val and wakes all waiters. Completing a
@@ -99,14 +99,13 @@ func (f *Future[T]) Ready(p *Proc) bool {
 // kernel thread that finishes a job and finds the next one queued keeps the
 // CPU — and every baseline depends on it.
 type Semaphore struct {
-	eng     *Engine
 	count   int
 	waiters FIFO[*Proc]
 }
 
 // NewSemaphore returns a semaphore with the given initial count.
-func NewSemaphore(e *Engine, count int) *Semaphore {
-	return &Semaphore{eng: e, count: count}
+func NewSemaphore(count int) *Semaphore {
+	return &Semaphore{count: count}
 }
 
 // Count returns the currently available units.
@@ -146,16 +145,15 @@ func (s *Semaphore) Release() {
 
 // Queue is an unbounded FIFO that procs can block on. It is the simulation
 // analogue of a Go channel: Push never blocks, Pop parks until an element is
-// available.
+// available. The zero Queue is empty and ready to use.
 type Queue[T any] struct {
-	eng     *Engine
 	items   FIFO[T]
 	waiters FIFO[*Proc]
 }
 
-// NewQueue returns an empty queue bound to the engine.
-func NewQueue[T any](e *Engine) *Queue[T] {
-	return &Queue[T]{eng: e}
+// NewQueue returns an empty queue.
+func NewQueue[T any]() *Queue[T] {
+	return &Queue[T]{}
 }
 
 // Len returns the number of queued elements.

@@ -72,7 +72,7 @@ func TestFutureDoubleCompletePanics(t *testing.T) {
 
 func TestSemaphoreBoundsConcurrency(t *testing.T) {
 	e := NewEngine()
-	sem := NewSemaphore(e, 2)
+	sem := NewSemaphore(2)
 	inside, maxInside := 0, 0
 	for i := 0; i < 6; i++ {
 		e.Spawn("worker", func(p *Proc) {
@@ -97,7 +97,7 @@ func TestSemaphoreBoundsConcurrency(t *testing.T) {
 
 func TestSemaphoreFIFO(t *testing.T) {
 	e := NewEngine()
-	sem := NewSemaphore(e, 0)
+	sem := NewSemaphore(0)
 	var order []int
 	for i := 0; i < 4; i++ {
 		i := i
@@ -121,8 +121,7 @@ func TestSemaphoreFIFO(t *testing.T) {
 }
 
 func TestSemaphoreTryAcquire(t *testing.T) {
-	e := NewEngine()
-	sem := NewSemaphore(e, 1)
+	sem := NewSemaphore(1)
 	if !sem.TryAcquire() {
 		t.Fatal("TryAcquire failed with count 1")
 	}
@@ -133,7 +132,7 @@ func TestSemaphoreTryAcquire(t *testing.T) {
 
 func TestQueueBlocksUntilPush(t *testing.T) {
 	e := NewEngine()
-	q := NewQueue[int](e)
+	q := NewQueue[int]()
 	var got []int
 	e.Spawn("consumer", func(p *Proc) {
 		for i := 0; i < 3; i++ {
@@ -149,8 +148,7 @@ func TestQueueBlocksUntilPush(t *testing.T) {
 }
 
 func TestQueueTryPop(t *testing.T) {
-	e := NewEngine()
-	q := NewQueue[string](e)
+	q := NewQueue[string]()
 	if _, ok := q.TryPop(); ok {
 		t.Fatal("TryPop on empty queue succeeded")
 	}
@@ -198,7 +196,7 @@ func TestWaitGroupZeroImmediate(t *testing.T) {
 func TestQueueFIFOProperty(t *testing.T) {
 	f := func(vals []int, popDelays []uint8) bool {
 		e := NewEngine()
-		q := NewQueue[int](e)
+		q := NewQueue[int]()
 		var got []int
 		e.Spawn("consumer", func(p *Proc) {
 			for i := range vals {
