@@ -29,8 +29,12 @@ func writeReport(t *testing.T, name string, rows []bench.Result) string {
 	t.Helper()
 	r := bench.NewReport(true, 1)
 	r.Add(rows...)
+	var buf bytes.Buffer
+	if err := r.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(t.TempDir(), name)
-	if err := r.WriteFile(path); err != nil {
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path

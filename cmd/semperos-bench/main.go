@@ -165,14 +165,24 @@ func realMain(args []string, stderr io.Writer) (code int) {
 		return 2
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
+	// Every output file is created before the first experiment runs, so an
+	// unwritable path fails at once instead of after the whole sweep.
+	var files [3]*os.File
+	for i, path := range []string{*jsonPath, *memprofile, *cpuprofile} {
+		if path == "" {
+			continue
+		}
+		f, err := os.Create(path)
 		if err != nil {
-			fmt.Fprintf(stderr, "creating %s: %v\n", *cpuprofile, err)
+			fmt.Fprintf(stderr, "creating %s: %v\n", path, err)
 			return 1
 		}
 		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
+		files[i] = f
+	}
+	jsonFile, memFile, cpuFile := files[0], files[1], files[2]
+	if cpuFile != nil {
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
 			fmt.Fprintf(stderr, "starting CPU profile: %v\n", err)
 			return 1
 		}
@@ -208,22 +218,20 @@ func realMain(args []string, stderr io.Writer) (code int) {
 
 	fmt.Printf("[%d experiments, %d workers, total %v]\n", ran, workers, total.Round(time.Millisecond))
 	report.WallclockSummary(os.Stdout, 10)
-	if *jsonPath != "" {
-		if err := report.WriteFile(*jsonPath); err != nil {
+	if jsonFile != nil {
+		err := report.WriteJSON(jsonFile)
+		if err == nil {
+			err = jsonFile.Close()
+		}
+		if err != nil {
 			fmt.Fprintf(stderr, "writing %s: %v\n", *jsonPath, err)
 			return 1
 		}
 		fmt.Printf("[wrote %d results to %s]\n", report.Len(), *jsonPath)
 	}
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			fmt.Fprintf(stderr, "creating %s: %v\n", *memprofile, err)
-			return 1
-		}
-		defer f.Close()
+	if memFile != nil {
 		runtime.GC() // settle the heap so the profile shows retained memory
-		if err := pprof.WriteHeapProfile(f); err != nil {
+		if err := pprof.WriteHeapProfile(memFile); err != nil {
 			fmt.Fprintf(stderr, "writing heap profile: %v\n", err)
 			return 1
 		}

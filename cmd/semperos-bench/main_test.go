@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -38,6 +40,40 @@ func TestBadFlagsExit2(t *testing.T) {
 		}
 		if !strings.Contains(stderr.String(), c.want) {
 			t.Errorf("%v: stderr %q does not contain %q", c.args, stderr.String(), c.want)
+		}
+	}
+}
+
+// TestUnwritableOutputExits1BeforeTheSweep: an output file that cannot be
+// created ends the run with exit 1 before the first experiment, for -json
+// and -memprofile as for -cpuprofile. Both used to be created only after the
+// whole sweep had run.
+func TestUnwritableOutputExits1BeforeTheSweep(t *testing.T) {
+	bad := filepath.Join(t.TempDir(), "missing", "x.out")
+	for _, flag := range []string{"-json", "-memprofile", "-cpuprofile"} {
+		args := []string{"-quick", "-experiment", "table3", flag, bad}
+		stdout, err := os.CreateTemp(t.TempDir(), "stdout")
+		if err != nil {
+			t.Fatal(err)
+		}
+		saved := os.Stdout
+		os.Stdout = stdout
+		var stderr bytes.Buffer
+		code := realMain(args, &stderr)
+		os.Stdout = saved
+		stdout.Close()
+		out, err := os.ReadFile(stdout.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code != 1 {
+			t.Errorf("%v: exit %d, want 1", args, code)
+		}
+		if want := "creating " + bad; !strings.Contains(stderr.String(), want) {
+			t.Errorf("%v: stderr %q does not contain %q", args, stderr.String(), want)
+		}
+		if strings.Contains(string(out), " took ") {
+			t.Errorf("%v: an experiment ran before the run failed:\n%s", args, out)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -129,17 +128,4 @@ func (r *Report) WallclockSummary(w io.Writer, topN int) {
 		fmt.Fprintf(w, " capsalloc: %d caps minted   capsbytes: %.1f MiB peak task heap\n",
 			capsalloc, float64(capsbytes)/(1<<20))
 	}
-}
-
-// WriteFile writes the report to path (the BENCH_*.json trajectory point).
-func (r *Report) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := r.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

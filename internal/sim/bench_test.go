@@ -3,10 +3,11 @@ package sim
 import "testing"
 
 // Micro-benchmarks for the hot simulation paths. The acceptance bar of the
-// event-queue rebuild: the Sleep/Wake handoff path allocates nothing per
+// event-queue rebuilds: the Sleep/Wake handoff path allocates nothing per
 // simulated event (it used to pay a method-value closure plus an
-// interface-boxed heap push per Schedule), and schedule+run throughput is
-// bounded by the inline 4-ary heap, not container/heap indirection.
+// interface-boxed heap push per Schedule), schedule+run throughput is bounded
+// by the later lane's inline heap of runs, not container/heap indirection,
+// and events that share an instant share one heap entry.
 //
 // Run with:
 //
@@ -32,8 +33,8 @@ func BenchmarkScheduleRun(b *testing.B) {
 	}
 }
 
-// BenchmarkScheduleRunHeapOnly is the pure-heap variant (no delay-0
-// events), isolating the 4-ary heap from the FIFO lane.
+// BenchmarkScheduleRunHeapOnly is the later-lane-only variant (no delay-0
+// events), isolating the heap of runs from the FIFO lane.
 func BenchmarkScheduleRunHeapOnly(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine()
@@ -49,6 +50,59 @@ func BenchmarkScheduleRunHeapOnly(b *testing.B) {
 		}
 		e.Run()
 	}
+}
+
+// steadyPending is the number of events the steady-state benchmarks keep
+// pending: about what the scale sweep's machine holds on average (418).
+const steadyPending = 400
+
+// benchSteady keeps steadyPending self-rescheduling events in the later
+// lane: event i first runs at first(i) and then reschedules itself delay()
+// cycles after each run. One op is one event through the queue; the
+// untimed tail drains the last steadyPending.
+func benchSteady(b *testing.B, first func(i int) Duration, delay func() Duration) {
+	b.ReportAllocs()
+	e := NewEngine()
+	left := b.N
+	for i := 0; i < steadyPending; i++ {
+		var fn func()
+		fn = func() {
+			if left == 0 {
+				return
+			}
+			if left--; left == 0 {
+				b.StopTimer()
+			}
+			e.Schedule(delay(), fn)
+		}
+		e.Schedule(first(i), fn)
+	}
+	b.ResetTimer()
+	e.Run()
+}
+
+// BenchmarkSteadyTiedInstants is the scale sweep's shape: clients in
+// lockstep, so the pending events sit on few instants — 16 here, 25 events
+// each.
+func BenchmarkSteadyTiedInstants(b *testing.B) {
+	benchSteady(b,
+		func(i int) Duration { return 1 + Duration(i%16) },
+		func() Duration { return 16 })
+}
+
+// BenchmarkSteadyDistinctInstants is the application runs' shape: nearly
+// every pending event at an instant of its own (delays drawn from
+// 1..65536), so every event is a run of one. It is the bar for the path
+// without ties.
+func BenchmarkSteadyDistinctInstants(b *testing.B) {
+	rng := uint64(0x9E3779B97F4A7C15)
+	delay := func() Duration {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return 1 + Duration(rng%(1<<16))
+	}
+	benchSteady(b, func(int) Duration { return delay() }, delay)
 }
 
 // BenchmarkProcHandoff measures the Sleep/Wake path: one op is one full

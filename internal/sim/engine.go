@@ -21,17 +21,39 @@ type Time uint64
 // Duration is a span of virtual time, measured in cycles.
 type Duration = Time
 
-// event is one scheduled callback. Events are totally ordered by (at, seq):
-// time first, then scheduling order within an instant.
-type event struct {
-	at  Time
-	seq uint64
-	fn  func()
+// slot is one event of the later lane: its callback and the slot of the
+// next event of its run, noSlot at the run's tail. Free slots chain through
+// next as well.
+type slot struct {
+	fn   func()
+	next int32
 }
 
-// eventLess is the queue's total order.
-func eventLess(a, b *event) bool {
+// noSlot ends a run's chain and the free chain.
+const noSlot = -1
+
+// run is a FIFO of later-lane events that share an instant: at, the seq of
+// its first event, and the slot of its next event to execute. Runs are
+// totally ordered by (at, seq).
+type run struct {
+	at   Time
+	seq  uint64
+	head int32
+}
+
+// runLess is the later lane's total order.
+func runLess(a, b *run) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// tailCacheSize is the number of entries of the tail cache, a power of two so
+// that at%tailCacheSize is a mask.
+const tailCacheSize = 64
+
+// tail is one tail-cache entry: the newest run for instant at ends in slot.
+type tail struct {
+	at   Time
+	slot int32
 }
 
 // Engine is a discrete-event simulation engine. The zero value is not usable;
@@ -39,20 +61,34 @@ func eventLess(a, b *event) bool {
 //
 // The pending-event store has two lanes:
 //
-//   - heap: a monomorphic inline 4-ary min-heap over []event, ordered by
-//     (at, seq), holding events scheduled for a strictly later instant.
-//     No interface boxing, no container/heap indirection.
+//   - later: events scheduled for a strictly later instant. Events of one
+//     instant form runs, FIFO chains through one recycled slot slab, and the
+//     runs sit in an inline 4-ary min-heap ordered by (at, first seq). The
+//     direct-mapped tail cache, tails[at%64], names the newest run of a
+//     recent instant, so pushing onto an instant that already has one is an
+//     append; popping takes the top run's head and touches the heap only
+//     when the run empties.
 //   - fifo: the same-instant lane. Schedule(0, ...) — the storm generated by
-//     Wake, Sleep(0) and Spawn — appends here instead of touching the heap.
-//     Because seq only grows, appending keeps the lane sorted by (at, seq),
-//     and popping is a head-index increment.
+//     Wake, Sleep(0) and Spawn — appends its callback here instead of
+//     touching the later lane. Its events are at now and, because seq only
+//     grows, in seq order, so it stores neither; popping is a head-index
+//     increment.
 //
-// The split preserves the global (at, seq) order exactly: lane events carry
-// at == now, and any heap event at the same instant was necessarily scheduled
-// before time advanced to that instant (while now was smaller), so its seq is
-// lower than every lane event's — the heap drains first at each instant (see
-// next). Time only advances while the lane is empty, so the lane never holds
-// stale timestamps.
+// The later lane keeps the (at, seq) order exactly. Within a run seq order
+// holds: seq only grows and appends follow push order. Two runs of one
+// instant exist only after a tail-cache collision; the cache then names the
+// newer run, so the older one never receives another event, all its events
+// precede the newer run's, and ordering runs by first seq is exact. A stale
+// cache entry never matches: a run drains only when now == at, and every
+// later push is for an instant after now (drain clears the cache for a
+// pooled engine, whose clock starts again at zero).
+//
+// The split of the lanes preserves the global (at, seq) order too: lane events
+// are at now, and any later-lane event at the same instant was necessarily
+// scheduled before time advanced to that instant (while now was smaller), so
+// its seq is lower than every lane event's — the later lane drains first at
+// each instant (see next). Time only advances while the lane is empty, so the
+// lane never holds events of an earlier instant.
 type Engine struct {
 	now      Time
 	seq      uint64
@@ -65,8 +101,10 @@ type Engine struct {
 	// (Proc.poll) — is executing, nil on the engine side otherwise;
 	// checkSettled reads it.
 	running  *Proc
-	heap     []event
-	fifo     []event
+	runs     []run  // the later lane's heap
+	slots    []slot // the later lane's events
+	free     int32  // first free slot, noSlot if none
+	fifo     []func()
 	fifoHead int
 	// procs registers the spawned procs so Kill can stop them; live counts
 	// those that have not exited, for leak diagnostics.
@@ -78,10 +116,13 @@ type Engine struct {
 	// runs at a time and step looks as soon as it is back, so one slot does
 	// for all procs.
 	fault error
+	// tails is the later lane's tail cache, last so that the fields above
+	// share cache lines.
+	tails [tailCacheSize]tail
 }
 
 // NewEngine returns a ready-to-run engine with time at zero.
-func NewEngine() *Engine { return &Engine{} }
+func NewEngine() *Engine { return &Engine{free: noSlot} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -111,10 +152,10 @@ func (e *Engine) Schedule(d Duration, fn func()) {
 	e.checkSettled()
 	e.seq++
 	if d == 0 {
-		e.fifo = append(e.fifo, event{at: e.now, seq: e.seq, fn: fn})
+		e.fifo = append(e.fifo, fn)
 		return
 	}
-	e.heapPush(event{at: e.now + d, seq: e.seq, fn: fn})
+	e.push(e.now+d, fn)
 }
 
 // checkSettled panics if the running proc schedules while it owes time
@@ -138,32 +179,51 @@ func (e *Engine) At(t Time, fn func()) {
 	e.Schedule(t-e.now, fn)
 }
 
-// heapPush inserts ev into the 4-ary heap (sift-up with a hole, one final
+// push appends fn to the later lane at instant at, under the current seq:
+// onto the run the tail cache names for at, or as a new run.
+func (e *Engine) push(at Time, fn func()) {
+	s := e.free
+	if s == noSlot {
+		s = int32(len(e.slots))
+		e.slots = append(e.slots, slot{fn: fn, next: noSlot})
+	} else {
+		e.free = e.slots[s].next
+		e.slots[s] = slot{fn: fn, next: noSlot}
+	}
+	c := &e.tails[at%tailCacheSize]
+	if c.at == at {
+		e.slots[c.slot].next = s
+		c.slot = s
+		return
+	}
+	*c = tail{at: at, slot: s}
+	e.runPush(run{at: at, seq: e.seq, head: s})
+}
+
+// runPush inserts r into the 4-ary heap (sift-up with a hole, one final
 // store instead of swaps).
-func (e *Engine) heapPush(ev event) {
-	h := append(e.heap, ev)
+func (e *Engine) runPush(r run) {
+	h := append(e.runs, r)
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 4
-		if !eventLess(&ev, &h[p]) {
+		if !runLess(&r, &h[p]) {
 			break
 		}
 		h[i] = h[p]
 		i = p
 	}
-	h[i] = ev
-	e.heap = h
+	h[i] = r
+	e.runs = h
 }
 
-// heapPop removes and returns the heap minimum (sift-down with a hole).
-func (e *Engine) heapPop() event {
-	h := e.heap
-	top := h[0]
+// runPop removes the heap minimum (sift-down with a hole).
+func (e *Engine) runPop() {
+	h := e.runs
 	n := len(h) - 1
 	last := h[n]
-	h[n] = event{} // release the closure
 	h = h[:n]
-	e.heap = h
+	e.runs = h
 	if n > 0 {
 		i := 0
 		for {
@@ -177,11 +237,11 @@ func (e *Engine) heapPop() event {
 			}
 			min := c
 			for j := c + 1; j < end; j++ {
-				if eventLess(&h[j], &h[min]) {
+				if runLess(&h[j], &h[min]) {
 					min = j
 				}
 			}
-			if !eventLess(&h[min], &last) {
+			if !runLess(&h[min], &last) {
 				break
 			}
 			h[i] = h[min]
@@ -189,22 +249,22 @@ func (e *Engine) heapPop() event {
 		}
 		h[i] = last
 	}
-	return top
 }
 
 // next executes the next event in (at, seq) order if there is one at or
 // before t, and reports whether it did. It is the one pop path: Run and
 // RunUntil are loops around it, so both enforce causality and the event
-// limit and account alike. Lane events carry at == now; a heap event at the
+// limit and account alike. Lane events are at now; a later-lane event at the
 // same instant has a lower seq and goes first (see the Engine doc).
 func (e *Engine) next(t Time) bool {
-	var ev event
-	if e.fifoHead < len(e.fifo) && !(len(e.heap) > 0 && e.heap[0].at == e.now) {
-		ev = e.fifo[e.fifoHead]
-		if ev.at > t {
+	at := e.now
+	var fn func()
+	if e.fifoHead < len(e.fifo) && !(len(e.runs) > 0 && e.runs[0].at == e.now) {
+		if e.now > t {
 			return false
 		}
-		e.fifo[e.fifoHead].fn = nil // release the closure
+		fn = e.fifo[e.fifoHead]
+		e.fifo[e.fifoHead] = nil // release the closure
 		e.fifoHead++
 		if e.fifoHead == len(e.fifo) {
 			// Lane drained: rewind so the backing array is reused.
@@ -212,19 +272,32 @@ func (e *Engine) next(t Time) bool {
 			e.fifoHead = 0
 		}
 	} else {
-		if len(e.heap) == 0 || e.heap[0].at > t {
+		if len(e.runs) == 0 || e.runs[0].at > t {
 			return false
 		}
-		ev = e.heapPop()
+		// Take the top run's first event. The run keeps its key while it has
+		// events left: they still precede every other run's.
+		r := &e.runs[0]
+		at = r.at
+		s := r.head
+		sl := &e.slots[s]
+		fn = sl.fn
+		if sl.next == noSlot {
+			e.runPop()
+		} else {
+			r.head = sl.next
+		}
+		*sl = slot{next: e.free} // release the closure
+		e.free = s
 	}
-	if ev.at < e.now {
+	if at < e.now {
 		panic("sim: event queue went backwards")
 	}
 	if e.limit != 0 && e.executed >= e.limit {
 		panic(fmt.Sprintf("sim: event limit %d exceeded (possible livelock)", e.limit))
 	}
-	e.now = ev.at
-	ev.fn()
+	e.now = at
+	fn()
 	e.executed++
 	return true
 }
@@ -239,14 +312,26 @@ func (e *Engine) RunUntil(t Time) {
 	}
 }
 
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.heap) + len(e.fifo) - e.fifoHead }
+// Pending returns the number of queued events. It walks the free slots, so
+// it is for diagnostics, not for the hot path.
+func (e *Engine) Pending() int {
+	n := len(e.slots) + len(e.fifo) - e.fifoHead
+	for s := e.free; s != noSlot; s = e.slots[s].next {
+		n--
+	}
+	return n
+}
 
 // drain empties the queue, releasing the event closures but keeping the
-// backing arrays so a pooled engine reuses its slabs.
+// backing arrays so a pooled engine reuses its slabs. It clears the tail
+// cache: a pooled engine's clock starts again at zero, where an old entry
+// could match.
 func (e *Engine) drain() {
-	clear(e.heap)
-	e.heap = e.heap[:0]
+	e.runs = e.runs[:0]
+	clear(e.slots)
+	e.slots = e.slots[:0]
+	e.free = noSlot
+	e.tails = [tailCacheSize]tail{}
 	clear(e.fifo)
 	e.fifo = e.fifo[:0]
 	e.fifoHead = 0

@@ -146,12 +146,13 @@ func TestEngineRunRespectsKilled(t *testing.T) {
 
 // TestEngineRunCausality: Run checks that the queue never goes backwards.
 // The queue cannot be corrupted through the public API (Schedule delays are
-// unsigned), so plant the bad event directly.
+// unsigned), so plant the bad event directly through the later lane's push.
 func TestEngineRunCausality(t *testing.T) {
 	e := NewEngine()
 	e.Schedule(10, func() {})
 	e.Run() // now = 10
-	e.heapPush(event{at: 5, seq: e.seq + 1, fn: func() { t.Error("an event in the past ran") }})
+	e.seq++
+	e.push(5, func() { t.Error("an event in the past ran") })
 	defer func() {
 		if recover() == nil {
 			t.Error("Run executed an event in the past")

@@ -26,8 +26,9 @@ func (e *Engine) Reset() {
 
 // Pool recycles Engines across simulation runs. Short simulations (one
 // experiment of a harness sweep) otherwise pay engine setup and event-slab
-// growth on every run; a pooled engine keeps its grown []event backing
-// arrays across tasks.
+// growth on every run; a pooled engine keeps its grown queue backing arrays
+// (the later lane's run heap and slot slab, the same-instant lane) across
+// tasks.
 //
 // Get returns a ready-to-run engine (recycled or new); Put Resets the engine
 // — unwinding any procs still parked in it — and shelves it for the next

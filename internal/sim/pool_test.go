@@ -114,16 +114,16 @@ func TestPoolPutUnwindsParkedProcs(t *testing.T) {
 // that already ran a different workload — recycling must not leak state
 // that shifts the (time, seq) order.
 func TestPoolReuseDeterminism(t *testing.T) {
-	want := driveQueue(NewEngine(), 7)
+	want := driveQueue(NewEngine(), profiles[0], 7)
 
 	p := NewPool()
 	dirty := p.Get()
-	driveQueue(dirty, 1234) // different workload to dirty the slabs
+	driveQueue(dirty, profiles[0], 1234) // different workload to dirty the slabs
 	dirty.Spawn("noise", func(pr *Proc) { pr.Park() })
 	dirty.Run()
 	p.Put(dirty)
 
-	got := driveQueue(p.Get(), 7)
+	got := driveQueue(p.Get(), profiles[0], 7)
 	if len(got) != len(want) {
 		t.Fatalf("trace lengths differ: %d vs %d", len(got), len(want))
 	}
