@@ -113,3 +113,43 @@ func TestFailedTaskExits1(t *testing.T) {
 	run("a bug")
 	t.Error("a non-task panic was swallowed")
 }
+
+// quickBaselineArgs is the command line BENCH_quick.json was made with.
+const quickBaselineArgs = "-quick -experiment all,ablation-ikc,faults,churn,scale -scalekernels 128 -faultseed 1"
+
+// TestQuickBaseline runs BENCH_quick.json's command line in-process and
+// compares the fresh rows with the committed file as bench-compare does:
+// every simulated metric of every row must be identical. It is the net
+// under a change that must leave the simulation as it was, and costs a few
+// seconds (about a minute under -race), so -short skips it.
+func TestQuickBaseline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the whole quick sweep")
+	}
+	freshPath := filepath.Join(t.TempDir(), "quick.json")
+	saved := os.Stdout
+	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer devnull.Close()
+	os.Stdout = devnull
+	var stderr bytes.Buffer
+	code := realMain(append(strings.Fields(quickBaselineArgs), "-json", freshPath), &stderr)
+	os.Stdout = saved
+	if code != 0 {
+		t.Fatalf("semperos-bench %s: exit %d: %s", quickBaselineArgs, code, stderr.String())
+	}
+	base, err := bench.ReadReport("../../BENCH_quick.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := bench.ReadReport(freshPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if drift, compared := bench.Drift(&out, base, fresh, false); drift > 0 || compared == 0 {
+		t.Fatalf("%d drifting and %d compared triple(s) against BENCH_quick.json:\n%s", drift, compared, out.String())
+	}
+}

@@ -158,11 +158,11 @@ func TestFig8KernelDependenceQuick(t *testing.T) {
 // TestFig10QuickShape: requests scale with server count when the OS is
 // provisioned, and print output renders.
 func TestFig10QuickShape(t *testing.T) {
-	small, err := workload.RunNginx(workload.NginxConfig{Kernels: 4, Services: 4, Servers: 4, Duration: 4_000_000})
+	small, err := workload.RunNginx(workload.NginxConfig{Kernels: 4, Services: 4, Servers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := workload.RunNginx(workload.NginxConfig{Kernels: 4, Services: 4, Servers: 12, Duration: 4_000_000})
+	big, err := workload.RunNginx(workload.NginxConfig{Kernels: 4, Services: 4, Servers: 12})
 	if err != nil {
 		t.Fatal(err)
 	}

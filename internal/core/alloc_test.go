@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
+	"runtime/debug"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -135,6 +138,81 @@ func mallocs(f func()) uint64 {
 	f()
 	runtime.ReadMemStats(&after)
 	return after.Mallocs - before.Mallocs
+}
+
+// windowProfile samples the allocations of measured windows: every
+// allocation inside one goes into the runtime's heap profile
+// (runtime.MemProfileRate 1), none outside does, and stacks lists what the
+// windows sampled, so that a failed ceiling names its allocation. A rerun
+// of the windows names nothing when the stray allocation depends on timing
+// (the runtime's, as the tree revoke's did).
+type windowProfile struct {
+	rate int
+	base map[[32]uintptr]int64
+}
+
+func profileWindows() *windowProfile {
+	w := &windowProfile{rate: runtime.MemProfileRate}
+	runtime.MemProfileRate = 0
+	w.base = allocSites()
+	return w
+}
+
+// mallocs is mallocs(f), with every allocation of f sampled.
+func (w *windowProfile) mallocs(f func()) uint64 {
+	runtime.MemProfileRate = 1
+	n := mallocs(f)
+	runtime.MemProfileRate = 0
+	// The first allocation after a change of rate is sampled: this one,
+	// which stacks skips with allocSites' own.
+	rateChanged = new([64]byte)
+	return n
+}
+
+var rateChanged *[64]byte
+
+func (w *windowProfile) stop() { runtime.MemProfileRate = w.rate }
+
+// stacks lists the stacks the windows allocated at, with counts.
+func (w *windowProfile) stacks() string {
+	var b strings.Builder
+	for stk, count := range allocSites() {
+		if count -= w.base[stk]; count <= 0 {
+			continue
+		}
+		frames := runtime.CallersFrames(stk[:])
+		f, more := frames.Next()
+		if strings.HasSuffix(f.Function, ".(*windowProfile).mallocs") || strings.HasSuffix(f.Function, ".allocSites") {
+			continue
+		}
+		fmt.Fprintf(&b, "%d allocation(s):\n", count)
+		for ; ; f, more = frames.Next() {
+			fmt.Fprintf(&b, "\t%s\n\t\t%s:%d\n", f.Function, f.File, f.Line)
+			if !more {
+				break
+			}
+		}
+	}
+	if b.Len() == 0 {
+		return "none sampled\n"
+	}
+	return b.String()
+}
+
+// allocSites is the process's count of sampled allocations per stack. An
+// allocation shows in the profile once two collections have ended after it,
+// so it collects twice first.
+func allocSites() map[[32]uintptr]int64 {
+	runtime.GC()
+	runtime.GC()
+	n, _ := runtime.MemProfile(nil, true)
+	recs := make([]runtime.MemProfileRecord, n+64)
+	n, _ = runtime.MemProfile(recs, true)
+	sites := make(map[[32]uintptr]int64, n)
+	for _, r := range recs[:n] {
+		sites[r.Stack0] += r.AllocObjects
+	}
+	return sites
 }
 
 // allocsPerRun is testing.AllocsPerRun after warmRuntime.
@@ -661,10 +739,15 @@ func TestPooledEngineRetainsNoMessages(t *testing.T) {
 // TestTreeRevokeAllocationCeiling bounds what a warmed local tree revoke
 // allocates: nothing. The revocation's records, their marked-key lists and
 // the stack its mark walk snapshots child lists onto come from the kernel's
-// free list, and the syscall thread parks on its record.
+// free list, and the syscall thread parks on its record. The test runs with
+// the collector off: a collection wakes the runtime's background scavenger,
+// whose sleep can grow a P's timer heap (runtime.(*timers).addHeap, from
+// bgscavenge), one malloc that fell into a measured window in about a third
+// of the race-detector runs that follow TestPooledEngineRetainsNoMessages.
 func TestTreeRevokeAllocationCeiling(t *testing.T) {
 	const ceiling = 0
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	s := MustNew(Config{Kernels: 1, UserPEs: 1})
 	defer s.Close()
 	var root, mid cap.Selector
@@ -691,22 +774,25 @@ func TestTreeRevokeAllocationCeiling(t *testing.T) {
 		}
 	})
 	step()
-	round := func() uint64 {
+	round := func(measure func(func()) uint64) uint64 {
 		plant = true
 		step()
 		plant = false
-		return mallocs(step)
+		return measure(step)
 	}
 	for i := 0; i < 8; i++ {
-		round()
+		round(mallocs)
 	}
+	prof := profileWindows()
+	defer prof.stop()
 	const rounds = 50
 	var total uint64
 	for i := 0; i < rounds; i++ {
-		total += round()
+		total += round(prof.mallocs)
 	}
 	if allocs := float64(total) / rounds; allocs > ceiling {
-		t.Fatalf("revoking a warmed 10-capability local tree allocates %v times, want %v", allocs, ceiling)
+		t.Fatalf("revoking a warmed 10-capability local tree allocates %v times, want %v; the windows allocated at:\n%s",
+			allocs, ceiling, prof.stacks())
 	}
 	if got := s.kernels[0].store.Len(); got != 2 { // the VPE's own capability and root
 		t.Fatalf("%d capabilities left, want 2", got)

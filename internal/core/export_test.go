@@ -31,23 +31,6 @@ func (s *System) RequestRecords() (made, free int) {
 	return s.reqs.Held() + s.reqs.Idle(), s.reqs.Idle()
 }
 
-// HeldRecords is, for every kind of record s recycles, how many records are
-// handed out and not back: on a drained machine, none.
-func (s *System) HeldRecords() map[string]int {
-	msgs, vecs := s.Fab.Held()
-	held := map[string]int{
-		"inter-kernel leg": s.wires.Held(),
-		"request":          s.reqs.Held(),
-		"transmission":     s.xmits.Held(),
-		"DTU message":      msgs,
-		"DTU vector":       vecs,
-	}
-	for _, k := range s.kernels {
-		held["query"] += k.queries.Held()
-	}
-	return held
-}
-
 // RevokingEverywhere says whether every kernel has picked up a revoke
 // request: each holds a revoke-pool thread with a job.
 func (s *System) RevokingEverywhere() bool {

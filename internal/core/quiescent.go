@@ -45,8 +45,10 @@ func (s *System) Audit(dead ...int) []string {
 //   - kernel with replies left in the reply sink, or with requests whose
 //     calls still await a reply;
 //   - receive endpoint with slots still occupied;
-//   - and one for the machine if some inter-kernel request record is not
-//     back in System.reqs: a holder that never dropped its reference.
+//   - and one for the machine per kind of recycled record — inter-kernel
+//     legs, requests and transmissions, DTU messages and vectors, service
+//     queries — of which some are not back in their sim.Recycler: a holder
+//     that never dropped its reference.
 //
 // Threads parked for their next job, and service loops parked for their next
 // request, are idle and not findings. Empty means quiescent; the order is
@@ -127,8 +129,25 @@ func (s *System) CheckQuiescent() []string {
 		}
 		out = appendSlots(out, who, d)
 	}
-	if n := s.reqs.Held(); n != 0 {
-		out = append(out, fmt.Sprintf("%d of %d inter-kernel request record(s) still held", n, n+s.reqs.Idle()))
+	msgs, vecs := s.Fab.Held()
+	queries := 0
+	for _, k := range s.kernels {
+		queries += k.queries.Held()
+	}
+	for _, r := range [...]struct {
+		kind string
+		held int
+	}{
+		{"inter-kernel leg", s.wires.Held()},
+		{"inter-kernel request", s.reqs.Held()},
+		{"transmission", s.xmits.Held()},
+		{"DTU message", msgs},
+		{"DTU vector", vecs},
+		{"query", queries},
+	} {
+		if r.held != 0 {
+			out = append(out, fmt.Sprintf("%d %s record(s) still held", r.held, r.kind))
+		}
 	}
 	return out
 }

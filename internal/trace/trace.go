@@ -22,7 +22,8 @@
 // capability-operation count of the paper's Table 4 (tar 21, untar 11,
 // find 3, SQLite 24, LevelDB 22, PostMark 38 per instance), and so that the
 // single-instance runtime approximates the paper's measured rates. The
-// tests assert the counts.
+// tests assert the counts. NginxRequest is the per-request trace the
+// webservers of the Nginx benchmark (§5.3.3) replay.
 package trace
 
 import "repro/internal/sim"
@@ -379,6 +380,24 @@ func PostMark() *Trace {
 		t.op(Op{Kind: OpCompute, Cycles: 165_000})
 	}
 	t.op(Op{Kind: OpClose, Slot: 9})
+	return t
+}
+
+// NginxRequest is what one webserver process of the Nginx benchmark
+// (§5.3.3) replays per HTTP request: ≈30 µs of request processing, then
+// stat, open, read and close (revoking) the 8 KiB document it serves. An
+// instance that replays it once issues 1 session + 1 extent obtain + 1
+// revoke = 3 cap ops; a server dials its session once and replays the trace
+// per request, so each further request issues 2. It is not one of All's
+// applications.
+func NginxRequest() *Trace {
+	t := &Trace{Name: "nginx", WantCapOps: 3}
+	t.Files = []PreFile{{Path: "index.html", Size: 8 * KiB}}
+	t.op(Op{Kind: OpCompute, Cycles: 60_000})
+	t.op(Op{Kind: OpStat, Path: "index.html"})
+	t.op(Op{Kind: OpOpen, Path: "index.html", Slot: 0})
+	t.op(Op{Kind: OpRead, Slot: 0, Bytes: 8 * KiB})
+	t.op(Op{Kind: OpClose, Slot: 0, Revoke: true})
 	return t
 }
 

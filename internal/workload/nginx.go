@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"errors"
-
 	"repro/internal/cap"
 	"repro/internal/core"
 	"repro/internal/m3fs"
@@ -11,41 +9,28 @@ import (
 )
 
 // The Nginx server benchmark (paper §5.3.3): webserver processes replay a
-// recorded per-request trace (stat, open, read, close on the served file)
-// whenever a request arrives. Load-generator PEs — standing in for network
-// interfaces, like the paper's ab-style setup — fire requests at the
-// servers in a closed loop. The metric is aggregate requests per second.
+// recorded per-request trace (trace.NginxRequest: stat, open, read, close
+// on the served file) whenever a request arrives. Load-generator PEs —
+// standing in for network interfaces, like the paper's ab-style setup —
+// fire requests at the servers in a closed loop. The metric is aggregate
+// requests per second.
 
 // NginxConfig describes one server-benchmark run.
 type NginxConfig struct {
 	Kernels  int
 	Services int
 	Servers  int
-	// Duration is the measurement window in cycles (default 10 ms).
-	Duration sim.Duration
 	// Engine, when non-nil, is a fresh (or Reset) simulation engine to build
 	// the experiment on; see core.Config.Engine.
 	Engine *sim.Engine
 }
 
-func (c NginxConfig) withDefaults() NginxConfig {
-	if c.Duration == 0 {
-		c.Duration = 20_000_000 // 10 ms at 2 GHz
-	}
-	return c
-}
-
-const (
-	// docBytes is the static file size served per request.
-	docBytes = 8 << 10
-	// requestCompute is the per-request HTTP processing time in cycles
-	// (≈ 30 µs, from the shape of the paper's Figure 10).
-	requestCompute sim.Duration = 60_000
-)
+// nginxWindow is the measurement window in cycles (10 ms at 2 GHz); half
+// of it warms up first.
+const nginxWindow sim.Duration = 20_000_000
 
 // NginxResult is the outcome of one server-benchmark run.
 type NginxResult struct {
-	Config   NginxConfig
 	Requests uint64
 	Duration sim.Duration
 	// TotalCapOps sums the capability operations of all VPEs over the whole
@@ -53,59 +38,43 @@ type NginxResult struct {
 	TotalCapOps uint64
 }
 
-// serverRgateEP is the server-side receive endpoint for HTTP requests.
-const serverRgateEP = 11
+// The server's receive endpoint for requests, and the load generator's
+// send endpoint for them and reply endpoint (the standard service-reply
+// endpoint, which load generators do not use).
+const serverRgateEP, loadgenSendEP, loadgenReplyEP = 11, 12, 3
 
-// RunNginx executes the server benchmark.
+// RunNginx executes the server benchmark. Each server and each load
+// generator is one application PE, so the machine is that of a Config with
+// 2×Servers instances; every service image holds every server's document
+// root, so a server may be served by any service. After the window the load
+// generators stop, the machine runs dry and its audit must find nothing.
 func RunNginx(cfg NginxConfig) (*NginxResult, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Kernels <= 0 || cfg.Services <= 0 || cfg.Servers <= 0 {
-		return nil, errors.New("workload: kernels, services, servers must be positive")
+	app := Config{Kernels: cfg.Kernels, Services: cfg.Services, Instances: 2 * cfg.Servers, Trace: trace.NginxRequest(), Engine: cfg.Engine}
+	if err := app.Validate(); err != nil {
+		return nil, err
 	}
-	userPEs := cfg.Services + 2*cfg.Servers // servers + load generators
-	imageBytes := uint64(cfg.Servers)*(docBytes+1<<20) + 16<<20
-
-	sys, err := core.NewSystem(core.Config{
-		Kernels:  cfg.Kernels,
-		UserPEs:  userPEs,
-		MemPEs:   1 + cfg.Services/8,
-		MemBytes: int(imageBytes)*cfg.Services + (64 << 20),
-		Engine:   cfg.Engine,
-	})
+	sys, err := core.NewSystem(app.machine())
 	if err != nil {
 		return nil, err
 	}
 	defer sys.Close()
 
-	pl := place(sys, cfg.Services, 2*cfg.Servers)
-
-	// Services, each preloaded with the doc roots of every server (servers
-	// may be served by any instance depending on placement; preloading all
-	// roots in each image keeps placement flexible).
-	var allReady sim.WaitGroup
-	allReady.Add(cfg.Services)
-	preload := func(fs *m3fs.FS) {
-		fs.Reserve(cfg.Servers, cfg.Servers*fs.ExtentsFor(docBytes))
-		for i := 0; i < cfg.Servers; i++ {
-			root := "srv" + trace.Itoa(i)
-			fs.MustMkdirAllIn("", root, 1)
-			fs.MustCreateIn(root, "index.html", docBytes)
-		}
+	pl := place(sys, app.Services, app.Instances)
+	roots := make([]string, cfg.Servers)
+	for i := range roots {
+		roots[i] = "srv" + trace.Itoa(i)
 	}
-	for j := 0; j < cfg.Services; j++ {
-		ready := sim.NewFuture[*m3fs.FS](sys.Eng)
-		ready.OnComplete(func(*m3fs.FS) { allReady.Done() })
-		pe, err := pl.takePE(pl.svcGroup[j])
-		if err != nil {
-			return nil, err
-		}
-		fscfg := m3fs.Config{ServiceName: svcName(j), ImageBytes: imageBytes}
-		if _, err := sys.SpawnOn(pe, svcName(j), m3fs.Program(fscfg, preload, ready)); err != nil {
-			return nil, err
-		}
+	prefixes := make([][]string, app.Services)
+	for j := range prefixes {
+		prefixes[j] = roots
+	}
+	allReady, err := boot(sys, pl, app.Trace, prefixes)
+	if err != nil {
+		return nil, err
 	}
 
-	// Servers: set up an rgate, publish its selector, then serve requests.
+	// Servers: set up an rgate, publish its selector, then replay the
+	// request trace per request.
 	type serverInfo struct {
 		vpe  *core.VPE
 		gate cap.Selector
@@ -121,34 +90,22 @@ func RunNginx(cfg NginxConfig) (*NginxResult, error) {
 			return nil, err
 		}
 		svc := svcName(pl.svcOfGroup[g])
-		doc := "srv" + trace.Itoa(i) + "/index.html"
 		prog := func(v *core.VPE, p *sim.Proc) {
 			allReady.Wait(p)
 			client, err := m3fs.Dial(p, v, svc)
 			if err != nil {
 				panic(err)
 			}
+			client.Prefix = roots[i]
 			gateSel, err := v.CreateRgate(p, serverRgateEP, 0)
 			if err != nil {
 				panic(err)
 			}
 			gates[i].Complete(serverInfo{vpe: v, gate: gateSel})
+			files := make([]*m3fs.File, slots(app.Trace))
 			for {
 				m := v.DTU().Wait(p, serverRgateEP)
-				p.Sleep(requestCompute)
-				// Per-request file activity, as in the recorded trace:
-				// stat, open, read the document, close (revoking).
-				if _, err := client.Stat(p, doc); err != nil {
-					panic(err)
-				}
-				f, err := client.Open(p, doc, false, false)
-				if err != nil {
-					panic(err)
-				}
-				if _, err := f.Read(p, docBytes); err != nil {
-					panic(err)
-				}
-				if err := f.Close(p, true); err != nil {
+				if err := replayOps(client, p, app.Trace, files); err != nil {
 					panic(err)
 				}
 				requests[i]++
@@ -160,8 +117,8 @@ func RunNginx(cfg NginxConfig) (*NginxResult, error) {
 		}
 	}
 
-	// Load generators: one per server, closed loop.
-	const loadgenSendEP = 12
+	// Load generators: one per server, closed loop until stopped.
+	stop := false
 	for i := 0; i < cfg.Servers; i++ {
 		i := i
 		g := i % cfg.Kernels
@@ -178,11 +135,11 @@ func RunNginx(cfg NginxConfig) (*NginxResult, error) {
 			if err := v.Activate(p, sendSel, loadgenSendEP); err != nil {
 				panic(err)
 			}
-			for {
-				if err := v.DTU().Send(loadgenSendEP, "GET /index.html", 256, vpeServiceReplyEPForLoadgen, 0); err != nil {
+			for !stop {
+				if err := v.DTU().Send(loadgenSendEP, "GET /index.html", 256, loadgenReplyEP, 0); err != nil {
 					panic(err)
 				}
-				m := v.DTU().Wait(p, vpeServiceReplyEPForLoadgen)
+				m := v.DTU().Wait(p, loadgenReplyEP)
 				v.DTU().Ack(m)
 			}
 		}
@@ -192,24 +149,28 @@ func RunNginx(cfg NginxConfig) (*NginxResult, error) {
 	}
 
 	// Warm up (setup + first requests), then measure a fixed window.
-	sys.RunFor(cfg.Duration / 2)
+	sys.RunFor(nginxWindow / 2)
 	var before uint64
 	for _, n := range requests {
 		before += n
 	}
 	start := sys.Now()
-	sys.RunFor(cfg.Duration)
-	var after uint64
+	sys.RunFor(nginxWindow)
+	res := &NginxResult{Duration: sys.Now() - start}
 	for _, n := range requests {
-		after += n
+		res.Requests += n
 	}
-	var capOps uint64
+	res.Requests -= before
 	for _, v := range sys.VPEs() {
-		capOps += v.CapOps()
+		res.TotalCapOps += v.CapOps()
 	}
-	return &NginxResult{Config: cfg, Requests: after - before, Duration: sys.Now() - start, TotalCapOps: capOps}, nil
-}
 
-// vpeServiceReplyEPForLoadgen is the load generator's reply endpoint (the
-// standard service-reply endpoint is unused by load generators).
-const vpeServiceReplyEPForLoadgen = 3
+	// Drain: the requests in flight complete, the load generators exit and
+	// the servers park for a request that does not come.
+	stop = true
+	sys.Run()
+	if err := auditErr(sys.Audit()); err != nil {
+		return nil, err
+	}
+	return res, nil
+}

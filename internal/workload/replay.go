@@ -2,7 +2,8 @@
 // places N instances of a traced application plus a set of m3fs service
 // instances onto a SemperOS machine, replays the traces, and computes the
 // paper's metrics (parallel efficiency §5.3.1, system efficiency §5.3.2,
-// and the Nginx requests-per-second server benchmark §5.3.3).
+// and the Nginx requests-per-second server benchmark §5.3.3, whose servers
+// replay a request trace per request).
 package workload
 
 import (
@@ -27,20 +28,6 @@ type InstanceResult struct {
 // Runtime returns the instance's replay duration.
 func (r InstanceResult) Runtime() sim.Duration { return r.End - r.Start }
 
-// ReplayProgram returns a core.Program that replays tr against the given
-// m3fs service, prefixing all paths with prefix (the per-instance
-// namespace). The result is reported through res.
-func ReplayProgram(tr *trace.Trace, service, prefix string, res *InstanceResult) core.Program {
-	return func(v *core.VPE, p *sim.Proc) {
-		res.VPE = v.ID
-		res.Start = p.Now()
-		err := Replay(v, p, tr, service, prefix)
-		res.End = p.Now()
-		res.CapOps = v.CapOps()
-		res.Err = err
-	}
-}
-
 // Replay executes the trace on a VPE against the named service.
 func Replay(v *core.VPE, p *sim.Proc, tr *trace.Trace, service, prefix string) error {
 	client, err := m3fs.Dial(p, v, service)
@@ -48,7 +35,12 @@ func Replay(v *core.VPE, p *sim.Proc, tr *trace.Trace, service, prefix string) e
 		return fmt.Errorf("replay %s: %w", tr.Name, err)
 	}
 	client.Prefix = prefix
-	files := make([]*m3fs.File, slots(tr)) // open files by trace slot
+	return replayOps(client, p, tr, make([]*m3fs.File, slots(tr)))
+}
+
+// replayOps plays tr's operations once through client; files holds the open
+// files by trace slot.
+func replayOps(client *m3fs.Client, p *sim.Proc, tr *trace.Trace, files []*m3fs.File) error {
 	for i := range tr.Ops {
 		op := &tr.Ops[i]
 		if err := replayOp(client, p, files, op); err != nil {

@@ -29,7 +29,6 @@ type Config struct {
 
 // Result aggregates one experiment run.
 type Result struct {
-	Config    Config
 	Instances []InstanceResult
 	// Makespan is the time from simulation start (including VPE creation
 	// and session setup, which serialize at the kernels) until the last
@@ -183,35 +182,16 @@ func Run(cfg Config) (*Result, error) {
 	defer sys.Close()
 
 	pl := place(sys, cfg.Services, cfg.Instances)
-	// Image sizing: footprint per instance times the largest per-service
-	// assignment, plus slack.
-	perInst := cfg.Trace.Footprint(m3fs.ExtentBytes)
-	maxPerSvc := 1
-	for _, insts := range pl.instOfSvc {
-		maxPerSvc = max(maxPerSvc, len(insts))
+	prefixes := make([][]string, cfg.Services)
+	for j, insts := range pl.instOfSvc {
+		prefixes[j] = make([]string, 0, len(insts))
+		for _, i := range insts {
+			prefixes[j] = append(prefixes[j], instPrefix(i))
+		}
 	}
-	imageBytes := perInst*uint64(maxPerSvc) + 8<<20
-
-	// Services: spawn each with the preloads of its assigned instances.
-	ready := make([]*sim.Future[*m3fs.FS], cfg.Services)
-	var allReady sim.WaitGroup
-	allReady.Add(cfg.Services)
-	for j := 0; j < cfg.Services; j++ {
-		j := j
-		ready[j] = sim.NewFuture[*m3fs.FS](sys.Eng)
-		ready[j].OnComplete(func(*m3fs.FS) { allReady.Done() })
-		pe, err := pl.takePE(pl.svcGroup[j])
-		if err != nil {
-			return nil, err
-		}
-		prefixes := make([]string, 0, len(pl.instOfSvc[j]))
-		for _, i := range pl.instOfSvc[j] {
-			prefixes = append(prefixes, instPrefix(i))
-		}
-		fscfg := m3fs.Config{ServiceName: svcName(j), ImageBytes: imageBytes}
-		if _, err := sys.SpawnOn(pe, svcName(j), m3fs.Program(fscfg, Preload(cfg.Trace, prefixes), ready[j])); err != nil {
-			return nil, err
-		}
+	allReady, err := boot(sys, pl, cfg.Trace, prefixes)
+	if err != nil {
+		return nil, err
 	}
 
 	// Instances: wait for all services, then replay.
@@ -222,11 +202,12 @@ func Run(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		svc := svcName(pl.svcOfGroup[pl.instGroup[i]])
-		inner := ReplayProgram(cfg.Trace, svc, instPrefix(i), &results[i])
+		svc, res := svcName(pl.svcOfGroup[pl.instGroup[i]]), &results[i]
 		prog := func(v *core.VPE, p *sim.Proc) {
 			allReady.Wait(p)
-			inner(v, p)
+			res.VPE, res.Start = v.ID, p.Now()
+			res.Err = Replay(v, p, cfg.Trace, svc, instPrefix(i))
+			res.End, res.CapOps = p.Now(), v.CapOps()
 		}
 		if _, err := sys.SpawnOn(pe, cfg.Trace.Name+"-"+trace.Itoa(i), prog); err != nil {
 			return nil, err
@@ -240,7 +221,7 @@ func Run(cfg Config) (*Result, error) {
 	// not given back), or with leaked or broken capability state, raises no
 	// error by itself; the audit is what notices.
 	unfinished := sys.Audit()
-	res := &Result{Config: cfg, Instances: results}
+	res := &Result{Instances: results}
 	for _, in := range results {
 		res.TotalCapOps += in.CapOps
 		if in.End > sim.Time(res.Makespan) {
@@ -251,8 +232,8 @@ func Run(cfg Config) (*Result, error) {
 				in.VPE, in.Err, strings.Join(unfinished, "\n  "))
 		}
 	}
-	if len(unfinished) > 0 {
-		return nil, fmt.Errorf("workload: the drained machine failed its audit:\n  %s", strings.Join(unfinished, "\n  "))
+	if err := auditErr(unfinished); err != nil {
+		return nil, err
 	}
 	res.Kernel = sys.TotalStats()
 	res.LostMsgs = sys.Net.Stats().Lost
@@ -260,6 +241,42 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	return res, nil
+}
+
+// boot spawns the m3fs services of an experiment in id order, service j on
+// a PE of its group pl.svcGroup[j], its image preloaded with tr's files
+// under each of prefixes[j] and sized for the longest prefix list. The
+// returned group is done once every service is ready.
+func boot(sys *core.System, pl *placement, tr *trace.Trace, prefixes [][]string) (*sim.WaitGroup, error) {
+	longest := 1
+	for _, ps := range prefixes {
+		longest = max(longest, len(ps))
+	}
+	imageBytes := tr.Footprint(m3fs.ExtentBytes)*uint64(longest) + 8<<20
+	allReady := new(sim.WaitGroup)
+	allReady.Add(len(prefixes))
+	for j, ps := range prefixes {
+		ready := sim.NewFuture[*m3fs.FS](sys.Eng)
+		ready.OnComplete(func(*m3fs.FS) { allReady.Done() })
+		pe, err := pl.takePE(pl.svcGroup[j])
+		if err != nil {
+			return nil, err
+		}
+		fscfg := m3fs.Config{ServiceName: svcName(j), ImageBytes: imageBytes}
+		if _, err := sys.SpawnOn(pe, svcName(j), m3fs.Program(fscfg, Preload(tr, ps), ready)); err != nil {
+			return nil, err
+		}
+	}
+	return allReady, nil
+}
+
+// auditErr is the error of a drained machine whose audit found something,
+// or nil.
+func auditErr(findings []string) error {
+	if len(findings) == 0 {
+		return nil
+	}
+	return fmt.Errorf("workload: the drained machine failed its audit:\n  %s", strings.Join(findings, "\n  "))
 }
 
 // SystemEfficiency weights parallel efficiency by the fraction of PEs doing

@@ -11,9 +11,9 @@ import (
 
 // TestReplayCapOpsMatchTable4 replays every application trace once on a
 // small machine and asserts that the capability-operation count equals the
-// paper's Table 4 value exactly.
+// paper's Table 4 value exactly, and the Nginx request trace's count too.
 func TestReplayCapOpsMatchTable4(t *testing.T) {
-	for _, tr := range trace.All() {
+	for _, tr := range append(trace.All(), trace.NginxRequest()) {
 		tr := tr
 		t.Run(tr.Name, func(t *testing.T) {
 			res, err := Run(Config{Kernels: 1, Services: 1, Instances: 1, Trace: tr})
@@ -74,7 +74,7 @@ func TestRunValidation(t *testing.T) {
 }
 
 func TestNginxRuns(t *testing.T) {
-	res, err := RunNginx(NginxConfig{Kernels: 2, Services: 2, Servers: 2, Duration: 4_000_000})
+	res, err := RunNginx(NginxConfig{Kernels: 2, Services: 2, Servers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
