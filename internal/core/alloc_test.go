@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/cap"
 	"repro/internal/ddl"
@@ -128,11 +127,15 @@ func deriveStepper(tb testing.TB) (*System, func()) {
 var warmRuntime = sync.OnceFunc(runtime.GC)
 
 // mallocs is the number of heap allocations made while f runs, after
-// warmRuntime. The caller pins GOMAXPROCS to 1 for the measurement, as
-// testing.AllocsPerRun does, or the runtime's background work on other Ps
-// is counted too.
+// warmRuntime and with the collector off: a collection wakes the runtime's
+// background scavenger, whose sleep can grow a P's timer heap
+// (runtime.(*timers).addHeap, from bgscavenge), one malloc that is not the
+// code's (TestTreeRevokeAllocationCeiling). The caller pins GOMAXPROCS to 1
+// for the measurement, as testing.AllocsPerRun does, or the runtime's
+// background work on other Ps is counted too.
 func mallocs(f func()) uint64 {
 	warmRuntime()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	f()
@@ -215,10 +218,31 @@ func allocSites() map[[32]uintptr]int64 {
 	return sites
 }
 
-// allocsPerRun is testing.AllocsPerRun after warmRuntime.
+// allocsPerRun is testing.AllocsPerRun after warmRuntime, with the
+// collector off as in mallocs.
 func allocsPerRun(runs int, f func()) float64 {
 	warmRuntime()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	return testing.AllocsPerRun(runs, f)
+}
+
+// awaitFinalizer collects until the finalizer that closes collected has
+// run, or fails the test after a bounded number of collections. It yields
+// between them, for the runtime's finalizer goroutine to run, and arms no
+// timer, which would stay in the runtime's timer heap after the test and
+// could grow it inside a later pin's window.
+func awaitFinalizer(t *testing.T, collected <-chan struct{}, what string) {
+	t.Helper()
+	for i := 0; i < 1000; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		default:
+			runtime.Gosched()
+		}
+	}
+	t.Fatal(what)
 }
 
 // BenchmarkDeriveSyscall is one local DeriveMem per op: the syscall round
@@ -727,13 +751,7 @@ func TestPooledEngineRetainsNoMessages(t *testing.T) {
 		t.Fatal("Put did not shelve the engine")
 	}
 	pool.Put(eng)
-	runtime.GC()
-	runtime.GC()
-	select {
-	case <-collected:
-	case <-time.After(10 * time.Second):
-		t.Fatal("a message of a closed machine is still reachable from its pooled engine")
-	}
+	awaitFinalizer(t, collected, "a message of a closed machine is still reachable from its pooled engine")
 }
 
 // TestTreeRevokeAllocationCeiling bounds what a warmed local tree revoke

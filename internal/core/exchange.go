@@ -220,7 +220,7 @@ func (k *Kernel) grant(p *sim.Proc, req *ikcRequest, remote bool) ikcReply {
 		if src = k.store.Lookup(req.Key); src == nil || src.Marked {
 			return ikcReply{Err: ErrNoService}
 		}
-		obj = &cap.SessionObject{Service: src.Object.(*cap.ServiceObject).Name, Ident: res.Ident}
+		obj = k.sys.newSessionObject(cap.SessionObject{Service: src.Object.(*cap.ServiceObject).Name, Ident: res.Ident})
 	}
 	if obj == nil {
 		obj = deriveObject(src.Object)

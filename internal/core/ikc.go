@@ -332,6 +332,9 @@ func (k *Kernel) stamp(p *sim.Proc, dst int, req *ikcRequest, a awaited, answere
 	if !answered {
 		return false
 	}
+	if k.pending == nil {
+		k.pending = make(map[uint64]awaited)
+	}
 	k.pending[req.Seq] = a
 	if k.peerDead(dst) {
 		k.failFast(req.Seq, dst)

@@ -73,8 +73,8 @@ type Kernel struct {
 	member *ddl.Membership
 	group  []int // user PEs of this group
 
-	cpu  *sim.Semaphore // the kernel PE's single core
-	link *sim.Semaphore // the group's shared mesh-region bandwidth
+	cpu  sim.Semaphore // the kernel PE's single core
+	link sim.Semaphore // the group's shared mesh-region bandwidth
 	// holder is the wait record of the thread that took the CPU last — while
 	// a thread runs with the CPU held, its own (kthread.go).
 	holder *kthread
@@ -111,7 +111,8 @@ type Kernel struct {
 	// peers holds the IKC state toward each other kernel, indexed by its
 	// id; nil until the two talk (peer). pending maps the sequence number of
 	// every request still awaiting its reply to the call's continuation and,
-	// in reliable mode once it is on the wire, its transmission (awaited).
+	// in reliable mode once it is on the wire, its transmission (awaited);
+	// it is made by the first request that awaits a reply (stamp).
 	peers   []*peer
 	pending map[uint64]awaited
 	seq     uint64
@@ -132,8 +133,9 @@ type Kernel struct {
 	stats KernelStats
 }
 
-// newKernel boots kernel id of s in the record k.
-func newKernel(k *Kernel, s *System, id int) {
+// newKernel boots kernel id of s in the record k, with peers as its (nil)
+// peer table.
+func newKernel(k *Kernel, s *System, id int, peers []*peer) {
 	*k = Kernel{
 		id:          id,
 		pe:          id,
@@ -143,20 +145,23 @@ func newKernel(k *Kernel, s *System, id int) {
 		store:       cap.NewStore(),
 		gen:         ddl.NewGenerator(),
 		member:      s.member,
-		cpu:         sim.NewSemaphore(1),
-		link:        sim.NewSemaphore(1),
+		cpu:         *sim.NewSemaphore(1),
+		link:        *sim.NewSemaphore(1),
 		batching:    s.cfg.IKCBatching,
 		reliable:    s.cfg.Faults != nil,
-		peers:       make([]*peer, s.cfg.Kernels),
-		pending:     make(map[uint64]awaited),
+		peers:       peers,
 	}
-	// Groups are contiguous runs of the user PEs, none longer than this.
-	k.group = make([]int, 0, (len(s.userPEs)+s.cfg.Kernels-1)/s.cfg.Kernels)
-	for _, pe := range s.userPEs {
-		if s.member.KernelOf(pe) == id {
-			k.group = append(k.group, pe)
-		}
+	// Groups are contiguous runs of the user PEs: the group is a window of
+	// the machine's list.
+	lo := 0
+	for lo < len(s.userPEs) && s.member.KernelOf(s.userPEs[lo]) != id {
+		lo++
 	}
+	hi := lo
+	for hi < len(s.userPEs) && s.member.KernelOf(s.userPEs[hi]) == id {
+		hi++
+	}
+	k.group = s.userPEs[lo:hi:hi]
 	newPool(&k.syscallPool, k, "sys", max(len(k.group), 1))
 	newPool(&k.ikcPool, k, "ikc", k.ikcWindow())
 	newPool(&k.revokePool, k, "rev", RevokeThreads)
@@ -227,13 +232,15 @@ const (
 	jobSyscall    jobKind = iota // handle the syscall message
 	jobRequest                   // pick up and dispatch the inter-kernel request(s)
 	jobRevokeDone                // account one completed child revocation
-	jobFunc                      // run the function, which gives the CPU back itself: boot, rejoin
+	jobFunc                      // run the function, which gives the CPU back itself: rejoin
+	jobVPE                       // set the VPE up and start its program (setupVPE)
 )
 
 // job is one unit of kernel-thread work: a kind and its subject, whose
 // dynamic type the kind fixes — the syscall message (*dtu.Message), the
 // direct request (*ikcRequest) or the envelope's wire (*ikcWire, until its
-// pickup), the revocation (*revState), the function (jobBody).
+// pickup), the revocation (*revState), the function (jobBody), the VPE
+// (*VPE).
 // All of them are pointer-shaped, so queueing a job allocates nothing, and a
 // job is three words: every thread's wait record holds one (kthread).
 type job struct {
@@ -252,7 +259,7 @@ type pool struct {
 	name    string
 	max     int
 	spawned int
-	q       *sim.Queue[job]
+	q       sim.Queue[job]
 	// threads lists the spawned threads' wait records, newest first. The
 	// records come from blocks of threadBlock, or of what is left of max if
 	// that is less (newThread): a pool that needs one thread mostly needs
@@ -261,16 +268,17 @@ type pool struct {
 	threads *kthread
 	records sim.Blocks[kthread]
 	taken   int // records handed out so far, at most max
-	// threadName and work as func values, bound once: taking them per
-	// spawned thread would allocate two closures per thread.
+	// threadName and work as func values, bound once, by the first spawn:
+	// taking them per spawned thread would allocate two closures per
+	// thread, and a pool that never spawns (most machines' ikc and rev
+	// pools) binds nothing.
 	nameFn func(idx int) string
 	workFn func(p *sim.Proc)
 }
 
 // newPool sets up the pool in the record pl.
 func newPool(pl *pool, k *Kernel, name string, max int) {
-	*pl = pool{k: k, name: name, max: max, q: sim.NewQueue[job]()}
-	pl.nameFn, pl.workFn = pl.threadName, pl.work
+	*pl = pool{k: k, name: name, max: max}
 }
 
 // threadName formats the diagnostic name of the pool's idx-th thread.
@@ -283,6 +291,9 @@ func (pl *pool) threadName(idx int) string {
 // kernel's defense against request floods (paper §4.2).
 func (pl *pool) submit(j job) {
 	if pl.q.Waiters() == 0 && pl.spawned < pl.max {
+		if pl.workFn == nil {
+			pl.nameFn, pl.workFn = pl.threadName, pl.work
+		}
 		pl.spawned++
 		pl.k.sys.Eng.SpawnLazy(pl.nameFn, pl.spawned, pl.workFn)
 	}
@@ -306,6 +317,10 @@ func (pl *pool) work(p *sim.Proc) {
 		case jobFunc:
 			j.subj.(jobBody)(p)
 			t.stage = stageJob // the body gave the CPU back itself: no epilogue
+			continue
+		case jobVPE:
+			k.setupVPE(p, j.subj.(*VPE))
+			t.stage = stageJob // as jobFunc
 			continue
 		case jobSyscall:
 			k.handleSyscall(p, j.subj.(*dtu.Message))
@@ -340,30 +355,34 @@ func (k *Kernel) onSyscallMsg(m *dtu.Message) {
 // serializes at their group kernels (visible in the application benchmarks
 // as startup cost).
 func (k *Kernel) createVPE(v *VPE) {
-	k.syscallPool.submit(job{kind: jobFunc, subj: func(p *sim.Proc) {
-		k.exec(p, k.sys.Cost.VPECreate)
-		// Syscall channel: user EP 0 sends to one of the kernel's syscall
-		// endpoints; one credit models the single outstanding syscall.
-		sysEP := kernelSyscallEP0 + (v.PE % SyscallRecvEPs)
-		must(v.dtu.ConfigureSend(k.dtu, vpeSyscallSendEP, k.pe, sysEP, 1, uint64(v.ID)))
-		must(v.dtu.ConfigureRecv(k.dtu, vpeSyscallReplyEP, 2, nil))
-		must(v.dtu.ConfigureRecv(k.dtu, vpeServiceReplyEP, 2, nil))
-		v.dtu.Downgrade()
-		// The VPE's root capability: control over itself. Its object lives
-		// in the VPE's record.
-		v.obj = cap.VPEObject{VPE: v.ID, PE: v.PE}
-		vcap := &cap.Capability{
-			Key:    k.gen.Next(v.PE, v.ID, ddl.TypeVPE),
-			Owner:  v.ID,
-			Sel:    k.store.AllocSel(v.ID),
-			Object: &v.obj,
-			Perm:   dtu.PermRW,
-		}
-		k.store.Insert(vcap)
-		k.stats.CapsCreated++
-		k.releaseCPU(p)
-		v.start()
-	}})
+	k.syscallPool.submit(job{kind: jobVPE, subj: v})
+}
+
+// setupVPE is createVPE's job, run by a syscall thread with the CPU held;
+// it gives the CPU back itself.
+func (k *Kernel) setupVPE(p *sim.Proc, v *VPE) {
+	k.exec(p, k.sys.Cost.VPECreate)
+	// Syscall channel: user EP 0 sends to one of the kernel's syscall
+	// endpoints; one credit models the single outstanding syscall.
+	sysEP := kernelSyscallEP0 + (v.PE % SyscallRecvEPs)
+	must(v.dtu.ConfigureSend(k.dtu, vpeSyscallSendEP, k.pe, sysEP, 1, uint64(v.ID)))
+	must(v.dtu.ConfigureRecv(k.dtu, vpeSyscallReplyEP, 2, nil))
+	must(v.dtu.ConfigureRecv(k.dtu, vpeServiceReplyEP, 2, nil))
+	v.dtu.Downgrade()
+	// The VPE's root capability: control over itself. Its object lives
+	// in the VPE's record.
+	v.obj = cap.VPEObject{VPE: v.ID, PE: v.PE}
+	vcap := &cap.Capability{
+		Key:    k.gen.Next(v.PE, v.ID, ddl.TypeVPE),
+		Owner:  v.ID,
+		Sel:    k.store.AllocSel(v.ID),
+		Object: &v.obj,
+		Perm:   dtu.PermRW,
+	}
+	k.store.Insert(vcap)
+	k.stats.CapsCreated++
+	k.releaseCPU(p)
+	v.start()
 }
 
 // vpeOf returns the VPE for a global id if it is local to this kernel.

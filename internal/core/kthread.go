@@ -228,8 +228,10 @@ func (t *kthread) describe() string {
 		}
 	case j.kind == jobRevokeDone:
 		what = "revoke completion"
+	case j.kind == jobVPE:
+		what = fmt.Sprintf("set-up of VPE %d", j.subj.(*VPE).ID)
 	default:
-		what = "boot or rejoin"
+		what = "rejoin"
 	}
 	return what + ", " + wait
 }

@@ -99,7 +99,12 @@ type localService struct {
 	v        *VPE
 	name     string
 	handlers ServiceHandlers
-	queue    *sim.Queue[svcItem]
+	queue    sim.Queue[svcItem]
+	// entry and obj are the service's directory entry and the object of its
+	// service capability (sysRegisterService): they live in the record, as
+	// a VPE's root object lives in the VPE's.
+	entry serviceEntry
+	obj   cap.ServiceObject
 	// ServeLoop's wait record (Ready): the item in hand — non-zero from the
 	// moment it is taken until its answer has left — and, for a client
 	// request, the handler's reply.
@@ -131,7 +136,8 @@ func (s *localService) Ready(p *sim.Proc) bool {
 // RegisterService registers this VPE as a service under the given name.
 // After registering, the VPE must run ServeLoop to process requests.
 func (v *VPE) RegisterService(p *sim.Proc, name string, h ServiceHandlers) error {
-	v.svc = &localService{v: v, name: name, handlers: h, queue: sim.NewQueue[svcItem]()}
+	v.svc = v.sys.svcRecs.New(serviceBlock)
+	*v.svc = localService{v: v, name: name, handlers: h}
 	rep := v.syscall(p, sysRequest{Kind: sysRegisterService, Name: name})
 	if rep.Err != OK {
 		v.svc = nil
@@ -207,11 +213,13 @@ func (k *Kernel) sysRegisterService(p *sim.Proc, req *sysRequest) sysReply {
 	if k.sys.services[req.Name] != nil {
 		return sysReply{Err: ErrExists}
 	}
+	svc := v.svc
+	svc.obj = cap.ServiceObject{Name: req.Name, PE: v.PE, VPE: v.ID}
 	c := &cap.Capability{
 		Key:    k.mintKey(v.PE, v.ID, ddl.TypeService),
 		Owner:  v.ID,
 		Sel:    k.store.AllocSel(v.ID),
-		Object: &cap.ServiceObject{Name: req.Name, PE: v.PE, VPE: v.ID},
+		Object: &svc.obj,
 		Perm:   dtu.PermRW,
 	}
 	k.insertCap(p, c)
@@ -219,12 +227,13 @@ func (k *Kernel) sysRegisterService(p *sim.Proc, req *sysRequest) sysReply {
 	// are the service's and the directory is every kernel's: the creation
 	// time passes first.
 	p.Settle()
-	q := v.svc.queue
+	q := &svc.queue
 	onRequest := func(m *dtu.Message) { q.Push(svcItem{msg: m}) }
 	for ep := svcFirstClientEP; ep <= svcLastClientEP; ep++ {
 		must(v.dtu.ConfigureRecv(k.dtu, ep, dtu.DefaultSlots, onRequest))
 	}
-	k.sys.services[req.Name] = &serviceEntry{name: req.Name, key: c.Key, kernel: k.id, vpe: v}
+	svc.entry = serviceEntry{name: req.Name, key: c.Key, kernel: k.id, vpe: v}
+	k.sys.services[req.Name] = &svc.entry
 	return sysReply{Sel: c.Sel}
 }
 
@@ -290,7 +299,9 @@ func (v *VPE) CreateSession(p *sim.Proc, name string, args any) (*Session, error
 	if rep.Err != OK {
 		return nil, rep.Err
 	}
-	return &Session{Sel: rep.Sel, v: v, ep: rep.Args.(int)}, nil
+	s := v.sys.sessRecs.New(sessionBlock)
+	*s = Session{Sel: rep.Sel, v: v, ep: rep.Args.(int)}
+	return s, nil
 }
 
 // Call performs data-plane IPC with the service: no kernel involved, only

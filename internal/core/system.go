@@ -125,13 +125,20 @@ type System struct {
 	reqs  sim.Recycler[ikcRequest]
 	xmits sim.Recycler[xmitState]
 
-	// vpeRecs and memObjs are the blocks the machine's VPEs (SpawnOn) and
-	// memory objects (newMemObject) come from.
-	vpeRecs sim.Blocks[VPE]
-	memObjs sim.Blocks[cap.MemObject]
+	// vpeRecs, memObjs, sessObjs, sessRecs and svcRecs are the blocks the
+	// machine's VPEs (SpawnOn), memory and session objects (newMemObject,
+	// newSessionObject), client session handles (CreateSession) and
+	// service records (RegisterService) come from.
+	vpeRecs  sim.Blocks[VPE]
+	memObjs  sim.Blocks[cap.MemObject]
+	sessObjs sim.Blocks[cap.SessionObject]
+	sessRecs sim.Blocks[Session]
+	svcRecs  sim.Blocks[localService]
 
-	// vpeProcNameFn is vpeProcName, bound once for every VPE's SpawnLazy.
+	// vpeProcNameFn and vpeRunFn are vpeProcName and vpeRun, bound once
+	// for every VPE's SpawnLazy.
 	vpeProcNameFn func(id int) string
+	vpeRunFn      func(p *sim.Proc)
 }
 
 type serviceEntry struct {
@@ -175,7 +182,7 @@ func NewSystem(cfg Config) (*System, error) {
 		services: make(map[string]*serviceEntry),
 		dramNext: make([]uint64, cfg.MemPEs),
 	}
-	s.vpeProcNameFn = s.vpeProcName
+	s.vpeProcNameFn, s.vpeRunFn = s.vpeProcName, s.vpeRun
 	// Fault injection; the kernels run the reliable IKC mode it requires
 	// (newKernel).
 	if cfg.Faults != nil {
@@ -203,9 +210,9 @@ func NewSystem(cfg Config) (*System, error) {
 		fab.DTU(pe).Downgrade()
 	}
 	// Boot the kernels; the now-static table stands for every replica.
-	recs := make([]Kernel, cfg.Kernels)
+	recs, peers := make([]Kernel, cfg.Kernels), make([]*peer, cfg.Kernels*cfg.Kernels)
 	for k := range recs {
-		newKernel(&recs[k], s, k)
+		newKernel(&recs[k], s, k, peers[k*cfg.Kernels:(k+1)*cfg.Kernels:(k+1)*cfg.Kernels])
 		s.kernels[k] = &recs[k]
 	}
 	// Schedule crash recoveries: at RecoverAt the kernel's links
@@ -294,6 +301,21 @@ func (s *System) newMemObject(o cap.MemObject) *cap.MemObject {
 	return obj
 }
 
+// sessionBlock is how many session objects, and how many client session
+// handles, one allocation serves; serviceBlock is how many service records
+// one does.
+const (
+	sessionBlock = 64
+	serviceBlock = 8
+)
+
+// newSessionObject is newMemObject for session objects.
+func (s *System) newSessionObject(o cap.SessionObject) *cap.SessionObject {
+	obj := s.sessObjs.New(sessionBlock)
+	*obj = o
+	return obj
+}
+
 // FaultStats returns the fault injector's counters (zero without a plan).
 func (s *System) FaultStats() fault.Stats {
 	if s.inj == nil {
@@ -314,6 +336,13 @@ func (s *System) TotalStats() KernelStats {
 		}
 	}
 	return t
+}
+
+// vpeRun is the body of every VPE's proc: the program of the VPE whose id
+// the proc was spawned with.
+func (s *System) vpeRun(p *sim.Proc) {
+	v := s.vpes[p.Arg()]
+	v.prog(v, p)
 }
 
 // vpeProcName formats the diagnostic name of VPE id's proc.

@@ -96,11 +96,8 @@ func (v *VPE) start() {
 		return
 	}
 	v.started = true
-	v.proc = v.sys.Eng.SpawnLazy(v.sys.vpeProcNameFn, v.ID, v.run)
+	v.proc = v.sys.Eng.SpawnLazy(v.sys.vpeProcNameFn, v.ID, v.sys.vpeRunFn)
 }
-
-// run is the body of the VPE's proc.
-func (v *VPE) run(p *sim.Proc) { v.prog(v, p) }
 
 // answerExchange runs the VPE's exchange handler (event context; the
 // decision cost is charged by the kernel's query round trip).

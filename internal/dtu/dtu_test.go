@@ -760,12 +760,13 @@ func TestDTUSizeClass(t *testing.T) {
 	}
 }
 
-// TestRecvStateSize pins a receive endpoint's state to the 96 B size
+// TestRecvStateSize pins a receive endpoint's state to the 112 B size
 // class: its queue is a sim.Queue, which keeps no engine pointer, so the
 // items and waiters of the queue take the place of the two FIFOs the state
-// held before.
+// held before, and each FIFO holds its first element inline, so that a
+// reply endpoint — one message, one waiter at a time — allocates no array.
 func TestRecvStateSize(t *testing.T) {
-	if got := unsafe.Sizeof(recvState{}); got != 96 {
-		t.Fatalf("unsafe.Sizeof(recvState{}) = %d B, want 96", got)
+	if got := unsafe.Sizeof(recvState{}); got != 112 {
+		t.Fatalf("unsafe.Sizeof(recvState{}) = %d B, want 112", got)
 	}
 }

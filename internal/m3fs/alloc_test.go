@@ -3,7 +3,6 @@ package m3fs
 import (
 	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -393,12 +392,19 @@ func TestPooledEngineRetainsNoFileState(t *testing.T) {
 		t.Fatal("Put did not shelve the engine")
 	}
 	pool.Put(eng)
-	runtime.GC()
-	runtime.GC()
-	select {
-	case <-collected:
-	case <-time.After(10 * time.Second):
-		t.Fatal("an open file of a closed machine is still reachable from its pooled engine")
+	// Collect until the finalizer has run, yielding to the runtime's
+	// finalizer goroutine in between, with no timer left behind.
+	for i := 0; ; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		default:
+		}
+		if i == 1000 {
+			t.Fatal("an open file of a closed machine is still reachable from its pooled engine")
+		}
+		runtime.Gosched()
 	}
 }
 

@@ -27,10 +27,13 @@ type Client struct {
 	req Request
 	// files holds the handles by descriptor, files[fd-1]: the service hands
 	// a closed descriptor out again, and its handle is reused with it. The
-	// table starts in the record (first), like the service's, and the
-	// handles come from a block of the client's.
+	// table starts in the record (first), like the service's, and so do the
+	// handles (own, of which owned are taken); more come from blocks of the
+	// client's.
 	files   []*File
 	first   [firstFDs]*File
+	own     [handleBlock]File
+	owned   int
 	handles sim.Blocks[File]
 }
 
@@ -44,13 +47,23 @@ const (
 
 // Dial connects a VPE to the named filesystem service.
 func Dial(p *sim.Proc, v *core.VPE, service string) (*Client, error) {
+	c := new(Client)
+	if err := c.Connect(p, v, service); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// Connect is Dial into a zero Client the caller provides, such as one of a
+// table of clients made at once.
+func (c *Client) Connect(p *sim.Proc, v *core.VPE, service string) error {
 	sess, err := v.CreateSession(p, service, nil)
 	if err != nil {
-		return nil, fmt.Errorf("m3fs: dial %s: %w", service, err)
+		return fmt.Errorf("m3fs: dial %s: %w", service, err)
 	}
-	c := &Client{v: v, sess: sess}
+	c.v, c.sess = v, sess
 	c.files = c.first[:0]
-	return c, nil
+	return nil
 }
 
 // Close closes the session (revoking the session capability).
@@ -152,7 +165,12 @@ func (c *Client) Open(p *sim.Proc, path string, create, truncate bool) (*File, e
 	}
 	f := c.files[rep.FD-1]
 	if f == nil {
-		f = c.handles.New(handleBlock)
+		if c.owned < len(c.own) {
+			f = &c.own[c.owned]
+			c.owned++
+		} else {
+			f = c.handles.New(handleBlock)
+		}
 		f.c, f.ranges = c, f.first[:0]
 		c.files[rep.FD-1] = f
 	}

@@ -2,7 +2,6 @@ package m3fs
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -11,24 +10,19 @@ import (
 // first, then the bump allocator's position and the next file id.
 func (fs *FS) Listing() string {
 	var b strings.Builder
-	var list func(path string, d dirNode)
-	list = func(path string, d dirNode) {
-		names := make([]string, 0, len(d))
-		for name := range d {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			switch n := d[name].(type) {
-			case dirNode:
-				fmt.Fprintf(&b, "dir  %s/%s\n", path, name)
-				list(path+"/"+name, n)
+	var list func(path string, d *dirNode)
+	list = func(path string, d *dirNode) {
+		for _, e := range d.ents {
+			switch n := e.n.(type) {
+			case *dirNode:
+				fmt.Fprintf(&b, "dir  %s/%s\n", path, e.name)
+				list(path+"/"+e.name, n)
 			case *fileNode:
-				fmt.Fprintf(&b, "file %s/%s id=%d size=%d extents=%v\n", path, name, n.id, n.size, n.extents)
+				fmt.Fprintf(&b, "file %s/%s id=%d size=%d extents=%v\n", path, e.name, n.id, n.size, n.extents)
 			}
 		}
 	}
-	list("", fs.root)
+	list("", &fs.root)
 	fmt.Fprintf(&b, "nextOff=%d nextFile=%d\n", fs.nextOff, fs.nextFile)
 	return b.String()
 }

@@ -19,7 +19,6 @@ package m3fs
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/cap"
@@ -116,16 +115,14 @@ type Reply struct {
 	// Off and Len are the granted range of an OpRange (start within the
 	// file, length).
 	Off, Len uint64
-	// Entries is the OpReaddir listing, a fresh slice the client may keep.
+	// Entries is the OpReaddir listing, the client's to keep: no other
+	// answer ever reuses its slots (FS.listing).
 	Entries []string
 }
 
 // --- filesystem state ------------------------------------------------------
 
 type node interface{ isNode() }
-
-// dirNode is a directory: its entries by name.
-type dirNode map[string]node
 
 type fileNode struct {
 	id      uint64
@@ -134,7 +131,7 @@ type fileNode struct {
 	hot     bool     // extent table loaded (first open paid for it)
 }
 
-func (dirNode) isNode()   {}
+func (*dirNode) isNode()  {}
 func (*fileNode) isNode() {}
 
 type session struct {
@@ -170,11 +167,6 @@ func (s *session) file(fd int) *fileNode {
 	return s.files[fd-1]
 }
 
-type extKey struct {
-	fileID uint64
-	idx    int
-}
-
 // Block sizes of an FS's records where nothing tells it better (Reserve
 // does for the preloaded image), and how many descriptors a session holds
 // before its table moves out of the record.
@@ -195,16 +187,27 @@ type FS struct {
 	nextFile uint64
 	nextSess uint64
 	sessions map[uint64]*session
-	extCaps  map[extKey]cap.Selector
-	stats    Stats
-	// The FS's sessions, files and extent lists come from blocks it owns.
-	// reserved is the preloaded files Reserve announced that are still to
-	// be made. extents is the unused rest of the current extent arena
-	// (extentList).
-	sessRecs sim.Blocks[session]
-	fileRecs sim.Blocks[fileNode]
-	reserved int
-	extents  []uint64
+	// extCaps holds the service-owned capability derived for each extent
+	// of the image, by image offset / ExtentBytes (an extent belongs to one
+	// file for good: the image is a bump allocator), NoSel where none is.
+	// It is made, at the image's size, by the first derive: many services
+	// of a run never derive one.
+	extCaps []cap.Selector
+	stats   Stats
+	// The FS's sessions, files, directories and the lists they hold come
+	// from blocks and arenas it owns. reserved and reservedDirs are the
+	// preloaded files and directories Reserve and ReserveDirs announced
+	// that are still to be made. extents, ents and names are the unused
+	// rest of the current extent, entry and listing arena (extentList,
+	// entryList, listing).
+	sessRecs     sim.Blocks[session]
+	fileRecs     sim.Blocks[fileNode]
+	dirRecs      sim.Blocks[dirNode]
+	reserved     int
+	reservedDirs int
+	extents      []uint64
+	ents         []dirent
+	names        []string
 }
 
 // NewFS creates an (unstarted) filesystem instance for the given service
@@ -214,9 +217,7 @@ func NewFS(cfg Config, v *core.VPE) *FS {
 	return &FS{
 		cfg:      cfg,
 		v:        v,
-		root:     make(dirNode),
 		sessions: make(map[uint64]*session),
-		extCaps:  make(map[extKey]cap.Selector),
 	}
 }
 
@@ -235,14 +236,24 @@ func Program(cfg Config, preload func(*FS), ready *sim.Future[*FS]) core.Program
 		if preload != nil {
 			preload(fs)
 		}
-		if err := fs.Start(p); err != nil {
-			panic(fmt.Sprintf("m3fs: start failed: %v", err))
-		}
+		var onReady func(*FS)
 		if ready != nil {
-			ready.Complete(fs)
+			onReady = ready.Complete
 		}
-		v.ServeLoop(p)
+		fs.Serve(p, onReady)
 	}
+}
+
+// Serve starts the service (Start), hands the FS to ready, if non-nil, once
+// it is registered, and serves forever. It panics if the start fails.
+func (fs *FS) Serve(p *sim.Proc, ready func(*FS)) {
+	if err := fs.Start(p); err != nil {
+		panic(fmt.Sprintf("m3fs: start failed: %v", err))
+	}
+	if ready != nil {
+		ready(fs)
+	}
+	fs.v.ServeLoop(p)
 }
 
 // Start allocates the image memory and registers the service.
@@ -285,18 +296,18 @@ func nextPart2(dir, path string) (part, restDir, restPath string) {
 }
 
 // walk resolves dir/path to its parent directory and final name.
-func (fs *FS) walk(dir, path string) (parent dirNode, name string, n node) {
+func (fs *FS) walk(dir, path string) (parent *dirNode, name string, n node) {
 	name, dir, path = nextPart2(dir, path)
 	if name == "" {
-		return nil, "", fs.root
+		return nil, "", &fs.root
 	}
-	d := fs.root
+	d := &fs.root
 	for {
 		next, restDir, restPath := nextPart2(dir, path)
 		if next == "" {
-			return d, name, d[name]
+			return d, name, d.lookup(name)
 		}
-		sub, ok := d[name].(dirNode)
+		sub, ok := d.lookup(name).(*dirNode)
 		if !ok {
 			return nil, "", nil
 		}
@@ -318,21 +329,22 @@ func (fs *FS) Reserve(files, extents int) {
 // simulated cost), walking the two as a request does rather than joining
 // them. A directory it creates last is made with room for entries entries.
 func (fs *FS) MustMkdirAllIn(dir, path string, entries int) {
-	d := fs.root
+	d := &fs.root
 	part, restDir, restPath := nextPart2(dir, path)
 	for part != "" {
 		var next string
 		next, restDir, restPath = nextPart2(restDir, restPath)
-		n, ok := d[part]
-		if !ok {
+		n := d.lookup(part)
+		if n == nil {
 			hint := 0
 			if next == "" {
 				hint = entries
 			}
-			n = make(dirNode, hint)
-			d[part] = n
+			n = fs.newDir(hint)
+			fs.link(d, part, n)
 		}
-		if d, ok = n.(dirNode); !ok {
+		var ok bool
+		if d, ok = n.(*dirNode); !ok {
 			panic("m3fs: path component is a file: " + joinPath(dir, path))
 		}
 		part = next
@@ -356,7 +368,7 @@ func (fs *FS) MustCreateIn(dir, path string, size uint64) {
 	if err := fs.grow(f, size); err != nil {
 		panic("m3fs: image full while preloading " + joinPath(dir, path))
 	}
-	parent[name] = f
+	fs.link(parent, name, f)
 }
 
 // joinPath is dir/path, for messages.
@@ -430,16 +442,19 @@ func (fs *FS) extentCap(p *sim.Proc, f *fileNode, idx int) (cap.Selector, error)
 	if idx >= len(f.extents) {
 		return cap.NoSel, core.ErrBadArgs
 	}
-	key := extKey{f.id, idx}
-	if sel, ok := fs.extCaps[key]; ok {
-		return sel, nil
+	if fs.extCaps == nil {
+		fs.extCaps = make([]cap.Selector, fs.cfg.ImageBytes/ExtentBytes)
+	}
+	slot := &fs.extCaps[f.extents[idx]/ExtentBytes]
+	if *slot != cap.NoSel {
+		return *slot, nil
 	}
 	sel, err := fs.v.DeriveMem(p, fs.rootSel, f.extents[idx], ExtentBytes, dtu.PermRW)
 	if err != nil {
 		return cap.NoSel, err
 	}
 	fs.stats.ExtentsDerived++
-	fs.extCaps[key] = sel
+	*slot = sel
 	return sel, nil
 }
 
@@ -488,7 +503,7 @@ func (fs *FS) doOpen(p *sim.Proc, sess *session, req *Request, rep *Reply) {
 			return
 		}
 		f = fs.newFile()
-		parent[name] = f
+		fs.link(parent, name, f)
 	case n == nil:
 		rep.Err = core.ErrNoSuchCap
 		return
@@ -518,13 +533,15 @@ func (fs *FS) truncate(p *sim.Proc, f *fileNode) {
 
 // revokeExtents revokes every capability derived for f's extents.
 func (fs *FS) revokeExtents(p *sim.Proc, f *fileNode) {
-	for idx := range f.extents {
-		key := extKey{f.id, idx}
-		if sel, ok := fs.extCaps[key]; ok {
+	if fs.extCaps == nil {
+		return // nothing derived yet
+	}
+	for _, off := range f.extents {
+		if slot := &fs.extCaps[off/ExtentBytes]; *slot != cap.NoSel {
 			// The extent is forgotten either way; a revoke that fails found
 			// its capability gone already.
-			_ = fs.v.Revoke(p, sel)
-			delete(fs.extCaps, key)
+			_ = fs.v.Revoke(p, *slot)
+			*slot = cap.NoSel
 		}
 	}
 }
@@ -535,7 +552,7 @@ func (fs *FS) doStat(p *sim.Proc, req *Request, rep *Reply) {
 	switch t := n.(type) {
 	case *fileNode:
 		rep.Size = t.size
-	case dirNode:
+	case *dirNode:
 		rep.IsDir = true
 	default:
 		rep.Err = core.ErrNoSuchCap
@@ -551,7 +568,7 @@ func (fs *FS) doMkdir(p *sim.Proc, req *Request) core.Errno {
 	if n != nil {
 		return core.ErrExists
 	}
-	parent[name] = make(dirNode)
+	fs.link(parent, name, fs.newDir(0))
 	return core.OK
 }
 
@@ -563,23 +580,19 @@ func (fs *FS) doUnlink(p *sim.Proc, req *Request) core.Errno {
 		return core.ErrNoSuchCap
 	}
 	fs.revokeExtents(p, f)
-	delete(parent, name)
+	parent.unlink(name)
 	return core.OK
 }
 
 func (fs *FS) doReaddir(p *sim.Proc, req *Request, rep *Reply) {
 	p.Charge(pathWalkCycles)
 	_, _, n := fs.walk(req.Dir, req.Path)
-	d, ok := n.(dirNode)
+	d, ok := n.(*dirNode)
 	if !ok {
 		rep.Err = core.ErrNoSuchCap
 		return
 	}
-	rep.Entries = make([]string, 0, len(d))
-	for name := range d {
-		rep.Entries = append(rep.Entries, name)
-	}
-	sort.Strings(rep.Entries)
+	rep.Entries = fs.listing(d)
 }
 
 func (fs *FS) doExtend(p *sim.Proc, sess *session, req *Request) core.Errno {

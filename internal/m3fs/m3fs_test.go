@@ -1,7 +1,6 @@
 package m3fs
 
 import (
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -114,7 +113,8 @@ func TestGrowingPreloadedFileKeepsNeighbour(t *testing.T) {
 		}
 	})
 	s.Run()
-	a, b := fs.root["inst0"].(dirNode)["a"].(*fileNode), fs.root["inst0"].(dirNode)["b"].(*fileNode)
+	inst0 := fs.root.lookup("inst0").(*dirNode)
+	a, b := inst0.lookup("a").(*fileNode), inst0.lookup("b").(*fileNode)
 	if want := []uint64{0, 2 << 20, 3 << 20}; !slices.Equal(a.extents, want) {
 		t.Errorf("grown file's extents = %v, want %v", a.extents, want)
 	}
@@ -334,7 +334,7 @@ func TestWalkMatchesSplitReference(t *testing.T) {
 	fs.MustCreate("/a/b/f", 0)
 	fs.MustCreate("a/g", 0)
 
-	refWalk := func(path string) (dirNode, string, node) {
+	refWalk := func(path string) (*dirNode, string, node) {
 		var parts []string
 		for _, s := range strings.Split(path, "/") {
 			if s != "" {
@@ -342,27 +342,22 @@ func TestWalkMatchesSplitReference(t *testing.T) {
 			}
 		}
 		if len(parts) == 0 {
-			return nil, "", fs.root
+			return nil, "", &fs.root
 		}
-		d := fs.root
+		d := &fs.root
 		for _, part := range parts[:len(parts)-1] {
-			next, ok := d[part].(dirNode)
+			next, ok := d.lookup(part).(*dirNode)
 			if !ok {
 				return nil, "", nil
 			}
 			d = next
 		}
 		name := parts[len(parts)-1]
-		return d, name, d[name]
+		return d, name, d.lookup(name)
 	}
-	// Directories are maps, which compare by identity only through reflect.
-	same := func(a, b node) bool {
-		if da, ok := a.(dirNode); ok {
-			db, ok := b.(dirNode)
-			return ok && reflect.ValueOf(da).Pointer() == reflect.ValueOf(db).Pointer()
-		}
-		return a == b
-	}
+	// Directories and files compare by identity; a missing parent is a nil
+	// *dirNode on both sides.
+	same := func(a, b node) bool { return a == b }
 	for _, path := range []string{
 		"", "/", "///", "a", "/a", "a/", "//a//", "/a/b", "a//b/f", "/a/b/f/", "/a/g",
 		"/a/missing", "/missing/f", "/a/g/under-a-file", "/a/b/f/x/y", "c", "/c/new",

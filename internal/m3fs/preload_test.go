@@ -50,23 +50,34 @@ func TestPreloadMatchesJoinedPaths(t *testing.T) {
 	}
 }
 
-// TestPreloadAllocationCeiling pins the allocations of booting an image with
-// one instance tree of each trace. NewFS makes 4 (the FS and its three maps)
-// and the root's first entry 1 more. Each directory is one map: 1 or 2
-// allocations up to eight entries, 4 beyond (find's nine-entry
-// directories), made at that size so it never grows. The files take one
-// block of records and one arena of extents between them. No path is
-// joined and no file has an allocation of its own. The ceilings are the
-// measured counts, with and without the race detector.
+// TestPreloadAllocationCeiling pins the allocations of booting an image,
+// and that they do not grow with the number of instance trees or with the
+// trace's directory count. NewFS makes 2 (the FS and its session map). The
+// preload makes one block of file records, one of directory records and
+// one arena each of extents and entries, all sized for the whole preload
+// (Reserve, ReserveDirs; a trace that preloads no file needs neither of
+// the first and last): nothing per prefix, per directory or per file, so
+// one tree of find (73 files in 8 directories) costs what 64 of tar do.
+// With one Go map per directory, one tree cost 6 (sqlite) to 43 (find).
 func TestPreloadAllocationCeiling(t *testing.T) {
-	ceiling := map[string]float64{
-		"tar": 9, "untar": 9, "find": 43, "sqlite": 6, "leveldb": 6, "postmark": 10,
-	}
+	const ceiling = 6
 	for _, tr := range trace.All() {
-		cfg, preload := configFor(tr, instances[:1]), workload.Preload(tr, instances[:1])
-		allocs := testing.AllocsPerRun(50, func() { preload(m3fs.NewFS(cfg, nil)) })
-		if allocs > ceiling[tr.Name] {
-			t.Errorf("%s: preloading one instance tree allocates %v times, ceiling %v", tr.Name, allocs, ceiling[tr.Name])
+		var first float64
+		for _, n := range []int{1, 8, 64} {
+			prefixes := make([]string, n)
+			for i := range prefixes {
+				prefixes[i] = "inst" + trace.Itoa(i)
+			}
+			cfg, preload := configFor(tr, prefixes), workload.Preload(tr, prefixes)
+			allocs := testing.AllocsPerRun(20, func() { preload(m3fs.NewFS(cfg, nil)) })
+			if allocs > ceiling {
+				t.Errorf("%s: preloading %d instance trees allocates %v times, ceiling %v", tr.Name, n, allocs, ceiling)
+			}
+			if n == 1 {
+				first = allocs
+			} else if allocs != first {
+				t.Errorf("%s: preloading %d instance trees allocates %v times, one tree %v", tr.Name, n, allocs, first)
+			}
 		}
 	}
 }

@@ -8,7 +8,14 @@ package sim
 // its length slides the live elements down instead of growing. Popped slots
 // are zeroed so the queue never pins what it no longer holds. The zero value
 // is an empty queue.
+//
+// An element pushed into an empty queue goes into the record itself
+// (first), and head is -1 while it is there: it is the head, and anything
+// pushed behind it goes to the array. Most queues of a machine — a reply
+// endpoint's messages and waiter, a semaphore's waiters — never hold more
+// than one element, and so never allocate an array at all.
 type FIFO[T any] struct {
+	first T
 	items []T
 	head  int
 }
@@ -18,6 +25,11 @@ func (f *FIFO[T]) Len() int { return len(f.items) - f.head }
 
 // Push appends v at the tail.
 func (f *FIFO[T]) Push(v T) {
+	if f.Len() == 0 {
+		// A drained queue has rewound: items is empty and head 0.
+		f.first, f.head = v, -1
+		return
+	}
 	if n := len(f.items); n == cap(f.items) && f.head > 0 && f.head >= n/2 {
 		// Sliding at most half the array frees at least as many slots, so
 		// the copy stays amortized O(1) per push.
@@ -32,6 +44,11 @@ func (f *FIFO[T]) Push(v T) {
 // Pop removes and returns the head element. It panics on an empty queue.
 func (f *FIFO[T]) Pop() T {
 	var zero T
+	if f.head < 0 {
+		v := f.first
+		f.first, f.head = zero, 0
+		return v
+	}
 	v := f.items[f.head]
 	f.items[f.head] = zero
 	f.head++

@@ -62,6 +62,9 @@ func TestFIFOMatchesReferenceSlice(t *testing.T) {
 						t.Fatalf("step %d: dead slot %d still holds %d", step, i, *v)
 					}
 				}
+				if f.head >= 0 && f.first != nil {
+					t.Fatalf("step %d: the empty inline slot still holds %d", step, *f.first)
+				}
 			}
 			if drained := emptied > 0; drained != (rg.floor == 0) {
 				t.Fatalf("queue was empty after %d steps, floor is %d", emptied, rg.floor)
@@ -193,5 +196,55 @@ func TestFutureWaitAllocs(t *testing.T) {
 	}
 	if sum != 202 {
 		t.Fatalf("caller saw %d completions, want 202", sum)
+	}
+}
+
+// TestSingleElementQueuesAllocateNothing: a FIFO, Queue or Semaphore that
+// never holds more than one element keeps it in the record (FIFO.first), so
+// not even the first push into a fresh one allocates. Every cycle below
+// uses queues it has not touched before.
+func TestSingleElementQueuesAllocateNothing(t *testing.T) {
+	const runs = 100
+	x := new(int)
+	fifos := make([]FIFO[*int], runs+1)
+	i := 0
+	if allocs := testing.AllocsPerRun(runs, func() {
+		f := &fifos[i]
+		i++
+		for n := 0; n < 2; n++ {
+			f.Push(x)
+			if f.Pop() != x || f.Len() != 0 {
+				t.Fatal("a one-element FIFO lost its element")
+			}
+		}
+	}); allocs != 0 {
+		t.Fatalf("a fresh FIFO of one element allocates %v times, want 0", allocs)
+	}
+
+	e := NewEngine()
+	defer e.Kill()
+	queues := make([]Queue[int], runs+1)
+	sems := make([]Semaphore, runs+1)
+	taken := 0
+	e.Spawn("consumer", func(p *Proc) {
+		for i := range queues {
+			taken += queues[i].Pop(p) // parks: its waiter is the queue's one element
+			sems[i].Acquire(p)        // parks on a semaphore with no unit
+		}
+	})
+	e.Run()
+	j := 0
+	cycle := func() {
+		queues[j].Push(1) // the item joins the queue, the waiter leaves it
+		e.Run()
+		sems[j].Release()
+		e.Run()
+		j++
+	}
+	if allocs := testing.AllocsPerRun(runs, cycle); allocs != 0 {
+		t.Fatalf("a fresh Queue and Semaphore of one element allocate %v times per cycle, want 0", allocs)
+	}
+	if taken != runs+1 {
+		t.Fatalf("consumer took %d items, want %d", taken, runs+1)
 	}
 }

@@ -112,6 +112,11 @@ func (e *Engine) SpawnLazy(name func(arg int) string, arg int, fn func(p *Proc))
 	return p
 }
 
+// Arg returns the argument the proc was spawned with by SpawnLazy (0 for
+// Spawn), so that one body bound once for many procs can tell which of
+// them it is running as.
+func (p *Proc) Arg() int { return p.nameArg }
+
 func (e *Engine) spawn(fn func(p *Proc)) *Proc {
 	p := &Proc{eng: e}
 	p.stepFn = p.step

@@ -68,7 +68,8 @@ func RunNginx(cfg NginxConfig) (*NginxResult, error) {
 	for j := range prefixes {
 		prefixes[j] = roots
 	}
-	allReady, err := boot(sys, pl, app.Trace, prefixes)
+	services := numbered("m3fs", app.Services)
+	allReady, err := boot(sys, pl, app.Trace, services, prefixes)
 	if err != nil {
 		return nil, err
 	}
@@ -89,7 +90,7 @@ func RunNginx(cfg NginxConfig) (*NginxResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		svc := svcName(pl.svcOfGroup[g])
+		svc := services[pl.svcOfGroup[g]]
 		prog := func(v *core.VPE, p *sim.Proc) {
 			allReady.Wait(p)
 			client, err := m3fs.Dial(p, v, svc)

@@ -28,14 +28,14 @@ type InstanceResult struct {
 // Runtime returns the instance's replay duration.
 func (r InstanceResult) Runtime() sim.Duration { return r.End - r.Start }
 
-// Replay executes the trace on a VPE against the named service.
-func Replay(v *core.VPE, p *sim.Proc, tr *trace.Trace, service, prefix string) error {
-	client, err := m3fs.Dial(p, v, service)
-	if err != nil {
+// replay executes the trace on a VPE against the named service, through
+// the zero client given, with the table of open files by trace slot given.
+func replay(v *core.VPE, p *sim.Proc, tr *trace.Trace, service, prefix string, client *m3fs.Client, files []*m3fs.File) error {
+	if err := client.Connect(p, v, service); err != nil {
 		return fmt.Errorf("replay %s: %w", tr.Name, err)
 	}
 	client.Prefix = prefix
-	return replayOps(client, p, tr, make([]*m3fs.File, slots(tr)))
+	return replayOps(client, p, tr, files)
 }
 
 // replayOps plays tr's operations once through client; files holds the open
@@ -121,38 +121,50 @@ func replayOp(c *m3fs.Client, p *sim.Proc, files []*m3fs.File, op *trace.Op) err
 // its prefix and its trace path in turn, from blocks sized to the whole
 // preload, in directories made with room for their entries.
 func Preload(tr *trace.Trace, prefixes []string) func(*m3fs.FS) {
-	top, entries := dirEntries(tr)
-	return func(fs *m3fs.FS) {
-		extents := 0
-		for _, f := range tr.Files {
-			extents += fs.ExtentsFor(f.Size)
+	sh := shapeOf(tr)
+	return func(fs *m3fs.FS) { sh.preload(fs, tr, prefixes) }
+}
+
+// treeShape is what a preload counts of a trace once: the preloaded entries
+// of an instance's directory (top), of each of tr.Dirs (entries), and of
+// all of these (all).
+type treeShape struct {
+	top, all int
+	entries  []int
+}
+
+// preload is Preload's function, for tr's tree of shape sh.
+func (sh *treeShape) preload(fs *m3fs.FS, tr *trace.Trace, prefixes []string) {
+	extents := 0
+	for _, f := range tr.Files {
+		extents += fs.ExtentsFor(f.Size)
+	}
+	n := len(prefixes)
+	fs.Reserve(n*len(tr.Files), n*extents)
+	fs.ReserveDirs(n, n*(1+len(tr.Dirs)), n*sh.all)
+	for _, prefix := range prefixes {
+		fs.MustMkdirAllIn("", prefix, sh.top)
+		for i, d := range tr.Dirs {
+			fs.MustMkdirAllIn(prefix, d, sh.entries[i])
 		}
-		fs.Reserve(len(prefixes)*len(tr.Files), len(prefixes)*extents)
-		for _, prefix := range prefixes {
-			fs.MustMkdirAllIn("", prefix, top)
-			for i, d := range tr.Dirs {
-				fs.MustMkdirAllIn(prefix, d, entries[i])
-			}
-			for _, f := range tr.Files {
-				fs.MustCreateIn(prefix, f.Path, f.Size)
-			}
+		for _, f := range tr.Files {
+			fs.MustCreateIn(prefix, f.Path, f.Size)
 		}
 	}
 }
 
-// dirEntries counts the preloaded entries of an instance's directory (top)
-// and of each of tr.Dirs.
-func dirEntries(tr *trace.Trace) (top int, entries []int) {
-	entries = make([]int, len(tr.Dirs))
+// shapeOf counts the shape of tr's tree.
+func shapeOf(tr *trace.Trace) *treeShape {
+	sh := &treeShape{entries: make([]int, len(tr.Dirs))}
 	count := func(path string) {
 		i := strings.LastIndexByte(path, '/')
 		if i < 0 {
-			top++
+			sh.top++
 			return
 		}
 		for j, d := range tr.Dirs {
 			if d == path[:i] {
-				entries[j]++
+				sh.entries[j]++
 			}
 		}
 	}
@@ -162,5 +174,9 @@ func dirEntries(tr *trace.Trace) (top int, entries []int) {
 	for _, f := range tr.Files {
 		count(f.Path)
 	}
-	return top, entries
+	sh.all = sh.top
+	for _, n := range sh.entries {
+		sh.all += n
+	}
+	return sh
 }

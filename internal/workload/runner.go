@@ -3,6 +3,7 @@ package workload
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -87,17 +88,36 @@ type placement struct {
 // place assigns services round-robin over groups and instances evenly,
 // preferring the service hosted in the instance's own group (paper §5.3.2:
 // "Kernels which host a service in their PE group prefer to connect their
-// applications to the service in their PE group").
+// applications to the service in their PE group"). The lists are counted
+// first and carved from one array, so a placement is three allocations
+// whatever its size.
 func place(s *core.System, services, instances int) *placement {
 	k := s.Kernels()
-	pl := &placement{
-		svcGroup:     make([]int, services),
-		instGroup:    make([]int, instances),
-		svcOfGroup:   make([]int, k),
-		instOfSvc:    make([][]int, services),
-		groupFreePEs: make([][]int, k),
+	userPEs := s.UserPEs()
+	ints := make([]int, 2*services+2*instances+2*k+len(userPEs))
+	carve := func(n int) []int {
+		l := ints[:n:n]
+		ints = ints[n:]
+		return l
 	}
-	for _, pe := range s.UserPEs() {
+	lists := make([][]int, services+k)
+	pl := &placement{
+		svcGroup:     carve(services),
+		instGroup:    carve(instances),
+		svcOfGroup:   carve(k),
+		instOfSvc:    lists[:services:services],
+		groupFreePEs: lists[services:],
+	}
+	// Each list starts empty with room for its count, so the appends below
+	// fill it in place.
+	pes := carve(k) // group -> how many user PEs it has
+	for _, pe := range userPEs {
+		pes[s.KernelOfPE(pe).ID()]++
+	}
+	for g, n := range pes {
+		pl.groupFreePEs[g] = carve(n)[:0]
+	}
+	for _, pe := range userPEs {
 		g := s.KernelOfPE(pe).ID()
 		pl.groupFreePEs[g] = append(pl.groupFreePEs[g], pe)
 	}
@@ -119,9 +139,16 @@ func place(s *core.System, services, instances int) *placement {
 		}
 		pl.svcOfGroup[g] = best
 	}
+	users := carve(services) // service -> how many instances use it
 	for i := 0; i < instances; i++ {
 		g := i % k
 		pl.instGroup[i] = g
+		users[pl.svcOfGroup[g]]++
+	}
+	for j, n := range users {
+		pl.instOfSvc[j] = carve(n)[:0]
+	}
+	for i, g := range pl.instGroup {
 		svc := pl.svcOfGroup[g]
 		pl.instOfSvc[svc] = append(pl.instOfSvc[svc], i)
 	}
@@ -141,9 +168,23 @@ func (pl *placement) takePE(g int) (int, error) {
 	return 0, errors.New("workload: out of user PEs")
 }
 
-func svcName(j int) string { return "m3fs" + trace.Itoa(j) }
-
-func instPrefix(i int) string { return "inst" + trace.Itoa(i) }
+// numbered returns pre followed by i, for every i < n, carved from one
+// string.
+func numbered(pre string, n int) []string {
+	var digits [20]byte
+	var b strings.Builder
+	b.Grow(n * (len(pre) + len(strconv.AppendInt(digits[:0], int64(n), 10))))
+	for i := 0; i < n; i++ {
+		b.WriteString(pre)
+		b.Write(strconv.AppendInt(digits[:0], int64(i), 10))
+	}
+	all, names := b.String(), make([]string, n)
+	for i := range names {
+		l := len(pre) + len(strconv.AppendInt(digits[:0], int64(i), 10))
+		names[i], all = all[:l], all[l:]
+	}
+	return names
+}
 
 // machine is the machine Run builds for cfg: one user PE per service and per
 // instance, and a memory PE per eight services.
@@ -182,36 +223,32 @@ func Run(cfg Config) (*Result, error) {
 	defer sys.Close()
 
 	pl := place(sys, cfg.Services, cfg.Instances)
-	prefixes := make([][]string, cfg.Services)
-	for j, insts := range pl.instOfSvc {
-		prefixes[j] = make([]string, 0, len(insts))
-		for _, i := range insts {
-			prefixes[j] = append(prefixes[j], instPrefix(i))
-		}
+	r := &replayRun{
+		tr:       cfg.Trace,
+		pl:       pl,
+		prefixes: numbered("inst", cfg.Instances),
+		services: numbered("m3fs", cfg.Services),
+		slots:    slots(cfg.Trace),
+		results:  make([]InstanceResult, cfg.Instances),
 	}
-	allReady, err := boot(sys, pl, cfg.Trace, prefixes)
-	if err != nil {
+	r.clients, r.files = make([]m3fs.Client, cfg.Instances), make([]*m3fs.File, cfg.Instances*r.slots)
+	// Each service's image holds the trees of the instances it serves, in
+	// instance order: their prefixes, gathered into one array.
+	bySvc, trees := make([]string, 0, cfg.Instances), make([][]string, cfg.Services)
+	for j, insts := range pl.instOfSvc {
+		for _, i := range insts {
+			bySvc = append(bySvc, r.prefixes[i])
+		}
+		trees[j] = bySvc[len(bySvc)-len(insts):]
+	}
+	if r.allReady, err = boot(sys, pl, cfg.Trace, r.services, trees); err != nil {
 		return nil, err
 	}
 
 	// Instances: wait for all services, then replay.
-	results := make([]InstanceResult, cfg.Instances)
-	for i := 0; i < cfg.Instances; i++ {
-		i := i
-		pe, err := pl.takePE(pl.instGroup[i])
-		if err != nil {
-			return nil, err
-		}
-		svc, res := svcName(pl.svcOfGroup[pl.instGroup[i]]), &results[i]
-		prog := func(v *core.VPE, p *sim.Proc) {
-			allReady.Wait(p)
-			res.VPE, res.Start = v.ID, p.Now()
-			res.Err = Replay(v, p, cfg.Trace, svc, instPrefix(i))
-			res.End, res.CapOps = p.Now(), v.CapOps()
-		}
-		if _, err := sys.SpawnOn(pe, cfg.Trace.Name+"-"+trace.Itoa(i), prog); err != nil {
-			return nil, err
-		}
+	names := func(int) string { return cfg.Trace.Name }
+	if r.firstVPE, err = spawnRow(sys, pl, pl.instGroup, names, r.instance); err != nil {
+		return nil, err
 	}
 
 	sys.Run()
@@ -221,8 +258,8 @@ func Run(cfg Config) (*Result, error) {
 	// not given back), or with leaked or broken capability state, raises no
 	// error by itself; the audit is what notices.
 	unfinished := sys.Audit()
-	res := &Result{Instances: results}
-	for _, in := range results {
+	res := &Result{Instances: r.results}
+	for _, in := range r.results {
 		res.TotalCapOps += in.CapOps
 		if in.End > sim.Time(res.Makespan) {
 			res.Makespan = in.End
@@ -243,31 +280,104 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// boot spawns the m3fs services of an experiment in id order, service j on
-// a PE of its group pl.svcGroup[j], its image preloaded with tr's files
-// under each of prefixes[j] and sized for the longest prefix list. The
-// returned group is done once every service is ready.
-func boot(sys *core.System, pl *placement, tr *trace.Trace, prefixes [][]string) (*sim.WaitGroup, error) {
+// replayRun is what the instances of one Run share: one program serves
+// them all, and the tables it reads are made once per run.
+type replayRun struct {
+	tr       *trace.Trace
+	pl       *placement
+	prefixes []string // instance -> its directory in its service's image
+	services []string // service -> its registered name
+	// clients holds every instance's connection to its service, files
+	// every instance's open files by trace slot: instance i's are
+	// files[i*slots:(i+1)*slots].
+	clients  []m3fs.Client
+	files    []*m3fs.File
+	slots    int
+	results  []InstanceResult
+	firstVPE int // the VPE id of instance 0
+	allReady *sim.WaitGroup
+}
+
+// instance is the program of every instance VPE: wait for all services,
+// then replay the trace against the one preferred in the instance's group.
+func (r *replayRun) instance(v *core.VPE, p *sim.Proc) {
+	i := v.ID - r.firstVPE
+	r.allReady.Wait(p)
+	res := &r.results[i]
+	res.VPE, res.Start = v.ID, p.Now()
+	svc := r.services[r.pl.svcOfGroup[r.pl.instGroup[i]]]
+	res.Err = replay(v, p, r.tr, svc, r.prefixes[i], &r.clients[i], r.files[i*r.slots:(i+1)*r.slots])
+	res.End, res.CapOps = p.Now(), v.CapOps()
+}
+
+// serviceBoot is what the m3fs services of one run share: one program
+// boots them all, each from its row of the tables.
+type serviceBoot struct {
+	tr         *trace.Trace
+	shape      *treeShape
+	names      []string   // service -> its registered name
+	trees      [][]string // service -> the instance prefixes its image holds
+	imageBytes uint64
+	first      int           // the VPE id of service 0
+	ready      sim.WaitGroup // done once every service is registered
+	readyFn    func(*m3fs.FS)
+}
+
+// serve is the program of every service VPE: preload the image, register,
+// and serve forever.
+func (b *serviceBoot) serve(v *core.VPE, p *sim.Proc) {
+	j := v.ID - b.first
+	fs := m3fs.NewFS(m3fs.Config{ServiceName: b.names[j], ImageBytes: b.imageBytes}, v)
+	b.shape.preload(fs, b.tr, b.trees[j])
+	fs.Serve(p, b.readyFn)
+}
+
+// boot spawns the m3fs services of an experiment in id order, service j
+// named names[j] on a PE of its group pl.svcGroup[j], its image preloaded
+// with tr's files under each of prefixes[j] and sized for the longest
+// prefix list. The returned group is done once every service is ready.
+func boot(sys *core.System, pl *placement, tr *trace.Trace, names []string, prefixes [][]string) (*sim.WaitGroup, error) {
 	longest := 1
 	for _, ps := range prefixes {
 		longest = max(longest, len(ps))
 	}
-	imageBytes := tr.Footprint(m3fs.ExtentBytes)*uint64(longest) + 8<<20
-	allReady := new(sim.WaitGroup)
-	allReady.Add(len(prefixes))
-	for j, ps := range prefixes {
-		ready := sim.NewFuture[*m3fs.FS](sys.Eng)
-		ready.OnComplete(func(*m3fs.FS) { allReady.Done() })
-		pe, err := pl.takePE(pl.svcGroup[j])
+	b := &serviceBoot{
+		tr:         tr,
+		shape:      shapeOf(tr),
+		names:      names,
+		trees:      prefixes,
+		imageBytes: tr.Footprint(m3fs.ExtentBytes)*uint64(longest) + 8<<20,
+	}
+	b.readyFn = func(*m3fs.FS) { b.ready.Done() }
+	b.ready.Add(len(prefixes))
+	var err error
+	if b.first, err = spawnRow(sys, pl, pl.svcGroup, func(j int) string { return names[j] }, b.serve); err != nil {
+		return nil, err
+	}
+	return &b.ready, nil
+}
+
+// spawnRow spawns one VPE per entry of groups, VPE i named name(i) on a
+// free PE of group groups[i], all running prog, and returns the first one's
+// id. They are the machine's next VPEs, in order, so that prog can tell
+// from a VPE's id which one it is running as.
+func spawnRow(sys *core.System, pl *placement, groups []int, name func(i int) string, prog core.Program) (first int, err error) {
+	for i, g := range groups {
+		pe, err := pl.takePE(g)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		fscfg := m3fs.Config{ServiceName: svcName(j), ImageBytes: imageBytes}
-		if _, err := sys.SpawnOn(pe, svcName(j), m3fs.Program(fscfg, Preload(tr, ps), ready)); err != nil {
-			return nil, err
+		v, err := sys.SpawnOn(pe, name(i), prog)
+		if err != nil {
+			return 0, err
+		}
+		if i == 0 {
+			first = v.ID
+		} else if v.ID != first+i {
+			return 0, fmt.Errorf("workload: VPE %d of a row is VPE %d, not %d", i, v.ID, first+i)
 		}
 	}
-	return allReady, nil
+	return first, nil
 }
 
 // auditErr is the error of a drained machine whose audit found something,
