@@ -22,6 +22,7 @@ func TestRealMain(t *testing.T) {
 		{[]string{"-kernels", "-3"}, 2, "semperos-sim: workload: kernels, services, instances must be positive"},
 		{[]string{"-kernels", "100"}, 2, "semperos-sim: core: 100 kernels exceed the maximum of 64"},
 		{[]string{"-kernels", "1", "-instances", "400"}, 2, "semperos-sim: core: 408 PEs per kernel exceed the maximum of 192"},
+		{[]string{"-kernels", "3", "-services", "1", "-instances", "9223372036854775805"}, 2, "semperos-sim: core: 9223372036854775806 PEs of one kind exceed the DDL key space of 4096"},
 		{[]string{"-app", "nosuchapp"}, 2, `semperos-sim: unknown app "nosuchapp"`},
 		{[]string{"-kernels", "2", "-services", "1", "-instances", "2", "-app", "find"}, 0, ""},
 	} {

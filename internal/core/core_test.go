@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/cap"
@@ -89,6 +90,20 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := NewSystem(Config{Kernels: 1, UserPEs: MaxPEsPerKernel + 1}); err == nil {
 		t.Error("oversized group accepted")
+	}
+	// A count near MaxInt is refused: it must not wrap the per-kernel or
+	// the total sum into a size that passes.
+	for _, cfg := range []Config{
+		{Kernels: 3, UserPEs: math.MaxInt - 1},
+		{UserPEs: math.MaxInt - 1, RelaxLimits: true},
+		{Kernels: 2, UserPEs: 1, MemPEs: math.MaxInt},
+	} {
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("Validate accepts %+v", cfg)
+		}
+		if _, err := NewSystem(cfg); err == nil {
+			t.Errorf("NewSystem accepts %+v", cfg)
+		}
 	}
 }
 

@@ -77,6 +77,11 @@ func (c Config) Validate() error {
 	if c.UserPEs <= 0 {
 		return errors.New("core: at least one user PE is required")
 	}
+	// Each count is bounded before the sums below, which a count near
+	// MaxInt would wrap.
+	if n := max(c.Kernels, c.UserPEs, c.MemPEs); n > ddl.MaxPEs {
+		return fmt.Errorf("core: %d PEs of one kind exceed the DDL key space of %d", n, ddl.MaxPEs)
+	}
 	perKernel := (c.UserPEs + c.Kernels - 1) / c.Kernels
 	if perKernel > MaxPEsPerKernel && !c.RelaxLimits {
 		return fmt.Errorf("core: %d PEs per kernel exceed the maximum of %d", perKernel, MaxPEsPerKernel)

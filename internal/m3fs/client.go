@@ -28,12 +28,11 @@ type Client struct {
 	// files holds the handles by descriptor, files[fd-1]: the service hands
 	// a closed descriptor out again, and its handle is reused with it. The
 	// table starts in the record (first), like the service's, and so do the
-	// handles (own, of which owned are taken); more come from blocks of the
-	// client's.
+	// handles: Connect gives own to handles, which hands it out before it
+	// makes a block.
 	files   []*File
 	first   [firstFDs]*File
 	own     [handleBlock]File
-	owned   int
 	handles sim.Blocks[File]
 }
 
@@ -63,6 +62,7 @@ func (c *Client) Connect(p *sim.Proc, v *core.VPE, service string) error {
 	}
 	c.v, c.sess = v, sess
 	c.files = c.first[:0]
+	c.handles.Use(c.own[:])
 	return nil
 }
 
@@ -165,12 +165,7 @@ func (c *Client) Open(p *sim.Proc, path string, create, truncate bool) (*File, e
 	}
 	f := c.files[rep.FD-1]
 	if f == nil {
-		if c.owned < len(c.own) {
-			f = &c.own[c.owned]
-			c.owned++
-		} else {
-			f = c.handles.New(handleBlock)
-		}
+		f = c.handles.New(handleBlock)
 		f.c, f.ranges = c, f.first[:0]
 		c.files[rep.FD-1] = f
 	}

@@ -1,8 +1,7 @@
 package m3fs
 
-// Directories, and the arenas their records, entry lists and readdir
-// listings come from. Like extents.go, this code sits apart from m3fs.go,
-// whose import of package cap hides the builtin cap.
+// Directories and their readdir listings. Like extents.go, this code sits
+// apart from m3fs.go, whose import of package cap hides the builtin cap.
 
 import (
 	"slices"
@@ -20,9 +19,8 @@ type dirent struct {
 	n    node
 }
 
-// Block sizes of the directory records and of the arenas of entries and
-// listings where nothing tells the FS better (ReserveDirs does for the
-// preloaded image).
+// Block sizes of the directory records, entries and listings where nothing
+// tells the FS better (ReserveDirs does for the preloaded image).
 const (
 	dirBlock   = 8
 	entryBlock = 32
@@ -50,7 +48,7 @@ func (d *dirNode) lookup(name string) node {
 func (fs *FS) link(d *dirNode, name string, n node) {
 	i, _ := d.find(name)
 	if len(d.ents) == cap(d.ents) {
-		d.ents = append(fs.entryList(max(1, 2*cap(d.ents))), d.ents...)
+		d.ents = append(fs.ents.Take(max(1, 2*cap(d.ents)), entryBlock)[:0], d.ents...)
 	}
 	d.ents = slices.Insert(d.ents, i, dirent{name: name, n: n})
 }
@@ -67,53 +65,24 @@ func (d *dirNode) unlink(name string) {
 // their records and entry lists then come from one allocation each instead
 // of one per directory.
 func (fs *FS) ReserveDirs(top, dirs, entries int) {
-	fs.reservedDirs = dirs
-	fs.ents = make([]dirent, top+entries)
+	fs.dirRecs.Use(make([]dirNode, dirs))
+	fs.ents.Use(make([]dirent, top+entries))
 	if free := cap(fs.root.ents) - len(fs.root.ents); free < top {
-		fs.root.ents = append(fs.entryList(len(fs.root.ents)+top), fs.root.ents...)
+		fs.root.ents = append(fs.ents.Take(len(fs.root.ents)+top, entryBlock)[:0], fs.root.ents...)
 	}
 }
 
-// newDir returns a new, empty directory with room for entries entries. The
-// directories ReserveDirs announced come from one block of their number,
-// the rest dirBlock at a time.
+// newDir returns a new, empty directory with room for entries entries.
 func (fs *FS) newDir(entries int) *dirNode {
-	block := dirBlock
-	if fs.reservedDirs > 0 {
-		block = fs.reservedDirs
-		fs.reservedDirs--
-	}
-	d := fs.dirRecs.New(block)
-	if entries > 0 {
-		d.ents = fs.entryList(entries)
-	}
+	d := fs.dirRecs.New(dirBlock)
+	d.ents = fs.ents.Take(entries, entryBlock)[:0]
 	return d
 }
 
-// entryList returns an empty entry list with room for n entries, carved
-// from the FS's entry arena; a new arena holds entryBlock entries, or n if
-// that is more. A list is capped at its own room: the list after it in the
-// arena is another directory's.
-func (fs *FS) entryList(n int) []dirent {
-	if len(fs.ents) < n {
-		fs.ents = make([]dirent, max(n, entryBlock))
-	}
-	l := fs.ents[:0:n]
-	fs.ents = fs.ents[n:]
-	return l
-}
-
-// listing returns the names in d, in order, carved from the FS's listing
-// arena: a new arena holds listBlock names, or as many as d has if that is
-// more. The arena's slots are never handed out twice, so a listing is the
-// caller's to keep whatever the FS does next.
+// listing returns the names in d, in order. Blocks never hand a record out
+// twice, so a listing is the caller's to keep whatever the FS does next.
 func (fs *FS) listing(d *dirNode) []string {
-	n := len(d.ents)
-	if len(fs.names) < n {
-		fs.names = make([]string, max(n, listBlock))
-	}
-	l := fs.names[:n:n]
-	fs.names = fs.names[n:]
+	l := fs.names.Take(len(d.ents), listBlock)
 	for i, e := range d.ents {
 		l[i] = e.name
 	}

@@ -1,7 +1,7 @@
 package m3fs
 
-// A file's extents and the arena their lists come from. This code sits
-// apart from m3fs.go, whose import of package cap hides the builtin cap.
+// A file's extents. This code sits apart from m3fs.go, whose import of
+// package cap hides the builtin cap.
 
 import "repro/internal/core"
 
@@ -10,25 +10,12 @@ func (fs *FS) ExtentsFor(size uint64) int {
 	return int((size + ExtentBytes - 1) / ExtentBytes)
 }
 
-// extentList returns an empty extent list with room for n extents, carved
-// from the FS's extent arena; a new arena holds extentBlock extents, or n
-// if that is more. A list is capped at its own room: the list after it in
-// the arena is another file's.
-func (fs *FS) extentList(n int) []uint64 {
-	if len(fs.extents) < n {
-		fs.extents = make([]uint64, max(n, extentBlock))
-	}
-	l := fs.extents[:0:n]
-	fs.extents = fs.extents[n:]
-	return l
-}
-
 // grow extends a file to newSize, allocating extents from the image. A list
 // without room for them is copied out into one with twice its room.
 func (fs *FS) grow(f *fileNode, newSize uint64) error {
 	need := fs.ExtentsFor(newSize)
 	if need > cap(f.extents) {
-		f.extents = append(fs.extentList(max(need, 2*cap(f.extents))), f.extents...)
+		f.extents = append(fs.extents.Take(max(need, 2*cap(f.extents)), extentBlock)[:0], f.extents...)
 	}
 	for len(f.extents) < need {
 		if fs.nextOff+ExtentBytes > fs.cfg.ImageBytes {

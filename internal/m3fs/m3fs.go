@@ -194,20 +194,16 @@ type FS struct {
 	// of a run never derive one.
 	extCaps []cap.Selector
 	stats   Stats
-	// The FS's sessions, files, directories and the lists they hold come
-	// from blocks and arenas it owns. reserved and reservedDirs are the
-	// preloaded files and directories Reserve and ReserveDirs announced
-	// that are still to be made. extents, ents and names are the unused
-	// rest of the current extent, entry and listing arena (extentList,
-	// entryList, listing).
-	sessRecs     sim.Blocks[session]
-	fileRecs     sim.Blocks[fileNode]
-	dirRecs      sim.Blocks[dirNode]
-	reserved     int
-	reservedDirs int
-	extents      []uint64
-	ents         []dirent
-	names        []string
+	// The FS's sessions, files and directories come from blocks it owns,
+	// and so do the runs of records their lists and its readdir listings
+	// are (extents, ents, names). Reserve and ReserveDirs size a block for
+	// the preloaded image.
+	sessRecs sim.Blocks[session]
+	fileRecs sim.Blocks[fileNode]
+	dirRecs  sim.Blocks[dirNode]
+	extents  sim.Blocks[uint64]
+	ents     sim.Blocks[dirent]
+	names    sim.Blocks[string]
 }
 
 // NewFS creates an (unstarted) filesystem instance for the given service
@@ -321,8 +317,8 @@ func (fs *FS) walk(dir, path string) (parent *dirNode, name string, n node) {
 // extents in all (see ExtentsFor): their records and extent lists then come
 // from one allocation each instead of one per file.
 func (fs *FS) Reserve(files, extents int) {
-	fs.reserved = files
-	fs.extents = make([]uint64, extents)
+	fs.fileRecs.Use(make([]fileNode, files))
+	fs.extents.Use(make([]uint64, extents))
 }
 
 // MustMkdirAllIn creates directory dir/path in the image (boot time; no
@@ -379,16 +375,9 @@ func joinPath(dir, path string) string {
 	return dir + "/" + path
 }
 
-// newFile returns the record of a new, empty file. The files Reserve
-// announced come from one block of their number, the rest fileBlock at a
-// time.
+// newFile returns the record of a new, empty file.
 func (fs *FS) newFile() *fileNode {
-	block := fileBlock
-	if fs.reserved > 0 {
-		block = fs.reserved
-		fs.reserved--
-	}
-	f := fs.fileRecs.New(block)
+	f := fs.fileRecs.New(fileBlock)
 	f.id = fs.nextFile
 	fs.nextFile++
 	return f

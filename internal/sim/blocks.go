@@ -16,23 +16,37 @@ type Blocks[T any] struct {
 	spare []T // the current block's records not yet handed out
 }
 
-// New returns a pointer to a zeroed T. It allocates only when the current
-// block is used up, and then makes a block of max(block, 1) records: the
-// owner sizes each block from what it knows when it asks.
-func (b *Blocks[T]) New(block int) *T {
-	if len(b.spare) == 0 {
-		b.spare = make([]T, max(block, 1))
+// New returns a pointer to a zeroed T: Take(1, block)'s one record.
+func (b *Blocks[T]) New(block int) *T { return &b.Take(1, block)[0] }
+
+// Take returns n zeroed records in a row, capped at n, so that appending
+// to the run copies it out instead of writing into the next one. It
+// allocates only when the current block is too short, and then makes a
+// block of max(n, block) records; the rest of the short block is never
+// handed out. Take(0, block) is nil.
+func (b *Blocks[T]) Take(n, block int) []T {
+	if n == 0 {
+		return nil
 	}
-	r := &b.spare[0]
-	if len(b.spare) == 1 {
-		// Reslicing to length 0 would keep the last record's address,
-		// and with it the whole block, reachable from b.
+	if len(b.spare) < n {
+		b.spare = make([]T, max(n, block))
+	}
+	run := b.spare[:n:n]
+	if len(b.spare) == n {
+		// Reslicing to length 0 would keep the run's address, and with it
+		// the whole block, reachable from b.
 		b.spare = nil
 	} else {
-		b.spare = b.spare[1:]
+		b.spare = b.spare[n:]
 	}
-	return r
+	return run
 }
+
+// Use makes spare the next block: Take and New hand out its records, which
+// must be zero and nobody else's, before they allocate one. An owner that
+// knows how many records it will make (a preloaded image) sizes one block
+// for them, or lends storage of its own (a handle array in its record).
+func (b *Blocks[T]) Use(spare []T) { b.spare = spare }
 
 // Recycler hands out records of type T for reuse: New returns the record
 // released last, if any, and carves a zeroed one from Blocks otherwise; Put

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 type blockRec struct {
@@ -54,23 +55,146 @@ func TestBlocksAllocateOncePerBlock(t *testing.T) {
 
 // TestBlocksDieWithTheirRecords: once no record of a used-up block is
 // referenced, the block is collected while the Blocks itself lives on,
-// without a further New to move it off the block.
+// without a further New or Take to move it off the block — whether its last
+// record went out alone or at the end of a run.
 func TestBlocksDieWithTheirRecords(t *testing.T) {
-	b := new(Blocks[[64]byte])
-	collected := make(chan struct{})
-	runtime.SetFinalizer(b.New(1), func(*[64]byte) { close(collected) })
-	deadline := time.After(10 * time.Second)
-	for done := false; !done; {
-		runtime.GC()
-		select {
-		case <-collected:
-			done = true
-		case <-time.After(10 * time.Millisecond):
-		case <-deadline:
-			t.Fatal("a used-up block nobody references is still reachable")
+	for _, c := range []struct {
+		name string
+		take func(*Blocks[[64]byte]) *[64]byte
+	}{
+		{"record", func(b *Blocks[[64]byte]) *[64]byte { return b.New(1) }},
+		{"run", func(b *Blocks[[64]byte]) *[64]byte {
+			first := &b.Take(2, 5)[0]
+			b.Take(3, 5)
+			return first
+		}},
+	} {
+		b := new(Blocks[[64]byte])
+		collected := make(chan struct{})
+		runtime.SetFinalizer(c.take(b), func(*[64]byte) { close(collected) })
+		deadline := time.After(10 * time.Second)
+		for done := false; !done; {
+			runtime.GC()
+			select {
+			case <-collected:
+				done = true
+			case <-time.After(10 * time.Millisecond):
+			case <-deadline:
+				t.Fatalf("%s: a used-up block nobody references is still reachable", c.name)
+			}
+		}
+		runtime.KeepAlive(b)
+	}
+}
+
+// next returns the address of the record after run in its block.
+func after(run []blockRec) *blockRec {
+	return (*blockRec)(unsafe.Add(unsafe.Pointer(&run[0]), uintptr(len(run))*unsafe.Sizeof(run[0])))
+}
+
+// TestBlocksTakeZeroedCappedRuns: a run is n zeroed records capped at n, so
+// appending to it copies it out instead of writing into the run after it;
+// runs of one block follow each other, and New takes from the same block.
+func TestBlocksTakeZeroedCappedRuns(t *testing.T) {
+	var b Blocks[blockRec]
+	first := b.Take(3, 8)
+	if len(first) != 3 || cap(first) != 3 {
+		t.Fatalf("Take(3, 8) has length %d, capacity %d, want 3 and 3", len(first), cap(first))
+	}
+	for i := range first {
+		if first[i] != (blockRec{}) {
+			t.Fatalf("record %d of a run is not zeroed: %+v", i, first[i])
+		}
+		first[i].a = 1
+	}
+	second := b.Take(2, 8)
+	if &second[0] != after(first) {
+		t.Fatal("the next run does not follow the first in its block")
+	}
+	if grown := append(first, blockRec{a: 7}); &grown[0] == &first[0] || second[0] != (blockRec{}) {
+		t.Fatal("appending to a run wrote into the next one")
+	}
+	if r := b.New(8); r != after(second) || *r != (blockRec{}) {
+		t.Fatal("New does not take the record after the last run")
+	}
+	if left := len(b.spare); left != 2 {
+		t.Fatalf("%d records left in the block of 8, want 2", left)
+	}
+}
+
+// TestBlocksNeverHandOutShortRest: a run longer than what is left of the
+// current block comes from a new block of max(n, block) records, and the
+// short rest is dropped: no later Take or New hands it out.
+func TestBlocksNeverHandOutShortRest(t *testing.T) {
+	var b Blocks[blockRec]
+	rest := after(b.Take(3, 4))
+	long := b.Take(6, 4)
+	if len(long) != 6 || cap(long) != 6 || len(b.spare) != 0 {
+		t.Fatalf("Take(6, 4) after a run of 3 of 4: length %d, capacity %d, %d left; want 6, 6 and 0",
+			len(long), cap(long), len(b.spare))
+	}
+	b.Take(2, 5)
+	if left := len(b.spare); left != 3 {
+		t.Fatalf("Take(2, 5) with nothing left makes a block of %d, want 5", 2+left)
+	}
+	for i := 0; i < 8; i++ {
+		if b.New(4) == rest {
+			t.Fatal("the short rest of a block was handed out")
 		}
 	}
-	runtime.KeepAlive(b)
+}
+
+// TestBlocksUseComesFirst: records of storage given to Use are handed out,
+// by New and Take alike, before any block is made.
+func TestBlocksUseComesFirst(t *testing.T) {
+	var b Blocks[blockRec]
+	b.Take(1, 8) // a current block, which Use replaces
+	var own [4]blockRec
+	b.Use(own[:])
+	if r := b.New(8); r != &own[0] {
+		t.Fatal("New did not hand out the first record given to Use")
+	}
+	if run := b.Take(3, 8); &run[0] != &own[1] || cap(run) != 3 {
+		t.Fatal("Take did not hand out the rest given to Use as one capped run")
+	}
+	if b.spare != nil {
+		t.Fatal("storage given to Use still held once handed out")
+	}
+	if r := b.New(8); r == nil || uintptr(unsafe.Pointer(r))-uintptr(unsafe.Pointer(&own)) < unsafe.Sizeof(own) {
+		t.Fatal("New after the storage given to Use is used up did not make a block")
+	}
+}
+
+// TestBlocksTakeAllocateOncePerBlock: runs allocate as records do, once
+// per block; Take(0, b) is nil and allocates nothing, and neither does a
+// run from storage given to Use.
+func TestBlocksTakeAllocateOncePerBlock(t *testing.T) {
+	allocs := testing.AllocsPerRun(20, func() {
+		var b Blocks[blockRec]
+		for i := 0; i < 16; i++ {
+			b.Take(4, 16)
+		}
+	})
+	if allocs != 4 {
+		t.Fatalf("16 runs of 4 from blocks of 16 allocate %v times, want 4", allocs)
+	}
+	var b Blocks[blockRec]
+	b.Take(1, 16)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if b.Take(0, 16) != nil {
+			t.Fatal("Take(0, 16) is not nil")
+		}
+	}); allocs != 0 {
+		t.Fatalf("Take(0, 16) allocates %v times, want 0", allocs)
+	}
+	own := make([]blockRec, 8)
+	if allocs := testing.AllocsPerRun(1, func() {
+		b.Use(own)
+		b.Take(3, 16)
+		b.Take(5, 16)
+	}); allocs != 0 {
+		t.Fatalf("runs from storage given to Use allocate %v times, want 0", allocs)
+	}
 }
 
 // TestRecyclerReusesLastReleasedFirst: New hands back the record put back

@@ -10,9 +10,8 @@ type Future[T any] struct {
 	// has exactly one, so the common Wait allocates nothing. Later waiters
 	// spill to more; Complete wakes first, then more in order, so wake order
 	// is registration order.
-	first     *Proc
-	more      []*Proc
-	callbacks []func(T)
+	first *Proc
+	more  []*Proc
 }
 
 // NewFuture returns an unfulfilled future, as the zero Future is. No
@@ -37,21 +36,6 @@ func (f *Future[T]) Complete(val T) {
 		w.Wake()
 	}
 	f.more = nil
-	for _, cb := range f.callbacks {
-		cb(val)
-	}
-	f.callbacks = nil
-}
-
-// OnComplete registers fn to run when the future is fulfilled (immediately
-// if it already is). Callbacks run in the completer's context, so they must
-// not block; use Wait from procs instead.
-func (f *Future[T]) OnComplete(fn func(T)) {
-	if f.done {
-		fn(f.val)
-		return
-	}
-	f.callbacks = append(f.callbacks, fn)
 }
 
 // Done reports whether the future has been fulfilled.

@@ -2,7 +2,10 @@ package repro
 
 import (
 	"bufio"
+	"bytes"
 	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -49,4 +52,71 @@ func TestWorkflowScalarsParse(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestWorkflowTestNamesExist: every `-fuzz Name`, and every name in a
+// `-bench 'A|B|…'` alternation, of a `go test` line in the CI workflow is
+// a `func Name(` in a test file of that line's packages. `go test` runs
+// nothing and exits 0 for a name that matches no function ("no fuzz tests
+// to fuzz", or no benchmark line at all), so a misspelt name would turn
+// its step into one that checks nothing. A pattern that is no Go
+// identifier, such as `-bench .`, is not a name and is skipped.
+func TestWorkflowTestNamesExist(t *testing.T) {
+	data, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flagRE := regexp.MustCompile(`-(fuzz|bench) +('[^']*'|\S+)`)
+	identRE := regexp.MustCompile(`^[A-Za-z_]\w*$`)
+	checked := 0
+	for n, line := range strings.Split(string(data), "\n") {
+		i := strings.Index(line, "go test ")
+		if i < 0 {
+			continue
+		}
+		cmd := line[i:]
+		var pkgs []string
+		for _, f := range strings.Fields(cmd) {
+			if strings.HasPrefix(f, "./") {
+				pkgs = append(pkgs, f)
+			}
+		}
+		for _, m := range flagRE.FindAllStringSubmatch(cmd, -1) {
+			for _, name := range strings.Split(strings.Trim(m[2], "'"), "|") {
+				name = strings.TrimSuffix(strings.TrimPrefix(name, "^"), "$")
+				if !identRE.MatchString(name) {
+					continue
+				}
+				checked++
+				if !declared(t, pkgs, name) {
+					t.Errorf("ci.yml:%d: -%s names %s, which no test file of %v declares", n+1, m[1], name, pkgs)
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("ci.yml names no fuzz target or benchmark: the check read nothing")
+	}
+}
+
+// declared reports whether a _test.go file of one of the package
+// directories pkgs declares func name.
+func declared(t *testing.T, pkgs []string, name string) bool {
+	decl := []byte("func " + name + "(")
+	for _, pkg := range pkgs {
+		files, err := filepath.Glob(filepath.Join(pkg, "*_test.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, file := range files {
+			src, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bytes.Contains(src, decl) {
+				return true
+			}
+		}
+	}
+	return false
 }
