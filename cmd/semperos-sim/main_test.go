@@ -22,7 +22,9 @@ func TestRealMain(t *testing.T) {
 		{[]string{"-kernels", "-3"}, 2, "semperos-sim: workload: kernels, services, instances must be positive"},
 		{[]string{"-kernels", "100"}, 2, "semperos-sim: core: 100 kernels exceed the maximum of 64"},
 		{[]string{"-kernels", "1", "-instances", "400"}, 2, "semperos-sim: core: 408 PEs per kernel exceed the maximum of 192"},
-		{[]string{"-kernels", "3", "-services", "1", "-instances", "9223372036854775805"}, 2, "semperos-sim: core: 9223372036854775806 PEs of one kind exceed the DDL key space of 4096"},
+		{[]string{"-kernels", "3", "-services", "1", "-instances", "9223372036854775805"}, 2, "semperos-sim: workload: 9223372036854775805 instances exceed the DDL key space of 4096"},
+		{[]string{"-kernels", "3", "-services", "2", "-instances", "9223372036854775807"}, 2, "semperos-sim: workload: 9223372036854775807 instances exceed the DDL key space of 4096"},
+		{[]string{"-kernels", "3", "-services", "9223372036854775807", "-instances", "2"}, 2, "semperos-sim: workload: 9223372036854775807 services exceed the DDL key space of 4096"},
 		{[]string{"-app", "nosuchapp"}, 2, `semperos-sim: unknown app "nosuchapp"`},
 		{[]string{"-kernels", "2", "-services", "1", "-instances", "2", "-app", "find"}, 0, ""},
 	} {

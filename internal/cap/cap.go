@@ -12,9 +12,10 @@
 // by the Store — fixed-size arrays of Capability values addressed by a dense
 // slot number — instead of being individually heap-allocated and
 // map-indexed. The key index is an open-addressing hash over the uint64 DDL
-// key (ddl.KeyMap), selector spaces keep only pages with live selectors, and
-// child links live only in chunks of a Store-owned arena, so the slab slot of
-// a leaf — nearly every capability — carries no child storage.
+// key whose entries hold only slot references (keyIndex), selector spaces
+// keep only pages with live selectors, and child links live only in chunks
+// of a Store-owned arena, so the slab slot of a leaf — nearly every
+// capability — carries no child storage.
 // At millions of capabilities this removes the per-capability allocations
 // and the three layers of Go map overhead that previously dominated RSS and
 // GC time.
@@ -22,6 +23,7 @@ package cap
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/ddl"
@@ -110,7 +112,7 @@ func (*SessionObject) ObjType() ddl.Type { return ddl.TypeSession }
 // Child-link storage parameters. Child keys live in chunks of a shared arena
 // owned by the Store, chained per parent. Nearly every capability is a leaf,
 // and most parents hold a handful of children (a derive chain, a session),
-// so a chunk is small: 3 keys and a link make 32 B. A wide fan-out (a service
+// so a chunk is small: 3 keys and two links make 32 B. A wide fan-out (a service
 // capability with thousands of sessions) chains many chunks. The arena starts
 // with room for firstChunks chunks (1 KiB) and then grows by append: growing
 // it from one chunk by append instead allocates more objects and more bytes
@@ -121,11 +123,13 @@ const (
 )
 
 // childChunk is one block of the shared child arena. The next field is the
-// arena index of the following chunk plus one (0 = end of chain), so the zero
+// arena index of the following chunk plus one (0 = end of chain), and last,
+// on a chain's first chunk only, that of the chain's last chunk; so the zero
 // chunk is a valid empty chunk.
 type childChunk struct {
 	keys [chunkKeys]ddl.Key
 	next int32
+	last int32
 }
 
 // Capability is one node of the capability tree.
@@ -136,7 +140,7 @@ type childChunk struct {
 // free-standing capability holds no children: the chunks belong to a Store.
 //
 // Fields are ordered 8-byte words, 4-byte words, bytes, so the struct packs
-// into 72 B (TestCapabilitySize).
+// into 64 B (TestCapabilitySize; see the slab geometry below).
 type Capability struct {
 	// Key is the capability's globally valid DDL key.
 	Key ddl.Key
@@ -155,16 +159,15 @@ type Capability struct {
 	// Sel is the capability's selector in the owner's capability space.
 	Sel Selector
 
-	// Child links, in creation order. nChildren counts live children;
-	// childSlots is the append cursor including tombstones (removed children
-	// leave a zero key so the creation order of the survivors is preserved).
-	// Slot i lives at offset i%chunkKeys of the chain's (i/chunkKeys)-th
-	// chunk; spillHead and spillTail are the chain's ends (chunk index+1,
-	// 0 = none).
-	nChildren  int32
-	childSlots int32
-	spillHead  int32
-	spillTail  int32
+	// Child links, in creation order. nChildren counts live children and
+	// dead the tombstones among them (a removed child leaves a zero key so
+	// the survivors keep their creation order), so nChildren+dead slots are
+	// in use. Slot i lives at offset i%chunkKeys of the (i/chunkKeys)-th
+	// chunk of the chain starting at spillHead (chunk index+1, 0 = none),
+	// whose first chunk records its last.
+	nChildren int32
+	spillHead int32
+	dead      uint16
 
 	// Perm restricts the rights of this capability relative to the object.
 	Perm dtu.Perm
@@ -190,12 +193,15 @@ func (c *Capability) String() string {
 // NumChildren returns the number of live child links.
 func (c *Capability) NumChildren() int { return int(c.nChildren) }
 
+// childSlots is the number of child slots in use, tombstones included.
+func (c *Capability) childSlots() int { return int(c.nChildren) + int(c.dead) }
+
 // forEachChildSlot visits every child slot (including tombstones, which are
 // zero keys) in creation order until fn returns false. fn may overwrite the
 // slot it is given.
 func (c *Capability) forEachChildSlot(fn func(k *ddl.Key) bool) {
 	ci := c.spillHead
-	for i := 0; i < int(c.childSlots); i++ {
+	for i := 0; i < c.childSlots(); i++ {
 		ch := &c.store.chunks[ci-1]
 		off := i % chunkKeys
 		if !fn(&ch.keys[off]) {
@@ -241,28 +247,34 @@ func (c *Capability) AddChild(k ddl.Key) {
 	if Debug && c.HasChild(k) {
 		panic(fmt.Sprintf("cap: duplicate child %v on %v", k, c.Key))
 	}
-	if c.store == nil {
+	s := c.store
+	if s == nil {
 		panic(fmt.Sprintf("cap: free-standing %v holds no children", c.Key))
 	}
-	off := int(c.childSlots) % chunkKeys
-	if off == 0 {
-		ci := c.store.allocChunk()
-		if c.spillTail != 0 {
-			c.store.chunks[c.spillTail-1].next = ci + 1
-		} else {
-			c.spillHead = ci + 1
-		}
-		c.spillTail = ci + 1
+	var last int32
+	if c.spillHead != 0 {
+		last = s.chunks[c.spillHead-1].last
 	}
-	c.store.chunks[c.spillTail-1].keys[off] = k
-	c.childSlots++
+	off := c.childSlots() % chunkKeys
+	if off == 0 {
+		ci := s.allocChunk() + 1
+		if last != 0 {
+			s.chunks[last-1].next = ci
+		} else {
+			c.spillHead = ci
+		}
+		last = ci
+		s.chunks[c.spillHead-1].last = ci
+	}
+	s.chunks[last-1].keys[off] = k
 	c.nChildren++
 }
 
 // RemoveChild deletes a child key; removing an absent child is a no-op
 // (revocation may race with orphan cleanup). The slot is tombstoned so the
 // surviving children keep their creation order, until tombstones outnumber
-// the live children plus a chunk; the last child's removal frees the chain.
+// the live children plus a chunk or fill their 16-bit count; the last
+// child's removal frees the chain.
 func (c *Capability) RemoveChild(k ddl.Key) {
 	if k == 0 {
 		return
@@ -278,9 +290,11 @@ func (c *Capability) RemoveChild(k ddl.Key) {
 	if !removed {
 		return
 	}
-	if c.nChildren--; c.nChildren == 0 {
+	c.nChildren--
+	c.dead++
+	if c.nChildren == 0 {
 		c.resetChildren()
-	} else if c.childSlots-c.nChildren > c.nChildren+chunkKeys {
+	} else if int(c.dead) > int(c.nChildren)+chunkKeys || c.dead == math.MaxUint16 {
 		c.compactChildren()
 	}
 }
@@ -302,16 +316,16 @@ func (c *Capability) compactChildren() {
 	})
 	c.store.freeChunkChain(chunks[tail-1].next)
 	chunks[tail-1].next = 0
-	c.spillTail, c.childSlots = tail, n
+	chunks[c.spillHead-1].last = tail
+	c.dead = 0
 }
 
 // resetChildren releases all child storage: a capability whose children are
 // all gone starts over empty.
 func (c *Capability) resetChildren() {
 	c.store.freeChunkChain(c.spillHead)
-	c.spillHead, c.spillTail = 0, 0
-	c.childSlots = 0
-	c.nChildren = 0
+	c.spillHead = 0
+	c.nChildren, c.dead = 0, 0
 }
 
 // HasChild reports whether k is a child of c.
@@ -330,17 +344,22 @@ func (c *Capability) HasChild(k ddl.Key) bool {
 	return found
 }
 
-// Slab geometry: 64 capabilities per slab, so a kernel holding a handful of
+// Slab geometry: 63 capabilities per slab, so a kernel holding a handful of
 // capabilities (most kernels of a sweep, every kernel at boot) pays for one
-// small slab, not 512 slots. Slabs are allocated as whole arrays and never
-// move, so *Capability pointers into them stay valid until the slot is
-// freed by Remove.
-const (
-	slabShift = 6
-	slabSize  = 1 << slabShift
-)
+// small slab, not 512 slots. A slab holds pointers, so the allocator puts an
+// 8 B header in front of it: 63 slots of 64 B and the header make 4040 B,
+// served from the 4096 B size class (65 B per slot), where 64 slots would
+// need 4104 B and the 4864 B class (76 B per slot). Slabs are allocated as
+// whole arrays and never move, so *Capability pointers into them stay valid
+// until the slot is freed by Remove.
+const slabSize = 63
 
 type slab [slabSize]Capability
+
+// slotIn is the capability at a slot.
+func slotIn(slabs []*slab, slot uint32) *Capability {
+	return &slabs[slot/slabSize][slot%slabSize]
+}
 
 // vpeSpace is one VPE's capability space: the pages holding its live
 // selectors, sorted by base (a page goes with its last capability), and the
@@ -398,7 +417,7 @@ type Store struct {
 	used      uint32   // high-water slot count
 	n         int      // live capabilities
 
-	byKey ddl.KeyMap[uint32] // DDL key -> slot
+	byKey keyIndex // DDL key -> slot
 
 	vpes   map[int]*vpeSpace // one entry per VPE, not per capability
 	spaces sim.Blocks[vpeSpace]
@@ -416,7 +435,7 @@ func NewStore() *Store {
 func (s *Store) Len() int { return s.n }
 
 func (s *Store) capAt(slot uint32) *Capability {
-	return &s.slabs[slot>>slabShift][slot&(slabSize-1)]
+	return slotIn(s.slabs, slot)
 }
 
 func (s *Store) allocSlot() uint32 {
@@ -426,7 +445,10 @@ func (s *Store) allocSlot() uint32 {
 		return slot
 	}
 	slot := s.used
-	if int(slot>>slabShift) == len(s.slabs) {
+	if slot == maxSlots {
+		panic(fmt.Sprintf("cap: store full at %d capability slots, the key index's limit", maxSlots))
+	}
+	if int(slot/slabSize) == len(s.slabs) {
 		s.slabs = append(s.slabs, new(slab))
 	}
 	s.used++
@@ -493,10 +515,11 @@ func (s *Store) Insert(c *Capability) *Capability {
 	if !c.Key.Valid() {
 		panic("cap: inserting capability with invalid key")
 	}
-	if c.childSlots != 0 || c.spillHead != 0 || c.spillTail != 0 {
+	if c.nChildren != 0 || c.dead != 0 || c.spillHead != 0 {
 		panic(fmt.Sprintf("cap: inserting %v with child links", c.Key))
 	}
-	if _, dup := s.byKey.Get(c.Key); dup {
+	pos, h, dup := s.byKey.reserve(s.slabs, c.Key)
+	if dup != nil {
 		panic(fmt.Sprintf("cap: duplicate key %v", c.Key))
 	}
 	var sp *vpeSpace
@@ -511,7 +534,7 @@ func (s *Store) Insert(c *Capability) *Capability {
 	sc := s.capAt(slot)
 	*sc = *c
 	sc.store = s
-	s.byKey.Put(c.Key, slot)
+	s.byKey.fill(pos, h, slot)
 	if sp != nil {
 		if !found { // selectors grow, so nearly always at the end
 			sp.pages = slices.Insert(sp.pages, pi, selPage{base: c.Sel &^ (pageSels - 1)})
@@ -531,11 +554,8 @@ func (s *Store) Insert(c *Capability) *Capability {
 
 // Lookup returns the capability with the given key, or nil.
 func (s *Store) Lookup(k ddl.Key) *Capability {
-	slot, ok := s.byKey.Get(k)
-	if !ok {
-		return nil
-	}
-	return s.capAt(slot)
+	_, c := s.byKey.find(s.slabs, k)
+	return c
 }
 
 // LookupSel returns the VPE's capability at sel, or nil.
@@ -553,11 +573,10 @@ func (s *Store) LookupSel(vpe int, sel Selector) *Capability {
 // slot is zeroed (so the GC drops the object reference), and slot and child
 // chunks return to the free lists.
 func (s *Store) Remove(k ddl.Key) {
-	slot, ok := s.byKey.Get(k)
-	if !ok {
+	slot, c := s.byKey.remove(s.slabs, k)
+	if c == nil {
 		return
 	}
-	c := s.capAt(slot)
 	s.freeChunkChain(c.spillHead)
 	if c.Sel != NoSel {
 		sp := s.vpes[c.Owner]
@@ -569,7 +588,6 @@ func (s *Store) Remove(k ddl.Key) {
 			}
 		}
 	}
-	s.byKey.Delete(k)
 	*c = Capability{}
 	s.freeSlots = append(s.freeSlots, slot)
 	s.n--
@@ -627,8 +645,9 @@ func (s *Store) Keys() []ddl.Key {
 //   - slab free lists are consistent: every slot is either live and indexed
 //     or zeroed and on the free list, exactly once;
 //   - child chunk chains are well-formed: acyclic, owned by exactly one
-//     capability, sized to the child-slot count, and disjoint from the
-//     chunk free list.
+//     capability, sized to the child-slot count with the last chunk
+//     recorded on the first and no key after the last slot, and disjoint
+//     from the chunk free list.
 //
 // It returns the first violation found, or nil. A link whose target is not
 // in this store is skipped: the store cannot tell a key another kernel
@@ -719,11 +738,11 @@ func (s *Store) CheckLocalInvariants() error {
 		if c.store != s {
 			return fmt.Errorf("cap %v has wrong slab back-reference", c.Key)
 		}
-		if got, ok := s.byKey.Get(c.Key); !ok || got != slot {
+		if _, got := s.byKey.find(s.slabs, c.Key); got != c {
 			return fmt.Errorf("cap %v missing from the key index", c.Key)
 		}
 		// Child links and chain shape.
-		wantChunks := (int(c.childSlots) + chunkKeys - 1) / chunkKeys
+		wantChunks := (c.childSlots() + chunkKeys - 1) / chunkKeys
 		ci := c.spillHead
 		for i := 0; i < wantChunks; i++ {
 			if ci == 0 {
@@ -741,17 +760,25 @@ func (s *Store) CheckLocalInvariants() error {
 			}
 			chunkOwner[idx] = slot + 1
 			ownedChunks++
+			if i > 0 && s.chunks[idx].last != 0 {
+				return fmt.Errorf("cap %v spill chunk %d records a chain end", c.Key, idx)
+			}
 			if i == wantChunks-1 {
-				if ci != c.spillTail {
+				if ci != s.chunks[c.spillHead-1].last {
 					return fmt.Errorf("cap %v spill tail mismatch", c.Key)
 				}
 				if s.chunks[idx].next != 0 {
 					return fmt.Errorf("cap %v spill chain overlong", c.Key)
 				}
+				for _, k := range s.chunks[idx].keys[c.childSlots()-i*chunkKeys:] {
+					if k != 0 {
+						return fmt.Errorf("cap %v keeps child %v past its last slot", c.Key, k)
+					}
+				}
 			}
 			ci = s.chunks[idx].next
 		}
-		if wantChunks == 0 && (c.spillHead != 0 || c.spillTail != 0) {
+		if wantChunks == 0 && c.spillHead != 0 {
 			return fmt.Errorf("cap %v has a spill chain but no spill slots", c.Key)
 		}
 		liveChildren := 0
@@ -761,8 +788,8 @@ func (s *Store) CheckLocalInvariants() error {
 				return true
 			}
 			liveChildren++
-			if cs, ok := s.byKey.Get(*ch); ok {
-				if child := s.capAt(cs); child.Parent != c.Key {
+			if cs, child := s.byKey.find(s.slabs, *ch); child != nil {
+				if child.Parent != c.Key {
 					childErr = fmt.Errorf("child %v of %v has parent %v", *ch, c.Key, child.Parent)
 					return false
 				}
@@ -792,8 +819,8 @@ func (s *Store) CheckLocalInvariants() error {
 		return fmt.Errorf("chunk accounting: %d owned + %d free != %d allocated",
 			ownedChunks, len(s.freeChunks), len(s.chunks))
 	}
-	if s.byKey.Len() != s.n {
-		return fmt.Errorf("key index holds %d entries, store %d", s.byKey.Len(), s.n)
+	if s.byKey.n != s.n {
+		return fmt.Errorf("key index holds %d entries, store %d", s.byKey.n, s.n)
 	}
 	return nil
 }

@@ -560,7 +560,7 @@ func TestAuditFindsSpillCorruption(t *testing.T) {
 		corrupt func(s *Store, a, b *Capability) string
 	}{
 		{"shared", func(s *Store, a, b *Capability) string {
-			b.spillHead, b.spillTail = a.spillHead, a.spillTail
+			b.spillHead = a.spillHead
 			return fmt.Sprintf("chunk %d shared by slots 0 and 1", a.spillHead-1)
 		}},
 		{"references free", func(s *Store, a, b *Capability) string {
@@ -673,9 +673,9 @@ func FuzzChildList(f *testing.F) {
 					t.Fatalf("step %d: parent %d keeps %d tombstones for %d children", step/2, i, dead, len(want))
 				}
 				got := c.AppendChildren(nil)
-				if len(got) != len(want) || c.NumChildren() != len(want) || int(c.childSlots) != len(model[i]) {
+				if len(got) != len(want) || c.NumChildren() != len(want) || c.childSlots() != len(model[i]) {
 					t.Fatalf("step %d: parent %d holds %v in %d slots, want %v in %d",
-						step/2, i, got, c.childSlots, want, len(model[i]))
+						step/2, i, got, c.childSlots(), want, len(model[i]))
 				}
 				for j := range want {
 					if got[j] != want[j] {

@@ -19,10 +19,10 @@ type KeyMap[V any] struct {
 	n    int
 }
 
-// hashKey finalizes a key with the splitmix64 mixer: cheap, and strong
+// HashKey finalizes a key with the splitmix64 mixer: cheap, and strong
 // enough that the structured DDL bit fields (PE/VPE/type/object) spread
 // uniformly over the table.
-func hashKey(k Key) uint64 {
+func HashKey(k Key) uint64 {
 	x := uint64(k)
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
@@ -42,7 +42,7 @@ func (m *KeyMap[V]) Get(k Key) (V, bool) {
 		return zero, false
 	}
 	mask := uint64(len(m.keys) - 1)
-	for i := hashKey(k) & mask; ; i = (i + 1) & mask {
+	for i := HashKey(k) & mask; ; i = (i + 1) & mask {
 		switch m.keys[i] {
 		case k:
 			return m.vals[i], true
@@ -67,7 +67,7 @@ func (m *KeyMap[V]) slot(k Key) *V {
 		m.grow()
 	}
 	mask := uint64(len(m.keys) - 1)
-	for i := hashKey(k) & mask; ; i = (i + 1) & mask {
+	for i := HashKey(k) & mask; ; i = (i + 1) & mask {
 		switch m.keys[i] {
 		case k:
 			return &m.vals[i]
@@ -85,7 +85,7 @@ func (m *KeyMap[V]) Delete(k Key) {
 		return
 	}
 	mask := uint64(len(m.keys) - 1)
-	i := hashKey(k) & mask
+	i := HashKey(k) & mask
 	for {
 		if m.keys[i] == 0 {
 			return
@@ -105,7 +105,7 @@ func (m *KeyMap[V]) Delete(k Key) {
 		if m.keys[j] == 0 {
 			break
 		}
-		home := hashKey(m.keys[j]) & mask
+		home := HashKey(m.keys[j]) & mask
 		if (j-home)&mask >= (j-i)&mask {
 			m.keys[i] = m.keys[j]
 			m.vals[i] = m.vals[j]
@@ -140,7 +140,7 @@ func (m *KeyMap[V]) grow() {
 		if k == 0 {
 			continue
 		}
-		j := hashKey(k) & mask
+		j := HashKey(k) & mask
 		for m.keys[j] != 0 {
 			j = (j + 1) & mask
 		}

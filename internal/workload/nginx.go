@@ -1,8 +1,12 @@
 package workload
 
 import (
+	"errors"
+	"fmt"
+
 	"repro/internal/cap"
 	"repro/internal/core"
+	"repro/internal/ddl"
 	"repro/internal/m3fs"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -49,6 +53,13 @@ const serverRgateEP, loadgenSendEP, loadgenReplyEP = 11, 12, 3
 // root, so a server may be served by any service. After the window the load
 // generators stop, the machine runs dry and its audit must find nothing.
 func RunNginx(cfg NginxConfig) (*NginxResult, error) {
+	// The count is bounded before it is doubled, which near MaxInt wraps.
+	switch {
+	case cfg.Servers <= 0:
+		return nil, errors.New("workload: servers must be positive")
+	case cfg.Servers > ddl.MaxPEs/2:
+		return nil, fmt.Errorf("workload: %d servers and their load generators exceed the DDL key space of %d", cfg.Servers, ddl.MaxPEs)
+	}
 	app := Config{Kernels: cfg.Kernels, Services: cfg.Services, Instances: 2 * cfg.Servers, Trace: trace.NginxRequest(), Engine: cfg.Engine}
 	if err := app.Validate(); err != nil {
 		return nil, err

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/ddl"
 	"repro/internal/m3fs"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -199,14 +200,22 @@ func (cfg Config) machine() core.Config {
 }
 
 // Validate reports what Run refuses before it builds anything: a missing
-// trace, a count that is not positive, or a machine core.Config.Validate
-// rejects.
+// trace, a count that is not positive, more services or instances than the
+// DDL key space has PEs, or a machine core.Config.Validate rejects.
 func (cfg Config) Validate() error {
 	if cfg.Trace == nil {
 		return errors.New("workload: no trace")
 	}
 	if cfg.Kernels <= 0 || cfg.Services <= 0 || cfg.Instances <= 0 {
 		return errors.New("workload: kernels, services, instances must be positive")
+	}
+	// Each count is bounded before machine adds them, which a count near
+	// MaxInt would wrap.
+	if cfg.Services > ddl.MaxPEs {
+		return fmt.Errorf("workload: %d services exceed the DDL key space of %d", cfg.Services, ddl.MaxPEs)
+	}
+	if cfg.Instances > ddl.MaxPEs {
+		return fmt.Errorf("workload: %d instances exceed the DDL key space of %d", cfg.Instances, ddl.MaxPEs)
 	}
 	return cfg.machine().Validate()
 }

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"testing"
 
 	"repro/internal/sim"
@@ -70,6 +71,36 @@ func TestRunValidation(t *testing.T) {
 	}
 	if _, err := Run(Config{Kernels: 1, Services: 0, Instances: 1, Trace: trace.Tar()}); err == nil {
 		t.Error("zero services accepted")
+	}
+}
+
+// A count too large for the machine is named before any sum of counts can
+// wrap it to a small or negative one.
+func TestOversizedCounts(t *testing.T) {
+	const huge = math.MaxInt
+	for _, c := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{Kernels: 3, Services: 2, Instances: huge, Trace: trace.Tar()}, fmt.Sprintf("workload: %d instances exceed the DDL key space of 4096", huge)},
+		{Config{Kernels: 3, Services: huge, Instances: 2, Trace: trace.Tar()}, fmt.Sprintf("workload: %d services exceed the DDL key space of 4096", huge)},
+	} {
+		if err := c.cfg.Validate(); err == nil || err.Error() != c.want {
+			t.Errorf("%+v: %v, want %q", c.cfg, err, c.want)
+		}
+	}
+	for _, c := range []struct {
+		servers int
+		want    string
+	}{
+		{huge, fmt.Sprintf("workload: %d servers and their load generators exceed the DDL key space of 4096", huge)},
+		{huge/2 + 1, fmt.Sprintf("workload: %d servers and their load generators exceed the DDL key space of 4096", huge/2+1)},
+		{2049, "workload: 2049 servers and their load generators exceed the DDL key space of 4096"},
+		{math.MinInt + 1, "workload: servers must be positive"},
+	} {
+		if _, err := RunNginx(NginxConfig{Kernels: 2, Services: 2, Servers: c.servers}); err == nil || err.Error() != c.want {
+			t.Errorf("%d servers: %v, want %q", c.servers, err, c.want)
+		}
 	}
 }
 
