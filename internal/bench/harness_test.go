@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cap"
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -87,9 +88,7 @@ func stuckSyscallRun(eng *sim.Engine, res *Result) error {
 	pes := sys.UserPEs()
 	up := sim.NewFuture[struct{}](sys.Eng)
 	sys.SpawnOn(pes[0], "svc", func(v *core.VPE, p *sim.Proc) {
-		err := v.RegisterService(p, "mute", core.ServiceHandlers{
-			Open: func(p *sim.Proc, _ int, _ any) core.SvcResult { p.Park(); return core.SvcResult{} },
-		})
+		err := v.RegisterService(p, "mute", muteService{})
 		if err != nil {
 			panic(err)
 		}
@@ -484,3 +483,21 @@ func TestReplyEnvelopeParallelDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// muteService never answers a session open.
+type muteService struct{}
+
+func (muteService) Open(p *sim.Proc, _ int, _ any) core.SvcResult {
+	p.Park()
+	return core.SvcResult{}
+}
+
+func (muteService) Obtain(*sim.Proc, uint64, any) core.SvcResult {
+	return core.SvcResult{Errno: core.ErrDenied}
+}
+
+func (muteService) Delegate(*sim.Proc, uint64, any, cap.Object) core.SvcResult {
+	return core.SvcResult{Errno: core.ErrDenied}
+}
+
+func (muteService) Request(*sim.Proc, uint64, any) any { return nil }

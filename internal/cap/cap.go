@@ -22,6 +22,7 @@
 package cap
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -113,13 +114,14 @@ func (*SessionObject) ObjType() ddl.Type { return ddl.TypeSession }
 // owned by the Store, chained per parent. Nearly every capability is a leaf,
 // and most parents hold a handful of children (a derive chain, a session),
 // so a chunk is small: 3 keys and two links make 32 B. A wide fan-out (a service
-// capability with thousands of sessions) chains many chunks. The arena starts
-// with room for firstChunks chunks (1 KiB) and then grows by append: growing
-// it from one chunk by append instead allocates more objects and more bytes
-// on every workload of the repo benchmark (DESIGN.md "Child links").
+// capability with thousands of sessions) chains many chunks. The arena's
+// first chunkBlock chunks are a slice that starts with room for firstChunks
+// and doubles; later ones come in blocks of chunkBlock, so a large arena
+// leaves less than a block unused (DESIGN.md "Child links").
 const (
 	chunkKeys   = 3
 	firstChunks = 32
+	chunkBlock  = 1024
 )
 
 // childChunk is one block of the shared child arena. The next field is the
@@ -202,7 +204,7 @@ func (c *Capability) childSlots() int { return int(c.nChildren) + int(c.dead) }
 func (c *Capability) forEachChildSlot(fn func(k *ddl.Key) bool) {
 	ci := c.spillHead
 	for i := 0; i < c.childSlots(); i++ {
-		ch := &c.store.chunks[ci-1]
+		ch := c.store.chunk(ci - 1)
 		off := i % chunkKeys
 		if !fn(&ch.keys[off]) {
 			return
@@ -253,20 +255,20 @@ func (c *Capability) AddChild(k ddl.Key) {
 	}
 	var last int32
 	if c.spillHead != 0 {
-		last = s.chunks[c.spillHead-1].last
+		last = s.chunk(c.spillHead - 1).last
 	}
 	off := c.childSlots() % chunkKeys
 	if off == 0 {
 		ci := s.allocChunk() + 1
 		if last != 0 {
-			s.chunks[last-1].next = ci
+			s.chunk(last - 1).next = ci
 		} else {
 			c.spillHead = ci
 		}
 		last = ci
-		s.chunks[c.spillHead-1].last = ci
+		s.chunk(c.spillHead - 1).last = ci
 	}
-	s.chunks[last-1].keys[off] = k
+	s.chunk(last - 1).keys[off] = k
 	c.nChildren++
 }
 
@@ -302,21 +304,21 @@ func (c *Capability) RemoveChild(k ddl.Key) {
 // compactChildren moves the live children to the front of the chain, in
 // creation order, and frees the chunks left holding only tombstones.
 func (c *Capability) compactChildren() {
-	chunks := c.store.chunks
+	s := c.store
 	dst, tail, n := c.spillHead, c.spillHead, int32(0)
 	c.forEachChildSlot(func(k *ddl.Key) bool {
 		if key := *k; key != 0 {
 			*k, tail = 0, dst
-			chunks[dst-1].keys[n%chunkKeys] = key
+			s.chunk(dst - 1).keys[n%chunkKeys] = key
 			if n++; n%chunkKeys == 0 {
-				dst = chunks[dst-1].next
+				dst = s.chunk(dst - 1).next
 			}
 		}
 		return true
 	})
-	c.store.freeChunkChain(chunks[tail-1].next)
-	chunks[tail-1].next = 0
-	chunks[c.spillHead-1].last = tail
+	s.freeChunkChain(s.chunk(tail - 1).next)
+	s.chunk(tail - 1).next = 0
+	s.chunk(c.spillHead - 1).last = tail
 	c.dead = 0
 }
 
@@ -361,12 +363,13 @@ func slotIn(slabs []*slab, slot uint32) *Capability {
 	return &slabs[slot/slabSize][slot%slabSize]
 }
 
-// vpeSpace is one VPE's capability space: the pages holding its live
+// vpeSpace is VPE vpe's capability space: the pages holding its live
 // selectors, sorted by base (a page goes with its last capability), and the
 // allocation cursor. The first page lives in the record itself (first).
 type vpeSpace struct {
 	pages []selPage
 	next  Selector // highest selector handed out
+	vpe   int32
 	live  int
 	first [1]selPage
 }
@@ -419,16 +422,38 @@ type Store struct {
 
 	byKey keyIndex // DDL key -> slot
 
-	vpes   map[int]*vpeSpace // one entry per VPE, not per capability
-	spaces sim.Blocks[vpeSpace]
+	spaces    []*vpeSpace // one per VPE, by ascending VPE id
+	spaceRecs sim.Blocks[vpeSpace]
 
-	chunks     []childChunk // shared child arena
-	freeChunks []int32
+	// The shared child arena: nChunks chunks, in chunks and chunkBlocks.
+	chunks      []childChunk
+	chunkBlocks []*[chunkBlock]childChunk
+	nChunks     int32
+	freeChunks  []int32
 }
 
 // NewStore returns an empty mapping database.
 func NewStore() *Store {
 	return &Store{}
+}
+
+// NewStores returns n empty stores laid out at boot for vpes capability
+// spaces and caps capabilities each (DESIGN.md "Boot-time layout"): the
+// index of their spaces, a first slab and the key index are one allocation
+// each for all n, and a store grows past its share.
+func NewStores(n, vpes, caps int) []Store {
+	stores, slabs := make([]Store, n), make([]slab, n)
+	var index sim.Blocks[*vpeSpace]
+	var slabRefs sim.Blocks[*slab]
+	var refs sim.Blocks[uint32]
+	keys, nSlabs := ddl.TableLen(caps), caps/slabSize+1
+	for i := range stores {
+		s := &stores[i]
+		s.spaces = index.Take(vpes, n*vpes)[:0]
+		s.slabs = append(slabRefs.Take(nSlabs, n*nSlabs)[:0], &slabs[i])
+		s.byKey.refs = refs.Take(keys, n*keys)
+	}
+	return stores
 }
 
 // Len returns the number of stored capabilities.
@@ -461,33 +486,55 @@ func (s *Store) allocChunk() int32 {
 		s.freeChunks = s.freeChunks[:n-1]
 		return ci
 	}
-	if s.chunks == nil {
-		s.chunks = make([]childChunk, 0, firstChunks)
+	ci := s.nChunks
+	switch {
+	case ci < chunkBlock:
+		if int(ci) == cap(s.chunks) { // full: double it, up to a block
+			s.chunks = append(make([]childChunk, 0, max(firstChunks, 2*ci)), s.chunks...)
+		}
+		s.chunks = s.chunks[:ci+1]
+	case ci%chunkBlock == 0:
+		s.chunkBlocks = append(s.chunkBlocks, new([chunkBlock]childChunk))
 	}
-	s.chunks = append(s.chunks, childChunk{})
-	return int32(len(s.chunks) - 1)
+	s.nChunks++
+	return ci
+}
+
+// chunk is the arena's chunk ci.
+func (s *Store) chunk(ci int32) *childChunk {
+	if ci < chunkBlock {
+		return &s.chunks[ci]
+	}
+	return &s.chunkBlocks[ci/chunkBlock-1][ci%chunkBlock]
 }
 
 // freeChunkChain returns a chunk chain (head is index+1) to the free list.
 func (s *Store) freeChunkChain(head int32) {
 	for head != 0 {
 		ci := head - 1
-		next := s.chunks[ci].next
-		s.chunks[ci] = childChunk{}
+		ch := s.chunk(ci)
+		next := ch.next
+		*ch = childChunk{}
 		s.freeChunks = append(s.freeChunks, ci)
 		head = next
 	}
 }
 
+// spaceOf returns vpe's space, nil if it has none, and its place in spaces.
+func (s *Store) spaceOf(vpe int) (*vpeSpace, int) {
+	i, ok := slices.BinarySearchFunc(s.spaces, vpe, func(sp *vpeSpace, vpe int) int { return cmp.Compare(int(sp.vpe), vpe) })
+	if !ok {
+		return nil, i
+	}
+	return s.spaces[i], i
+}
+
 func (s *Store) space(vpe int) *vpeSpace {
-	sp := s.vpes[vpe]
+	sp, i := s.spaceOf(vpe)
 	if sp == nil {
-		if s.vpes == nil {
-			s.vpes = make(map[int]*vpeSpace)
-		}
-		sp = s.spaces.New(spaceBlock)
-		sp.pages = sp.first[:0]
-		s.vpes[vpe] = sp
+		sp = s.spaceRecs.New(spaceBlock)
+		sp.pages, sp.vpe = sp.first[:0], int32(vpe)
+		s.spaces = slices.Insert(s.spaces, i, sp)
 	}
 	return sp
 }
@@ -560,7 +607,7 @@ func (s *Store) Lookup(k ddl.Key) *Capability {
 
 // LookupSel returns the VPE's capability at sel, or nil.
 func (s *Store) LookupSel(vpe int, sel Selector) *Capability {
-	if sp := s.vpes[vpe]; sp != nil {
+	if sp, _ := s.spaceOf(vpe); sp != nil {
 		if pi, ok := sp.find(sel); ok && sp.pages[pi].refs[sel%pageSels] != 0 {
 			return s.capAt(sp.pages[pi].refs[sel%pageSels] - 1)
 		}
@@ -579,7 +626,7 @@ func (s *Store) Remove(k ddl.Key) {
 	}
 	s.freeChunkChain(c.spillHead)
 	if c.Sel != NoSel {
-		sp := s.vpes[c.Owner]
+		sp, _ := s.spaceOf(c.Owner)
 		if pi, ok := sp.find(c.Sel); ok && sp.pages[pi].refs[c.Sel%pageSels] == slot+1 {
 			sp.pages[pi].refs[c.Sel%pageSels] = 0
 			sp.live--
@@ -599,7 +646,7 @@ func (s *Store) Remove(k ddl.Key) {
 // monotonic selectors it equals creation order regardless of deletion
 // history.
 func (s *Store) VPECaps(vpe int) []*Capability {
-	sp := s.vpes[vpe]
+	sp, _ := s.spaceOf(vpe)
 	if sp == nil || sp.live == 0 {
 		return nil
 	}
@@ -640,8 +687,9 @@ func (s *Store) Keys() []ddl.Key {
 //     Parent pointing back;
 //   - every local capability with a local parent is in that parent's child
 //     list;
-//   - selector index, key index and slab agree; page bases ascend strictly
-//     in multiples of pageSels, each page counting its live selectors (> 0);
+//   - selector index, key index and slab agree; spaces ascend by VPE, and
+//     page bases ascend strictly in multiples of pageSels, each page
+//     counting its live selectors (> 0);
 //   - slab free lists are consistent: every slot is either live and indexed
 //     or zeroed and on the free list, exactly once;
 //   - child chunk chains are well-formed: acyclic, owned by exactly one
@@ -658,8 +706,11 @@ func (s *Store) CheckLocalInvariants() error {
 		return fmt.Errorf("slot accounting: %d free + %d live != %d used",
 			len(s.freeSlots), s.n, s.used)
 	}
-	for vpe, sp := range s.vpes {
-		live := 0
+	for si, sp := range s.spaces {
+		vpe, live := int(sp.vpe), 0
+		if si > 0 && sp.vpe <= s.spaces[si-1].vpe {
+			return fmt.Errorf("selector spaces out of order: vpe %d after %d", vpe, s.spaces[si-1].vpe)
+		}
 		for pi, p := range sp.pages {
 			if p.base%pageSels != 0 {
 				return fmt.Errorf("vpe %d page base %d is not a multiple of %d", vpe, p.base, pageSels)
@@ -695,10 +746,10 @@ func (s *Store) CheckLocalInvariants() error {
 	const slotFree, slotListed, chunkFree = 1, 2, ^uint32(0)
 	var buf [512]uint32
 	words := buf[:]
-	if n := int(s.used) + len(s.chunks); n > len(buf) {
+	if n := int(s.used) + int(s.nChunks); n > len(buf) {
 		words = make([]uint32, n)
 	}
-	state, chunkOwner := words[:s.used], words[s.used:int(s.used)+len(s.chunks)]
+	state, chunkOwner := words[:s.used], words[s.used:int(s.used)+int(s.nChunks)]
 	for _, slot := range s.freeSlots {
 		if slot >= s.used {
 			return fmt.Errorf("free slot %d beyond high water %d", slot, s.used)
@@ -709,13 +760,13 @@ func (s *Store) CheckLocalInvariants() error {
 		state[slot] |= slotFree
 	}
 	for _, ci := range s.freeChunks {
-		if ci < 0 || int(ci) >= len(s.chunks) {
+		if ci < 0 || ci >= s.nChunks {
 			return fmt.Errorf("free chunk %d out of range", ci)
 		}
 		if chunkOwner[ci] == chunkFree {
 			return fmt.Errorf("chunk %d on the free list twice", ci)
 		}
-		if s.chunks[ci] != (childChunk{}) {
+		if *s.chunk(ci) != (childChunk{}) {
 			return fmt.Errorf("free chunk %d not zeroed", ci)
 		}
 		chunkOwner[ci] = chunkFree
@@ -749,7 +800,7 @@ func (s *Store) CheckLocalInvariants() error {
 				return fmt.Errorf("cap %v spill chain too short: %d chunks, want %d", c.Key, i, wantChunks)
 			}
 			idx := ci - 1
-			if idx < 0 || int(idx) >= len(s.chunks) {
+			if idx < 0 || idx >= s.nChunks {
 				return fmt.Errorf("cap %v spill chunk %d out of range", c.Key, idx)
 			}
 			switch owner := chunkOwner[idx]; {
@@ -760,23 +811,23 @@ func (s *Store) CheckLocalInvariants() error {
 			}
 			chunkOwner[idx] = slot + 1
 			ownedChunks++
-			if i > 0 && s.chunks[idx].last != 0 {
+			if i > 0 && s.chunk(idx).last != 0 {
 				return fmt.Errorf("cap %v spill chunk %d records a chain end", c.Key, idx)
 			}
 			if i == wantChunks-1 {
-				if ci != s.chunks[c.spillHead-1].last {
+				if ci != s.chunk(c.spillHead-1).last {
 					return fmt.Errorf("cap %v spill tail mismatch", c.Key)
 				}
-				if s.chunks[idx].next != 0 {
+				if s.chunk(idx).next != 0 {
 					return fmt.Errorf("cap %v spill chain overlong", c.Key)
 				}
-				for _, k := range s.chunks[idx].keys[c.childSlots()-i*chunkKeys:] {
+				for _, k := range s.chunk(idx).keys[c.childSlots()-i*chunkKeys:] {
 					if k != 0 {
 						return fmt.Errorf("cap %v keeps child %v past its last slot", c.Key, k)
 					}
 				}
 			}
-			ci = s.chunks[idx].next
+			ci = s.chunk(idx).next
 		}
 		if wantChunks == 0 && c.spillHead != 0 {
 			return fmt.Errorf("cap %v has a spill chain but no spill slots", c.Key)
@@ -815,9 +866,9 @@ func (s *Store) CheckLocalInvariants() error {
 			return fmt.Errorf("cap %v not in parent %v child list", c.Key, c.Parent)
 		}
 	}
-	if ownedChunks+len(s.freeChunks) != len(s.chunks) {
+	if ownedChunks+len(s.freeChunks) != int(s.nChunks) {
 		return fmt.Errorf("chunk accounting: %d owned + %d free != %d allocated",
-			ownedChunks, len(s.freeChunks), len(s.chunks))
+			ownedChunks, len(s.freeChunks), s.nChunks)
 	}
 	if s.byKey.n != s.n {
 		return fmt.Errorf("key index holds %d entries, store %d", s.byKey.n, s.n)

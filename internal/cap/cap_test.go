@@ -171,8 +171,8 @@ func TestChildChain(t *testing.T) {
 	if err := s.CheckLocalInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.freeChunks) != len(s.chunks) {
-		t.Fatalf("%d of %d chunks still owned", len(s.chunks)-len(s.freeChunks), len(s.chunks))
+	if len(s.freeChunks) != int(s.nChunks) {
+		t.Fatalf("%d of %d chunks still owned", int(s.nChunks)-len(s.freeChunks), s.nChunks)
 	}
 }
 
@@ -321,7 +321,7 @@ func TestInvariantViolationDetected(t *testing.T) {
 		if err := s.CheckLocalInvariants(); err != nil {
 			t.Fatalf("intact store: %v", err)
 		}
-		tc.corrupt(s.vpes[1])
+		tc.corrupt(s.spaceFor(1))
 		if err := s.CheckLocalInvariants(); err == nil || err.Error() != tc.want {
 			t.Errorf("audit = %v, want %q", err, tc.want)
 		}
@@ -352,7 +352,7 @@ func TestSelectorSpaceFollowsLiveCaps(t *testing.T) {
 	for i := 0; i < rounds; i++ {
 		round()
 	}
-	sp := s.vpes[vpe]
+	sp := s.spaceFor(vpe)
 	if len(sp.pages) != 1 || cap(sp.pages) > 4 {
 		t.Fatalf("space holds %d pages in room for %d after %d selectors", len(sp.pages), cap(sp.pages), sp.next)
 	}
@@ -565,7 +565,7 @@ func TestAuditFindsSpillCorruption(t *testing.T) {
 		}},
 		{"references free", func(s *Store, a, b *Capability) string {
 			idx := b.spillHead - 1
-			s.chunks[idx] = childChunk{}
+			*s.chunk(idx) = childChunk{}
 			s.freeChunks = append(s.freeChunks, idx)
 			return fmt.Sprintf("cap %v references free chunk %d", b.Key, idx)
 		}},
@@ -684,7 +684,7 @@ func FuzzChildList(f *testing.F) {
 				}
 				owned += (len(model[i]) + chunkKeys - 1) / chunkKeys
 			}
-			if held := len(s.chunks) - len(s.freeChunks); held != owned {
+			if held := int(s.nChunks) - len(s.freeChunks); held != owned {
 				t.Fatalf("step %d: %d chunks held, the model's lists fill %d", step/2, held, owned)
 			}
 		}
@@ -766,10 +766,69 @@ func FuzzSelectorSpace(f *testing.F) {
 						t.Fatalf("step %d: vpe %d VPECaps %v not the model in selector order", step/2, v, caps)
 					}
 				}
-				if sp := s.vpes[v]; sp != nil && len(sp.pages) != len(bases) {
+				if sp := s.spaceFor(v); sp != nil && len(sp.pages) != len(bases) {
 					t.Fatalf("step %d: vpe %d holds %d pages for %d live pages", step/2, v, len(sp.pages), len(bases))
 				}
 			}
 		}
 	})
+}
+
+// spaceFor is vpe's space, nil if it has none.
+func (s *Store) spaceFor(vpe int) *vpeSpace {
+	sp, _ := s.spaceOf(vpe)
+	return sp
+}
+
+// TestLaidOutStoresStayApart: stores laid out together share each kind of
+// storage, one run each; filling every one far past its run (space index,
+// slabs, key index) keeps each store's tables its own.
+func TestLaidOutStoresStayApart(t *testing.T) {
+	stores := NewStores(3, 2, 8)
+	obj := &MemObject{Size: 4096, Perm: dtu.PermRW}
+	for round := 0; round < 2; round++ {
+		for i := range stores {
+			s := &stores[i]
+			var root *Capability
+			for j := 0; j < 300; j++ {
+				v := j % 7
+				c := &Capability{Key: ddl.NewKey(i+1, v+1, ddl.TypeMem, uint64(round*1000+j)+1), Owner: v, Sel: s.AllocSel(v), Object: obj, Perm: dtu.PermR}
+				if j%50 == 0 {
+					root = s.Insert(c)
+					continue
+				}
+				c.Parent = root.Key
+				root.AddChild(s.Insert(c).Key)
+			}
+		}
+		for i := range stores {
+			s := &stores[i]
+			if err := s.CheckLocalInvariants(); err != nil {
+				t.Fatalf("round %d, store %d: %v", round, i, err)
+			}
+			if s.Len() != 300 {
+				t.Fatalf("round %d, store %d holds %d capabilities, want 300", round, i, s.Len())
+			}
+			for _, k := range s.Keys() {
+				if k.PE() != i+1 {
+					t.Fatalf("round %d, store %d holds %v, another store's key", round, i, k)
+				}
+			}
+		}
+		for i := range stores { // empty them again, so round 2 reuses the free lists
+			s := &stores[i]
+			for _, k := range s.Keys() {
+				if c := s.Lookup(k); c.Parent != 0 {
+					s.Lookup(c.Parent).RemoveChild(k)
+					s.Remove(k)
+				}
+			}
+			for _, k := range s.Keys() {
+				s.Remove(k)
+			}
+			if err := s.CheckLocalInvariants(); err != nil || s.Len() != 0 {
+				t.Fatalf("round %d, store %d emptied: %d left, %v", round, i, s.Len(), err)
+			}
+		}
+	}
 }

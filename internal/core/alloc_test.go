@@ -623,10 +623,10 @@ func TestKernelQueriesAllocateNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := s.SpawnOn(pes[1], "svc", func(v *VPE, p *sim.Proc) {
-		if err := v.RegisterService(p, "svc", ServiceHandlers{
-			Open:    func(*sim.Proc, int, any) SvcResult { return SvcResult{Ident: 1} },
-			Obtain:  func(*sim.Proc, uint64, any) SvcResult { return SvcResult{Errno: ErrDenied} },
-			Request: func(_ *sim.Proc, _ uint64, args any) any { return args },
+		if err := v.RegisterService(p, "svc", &svcFuncs{
+			open:    func(*sim.Proc, int, any) SvcResult { return SvcResult{Ident: 1} },
+			obtain:  func(*sim.Proc, uint64, any) SvcResult { return SvcResult{Errno: ErrDenied} },
+			request: func(_ *sim.Proc, _ uint64, args any) any { return args },
 		}); err != nil {
 			t.Error(err)
 		}
@@ -943,30 +943,46 @@ func BenchmarkSpanningRevoke(b *testing.B) {
 	}
 }
 
-// BenchmarkBoot is one machine's boot per op: NewSystem with 8 kernels and
-// 64 user PEs, a VPE on each that exits from its program at once, run to
-// quiescence and closed, on an engine recycled through a pool as the harness
-// does. Its allocs/op are the per-machine records: kernels, pools, DTUs,
-// the VPEs and the wait records of their syscall threads.
+// bootMachine is one machine's boot: NewSystem with 8 kernels and 64 user
+// PEs, a VPE on each that exits from its program at once, run to quiescence
+// and closed, on an engine recycled through pool as the harness does.
+func bootMachine(tb testing.TB, pool *sim.Pool) {
+	eng := pool.Get()
+	s := MustNew(Config{Kernels: 8, UserPEs: 64, Engine: eng})
+	for _, pe := range s.UserPEs() {
+		if _, err := s.SpawnOn(pe, "empty", func(*VPE, *sim.Proc) {}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	s.Run()
+	s.Close()
+	pool.Put(eng)
+}
+
+// BenchmarkBoot is bootMachine per op. Its allocs/op are the per-machine
+// records: kernels, pools, DTUs, the VPEs, their procs and the wait records
+// of their syscall threads.
 func BenchmarkBoot(b *testing.B) {
 	pool := sim.NewPool()
-	empty := func(*VPE, *sim.Proc) {}
-	boot := func() {
-		eng := pool.Get()
-		s := MustNew(Config{Kernels: 8, UserPEs: 64, Engine: eng})
-		for _, pe := range s.UserPEs() {
-			if _, err := s.SpawnOn(pe, "empty", empty); err != nil {
-				b.Fatal(err)
-			}
-		}
-		s.Run()
-		s.Close()
-		pool.Put(eng)
-	}
-	boot()
+	bootMachine(b, pool)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		boot()
+		bootMachine(b, pool)
+	}
+}
+
+// TestBootAllocationCeiling pins BenchmarkBoot's allocations per boot: 1 770
+// with the kernels' stores, key generators and queues sized at boot
+// (System.layout) and proc records from blocks. The ceiling is the
+// measurement plus 4.5%.
+func TestBootAllocationCeiling(t *testing.T) {
+	const ceiling = 1850
+	pool := sim.NewPool()
+	bootMachine(t, pool)
+	if allocs := allocsPerRun(20, func() { bootMachine(t, pool) }); allocs > ceiling {
+		t.Errorf("%.0f allocations per boot, ceiling %d", allocs, ceiling)
+	} else {
+		t.Logf("%.0f allocations per boot", allocs)
 	}
 }

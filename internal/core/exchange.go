@@ -201,6 +201,11 @@ func (k *Kernel) grant(p *sim.Proc, req *ikcRequest, remote bool) ikcReply {
 	if rv := k.vpeOf(req.ChildVPE); rv != nil && rv.exited {
 		return ikcReply{Err: ErrVPEGone}
 	}
+	// A requester whose kernel recovered meanwhile has failed the call: a
+	// child linked for it now would be one nobody inserts.
+	if remote && k.outlived(req) {
+		return ikcReply{Err: ErrPeerDead}
+	}
 	// And the source may have been revoked, its slot recycled.
 	var obj cap.Object
 	switch req.Kind {
@@ -419,16 +424,11 @@ func (k *Kernel) askReceiver(p *sim.Proc, req *ikcRequest, remote bool) (dstV *V
 // delegator after that envelope is demuxed, so the pendingDelegations entry
 // is always in place before the ack can arrive.
 func (k *Kernel) prepareDelegate(p *sim.Proc, req *ikcRequest) ikcReply {
-	inc := k.incarnation
 	dstV, args, errno := k.askReceiver(p, req, true)
 	if errno != OK {
 		return ikcReply{Err: errno}
 	}
-	if k.incarnation != inc {
-		// This thread was parked across a crash recovery: the rejoin reset
-		// wiped the pending-delegation table, and the originator's call
-		// aborted with ErrPeerDead — an entry created now could never be
-		// acknowledged and would leak forever (rejoin.go).
+	if k.outlived(req) {
 		return ikcReply{Err: ErrPeerDead}
 	}
 	child := childCap(k.mintKey(dstV.PE, dstV.ID, req.Object.ObjType()), dstV.ID, cap.NoSel, req.Object, req.Perm, req.Key)
@@ -436,12 +436,24 @@ func (k *Kernel) prepareDelegate(p *sim.Proc, req *ikcRequest) ikcReply {
 	// Only kernel threads touch the table — except the reset at a scripted
 	// recovery (beginRejoin), which runs from an event; on a machine where
 	// that can happen the thread's time passes first, so the entry lands on
-	// the side of the reset it always did.
+	// the side of the reset it always did, and is refused after one.
 	if k.reliable {
-		p.Settle()
+		if p.Settle(); k.outlived(req) {
+			return ikcReply{Err: ErrPeerDead}
+		}
 	}
 	k.pendingDelegations.Put(child.Key, child)
 	return ikcReply{Key: child.Key, Args: args}
+}
+
+// outlived reports whether a crash recovery, this kernel's or the
+// requester's, came between req's admission and now: the requester's call
+// has failed with ErrPeerDead, the rejoin has reconciled the two kernels
+// (rejoin.go), and a reply or an acknowledgement would go to, or come from,
+// a dead incarnation. A child linked or a delegation prepared for req now
+// would leak forever.
+func (k *Kernel) outlived(req *ikcRequest) bool {
+	return k.reliable && (req.ToInc != k.incarnation || k.peer(req.From).inc != req.Inc)
 }
 
 // handleDelegateAck finishes the handshake at the receiver's kernel.

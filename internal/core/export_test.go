@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/cap"
+	"repro/internal/sim"
 )
 
 // The protocol tests play scripts (internal/script), so they live in
@@ -111,4 +112,42 @@ func OwnedMemCaps(s *System, vpe int) int {
 		}
 	}
 	return n
+}
+
+// svcFuncs is a ServiceHandlers made of funcs, for tests. A nil func stands
+// for a service that implements nothing there: it opens with a zero result,
+// refuses every exchange and replies nil.
+type svcFuncs struct {
+	open     func(p *sim.Proc, clientVPE int, args any) SvcResult
+	obtain   func(p *sim.Proc, ident uint64, args any) SvcResult
+	delegate func(p *sim.Proc, ident uint64, args any, obj cap.Object) SvcResult
+	request  func(p *sim.Proc, ident uint64, args any) any
+}
+
+func (f *svcFuncs) Open(p *sim.Proc, clientVPE int, args any) SvcResult {
+	if f.open == nil {
+		return SvcResult{}
+	}
+	return f.open(p, clientVPE, args)
+}
+
+func (f *svcFuncs) Obtain(p *sim.Proc, ident uint64, args any) SvcResult {
+	if f.obtain == nil {
+		return SvcResult{Errno: ErrDenied}
+	}
+	return f.obtain(p, ident, args)
+}
+
+func (f *svcFuncs) Delegate(p *sim.Proc, ident uint64, args any, obj cap.Object) SvcResult {
+	if f.delegate == nil {
+		return SvcResult{Errno: ErrDenied}
+	}
+	return f.delegate(p, ident, args, obj)
+}
+
+func (f *svcFuncs) Request(p *sim.Proc, ident uint64, args any) any {
+	if f.request == nil {
+		return nil
+	}
+	return f.request(p, ident, args)
 }

@@ -142,8 +142,6 @@ func newKernel(k *Kernel, s *System, id int, peers []*peer) {
 		incarnation: 1,
 		sys:         s,
 		dtu:         s.Fab.DTU(id),
-		store:       cap.NewStore(),
-		gen:         ddl.NewGenerator(),
 		member:      s.member,
 		cpu:         *sim.NewSemaphore(1),
 		link:        *sim.NewSemaphore(1),

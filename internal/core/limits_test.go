@@ -108,11 +108,11 @@ func TestDelegateSess(t *testing.T) {
 			svcReady := sim.NewFuture[struct{}](s.Eng)
 			var gotObj cap.Object
 			svcVPE, _ = s.SpawnOn(s.userPEs[0], "svc", func(v *VPE, p *sim.Proc) {
-				err := v.RegisterService(p, "buf", ServiceHandlers{
-					Open: func(p *sim.Proc, clientVPE int, args any) SvcResult {
+				err := v.RegisterService(p, "buf", &svcFuncs{
+					open: func(p *sim.Proc, clientVPE int, args any) SvcResult {
 						return SvcResult{Ident: 7}
 					},
-					Delegate: func(p *sim.Proc, ident uint64, args any, obj cap.Object) SvcResult {
+					delegate: func(p *sim.Proc, ident uint64, args any, obj cap.Object) SvcResult {
 						gotObj = obj
 						return SvcResult{Accept: true, Reply: "ack"}
 					},
@@ -174,8 +174,8 @@ func TestSessionCloseSevers(t *testing.T) {
 	svcReady := sim.NewFuture[struct{}](s.Eng)
 	var svcVPE *VPE
 	svcVPE, _ = s.SpawnOn(s.userPEs[0], "svc", func(v *VPE, p *sim.Proc) {
-		err := v.RegisterService(p, "x", ServiceHandlers{
-			Open: func(p *sim.Proc, clientVPE int, args any) SvcResult {
+		err := v.RegisterService(p, "x", &svcFuncs{
+			open: func(p *sim.Proc, clientVPE int, args any) SvcResult {
 				return SvcResult{Ident: 1}
 			},
 		})
@@ -251,8 +251,8 @@ func TestCreateSessionEndpointBudget(t *testing.T) {
 			svcReady := sim.NewFuture[struct{}](s.Eng)
 			opens := 0
 			svc, _ := s.SpawnOn(s.userPEs[0], "svc", func(v *VPE, p *sim.Proc) {
-				err := v.RegisterService(p, "svc", ServiceHandlers{
-					Open: func(*sim.Proc, int, any) SvcResult {
+				err := v.RegisterService(p, "svc", &svcFuncs{
+					open: func(*sim.Proc, int, any) SvcResult {
 						opens++
 						return SvcResult{Ident: uint64(opens)}
 					},

@@ -46,17 +46,18 @@ type SvcResult struct {
 	Reply  any          // protocol-specific payload
 }
 
-// ServiceHandlers are the callbacks a service implements. They run on the
-// service VPE's proc, one at a time (the service PE is a serial resource),
-// with the per-request processing cost owed (sim.Proc.Charge): p.Now()
-// already includes it, but the machine has not caught up yet. ServeLoop
-// settles before the reply or the answer leaves, so a handler may add its own
-// costs with p.Charge and pay for all of them with one switch, as long as it
-// touches only the service's own state meanwhile. Everything that blocks on p
-// — Sleep, a syscall, Session.Call, DTU reads and waits, the sim primitives —
-// settles first and needs no care; a handler that publishes through a call
-// that does not take p (a Queue.Push, a Future.Complete, a Wake, a write
-// another proc polls) must call p.Settle() before it.
+// ServiceHandlers is what a service implements (m3fs.FS, for one). Its
+// methods run on the service VPE's proc, one at a time (the service PE is a
+// serial resource), with the per-request processing cost owed
+// (sim.Proc.Charge): p.Now() already includes it, but the machine has not
+// caught up yet. ServeLoop settles before the reply or the answer leaves, so
+// a handler may add its own costs with p.Charge and pay for all of them with
+// one switch, as long as it touches only the service's own state meanwhile.
+// Everything that blocks on p — Sleep, a syscall, Session.Call, DTU reads and
+// waits, the sim primitives — settles first and needs no care; a handler
+// that publishes through a call that does not take p (a Queue.Push, a
+// Future.Complete, a Wake, a write another proc polls) must call p.Settle()
+// before it.
 //
 // Arguments and replies travel as the caller's and the handler's own
 // values, never copied: args is what the client passed to Session.Call,
@@ -66,16 +67,17 @@ type SvcResult struct {
 // answer has been delivered, so the handler must leave it untouched until
 // that client's next request arrives. One reply record per session does
 // that (m3fs).
-type ServiceHandlers struct {
-	// Open decides on a new session. The handler runs on the service's proc
-	// p and may issue service syscalls (e.g. derive capabilities).
-	Open func(p *sim.Proc, clientVPE int, args any) SvcResult
-	// Obtain picks the capability to hand out for a session-scoped obtain.
-	Obtain func(p *sim.Proc, ident uint64, args any) SvcResult
+type ServiceHandlers interface {
+	// Open decides on a new session. It may issue service syscalls (e.g.
+	// derive capabilities).
+	Open(p *sim.Proc, clientVPE int, args any) SvcResult
+	// Obtain picks the capability to hand out for a session-scoped obtain;
+	// ErrDenied refuses.
+	Obtain(p *sim.Proc, ident uint64, args any) SvcResult
 	// Delegate accepts or refuses a capability pushed into the session.
-	Delegate func(p *sim.Proc, ident uint64, args any, obj cap.Object) SvcResult
+	Delegate(p *sim.Proc, ident uint64, args any, obj cap.Object) SvcResult
 	// Request handles data-plane IPC from clients (no kernel involved).
-	Request func(p *sim.Proc, ident uint64, args any) any
+	Request(p *sim.Proc, ident uint64, args any) any
 }
 
 // svcEvent is a kernel's question to a service: a session to open, or the
@@ -138,6 +140,8 @@ func (s *localService) Ready(p *sim.Proc) bool {
 func (v *VPE) RegisterService(p *sim.Proc, name string, h ServiceHandlers) error {
 	v.svc = v.sys.svcRecs.New(serviceBlock)
 	*v.svc = localService{v: v, name: name, handlers: h}
+	g := len(v.kernel.group) // the service's clients, as far as boot can tell
+	v.svc.queue.Use(v.sys.svcItems.Take(g, serviceBlock*g), nil)
 	rep := v.syscall(p, sysRequest{Kind: sysRegisterService, Name: name})
 	if rep.Err != OK {
 		v.svc = nil
@@ -161,9 +165,7 @@ func (v *VPE) ServeLoop(p *sim.Proc) {
 		p.ParkOn(svc) // the last item's answer leaves, the next item arrives
 		if m := svc.item.msg; m != nil {
 			p.Charge(cost.ServiceRequest)
-			if h.Request != nil {
-				svc.reply = h.Request(p, m.Label, m.Payload)
-			}
+			svc.reply = h.Request(p, m.Label, m.Payload)
 			continue
 		}
 		q := svc.item.q
@@ -171,22 +173,13 @@ func (v *VPE) ServeLoop(p *sim.Proc) {
 		switch ev.kind {
 		case SvcOpen:
 			p.Charge(cost.ServiceRequest)
-			q.res = SvcResult{}
-			if h.Open != nil {
-				q.res = h.Open(p, ev.client, ev.args)
-			}
+			q.res = h.Open(p, ev.client, ev.args)
 		case SvcObtain:
 			p.Charge(cost.ServiceObtainQuery)
-			q.res = SvcResult{Errno: ErrDenied}
-			if h.Obtain != nil {
-				q.res = h.Obtain(p, ev.ident, ev.args)
-			}
+			q.res = h.Obtain(p, ev.ident, ev.args)
 		case SvcDelegate:
 			p.Charge(cost.ServiceObtainQuery)
-			q.res = SvcResult{Errno: ErrDenied}
-			if h.Delegate != nil {
-				q.res = h.Delegate(p, ev.ident, ev.args, ev.obj)
-			}
+			q.res = h.Delegate(p, ev.ident, ev.args, ev.obj)
 		}
 	}
 }

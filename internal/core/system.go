@@ -139,6 +139,8 @@ type System struct {
 	sessObjs sim.Blocks[cap.SessionObject]
 	sessRecs sim.Blocks[Session]
 	svcRecs  sim.Blocks[localService]
+	// svcItems is where a service's request queue gets its storage (layout).
+	svcItems sim.Blocks[svcItem]
 
 	// vpeProcNameFn and vpeRunFn are vpeProcName and vpeRun, bound once
 	// for every VPE's SpawnLazy.
@@ -220,6 +222,7 @@ func NewSystem(cfg Config) (*System, error) {
 		newKernel(&recs[k], s, k, peers[k*cfg.Kernels:(k+1)*cfg.Kernels:(k+1)*cfg.Kernels])
 		s.kernels[k] = &recs[k]
 	}
+	s.layout(recs)
 	// Schedule crash recoveries: at RecoverAt the kernel's links
 	// un-blackhole (fault.Injector window) and the kernel itself starts the
 	// rejoin handshake as a new incarnation (rejoin.go). Validate has
@@ -233,6 +236,31 @@ func NewSystem(cfg Config) (*System, error) {
 		}
 	}
 	return s, nil
+}
+
+// capsPerVPE is how many capabilities a kernel's store has room for per
+// VPE of its group at boot; a VPE of a loaded application run holds 5 to 20.
+const capsPerVPE = 4
+
+// layout gives the kernels' records their boot-time capacity from the size
+// of their groups (DESIGN.md "Boot-time layout"): a group's VPEs are all
+// that wait for its kernel's CPU, a syscall thread or a query answer. Each
+// kind of storage is one allocation for the machine.
+func (s *System) layout(recs []Kernel) {
+	n, all := len(recs), s.cfg.UserPEs
+	g := (all + n - 1) / n
+	stores, gens := cap.NewStores(n, g, g*capsPerVPE), ddl.NewGenerators(n, g)
+	var procs sim.Blocks[*sim.Proc]
+	var jobs sim.Blocks[job]
+	var queries sim.Blocks[*query]
+	for i := range recs {
+		k := &recs[i]
+		m := len(k.group)
+		k.store, k.gen = &stores[i], &gens[i]
+		k.cpu.Use(procs.Take(m, 2*all))
+		k.syscallPool.q.Use(jobs.Take(m, all), procs.Take(m, 2*all))
+		k.queries.UseFree(queries.Take(m, all))
+	}
 }
 
 // MustNew is NewSystem for tests and examples where the config is constant.

@@ -139,12 +139,12 @@ func runServiceFanout(t *testing.T, cfg Config, n int) (*System, *uint64) {
 			t.Errorf("svc alloc: %v", err)
 			return
 		}
-		err = v.RegisterService(p, "buf", ServiceHandlers{
-			Open: func(p *sim.Proc, clientVPE int, args any) SvcResult {
+		err = v.RegisterService(p, "buf", &svcFuncs{
+			open: func(p *sim.Proc, clientVPE int, args any) SvcResult {
 				opened++
 				return SvcResult{Ident: opened}
 			},
-			Obtain: func(p *sim.Proc, ident uint64, args any) SvcResult {
+			obtain: func(p *sim.Proc, ident uint64, args any) SvcResult {
 				return SvcResult{SrcSel: sel}
 			},
 		})

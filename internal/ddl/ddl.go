@@ -141,6 +141,17 @@ func NewGenerator() *Generator {
 	return &Generator{}
 }
 
+// NewGenerators returns n empty generators with room for creators creators
+// each: their tables are two allocations for all n (boot-time layout).
+func NewGenerators(n, creators int) []Generator {
+	size, gens := TableLen(creators), make([]Generator, n)
+	keys, vals := make([]Key, n*size), make([]uint64, n*size)
+	for i := range gens {
+		gens[i].counters = KeyMap[uint64]{keys: keys[i*size : (i+1)*size], vals: vals[i*size : (i+1)*size]}
+	}
+	return gens
+}
+
 // Next mints a fresh key for creator (pe, vpe) and the given type.
 func (g *Generator) Next(pe, vpe int, typ Type) Key {
 	return NewKey(pe, vpe, typ, g.NextID(pe, vpe))

@@ -171,3 +171,20 @@ func TestTypeStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestNewGeneratorsMintLikeNewGenerator: laid-out generators hand out the
+// ids a fresh generator does, each on its own, also past their boot-time
+// table.
+func TestNewGeneratorsMintLikeNewGenerator(t *testing.T) {
+	gens := NewGenerators(3, 2)
+	refs := []*Generator{NewGenerator(), NewGenerator(), NewGenerator()}
+	for round := 0; round < 3; round++ {
+		for creator := 0; creator < 40; creator++ {
+			for i := range gens {
+				if got, want := gens[i].NextID(i, creator), refs[i].NextID(i, creator); got != want {
+					t.Fatalf("generator %d, creator %d: id %d, want %d", i, creator, got, want)
+				}
+			}
+		}
+	}
+}

@@ -1,5 +1,7 @@
 package ddl
 
+import "math/bits"
+
 // KeyMap is an open-addressing hash table from Key to V, tuned for the
 // simulator's hot paths: a Key is a single uint64, so the table stores keys
 // and values in two flat slices (no per-entry allocation, no bucket
@@ -126,6 +128,10 @@ func (m *KeyMap[V]) Range(fn func(k Key, v V) bool) {
 		}
 	}
 }
+
+// TableLen is the length of the smallest table that holds n entries without
+// growing: a power of two, 16 at least, at least 4n/3.
+func TableLen(n int) int { return max(16, 1<<bits.Len(uint((4*n-1)/3))) }
 
 func (m *KeyMap[V]) grow() {
 	newCap := 16

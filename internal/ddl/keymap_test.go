@@ -113,3 +113,21 @@ func TestKeyMapMatchesMap(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTableLenHoldsWithoutGrowing: a table of TableLen(n) entries takes n
+// keys without growing, and half its length would not.
+func TestTableLenHoldsWithoutGrowing(t *testing.T) {
+	for n := 0; n <= 1000; n++ {
+		size := TableLen(n)
+		m := KeyMap[int]{keys: make([]Key, size), vals: make([]int, size)}
+		for k := 1; k <= n; k++ {
+			m.Put(Key(k), k)
+		}
+		if len(m.keys) != size {
+			t.Fatalf("TableLen(%d) = %d grew to %d", n, size, len(m.keys))
+		}
+		if size > 16 && size/2*3/4 >= n {
+			t.Fatalf("TableLen(%d) = %d, but %d holds it", n, size, size/2)
+		}
+	}
+}

@@ -42,7 +42,7 @@ func stepClient(tb testing.TB, preload func(*FS), op func(c *Client, p *sim.Proc
 }
 
 // TestDataPlaneAllocatesNothing: a warmed metadata operation — Client →
-// Session.Call → DTU → ServeLoop → FS.onRequest → reply — allocates
+// Session.Call → DTU → ServeLoop → FS.Request → reply — allocates
 // nothing. The request is the client's one record, the reply the session's,
 // both travel by pointer, and an Open reuses the handle and the descriptor
 // its last Close gave back.

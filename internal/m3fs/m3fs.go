@@ -259,11 +259,7 @@ func (fs *FS) Start(p *sim.Proc) error {
 		return err
 	}
 	fs.rootSel = sel
-	return fs.v.RegisterService(p, fs.cfg.ServiceName, core.ServiceHandlers{
-		Open:    fs.onOpen,
-		Obtain:  fs.onObtain,
-		Request: fs.onRequest,
-	})
+	return fs.v.RegisterService(p, fs.cfg.ServiceName, fs)
 }
 
 // --- path handling ---------------------------------------------------------
@@ -383,9 +379,10 @@ func (fs *FS) newFile() *fileNode {
 	return f
 }
 
-// --- service handlers --------------------------------------------------------
+// --- service handlers (core.ServiceHandlers) ----------------------------------
 
-func (fs *FS) onOpen(p *sim.Proc, clientVPE int, args any) core.SvcResult {
+// Open starts a session.
+func (fs *FS) Open(p *sim.Proc, clientVPE int, args any) core.SvcResult {
 	p.Charge(sessionCycles)
 	fs.nextSess++
 	ident := fs.nextSess
@@ -396,7 +393,8 @@ func (fs *FS) onOpen(p *sim.Proc, clientVPE int, args any) core.SvcResult {
 	return core.SvcResult{Ident: ident}
 }
 
-func (fs *FS) onObtain(p *sim.Proc, ident uint64, args any) core.SvcResult {
+// Obtain hands out the memory capability of one extent of an open file.
+func (fs *FS) Obtain(p *sim.Proc, ident uint64, args any) core.SvcResult {
 	sess := fs.sessions[ident]
 	if sess == nil {
 		return core.SvcResult{Errno: core.ErrBadArgs}
@@ -447,8 +445,13 @@ func (fs *FS) extentCap(p *sim.Proc, f *fileNode, idx int) (cap.Selector, error)
 	return sel, nil
 }
 
-// onRequest answers one data-plane request in the session's reply record.
-func (fs *FS) onRequest(p *sim.Proc, ident uint64, args any) any {
+// Delegate refuses: m3fs takes no capabilities from its clients.
+func (fs *FS) Delegate(*sim.Proc, uint64, any, cap.Object) core.SvcResult {
+	return core.SvcResult{Errno: core.ErrDenied}
+}
+
+// Request answers one data-plane request in the session's reply record.
+func (fs *FS) Request(p *sim.Proc, ident uint64, args any) any {
 	sess := fs.sessions[ident]
 	req, ok := args.(*Request)
 	if sess == nil || !ok {

@@ -58,6 +58,38 @@ const (
 	Consent
 )
 
+// Open, Obtain, Delegate and Request make the runner the service a Serve op
+// registers (core.ServiceHandlers): it opens every session, hands out the
+// Serve's Ref to every session obtaining through it, and decides on every
+// exchange as the Serve says.
+func (r *runner) Open(*sim.Proc, int, any) core.SvcResult {
+	r.idents++
+	return core.SvcResult{Ident: r.idents}
+}
+
+func (r *runner) Obtain(p *sim.Proc, _ uint64, _ any) core.SvcResult {
+	if !r.decide(p) {
+		return core.SvcResult{Errno: core.ErrDenied}
+	}
+	return core.SvcResult{SrcSel: r.src}
+}
+
+func (r *runner) Delegate(p *sim.Proc, _ uint64, _ any, _ cap.Object) core.SvcResult {
+	return core.SvcResult{Accept: r.decide(p)}
+}
+
+func (r *runner) Request(*sim.Proc, uint64, any) any { return nil }
+
+// decide is the service's consent to one exchange.
+func (r *runner) decide(p *sim.Proc) bool {
+	if r.serve.Asked == 0 {
+		return !r.serve.Deny
+	}
+	p.Settle() // the latch publishes: the query's cost passes first
+	defer p.Sleep(r.sys.Cost.VPEAccept)
+	return r.asked(r.serve)
+}
+
 // service is the name the Serve op registers and a Session exchange
 // connects to.
 const service = "script"
@@ -140,6 +172,10 @@ type runner struct {
 	recs    [][]Record
 	latches []sim.WaitGroup
 	onStart func(vpe, op int)
+	// The Serve op, the selector its service hands out, and its sessions.
+	serve  Op
+	src    cap.Selector
+	idents uint64
 }
 
 // Run spawns sc's VPEs on sys, in order, runs sys until it drains and
@@ -258,30 +294,8 @@ func (r *runner) do(v *core.VPE, p *sim.Proc, op Op) (cap.Selector, error) {
 	case Sleep:
 		p.Sleep(sim.Duration(op.At))
 	case Serve:
-		var idents uint64
-		decide := func(p *sim.Proc) bool {
-			if op.Asked == 0 {
-				return !op.Deny
-			}
-			p.Settle() // the latch publishes: the query's cost passes first
-			defer p.Sleep(r.sys.Cost.VPEAccept)
-			return r.asked(op)
-		}
-		return 0, v.RegisterService(p, service, core.ServiceHandlers{
-			Open: func(*sim.Proc, int, any) core.SvcResult {
-				idents++
-				return core.SvcResult{Ident: idents}
-			},
-			Obtain: func(p *sim.Proc, _ uint64, _ any) core.SvcResult {
-				if !decide(p) {
-					return core.SvcResult{Errno: core.ErrDenied}
-				}
-				return core.SvcResult{SrcSel: ref.Sel}
-			},
-			Delegate: func(p *sim.Proc, _ uint64, _ any, _ cap.Object) core.SvcResult {
-				return core.SvcResult{Accept: decide(p)}
-			},
-		})
+		r.serve, r.src = op, ref.Sel
+		return 0, v.RegisterService(p, service, r)
 	case Consent:
 		v.OnExchange = func(core.ExchangeQuery) core.ExchangeAnswer { return core.ExchangeAnswer{Accept: r.asked(op)} }
 	}

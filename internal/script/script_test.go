@@ -170,11 +170,16 @@ func FuzzScript(f *testing.F) {
 		seed := h.Sum64()
 		lossy := &fault.Plan{Seed: seed, Drop: 0.02, Dup: 0.02}
 		crash := sim.Time(1000 + seed%60000)
+		// The recovery gap is log-uniform from 1 to 2^19 cycles, so a gap
+		// below the retransmit timeout is as likely as one beyond the death
+		// verdict.
+		e := seed >> 20 % 19
+		gap := sim.Time(1)<<e + sim.Time(seed>>30)%(sim.Time(1)<<e)
 		for kernels := 1; kernels <= 3; kernels++ {
 			plans := []*fault.Plan{nil, lossy}
 			if kernels >= 2 {
 				plans = append(plans, &fault.Plan{Seed: seed, Drop: 0.01, Dup: 0.01, Jitter: sim.Duration(seed >> 40 % 400),
-					Kernels: []fault.KernelFault{{Kernel: kernels - 1, CrashAt: crash, RecoverAt: crash + 10000 + sim.Time(seed>>20%300000)}}})
+					Kernels: []fault.KernelFault{{Kernel: kernels - 1, CrashAt: crash, RecoverAt: crash + gap}}})
 			}
 			for _, pol := range []core.IKCBatching{{}, {Exchange: true, Revoke: true}} {
 				for _, faults := range plans {

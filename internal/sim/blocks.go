@@ -82,6 +82,9 @@ func (r *Recycler[T]) Put(x *T) {
 	r.free = append(r.free, x)
 }
 
+// UseFree gives the free list its storage, as FIFO.Use does a queue's.
+func (r *Recycler[T]) UseFree(free []*T) { r.free = free[:0] }
+
 // Held returns how many records New handed out that are not back yet.
 func (r *Recycler[T]) Held() int { return r.held }
 

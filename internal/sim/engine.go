@@ -107,9 +107,11 @@ type Engine struct {
 	fifo     []func()
 	fifoHead int
 	// procs registers the spawned procs so Kill can stop them; live counts
-	// those that have not exited, for leak diagnostics.
-	procs []*Proc
-	live  atomic.Int64
+	// those that have not exited, for leak diagnostics. Their records come
+	// from procRecs.
+	procs    []*Proc
+	procRecs Blocks[Proc]
+	live     atomic.Int64
 	// fault carries a panic out of a proc body (Proc.run) to the step that
 	// resumed it, which re-raises it on the goroutine driving the engine (and
 	// therefore recoverable by callers such as the bench harness). One body

@@ -20,6 +20,10 @@ type FIFO[T any] struct {
 	head  int
 }
 
+// Use hands an empty queue the array its elements spill into: storage its
+// owner sized at boot, which the queue grows past only by copying out.
+func (f *FIFO[T]) Use(items []T) { f.items = items[:0] }
+
 // Len returns the number of queued elements.
 func (f *FIFO[T]) Len() int { return len(f.items) - f.head }
 

@@ -248,3 +248,42 @@ func TestSingleElementQueuesAllocateNothing(t *testing.T) {
 		t.Fatalf("consumer took %d items, want %d", taken, runs+1)
 	}
 }
+
+// TestFIFOUseStaysInItsRun: two queues given adjacent runs of one block
+// (Use) fill them without allocating, and one that outgrows its run copies
+// out instead of writing into its neighbour's.
+func TestFIFOUseStaysInItsRun(t *testing.T) {
+	var block Blocks[int]
+	var a, b FIFO[int]
+	a.Use(block.Take(4, 8))
+	b.Use(block.Take(4, 8))
+	cycle := func() { // the first element lives in the record, 4 behind it
+		for i := 0; i < 5; i++ {
+			a.Push(i)
+			b.Push(100 + i)
+		}
+		for i := 0; i < 5; i++ {
+			a.Pop()
+			b.Pop()
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+		t.Fatalf("filling the runs allocated %v times", allocs)
+	}
+	for i := 0; i < 5; i++ {
+		b.Push(100 + i)
+	}
+	for i := 0; i < 20; i++ {
+		a.Push(i)
+	}
+	for i := 0; i < 20; i++ {
+		if got := a.Pop(); got != i {
+			t.Fatalf("a popped %d, want %d", got, i)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		if got := b.Pop(); got != 100+i {
+			t.Fatalf("b popped %d, want %d", got, 100+i)
+		}
+	}
+}

@@ -4,7 +4,8 @@ import "sync"
 
 // Reset returns a used engine to the state of a fresh NewEngine while keeping
 // the event-queue backing arrays, so a recycled engine schedules into
-// already-grown slabs instead of re-growing them from scratch.
+// already-grown slabs instead of re-growing them from scratch. It lets go of
+// the block proc records come from, which belongs to the last run.
 //
 // Reset first Kills the engine (idempotent), so any still-parked procs have
 // unwound; afterwards the engine is live again: time, sequence and event
@@ -22,6 +23,7 @@ func (e *Engine) Reset() {
 	e.resumes = 0
 	e.limit = 0
 	e.killed = false
+	e.procRecs = Blocks[Proc]{}
 }
 
 // Pool recycles Engines across simulation runs. Short simulations (one

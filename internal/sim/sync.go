@@ -104,6 +104,9 @@ func (s *Semaphore) TryAcquire() bool {
 	return false
 }
 
+// Use gives the waiter queue its storage (FIFO.Use).
+func (s *Semaphore) Use(waiters []*Proc) { s.waiters.Use(waiters) }
+
 // Acquire takes one unit, parking the proc until it gets one, after settling
 // what the proc owes.
 func (s *Semaphore) Acquire(p *Proc) { p.ParkOn(s) }
@@ -142,6 +145,12 @@ func NewQueue[T any]() *Queue[T] {
 
 // Len returns the number of queued elements.
 func (q *Queue[T]) Len() int { return q.items.Len() }
+
+// Use gives the item and waiter queues their storage (FIFO.Use).
+func (q *Queue[T]) Use(items []T, waiters []*Proc) {
+	q.items.Use(items)
+	q.waiters.Use(waiters)
+}
 
 // Waiters returns the number of procs parked in Pop (idle consumers).
 func (q *Queue[T]) Waiters() int { return q.waiters.Len() }

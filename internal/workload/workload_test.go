@@ -197,7 +197,7 @@ func BenchmarkRun(b *testing.B) {
 // records come from blocks, arenas and tables made once per run, so what is
 // left per instance is its procs — the instance's and the kernel threads'
 // — and the kernel records they make; the traces are within one allocation
-// of each other. The ceilings are the measured counts (41.9 to 42.8) plus
+// of each other. The ceilings are the measured counts (36.8 to 37.9) plus
 // at most 5%, rounded down to whole allocations, so that a stray runtime
 // allocation does not fail the pin; with one Go map per directory, names
 // and closures made per instance and one reply listing per readdir, every
@@ -205,7 +205,7 @@ func BenchmarkRun(b *testing.B) {
 func TestRunAllocationCeiling(t *testing.T) {
 	const instances = 64
 	ceiling := map[string]float64{
-		"tar": 44, "untar": 43, "find": 44, "sqlite": 44, "leveldb": 44, "postmark": 44,
+		"tar": 39, "untar": 38, "find": 39, "sqlite": 39, "leveldb": 38, "postmark": 39,
 	}
 	pool := sim.NewPool()
 	for _, tr := range trace.All() {
