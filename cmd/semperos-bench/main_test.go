@@ -121,10 +121,16 @@ const quickBaselineArgs = "-quick -experiment all,ablation-ikc,faults,churn,scal
 // compares the fresh rows with the committed file as bench-compare does:
 // every simulated metric of every row must be identical. It is the net
 // under a change that must leave the simulation as it was, and costs a few
-// seconds (about a minute under -race), so -short skips it.
+// seconds, so -short skips it. Under the race detector it costs about a
+// minute, and the rows it compares are the plain run's: it skips there too.
+// What the detector looks for, harness workers sharing state, CI's race
+// smoke runs on four workers over the fault, churn and scale rows.
 func TestQuickBaseline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the whole quick sweep")
+	}
+	if raceEnabled {
+		t.Skip("runs the whole quick sweep; the plain run compares the same rows")
 	}
 	freshPath := filepath.Join(t.TempDir(), "quick.json")
 	saved := os.Stdout

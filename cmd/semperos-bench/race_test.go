@@ -1,0 +1,6 @@
+//go:build race
+
+package main
+
+// raceEnabled reports whether the test binary runs under the race detector.
+const raceEnabled = true

@@ -25,6 +25,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/ddl"
@@ -385,10 +386,11 @@ type selPage struct {
 // pageSels is how many selectors a page covers; spaceBlock is how many
 // spaces one allocation serves. A Store does not know how many VPEs it will
 // hold (a kernel's group, at most a few dozen), so its blocks are small and
-// fixed.
+// fixed; a block of pages is 1 152 B, a size class of its own.
 const (
 	pageSels   = 16
 	spaceBlock = 4
+	pageBlock  = 16
 )
 
 // find returns the index of the page holding sel, or where it would go. The
@@ -424,6 +426,9 @@ type Store struct {
 
 	spaces    []*vpeSpace // one per VPE, by ascending VPE id
 	spaceRecs sim.Blocks[vpeSpace]
+	// pageRuns and spareRuns hold spaces' runs of pages (growPages).
+	pageRuns  sim.Blocks[selPage]
+	spareRuns [3][]selPage
 
 	// The shared child arena: nChunks chunks, in chunks and chunkBlocks.
 	chunks      []childChunk
@@ -584,6 +589,9 @@ func (s *Store) Insert(c *Capability) *Capability {
 	s.byKey.fill(pos, h, slot)
 	if sp != nil {
 		if !found { // selectors grow, so nearly always at the end
+			if len(sp.pages) == cap(sp.pages) {
+				s.growPages(sp)
+			}
 			sp.pages = slices.Insert(sp.pages, pi, selPage{base: c.Sel &^ (pageSels - 1)})
 		}
 		p := &sp.pages[pi]
@@ -597,6 +605,27 @@ func (s *Store) Insert(c *Capability) *Capability {
 	}
 	s.n++
 	return sc
+}
+
+// growPages doubles sp's room for pages: into the run of that size a space
+// left, else one cut from a block, keeping the run sp leaves for the next;
+// from pageBlock pages on into the heap, and the store lets its runs go.
+func (s *Store) growPages(sp *vpeSpace) {
+	old, n := sp.pages, 2*cap(sp.pages)
+	i := bits.Len(uint(n)) - 2 // spareRuns[i] holds a run of n pages
+	switch {
+	case n >= pageBlock:
+		sp.pages = append(old, selPage{})[:len(old)]
+	case s.spareRuns[i] != nil:
+		sp.pages, s.spareRuns[i] = append(s.spareRuns[i][:0], old...), nil
+	default:
+		sp.pages = append(s.pageRuns.Take(n, pageBlock)[:0], old...)
+	}
+	if n == pageBlock {
+		s.pageRuns, s.spareRuns = sim.Blocks[selPage]{}, [3][]selPage{}
+	} else if n > 2 && n < pageBlock {
+		s.spareRuns[i-1] = old
+	}
 }
 
 // Lookup returns the capability with the given key, or nil.

@@ -145,10 +145,13 @@ func mallocs(f func()) uint64 {
 
 // windowProfile samples the allocations of measured windows: every
 // allocation inside one goes into the runtime's heap profile
-// (runtime.MemProfileRate 1), none outside does, and stacks lists what the
-// windows sampled, so that a failed ceiling names its allocation. A rerun
-// of the windows names nothing when the stray allocation depends on timing
-// (the runtime's, as the tree revoke's did).
+// (runtime.MemProfileRate 1), none outside does, and sampled sorts what the
+// windows allocated by stack, so that a ceiling counts the code's own
+// allocations and a failed one names them. The runtime's background work
+// allocates in a window now and then, at a timing no rerun repeats: the
+// scavenger's sleep growing a P's timer heap (runtime.(*timers).addHeap,
+// from bgscavenge) fell into the tree revoke's in about one fresh
+// race-detector process in four.
 type windowProfile struct {
 	rate int
 	base map[[32]uintptr]int64
@@ -176,9 +179,11 @@ var rateChanged *[64]byte
 
 func (w *windowProfile) stop() { runtime.MemProfileRate = w.rate }
 
-// stacks lists the stacks the windows allocated at, with counts.
-func (w *windowProfile) stacks() string {
-	var b strings.Builder
+// sampled counts the allocations the windows made at a stack with a frame
+// of this module, the code's, and lists those stacks in own; the stacks
+// with runtime frames only, not counted, are listed in background.
+func (w *windowProfile) sampled() (n int64, own, background string) {
+	var code, rt strings.Builder
 	for stk, count := range allocSites() {
 		if count -= w.base[stk]; count <= 0 {
 			continue
@@ -188,18 +193,24 @@ func (w *windowProfile) stacks() string {
 		if strings.HasSuffix(f.Function, ".(*windowProfile).mallocs") || strings.HasSuffix(f.Function, ".allocSites") {
 			continue
 		}
+		var b strings.Builder
 		fmt.Fprintf(&b, "%d allocation(s):\n", count)
+		mine := false
 		for ; ; f, more = frames.Next() {
+			mine = mine || strings.HasPrefix(f.Function, "repro/")
 			fmt.Fprintf(&b, "\t%s\n\t\t%s:%d\n", f.Function, f.File, f.Line)
 			if !more {
 				break
 			}
 		}
+		if mine {
+			n += count
+			code.WriteString(b.String())
+		} else {
+			rt.WriteString(b.String())
+		}
 	}
-	if b.Len() == 0 {
-		return "none sampled\n"
-	}
-	return b.String()
+	return n, code.String(), rt.String()
 }
 
 // allocSites is the process's count of sampled allocations per stack. An
@@ -444,7 +455,7 @@ func TestMemObjectsAcrossChunks(t *testing.T) {
 // the slot of the thread parked on it, and the in-flight record is two
 // words of the requesting VPE. Reliable: the spanning obtain on a lossless
 // fabric with the reliable layer on — its transmission record is recycled
-// with its timer bound once, and the reply cache is a ring of values behind
+// and is its own timer event, and the reply cache is a ring of values behind
 // a seq → slot map. Reliable-batched: the same with exchange batching, whose
 // envelope buffer moves between the queue and the record. Table growth
 // (slabs, key map, selector space, the reply cache up to its bound) averages
@@ -757,11 +768,11 @@ func TestPooledEngineRetainsNoMessages(t *testing.T) {
 // TestTreeRevokeAllocationCeiling bounds what a warmed local tree revoke
 // allocates: nothing. The revocation's records, their marked-key lists and
 // the stack its mark walk snapshots child lists onto come from the kernel's
-// free list, and the syscall thread parks on its record. The test runs with
-// the collector off: a collection wakes the runtime's background scavenger,
-// whose sleep can grow a P's timer heap (runtime.(*timers).addHeap, from
-// bgscavenge), one malloc that fell into a measured window in about a third
-// of the race-detector runs that follow TestPooledEngineRetainsNoMessages.
+// free list, and the syscall thread parks on its record. It counts the
+// allocations the heap profile samples at a stack of this module's code: a
+// runtime-only stack in a window (the background scavenger's timer, which
+// the collector being off makes rarer but did not rule out) is reported,
+// not counted.
 func TestTreeRevokeAllocationCeiling(t *testing.T) {
 	const ceiling = 0
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -808,9 +819,13 @@ func TestTreeRevokeAllocationCeiling(t *testing.T) {
 	for i := 0; i < rounds; i++ {
 		total += round(prof.mallocs)
 	}
-	if allocs := float64(total) / rounds; allocs > ceiling {
+	n, own, background := prof.sampled()
+	if background != "" {
+		t.Logf("%d allocation(s) in all, the runtime's not counted:\n%s", total, background)
+	}
+	if allocs := float64(n) / rounds; allocs > ceiling {
 		t.Fatalf("revoking a warmed 10-capability local tree allocates %v times, want %v; the windows allocated at:\n%s",
-			allocs, ceiling, prof.stacks())
+			allocs, ceiling, own)
 	}
 	if got := s.kernels[0].store.Len(); got != 2 { // the VPE's own capability and root
 		t.Fatalf("%d capabilities left, want 2", got)
@@ -972,12 +987,13 @@ func BenchmarkBoot(b *testing.B) {
 	}
 }
 
-// TestBootAllocationCeiling pins BenchmarkBoot's allocations per boot: 1 770
+// TestBootAllocationCeiling pins BenchmarkBoot's allocations per boot: 1 514
 // with the kernels' stores, key generators and queues sized at boot
-// (System.layout) and proc records from blocks. The ceiling is the
-// measurement plus 4.5%.
+// (System.layout), proc records from blocks, and every proc's coroutine
+// body and step event the engine's (11 allocations a proc, all in
+// iter.Pull). The ceiling is the measurement plus 4.4%.
 func TestBootAllocationCeiling(t *testing.T) {
-	const ceiling = 1850
+	const ceiling = 1580
 	pool := sim.NewPool()
 	bootMachine(t, pool)
 	if allocs := allocsPerRun(20, func() { bootMachine(t, pool) }); allocs > ceiling {

@@ -182,7 +182,6 @@ type ikcWire struct {
 	seq      uint64 // a credit leg's
 	reqs     []*ikcRequest
 	reps     []ikcReply
-	arrive   func() // onArrive, bound once
 	req1     [1]*ikcRequest
 	rep1     [1]ikcReply
 }
@@ -190,8 +189,7 @@ type ikcWire struct {
 // wire takes a released record (or makes one) for a leg from k.
 func (k *Kernel) wire(kind wireKind, to *Kernel) *ikcWire {
 	w := k.sys.wires.New(1)
-	if w.arrive == nil {
-		w.arrive = w.onArrive
+	if w.reqs == nil {
 		w.reqs, w.reps = w.req1[:0], w.rep1[:0]
 	}
 	w.kind, w.from, w.to = kind, k, to
@@ -203,7 +201,7 @@ func (w *ikcWire) release() {
 	dropAll(s, w.reqs)
 	clear(w.reqs)
 	clear(w.reps)
-	*w = ikcWire{arrive: w.arrive, reqs: w.reqs[:0], reps: w.reps[:0]}
+	*w = ikcWire{reqs: w.reqs[:0], reps: w.reps[:0]}
 	s.wires.Put(w)
 }
 
@@ -232,7 +230,7 @@ func (w *ikcWire) bytes() int {
 
 // send puts w on the NoC.
 func (w *ikcWire) send() {
-	switch w.from.sys.Net.Send(w.from.pe, w.to.pe, w.bytes(), w.arrive) {
+	switch w.from.sys.Net.Post(w.from.pe, w.to.pe, w.bytes(), w) {
 	case 0:
 		w.release()
 	case 2:
@@ -240,14 +238,14 @@ func (w *ikcWire) send() {
 	}
 }
 
-// onArrive is w's delivery event (event context at the receiving kernel, or
+// Fire is w's delivery event (event context at the receiving kernel, or
 // at the sender while the leg is composed). A direct request's record is
 // released before the request is handed on — what runs below may send, and
 // so reuse it — and the job takes its own reference first; a credit leg's
 // sequence number is read first for the same reason. Replies, direct or in
 // an envelope, complete their calls in order — the order the answering
 // kernel produced them — and cost no thread.
-func (w *ikcWire) onArrive() {
+func (w *ikcWire) Fire() {
 	switch {
 	case w.compose:
 		w.compose = false
@@ -311,7 +309,7 @@ func (k *Kernel) composeReplies(dk *Kernel, reps ...ikcReply) {
 	w := k.wire(wireReply, dk)
 	w.env, w.compose = len(reps) > 1, true
 	w.reps = append(w.reps, reps...)
-	k.sys.Eng.Schedule(k.sys.Cost.IKCCompose, w.arrive)
+	k.sys.Eng.Post(k.sys.Cost.IKCCompose, w)
 }
 
 // stamp is the opening every request shares: the compose cost — the last
@@ -535,7 +533,7 @@ func (k *Kernel) pickUp(p *sim.Proc, t *kthread, scratch []*ikcRequest) []*ikcRe
 func (k *Kernel) returnCredit(req *ikcRequest) {
 	w := k.wire(wireCredit, k.sys.kernels[req.From])
 	w.seq = req.Seq
-	k.sys.Eng.Schedule(0, w.arrive)
+	k.sys.Eng.Post(0, w)
 }
 
 // dispatchRequest routes a request to its handler and hands the returned

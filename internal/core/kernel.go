@@ -434,7 +434,6 @@ type query struct {
 	accept bool          // the partner's answer
 	done   bool
 	waiter *sim.Proc
-	fire   func() // onFire, bound once
 }
 
 // queryBlock is how many query records a kernel allocates at a time: about
@@ -445,15 +444,12 @@ const queryBlock = 2
 // v.
 func (k *Kernel) newQuery(v *VPE) *query {
 	q := k.queries.New(queryBlock)
-	if q.fire == nil {
-		q.k, q.fire = k, q.onFire
-	}
-	q.v = v
+	q.k, q.v = k, v
 	return q
 }
 
 func (q *query) release() {
-	*q = query{k: q.k, fire: q.fire}
+	*q = query{k: q.k}
 	q.k.queries.Put(q)
 }
 
@@ -465,7 +461,7 @@ func (q *query) ask(p *sim.Proc, stage queryStage, bytes int) {
 	k := q.k
 	q.stage = stage
 	p.Settle()
-	k.sys.Net.Send(k.pe, q.v.PE, bytes, q.fire)
+	k.sys.Net.Post(k.pe, q.v.PE, bytes, q)
 	k.pause(p, q)
 }
 
@@ -478,9 +474,9 @@ func (q *query) Ready(p *sim.Proc) bool {
 	return q.done
 }
 
-// onFire is q's next event (event context: at the VPE's PE until the answer
+// Fire is q's next event (event context: at the VPE's PE until the answer
 // leaves, then at the kernel).
-func (q *query) onFire() {
+func (q *query) Fire() {
 	switch q.stage {
 	case stageAtService:
 		q.v.svc.queue.Push(svcItem{q: q})
@@ -488,7 +484,7 @@ func (q *query) onFire() {
 		// The VPE's exchange handler answers after its decision time.
 		q.accept = q.v.answerExchange(q.xq).Accept
 		q.stage = stageDecided
-		q.k.sys.Eng.Schedule(q.k.sys.Cost.VPEAccept, q.fire)
+		q.k.sys.Eng.Post(q.k.sys.Cost.VPEAccept, q)
 	case stageDecided:
 		q.answer(vpeAnswerBytes)
 	case stageAnswered:
@@ -503,7 +499,7 @@ func (q *query) onFire() {
 // answer sends q back to the asking kernel.
 func (q *query) answer(bytes int) {
 	q.stage = stageAnswered
-	q.k.sys.Net.Send(q.v.PE, q.k.pe, bytes, q.fire)
+	q.k.sys.Net.Post(q.v.PE, q.k.pe, bytes, q)
 }
 
 // askVPE queries a local VPE for consent to a capability exchange (paper

@@ -61,9 +61,9 @@ const (
 // or the destination is declared dead. credited says the receiver picked a
 // copy of it up, which returned its in-flight credit.
 //
-// Like an ikcWire it is recycled, through System.xmits (newXmit): its timer
-// and resend events are bound once, and its two request lists keep their
-// buffers, so a warmed transmission allocates nothing. It holds a reference
+// Like an ikcWire it is recycled, through System.xmits (newXmit), and is
+// its own timer and resend event (xmitTimer, xmitResend); its two request
+// lists keep their buffers, so a warmed transmission allocates nothing. It holds a reference
 // to each request in reqs until release; resend is a subset of reqs. A
 // record has at most one retransmission timer (armed) and one resend
 // (resending) pending: track arms the first timer and every expiry arms at
@@ -89,19 +89,14 @@ type xmitState struct {
 	retried   bool
 	credited  bool
 	done      bool
-	armed     bool   // its retransmission timer is pending
-	resending bool   // its resend is being composed
-	expireFn  func() // onExpire, bound once
-	resendFn  func() // onResend, bound once
+	armed     bool // its retransmission timer is pending
+	resending bool // its resend is being composed
 }
 
 // newXmit takes a released transmission record (or makes one) for a
 // transmission of k.
 func (k *Kernel) newXmit() *xmitState {
 	xm := k.sys.xmits.New(1)
-	if xm.expireFn == nil {
-		xm.expireFn, xm.resendFn = xm.onExpire, xm.onResend
-	}
 	xm.k = k
 	return xm
 }
@@ -117,7 +112,7 @@ func (xm *xmitState) release() {
 	dropAll(s, xm.reqs)
 	clear(xm.reqs)
 	clear(xm.resend)
-	*xm = xmitState{reqs: xm.reqs[:0], resend: xm.resend[:0], expireFn: xm.expireFn, resendFn: xm.resendFn}
+	*xm = xmitState{reqs: xm.reqs[:0], resend: xm.resend[:0]}
 	s.xmits.Put(xm)
 }
 
@@ -163,19 +158,24 @@ func (k *Kernel) track(dst int, xm *xmitState) {
 
 func (k *Kernel) arm(xm *xmitState) {
 	xm.armed = true
-	k.sys.Eng.Schedule(xm.rto, xm.expireFn)
+	k.sys.Eng.Post(xm.rto, (*xmitTimer)(xm))
 }
 
-// onExpire is xm's retransmission timer event.
-func (xm *xmitState) onExpire() {
+// xmitTimer and xmitResend are a transmission record as its two events.
+type xmitTimer xmitState
+type xmitResend xmitState
+
+// Fire is xm's retransmission timer event.
+func (t *xmitTimer) Fire() {
+	xm := (*xmitState)(t)
 	xm.armed = false
 	xm.k.expire(xm)
 	xm.release()
 }
 
-// onResend is xm's resend event, IKCCompose after the expiry that
-// scheduled it.
-func (xm *xmitState) onResend() {
+// Fire is xm's resend event, IKCCompose after the expiry that scheduled it.
+func (r *xmitResend) Fire() {
+	xm := (*xmitState)(r)
 	xm.resending = false
 	xm.k.resend(xm)
 	xm.release()
@@ -234,7 +234,7 @@ func (k *Kernel) expire(xm *xmitState) {
 	k.stats.Retransmits++
 	k.stats.Busy += k.sys.Cost.IKCCompose
 	xm.resending = true
-	k.sys.Eng.Schedule(k.sys.Cost.IKCCompose, xm.resendFn)
+	k.sys.Eng.Post(k.sys.Cost.IKCCompose, (*xmitResend)(xm))
 	k.arm(xm)
 }
 

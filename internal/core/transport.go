@@ -131,15 +131,15 @@ func classOf(kind ikcKind) batchClass {
 //
 // Every generation arms exactly one window timer, at its first request, and
 // the timers fire in arming order, so the timer that fires is generation
-// fired's and fire, bound once, needs no captured epoch. The order holds
-// because no armed timer is ever due before one armed earlier (arm asserts
-// it; the engine breaks ties by scheduling order). Suppose timer m is still
-// pending when a later generation n arms its own. Every generation from m
-// on was flushed by some trigger in between; a window timer cannot have done
-// it (timers m.. have not fired, by induction, and a transmit-proc entry of
-// an older generation is a no-op), so the inline maxBatch flush did, and a
-// full drain never shrinks the window (adaptWindow). Timer n is armed no
-// earlier, with no shorter a window.
+// fired's and the queue, its own timer event, needs no captured epoch. The
+// order holds because no armed timer is ever due before one armed earlier
+// (arm asserts it; the engine breaks ties by scheduling order). Suppose
+// timer m is still pending when a later generation n arms its own. Every
+// generation from m on was flushed by some trigger in between; a window
+// timer cannot have done it (timers m.. have not fired, by induction, and a
+// transmit-proc entry of an older generation is a no-op), so the inline
+// maxBatch flush did, and a full drain never shrinks the window
+// (adaptWindow). Timer n is armed no earlier, with no shorter a window.
 type sendQueue struct {
 	k      *Kernel
 	dst    int
@@ -148,7 +148,6 @@ type sendQueue struct {
 	fired  uint64   // window timers fired
 	due    sim.Time // when the last armed window timer fires
 	window sim.Duration
-	fire   func() // timerFire, bound once
 }
 
 // flushRef names one generation of one request queue on the transmit
@@ -202,7 +201,6 @@ func (k *Kernel) enqueue(p *sim.Proc, dst int, req *ikcRequest, a awaited) {
 	q := pr.reqq[req.Kind]
 	if q == nil {
 		q = &sendQueue{k: k, dst: dst, window: flushWindow}
-		q.fire = q.timerFire
 		pr.reqq[req.Kind] = q
 	}
 	q.reqs = append(q.reqs, req.hold())
@@ -221,7 +219,7 @@ func (q *sendQueue) arm() {
 		panic("core: a flush-window timer is due before one armed earlier")
 	}
 	q.due = due
-	eng.Schedule(q.window, q.fire)
+	eng.Post(q.window, q)
 }
 
 // adaptWindow is the drain feedback of the adaptive flush window: a flush
@@ -243,14 +241,14 @@ func adaptWindow(window *sim.Duration, drained int) {
 	}
 }
 
-// timerFire runs in event context when a queue's aggregation window
-// closes. If the timer's generation is still pending, the flush is handed to
-// the transmit proc (the enqueuers are parked on their replies and cannot
+// Fire is q's window timer, in event context when an aggregation window
+// closes. If the timer's generation is still pending, the flush is handed
+// to the transmit proc (the enqueuers are parked on their replies and cannot
 // flush themselves). The proc and its work queue are made on the first
 // such flush, so unbatched configurations create neither. Reply flushes
 // never need it: nobody blocks on sending a reply, so they run from event
 // context under the ikReplyAsync cost convention.
-func (q *sendQueue) timerFire() {
+func (q *sendQueue) Fire() {
 	epoch := q.fired // timers fire in arming order, one per generation
 	q.fired++
 	if q.epoch != epoch || len(q.reqs) == 0 {

@@ -112,14 +112,11 @@ type Message struct {
 
 	// Wire state: where the NoC takes the message. dstDTU is also the DTU
 	// whose slot the message occupies once delivered.
-	dstDTU *DTU
-	vec    *vecMeta // non-nil for messages of a coalesced vector
-	// arrive is onArrive bound once, when the object is first made, so a
-	// send schedules the message itself instead of a fresh closure.
-	arrive   func()
-	dstEP    int16 // receive endpoint at dstDTU; -1 for a bare credit message
-	creditEP int16 // send endpoint at dstDTU whose credit the arrival restores; -1 if none
-	dups     uint8 // injected duplicate deliveries still to come after the next one
+	dstDTU   *DTU
+	vec      *vecMeta // non-nil for messages of a coalesced vector
+	dstEP    int16    // receive endpoint at dstDTU; -1 for a bare credit message
+	creditEP int16    // send endpoint at dstDTU whose credit the arrival restores; -1 if none
+	dups     uint8    // injected duplicate deliveries still to come after the next one
 	freed    bool
 }
 
@@ -133,7 +130,6 @@ type vecMeta struct {
 	dst       *DTU
 	ep        int
 	dups      uint8
-	arrive    func() // onArrive, bound once
 }
 
 // Handler consumes messages arriving at a receive endpoint.
@@ -390,9 +386,6 @@ func (d *DTU) Occupied(ep int) int {
 // one.
 func (f *Fabric) newMessage() *Message {
 	m := f.msgs.New(max(len(f.dtus)/4, 16))
-	if m.arrive == nil {
-		m.arrive = m.onArrive
-	}
 	m.freed = false
 	return m
 }
@@ -400,32 +393,22 @@ func (f *Fabric) newMessage() *Message {
 // clone returns a copy of m in an object of its own.
 func (f *Fabric) clone(m *Message) *Message {
 	c := f.newMessage()
-	arrive := c.arrive
 	*c = *m
-	c.arrive = arrive
 	return c
 }
 
 // release hands m back for reuse. Its fields stay zeroed and freed stays
 // set until it is reused (see Message).
 func (f *Fabric) release(m *Message) {
-	*m = Message{arrive: m.arrive, freed: true}
+	*m = Message{freed: true}
 	f.msgs.Put(m)
-}
-
-func (f *Fabric) newVec() *vecMeta {
-	v := f.vecs.New(1)
-	if v.arrive == nil {
-		v.arrive = v.onArrive
-	}
-	return v
 }
 
 // releaseVec hands v back for reuse; its messages are released (or still
 // held by their consumers) already.
 func (f *Fabric) releaseVec(v *vecMeta) {
 	clear(v.msgs)
-	*v = vecMeta{msgs: v.msgs[:0], arrive: v.arrive}
+	*v = vecMeta{msgs: v.msgs[:0]}
 	f.vecs.Put(v)
 }
 
@@ -439,9 +422,9 @@ func (f *Fabric) dropVec(v *vecMeta) {
 
 // transmit puts m on the wire towards m.dstDTU. A message the fabric drops
 // is released at once; one it duplicates stays scheduled for its second
-// delivery while the first arrival takes a copy (onArrive).
+// delivery while the first arrival takes a copy (arrival.Fire).
 func (f *Fabric) transmit(src, size int, m *Message) {
-	switch f.net.Send(src, m.dstDTU.pe, size, m.arrive) {
+	switch f.net.Post(src, m.dstDTU.pe, size, (*arrival)(m)) {
 	case 0:
 		f.release(m)
 	case 2:
@@ -449,12 +432,17 @@ func (f *Fabric) transmit(src, size int, m *Message) {
 	}
 }
 
-// onArrive is the delivery event of a message: restore the credit it
-// carries, then occupy a slot at the destination endpoint. When an injected
-// duplicate of m is still to come, this arrival delivers a copy: its
-// consumer may reply and release within this very event, before the
-// duplicate lands, so the two deliveries must never share an object.
-func (m *Message) onArrive() {
+// arrival is a Message as the NoC's event: its delivery. The type is
+// unexported so that nobody outside the package delivers a message by hand.
+type arrival Message
+
+// Fire is the delivery event of a message: restore the credit it carries,
+// then occupy a slot at the destination endpoint. When an injected duplicate
+// of m is still to come, this arrival delivers a copy: its consumer may
+// reply and release within this very event, before the duplicate lands, so
+// the two deliveries must never share an object.
+func (a *arrival) Fire() {
+	m := (*Message)(a)
 	d := m.dstDTU
 	if m.dups > 0 {
 		m.dups--
@@ -470,13 +458,13 @@ func (m *Message) onArrive() {
 	d.deliver(int(m.dstEP), m)
 }
 
-// onArrive is the delivery event of a coalesced vector; a duplicated vector
+// Fire is the delivery event of a coalesced vector; a duplicated vector
 // delivers a copy first, like a single message.
-func (v *vecMeta) onArrive() {
+func (v *vecMeta) Fire() {
 	if v.dups > 0 {
 		v.dups--
 		f := v.dst.fabric
-		c := f.newVec()
+		c := f.vecs.New(1)
 		c.remaining, c.dst, c.ep = v.remaining, v.dst, v.ep
 		for _, m := range v.msgs {
 			cm := f.clone(m)
@@ -563,7 +551,7 @@ func (d *DTU) SendVecTo(dstPE, dstEP int, items []VecItem) error {
 	}
 	f := d.fabric
 	dst := f.dtus[dstPE]
-	v := f.newVec()
+	v := f.vecs.New(1)
 	v.remaining, v.dst, v.ep = len(items), dst, dstEP
 	total := headerBytes
 	for _, it := range items {
@@ -574,7 +562,7 @@ func (d *DTU) SendVecTo(dstPE, dstEP int, items []VecItem) error {
 		m.dstDTU, m.dstEP, m.creditEP, m.vec = dst, int16(dstEP), -1, v
 		v.msgs = append(v.msgs, m)
 	}
-	switch f.net.Send(d.pe, dstPE, total, v.arrive) {
+	switch f.net.Post(d.pe, dstPE, total, v) {
 	case 0:
 		f.dropVec(v)
 	case 2:

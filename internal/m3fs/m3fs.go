@@ -135,8 +135,6 @@ func (*dirNode) isNode()  {}
 func (*fileNode) isNode() {}
 
 type session struct {
-	ident  uint64
-	client int
 	// files are the open descriptors: files[fd-1], nil when free. A closed
 	// descriptor is the next one handed out, so the table stays as small
 	// as the most files the client ever had open. It starts in the record
@@ -185,8 +183,10 @@ type FS struct {
 	rootSel  cap.Selector
 	nextOff  uint64
 	nextFile uint64
-	nextSess uint64
-	sessions map[uint64]*session
+	// sessions holds the session of ident i (idents count up from 1) at
+	// sessions[i-1] for the FS's life, the first ones in firstSessions.
+	sessions      []*session
+	firstSessions [2 * sessionBlock]*session
 	// extCaps holds the service-owned capability derived for each extent
 	// of the image, by image offset / ExtentBytes (an extent belongs to one
 	// file for good: the image is a bump allocator), NoSel where none is.
@@ -210,11 +210,9 @@ type FS struct {
 // VPE. Preload the image with MustCreate/MustMkdirAllIn, then call Start.
 func NewFS(cfg Config, v *core.VPE) *FS {
 	cfg = cfg.withDefaults()
-	return &FS{
-		cfg:      cfg,
-		v:        v,
-		sessions: make(map[uint64]*session),
-	}
+	fs := &FS{cfg: cfg, v: v}
+	fs.sessions = fs.firstSessions[:0]
+	return fs
 }
 
 // Stats returns a snapshot of the instance's counters.
@@ -384,18 +382,23 @@ func (fs *FS) newFile() *fileNode {
 // Open starts a session.
 func (fs *FS) Open(p *sim.Proc, clientVPE int, args any) core.SvcResult {
 	p.Charge(sessionCycles)
-	fs.nextSess++
-	ident := fs.nextSess
 	sess := fs.sessRecs.New(sessionBlock)
-	sess.ident, sess.client = ident, clientVPE
 	sess.files = sess.first[:0]
-	fs.sessions[ident] = sess
-	return core.SvcResult{Ident: ident}
+	fs.sessions = append(fs.sessions, sess)
+	return core.SvcResult{Ident: uint64(len(fs.sessions))}
+}
+
+// session returns the session of ident, nil if there is none.
+func (fs *FS) session(ident uint64) *session {
+	if ident == 0 || ident > uint64(len(fs.sessions)) {
+		return nil
+	}
+	return fs.sessions[ident-1]
 }
 
 // Obtain hands out the memory capability of one extent of an open file.
 func (fs *FS) Obtain(p *sim.Proc, ident uint64, args any) core.SvcResult {
-	sess := fs.sessions[ident]
+	sess := fs.session(ident)
 	if sess == nil {
 		return core.SvcResult{Errno: core.ErrBadArgs}
 	}
@@ -452,7 +455,7 @@ func (fs *FS) Delegate(*sim.Proc, uint64, any, cap.Object) core.SvcResult {
 
 // Request answers one data-plane request in the session's reply record.
 func (fs *FS) Request(p *sim.Proc, ident uint64, args any) any {
-	sess := fs.sessions[ident]
+	sess := fs.session(ident)
 	req, ok := args.(*Request)
 	if sess == nil || !ok {
 		return &Reply{Err: core.ErrBadArgs}

@@ -1,6 +1,7 @@
 package m3fs
 
 import (
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -380,5 +381,52 @@ func TestWalkMatchesSplitReference(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { fs.walk("/a", "b/f") }); allocs != 0 {
 		t.Errorf("walk allocates %v times per path, want 0", allocs)
+	}
+}
+
+// TestSessionIdents: the FS finds a session by its ident. An ident it never
+// handed out — 0, the next one, the largest — is refused with ErrBadArgs, by
+// Request and Obtain alike, and touches no state. A session whose client
+// closed it keeps answering: Client.Close revokes the session capability at
+// the kernel and the FS is not told, so a session lasts as long as its FS.
+func TestSessionIdents(t *testing.T) {
+	s, ready := startFS(t, 1, 2, nil)
+	var fsRef *FS
+	s.Spawn("app", func(v *core.VPE, p *sim.Proc) {
+		fsRef = ready.Wait(p)
+		for i := 0; i < 2; i++ {
+			c, err := Dial(p, v, "m3fs")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if err := c.Close(p); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	s.Run()
+	if fsRef == nil {
+		t.Fatal("service did not start")
+	}
+	closeFD := &Request{Op: OpClose, FD: 1}
+	for _, ident := range []uint64{0, 3, math.MaxUint64} {
+		if rep := fsRef.Request(nil, ident, closeFD).(*Reply); rep.Err != core.ErrBadArgs {
+			t.Errorf("request on unknown ident %d answered %v, want %v", ident, rep.Err, core.ErrBadArgs)
+		}
+		if res := fsRef.Obtain(nil, ident, &Request{Op: OpRange, FD: 1}); res.Errno != core.ErrBadArgs {
+			t.Errorf("obtain on unknown ident %d answered %v, want %v", ident, res.Errno, core.ErrBadArgs)
+		}
+	}
+	if n := fsRef.Stats().Closes; n != 0 {
+		t.Errorf("unknown idents counted %d closes", n)
+	}
+	for _, ident := range []uint64{1, 2} {
+		if rep := fsRef.Request(nil, ident, closeFD).(*Reply); rep.Err != 0 {
+			t.Errorf("request on closed session %d answered %v, want no error", ident, rep.Err)
+		}
+	}
+	if n := fsRef.Stats().Closes; n != 2 {
+		t.Errorf("closed sessions counted %d closes, want 2", n)
 	}
 }

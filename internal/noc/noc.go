@@ -47,7 +47,7 @@ type Stats struct {
 	Lost     uint64 // messages dropped by a receiver (no free slot) or by fault injection
 }
 
-// pairID packs an ordered node pair into one word. Send looks its pair up
+// pairID packs an ordered node pair into one word. Post looks its pair up
 // and stores it on every message; a one-word key takes the runtime's 64-bit
 // map paths, which a two-int struct key (hashed as 16 bytes of memory) does
 // not.
@@ -65,7 +65,7 @@ type Verdict struct {
 // Injector inspects every message at send time and returns its fate.
 // Implementations (see internal/fault) must be deterministic functions of
 // their own state and the arguments: the network calls Inspect exactly
-// once per Send, in event order.
+// once per Post, in event order.
 type Injector interface {
 	Inspect(now sim.Time, src, dst, size int) Verdict
 }
@@ -122,7 +122,7 @@ func (n *Network) Hops(src, dst int) int {
 	return abs(sx-dx) + abs(sy-dy)
 }
 
-// SetInjector attaches a fault injector consulted once per Send. Passing
+// SetInjector attaches a fault injector consulted once per Post. Passing
 // nil restores the lossless fabric.
 func (n *Network) SetInjector(inj Injector) { n.inj = inj }
 
@@ -136,22 +136,27 @@ func (n *Network) Latency(src, dst, size int) sim.Duration {
 	return baseLatency + hops*(hopLatency+routerLatency) + flits*flitLatency
 }
 
-// Send transmits a message of size bytes from src to dst and invokes deliver
+// Send is Post of a callback.
+func (n *Network) Send(src, dst, size int, deliver func()) int {
+	return n.Post(src, dst, size, sim.Func(deliver))
+}
+
+// Post transmits a message of size bytes from src to dst and fires deliver
 // at the destination when it arrives. Delivery preserves per-(src,dst) FIFO
-// order. Send may be called from event handlers and procs of the sending
+// order. Post may be called from event handlers and procs of the sending
 // node.
 //
-// With an injector attached, a message may be dropped (deliver is never
-// invoked), duplicated (deliver is invoked twice, the copy strictly after
-// the original) or delayed. All outcomes keep per-pair FIFO: a delayed or
+// With an injector attached, a message may be dropped (deliver never
+// fires), duplicated (deliver fires twice, the copy strictly after the
+// original) or delayed. All outcomes keep per-pair FIFO: a delayed or
 // duplicated message pushes the pair's delivery horizon forward, and a
 // dropped one still advances it to where it would have arrived — the wire
 // consumed the message even though nobody receives it.
 //
-// Send returns how many deliveries it scheduled — 0 dropped, 1, 2
-// duplicated — so a sender whose deliver belongs to a recycled object (see
-// dtu.Message) knows when the object is no longer referenced by the wire.
-func (n *Network) Send(src, dst, size int, deliver func()) int {
+// Post returns how many deliveries it scheduled — 0 dropped, 1, 2
+// duplicated — so a sender whose deliver is a recycled record (see
+// dtu.Message) knows when the record is no longer referenced by the wire.
+func (n *Network) Post(src, dst, size int, deliver sim.Event) int {
 	n.checkNode(src)
 	n.checkNode(dst)
 	n.stats.Messages++
@@ -173,7 +178,7 @@ func (n *Network) Send(src, dst, size int, deliver func()) int {
 		n.stats.Lost++
 		return 0
 	}
-	n.eng.Schedule(arrival-now, deliver)
+	n.eng.Post(arrival-now, deliver)
 	if !v.Dup {
 		return 1
 	}
@@ -181,7 +186,7 @@ func (n *Network) Send(src, dst, size int, deliver func()) int {
 	// receiver observes two distinct delivery events in a fixed order.
 	dupAt := arrival + flitLatency
 	n.lastDeliver[key] = dupAt
-	n.eng.Schedule(dupAt-now, deliver)
+	n.eng.Post(dupAt-now, deliver)
 	return 2
 }
 

@@ -53,7 +53,7 @@ func (b *Blocks[T]) Use(spare []T) { b.spare = spare }
 // takes a record back. Held counts the records out, so an owner that must
 // get every record home — a drained machine — can check it did. A reused
 // record is what Put got: the owner resets it before Put, keeping what must
-// survive reuse (a callback bound once, a grown slice), and tells a fresh
+// survive reuse (a grown slice), and tells a fresh
 // record by such a field still being zero. Like Blocks, a Recycler belongs
 // to its owner; the zero value is ready to use.
 type Recycler[T any] struct {

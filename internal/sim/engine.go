@@ -21,11 +21,21 @@ type Time uint64
 // Duration is a span of virtual time, measured in cycles.
 type Duration = Time
 
-// slot is one event of the later lane: its callback and the slot of the
-// next event of its run, noSlot at the run's tail. Free slots chain through
-// next as well.
+// Event is what the engine fires. A record that recurs on the queue (a
+// proc's step, a message in flight, a timer) is its own event.
+type Event interface{ Fire() }
+
+// Func is a callback as an Event; a func is one pointer, so it converts
+// without allocating.
+type Func func()
+
+func (f Func) Fire() { f() }
+
+// slot is one event of the later lane: the event and the slot of the next
+// event of its run, noSlot at the run's tail. Free slots chain through next
+// as well.
 type slot struct {
-	fn   func()
+	ev   Event
 	next int32
 }
 
@@ -68,8 +78,8 @@ type tail struct {
 //     recent instant, so pushing onto an instant that already has one is an
 //     append; popping takes the top run's head and touches the heap only
 //     when the run empties.
-//   - fifo: the same-instant lane. Schedule(0, ...) — the storm generated by
-//     Wake, Sleep(0) and Spawn — appends its callback here instead of
+//   - fifo: the same-instant lane. Post(0, ...) — the storm generated by
+//     Wake, Sleep(0) and Spawn — appends its event here instead of
 //     touching the later lane. Its events are at now and, because seq only
 //     grows, in seq order, so it stores neither; popping is a head-index
 //     increment.
@@ -104,7 +114,7 @@ type Engine struct {
 	runs     []run  // the later lane's heap
 	slots    []slot // the later lane's events
 	free     int32  // first free slot, noSlot if none
-	fifo     []func()
+	fifo     []Event
 	fifoHead int
 	// procs registers the spawned procs so Kill can stop them; live counts
 	// those that have not exited, for leak diagnostics. Their records come
@@ -112,6 +122,8 @@ type Engine struct {
 	procs    []*Proc
 	procRecs Blocks[Proc]
 	live     atomic.Int64
+	// body is every proc's coroutine body, bound once (spawn).
+	body func(yield func(struct{}) bool)
 	// fault carries a panic out of a proc body (Proc.run) to the step that
 	// resumed it, which re-raises it on the goroutine driving the engine (and
 	// therefore recoverable by callers such as the bench harness). One body
@@ -124,7 +136,11 @@ type Engine struct {
 }
 
 // NewEngine returns a ready-to-run engine with time at zero.
-func NewEngine() *Engine { return &Engine{free: noSlot} }
+func NewEngine() *Engine {
+	e := &Engine{free: noSlot}
+	e.body = func(yield func(struct{}) bool) { e.running.run(yield) }
+	return e
+}
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -145,19 +161,22 @@ func (e *Engine) Resumes() uint64 { return e.resumes }
 // sets one for every task (runTask in internal/bench); Reset clears it.
 func (e *Engine) SetEventLimit(n uint64) { e.limit = n }
 
-// Schedule runs fn after d cycles of virtual time. It may be called from
-// event handlers and from Procs; calling it after Kill is a no-op.
-func (e *Engine) Schedule(d Duration, fn func()) {
+// Schedule runs fn after d cycles of virtual time: Post of fn as a Func.
+func (e *Engine) Schedule(d Duration, fn func()) { e.Post(d, Func(fn)) }
+
+// Post fires ev after d cycles of virtual time. It may be called from event
+// handlers and from Procs; calling it after Kill is a no-op.
+func (e *Engine) Post(d Duration, ev Event) {
 	if e.killed {
 		return
 	}
 	e.checkSettled()
 	e.seq++
 	if d == 0 {
-		e.fifo = append(e.fifo, fn)
+		e.fifo = append(e.fifo, ev)
 		return
 	}
-	e.push(e.now+d, fn)
+	e.push(e.now+d, ev)
 }
 
 // checkSettled panics if the running proc schedules while it owes time
@@ -165,7 +184,7 @@ func (e *Engine) Schedule(d Duration, fn func()) {
 // of the owed charges' own events — a Wake, a timer or a message would
 // overtake the time its sender has not spent yet, and the run would drift
 // from the one a Sleep per charge produces without anything failing.
-// Settle's own Schedule is exempt: by then the proc is replaying.
+// Settle's own Post is exempt: by then the proc is replaying.
 func (e *Engine) checkSettled() {
 	if r := e.running; r != nil && r.nOwed != 0 && r.replayed == 0 {
 		panic("sim: proc schedules with unsettled charges")
@@ -181,16 +200,16 @@ func (e *Engine) At(t Time, fn func()) {
 	e.Schedule(t-e.now, fn)
 }
 
-// push appends fn to the later lane at instant at, under the current seq:
+// push appends ev to the later lane at instant at, under the current seq:
 // onto the run the tail cache names for at, or as a new run.
-func (e *Engine) push(at Time, fn func()) {
+func (e *Engine) push(at Time, ev Event) {
 	s := e.free
 	if s == noSlot {
 		s = int32(len(e.slots))
-		e.slots = append(e.slots, slot{fn: fn, next: noSlot})
+		e.slots = append(e.slots, slot{ev: ev, next: noSlot})
 	} else {
 		e.free = e.slots[s].next
-		e.slots[s] = slot{fn: fn, next: noSlot}
+		e.slots[s] = slot{ev: ev, next: noSlot}
 	}
 	c := &e.tails[at%tailCacheSize]
 	if c.at == at {
@@ -260,13 +279,13 @@ func (e *Engine) runPop() {
 // same instant has a lower seq and goes first (see the Engine doc).
 func (e *Engine) next(t Time) bool {
 	at := e.now
-	var fn func()
+	var ev Event
 	if e.fifoHead < len(e.fifo) && !(len(e.runs) > 0 && e.runs[0].at == e.now) {
 		if e.now > t {
 			return false
 		}
-		fn = e.fifo[e.fifoHead]
-		e.fifo[e.fifoHead] = nil // release the closure
+		ev = e.fifo[e.fifoHead]
+		e.fifo[e.fifoHead] = nil // release the event
 		e.fifoHead++
 		if e.fifoHead == len(e.fifo) {
 			// Lane drained: rewind so the backing array is reused.
@@ -283,13 +302,13 @@ func (e *Engine) next(t Time) bool {
 		at = r.at
 		s := r.head
 		sl := &e.slots[s]
-		fn = sl.fn
+		ev = sl.ev
 		if sl.next == noSlot {
 			e.runPop()
 		} else {
 			r.head = sl.next
 		}
-		*sl = slot{next: e.free} // release the closure
+		*sl = slot{next: e.free} // release the event
 		e.free = s
 	}
 	if at < e.now {
@@ -299,7 +318,7 @@ func (e *Engine) next(t Time) bool {
 		panic(fmt.Sprintf("sim: event limit %d exceeded (possible livelock)", e.limit))
 	}
 	e.now = at
-	fn()
+	ev.Fire()
 	e.executed++
 	return true
 }
@@ -324,7 +343,7 @@ func (e *Engine) Pending() int {
 	return n
 }
 
-// drain empties the queue, releasing the event closures but keeping the
+// drain empties the queue, releasing the events but keeping the
 // backing arrays so a pooled engine reuses its slabs. It clears the tail
 // cache: a pooled engine's clock starts again at zero, where an old entry
 // could match.

@@ -152,7 +152,7 @@ func TestEngineRunCausality(t *testing.T) {
 	e.Schedule(10, func() {})
 	e.Run() // now = 10
 	e.seq++
-	e.push(5, func() { t.Error("an event in the past ran") })
+	e.push(5, Func(func() { t.Error("an event in the past ran") }))
 	defer func() {
 		if recover() == nil {
 			t.Error("Run executed an event in the past")

@@ -152,7 +152,7 @@ func refSleep(p *Proc, d Duration) {
 		p.Settle()
 		return
 	}
-	p.eng.Schedule(d, p.stepFn)
+	p.after(d)
 	p.suspend()
 }
 

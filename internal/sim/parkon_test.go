@@ -305,7 +305,7 @@ func (w *stageWaiter) Ready(p *Proc) bool {
 func TestParkOnEvaluatesOnTheEngineSide(t *testing.T) {
 	e := NewEngine()
 	defer e.Kill()
-	w := &stageWaiter{misses: 3, wake: func(p *Proc) { p.eng.Schedule(2, p.stepFn) }}
+	w := &stageWaiter{misses: 3, wake: func(p *Proc) { p.after(2) }}
 	var woke Time
 	e.Spawn("p", func(p *Proc) {
 		p.Charge(4)
@@ -356,7 +356,7 @@ func TestParkOnAllocatesNothing(t *testing.T) {
 func TestReadyPanicCarriesProcName(t *testing.T) {
 	for _, owing := range []bool{false, true} {
 		e := NewEngine()
-		w := &stageWaiter{misses: 1, wake: func(p *Proc) { p.eng.Schedule(3, p.stepFn) }}
+		w := &stageWaiter{misses: 1, wake: func(p *Proc) { p.after(3) }}
 		e.Spawn("k3/sys2", func(p *Proc) {
 			if owing {
 				p.Charge(2)
@@ -392,7 +392,7 @@ func TestReadyPanicCarriesProcName(t *testing.T) {
 // neither step nor Kill trips over it.
 func TestKillFromInsideReady(t *testing.T) {
 	e := NewEngine()
-	w := &stageWaiter{misses: 1, wake: func(p *Proc) { p.eng.Schedule(1, p.stepFn) }}
+	w := &stageWaiter{misses: 1, wake: func(p *Proc) { p.after(1) }}
 	unwound := false
 	e.Spawn("p", func(p *Proc) {
 		defer func() { unwound = true }()
@@ -636,7 +636,7 @@ type readyDoes struct {
 func (w *readyDoes) Ready(p *Proc) bool {
 	if !w.asked {
 		w.asked = true
-		p.eng.Schedule(1, p.stepFn)
+		p.after(1)
 		return false
 	}
 	w.act(p)

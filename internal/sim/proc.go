@@ -38,10 +38,8 @@ type Proc struct {
 	next  func() (struct{}, bool)
 	stop  func()
 	yield func(struct{}) bool
-	// stepFn is p.step bound once at Spawn. Taking the method value inline
-	// (e.Schedule(d, p.step)) would allocate a fresh closure on every
-	// Sleep/Wake; binding it once makes the handoff allocation-free.
-	stepFn func()
+	// fn is what the engine's coroutine body runs as this proc.
+	fn func(p *Proc)
 	// dead is set on the engine side, by step when the body returns and by
 	// Kill, so it also covers procs whose body never started.
 	dead bool
@@ -125,27 +123,35 @@ const procBlock = 8
 func (e *Engine) spawn(fn func(p *Proc)) *Proc {
 	p := e.procRecs.New(procBlock)
 	p.eng = e
-	p.stepFn = p.step
 	if e.killed {
 		p.dead = true
 		return p
 	}
+	p.fn = fn
 	e.procs = append(e.procs, p)
 	e.live.Add(1)
 	// The coroutine is created suspended: the body first runs when the
-	// handoff scheduled below calls next. If the engine is killed before
-	// that, stop ends it without fn ever running.
-	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
-		p.yield = yield
-		p.run(fn)
-	})
-	e.Schedule(0, p.stepFn)
+	// handoff scheduled below calls next, and it finds p as the engine's
+	// running proc, which step sets first. If the engine is killed before
+	// that, stop ends it without the body ever running.
+	p.next, p.stop = iter.Pull(e.body)
+	p.after(0)
 	return p
 }
 
+// procStep is a Proc as the engine's event, unexported so that nobody
+// outside the package resumes a proc by hand.
+type procStep Proc
+
+func (s *procStep) Fire() { (*Proc)(s).step() }
+
+// after schedules p's next step d cycles from now.
+func (p *Proc) after(d Duration) { p.eng.Post(d, (*procStep)(p)) }
+
 // run is the proc body: fn, with the Kill unwind absorbed and a real panic
 // turned into the fault that step re-raises.
-func (p *Proc) run(fn func(p *Proc)) {
+func (p *Proc) run(yield func(struct{}) bool) {
+	p.yield = yield
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(killed); !ok {
@@ -157,12 +163,12 @@ func (p *Proc) run(fn func(p *Proc)) {
 			}
 		}
 	}()
-	fn(p)
+	p.fn(p)
 }
 
 // step transfers control to the proc and returns when it parks or exits.
 // It must be called from the engine side (an event handler). Events cannot
-// run after Kill (the queues are drained and Schedule is a no-op), so the
+// run after Kill (the queues are drained and Post is a no-op), so the
 // proc on the other end is always parked-or-dead.
 func (p *Proc) step() {
 	if p.dead {
@@ -175,7 +181,7 @@ func (p *Proc) step() {
 		// stays parked.
 		d := p.owed[p.replayed]
 		p.replayed++
-		p.eng.Schedule(d, p.stepFn)
+		p.after(d)
 		return
 	}
 	// Everything owed has elapsed: the proc's clock is the engine's.
@@ -237,7 +243,7 @@ func (p *Proc) poll(w Waiter) bool {
 func (p *Proc) exit() {
 	p.dead = true
 	p.eng.live.Add(-1)
-	p.next, p.stop, p.yield, p.wait = nil, nil, nil, nil
+	p.next, p.stop, p.yield, p.fn, p.wait = nil, nil, nil, nil, nil
 }
 
 // park blocks the proc until something wakes it. A proc that owes time must
@@ -346,7 +352,7 @@ func (p *Proc) replay() {
 // scheduled for it.
 func (p *Proc) startReplay() {
 	p.replayed = 1
-	p.eng.Schedule(p.owed[0], p.stepFn)
+	p.after(p.owed[0])
 }
 
 // ParkOn blocks the proc until w is ready, after settling what it owes: the
@@ -382,6 +388,4 @@ func (p *Proc) Park() {
 // called from the engine side or from another proc; waking an unparked or
 // dead proc is a bug and will desynchronize the handoff protocol, so callers
 // must track parked state (Future and Semaphore do this for you).
-func (p *Proc) Wake() {
-	p.eng.Schedule(0, p.stepFn)
-}
+func (p *Proc) Wake() { p.after(0) }

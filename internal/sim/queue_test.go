@@ -17,7 +17,7 @@ import (
 type refEvent struct {
 	at  Time
 	seq uint64
-	fn  func()
+	ev  Event
 }
 
 // refEngine is a reference event queue with the pre-optimization layout:
@@ -48,9 +48,11 @@ func (h *refHeap) Pop() interface{} {
 	return e
 }
 
-func (r *refEngine) Schedule(d Duration, fn func()) {
+func (r *refEngine) Schedule(d Duration, fn func()) { r.Post(d, Func(fn)) }
+
+func (r *refEngine) Post(d Duration, ev Event) {
 	r.seq++
-	heap.Push(&r.pq, refEvent{at: r.now + d, seq: r.seq, fn: fn})
+	heap.Push(&r.pq, refEvent{at: r.now + d, seq: r.seq, ev: ev})
 }
 
 func (r *refEngine) Now() Time    { return r.now }
@@ -60,7 +62,7 @@ func (r *refEngine) Run() {
 	for len(r.pq) > 0 {
 		ev := heap.Pop(&r.pq).(refEvent)
 		r.now = ev.at
-		ev.fn()
+		ev.ev.Fire()
 	}
 }
 
@@ -68,6 +70,7 @@ func (r *refEngine) Run() {
 // implementations.
 type eventQueue interface {
 	Schedule(d Duration, fn func())
+	Post(d Duration, ev Event)
 	Now() Time
 	Pending() int
 	Run()
@@ -107,25 +110,54 @@ type traceStep struct {
 	pending int
 }
 
+// recordEvent is a record that is its own event, as a proc, a message or a
+// wire is: posting it stores a pointer, not a func. Records are recycled,
+// released as they fire, so one record fires many times in a run.
+type recordEvent struct {
+	body func()
+	free *[]*recordEvent
+}
+
+func (r *recordEvent) Fire() {
+	body := r.body
+	r.body = nil
+	*r.free = append(*r.free, r)
+	body()
+}
+
 // driveQueue feeds a seeded schedule into q: a batch of root events whose
-// handlers recursively schedule children with delays drawn from prof. It
-// returns the execution trace.
+// handlers recursively schedule children with delays drawn from prof. A
+// third of the events are posted as recycled records, the rest scheduled as
+// funcs, so the two kinds share every lane and every instant. It returns
+// the execution trace.
 func driveQueue(q eventQueue, prof profile, seed int64) []traceStep {
 	rng := rand.New(rand.NewSource(seed))
 	var trace []traceStep
+	var free []*recordEvent
 	nextID := uint64(0)
 	var schedule func(depth int)
 	schedule = func(depth int) {
 		id := nextID
 		nextID++
-		q.Schedule(prof.delay(rng), func() {
+		d := prof.delay(rng)
+		body := func() {
 			trace = append(trace, traceStep{id, q.Now(), q.Pending()})
 			if depth < 3 {
 				for k := rng.Intn(3); k > 0; k-- {
 					schedule(depth + 1)
 				}
 			}
-		})
+		}
+		if rng.Intn(3) > 0 {
+			q.Schedule(d, body)
+			return
+		}
+		r := &recordEvent{free: &free}
+		if n := len(free); n > 0 {
+			r, free = free[n-1], free[:n-1]
+		}
+		r.body = body
+		q.Post(d, r)
 	}
 	for i := 0; i < 400; i++ {
 		schedule(0)
