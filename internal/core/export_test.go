@@ -55,10 +55,7 @@ var stageNames = map[waitStage]string{stageEpilogue: "epilogue", stageJob: "job"
 // kernel pools that stageNames names.
 func (s *System) NoteStages(seen map[string]bool) {
 	for _, k := range s.kernels {
-		for _, pl := range [...]*pool{&k.syscallPool, &k.ikcPool, &k.revokePool, &k.completionPool} {
-			if pl.k == nil {
-				continue
-			}
+		for _, pl := range [...]*pool{&k.syscallPool, &k.ikcPool, &k.revokePool, &k.completionPool, &k.xmitPool} {
 			for th := pl.threads; th != nil; th = th.next {
 				if name, ok := stageNames[th.stage]; ok {
 					seen[name] = true

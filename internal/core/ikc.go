@@ -94,8 +94,8 @@ func (k *Kernel) complete(a awaited, rep *ikcReply) {
 			k.recordOrphanFixes(rep.From, a.req)
 		}
 		a.req.drop(k.sys)
-		if a.rs != nil {
-			k.compSubmit(a.rs)
+		if a.rs != nil { // one child revocation done: account it on the CPU
+			k.completionPool.submit(job{kind: jobRevokeDone, subj: a.rs})
 		}
 	}
 }

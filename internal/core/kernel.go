@@ -79,20 +79,16 @@ type Kernel struct {
 	// a thread runs with the CPU held, its own (kthread.go).
 	holder *kthread
 
-	syscallPool pool
-	ikcPool     pool
-	revokePool  pool
-	// completionPool does revoke-reply processing ("main loop" work); it
-	// is set up on first use, and its k is nil until then (compSubmit).
+	// All kernel work is a job on a pool thread. completionPool (revoke
+	// replies) and xmitPool (window-timer flushes) have one thread each.
+	syscallPool    pool
+	ikcPool        pool
+	revokePool     pool
 	completionPool pool
+	xmitPool       pool
 
-	// batching is the unified IKC transport's policy; xmit is the wait
-	// record of the transport's transmit proc and flushQ its work queue,
-	// both made with the proc, on the first timer-driven flush
-	// (transport.go).
+	// batching is the unified IKC transport's policy (transport.go).
 	batching IKCBatching
-	xmit     *kthread
-	flushQ   *sim.Queue[flushRef]
 
 	// reliable says the kernel runs the reliable IKC layer
 	// (reliability.go): exactly when the machine has a fault plan.
@@ -126,9 +122,11 @@ type Kernel struct {
 
 	// revocations maps every marked capability to the record of the
 	// revocation that marked it (paper Algorithm 1); revFree heads the list
-	// of released records awaiting reuse (newRev).
+	// of released records awaiting reuse (newRev), and revHeld counts the
+	// records out.
 	revocations ddl.KeyMap[*revState]
 	revFree     *revState
+	revHeld     int
 
 	stats KernelStats
 }
@@ -163,6 +161,8 @@ func newKernel(k *Kernel, s *System, id int, peers []*peer) {
 	newPool(&k.syscallPool, k, "sys", max(len(k.group), 1))
 	newPool(&k.ikcPool, k, "ikc", k.ikcWindow())
 	newPool(&k.revokePool, k, "rev", RevokeThreads)
+	newPool(&k.completionPool, k, "cmp", 1)
+	newPool(&k.xmitPool, k, "xmit", 1)
 	// Configure the kernel DTU's syscall receive endpoints; messages are
 	// dispatched to the syscall pool. Inter-kernel legs are ikcWires. The
 	// handler is bound once for all of them.
@@ -232,17 +232,20 @@ const (
 	jobRevokeDone                // account one completed child revocation
 	jobFunc                      // run the function, which gives the CPU back itself: rejoin
 	jobVPE                       // set the VPE up and start its program (setupVPE)
+	jobFlush                     // flush one generation of a request queue (sendQueue.Fire)
 )
 
 // job is one unit of kernel-thread work: a kind and its subject, whose
 // dynamic type the kind fixes — the syscall message (*dtu.Message), the
 // direct request (*ikcRequest) or the envelope's wire (*ikcWire, until its
 // pickup), the revocation (*revState), the function (jobBody), the VPE
-// (*VPE).
+// (*VPE), the request queue (*sendQueue) whose generation gen to flush.
 // All of them are pointer-shaped, so queueing a job allocates nothing, and a
-// job is three words: every thread's wait record holds one (kthread).
+// job is three words, gen in the padding after kind: every thread's wait
+// record holds one (kthread).
 type job struct {
 	kind jobKind
+	gen  uint32
 	subj any
 }
 
@@ -326,6 +329,12 @@ func (pl *pool) work(p *sim.Proc) {
 			reqs = k.pickUp(p, t, reqs)
 		case jobRevokeDone:
 			k.revokeReplyArrived(p, j.subj.(*revState))
+		case jobFlush:
+			// The generation may have flushed inline while the job waited
+			// for the CPU.
+			if q := j.subj.(*sendQueue); !q.stale(j.gen) {
+				k.flushLocked(p, q)
+			}
 		}
 		t.stage = stageEpilogue
 	}

@@ -27,8 +27,7 @@ const (
 	stageCPU
 )
 
-// kthread is the wait record of one proc that runs kernel work — a pool
-// thread, or the transport's transmit proc: everything the thread waits for
+// kthread is the wait record of one kernel thread: everything it waits for
 // between two stretches of work, as data. The thread parks on the record
 // once (sim.Proc.ParkOn) and the engine walks the stages in the wake-up
 // events themselves, doing in each what the thread's body did when it was
@@ -42,9 +41,6 @@ const (
 // The record is also what the machine reports about the thread
 // (System.CheckQuiescent): which job it holds and what it is parked on.
 type kthread struct {
-	// pl is the thread's pool. The transmit proc takes no jobs and never
-	// reaches stageJob; its record borrows the inter-kernel pool to name its
-	// kernel.
 	pl    *pool
 	next  *kthread // the pool's threads, newest first
 	inner sim.Waiter
@@ -116,6 +112,9 @@ func (t *kthread) Ready(p *sim.Proc) bool {
 				return false
 			}
 			t.job, _ = t.pl.q.TryPop()
+			if j := &t.job; j.kind == jobFlush && j.subj.(*sendQueue).stale(j.gen) {
+				continue // the generation left inline while the job was queued
+			}
 			t.stage = stageJobCPU
 		case stageJobCPU:
 			if !k.cpu.Ready(p) {
@@ -157,8 +156,7 @@ func (t *kthread) Ready(p *sim.Proc) bool {
 // neither settles nor parks on any path — it charges its terms, the last of
 // them the reply, and returns. Such a handler needs no stack of its own, and
 // running it engine side saves the switch into the thread. DESIGN.md "Waits
-// as data" walks every path of the two. The transmit proc's record holds the
-// zero job, which carries no syscall message and never matches.
+// as data" walks every path of the two.
 func (j *job) inline() bool {
 	m, ok := j.subj.(*dtu.Message)
 	if !ok || j.kind != jobSyscall {
@@ -171,15 +169,10 @@ func (j *job) inline() bool {
 	return false
 }
 
-// acquireCPU / releaseCPU bracket the kernel work a job's own CPU stage does
-// not cover: sysActivate's stretch after its round trip, the transmit proc's
-// flushes. t is the calling proc's record. Release settles what the proc
-// owes first: the next holder must not start before this one's time is up.
-func (k *Kernel) acquireCPU(p *sim.Proc, t *kthread) {
-	t.stage = stageCPU
-	p.ParkOn(t)
-}
-
+// releaseCPU ends a stretch of kernel work that the job's own epilogue does
+// not: sysActivate's before its round trip, a jobFunc's or jobVPE's at its
+// end. It settles what the proc owes first: the next holder must not start
+// before this one's time is up.
 func (k *Kernel) releaseCPU(p *sim.Proc) {
 	p.Settle()
 	k.cpu.Release()
@@ -213,7 +206,7 @@ func (t *kthread) describe() string {
 	}
 	var what string
 	switch j := &t.job; {
-	case t == t.pl.k.xmit:
+	case j.kind == jobFlush:
 		what = "envelope flush"
 	case j.kind == jobSyscall:
 		what = "syscall " + j.subj.(*dtu.Message).Payload.(*sysRequest).Kind.String()

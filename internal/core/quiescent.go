@@ -33,7 +33,7 @@ func (s *System) Audit(dead ...int) []string {
 // can see; every party is parked on another, and the only record of who
 // waits for what is the wait records themselves. One line per
 //
-//   - kernel thread (or transmit proc) that still holds a job, from its wait
+//   - kernel thread that still holds a job, from its wait
 //     record: the job and what the thread is parked on — "k1/sys4: syscall
 //     revoke, await-credit k1→k0";
 //   - VPE whose syscall has not returned;
@@ -42,13 +42,15 @@ func (s *System) Audit(dead ...int) []string {
 //     for one, whose aggregation queues still hold requests, or whose
 //     transmissions are still tracked although the peer is not declared
 //     dead;
-//   - kernel with replies left in the reply sink, or with requests whose
-//     calls still await a reply;
+//   - kernel with replies left in the reply sink, with requests whose
+//     calls still await a reply, or with capabilities still marked for
+//     revocation;
 //   - receive endpoint with slots still occupied;
 //   - and one for the machine per kind of recycled record — inter-kernel
 //     legs, requests and transmissions, DTU messages and vectors, service
-//     queries — of which some are not back in their sim.Recycler: a holder
-//     that never dropped its reference.
+//     queries, revocations — of which some are not back in their
+//     sim.Recycler (revocations: on their kernel's free list): a holder that
+//     never dropped its reference.
 //
 // Threads parked for their next job, and service loops parked for their next
 // request, are idle and not findings. Empty means quiescent; the order is
@@ -57,27 +59,15 @@ func (s *System) Audit(dead ...int) []string {
 func (s *System) CheckQuiescent() []string {
 	var out []string
 	for _, k := range s.kernels {
-		for _, pl := range [...]*pool{&k.syscallPool, &k.ikcPool, &k.revokePool, &k.completionPool} {
-			if pl.k == nil {
-				continue
-			}
+		for _, pl := range [...]*pool{&k.syscallPool, &k.ikcPool, &k.revokePool, &k.completionPool, &k.xmitPool} {
 			// threads is newest first; names count from the oldest.
-			idx := 0
-			for t := pl.threads; t != nil; t = t.next {
-				idx++
-			}
-			for t := pl.threads; t != nil; t, idx = t.next, idx-1 {
+			for t, idx := pl.threads, pl.taken; t != nil; t, idx = t.next, idx-1 {
 				if d := t.describe(); d != "" {
 					out = append(out, fmt.Sprintf("%s: %s", pl.threadName(idx), d))
 				}
 			}
 			if n := pl.q.Len(); n > 0 {
 				out = append(out, fmt.Sprintf("k%d/%s: %d job(s) queued behind a full pool", k.id, pl.name, n))
-			}
-		}
-		if t := k.xmit; t != nil {
-			if d := t.describe(); d != "" {
-				out = append(out, fmt.Sprintf("%s: %s", xmitName(k.id), d))
 			}
 		}
 		reps := 0
@@ -109,6 +99,9 @@ func (s *System) CheckQuiescent() []string {
 		if n := len(k.pending); n > 0 {
 			out = append(out, fmt.Sprintf("k%d: %d request(s) still awaiting a reply", k.id, n))
 		}
+		if n := k.revocations.Len(); n > 0 {
+			out = append(out, fmt.Sprintf("k%d: %d capability(ies) still marked for revocation", k.id, n))
+		}
 		if occupied(k.dtu) {
 			out = appendSlots(out, fmt.Sprintf("kernel %d", k.id), k.dtu)
 		}
@@ -130,9 +123,10 @@ func (s *System) CheckQuiescent() []string {
 		out = appendSlots(out, who, d)
 	}
 	msgs, vecs := s.Fab.Held()
-	queries := 0
+	queries, revs := 0, 0
 	for _, k := range s.kernels {
 		queries += k.queries.Held()
+		revs += k.revHeld
 	}
 	for _, r := range [...]struct {
 		kind string
@@ -144,6 +138,7 @@ func (s *System) CheckQuiescent() []string {
 		{"DTU message", msgs},
 		{"DTU vector", vecs},
 		{"query", queries},
+		{"revocation", revs},
 	} {
 		if r.held != 0 {
 			out = append(out, fmt.Sprintf("%d %s record(s) still held", r.held, r.kind))

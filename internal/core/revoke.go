@@ -60,6 +60,7 @@ type remoteChild struct {
 
 // newRev takes a record off the free list (or makes one).
 func (k *Kernel) newRev() *revState {
+	k.revHeld++
 	rs := k.revFree
 	if rs == nil {
 		return &revState{}
@@ -69,6 +70,7 @@ func (k *Kernel) newRev() *revState {
 }
 
 func (k *Kernel) freeRev(rs *revState) {
+	k.revHeld--
 	if rs.req != nil {
 		rs.req.drop(k.sys)
 	}
@@ -276,15 +278,6 @@ func (k *Kernel) forwardBatches(p *sim.Proc, rs *revState) {
 		k.ikSend(p, e.dst, req, awaited{rs: rs, req: req})
 	}
 	rs.remote = rs.remote[:0]
-}
-
-// compSubmit schedules completion processing of one revoke reply on the
-// kernel CPU, in the completion pool ("main loop" work), created lazily.
-func (k *Kernel) compSubmit(rs *revState) {
-	if k.completionPool.k == nil {
-		newPool(&k.completionPool, k, "cmp", 1)
-	}
-	k.completionPool.submit(job{kind: jobRevokeDone, subj: rs})
 }
 
 // revokeReplyArrived accounts one completed child revocation and finishes

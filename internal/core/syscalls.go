@@ -190,7 +190,8 @@ func (k *Kernel) sysActivate(p *sim.Proc, req *sysRequest) sysReply {
 	t := k.holder
 	k.releaseCPU(p)
 	p.Sleep(rt)
-	k.acquireCPU(p, t)
+	t.stage = stageCPU
+	p.ParkOn(t)
 	switch obj := object.(type) {
 	case *cap.MemObject:
 		must(v.dtu.ConfigureMem(k.dtu, req.EP, obj.PE, obj.Off, obj.Size, perm&obj.Perm))

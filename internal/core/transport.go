@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // The unified IKC transport (paper §4.3 + the §5.2 message-batching
 // proposal, generalized). The paper implements batching only for tree
@@ -20,7 +16,8 @@ import (
 //     CPU and composes the envelope itself);
 //   - for request queues, after the adaptive flush window closes: a timer
 //     armed when a queue goes non-empty hands the flush to the kernel's
-//     "xmit" proc, since every enqueuer is parked on its reply by then;
+//     one-thread transmit pool, since every enqueuer is parked on its reply
+//     by then;
 //   - at protocol barriers: a batched revocation mark walk sends its batches
 //     when it ends (revoke.go), preserving Algorithm 1's accounting, and
 //     every request dispatch ends by flushing the reply queue feeding that
@@ -125,7 +122,7 @@ func classOf(kind ikcKind) batchClass {
 
 // sendQueue is one request aggregation queue: the requests of one kind for
 // kernel dst, so every envelope carries N requests of a single kind. epoch
-// counts the generations flushed, so a flush (timer or transmit-proc entry)
+// counts the generations flushed, so a flush (timer or transmit-pool job)
 // aimed at an already-flushed generation is a no-op; window is the queue's
 // adaptive flush window.
 //
@@ -137,27 +134,17 @@ func classOf(kind ikcKind) batchClass {
 // timer m is still pending when a later generation n arms its own. Every
 // generation from m on was flushed by some trigger in between; a window
 // timer cannot have done it (timers m.. have not fired, by induction, and a
-// transmit-proc entry of an older generation is a no-op), so the inline
+// transmit-pool job of an older generation is a no-op), so the inline
 // maxBatch flush did, and a full drain never shrinks the window
 // (adaptWindow). Timer n is armed no earlier, with no shorter a window.
 type sendQueue struct {
 	k      *Kernel
 	dst    int
 	reqs   []*ikcRequest
-	epoch  uint64
-	fired  uint64   // window timers fired
+	epoch  uint32
+	fired  uint32   // window timers fired
 	due    sim.Time // when the last armed window timer fires
 	window sim.Duration
-}
-
-// flushRef names one generation of one request queue on the transmit
-// proc's work queue. Carrying the epoch keeps a stale entry — its
-// generation already flushed inline while the proc waited for the CPU —
-// from draining the *next* generation early, which would both cut that
-// envelope short and feed adaptWindow a false idle signal.
-type flushRef struct {
-	q     *sendQueue
-	epoch uint64
 }
 
 // batches reports whether requests of this kind ride aggregation queues.
@@ -242,50 +229,27 @@ func adaptWindow(window *sim.Duration, drained int) {
 }
 
 // Fire is q's window timer, in event context when an aggregation window
-// closes. If the timer's generation is still pending, the flush is handed
-// to the transmit proc (the enqueuers are parked on their replies and cannot
-// flush themselves). The proc and its work queue are made on the first
-// such flush, so unbatched configurations create neither. Reply flushes
-// never need it: nobody blocks on sending a reply, so they run from event
-// context under the ikReplyAsync cost convention.
+// closes. If the timer's generation is still pending, the flush becomes a
+// job of the kernel's transmit pool (the enqueuers are parked on their
+// replies and cannot flush themselves); the job carries the generation, so
+// one whose generation flushed inline before it ran is dropped (stale).
+// Reply flushes never need the pool: nobody blocks on sending a reply, so
+// they run from event context under the ikReplyAsync cost convention.
 func (q *sendQueue) Fire() {
 	epoch := q.fired // timers fire in arming order, one per generation
 	q.fired++
-	if q.epoch != epoch || len(q.reqs) == 0 {
+	if q.stale(epoch) {
 		return // already flushed inline
 	}
-	k := q.k
-	if k.xmit == nil {
-		k.xmit = &kthread{pl: &k.ikcPool, stage: stageJob}
-		k.flushQ = sim.NewQueue[flushRef]()
-		k.sys.Eng.SpawnLazy(xmitName, k.id, func(p *sim.Proc) {
-			for {
-				k.flushFrom(p, k.flushQ.Pop(p))
-			}
-		})
-	}
-	k.flushQ.Push(flushRef{q: q, epoch: epoch})
+	q.k.xmitPool.submit(job{kind: jobFlush, gen: epoch, subj: q})
 }
 
-// xmitName formats the diagnostic name of kernel k's transmit proc.
-func xmitName(k int) string { return fmt.Sprintf("k%d/xmit", k) }
-
-// flushFrom is the transmit proc's entry: acquire the CPU like any kernel
-// thread, then flush. The generation may have been flushed inline while
-// this entry waited behind the CPU; the epoch check makes that a no-op —
-// draining the *successor* generation here would cut its envelope short
-// and misreport idleness to adaptWindow.
-func (k *Kernel) flushFrom(p *sim.Proc, ref flushRef) {
-	q := ref.q
-	if q.epoch != ref.epoch || len(q.reqs) == 0 {
-		return
-	}
-	k.acquireCPU(p, k.xmit)
-	if q.epoch == ref.epoch { // may have flushed inline while we waited for the CPU
-		k.flushLocked(p, q)
-	}
-	k.releaseCPU(p)
-	k.xmit.stage = stageJob // between flushes, for the quiescence audit
+// stale reports whether generation gen of q has already left. A flush job
+// checks before it takes the CPU (kthread.Ready) and again once it holds it
+// (pool.work): draining the *next* generation instead would cut that
+// envelope short and feed adaptWindow a false idle signal.
+func (q *sendQueue) stale(gen uint32) bool {
+	return q.epoch != gen || len(q.reqs) == 0
 }
 
 // flushLocked drains q and transmits its requests to q.dst as a single

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/cap"
@@ -49,6 +50,14 @@ func gatherWire(s *System) wireStats {
 // outside the root's group). It returns the system after the run.
 func runFanoutObtain(t *testing.T, cfg Config, n int) *System {
 	t.Helper()
+	s := spawnFanoutObtain(t, cfg, n)
+	s.Run()
+	return s
+}
+
+// spawnFanoutObtain is runFanoutObtain without the run.
+func spawnFanoutObtain(t *testing.T, cfg Config, n int) *System {
+	t.Helper()
 	s := MustNew(cfg)
 	t.Cleanup(s.Close)
 	ready := sim.NewFuture[cap.Selector](s.Eng)
@@ -73,7 +82,6 @@ func runFanoutObtain(t *testing.T, cfg Config, n int) *System {
 			t.Fatal(err)
 		}
 	}
-	s.Run()
 	return s
 }
 
@@ -213,8 +221,9 @@ func TestServiceQueryBatchingReducesMessages(t *testing.T) {
 // TestMaxBatchInlineFlush: a queue reaching maxBatch flushes inline, without
 // waiting for its window timer. Of 2 × 16 obtainers the 16 in kernel 1's
 // group obtain across kernels at one instant; their syscalls hold kernel 1's
-// CPU ahead of the transmit proc the window timer wakes, so all 16 are queued
-// first, and the one envelope that leaves is a full one.
+// CPU ahead of the flush job the window timer submits to the transmit pool,
+// so all 16 are queued first, and the one envelope that leaves is a full one:
+// the job finds its generation gone once it has the CPU.
 func TestMaxBatchInlineFlush(t *testing.T) {
 	const kids = 2 * maxBatch
 	cfg := Config{Kernels: 2, UserPEs: kids + 2, IKCBatching: IKCBatching{Exchange: true}}
@@ -225,6 +234,62 @@ func TestMaxBatchInlineFlush(t *testing.T) {
 	}
 	if n := MemCapsEverywhere(s); n != kids+1 {
 		t.Fatalf("obtains incomplete: %d mem caps, want %d", n, kids+1)
+	}
+	checkAudit(t, s)
+}
+
+// TestStaleFlushDroppedBeforeCPU: a flush job whose generation leaves inline
+// while the job waits behind another on the transmit pool's one thread is
+// dropped when the thread takes it off the queue (kthread.Ready), not after
+// the thread has queued for the CPU behind the holder that flushed it. The
+// job ahead gives the CPU to a contender, which holds it for hold cycles and
+// empties the queue as an inline flush does.
+func TestStaleFlushDroppedBeforeCPU(t *testing.T) {
+	const hold = 1000
+	s := MustNew(Config{Kernels: 2, UserPEs: 2, IKCBatching: IKCBatching{Exchange: true}})
+	t.Cleanup(s.Close)
+	k := s.kernels[0]
+	q := &sendQueue{k: k, dst: 1, reqs: []*ikcRequest{{}}, window: flushWindow}
+	k.xmitPool.submit(job{kind: jobFunc, subj: jobBody(func(p *sim.Proc) {
+		s.Eng.Spawn("contender", func(c *sim.Proc) {
+			k.cpu.Acquire(c)
+			q.reqs, q.epoch = nil, q.epoch+1
+			c.Sleep(hold)
+			k.cpu.Release()
+		})
+		k.releaseCPU(p)
+		p.Sleep(hold / 4)
+	})})
+	k.xmitPool.submit(job{kind: jobFlush, gen: q.epoch, subj: q})
+	s.RunFor(hold / 2)
+	for _, f := range s.CheckQuiescent() {
+		t.Errorf("mid-run: %s", f)
+	}
+	s.Run()
+	checkAudit(t, s)
+}
+
+// TestQuiescentNamesWaitingFlush: a batched machine stopped while a window
+// timer's flush job waits for the CPU behind the syscalls that filled the
+// queue reports the job as the transmit pool's thread's, and drains clean.
+func TestQuiescentNamesWaitingFlush(t *testing.T) {
+	const kids = 8
+	s := spawnFanoutObtain(t, Config{Kernels: 2, UserPEs: 2 * kids, IKCBatching: IKCBatching{Exchange: true}}, 2*kids-1)
+	const want = "k1/xmit1: envelope flush, await-cpu"
+	found := false
+	for until := sim.Time(0); s.Eng.Pending() > 0 && !found; {
+		until += 16
+		s.Eng.RunUntil(until)
+		for _, f := range s.CheckQuiescent() {
+			found = found || strings.HasPrefix(f, want)
+		}
+	}
+	if !found {
+		t.Fatalf("no stop of the run reported %q", want)
+	}
+	s.Run()
+	if n := MemCapsEverywhere(s); n != 2*kids {
+		t.Fatalf("obtains incomplete: %d mem caps, want %d", n, 2*kids)
 	}
 	checkAudit(t, s)
 }

@@ -58,27 +58,42 @@ const steadyPending = 400
 
 // benchSteady keeps steadyPending self-rescheduling events in the later
 // lane: event i first runs at first(i) and then reschedules itself delay()
-// cycles after each run. One op is one event through the queue; the
-// untimed tail drains the last steadyPending.
+// cycles after each run. Each is a record posted with Post, as the
+// simulator's own recurring events are (a proc's step, a wire, a timer), not
+// a func. One op is one event through the queue; the untimed tail drains
+// the last steadyPending.
 func benchSteady(b *testing.B, first func(i int) Duration, delay func() Duration) {
 	b.ReportAllocs()
-	e := NewEngine()
-	left := b.N
-	for i := 0; i < steadyPending; i++ {
-		var fn func()
-		fn = func() {
-			if left == 0 {
-				return
-			}
-			if left--; left == 0 {
-				b.StopTimer()
-			}
-			e.Schedule(delay(), fn)
-		}
-		e.Schedule(first(i), fn)
+	st := &steady{e: NewEngine(), b: b, left: b.N, delay: delay}
+	for i := range st.evs {
+		st.evs[i].st = st
+		st.e.Post(first(i), &st.evs[i])
 	}
 	b.ResetTimer()
-	e.Run()
+	st.e.Run()
+}
+
+// steady is benchSteady's state: the events and how many are left to run.
+type steady struct {
+	e     *Engine
+	b     *testing.B
+	left  int
+	delay func() Duration
+	evs   [steadyPending]steadyEvent
+}
+
+// steadyEvent is one of benchSteady's pending events.
+type steadyEvent struct{ st *steady }
+
+func (ev *steadyEvent) Fire() {
+	st := ev.st
+	if st.left == 0 {
+		return
+	}
+	if st.left--; st.left == 0 {
+		st.b.StopTimer()
+	}
+	st.e.Post(st.delay(), ev)
 }
 
 // BenchmarkSteadyTiedInstants is the scale sweep's shape: clients in

@@ -76,30 +76,35 @@ type eventQueue interface {
 	Run()
 }
 
-// profile draws the delays of a driven schedule.
+// profile draws the delays of a driven schedule, none longer than max.
 type profile struct {
 	name  string
+	max   Duration
 	delay func(rng *rand.Rand) Duration
 }
+
+// last is the latest instant a schedule driven from instant 0 can hold an
+// event at: a root and its generations of children, each max later.
+func (prof profile) last() Time { return Time(driveLevels) * Time(prof.max) }
 
 // profiles are the schedule shapes the property tests drive.
 var profiles = []profile{
 	// Small delays, 0 common: the same-instant lane and its interleaving
 	// with later-lane events landing on the same timestamp.
-	{"small", func(rng *rand.Rand) Duration { return Duration(rng.Intn(6)) }},
+	{"small", 5, func(rng *rand.Rand) Duration { return Duration(rng.Intn(6)) }},
 	// Tie-heavy: a handful of delays, so most instants hold long runs, as
 	// the lockstep clients of the scale sweep make them.
-	{"ties", func(rng *rand.Rand) Duration { return [...]Duration{0, 1, 4, 16}[rng.Intn(4)] }},
+	{"ties", 16, func(rng *rand.Rand) Duration { return [...]Duration{0, 1, 4, 16}[rng.Intn(4)] }},
 	// Collision-heavy: live instants 64 apart share one tail-cache entry,
 	// which forces two (or more) runs of one instant.
-	{"collide", func(rng *rand.Rand) Duration {
+	{"collide", 256, func(rng *rand.Rand) Duration {
 		if rng.Intn(8) == 0 {
 			return Duration(rng.Intn(2))
 		}
 		return 64 * Duration(1+rng.Intn(4))
 	}},
 	// Wide: nearly every event at an instant of its own.
-	{"wide", func(rng *rand.Rand) Duration { return 1 + Duration(rng.Intn(1<<20)) }},
+	{"wide", 1 << 20, func(rng *rand.Rand) Duration { return 1 + Duration(rng.Intn(1<<20)) }},
 }
 
 // traceStep is one executed event of a driven schedule: its id, the time it
@@ -125,6 +130,10 @@ func (r *recordEvent) Fire() {
 	body()
 }
 
+// driveLevels is how many generations of events driveQueue schedules: the
+// roots and three of children.
+const driveLevels = 4
+
 // driveQueue feeds a seeded schedule into q: a batch of root events whose
 // handlers recursively schedule children with delays drawn from prof. A
 // third of the events are posted as recycled records, the rest scheduled as
@@ -142,7 +151,7 @@ func driveQueue(q eventQueue, prof profile, seed int64) []traceStep {
 		d := prof.delay(rng)
 		body := func() {
 			trace = append(trace, traceStep{id, q.Now(), q.Pending()})
-			if depth < 3 {
+			if depth < driveLevels-1 {
 				for k := rng.Intn(3); k > 0; k-- {
 					schedule(depth + 1)
 				}
@@ -200,14 +209,20 @@ func TestQueueMatchesReferenceHeap(t *testing.T) {
 
 // slicedEngine drives the production engine through RunUntil in slices of
 // width cycles instead of Run, so that later-lane events, lane events and
-// the bound keep meeting on one instant.
+// the bound keep meeting on one instant. Events still pending once the
+// bound has passed last, the profile's last instant, are ones the engine
+// does not execute: the test fails there instead of slicing forever.
 type slicedEngine struct {
 	*Engine
-	width Time
+	t           *testing.T
+	width, last Time
 }
 
 func (e slicedEngine) Run() {
 	for t := e.Now(); e.Pending() > 0; {
+		if t > e.last {
+			e.t.Fatalf("%d event(s) pending at bound %d, past the profile's last instant %d", e.Pending(), t, e.last)
+		}
 		t += e.width
 		e.RunUntil(t)
 	}
@@ -223,7 +238,7 @@ func TestRunDriversMatchReference(t *testing.T) {
 			width = 1 << 12
 		}
 		for seed := int64(1); seed <= 25; seed++ {
-			got := driveQueue(slicedEngine{NewEngine(), width}, prof, seed)
+			got := driveQueue(slicedEngine{NewEngine(), t, width, prof.last()}, prof, seed)
 			want := driveQueue(&refEngine{}, prof, seed)
 			sameTrace(t, prof.name, got, want)
 		}
