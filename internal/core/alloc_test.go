@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/cap"
 	"repro/internal/ddl"
@@ -546,17 +547,20 @@ func benchmarkObtain(b *testing.B, cfg Config) {
 }
 
 // TestSpanningDelegateAllocationCeiling bounds what a warmed delegate
-// across two kernels allocates: the child the receiver's kernel prepares,
-// which waits for the ack in its pending-delegation table (prepareDelegate)
-// before the store copies it into its slab. The delegate is two
-// inter-kernel calls — the delegate, with the receiver's consent query in
-// the middle, and the ack that inserts the prepared child — and neither
-// request is in the count: both are recycled records. The children
-// accumulate under the one root; that growth averages below one per
-// delegate. The ceiling is the measured count, with and without the race
-// detector.
+// across two kernels allocates: nothing. The delegate is two inter-kernel
+// calls — the delegate, with the receiver's consent query in the middle, and
+// the ack that inserts the prepared child — and both requests are recycled
+// records. The child the receiver's kernel prepares waits for the ack by
+// value in its pending-delegation table (pendingChild, 40 B, pinned here),
+// and the store copies it into its slab; it was an allocation of its own
+// while the table held a pointer. The children accumulate under the one
+// root; that growth averages below one per delegate. The ceiling is the
+// measured count, with and without the race detector.
 func TestSpanningDelegateAllocationCeiling(t *testing.T) {
-	const ceiling = 1
+	const ceiling = 0
+	if size := unsafe.Sizeof(pendingChild{}); size != 40 {
+		t.Errorf("a pending delegation is %d B, want 40", size)
+	}
 	s, step := delegateStepper(t)
 	defer s.Close()
 	for i := 0; i < 8; i++ {
@@ -595,7 +599,7 @@ func delegateStepper(tb testing.TB) (*System, func()) {
 
 // BenchmarkSpanningDelegate is one warmed delegate across two kernels per
 // op: the syscall, the delegate round trip with the receiver's consent query
-// in the middle, and the ack round trip. 1 alloc/op, the prepared child
+// in the middle, and the ack round trip. 0 allocs/op
 // (TestSpanningDelegateAllocationCeiling pins it).
 func BenchmarkSpanningDelegate(b *testing.B) {
 	s, step := delegateStepper(b)
@@ -846,11 +850,13 @@ func TestSpanningRevokeAllocationCeiling(t *testing.T) {
 }
 
 // TestBatchedSpanningRevokeAllocationCeiling is the same revoke with batched
-// revocation: the forward is a batch of one, so what is left is the key
-// list it carries (forwardBatches). The ceiling is the measured count, with
-// and without the race detector.
+// revocation: the forward is a batch of one, whose key goes into its request
+// record's own key list (forwardBatches), which a recycled record keeps, so
+// nothing is left; the key list was an allocation of its own per walk while
+// the walk's batches shared an array it made. The ceiling is the measured
+// count, with and without the race detector.
 func TestBatchedSpanningRevokeAllocationCeiling(t *testing.T) {
-	const ceiling = 1
+	const ceiling = 0
 	cfg := Config{Kernels: 2, UserPEs: 4, IKCBatching: IKCBatching{Revoke: true}}
 	if allocs := spanningRevokeMallocs(t, cfg); allocs > ceiling {
 		t.Fatalf("a batched revoke of a warmed root with one remote child allocates %v times, ceiling %v", allocs, ceiling)
@@ -859,9 +865,9 @@ func TestBatchedSpanningRevokeAllocationCeiling(t *testing.T) {
 
 // TestReliableBatchedSpanningRevokeAllocationCeiling is the batched revoke
 // in reliable mode on a lossless fabric: the transmission record is
-// recycled, so the ceiling stays at the key list.
+// recycled too, so nothing is allocated either.
 func TestReliableBatchedSpanningRevokeAllocationCeiling(t *testing.T) {
-	const ceiling = 1
+	const ceiling = 0
 	cfg := Config{Kernels: 2, UserPEs: 4, Faults: &fault.Plan{}, IKCBatching: IKCBatching{Revoke: true}}
 	if allocs := spanningRevokeMallocs(t, cfg); allocs > ceiling {
 		t.Fatalf("a reliable batched revoke of a warmed root with one remote child allocates %v times, ceiling %v", allocs, ceiling)
@@ -942,7 +948,22 @@ func spanningRevokeSteppers(tb testing.TB, cfg Config) (s *System, plant, revoke
 // its reply, and the sweep. The child is planted between ops, off the
 // clock. 0 allocs/op (TestSpanningRevokeAllocationCeiling pins it).
 func BenchmarkSpanningRevoke(b *testing.B) {
-	s, plant, revoke := spanningRevokeSteppers(b, Config{Kernels: 2, UserPEs: 4})
+	benchmarkRevoke(b, Config{Kernels: 2, UserPEs: 4})
+}
+
+// BenchmarkBatchedSpanningRevoke is the same revoke in reliable mode on a
+// lossless fabric, with batched revocation, as capstorm-lossy revokes: the
+// forward is a batch of one, tracked for retransmission, and its reply
+// rides the reply sink. 0 allocs/op
+// (TestReliableBatchedSpanningRevokeAllocationCeiling pins it).
+func BenchmarkBatchedSpanningRevoke(b *testing.B) {
+	benchmarkRevoke(b, Config{Kernels: 2, UserPEs: 4, Faults: &fault.Plan{}, IKCBatching: IKCBatching{Revoke: true}})
+}
+
+// benchmarkRevoke runs spanningRevokeSteppers' warmed revoke once per op on
+// a machine built from cfg, planting the child off the clock.
+func benchmarkRevoke(b *testing.B, cfg Config) {
+	s, plant, revoke := spanningRevokeSteppers(b, cfg)
 	defer s.Close()
 	for i := 0; i < 8; i++ {
 		plant()
@@ -955,6 +976,117 @@ func BenchmarkSpanningRevoke(b *testing.B) {
 		plant()
 		b.StartTimer()
 		revoke()
+	}
+}
+
+// TestStormEpochAllocationCeiling pins a capstorm-shaped epoch as a whole,
+// on a 4-kernel machine with two clients a kernel: each allocates a root;
+// then obtains its kernel neighbour's root and a root of the next kernel,
+// derives from both, derives two children of its own root and delegates one
+// to each of the two; then revokes its root, a tree that fans out to three
+// kernels. Lossless unbatched, and reliable with exchanges and revocations
+// batched. After two warm-up epochs on the same machine, what an epoch
+// allocates is its memory objects: one block per memObjBlock of the five a
+// client makes (sixteen epochs make ten blocks' worth), and nothing else,
+// whatever step of the protocol it is in. It counts the allocations the heap
+// profile samples at a stack of this module's code, as
+// TestTreeRevokeAllocationCeiling does.
+func TestStormEpochAllocationCeiling(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"lossless", Config{Kernels: 4, UserPEs: 8}},
+		{"reliable-batched", Config{Kernels: 4, UserPEs: 8, Faults: &fault.Plan{}, IKCBatching: IKCBatching{Exchange: true, Revoke: true}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			s, epoch := stormEpochs(t, tc.cfg)
+			defer s.Close()
+			epoch()
+			epoch()
+			prof := profileWindows()
+			defer prof.stop()
+			const epochs, objects = 16, 16 * 8 * 5
+			var total uint64
+			for i := 0; i < epochs; i++ {
+				total += prof.mallocs(epoch)
+			}
+			n, own, background := prof.sampled()
+			if background != "" {
+				t.Logf("%d allocation(s) in all, the runtime's not counted:\n%s", total, background)
+			}
+			if ceiling := int64(objects / memObjBlock); n > ceiling {
+				t.Fatalf("%d epochs allocate %d times, ceiling %d (the memory objects' blocks); the windows allocated at:\n%s", epochs, n, ceiling, own)
+			}
+			if got := MemCapsEverywhere(s); got != 0 {
+				t.Fatalf("%d memory capabilities left after the revokes, want 0", got)
+			}
+			checkAudit(t, s)
+		})
+	}
+}
+
+// stormEpochs boots a machine from cfg with a client on every user PE and
+// returns a function that runs one epoch of TestStormEpochAllocationCeiling
+// on all of them: three phases, each started in every client at once and
+// run until the machine is quiescent again.
+func stormEpochs(t *testing.T, cfg Config) (*System, func()) {
+	s := MustNew(cfg)
+	pes := s.UserPEs()
+	n := len(pes)
+	perKernel := n / cfg.Kernels
+	ids, roots := make([]int, n), make([]cap.Selector, n)
+	starts := make([]*sim.Queue[int], n)
+	check := func(err error) {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	for i, pe := range pes {
+		start := sim.NewQueue[int]()
+		starts[i] = start
+		// Kernel neighbour and a client of the next kernel.
+		local, far := i^1, (i+perKernel)%n
+		v, err := s.SpawnOn(pe, "client", func(v *VPE, p *sim.Proc) {
+			for {
+				switch start.Pop(p) {
+				case 0:
+					var err error
+					roots[i], err = v.AllocMem(p, 4096, dtu.PermRW)
+					check(err)
+				case 1:
+					for _, peer := range [...]int{local, far} {
+						sel, err := v.ObtainFrom(p, ids[peer], roots[peer])
+						check(err)
+						_, err = v.DeriveMem(p, sel, 0, 64, dtu.PermR)
+						check(err)
+					}
+					for _, peer := range [...]int{local, far} {
+						child, err := v.DeriveMem(p, roots[i], 0, 64, dtu.PermR)
+						check(err)
+						_, err = v.DelegateTo(p, ids[peer], child)
+						check(err)
+					}
+				case 2:
+					check(v.Revoke(p, roots[i]))
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = v.ID
+	}
+	s.Run() // boot, then park
+	return s, func() {
+		for phase := 0; phase < 3; phase++ {
+			for _, start := range starts {
+				start.Push(phase)
+			}
+			s.Run()
+		}
 	}
 }
 

@@ -352,3 +352,26 @@ func TestCheckLeaksFindsLostLocalChild(t *testing.T) {
 		t.Errorf("CheckLeaks = %q, want the one dangling link", leaks)
 	}
 }
+
+// TestRunForStopsShortOfAGap pins what RunFor does (its doc): over an empty
+// gap wider than d it runs nothing and leaves the clock where it was, so a
+// loop of RunFor calls never reaches an event past the gap; an absolute
+// bound, stepped with Eng.RunUntil, crosses it.
+func TestRunForStopsShortOfAGap(t *testing.T) {
+	s := newTestSystem(t, 1, 1)
+	const gap = 1000
+	fired := false
+	s.Eng.Schedule(gap, func() { fired = true })
+	for i := 0; i < 3; i++ {
+		s.RunFor(gap / 2)
+		if fired || s.Now() != 0 {
+			t.Fatalf("RunFor(%d) #%d: fired %v, clock at %d; want nothing run and the clock at 0", gap/2, i+1, fired, s.Now())
+		}
+	}
+	for bound := sim.Time(0); !fired; bound += gap / 2 {
+		s.Eng.RunUntil(bound)
+	}
+	if s.Now() != gap {
+		t.Fatalf("stepping an absolute bound ran the event with the clock at %d, want %d", s.Now(), gap)
+	}
+}

@@ -42,10 +42,8 @@ func (k *Kernel) kernelOfVPE(p *sim.Proc, id int) (*Kernel, Errno) {
 }
 
 // childCap puts together the capability an exchange creates: owner's, under
-// parent, with the selector the caller allocated (NoSel for a delegation
-// prepared but not yet acknowledged). The value is free-standing — insertCap
-// copies it into the store, so it stays on the caller's stack unless the
-// caller keeps the pointer (prepareDelegate).
+// parent, with the selector the caller allocated. The value is free-standing
+// — insertCap copies it into the store, so it stays on the caller's stack.
 func childCap(key ddl.Key, owner int, sel cap.Selector, obj cap.Object, perm dtu.Perm, parent ddl.Key) *cap.Capability {
 	return &cap.Capability{Key: key, Owner: owner, Sel: sel, Object: obj, Perm: perm, Parent: parent}
 }
@@ -418,6 +416,20 @@ func (k *Kernel) askReceiver(p *sim.Proc, req *ikcRequest, remote bool) (dstV *V
 	return dstV, args, OK
 }
 
+// pendingChild is a delegation prepared at the receiver's kernel that awaits
+// the delegator's acknowledgement (prepareDelegate), by value in
+// Kernel.pendingDelegations under the child's key: the child but its key and
+// its selector, which the acknowledgement allocates, and the incarnation of
+// the delegator's kernel that asked for it (CheckInstant). 40 B, so preparing
+// allocates nothing.
+type pendingChild struct {
+	parent ddl.Key
+	obj    cap.Object
+	owner  int
+	inc    uint32
+	perm   dtu.Perm
+}
+
 // prepareDelegate is handshake step 1 at the receiver's kernel: consent,
 // then the child prepared but not inserted, its key returned. The reply may
 // ride a reply envelope; the ack that depends on it is only sent by the
@@ -431,7 +443,7 @@ func (k *Kernel) prepareDelegate(p *sim.Proc, req *ikcRequest) ikcReply {
 	if k.outlived(req) {
 		return ikcReply{Err: ErrPeerDead}
 	}
-	child := childCap(k.mintKey(dstV.PE, dstV.ID, req.Object.ObjType()), dstV.ID, cap.NoSel, req.Object, req.Perm, req.Key)
+	key := k.mintKey(dstV.PE, dstV.ID, req.Object.ObjType())
 	k.charge(p, k.sys.Cost.CapCreate)
 	// Only kernel threads touch the table — except the reset at a scripted
 	// recovery (beginRejoin), which runs from an event; on a machine where
@@ -442,8 +454,8 @@ func (k *Kernel) prepareDelegate(p *sim.Proc, req *ikcRequest) ikcReply {
 			return ikcReply{Err: ErrPeerDead}
 		}
 	}
-	k.pendingDelegations.Put(child.Key, child)
-	return ikcReply{Key: child.Key, Args: args}
+	k.pendingDelegations.Put(key, pendingChild{parent: req.Key, obj: req.Object, owner: dstV.ID, inc: req.Inc, perm: req.Perm})
+	return ikcReply{Key: key, Args: args}
 }
 
 // outlived reports whether a crash recovery, this kernel's or the
@@ -458,22 +470,21 @@ func (k *Kernel) outlived(req *ikcRequest) bool {
 
 // handleDelegateAck finishes the handshake at the receiver's kernel.
 func (k *Kernel) handleDelegateAck(p *sim.Proc, req *ikcRequest) ikcReply {
-	child, _ := k.pendingDelegations.Get(req.Child)
+	pc, ok := k.pendingDelegations.Get(req.Child)
 	k.pendingDelegations.Delete(req.Child)
-	if child == nil {
+	if !ok {
 		return ikcReply{Err: ErrNoSuchCap}
 	}
 	if !req.Ok {
 		// Delegator aborted (parent revoked meanwhile): discard.
 		return ikcReply{}
 	}
-	dstV := k.vpeOf(child.Owner)
+	dstV := k.vpeOf(pc.owner)
 	if k.gone(p, dstV) {
 		// Orphaned on the receiver side: report back for unlinking.
 		return ikcReply{Err: ErrVPEGone}
 	}
-	child.Sel = k.store.AllocSel(child.Owner)
-	k.insertCap(p, child)
+	k.insertCap(p, childCap(req.Child, pc.owner, k.store.AllocSel(pc.owner), pc.obj, pc.perm, pc.parent))
 	k.stats.Delegates++
 	return ikcReply{}
 }

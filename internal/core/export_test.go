@@ -77,7 +77,7 @@ func (s *System) ReliableState() (records int, found []string) {
 				continue
 			}
 			records++
-			if pr.replies != nil || pr.answered != nil || pr.live != nil || pr.dead || pr.inc != 1 {
+			if pr.seen != nil || pr.live != nil || pr.dead || pr.inc != 1 {
 				found = append(found, fmt.Sprintf("kernel %d has reliability state toward kernel %d", ki, dst))
 			}
 		}

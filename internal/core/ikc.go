@@ -34,18 +34,12 @@ type peer struct {
 	// verdict on the peer, sticky until the peer rejoins with a newer
 	// incarnation; inc is the peer's highest incarnation observed, from 1.
 	// live lists the transmissions toward the peer still tracked, in
-	// first-send order. replies is the receiver's duplicate filter for
-	// requests from the peer: every dispatched sequence number, mapped to
-	// its reply's slot in answered once the reply exists (-1 while in
-	// progress). answered is the reply cache: the last replyCache replies,
-	// by value, in a ring whose oldest slot, once it is full, is oldest; a
-	// reply the ring overwrites leaves the filter.
-	dead     bool
-	inc      uint32
-	live     []*xmitState
-	replies  map[uint64]int32
-	answered []ikcReply
-	oldest   int
+	// first-send order. seen is the receiver's duplicate filter and reply
+	// cache for requests from the peer, nil until the first is admitted.
+	dead bool
+	inc  uint32
+	live []*xmitState
+	seen *dedup
 }
 
 // peer returns k's record for kernel dst, creating it on first use.
@@ -101,9 +95,11 @@ func (k *Kernel) complete(a awaited, rep *ikcReply) {
 }
 
 // request takes a released request record (or makes one), fills it with r
-// and hands back one reference, the caller's.
+// and hands back one reference, the caller's. The record keeps its own key
+// list, emptied, for a batch to fill (forwardBatches).
 func (k *Kernel) request(r ikcRequest) *ikcRequest {
-	req := k.sys.reqs.New(1)
+	req := k.sys.reqs.New(k.sys.recBlock)
+	r.Keys = req.Keys
 	*req = r
 	req.refs = 1
 	return req
@@ -117,24 +113,53 @@ func (req *ikcRequest) hold() *ikcRequest {
 
 // drop gives one reference to req up; the last zeroes the record, so a
 // holder that missed its hold reads sequence number 0, which no request
-// has, and hands it back to s.reqs.
+// has, and hands it back to s.reqs. The key list keeps its array for the
+// record's next batch: until this drop a receiver, a duplicate or a resend
+// may still read the keys, so the array is reused only after it.
 func (req *ikcRequest) drop(s *System) {
 	req.refs--
 	switch {
 	case req.refs < 0:
 		panic("core: an inter-kernel request dropped more often than held")
 	case req.refs == 0:
-		*req = ikcRequest{}
+		*req = ikcRequest{Keys: req.Keys[:0]}
 		s.reqs.Put(req)
 	}
 }
 
-// appendHeld appends reqs to dst, holding a reference to each.
-func appendHeld(dst, reqs []*ikcRequest) []*ikcRequest {
+// appendHeld appends reqs to dst, a request list of a leg or a thread, and
+// holds a reference to each.
+func (s *System) appendHeld(dst, reqs []*ikcRequest) []*ikcRequest {
+	dst = s.reqRoom(dst, len(reqs))
 	for _, req := range reqs {
 		dst = append(dst, req.hold())
 	}
 	return dst
+}
+
+// The transport's lists — the requests of an aggregation queue, a
+// transmission, a leg or a thread's pickup; the replies of a reply queue or
+// a leg; a peer's live transmissions — grow in runs of listRun entries at
+// least, from the machine's blocks of System.recBlock runs (reqRoom,
+// repRoom, liveRoom), and their owners keep what they grew to: a queue, a
+// peer and a thread their own, a recycled leg or transmission record its. A
+// warm machine's transport takes no storage; an envelope carries a handful
+// of requests.
+const listRun = 4
+
+// reqRoom returns the request list l with room for n more.
+func (s *System) reqRoom(l []*ikcRequest, n int) []*ikcRequest {
+	return s.reqLists.Grow(l, n, listRun, listRun*s.recBlock)
+}
+
+// repRoom returns the reply list l with room for n more.
+func (s *System) repRoom(l []ikcReply, n int) []ikcReply {
+	return s.repLists.Grow(l, n, listRun, listRun*s.recBlock)
+}
+
+// liveRoom returns the live list l with room for one more.
+func (s *System) liveRoom(l []*xmitState) []*xmitState {
+	return s.liveLists.Grow(l, 1, listRun, listRun*s.recBlock)
 }
 
 // dropAll drops one reference to each of reqs.
@@ -256,7 +281,7 @@ func (w *ikcWire) Fire() {
 			w.dups--
 			env = w.from.wire(wireRequest, w.to)
 			env.env = true
-			env.reqs = appendHeld(env.reqs, w.reqs)
+			env.reqs = w.from.sys.appendHeld(env.reqs, w.reqs)
 		}
 		env.to.recvRequest(env.reqs[0].Kind, env)
 	case w.kind == wireRequest:
@@ -282,14 +307,20 @@ func (k *Kernel) sendRequest(dk *Kernel, req *ikcRequest) {
 	w.send()
 }
 
-// sendEnvelope puts reqs — N requests of one kind for kernel dst — on the
-// wire as one envelope: one NoC transfer, one delivery event and one
-// kernel-thread pickup at the destination. The requests keep their
-// individual sequence numbers, so each is answered by its own reply.
-func (k *Kernel) sendEnvelope(dst int, reqs []*ikcRequest) {
+// sendEnvelope puts the requests of reqs that pick selects (bit i for
+// reqs[i]) — N requests of one kind for kernel dst — on the wire as one
+// envelope: one NoC transfer, one delivery event and one kernel-thread
+// pickup at the destination. The requests keep their individual sequence
+// numbers, so each is answered by its own reply.
+func (k *Kernel) sendEnvelope(dst int, reqs []*ikcRequest, pick uint32) {
 	w := k.wire(wireRequest, k.sys.kernels[dst])
 	w.env = true
-	w.reqs = appendHeld(w.reqs, reqs)
+	w.reqs = k.sys.reqRoom(w.reqs, len(reqs))
+	for i, req := range reqs {
+		if pick&(1<<i) != 0 {
+			w.reqs = append(w.reqs, req.hold())
+		}
+	}
 	w.send()
 }
 
@@ -308,7 +339,7 @@ func (k *Kernel) composeReplies(dk *Kernel, reps ...ikcReply) {
 	k.stats.Busy += k.sys.Cost.IKCCompose
 	w := k.wire(wireReply, dk)
 	w.env, w.compose = len(reps) > 1, true
-	w.reps = append(w.reps, reps...)
+	w.reps = append(k.sys.repRoom(w.reps, len(reps)), reps...)
 	k.sys.Eng.Post(k.sys.Cost.IKCCompose, w)
 }
 
@@ -368,7 +399,7 @@ func (k *Kernel) transmit(dst int, req *ikcRequest) {
 	k.sendRequest(k.sys.kernels[dst], req)
 	if k.reliable {
 		xm := k.newXmit()
-		xm.reqs = append(xm.reqs, req.hold())
+		xm.reqs = append(k.sys.reqRoom(xm.reqs, 1), req.hold())
 		k.track(dst, xm)
 	}
 }
@@ -504,7 +535,7 @@ func (k *Kernel) pickUp(p *sim.Proc, t *kthread, scratch []*ikcRequest) []*ikcRe
 	reqs := direct[:]
 	j := &t.job
 	if w, ok := j.subj.(*ikcWire); ok {
-		scratch = appendHeld(scratch, w.reqs)
+		scratch = k.sys.appendHeld(scratch, w.reqs)
 		w.release()
 		reqs = scratch
 	} else {

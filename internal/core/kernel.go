@@ -116,9 +116,9 @@ type Kernel struct {
 	// queries recycles the VPE/service query records (query).
 	queries sim.Recycler[query]
 
-	// pendingDelegations holds capabilities created by the delegate
-	// two-way handshake that await the originator's acknowledgement.
-	pendingDelegations ddl.KeyMap[*cap.Capability]
+	// pendingDelegations holds the children the delegate two-way handshake
+	// prepared that await the delegator's acknowledgement, by the child's key.
+	pendingDelegations ddl.KeyMap[pendingChild]
 
 	// revocations maps every marked capability to the record of the
 	// revocation that marked it (paper Algorithm 1); revFree heads the list
@@ -127,6 +127,10 @@ type Kernel struct {
 	revocations ddl.KeyMap[*revState]
 	revFree     *revState
 	revHeld     int
+	// walks are the mark walks' scratch no walk is using (takeWalk), walk1
+	// their first storage.
+	walks []walk
+	walk1 [1]walk
 
 	stats KernelStats
 }
@@ -147,6 +151,7 @@ func newKernel(k *Kernel, s *System, id int, peers []*peer) {
 		reliable:    s.cfg.Faults != nil,
 		peers:       peers,
 	}
+	k.walks = k.walk1[:0]
 	// Groups are contiguous runs of the user PEs: the group is a window of
 	// the machine's list.
 	lo := 0

@@ -43,7 +43,7 @@ func (s *System) CheckLeaks(deadKernels ...int) []string {
 		if dead[k.id] {
 			continue
 		}
-		k.pendingDelegations.Range(func(key ddl.Key, _ *cap.Capability) bool {
+		k.pendingDelegations.Range(func(key ddl.Key, _ pendingChild) bool {
 			// An entry whose minted child lives on a dead kernel is stuck by
 			// the crash itself — the ack died with the peer — and is excused.
 			if !dead[k.member.KernelOfKey(key)] {

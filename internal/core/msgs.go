@@ -181,7 +181,7 @@ type ikcRequest struct {
 	ToInc uint32
 
 	Key    ddl.Key      // primary capability: the source's service capability, the delegated one, a revocation target
-	Keys   []ddl.Key    // batched revocation targets (ikcRevokeBatch)
+	Keys   []ddl.Key    // batched revocation targets (ikcRevokeBatch); the record's own array
 	Child  ddl.Key      // child capability key (acks, unlinks); the session's service capability (ikcDelegateSess)
 	VPE    int          // the source's owner (ikcObtain); the delegator (ikcDelegate, ikcDelegateSess)
 	Sel    cap.Selector // selector at the owner side (ikcObtain)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/ddl"
 	"repro/internal/dtu"
 )
 
@@ -143,6 +144,31 @@ func (s *System) CheckQuiescent() []string {
 		if r.held != 0 {
 			out = append(out, fmt.Sprintf("%d %s record(s) still held", r.held, r.kind))
 		}
+	}
+	return out
+}
+
+// CheckInstant lists what is wrong with the machine at any instant, not only
+// once it has run dry: the part of an audit that may be called between any
+// two events of a run (engine RunUntil for rising bounds), and reports a
+// fault at the instant it happens instead of as a leak at the drain. One
+// line per pending delegation prepared for an incarnation of its
+// delegator's kernel older than the one its kernel has admitted: that
+// delegator's handshake aborted when it crashed, and admitting its rejoin
+// dropped every entry it had asked for (dropPeerDelegations), so this one
+// will never be acknowledged (prepareDelegate refuses to create it,
+// outlived). The order is the kernels', then each table's.
+func (s *System) CheckInstant() []string {
+	var out []string
+	for _, k := range s.kernels {
+		k.pendingDelegations.Range(func(key ddl.Key, pc pendingChild) bool {
+			from := k.member.KernelOfKey(pc.parent)
+			if pr := k.peers[from]; pr != nil && pc.inc < pr.inc {
+				out = append(out, fmt.Sprintf("kernel %d: pending delegation %v asked for by incarnation %d of kernel %d, which has rejoined as %d",
+					k.id, key, pc.inc, from, pr.inc))
+			}
+			return true
+		})
 	}
 	return out
 }

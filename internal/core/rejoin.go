@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/cap"
 	"repro/internal/ddl"
 	"repro/internal/sim"
 )
@@ -88,7 +87,9 @@ func (k *Kernel) admitIncarnation(from int, inc uint32) {
 	// its outstanding transmissions at rejoin, so none of them will ever be
 	// retransmitted, and stragglers already on the wire are rejected by the
 	// incarnation gate before they reach the filter.
-	pr.replies, pr.answered, pr.oldest = nil, nil, 0
+	if pr.seen != nil {
+		pr.seen.reset()
+	}
 	// Outstanding transmissions *to* the peer were addressed to the dead
 	// incarnation (their ToInc stamp), and the peer's receive gate rejects
 	// every copy of them as stale, so nothing acts on a call failed here.
@@ -116,8 +117,8 @@ func (k *Kernel) admitIncarnation(from int, inc uint32) {
 // coming.
 func (k *Kernel) dropPeerDelegations(from int) {
 	var doomed []ddl.Key
-	k.pendingDelegations.Range(func(key ddl.Key, c *cap.Capability) bool {
-		if k.member.KernelOfKey(c.Parent) == from {
+	k.pendingDelegations.Range(func(key ddl.Key, pc pendingChild) bool {
+		if k.member.KernelOfKey(pc.parent) == from {
 			doomed = append(doomed, key)
 		}
 		return true
@@ -163,7 +164,7 @@ func (k *Kernel) beginRejoin() {
 	// acknowledged. The epoch guards in the delegate handlers keep threads
 	// of the dead incarnation, parked across RecoverAt, from resurrecting
 	// entries after this reset.
-	k.pendingDelegations = ddl.KeyMap[*cap.Capability]{}
+	k.pendingDelegations = ddl.KeyMap[pendingChild]{}
 
 	k.ikcPool.submit(job{kind: jobFunc, subj: func(p *sim.Proc) {
 		// Handshake with every peer, in kernel order. The bumped stamp on

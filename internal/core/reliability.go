@@ -1,6 +1,9 @@
 package core
 
-import "repro/internal/sim"
+import (
+	"repro/internal/ddl"
+	"repro/internal/sim"
+)
 
 // Reliable IKC mode. The baseline inter-kernel protocol assumes the
 // lossless fabric the paper assumes: a dropped message hangs its call
@@ -62,9 +65,10 @@ const (
 // copy of it up, which returned its in-flight credit.
 //
 // Like an ikcWire it is recycled, through System.xmits (newXmit), and is
-// its own timer and resend event (xmitTimer, xmitResend); its two request
-// lists keep their buffers, so a warmed transmission allocates nothing. It holds a reference
-// to each request in reqs until release; resend is a subset of reqs. A
+// its own timer and resend event (xmitTimer, xmitResend); its request list
+// keeps its buffer, so a warmed transmission allocates nothing. It holds a
+// reference to each request in reqs until release; resend picks a subset of
+// reqs, a bit each (an envelope carries at most maxBatch). A
 // record has at most one retransmission timer (armed) and one resend
 // (resending) pending: track arms the first timer and every expiry arms at
 // most the next, and a resend, scheduled IKCCompose ahead of the timer
@@ -79,9 +83,9 @@ type xmitState struct {
 	dst  int
 	env  bool // envelope vs direct send
 	reqs []*ikcRequest
-	// resend are the requests the pending resend re-sends: those the
-	// transmission still owned when its timer expired.
-	resend    []*ikcRequest
+	// resend picks the requests the pending resend re-sends, bit i for
+	// reqs[i]: those the transmission still owned when its timer expired.
+	resend    uint32
 	remaining int
 	tries     int
 	rto       sim.Duration
@@ -96,7 +100,7 @@ type xmitState struct {
 // newXmit takes a released transmission record (or makes one) for a
 // transmission of k.
 func (k *Kernel) newXmit() *xmitState {
-	xm := k.sys.xmits.New(1)
+	xm := k.sys.xmits.New(k.sys.recBlock)
 	xm.k = k
 	return xm
 }
@@ -111,8 +115,7 @@ func (xm *xmitState) release() {
 	s := xm.k.sys
 	dropAll(s, xm.reqs)
 	clear(xm.reqs)
-	clear(xm.resend)
-	*xm = xmitState{reqs: xm.reqs[:0], resend: xm.resend[:0]}
+	*xm = xmitState{reqs: xm.reqs[:0]}
 	s.xmits.Put(xm)
 }
 
@@ -152,7 +155,7 @@ func (k *Kernel) track(dst int, xm *xmitState) {
 		k.pending[r.Seq] = a
 	}
 	pr := k.peers[dst]
-	pr.live = append(pr.live, xm)
+	pr.live = append(k.sys.liveRoom(pr.live), xm)
 	k.arm(xm)
 }
 
@@ -222,13 +225,13 @@ func (k *Kernel) expire(xm *xmitState) {
 	}
 	// Only requests this transmission still owns are re-sent: a request
 	// answered (or aborted) since the last send left pending.
-	xm.resend = xm.resend[:0]
-	for _, r := range xm.reqs {
+	xm.resend = 0
+	for i, r := range xm.reqs {
 		if k.pending[r.Seq].xm == xm {
-			xm.resend = append(xm.resend, r)
+			xm.resend |= 1 << i
 		}
 	}
-	if len(xm.resend) == 0 {
+	if xm.resend == 0 {
 		return
 	}
 	k.stats.Retransmits++
@@ -247,14 +250,14 @@ func (k *Kernel) resend(xm *xmitState) {
 		return
 	}
 	if xm.env {
-		k.sendEnvelope(xm.dst, xm.resend)
+		k.sendEnvelope(xm.dst, xm.reqs, xm.resend)
 		return
 	}
-	dk := k.sys.kernels[xm.dst]
-	for _, req := range xm.resend {
-		k.sendRequest(dk, req)
-	}
+	k.sendRequest(k.sys.kernels[xm.dst], xm.reqs[0]) // a direct send has one
 }
+
+// An envelope's requests fit one xmitState.resend, a bit each.
+var _ [32 - maxBatch]struct{}
 
 // markDead is the degradation step: dst exhausted its retry budget, so
 // this kernel stops talking to it. Every outstanding transmission aborts,
@@ -344,18 +347,16 @@ func (k *Kernel) admit(p *sim.Proc, req *ikcRequest) bool {
 		k.stats.StaleIncarnation++
 		return false
 	}
-	if slot, seen := pr.replies[req.Seq]; seen {
+	d := k.dedupOf(pr)
+	if slot, seen := d.filter.Get(ddl.Key(req.Seq)); seen {
 		k.stats.DupSuppressed++
 		if slot >= 0 {
 			k.stats.ReplayedReplies++
-			k.sendReply(k.sys.kernels[req.From], &pr.answered[slot])
+			k.sendReply(k.sys.kernels[req.From], &d.ring[slot])
 		}
 		return false
 	}
-	if pr.replies == nil {
-		pr.replies = make(map[uint64]int32)
-	}
-	pr.replies[req.Seq] = -1 // in progress
+	d.filter.Put(ddl.Key(req.Seq), -1) // in progress
 	return true
 }
 
@@ -369,18 +370,56 @@ func (k *Kernel) cacheReply(from int, rep *ikcReply) {
 	if !k.reliable {
 		return
 	}
-	pr := k.peer(from)
-	if pr.replies == nil {
-		pr.replies = make(map[uint64]int32)
-	}
-	slot := len(pr.answered)
+	d := k.dedupOf(k.peer(from))
+	slot := d.used
 	if slot < replyCache {
-		pr.answered = append(pr.answered, *rep)
+		d.used++
 	} else {
-		slot = pr.oldest
-		delete(pr.replies, pr.answered[slot].Seq)
-		pr.answered[slot] = *rep
-		pr.oldest = (slot + 1) % replyCache
+		slot = d.oldest
+		d.filter.Delete(ddl.Key(d.ring[slot].Seq))
+		d.oldest = (slot + 1) % replyCache
 	}
-	pr.replies[rep.Seq] = int32(slot)
+	d.ring[slot] = *rep
+	d.filter.Put(ddl.Key(rep.Seq), int32(slot))
+}
+
+// dedup is the receiver's duplicate filter and reply cache for the requests
+// of one peer (admit, cacheReply): one record per pair of kernels, with the
+// storage of both inside, from the machine's blocks of dedupBlock, taken
+// when the first request from the peer is admitted (dedupOf). filter maps
+// every dispatched sequence number to its reply's slot in ring once the
+// reply exists (-1 while in progress); ring holds the last replyCache
+// replies by value in its first used slots, the oldest at oldest once it is
+// full, and a reply the ring overwrites leaves the filter. A sequence
+// number is a nonzero uint64, like the DDL keys a ddl.KeyMap is made for.
+// The filter holds the cached replies' numbers and those in progress, which
+// stay well below three quarters of its filterLen-entry table (capstorm
+// runs peak at three in progress), so it never grows.
+type dedup struct {
+	filter       ddl.KeyMap[int32]
+	used, oldest int
+	ring         [replyCache]ikcReply
+	keys         [filterLen]ddl.Key
+	slots        [filterLen]int32
+}
+
+const (
+	filterLen  = 2 * replyCache
+	dedupBlock = 2
+)
+
+// dedupOf returns pr's duplicate filter, taking its record on first use.
+func (k *Kernel) dedupOf(pr *peer) *dedup {
+	if pr.seen == nil {
+		pr.seen = k.sys.dedups.New(dedupBlock)
+		pr.seen.filter.Use(pr.seen.keys[:], pr.seen.slots[:])
+	}
+	return pr.seen
+}
+
+// reset forgets every request d has seen and keeps its storage.
+func (d *dedup) reset() {
+	d.filter.Clear()
+	clear(d.ring[:d.used])
+	d.used, d.oldest = 0, 0
 }

@@ -31,9 +31,10 @@ import (
 // once the subtrees it started or joined are gone: the revoke request req
 // (one key or a batch), or else the syscall thread that started it and is
 // parked on the record. A record is answered by its parents — every record
-// that joined it, or that it was started for — in the order they joined.
-// Records, their marked-key lists and walk stacks are recycled through the
-// kernel's free list.
+// that joined it, or that it was started for — in the order they joined;
+// only a record with a root has parents, the first two in the record itself.
+// Records come from the machine's blocks and are recycled through the
+// kernel's free list, with their parent lists (newRev, freeRev).
 type revState struct {
 	root *cap.Capability
 	// outstanding counts unanswered revoke requests and joined revocations.
@@ -41,40 +42,69 @@ type revState struct {
 	// sending is true while revoke runs, which a syscall thread may pause in:
 	// an early reply must neither sweep early nor recycle the record under it.
 	sending bool
-	// marked are the keys marked under this record, for map cleanup; kids
-	// is the mark walk's stack of child-list snapshots; remote are the
-	// walk's remote children that batched revocation sends at its end.
-	marked, kids []ddl.Key
-	remote       []remoteChild
-	parents      []*revState
-	req          *ikcRequest // held until the record is freed
-	thread       *sim.Proc
-	next         *revState // on the free list
+	parents []*revState
+	parent2 [2]*revState // parents' first storage
+	req     *ikcRequest  // held until the record is freed
+	thread  *sim.Proc
+	next    *revState // on the free list
 }
 
-// remoteChild is a capability of another kernel found by a mark walk.
-type remoteChild struct {
-	dst int
-	key ddl.Key
+// walk is the scratch of one mark walk (revokeChildren, forwardBatches): its
+// stack of child-list snapshots, and the remote children a batched walk
+// forwards at its end. A kernel keeps those no walk is using (Kernel.walks,
+// the first in its record) and a walk takes the one put back last, so a
+// kernel has as many as its walks ever ran at once — one, but where a
+// syscall thread parks in a walk for an in-flight credit — each grown to the
+// largest walk it served.
+type walk struct {
+	kids, remote []ddl.Key
 }
 
-// newRev takes a record off the free list (or makes one).
+// takeWalk hands a walk its scratch.
+func (k *Kernel) takeWalk() walk {
+	n := len(k.walks)
+	if n == 0 {
+		return walk{}
+	}
+	w := k.walks[n-1]
+	k.walks = k.walks[:n-1]
+	return w
+}
+
+// putWalk takes a walk's scratch back, emptied.
+func (k *Kernel) putWalk(w walk) {
+	k.walks = append(k.walks, walk{w.kids[:0], w.remote[:0]})
+}
+
+// keyRoom returns l, a walk's key list or a batched revoke request's, with
+// room for n more keys: l itself while it has the room, else a copy in a
+// run of the machine's blocks of 16 keys a kernel. A walk's scratch and a
+// request record keep the runs they grew into (putWalk, ikcRequest.drop).
+func (s *System) keyRoom(l []ddl.Key, n int) []ddl.Key {
+	return s.revKeys.Grow(l, n, listRun, 16*len(s.kernels))
+}
+
+// newRev takes a record off the free list, or a fresh one from the
+// machine's blocks of System.recBlock.
 func (k *Kernel) newRev() *revState {
 	k.revHeld++
 	rs := k.revFree
 	if rs == nil {
-		return &revState{}
+		rs = k.sys.revRecs.New(k.sys.recBlock)
+		rs.parents = rs.parent2[:0]
+		return rs
 	}
 	k.revFree, rs.next = rs.next, nil
 	return rs
 }
 
+// freeRev releases rs to the free list, its parent list emptied.
 func (k *Kernel) freeRev(rs *revState) {
 	k.revHeld--
 	if rs.req != nil {
 		rs.req.drop(k.sys)
 	}
-	*rs = revState{marked: rs.marked[:0], kids: rs.kids[:0], remote: rs.remote[:0], parents: rs.parents[:0], next: k.revFree}
+	*rs = revState{parents: rs.parents[:0], next: k.revFree}
 	k.revFree = rs
 }
 
@@ -154,8 +184,10 @@ func (k *Kernel) revoke(p *sim.Proc, c *cap.Capability, up *revState) {
 	rs := k.newRev()
 	rs.root, rs.sending = c, true
 	parentKey := c.Parent
-	rs.kids = k.revokeChildren(p, c, rs, rs.kids)
-	k.forwardBatches(p, rs)
+	w := k.takeWalk()
+	k.revokeChildren(p, c, rs, &w)
+	k.forwardBatches(p, rs, w.remote)
+	k.putWalk(w)
 	// Unlink a syscall's root from its parent (the parent survives this
 	// revoke). A requested root's parent is on the requesting kernel and is
 	// being revoked itself.
@@ -175,8 +207,7 @@ func (k *Kernel) revoke(p *sim.Proc, c *cap.Capability, up *revState) {
 		k.finishRevocation(p, rs)
 		return
 	}
-	up.outstanding++
-	rs.parents = append(rs.parents, up)
+	k.await(up, rs)
 }
 
 // join makes up wait for the revocation that marked key, if that is still
@@ -184,32 +215,37 @@ func (k *Kernel) revoke(p *sim.Proc, c *cap.Capability, up *revState) {
 // acknowledge an incomplete revoke).
 func (k *Kernel) join(up *revState, key ddl.Key) {
 	if rs, _ := k.revocations.Get(key); rs != nil && rs != up {
-		up.outstanding++
-		rs.parents = append(rs.parents, up)
+		k.await(up, rs)
 	}
+}
+
+// await makes up wait for rs: one more outstanding answer for up, which rs
+// gives when it finishes, after those of the parents that joined it earlier.
+func (k *Kernel) await(up, rs *revState) {
+	up.outstanding++
+	rs.parents = append(k.sys.revUps.Grow(rs.parents, 1, listRun, listRun*k.sys.recBlock), up)
 }
 
 // revokeChildren is phase one: mark the local subtree and fan out
 // inter-kernel requests for remote children (Algorithm 1,
-// revoke_children). kids is the walk's stack of child-list snapshots: the
-// caller passes the record's, each level pushes its snapshot on top and
-// hands the stack back popped. It belongs to one walk, which a syscall
-// thread may park in while it waits for an in-flight credit.
-func (k *Kernel) revokeChildren(p *sim.Proc, c *cap.Capability, rs *revState, kids []ddl.Key) []ddl.Key {
+// revoke_children). w.kids is the walk's stack of child-list snapshots:
+// each level pushes its snapshot on top and pops it when it is done. It
+// belongs to one walk, which a syscall thread may park in while it waits
+// for an in-flight credit.
+func (k *Kernel) revokeChildren(p *sim.Proc, c *cap.Capability, rs *revState, w *walk) {
 	c.Marked = true
 	k.revocations.Put(c.Key, rs)
-	rs.marked = append(rs.marked, c.Key)
 	k.charge(p, k.sys.Cost.RevokeMark)
 
 	// Snapshot the child list: the recursion below reaches preemption
 	// points, and c's children may change while this thread is parked. The
-	// snapshot is kids[base:end], read by index because the recursion pushes
-	// its own snapshots above end and may move the stack doing so.
-	base := len(kids)
-	kids = c.AppendChildren(kids)
-	end := len(kids)
+	// snapshot is w.kids[base:end], read by index because the recursion
+	// pushes its own snapshots above end and may move the stack doing so.
+	base := len(w.kids)
+	w.kids = c.AppendChildren(k.sys.keyRoom(w.kids, c.NumChildren()))
+	end := len(w.kids)
 	for i := base; i < end; i++ {
-		childKey := kids[i]
+		childKey := w.kids[i]
 		k.charge(p, k.sys.Cost.DDLDecode)
 		owner := k.member.KernelOfKey(childKey)
 		if owner == k.id {
@@ -223,18 +259,18 @@ func (k *Kernel) revokeChildren(p *sim.Proc, c *cap.Capability, rs *revState, ki
 				k.join(rs, childKey)
 				continue
 			}
-			kids = k.revokeChildren(p, child, rs, kids)
+			k.revokeChildren(p, child, rs, w)
 		} else if k.batching.Revoke {
 			// Batched revocation: the barrier at the end of the mark walk
 			// sends one batched request per owning kernel (forwardBatches) —
 			// the paper's §5.2 message-batching proposal.
-			rs.remote = append(rs.remote, remoteChild{owner, childKey})
+			w.remote = append(k.sys.keyRoom(w.remote, 1), childKey)
 		} else {
 			rs.outstanding++
 			k.sendRevokeRequest(p, owner, childKey, rs)
 		}
 	}
-	return kids[:base]
+	w.kids = w.kids[:base]
 }
 
 // sendRevokeRequest fires an inter-kernel revoke request without blocking
@@ -250,34 +286,39 @@ func (k *Kernel) sendRevokeRequest(p *sim.Proc, dst int, key ddl.Key, rs *revSta
 }
 
 // forwardBatches is the barrier at the end of a batched mark walk: group
-// rs's remote children by owning kernel (in first-seen order) and send one
-// ikcRevokeBatch request per kernel, counting one outstanding reply each.
+// the walk's remote children by owning kernel (in first-seen order) and send
+// one ikcRevokeBatch request per kernel, counting one outstanding reply each
+// toward rs.
 // The batch is answered once, by the receiver's record; the *reply* to it
 // rides the reply sink (classRevoke). Its continuation is that of a single
 // forward: an unreachable owner leaves every key of the batch unrevoked
-// remotely, and each is recorded for replay at the owner's rejoin. The walk's
-// keys share one array, each batch a window of it that cannot grow into the
-// next; receivers only read them.
-func (k *Kernel) forwardBatches(p *sim.Proc, rs *revState) {
-	all := make([]ddl.Key, 0, len(rs.remote))
-	for i, e := range rs.remote {
-		if e.dst < 0 {
-			continue // sent in an earlier kernel's batch
+// remotely, and each is recorded for replay at the owner's rejoin. A batch's
+// keys go into its request record's own key list, which the record keeps
+// for its next batch (ikcRequest.drop); receivers only read them. A key
+// sent in an earlier kernel's batch is zeroed in remote.
+func (k *Kernel) forwardBatches(p *sim.Proc, rs *revState, remote []ddl.Key) {
+	for i, key := range remote {
+		if key == 0 {
+			continue
 		}
-		start := len(all)
-		all = append(all, e.key)
-		for j := i + 1; j < len(rs.remote); j++ {
-			if rs.remote[j].dst == e.dst {
-				all = append(all, rs.remote[j].key)
-				rs.remote[j].dst = -1
+		dst, rest := k.member.KernelOfKey(key), remote[i:]
+		n := 0
+		for _, other := range rest {
+			if other != 0 && k.member.KernelOfKey(other) == dst {
+				n++
 			}
 		}
-		keys := all[start:len(all):len(all)]
+		req := k.request(ikcRequest{Kind: ikcRevokeBatch})
+		req.Keys = k.sys.keyRoom(req.Keys, n)
+		for j, other := range rest {
+			if other != 0 && k.member.KernelOfKey(other) == dst {
+				req.Keys = append(req.Keys, other)
+				rest[j] = 0
+			}
+		}
 		rs.outstanding++
-		req := k.request(ikcRequest{Kind: ikcRevokeBatch, Keys: keys})
-		k.ikSend(p, e.dst, req, awaited{rs: rs, req: req})
+		k.ikSend(p, dst, req, awaited{rs: rs, req: req})
 	}
-	rs.remote = rs.remote[:0]
 }
 
 // revokeReplyArrived accounts one completed child revocation and finishes
@@ -300,11 +341,6 @@ func (k *Kernel) revokeReplyArrived(p *sim.Proc, rs *revState) {
 func (k *Kernel) finishRevocation(p *sim.Proc, rs *revState) {
 	if rs.root != nil {
 		k.deleteTree(p, rs.root, rs)
-		for _, key := range rs.marked {
-			if cur, _ := k.revocations.Get(key); cur == rs {
-				k.revocations.Delete(key)
-			}
-		}
 	}
 	for i, up := range rs.parents {
 		rs.parents[i] = nil
@@ -322,7 +358,9 @@ func (k *Kernel) finishRevocation(p *sim.Proc, rs *revState) {
 	}
 }
 
-// deleteTree removes the local capabilities of rs's subtree. Children
+// deleteTree removes the local capabilities of rs's subtree, and their
+// entries in revocations: they are the ones rs marked, since nothing links a
+// child to a marked capability or unlinks a local one from it. Children
 // handled by other kernels (or by overlapping local revocations) are
 // deleted by their respective owners.
 func (k *Kernel) deleteTree(p *sim.Proc, c *cap.Capability, rs *revState) {
@@ -345,6 +383,7 @@ func (k *Kernel) deleteTree(p *sim.Proc, c *cap.Capability, rs *revState) {
 	// resource becomes inaccessible (enforcement). Must precede Remove: the
 	// store recycles the slab slot, so c's fields are gone afterwards.
 	k.invalidateEPs(p, c)
+	k.revocations.Delete(c.Key)
 	k.store.Remove(c.Key)
 	k.stats.CapsDeleted++
 }

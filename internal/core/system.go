@@ -141,6 +141,28 @@ type System struct {
 	svcRecs  sim.Blocks[localService]
 	// svcItems is where a service's request queue gets its storage (layout).
 	svcItems sim.Blocks[svcItem]
+	// recBlock is how many revocation records one block of the machine
+	// holds, and how many runs one block of each kind of list below: a
+	// quarter of its user PEs, 2 to 16. A loaded machine has a record or two
+	// per VPE out at once, and the quick sweep boots hundreds of small
+	// machines, which a fixed block sized for a large one would cost bytes.
+	recBlock int
+	// revRecs, revKeys and revUps are where the kernels' revocation records,
+	// the mark walks' and batched revoke requests' key lists and the records'
+	// parent lists past the first two come from (revoke.go: newRev, keyRoom,
+	// await).
+	revRecs sim.Blocks[revState]
+	revKeys sim.Blocks[ddl.Key]
+	revUps  sim.Blocks[*revState]
+	// queues, reqLists, repLists, liveLists and dedups are where the
+	// transport's aggregation queues, request, reply and live-transmission
+	// lists (ikc.go: reqRoom, repRoom, liveRoom) and the reliable layer's
+	// duplicate filters (reliability.go: dedupOf) come from.
+	queues    sim.Blocks[sendQueue]
+	reqLists  sim.Blocks[*ikcRequest]
+	repLists  sim.Blocks[ikcReply]
+	liveLists sim.Blocks[*xmitState]
+	dedups    sim.Blocks[dedup]
 
 	// vpeProcNameFn and vpeRunFn are vpeProcName and vpeRun, bound once
 	// for every VPE's SpawnLazy.
@@ -188,6 +210,7 @@ func NewSystem(cfg Config) (*System, error) {
 		peToVPE:  make([]*VPE, nodes),
 		services: make(map[string]*serviceEntry),
 		dramNext: make([]uint64, cfg.MemPEs),
+		recBlock: min(max(cfg.UserPEs/4, 2), 16),
 	}
 	s.vpeProcNameFn, s.vpeRunFn = s.vpeProcName, s.vpeRun
 	// Fault injection; the kernels run the reliable IKC mode it requires
@@ -296,7 +319,13 @@ func (s *System) VPEs() []*VPE { return s.vpes }
 // Run executes the simulation until no events remain.
 func (s *System) Run() { s.Eng.Run() }
 
-// RunFor advances the simulation by d cycles.
+// RunFor runs the events due within d cycles of the clock:
+// Eng.RunUntil(Now()+d). RunUntil leaves the clock at the last event it ran,
+// not at its bound, so across an empty gap wider than d RunFor runs nothing
+// and Now() stays where it was: a loop of RunFor calls never crosses such a
+// gap, and a caller that must cross one steps an absolute bound
+// (Eng.RunUntil) instead. workload.RunNginx's window ends where its last event ran, and
+// Fig 10's duration with it.
 func (s *System) RunFor(d sim.Duration) { s.Eng.RunUntil(s.Eng.Now() + d) }
 
 // Now returns the current virtual time.

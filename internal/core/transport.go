@@ -187,10 +187,12 @@ func (k *Kernel) enqueue(p *sim.Proc, dst int, req *ikcRequest, a awaited) {
 	pr := k.peer(dst)
 	q := pr.reqq[req.Kind]
 	if q == nil {
-		q = &sendQueue{k: k, dst: dst, window: flushWindow}
+		// A kernel's queues toward its peers, of one kind, fill a block.
+		q = k.sys.queues.New(len(k.sys.kernels))
+		*q = sendQueue{k: k, dst: dst, window: flushWindow}
 		pr.reqq[req.Kind] = q
 	}
-	q.reqs = append(q.reqs, req.hold())
+	q.reqs = append(k.sys.reqRoom(q.reqs, 1), req.hold())
 	if len(q.reqs) >= maxBatch {
 		k.flushLocked(p, q)
 	} else if len(q.reqs) == 1 {
@@ -258,7 +260,8 @@ func (q *sendQueue) stale(gen uint32) bool {
 // an in-flight slot start a fresh generation. In reliable mode the requests
 // move into the transmission record, the queue's references with them, and
 // the queue continues in the record's spare buffer; otherwise the queue's
-// references are dropped once the envelope holds its own.
+// references are dropped once the envelope holds its own, and the queue
+// takes its buffer back unless a fresh generation has begun in one.
 func (k *Kernel) flushLocked(p *sim.Proc, q *sendQueue) {
 	if len(q.reqs) == 0 {
 		return
@@ -276,6 +279,7 @@ func (k *Kernel) flushLocked(p *sim.Proc, q *sendQueue) {
 			k.failFast(req.Seq, dst)
 			req.drop(k.sys)
 		}
+		q.giveBack(reqs)
 		return
 	}
 	var xm *xmitState
@@ -294,12 +298,22 @@ func (k *Kernel) flushLocked(p *sim.Proc, q *sendQueue) {
 	for _, req := range reqs {
 		req.Inc, req.ToInc = k.incarnation, pr.inc
 	}
-	k.sendEnvelope(dst, reqs)
+	k.sendEnvelope(dst, reqs, ^uint32(0))
 	if xm != nil {
 		k.track(dst, xm)
 		return
 	}
 	dropAll(k.sys, reqs)
+	q.giveBack(reqs)
+}
+
+// giveBack returns the buffer of a drained generation to q, emptied, unless
+// q has started the next generation in another.
+func (q *sendQueue) giveBack(reqs []*ikcRequest) {
+	if q.reqs == nil {
+		clear(reqs)
+		q.reqs = reqs[:0]
+	}
 }
 
 // --- reply direction (the sink) ------------------------------------------
@@ -313,7 +327,7 @@ func (k *Kernel) flushLocked(p *sim.Proc, q *sendQueue) {
 // when a wide envelope's replies overflow mid-dispatch.
 func (k *Kernel) enqueueReply(dst int, class batchClass, rep ikcReply) {
 	q := &k.peer(dst).repq[class]
-	*q = append(*q, rep)
+	*q = append(k.sys.repRoom(*q, 1), rep)
 	if len(*q) >= maxBatch {
 		k.flushReplies(dst, class)
 	}

@@ -119,6 +119,24 @@ func (m *KeyMap[V]) Delete(k Key) {
 	m.n--
 }
 
+// Use hands an empty map its table: keys and vals of one length, a power of
+// two (TableLen), zeroed and nobody else's, such as arrays in the owner's
+// record. The map fills three quarters of it before it grows into a table of
+// its own, twice the size.
+func (m *KeyMap[V]) Use(keys []Key, vals []V) {
+	if len(keys) != len(vals) || len(keys)&(len(keys)-1) != 0 {
+		panic("ddl: KeyMap.Use needs keys and values of one power-of-two length")
+	}
+	m.keys, m.vals, m.n = keys, vals, 0
+}
+
+// Clear removes every entry and keeps the table.
+func (m *KeyMap[V]) Clear() {
+	clear(m.keys)
+	clear(m.vals)
+	m.n = 0
+}
+
 // Range calls fn for every entry in table order until fn returns false.
 // The order is not deterministic across different insertion histories.
 func (m *KeyMap[V]) Range(fn func(k Key, v V) bool) {

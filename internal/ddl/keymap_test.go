@@ -131,3 +131,39 @@ func TestTableLenHoldsWithoutGrowing(t *testing.T) {
 		}
 	}
 }
+
+// TestKeyMapUseAndClear: a map given its table by Use fills three quarters
+// of it without allocating and then grows as a zero map would; Clear empties
+// it and keeps the table, so it fills again without allocating (each run of
+// the measured func clears and fills it).
+func TestKeyMapUseAndClear(t *testing.T) {
+	var keys [32]Key
+	var vals [32]int
+	var m KeyMap[int]
+	m.Use(keys[:], vals[:])
+	fill := func() {
+		for i := 1; i <= 24; i++ {
+			m.Put(Key(i), i)
+		}
+	}
+	if allocs := testing.AllocsPerRun(4, func() { m.Clear(); fill() }); allocs != 0 {
+		t.Fatalf("filling 24 of a given 32-entry table allocates %v times, want 0", allocs)
+	}
+	if v, ok := m.Get(7); !ok || v != 7 || m.Len() != 24 || &m.keys[0] != &keys[0] {
+		t.Fatalf("Get(7) = %d, %v with %d entries", v, ok, m.Len())
+	}
+	m.Clear()
+	if _, ok := m.Get(7); ok || m.Len() != 0 || keys != [32]Key{} {
+		t.Fatal("Clear left an entry behind")
+	}
+	fill()
+	m.Put(25, 25) // past three quarters: a table of its own
+	if &m.keys[0] == &keys[0] || len(m.keys) != 64 || m.Len() != 25 {
+		t.Fatalf("the 25th entry left the map in a table of %d", len(m.keys))
+	}
+	for i := 1; i <= 25; i++ {
+		if v, ok := m.Get(Key(i)); !ok || v != i {
+			t.Fatalf("after growing, Get(%d) = %d, %v", i, v, ok)
+		}
+	}
+}

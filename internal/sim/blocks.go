@@ -42,6 +42,19 @@ func (b *Blocks[T]) Take(n, block int) []T {
 	return run
 }
 
+// Grow returns s with room for n more records: s itself if it has the room,
+// else s copied into a run from Take with at least twice its room, and run
+// at least, from a new block of block records if the current one is too
+// short. The old run stays behind in its block, dead. That suits a list its
+// owner keeps and reuses, which stops growing once it is warm: grown from a
+// Blocks, such lists take one allocation per block instead of one per step.
+func (b *Blocks[T]) Grow(s []T, n, run, block int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	return append(b.Take(max(len(s)+n, 2*cap(s), run), block)[:0], s...)
+}
+
 // Use makes spare the next block: Take and New hand out its records, which
 // must be zero and nobody else's, before they allocate one. An owner that
 // knows how many records it will make (a preloaded image) sizes one block
