@@ -46,7 +46,8 @@ type peer struct {
 func (k *Kernel) peer(dst int) *peer {
 	pr := k.peers[dst]
 	if pr == nil {
-		pr = &peer{credits: *sim.NewSemaphore(MaxInflight), inc: 1}
+		pr = k.sys.peerRecs.New(k.sys.recBlock)
+		*pr = peer{credits: *sim.NewSemaphore(MaxInflight), inc: 1}
 		k.peers[dst] = pr
 	}
 	return pr
@@ -71,6 +72,13 @@ type awaited struct {
 	rs  *revState
 	req *ikcRequest
 	xm  *xmitState
+}
+
+// awaiting returns what waits for the reply to request seq; nothing if the
+// request is not pending.
+func (k *Kernel) awaiting(seq uint64) awaited {
+	a, _ := k.pending.Get(ddl.Key(seq))
+	return a
 }
 
 // complete runs the continuation of a call whose entry just left pending,
@@ -146,6 +154,13 @@ func (s *System) appendHeld(dst, reqs []*ikcRequest) []*ikcRequest {
 // warm machine's transport takes no storage; an envelope carries a handful
 // of requests.
 const listRun = 4
+
+// queueBlock is how many elements one block of the machine's queue arrays
+// holds past their boot-time runs (layout): recBlock runs of listRun. A
+// kernel pool's jobs and idle threads and a peer's credit waiters grow into
+// doubling runs of such blocks (sim.FIFO.Reserve). Most queues of a machine
+// never need one: a queue holds its first element in its own record.
+func (s *System) queueBlock() int { return listRun * s.recBlock }
 
 // reqRoom returns the request list l with room for n more.
 func (s *System) reqRoom(l []*ikcRequest, n int) []*ikcRequest {
@@ -361,10 +376,7 @@ func (k *Kernel) stamp(p *sim.Proc, dst int, req *ikcRequest, a awaited, answere
 	if !answered {
 		return false
 	}
-	if k.pending == nil {
-		k.pending = make(map[uint64]awaited)
-	}
-	k.pending[req.Seq] = a
+	k.pending.Put(ddl.Key(req.Seq), a)
 	if k.peerDead(dst) {
 		k.failFast(req.Seq, dst)
 		return true
@@ -386,9 +398,17 @@ func (k *Kernel) post(p *sim.Proc, dst int, req *ikcRequest) {
 			pr.deferred.Push(req.hold())
 			return
 		}
-		k.pause(p, &pr.credits)
+		k.awaitCredit(p, pr)
 	}
 	k.transmit(dst, req)
+}
+
+// awaitCredit parks the caller, which holds the CPU token and found no
+// credit toward the peer pr, until one comes back: a preemption point. The
+// peer's waiter list grows from the machine's blocks (queueBlock).
+func (k *Kernel) awaitCredit(p *sim.Proc, pr *peer) {
+	pr.credits.Reserve(&k.sys.procs, 1, k.sys.queueBlock())
+	k.pause(p, &pr.credits)
 }
 
 // transmit puts a request that holds a credit on the wire to kernel dst,
@@ -410,7 +430,7 @@ func (k *Kernel) transmit(dst int, req *ikcRequest) {
 // counts once per transmission, and only while it is live.
 func (k *Kernel) onCredit(dst int, seq uint64) {
 	if k.reliable {
-		xm := k.pending[seq].xm
+		xm := k.awaiting(seq).xm
 		if xm == nil || xm.done || xm.credited {
 			return
 		}
@@ -659,12 +679,12 @@ func (k *Kernel) recvReply(rep *ikcReply) {
 		k.stats.StaleIncarnation++
 		return
 	}
-	a, ok := k.pending[rep.Seq]
+	a, ok := k.pending.Get(ddl.Key(rep.Seq))
 	if !ok {
 		k.stats.LateReplies++
 		return
 	}
-	delete(k.pending, rep.Seq)
+	k.pending.Delete(ddl.Key(rep.Seq))
 	if a.xm != nil {
 		k.onReply(a.xm)
 	}

@@ -107,10 +107,10 @@ type Kernel struct {
 	// peers holds the IKC state toward each other kernel, indexed by its
 	// id; nil until the two talk (peer). pending maps the sequence number of
 	// every request still awaiting its reply to the call's continuation and,
-	// in reliable mode once it is on the wire, its transmission (awaited);
-	// it is made by the first request that awaits a reply (stamp).
+	// in reliable mode once it is on the wire, its transmission (awaited),
+	// keyed by the sequence number, which starts at 1 (nextSeq).
 	peers   []*peer
-	pending map[uint64]awaited
+	pending ddl.KeyMap[awaited]
 	seq     uint64
 
 	// queries recycles the VPE/service query records (query).
@@ -296,13 +296,17 @@ func (pl *pool) threadName(idx int) string {
 // limit permits. If the pool is saturated the job waits in the queue — the
 // kernel's defense against request floods (paper §4.2).
 func (pl *pool) submit(j job) {
+	s := pl.k.sys
 	if pl.q.Waiters() == 0 && pl.spawned < pl.max {
 		if pl.workFn == nil {
 			pl.nameFn, pl.workFn = pl.threadName, pl.work
 		}
 		pl.spawned++
-		pl.k.sys.Eng.SpawnLazy(pl.nameFn, pl.spawned, pl.workFn)
+		// Every thread of the pool may park idle at once.
+		pl.q.ReserveWaiters(&s.procs, pl.spawned, s.queueBlock())
+		s.Eng.SpawnLazy(pl.nameFn, pl.spawned, pl.workFn)
 	}
+	pl.q.ReserveItems(&s.jobs, 1, s.queueBlock())
 	pl.q.Push(j)
 }
 

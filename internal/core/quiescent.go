@@ -97,7 +97,7 @@ func (s *System) CheckQuiescent() []string {
 		if reps > 0 {
 			out = append(out, fmt.Sprintf("k%d: %d reply(ies) left in the reply sink", k.id, reps))
 		}
-		if n := len(k.pending); n > 0 {
+		if n := k.pending.Len(); n > 0 {
 			out = append(out, fmt.Sprintf("k%d: %d request(s) still awaiting a reply", k.id, n))
 		}
 		if n := k.revocations.Len(); n > 0 {

@@ -135,9 +135,9 @@ func (k *Kernel) failFast(seq uint64, dst int) {
 // failPending completes the call of request seq, if it is still pending,
 // with ErrPeerDead from dst.
 func (k *Kernel) failPending(seq uint64, dst int) {
-	a, ok := k.pending[seq]
-	delete(k.pending, seq)
+	a, ok := k.pending.Get(ddl.Key(seq))
 	if ok {
+		k.pending.Delete(ddl.Key(seq))
 		k.complete(a, &ikcReply{Seq: seq, From: dst, Err: ErrPeerDead})
 	}
 }
@@ -150,9 +150,7 @@ func (k *Kernel) track(dst int, xm *xmitState) {
 	xm.rto = rtoBase
 	xm.firstSent = k.sys.Eng.Now()
 	for _, r := range xm.reqs {
-		a := k.pending[r.Seq]
-		a.xm = xm
-		k.pending[r.Seq] = a
+		k.pending.Slot(ddl.Key(r.Seq)).xm = xm
 	}
 	pr := k.peers[dst]
 	pr.live = append(k.sys.liveRoom(pr.live), xm)
@@ -227,7 +225,7 @@ func (k *Kernel) expire(xm *xmitState) {
 	// answered (or aborted) since the last send left pending.
 	xm.resend = 0
 	for i, r := range xm.reqs {
-		if k.pending[r.Seq].xm == xm {
+		if k.awaiting(r.Seq).xm == xm {
 			xm.resend |= 1 << i
 		}
 	}
@@ -292,7 +290,7 @@ func (k *Kernel) abortLive(pr *peer) {
 func (k *Kernel) abort(xm *xmitState) {
 	xm.done = true
 	for _, req := range xm.reqs {
-		if k.pending[req.Seq].xm == xm {
+		if k.awaiting(req.Seq).xm == xm {
 			k.failPending(req.Seq, xm.dst)
 		}
 	}

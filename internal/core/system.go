@@ -163,6 +163,14 @@ type System struct {
 	repLists  sim.Blocks[ikcReply]
 	liveLists sim.Blocks[*xmitState]
 	dedups    sim.Blocks[dedup]
+	// peerRecs are the blocks of recBlock the kernels' peer records come
+	// from (Kernel.peer). jobs and procs are where the arrays of the
+	// kernels' queues come from: their boot-time runs (layout), and, past
+	// them, the runs a pool's jobs and idle threads and a peer's credit
+	// waiters grow into (pool.submit, Kernel.awaitCredit).
+	peerRecs sim.Blocks[peer]
+	jobs     sim.Blocks[job]
+	procs    sim.Blocks[*sim.Proc]
 
 	// vpeProcNameFn and vpeRunFn are vpeProcName and vpeRun, bound once
 	// for every VPE's SpawnLazy.
@@ -190,6 +198,9 @@ func NewSystem(cfg Config) (*System, error) {
 	if eng == nil {
 		eng = sim.NewEngine()
 	}
+	// The PE lists and the VPE tables are one allocation each, cut into
+	// capped runs.
+	pes, vpes := make([]int, cfg.UserPEs+cfg.MemPEs), make([]*VPE, nodes+cfg.UserPEs)
 	cost := DefaultCostModel()
 	if cfg.Cost != nil {
 		cost = *cfg.Cost
@@ -204,10 +215,10 @@ func NewSystem(cfg Config) (*System, error) {
 		Cost:     cost,
 		member:   ddl.NewMembership(nodes),
 		kernels:  make([]*Kernel, cfg.Kernels),
-		userPEs:  make([]int, 0, cfg.UserPEs),
-		memPEs:   make([]int, 0, cfg.MemPEs),
-		vpes:     make([]*VPE, 0, cfg.UserPEs),
-		peToVPE:  make([]*VPE, nodes),
+		userPEs:  pes[:0:cfg.UserPEs],
+		memPEs:   pes[cfg.UserPEs:cfg.UserPEs],
+		vpes:     vpes[nodes:nodes],
+		peToVPE:  vpes[:nodes:nodes],
 		services: make(map[string]*serviceEntry),
 		dramNext: make([]uint64, cfg.MemPEs),
 		recBlock: min(max(cfg.UserPEs/4, 2), 16),
@@ -267,22 +278,29 @@ const capsPerVPE = 4
 
 // layout gives the kernels' records their boot-time capacity from the size
 // of their groups (DESIGN.md "Boot-time layout"): a group's VPEs are all
-// that wait for its kernel's CPU, a syscall thread or a query answer. Each
+// that wait for its kernel's CPU, a syscall thread or a query answer, and a
+// revocation of a capability each of them holds marks one per VPE. Each
 // kind of storage is one allocation for the machine.
 func (s *System) layout(recs []Kernel) {
 	n, all := len(recs), s.cfg.UserPEs
 	g := (all + n - 1) / n
 	stores, gens := cap.NewStores(n, g, g*capsPerVPE), ddl.NewGenerators(n, g)
-	var procs sim.Blocks[*sim.Proc]
-	var jobs sim.Blocks[job]
 	var queries sim.Blocks[*query]
+	var revKeys sim.Blocks[ddl.Key]
+	var revVals sim.Blocks[*revState]
+	marks := 0
+	for i := range recs {
+		marks += ddl.TableLen(len(recs[i].group))
+	}
 	for i := range recs {
 		k := &recs[i]
 		m := len(k.group)
 		k.store, k.gen = &stores[i], &gens[i]
-		k.cpu.Use(procs.Take(m, 2*all))
-		k.syscallPool.q.Use(jobs.Take(m, all), procs.Take(m, 2*all))
+		k.cpu.Use(s.procs.Take(m, 2*all))
+		k.syscallPool.q.Use(s.jobs.Take(m, all), s.procs.Take(m, 2*all))
 		k.queries.UseFree(queries.Take(m, all))
+		l := ddl.TableLen(m)
+		k.revocations.Use(revKeys.Take(l, marks), revVals.Take(l, marks))
 	}
 }
 

@@ -293,7 +293,7 @@ func (k *Kernel) flushLocked(p *sim.Proc, q *sendQueue) {
 	k.stats.IKCBatches++
 	pr := k.peers[dst]
 	if !pr.credits.TryAcquire() {
-		k.pause(p, &pr.credits)
+		k.awaitCredit(p, pr)
 	}
 	for _, req := range reqs {
 		req.Inc, req.ToInc = k.incarnation, pr.inc

@@ -166,7 +166,7 @@ func (g *Generator) NextID(pe, vpe int) uint64 {
 	}
 	// The creator's fields alone, plus one: never the invalid key 0.
 	creator := Key(uint64(pe)<<VPEBits|uint64(vpe)) + 1
-	n := g.counters.slot(creator)
+	n := g.counters.Slot(creator)
 	obj := *n
 	*n++
 	return obj

@@ -55,12 +55,12 @@ func (m *KeyMap[V]) Get(k Key) (V, bool) {
 }
 
 // Put stores v under k, replacing any existing entry.
-func (m *KeyMap[V]) Put(k Key, v V) { *m.slot(k) = v }
+func (m *KeyMap[V]) Put(k Key, v V) { *m.Slot(k) = v }
 
-// slot returns a pointer to the value stored under k, entering k with the
+// Slot returns a pointer to the value stored under k, entering k with the
 // zero value first if it is absent: a read-modify-write in one probe. The
 // pointer is valid until the table next changes.
-func (m *KeyMap[V]) slot(k Key) *V {
+func (m *KeyMap[V]) Slot(k Key) *V {
 	if k == 0 {
 		panic("ddl: KeyMap key 0 (invalid key)")
 	}

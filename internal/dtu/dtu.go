@@ -149,24 +149,65 @@ type VecItem struct {
 	Label   uint64
 }
 
-// endpoint is one endpoint register set, sized for send and memory
-// endpoints: those are what most endpoints of a machine are, and a user PE
-// configures only two or three of its sixteen. The receive-only state sits
-// behind recv, which is non-nil exactly while the endpoint is a receive
-// endpoint.
+// endpoint is one endpoint register set in four words. An endpoint is only
+// ever one of its three kinds, so a send and a memory endpoint overlay what
+// each keeps: the target PE of a send endpoint and the PE whose memory a
+// memory endpoint's window lies in share pe, the label and the window's
+// offset share off, and the credits and the window's size share size. The
+// receive-only state sits behind recv, which is non-nil exactly while the
+// endpoint is a receive endpoint. The overlaid fields are read only through
+// the accessors below, which check the kind, so that a window's size is
+// never read as credits.
 type endpoint struct {
-	kind EpKind
-	perm Perm // mem
+	kind  EpKind
+	perm  Perm   // mem
+	dstEP int16  // send: the receive endpoint at pe
+	pe    int32  // send: the target PE; mem: the PE whose memory the window is in
+	off   uint64 // send: the label; mem: the window's offset
+	size  uint64 // send: credits in the low half, the maximum in the high half; mem: the window's size
+	recv  *recvState
+}
 
-	// A send endpoint's target, credits and label; a memory endpoint's
-	// window of PE memPE's memory. The order packs them into six words.
-	dstPE, dstEP        int32
-	credits, maxCredits int32
-	memPE               int32
-	label               uint64
-	memOff, memSize     uint64
+// sendEndpoint is a send endpoint targeting (dstPE, dstEP) with the given
+// label, its credits all available.
+func sendEndpoint(dstPE, dstEP, credits int, label uint64) endpoint {
+	c := uint64(uint32(credits))
+	return endpoint{kind: EpSend, dstEP: int16(dstEP), pe: int32(dstPE), off: label, size: c | c<<32}
+}
 
-	recv *recvState
+// memEndpoint is a memory endpoint granting perm on [off, off+size) of PE
+// pe's memory.
+func memEndpoint(pe int, off, size uint64, perm Perm) endpoint {
+	return endpoint{kind: EpMem, perm: perm, pe: int32(pe), off: off, size: size}
+}
+
+// must panics unless the endpoint is of kind k: reading an overlaid field
+// through the wrong kind is a bug in this package.
+func (e *endpoint) must(k EpKind) {
+	if e.kind != k {
+		panic("dtu: " + e.kind.String() + " endpoint read as " + k.String())
+	}
+}
+
+// label is a send endpoint's label.
+func (e *endpoint) label() uint64 { e.must(EpSend); return e.off }
+
+// credits returns a send endpoint's available and maximum credits.
+func (e *endpoint) credits() (cur, max int32) {
+	e.must(EpSend)
+	return int32(uint32(e.size)), int32(e.size >> 32)
+}
+
+// setCredits sets a send endpoint's available credits.
+func (e *endpoint) setCredits(cur int32) {
+	e.must(EpSend)
+	e.size = e.size&^(1<<32-1) | uint64(uint32(cur))
+}
+
+// window returns a memory endpoint's PE, offset and size.
+func (e *endpoint) window() (pe int, off, size uint64) {
+	e.must(EpMem)
+	return int(e.pe), e.off, e.size
 }
 
 // recvState is what only a receive endpoint holds. It comes from its
@@ -193,8 +234,8 @@ type Stats struct {
 
 // DTU is one data transfer unit, attached to PE `pe`.
 type DTU struct {
-	fabric     *Fabric
-	pe         int
+	fabric     *Fabric // nil until Fabric.Add attaches the DTU
+	pe         int32
 	privileged bool
 	eps        [NumEndpoints]endpoint
 	memCap     int // declared local memory size, the bound of CheckMem
@@ -203,9 +244,8 @@ type DTU struct {
 
 // Fabric owns all DTUs of a machine and the NoC connecting them.
 type Fabric struct {
-	net  *noc.Network
-	dtus []*DTU
-	// slab holds the DTUs themselves, one per PE, in one allocation.
+	net *noc.Network
+	// slab holds the DTUs themselves, indexed by PE, in one allocation.
 	slab []DTU
 	// msgs, vecs and recvs recycle the machine's messages, coalesced
 	// vectors and receive-endpoint state. They belong to this machine alone
@@ -219,27 +259,27 @@ type Fabric struct {
 // added with Add before use. The engine is the network's; the fabric keeps
 // no reference of its own.
 func NewFabric(_ *sim.Engine, net *noc.Network) *Fabric {
-	return &Fabric{
-		net:  net,
-		dtus: make([]*DTU, net.Nodes()),
-		slab: make([]DTU, net.Nodes()),
-	}
+	return &Fabric{net: net, slab: make([]DTU, net.Nodes())}
 }
 
 // Add attaches a new DTU (initially privileged) to PE pe with memBytes of
 // local memory exposed to remote memory endpoints.
 func (f *Fabric) Add(pe int, memBytes int) *DTU {
-	if f.dtus[pe] != nil {
+	d := &f.slab[pe]
+	if d.fabric != nil {
 		panic(fmt.Sprintf("dtu: PE %d already has a DTU", pe))
 	}
-	d := &f.slab[pe]
-	*d = DTU{fabric: f, pe: pe, privileged: true, memCap: memBytes}
-	f.dtus[pe] = d
+	*d = DTU{fabric: f, pe: int32(pe), privileged: true, memCap: memBytes}
 	return d
 }
 
-// DTU returns the DTU attached to PE pe.
-func (f *Fabric) DTU(pe int) *DTU { return f.dtus[pe] }
+// DTU returns the DTU attached to PE pe, or nil if none is.
+func (f *Fabric) DTU(pe int) *DTU {
+	if d := &f.slab[pe]; d.fabric != nil {
+		return d
+	}
+	return nil
+}
 
 // Held returns how many messages and coalesced vectors of the fabric are
 // out of its recyclers: on the wire, queued at an endpoint, held by a
@@ -248,7 +288,7 @@ func (f *Fabric) DTU(pe int) *DTU { return f.dtus[pe] }
 func (f *Fabric) Held() (msgs, vecs int) { return f.msgs.Held(), f.vecs.Held() }
 
 // PE returns the PE this DTU is attached to.
-func (d *DTU) PE() int { return d.pe }
+func (d *DTU) PE() int { return int(d.pe) }
 
 // Stats returns a snapshot of the DTU's counters.
 func (d *DTU) Stats() Stats { return d.stats }
@@ -285,8 +325,7 @@ func (d *DTU) ConfigureSend(by *DTU, ep, dstPE, dstEP, credits int, label uint64
 	if !by.privileged {
 		return ErrNotPrivileged
 	}
-	d.configure(ep, endpoint{kind: EpSend, dstPE: int32(dstPE), dstEP: int32(dstEP),
-		credits: int32(credits), maxCredits: int32(credits), label: label})
+	d.configure(ep, sendEndpoint(dstPE, dstEP, credits, label))
 	return nil
 }
 
@@ -303,7 +342,7 @@ func (d *DTU) configureRecv(by *DTU, ep, slots int, h Handler, vh VecHandler) er
 	// Zeroed state: a reconfigured endpoint's, or the next of a block of one
 	// state per PE, so booting takes one allocation for every that many
 	// receive endpoints.
-	r := d.fabric.recvs.New(max(len(d.fabric.dtus), 16))
+	r := d.fabric.recvs.New(max(len(d.fabric.slab), 16))
 	r.slots, r.handler, r.vecHandler = slots, h, vh
 	d.eps[ep].recv = r
 	return nil
@@ -331,7 +370,7 @@ func (d *DTU) ConfigureMem(by *DTU, ep, memPE int, off, size uint64, perm Perm) 
 	if !by.privileged {
 		return ErrNotPrivileged
 	}
-	d.configure(ep, endpoint{kind: EpMem, memPE: int32(memPE), memOff: off, memSize: size, perm: perm})
+	d.configure(ep, memEndpoint(memPE, off, size, perm))
 	return nil
 }
 
@@ -353,17 +392,25 @@ func (d *DTU) EpKindOf(ep int) EpKind {
 }
 
 // MemWindow returns the window a memory endpoint grants: the target PE and
-// the offset and size of the region in its memory.
+// the offset and size of the region in its memory. Any other kind of
+// endpoint grants none: (0, 0, 0).
 func (d *DTU) MemWindow(ep int) (pe int, off, size uint64) {
 	checkEP(ep)
-	e := &d.eps[ep]
-	return int(e.memPE), e.memOff, e.memSize
+	if e := &d.eps[ep]; e.kind == EpMem {
+		return e.window()
+	}
+	return 0, 0, 0
 }
 
-// Credits returns the available credits of a send endpoint.
+// Credits returns the available credits of a send endpoint; 0 for any other
+// kind of endpoint.
 func (d *DTU) Credits(ep int) int {
 	checkEP(ep)
-	return int(d.eps[ep].credits)
+	if e := &d.eps[ep]; e.kind == EpSend {
+		cur, _ := e.credits()
+		return int(cur)
+	}
+	return 0
 }
 
 // Occupied returns how many slots of a receive endpoint hold a message that
@@ -385,7 +432,7 @@ func (d *DTU) Occupied(ep int) int {
 // serve a busy machine in a few allocations and waste little of an idle
 // one.
 func (f *Fabric) newMessage() *Message {
-	m := f.msgs.New(max(len(f.dtus)/4, 16))
+	m := f.msgs.New(max(len(f.slab)/4, 16))
 	m.freed = false
 	return m
 }
@@ -424,7 +471,7 @@ func (f *Fabric) dropVec(v *vecMeta) {
 // is released at once; one it duplicates stays scheduled for its second
 // delivery while the first arrival takes a copy (arrival.Fire).
 func (f *Fabric) transmit(src, size int, m *Message) {
-	switch f.net.Post(src, m.dstDTU.pe, size, (*arrival)(m)) {
+	switch f.net.Post(src, int(m.dstDTU.pe), size, (*arrival)(m)) {
 	case 0:
 		f.release(m)
 	case 2:
@@ -488,20 +535,21 @@ func (d *DTU) Send(ep int, payload any, size int, replyEP int, label uint64) err
 	if e.kind != EpSend {
 		return ErrBadEndpoint
 	}
-	if e.credits <= 0 {
+	credits, _ := e.credits()
+	if credits <= 0 {
 		return ErrNoCredits
 	}
-	e.credits--
+	e.setCredits(credits - 1)
 	f := d.fabric
 	m := f.newMessage()
-	m.SrcPE, m.SrcEP, m.ReplyEP = d.pe, ep, replyEP
-	m.Label = e.label
+	m.SrcPE, m.SrcEP, m.ReplyEP = int(d.pe), ep, replyEP
+	m.Label = e.label()
 	if label != 0 {
 		m.Label = label
 	}
 	m.Payload, m.Size = payload, size
-	m.dstDTU, m.dstEP, m.creditEP = f.dtus[e.dstPE], int16(e.dstEP), -1
-	f.transmit(d.pe, size+headerBytes, m)
+	m.dstDTU, m.dstEP, m.creditEP = &f.slab[e.pe], e.dstEP, -1
+	f.transmit(int(d.pe), size+headerBytes, m)
 	return nil
 }
 
@@ -550,19 +598,19 @@ func (d *DTU) SendVecTo(dstPE, dstEP int, items []VecItem) error {
 		return ErrBadEndpoint
 	}
 	f := d.fabric
-	dst := f.dtus[dstPE]
+	dst := &f.slab[dstPE]
 	v := f.vecs.New(1)
 	v.remaining, v.dst, v.ep = len(items), dst, dstEP
 	total := headerBytes
 	for _, it := range items {
 		total += it.Size
 		m := f.newMessage()
-		m.SrcPE, m.SrcEP, m.ReplyEP = d.pe, -1, -1
+		m.SrcPE, m.SrcEP, m.ReplyEP = int(d.pe), -1, -1
 		m.Label, m.Payload, m.Size = it.Label, it.Payload, it.Size
 		m.dstDTU, m.dstEP, m.creditEP, m.vec = dst, int16(dstEP), -1, v
 		v.msgs = append(v.msgs, m)
 	}
-	switch f.net.Post(d.pe, dstPE, total, v) {
+	switch f.net.Post(int(d.pe), dstPE, total, v) {
 	case 0:
 		f.dropVec(v)
 	case 2:
@@ -640,14 +688,14 @@ func (d *DTU) Reply(msg *Message, payload any, size int) {
 		return
 	}
 	r := f.newMessage()
-	r.SrcPE, r.SrcEP, r.ReplyEP = d.pe, int(msg.dstEP), -1
+	r.SrcPE, r.SrcEP, r.ReplyEP = int(d.pe), int(msg.dstEP), -1
 	r.Payload, r.Size = payload, size
-	r.dstDTU, r.dstEP, r.creditEP = f.dtus[msg.SrcPE], int16(msg.ReplyEP), -1
+	r.dstDTU, r.dstEP, r.creditEP = &f.slab[msg.SrcPE], int16(msg.ReplyEP), -1
 	if restore {
 		r.creditEP = int16(msg.SrcEP)
 	}
 	f.release(msg)
-	f.transmit(d.pe, size+headerBytes, r)
+	f.transmit(int(d.pe), size+headerBytes, r)
 }
 
 // Ack frees msg's slot without a payload reply; the sender's credit is
@@ -662,12 +710,12 @@ func (d *DTU) Ack(msg *Message) {
 		return
 	}
 	c := f.newMessage()
-	c.dstDTU, c.dstEP, c.creditEP = f.dtus[msg.SrcPE], -1, -1
+	c.dstDTU, c.dstEP, c.creditEP = &f.slab[msg.SrcPE], -1, -1
 	if restore {
 		c.creditEP = int16(msg.SrcEP)
 	}
 	f.release(msg)
-	f.transmit(d.pe, headerBytes, c)
+	f.transmit(int(d.pe), headerBytes, c)
 }
 
 // Free releases msg and its slot without any message back to the sender. It
@@ -702,10 +750,16 @@ func (d *DTU) free(msg *Message, op string) bool {
 	return true
 }
 
+// restoreCredit returns one credit to send endpoint ep, up to its maximum.
+// An endpoint reconfigured to another kind since the send has no credits to
+// restore.
 func (d *DTU) restoreCredit(ep int) {
 	e := &d.eps[ep]
-	if e.kind == EpSend && e.credits < e.maxCredits {
-		e.credits++
+	if e.kind != EpSend {
+		return
+	}
+	if cur, max := e.credits(); cur < max {
+		e.setCredits(cur + 1)
 	}
 }
 
@@ -724,7 +778,8 @@ func (d *DTU) CheckMem(ep int, off, size uint64, need Perm) error {
 	if e.perm&need != need {
 		return ErrNoPerm
 	}
-	if end := off + size; end > e.memSize || end < off || e.memOff+end > uint64(d.fabric.dtus[e.memPE].memCap) {
+	pe, wOff, wSize := e.window()
+	if end := off + size; end > wSize || end < off || wOff+end > uint64(d.fabric.slab[pe].memCap) {
 		return ErrOutOfBounds
 	}
 	return nil

@@ -1,6 +1,7 @@
 package dtu
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -748,16 +749,163 @@ func BenchmarkDTUWaitReply(b *testing.B) {
 	}
 }
 
-// TestDTUSizeClass pins a DTU to the 1024 B allocation size class. Every PE
-// has one, and most are user PEs that configure two or three of their
-// sixteen endpoints; with the receive state inline in every endpoint a DTU
-// took 3056 B, the 3072 B class. Receive state now sits behind a pointer and
-// the send and memory fields are narrowed, so growing an endpoint by a word
-// costs 128 B per DTU and fails here.
-func TestDTUSizeClass(t *testing.T) {
-	if got := unsafe.Sizeof(DTU{}); got > 1024 {
-		t.Fatalf("unsafe.Sizeof(DTU{}) = %d B, want at most 1024 (its size class)", got)
+// TestDTUSize pins an endpoint to four words and a DTU to 576 B. Every PE
+// has a DTU, all of a machine's DTUs are one slab (NewFabric), and most are
+// user PEs that configure two or three of their sixteen endpoints; a send
+// and a memory endpoint overlay their fields, so growing an endpoint by a
+// word costs 128 B per PE and fails here.
+func TestDTUSize(t *testing.T) {
+	if got := unsafe.Sizeof(endpoint{}); got != 32 {
+		t.Errorf("unsafe.Sizeof(endpoint{}) = %d B, want 32", got)
 	}
+	if got := unsafe.Sizeof(DTU{}); got > 576 {
+		t.Errorf("unsafe.Sizeof(DTU{}) = %d B, want at most 576", got)
+	}
+}
+
+// TestFabricBytesPerPE: a 640-PE machine's fabric, the evaluation platform's
+// size, allocates at most 600 B per PE when NewFabric builds it: its slab
+// of DTUs and nothing per PE besides.
+func TestFabricBytesPerPE(t *testing.T) {
+	const pes = 640
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	net := noc.New(sim.NewEngine(), noc.DefaultConfig(pes))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f := NewFabric(nil, net)
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / pes; per > 600 {
+		t.Fatalf("NewFabric allocates %d B per PE, want at most 600", per)
+	}
+	runtime.KeepAlive(f)
+}
+
+// TestSendEndpointRoundTrip: a send endpoint gives back its target, its
+// label with the top bit set, and its credits, and grants no memory window.
+func TestSendEndpointRoundTrip(t *testing.T) {
+	e, f := newFabric(t, 4)
+	a, b := f.DTU(0), f.DTU(1)
+	const label = 1<<63 | 0x5eed
+	b.ConfigureRecv(b, 2, 4, nil)
+	a.ConfigureSend(a, 1, 1, 2, 3, label)
+	if got := a.Credits(1); got != 3 {
+		t.Fatalf("credits = %d, want 3", got)
+	}
+	if pe, off, size := a.MemWindow(1); pe != 0 || off != 0 || size != 0 {
+		t.Fatalf("send endpoint's MemWindow = (%d, %d, %d), want none", pe, off, size)
+	}
+	if err := a.Send(1, "x", 8, -1, 0); err != nil {
+		t.Fatal(err)
+	}
+	e.Run()
+	m := b.Fetch(2)
+	if m == nil || m.Label != label || m.SrcPE != 0 || m.SrcEP != 1 {
+		t.Fatalf("delivered %+v, want label %#x from PE 0 endpoint 1", m, uint64(label))
+	}
+	if got := a.Credits(1); got != 2 {
+		t.Fatalf("credits after a send = %d, want 2", got)
+	}
+}
+
+// wideFabric is a fabric of two PEs, the second with 2^40 bytes of memory.
+func wideFabric() (*sim.Engine, *Fabric) {
+	e := sim.NewEngine()
+	f := NewFabric(e, noc.New(e, noc.DefaultConfig(2)))
+	f.Add(0, 1<<16)
+	f.Add(1, 1<<40)
+	return e, f
+}
+
+// TestMemEndpointAboveFourGiB: a memory window whose offset and size are
+// both at least 2^32 comes back whole from MemWindow and bounds CheckMem at
+// its last byte; it has no credits.
+func TestMemEndpointAboveFourGiB(t *testing.T) {
+	_, f := wideFabric()
+	a := f.DTU(0)
+	const off, size = 3 << 32, 5<<32 + 24
+	a.ConfigureMem(a, 4, 1, off, size, PermRW)
+	if pe, o, s := a.MemWindow(4); pe != 1 || o != off || s != size {
+		t.Fatalf("MemWindow = (%d, %#x, %#x), want (1, %#x, %#x)", pe, o, s, uint64(off), uint64(size))
+	}
+	if err := a.CheckMem(4, size-8, 8, PermW); err != nil {
+		t.Fatalf("the window's last 8 bytes: err = %v, want nil", err)
+	}
+	if err := a.CheckMem(4, size-7, 8, PermR); err != ErrOutOfBounds {
+		t.Fatalf("one byte past the window: err = %v, want ErrOutOfBounds", err)
+	}
+	if got := a.Credits(4); got != 0 {
+		t.Fatalf("memory endpoint's credits = %d, want 0", got)
+	}
+}
+
+// TestCreditRestoreTouchesOnlySendEndpoints: an Ack restores its credit to
+// the sender's send endpoint; if the sender has made that endpoint a memory
+// endpoint meanwhile, the credit message leaves its window as it was. The
+// window's size, read as two halves, would look like credits below their
+// maximum.
+func TestCreditRestoreTouchesOnlySendEndpoints(t *testing.T) {
+	e, f := wideFabric()
+	a, b := f.DTU(0), f.DTU(1)
+	b.ConfigureRecv(b, 2, 4, nil)
+	a.ConfigureSend(a, 1, 1, 2, 2, 0)
+	a.Send(1, "x", 8, -1, 0)
+	a.Send(1, "y", 8, -1, 0)
+	e.Run()
+	b.Ack(b.Fetch(2))
+	e.Run()
+	if got := a.Credits(1); got != 1 {
+		t.Fatalf("credits after one ack = %d, want 1", got)
+	}
+
+	const size = 2<<32 | 1
+	a.ConfigureMem(a, 1, 1, 64, size, PermR)
+	b.Ack(b.Fetch(2))
+	e.Run()
+	if pe, off, got := a.MemWindow(1); pe != 1 || off != 64 || got != size {
+		t.Fatalf("MemWindow after a credit arrived = (%d, %d, %#x), want (1, 64, %#x)", pe, off, got, uint64(size))
+	}
+	if err := a.CheckMem(1, size, 1, PermR); err != ErrOutOfBounds {
+		t.Fatalf("CheckMem past the window: err = %v, want ErrOutOfBounds", err)
+	}
+}
+
+// TestReconfigureRecvSendMem: an endpoint reconfigured from receive to send
+// to memory is each kind in turn, with nothing of the kind before, and
+// leaving the receive kind returns its state to the fabric's recycler.
+func TestReconfigureRecvSendMem(t *testing.T) {
+	_, f := newFabric(t, 4)
+	a := f.DTU(0)
+	a.ConfigureRecv(a, 6, 4, nil)
+	if f.recvs.Held() != 1 {
+		t.Fatalf("%d receive states held, want 1", f.recvs.Held())
+	}
+	a.ConfigureSend(a, 6, 2, 3, 5, 1<<40)
+	if a.EpKindOf(6) != EpSend || a.eps[6].recv != nil || a.Occupied(6) != 0 {
+		t.Fatalf("endpoint 6 is %v with receive state %p", a.EpKindOf(6), a.eps[6].recv)
+	}
+	if held, idle := f.recvs.Held(), f.recvs.Idle(); held != 0 || idle != 1 {
+		t.Fatalf("receive states: %d held, %d idle, want 0 and 1", held, idle)
+	}
+	if got := a.Credits(6); got != 5 {
+		t.Fatalf("credits = %d, want 5", got)
+	}
+	a.ConfigureMem(a, 6, 1, 8, 16, PermR)
+	if pe, off, size := a.MemWindow(6); a.EpKindOf(6) != EpMem || pe != 1 || off != 8 || size != 16 {
+		t.Fatalf("%v endpoint, MemWindow = (%d, %d, %d), want mem (1, 8, 16)", a.EpKindOf(6), pe, off, size)
+	}
+	if got := a.Credits(6); got != 0 {
+		t.Fatalf("memory endpoint's credits = %d, want 0", got)
+	}
+}
+
+// TestOverlaidFieldsCheckTheirKind: reading an overlaid field through the
+// wrong kind panics instead of reading the other kind's data.
+func TestOverlaidFieldsCheckTheirKind(t *testing.T) {
+	mem, send := memEndpoint(1, 0, 64, PermR), sendEndpoint(1, 2, 4, 0)
+	mustPanic(t, "dtu: mem endpoint read as send", func() { mem.credits() })
+	mustPanic(t, "dtu: mem endpoint read as send", func() { mem.setCredits(1) })
+	mustPanic(t, "dtu: mem endpoint read as send", func() { mem.label() })
+	mustPanic(t, "dtu: send endpoint read as mem", func() { send.window() })
 }
 
 // TestRecvStateSize pins a receive endpoint's state to the 112 B size

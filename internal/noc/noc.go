@@ -16,6 +16,7 @@ package noc
 import (
 	"fmt"
 
+	"repro/internal/ddl"
 	"repro/internal/sim"
 )
 
@@ -47,11 +48,16 @@ type Stats struct {
 	Lost     uint64 // messages dropped by a receiver (no free slot) or by fault injection
 }
 
-// pairID packs an ordered node pair into one word. Post looks its pair up
-// and stores it on every message; a one-word key takes the runtime's 64-bit
-// map paths, which a two-int struct key (hashed as 16 bytes of memory) does
-// not.
-func pairID(src, dst int) uint64 { return uint64(src)<<32 | uint64(dst) }
+// horizonKey packs an ordered node pair into one nonzero word, the key of its
+// delivery horizon in Network.horizon (a ddl.KeyMap, whose key 0 is taken).
+func horizonKey(src, dst int) ddl.Key { return ddl.Key(uint64(src)<<32|uint64(dst)) + 1 }
+
+// pairsPerNode is how many ordered pairs per PE Network.horizon is laid out
+// for at boot. A user PE talks to its kernel and a service or two, both
+// ways, and the kernels talk among themselves: the quick sweep's machines
+// use 0.02 to 3.9 pairs per PE, the benchmark's apps machine 3.35, its
+// scale machine 2.0. A machine that uses more grows the table.
+const pairsPerNode = 3
 
 // Verdict is a fault injector's decision about one message: drop it,
 // deliver it twice, and/or delay its arrival by Delay cycles. The zero
@@ -76,9 +82,10 @@ type Network struct {
 	eng   *sim.Engine
 	cfg   Config
 	width int
-	// lastDeliver enforces per-pair FIFO ordering.
-	lastDeliver map[uint64]sim.Time
-	stats       Stats
+	// horizon holds each ordered pair's latest delivery time, which
+	// enforces per-pair FIFO ordering.
+	horizon ddl.KeyMap[sim.Time]
+	stats   Stats
 	// inj, when set, decides per message whether to drop, duplicate or
 	// delay it (fault injection). Nil means the lossless fabric.
 	inj Injector
@@ -93,12 +100,10 @@ func New(eng *sim.Engine, cfg Config) *Network {
 	for w*w < cfg.Nodes {
 		w++
 	}
-	return &Network{
-		eng:         eng,
-		cfg:         cfg,
-		width:       w,
-		lastDeliver: make(map[uint64]sim.Time),
-	}
+	n := &Network{eng: eng, cfg: cfg, width: w}
+	l := ddl.TableLen(pairsPerNode * cfg.Nodes)
+	n.horizon.Use(make([]ddl.Key, l), make([]sim.Time, l))
+	return n
 }
 
 // Nodes returns the number of attached PEs.
@@ -169,11 +174,9 @@ func (n *Network) Post(src, dst, size int, deliver sim.Event) int {
 		v = n.inj.Inspect(now, src, dst, size)
 	}
 	arrival := now + n.Latency(src, dst, size) + v.Delay
-	key := pairID(src, dst)
-	if last, ok := n.lastDeliver[key]; ok && arrival < last {
-		arrival = last
-	}
-	n.lastDeliver[key] = arrival
+	last := n.horizon.Slot(horizonKey(src, dst))
+	arrival = max(arrival, *last)
+	*last = arrival
 	if v.Drop {
 		n.stats.Lost++
 		return 0
@@ -185,7 +188,7 @@ func (n *Network) Post(src, dst, size int, deliver sim.Event) int {
 	// The duplicate trails the original by one flit time so the
 	// receiver observes two distinct delivery events in a fixed order.
 	dupAt := arrival + flitLatency
-	n.lastDeliver[key] = dupAt
+	*last = dupAt
 	n.eng.Post(dupAt-now, deliver)
 	return 2
 }

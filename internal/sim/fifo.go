@@ -24,6 +24,35 @@ type FIFO[T any] struct {
 // owner sized at boot, which the queue grows past only by copying out.
 func (f *FIFO[T]) Use(items []T) { f.items = items[:0] }
 
+// Reserve makes room for n more pushes: if they would outgrow the array,
+// the queued elements slide down over its dead prefix when that makes the
+// room, and move to a run of b at least twice its size (Blocks.Take)
+// otherwise, leaving the old array cleared behind. An owner with many
+// queues that seldom grow, such as a machine's kernel pools, grows them
+// from one Blocks this way, one allocation per block instead of one per
+// growth step of each queue, and reserves nothing for a queue that never
+// spills.
+func (f *FIFO[T]) Reserve(b *Blocks[T], n, block int) {
+	if f.Len() == 0 {
+		n-- // the first push goes into the record
+	}
+	if len(f.items)+n <= cap(f.items) {
+		return
+	}
+	live := f.items[max(f.head, 0):]
+	if len(live)+n <= cap(f.items) {
+		m := copy(f.items, live)
+		clear(f.items[m:])
+		f.items = f.items[:m]
+	} else {
+		run := b.Take(max(len(live)+n, 2*cap(f.items)), block)
+		copy(run, live)
+		clear(live)
+		f.items = run[:len(live)]
+	}
+	f.head = min(f.head, 0)
+}
+
 // Len returns the number of queued elements.
 func (f *FIFO[T]) Len() int { return len(f.items) - f.head }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // TestFIFOMatchesReferenceSlice drives a FIFO and the idiom it replaces — a
@@ -284,6 +285,110 @@ func TestFIFOUseStaysInItsRun(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		if got := b.Pop(); got != 100+i {
 			t.Fatalf("b popped %d, want %d", got, 100+i)
+		}
+	}
+}
+
+// TestFIFOReserveKeepsOrder: a FIFO that reserves room from a Blocks before
+// every push, in any state — empty, head in the record, a dead prefix —
+// pops what a plain slice does, and the pushes it reserved for keep the
+// array Reserve left.
+func TestFIFOReserveKeepsOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var b Blocks[int]
+	var f FIFO[int]
+	var ref []int
+	for step, next := 0, 0; step < 20000; step++ {
+		if r := rng.Intn(5); r < 2 && len(ref) > 0 {
+			if got := f.Pop(); got != ref[0] {
+				t.Fatalf("step %d: popped %d, want %d", step, got, ref[0])
+			}
+			ref = ref[1:]
+			continue
+		}
+		n := 1 + rng.Intn(4)
+		f.Reserve(&b, n, 64)
+		array := unsafe.SliceData(f.items)
+		for i := 0; i < n; i++ {
+			f.Push(next)
+			ref = append(ref, next)
+			next++
+		}
+		if unsafe.SliceData(f.items) != array {
+			t.Fatalf("step %d: %d reserved pushes grew the array themselves", step, n)
+		}
+		if f.Len() != len(ref) {
+			t.Fatalf("step %d: Len %d, want %d", step, f.Len(), len(ref))
+		}
+	}
+}
+
+// TestFIFOReserveSharesBlocks: queues that grow by reserving from one
+// Blocks allocate once per block between them, and a queue that never
+// spills past its record reserves nothing.
+func TestFIFOReserveSharesBlocks(t *testing.T) {
+	var b Blocks[int]
+	qs := make([]FIFO[int], 8)
+	allocs := testing.AllocsPerRun(1, func() {
+		b = Blocks[int]{}
+		clear(qs)
+		for i := range qs {
+			q := &qs[i]
+			for j := 0; j < 8; j++ {
+				q.Reserve(&b, 1, 256)
+				q.Push(j)
+			}
+		}
+	})
+	// Each queue spills 7 elements into runs of 1, 2, 4 and 8: 15 a queue,
+	// 120 for the eight, which one block of 256 holds.
+	if allocs != 1 {
+		t.Fatalf("eight queues grew with %v allocations, want 1", allocs)
+	}
+	for i := range qs {
+		if c := cap(qs[i].items); c != 8 {
+			t.Fatalf("queue %d grew to %d, want 8 (doubling runs)", i, c)
+		}
+		for j := 0; j < 8; j++ {
+			if got := qs[i].Pop(); got != j {
+				t.Fatalf("queue %d popped %d, want %d", i, got, j)
+			}
+		}
+	}
+	var lone FIFO[int]
+	lone.Reserve(&b, 1, 256)
+	lone.Push(1)
+	if lone.items != nil {
+		t.Fatal("a push into an empty queue reserved an array")
+	}
+}
+
+// TestFIFOReserveSlidesInPlace: a queue whose dead prefix makes the room
+// reserved slides its elements down in its own array instead of taking a
+// run.
+func TestFIFOReserveSlidesInPlace(t *testing.T) {
+	var b Blocks[int]
+	var f FIFO[int]
+	f.Use(make([]int, 0, 8))
+	for i := 0; i < 9; i++ { // one in the record, eight in the array
+		f.Push(i)
+	}
+	for i := 0; i < 6; i++ {
+		f.Pop()
+	}
+	array := unsafe.SliceData(f.items)
+	if allocs := testing.AllocsPerRun(1, func() { f.Reserve(&b, 4, 64) }); allocs != 0 {
+		t.Fatalf("reserving room the dead prefix holds allocated %v times", allocs)
+	}
+	for i := 0; i < 4; i++ {
+		f.Push(100 + i)
+	}
+	if unsafe.SliceData(f.items) != array {
+		t.Fatal("the queue left its array")
+	}
+	for _, want := range []int{6, 7, 8, 100, 101, 102, 103} {
+		if got := f.Pop(); got != want {
+			t.Fatalf("popped %d, want %d", got, want)
 		}
 	}
 }

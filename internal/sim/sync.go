@@ -107,6 +107,9 @@ func (s *Semaphore) TryAcquire() bool {
 // Use gives the waiter queue its storage (FIFO.Use).
 func (s *Semaphore) Use(waiters []*Proc) { s.waiters.Use(waiters) }
 
+// Reserve makes room for n more waiters from b (FIFO.Reserve).
+func (s *Semaphore) Reserve(b *Blocks[*Proc], n, block int) { s.waiters.Reserve(b, n, block) }
+
 // Acquire takes one unit, parking the proc until it gets one, after settling
 // what the proc owes.
 func (s *Semaphore) Acquire(p *Proc) { p.ParkOn(s) }
@@ -151,6 +154,12 @@ func (q *Queue[T]) Use(items []T, waiters []*Proc) {
 	q.items.Use(items)
 	q.waiters.Use(waiters)
 }
+
+// ReserveItems makes room for n more elements from b, and ReserveWaiters
+// for n more idle consumers (FIFO.Reserve).
+func (q *Queue[T]) ReserveItems(b *Blocks[T], n, block int) { q.items.Reserve(b, n, block) }
+
+func (q *Queue[T]) ReserveWaiters(b *Blocks[*Proc], n, block int) { q.waiters.Reserve(b, n, block) }
 
 // Waiters returns the number of procs parked in Pop (idle consumers).
 func (q *Queue[T]) Waiters() int { return q.waiters.Len() }
